@@ -13,9 +13,10 @@ use std::collections::HashMap;
 
 use crate::scenario::ScenarioSpec;
 use sim::cache::{cell_key_with_attack_id, RunCache};
+use sim::exec::{Executor, PayloadCache};
 use sim::experiment::{CustomAttack, Experiment, TrackerSel};
 use sim::metrics::RunStats;
-use sim::runner::parallel_map;
+use sim::runner::{parallel_map, RunnerConfig};
 use sim_core::rng::Xoshiro256;
 
 use crate::pattern::PatternTrace;
@@ -186,20 +187,7 @@ pub fn evaluate_specs(
     reference: &RunStats,
     specs: Vec<ScenarioSpec>,
 ) -> Vec<EvalRecord> {
-    let outcomes = parallel_map(specs, |spec| {
-        let result = experiment_for(cfg, &spec).run_against(reference);
-        record(spec, &result)
-    });
-    outcomes
-        .into_iter()
-        .filter_map(|o| match o {
-            Ok(rec) => Some(rec),
-            Err(e) => {
-                eprintln!("attacklab: scenario evaluation failed, skipping: {e}");
-                None
-            }
-        })
-        .collect()
+    evaluate(cfg, reference, specs, None)
 }
 
 /// [`evaluate_specs`] read through the content-addressed run cache.
@@ -216,44 +204,44 @@ pub fn evaluate_specs_cached(
     specs: Vec<ScenarioSpec>,
     cache: &RunCache,
 ) -> Vec<EvalRecord> {
-    let keyed: Vec<(ScenarioSpec, Option<sim::cache::CellKey>)> = specs
-        .into_iter()
+    evaluate(cfg, reference, specs, Some(cache))
+}
+
+fn evaluate(
+    cfg: &SearchConfig,
+    reference: &RunStats,
+    specs: Vec<ScenarioSpec>,
+    cache: Option<&RunCache>,
+) -> Vec<EvalRecord> {
+    let cells = specs
+        .iter()
         .map(|spec| {
-            let e = experiment_for(cfg, &spec);
-            let key = cell_key_with_attack_id(&e, Some(&spec.to_json().render()));
-            (spec, key)
+            let key = cache.and_then(|_| {
+                let e = experiment_for(cfg, spec);
+                cell_key_with_attack_id(&e, Some(&spec.to_json().render()))
+            });
+            (spec.clone(), key)
         })
         .collect();
-    let mut records: Vec<Option<EvalRecord>> = Vec::with_capacity(keyed.len());
-    let mut miss_slots = Vec::new();
-    let mut miss_specs = Vec::new();
-    for (i, (spec, key)) in keyed.iter().enumerate() {
-        match key.as_ref().and_then(|k| cache.lookup(k)) {
-            Some(result) => records.push(Some(record(spec.clone(), &result))),
-            None => {
-                records.push(None);
-                miss_slots.push(i);
-                miss_specs.push(spec.clone());
+    let exec = Executor {
+        cache: cache.map(|c| c as &dyn PayloadCache<_>),
+        checkpoint: None,
+        runner: &RunnerConfig::default(),
+    };
+    let (cfg, reference) = (cfg.clone(), reference.clone());
+    let run = move |spec: ScenarioSpec| experiment_for(&cfg, &spec).run_against(&reference);
+    let (outcomes, _) = exec.probe(cells, |_, _, _| {}).run(ScenarioSpec::name, run, |_, _, _| {});
+    specs
+        .into_iter()
+        .zip(outcomes)
+        .filter_map(|(spec, outcome)| match outcome {
+            Ok(result) => Some(record(spec, &result)),
+            Err(e) => {
+                eprintln!("attacklab: scenario evaluation failed, skipping: {e}");
+                None
             }
-        }
-    }
-    let outcomes = parallel_map(miss_specs, |spec| {
-        let result = experiment_for(cfg, &spec).run_against(reference);
-        (spec, result)
-    });
-    for (j, outcome) in outcomes.into_iter().enumerate() {
-        let i = miss_slots[j];
-        match outcome {
-            Ok((spec, result)) => {
-                if let Some(key) = &keyed[i].1 {
-                    cache.save(key, &result);
-                }
-                records[i] = Some(record(spec, &result));
-            }
-            Err(e) => eprintln!("attacklab: scenario evaluation failed, skipping: {e}"),
-        }
-    }
-    records.into_iter().flatten().collect()
+        })
+        .collect()
 }
 
 /// An in-run memo of already-evaluated genomes, keyed by the genome's

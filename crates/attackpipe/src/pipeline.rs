@@ -19,10 +19,11 @@ use analysis::OracleProbe;
 use attacklab::campaign::{run_campaign, CampaignReport, CampaignRow};
 use attacklab::scenario::{ScenarioSpec, Shape};
 use attacklab::search::EvalRecord;
+use sim::exec::{Executor, PayloadCache};
 use sim::metrics::RunStats;
 use sim::{
-    normalized_performance, AttackChoice, AttackerConfig, AttackerKnowledge, CustomAttack, Engine,
-    Experiment, SweepSpec, TelemetrySpec,
+    normalized_performance, AttackChoice, AttackerConfig, AttackerKnowledge, CellKey, CustomAttack,
+    Engine, Experiment, RunnerConfig, SweepSpec, TelemetrySpec,
 };
 use sim_core::cache::{content_key, DiskStore};
 use sim_core::json::Json;
@@ -256,54 +257,60 @@ pub fn run_cell(e: &Experiment, reference: &RunStats) -> PipelineVerdict {
 
 // ---------------------------------------------------------------- caching
 
-/// The cell's verdict-cache descriptor: the canonical descriptor of the
+/// The cell's verdict-cache key: the canonical descriptor of the
 /// experiment with its *attack* stripped (the pipeline derives the
 /// hammer from the attacker section, which stays in) — so the key pins
 /// workload, tracker, parameters, system options, and the full attacker
-/// configuration, and nothing else.
-fn verdict_descriptor(e: &Experiment) -> Option<String> {
+/// configuration, and nothing else — addressed under [`VERDICT_EPOCH`].
+fn verdict_key(e: &Experiment) -> Option<CellKey> {
     let mut stripped = e.clone();
     stripped.custom_attack = None;
     stripped.attack = AttackChoice::None;
-    sim::cell_key(&stripped).map(|k| k.descriptor)
+    let descriptor = sim::cell_key(&stripped)?.descriptor;
+    Some(CellKey {
+        key: content_key(format!("{VERDICT_EPOCH}|{descriptor}").as_bytes()),
+        descriptor,
+    })
 }
 
-fn verdict_key(descriptor: &str) -> String {
-    content_key(format!("{VERDICT_EPOCH}|{descriptor}").as_bytes())
-}
+/// The verdict cache: [`PipelineVerdict`]s in a [`DiskStore`], each entry
+/// embedding its epoch and descriptor so a stale or colliding entry is
+/// evicted, never served.
+struct VerdictStore(DiskStore);
 
-fn lookup_verdict(store: &DiskStore, descriptor: &str) -> Option<PipelineVerdict> {
-    let key = verdict_key(descriptor);
-    let payload = store.get(&key)?;
-    let decode = || -> Result<PipelineVerdict, String> {
-        let j = Json::parse(&payload).map_err(|e| e.to_string())?;
-        if text(&j, "epoch")? != VERDICT_EPOCH {
-            return Err("epoch mismatch".to_string());
-        }
-        if text(&j, "descriptor")? != descriptor {
-            return Err("descriptor mismatch (key collision)".to_string());
-        }
-        PipelineVerdict::from_json(want(&j, "verdict")?)
-    };
-    match decode() {
-        Ok(v) => Some(v),
-        Err(msg) => {
-            eprintln!("attackpipe: evicting unusable cache entry {key}: {msg}");
-            store.evict(&key);
-            None
+impl PayloadCache<PipelineVerdict> for VerdictStore {
+    fn lookup(&self, key: &CellKey) -> Option<PipelineVerdict> {
+        let payload = self.0.get(&key.key)?;
+        let decode = || -> Result<PipelineVerdict, String> {
+            let j = Json::parse(&payload).map_err(|e| e.to_string())?;
+            if text(&j, "epoch")? != VERDICT_EPOCH {
+                return Err("epoch mismatch".to_string());
+            }
+            if text(&j, "descriptor")? != key.descriptor {
+                return Err("descriptor mismatch (key collision)".to_string());
+            }
+            PipelineVerdict::from_json(want(&j, "verdict")?)
+        };
+        match decode() {
+            Ok(v) => Some(v),
+            Err(msg) => {
+                eprintln!("attackpipe: evicting unusable cache entry {}: {msg}", key.key);
+                self.0.evict(&key.key);
+                None
+            }
         }
     }
-}
 
-fn save_verdict(store: &DiskStore, descriptor: &str, v: &PipelineVerdict) {
-    let payload = Json::obj([
-        ("epoch", Json::str(VERDICT_EPOCH)),
-        ("descriptor", Json::str(descriptor)),
-        ("verdict", v.to_json()),
-    ])
-    .render();
-    if let Err(e) = store.put(&verdict_key(descriptor), &payload) {
-        eprintln!("attackpipe: cannot write cache entry: {e}");
+    fn save(&self, key: &CellKey, v: &PipelineVerdict) -> std::io::Result<()> {
+        let payload = Json::obj([
+            ("epoch", Json::str(VERDICT_EPOCH)),
+            ("descriptor", Json::str(&key.descriptor)),
+            ("verdict", v.to_json()),
+        ])
+        .render();
+        self.0
+            .put(&key.key, &payload)
+            .inspect_err(|e| eprintln!("attackpipe: cannot write cache entry: {e}"))
     }
 }
 
@@ -407,67 +414,46 @@ pub fn run_attacker_sweep(
         .map(str::to_string)
         .or_else(|| spec.cache.as_ref().and_then(|c| c.effective_dir().map(str::to_string)));
     let store = dir.and_then(|dir| match DiskStore::open(&dir) {
-        Ok(store) => Some(store),
+        Ok(store) => Some(VerdictStore(store)),
         Err(e) => {
             eprintln!("attackpipe: cannot open verdict cache {dir}: {e}; running uncached");
             None
         }
     });
 
-    let cells = experiments.len();
-    let mut slots: Vec<Option<PipelineVerdict>> = Vec::with_capacity(cells);
-    let mut miss_slots = Vec::new();
-    let mut miss_cells = Vec::new();
-    let mut hits = 0u64;
-    for (i, e) in experiments.into_iter().enumerate() {
-        let descriptor = verdict_descriptor(&e);
-        let cached = match (&store, &descriptor) {
-            (Some(store), Some(d)) => lookup_verdict(store, d),
-            _ => None,
-        };
-        match cached {
-            Some(v) => {
-                hits += 1;
-                slots.push(Some(v));
-            }
-            None => {
-                slots.push(None);
-                miss_slots.push(i);
-                miss_cells.push(e);
-            }
-        }
-    }
-    let misses = miss_cells.len() as u64;
-
-    // References are computed up front (one per workload × engine) so the
-    // parallel phase only reads them.
+    let cells = experiments
+        .into_iter()
+        .map(|e| {
+            let key = verdict_key(&e);
+            (e, key)
+        })
+        .collect();
+    let exec = Executor {
+        cache: store.as_ref().map(|s| s as &dyn PayloadCache<_>),
+        checkpoint: None,
+        runner: &RunnerConfig::default(),
+    };
+    let probed = exec.probe(cells, |_, _, _| {});
+    // References are computed up front (one per workload × engine, and
+    // only for cells that missed) so the parallel phase only reads them.
     let mut references: BTreeMap<String, RunStats> = BTreeMap::new();
-    for e in &miss_cells {
+    for e in probed.missed() {
         references.entry(reference_scope(e)).or_insert_with(|| reference_for(e));
     }
-    let references = &references;
-    let outcomes = sim::parallel_map(miss_cells, |e| {
-        let reference = &references[&reference_scope(&e)];
-        let verdict = run_cell(&e, reference);
-        (e, verdict)
-    });
-    for (j, outcome) in outcomes.into_iter().enumerate() {
-        match outcome {
-            Ok((e, verdict)) => {
-                if let (Some(store), Some(descriptor)) = (&store, verdict_descriptor(&e)) {
-                    save_verdict(store, &descriptor, &verdict);
-                }
-                slots[miss_slots[j]] = Some(verdict);
-            }
-            Err(e) => eprintln!("attackpipe: cell failed, skipping: {e}"),
-        }
-    }
+    let run = move |e: Experiment| run_cell(&e, &references[&reference_scope(&e)]);
+    let (outcomes, summary) = probed.run(sim::cell_label, run, |_, _, _| {});
+    let verdicts = outcomes
+        .into_iter()
+        .filter_map(|outcome| {
+            outcome.inspect_err(|e| eprintln!("attackpipe: cell failed, skipping: {e}")).ok()
+        })
+        .collect();
     Ok(AttackerSweepReport {
         name: spec.name.clone(),
-        verdicts: slots.into_iter().flatten().collect(),
-        cells,
-        hits,
-        misses,
+        verdicts,
+        cells: summary.cells,
+        hits: summary.hits as u64,
+        misses: (summary.misses + summary.uncacheable) as u64,
     })
 }
 
@@ -663,16 +649,17 @@ mod tests {
         let base = Experiment::quick("povray_like")
             .tracker("hydra")
             .attacker(AttackerConfig::new(AttackerKnowledge::Blind));
-        let d0 = verdict_descriptor(&base).expect("cacheable");
+        let k0 = verdict_key(&base).expect("cacheable");
         // The attack field is stripped: a custom attack attached by the
         // hammer stage does not change the verdict key.
         let mut with_attack = base.clone();
         with_attack.custom_attack = Some(idle_placeholder());
-        assert_eq!(verdict_descriptor(&with_attack).unwrap(), d0);
+        assert_eq!(verdict_key(&with_attack).unwrap(), k0);
         // The attacker section is part of the key.
         let other = base.clone().attacker(AttackerConfig::new(AttackerKnowledge::TimingRecon));
-        assert_ne!(verdict_descriptor(&other).unwrap(), d0);
-        assert_ne!(verdict_key(&d0), verdict_key(&verdict_descriptor(&other).unwrap()));
+        let k1 = verdict_key(&other).unwrap();
+        assert_ne!(k1.descriptor, k0.descriptor);
+        assert_ne!(k1.key, k0.key);
     }
 
     #[test]
@@ -680,20 +667,20 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("attackpipe-verdict-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = DiskStore::open(&dir).expect("open");
+        let store = VerdictStore(DiskStore::open(&dir).expect("open"));
         let v = verdict();
-        save_verdict(&store, "descriptor-a", &v);
-        assert_eq!(lookup_verdict(&store, "descriptor-a"), Some(v.clone()));
+        let key = |descriptor: &str| CellKey {
+            key: content_key(descriptor.as_bytes()),
+            descriptor: descriptor.to_string(),
+        };
+        let a = key("descriptor-a");
+        store.save(&a, &v).expect("save");
+        assert_eq!(store.lookup(&a), Some(v.clone()));
         // A colliding key with the wrong descriptor is evicted, not served.
-        let key = verdict_key("descriptor-b");
-        let wrong = Json::obj([
-            ("epoch", Json::str(VERDICT_EPOCH)),
-            ("descriptor", Json::str("descriptor-a")),
-            ("verdict", v.to_json()),
-        ])
-        .render();
-        store.put(&key, &wrong).unwrap();
-        assert_eq!(lookup_verdict(&store, "descriptor-b"), None);
+        let b = key("descriptor-b");
+        store.0.put(&b.key, &store.0.get(&a.key).expect("entry a")).unwrap();
+        assert_eq!(store.lookup(&b), None);
+        assert!(!store.0.entry_path(&b.key).exists(), "the colliding entry is evicted");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

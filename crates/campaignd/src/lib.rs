@@ -45,14 +45,15 @@
 #![warn(missing_docs)]
 
 use sim::cache::{cell_key, CellKey, RunCache};
+use sim::exec::{Checkpoint, Executor, PayloadCache, Source};
 use sim::experiment::ExperimentResult;
 use sim::journal::SweepJournal;
-use sim::runner::{try_run_parallel_observed, RetryPolicy, RunnerConfig, SweepError};
+use sim::runner::{cell_label, RetryPolicy, RunnerConfig, SweepError};
 use sim::spec::{result_to_json, ExperimentSpec, SweepReport, SweepSpec};
 use sim::Experiment;
 use sim_core::fault::{FaultAction, FaultSite, Injector};
 use sim_core::json::Json;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -71,6 +72,12 @@ struct CellFailure {
     cell: String,
     message: String,
     attempts: u32,
+}
+
+impl From<SweepError> for CellFailure {
+    fn from(e: SweepError) -> Self {
+        CellFailure { cell: e.cell, message: e.message, attempts: e.attempts }
+    }
 }
 
 /// One simulated (or failed) cell, shared between every submission that
@@ -126,8 +133,6 @@ struct Inner {
     /// keys are logged so a restarted server re-executes only the
     /// unfinished remainder of an interrupted sweep.
     journal: Option<SweepJournal>,
-    /// Sweep hashes whose `start` record this process already wrote.
-    journaled: Mutex<HashSet<String>>,
     /// Retry/backoff policy applied to every simulated cell.
     retry: RetryPolicy,
     /// Armed fault plan (chaos tests only).
@@ -171,7 +176,8 @@ impl Inner {
 enum Slot {
     /// Another submission already finished it.
     Ready(Arc<CellOutcome>),
-    /// This submission claimed it (cache lookup, then simulate).
+    /// This submission claimed it; the executor probes the cache, then
+    /// simulates.
     Owned,
     /// Another submission is simulating it; wait and share.
     Waiting,
@@ -179,26 +185,12 @@ enum Slot {
 
 /// Runs one submission to completion, returning the completion object.
 /// The claim/own/wait choreography is the single-flight core: each
-/// unique cell key is simulated by exactly one submission.
+/// unique cell key is simulated by exactly one submission. Owned cells
+/// go through the shared [executor](sim::exec).
 fn run_job(inner: &Inner, job: &Job, spec: &SweepSpec, experiments: Vec<Experiment>) -> Json {
     let keys: Vec<Option<CellKey>> = experiments.iter().map(cell_key).collect();
-    // Checkpoint bookkeeping: pin the sweep's identity in the journal
-    // (once per process) and learn which cells a previous incarnation
-    // already committed, so the completion object can report them as
-    // `resumed`.
-    let sweep_hash = inner.journal.as_ref().map(|_| SweepJournal::sweep_hash(spec));
-    let journaled: HashSet<String> = match (&inner.journal, &sweep_hash) {
-        (Some(journal), Some(hash)) => {
-            if relock(&inner.journaled).insert(hash.clone()) {
-                let _ = journal.record_start(hash, spec, experiments.len() as u64);
-            }
-            journal
-                .load()
-                .map(|state| state.completed(hash).into_iter().collect())
-                .unwrap_or_default()
-        }
-        _ => HashSet::new(),
-    };
+    let checkpoint =
+        inner.journal.as_ref().map(|journal| Checkpoint::begin(journal, spec, experiments.len()));
     let mut shared = 0usize;
     let mut slots: Vec<Slot> = Vec::with_capacity(experiments.len());
     {
@@ -227,79 +219,36 @@ fn run_job(inner: &Inner, job: &Job, spec: &SweepSpec, experiments: Vec<Experime
             });
         }
     }
-    // Owned cells try the disk cache first — a warm server answers them
-    // with zero simulation. Hits whose keys the journal marked completed
-    // are the resumed remainder of an interrupted sweep.
-    let mut hits = 0usize;
-    let mut resumed = 0usize;
-    if let Some(cache) = &inner.cache {
-        for (i, slot) in slots.iter_mut().enumerate() {
-            if !matches!(slot, Slot::Owned) {
-                continue;
-            }
-            if let Some(key) = &keys[i] {
-                if let Some(result) = cache.lookup(key) {
-                    let outcome = Arc::new(Ok(result));
-                    inner.complete_cell(&key.key, outcome.clone());
-                    *slot = Slot::Ready(outcome);
-                    hits += 1;
-                    if journaled.contains(&key.key) {
-                        resumed += 1;
-                    }
-                    job.done.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+    let mut owned = Vec::new();
+    let mut cells = Vec::new();
+    for (i, experiment) in experiments.into_iter().enumerate() {
+        if matches!(slots[i], Slot::Owned) {
+            owned.push(i);
+            cells.push((experiment, keys[i].clone()));
         }
     }
-    // Simulate the remaining owned cells on the parallel worker pool.
-    let mut run_cells = Vec::new();
-    let mut run_jobs = Vec::new();
-    for (i, slot) in slots.iter().enumerate() {
-        if matches!(slot, Slot::Owned) {
-            run_cells.push(i);
-            run_jobs.push(experiments[i].clone());
-        }
-    }
-    let executed = run_jobs.len();
-    inner.executed.fetch_add(executed as u64, Ordering::Relaxed);
     let runner = RunnerConfig { retry: inner.retry.clone(), faults: inner.faults.clone() };
-    // Each cell is checkpointed from the worker thread the moment it
-    // settles — cache save, then journal (strictly after the cache
-    // commit, so the journal never claims a result the cache lacks),
-    // then the single-flight table so waiters and progress probes see it
-    // immediately. A `kill -9` mid-sweep therefore loses at most the
-    // cells still in flight, not the whole batch.
-    let on_done = |j: usize, outcome: &Result<ExperimentResult, SweepError>| {
-        let i = run_cells[j];
-        let outcome = Arc::new(match outcome {
-            Ok(result) => {
-                if let (Some(cache), Some(key)) = (&inner.cache, &keys[i]) {
-                    cache.save(key, result);
-                    if let (Some(journal), Some(hash)) = (&inner.journal, &sweep_hash) {
-                        let _ = journal.record_cell(hash, &key.key);
-                    }
-                }
-                Ok(result.clone())
-            }
-            Err(e) => Err(CellFailure {
-                cell: e.cell.clone(),
-                message: e.message.clone(),
-                attempts: e.attempts,
-            }),
-        });
-        if let Some(key) = &keys[i] {
-            inner.complete_cell(&key.key, outcome);
+    let exec = Executor {
+        cache: inner.cache.as_ref().map(|cache| cache as &dyn PayloadCache<_>),
+        checkpoint: checkpoint.as_ref(),
+        runner: &runner,
+    };
+    // A settled cell — answered by the disk cache, or simulated, saved
+    // and journaled — enters the single-flight table at once, so waiters
+    // and progress probes see it immediately.
+    let on_settled = |j: usize, outcome: &Result<ExperimentResult, SweepError>, _: Source| {
+        if let Some(key) = &keys[owned[j]] {
+            let outcome = outcome.clone().map_err(CellFailure::from);
+            inner.complete_cell(&key.key, Arc::new(outcome));
         }
         job.done.fetch_add(1, Ordering::Relaxed);
     };
-    for (j, outcome) in
-        try_run_parallel_observed(run_jobs, &runner, on_done).into_iter().enumerate()
-    {
-        let i = run_cells[j];
-        slots[i] = Slot::Ready(Arc::new(match outcome {
-            Ok(result) => Ok(result),
-            Err(e) => Err(CellFailure { cell: e.cell, message: e.message, attempts: e.attempts }),
-        }));
+    let probed = exec.probe(cells, on_settled);
+    let executed = probed.missed().len();
+    inner.executed.fetch_add(executed as u64, Ordering::Relaxed);
+    let (outcomes, summary) = probed.run(cell_label, Experiment::run, on_settled);
+    for (&i, outcome) in owned.iter().zip(outcomes) {
+        slots[i] = Slot::Ready(Arc::new(outcome.map_err(CellFailure::from)));
     }
     // Collect the cells other submissions are simulating.
     for (i, slot) in slots.iter_mut().enumerate() {
@@ -311,35 +260,31 @@ fn run_job(inner: &Inner, job: &Job, spec: &SweepSpec, experiments: Vec<Experime
     }
     // Assemble the report in expansion order: identical submissions
     // yield byte-identical reports regardless of who simulated what.
-    let mut results = Vec::new();
-    let mut failures = Vec::new();
-    for (i, slot) in slots.iter().enumerate() {
-        let Slot::Ready(outcome) = slot else { unreachable!("every slot resolves") };
-        match outcome.as_ref() {
-            Ok(result) => results.push(result.clone()),
-            Err(f) => failures.push(SweepError {
+    let outcomes = slots
+        .iter()
+        .enumerate()
+        .map(|(i, slot)| {
+            let Slot::Ready(outcome) = slot else { unreachable!("every slot resolves") };
+            outcome.as_ref().clone().map_err(|f| SweepError {
                 index: i,
-                cell: f.cell.clone(),
-                message: f.message.clone(),
+                cell: f.cell,
+                message: f.message,
                 attempts: f.attempts,
-            }),
-        }
-    }
+            })
+        })
+        .collect();
+    let report = SweepReport::assemble(spec, outcomes);
     // A clean pass closes the sweep's journal entry; a pass with
     // quarantined cells leaves it open so a resubmit (or a restart with
     // --resume) retries only the failures.
-    if failures.is_empty() {
-        if let (Some(journal), Some(hash)) = (&inner.journal, &sweep_hash) {
-            let _ = journal.record_end(hash);
-        }
+    if let (Some(checkpoint), true) = (&checkpoint, report.failures.is_empty()) {
+        checkpoint.end();
     }
-    let cells = slots.len();
-    let report = SweepReport { name: spec.name.clone(), spec: spec.clone(), results, failures };
     Json::obj([
         ("job", Json::count(job.id)),
-        ("cells", Json::count(cells as u64)),
-        ("hits", Json::count(hits as u64)),
-        ("resumed", Json::count(resumed as u64)),
+        ("cells", Json::count(slots.len() as u64)),
+        ("hits", Json::count(summary.hits as u64)),
+        ("resumed", Json::count(summary.resumed as u64)),
         ("executed", Json::count(executed as u64)),
         ("shared", Json::count(shared as u64)),
         ("report", report.to_json()),
@@ -446,7 +391,6 @@ impl Server {
             socket: cfg.socket,
             cache,
             journal,
-            journaled: Mutex::new(HashSet::new()),
             retry: cfg.retry,
             faults: cfg.faults,
             cells: Mutex::new(HashMap::new()),
@@ -517,12 +461,10 @@ impl Server {
 fn resume_unfinished(inner: &Arc<Inner>) {
     let Some(journal) = &inner.journal else { return };
     let Ok(state) = journal.load() else { return };
-    for (hash, progress) in state.unfinished() {
+    for (_, progress) in state.unfinished() {
         let Some(spec_json) = &progress.spec_json else { continue };
         let Ok(spec) = SweepSpec::from_json_str(spec_json) else { continue };
         let Ok(experiments) = spec.expand() else { continue };
-        // The start record is already on disk; don't write a second one.
-        relock(&inner.journaled).insert(hash.clone());
         inner.resumed_sweeps.fetch_add(1, Ordering::Relaxed);
         spawn_background_job(inner, spec, experiments);
     }

@@ -6,11 +6,10 @@
 //! representative DDR5 figures (order-of-magnitude correct); only ratios
 //! matter for the reproduction.
 
-use serde::{Deserialize, Serialize};
 use sim_core::time::{cycles_to_ns, Cycle};
 
 /// Energy charged per event, in nanojoules.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// One ACT+PRE pair.
     pub act_nj: f64,
@@ -47,7 +46,7 @@ impl Default for EnergyModel {
 }
 
 /// Accumulated energy for one channel.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct EnergyCounters {
     model: EnergyModel,
     acts: u64,

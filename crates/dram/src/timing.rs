@@ -1,6 +1,5 @@
 //! DDR5 timing parameters, in memory-bus cycles (3.2 GHz).
 
-use serde::{Deserialize, Serialize};
 use sim_core::time::{ms_to_cycles, ns_to_cycles, us_to_cycles, Cycle};
 
 /// The timing constraints the model enforces.
@@ -8,7 +7,7 @@ use sim_core::time::{ms_to_cycles, ns_to_cycles, us_to_cycles, Cycle};
 /// Values follow Table I of the paper (tRCD-tRP-tCL 16-16-16 ns, tRC 48 ns,
 /// tRFC 295 ns, tREFI 3.9 µs) plus standard DDR5-6400 values for the
 /// parameters the table omits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimingParams {
     /// ACT-to-column-command delay.
     pub t_rcd: Cycle,

@@ -8,14 +8,13 @@
 //! actually worry about.
 
 use attacklab::scenario::ScenarioSpec;
-use sim::cache::{cell_key_with_attack_id, RunCache};
+use sim::cache::RunCache;
 use sim::experiment::TrackerSel;
-use sim::runner::parallel_map;
 use sim::{Engine, Threads};
 use sim_core::json::Json;
 
 use crate::heatmap::{Family, SensitivityHeatmap};
-use crate::profile::{probe_experiment, ProfileConfig, ProfileStats};
+use crate::profile::{run_probes, ProfileConfig, ProfileStats};
 use crate::CampaignEvent;
 
 /// Evaluate-stage configuration.
@@ -192,70 +191,18 @@ pub fn run_evaluate_observed(
         threads: cfg.threads,
     };
     let promoted: Vec<_> = map.top(cfg.top_k).into_iter().cloned().collect();
-    let mut stats = ProfileStats { cells: promoted.len(), ..ProfileStats::default() };
-
-    let keyed: Vec<Option<sim::cache::CellKey>> = promoted
-        .iter()
-        .map(|cell| {
-            cache.and_then(|_| {
-                let e = probe_experiment(&run_cfg, &cell.probe);
-                cell_key_with_attack_id(&e, Some(&cell.probe.to_json().render()))
-            })
-        })
-        .collect();
-    let mut results: Vec<Option<sim::ExperimentResult>> = Vec::with_capacity(promoted.len());
-    let mut miss_idx = Vec::new();
-    for (i, key) in keyed.iter().enumerate() {
-        match (cache, key) {
-            (Some(cache), Some(key)) => match cache.lookup(key) {
-                Some(r) => {
-                    stats.hits += 1;
-                    results.push(Some(r));
-                }
-                None => {
-                    results.push(None);
-                    miss_idx.push(i);
-                }
-            },
-            _ => {
-                results.push(None);
-                miss_idx.push(i);
-            }
-        }
-    }
-    stats.misses = miss_idx.len();
-    if !miss_idx.is_empty() {
-        let reference = {
-            let mut e =
-                probe_experiment(&run_cfg, &ScenarioSpec::baseline(workloads::Attack::CacheThrash));
-            e.telemetry = sim::TelemetrySpec::default();
-            e.build_system(true).run()
-        };
-        stats.simulations += 1;
-        let specs: Vec<ScenarioSpec> =
-            miss_idx.iter().map(|&i| promoted[i].probe.clone()).collect();
-        let outcomes =
-            parallel_map(specs, |spec| probe_experiment(&run_cfg, &spec).run_against(&reference));
-        for (j, outcome) in outcomes.into_iter().enumerate() {
-            let i = miss_idx[j];
-            let result = outcome.unwrap_or_else(|e| {
-                panic!("profiler: evaluation of {} failed: {e}", promoted[i].probe.name())
-            });
-            stats.simulations += 1;
-            if let (Some(cache), Some(key)) = (cache, keyed[i].as_ref()) {
-                cache.save(key, &result);
-            }
-            results[i] = Some(result);
-        }
-    }
+    let probes: Vec<ScenarioSpec> = promoted.iter().map(|cell| cell.probe.clone()).collect();
+    let (outcomes, stats) = run_probes(&run_cfg, cache, &probes, |_, _| {});
 
     // Rank by full-fidelity slowdown; ties break on promotion order so the
     // report is deterministic.
     let mut rows: Vec<VulnRow> = promoted
         .iter()
-        .zip(results)
-        .map(|(cell, result)| {
-            let r = result.expect("every promoted cell resolved");
+        .zip(outcomes)
+        .map(|(cell, outcome)| {
+            let r = outcome.unwrap_or_else(|e| {
+                panic!("profiler: evaluation of {} failed: {e}", cell.probe.name())
+            });
             let np = r.normalized_performance.max(1e-6);
             VulnRow {
                 rank: 0,

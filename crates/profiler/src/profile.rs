@@ -10,8 +10,9 @@
 
 use attacklab::scenario::ScenarioSpec;
 use sim::cache::{cell_key_with_attack_id, CellKey, RunCache};
+use sim::exec::{Executor, PayloadCache};
 use sim::experiment::{CustomAttack, Experiment, TrackerSel};
-use sim::runner::parallel_map;
+use sim::runner::{RunnerConfig, SweepError};
 use sim::{Engine, ExperimentResult, Threads};
 use sim_core::addr::Geometry;
 
@@ -110,14 +111,53 @@ pub fn probe_experiment(cfg: &ProfileConfig, spec: &ScenarioSpec) -> Experiment 
 }
 
 /// The shared insecure attack-free reference all probes normalize against.
-/// Computed **lazily**: a fully warm profile never calls this, which is
-/// what makes warm re-profiles zero-simulation.
 fn reference_run(cfg: &ProfileConfig) -> sim::RunStats {
     let mut e = probe_experiment(cfg, &ScenarioSpec::baseline(workloads::Attack::CacheThrash));
     // Probes normalize against the flat end-of-run reference; recording
     // reference telemetry would be pure waste.
     e.telemetry = sim::TelemetrySpec::default();
     e.build_system(true).run()
+}
+
+/// Reads `probes` through `cache` under `cfg` (see [`sim::exec`]): hits
+/// answer at once (`on_hit` fires per hit, in order), and only if
+/// something missed is the shared reference simulated and the misses run
+/// against it — a fully warm stage performs **zero** simulations. Returns
+/// each probe's outcome in input order.
+pub(crate) fn run_probes(
+    cfg: &ProfileConfig,
+    cache: Option<&RunCache>,
+    probes: &[ScenarioSpec],
+    mut on_hit: impl FnMut(usize, &ExperimentResult),
+) -> (Vec<Result<ExperimentResult, SweepError>>, ProfileStats) {
+    let cells: Vec<(ScenarioSpec, Option<CellKey>)> = probes
+        .iter()
+        .map(|probe| {
+            let key = cache.and_then(|_| {
+                let e = probe_experiment(cfg, probe);
+                cell_key_with_attack_id(&e, Some(&probe.to_json().render()))
+            });
+            (probe.clone(), key)
+        })
+        .collect();
+    let exec = Executor {
+        cache: cache.map(|c| c as &dyn PayloadCache<_>),
+        checkpoint: None,
+        runner: &RunnerConfig::default(),
+    };
+    let probed = exec.probe(cells, |i, outcome, _| {
+        on_hit(i, outcome.as_ref().expect("hits are payloads"));
+    });
+    let misses = probed.missed().len();
+    let reference = (misses > 0).then(|| reference_run(cfg));
+    let run_cfg = cfg.clone();
+    let run = move |probe: ScenarioSpec| {
+        let reference = reference.as_ref().expect("computed whenever a probe missed");
+        probe_experiment(&run_cfg, &probe).run_against(reference)
+    };
+    let (outcomes, summary) = probed.run(ScenarioSpec::name, run, |_, _, _| {});
+    let simulations = if misses > 0 { misses + 1 } else { 0 };
+    (outcomes, ProfileStats { cells: summary.cells, hits: summary.hits, misses, simulations })
 }
 
 fn cell_from_result(
@@ -180,97 +220,48 @@ pub fn run_profile_observed(
     observer(&CampaignEvent::Stage("profile"));
     let geom = Geometry::paper_baseline();
 
-    // Expand the grid in canonical order and key every probe.
-    struct Slot {
-        family: Family,
-        bank_group: u32,
-        row_group: u32,
-        probe: ScenarioSpec,
-        key: Option<CellKey>,
-        result: Option<ExperimentResult>,
-    }
-    let mut slots: Vec<Slot> = Vec::new();
+    // Expand the grid in canonical order.
+    let mut grid = Vec::new();
+    let mut probes = Vec::new();
     for family in &families {
         for bg in 0..cfg.bank_groups {
             for rg in 0..cfg.row_groups {
-                let probe = probe_spec(geom, *family, bg, cfg.bank_groups, rg, cfg.row_groups);
-                let key = cache.and_then(|_| {
-                    let e = probe_experiment(cfg, &probe);
-                    cell_key_with_attack_id(&e, Some(&probe.to_json().render()))
-                });
-                slots.push(Slot {
-                    family: *family,
-                    bank_group: bg,
-                    row_group: rg,
-                    probe,
-                    key,
-                    result: None,
-                });
+                grid.push((*family, bg, rg));
+                probes.push(probe_spec(geom, *family, bg, cfg.bank_groups, rg, cfg.row_groups));
             }
         }
     }
-
-    let mut stats = ProfileStats { cells: slots.len(), ..ProfileStats::default() };
-    let mut miss_idx: Vec<usize> = Vec::new();
-    for (i, slot) in slots.iter_mut().enumerate() {
-        if let (Some(cache), Some(key)) = (cache, slot.key.as_ref()) {
-            if let Some(result) = cache.lookup(key) {
-                stats.hits += 1;
-                observer(&CampaignEvent::ProbeDone {
-                    family: slot.family,
-                    bank_group: slot.bank_group,
-                    row_group: slot.row_group,
-                    slowdown: 1.0 / result.normalized_performance.max(1e-6),
-                    cached: true,
-                });
-                slot.result = Some(result);
-                continue;
-            }
+    let mut probe_done = |(family, bank_group, row_group): (Family, u32, u32),
+                          result: &ExperimentResult,
+                          cached: bool| {
+        observer(&CampaignEvent::ProbeDone {
+            family,
+            bank_group,
+            row_group,
+            slowdown: 1.0 / result.normalized_performance.max(1e-6),
+            cached,
+        });
+    };
+    let mut cached = vec![false; probes.len()];
+    let (outcomes, stats) = run_probes(cfg, cache, &probes, |i, result| {
+        cached[i] = true;
+        probe_done(grid[i], result, true);
+    });
+    let mut cells = Vec::with_capacity(probes.len());
+    for (i, (outcome, probe)) in outcomes.into_iter().zip(probes).enumerate() {
+        let result = outcome.unwrap_or_else(|e| {
+            panic!(
+                "profiler: probe {} failed to simulate against {}: {e}",
+                probe.name(),
+                cfg.tracker.label()
+            )
+        });
+        if !cached[i] {
+            probe_done(grid[i], &result, false);
         }
-        miss_idx.push(i);
+        let (family, bank_group, row_group) = grid[i];
+        cells.push(cell_from_result(family, bank_group, row_group, probe, &result));
     }
-    stats.misses = miss_idx.len();
-
-    if !miss_idx.is_empty() {
-        // Only a cold (or partially cold) profile pays for the shared
-        // reference run.
-        let reference = reference_run(cfg);
-        stats.simulations += 1;
-        let miss_specs: Vec<ScenarioSpec> =
-            miss_idx.iter().map(|&i| slots[i].probe.clone()).collect();
-        let outcomes =
-            parallel_map(miss_specs, |spec| probe_experiment(cfg, &spec).run_against(&reference));
-        for (j, outcome) in outcomes.into_iter().enumerate() {
-            let i = miss_idx[j];
-            let result = outcome.unwrap_or_else(|e| {
-                panic!(
-                    "profiler: probe {} failed to simulate against {}: {e}",
-                    slots[i].probe.name(),
-                    cfg.tracker.label()
-                )
-            });
-            stats.simulations += 1;
-            if let (Some(cache), Some(key)) = (cache, slots[i].key.as_ref()) {
-                cache.save(key, &result);
-            }
-            observer(&CampaignEvent::ProbeDone {
-                family: slots[i].family,
-                bank_group: slots[i].bank_group,
-                row_group: slots[i].row_group,
-                slowdown: 1.0 / result.normalized_performance.max(1e-6),
-                cached: false,
-            });
-            slots[i].result = Some(result);
-        }
-    }
-
-    let cells: Vec<HeatmapCell> = slots
-        .into_iter()
-        .map(|slot| {
-            let result = slot.result.expect("every probe slot resolved");
-            cell_from_result(slot.family, slot.bank_group, slot.row_group, slot.probe, &result)
-        })
-        .collect();
     observer(&CampaignEvent::CacheStats { hits: stats.hits as u64, misses: stats.misses as u64 });
 
     let heatmap = SensitivityHeatmap {

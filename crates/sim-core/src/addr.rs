@@ -7,12 +7,8 @@
 //! — the 21-bit domain (2M rows for the baseline) that DAPPER's secure hash
 //! permutes — provided by [`Geometry::rank_row_index`].
 
-use serde::{Deserialize, Serialize};
-
 /// A flat physical byte address.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PhysAddr(pub u64);
 
 impl PhysAddr {
@@ -32,9 +28,7 @@ impl std::fmt::Display for PhysAddr {
 ///
 /// `row` identifies a DRAM row within one bank; `col` is the 64-byte column
 /// (cache line) within the row.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct DramAddr {
     /// Channel index.
     pub channel: u8,
@@ -78,7 +72,7 @@ impl std::fmt::Display for DramAddr {
 /// The baseline system is a dual-channel, dual-rank DDR5 configuration with
 /// 8 bank groups x 4 banks and 64K rows of 8 KB per bank: 32 GB per channel,
 /// 64 GB total, 2M rows per rank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Geometry {
     /// Number of memory channels.
     pub channels: u8,

@@ -2,10 +2,9 @@
 
 use crate::addr::Geometry;
 use crate::time::{ms_to_cycles, Cycle};
-use serde::{Deserialize, Serialize};
 
 /// Which DRAM command the controller uses for mitigative refreshes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MitigationKind {
     /// Victim-Row Refresh: per-bank command refreshing the victim rows of
     /// one aggressor; blocks only the accessed bank (the paper's default).
@@ -28,7 +27,7 @@ impl std::fmt::Display for MitigationKind {
 }
 
 /// Shared last-level cache configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LlcConfig {
     /// Total capacity in bytes (8 MB baseline).
     pub capacity_bytes: u64,
@@ -59,7 +58,7 @@ impl LlcConfig {
 
 /// Core-model configuration (Table I: 4 cores, OoO, 4 GHz, 4-wide, 128-entry
 /// ROB).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CpuConfig {
     /// Number of cores.
     pub cores: u8,
@@ -138,13 +137,8 @@ impl Threads {
     }
 }
 
-// Marker impls for the serde shim (the spec layer's hand-rolled TOML/JSON
-// is the real serialization path; see `Threads::parse` / `Display`).
-impl Serialize for Threads {}
-impl<'de> Deserialize<'de> for Threads {}
-
 /// Full system configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// DRAM organisation.
     pub geometry: Geometry,
@@ -168,7 +162,6 @@ pub struct SystemConfig {
     /// Worker-thread policy for the sharded channel executor. Pure
     /// execution knob: results are bit-identical across variants and the
     /// run-cache descriptor excludes it.
-    #[serde(default)]
     pub threads: Threads,
 }
 

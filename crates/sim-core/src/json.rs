@@ -1,11 +1,10 @@
 //! A minimal JSON document builder and parser.
 //!
-//! The workspace's `serde` is an offline marker-trait shim (see
-//! `crates/shims/serde`), so structured results are serialized by hand.
-//! This covers exactly what the experiment-spec and red-team layers need:
-//! objects, arrays, strings, numbers, and booleans, rendered with stable
-//! key order, plus a strict parser for round-tripping spec files and
-//! results.
+//! The workspace builds offline with no serialization framework, so
+//! structured results are serialized by hand. This covers exactly what
+//! the experiment-spec and red-team layers need: objects, arrays, strings,
+//! numbers, and booleans, rendered with stable key order, plus a strict
+//! parser for round-tripping spec files and results.
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]

@@ -2,7 +2,6 @@
 
 use crate::addr::{DramAddr, PhysAddr};
 use crate::time::Cycle;
-use serde::{Deserialize, Serialize};
 
 /// Identifies the originator of a memory request.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// tracker-metadata traffic (Hydra/START counter reads and writes), which is
 /// attributed to [`SourceId::TRACKER`] so statistics can separate it from
 /// demand traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SourceId(pub u8);
 
 impl SourceId {
@@ -35,7 +34,7 @@ impl std::fmt::Display for SourceId {
 }
 
 /// Whether an access reads or writes memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// A demand read (load miss).
     Read,

@@ -1,10 +1,9 @@
 //! Counters and summary statistics used across the simulator.
 
 use crate::json::Json;
-use serde::{Deserialize, Serialize};
 
 /// Running mean/min/max over a stream of samples.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RunningStats {
     count: u64,
     sum: f64,
@@ -93,7 +92,7 @@ pub fn mean(values: &[f64]) -> f64 {
 }
 
 /// Event counters kept by the memory system. All counts are per-run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemStats {
     /// ACT commands issued for demand traffic.
     pub activations: u64,

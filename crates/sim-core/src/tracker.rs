@@ -15,7 +15,6 @@
 use crate::addr::DramAddr;
 use crate::req::SourceId;
 use crate::time::Cycle;
-use serde::{Deserialize, Serialize};
 
 /// One row activation as observed by the memory controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,7 +28,7 @@ pub struct Activation {
 }
 
 /// The region a structure-reset sweep must refresh.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResetScope {
     /// All rows of one rank (CoMeT resets per rank).
     Rank {
@@ -62,7 +61,7 @@ pub enum TrackerAction {
 }
 
 /// SRAM/CAM cost of a tracker per 32 GB memory channel (Table III).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StorageOverhead {
     /// SRAM bytes.
     pub sram_bytes: u64,

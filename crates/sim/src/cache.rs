@@ -44,9 +44,11 @@
 //! mismatched or undecodable entry is evicted and recomputed, never
 //! returned.
 
+use crate::exec::{Checkpoint, Executor, PayloadCache};
 use crate::experiment::{Experiment, ExperimentResult};
+use crate::journal::SweepJournal;
 use crate::metrics::{RunStats, RunTelemetry};
-use crate::runner::try_run_parallel_observed;
+use crate::runner::{cell_label, RunnerConfig};
 use crate::spec::{SpecError, SweepReport, SweepSpec};
 use crate::system::Engine;
 use sim_core::cache::{content_key, CacheStats, DiskStore};
@@ -559,6 +561,16 @@ impl RunCache {
     /// swallowed: the cache is an accelerator, and a read-only or full
     /// disk must not fail the sweep that computed the result.
     pub fn save(&self, key: &CellKey, result: &ExperimentResult) {
+        let _ = PayloadCache::save(self, key, result);
+    }
+}
+
+impl PayloadCache<ExperimentResult> for RunCache {
+    fn lookup(&self, key: &CellKey) -> Option<ExperimentResult> {
+        RunCache::lookup(self, key)
+    }
+
+    fn save(&self, key: &CellKey, result: &ExperimentResult) -> std::io::Result<()> {
         let descriptor =
             Json::parse(&key.descriptor).expect("descriptors are rendered canonical JSON");
         let entry = Json::obj([
@@ -566,7 +578,7 @@ impl RunCache {
             ("descriptor", descriptor),
             ("result", result_to_json(result)),
         ]);
-        let _ = self.store.put(&key.key, &entry.render());
+        self.store.put(&key.key, &entry.render())
     }
 }
 
@@ -583,8 +595,7 @@ pub struct CacheRunSummary {
     pub uncacheable: usize,
     /// Freshly simulated cells persisted for next time.
     pub stored: usize,
-    /// Cells skipped because a [`SweepJournal`](crate::journal::SweepJournal)
-    /// already recorded them as
+    /// Cells skipped because a [`SweepJournal`] already recorded them as
     /// complete (each also counts under `hits` — the journal marks them,
     /// the cache answers them).
     pub resumed: usize,
@@ -614,110 +625,40 @@ impl SweepSpec {
         &self,
         cache: &RunCache,
     ) -> Result<(SweepReport, CacheRunSummary), SpecError> {
-        self.run_cached_with(cache, None, &crate::runner::RunnerConfig::default())
+        self.run_cached_with(cache, None, &RunnerConfig::default())
     }
 
     /// [`SweepSpec::run_cached`] with the full recovery toolkit: an
-    /// optional [`SweepJournal`](crate::journal::SweepJournal) for
-    /// checkpoint-resume (completed cells are journaled after they land
-    /// in the cache; an interrupted sweep resumed against the same
-    /// journal+cache re-executes only the remainder, and the resumed
-    /// report is byte-identical to an uninterrupted run) and an explicit
-    /// [`RunnerConfig`](crate::runner::RunnerConfig) (retry policy,
-    /// fault injection) for the cells that do simulate.
-    ///
-    /// Journal IO failures are swallowed like cache write failures: the
-    /// journal accelerates recovery, it must never fail the sweep.
+    /// optional [`SweepJournal`] for checkpoint-resume (completed cells
+    /// are journaled after they land in the cache; an interrupted sweep
+    /// resumed against the same journal+cache re-executes only the
+    /// remainder, and the resumed report is byte-identical to an
+    /// uninterrupted run) and an explicit [`RunnerConfig`] (retry policy,
+    /// fault injection) for the cells that do simulate. The
+    /// [executor](crate::exec) does the per-cell work.
     pub fn run_cached_with(
         &self,
         cache: &RunCache,
-        journal: Option<&crate::journal::SweepJournal>,
-        runner: &crate::runner::RunnerConfig,
+        journal: Option<&SweepJournal>,
+        runner: &RunnerConfig,
     ) -> Result<(SweepReport, CacheRunSummary), SpecError> {
-        use crate::journal::SweepJournal;
         let experiments = self.expand()?;
-        let mut summary = CacheRunSummary { cells: experiments.len(), ..Default::default() };
-        let sweep_hash = journal.map(|_| SweepJournal::sweep_hash(self));
-        let journaled = match (journal, &sweep_hash) {
-            (Some(j), Some(hash)) => {
-                let state = j.load().unwrap_or_default();
-                if state.progress(hash).is_none() {
-                    let _ = j.record_start(hash, self, experiments.len() as u64);
-                }
-                state.completed(hash)
-            }
-            _ => Default::default(),
-        };
-        let mut slots: Vec<Option<Result<ExperimentResult, crate::runner::SweepError>>> =
-            experiments.iter().map(|_| None).collect();
-        let mut jobs = Vec::new();
-        let mut job_cells = Vec::new();
-        let mut job_keys = Vec::new();
-        for (i, e) in experiments.into_iter().enumerate() {
-            let key = RunCache::key_for(&e);
-            match &key {
-                Some(k) => {
-                    if let Some(result) = cache.lookup(k) {
-                        summary.hits += 1;
-                        if journaled.contains(&k.key) {
-                            summary.resumed += 1;
-                        }
-                        slots[i] = Some(Ok(result));
-                        continue;
-                    }
-                    summary.misses += 1;
-                }
-                None => summary.uncacheable += 1,
-            }
-            jobs.push(e);
-            job_cells.push(i);
-            job_keys.push(key);
+        let checkpoint = journal.map(|j| Checkpoint::begin(j, self, experiments.len()));
+        let cells = experiments
+            .into_iter()
+            .map(|e| {
+                let key = RunCache::key_for(&e);
+                (e, key)
+            })
+            .collect();
+        let exec = Executor { cache: Some(cache), checkpoint: checkpoint.as_ref(), runner };
+        let (outcomes, summary) =
+            exec.probe(cells, |_, _, _| {}).run(cell_label, Experiment::run, |_, _, _| {});
+        let report = SweepReport::assemble(self, outcomes);
+        if let (Some(checkpoint), true) = (&checkpoint, report.failures.is_empty()) {
+            checkpoint.end();
         }
-        // Checkpoint from the worker thread as each cell settles: cache
-        // save, then journal strictly after it (the journal never claims
-        // a cell the cache lacks). An interrupted process loses at most
-        // the cells still in flight, never the finished ones.
-        let stored = std::sync::atomic::AtomicUsize::new(0);
-        let on_done = |j: usize, outcome: &Result<ExperimentResult, crate::runner::SweepError>| {
-            if let (Ok(result), Some(key)) = (outcome, &job_keys[j]) {
-                cache.save(key, result);
-                stored.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if let (Some(jnl), Some(hash)) = (journal, &sweep_hash) {
-                    let _ = jnl.record_cell(hash, &key.key);
-                }
-            }
-        };
-        for (j, outcome) in try_run_parallel_observed(jobs, runner, on_done).into_iter().enumerate()
-        {
-            let cell = job_cells[j];
-            slots[cell] = Some(match outcome {
-                Ok(result) => Ok(result),
-                Err(mut err) => {
-                    // Remap the worker-pool index to the expansion index,
-                    // matching what an uncached run reports.
-                    err.index = cell;
-                    Err(err)
-                }
-            });
-        }
-        summary.stored = stored.into_inner();
-        let mut results = Vec::new();
-        let mut failures = Vec::new();
-        for outcome in slots.into_iter().flatten() {
-            match outcome {
-                Ok(r) => results.push(r),
-                Err(e) => failures.push(e),
-            }
-        }
-        if failures.is_empty() {
-            if let (Some(jnl), Some(hash)) = (journal, &sweep_hash) {
-                let _ = jnl.record_end(hash);
-            }
-        }
-        Ok((
-            SweepReport { name: self.name.clone(), spec: self.clone(), results, failures },
-            summary,
-        ))
+        Ok((report, summary))
     }
 }
 

@@ -1,0 +1,417 @@
+//! The one cell-execution path: probe → run → save → journal → notify.
+//!
+//! Every front end that turns *cells* into payloads — `spec_run`,
+//! `campaignd`, the attacklab matrix, the profiler's profile and evaluate
+//! stages, attackpipe's attacker sweep — hands its cells to an
+//! [`Executor`] instead of writing the policy out again. The executor is
+//! generic over the cell type `C` and the payload type `R`, and works in
+//! two visible steps:
+//!
+//! 1. [`Executor::probe`] looks every keyed cell up in the
+//!    [`PayloadCache`] on the calling thread. Hits settle at once;
+//!    [`Probed::missed`] names the cells that will have to simulate, so
+//!    a caller can prepare what only a cold pass needs (a shared
+//!    reference run) before anything is scheduled.
+//! 2. [`Probed::run`] simulates the misses on the
+//!    [worker pool](crate::runner::parallel_map) under the
+//!    [`RunnerConfig`]'s retry policy and fault plan. Each cell is
+//!    checkpointed from its worker thread the moment it settles: cache
+//!    save first, then the journal's `cell` record — only if the save
+//!    landed, so the journal never claims a payload the cache lacks —
+//!    then the `on_settled` notification. A process killed mid-sweep
+//!    loses at most the cells still in flight.
+//!
+//! Results come back in input order whatever the completion order, with
+//! the [`CacheRunSummary`] of what was answered and what ran. Cache and
+//! journal write failures are swallowed: both accelerate, neither may
+//! fail the sweep that computed the payload. What to do with a failed
+//! cell (quarantine it, skip it, panic) stays with the caller.
+
+use crate::cache::{CacheRunSummary, CellKey};
+use crate::journal::SweepJournal;
+use crate::runner::{parallel_map, run_attempts, RunnerConfig, SweepError};
+use crate::spec::SweepSpec;
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+
+/// A keyed payload store the executor reads through: [`crate::RunCache`]
+/// for experiment results, attackpipe's verdict store for verdicts.
+pub trait PayloadCache<R>: Sync {
+    /// The payload stored under `key`, if a valid entry exists.
+    fn lookup(&self, key: &CellKey) -> Option<R>;
+    /// Persists `payload` under `key`. The executor swallows the error,
+    /// but needs it: a cell whose save failed is not journaled.
+    fn save(&self, key: &CellKey, payload: &R) -> std::io::Result<()>;
+}
+
+/// How a cell settled, as reported to `on_settled`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Source {
+    /// Answered by the cache.
+    Hit,
+    /// Answered by the cache, and the journal had already recorded it —
+    /// part of an interrupted sweep's finished work.
+    Resumed,
+    /// Simulated in this pass (or quarantined trying).
+    Ran,
+}
+
+/// One sweep's open journal entry: its identity, and what the journal
+/// already said about it when this pass began.
+#[derive(Debug)]
+pub struct Checkpoint<'a> {
+    journal: &'a SweepJournal,
+    hash: String,
+    completed: BTreeSet<String>,
+    ended: bool,
+    journaled: AtomicBool,
+}
+
+impl<'a> Checkpoint<'a> {
+    /// Opens the checkpoint for `spec`: replays the journal and, if it
+    /// has never seen this sweep, records its `start`.
+    pub fn begin(journal: &'a SweepJournal, spec: &SweepSpec, cells: usize) -> Checkpoint<'a> {
+        let hash = SweepJournal::sweep_hash(spec);
+        let state = journal.load().unwrap_or_default();
+        let (completed, ended) = match state.progress(&hash) {
+            Some(progress) => (progress.completed.clone(), progress.ended),
+            None => {
+                let _ = journal.record_start(&hash, spec, cells as u64);
+                Default::default()
+            }
+        };
+        Checkpoint { journal, hash, completed, ended, journaled: AtomicBool::new(false) }
+    }
+
+    fn record_cell(&self, key: &CellKey) {
+        let _ = self.journal.record_cell(&self.hash, &key.key);
+        self.journaled.store(true, Ordering::Relaxed);
+    }
+
+    /// Closes the sweep's journal entry. Call once every cell of the
+    /// sweep settled without failure; a pass with quarantined cells
+    /// leaves the entry open so a resume retries them. A re-run of a
+    /// sweep the journal already shows ended, which journaled nothing
+    /// new, appends nothing.
+    pub fn end(&self) {
+        if !self.ended || self.journaled.load(Ordering::Relaxed) {
+            let _ = self.journal.record_end(&self.hash);
+        }
+    }
+}
+
+/// The cell executor (see the module docs): an optional cache to read
+/// through, an optional journal checkpoint, and the attempt policy.
+pub struct Executor<'a, R> {
+    /// Payload cache; `None` simulates every cell and persists nothing.
+    pub cache: Option<&'a dyn PayloadCache<R>>,
+    /// Journal checkpoint; saved cells are recorded under it.
+    pub checkpoint: Option<&'a Checkpoint<'a>>,
+    /// Retry policy and fault plan for the cells that simulate.
+    pub runner: &'a RunnerConfig,
+}
+
+impl<'a, R> Executor<'a, R> {
+    /// Step one: answers every keyed cell the cache holds, on the calling
+    /// thread, firing `on_settled(index, outcome, Hit | Resumed)` for
+    /// each. Keyless cells are uncacheable: they always run and are never
+    /// saved.
+    pub fn probe<C>(
+        &self,
+        cells: Vec<(C, Option<CellKey>)>,
+        mut on_settled: impl FnMut(usize, &Result<R, SweepError>, Source),
+    ) -> Probed<'_, 'a, C, R> {
+        let mut summary = CacheRunSummary { cells: cells.len(), ..Default::default() };
+        let mut slots = Vec::with_capacity(cells.len());
+        let mut pending = Vec::new();
+        for (index, (cell, key)) in cells.into_iter().enumerate() {
+            let hit = match (&key, self.cache) {
+                (Some(key), Some(cache)) => cache.lookup(key),
+                _ => None,
+            };
+            let Some(payload) = hit else {
+                match key {
+                    Some(_) => summary.misses += 1,
+                    None => summary.uncacheable += 1,
+                }
+                slots.push(None);
+                pending.push((index, cell, key));
+                continue;
+            };
+            let resumed = self
+                .checkpoint
+                .zip(key)
+                .is_some_and(|(checkpoint, key)| checkpoint.completed.contains(&key.key));
+            summary.hits += 1;
+            summary.resumed += usize::from(resumed);
+            let outcome = Ok(payload);
+            on_settled(index, &outcome, if resumed { Source::Resumed } else { Source::Hit });
+            slots.push(Some(outcome));
+        }
+        Probed { exec: self, slots, pending, summary }
+    }
+}
+
+/// A probed sweep: hits already settled, misses waiting for
+/// [`Probed::run`].
+pub struct Probed<'e, 'a, C, R> {
+    exec: &'e Executor<'a, R>,
+    slots: Vec<Option<Result<R, SweepError>>>,
+    pending: Vec<(usize, C, Option<CellKey>)>,
+    summary: CacheRunSummary,
+}
+
+impl<C, R> Probed<'_, '_, C, R> {
+    /// The cells the cache could not answer — what [`Probed::run`] will
+    /// simulate, in input order.
+    pub fn missed(&self) -> impl ExactSizeIterator<Item = &C> {
+        self.pending.iter().map(|(_, cell, _)| cell)
+    }
+
+    /// Step two: simulates the missed cells in parallel and returns every
+    /// cell's outcome in input order plus the pass's summary. `run`
+    /// produces a cell's payload (a panic is a failed attempt); `label`
+    /// names a cell in its [`SweepError`] once its attempts are spent.
+    /// `on_settled(index, outcome, Ran)` fires from the worker thread
+    /// after the cell is saved and journaled. An all-hit sweep spawns no
+    /// thread.
+    pub fn run(
+        self,
+        label: impl Fn(&C) -> String + Sync,
+        run: impl Fn(C) -> R + Send + Sync + 'static,
+        on_settled: impl Fn(usize, &Result<R, SweepError>, Source) + Sync,
+    ) -> (Vec<Result<R, SweepError>>, CacheRunSummary)
+    where
+        C: Clone + Send + 'static,
+        R: Send + 'static,
+    {
+        let Probed { exec, mut slots, pending, mut summary } = self;
+        let run: Arc<dyn Fn(C) -> R + Send + Sync> = Arc::new(run);
+        let stored = AtomicUsize::new(0);
+        let indices: Vec<usize> = pending.iter().map(|(index, ..)| *index).collect();
+        let jobs: Vec<_> = pending.into_iter().enumerate().collect();
+        let outcomes = parallel_map(jobs, |(position, (index, cell, key))| {
+            // The fault plan counts simulated cells; reports count
+            // expansion slots.
+            let outcome =
+                run_attempts(exec.runner, position as u64, &cell, &run).map_err(|message| {
+                    SweepError {
+                        index,
+                        cell: label(&cell),
+                        message,
+                        attempts: exec.runner.retry.max_attempts.max(1),
+                    }
+                });
+            if let (Ok(payload), Some(cache), Some(key)) = (&outcome, exec.cache, &key) {
+                if cache.save(key, payload).is_ok() {
+                    stored.fetch_add(1, Ordering::Relaxed);
+                    if let Some(checkpoint) = exec.checkpoint {
+                        checkpoint.record_cell(key);
+                    }
+                }
+            }
+            on_settled(index, &outcome, Source::Ran);
+            outcome
+        });
+        for (index, outcome) in indices.into_iter().zip(outcomes) {
+            // The outer error is a panic outside the attempt loop (a
+            // cache impl or the observer): charge it to the cell.
+            slots[index] = Some(outcome.unwrap_or_else(|e| Err(SweepError { index, ..e })));
+        }
+        summary.stored = stored.into_inner();
+        (slots.into_iter().map(|s| s.expect("every cell settled")).collect(), summary)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runner::RetryPolicy;
+    use sim_core::cache::{content_key, DiskStore};
+    use sim_core::fault::FaultPlan;
+    use std::sync::Mutex;
+
+    /// A toy payload cache: `u64`s in a [`DiskStore`], so no test here
+    /// simulates anything.
+    struct Toy(DiskStore);
+
+    impl PayloadCache<u64> for Toy {
+        fn lookup(&self, key: &CellKey) -> Option<u64> {
+            self.0.get(&key.key)?.parse().ok()
+        }
+        fn save(&self, key: &CellKey, payload: &u64) -> std::io::Result<()> {
+            self.0.put(&key.key, &payload.to_string())
+        }
+    }
+
+    fn scratch(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("dapper-exec-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn toy(name: &str) -> Toy {
+        Toy(DiskStore::open(scratch(name)).expect("open store"))
+    }
+
+    fn key(cell: u64) -> CellKey {
+        let descriptor = format!("toy-{cell}");
+        CellKey { key: content_key(descriptor.as_bytes()), descriptor }
+    }
+
+    fn keyed(cells: impl IntoIterator<Item = u64>) -> Vec<(u64, Option<CellKey>)> {
+        cells.into_iter().map(|c| (c, Some(key(c)))).collect()
+    }
+
+    fn label(cell: &u64) -> String {
+        format!("cell-{cell}")
+    }
+
+    fn square(cell: u64) -> u64 {
+        cell * cell
+    }
+
+    fn quiet_panics<R>(f: impl FnOnce() -> R) -> R {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let out = f();
+        std::panic::set_hook(prev);
+        out
+    }
+
+    fn sweep() -> SweepSpec {
+        let mut spec = SweepSpec::new("exec-test");
+        spec.workloads = vec!["mcf_like".to_string()];
+        spec.trackers = vec!["none".to_string()];
+        spec
+    }
+
+    #[test]
+    fn results_keep_input_order_under_shuffled_completion() {
+        let runner = RunnerConfig::default();
+        let exec = Executor { cache: None, checkpoint: None, runner: &runner };
+        let order = Mutex::new(Vec::new());
+        // Early cells take longest, so completion order is not input order
+        // on any host with two workers.
+        let slow_first = |cell: u64| {
+            std::thread::sleep(std::time::Duration::from_millis((16 - cell) % 4));
+            cell * cell
+        };
+        let (outcomes, summary) =
+            exec.probe(keyed(0..16), |_, _, _| {})
+                .run(label, slow_first, |i, _, _| order.lock().unwrap().push(i));
+        let values: Vec<u64> = outcomes.into_iter().map(|o| o.expect("no cell fails")).collect();
+        assert_eq!(values, (0..16).map(square).collect::<Vec<_>>());
+        assert_eq!((summary.cells, summary.misses, summary.stored), (16, 16, 0));
+        let mut seen = order.into_inner().unwrap();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..16).collect::<Vec<_>>(), "every cell settles exactly once");
+    }
+
+    #[test]
+    fn cells_are_counted_and_settle_once_with_their_source() {
+        let cache = toy("counts");
+        let journal = SweepJournal::in_cache_dir(cache.0.root()).expect("open journal");
+        let spec = sweep();
+        // Cell 0 is cached and journaled (an interrupted sweep's finished
+        // work), cell 1 is merely cached, 2 and 3 miss, 4 has no key.
+        cache.save(&key(0), &0).unwrap();
+        cache.save(&key(1), &1).unwrap();
+        journal.record_start(&SweepJournal::sweep_hash(&spec), &spec, 5).unwrap();
+        journal.record_cell(&SweepJournal::sweep_hash(&spec), &key(0).key).unwrap();
+        let checkpoint = Checkpoint::begin(&journal, &spec, 5);
+        let runner = RunnerConfig::default();
+        let exec = Executor { cache: Some(&cache), checkpoint: Some(&checkpoint), runner: &runner };
+        let mut cells = keyed(0..4);
+        cells.push((4, None));
+        let settled = Mutex::new(Vec::new());
+        let on_settled = |i: usize, outcome: &Result<u64, SweepError>, source: Source| {
+            settled.lock().unwrap().push((i, *outcome.as_ref().expect("no cell fails"), source));
+        };
+        let probed = exec.probe(cells, on_settled);
+        assert_eq!(probed.missed().copied().collect::<Vec<_>>(), [2, 3, 4]);
+        assert_eq!(settled.lock().unwrap().len(), 2, "hits settle before anything runs");
+        let (outcomes, summary) = probed.run(label, square, on_settled);
+        assert_eq!(
+            summary,
+            CacheRunSummary { cells: 5, hits: 2, misses: 2, uncacheable: 1, stored: 2, resumed: 1 }
+        );
+        let values: Vec<u64> = outcomes.into_iter().map(Result::unwrap).collect();
+        assert_eq!(values, [0, 1, 4, 9, 16]);
+        let mut settled = settled.into_inner().unwrap();
+        settled.sort_unstable_by_key(|(i, ..)| *i);
+        assert_eq!(
+            settled,
+            [
+                (0, 0, Source::Resumed),
+                (1, 1, Source::Hit),
+                (2, 4, Source::Ran),
+                (3, 9, Source::Ran),
+                (4, 16, Source::Ran)
+            ]
+        );
+        assert_eq!(cache.lookup(&key(3)), Some(9), "misses are saved");
+        let state = journal.load().unwrap();
+        let completed = &state.progress(&SweepJournal::sweep_hash(&spec)).unwrap().completed;
+        assert_eq!(completed.len(), 3, "saved cells are journaled; hits and keyless cells are not");
+    }
+
+    #[test]
+    fn a_failed_save_is_never_journaled() {
+        let cache = toy("write-fault");
+        let journal = SweepJournal::in_cache_dir(cache.0.root()).expect("open journal");
+        let spec = sweep();
+        let checkpoint = Checkpoint::begin(&journal, &spec, 6);
+        cache.0.arm_faults(FaultPlan::new(71).fail_cache_write_nth(3).arm());
+        let runner = RunnerConfig::default();
+        let exec = Executor { cache: Some(&cache), checkpoint: Some(&checkpoint), runner: &runner };
+        let (outcomes, summary) =
+            exec.probe(keyed(0..6), |_, _, _| {}).run(label, square, |_, _, _| {});
+        assert!(outcomes.iter().all(Result::is_ok), "a lost write never fails the cell");
+        assert_eq!(summary.stored, 5);
+        let state = journal.load().unwrap();
+        let completed = &state.progress(&SweepJournal::sweep_hash(&spec)).unwrap().completed;
+        let stored: Vec<u64> = (0..6).filter(|&c| cache.lookup(&key(c)).is_some()).collect();
+        assert_eq!(stored.len(), 5, "exactly the faulted write is missing");
+        for cell in 0..6 {
+            assert_eq!(
+                completed.contains(&key(cell).key),
+                stored.contains(&cell),
+                "cell {cell}: the journal claims exactly what the store holds"
+            );
+        }
+    }
+
+    #[test]
+    fn a_failing_cell_leaves_every_other_settled_cell_in_the_store() {
+        let cache = toy("panic");
+        cache.save(&key(0), &0).unwrap();
+        // The fault plan counts simulated cells: with cell 0 a hit,
+        // position 1 is cell 2. The error reports the input index.
+        let runner = RunnerConfig {
+            retry: RetryPolicy::none().attempts(2),
+            faults: Some(FaultPlan::new(73).panic_job_always(1).arm()),
+        };
+        let exec = Executor { cache: Some(&cache), checkpoint: None, runner: &runner };
+        let explode = |cell: u64| if cell == 4 { panic!("cell 4 exploded") } else { cell * cell };
+        let (outcomes, summary) = quiet_panics(|| {
+            exec.probe(keyed(0..6), |_, _, _| {}).run(label, explode, |_, _, _| {})
+        });
+        let failed: Vec<&SweepError> = outcomes.iter().filter_map(|o| o.as_ref().err()).collect();
+        assert_eq!(failed.len(), 2);
+        assert_eq!(
+            (failed[0].index, failed[0].cell.as_str(), failed[0].attempts),
+            (2, "cell-2", 2)
+        );
+        assert!(failed[0].message.contains("injected fault"), "{}", failed[0].message);
+        assert_eq!((failed[1].index, failed[1].message.as_str()), (4, "cell 4 exploded"));
+        assert_eq!((summary.hits, summary.misses, summary.stored), (1, 5, 3));
+        for cell in [1, 3, 5] {
+            assert_eq!(cache.lookup(&key(cell)), Some(cell * cell), "cell {cell} was checkpointed");
+        }
+        for cell in [2, 4] {
+            assert_eq!(cache.lookup(&key(cell)), None, "failures are never cached");
+        }
+    }
+}

@@ -4,9 +4,7 @@
 //! [`crate::registry`]): a [`TrackerSel`] names a registered tracker by
 //! string key and carries validated parameter overrides, so any registered
 //! scheme — built-in or third-party — drops into an [`Experiment`] with
-//! `.tracker("hydra")` or a full parameter map. The legacy closed
-//! [`TrackerChoice`] enum survives as a deprecated shim that resolves
-//! through the same registry.
+//! `.tracker("hydra")` or a full parameter map.
 
 use cpu::{TraceEntry, TraceSource};
 use sim_core::addr::{Geometry, PhysAddr};
@@ -162,135 +160,6 @@ impl From<&String> for TrackerSel {
 impl From<Arc<TrackerSpec>> for TrackerSel {
     fn from(spec: Arc<TrackerSpec>) -> Self {
         TrackerSel::from_spec(spec)
-    }
-}
-
-#[allow(deprecated)]
-impl From<TrackerChoice> for TrackerSel {
-    fn from(choice: TrackerChoice) -> Self {
-        TrackerSel::from(choice.key())
-    }
-}
-
-/// Which RowHammer defense guards the memory controller.
-///
-/// Deprecated shim over the open registry: the closed enum cannot name
-/// third-party trackers or carry parameter overrides. Every method
-/// delegates to the registry, so behaviour is bit-identical to resolving
-/// the same key through [`TrackerSel`].
-#[deprecated(
-    since = "0.2.0",
-    note = "resolve trackers through the registry (`TrackerSel::by_key`, \
-            `Experiment::tracker(\"hydra\")`) instead"
-)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TrackerChoice {
-    /// Insecure baseline (no tracker).
-    None,
-    /// Hydra (ISCA'22).
-    Hydra,
-    /// START (HPCA'24).
-    Start,
-    /// CoMeT (HPCA'24).
-    Comet,
-    /// ABACuS (USENIX Sec'24).
-    Abacus,
-    /// BlockHammer (HPCA'21).
-    BlockHammer,
-    /// PARA (ISCA'14).
-    Para,
-    /// PrIDE (ISCA'24).
-    Pride,
-    /// PRAC / QPRAC (HPCA'25).
-    Prac,
-    /// DAPPER-S (this paper, Section V).
-    DapperS,
-    /// DAPPER-H (this paper, Section VI).
-    DapperH,
-}
-
-#[allow(deprecated)]
-impl TrackerChoice {
-    /// The registry key this variant resolves through.
-    pub fn key(self) -> &'static str {
-        match self {
-            TrackerChoice::None => "none",
-            TrackerChoice::Hydra => "hydra",
-            TrackerChoice::Start => "start",
-            TrackerChoice::Comet => "comet",
-            TrackerChoice::Abacus => "abacus",
-            TrackerChoice::BlockHammer => "blockhammer",
-            TrackerChoice::Para => "para",
-            TrackerChoice::Pride => "pride",
-            TrackerChoice::Prac => "prac",
-            TrackerChoice::DapperS => "dapper-s",
-            TrackerChoice::DapperH => "dapper-h",
-        }
-    }
-
-    /// Display name matching the paper's figures (pinned to the
-    /// registry's display names by the registry-equivalence suite).
-    pub fn name(self) -> &'static str {
-        match self {
-            TrackerChoice::None => "none",
-            TrackerChoice::Hydra => "Hydra",
-            TrackerChoice::Start => "START",
-            TrackerChoice::Comet => "CoMeT",
-            TrackerChoice::Abacus => "ABACUS",
-            TrackerChoice::BlockHammer => "BlockHammer",
-            TrackerChoice::Para => "PARA",
-            TrackerChoice::Pride => "PrIDE",
-            TrackerChoice::Prac => "PRAC",
-            TrackerChoice::DapperS => "DAPPER-S",
-            TrackerChoice::DapperH => "DAPPER-H",
-        }
-    }
-
-    /// The four scalable baselines of Figs. 1 and 3-5.
-    pub fn scalable_baselines() -> [TrackerChoice; 4] {
-        [TrackerChoice::Hydra, TrackerChoice::Start, TrackerChoice::Abacus, TrackerChoice::Comet]
-    }
-
-    /// Every tracker, in the order the paper's tables list them.
-    pub fn all() -> [TrackerChoice; 11] {
-        [
-            TrackerChoice::None,
-            TrackerChoice::Hydra,
-            TrackerChoice::Start,
-            TrackerChoice::Comet,
-            TrackerChoice::Abacus,
-            TrackerChoice::BlockHammer,
-            TrackerChoice::Para,
-            TrackerChoice::Pride,
-            TrackerChoice::Prac,
-            TrackerChoice::DapperS,
-            TrackerChoice::DapperH,
-        ]
-    }
-
-    /// Parses a tracker name through the registry's single lookup path:
-    /// case and separator insensitive, alias table included — so
-    /// `dapper-h`, `DAPPER_H`, `DapperH`, and the alias `dapper` all
-    /// resolve. Returns `None` for registry keys with no legacy variant.
-    pub fn parse(s: &str) -> Option<TrackerChoice> {
-        let spec = crate::registry::resolve(s).ok()?;
-        TrackerChoice::all().into_iter().find(|t| t.key() == spec.key())
-    }
-
-    /// True if this tracker reserves half the LLC (START).
-    pub fn reserves_llc(self) -> bool {
-        TrackerSel::from(self).reserves_llc()
-    }
-
-    /// Instantiates the tracker for one channel through the registry.
-    pub fn build(
-        self,
-        nrh: u32,
-        geometry: Geometry,
-        channel: u8,
-        seed: u64,
-    ) -> Box<dyn RowHammerTracker> {
-        TrackerSel::from(self).build(nrh, geometry, channel, seed)
     }
 }
 
@@ -607,8 +476,7 @@ impl Experiment {
     }
 
     /// Sets the tracker: a registry key / display name / alias
-    /// (`"hydra"`, `"DAPPER_H"`), a prepared [`TrackerSel`], or a legacy
-    /// [`TrackerChoice`] variant.
+    /// (`"hydra"`, `"DAPPER_H"`) or a prepared [`TrackerSel`].
     ///
     /// # Panics
     ///
@@ -965,20 +833,19 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn tracker_names_parse_with_any_spelling() {
-        assert_eq!(TrackerChoice::parse("dapper-h"), Some(TrackerChoice::DapperH));
-        assert_eq!(TrackerChoice::parse("DAPPER_S"), Some(TrackerChoice::DapperS));
-        assert_eq!(TrackerChoice::parse("hydra"), Some(TrackerChoice::Hydra));
-        assert_eq!(TrackerChoice::parse("CoMeT"), Some(TrackerChoice::Comet));
-        assert_eq!(TrackerChoice::parse("blockhammer"), Some(TrackerChoice::BlockHammer));
-        assert_eq!(TrackerChoice::parse("what"), None);
+        let key = |name: &str| TrackerSel::by_key(name).map(|t| t.key().to_string()).ok();
+        assert_eq!(key("dapper-h").as_deref(), Some("dapper-h"));
+        assert_eq!(key("DAPPER_S").as_deref(), Some("dapper-s"));
+        assert_eq!(key("CoMeT").as_deref(), Some("comet"));
+        assert_eq!(key("what"), None);
         // Registry aliases resolve through the same single lookup path.
-        assert_eq!(TrackerChoice::parse("qprac"), Some(TrackerChoice::Prac));
-        assert_eq!(TrackerChoice::parse("dapper"), Some(TrackerChoice::DapperH));
-        assert_eq!(TrackerChoice::parse("insecure"), Some(TrackerChoice::None));
-        for t in TrackerChoice::all() {
-            assert_eq!(TrackerChoice::parse(t.name()), Some(t), "{} must round-trip", t.name());
+        assert_eq!(key("qprac").as_deref(), Some("prac"));
+        assert_eq!(key("dapper").as_deref(), Some("dapper-h"));
+        assert_eq!(key("insecure").as_deref(), Some("none"));
+        for k in crate::tracker_keys() {
+            let sel = TrackerSel::by_key(&k).unwrap();
+            assert_eq!(key(sel.name()), Some(k.clone()), "{} must round-trip", sel.name());
         }
     }
 

@@ -285,6 +285,35 @@ mod tests {
     }
 
     #[test]
+    fn warm_reruns_of_an_ended_sweep_append_nothing() {
+        use crate::cache::RunCache;
+        use crate::runner::RunnerConfig;
+        let path = scratch("warm");
+        let cache = RunCache::open(path.parent().unwrap()).unwrap();
+        let j = SweepJournal::open(&path).unwrap();
+        let spec = tiny_spec();
+        let pass = || spec.run_cached_with(&cache, Some(&j), &RunnerConfig::default()).unwrap().1;
+        assert_eq!(pass().misses, 1);
+        let cold = std::fs::read(&path).unwrap();
+        for _ in 0..3 {
+            assert_eq!(pass().resumed, 1);
+            assert_eq!(std::fs::read(&path).unwrap(), cold, "a warm pass appends nothing");
+        }
+        // A pass that journals a new cell closes the entry again.
+        let key = RunCache::key_for(&spec.expand().unwrap()[0]).unwrap();
+        cache.store().evict(&key.key);
+        assert_eq!(pass().misses, 1);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text.lines().filter(|l| l.contains(" end ")).count(), 2);
+        assert!(!j
+            .load()
+            .unwrap()
+            .progress(&SweepJournal::sweep_hash(&spec))
+            .unwrap()
+            .unfinished());
+    }
+
+    #[test]
     fn torn_tail_is_skipped_not_fatal() {
         let path = scratch("torn");
         let j = SweepJournal::open(&path).unwrap();

@@ -9,7 +9,9 @@
 //! Trackers are resolved through the open [`registry`]: every defense —
 //! built-in or third-party — is constructible by string key plus a
 //! parameter map, and the declarative [`spec`] layer turns TOML/JSON
-//! experiment descriptions into parallel sweeps.
+//! experiment descriptions into parallel sweeps. Every cell any front end
+//! runs goes through the one [`exec`] path: probe the cache, simulate the
+//! misses, save, journal, notify.
 //!
 //! # Quickstart
 //!
@@ -43,6 +45,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod exec;
 pub mod experiment;
 pub mod journal;
 pub mod metrics;
@@ -54,8 +57,7 @@ pub mod system;
 pub mod toml;
 
 pub use cache::{cell_key, cell_key_with_attack_id, CacheRunSummary, CellKey, RunCache};
-#[allow(deprecated)]
-pub use experiment::TrackerChoice;
+pub use exec::{Checkpoint, Executor, PayloadCache, Source};
 pub use experiment::{
     AttackChoice, AttackerConfig, AttackerKnowledge, CustomAttack, Experiment, ExperimentResult,
     TelemetrySpec, TrackerSel,
@@ -64,8 +66,7 @@ pub use journal::{JournalState, SweepJournal, SweepProgress};
 pub use metrics::{normalized_performance, RunStats, RunTelemetry, RECOVERY_THRESHOLD};
 pub use registry::{register_tracker, tracker_keys, with_registry};
 pub use runner::{
-    cell_label, parallel_map, run_parallel, try_run_parallel, try_run_parallel_cfg,
-    try_run_parallel_observed, RetryPolicy, RunnerConfig, SweepError,
+    cell_label, parallel_map, run_parallel, try_run_parallel, RetryPolicy, RunnerConfig, SweepError,
 };
 pub use sim_core::config::Threads;
 pub use spec::{

@@ -1,6 +1,5 @@
 //! Run-level metrics and per-run telemetry bundles.
 
-use serde::{Deserialize, Serialize};
 use sim_core::json::Json;
 use sim_core::stats::MemStats;
 use sim_core::telemetry::{MitigationRecord, SlowdownTrace, WindowSample};
@@ -11,7 +10,7 @@ use sim_core::time::{cycles_to_us, Cycle};
 /// `PartialEq` compares every field exactly (including the float-valued
 /// ones): the dense and event-driven engines are required to agree
 /// bit-for-bit, and the equivalence suite leans on this.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunStats {
     /// Tracker under test.
     pub tracker: String,

@@ -1,22 +1,24 @@
-//! Parallel experiment sweeps.
+//! Parallel experiment sweeps: the worker pool and the per-cell attempt
+//! policy.
 //!
 //! The work queue is a shared stack drained by one worker per host core.
 //! Every job runs under [`std::panic::catch_unwind`], so a single bad
 //! experiment (unknown workload, assertion in a model, ...) surfaces as a
 //! [`SweepError`] for that slot instead of poisoning the queue and killing
-//! the entire sweep. [`run_parallel`] keeps the historical infallible
-//! signature for the figure harnesses; [`try_run_parallel`] exposes per-job
-//! results; [`try_run_parallel_cfg`] adds a [`RetryPolicy`] (bounded
-//! retries, exponential backoff, per-attempt timeout) and the
-//! [`sim_core::fault`] hook; [`parallel_map`] is the generic engine
-//! (attacklab's campaign and search fan out through it with a shared
-//! reference run).
+//! the entire sweep. [`parallel_map`] is that pool, generic over the job;
+//! [`RunnerConfig`] carries the [`RetryPolicy`] (bounded retries,
+//! exponential backoff, per-attempt timeout) and the [`sim_core::fault`]
+//! hook the [executor](crate::exec) applies to every cell it simulates.
+//! [`try_run_parallel`] runs plain experiments through that executor with
+//! no cache; [`run_parallel`] keeps the historical infallible signature
+//! for the figure harnesses.
 //!
 //! Failed jobs are *quarantined*, never silently dropped: the
 //! [`SweepError`] carries the cell's human-readable descriptor and cache
 //! key prefix plus the attempt count, so a sweep report names exactly
 //! which cells died and why.
 
+use crate::exec::Executor;
 use crate::experiment::{Experiment, ExperimentResult};
 use sim_core::fault::{FaultAction, FaultSite, Injector};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -125,14 +127,14 @@ impl RetryPolicy {
     }
 }
 
-/// Knobs for [`try_run_parallel_cfg`]: the retry policy plus an optional
+/// Knobs for every simulated cell: the retry policy plus an optional
 /// armed fault injector (chaos tests only — `None` costs one branch).
 #[derive(Debug, Clone, Default)]
 pub struct RunnerConfig {
     /// Retry/backoff/timeout policy applied to every job.
     pub retry: RetryPolicy,
-    /// Armed fault plan probed at [`FaultSite::JobRun`] with the job
-    /// index before each attempt.
+    /// Armed fault plan probed at [`FaultSite::JobRun`] before each
+    /// attempt, with the job's position among the simulated cells.
     pub faults: Option<Arc<Injector>>,
 }
 
@@ -235,7 +237,9 @@ where
 /// Runs experiments in parallel, returning one `Result` per job in input
 /// order. A panicking experiment does not disturb its neighbours.
 pub fn try_run_parallel(jobs: Vec<Experiment>) -> Vec<Result<ExperimentResult, SweepError>> {
-    try_run_parallel_cfg(jobs, &RunnerConfig::default())
+    let cells = jobs.into_iter().map(|e| (e, None)).collect();
+    let exec = Executor { cache: None, checkpoint: None, runner: &RunnerConfig::default() };
+    exec.probe(cells, |_, _, _| {}).run(cell_label, Experiment::run, |_, _, _| {}).0
 }
 
 /// Human-readable cell attribution for quarantine records:
@@ -253,83 +257,34 @@ pub fn cell_label(e: &Experiment) -> String {
     format!("{} x {} x {} [{}]", e.workload, e.tracker.label(), attack, key)
 }
 
-/// Runs experiments in parallel under an explicit [`RunnerConfig`]:
-/// every job gets up to `retry.max_attempts` attempts (each under
-/// `catch_unwind`, each bounded by `retry.timeout` if set, with
-/// exponential backoff between attempts); a job that exhausts its
-/// attempts is quarantined as a [`SweepError`] carrying its cell
-/// descriptor and attempt count while the rest of the sweep completes.
-pub fn try_run_parallel_cfg(
-    jobs: Vec<Experiment>,
+/// One cell's attempt loop: inject → run → retry with backoff. Every
+/// attempt runs under `catch_unwind`, bounded by `retry.timeout` if set;
+/// `position` is what [`FaultSite::JobRun`] is probed with. `Err` carries
+/// the last attempt's message once all `retry.max_attempts` are spent.
+pub(crate) fn run_attempts<C, R>(
     cfg: &RunnerConfig,
-) -> Vec<Result<ExperimentResult, SweepError>> {
-    try_run_parallel_observed(jobs, cfg, |_, _| {})
-}
-
-/// [`try_run_parallel_cfg`] with a completion observer: `on_done(i,
-/// outcome)` fires on the worker thread the moment job `i` settles
-/// (simulated, retried to success, or quarantined), before the sweep as
-/// a whole finishes. Callers use it to persist results incrementally —
-/// a checkpoint made per cell survives a crash that a
-/// save-everything-at-the-end design would lose wholesale. The observer
-/// runs concurrently from several workers and must synchronize
-/// internally; the returned `Vec` is still in input order.
-pub fn try_run_parallel_observed<F>(
-    jobs: Vec<Experiment>,
-    cfg: &RunnerConfig,
-    on_done: F,
-) -> Vec<Result<ExperimentResult, SweepError>>
+    position: u64,
+    cell: &C,
+    run: &Arc<dyn Fn(C) -> R + Send + Sync>,
+) -> Result<R, String>
 where
-    F: Fn(usize, &Result<ExperimentResult, SweepError>) + Sync,
+    C: Clone + Send + 'static,
+    R: Send + 'static,
 {
-    let n = jobs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4).min(n);
-    let work: Mutex<Vec<(usize, Experiment)>> =
-        Mutex::new(jobs.into_iter().enumerate().rev().collect());
-    let results: Mutex<Vec<Option<Result<ExperimentResult, SweepError>>>> =
-        Mutex::new((0..n).map(|_| None).collect());
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let job = relock(&work).pop();
-                match job {
-                    Some((i, e)) => {
-                        let outcome = run_one(i, e, cfg);
-                        on_done(i, &outcome);
-                        relock(&results)[i] = Some(outcome);
-                    }
-                    None => break,
-                }
-            });
-        }
-    });
-    results
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-        .into_iter()
-        .map(|r| r.expect("every job completed"))
-        .collect()
-}
-
-/// One job's attempt loop: inject → run → retry with backoff → quarantine.
-fn run_one(
-    index: usize,
-    e: Experiment,
-    cfg: &RunnerConfig,
-) -> Result<ExperimentResult, SweepError> {
-    let cell = cell_label(&e);
     let max_attempts = cfg.retry.max_attempts.max(1);
     let mut last = String::new();
     for attempt in 1..=max_attempts {
-        let injected = cfg
-            .faults
-            .as_ref()
-            .and_then(|f| f.check_indexed(FaultSite::JobRun, index as u64))
-            .filter(|a| *a == FaultAction::Panic);
-        match run_attempt(e.clone(), injected, cfg.retry.timeout) {
+        let injected =
+            cfg.faults.as_ref().and_then(|f| f.check_indexed(FaultSite::JobRun, position))
+                == Some(FaultAction::Panic);
+        let (cell, run) = (cell.clone(), Arc::clone(run));
+        let body = move || {
+            if injected {
+                panic!("injected fault: job panic");
+            }
+            run(cell)
+        };
+        match run_attempt(body, cfg.retry.timeout) {
             Ok(result) => return Ok(result),
             Err(message) => last = message,
         }
@@ -337,24 +292,17 @@ fn run_one(
             std::thread::sleep(cfg.retry.delay(attempt));
         }
     }
-    Err(SweepError { index, cell, message: last, attempts: max_attempts })
+    Err(last)
 }
 
 /// One attempt: the job body under `catch_unwind`, optionally raced
 /// against a wall-clock deadline on a detached thread (a scoped thread
 /// cannot be abandoned, and a CPU-bound simulation cannot be interrupted
 /// cooperatively — abandonment is the only honest timeout).
-fn run_attempt(
-    e: Experiment,
-    injected: Option<FaultAction>,
+fn run_attempt<R: Send + 'static>(
+    body: impl FnOnce() -> R + Send + 'static,
     timeout: Option<Duration>,
-) -> Result<ExperimentResult, String> {
-    let body = move || {
-        if injected.is_some() {
-            panic!("injected fault: job panic");
-        }
-        e.run()
-    };
+) -> Result<R, String> {
     match timeout {
         None => catch_unwind(AssertUnwindSafe(body)).map_err(panic_message),
         Some(limit) => {
@@ -396,6 +344,25 @@ pub fn run_parallel(jobs: Vec<Experiment>) -> Vec<ExperimentResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Source;
+
+    /// [`try_run_parallel`] under an explicit config, with an observer.
+    fn run_observed(
+        jobs: Vec<Experiment>,
+        cfg: &RunnerConfig,
+        on_settled: impl Fn(usize, &Result<ExperimentResult, SweepError>, Source) + Sync,
+    ) -> Vec<Result<ExperimentResult, SweepError>> {
+        let cells = jobs.into_iter().map(|e| (e, None)).collect();
+        let exec = Executor { cache: None, checkpoint: None, runner: cfg };
+        exec.probe(cells, |_, _, _| {}).run(cell_label, Experiment::run, on_settled).0
+    }
+
+    fn run_cfg(
+        jobs: Vec<Experiment>,
+        cfg: &RunnerConfig,
+    ) -> Vec<Result<ExperimentResult, SweepError>> {
+        run_observed(jobs, cfg, |_, _, _| {})
+    }
 
     #[test]
     fn parallel_results_keep_order() {
@@ -454,7 +421,8 @@ mod tests {
         ];
         let fired = [AtomicUsize::new(0), AtomicUsize::new(0), AtomicUsize::new(0)];
         let oks = AtomicUsize::new(0);
-        let results = try_run_parallel_observed(jobs, &RunnerConfig::default(), |i, outcome| {
+        let results = run_observed(jobs, &RunnerConfig::default(), |i, outcome, source| {
+            assert_eq!(source, Source::Ran);
             fired[i].fetch_add(1, Ordering::SeqCst);
             if outcome.is_ok() {
                 oks.fetch_add(1, Ordering::SeqCst);
@@ -502,7 +470,7 @@ mod tests {
             retry: RetryPolicy::standard(),
             faults: Some(FaultPlan::new(11).panic_job_once(1).arm()),
         };
-        let faulted = try_run_parallel_cfg(jobs, &cfg);
+        let faulted = run_cfg(jobs, &cfg);
         std::panic::set_hook(prev);
         let rendered = |rs: &[ExperimentResult]| -> Vec<String> {
             rs.iter().map(|r| crate::spec::result_to_json(r).render()).collect()
@@ -529,7 +497,7 @@ mod tests {
             retry: RetryPolicy::standard(),
             faults: Some(FaultPlan::new(11).panic_job_always(0).arm()),
         };
-        let out = try_run_parallel_cfg(jobs, &cfg);
+        let out = run_cfg(jobs, &cfg);
         std::panic::set_hook(prev);
         let err = out[0].as_ref().expect_err("permanently faulted job is quarantined");
         assert_eq!(err.attempts, 3);
@@ -546,7 +514,7 @@ mod tests {
         };
         // A real workload at a long horizon takes far more than 5 ms.
         let jobs = vec![Experiment::quick("mcf_like").tracker("hydra").window_us(10_000.0)];
-        let out = try_run_parallel_cfg(jobs, &cfg);
+        let out = run_cfg(jobs, &cfg);
         let err = out[0].as_ref().expect_err("timeout fires");
         assert!(err.message.contains("timed out"), "{}", err.message);
         assert_eq!(err.attempts, 1);

@@ -1366,16 +1366,7 @@ impl SweepSpec {
     /// Expands and runs the sweep in parallel. Individual cell failures
     /// are collected, not fatal.
     pub fn run(&self) -> Result<SweepReport, SpecError> {
-        let experiments = self.expand()?;
-        let mut results = Vec::new();
-        let mut failures = Vec::new();
-        for outcome in try_run_parallel(experiments) {
-            match outcome {
-                Ok(r) => results.push(r),
-                Err(e) => failures.push(e),
-            }
-        }
-        Ok(SweepReport { name: self.name.clone(), spec: self.clone(), results, failures })
+        Ok(SweepReport::assemble(self, try_run_parallel(self.expand()?)))
     }
 }
 
@@ -1393,6 +1384,20 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
+    /// Assembles a report from per-cell outcomes in expansion order:
+    /// successes become result rows, failures the quarantine list.
+    pub fn assemble(spec: &SweepSpec, outcomes: Vec<Result<ExperimentResult, SweepError>>) -> Self {
+        let mut results = Vec::new();
+        let mut failures = Vec::new();
+        for outcome in outcomes {
+            match outcome {
+                Ok(r) => results.push(r),
+                Err(e) => failures.push(e),
+            }
+        }
+        SweepReport { name: spec.name.clone(), spec: spec.clone(), results, failures }
+    }
+
     /// Aggregated per-cell telemetry: one row per result that carried a
     /// [`crate::metrics::RunTelemetry`] bundle (i.e. when the spec had a
     /// `[telemetry]` section with recorders). `None` when no cell

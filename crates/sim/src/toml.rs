@@ -1,6 +1,6 @@
 //! A minimal TOML reader/writer for experiment spec files.
 //!
-//! The workspace builds offline (serde is a marker-trait shim), so the
+//! The workspace builds offline with no serialization framework, so the
 //! declarative spec layer parses its own config format. This module covers
 //! the TOML subset spec files need — and rejects everything else loudly:
 //!

@@ -1,9 +1,7 @@
 //! The 57-workload catalog.
 
-use serde::{Deserialize, Serialize};
-
 /// Benchmark suite a workload stands in for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Suite {
     /// SPEC CPU2006 (23 workloads).
     Spec2006,
@@ -34,7 +32,7 @@ impl std::fmt::Display for Suite {
 }
 
 /// Memory-behaviour parameters of one synthetic workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadSpec {
     /// Stand-in name (suffixed `_like` to mark it synthetic).
     pub name: &'static str,

@@ -53,3 +53,35 @@ fn heatmap_is_byte_identical_across_lane_counts_and_engines() {
         assert_eq!(bytes, ref_bytes, "{label}: heatmap bytes diverged from {ref_label}");
     }
 }
+
+#[test]
+fn interrupted_profile_keeps_every_settled_probe() {
+    use dapper_repro::profiler::{run_profile_observed, CampaignEvent};
+    use dapper_repro::sim::RunCache;
+    let dir = std::env::temp_dir().join(format!("dapper-heatmap-resume-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = base_config();
+    let (uninterrupted, _) = run_profile(&cfg, None);
+
+    // Kill the profile the moment the first simulated probe is reported.
+    // Probes are checkpointed as they settle, before anything is
+    // reported, so all eight are already in the cache.
+    let cache = RunCache::open(&dir).expect("open cache");
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_profile_observed(&cfg, Some(&cache), &mut |e| {
+            if matches!(e, CampaignEvent::ProbeDone { cached: false, .. }) {
+                panic!("interrupted");
+            }
+        })
+    }));
+    std::panic::set_hook(prev);
+    assert!(killed.is_err(), "the observer interrupts the cold profile");
+
+    let cache = RunCache::open(&dir).expect("reopen cache");
+    let (resumed, stats) = run_profile(&cfg, Some(&cache));
+    assert_eq!((stats.hits, stats.simulations), (8, 0), "every settled probe survived");
+    assert_eq!(resumed.to_json().render(), uninterrupted.to_json().render());
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,76 +1,32 @@
-//! Registry/legacy equivalence: the deprecated [`TrackerChoice`] enum is a
-//! shim over the open [`TrackerRegistry`], and this suite proves the
-//! transition is bit-exact — for every legacy variant, an experiment
-//! resolved through the enum and one resolved through the registry key
-//! with default parameters produce **bit-identical** [`RunStats`]
-//! (`PartialEq` on `RunStats` compares every field exactly, floats
-//! included).
-//!
-//! It also pins the metadata contract the shim relies on: display names,
-//! LLC reservation, parse round-trips through the registry's single
-//! lookup path, and paper-baseline defaults in every schema.
+//! Registry contract: every tracker key resolves through one lookup path
+//! under any spelling, carries the metadata experiments rely on, and
+//! builds with complete, paper-baseline defaults — explicit defaults and
+//! absent ones are the same experiment, bit for bit.
 
-#![allow(deprecated)]
-
-use dapper_repro::sim::experiment::{AttackChoice, Experiment, TrackerChoice, TrackerSel};
-use dapper_repro::sim::{self, parallel_map};
-
-/// Quick setting shared by every equivalence run.
-fn quick(workload: &str) -> Experiment {
-    Experiment::quick(workload).window_us(100.0)
-}
+use dapper_repro::sim::experiment::{Experiment, TrackerSel};
+use dapper_repro::sim::{self, tracker_keys};
 
 #[test]
-fn every_legacy_variant_matches_its_registry_key_bit_exactly() {
-    let jobs: Vec<TrackerChoice> = TrackerChoice::all().to_vec();
-    let outcomes = parallel_map(jobs, |choice| {
-        let legacy = quick("povray_like").tracker(choice).build_system(false).run();
-        let via_registry = quick("povray_like")
-            .tracker(TrackerSel::by_key(choice.key()).expect("legacy key registered"))
-            .build_system(false)
-            .run();
-        (choice.key(), legacy == via_registry, format!("{legacy:?}\n vs\n{via_registry:?}"))
-    });
-    for o in outcomes {
-        let (key, equal, detail) = o.expect("equivalence run must not panic");
-        assert!(equal, "legacy enum and registry diverged for '{key}':\n{detail}");
-    }
-}
-
-#[test]
-fn attacked_runs_match_through_both_paths() {
-    // The tailored attack resolves off the tracker's display name; a shim
-    // that renamed anything would silently change the attacker here.
-    for key in ["hydra", "comet", "dapper-h"] {
-        let choice = TrackerChoice::parse(key).expect("legacy variant");
-        let legacy = quick("gcc_like")
-            .tracker(choice)
-            .attack(AttackChoice::Tailored)
-            .build_system(false)
-            .run();
-        let via_registry =
-            quick("gcc_like").tracker(key).attack(AttackChoice::Tailored).build_system(false).run();
-        assert_eq!(legacy, via_registry, "attacked run diverged for '{key}'");
-    }
-}
-
-#[test]
-fn legacy_metadata_matches_the_registry() {
-    for choice in TrackerChoice::all() {
-        let spec = sim::registry::resolve(choice.key())
-            .unwrap_or_else(|e| panic!("{}: {e}", choice.key()));
-        assert_eq!(choice.name(), spec.display_name(), "display name drifted");
-        assert_eq!(choice.reserves_llc(), spec.llc_reserved(), "{}", choice.key());
+fn every_key_resolves_by_any_spelling_to_the_same_spec() {
+    for key in tracker_keys() {
+        let spec = sim::registry::resolve(&key).unwrap_or_else(|e| panic!("{key}: {e}"));
+        assert_eq!(spec.key(), key);
         // Display names resolve back to the same spec (one lookup path).
         assert_eq!(
-            sim::registry::resolve(choice.name()).unwrap().key(),
-            spec.key(),
-            "display-name lookup drifted for {}",
-            choice.key()
+            sim::registry::resolve(spec.display_name()).unwrap().key(),
+            key,
+            "display-name lookup drifted for {key}"
         );
-        // parse is case- and separator-insensitive through the registry.
-        let shouting = choice.key().to_uppercase().replace('-', "_");
-        assert_eq!(TrackerChoice::parse(&shouting), Some(choice), "{shouting}");
+        // Lookup is case- and separator-insensitive.
+        let shouting = key.to_uppercase().replace('-', "_");
+        assert_eq!(sim::registry::resolve(&shouting).unwrap().key(), key, "{shouting}");
+        // The selection experiments carry agrees with the spec.
+        let sel = TrackerSel::by_key(&key).unwrap();
+        assert_eq!(sel.name(), spec.display_name());
+        assert_eq!(sel.reserves_llc(), spec.llc_reserved(), "{key}");
+    }
+    for (alias, key) in [("qprac", "prac"), ("dapper", "dapper-h"), ("insecure", "none")] {
+        assert_eq!(sim::registry::resolve(alias).unwrap().key(), key, "alias {alias}");
     }
 }
 
@@ -78,7 +34,7 @@ fn legacy_metadata_matches_the_registry() {
 fn every_registry_key_with_defaults_builds_every_schema_param() {
     // Defaults must be complete: building with an empty override map gives
     // each factory a fully-populated parameter set.
-    for key in sim::tracker_keys() {
+    for key in tracker_keys() {
         let spec = sim::registry::resolve(&key).unwrap();
         let resolved = spec
             .resolve_params(&std::collections::BTreeMap::new())
@@ -94,8 +50,9 @@ fn default_params_are_explicit_baseline_overrides() {
     let spec = sim::registry::resolve("hydra").unwrap();
     let defaults: std::collections::BTreeMap<_, _> =
         spec.param_schema().iter().map(|p| (p.key.clone(), p.default.clone())).collect();
-    let implicit = quick("povray_like").tracker("hydra").build_system(false).run();
-    let explicit = quick("povray_like")
+    let quick = || Experiment::quick("povray_like").window_us(100.0);
+    let implicit = quick().tracker("hydra").build_system(false).run();
+    let explicit = quick()
         .tracker(TrackerSel::by_key("hydra").unwrap().with_params(defaults).unwrap())
         .build_system(false)
         .run();

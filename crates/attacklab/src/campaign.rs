@@ -6,7 +6,6 @@
 //! tracker, and aggregates everything into a resilience leaderboard with
 //! JSON/CSV exports.
 
-use crate::json::{csv_field, Json};
 use crate::scenario::ScenarioSpec;
 use crate::search::{
     evaluate_specs, evaluate_specs_cached, reference_run, search_against, EvalRecord, SearchConfig,
@@ -14,6 +13,7 @@ use crate::search::{
 };
 use sim::cache::RunCache;
 use sim::experiment::TrackerSel;
+use sim_core::json::{csv_field, Json, JsonCodec};
 use workloads::Attack;
 
 /// Campaign configuration.
@@ -201,7 +201,7 @@ impl CampaignReport {
                 ("tracker", Json::str(&row.tracker)),
                 ("origin", Json::str(row.origin)),
                 ("scenario", Json::str(&r.name)),
-                ("spec", r.spec.to_json()),
+                ("spec", r.spec.encode()),
                 ("slowdown", Json::num(r.slowdown)),
                 ("normalized_performance", Json::num(r.normalized_performance)),
                 ("mitigations", Json::count(r.mitigations)),
@@ -230,18 +230,8 @@ impl CampaignReport {
                     ("tailored_scenario", Json::str(&s.tailored.name)),
                     ("slack", Json::num(s.slack())),
                     ("rediscovered_tailored", Json::Bool(s.rediscovered_tailored())),
-                    ("best_spec", s.best.spec.to_json()),
-                    (
-                        "history",
-                        Json::Arr(
-                            s.history
-                                .iter()
-                                .map(|(i, v)| {
-                                    Json::Arr(vec![Json::count(*i as u64), Json::num(*v)])
-                                })
-                                .collect(),
-                        ),
-                    ),
+                    ("best_spec", s.best.spec.encode()),
+                    ("history", s.history.encode()),
                 ])
             })
             .collect();

@@ -10,10 +10,9 @@
 //!   combinators ([`pattern::Interleave`], [`pattern::Burst`],
 //!   [`pattern::Decoy`], [`pattern::Feint`], [`pattern::RateLimit`]), all
 //!   deterministic in their seed;
-//! * [`compat`] — bit-exact reconstructions of every paper attack as a
-//!   composition, keeping the `Attack` enum a thin facade;
 //! * [`scenario`] — the [`scenario::ScenarioSpec`] genome that expands into
-//!   pattern compositions and supports one-gene mutation;
+//!   pattern compositions (every paper attack among them, rebuilt
+//!   bit-exactly) and supports one-gene mutation;
 //! * [`search`](mod@search) — hill-climbing worst-case search on normalized slowdown,
 //!   seeded with the paper's tailored attacks so it can only match or beat
 //!   them, reporting the seed that reproduces its best find;
@@ -40,14 +39,11 @@
 
 pub mod campaign;
 pub mod cli;
-pub mod compat;
-pub mod json;
 pub mod pattern;
 pub mod scenario;
 pub mod search;
 
 pub use campaign::{run_campaign, CampaignConfig, CampaignReport, CampaignRow};
-pub use compat::attack_pattern;
 pub use pattern::{BoxPattern, PatternGen, PatternTrace};
 pub use scenario::{ScenarioSpec, Shape};
 pub use search::{

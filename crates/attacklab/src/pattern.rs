@@ -11,7 +11,7 @@
 //! replays bit-identically.
 //!
 //! The fixed [`workloads::Attack`] patterns are all expressible here; see
-//! [`crate::compat`] for the exact reconstructions.
+//! [`crate::scenario::ScenarioSpec::build`] for the exact reconstructions.
 
 use cpu::{TraceEntry, TraceSource};
 use sim_core::addr::{DramAddr, Geometry, PhysAddr};

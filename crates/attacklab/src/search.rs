@@ -2,7 +2,7 @@
 //!
 //! BlockHammer-style evaluation methodology says fixed attack patterns
 //! understate worst-case damage; this module *searches* for it. Starting
-//! from the paper's hand-written attacks (via [`crate::compat`], bit-exact)
+//! from the paper's hand-written attacks (as [`Shape::Baseline`](crate::Shape), bit-exact)
 //! plus a few random genomes, it hill-climbs [`ScenarioSpec`] mutations on
 //! **normalized slowdown** of the benign cores, evaluating each batch of
 //! mutants in parallel against one shared reference run. Everything is
@@ -17,6 +17,7 @@ use sim::exec::{Executor, PayloadCache};
 use sim::experiment::{CustomAttack, Experiment, TrackerSel};
 use sim::metrics::RunStats;
 use sim::runner::{parallel_map, RunnerConfig};
+use sim_core::json::JsonCodec;
 use sim_core::rng::Xoshiro256;
 
 use crate::pattern::PatternTrace;
@@ -218,7 +219,7 @@ fn evaluate(
         .map(|spec| {
             let key = cache.and_then(|_| {
                 let e = experiment_for(cfg, spec);
-                cell_key_with_attack_id(&e, Some(&spec.to_json().render()))
+                cell_key_with_attack_id(&e, Some(&spec.encode().render()))
             });
             (spec.clone(), key)
         })
@@ -292,7 +293,7 @@ pub fn evaluate_specs_memo(
     let mut miss_keys: Vec<String> = Vec::new();
     let mut miss_specs: Vec<ScenarioSpec> = Vec::new();
     for (i, spec) in specs.into_iter().enumerate() {
-        let key = spec.to_json().render();
+        let key = spec.encode().render();
         if let Some(rec) = memo.map.get(&key) {
             memo.hits += 1;
             slots.push(Some(rec.clone()));

@@ -19,23 +19,25 @@ use analysis::OracleProbe;
 use attacklab::campaign::{run_campaign, CampaignReport, CampaignRow};
 use attacklab::scenario::{ScenarioSpec, Shape};
 use attacklab::search::EvalRecord;
+use sim::cache::{lookup_entry, save_entry};
 use sim::exec::{Executor, PayloadCache};
 use sim::metrics::RunStats;
 use sim::{
     normalized_performance, AttackChoice, AttackerConfig, AttackerKnowledge, CellKey, CustomAttack,
-    Engine, Experiment, RunnerConfig, SweepSpec, TelemetrySpec,
+    Experiment, RunnerConfig, SweepSpec, TelemetrySpec,
 };
 use sim_core::cache::{content_key, DiskStore};
-use sim_core::json::Json;
+use sim_core::json::{Json, JsonCodec};
 use std::collections::BTreeMap;
 
 use crate::hammer::{HammerPlan, PhysRoundRobin, PAIRS};
 use crate::recon;
 use crate::victim::VictimOrchestrator;
 
-/// Verdict-cache epoch, folded into every cache key. Bump when the
-/// pipeline's semantics change and stale verdicts must re-simulate.
-const VERDICT_EPOCH: &str = "attackpipe-epoch1";
+/// Verdict-cache epoch, folded into every cache key and entry. Bump when
+/// the pipeline's semantics or the entry format change and stale verdicts
+/// must re-simulate.
+const VERDICT_EPOCH: &str = "attackpipe-epoch2";
 
 // ---------------------------------------------------------------- verdict
 
@@ -84,84 +86,28 @@ pub struct PipelineVerdict {
     pub energy_mj: f64,
 }
 
-impl PipelineVerdict {
-    /// Canonical JSON encoding (fixed field order, so equal verdicts
-    /// render byte-identically — the cache and artifact contract).
-    pub fn to_json(&self) -> Json {
-        let opt = |v: Option<f64>| v.map_or(Json::Null, Json::num);
-        Json::obj([
-            ("workload", Json::str(&self.workload)),
-            ("tracker", Json::str(&self.tracker)),
-            ("knowledge", Json::str(self.knowledge.key())),
-            ("flips", Json::count(self.flips)),
-            ("victims", Json::count(self.victims)),
-            ("max_victim_peak", Json::count(self.max_victim_peak as u64)),
-            ("normalized_performance", Json::num(self.normalized_performance)),
-            ("slowdown", Json::num(self.slowdown)),
-            ("recon_accuracy", opt(self.recon_accuracy)),
-            ("recon_recall", opt(self.recon_recall)),
-            ("recon_row_shift", opt(self.recon_row_shift.map(|s| s as f64))),
-            ("recon_probes", Json::count(self.recon_probes)),
-            ("recon_cadence_cycles", opt(self.recon_cadence_cycles.map(|c| c as f64))),
-            ("believed_stride", opt(self.believed_stride.map(|s| s as f64))),
-            ("mitigations", Json::count(self.mitigations)),
-            ("counter_ops", Json::count(self.counter_ops)),
-            ("reset_sweeps", Json::count(self.reset_sweeps)),
-            ("energy_mj", Json::num(self.energy_mj)),
-        ])
-    }
-
-    /// Decodes [`Self::to_json`]'s encoding; errors name the bad field.
-    pub fn from_json(j: &Json) -> Result<Self, String> {
-        let knowledge = AttackerKnowledge::by_key(&text(j, "knowledge")?)?;
-        Ok(Self {
-            workload: text(j, "workload")?,
-            tracker: text(j, "tracker")?,
-            knowledge,
-            flips: num(j, "flips")? as u64,
-            victims: num(j, "victims")? as u64,
-            max_victim_peak: num(j, "max_victim_peak")? as u32,
-            normalized_performance: num(j, "normalized_performance")?,
-            slowdown: num(j, "slowdown")?,
-            recon_accuracy: opt_num(j, "recon_accuracy")?,
-            recon_recall: opt_num(j, "recon_recall")?,
-            recon_row_shift: opt_num(j, "recon_row_shift")?.map(|v| v as u32),
-            recon_probes: num(j, "recon_probes")? as u64,
-            recon_cadence_cycles: opt_num(j, "recon_cadence_cycles")?.map(|v| v as u64),
-            believed_stride: opt_num(j, "believed_stride")?.map(|v| v as u64),
-            mitigations: num(j, "mitigations")? as u64,
-            counter_ops: num(j, "counter_ops")? as u64,
-            reset_sweeps: num(j, "reset_sweeps")? as u64,
-            energy_mj: num(j, "energy_mj")?,
-        })
-    }
-}
-
-fn want<'a>(j: &'a Json, key: &str) -> Result<&'a Json, String> {
-    j.get(key).ok_or_else(|| format!("missing field '{key}'"))
-}
-
-fn text(j: &Json, key: &str) -> Result<String, String> {
-    match want(j, key)? {
-        Json::Str(s) => Ok(s.clone()),
-        other => Err(format!("field '{key}': expected a string, got {other:?}")),
-    }
-}
-
-fn num(j: &Json, key: &str) -> Result<f64, String> {
-    match want(j, key)? {
-        Json::Num(n) => Ok(*n),
-        other => Err(format!("field '{key}': expected a number, got {other:?}")),
-    }
-}
-
-fn opt_num(j: &Json, key: &str) -> Result<Option<f64>, String> {
-    match want(j, key)? {
-        Json::Null => Ok(None),
-        Json::Num(n) => Ok(Some(*n)),
-        other => Err(format!("field '{key}': expected a number or null, got {other:?}")),
-    }
-}
+// The canonical wire form (fixed field order, so equal verdicts render
+// byte-identically — the cache and artifact contract).
+sim_core::json_record!(PipelineVerdict {
+    workload,
+    tracker,
+    knowledge,
+    flips,
+    victims,
+    max_victim_peak,
+    normalized_performance,
+    slowdown,
+    recon_accuracy,
+    recon_recall,
+    recon_row_shift,
+    recon_probes,
+    recon_cadence_cycles,
+    believed_stride,
+    mitigations,
+    counter_ops,
+    reset_sweeps,
+    energy_mj,
+});
 
 // ---------------------------------------------------------------- running
 
@@ -273,44 +219,18 @@ fn verdict_key(e: &Experiment) -> Option<CellKey> {
     })
 }
 
-/// The verdict cache: [`PipelineVerdict`]s in a [`DiskStore`], each entry
-/// embedding its epoch and descriptor so a stale or colliding entry is
-/// evicted, never served.
+/// The verdict cache: [`PipelineVerdict`]s in a [`DiskStore`], in the run
+/// cache's entry envelope under [`VERDICT_EPOCH`] — a stale, colliding or
+/// undecodable entry is evicted, never served.
 struct VerdictStore(DiskStore);
 
 impl PayloadCache<PipelineVerdict> for VerdictStore {
     fn lookup(&self, key: &CellKey) -> Option<PipelineVerdict> {
-        let payload = self.0.get(&key.key)?;
-        let decode = || -> Result<PipelineVerdict, String> {
-            let j = Json::parse(&payload).map_err(|e| e.to_string())?;
-            if text(&j, "epoch")? != VERDICT_EPOCH {
-                return Err("epoch mismatch".to_string());
-            }
-            if text(&j, "descriptor")? != key.descriptor {
-                return Err("descriptor mismatch (key collision)".to_string());
-            }
-            PipelineVerdict::from_json(want(&j, "verdict")?)
-        };
-        match decode() {
-            Ok(v) => Some(v),
-            Err(msg) => {
-                eprintln!("attackpipe: evicting unusable cache entry {}: {msg}", key.key);
-                self.0.evict(&key.key);
-                None
-            }
-        }
+        lookup_entry(&self.0, key, &Json::str(VERDICT_EPOCH), "verdict")
     }
 
     fn save(&self, key: &CellKey, v: &PipelineVerdict) -> std::io::Result<()> {
-        let payload = Json::obj([
-            ("epoch", Json::str(VERDICT_EPOCH)),
-            ("descriptor", Json::str(&key.descriptor)),
-            ("verdict", v.to_json()),
-        ])
-        .render();
-        self.0
-            .put(&key.key, &payload)
-            .inspect_err(|e| eprintln!("attackpipe: cannot write cache entry: {e}"))
+        save_entry(&self.0, key, Json::str(VERDICT_EPOCH), "verdict", v)
     }
 }
 
@@ -379,17 +299,13 @@ impl AttackerSweepReport {
         Json::obj([
             ("name", Json::str(&self.name)),
             ("cells", Json::count(self.cells as u64)),
-            ("verdicts", Json::Arr(self.verdicts.iter().map(PipelineVerdict::to_json).collect())),
+            ("verdicts", self.verdicts.encode()),
         ])
     }
 }
 
 fn reference_scope(e: &Experiment) -> String {
-    let engine = match e.engine {
-        Engine::Dense => "dense",
-        Engine::EventDriven => "event-driven",
-    };
-    format!("{}|{engine}", e.workload)
+    format!("{}|{}", e.workload, e.engine.name())
 }
 
 /// Expands a spec's `[attacker]` cells and runs the pipeline over them:
@@ -617,31 +533,30 @@ mod tests {
 
     #[test]
     fn verdict_json_round_trips_exactly() {
-        let v = verdict();
-        let decoded = PipelineVerdict::from_json(&v.to_json()).expect("decodes");
-        assert_eq!(v, decoded);
-        // Canonical rendering: the cache's byte-identity contract.
-        assert_eq!(v.to_json().render(), decoded.to_json().render());
-        // Options encode as null and come back as None.
-        let mut blind = v;
-        blind.recon_accuracy = None;
-        blind.believed_stride = None;
-        let decoded = PipelineVerdict::from_json(&blind.to_json()).expect("decodes");
-        assert_eq!(blind, decoded);
-    }
-
-    #[test]
-    fn verdict_decode_names_the_bad_field() {
-        let mut j = verdict().to_json();
-        if let Json::Obj(pairs) = &mut j {
-            for (k, v) in pairs.iter_mut() {
-                if k == "flips" {
-                    *v = Json::Str("three".to_string());
-                }
-            }
+        // Seeded property: any verdict decodes to itself and re-renders
+        // byte-identically (the cache's contract), and a document with a
+        // key missing or wrong-typed is rejected with that key named.
+        let mut rng = sim_core::rng::Xoshiro256::seed_from(0xA77AC4);
+        for _ in 0..50 {
+            let some = |rng: &mut sim_core::rng::Xoshiro256| rng.gen_bool(0.5);
+            let np = rng.gen_f64();
+            sim_core::json::assert_codec_laws(&PipelineVerdict {
+                knowledge: AttackerKnowledge::ALL[rng.gen_range(3) as usize],
+                flips: rng.gen_range(7),
+                max_victim_peak: rng.next_u64() as u32,
+                normalized_performance: np,
+                slowdown: 1.0 / np.max(1e-6),
+                recon_accuracy: some(&mut rng).then(|| rng.gen_f64()),
+                recon_recall: some(&mut rng).then(|| rng.gen_f64()),
+                recon_row_shift: some(&mut rng).then(|| rng.gen_range(40) as u32),
+                recon_probes: rng.next_u64() >> 11,
+                recon_cadence_cycles: some(&mut rng).then(|| rng.next_u64() >> 11),
+                believed_stride: some(&mut rng).then(|| 1 << rng.gen_range(40)),
+                mitigations: rng.next_u64() >> 11,
+                energy_mj: rng.gen_f64() * 10.0,
+                ..verdict()
+            });
         }
-        let err = PipelineVerdict::from_json(&j).expect_err("bad type");
-        assert!(err.contains("flips"), "{err}");
     }
 
     #[test]
@@ -662,26 +577,60 @@ mod tests {
         assert_ne!(k1.key, k0.key);
     }
 
+    fn scratch_store(name: &str) -> VerdictStore {
+        let dir = std::env::temp_dir()
+            .join(format!("attackpipe-verdict-cache-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        VerdictStore(DiskStore::open(&dir).expect("open"))
+    }
+
+    fn key(knowledge: AttackerKnowledge) -> CellKey {
+        let e = Experiment::quick("povray_like")
+            .tracker("hydra")
+            .attacker(AttackerConfig::new(knowledge));
+        verdict_key(&e).expect("cacheable")
+    }
+
     #[test]
     fn verdict_store_round_trips_and_rejects_descriptor_mismatch() {
-        let dir =
-            std::env::temp_dir().join(format!("attackpipe-verdict-cache-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = VerdictStore(DiskStore::open(&dir).expect("open"));
+        let store = scratch_store("mismatch");
         let v = verdict();
-        let key = |descriptor: &str| CellKey {
-            key: content_key(descriptor.as_bytes()),
-            descriptor: descriptor.to_string(),
-        };
-        let a = key("descriptor-a");
+        let a = key(AttackerKnowledge::TimingRecon);
         store.save(&a, &v).expect("save");
         assert_eq!(store.lookup(&a), Some(v.clone()));
         // A colliding key with the wrong descriptor is evicted, not served.
-        let b = key("descriptor-b");
+        let b = key(AttackerKnowledge::Blind);
         store.0.put(&b.key, &store.0.get(&a.key).expect("entry a")).unwrap();
         assert_eq!(store.lookup(&b), None);
         assert!(!store.0.entry_path(&b.key).exists(), "the colliding entry is evicted");
-        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn verdict_decode_names_the_bad_field() {
+        // Regression: integer fields were decoded with bare `as` casts, so
+        // a damaged-but-checksummed entry was served with `flips: -3`
+        // saturated to 0 and an oversized peak truncated to 32 bits. Now
+        // the decoder names the field and the store evicts the entry.
+        let store = scratch_store("integers");
+        let a = key(AttackerKnowledge::TimingRecon);
+        for (field, good, bad) in [
+            ("flips", "3", "-3"),
+            ("flips", "3", "3.5"),
+            ("flips", "3", "\"three\""),
+            ("max_victim_peak", "812", "4294967296"),
+            ("recon_row_shift", "20", "-1"),
+        ] {
+            let (good, bad) = (format!("\"{field}\":{good}"), format!("\"{field}\":{bad}"));
+            let doc = verdict().encode().render();
+            assert!(doc.contains(&good), "{doc}");
+            let err = PipelineVerdict::decode(&Json::parse(&doc.replacen(&good, &bad, 1)).unwrap());
+            assert_eq!(err.expect_err(&bad).path, field);
+            store.save(&a, &verdict()).expect("save");
+            let entry = store.0.get(&a.key).expect("just saved");
+            store.0.put(&a.key, &entry.replacen(&good, &bad, 1)).unwrap();
+            assert_eq!(store.lookup(&a), None, "{bad} must not be served");
+            assert!(!store.0.entry_path(&a.key).exists(), "{bad}: entry evicted for recompute");
+        }
     }
 
     #[test]

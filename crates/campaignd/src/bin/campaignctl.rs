@@ -12,6 +12,7 @@
 //! queues the job and prints its id for a later `wait`.
 
 use campaignd::{submit_request, Client};
+use sim::runner::SweepError;
 use sim::spec::SweepSpec;
 use sim_core::json::Json;
 
@@ -32,10 +33,7 @@ USAGE: campaignctl [--socket PATH] COMMAND [ARGS]
 ";
 
 fn field_u64(j: &Json, key: &str) -> u64 {
-    match j.get(key) {
-        Some(Json::Num(n)) => *n as u64,
-        _ => 0,
-    }
+    j.field(key).unwrap_or(0)
 }
 
 /// Prints a completion object's summary and optionally writes its report.
@@ -57,24 +55,14 @@ fn finish(response: &Json, out: Option<&str>) -> Result<(), String> {
         std::fs::write(path, report.render()).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("report written to {path}");
     }
-    let failures = match report.get("failures") {
-        Some(Json::Arr(items)) if !items.is_empty() => items,
-        _ => return Ok(()),
-    };
+    let failures: Vec<SweepError> = report.field("failures").map_err(|e| e.to_string())?;
+    if failures.is_empty() {
+        return Ok(());
+    }
     eprintln!("quarantined cells:");
     eprintln!("  {:>5}  {:>8}  {:<48}  message", "index", "attempts", "cell");
-    for f in failures {
-        let text = |key: &str| match f.get(key) {
-            Some(Json::Str(s)) => s.clone(),
-            _ => String::new(),
-        };
-        eprintln!(
-            "  {:>5}  {:>8}  {:<48}  {}",
-            field_u64(f, "index"),
-            field_u64(f, "attempts"),
-            text("cell"),
-            text("message"),
-        );
+    for f in &failures {
+        eprintln!("  {:>5}  {:>8}  {:<48}  {}", f.index, f.attempts, f.cell, f.message);
     }
     Err(format!("{} cell(s) quarantined", failures.len()))
 }

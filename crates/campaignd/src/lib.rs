@@ -23,8 +23,8 @@
 //! | `{"cmd":"submit","spec":{...}}` | `{"ok":true,"job":N,"cells":C}` (job runs in the background) |
 //! | `{"cmd":"status","job":N}` | `{"ok":true,"job":N,"state":"running"\|"done"\|"failed","done":D,"cells":C}` |
 //! | `{"cmd":"wait","job":N}` | blocks, then the same completion object `submit`-and-wait ends with |
-//! | `{"cmd":"lookup","spec":{...ExperimentSpec...}}` | `{"ok":true,"cached":bool,"result":row\|null}` — never simulates |
-//! | `{"cmd":"stats"}` | `{"ok":true,"executed":X,"jobs":J,"cache":{...}\|null}` |
+//! | `{"cmd":"lookup","spec":{...}}` (a sweep spec that expands to exactly one cell) | `{"ok":true,"cached":bool,"result":row\|null}` — never simulates |
+//! | `{"cmd":"stats"}` | `{"ok":true,"executed":X,"jobs":J,...,"cache":{"hits":H,"misses":M,"corrupt":C,"io_errors":E}\|null}` |
 //! | `{"cmd":"shutdown"}` | `{"ok":true,"stopping":true}`, then the server drains |
 //!
 //! # Single-flight
@@ -49,10 +49,10 @@ use sim::exec::{Checkpoint, Executor, PayloadCache, Source};
 use sim::experiment::ExperimentResult;
 use sim::journal::SweepJournal;
 use sim::runner::{cell_label, RetryPolicy, RunnerConfig, SweepError};
-use sim::spec::{result_to_json, ExperimentSpec, SweepReport, SweepSpec};
+use sim::spec::{result_to_json, SweepReport, SweepSpec};
 use sim::Experiment;
 use sim_core::fault::{FaultAction, FaultSite, Injector};
-use sim_core::json::Json;
+use sim_core::json::{Json, JsonCodec};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -314,17 +314,6 @@ fn completion_json(outcome: Result<Json, String>) -> Json {
     }
 }
 
-fn cache_stats_json(cache: &RunCache) -> Json {
-    let s = cache.stats();
-    Json::obj([
-        ("hits", Json::count(s.hits)),
-        ("misses", Json::count(s.misses)),
-        ("evictions", Json::count(s.evictions)),
-        ("corrupt", Json::count(s.corrupt)),
-        ("io_errors", Json::count(s.io_errors)),
-    ])
-}
-
 fn write_line(stream: &mut UnixStream, msg: &Json) -> std::io::Result<()> {
     let mut line = msg.render();
     line.push('\n');
@@ -470,21 +459,28 @@ fn resume_unfinished(inner: &Arc<Inner>) {
     }
 }
 
-/// Creates a job and drives it on a detached thread; returns `(id, cells)`.
-fn spawn_background_job(
-    inner: &Arc<Inner>,
-    spec: SweepSpec,
-    experiments: Vec<Experiment>,
-) -> (u64, usize) {
+/// Creates a job, visible to `status`/`wait` and counted as active until
+/// whoever drives it finishes it.
+fn register_job(inner: &Inner, cells: usize) -> Arc<Job> {
     let job = Arc::new(Job {
         id: inner.next_job.fetch_add(1, Ordering::Relaxed),
-        cells: experiments.len(),
+        cells,
         done: AtomicUsize::new(0),
         finished: Mutex::new(None),
         cv: Condvar::new(),
     });
     relock(&inner.jobs).insert(job.id, job.clone());
     inner.active_jobs.fetch_add(1, Ordering::Relaxed);
+    job
+}
+
+/// Creates a job and drives it on a detached thread; returns `(id, cells)`.
+fn spawn_background_job(
+    inner: &Arc<Inner>,
+    spec: SweepSpec,
+    experiments: Vec<Experiment>,
+) -> (u64, usize) {
+    let job = register_job(inner, experiments.len());
     let (job_id, cells) = (job.id, experiments.len());
     let inner = inner.clone();
     std::thread::spawn(move || {
@@ -556,7 +552,7 @@ fn dispatch(inner: &Arc<Inner>, request: &Json, stream: &mut UnixStream) -> Opti
             ("active", Json::count(inner.active_jobs.load(Ordering::Relaxed) as u64)),
             ("resumed_sweeps", Json::count(inner.resumed_sweeps.load(Ordering::Relaxed))),
             ("draining", Json::Bool(inner.draining.load(Ordering::Relaxed))),
-            ("cache", inner.cache.as_ref().map_or(Json::Null, cache_stats_json)),
+            ("cache", inner.cache.as_ref().map(RunCache::stats).encode()),
         ])),
         "shutdown" => {
             // Draining first: submissions racing the shutdown are
@@ -570,26 +566,32 @@ fn dispatch(inner: &Arc<Inner>, request: &Json, stream: &mut UnixStream) -> Opti
 }
 
 fn lookup_job(inner: &Inner, request: &Json) -> Result<Arc<Job>, Json> {
-    let id = match request.get("job") {
-        Some(Json::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => *n as u64,
-        _ => return Err(err_json("missing or invalid 'job'")),
-    };
+    let id: u64 = request.field("job").map_err(err_json)?;
     relock(&inner.jobs).get(&id).cloned().ok_or_else(|| err_json(format!("unknown job {id}")))
 }
 
-/// Answers a cache lookup for a single experiment cell — never
+/// The sweep a request carries under `"spec"`, expanded: broken specs are
+/// rejected before anything is scheduled, and the cell count is fixed.
+fn requested_sweep(request: &Json) -> Result<(SweepSpec, Vec<Experiment>), Json> {
+    let spec_json = request.get("spec").ok_or_else(|| err_json("missing 'spec'"))?;
+    let spec = SweepSpec::from_json_str(&spec_json.render()).map_err(err_json)?;
+    let experiments = spec.expand().map_err(err_json)?;
+    Ok((spec, experiments))
+}
+
+/// Answers a cache lookup for a single cell — the same sweep spec
+/// `submit` takes, which must expand to exactly one cell — and never
 /// simulates.
 fn lookup_cell(inner: &Inner, request: &Json) -> Json {
-    let Some(spec_json) = request.get("spec") else {
-        return err_json("missing 'spec'");
+    let experiments = match requested_sweep(request) {
+        Ok((_, experiments)) => experiments,
+        Err(e) => return e,
     };
-    let experiment =
-        ExperimentSpec::from_json_str(&spec_json.render()).and_then(|s| s.to_experiment());
-    let experiment = match experiment {
-        Ok(e) => e,
-        Err(e) => return err_json(e),
+    let [experiment] = experiments.as_slice() else {
+        let cells = experiments.len();
+        return err_json(format!("lookup takes a one-cell spec; this one has {cells} cells"));
     };
-    let Some(key) = cell_key(&experiment) else {
+    let Some(key) = cell_key(experiment) else {
         return err_json("cell is uncacheable");
     };
     if let Some(CellState::Done(outcome)) = relock(&inner.cells).get(&key.key) {
@@ -622,23 +624,19 @@ impl ProgressEvent {
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("event", Json::str("progress")),
-            ("job", Json::count(self.job)),
-            ("done", Json::count(self.done)),
-            ("cells", Json::count(self.cells)),
+            ("job", self.job.encode()),
+            ("done", self.done.encode()),
+            ("cells", self.cells.encode()),
         ])
     }
 
     /// Parses a streamed line; `None` when the object is not a progress
     /// event (e.g. the final completion response).
     pub fn from_json(j: &Json) -> Option<Self> {
-        match j.get("event") {
-            Some(Json::Str(s)) if s == "progress" => {}
-            _ => return None,
+        if j.field::<String>("event").ok()? != "progress" {
+            return None;
         }
-        let count = |key: &str| match j.get(key) {
-            Some(Json::Num(n)) if *n >= 0.0 => Some(*n as u64),
-            _ => None,
-        };
+        let count = |key| j.field(key).ok();
         Some(Self { job: count("job")?, done: count("done")?, cells: count("cells")? })
     }
 
@@ -656,33 +654,16 @@ fn submit(inner: &Arc<Inner>, request: &Json, stream: &mut UnixStream) -> Option
     if inner.draining.load(Ordering::Relaxed) {
         return Some(err_json("server is draining (shutdown in progress)"));
     }
-    let Some(spec_json) = request.get("spec") else {
-        return Some(err_json("missing 'spec'"));
-    };
-    let spec = match SweepSpec::from_json_str(&spec_json.render()) {
-        Ok(spec) => spec,
-        Err(e) => return Some(err_json(e)),
-    };
-    // Expanding up front rejects broken specs before a job exists and
-    // fixes the cell count for progress reporting.
-    let experiments = match spec.expand() {
-        Ok(experiments) => experiments,
-        Err(e) => return Some(err_json(e)),
+    let (spec, experiments) = match requested_sweep(request) {
+        Ok(sweep) => sweep,
+        Err(e) => return Some(e),
     };
     let wait = matches!(request.get("wait"), Some(Json::Bool(true)));
     if !wait {
         let (job_id, cells) = spawn_background_job(inner, spec, experiments);
         return Some(ok_json([("job", Json::count(job_id)), ("cells", Json::count(cells as u64))]));
     }
-    let job = Arc::new(Job {
-        id: inner.next_job.fetch_add(1, Ordering::Relaxed),
-        cells: experiments.len(),
-        done: AtomicUsize::new(0),
-        finished: Mutex::new(None),
-        cv: Condvar::new(),
-    });
-    relock(&inner.jobs).insert(job.id, job.clone());
-    inner.active_jobs.fetch_add(1, Ordering::Relaxed);
+    let job = register_job(inner, experiments.len());
     // Waiting submit: drive the job on a scoped worker while this thread
     // streams progress events.
     std::thread::scope(|scope| {

@@ -38,10 +38,7 @@ fn start_with(dir: &std::path::Path, tag: &str, mut cfg: ServerConfig) -> PathBu
 }
 
 fn field_u64(j: &Json, key: &str) -> u64 {
-    match j.get(key) {
-        Some(Json::Num(n)) => *n as u64,
-        _ => panic!("missing numeric '{key}' in {}", j.render()),
-    }
+    j.field(key).unwrap_or_else(|e| panic!("{e} in {}", j.render()))
 }
 
 fn assert_ok(j: &Json) {
@@ -103,16 +100,21 @@ fn concurrent_identical_submissions_run_each_cell_once() {
     assert_eq!(server_executed(&socket), 2);
 
     // A cell lookup answers from cache without simulating.
-    let cell = Json::obj([
-        ("workload", Json::str("mcf_like")),
-        ("tracker", Json::str("para")),
-        ("window_us", Json::Num(20.0)),
-        ("seed", Json::count(7)),
-    ]);
-    let looked =
-        client.request(&Json::obj([("cmd", Json::str("lookup")), ("spec", cell)])).expect("lookup");
+    let cell = |workloads: Vec<Json>| {
+        let spec = Json::obj([
+            ("workloads", Json::Arr(workloads)),
+            ("trackers", Json::str("para")),
+            ("window_us", Json::Num(20.0)),
+            ("seed", Json::count(7)),
+        ]);
+        Json::obj([("cmd", Json::str("lookup")), ("spec", spec)])
+    };
+    let looked = client.request(&cell(vec![Json::str("mcf_like")])).expect("lookup");
     assert_ok(&looked);
     assert!(matches!(looked.get("cached"), Some(Json::Bool(true))), "{}", looked.render());
+    // A lookup names exactly one cell.
+    let two = client.request(&cell(vec![Json::str("mcf_like"), Json::str("gcc_like")])).unwrap();
+    assert!(two.render().contains("has 2 cells"), "{}", two.render());
     shutdown(&socket);
 
     // A fresh server over the same cache dir serves the sweep from disk:
@@ -329,4 +331,24 @@ fn progress_events_round_trip_the_wire_shape() {
     // Non-progress lines (e.g. the final completion response) parse to None.
     let done = Json::obj([("ok", Json::Bool(true)), ("job", Json::count(7))]);
     assert_eq!(ProgressEvent::from_json(&done), None);
+    // Seeded property: any event survives the wire, and one with a count
+    // missing, fractional, negative or mistyped is not an event
+    // (regression: a fractional `done` used to truncate).
+    let mut rng = sim_core::rng::Xoshiro256::seed_from(0x9E7);
+    for _ in 0..50 {
+        let mut count = || rng.next_u64() >> 11;
+        let e = ProgressEvent { job: count(), done: count(), cells: count() };
+        let Json::Obj(pairs) = e.to_json() else { panic!("events are objects") };
+        assert_eq!(ProgressEvent::from_json(&Json::Obj(pairs.clone())), Some(e));
+        for i in 1..pairs.len() {
+            for bad in [Json::Num(2.5), Json::Num(-1.0), Json::str("3")] {
+                let mut broken = pairs.clone();
+                broken[i].1 = bad;
+                assert_eq!(ProgressEvent::from_json(&Json::Obj(broken)), None, "{}", pairs[i].0);
+            }
+            let mut missing = pairs.clone();
+            missing.remove(i);
+            assert_eq!(ProgressEvent::from_json(&Json::Obj(missing)), None, "{}", pairs[i].0);
+        }
+    }
 }

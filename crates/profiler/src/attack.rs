@@ -72,7 +72,7 @@ pub struct AttackOutcome {
 /// Canonical JSON document for one search report (shared by the CLI and
 /// the spec runner's attack artifacts).
 pub fn search_report_json(r: &SearchReport) -> sim_core::json::Json {
-    use sim_core::json::Json;
+    use sim_core::json::{Json, JsonCodec};
     Json::obj([
         ("tracker", Json::str(&r.tracker)),
         ("seed", Json::hex(r.seed)),
@@ -80,16 +80,8 @@ pub fn search_report_json(r: &SearchReport) -> sim_core::json::Json {
         ("dedup_hits", Json::count(r.dedup_hits as u64)),
         ("best_name", Json::str(&r.best.name)),
         ("best_slowdown", Json::num(r.best.slowdown)),
-        ("best_spec", r.best.spec.to_json()),
-        (
-            "history",
-            Json::Arr(
-                r.history
-                    .iter()
-                    .map(|(e, b)| Json::Arr(vec![Json::count(*e as u64), Json::num(*b)]))
-                    .collect(),
-            ),
-        ),
+        ("best_spec", r.best.spec.encode()),
+        ("history", r.history.encode()),
     ])
 }
 

@@ -13,7 +13,7 @@
 
 use sim::cache::RunCache;
 use sim::experiment::TrackerSel;
-use sim_core::json::Json;
+use sim_core::json::{parse_u64, Json, JsonCodec};
 
 use crate::attack::{run_attack_observed, AttackConfig};
 use crate::evaluate::{run_evaluate_observed, EvaluateConfig};
@@ -82,13 +82,7 @@ impl<'a> Parsed<'a> {
     fn seed(&self, default: u64) -> Result<u64, String> {
         match self.get("--seed") {
             None => Ok(default),
-            Some(v) => {
-                let parsed = match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-                    Some(hex) => u64::from_str_radix(hex, 16),
-                    None => v.parse(),
-                };
-                parsed.map_err(|_| format!("--seed: cannot parse '{v}'"))
-            }
+            Some(v) => parse_u64(v).ok_or_else(|| format!("--seed: cannot parse '{v}'")),
         }
     }
 }
@@ -151,7 +145,7 @@ fn load_heatmap(parsed: &Parsed<'_>) -> Result<SensitivityHeatmap, String> {
     let path = parsed.get("--heatmap").ok_or("--heatmap FILE is required (try --help)")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let json = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    SensitivityHeatmap::from_json(&json).map_err(|e| format!("{path}: {e}"))
+    SensitivityHeatmap::decode(&json).map_err(|e| format!("{path}: {e}"))
 }
 
 fn write_artifact(path: &str, content: &str) -> Result<(), String> {
@@ -242,7 +236,7 @@ fn cmd_profile(args: &[String]) -> Result<i32, String> {
     println!("profile: {stats}");
     print!("{art}");
     let out = parsed.get("--out").map(String::as_str).unwrap_or("out/profile_heatmap.json");
-    write_artifact(out, &map.to_json().render())?;
+    write_artifact(out, &map.encode().render())?;
     println!("heatmap written to {out}");
     Ok(0)
 }
@@ -444,7 +438,7 @@ mod tests {
         )));
         assert_eq!(code, 0);
         let text = std::fs::read_to_string(heatmap).expect("heatmap artifact");
-        let map = SensitivityHeatmap::from_json(&Json::parse(&text).unwrap()).unwrap();
+        let map = SensitivityHeatmap::decode(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(map.cells.len(), 4);
         let code = main_with_args(&argv(&format!(
             "attack --heatmap {heatmap} --budget 8 --batch 4 --window-us 60 --priors 2"

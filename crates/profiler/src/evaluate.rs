@@ -11,7 +11,7 @@ use attacklab::scenario::ScenarioSpec;
 use sim::cache::RunCache;
 use sim::experiment::TrackerSel;
 use sim::{Engine, Threads};
-use sim_core::json::Json;
+use sim_core::json::{Json, JsonCodec};
 
 use crate::heatmap::{Family, SensitivityHeatmap};
 use crate::profile::{run_probes, ProfileConfig, ProfileStats};
@@ -107,7 +107,7 @@ impl VulnReport {
                     ("family", Json::str(r.family.key())),
                     ("bank_group", Json::count(r.bank_group as u64)),
                     ("row_group", Json::count(r.row_group as u64)),
-                    ("probe", r.probe.to_json()),
+                    ("probe", r.probe.encode()),
                     ("probe_score", Json::num(r.probe_score)),
                     ("slowdown", Json::num(r.slowdown)),
                     ("normalized_performance", Json::num(r.normalized_performance)),

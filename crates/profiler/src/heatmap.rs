@@ -9,7 +9,7 @@
 
 use attacklab::scenario::{ScenarioSpec, Shape};
 use sim_core::addr::Geometry;
-use sim_core::json::Json;
+use sim_core::json::{DecodeError, Hex, Json, JsonCodec};
 
 /// The parametric probe families, one per non-baseline [`Shape`] kind.
 ///
@@ -50,6 +50,18 @@ impl Family {
     /// Canonical index into [`Self::ALL`].
     pub fn index(self) -> usize {
         Family::ALL.iter().position(|f| *f == self).expect("family in ALL")
+    }
+}
+
+/// Travels as its [`Family::key`].
+impl JsonCodec for Family {
+    fn encode(&self) -> Json {
+        Json::str(self.key())
+    }
+
+    fn decode(j: &Json) -> Result<Self, DecodeError> {
+        let key = String::decode(j)?;
+        Family::by_key(&key).ok_or_else(|| DecodeError::new(format!("unknown family `{key}`")))
     }
 }
 
@@ -137,6 +149,19 @@ pub struct HeatmapCell {
     pub counter_ops: u64,
 }
 
+sim_core::json_record!(HeatmapCell {
+    family,
+    bank_group,
+    row_group,
+    probe,
+    slowdown,
+    peak_slowdown,
+    time_to_max_us,
+    recovery_us,
+    mitigations,
+    counter_ops,
+});
+
 impl HeatmapCell {
     /// Ranking score: the worst-window slowdown when the trace caught one
     /// (transients matter more than the mean under short probe windows),
@@ -180,6 +205,19 @@ pub struct SensitivityHeatmap {
     pub cells: Vec<HeatmapCell>,
 }
 
+sim_core::json_record!(SensitivityHeatmap {
+    tracker,
+    tracker_key,
+    workload,
+    probe_window_us,
+    nrh,
+    seed as Hex,
+    bank_groups,
+    row_groups,
+    families,
+    cells,
+});
+
 impl SensitivityHeatmap {
     /// The cell at a grid coordinate, if that family was profiled.
     pub fn cell(&self, family: Family, bank_group: u32, row_group: u32) -> Option<&HeatmapCell> {
@@ -207,128 +245,6 @@ impl SensitivityHeatmap {
     /// [`attacklab::search_seeded`] as warm-start priors.
     pub fn seed_genomes(&self, n: usize) -> Vec<ScenarioSpec> {
         self.top(n).into_iter().map(|c| c.probe.clone()).collect()
-    }
-
-    /// Canonical JSON document (byte-stable for equal profiles).
-    pub fn to_json(&self) -> Json {
-        let cells: Vec<Json> = self
-            .cells
-            .iter()
-            .map(|c| {
-                Json::obj([
-                    ("family", Json::str(c.family.key())),
-                    ("bank_group", Json::count(c.bank_group as u64)),
-                    ("row_group", Json::count(c.row_group as u64)),
-                    ("probe", c.probe.to_json()),
-                    ("slowdown", Json::num(c.slowdown)),
-                    ("peak_slowdown", Json::num(c.peak_slowdown)),
-                    ("time_to_max_us", c.time_to_max_us.map_or(Json::Null, Json::num)),
-                    ("recovery_us", c.recovery_us.map_or(Json::Null, Json::num)),
-                    ("mitigations", Json::count(c.mitigations)),
-                    ("counter_ops", Json::count(c.counter_ops)),
-                ])
-            })
-            .collect();
-        Json::obj([
-            ("tracker", Json::str(&self.tracker)),
-            ("tracker_key", Json::str(&self.tracker_key)),
-            ("workload", Json::str(&self.workload)),
-            ("probe_window_us", Json::num(self.probe_window_us)),
-            ("nrh", Json::count(self.nrh as u64)),
-            ("seed", Json::hex(self.seed)),
-            ("bank_groups", Json::count(self.bank_groups as u64)),
-            ("row_groups", Json::count(self.row_groups as u64)),
-            ("families", Json::Arr(self.families.iter().map(|f| Json::str(f.key())).collect())),
-            ("cells", Json::Arr(cells)),
-        ])
-    }
-
-    /// Parses a [`Self::to_json`] document.
-    pub fn from_json(j: &Json) -> Result<Self, String> {
-        fn str_field(j: &Json, key: &str) -> Result<String, String> {
-            match j.get(key) {
-                Some(Json::Str(s)) => Ok(s.clone()),
-                _ => Err(format!("heatmap: `{key}` must be a string")),
-            }
-        }
-        fn num_field(j: &Json, key: &str) -> Result<f64, String> {
-            match j.get(key) {
-                Some(Json::Num(n)) => Ok(*n),
-                _ => Err(format!("heatmap: `{key}` must be a number")),
-            }
-        }
-        fn count_field(j: &Json, key: &str) -> Result<u64, String> {
-            match j.get(key) {
-                Some(Json::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as u64),
-                _ => Err(format!("heatmap: `{key}` must be a non-negative integer")),
-            }
-        }
-        fn opt_num(j: &Json, key: &str) -> Result<Option<f64>, String> {
-            match j.get(key) {
-                None | Some(Json::Null) => Ok(None),
-                Some(Json::Num(n)) => Ok(Some(*n)),
-                _ => Err(format!("heatmap: `{key}` must be null or a number")),
-            }
-        }
-        let seed = match j.get("seed") {
-            Some(Json::Str(s)) => {
-                let digits = s.strip_prefix("0x").unwrap_or(s);
-                u64::from_str_radix(digits, 16)
-                    .map_err(|_| format!("heatmap: bad `seed` hex `{s}`"))?
-            }
-            _ => return Err("heatmap: `seed` must be a hex string".to_string()),
-        };
-        let families = match j.get("families") {
-            Some(Json::Arr(arr)) => {
-                arr.iter()
-                    .map(|f| match f {
-                        Json::Str(s) => Family::by_key(s)
-                            .ok_or_else(|| format!("heatmap: unknown family `{s}`")),
-                        _ => Err("heatmap: `families` entries must be strings".to_string()),
-                    })
-                    .collect::<Result<Vec<_>, _>>()?
-            }
-            _ => return Err("heatmap: `families` must be an array".to_string()),
-        };
-        let cells = match j.get("cells") {
-            Some(Json::Arr(arr)) => arr
-                .iter()
-                .map(|c| {
-                    let family_key = str_field(c, "family")?;
-                    let family = Family::by_key(&family_key)
-                        .ok_or_else(|| format!("heatmap: unknown family `{family_key}`"))?;
-                    let probe = c
-                        .get("probe")
-                        .ok_or_else(|| "heatmap: cell missing `probe`".to_string())
-                        .and_then(ScenarioSpec::from_json)?;
-                    Ok(HeatmapCell {
-                        family,
-                        bank_group: count_field(c, "bank_group")? as u32,
-                        row_group: count_field(c, "row_group")? as u32,
-                        probe,
-                        slowdown: num_field(c, "slowdown")?,
-                        peak_slowdown: num_field(c, "peak_slowdown")?,
-                        time_to_max_us: opt_num(c, "time_to_max_us")?,
-                        recovery_us: opt_num(c, "recovery_us")?,
-                        mitigations: count_field(c, "mitigations")?,
-                        counter_ops: count_field(c, "counter_ops")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?,
-            _ => return Err("heatmap: `cells` must be an array".to_string()),
-        };
-        Ok(Self {
-            tracker: str_field(j, "tracker")?,
-            tracker_key: str_field(j, "tracker_key")?,
-            workload: str_field(j, "workload")?,
-            probe_window_us: num_field(j, "probe_window_us")?,
-            nrh: count_field(j, "nrh")? as u32,
-            seed,
-            bank_groups: count_field(j, "bank_groups")? as u32,
-            row_groups: count_field(j, "row_groups")? as u32,
-            families,
-            cells,
-        })
     }
 
     /// Renders per-family intensity grids with an ASCII ramp — rows are
@@ -448,11 +364,41 @@ mod tests {
 
     #[test]
     fn json_round_trips_byte_identically() {
-        let map = tiny_map();
-        let doc = map.to_json().render();
-        let back = SensitivityHeatmap::from_json(&Json::parse(&doc).unwrap()).unwrap();
-        assert_eq!(back, map);
-        assert_eq!(back.to_json().render(), doc, "canonical form is a fixed point");
+        // Seeded property: any heatmap (and any cell of it) decodes to
+        // itself, re-renders byte-identically, and is rejected with the key
+        // named when one is missing or wrong-typed.
+        let mut rng = sim_core::rng::Xoshiro256::seed_from(0x4EA7);
+        for _ in 0..10 {
+            let mut map = tiny_map();
+            map.seed = rng.next_u64();
+            map.nrh = rng.next_u64() as u32;
+            for cell in &mut map.cells {
+                cell.probe = ScenarioSpec::random(&mut rng);
+                cell.slowdown = 1.0 + rng.gen_f64();
+                cell.time_to_max_us = rng.gen_bool(0.5).then(|| rng.gen_f64() * 60.0);
+                cell.mitigations = rng.next_u64() >> 11;
+                sim_core::json::assert_codec_laws(cell);
+            }
+            sim_core::json::assert_codec_laws(&map);
+        }
+    }
+
+    #[test]
+    fn integers_that_do_not_fit_are_rejected_not_truncated() {
+        // Regression: `bank_group` and `nrh` were read as u64 and cast
+        // down, so 2^32 + 1 loaded as 1.
+        let doc = tiny_map().encode().render();
+        for (field, bad) in [
+            ("\"nrh\":500", "\"nrh\":4294967297"),
+            ("\"nrh\":500", "\"nrh\":-500"),
+            ("\"bank_group\":1", "\"bank_group\":4294967297"),
+            ("\"row_group\":1", "\"row_group\":1.5"),
+        ] {
+            assert!(doc.contains(field), "{doc}");
+            let broken = Json::parse(&doc.replacen(field, bad, 1)).unwrap();
+            let err = SensitivityHeatmap::decode(&broken).expect_err(bad);
+            assert!(bad.contains(err.path.rsplit('.').next().unwrap()), "{bad}: {err}");
+        }
     }
 
     #[test]
@@ -482,7 +428,7 @@ mod tests {
                     let b = probe_spec(geom, family, bg, 4, rg, 4);
                     assert_eq!(a, b, "probe generation is pure");
                     assert!(
-                        seen.insert(a.to_json().render()),
+                        seen.insert(a.encode().render()),
                         "cells must have distinct genomes: {family} b{bg} r{rg}"
                     );
                     // Every probe must build under the geometry it was

@@ -15,6 +15,7 @@ use sim::experiment::{CustomAttack, Experiment, TrackerSel};
 use sim::runner::{RunnerConfig, SweepError};
 use sim::{Engine, ExperimentResult, Threads};
 use sim_core::addr::Geometry;
+use sim_core::json::JsonCodec;
 
 use crate::heatmap::{probe_spec, Family, HeatmapCell, SensitivityHeatmap};
 use crate::CampaignEvent;
@@ -135,7 +136,7 @@ pub(crate) fn run_probes(
         .map(|probe| {
             let key = cache.and_then(|_| {
                 let e = probe_experiment(cfg, probe);
-                cell_key_with_attack_id(&e, Some(&probe.to_json().render()))
+                cell_key_with_attack_id(&e, Some(&probe.encode().render()))
             });
             (probe.clone(), key)
         })
@@ -296,7 +297,7 @@ mod tests {
     fn profile_is_deterministic_and_scored() {
         let (a, sa) = run_profile(&tiny(), None);
         let (b, sb) = run_profile(&tiny(), None);
-        assert_eq!(a.to_json().render(), b.to_json().render());
+        assert_eq!(a.encode().render(), b.encode().render());
         assert_eq!(a.cells.len(), 8);
         assert_eq!(sa, sb);
         assert_eq!(sa.cells, 8);
@@ -324,8 +325,8 @@ mod tests {
         assert_eq!(warm_stats.misses, 0);
         assert_eq!(warm_stats.simulations, 0, "warm profile must not simulate");
         assert_eq!(
-            warm.to_json().render(),
-            cold.to_json().render(),
+            warm.encode().render(),
+            cold.encode().render(),
             "warm heatmap is byte-identical"
         );
         assert!(events.iter().any(|e| e.contains("cached: true")), "{events:?}");

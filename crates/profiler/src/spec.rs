@@ -10,7 +10,7 @@
 
 use sim::cache::RunCache;
 use sim::spec::{expand_workloads, SweepSpec};
-use sim_core::json::Json;
+use sim_core::json::{Json, JsonCodec};
 
 use crate::attack::{run_attack, search_report_json, AttackConfig};
 use crate::evaluate::{run_evaluate, EvaluateConfig};
@@ -88,7 +88,7 @@ pub fn run_profile_spec(
             let stem = format!("{}_{}_{}", spec.name, tracker.key(), workload);
             let (map, stats) = run_profile(&cfg, cache.as_ref());
             println!("  profile  {:<13} {:<18} {stats}", tracker.key(), workload);
-            write(format!("{stem}_heatmap"), map.to_json())?;
+            write(format!("{stem}_heatmap"), map.encode())?;
 
             // Evaluate reuses the resolved selection so `[params.*]`
             // overrides survive (the heatmap file alone only carries the

@@ -88,6 +88,16 @@ pub struct Geometry {
     pub row_bytes: u32,
 }
 
+// As run-cache cell descriptors spell it.
+crate::json_record!(Geometry {
+    channels,
+    ranks,
+    bank_groups,
+    banks_per_group,
+    rows_per_bank,
+    row_bytes,
+});
+
 impl Geometry {
     /// The paper's baseline: 2 channels x 2 ranks x 8 bank groups x 4 banks,
     /// 64K rows of 8 KB per bank (Table I).

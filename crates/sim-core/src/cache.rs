@@ -1,6 +1,7 @@
-//! Content-addressed blob cache: stable hashing, a checksummed on-disk
-//! store with sharded layout and atomic writes, and an in-memory LRU
-//! front.
+//! Content-addressed blob cache in two tiers: [`content_key`] names an
+//! entry by a stable hash, and [`DiskStore`] holds it — checksummed, in a
+//! sharded layout, written atomically. Nothing is kept in memory: a front
+//! end that reads a key twice keeps the decoded value itself.
 //!
 //! This layer is deliberately generic — it maps hex string keys to string
 //! payloads and knows nothing about experiments. The `sim` crate builds
@@ -21,15 +22,14 @@
 //!   length header; a truncated or bit-flipped entry fails decoding, is
 //!   evicted from disk, and reads as a miss — corruption is never
 //!   returned as a result.
-//! * **Thread safety.** [`DiskStore`] takes `&self` everywhere; the LRU
-//!   front is mutex-guarded and the counters are atomics, so one store
-//!   can be shared across sweep workers and server connections.
+//! * **Thread safety.** [`DiskStore`] takes `&self` everywhere and its
+//!   counters are atomics, so one store can be shared across sweep
+//!   workers and server connections.
 
-use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use crate::fault::{FaultAction, FaultSite, Injector};
 
@@ -103,12 +103,10 @@ pub fn decode_entry(text: &str) -> Option<&str> {
 /// Snapshot of a store's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Lookups answered (from the LRU front or disk).
+    /// Lookups answered.
     pub hits: u64,
     /// Lookups that found nothing usable.
     pub misses: u64,
-    /// Entries dropped from the in-memory LRU front (still on disk).
-    pub evictions: u64,
     /// Corrupt entries detected, evicted from disk, and reported as
     /// misses (each also counts under `misses`).
     pub corrupt: u64,
@@ -117,88 +115,32 @@ pub struct CacheStats {
     pub io_errors: u64,
 }
 
-/// The in-memory LRU front: a small map of the hottest entries so warm
-/// re-runs skip disk entirely.
-struct LruFront {
-    map: HashMap<String, (u64, String)>,
-    tick: u64,
-    capacity: usize,
-}
-
-impl LruFront {
-    fn get(&mut self, key: &str) -> Option<String> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.map.get_mut(key).map(|slot| {
-            slot.0 = tick;
-            slot.1.clone()
-        })
-    }
-
-    /// Inserts, returning how many entries were evicted to stay within
-    /// capacity.
-    fn put(&mut self, key: &str, payload: &str) -> u64 {
-        self.tick += 1;
-        self.map.insert(key.to_string(), (self.tick, payload.to_string()));
-        let mut evicted = 0;
-        while self.map.len() > self.capacity {
-            // O(n) scan; the front is small (hundreds of entries).
-            let coldest = self
-                .map
-                .iter()
-                .min_by_key(|(_, (tick, _))| *tick)
-                .map(|(k, _)| k.clone())
-                .expect("nonempty over capacity");
-            self.map.remove(&coldest);
-            evicted += 1;
-        }
-        evicted
-    }
-
-    fn remove(&mut self, key: &str) {
-        self.map.remove(key);
-    }
-}
+// The shape `campaignd stats` reports under `"cache"`.
+crate::json_record!(CacheStats { hits, misses, corrupt, io_errors });
 
 /// A content-addressed key → payload store: sharded directory layout
 /// (`<root>/<key[0..2]>/<key>.entry`), atomic writes, checksummed
-/// entries, an LRU front, and hit/miss/evict/corrupt counters.
+/// entries, and hit/miss/corrupt/IO-error counters.
 pub struct DiskStore {
     root: PathBuf,
-    front: Mutex<LruFront>,
     tmp_seq: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
     corrupt: AtomicU64,
     io_errors: AtomicU64,
     faults: OnceLock<Arc<Injector>>,
 }
 
 impl DiskStore {
-    /// Default number of entries kept in the in-memory front.
-    pub const DEFAULT_FRONT_CAPACITY: usize = 512;
-
     /// Opens (creating if needed) a store rooted at `root`.
     pub fn open(root: impl Into<PathBuf>) -> std::io::Result<DiskStore> {
-        DiskStore::with_front_capacity(root, DiskStore::DEFAULT_FRONT_CAPACITY)
-    }
-
-    /// Opens a store with an explicit LRU front capacity (0 disables the
-    /// front entirely; every hit then reads disk).
-    pub fn with_front_capacity(
-        root: impl Into<PathBuf>,
-        capacity: usize,
-    ) -> std::io::Result<DiskStore> {
         let root = root.into();
         std::fs::create_dir_all(&root)?;
         Ok(DiskStore {
             root,
-            front: Mutex::new(LruFront { map: HashMap::new(), tick: 0, capacity }),
             tmp_seq: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
             io_errors: AtomicU64::new(0),
             faults: OnceLock::new(),
@@ -216,10 +158,6 @@ impl DiskStore {
         self.root.join(shard).join(format!("{key}.entry"))
     }
 
-    fn lock_front(&self) -> std::sync::MutexGuard<'_, LruFront> {
-        self.front.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     /// Arms a fault [`Injector`] on this store's disk paths (chaos tests
     /// only; a store can be armed once). Unarmed stores pay a single
     /// `Option` branch per operation.
@@ -231,16 +169,11 @@ impl DiskStore {
         self.faults.get().and_then(|f| f.check(site))
     }
 
-    /// Looks a key up: LRU front first, then disk. A corrupt disk entry
-    /// (checksum or length mismatch) is evicted and reported as a miss —
-    /// never returned. An unreadable entry (IO error) likewise degrades
-    /// to a miss, counted under `io_errors`, so the caller recomputes
-    /// instead of aborting.
+    /// Looks a key up. A corrupt entry (checksum or length mismatch) is
+    /// evicted and reported as a miss — never returned. An unreadable
+    /// entry (IO error) likewise degrades to a miss, counted under
+    /// `io_errors`, so the caller recomputes instead of aborting.
     pub fn get(&self, key: &str) -> Option<String> {
-        if let Some(payload) = self.lock_front().get(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(payload);
-        }
         let path = self.entry_path(key);
         let damage = self.injected(FaultSite::CacheRead);
         if damage == Some(FaultAction::IoError) {
@@ -273,11 +206,8 @@ impl DiskStore {
         }
         match decode_entry(&text) {
             Some(payload) => {
-                let payload = payload.to_string();
-                let evicted = self.lock_front().put(key, &payload);
-                self.evictions.fetch_add(evicted, Ordering::Relaxed);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(payload)
+                Some(payload.to_string())
             }
             None => {
                 // Quarantine by deletion: the entry can never be served,
@@ -290,10 +220,9 @@ impl DiskStore {
         }
     }
 
-    /// Removes a key from disk and the front (used by higher layers when
-    /// an entry decodes at this layer but fails semantic validation).
+    /// Removes a key's entry (used by higher layers when an entry decodes
+    /// at this layer but fails semantic validation).
     pub fn evict(&self, key: &str) {
-        self.lock_front().remove(key);
         let _ = std::fs::remove_file(self.entry_path(key));
         self.corrupt.fetch_add(1, Ordering::Relaxed);
     }
@@ -306,44 +235,29 @@ impl DiskStore {
     /// race is benign). An `Err` is recoverable: the caller keeps its
     /// computed result and simply recomputes on the next cold lookup.
     pub fn put(&self, key: &str, payload: &str) -> std::io::Result<()> {
-        match self.injected(FaultSite::CacheWrite) {
-            Some(FaultAction::IoError) => {
-                self.io_errors.fetch_add(1, Ordering::Relaxed);
-                return Err(std::io::Error::other("injected cache write error"));
-            }
-            Some(FaultAction::CrashBeforeRename) => {
-                // Model the crash window the fsync defends: the temp file
-                // is written (and flushed), but the rename never happens.
-                let path = self.entry_path(key);
-                let dir = path.parent().expect("entry paths always have a shard dir");
-                std::fs::create_dir_all(dir)?;
-                let tmp = self.tmp_path(dir, key);
-                let mut file = std::fs::File::create(&tmp)?;
-                file.write_all(encode_entry(payload).as_bytes())?;
-                file.sync_all()?;
-                self.io_errors.fetch_add(1, Ordering::Relaxed);
-                return Err(std::io::Error::other("injected crash before rename"));
-            }
-            _ => {}
-        }
+        let fault = self.injected(FaultSite::CacheWrite);
         let path = self.entry_path(key);
         let dir = path.parent().expect("entry paths always have a shard dir");
         let result = (|| {
+            if fault == Some(FaultAction::IoError) {
+                return Err(std::io::Error::other("injected cache write error"));
+            }
             std::fs::create_dir_all(dir)?;
             let tmp = self.tmp_path(dir, key);
             let mut file = std::fs::File::create(&tmp)?;
             file.write_all(encode_entry(payload).as_bytes())?;
             file.sync_all()?;
             drop(file);
+            if fault == Some(FaultAction::CrashBeforeRename) {
+                // Model the crash window the fsync defends: the temp file
+                // is written (and flushed), but the rename never happens.
+                return Err(std::io::Error::other("injected crash before rename"));
+            }
             std::fs::rename(&tmp, &path)
         })();
-        if let Err(e) = result {
+        result.inspect_err(|_| {
             self.io_errors.fetch_add(1, Ordering::Relaxed);
-            return Err(e);
-        }
-        let evicted = self.lock_front().put(key, payload);
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        Ok(())
+        })
     }
 
     fn tmp_path(&self, dir: &Path, key: &str) -> PathBuf {
@@ -359,7 +273,6 @@ impl DiskStore {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
             corrupt: self.corrupt.load(Ordering::Relaxed),
             io_errors: self.io_errors.load(Ordering::Relaxed),
         }
@@ -432,7 +345,7 @@ mod tests {
 
     #[test]
     fn corrupt_entries_are_evicted_not_returned() {
-        let store = DiskStore::with_front_capacity(scratch("corrupt"), 0).unwrap();
+        let store = DiskStore::open(scratch("corrupt")).unwrap();
         store.put("deadbeef", "the-truth").unwrap();
         let path = store.entry_path("deadbeef");
         // Truncate the file mid-payload, as a crash between write and
@@ -448,22 +361,9 @@ mod tests {
     }
 
     #[test]
-    fn lru_front_evicts_cold_entries_but_disk_retains_them() {
-        let store = DiskStore::with_front_capacity(scratch("lru"), 2).unwrap();
-        for (k, v) in [("aa", "1"), ("bb", "2"), ("cc", "3")] {
-            store.put(k, v).unwrap();
-        }
-        assert!(store.stats().evictions >= 1, "front capacity 2 must evict");
-        // Evicted from the front, still served from disk.
-        assert_eq!(store.get("aa").as_deref(), Some("1"));
-        assert_eq!(store.get("bb").as_deref(), Some("2"));
-        assert_eq!(store.get("cc").as_deref(), Some("3"));
-    }
-
-    #[test]
     fn injected_read_io_error_degrades_to_miss_and_recovers() {
         use crate::fault::FaultPlan;
-        let store = DiskStore::with_front_capacity(scratch("read-io"), 0).unwrap();
+        let store = DiskStore::open(scratch("read-io")).unwrap();
         store.put("k", "truth").unwrap();
         store.arm_faults(FaultPlan::new(9).fail_cache_read_nth(0).arm());
         assert_eq!(store.get("k"), None, "injected IO error reads as a miss");
@@ -476,7 +376,7 @@ mod tests {
     #[test]
     fn injected_write_io_error_is_reported_not_panicked() {
         use crate::fault::FaultPlan;
-        let store = DiskStore::with_front_capacity(scratch("write-io"), 0).unwrap();
+        let store = DiskStore::open(scratch("write-io")).unwrap();
         store.arm_faults(FaultPlan::new(9).fail_cache_write_nth(0).arm());
         assert!(store.put("k", "truth").is_err());
         assert_eq!(store.stats().io_errors, 1);
@@ -489,7 +389,7 @@ mod tests {
     #[test]
     fn injected_bit_flip_and_truncation_evict_and_recompute() {
         use crate::fault::FaultPlan;
-        let store = DiskStore::with_front_capacity(scratch("flip"), 0).unwrap();
+        let store = DiskStore::open(scratch("flip")).unwrap();
         store.put("k", "the-truth").unwrap();
         store.arm_faults(FaultPlan::new(7).flip_cache_read_nth(0).truncate_cache_read_nth(1).arm());
         assert_eq!(store.get("k"), None, "bit-flipped entry must not be served");
@@ -505,7 +405,7 @@ mod tests {
     #[test]
     fn crash_before_rename_leaves_no_entry_and_no_corruption() {
         use crate::fault::FaultPlan;
-        let store = DiskStore::with_front_capacity(scratch("crash"), 0).unwrap();
+        let store = DiskStore::open(scratch("crash")).unwrap();
         store.arm_faults(FaultPlan::new(3).crash_cache_write_nth(0).arm());
         assert!(store.put("k", "v1").is_err(), "the crashed write reports failure");
         assert!(!store.entry_path("k").exists(), "nothing committed under the final name");

@@ -39,6 +39,10 @@ pub struct LlcConfig {
     pub reserved_ways: u16,
 }
 
+// As run-cache cell descriptors spell them.
+crate::json_record!(LlcConfig { capacity_bytes, ways, line_bytes, reserved_ways });
+crate::json_record!(CpuConfig { cores, width, rob_entries });
+
 impl LlcConfig {
     /// The paper baseline: 8 MB, 16-way, 64 B lines, nothing reserved.
     pub fn paper_baseline() -> Self {

@@ -5,6 +5,14 @@
 //! the experiment-spec and red-team layers need: objects, arrays, strings,
 //! numbers, and booleans, rendered with stable key order, plus a strict
 //! parser for round-tripping spec files and results.
+//!
+//! Records that must come back exactly — cache payloads, heatmaps, wire
+//! events — go through [`JsonCodec`]: the one typed reader every decoder
+//! in the workspace uses ([`Json::field`], range-checked integers, the
+//! `null` → NaN float rule, [`Hex`] for full-width `u64`s), with errors
+//! that name the dotted path of the offending value. A flat record
+//! declares its field list once with [`json_record!`](crate::json_record)
+//! and gets both directions from it.
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,6 +73,17 @@ impl Json {
             Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
+    }
+
+    /// Decodes the required member `key` of an object.
+    pub fn field<T: JsonCodec>(&self, key: &str) -> Result<T, DecodeError> {
+        self.opt_field(key)?.ok_or_else(|| DecodeError::new("missing field").at(key))
+    }
+
+    /// Decodes the member `key` of an object if it is there.
+    pub fn opt_field<T: JsonCodec>(&self, key: &str) -> Result<Option<T>, DecodeError> {
+        let Json::Obj(_) = self else { return mismatch("an object", self) };
+        self.get(key).map(|v| T::decode(v).map_err(|e| e.at(key))).transpose()
     }
 
     /// Serializes the value as compact JSON.
@@ -155,6 +174,255 @@ impl std::fmt::Display for JsonError {
 }
 
 impl std::error::Error for JsonError {}
+
+/// Why a document did not decode: what is wrong, and the dotted path of
+/// the value it is wrong with (`cells[3].probe.shape.kind`). Built only
+/// when decoding fails; every enclosing decoder prefixes its own segment
+/// with [`DecodeError::at`] as the error travels outward.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DecodeError {
+    /// Dotted path from the document root; empty for the root itself.
+    pub path: String,
+    /// What is wrong with the value there.
+    pub message: String,
+}
+
+impl DecodeError {
+    /// An error about the value being decoded.
+    pub fn new(message: impl Into<String>) -> Self {
+        DecodeError { path: String::new(), message: message.into() }
+    }
+
+    /// The same error, seen from one level further out.
+    pub fn at(mut self, segment: impl std::fmt::Display) -> Self {
+        let joint = if self.path.is_empty() || self.path.starts_with('[') { "" } else { "." };
+        self.path = format!("{segment}{joint}{}", self.path);
+        self
+    }
+}
+
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.path.as_str() {
+            "" => f.write_str(&self.message),
+            path => write!(f, "`{path}`: {}", self.message),
+        }
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
+/// An exact JSON wire form: `decode(&x.encode()) == x`, and re-encoding
+/// renders the same bytes ([`Json::render`] writes floats in shortest
+/// round-trip form). Distinct from the lossy, derived-column `to_json`
+/// export views some of the same types carry.
+pub trait JsonCodec: Sized {
+    /// The value's wire form.
+    fn encode(&self) -> Json;
+    /// Reads a wire form back, rejecting anything `encode` cannot have
+    /// written for this type.
+    fn decode(j: &Json) -> Result<Self, DecodeError>;
+}
+
+fn mismatch<T>(expected: &str, got: &Json) -> Result<T, DecodeError> {
+    Err(DecodeError::new(format!("expected {expected}, got {}", got.render())))
+}
+
+macro_rules! integer_codec {
+    ($($t:ty),*) => {$(
+        impl JsonCodec for $t {
+            fn encode(&self) -> Json {
+                Json::count(*self as u64)
+            }
+            fn decode(j: &Json) -> Result<Self, DecodeError> {
+                // Counts travel as f64, exact only up to 2^53: nothing
+                // larger can have been written faithfully ([`Hex`] carries
+                // full-width values).
+                let max = (<$t>::MAX as f64).min(9_007_199_254_740_992.0);
+                match j {
+                    Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= max => Ok(*n as $t),
+                    other => mismatch(&format!("an integer in 0..={max}"), other),
+                }
+            }
+        }
+    )*};
+}
+integer_codec!(u8, u16, u32, u64, usize);
+
+impl JsonCodec for f64 {
+    fn encode(&self) -> Json {
+        Json::num(*self)
+    }
+    fn decode(j: &Json) -> Result<Self, DecodeError> {
+        match j {
+            Json::Num(n) => Ok(*n),
+            // `Json::num` writes non-finite floats as null; read them back
+            // as NaN so re-rendering stays byte-identical.
+            Json::Null => Ok(f64::NAN),
+            other => mismatch("a number", other),
+        }
+    }
+}
+
+impl JsonCodec for bool {
+    fn encode(&self) -> Json {
+        Json::Bool(*self)
+    }
+    fn decode(j: &Json) -> Result<Self, DecodeError> {
+        match j {
+            Json::Bool(b) => Ok(*b),
+            other => mismatch("a boolean", other),
+        }
+    }
+}
+
+impl JsonCodec for String {
+    fn encode(&self) -> Json {
+        Json::str(self)
+    }
+    fn decode(j: &Json) -> Result<Self, DecodeError> {
+        match j {
+            Json::Str(s) => Ok(s.clone()),
+            other => mismatch("a string", other),
+        }
+    }
+}
+
+/// `null` is `None`.
+impl<T: JsonCodec> JsonCodec for Option<T> {
+    fn encode(&self) -> Json {
+        self.as_ref().map_or(Json::Null, T::encode)
+    }
+    fn decode(j: &Json) -> Result<Self, DecodeError> {
+        match j {
+            Json::Null => Ok(None),
+            value => T::decode(value).map(Some),
+        }
+    }
+}
+
+impl<T: JsonCodec> JsonCodec for Vec<T> {
+    fn encode(&self) -> Json {
+        Json::Arr(self.iter().map(T::encode).collect())
+    }
+    fn decode(j: &Json) -> Result<Self, DecodeError> {
+        let Json::Arr(items) = j else { return mismatch("an array", j) };
+        items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| T::decode(item).map_err(|e| e.at(format_args!("[{i}]"))))
+            .collect()
+    }
+}
+
+/// A pair is a two-element array.
+impl<A: JsonCodec, B: JsonCodec> JsonCodec for (A, B) {
+    fn encode(&self) -> Json {
+        Json::Arr(vec![self.0.encode(), self.1.encode()])
+    }
+    fn decode(j: &Json) -> Result<Self, DecodeError> {
+        match j {
+            Json::Arr(pair) if pair.len() == 2 => Ok((
+                A::decode(&pair[0]).map_err(|e| e.at("[0]"))?,
+                B::decode(&pair[1]).map_err(|e| e.at("[1]"))?,
+            )),
+            other => mismatch("a two-element array", other),
+        }
+    }
+}
+
+/// Parses the text form of a full-width `u64`: `0x`-prefixed hex (what
+/// [`Json::hex`] writes) or plain decimal.
+pub fn parse_u64(text: &str) -> Option<u64> {
+    match text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => text.parse().ok(),
+    }
+}
+
+/// A `u64` that must survive the round-trip exactly (seeds, salts):
+/// written as a [`Json::hex`] string, read back from one — or from a
+/// plain count, which hand-written documents use for small values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Hex(pub u64);
+
+impl JsonCodec for Hex {
+    fn encode(&self) -> Json {
+        Json::hex(self.0)
+    }
+    fn decode(j: &Json) -> Result<Self, DecodeError> {
+        match j {
+            Json::Str(s) => match parse_u64(s) {
+                Some(n) => Ok(Hex(n)),
+                None => mismatch("a hex string", j),
+            },
+            count => u64::decode(count).map(Hex),
+        }
+    }
+}
+
+/// The laws every [`JsonCodec`] record obeys, asserted on one value (each
+/// crate's seeded property test feeds it random ones): decode inverts
+/// encode, re-encoding renders the same bytes, and a document with any one
+/// key missing or wrong-typed is rejected with that key leading the path.
+pub fn assert_codec_laws<T: JsonCodec + PartialEq + std::fmt::Debug>(value: &T) {
+    let doc = value.encode();
+    let back = T::decode(&doc).unwrap_or_else(|e| panic!("{e}\n{}", doc.render()));
+    assert_eq!(&back, value);
+    assert_eq!(back.encode().render(), doc.render(), "re-encoding must be byte-identical");
+    let Json::Obj(pairs) = doc else { panic!("records encode as objects: {}", doc.render()) };
+    for (i, (key, _)) in pairs.iter().enumerate() {
+        let mut missing = pairs.clone();
+        missing.remove(i);
+        let mut wrong_typed = pairs.clone();
+        wrong_typed[i].1 = Json::Obj(Vec::new());
+        for broken in [missing, wrong_typed] {
+            let err = T::decode(&Json::Obj(broken)).expect_err(key);
+            assert!(err.path.starts_with(key.as_str()), "`{key}` broken, error names {err}");
+        }
+    }
+}
+
+/// Implements [`JsonCodec`] for a struct as a flat JSON object, both
+/// directions from one field list: each field is written under its own
+/// name through its type's codec (`field as Wrapper` routes it through a
+/// tuple-struct wrapper such as [`Hex`] instead), and read back the same
+/// way. The list is checked against the struct — a field missing from it
+/// does not compile.
+///
+/// ```
+/// use sim_core::json::{Hex, JsonCodec};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Probe {
+///     seed: u64,
+///     score: f64,
+/// }
+/// sim_core::json_record!(Probe { seed as Hex, score });
+///
+/// let p = Probe { seed: u64::MAX, score: 1.5 };
+/// assert_eq!(p.encode().render(), r#"{"seed":"0xffffffffffffffff","score":1.5}"#);
+/// assert_eq!(Probe::decode(&p.encode()).unwrap(), p);
+/// ```
+#[macro_export]
+macro_rules! json_record {
+    ($ty:ty { $($field:ident $(as $wire:ident)?),* $(,)? }) => {
+        impl $crate::json::JsonCodec for $ty {
+            fn encode(&self) -> $crate::json::Json {
+                $crate::json::Json::obj([
+                    $((stringify!($field), $crate::json_record!(@encode self.$field $(, $wire)?))),*
+                ])
+            }
+            fn decode(j: &$crate::json::Json) -> Result<Self, $crate::json::DecodeError> {
+                Ok(Self { $($field: $crate::json_record!(@decode j, $field $(, $wire)?)),* })
+            }
+        }
+    };
+    (@encode $value:expr) => { $crate::json::JsonCodec::encode(&$value) };
+    (@encode $value:expr, $wire:ident) => { $crate::json::JsonCodec::encode(&$wire($value)) };
+    (@decode $j:ident, $field:ident) => { $j.field(stringify!($field))? };
+    (@decode $j:ident, $field:ident, $wire:ident) => { $j.field::<$wire>(stringify!($field))?.0 };
+}
 
 struct Parser<'a> {
     bytes: &'a [u8],
@@ -336,6 +604,114 @@ pub fn csv_field(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::Xoshiro256;
+    use crate::stats::MemStats;
+    use crate::telemetry::{
+        MitigationKindTag, MitigationRecord, Probe, SlowdownPoint, SlowdownTrace, WindowSample,
+    };
+
+    /// A count the f64 wire form carries exactly (below 2^53).
+    fn count(rng: &mut Xoshiro256) -> u64 {
+        rng.next_u64() >> 11
+    }
+
+    fn counts(rng: &mut Xoshiro256) -> Vec<u64> {
+        (0..rng.gen_range(4)).map(|_| count(rng)).collect()
+    }
+
+    fn window(rng: &mut Xoshiro256) -> WindowSample {
+        // Every counter random, whatever counters `MemStats` has.
+        let Json::Obj(counters) = MemStats::default().encode() else { unreachable!() };
+        let mem = Json::Obj(counters.into_iter().map(|(k, _)| (k, count(rng).encode())).collect());
+        WindowSample {
+            index: count(rng),
+            start: count(rng),
+            end: count(rng),
+            retired: counts(rng),
+            core_cycles: counts(rng),
+            mem: MemStats::decode(&mem).unwrap(),
+        }
+    }
+
+    #[test]
+    fn every_record_obeys_the_codec_laws() {
+        let mut rng = Xoshiro256::seed_from(0xC0DEC);
+        for _ in 0..40 {
+            let w = window(&mut rng);
+            assert_codec_laws(&w.mem);
+            assert_codec_laws(&w);
+            let point =
+                SlowdownPoint { index: count(&mut rng), end: w.end, normalized_ipc: rng.gen_f64() };
+            assert_codec_laws(&point);
+            let kind = if rng.gen_bool(0.5) {
+                MitigationKindTag::Sweep
+            } else {
+                MitigationKindTag::VictimRefresh {
+                    row: rng.next_u64() as u32,
+                    blast_radius: rng.next_u64() as u8,
+                }
+            };
+            let channel = rng.next_u64() as u8;
+            assert_codec_laws(&MitigationRecord { cycle: count(&mut rng), channel, kind });
+            let benign = vec![0, rng.gen_range(8) as usize];
+            let mut trace = if rng.gen_bool(0.5) {
+                SlowdownTrace::flat(vec![rng.gen_f64(), rng.gen_f64()], benign)
+            } else {
+                SlowdownTrace::per_window(vec![window(&mut rng), window(&mut rng)], benign)
+            };
+            for _ in 0..rng.gen_range(3) {
+                trace.on_window(&window(&mut rng));
+            }
+            assert_codec_laws(&trace);
+        }
+    }
+
+    #[test]
+    fn integers_are_range_checked_per_type() {
+        let n = |v: f64| Json::Num(v);
+        assert_eq!(u8::decode(&n(255.0)), Ok(255));
+        assert_eq!(u32::decode(&n(4_294_967_295.0)), Ok(u32::MAX));
+        assert_eq!(u64::decode(&n(9_007_199_254_740_992.0)), Ok(1 << 53));
+        for bad in [n(-1.0), n(0.5), n(256.0), Json::Null, Json::str("7")] {
+            assert!(u8::decode(&bad).is_err(), "{}", bad.render());
+        }
+        assert!(u32::decode(&n(4_294_967_296.0)).is_err());
+        assert!(u64::decode(&n(1e16)).is_err(), "past 2^53 a count is no longer exact");
+        assert!(usize::decode(&n(-0.5)).is_err());
+    }
+
+    #[test]
+    fn hex_reads_what_json_hex_writes_and_plain_counts() {
+        for v in [0, 0xDA99E5, u64::MAX] {
+            assert_eq!(Hex::decode(&Json::hex(v)), Ok(Hex(v)));
+            assert_eq!(parse_u64(&v.to_string()), Some(v));
+        }
+        assert_eq!(Hex::decode(&Json::count(7)), Ok(Hex(7)));
+        assert_eq!(parse_u64("0XfF"), Some(255));
+        for bad in ["", "0x", "0xg", "-1", "1.5", "0x10000000000000000"] {
+            assert_eq!(parse_u64(bad), None, "{bad:?}");
+        }
+        assert!(Hex::decode(&Json::Num(-1.0)).is_err());
+    }
+
+    #[test]
+    fn decode_errors_name_the_dotted_path() {
+        let doc = Json::parse(r#"{"rows":[{"pair":[1,2]},{"pair":[1,-2]}]}"#).unwrap();
+        struct Row {
+            pair: (u32, u64),
+        }
+        crate::json_record!(Row { pair });
+        let err = doc.field::<Vec<Row>>("rows").err().expect("-2 is not a u64");
+        assert_eq!(err.path, "rows[1].pair[1]");
+        assert!(err.to_string().contains("-2"), "{err}");
+        assert_eq!(doc.field::<bool>("absent").unwrap_err().to_string(), "`absent`: missing field");
+        assert!(Json::Null
+            .field::<bool>("k")
+            .unwrap_err()
+            .to_string()
+            .contains("an object, got null"));
+        assert_eq!(doc.opt_field::<bool>("absent"), Ok(None));
+    }
 
     #[test]
     fn renders_nested_documents() {

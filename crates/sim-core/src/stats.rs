@@ -91,37 +91,58 @@ pub fn mean(values: &[f64]) -> f64 {
     values.iter().sum::<f64>() / values.len() as f64
 }
 
-/// Event counters kept by the memory system. All counts are per-run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemStats {
-    /// ACT commands issued for demand traffic.
-    pub activations: u64,
-    /// PRE commands issued.
-    pub precharges: u64,
-    /// Column reads.
-    pub reads: u64,
-    /// Column writes.
-    pub writes: u64,
-    /// Auto-refresh (REF) commands.
-    pub refreshes: u64,
-    /// Victim-row-refresh mitigation commands.
-    pub vrr_commands: u64,
-    /// Individual victim rows refreshed by mitigations.
-    pub victim_rows_refreshed: u64,
-    /// RFM / DRFM mitigation commands.
-    pub rfm_commands: u64,
-    /// Tracker metadata reads injected into DRAM (Hydra/START).
-    pub counter_reads: u64,
-    /// Tracker metadata writes injected into DRAM (Hydra/START).
-    pub counter_writes: u64,
-    /// Full structure-reset sweeps (CoMeT/ABACUS early resets).
-    pub reset_sweeps: u64,
-    /// Cycles any bank spent blocked by mitigation work.
-    pub mitigation_block_cycles: u64,
-    /// Row-buffer hits among demand accesses.
-    pub row_hits: u64,
-    /// Row-buffer misses among demand accesses.
-    pub row_misses: u64,
+/// Declares a block of `u64` counters once: the struct, the field-wise
+/// combination `merge` and `delta_since` are built on, and the wire form
+/// all come from the one list, so a new counter cannot be dropped from
+/// cross-channel totals, window deltas or cache entries.
+macro_rules! counters {
+    ($(#[$meta:meta])* pub struct $name:ident { $($(#[$doc:meta])* pub $field:ident: u64,)* }) => {
+        $(#[$meta])*
+        pub struct $name { $($(#[$doc])* pub $field: u64,)* }
+
+        impl $name {
+            fn zip_with(&self, other: &Self, f: impl Fn(u64, u64) -> u64) -> Self {
+                Self { $($field: f(self.$field, other.$field),)* }
+            }
+        }
+
+        crate::json_record!($name { $($field),* });
+    };
+}
+
+counters! {
+    /// Event counters kept by the memory system. All counts are per-run.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct MemStats {
+        /// ACT commands issued for demand traffic.
+        pub activations: u64,
+        /// PRE commands issued.
+        pub precharges: u64,
+        /// Column reads.
+        pub reads: u64,
+        /// Column writes.
+        pub writes: u64,
+        /// Auto-refresh (REF) commands.
+        pub refreshes: u64,
+        /// Victim-row-refresh mitigation commands.
+        pub vrr_commands: u64,
+        /// Individual victim rows refreshed by mitigations.
+        pub victim_rows_refreshed: u64,
+        /// RFM / DRFM mitigation commands.
+        pub rfm_commands: u64,
+        /// Tracker metadata reads injected into DRAM (Hydra/START).
+        pub counter_reads: u64,
+        /// Tracker metadata writes injected into DRAM (Hydra/START).
+        pub counter_writes: u64,
+        /// Full structure-reset sweeps (CoMeT/ABACUS early resets).
+        pub reset_sweeps: u64,
+        /// Cycles any bank spent blocked by mitigation work.
+        pub mitigation_block_cycles: u64,
+        /// Row-buffer hits among demand accesses.
+        pub row_hits: u64,
+        /// Row-buffer misses among demand accesses.
+        pub row_misses: u64,
+    }
 }
 
 impl MemStats {
@@ -137,20 +158,7 @@ impl MemStats {
 
     /// Sums another stats block into this one (for cross-channel totals).
     pub fn merge(&mut self, other: &MemStats) {
-        self.activations += other.activations;
-        self.precharges += other.precharges;
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.refreshes += other.refreshes;
-        self.vrr_commands += other.vrr_commands;
-        self.victim_rows_refreshed += other.victim_rows_refreshed;
-        self.rfm_commands += other.rfm_commands;
-        self.counter_reads += other.counter_reads;
-        self.counter_writes += other.counter_writes;
-        self.reset_sweeps += other.reset_sweeps;
-        self.mitigation_block_cycles += other.mitigation_block_cycles;
-        self.row_hits += other.row_hits;
-        self.row_misses += other.row_misses;
+        *self = self.zip_with(other, |a, b| a + b);
     }
 
     /// Field-wise difference against an earlier snapshot of the same
@@ -163,46 +171,7 @@ impl MemStats {
     /// Panics in debug builds if `earlier` is not actually an earlier
     /// snapshot (any field exceeding `self`).
     pub fn delta_since(&self, earlier: &MemStats) -> MemStats {
-        MemStats {
-            activations: self.activations - earlier.activations,
-            precharges: self.precharges - earlier.precharges,
-            reads: self.reads - earlier.reads,
-            writes: self.writes - earlier.writes,
-            refreshes: self.refreshes - earlier.refreshes,
-            vrr_commands: self.vrr_commands - earlier.vrr_commands,
-            victim_rows_refreshed: self.victim_rows_refreshed - earlier.victim_rows_refreshed,
-            rfm_commands: self.rfm_commands - earlier.rfm_commands,
-            counter_reads: self.counter_reads - earlier.counter_reads,
-            counter_writes: self.counter_writes - earlier.counter_writes,
-            reset_sweeps: self.reset_sweeps - earlier.reset_sweeps,
-            mitigation_block_cycles: self.mitigation_block_cycles - earlier.mitigation_block_cycles,
-            row_hits: self.row_hits - earlier.row_hits,
-            row_misses: self.row_misses - earlier.row_misses,
-        }
-    }
-
-    /// Serializes every counter under its field name. The field-drift
-    /// guard in this module's tests checks this listing (and `merge` /
-    /// `delta_since`) against the struct's actual fields, so a new
-    /// telemetry counter cannot be silently dropped from cross-channel
-    /// totals or window deltas.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("activations", Json::count(self.activations)),
-            ("precharges", Json::count(self.precharges)),
-            ("reads", Json::count(self.reads)),
-            ("writes", Json::count(self.writes)),
-            ("refreshes", Json::count(self.refreshes)),
-            ("vrr_commands", Json::count(self.vrr_commands)),
-            ("victim_rows_refreshed", Json::count(self.victim_rows_refreshed)),
-            ("rfm_commands", Json::count(self.rfm_commands)),
-            ("counter_reads", Json::count(self.counter_reads)),
-            ("counter_writes", Json::count(self.counter_writes)),
-            ("reset_sweeps", Json::count(self.reset_sweeps)),
-            ("mitigation_block_cycles", Json::count(self.mitigation_block_cycles)),
-            ("row_hits", Json::count(self.row_hits)),
-            ("row_misses", Json::count(self.row_misses)),
-        ])
+        self.zip_with(earlier, |now, then| now - then)
     }
 }
 
@@ -234,71 +203,6 @@ mod tests {
         assert!(geomean(&v) < mean(&v));
     }
 
-    /// A `MemStats` with every field set to a distinct nonzero value.
-    /// Written as a full struct literal on purpose: adding a field to
-    /// `MemStats` breaks this constructor until the test (and, via the
-    /// assertions below, `to_json`, `merge`, and `delta_since`) is
-    /// updated to cover it.
-    fn fully_populated() -> MemStats {
-        MemStats {
-            activations: 1,
-            precharges: 2,
-            reads: 3,
-            writes: 4,
-            refreshes: 5,
-            vrr_commands: 6,
-            victim_rows_refreshed: 7,
-            rfm_commands: 8,
-            counter_reads: 9,
-            counter_writes: 10,
-            reset_sweeps: 11,
-            mitigation_block_cycles: 12,
-            row_hits: 13,
-            row_misses: 14,
-        }
-    }
-
-    /// Field names as the derived `Debug` impl reports them — i.e. the
-    /// struct's actual fields, immune to hand-maintained lists drifting.
-    fn debug_field_names(m: &MemStats) -> Vec<String> {
-        let dbg = format!("{m:?}");
-        let inner = dbg.trim_start_matches("MemStats {").trim_end_matches('}').trim();
-        inner.split(", ").map(|pair| pair.split(':').next().unwrap().trim().to_string()).collect()
-    }
-
-    #[test]
-    fn memstats_merge_covers_every_field() {
-        // Drift guard: serialize a fully-populated struct, then check that
-        // (a) `to_json` names exactly the struct's fields and (b) `merge`
-        // and `delta_since` transform every one of them. A counter added
-        // to the struct but forgotten in `merge` shows up here as an
-        // un-doubled field instead of silently vanishing from
-        // cross-channel totals.
-        let populated = fully_populated();
-        let fields = debug_field_names(&populated);
-        let json = populated.to_json();
-        let Json::Obj(pairs) = &json else { panic!("to_json must be an object") };
-        let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(
-            keys, fields,
-            "MemStats::to_json keys must match the struct's fields (same order)"
-        );
-        for (key, value) in pairs {
-            assert_ne!(value, &Json::Num(0.0), "field '{key}' must be populated in this test");
-        }
-
-        let mut merged = populated;
-        merged.merge(&populated);
-        let Json::Obj(merged_pairs) = merged.to_json() else { unreachable!() };
-        for ((key, before), (_, after)) in pairs.iter().zip(&merged_pairs) {
-            let (Json::Num(b), Json::Num(a)) = (before, after) else { unreachable!() };
-            assert_eq!(*a, 2.0 * b, "merge drops or mis-sums field '{key}'");
-        }
-
-        assert_eq!(merged.delta_since(&populated), populated, "delta must invert merge");
-        assert_eq!(populated.delta_since(&populated), MemStats::default());
-    }
-
     #[test]
     fn empty_running_stats_serialize_as_valid_json() {
         // Regression: zero-sample min/max are ±INFINITY internally; the
@@ -327,5 +231,7 @@ mod tests {
         assert_eq!(a.row_hits, 2);
         assert_eq!(a.row_misses, 4);
         assert!((a.row_hit_rate() - 2.0 / 6.0).abs() < 1e-12);
+        assert_eq!(a.delta_since(&b).activations, 1, "delta inverts merge");
+        assert_eq!(a.delta_since(&a), MemStats::default());
     }
 }

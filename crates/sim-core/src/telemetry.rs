@@ -35,7 +35,7 @@
 //!   as the degenerate case of the perturbation-freedom contract.
 
 use crate::events::MemEvent;
-use crate::json::Json;
+use crate::json::{DecodeError, Json, JsonCodec};
 use crate::stats::MemStats;
 use crate::time::{cycles_to_us, Cycle};
 use std::any::Any;
@@ -123,6 +123,8 @@ impl WindowSample {
         ])
     }
 }
+
+crate::json_record!(WindowSample { index, start, end, retired, core_cycles, mem });
 
 /// An observer attached to a system run.
 ///
@@ -422,30 +424,9 @@ impl SlowdownTrace {
         }
     }
 
-    /// Reassembles a trace from previously recorded parts (the shape a
-    /// deserialized run cache entry holds). The inverse of reading
-    /// [`Self::reference`], [`Self::benign_cores`], and [`Self::points`].
-    pub fn from_parts(
-        reference: SlowdownReference,
-        benign: Vec<usize>,
-        points: Vec<SlowdownPoint>,
-    ) -> Self {
-        Self { reference, benign, points }
-    }
-
-    /// What this trace normalizes against.
-    pub fn reference(&self) -> &SlowdownReference {
-        &self.reference
-    }
-
     /// The recorded points, in window order.
     pub fn points(&self) -> &[SlowdownPoint] {
         &self.points
-    }
-
-    /// The benign core set being traced.
-    pub fn benign_cores(&self) -> &[usize] {
-        &self.benign
     }
 
     /// The worst (lowest normalized IPC) point, if any window was
@@ -504,6 +485,25 @@ impl SlowdownTrace {
         out
     }
 }
+
+impl JsonCodec for SlowdownReference {
+    fn encode(&self) -> Json {
+        match self {
+            SlowdownReference::Flat(ipc) => Json::obj([("flat", ipc.encode())]),
+            SlowdownReference::PerWindow(windows) => Json::obj([("per_window", windows.encode())]),
+        }
+    }
+
+    fn decode(j: &Json) -> Result<Self, DecodeError> {
+        match j.opt_field("flat")? {
+            Some(ipc) => Ok(SlowdownReference::Flat(ipc)),
+            None => j.field("per_window").map(SlowdownReference::PerWindow),
+        }
+    }
+}
+
+crate::json_record!(SlowdownPoint { index, end, normalized_ipc });
+crate::json_record!(SlowdownTrace { reference, benign, points });
 
 impl Probe for SlowdownTrace {
     fn name(&self) -> &'static str {
@@ -583,6 +583,41 @@ impl MitigationRecord {
             ("kind", Json::str(kind)),
             ("row", row),
         ])
+    }
+}
+
+/// The exact wire form (unlike [`MitigationRecord::to_json`], it keeps the
+/// blast radius): `row` and `blast_radius` are `null` for sweeps.
+impl JsonCodec for MitigationRecord {
+    fn encode(&self) -> Json {
+        let (kind, row, blast_radius) = match self.kind {
+            MitigationKindTag::VictimRefresh { row, blast_radius } => {
+                ("victim-refresh", Some(row), Some(blast_radius))
+            }
+            MitigationKindTag::Sweep => ("sweep", None, None),
+        };
+        Json::obj([
+            ("cycle", self.cycle.encode()),
+            ("channel", self.channel.encode()),
+            ("kind", Json::str(kind)),
+            ("row", row.encode()),
+            ("blast_radius", blast_radius.encode()),
+        ])
+    }
+
+    fn decode(j: &Json) -> Result<Self, DecodeError> {
+        let kind = j.field::<String>("kind")?;
+        let kind = match (kind.as_str(), j.field("row")?, j.field("blast_radius")?) {
+            ("victim-refresh", Some(row), Some(blast_radius)) => {
+                MitigationKindTag::VictimRefresh { row, blast_radius }
+            }
+            ("sweep", None, None) => MitigationKindTag::Sweep,
+            _ => {
+                let message = format!("'{kind}' does not describe this record's row fields");
+                return Err(DecodeError::new(message).at("kind"));
+            }
+        };
+        Ok(Self { cycle: j.field("cycle")?, channel: j.field("channel")?, kind })
     }
 }
 

@@ -43,21 +43,16 @@
 //! byte-for-byte, so even a hash collision cannot alias results; a
 //! mismatched or undecodable entry is evicted and recomputed, never
 //! returned.
+//!
+//! [`RunStats`]: crate::RunStats
 
 use crate::exec::{Checkpoint, Executor, PayloadCache};
 use crate::experiment::{Experiment, ExperimentResult};
 use crate::journal::SweepJournal;
-use crate::metrics::{RunStats, RunTelemetry};
 use crate::runner::{cell_label, RunnerConfig};
 use crate::spec::{SpecError, SweepReport, SweepSpec};
-use crate::system::Engine;
 use sim_core::cache::{content_key, CacheStats, DiskStore};
-use sim_core::json::Json;
-use sim_core::stats::MemStats;
-use sim_core::telemetry::{
-    MitigationKindTag, MitigationRecord, SlowdownPoint, SlowdownReference, SlowdownTrace,
-    WindowSample,
-};
+use sim_core::json::{Json, JsonCodec};
 use sim_core::ParamValue;
 
 /// Cache-format epoch. Part of every cell descriptor: bump it whenever
@@ -87,13 +82,6 @@ fn param_tag(v: &ParamValue) -> String {
     }
 }
 
-fn engine_tag(e: Engine) -> &'static str {
-    match e {
-        Engine::Dense => "dense",
-        Engine::EventDriven => "event-driven",
-    }
-}
-
 /// The canonical descriptor of an experiment, or `None` when the cell is
 /// uncacheable (a custom attack without a supplied identity, or tracker
 /// parameters that no longer resolve).
@@ -109,9 +97,8 @@ fn descriptor(e: &Experiment, attack_id: Option<&str>) -> Option<Json> {
             None => "benign".to_string(),
         }
     };
-    let g = e.cfg.geometry;
     let mut fields = vec![
-        ("epoch", Json::count(u64::from(CACHE_EPOCH))),
+        ("epoch", CACHE_EPOCH.encode()),
         ("workload", Json::str(&e.workload)),
         ("tracker", Json::str(e.tracker.key())),
         (
@@ -119,66 +106,26 @@ fn descriptor(e: &Experiment, attack_id: Option<&str>) -> Option<Json> {
             Json::Obj(params.iter().map(|(k, v)| (k.clone(), Json::str(param_tag(v)))).collect()),
         ),
         ("attack", Json::str(attack)),
-        (
-            "geometry",
-            Json::obj([
-                ("channels", Json::count(u64::from(g.channels))),
-                ("ranks", Json::count(u64::from(g.ranks))),
-                ("bank_groups", Json::count(u64::from(g.bank_groups))),
-                ("banks_per_group", Json::count(u64::from(g.banks_per_group))),
-                ("rows_per_bank", Json::count(u64::from(g.rows_per_bank))),
-                ("row_bytes", Json::count(u64::from(g.row_bytes))),
-            ]),
-        ),
-        (
-            "cpu",
-            Json::obj([
-                ("cores", Json::count(u64::from(e.cfg.cpu.cores))),
-                ("width", Json::count(u64::from(e.cfg.cpu.width))),
-                ("rob_entries", Json::count(u64::from(e.cfg.cpu.rob_entries))),
-            ]),
-        ),
-        (
-            "llc",
-            Json::obj([
-                ("capacity_bytes", Json::count(e.cfg.llc.capacity_bytes)),
-                ("ways", Json::count(u64::from(e.cfg.llc.ways))),
-                ("line_bytes", Json::count(u64::from(e.cfg.llc.line_bytes))),
-                ("reserved_ways", Json::count(u64::from(e.cfg.llc.reserved_ways))),
-            ]),
-        ),
-        ("nrh", Json::count(u64::from(e.cfg.nrh))),
-        ("blast_radius", Json::count(u64::from(e.cfg.blast_radius))),
+        // (`Geometry::encode` proper maps addresses.)
+        ("geometry", JsonCodec::encode(&e.cfg.geometry)),
+        ("cpu", e.cfg.cpu.encode()),
+        ("llc", e.cfg.llc.encode()),
+        ("nrh", e.cfg.nrh.encode()),
+        ("blast_radius", e.cfg.blast_radius.encode()),
         ("mitigation", Json::str(e.cfg.mitigation.to_string())),
         ("window_cycles", Json::hex(e.cfg.window_cycles)),
         ("max_instructions", Json::hex(e.cfg.max_instructions)),
         ("seed", Json::hex(e.cfg.seed)),
-        ("engine", Json::str(engine_tag(e.engine))),
+        ("engine", Json::str(e.engine.name())),
         ("isolate", Json::Bool(e.isolate_tracker_overhead)),
-        (
-            "telemetry",
-            Json::obj([
-                ("oracle", Json::Bool(e.telemetry.oracle)),
-                ("time_series", Json::Bool(e.telemetry.time_series)),
-                ("slowdown", Json::Bool(e.telemetry.slowdown)),
-                ("mitigation_log", Json::Bool(e.telemetry.mitigation_log)),
-                ("window_us", e.telemetry.window_us.map_or(Json::Null, Json::num)),
-            ]),
-        ),
+        ("telemetry", e.telemetry.encode()),
     ];
     // The attacker descriptor is appended only when the experiment carries
     // one: attacker-free cells keep their pre-attackpipe keys (pinned by
     // the goldens in tests/cache_keys.rs), while two attacker cells
     // differing in knowledge, budget, or seed can never collide.
-    if let Some(a) = &e.attacker {
-        fields.push((
-            "attacker",
-            Json::obj([
-                ("knowledge", Json::str(a.knowledge.key())),
-                ("recon_budget", Json::count(a.recon_budget)),
-                ("seed", Json::hex(a.seed)),
-            ]),
-        ));
+    if let Some(attacker) = &e.attacker {
+        fields.push(("attacker", attacker.encode()));
     }
     Some(Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect()))
 }
@@ -207,300 +154,51 @@ pub fn cell_key_with_attack_id(e: &Experiment, attack_id: Option<&str>) -> Optio
 }
 
 // ---------------------------------------------------------------------------
-// Result codec
+// Entry envelope
 // ---------------------------------------------------------------------------
 //
 // The export-oriented `to_json` methods on results are intentionally
-// lossy (derived columns, dropped reference series). Caching needs the
-// complete state back, so the cache speaks its own codec: every field of
-// `ExperimentResult` — including telemetry traces — encodes exactly and
-// decodes into an equal value. `Json::render` writes floats in shortest
-// round-trip form, so a decoded result re-renders byte-identically.
+// lossy (derived columns, dropped reference series). Entries hold the
+// payload's exact [`JsonCodec`] form instead — every field of
+// `ExperimentResult`, telemetry traces included, decodes into an equal
+// value that re-renders byte-identically — inside the envelope that makes
+// serving it sound.
 
-type Decoded<T> = Result<T, String>;
-
-fn want<'a>(j: &'a Json, key: &str) -> Decoded<&'a Json> {
-    j.get(key).ok_or_else(|| format!("missing field '{key}'"))
-}
-
-fn as_u64(j: &Json) -> Decoded<u64> {
-    match j {
-        Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 9_007_199_254_740_992.0 => {
-            Ok(*n as u64)
+/// Reads the payload stored for `key`: served only when the entry parses,
+/// carries `epoch`, embeds a descriptor byte-identical to the key's, and
+/// holds a `field` member that decodes as `R`. Anything less is evicted
+/// and read as a miss.
+pub fn lookup_entry<R: JsonCodec>(
+    store: &DiskStore,
+    key: &CellKey,
+    epoch: &Json,
+    field: &str,
+) -> Option<R> {
+    let text = store.get(&key.key)?;
+    let payload = Json::parse(&text).ok().and_then(|entry| {
+        if entry.get("epoch")? != epoch || entry.get("descriptor")?.render() != key.descriptor {
+            return None;
         }
-        other => Err(format!("expected a count, got {}", other.render())),
+        entry.field(field).ok()
+    });
+    if payload.is_none() {
+        store.evict(&key.key);
     }
+    payload
 }
 
-fn as_f64(j: &Json) -> Decoded<f64> {
-    match j {
-        Json::Num(n) => Ok(*n),
-        // `Json::num` writes non-finite floats as null; read them back as
-        // NaN so re-rendering stays byte-identical.
-        Json::Null => Ok(f64::NAN),
-        other => Err(format!("expected a number, got {}", other.render())),
-    }
-}
-
-fn as_str(j: &Json) -> Decoded<&str> {
-    match j {
-        Json::Str(s) => Ok(s),
-        other => Err(format!("expected a string, got {}", other.render())),
-    }
-}
-
-fn as_arr(j: &Json) -> Decoded<&[Json]> {
-    match j {
-        Json::Arr(items) => Ok(items),
-        other => Err(format!("expected an array, got {}", other.render())),
-    }
-}
-
-fn u64_vec(j: &Json) -> Decoded<Vec<u64>> {
-    as_arr(j)?.iter().map(as_u64).collect()
-}
-
-fn counts(values: &[u64]) -> Json {
-    Json::Arr(values.iter().map(|&v| Json::count(v)).collect())
-}
-
-fn mem_from_json(j: &Json) -> Decoded<MemStats> {
-    let f = |key| want(j, key).and_then(as_u64);
-    Ok(MemStats {
-        activations: f("activations")?,
-        precharges: f("precharges")?,
-        reads: f("reads")?,
-        writes: f("writes")?,
-        refreshes: f("refreshes")?,
-        vrr_commands: f("vrr_commands")?,
-        victim_rows_refreshed: f("victim_rows_refreshed")?,
-        rfm_commands: f("rfm_commands")?,
-        counter_reads: f("counter_reads")?,
-        counter_writes: f("counter_writes")?,
-        reset_sweeps: f("reset_sweeps")?,
-        mitigation_block_cycles: f("mitigation_block_cycles")?,
-        row_hits: f("row_hits")?,
-        row_misses: f("row_misses")?,
-    })
-}
-
-fn stats_to_json(s: &RunStats) -> Json {
-    Json::obj([
-        ("tracker", Json::str(&s.tracker)),
-        ("cycles", Json::count(s.cycles)),
-        ("retired", counts(&s.retired)),
-        ("core_cycles", counts(&s.core_cycles)),
-        ("mem", s.mem.to_json()),
-        ("llc_hit_rate", Json::num(s.llc_hit_rate)),
-        ("energy_mj", Json::num(s.energy_mj)),
-        (
-            "oracle",
-            match s.oracle {
-                Some((disturbance, violations)) => {
-                    Json::Arr(vec![Json::count(u64::from(disturbance)), Json::count(violations)])
-                }
-                None => Json::Null,
-            },
-        ),
-    ])
-}
-
-fn stats_from_json(j: &Json) -> Decoded<RunStats> {
-    let oracle = match want(j, "oracle")? {
-        Json::Null => None,
-        pair => {
-            let pair = as_arr(pair)?;
-            if pair.len() != 2 {
-                return Err("oracle pair must have two entries".into());
-            }
-            let disturbance = u32::try_from(as_u64(&pair[0])?)
-                .map_err(|_| "oracle disturbance out of range".to_string())?;
-            Some((disturbance, as_u64(&pair[1])?))
-        }
-    };
-    Ok(RunStats {
-        tracker: as_str(want(j, "tracker")?)?.to_string(),
-        cycles: as_u64(want(j, "cycles")?)?,
-        retired: u64_vec(want(j, "retired")?)?,
-        core_cycles: u64_vec(want(j, "core_cycles")?)?,
-        mem: mem_from_json(want(j, "mem")?)?,
-        llc_hit_rate: as_f64(want(j, "llc_hit_rate")?)?,
-        energy_mj: as_f64(want(j, "energy_mj")?)?,
-        oracle,
-    })
-}
-
-fn window_to_json(w: &WindowSample) -> Json {
-    Json::obj([
-        ("index", Json::count(w.index)),
-        ("start", Json::count(w.start)),
-        ("end", Json::count(w.end)),
-        ("retired", counts(&w.retired)),
-        ("core_cycles", counts(&w.core_cycles)),
-        ("mem", w.mem.to_json()),
-    ])
-}
-
-fn window_from_json(j: &Json) -> Decoded<WindowSample> {
-    Ok(WindowSample {
-        index: as_u64(want(j, "index")?)?,
-        start: as_u64(want(j, "start")?)?,
-        end: as_u64(want(j, "end")?)?,
-        retired: u64_vec(want(j, "retired")?)?,
-        core_cycles: u64_vec(want(j, "core_cycles")?)?,
-        mem: mem_from_json(want(j, "mem")?)?,
-    })
-}
-
-fn windows_to_json(windows: &[WindowSample]) -> Json {
-    Json::Arr(windows.iter().map(window_to_json).collect())
-}
-
-fn windows_from_json(j: &Json) -> Decoded<Vec<WindowSample>> {
-    as_arr(j)?.iter().map(window_from_json).collect()
-}
-
-fn trace_to_json(t: &SlowdownTrace) -> Json {
-    let reference = match t.reference() {
-        SlowdownReference::Flat(ipc) => {
-            Json::obj([("flat", Json::Arr(ipc.iter().map(|&v| Json::num(v)).collect()))])
-        }
-        SlowdownReference::PerWindow(windows) => {
-            Json::obj([("per_window", windows_to_json(windows))])
-        }
-    };
-    Json::obj([
-        ("reference", reference),
-        ("benign", counts(&t.benign_cores().iter().map(|&c| c as u64).collect::<Vec<_>>())),
-        (
-            "points",
-            Json::Arr(
-                t.points()
-                    .iter()
-                    .map(|p| {
-                        Json::obj([
-                            ("index", Json::count(p.index)),
-                            ("end", Json::count(p.end)),
-                            ("normalized_ipc", Json::num(p.normalized_ipc)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn trace_from_json(j: &Json) -> Decoded<SlowdownTrace> {
-    let r = want(j, "reference")?;
-    let reference = if let Some(flat) = r.get("flat") {
-        SlowdownReference::Flat(as_arr(flat)?.iter().map(as_f64).collect::<Decoded<_>>()?)
-    } else if let Some(per_window) = r.get("per_window") {
-        SlowdownReference::PerWindow(windows_from_json(per_window)?)
-    } else {
-        return Err("slowdown reference must be 'flat' or 'per_window'".into());
-    };
-    let benign = u64_vec(want(j, "benign")?)?.into_iter().map(|c| c as usize).collect();
-    let points = as_arr(want(j, "points")?)?
-        .iter()
-        .map(|p| {
-            Ok(SlowdownPoint {
-                index: as_u64(want(p, "index")?)?,
-                end: as_u64(want(p, "end")?)?,
-                normalized_ipc: as_f64(want(p, "normalized_ipc")?)?,
-            })
-        })
-        .collect::<Decoded<_>>()?;
-    Ok(SlowdownTrace::from_parts(reference, benign, points))
-}
-
-fn mitigation_to_json(m: &MitigationRecord) -> Json {
-    let (kind, row, blast) = match m.kind {
-        MitigationKindTag::VictimRefresh { row, blast_radius } => {
-            ("victim-refresh", Json::count(u64::from(row)), Json::count(u64::from(blast_radius)))
-        }
-        MitigationKindTag::Sweep => ("sweep", Json::Null, Json::Null),
-    };
-    Json::obj([
-        ("cycle", Json::count(m.cycle)),
-        ("channel", Json::count(u64::from(m.channel))),
-        ("kind", Json::str(kind)),
-        ("row", row),
-        ("blast_radius", blast),
-    ])
-}
-
-fn mitigation_from_json(j: &Json) -> Decoded<MitigationRecord> {
-    let kind = match as_str(want(j, "kind")?)? {
-        "victim-refresh" => MitigationKindTag::VictimRefresh {
-            row: u32::try_from(as_u64(want(j, "row")?)?)
-                .map_err(|_| "row out of range".to_string())?,
-            blast_radius: u8::try_from(as_u64(want(j, "blast_radius")?)?)
-                .map_err(|_| "blast radius out of range".to_string())?,
-        },
-        "sweep" => MitigationKindTag::Sweep,
-        other => return Err(format!("unknown mitigation kind '{other}'")),
-    };
-    Ok(MitigationRecord {
-        cycle: as_u64(want(j, "cycle")?)?,
-        channel: u8::try_from(as_u64(want(j, "channel")?)?)
-            .map_err(|_| "channel out of range".to_string())?,
-        kind,
-    })
-}
-
-fn telemetry_to_json(t: &RunTelemetry) -> Json {
-    Json::obj([
-        ("window_len", Json::count(t.window_len)),
-        ("windows", windows_to_json(&t.windows)),
-        ("reference_windows", windows_to_json(&t.reference_windows)),
-        ("slowdown", t.slowdown.as_ref().map_or(Json::Null, trace_to_json)),
-        ("mitigations", Json::Arr(t.mitigations.iter().map(mitigation_to_json).collect())),
-    ])
-}
-
-fn telemetry_from_json(j: &Json) -> Decoded<RunTelemetry> {
-    let slowdown = match want(j, "slowdown")? {
-        Json::Null => None,
-        trace => Some(trace_from_json(trace)?),
-    };
-    Ok(RunTelemetry {
-        window_len: as_u64(want(j, "window_len")?)?,
-        windows: windows_from_json(want(j, "windows")?)?,
-        reference_windows: windows_from_json(want(j, "reference_windows")?)?,
-        slowdown,
-        mitigations: as_arr(want(j, "mitigations")?)?
-            .iter()
-            .map(mitigation_from_json)
-            .collect::<Decoded<_>>()?,
-    })
-}
-
-fn result_to_json(r: &ExperimentResult) -> Json {
-    Json::obj([
-        ("workload", Json::str(&r.workload)),
-        ("tracker_name", Json::str(&r.tracker_name)),
-        ("attack_name", Json::str(&r.attack_name)),
-        ("normalized_performance", Json::num(r.normalized_performance)),
-        ("run", stats_to_json(&r.run)),
-        ("reference", stats_to_json(&r.reference)),
-        ("telemetry", r.telemetry.as_ref().map_or(Json::Null, telemetry_to_json)),
-    ])
-}
-
-fn result_from_json(j: &Json) -> Decoded<ExperimentResult> {
-    let telemetry = match want(j, "telemetry")? {
-        Json::Null => None,
-        t => Some(telemetry_from_json(t)?),
-    };
-    Ok(ExperimentResult {
-        workload: as_str(want(j, "workload")?)?.to_string(),
-        tracker_name: as_str(want(j, "tracker_name")?)?.to_string(),
-        attack_name: as_str(want(j, "attack_name")?)?.to_string(),
-        normalized_performance: as_f64(want(j, "normalized_performance")?)?,
-        run: stats_from_json(want(j, "run")?)?,
-        reference: stats_from_json(want(j, "reference")?)?,
-        telemetry,
-    })
+/// Writes the entry [`lookup_entry`] reads: `{epoch, descriptor, <field>}`.
+pub fn save_entry<R: JsonCodec>(
+    store: &DiskStore,
+    key: &CellKey,
+    epoch: Json,
+    field: &'static str,
+    payload: &R,
+) -> std::io::Result<()> {
+    let descriptor = Json::parse(&key.descriptor).expect("descriptors are rendered canonical JSON");
+    let entry =
+        Json::obj([("epoch", epoch), ("descriptor", descriptor), (field, payload.encode())]);
+    store.put(&key.key, &entry.render())
 }
 
 // ---------------------------------------------------------------------------
@@ -542,19 +240,7 @@ impl RunCache {
     /// byte-identical to the key's; anything less is evicted and read as
     /// a miss.
     pub fn lookup(&self, key: &CellKey) -> Option<ExperimentResult> {
-        let payload = self.store.get(&key.key)?;
-        let valid = Json::parse(&payload).ok().and_then(|entry| {
-            let epoch = entry.get("epoch").and_then(|e| as_u64(e).ok())?;
-            let embedded = entry.get("descriptor")?.render();
-            if epoch != u64::from(CACHE_EPOCH) || embedded != key.descriptor {
-                return None;
-            }
-            result_from_json(entry.get("result")?).ok()
-        });
-        if valid.is_none() {
-            self.store.evict(&key.key);
-        }
-        valid
+        lookup_entry(&self.store, key, &CACHE_EPOCH.encode(), "result")
     }
 
     /// Persists a result under its cell key. Write failures are
@@ -571,14 +257,7 @@ impl PayloadCache<ExperimentResult> for RunCache {
     }
 
     fn save(&self, key: &CellKey, result: &ExperimentResult) -> std::io::Result<()> {
-        let descriptor =
-            Json::parse(&key.descriptor).expect("descriptors are rendered canonical JSON");
-        let entry = Json::obj([
-            ("epoch", Json::count(u64::from(CACHE_EPOCH))),
-            ("descriptor", descriptor),
-            ("result", result_to_json(result)),
-        ]);
-        self.store.put(&key.key, &entry.render())
+        save_entry(&self.store, key, CACHE_EPOCH.encode(), "result", result)
     }
 }
 
@@ -666,6 +345,7 @@ impl SweepSpec {
 mod tests {
     use super::*;
     use crate::experiment::AttackChoice;
+    use crate::system::Engine;
 
     fn scratch(name: &str) -> std::path::PathBuf {
         let dir =
@@ -752,19 +432,73 @@ mod tests {
         let fresh = e.run();
         cache.save(&key, &fresh);
         let cached = cache.lookup(&key).expect("just stored");
-        assert_eq!(cached.run, fresh.run, "RunStats must round-trip bit-identically");
-        assert_eq!(cached.reference, fresh.reference);
-        assert_eq!(cached.normalized_performance, fresh.normalized_performance);
-        let (a, b) = (cached.telemetry.as_ref().unwrap(), fresh.telemetry.as_ref().unwrap());
-        assert_eq!(a.windows, b.windows);
-        assert_eq!(a.reference_windows, b.reference_windows);
-        assert_eq!(a.slowdown, b.slowdown);
-        assert_eq!(a.mitigations, b.mitigations);
+        assert!(cached.telemetry.as_ref().is_some_and(|t| t.slowdown.is_some()));
+        assert_eq!(cached, fresh, "every field, telemetry traces included, bit-identical");
         assert_eq!(
             crate::spec::result_to_json(&cached).render(),
             crate::spec::result_to_json(&fresh).render(),
             "export rows must be byte-identical"
         );
+    }
+
+    #[test]
+    fn every_result_record_obeys_the_codec_laws() {
+        use crate::metrics::{RunStats, RunTelemetry};
+        use sim_core::json::assert_codec_laws;
+        use sim_core::rng::Xoshiro256;
+        use sim_core::telemetry::{MitigationKindTag, MitigationRecord, Probe, SlowdownTrace};
+        use sim_core::WindowSample;
+
+        let mut rng = Xoshiro256::seed_from(0xCAC4E);
+        // Counts the f64 wire form carries exactly (below 2^53).
+        let count = |rng: &mut Xoshiro256| rng.next_u64() >> 11;
+        let counts = |rng: &mut Xoshiro256| (0..rng.gen_range(5)).map(|_| count(rng)).collect();
+        for _ in 0..25 {
+            let mem =
+                sim_core::stats::MemStats { activations: count(&mut rng), ..Default::default() };
+            let mut stats = || RunStats {
+                tracker: format!("t{}", rng.gen_range(100)),
+                cycles: count(&mut rng),
+                retired: counts(&mut rng),
+                core_cycles: counts(&mut rng),
+                mem,
+                llc_hit_rate: rng.gen_f64(),
+                energy_mj: rng.gen_f64() * 1e3,
+                oracle: rng.gen_bool(0.5).then(|| (rng.next_u64() as u32, count(&mut rng))),
+            };
+            let (run, reference) = (stats(), stats());
+            assert_codec_laws(&run);
+            let windows: Vec<WindowSample> = (0..rng.gen_range(4))
+                .map(|index| WindowSample {
+                    index,
+                    start: index * 100,
+                    end: index * 100 + rng.gen_range(100),
+                    retired: counts(&mut rng),
+                    core_cycles: counts(&mut rng),
+                    mem,
+                })
+                .collect();
+            let mut trace = SlowdownTrace::per_window(windows.clone(), vec![0, 1]);
+            windows.iter().for_each(|w| trace.on_window(w));
+            let sweep = MitigationRecord { cycle: 9, channel: 1, kind: MitigationKindTag::Sweep };
+            let telemetry = RunTelemetry {
+                window_len: 100,
+                reference_windows: windows.clone(),
+                windows,
+                slowdown: rng.gen_bool(0.7).then_some(trace),
+                mitigations: vec![sweep; rng.gen_range(3) as usize],
+            };
+            assert_codec_laws(&telemetry);
+            assert_codec_laws(&ExperimentResult {
+                workload: "w".into(),
+                tracker_name: run.tracker.clone(),
+                attack_name: "benign".into(),
+                normalized_performance: rng.gen_f64(),
+                run,
+                reference,
+                telemetry: rng.gen_bool(0.5).then_some(telemetry),
+            });
+        }
     }
 
     #[test]

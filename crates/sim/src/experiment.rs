@@ -9,6 +9,7 @@
 use cpu::{TraceEntry, TraceSource};
 use sim_core::addr::{Geometry, PhysAddr};
 use sim_core::config::{MitigationKind, SystemConfig, Threads};
+use sim_core::json::{DecodeError, Hex, Json, JsonCodec};
 use sim_core::registry::{ParamValue, RegistryError, TrackerParams, TrackerSpec};
 use sim_core::telemetry::{
     MitigationLog, Probe, SlowdownTrace, Telemetry, TimeSeriesRecorder, WindowSample,
@@ -306,6 +307,17 @@ impl AttackerKnowledge {
     }
 }
 
+/// Travels as its [`AttackerKnowledge::key`].
+impl JsonCodec for AttackerKnowledge {
+    fn encode(&self) -> Json {
+        Json::str(self.key())
+    }
+
+    fn decode(j: &Json) -> Result<Self, DecodeError> {
+        Self::by_key(&String::decode(j)?).map_err(DecodeError::new)
+    }
+}
+
 impl std::fmt::Display for AttackerKnowledge {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.key())
@@ -360,6 +372,10 @@ pub struct TelemetrySpec {
     /// will be the final partial window).
     pub window_us: Option<f64>,
 }
+
+// As run-cache cell descriptors spell them.
+sim_core::json_record!(TelemetrySpec { oracle, time_series, slowdown, mitigation_log, window_us });
+sim_core::json_record!(AttackerConfig { knowledge, recon_budget, seed as Hex });
 
 impl TelemetrySpec {
     /// Every recorder on (oracle excluded) with the given window length.
@@ -432,7 +448,7 @@ pub struct Experiment {
 }
 
 /// Outcome of [`Experiment::run`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentResult {
     /// Benign workload.
     pub workload: String,
@@ -450,6 +466,16 @@ pub struct ExperimentResult {
     /// enabled any recorder.
     pub telemetry: Option<RunTelemetry>,
 }
+
+sim_core::json_record!(ExperimentResult {
+    workload,
+    tracker_name,
+    attack_name,
+    normalized_performance,
+    run,
+    reference,
+    telemetry,
+});
 
 impl Experiment {
     /// A paper-baseline experiment with a 2 ms window.

@@ -70,7 +70,7 @@ pub use runner::{
 };
 pub use sim_core::config::Threads;
 pub use spec::{
-    AttackerOptions, CacheOptions, ExperimentSpec, ProfileOptions, SpecError, SweepSpec,
-    SystemOptions, TelemetryOptions, KNOWN_PROFILE_FAMILIES,
+    AttackerOptions, CacheOptions, ProfileOptions, SpecError, SweepSpec, SystemOptions,
+    TelemetryOptions, KNOWN_PROFILE_FAMILIES,
 };
 pub use system::{Engine, EngineStats, System};

@@ -51,6 +51,17 @@ impl RunStats {
     }
 }
 
+sim_core::json_record!(RunStats {
+    tracker,
+    cycles,
+    retired,
+    core_cycles,
+    mem,
+    llc_hit_rate,
+    energy_mj,
+    oracle,
+});
+
 /// Normalized performance: mean over `benign` of IPC ratio vs. a reference
 /// run (the paper's metric — performance of benign applications normalized
 /// to the insecure baseline).
@@ -79,7 +90,7 @@ pub fn normalized_performance(run: &RunStats, reference: &RunStats, benign: &[us
 /// Time-series observations collected alongside one run's [`RunStats`]
 /// (present on an [`crate::experiment::ExperimentResult`] when the
 /// experiment's [`crate::experiment::TelemetrySpec`] enabled recorders).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunTelemetry {
     /// Window length in bus cycles.
     pub window_len: Cycle,
@@ -134,6 +145,16 @@ impl RunTelemetry {
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 }
+
+// The exact wire form the run cache stores; `to_json` above is the lossy
+// export view.
+sim_core::json_record!(RunTelemetry {
+    window_len,
+    windows,
+    reference_windows,
+    slowdown,
+    mitigations
+});
 
 /// The benign-IPC fraction of the reference above which a window counts
 /// as "recovered" for [`RunTelemetry::recovery_us`] and the campaign

@@ -43,6 +43,9 @@ pub struct SweepError {
     pub attempts: u32,
 }
 
+// The row a sweep report's `failures` list carries.
+sim_core::json_record!(SweepError { index, cell, message, attempts });
+
 impl std::fmt::Display for SweepError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         if self.cell.is_empty() {

@@ -6,9 +6,11 @@
 //! catalog (or the `@quick` / `@all` tokens), and attacks by name; it
 //! expands into the full cross product for
 //! [`crate::runner::try_run_parallel`] and round-trips results to JSON.
-//! An [`ExperimentSpec`] is the single-cell form. Both serialize to TOML
+//! A single cell is a sweep that expands to one. Specs serialize to TOML
 //! and JSON and parse back losslessly; every validation failure names the
-//! offending key.
+//! offending key. Each table — the top level and every `[section]` —
+//! declares its keys once, in its `Section::KEYS` list; reading,
+//! unknown-key rejection, validation and writing all run off that list.
 //!
 //! ```toml
 //! # A paper-figure matrix, declaratively:
@@ -30,8 +32,8 @@ use crate::runner::{try_run_parallel, SweepError};
 use crate::system::Engine;
 use crate::toml::{self, TomlError, TomlValue};
 use sim_core::config::Threads;
-use sim_core::json::{Json, JsonError};
-use sim_core::registry::{ParamValue, RegistryError};
+use sim_core::json::{parse_u64, DecodeError, Json, JsonCodec, JsonError};
+use sim_core::registry::{normalize_key, ParamValue, RegistryError};
 use std::collections::BTreeMap;
 use workloads::Attack;
 
@@ -98,6 +100,13 @@ impl From<RegistryError> for SpecError {
         SpecError::Registry(e)
     }
 }
+impl From<DecodeError> for SpecError {
+    fn from(e: DecodeError) -> Self {
+        // An error about the document itself has no key of its own.
+        let key = if e.path.is_empty() { "spec".to_string() } else { e.path };
+        SpecError::Field { key, message: e.message }
+    }
+}
 
 fn field_err(key: &str, message: impl Into<String>) -> SpecError {
     SpecError::Field { key: key.to_string(), message: message.into() }
@@ -115,7 +124,7 @@ pub fn known_attacks() -> Vec<String> {
 /// select no attacker, `"tailored"` the tracker-specific pattern, anything
 /// else a specific [`Attack`] by its display name.
 pub fn parse_attack(name: &str) -> Result<AttackChoice, SpecError> {
-    let norm = sim_core::registry::normalize_key(name);
+    let norm = normalize_key(name);
     match norm.as_str() {
         "none" | "benign" => return Ok(AttackChoice::None),
         "tailored" => return Ok(AttackChoice::Tailored),
@@ -124,7 +133,7 @@ pub fn parse_attack(name: &str) -> Result<AttackChoice, SpecError> {
     Attack::all()
         .into_iter()
         .find(|a| {
-            let n = sim_core::registry::normalize_key(a.name());
+            let n = normalize_key(a.name());
             n == norm || norm == format!("{n}attack")
         })
         .map(AttackChoice::Specific)
@@ -140,7 +149,8 @@ fn json_to_toml(j: &Json, key: &str) -> Result<TomlValue, SpecError> {
         Json::Null => return Err(field_err(key, "null is not a spec value")),
         Json::Bool(b) => TomlValue::Bool(*b),
         Json::Num(n) => {
-            if n.fract() == 0.0 && n.abs() < 9e15 {
+            // Integral and exact in an f64 (up to 2^53): an integer.
+            if n.fract() == 0.0 && n.abs() <= 9_007_199_254_740_992.0 {
                 TomlValue::Int(*n as i64)
             } else {
                 TomlValue::Float(*n)
@@ -173,159 +183,274 @@ fn toml_to_json(v: &TomlValue) -> Json {
     }
 }
 
-fn param_from_toml(key: &str, v: &TomlValue) -> Result<ParamValue, SpecError> {
-    Ok(match v {
-        TomlValue::Int(i) => ParamValue::Int(*i),
-        TomlValue::Float(f) => ParamValue::Float(*f),
-        TomlValue::Bool(b) => ParamValue::Bool(*b),
-        TomlValue::Str(s) => ParamValue::Str(s.clone()),
-        other => {
-            return Err(field_err(key, format!("a {} is not a parameter value", other.kind())))
-        }
-    })
+// ---------------------------------------------------------------------------
+// Keys: what a spec table may hold, declared once per table.
+// ---------------------------------------------------------------------------
+
+/// One kind of spec value: how it reads from and writes to TOML. Errors
+/// describe the value only; [`read_table`] prefixes the key.
+trait Value: Sized {
+    fn read(v: &TomlValue) -> Result<Self, DecodeError>;
+    /// The TOML form, or `None` to leave the key out.
+    fn write(&self) -> Option<TomlValue>;
 }
 
-fn param_to_toml(v: &ParamValue) -> TomlValue {
-    match v {
-        ParamValue::Int(i) => TomlValue::Int(*i),
-        ParamValue::Float(f) => TomlValue::Float(*f),
-        ParamValue::Bool(b) => TomlValue::Bool(*b),
-        ParamValue::Str(s) => TomlValue::Str(s.clone()),
-    }
+fn expected<T>(what: &str, got: &TomlValue) -> Result<T, DecodeError> {
+    Err(DecodeError::new(format!("expected {what}, got {}", got.kind())))
 }
 
-fn param_table(t: &TomlValue, key: &str) -> Result<BTreeMap<String, ParamValue>, SpecError> {
-    match t {
-        TomlValue::Table(entries) => {
-            let mut out = BTreeMap::new();
-            for (k, v) in entries {
-                out.insert(k.clone(), param_from_toml(&format!("{key}.{k}"), v)?);
-            }
-            Ok(out)
-        }
-        other => Err(field_err(key, format!("expected a table, got {}", other.kind()))),
-    }
-}
-
-struct Fields<'a> {
-    table: &'a BTreeMap<String, TomlValue>,
-}
-
-impl<'a> Fields<'a> {
-    fn opt_str(&self, key: &str) -> Result<Option<String>, SpecError> {
-        match self.table.get(key) {
-            None => Ok(None),
-            Some(TomlValue::Str(s)) => Ok(Some(s.clone())),
-            Some(other) => Err(field_err(key, format!("expected a string, got {}", other.kind()))),
+impl Value for String {
+    fn read(v: &TomlValue) -> Result<Self, DecodeError> {
+        match v {
+            TomlValue::Str(s) => Ok(s.clone()),
+            other => expected("a string", other),
         }
     }
-
-    fn req_str(&self, key: &str) -> Result<String, SpecError> {
-        self.opt_str(key)?.ok_or_else(|| field_err(key, "required"))
+    fn write(&self) -> Option<TomlValue> {
+        Some(TomlValue::Str(self.clone()))
     }
+}
 
-    fn opt_u64(&self, key: &str) -> Result<Option<u64>, SpecError> {
-        match self.table.get(key) {
-            None => Ok(None),
-            Some(TomlValue::Int(i)) if *i >= 0 => Ok(Some(*i as u64)),
-            // Values above i64::MAX (e.g. full-width seeds) serialize as
-            // hex strings; accept them back.
-            Some(TomlValue::Str(s)) => {
-                let parsed = match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-                    Some(hex) => u64::from_str_radix(hex, 16),
-                    None => s.parse::<u64>(),
-                };
-                parsed.map(Some).map_err(|_| {
-                    field_err(key, format!("cannot parse '{s}' as an unsigned integer"))
-                })
-            }
-            Some(other) => {
-                Err(field_err(key, format!("expected a non-negative integer, got {other:?}")))
+impl Value for bool {
+    fn read(v: &TomlValue) -> Result<Self, DecodeError> {
+        match v {
+            TomlValue::Bool(b) => Ok(*b),
+            other => expected("a boolean", other),
+        }
+    }
+    fn write(&self) -> Option<TomlValue> {
+        Some(TomlValue::Bool(*self))
+    }
+}
+
+impl Value for f64 {
+    fn read(v: &TomlValue) -> Result<Self, DecodeError> {
+        match v {
+            TomlValue::Float(f) => Ok(*f),
+            TomlValue::Int(i) => Ok(*i as f64),
+            other => expected("a number", other),
+        }
+    }
+    fn write(&self) -> Option<TomlValue> {
+        Some(TomlValue::Float(*self))
+    }
+}
+
+/// The one `u64` rule every seed and budget shares: an integer while both
+/// legs hold it exactly — up to 2^53, since the JSON leg's numbers are
+/// `f64` — and a hex string beyond. Either form reads back at any size a
+/// TOML integer can hold.
+impl Value for u64 {
+    fn read(v: &TomlValue) -> Result<Self, DecodeError> {
+        match v {
+            TomlValue::Int(i) if *i >= 0 => Ok(*i as u64),
+            TomlValue::Str(s) => parse_u64(s).ok_or_else(|| {
+                DecodeError::new(format!("cannot parse '{s}' as an unsigned integer"))
+            }),
+            other => {
+                Err(DecodeError::new(format!("expected a non-negative integer, got {other:?}")))
             }
         }
     }
-
-    fn opt_u32(&self, key: &str) -> Result<Option<u32>, SpecError> {
-        match self.opt_u64(key)? {
-            None => Ok(None),
-            Some(v) => u32::try_from(v)
-                .map(Some)
-                .map_err(|_| field_err(key, format!("{v} does not fit in 32 bits"))),
-        }
-    }
-
-    fn opt_f64(&self, key: &str) -> Result<Option<f64>, SpecError> {
-        match self.table.get(key) {
-            None => Ok(None),
-            Some(TomlValue::Float(f)) => Ok(Some(*f)),
-            Some(TomlValue::Int(i)) => Ok(Some(*i as f64)),
-            Some(other) => Err(field_err(key, format!("expected a number, got {}", other.kind()))),
-        }
-    }
-
-    fn opt_bool(&self, key: &str) -> Result<Option<bool>, SpecError> {
-        match self.table.get(key) {
-            None => Ok(None),
-            Some(TomlValue::Bool(b)) => Ok(Some(*b)),
-            Some(other) => Err(field_err(key, format!("expected a boolean, got {}", other.kind()))),
-        }
-    }
-
-    fn str_list(&self, key: &str) -> Result<Option<Vec<String>>, SpecError> {
-        match self.table.get(key) {
-            None => Ok(None),
-            Some(TomlValue::Arr(items)) => {
-                let mut out = Vec::new();
-                for item in items {
-                    match item {
-                        TomlValue::Str(s) => out.push(s.clone()),
-                        other => {
-                            return Err(field_err(
-                                key,
-                                format!("expected strings, got a {}", other.kind()),
-                            ))
-                        }
-                    }
-                }
-                Ok(Some(out))
-            }
-            Some(TomlValue::Str(s)) => Ok(Some(vec![s.clone()])),
-            Some(other) => {
-                Err(field_err(key, format!("expected an array of strings, got {}", other.kind())))
-            }
-        }
-    }
-
-    fn reject_unknown(&self, allowed: &[&str]) -> Result<(), SpecError> {
-        for key in self.table.keys() {
-            if !allowed.contains(&key.as_str()) {
-                return Err(field_err(
-                    key,
-                    format!("unknown spec field; allowed: {}", allowed.join(", ")),
-                ));
-            }
-        }
-        Ok(())
+    fn write(&self) -> Option<TomlValue> {
+        Some(match *self {
+            exact if exact <= 1 << 53 => TomlValue::Int(exact as i64),
+            wide => TomlValue::Str(format!("{wide:#x}")),
+        })
     }
 }
 
-fn parse_engine(name: &str) -> Result<Engine, SpecError> {
-    match name {
-        "dense" => Ok(Engine::Dense),
-        "event-driven" | "event_driven" => Ok(Engine::EventDriven),
-        other => Err(field_err("engine", format!("'{other}' is not 'dense' or 'event-driven'"))),
+impl Value for u32 {
+    fn read(v: &TomlValue) -> Result<Self, DecodeError> {
+        let wide = u64::read(v)?;
+        u32::try_from(wide).map_err(|_| DecodeError::new(format!("{wide} does not fit in 32 bits")))
+    }
+    fn write(&self) -> Option<TomlValue> {
+        Some(TomlValue::Int(i64::from(*self)))
     }
 }
 
-fn engine_name(e: Engine) -> &'static str {
-    match e {
-        Engine::Dense => "dense",
-        Engine::EventDriven => "event-driven",
+impl Value for Engine {
+    fn read(v: &TomlValue) -> Result<Self, DecodeError> {
+        let name = String::read(v)?.replace('_', "-");
+        let engine = [Engine::Dense, Engine::EventDriven].into_iter().find(|e| e.name() == name);
+        engine.ok_or_else(|| DecodeError::new(format!("'{name}' is not 'dense' or 'event-driven'")))
+    }
+    fn write(&self) -> Option<TomlValue> {
+        Some(TomlValue::Str(self.name().into()))
     }
 }
 
-/// Shared system-level knobs of a spec (every field optional; the
-/// [`Experiment`] defaults apply when absent).
+/// `"seq"`, `"auto"`, or a lane count (integer or its string form).
+impl Value for Threads {
+    fn read(v: &TomlValue) -> Result<Self, DecodeError> {
+        match v {
+            TomlValue::Str(s) => Threads::parse(s).map_err(DecodeError::new),
+            TomlValue::Int(i) => match usize::try_from(*i) {
+                Ok(n) if n >= 1 => Ok(Threads::N(n)),
+                _ => Err(DecodeError::new(format!("lane count must be >= 1, got {i}"))),
+            },
+            other => expected("\"seq\", \"auto\", or a lane count", other),
+        }
+    }
+    fn write(&self) -> Option<TomlValue> {
+        Some(match self {
+            Threads::N(n) => TomlValue::Int(*n as i64),
+            named => TomlValue::Str(named.to_string()),
+        })
+    }
+}
+
+impl Value for AttackerKnowledge {
+    fn read(v: &TomlValue) -> Result<Self, DecodeError> {
+        AttackerKnowledge::by_key(&String::read(v)?).map_err(DecodeError::new)
+    }
+    fn write(&self) -> Option<TomlValue> {
+        Some(TomlValue::Str(self.key().into()))
+    }
+}
+
+impl Value for ParamValue {
+    fn read(v: &TomlValue) -> Result<Self, DecodeError> {
+        match v {
+            TomlValue::Int(i) => Ok(ParamValue::Int(*i)),
+            TomlValue::Float(f) => Ok(ParamValue::Float(*f)),
+            TomlValue::Bool(b) => Ok(ParamValue::Bool(*b)),
+            TomlValue::Str(s) => Ok(ParamValue::Str(s.clone())),
+            other => expected("a parameter value", other),
+        }
+    }
+    fn write(&self) -> Option<TomlValue> {
+        Some(match self {
+            ParamValue::Int(i) => TomlValue::Int(*i),
+            ParamValue::Float(f) => TomlValue::Float(*f),
+            ParamValue::Bool(b) => TomlValue::Bool(*b),
+            ParamValue::Str(s) => TomlValue::Str(s.clone()),
+        })
+    }
+}
+
+/// An absent key is `None`.
+impl<T: Value> Value for Option<T> {
+    fn read(v: &TomlValue) -> Result<Self, DecodeError> {
+        T::read(v).map(Some)
+    }
+    fn write(&self) -> Option<TomlValue> {
+        self.as_ref().and_then(T::write)
+    }
+}
+
+/// A bare value is a one-element list; an empty list is an absent key.
+impl<T: Value> Value for Vec<T> {
+    fn read(v: &TomlValue) -> Result<Self, DecodeError> {
+        match v {
+            TomlValue::Arr(items) => items.iter().map(T::read).collect(),
+            one => Ok(vec![T::read(one)?]),
+        }
+    }
+    fn write(&self) -> Option<TomlValue> {
+        (!self.is_empty()).then(|| TomlValue::Arr(self.iter().filter_map(T::write).collect()))
+    }
+}
+
+/// A table of named values (`[params.<tracker>]`); empty is absent.
+impl<T: Value> Value for BTreeMap<String, T> {
+    fn read(v: &TomlValue) -> Result<Self, DecodeError> {
+        let TomlValue::Table(entries) = v else { return expected("a table", v) };
+        entries.iter().map(|(k, v)| Ok((k.clone(), T::read(v).map_err(|e| e.at(k))?))).collect()
+    }
+    fn write(&self) -> Option<TomlValue> {
+        let entries = self.iter().filter_map(|(k, v)| Some((k.clone(), v.write()?)));
+        (!self.is_empty()).then(|| TomlValue::Table(entries.collect()))
+    }
+}
+
+/// One key of a spec table: its name, how it reads into the table's
+/// struct `S`, and how it writes back out of it.
+struct Key<S> {
+    name: &'static str,
+    read: fn(&mut S, &TomlValue) -> Result<(), DecodeError>,
+    write: fn(&S) -> Option<TomlValue>,
+}
+
+/// The common [`Key`]: `name` holds the struct field of the same name
+/// (or `name => path.to.field`) through that field's [`Value`] impl,
+/// optionally vetted by a `fn(&FieldType) -> Result<(), String>`.
+macro_rules! key {
+    ($name:ident $(, $check:expr)?) => { key!($name => $name $(, $check)?) };
+    ($name:ident => $($field:ident).+ $(, $check:expr)?) => {
+        Key {
+            name: stringify!($name),
+            read: |s, v| {
+                let value = Value::read(v)?;
+                $(($check)(&value).map_err(DecodeError::new)?;)?
+                s.$($field).+ = value;
+                Ok(())
+            },
+            write: |s| s.$($field).+.write(),
+        }
+    };
+}
+
+/// A spec table: starts from its `Default`, then every key present in
+/// the document overwrites its part of it.
+trait Section: Default + 'static {
+    /// Every key the table accepts. The one place a key is named.
+    const KEYS: &'static [Key<Self>];
+}
+
+/// Reads a table: unknown keys are rejected with the allow-list, and a
+/// key's failure names it.
+fn read_table<S: Section>(table: &BTreeMap<String, TomlValue>) -> Result<S, DecodeError> {
+    let mut section = S::default();
+    for (name, value) in table {
+        let Some(key) = S::KEYS.iter().find(|key| key.name == name) else {
+            let allowed: Vec<&str> = S::KEYS.iter().map(|key| key.name).collect();
+            let message = format!("unknown spec field; allowed: {}", allowed.join(", "));
+            return Err(DecodeError::new(message).at(name));
+        };
+        (key.read)(&mut section, value).map_err(|e| e.at(name))?;
+    }
+    Ok(section)
+}
+
+fn write_table<S: Section>(section: &S) -> BTreeMap<String, TomlValue> {
+    S::KEYS.iter().filter_map(|key| Some((key.name.to_string(), (key.write)(section)?))).collect()
+}
+
+/// A `[section]` is a [`Value`] of its parent table.
+impl<S: Section> Value for S {
+    fn read(v: &TomlValue) -> Result<Self, DecodeError> {
+        match v {
+            TomlValue::Table(table) => read_table(table),
+            other => expected("a table", other),
+        }
+    }
+    fn write(&self) -> Option<TomlValue> {
+        Some(TomlValue::Table(write_table(self)))
+    }
+}
+
+fn positive_us(w: &Option<f64>) -> Result<(), String> {
+    match w {
+        // Catch it here with the key named, not as a per-job panic when
+        // the engine asserts a nonzero window length.
+        Some(w) if !(w.is_finite() && *w > 0.0) => {
+            Err(format!("must be a positive number of microseconds, got {w}"))
+        }
+        _ => Ok(()),
+    }
+}
+
+fn at_least_one(n: &Option<u32>) -> Result<(), String> {
+    if *n == Some(0) {
+        return Err("must be >= 1".into());
+    }
+    Ok(())
+}
+
+/// Shared system-level knobs of a spec, top-level keys of the document
+/// (every field optional; the [`Experiment`] defaults apply when absent).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SpecOptions {
     /// RowHammer threshold N_RH.
@@ -342,45 +467,6 @@ pub struct SpecOptions {
 }
 
 impl SpecOptions {
-    const KEYS: [&'static str; 5] = ["nrh", "window_us", "seed", "isolate", "engine"];
-
-    fn from_fields(f: &Fields) -> Result<Self, SpecError> {
-        Ok(Self {
-            nrh: f.opt_u32("nrh")?,
-            window_us: f.opt_f64("window_us")?,
-            seed: f.opt_u64("seed")?,
-            isolate: f.opt_bool("isolate")?,
-            engine: match f.opt_str("engine")? {
-                None => None,
-                Some(name) => Some(parse_engine(&name)?),
-            },
-        })
-    }
-
-    fn write(&self, t: &mut BTreeMap<String, TomlValue>) {
-        if let Some(nrh) = self.nrh {
-            t.insert("nrh".into(), TomlValue::Int(nrh as i64));
-        }
-        if let Some(w) = self.window_us {
-            t.insert("window_us".into(), TomlValue::Float(w));
-        }
-        if let Some(s) = self.seed {
-            // Seeds past i64::MAX cannot be a TOML integer; hex strings
-            // round-trip exactly (opt_u64 accepts them back).
-            let v = match i64::try_from(s) {
-                Ok(i) => TomlValue::Int(i),
-                Err(_) => TomlValue::Str(format!("{s:#x}")),
-            };
-            t.insert("seed".into(), v);
-        }
-        if let Some(i) = self.isolate {
-            t.insert("isolate".into(), TomlValue::Bool(i));
-        }
-        if let Some(e) = self.engine {
-            t.insert("engine".into(), TomlValue::Str(engine_name(e).into()));
-        }
-    }
-
     fn apply(&self, mut e: Experiment) -> Experiment {
         if let Some(nrh) = self.nrh {
             e = e.nrh(nrh);
@@ -420,87 +506,58 @@ pub struct TelemetryOptions {
     pub out: Option<String>,
 }
 
-/// The recorder names `[telemetry] recorders = [...]` accepts.
-pub const KNOWN_RECORDERS: [&str; 4] = ["time-series", "slowdown", "mitigation-log", "all"];
+/// A recorder name and the [`TelemetrySpec`] switch it throws.
+type Recorder = (&'static str, fn(&mut TelemetrySpec) -> &mut bool);
 
-impl TelemetryOptions {
-    fn from_value(v: &TomlValue) -> Result<Self, SpecError> {
-        let TomlValue::Table(table) = v else {
-            return Err(field_err("telemetry", format!("expected a table, got {}", v.kind())));
-        };
-        let f = Fields { table };
-        f.reject_unknown(&["window_us", "recorders", "oracle", "out"])?;
-        let window_us = f.opt_f64("window_us")?;
-        if let Some(w) = window_us {
-            // Catch it here with the key named, not as a per-job panic
-            // when the engine asserts a nonzero window length.
-            if !(w.is_finite() && w > 0.0) {
-                return Err(field_err(
-                    "telemetry.window_us",
-                    format!("must be a positive number of microseconds, got {w}"),
-                ));
-            }
-        }
-        let mut spec = TelemetrySpec { window_us, ..Default::default() };
-        spec.oracle = f.opt_bool("oracle")?.unwrap_or(false);
-        for name in f.str_list("recorders")?.unwrap_or_default() {
-            match sim_core::registry::normalize_key(&name).as_str() {
-                "timeseries" => spec.time_series = true,
-                "slowdown" => spec.slowdown = true,
-                "mitigationlog" => spec.mitigation_log = true,
-                "all" => {
-                    spec.time_series = true;
-                    spec.slowdown = true;
-                    spec.mitigation_log = true;
+/// The recorders `[telemetry] recorders = [...]` accepts (plus `"all"`).
+const RECORDERS: [Recorder; 3] = [
+    ("time-series", |t| &mut t.time_series),
+    ("slowdown", |t| &mut t.slowdown),
+    ("mitigation-log", |t| &mut t.mitigation_log),
+];
+
+impl Section for TelemetryOptions {
+    const KEYS: &'static [Key<Self>] = &[
+        key!(window_us => spec.window_us, positive_us),
+        Key {
+            name: "recorders",
+            read: |s, v| {
+                for name in Vec::<String>::read(v)? {
+                    let wanted = normalize_key(&name);
+                    let mut named = RECORDERS
+                        .iter()
+                        .filter(|(recorder, _)| {
+                            wanted == "all" || wanted == normalize_key(recorder)
+                        })
+                        .peekable();
+                    if named.peek().is_none() {
+                        let known: Vec<&str> = RECORDERS.iter().map(|r| r.0).collect();
+                        let known = known.join(", ");
+                        return Err(DecodeError::new(format!(
+                            "unknown recorder '{name}'; known: {known}, all"
+                        )));
+                    }
+                    named.for_each(|(_, switch)| *switch(&mut s.spec) = true);
                 }
-                _ => {
-                    return Err(field_err(
-                        "telemetry.recorders",
-                        format!("unknown recorder '{name}'; known: {}", KNOWN_RECORDERS.join(", ")),
-                    ))
-                }
-            }
-        }
-        Ok(Self { spec, out: f.opt_str("out")? })
-    }
-
-    fn to_value(&self) -> TomlValue {
-        let mut t = BTreeMap::new();
-        if let Some(w) = self.spec.window_us {
-            t.insert("window_us".into(), TomlValue::Float(w));
-        }
-        let mut recorders = Vec::new();
-        if self.spec.time_series && self.spec.slowdown && self.spec.mitigation_log {
-            recorders.push("all");
-        } else {
-            if self.spec.time_series {
-                recorders.push("time-series");
-            }
-            if self.spec.slowdown {
-                recorders.push("slowdown");
-            }
-            if self.spec.mitigation_log {
-                recorders.push("mitigation-log");
-            }
-        }
-        if !recorders.is_empty() {
-            t.insert(
-                "recorders".into(),
-                TomlValue::Arr(recorders.into_iter().map(|r| TomlValue::Str(r.into())).collect()),
-            );
-        }
-        if self.spec.oracle {
-            t.insert("oracle".into(), TomlValue::Bool(true));
-        }
-        if let Some(out) = &self.out {
-            t.insert("out".into(), TomlValue::Str(out.clone()));
-        }
-        TomlValue::Table(t)
-    }
-
-    fn apply(&self, e: Experiment) -> Experiment {
-        e.with_telemetry(self.spec)
-    }
+                Ok(())
+            },
+            write: |s| {
+                let mut spec = s.spec;
+                let on: Vec<String> = RECORDERS
+                    .iter()
+                    .filter(|(_, switch)| *switch(&mut spec))
+                    .map(|(name, _)| name.to_string())
+                    .collect();
+                if on.len() == RECORDERS.len() { vec!["all".to_string()] } else { on }.write()
+            },
+        },
+        Key {
+            name: "oracle",
+            read: |s, v| Value::read(v).map(|on| s.spec.oracle = on),
+            write: |s| s.spec.oracle.then_some(TomlValue::Bool(true)),
+        },
+        key!(out),
+    ];
 }
 
 /// The `[cache]` spec section: where (and whether) to read results
@@ -525,27 +582,11 @@ pub struct CacheOptions {
     pub enabled: Option<bool>,
 }
 
+impl Section for CacheOptions {
+    const KEYS: &'static [Key<Self>] = &[key!(dir), key!(enabled)];
+}
+
 impl CacheOptions {
-    fn from_value(v: &TomlValue) -> Result<Self, SpecError> {
-        let TomlValue::Table(table) = v else {
-            return Err(field_err("cache", format!("expected a table, got {}", v.kind())));
-        };
-        let f = Fields { table };
-        f.reject_unknown(&["dir", "enabled"])?;
-        Ok(Self { dir: f.opt_str("dir")?, enabled: f.opt_bool("enabled")? })
-    }
-
-    fn to_value(&self) -> TomlValue {
-        let mut t = BTreeMap::new();
-        if let Some(dir) = &self.dir {
-            t.insert("dir".into(), TomlValue::Str(dir.clone()));
-        }
-        if let Some(enabled) = self.enabled {
-            t.insert("enabled".into(), TomlValue::Bool(enabled));
-        }
-        TomlValue::Table(t)
-    }
-
     /// The configured directory, unless the section opts out with
     /// `enabled = false`.
     pub fn effective_dir(&self) -> Option<&str> {
@@ -595,77 +636,23 @@ pub struct ProfileOptions {
     pub budget: Option<u32>,
 }
 
-impl ProfileOptions {
-    fn from_value(v: &TomlValue) -> Result<Self, SpecError> {
-        let TomlValue::Table(table) = v else {
-            return Err(field_err("profile", format!("expected a table, got {}", v.kind())));
-        };
-        let f = Fields { table };
-        f.reject_unknown(&[
-            "bank_groups",
-            "row_groups",
-            "probe_window_us",
-            "families",
-            "top_k",
-            "budget",
-        ])?;
-        let families = f.str_list("families")?.unwrap_or_default();
-        for fam in &families {
-            if !KNOWN_PROFILE_FAMILIES.contains(&fam.as_str()) {
-                return Err(field_err(
-                    "profile.families",
-                    format!(
-                        "unknown family '{fam}' (known: {})",
-                        KNOWN_PROFILE_FAMILIES.join(", ")
-                    ),
-                ));
+impl Section for ProfileOptions {
+    const KEYS: &'static [Key<Self>] = &[
+        key!(bank_groups, at_least_one),
+        key!(row_groups, at_least_one),
+        key!(probe_window_us, positive_us),
+        key!(families, |families: &Vec<String>| {
+            match families.iter().find(|f| !KNOWN_PROFILE_FAMILIES.contains(&f.as_str())) {
+                Some(unknown) => Err(format!(
+                    "unknown family '{unknown}' (known: {})",
+                    KNOWN_PROFILE_FAMILIES.join(", ")
+                )),
+                None => Ok(()),
             }
-        }
-        for key in ["bank_groups", "row_groups"] {
-            if let Some(0) = f.opt_u32(key)? {
-                return Err(field_err(&format!("profile.{key}"), "must be >= 1"));
-            }
-        }
-        if let Some(w) = f.opt_f64("probe_window_us")? {
-            if w.is_nan() || w <= 0.0 {
-                return Err(field_err("profile.probe_window_us", "must be > 0"));
-            }
-        }
-        Ok(Self {
-            bank_groups: f.opt_u32("bank_groups")?,
-            row_groups: f.opt_u32("row_groups")?,
-            probe_window_us: f.opt_f64("probe_window_us")?,
-            families,
-            top_k: f.opt_u32("top_k")?,
-            budget: f.opt_u32("budget")?,
-        })
-    }
-
-    fn to_value(&self) -> TomlValue {
-        let mut t = BTreeMap::new();
-        if let Some(n) = self.bank_groups {
-            t.insert("bank_groups".into(), TomlValue::Int(n as i64));
-        }
-        if let Some(n) = self.row_groups {
-            t.insert("row_groups".into(), TomlValue::Int(n as i64));
-        }
-        if let Some(w) = self.probe_window_us {
-            t.insert("probe_window_us".into(), TomlValue::Float(w));
-        }
-        if !self.families.is_empty() {
-            t.insert(
-                "families".into(),
-                TomlValue::Arr(self.families.iter().cloned().map(TomlValue::Str).collect()),
-            );
-        }
-        if let Some(k) = self.top_k {
-            t.insert("top_k".into(), TomlValue::Int(k as i64));
-        }
-        if let Some(b) = self.budget {
-            t.insert("budget".into(), TomlValue::Int(b as i64));
-        }
-        TomlValue::Table(t)
-    }
+        }),
+        key!(top_k),
+        key!(budget),
+    ];
 }
 
 /// The `[system]` spec section: machine-level knobs that are neither
@@ -697,57 +684,35 @@ pub struct SystemOptions {
 /// The geometry preset names `[system] geometry = "..."` accepts.
 pub const KNOWN_GEOMETRIES: [&str; 2] = ["paper-baseline", "enlarged-8ch"];
 
+impl Section for SystemOptions {
+    const KEYS: &'static [Key<Self>] = &[
+        Key {
+            name: "geometry",
+            // Aliases resolve to the canonical spelling at parse time.
+            read: |s, v| {
+                let name = String::read(v)?;
+                let canonical = match normalize_key(&name).as_str() {
+                    "paperbaseline" | "baseline" => KNOWN_GEOMETRIES[0],
+                    "enlarged8ch" | "eightchannel" | "8ch" => KNOWN_GEOMETRIES[1],
+                    _ => {
+                        return Err(DecodeError::new(format!(
+                            "unknown geometry '{name}'; known: {}",
+                            KNOWN_GEOMETRIES.join(", ")
+                        )))
+                    }
+                };
+                s.geometry = Some(canonical.to_string());
+                Ok(())
+            },
+            write: |s| s.geometry.write(),
+        },
+        key!(threads),
+    ];
+}
+
 impl SystemOptions {
-    fn from_value(v: &TomlValue) -> Result<Self, SpecError> {
-        let TomlValue::Table(table) = v else {
-            return Err(field_err("system", format!("expected a table, got {}", v.kind())));
-        };
-        let f = Fields { table };
-        f.reject_unknown(&["geometry", "threads"])?;
-        let geometry = match f.opt_str("geometry")? {
-            None => None,
-            Some(name) => Some(parse_geometry(&name)?.to_string()),
-        };
-        let threads = match table.get("threads") {
-            None => None,
-            Some(TomlValue::Str(s)) => {
-                Some(Threads::parse(s).map_err(|m| field_err("system.threads", m))?)
-            }
-            Some(TomlValue::Int(i)) => {
-                let n = usize::try_from(*i).ok().filter(|&n| n >= 1).ok_or_else(|| {
-                    field_err("system.threads", format!("lane count must be >= 1, got {i}"))
-                })?;
-                Some(Threads::N(n))
-            }
-            Some(other) => {
-                return Err(field_err(
-                    "system.threads",
-                    format!("expected \"seq\", \"auto\", or a lane count, got {}", other.kind()),
-                ))
-            }
-        };
-        Ok(Self { geometry, threads })
-    }
-
-    fn to_value(&self) -> TomlValue {
-        let mut t = BTreeMap::new();
-        if let Some(geometry) = &self.geometry {
-            t.insert("geometry".into(), TomlValue::Str(geometry.clone()));
-        }
-        match self.threads {
-            None => {}
-            Some(Threads::N(n)) => {
-                t.insert("threads".into(), TomlValue::Int(n as i64));
-            }
-            Some(t_) => {
-                t.insert("threads".into(), TomlValue::Str(t_.to_string()));
-            }
-        }
-        TomlValue::Table(t)
-    }
-
     fn apply(&self, mut e: Experiment) -> Experiment {
-        if self.geometry.as_deref() == Some("enlarged-8ch") {
+        if self.geometry.as_deref() == Some(KNOWN_GEOMETRIES[1]) {
             // Baseline per-core LLC share (2 MiB x 4 cores = the 8 MiB
             // baseline): geometry changes the memory system only.
             e = e.eight_channel(2);
@@ -756,18 +721,6 @@ impl SystemOptions {
             e = e.threads(threads);
         }
         e
-    }
-}
-
-/// Resolves a geometry preset name to its canonical spelling.
-fn parse_geometry(name: &str) -> Result<&'static str, SpecError> {
-    match sim_core::registry::normalize_key(name).as_str() {
-        "paperbaseline" | "baseline" => Ok("paper-baseline"),
-        "enlarged8ch" | "eightchannel" | "8ch" => Ok("enlarged-8ch"),
-        _ => Err(field_err(
-            "system.geometry",
-            format!("unknown geometry '{name}'; known: {}", KNOWN_GEOMETRIES.join(", ")),
-        )),
     }
 }
 
@@ -781,14 +734,14 @@ fn parse_geometry(name: &str) -> Result<&'static str, SpecError> {
 /// seed = 0xA77AC4        # attacker-side RNG (hex string past i64::MAX)
 /// ```
 ///
-/// In a sweep the section multiplies the cross product: one cell per
-/// knowledge level. Omitting `knowledge` sweeps all three levels (the
-/// Fig-9-style leaderboard). A single-experiment spec must name exactly
-/// one level.
+/// The section multiplies the cross product: one cell per knowledge
+/// level. Omitting `knowledge` sweeps all three levels (the Fig-9-style
+/// leaderboard).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct AttackerOptions {
-    /// Knowledge levels to run, deduplicated in spec order; empty means
-    /// "all levels" ([`AttackerKnowledge::ALL`]).
+    /// Knowledge levels to run, in spec order (a repeated level expands to
+    /// the same cell and runs once); empty means "all levels"
+    /// ([`AttackerKnowledge::ALL`]).
     pub knowledge: Vec<AttackerKnowledge>,
     /// Recon budget in probe accesses
     /// ([`AttackerConfig::DEFAULT_RECON_BUDGET`] when absent).
@@ -798,52 +751,18 @@ pub struct AttackerOptions {
     pub seed: Option<u64>,
 }
 
+impl Section for AttackerOptions {
+    const KEYS: &'static [Key<Self>] = &[
+        key!(knowledge),
+        key!(recon_budget, |budget: &Option<u64>| match budget {
+            Some(0) => Err("must be at least one probe access".to_string()),
+            _ => Ok(()),
+        }),
+        key!(seed),
+    ];
+}
+
 impl AttackerOptions {
-    fn from_value(v: &TomlValue) -> Result<Self, SpecError> {
-        let TomlValue::Table(table) = v else {
-            return Err(field_err("attacker", format!("expected a table, got {}", v.kind())));
-        };
-        let f = Fields { table };
-        f.reject_unknown(&["knowledge", "recon_budget", "seed"])?;
-        let mut knowledge = Vec::new();
-        for name in f.str_list("knowledge")?.unwrap_or_default() {
-            let level =
-                AttackerKnowledge::by_key(&name).map_err(|m| field_err("attacker.knowledge", m))?;
-            if !knowledge.contains(&level) {
-                knowledge.push(level);
-            }
-        }
-        let recon_budget = f.opt_u64("recon_budget")?;
-        if recon_budget == Some(0) {
-            return Err(field_err("attacker.recon_budget", "must be at least one probe access"));
-        }
-        Ok(Self { knowledge, recon_budget, seed: f.opt_u64("seed")? })
-    }
-
-    fn to_value(&self) -> TomlValue {
-        let mut t = BTreeMap::new();
-        if !self.knowledge.is_empty() {
-            t.insert(
-                "knowledge".into(),
-                TomlValue::Arr(
-                    self.knowledge.iter().map(|k| TomlValue::Str(k.key().into())).collect(),
-                ),
-            );
-        }
-        if let Some(b) = self.recon_budget {
-            t.insert("recon_budget".into(), TomlValue::Int(b as i64));
-        }
-        if let Some(s) = self.seed {
-            // Same hex-string escape hatch as the top-level seed.
-            let v = match i64::try_from(s) {
-                Ok(i) => TomlValue::Int(i),
-                Err(_) => TomlValue::Str(format!("{s:#x}")),
-            };
-            t.insert("seed".into(), v);
-        }
-        TomlValue::Table(t)
-    }
-
     /// One [`AttackerConfig`] per selected knowledge level (all levels
     /// when the spec named none), in descending-knowledge order for the
     /// default.
@@ -862,31 +781,6 @@ impl AttackerOptions {
             })
             .collect()
     }
-
-    /// Applies the section to a single experiment; errors unless exactly
-    /// one knowledge level is selected (a sweep handles the multi-level
-    /// cross product).
-    fn apply_single(&self, e: Experiment) -> Result<Experiment, SpecError> {
-        let mut configs = self.configs();
-        if configs.len() != 1 {
-            return Err(field_err(
-                "attacker.knowledge",
-                format!(
-                    "a single experiment takes exactly one knowledge level, got {} \
-                     (use a sweep spec to compare levels)",
-                    configs.len()
-                ),
-            ));
-        }
-        Ok(e.attacker(configs.remove(0)))
-    }
-}
-
-fn check_workload(name: &str) -> Result<(), SpecError> {
-    if workloads::spec_by_name(name).is_none() {
-        return Err(SpecError::UnknownWorkload { name: name.to_string() });
-    }
-    Ok(())
 }
 
 /// Expands a workload list, resolving the `@quick` (9-workload subset) and
@@ -897,10 +791,8 @@ pub fn expand_workloads(names: &[String]) -> Result<Vec<String>, SpecError> {
         match name.as_str() {
             "@quick" => out.extend(workloads::quick_subset().iter().map(|w| w.name.to_string())),
             "@all" => out.extend(workloads::catalog().iter().map(|w| w.name.to_string())),
-            other => {
-                check_workload(other)?;
-                out.push(other.to_string());
-            }
+            known if workloads::spec_by_name(known).is_some() => out.push(known.to_string()),
+            unknown => return Err(SpecError::UnknownWorkload { name: unknown.to_string() }),
         }
     }
     if out.is_empty() {
@@ -910,172 +802,8 @@ pub fn expand_workloads(names: &[String]) -> Result<Vec<String>, SpecError> {
 }
 
 // ---------------------------------------------------------------------------
-// ExperimentSpec
-// ---------------------------------------------------------------------------
-
-/// Numeric-coercing parameter equality: JSON cannot distinguish `5` from
-/// `5.0`, so a spec that round-trips through JSON may come back with
-/// integral floats as ints. The tracker schema coerces them identically at
-/// build time; spec equality must treat them as equal too.
-fn param_value_eq(a: &ParamValue, b: &ParamValue) -> bool {
-    match (a, b) {
-        (ParamValue::Int(i), ParamValue::Float(f)) | (ParamValue::Float(f), ParamValue::Int(i)) => {
-            *i as f64 == *f
-        }
-        _ => a == b,
-    }
-}
-
-fn param_map_eq(a: &BTreeMap<String, ParamValue>, b: &BTreeMap<String, ParamValue>) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b.iter()).all(|((ka, va), (kb, vb))| ka == kb && param_value_eq(va, vb))
-}
-
-/// A declarative description of one experiment cell.
-#[derive(Debug, Clone)]
-pub struct ExperimentSpec {
-    /// Benign workload name.
-    pub workload: String,
-    /// Tracker registry key (or display name / alias).
-    pub tracker: String,
-    /// Tracker parameter overrides (`[params]` table).
-    pub params: BTreeMap<String, ParamValue>,
-    /// Attack name (default `none`).
-    pub attack: String,
-    /// System-level options.
-    pub options: SpecOptions,
-    /// Telemetry section (`[telemetry]`), if present.
-    pub telemetry: Option<TelemetryOptions>,
-    /// Machine section (`[system]`), if present.
-    pub system: Option<SystemOptions>,
-    /// Attacker section (`[attacker]`), if present.
-    pub attacker: Option<AttackerOptions>,
-}
-
-impl ExperimentSpec {
-    /// A benign spec for one workload/tracker pair.
-    pub fn new(workload: &str, tracker: &str) -> Self {
-        Self {
-            workload: workload.to_string(),
-            tracker: tracker.to_string(),
-            params: BTreeMap::new(),
-            attack: "none".to_string(),
-            options: SpecOptions::default(),
-            telemetry: None,
-            system: None,
-            attacker: None,
-        }
-    }
-
-    fn from_table(table: &BTreeMap<String, TomlValue>) -> Result<Self, SpecError> {
-        let f = Fields { table };
-        let mut allowed =
-            vec!["workload", "tracker", "params", "attack", "telemetry", "system", "attacker"];
-        allowed.extend(SpecOptions::KEYS);
-        f.reject_unknown(&allowed)?;
-        let params = match table.get("params") {
-            None => BTreeMap::new(),
-            Some(t) => param_table(t, "params")?,
-        };
-        Ok(Self {
-            workload: f.req_str("workload")?,
-            tracker: f.req_str("tracker")?,
-            params,
-            attack: f.opt_str("attack")?.unwrap_or_else(|| "none".to_string()),
-            options: SpecOptions::from_fields(&f)?,
-            telemetry: table.get("telemetry").map(TelemetryOptions::from_value).transpose()?,
-            system: table.get("system").map(SystemOptions::from_value).transpose()?,
-            attacker: table.get("attacker").map(AttackerOptions::from_value).transpose()?,
-        })
-    }
-
-    fn to_table(&self) -> BTreeMap<String, TomlValue> {
-        let mut t = BTreeMap::new();
-        t.insert("workload".into(), TomlValue::Str(self.workload.clone()));
-        t.insert("tracker".into(), TomlValue::Str(self.tracker.clone()));
-        t.insert("attack".into(), TomlValue::Str(self.attack.clone()));
-        self.options.write(&mut t);
-        if !self.params.is_empty() {
-            let params = self.params.iter().map(|(k, v)| (k.clone(), param_to_toml(v))).collect();
-            t.insert("params".into(), TomlValue::Table(params));
-        }
-        if let Some(telemetry) = &self.telemetry {
-            t.insert("telemetry".into(), telemetry.to_value());
-        }
-        if let Some(system) = &self.system {
-            t.insert("system".into(), system.to_value());
-        }
-        if let Some(attacker) = &self.attacker {
-            t.insert("attacker".into(), attacker.to_value());
-        }
-        t
-    }
-
-    /// Parses a TOML spec.
-    pub fn from_toml_str(input: &str) -> Result<Self, SpecError> {
-        Self::from_table(&toml::parse(input)?)
-    }
-
-    /// Renders the spec as TOML (parses back to an equal spec).
-    pub fn to_toml(&self) -> String {
-        toml::render(&self.to_table())
-    }
-
-    /// Parses a JSON spec.
-    pub fn from_json_str(input: &str) -> Result<Self, SpecError> {
-        match json_to_toml(&Json::parse(input)?, "spec")? {
-            TomlValue::Table(t) => Self::from_table(&t),
-            other => Err(field_err("spec", format!("expected an object, got {}", other.kind()))),
-        }
-    }
-
-    /// Renders the spec as JSON (parses back to an equal spec).
-    pub fn to_json(&self) -> Json {
-        toml_to_json(&TomlValue::Table(self.to_table()))
-    }
-
-    /// Resolves the spec into a runnable [`Experiment`]: registry lookup,
-    /// parameter validation, workload and attack checks — all before any
-    /// simulation starts.
-    pub fn to_experiment(&self) -> Result<Experiment, SpecError> {
-        check_workload(&self.workload)?;
-        let tracker = TrackerSel::by_key(&self.tracker)?.with_params(self.params.clone())?;
-        let attack = parse_attack(&self.attack)?;
-        let mut e = Experiment::new(&self.workload).tracker(tracker).attack(attack);
-        if let Some(telemetry) = &self.telemetry {
-            e = telemetry.apply(e);
-        }
-        if let Some(system) = &self.system {
-            e = system.apply(e);
-        }
-        if let Some(attacker) = &self.attacker {
-            e = attacker.apply_single(e)?;
-        }
-        Ok(self.options.apply(e))
-    }
-
-    /// Expands and runs the single experiment.
-    pub fn run(&self) -> Result<ExperimentResult, SpecError> {
-        Ok(self.to_experiment()?.run())
-    }
-}
-
-// ---------------------------------------------------------------------------
 // SweepSpec
 // ---------------------------------------------------------------------------
-
-impl PartialEq for ExperimentSpec {
-    fn eq(&self, other: &Self) -> bool {
-        self.workload == other.workload
-            && self.tracker == other.tracker
-            && self.attack == other.attack
-            && self.options == other.options
-            && self.telemetry == other.telemetry
-            && self.system == other.system
-            && self.attacker == other.attacker
-            && param_map_eq(&self.params, &other.params)
-    }
-}
 
 /// A declarative tracker × workload × attack sweep.
 #[derive(Debug, Clone)]
@@ -1107,25 +835,40 @@ pub struct SweepSpec {
     pub profile: Option<ProfileOptions>,
 }
 
+/// Specs are equal when their wire forms are. JSON cannot distinguish
+/// `5` from `5.0`, so a parameter that round-trips through it may come back
+/// an int where a float went in; the tracker schema coerces the two
+/// identically at build time, and comparing wire forms does too.
 impl PartialEq for SweepSpec {
     fn eq(&self, other: &Self) -> bool {
-        self.name == other.name
-            && self.workloads == other.workloads
-            && self.trackers == other.trackers
-            && self.attacks == other.attacks
-            && self.options == other.options
-            && self.telemetry == other.telemetry
-            && self.system == other.system
-            && self.cache == other.cache
-            && self.attacker == other.attacker
-            && self.profile == other.profile
-            && self.params.len() == other.params.len()
-            && self
-                .params
-                .iter()
-                .zip(other.params.iter())
-                .all(|((ka, va), (kb, vb))| ka == kb && param_map_eq(va, vb))
+        self.to_json() == other.to_json()
     }
+}
+
+impl Default for SweepSpec {
+    fn default() -> Self {
+        Self::new("sweep")
+    }
+}
+
+impl Section for SweepSpec {
+    const KEYS: &'static [Key<Self>] = &[
+        key!(name),
+        key!(workloads),
+        key!(trackers),
+        key!(attacks),
+        key!(nrh => options.nrh),
+        key!(window_us => options.window_us),
+        key!(seed => options.seed),
+        key!(isolate => options.isolate),
+        key!(engine => options.engine),
+        key!(telemetry),
+        key!(system),
+        key!(cache),
+        key!(attacker),
+        key!(profile),
+        key!(params),
+    ];
 }
 
 impl SweepSpec {
@@ -1146,128 +889,24 @@ impl SweepSpec {
         }
     }
 
-    fn from_table(table: &BTreeMap<String, TomlValue>) -> Result<Self, SpecError> {
-        let f = Fields { table };
-        let mut allowed = vec![
-            "name",
-            "workloads",
-            "trackers",
-            "params",
-            "attacks",
-            "telemetry",
-            "system",
-            "cache",
-            "attacker",
-            "profile",
-        ];
-        allowed.extend(SpecOptions::KEYS);
-        f.reject_unknown(&allowed)?;
-        let mut params = BTreeMap::new();
-        if let Some(t) = table.get("params") {
-            match t {
-                TomlValue::Table(entries) => {
-                    for (tracker, overrides) in entries {
-                        params.insert(
-                            tracker.clone(),
-                            param_table(overrides, &format!("params.{tracker}"))?,
-                        );
-                    }
-                }
-                other => {
-                    return Err(field_err(
-                        "params",
-                        format!("expected per-tracker tables, got {}", other.kind()),
-                    ))
-                }
-            }
-        }
-        Ok(Self {
-            name: f.opt_str("name")?.unwrap_or_else(|| "sweep".to_string()),
-            workloads: f
-                .str_list("workloads")?
-                .ok_or_else(|| field_err("workloads", "required"))?,
-            trackers: f.str_list("trackers")?.ok_or_else(|| field_err("trackers", "required"))?,
-            params,
-            attacks: f.str_list("attacks")?.unwrap_or_else(|| vec!["none".to_string()]),
-            options: SpecOptions::from_fields(&f)?,
-            telemetry: table.get("telemetry").map(TelemetryOptions::from_value).transpose()?,
-            system: table.get("system").map(SystemOptions::from_value).transpose()?,
-            cache: table.get("cache").map(CacheOptions::from_value).transpose()?,
-            attacker: table.get("attacker").map(AttackerOptions::from_value).transpose()?,
-            profile: table.get("profile").map(ProfileOptions::from_value).transpose()?,
-        })
-    }
-
-    fn to_table(&self) -> BTreeMap<String, TomlValue> {
-        let mut t = BTreeMap::new();
-        t.insert("name".into(), TomlValue::Str(self.name.clone()));
-        t.insert(
-            "workloads".into(),
-            TomlValue::Arr(self.workloads.iter().cloned().map(TomlValue::Str).collect()),
-        );
-        t.insert(
-            "trackers".into(),
-            TomlValue::Arr(self.trackers.iter().cloned().map(TomlValue::Str).collect()),
-        );
-        t.insert(
-            "attacks".into(),
-            TomlValue::Arr(self.attacks.iter().cloned().map(TomlValue::Str).collect()),
-        );
-        self.options.write(&mut t);
-        if let Some(telemetry) = &self.telemetry {
-            t.insert("telemetry".into(), telemetry.to_value());
-        }
-        if let Some(system) = &self.system {
-            t.insert("system".into(), system.to_value());
-        }
-        if let Some(cache) = &self.cache {
-            t.insert("cache".into(), cache.to_value());
-        }
-        if let Some(attacker) = &self.attacker {
-            t.insert("attacker".into(), attacker.to_value());
-        }
-        if let Some(profile) = &self.profile {
-            t.insert("profile".into(), profile.to_value());
-        }
-        if !self.params.is_empty() {
-            let params = self
-                .params
-                .iter()
-                .map(|(tracker, overrides)| {
-                    (
-                        tracker.clone(),
-                        TomlValue::Table(
-                            overrides.iter().map(|(k, v)| (k.clone(), param_to_toml(v))).collect(),
-                        ),
-                    )
-                })
-                .collect();
-            t.insert("params".into(), TomlValue::Table(params));
-        }
-        t
-    }
-
     /// Parses a TOML spec.
     pub fn from_toml_str(input: &str) -> Result<Self, SpecError> {
-        Self::from_table(&toml::parse(input)?)
+        Ok(read_table(&toml::parse(input)?)?)
     }
 
     /// Renders the spec as TOML (parses back to an equal spec).
     pub fn to_toml(&self) -> String {
-        toml::render(&self.to_table())
+        toml::render(&write_table(self))
     }
 
     /// Parses a JSON spec.
     pub fn from_json_str(input: &str) -> Result<Self, SpecError> {
-        match json_to_toml(&Json::parse(input)?, "spec")? {
-            TomlValue::Table(t) => Self::from_table(&t),
-            other => Err(field_err("spec", format!("expected an object, got {}", other.kind()))),
-        }
+        Ok(Self::read(&json_to_toml(&Json::parse(input)?, "spec")?)?)
     }
 
     /// Renders the spec as JSON (parses back to an equal spec).
     pub fn to_json(&self) -> Json {
-        toml_to_json(&TomlValue::Table(self.to_table()))
+        toml_to_json(&TomlValue::Table(write_table(self)))
     }
 
     /// The resolved tracker selections, with per-tracker overrides
@@ -1344,7 +983,7 @@ impl SweepSpec {
                         let mut e =
                             Experiment::new(workload).tracker(tracker.clone()).attack(*attack);
                         if let Some(telemetry) = &self.telemetry {
-                            e = telemetry.apply(e);
+                            e = e.with_telemetry(telemetry.spec);
                         }
                         if let Some(system) = &self.system {
                             e = system.apply(e);
@@ -1429,22 +1068,7 @@ impl SweepReport {
             ("name", Json::str(&self.name)),
             ("spec", self.spec.to_json()),
             ("results", Json::Arr(self.results.iter().map(result_to_json).collect())),
-            (
-                "failures",
-                Json::Arr(
-                    self.failures
-                        .iter()
-                        .map(|f| {
-                            Json::obj([
-                                ("index", Json::count(f.index as u64)),
-                                ("cell", Json::str(&f.cell)),
-                                ("message", Json::str(&f.message)),
-                                ("attempts", Json::count(u64::from(f.attempts))),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("failures", self.failures.encode()),
         ])
     }
 }
@@ -1470,6 +1094,7 @@ pub fn result_to_json(r: &ExperimentResult) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_core::rng::Xoshiro256;
 
     const FIG_SPEC: &str = r#"
 # Fig. 9 quick matrix: DAPPER-S under the mapping-agnostic attacks.
@@ -1515,24 +1140,13 @@ group_size = 256
         let doc = "name = \"cached\"\nworkloads = [\"gcc_like\"]\ntrackers = [\"none\"]\n\
                    [cache]\ndir = \"run_cache\"\n";
         let spec = SweepSpec::from_toml_str(doc).unwrap();
-        let cache = spec.cache.as_ref().expect("[cache] section present");
-        assert_eq!(cache.effective_dir(), Some("run_cache"));
-        let toml_back = SweepSpec::from_toml_str(&spec.to_toml()).unwrap();
-        assert_eq!(toml_back, spec);
-        let json_back = SweepSpec::from_json_str(&spec.to_json().render()).unwrap();
-        assert_eq!(json_back, spec);
+        assert_eq!(spec.cache.as_ref().unwrap().effective_dir(), Some("run_cache"));
         // An explicit opt-out disables the directory but survives
         // round-trips.
         let off =
             SweepSpec::from_toml_str(&doc.replace("[cache]", "[cache]\nenabled = false")).unwrap();
         assert_eq!(off.cache.as_ref().unwrap().effective_dir(), None);
         assert_eq!(SweepSpec::from_toml_str(&off.to_toml()).unwrap(), off);
-        // Unknown keys in the section are rejected loudly.
-        let err = SweepSpec::from_toml_str(
-            "name = \"x\"\nworkloads = [\"gcc_like\"]\ntrackers = [\"none\"]\n[cache]\ndyr = \"d\"\n",
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("dyr"), "{err}");
     }
 
     #[test]
@@ -1540,16 +1154,9 @@ group_size = 256
         let doc = "name = \"profiled\"\nworkloads = [\"gcc_like\"]\ntrackers = [\"hydra\"]\n\
                    [profile]\nbank_groups = 2\nrow_groups = 3\nprobe_window_us = 40.0\n\
                    families = [\"hammer\", \"sweep\"]\ntop_k = 4\nbudget = 24\n";
-        let spec = SweepSpec::from_toml_str(doc).unwrap();
-        let profile = spec.profile.as_ref().expect("[profile] section present");
-        assert_eq!(profile.bank_groups, Some(2));
-        assert_eq!(profile.row_groups, Some(3));
-        assert_eq!(profile.probe_window_us, Some(40.0));
+        let profile = SweepSpec::from_toml_str(doc).unwrap().profile.expect("section present");
+        assert_eq!((profile.bank_groups, profile.row_groups), (Some(2), Some(3)));
         assert_eq!(profile.families, vec!["hammer", "sweep"]);
-        assert_eq!(profile.top_k, Some(4));
-        assert_eq!(profile.budget, Some(24));
-        assert_eq!(SweepSpec::from_toml_str(&spec.to_toml()).unwrap(), spec);
-        assert_eq!(SweepSpec::from_json_str(&spec.to_json().render()).unwrap(), spec);
         // An empty section is valid (all defaults) and survives round-trips.
         let bare = SweepSpec::from_toml_str(
             "name = \"p\"\nworkloads = [\"gcc_like\"]\ntrackers = [\"none\"]\n[profile]\n",
@@ -1557,15 +1164,15 @@ group_size = 256
         .unwrap();
         assert_eq!(bare.profile, Some(ProfileOptions::default()));
         assert_eq!(SweepSpec::from_toml_str(&bare.to_toml()).unwrap(), bare);
-        // Unknown families and keys are rejected by name.
-        let err = SweepSpec::from_toml_str(&doc.replace("\"sweep\"", "\"warp\"")).unwrap_err();
-        assert!(err.to_string().contains("warp"), "{err}");
-        let err = SweepSpec::from_toml_str(&doc.replace("top_k", "topk")).unwrap_err();
-        assert!(err.to_string().contains("topk"), "{err}");
-        // Degenerate grids are rejected.
-        let err = SweepSpec::from_toml_str(&doc.replace("bank_groups = 2", "bank_groups = 0"))
-            .unwrap_err();
-        assert!(err.to_string().contains("bank_groups"), "{err}");
+        // Unknown families, degenerate grids and windows are rejected by name.
+        for (good, bad, named) in [
+            ("\"sweep\"", "\"warp\"", "warp"),
+            ("bank_groups = 2", "bank_groups = 0", "profile.bank_groups"),
+            ("probe_window_us = 40.0", "probe_window_us = 0.0", "profile.probe_window_us"),
+        ] {
+            let err = SweepSpec::from_toml_str(&doc.replace(good, bad)).unwrap_err();
+            assert!(err.to_string().contains(named), "{err}");
+        }
     }
 
     #[test]
@@ -1576,40 +1183,27 @@ group_size = 256
         let system = spec.system.as_ref().expect("[system] section present");
         assert_eq!(system.geometry.as_deref(), Some("enlarged-8ch"));
         assert_eq!(system.threads, Some(Threads::Auto));
-        assert_eq!(SweepSpec::from_toml_str(&spec.to_toml()).unwrap(), spec);
-        assert_eq!(SweepSpec::from_json_str(&spec.to_json().render()).unwrap(), spec);
         let cells = spec.expand().unwrap();
         assert_eq!(cells[0].cfg.geometry.channels, 8, "preset reaches the cell config");
         assert_eq!(cells[0].cfg.threads, Threads::Auto);
 
-        // Integer lane counts and alias geometry spellings parse; both
-        // forms survive the round-trip.
-        let doc = "workload = \"gcc_like\"\ntracker = \"none\"\n\
-                   [system]\ngeometry = \"8ch\"\nthreads = 4\n";
-        let spec = ExperimentSpec::from_toml_str(doc).unwrap();
+        // Integer lane counts and alias geometry spellings parse.
+        let cell = "workloads = \"gcc_like\"\ntrackers = \"none\"\n";
+        let spec =
+            SweepSpec::from_toml_str(&format!("{cell}[system]\ngeometry = \"8ch\"\nthreads = 4\n"))
+                .unwrap();
         let system = spec.system.as_ref().unwrap();
         assert_eq!(system.geometry.as_deref(), Some("enlarged-8ch"), "canonical spelling");
         assert_eq!(system.threads, Some(Threads::N(4)));
-        assert_eq!(ExperimentSpec::from_toml_str(&spec.to_toml()).unwrap(), spec);
-        let e = spec.to_experiment().unwrap();
+        let e = &spec.expand().unwrap()[0];
         assert_eq!(e.cfg.geometry.channels, 8);
         assert_eq!(e.cfg.threads, Threads::N(4));
 
-        // Unknown keys and bad values are rejected with the key named.
-        let err = ExperimentSpec::from_toml_str(
-            "workload = \"gcc_like\"\ntracker = \"none\"\n[system]\nthreds = 2\n",
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("threds"), "{err}");
-        let err = ExperimentSpec::from_toml_str(
-            "workload = \"gcc_like\"\ntracker = \"none\"\n[system]\ngeometry = \"16ch\"\n",
-        )
-        .unwrap_err();
+        // Bad values are rejected with the key named.
+        let err = SweepSpec::from_toml_str(&format!("{cell}[system]\ngeometry = \"16ch\"\n"))
+            .unwrap_err();
         assert!(err.to_string().contains("enlarged-8ch"), "must list known presets: {err}");
-        let err = ExperimentSpec::from_toml_str(
-            "workload = \"gcc_like\"\ntracker = \"none\"\n[system]\nthreads = 0\n",
-        )
-        .unwrap_err();
+        let err = SweepSpec::from_toml_str(&format!("{cell}[system]\nthreads = 0\n")).unwrap_err();
         assert!(err.to_string().contains("system.threads"), "{err}");
     }
 
@@ -1631,8 +1225,6 @@ group_size = 256
             "spellings normalize like registry keys"
         );
         assert_eq!(attacker.seed, Some(u64::MAX), "hex seeds past i64::MAX parse");
-        assert_eq!(SweepSpec::from_toml_str(&spec.to_toml()).unwrap(), spec);
-        assert_eq!(SweepSpec::from_json_str(&spec.to_json().render()).unwrap(), spec);
         let cells = spec.expand().unwrap();
         assert_eq!(cells.len(), 3, "one cell per knowledge level");
         let cfg = cells[1].attacker.expect("attacker config reaches the cell");
@@ -1648,33 +1240,20 @@ group_size = 256
         assert_eq!(cells.len(), 3);
         assert_eq!(cells[0].attacker.unwrap().recon_budget, AttackerConfig::DEFAULT_RECON_BUDGET);
 
-        // A single experiment takes exactly one level, and a string works
-        // where a one-element list would.
-        let doc = "workload = \"gcc_like\"\ntracker = \"dapper-s\"\nattack = \"streaming\"\n\
+        // A string works where a one-element list would: a one-cell sweep.
+        let doc = "workloads = \"gcc_like\"\ntrackers = \"dapper-s\"\nattacks = \"streaming\"\n\
                    [attacker]\nknowledge = \"timing-recon\"\n";
-        let spec = ExperimentSpec::from_toml_str(doc).unwrap();
-        assert_eq!(ExperimentSpec::from_toml_str(&spec.to_toml()).unwrap(), spec);
-        let e = spec.to_experiment().unwrap();
-        assert_eq!(e.attacker.unwrap().knowledge, AttackerKnowledge::TimingRecon);
-        let err = ExperimentSpec::from_toml_str(
-            "workload = \"gcc_like\"\ntracker = \"dapper-s\"\n[attacker]\n",
-        )
-        .unwrap()
-        .to_experiment()
-        .unwrap_err();
-        assert!(err.to_string().contains("exactly one knowledge level"), "{err}");
+        let cells = SweepSpec::from_toml_str(doc).unwrap().expand().unwrap();
+        assert_eq!(cells.len(), 1);
+        assert_eq!(cells[0].attacker.unwrap().knowledge, AttackerKnowledge::TimingRecon);
+        // A repeated level is the same cell, run once.
+        let doc = doc.replace("\"timing-recon\"", "[\"blind\", \"BLIND\"]");
+        assert_eq!(SweepSpec::from_toml_str(&doc).unwrap().expand().unwrap().len(), 1);
     }
 
     #[test]
     fn attacker_section_rejects_bad_fields() {
-        // Unknown nested keys are named in the error.
-        let err = SweepSpec::from_toml_str(
-            "name = \"x\"\nworkloads = [\"gcc_like\"]\ntrackers = [\"none\"]\n\
-             [attacker]\nrecon_buget = 100\n",
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("recon_buget"), "{err}");
-        // So are unknown knowledge levels and a zero budget.
+        // Unknown knowledge levels and a zero budget are named in the error.
         let err = SweepSpec::from_toml_str(
             "name = \"x\"\nworkloads = [\"gcc_like\"]\ntrackers = [\"none\"]\n\
              [attacker]\nknowledge = [\"clairvoyant\"]\n",
@@ -1689,30 +1268,144 @@ group_size = 256
         assert!(err.to_string().contains("recon_budget"), "{err}");
     }
 
+    /// A valid spec with every key of every section set to a seeded
+    /// random value.
+    fn random_spec(rng: &mut Xoshiro256) -> SweepSpec {
+        fn pick<T: Copy>(rng: &mut Xoshiro256, items: &[T]) -> T {
+            items[rng.gen_range(items.len() as u64) as usize]
+        }
+        let us = |rng: &mut Xoshiro256| Some(rng.gen_f64() * 1e3 + 1e-3);
+        let small = |rng: &mut Xoshiro256| Some(rng.gen_range(64) as u32 + 1);
+        let overrides = [
+            ("rcc_entries".to_string(), ParamValue::Int(256 << rng.gen_range(3))),
+            ("flag".to_string(), ParamValue::Bool(rng.gen_bool(0.5))),
+            ("tax_ns".to_string(), ParamValue::Float(rng.gen_f64() * 10.0)),
+            ("mode".to_string(), ParamValue::Str(format!("m{}", rng.gen_range(9)))),
+        ];
+        SweepSpec {
+            name: format!("sweep-{}", rng.gen_range(1000)),
+            workloads: vec![pick(rng, &["gcc_like", "mcf_like", "@quick"]).into()],
+            trackers: vec!["hydra".into(), pick(rng, &["none", "para", "dapper-s"]).into()],
+            params: [("hydra".to_string(), overrides.into())].into(),
+            attacks: vec![pick(rng, &["none", "tailored", "streaming"]).into()],
+            options: SpecOptions {
+                nrh: small(rng),
+                window_us: us(rng),
+                seed: Some(rng.next_u64() >> rng.gen_range(64)),
+                isolate: Some(rng.gen_bool(0.5)),
+                engine: Some(pick(rng, &[Engine::Dense, Engine::EventDriven])),
+            },
+            telemetry: Some(TelemetryOptions {
+                spec: TelemetrySpec {
+                    oracle: rng.gen_bool(0.5),
+                    time_series: rng.gen_bool(0.5),
+                    slowdown: rng.gen_bool(0.5),
+                    mitigation_log: rng.gen_bool(0.5),
+                    window_us: us(rng),
+                },
+                out: Some(format!("stem{}", rng.gen_range(9))),
+            }),
+            system: Some(SystemOptions {
+                geometry: Some(pick(rng, &KNOWN_GEOMETRIES).into()),
+                threads: Some(pick(rng, &[Threads::Seq, Threads::Auto, Threads::N(3)])),
+            }),
+            cache: Some(CacheOptions {
+                dir: Some(format!("dir{}", rng.gen_range(9))),
+                enabled: Some(rng.gen_bool(0.5)),
+            }),
+            attacker: Some(AttackerOptions {
+                knowledge: AttackerKnowledge::ALL[rng.gen_range(3) as usize..].to_vec(),
+                recon_budget: Some(rng.next_u64() >> rng.gen_range(64) | 1),
+                seed: Some(rng.next_u64() >> rng.gen_range(64)),
+            }),
+            profile: Some(ProfileOptions {
+                bank_groups: small(rng),
+                row_groups: small(rng),
+                probe_window_us: us(rng),
+                families: KNOWN_PROFILE_FAMILIES[rng.gen_range(4) as usize..]
+                    .iter()
+                    .map(|f| f.to_string())
+                    .collect(),
+                top_k: small(rng),
+                budget: small(rng),
+            }),
+        }
+    }
+
     #[test]
     fn sweep_round_trips_through_toml_and_json() {
-        let spec = SweepSpec::from_toml_str(FIG_SPEC).unwrap();
-        let toml_back = SweepSpec::from_toml_str(&spec.to_toml())
-            .unwrap_or_else(|e| panic!("{e}\n---\n{}", spec.to_toml()));
-        assert_eq!(toml_back, spec);
-        let json_back = SweepSpec::from_json_str(&spec.to_json().render()).unwrap();
-        assert_eq!(json_back, spec);
+        // TOML → spec → JSON → spec is the identity, and so is each leg,
+        // for every section at once and `u64`s of every width.
+        let mut rng = Xoshiro256::seed_from(0x5BEC);
+        for _ in 0..200 {
+            let spec = random_spec(&mut rng);
+            let toml_text = spec.to_toml();
+            let from_toml = SweepSpec::from_toml_str(&toml_text)
+                .unwrap_or_else(|e| panic!("{e}\n---\n{toml_text}"));
+            let json_text = from_toml.to_json().render();
+            let from_json = SweepSpec::from_json_str(&json_text).unwrap();
+            // `==` compares wire forms; field for field is stronger.
+            assert_eq!(format!("{from_toml:?}"), format!("{spec:?}"), "{toml_text}");
+            assert_eq!(format!("{from_json:?}"), format!("{spec:?}"), "{json_text}");
+            assert_eq!(from_toml.to_toml(), toml_text, "rendering is a fixed point");
+            assert_eq!(from_json.to_json().render(), json_text);
+        }
+    }
+
+    /// A fully populated table writes exactly its declared keys and reads
+    /// them back; one undeclared key is rejected by name with the
+    /// allow-list spelled out.
+    fn check_keys<S: Section + PartialEq + std::fmt::Debug>(full: &S) {
+        let written = write_table(full);
+        let mut declared: Vec<&str> = S::KEYS.iter().map(|key| key.name).collect();
+        declared.sort_unstable();
+        assert_eq!(written.keys().map(String::as_str).collect::<Vec<_>>(), declared);
+        assert_eq!(&read_table::<S>(&written).unwrap(), full);
+        let mut extra = written;
+        extra.insert("zz_undeclared".to_string(), TomlValue::Bool(true));
+        let err = read_table::<S>(&extra).unwrap_err();
+        assert_eq!(err.path, "zz_undeclared");
+        for key in declared {
+            assert!(err.message.contains(key), "allow-list must name '{key}': {err}");
+        }
+    }
+
+    #[test]
+    fn every_table_accepts_its_declared_keys_and_rejects_others() {
+        let mut rng = Xoshiro256::seed_from(0x5EC7);
+        for _ in 0..20 {
+            let mut spec = random_spec(&mut rng);
+            // Keys that are written only when set.
+            let telemetry = spec.telemetry.as_mut().unwrap();
+            telemetry.spec.oracle = true;
+            telemetry.spec.slowdown = true;
+            check_keys(&spec);
+            check_keys(spec.telemetry.as_ref().unwrap());
+            check_keys(spec.system.as_ref().unwrap());
+            check_keys(spec.cache.as_ref().unwrap());
+            check_keys(spec.attacker.as_ref().unwrap());
+            check_keys(spec.profile.as_ref().unwrap());
+        }
     }
 
     #[test]
     fn experiment_spec_round_trips_and_resolves() {
-        let mut spec = ExperimentSpec::new("gcc_like", "hydra");
-        spec.attack = "tailored".to_string();
-        spec.params.insert("rcc_entries".to_string(), ParamValue::Int(512));
+        // A single experiment is a sweep that expands to one cell.
+        let mut spec = SweepSpec::new("one-cell");
+        spec.workloads = vec!["gcc_like".to_string()];
+        spec.trackers = vec!["hydra".to_string()];
+        spec.attacks = vec!["tailored".to_string()];
+        let overrides = [("rcc_entries".to_string(), ParamValue::Int(512))];
+        spec.params.insert("hydra".into(), overrides.into());
         spec.options.nrh = Some(250);
         spec.options.window_us = Some(100.0);
         spec.options.seed = Some(0xDA99E5);
         spec.options.engine = Some(Engine::Dense);
-        let toml_back = ExperimentSpec::from_toml_str(&spec.to_toml()).unwrap();
-        assert_eq!(toml_back, spec);
-        let json_back = ExperimentSpec::from_json_str(&spec.to_json().render()).unwrap();
-        assert_eq!(json_back, spec);
-        let e = spec.to_experiment().unwrap();
+        assert_eq!(SweepSpec::from_toml_str(&spec.to_toml()).unwrap(), spec);
+        assert_eq!(SweepSpec::from_json_str(&spec.to_json().render()).unwrap(), spec);
+        let cells = spec.expand().unwrap();
+        assert_eq!(cells.len(), 1);
+        let e = &cells[0];
         assert_eq!(e.tracker.key(), "hydra");
         assert_eq!(e.tracker.params()["rcc_entries"], ParamValue::Int(512));
         assert_eq!(e.cfg.nrh, 250);
@@ -1762,26 +1455,37 @@ group_size = 256
     fn integral_float_params_survive_the_json_round_trip() {
         // JSON cannot distinguish 5 from 5.0; the round-tripped spec must
         // still compare equal (schema coercion makes them build-identical).
-        let mut spec = ExperimentSpec::new("gcc_like", "prac");
-        spec.params.insert("rmw_tax_ns".to_string(), ParamValue::Float(5.0));
-        let back = ExperimentSpec::from_json_str(&spec.to_json().render()).unwrap();
+        let mut spec = SweepSpec::new("coerced");
+        spec.workloads = vec!["gcc_like".to_string()];
+        spec.trackers = vec!["prac".to_string()];
+        let tax = |ns| [("rmw_tax_ns".to_string(), ParamValue::Float(ns))].into();
+        spec.params.insert("prac".into(), tax(5.0));
+        let back = SweepSpec::from_json_str(&spec.to_json().render()).unwrap();
         assert_eq!(back, spec);
-        let e = back.to_experiment().unwrap();
-        assert_eq!(e.tracker.key(), "prac");
+        assert_eq!(back.expand().unwrap()[0].tracker.key(), "prac");
+        // A different value is a different spec.
+        spec.params.insert("prac".into(), tax(5.5));
+        assert_ne!(back, spec);
     }
 
     #[test]
     fn full_width_seeds_round_trip() {
+        // Every u64 key shares one rule: past i64::MAX, which a TOML integer
+        // cannot hold, it travels as a hex string (regression:
+        // `recon_budget` used to wrap negative and fail to parse back).
         let mut spec = SweepSpec::new("seeds");
         spec.workloads = vec!["gcc_like".to_string()];
         spec.trackers = vec!["none".to_string()];
         spec.options.seed = Some(u64::MAX);
-        let toml_text = spec.to_toml();
-        let back = SweepSpec::from_toml_str(&toml_text)
-            .unwrap_or_else(|e| panic!("{e}\n---\n{toml_text}"));
-        assert_eq!(back.options.seed, Some(u64::MAX));
+        spec.attacker = Some(AttackerOptions {
+            knowledge: Vec::new(),
+            recon_budget: Some(u64::MAX - 1),
+            seed: Some(u64::MAX - 2),
+        });
+        assert_eq!(SweepSpec::from_toml_str(&spec.to_toml()).unwrap(), spec);
         let json_back = SweepSpec::from_json_str(&spec.to_json().render()).unwrap();
-        assert_eq!(json_back.options.seed, Some(u64::MAX));
+        assert_eq!(json_back, spec);
+        assert_eq!(json_back.attacker.unwrap().recon_budget, Some(u64::MAX - 1));
     }
 
     #[test]
@@ -1833,11 +1537,6 @@ group_size = 256
         assert!(t.spec.time_series && t.spec.slowdown && !t.spec.mitigation_log);
         assert_eq!(t.spec.window_us, Some(20.0));
         assert_eq!(t.out.as_deref(), Some("transient"));
-        // Round trip through TOML and JSON.
-        let back = SweepSpec::from_toml_str(&spec.to_toml()).unwrap();
-        assert_eq!(back, spec);
-        let json_back = SweepSpec::from_json_str(&spec.to_json().render()).unwrap();
-        assert_eq!(json_back, spec);
         // The section lands on every expanded experiment.
         let experiments = spec.expand().unwrap();
         assert!(experiments.iter().all(|e| e.telemetry.slowdown));
@@ -1865,10 +1564,8 @@ group_size = 256
         let err = SweepSpec::from_toml_str(doc).unwrap_err();
         assert!(err.to_string().contains("sloowdown"), "{err}");
         assert!(err.to_string().contains("slowdown"), "must list known recorders: {err}");
-        let doc = "name = \"t\"\nworkloads = [\"gcc_like\"]\ntrackers = [\"none\"]\n\
-                   [telemetry]\nwidnow_us = 5.0\n";
-        let err = SweepSpec::from_toml_str(doc).unwrap_err();
-        assert!(err.to_string().contains("widnow_us"), "{err}");
+        let err = SweepSpec::from_toml_str(&doc.replace("recorders", "recoders")).unwrap_err();
+        assert!(err.to_string().contains("telemetry.recoders"), "{err}");
     }
 
     #[test]

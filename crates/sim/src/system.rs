@@ -66,6 +66,16 @@ pub enum Engine {
     EventDriven,
 }
 
+impl Engine {
+    /// The spelling specs, cache descriptors and reports use.
+    pub fn name(self) -> &'static str {
+        match self {
+            Engine::Dense => "dense",
+            Engine::EventDriven => "event-driven",
+        }
+    }
+}
+
 /// Execution-engine diagnostics ([`System::engine_stats`]): where the
 /// simulated bus cycles went. `dense_steps` / `skipped_cycles` / `skips`
 /// describe the whole-system time-skipping engine; `shard_ticks` /

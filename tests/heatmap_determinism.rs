@@ -11,6 +11,7 @@
 
 use dapper_repro::profiler::{run_profile, Family, ProfileConfig};
 use dapper_repro::sim::{parallel_map, Engine, Threads};
+use dapper_repro::sim_core::json::JsonCodec;
 
 fn base_config() -> ProfileConfig {
     let mut cfg = ProfileConfig::new("hydra", "povray_like");
@@ -39,7 +40,7 @@ fn heatmap_is_byte_identical_across_lane_counts_and_engines() {
         parallel_map(jobs, |(label, ename, cfg)| {
             let (map, stats) = run_profile(&cfg, None);
             assert_eq!(stats.cells, 8, "{label}");
-            (label, ename, map.to_json().render())
+            (label, ename, map.encode().render())
         })
         .into_iter()
         .map(|o| o.expect("profile must not panic"))
@@ -82,6 +83,6 @@ fn interrupted_profile_keeps_every_settled_probe() {
     let cache = RunCache::open(&dir).expect("reopen cache");
     let (resumed, stats) = run_profile(&cfg, Some(&cache));
     assert_eq!((stats.hits, stats.simulations), (8, 0), "every settled probe survived");
-    assert_eq!(resumed.to_json().render(), uninterrupted.to_json().render());
+    assert_eq!(resumed.encode().render(), uninterrupted.encode().render());
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -30,8 +30,8 @@
 
 use sim::cache::RunCache;
 use sim::journal::SweepJournal;
-use sim::runner::{RetryPolicy, RunnerConfig};
-use sim::spec::{result_to_json, SweepSpec};
+use sim::runner::{try_run_parallel, RetryPolicy, RunnerConfig};
+use sim::spec::{result_to_json, SweepReport, SweepSpec};
 
 const USAGE: &str = "spec_run — declarative experiment sweeps
 
@@ -107,11 +107,13 @@ fn run() -> Result<i32, String> {
     for file in &files {
         let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
         let spec = SweepSpec::from_toml_str(&text).map_err(|e| format!("{file}: {e}"))?;
-        let experiments = spec.expand().map_err(|e| format!("{file}: {e}"))?;
+        // The one expansion of a plain sweep: it validates the spec, sizes
+        // the banner, and is what runs below.
+        let cells = spec.expand_keyed().map_err(|e| format!("{file}: {e}"))?;
         println!(
             "{file}: spec '{}' expands to {} experiments ({} workloads x {} trackers x {} attacks)",
             spec.name,
-            experiments.len(),
+            cells.len(),
             sim::spec::expand_workloads(&spec.workloads).map(|w| w.len()).unwrap_or(0),
             spec.trackers.len(),
             spec.attacks.len(),
@@ -183,16 +185,17 @@ fn run() -> Result<i32, String> {
                 } else {
                     None
                 };
-                let (report, summary) = spec
-                    .run_cached_with(&cache, journal.as_ref(), &runner)
-                    .map_err(|e| format!("{file}: {e}"))?;
+                let (report, summary) = spec.run_expanded(cells, &cache, journal.as_ref(), &runner);
                 println!("  cache: {summary} in {dir}");
                 report
             }
             None if resume => {
                 return Err(format!("{file}: --resume needs --cache-dir or a [cache] section"));
             }
-            None => spec.run().map_err(|e| format!("{file}: {e}"))?,
+            None => SweepReport::assemble(
+                &spec,
+                try_run_parallel(cells.into_iter().map(|(e, _)| e).collect()),
+            ),
         };
         for r in &report.results {
             println!(

@@ -27,6 +27,18 @@
 //! | `{"cmd":"stats"}` | `{"ok":true,"executed":X,"jobs":J,...,"cache":{"hits":H,"misses":M,"corrupt":C,"io_errors":E}\|null}` |
 //! | `{"cmd":"shutdown"}` | `{"ok":true,"stopping":true}`, then the server drains |
 //!
+//! # Progress stream
+//!
+//! A `submit`-and-wait is event-driven: the connection's thread blocks on
+//! the job's condition variable and is woken by whatever moves the job
+//! (the claim pass, a settled cell, completion), never by a timer. Each
+//! wake streams the *latest* `done`, so updates coalesce: at most one
+//! line per distinct `done`, strictly increasing, never past `cells`,
+//! and none after the final response. Cells the cell table already held
+//! are one update however many they are, and a job that finishes before
+//! its first update is observed streams no progress line at all — clients
+//! must take the final response, not a `done == cells` line, as the end.
+//!
 //! # Single-flight
 //!
 //! Every cell canonicalizes to its [`sim::cache::CellKey`]. The server
@@ -44,7 +56,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use sim::cache::{cell_key, CellKey, RunCache};
+use sim::cache::{CellKey, KeyedCell, RunCache};
 use sim::exec::{Checkpoint, Executor, PayloadCache, Source};
 use sim::experiment::ExperimentResult;
 use sim::journal::SweepJournal;
@@ -57,9 +69,9 @@ use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn relock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -91,34 +103,60 @@ enum CellState {
     Done(Arc<CellOutcome>),
 }
 
+/// What a job publishes under its mutex: every change notifies `Job::cv`.
+#[derive(Default)]
+struct JobProgress {
+    /// Cells settled so far.
+    done: usize,
+    /// Completion object (or submission-level error), set exactly once.
+    finished: Option<Result<Json, String>>,
+}
+
 /// A submitted sweep's lifecycle, observable via `status`/`wait`.
 struct Job {
     id: u64,
     cells: usize,
-    done: AtomicUsize,
-    /// Completion object (or submission-level error), set exactly once.
-    finished: Mutex<Option<Result<Json, String>>>,
+    progress: Mutex<JobProgress>,
     cv: Condvar,
 }
 
 impl Job {
+    /// Publishes `n` more settled cells as one update.
+    fn advance(&self, n: usize) {
+        relock(&self.progress).done += n;
+        self.cv.notify_all();
+    }
+
     fn finish(&self, outcome: Result<Json, String>) {
-        *relock(&self.finished) = Some(outcome);
+        relock(&self.progress).finished = Some(outcome);
         self.cv.notify_all();
     }
 
     fn wait(&self) -> Result<Json, String> {
-        let mut guard = relock(&self.finished);
-        loop {
-            if let Some(outcome) = guard.as_ref() {
-                return outcome.clone();
-            }
-            guard = self.cv.wait(guard).unwrap_or_else(PoisonError::into_inner);
-        }
+        let progress = self
+            .cv
+            .wait_while(relock(&self.progress), |p| p.finished.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        progress.finished.clone().expect("waited until the job finished")
+    }
+
+    /// Blocks until the job has settled a cell count other than `last`,
+    /// and returns it; `None` once the job has finished (nothing streams
+    /// after that).
+    fn next_done(&self, last: usize) -> Option<usize> {
+        let progress = self
+            .cv
+            .wait_while(relock(&self.progress), |p| p.finished.is_none() && p.done == last)
+            .unwrap_or_else(PoisonError::into_inner);
+        progress.finished.is_none().then_some(progress.done)
+    }
+
+    fn done(&self) -> usize {
+        relock(&self.progress).done
     }
 
     fn state(&self) -> &'static str {
-        match relock(&self.finished).as_ref() {
+        match relock(&self.progress).finished {
             None => "running",
             Some(Ok(_)) => "done",
             Some(Err(_)) => "failed",
@@ -142,8 +180,10 @@ struct Inner {
     executed: AtomicU64,
     jobs: Mutex<HashMap<u64, Arc<Job>>>,
     next_job: AtomicU64,
-    /// Jobs created but not yet finished — what a graceful drain waits on.
-    active_jobs: AtomicUsize,
+    /// Jobs created but not yet finished — what a graceful drain waits on
+    /// (`retired_cv` fires each time one retires).
+    active_jobs: Mutex<usize>,
+    retired_cv: Condvar,
     /// Sweeps resurrected from the journal at startup.
     resumed_sweeps: AtomicU64,
     shutdown: AtomicBool,
@@ -187,8 +227,8 @@ enum Slot {
 /// The claim/own/wait choreography is the single-flight core: each
 /// unique cell key is simulated by exactly one submission. Owned cells
 /// go through the shared [executor](sim::exec).
-fn run_job(inner: &Inner, job: &Job, spec: &SweepSpec, experiments: Vec<Experiment>) -> Json {
-    let keys: Vec<Option<CellKey>> = experiments.iter().map(cell_key).collect();
+fn run_job(inner: &Inner, job: &Job, spec: &SweepSpec, cells: Vec<KeyedCell>) -> Json {
+    let (experiments, keys): (Vec<Experiment>, Vec<Option<CellKey>>) = cells.into_iter().unzip();
     let checkpoint =
         inner.journal.as_ref().map(|journal| Checkpoint::begin(journal, spec, experiments.len()));
     let mut shared = 0usize;
@@ -204,7 +244,6 @@ fn run_job(inner: &Inner, job: &Job, spec: &SweepSpec, experiments: Vec<Experime
                 Some(k) => match table.get(&k.key) {
                     Some(CellState::Done(outcome)) => {
                         shared += 1;
-                        job.done.fetch_add(1, Ordering::Relaxed);
                         Slot::Ready(outcome.clone())
                     }
                     Some(CellState::InFlight) => {
@@ -219,12 +258,15 @@ fn run_job(inner: &Inner, job: &Job, spec: &SweepSpec, experiments: Vec<Experime
             });
         }
     }
+    // Every cell the table already held is one progress update, not one
+    // per cell.
+    job.advance(slots.iter().filter(|slot| matches!(slot, Slot::Ready(_))).count());
     let mut owned = Vec::new();
-    let mut cells = Vec::new();
+    let mut owned_cells = Vec::new();
     for (i, experiment) in experiments.into_iter().enumerate() {
         if matches!(slots[i], Slot::Owned) {
             owned.push(i);
-            cells.push((experiment, keys[i].clone()));
+            owned_cells.push((experiment, keys[i].clone()));
         }
     }
     let runner = RunnerConfig { retry: inner.retry.clone(), faults: inner.faults.clone() };
@@ -241,9 +283,9 @@ fn run_job(inner: &Inner, job: &Job, spec: &SweepSpec, experiments: Vec<Experime
             let outcome = outcome.clone().map_err(CellFailure::from);
             inner.complete_cell(&key.key, Arc::new(outcome));
         }
-        job.done.fetch_add(1, Ordering::Relaxed);
+        job.advance(1);
     };
-    let probed = exec.probe(cells, on_settled);
+    let probed = exec.probe(owned_cells, on_settled);
     let executed = probed.missed().len();
     inner.executed.fetch_add(executed as u64, Ordering::Relaxed);
     let (outcomes, summary) = probed.run(cell_label, Experiment::run, on_settled);
@@ -255,7 +297,7 @@ fn run_job(inner: &Inner, job: &Job, spec: &SweepSpec, experiments: Vec<Experime
         if matches!(slot, Slot::Waiting) {
             let key = keys[i].as_ref().expect("only keyed cells wait");
             *slot = Slot::Ready(inner.wait_for_cell(&key.key));
-            job.done.fetch_add(1, Ordering::Relaxed);
+            job.advance(1);
         }
     }
     // Assemble the report in expansion order: identical submissions
@@ -387,7 +429,8 @@ impl Server {
             executed: AtomicU64::new(0),
             jobs: Mutex::new(HashMap::new()),
             next_job: AtomicU64::new(1),
-            active_jobs: AtomicUsize::new(0),
+            active_jobs: Mutex::new(0),
+            retired_cv: Condvar::new(),
             resumed_sweeps: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             draining: AtomicBool::new(false),
@@ -431,13 +474,16 @@ impl Server {
         // the cache + journal) unless the timeout expires first — a
         // drained shutdown loses nothing, a timed-out one loses only
         // what the journal lets the next incarnation resume.
-        let deadline = self.drain_timeout.map(|t| Instant::now() + t);
-        while self.inner.active_jobs.load(Ordering::Relaxed) > 0 {
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                break;
+        let (active, retired) = (relock(&self.inner.active_jobs), &self.inner.retired_cv);
+        drop(match self.drain_timeout {
+            None => retired.wait_while(active, |n| *n > 0).unwrap_or_else(PoisonError::into_inner),
+            Some(timeout) => {
+                retired
+                    .wait_timeout_while(active, timeout, |n| *n > 0)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0
             }
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        });
         let _ = std::fs::remove_file(&self.inner.socket);
         Ok(())
     }
@@ -453,9 +499,9 @@ fn resume_unfinished(inner: &Arc<Inner>) {
     for (_, progress) in state.unfinished() {
         let Some(spec_json) = &progress.spec_json else { continue };
         let Ok(spec) = SweepSpec::from_json_str(spec_json) else { continue };
-        let Ok(experiments) = spec.expand() else { continue };
+        let Ok(cells) = spec.expand_keyed() else { continue };
         inner.resumed_sweeps.fetch_add(1, Ordering::Relaxed);
-        spawn_background_job(inner, spec, experiments);
+        spawn_background_job(inner, spec, cells);
     }
 }
 
@@ -465,30 +511,33 @@ fn register_job(inner: &Inner, cells: usize) -> Arc<Job> {
     let job = Arc::new(Job {
         id: inner.next_job.fetch_add(1, Ordering::Relaxed),
         cells,
-        done: AtomicUsize::new(0),
-        finished: Mutex::new(None),
+        progress: Mutex::default(),
         cv: Condvar::new(),
     });
     relock(&inner.jobs).insert(job.id, job.clone());
-    inner.active_jobs.fetch_add(1, Ordering::Relaxed);
+    *relock(&inner.active_jobs) += 1;
     job
+}
+
+/// Runs a registered job to completion, publishes its completion object
+/// and retires it (waking a draining [`Server::serve`]).
+fn drive_job(inner: &Inner, job: &Job, spec: &SweepSpec, cells: Vec<KeyedCell>) {
+    job.finish(Ok(run_job(inner, job, spec, cells)));
+    *relock(&inner.active_jobs) -= 1;
+    inner.retired_cv.notify_all();
 }
 
 /// Creates a job and drives it on a detached thread; returns `(id, cells)`.
 fn spawn_background_job(
     inner: &Arc<Inner>,
     spec: SweepSpec,
-    experiments: Vec<Experiment>,
+    cells: Vec<KeyedCell>,
 ) -> (u64, usize) {
-    let job = register_job(inner, experiments.len());
-    let (job_id, cells) = (job.id, experiments.len());
+    let job = register_job(inner, cells.len());
+    let (job_id, count) = (job.id, cells.len());
     let inner = inner.clone();
-    std::thread::spawn(move || {
-        let completion = run_job(&inner, &job, &spec, experiments);
-        job.finish(Ok(completion));
-        inner.active_jobs.fetch_sub(1, Ordering::Relaxed);
-    });
-    (job_id, cells)
+    std::thread::spawn(move || drive_job(&inner, &job, &spec, cells));
+    (job_id, count)
 }
 
 fn handle_connection(inner: &Arc<Inner>, mut stream: UnixStream) {
@@ -536,7 +585,7 @@ fn dispatch(inner: &Arc<Inner>, request: &Json, stream: &mut UnixStream) -> Opti
             Ok(job) => ok_json([
                 ("job", Json::count(job.id)),
                 ("state", Json::str(job.state())),
-                ("done", Json::count(job.done.load(Ordering::Relaxed) as u64)),
+                ("done", Json::count(job.done() as u64)),
                 ("cells", Json::count(job.cells as u64)),
             ]),
             Err(e) => e,
@@ -549,7 +598,7 @@ fn dispatch(inner: &Arc<Inner>, request: &Json, stream: &mut UnixStream) -> Opti
         "stats" => Some(ok_json([
             ("executed", Json::count(inner.executed.load(Ordering::Relaxed))),
             ("jobs", Json::count(relock(&inner.jobs).len() as u64)),
-            ("active", Json::count(inner.active_jobs.load(Ordering::Relaxed) as u64)),
+            ("active", Json::count(*relock(&inner.active_jobs) as u64)),
             ("resumed_sweeps", Json::count(inner.resumed_sweeps.load(Ordering::Relaxed))),
             ("draining", Json::Bool(inner.draining.load(Ordering::Relaxed))),
             ("cache", inner.cache.as_ref().map(RunCache::stats).encode()),
@@ -572,26 +621,26 @@ fn lookup_job(inner: &Inner, request: &Json) -> Result<Arc<Job>, Json> {
 
 /// The sweep a request carries under `"spec"`, expanded: broken specs are
 /// rejected before anything is scheduled, and the cell count is fixed.
-fn requested_sweep(request: &Json) -> Result<(SweepSpec, Vec<Experiment>), Json> {
+fn requested_sweep(request: &Json) -> Result<(SweepSpec, Vec<KeyedCell>), Json> {
     let spec_json = request.get("spec").ok_or_else(|| err_json("missing 'spec'"))?;
-    let spec = SweepSpec::from_json_str(&spec_json.render()).map_err(err_json)?;
-    let experiments = spec.expand().map_err(err_json)?;
-    Ok((spec, experiments))
+    let spec = SweepSpec::from_json(spec_json).map_err(err_json)?;
+    let cells = spec.expand_keyed().map_err(err_json)?;
+    Ok((spec, cells))
 }
 
 /// Answers a cache lookup for a single cell — the same sweep spec
 /// `submit` takes, which must expand to exactly one cell — and never
 /// simulates.
 fn lookup_cell(inner: &Inner, request: &Json) -> Json {
-    let experiments = match requested_sweep(request) {
-        Ok((_, experiments)) => experiments,
+    let cells = match requested_sweep(request) {
+        Ok((_, cells)) => cells,
         Err(e) => return e,
     };
-    let [experiment] = experiments.as_slice() else {
-        let cells = experiments.len();
+    let [(_, key)] = cells.as_slice() else {
+        let cells = cells.len();
         return err_json(format!("lookup takes a one-cell spec; this one has {cells} cells"));
     };
-    let Some(key) = cell_key(experiment) else {
+    let Some(key) = key else {
         return err_json("cell is uncacheable");
     };
     if let Some(CellState::Done(outcome)) = relock(&inner.cells).get(&key.key) {
@@ -599,7 +648,7 @@ fn lookup_cell(inner: &Inner, request: &Json) -> Json {
             return ok_json([("cached", Json::Bool(true)), ("result", result_to_json(result))]);
         }
     }
-    if let Some(result) = inner.cache.as_ref().and_then(|c| c.lookup(&key)) {
+    if let Some(result) = inner.cache.as_ref().and_then(|c| c.lookup(key)) {
         return ok_json([("cached", Json::Bool(true)), ("result", result_to_json(&result))]);
     }
     ok_json([("cached", Json::Bool(false)), ("result", Json::Null)])
@@ -654,51 +703,38 @@ fn submit(inner: &Arc<Inner>, request: &Json, stream: &mut UnixStream) -> Option
     if inner.draining.load(Ordering::Relaxed) {
         return Some(err_json("server is draining (shutdown in progress)"));
     }
-    let (spec, experiments) = match requested_sweep(request) {
+    let (spec, cells) = match requested_sweep(request) {
         Ok(sweep) => sweep,
         Err(e) => return Some(e),
     };
     let wait = matches!(request.get("wait"), Some(Json::Bool(true)));
     if !wait {
-        let (job_id, cells) = spawn_background_job(inner, spec, experiments);
+        let (job_id, cells) = spawn_background_job(inner, spec, cells);
         return Some(ok_json([("job", Json::count(job_id)), ("cells", Json::count(cells as u64))]));
     }
-    let job = register_job(inner, experiments.len());
+    let job = register_job(inner, cells.len());
     // Waiting submit: drive the job on a scoped worker while this thread
-    // streams progress events.
+    // streams progress events, woken by each update the job publishes.
     std::thread::scope(|scope| {
-        let worker_job = job.clone();
-        let worker_spec = &spec;
-        scope.spawn(move || {
-            let completion = run_job(inner, &worker_job, worker_spec, experiments);
-            worker_job.finish(Ok(completion));
-            inner.active_jobs.fetch_sub(1, Ordering::Relaxed);
-        });
-        let mut last = usize::MAX;
+        scope.spawn(|| drive_job(inner, &job, &spec, cells));
+        let mut done = 0;
         loop {
-            // Chaos hook: sever the client mid-stream. The job keeps
-            // running — the cell table, cache and journal all still
-            // win — and a reconnecting client shares its results.
+            // Chaos hook, probed before every wait (so before the first):
+            // sever the client mid-stream. The job keeps running — the
+            // cell table, cache and journal all still win — and a
+            // reconnecting client shares its results.
             if inner.faults.as_ref().and_then(|f| f.check(FaultSite::ClientStream))
                 == Some(FaultAction::Disconnect)
             {
                 let _ = stream.shutdown(std::net::Shutdown::Both);
             }
-            let finished = relock(&job.finished).is_some();
-            let done = job.done.load(Ordering::Relaxed);
-            if done != last && !finished {
-                last = done;
-                let event =
-                    ProgressEvent { job: job.id, done: done as u64, cells: job.cells as u64 }
-                        .to_json();
-                // A vanished client must not wedge the job: keep driving
-                // it to completion (the cell table and cache still win).
-                let _ = write_line(stream, &event);
-            }
-            if finished {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(25));
+            let Some(latest) = job.next_done(done) else { break };
+            done = latest;
+            let event =
+                ProgressEvent { job: job.id, done: done as u64, cells: job.cells as u64 }.to_json();
+            // A vanished client must not wedge the job: keep driving
+            // it to completion (the cell table and cache still win).
+            let _ = write_line(stream, &event);
         }
     });
     Some(completion_json(job.wait()))

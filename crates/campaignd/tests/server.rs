@@ -248,6 +248,67 @@ fn disconnected_client_does_not_wedge_the_job() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// One waiting submit of `tiny_spec()`; returns the `done` value of every
+/// progress line it streamed, in order, and the final response.
+fn waiting_submit(client: &mut Client) -> (Vec<u64>, Json) {
+    let mut dones = Vec::new();
+    let done = client
+        .request_streaming(&submit_request(&tiny_spec(), true), |event| {
+            let progress = campaignd::ProgressEvent::from_json(event).expect("a progress line");
+            assert_eq!(progress.cells, 2);
+            dones.push(progress.done);
+        })
+        .expect("submit");
+    assert_ok(&done);
+    (dones, done)
+}
+
+#[test]
+fn progress_stream_is_coalesced_and_ordered() {
+    let dir = scratch("progress");
+    let socket = start(&dir, "a");
+    let mut client = Client::connect(&socket).expect("connect");
+    // Cold: one line per distinct `done`, so strictly increasing and never
+    // past the cell count.
+    let (cold, done) = waiting_submit(&mut client);
+    assert_eq!(field_u64(&done, "executed"), 2);
+    assert!(cold.windows(2).all(|w| w[0] < w[1]), "strictly increasing: {cold:?}");
+    assert!(cold.iter().all(|&d| (1..=2).contains(&d)), "within 1..=cells: {cold:?}");
+    // Warm: every cell is ready at the claim pass, which publishes them as
+    // one update, so at most one line (none if the job finished first).
+    let (warm, done) = waiting_submit(&mut client);
+    assert_eq!(field_u64(&done, "executed"), 0);
+    assert!(warm.len() <= 1 && warm.iter().all(|&d| d == 2), "one coalesced update: {warm:?}");
+    // Nothing streams after a final response: the next line on the
+    // connection is the next request's answer.
+    let pong = client.request(&Json::obj([("cmd", Json::str("ping"))])).expect("ping");
+    assert!(matches!(pong.get("pong"), Some(Json::Bool(true))), "{}", pong.render());
+    shutdown(&socket);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn warm_waiting_submits_pay_no_poll_floor() {
+    let dir = scratch("poll-floor");
+    let socket = start(&dir, "a");
+    let mut client = Client::connect(&socket).expect("connect");
+    waiting_submit(&mut client);
+    // The streamer used to sleep 25 ms between looks at the job, so a warm
+    // waiting submit could not finish in less. The bound is that floor
+    // itself, not a tuned number: a timer on the submit path fails it.
+    let submits = 20;
+    let started = std::time::Instant::now();
+    for _ in 0..submits {
+        let (_, done) = waiting_submit(&mut client);
+        assert_eq!(field_u64(&done, "executed"), 0);
+    }
+    let took = started.elapsed();
+    let floor = std::time::Duration::from_millis(25) * submits;
+    assert!(took < floor, "{submits} warm submits took {took:?}, the old poll floor is {floor:?}");
+    shutdown(&socket);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn restarted_server_resumes_only_the_unfinished_remainder() {
     use sim_core::fault::FaultPlan;

@@ -73,6 +73,11 @@ pub struct CellKey {
     pub descriptor: String,
 }
 
+/// One cell of an expanded sweep with its canonical key attached (`None`
+/// for an uncacheable cell): what [`SweepSpec::expand_keyed`] yields and
+/// every cache-aware front end consumes.
+pub type KeyedCell = (Experiment, Option<CellKey>);
+
 fn param_tag(v: &ParamValue) -> String {
     match v {
         ParamValue::Int(i) => format!("i:{i}"),
@@ -128,13 +133,6 @@ fn descriptor(e: &Experiment, attack_id: Option<&str>) -> Option<Json> {
         fields.push(("attacker", attacker.encode()));
     }
     Some(Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect()))
-}
-
-/// Canonical cell identity string for an experiment — what
-/// [`SweepSpec::expand`] dedupes on. `None` for uncacheable cells (which
-/// are never deduped: two opaque custom attacks cannot be proven equal).
-pub(crate) fn cell_identity(e: &Experiment) -> Option<String> {
-    descriptor(e, None).map(|d| d.render())
 }
 
 /// The content-addressed key of an experiment cell, or `None` when the
@@ -321,15 +319,21 @@ impl SweepSpec {
         journal: Option<&SweepJournal>,
         runner: &RunnerConfig,
     ) -> Result<(SweepReport, CacheRunSummary), SpecError> {
-        let experiments = self.expand()?;
-        let checkpoint = journal.map(|j| Checkpoint::begin(j, self, experiments.len()));
-        let cells = experiments
-            .into_iter()
-            .map(|e| {
-                let key = RunCache::key_for(&e);
-                (e, key)
-            })
-            .collect();
+        Ok(self.run_expanded(self.expand_keyed()?, cache, journal, runner))
+    }
+
+    /// [`SweepSpec::run_cached_with`] over cells the caller already
+    /// expanded: `cells` must be this spec's [`SweepSpec::expand_keyed`],
+    /// so a front end that expands to validate or announce a sweep runs it
+    /// without expanding again.
+    pub fn run_expanded(
+        &self,
+        cells: Vec<KeyedCell>,
+        cache: &RunCache,
+        journal: Option<&SweepJournal>,
+        runner: &RunnerConfig,
+    ) -> (SweepReport, CacheRunSummary) {
+        let checkpoint = journal.map(|j| Checkpoint::begin(j, self, cells.len()));
         let exec = Executor { cache: Some(cache), checkpoint: checkpoint.as_ref(), runner };
         let (outcomes, summary) =
             exec.probe(cells, |_, _, _| {}).run(cell_label, Experiment::run, |_, _, _| {});
@@ -337,7 +341,7 @@ impl SweepSpec {
         if let (Some(checkpoint), true) = (&checkpoint, report.failures.is_empty()) {
             checkpoint.end();
         }
-        Ok((report, summary))
+        (report, summary)
     }
 }
 

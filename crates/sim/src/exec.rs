@@ -72,12 +72,13 @@ impl<'a> Checkpoint<'a> {
     /// Opens the checkpoint for `spec`: replays the journal and, if it
     /// has never seen this sweep, records its `start`.
     pub fn begin(journal: &'a SweepJournal, spec: &SweepSpec, cells: usize) -> Checkpoint<'a> {
-        let hash = SweepJournal::sweep_hash(spec);
+        let spec_json = spec.to_json().render();
+        let hash = SweepJournal::spec_json_hash(&spec_json);
         let state = journal.load().unwrap_or_default();
         let (completed, ended) = match state.progress(&hash) {
             Some(progress) => (progress.completed.clone(), progress.ended),
             None => {
-                let _ = journal.record_start(&hash, spec, cells as u64);
+                let _ = journal.record_start(&hash, &spec_json, cells as u64);
                 Default::default()
             }
         };
@@ -318,7 +319,8 @@ mod tests {
         // work), cell 1 is merely cached, 2 and 3 miss, 4 has no key.
         cache.save(&key(0), &0).unwrap();
         cache.save(&key(1), &1).unwrap();
-        journal.record_start(&SweepJournal::sweep_hash(&spec), &spec, 5).unwrap();
+        let spec_json = spec.to_json().render();
+        journal.record_start(&SweepJournal::sweep_hash(&spec), &spec_json, 5).unwrap();
         journal.record_cell(&SweepJournal::sweep_hash(&spec), &key(0).key).unwrap();
         let checkpoint = Checkpoint::begin(&journal, &spec, 5);
         let runner = RunnerConfig::default();

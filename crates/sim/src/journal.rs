@@ -128,12 +128,18 @@ impl SweepJournal {
     /// spec JSON. Two textually different spec files that canonicalize
     /// identically share one journal identity (and one cache footprint).
     pub fn sweep_hash(spec: &SweepSpec) -> String {
-        content_key(spec.to_json().render().as_bytes())
+        SweepJournal::spec_json_hash(&spec.to_json().render())
     }
 
-    /// Records that a sweep began: its identity, size, and full spec.
-    pub fn record_start(&self, hash: &str, spec: &SweepSpec, cells: u64) -> std::io::Result<()> {
-        let spec_json = spec.to_json().render();
+    /// [`SweepJournal::sweep_hash`] of a spec already rendered to its
+    /// canonical JSON text.
+    pub(crate) fn spec_json_hash(spec_json: &str) -> String {
+        content_key(spec_json.as_bytes())
+    }
+
+    /// Records that a sweep began: its identity, size, and full spec (the
+    /// canonical JSON text `hash` was taken from).
+    pub fn record_start(&self, hash: &str, spec_json: &str, cells: u64) -> std::io::Result<()> {
         debug_assert!(!spec_json.contains('\n'), "compact JSON is single-line");
         self.append(&format!("start {hash} {cells} {spec_json}"))
     }
@@ -263,7 +269,7 @@ mod tests {
         let j = SweepJournal::open(scratch("roundtrip")).unwrap();
         let spec = tiny_spec();
         let hash = SweepJournal::sweep_hash(&spec);
-        j.record_start(&hash, &spec, 2).unwrap();
+        j.record_start(&hash, &spec.to_json().render(), 2).unwrap();
         j.record_cell(&hash, "aaaa").unwrap();
         j.record_cell(&hash, "bbbb").unwrap();
         let state = j.load().unwrap();
@@ -319,7 +325,7 @@ mod tests {
         let j = SweepJournal::open(&path).unwrap();
         let spec = tiny_spec();
         let hash = SweepJournal::sweep_hash(&spec);
-        j.record_start(&hash, &spec, 3).unwrap();
+        j.record_start(&hash, &spec.to_json().render(), 3).unwrap();
         j.record_cell(&hash, "cccc").unwrap();
         drop(j);
         // Simulate kill -9 mid-append: a half-written record at the tail.

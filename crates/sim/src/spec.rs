@@ -24,6 +24,7 @@
 //! group_size = 256
 //! ```
 
+use crate::cache::{cell_key, KeyedCell};
 use crate::experiment::{
     AttackChoice, AttackerConfig, AttackerKnowledge, Experiment, ExperimentResult, TelemetrySpec,
     TrackerSel,
@@ -901,7 +902,13 @@ impl SweepSpec {
 
     /// Parses a JSON spec.
     pub fn from_json_str(input: &str) -> Result<Self, SpecError> {
-        Ok(Self::read(&json_to_toml(&Json::parse(input)?, "spec")?)?)
+        Self::from_json(&Json::parse(input)?)
+    }
+
+    /// Decodes an already-parsed JSON spec (what [`SweepSpec::to_json`]
+    /// builds).
+    pub fn from_json(j: &Json) -> Result<Self, SpecError> {
+        Ok(Self::read(&json_to_toml(j, "spec")?)?)
     }
 
     /// Renders the spec as JSON (parses back to an equal spec).
@@ -946,6 +953,15 @@ impl SweepSpec {
     /// (e.g. an RCC entry count that is not a multiple of the way count)
     /// fail here instead of panicking inside every sweep worker.
     pub fn expand(&self) -> Result<Vec<Experiment>, SpecError> {
+        Ok(self.expand_keyed()?.into_iter().map(|(e, _)| e).collect())
+    }
+
+    /// [`SweepSpec::expand`] with each cell's canonical
+    /// [`CellKey`](crate::cache::CellKey) attached (`None` for an
+    /// uncacheable cell): the descriptor expansion dedupes on is rendered
+    /// and hashed once, here, and every cache-aware caller takes the key
+    /// from this pair.
+    pub fn expand_keyed(&self) -> Result<Vec<KeyedCell>, SpecError> {
         let workloads = expand_workloads(&self.workloads)?;
         let trackers = self.resolve_trackers()?;
         if trackers.is_empty() {
@@ -992,8 +1008,11 @@ impl SweepSpec {
                             e = e.attacker(*cfg);
                         }
                         let e = self.options.apply(e);
-                        if crate::cache::cell_identity(&e).is_none_or(|id| seen.insert(id)) {
-                            out.push(e);
+                        // Uncacheable cells are never deduped: two opaque
+                        // custom attacks cannot be proven equal.
+                        let key = cell_key(&e);
+                        if key.as_ref().is_none_or(|k| seen.insert(k.descriptor.clone())) {
+                            out.push((e, key));
                         }
                     }
                 }
@@ -1133,6 +1152,20 @@ group_size = 256
         let experiments = spec.expand().unwrap();
         assert_eq!(experiments.len(), 1, "aliases are the same cell");
         assert_eq!(experiments[0].tracker.key(), "dapper-s");
+        // `tailored` next to the pattern it resolves to for the tracker is
+        // one cell too; the first spelling wins.
+        let doc = "name = \"dedupe\"\nworkloads = [\"mcf_like\"]\ntrackers = [\"hydra\"]\n\
+                   attacks = [\"tailored\", \"hydra-rcc\", \"streaming\"]\n";
+        let spec = SweepSpec::from_toml_str(doc).unwrap();
+        let cells = spec.expand_keyed().unwrap();
+        assert_eq!(cells.len(), 2, "tailored == hydra-rcc under hydra");
+        assert_eq!(cells[0].0.attack, AttackChoice::Tailored);
+        assert_eq!(cells[1].0.attack, AttackChoice::Specific(Attack::Streaming));
+        // The attached key is the surviving cell's own, rendered once.
+        for (experiment, key) in &cells {
+            assert_eq!(key, &cell_key(experiment));
+        }
+        assert_eq!(cells.len(), spec.expand().unwrap().len(), "expand() is the projection");
     }
 
     #[test]

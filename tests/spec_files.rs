@@ -3,6 +3,7 @@
 //! example (typo'd tracker key, renamed parameter, dropped workload) fails
 //! CI instead of a user.
 
+use dapper_repro::sim::cache::cell_key;
 use dapper_repro::sim::spec::SweepSpec;
 use std::path::PathBuf;
 
@@ -39,6 +40,29 @@ fn every_example_spec_parses_and_expands() {
         let json_back = SweepSpec::from_json_str(&spec.to_json().render())
             .unwrap_or_else(|e| panic!("{} (json): {e}", file.display()));
         assert_eq!(json_back, spec, "{}", file.display());
+    }
+}
+
+#[test]
+fn keyed_expansion_equals_expand_then_cell_key() {
+    // `expand_keyed` renders and hashes each cell's descriptor once; every
+    // cache-aware front end takes keys from it instead of calling
+    // `cell_key` per cell. It must name the same cells, in the same order,
+    // under the same keys as the two-step form — on every shipped spec and
+    // on the benchmark's pinned sweep.
+    let pinned = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("benchmark/specs/campaign.toml");
+    for file in spec_files().into_iter().chain([pinned]) {
+        let text = std::fs::read_to_string(&file).unwrap();
+        let spec = SweepSpec::from_toml_str(&text).unwrap();
+        let experiments = spec.expand().unwrap();
+        let keyed = spec.expand_keyed().unwrap();
+        assert_eq!(keyed.len(), experiments.len(), "{}", file.display());
+        for ((experiment, key), plain) in keyed.iter().zip(&experiments) {
+            assert_eq!(format!("{experiment:?}"), format!("{plain:?}"), "{}", file.display());
+            let two_step = cell_key(plain);
+            assert!(two_step.is_some(), "{}: spec cells are cacheable", file.display());
+            assert_eq!(key, &two_step, "{}: key and descriptor", file.display());
+        }
     }
 }
 

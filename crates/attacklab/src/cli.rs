@@ -44,7 +44,7 @@ USAGE: redteam [--trackers a,b,c] [--workload NAME] [--budget N]
   --budget     search evaluations per tracker, 0 = fixed matrix only (default 50)
   --window-us  simulated window per evaluation in microseconds (default 250)
   --nrh        RowHammer threshold (default 500)
-  --seed       seed for simulation and search (default 0xDA99E5 as decimal)
+  --seed       seed for simulation and search, decimal or 0x hex (default 0xDA99E5)
   --out        JSON results path (default out/redteam_results.json)
   --csv        also write rows as CSV to this path
   --cache-dir  read the fixed matrix through the content-addressed run
@@ -64,47 +64,27 @@ subcommands: redteam profile | evaluate | attack (see each --help).
 /// Parses CLI arguments. Returns `Err` with a usage/diagnostic string on
 /// bad input (the caller prints it and sets the exit code).
 pub fn parse_args(args: &[String]) -> Result<RedteamOpts, String> {
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        return Err(USAGE.to_string());
-    }
     // Strict parse: every argument must be a known flag followed by its
     // value, so a typo'd flag or a forgotten value fails fast instead of
     // silently running a multi-minute campaign with defaults.
-    const FLAGS: [&str; 10] = [
-        "--trackers",
-        "--workload",
-        "--budget",
-        "--window-us",
-        "--nrh",
-        "--seed",
-        "--out",
-        "--csv",
-        "--cache-dir",
-        "--attacker",
-    ];
-    let mut pairs: Vec<(&str, &String)> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let Some(&known) = FLAGS.iter().find(|&&f| f == flag) else {
-            return Err(format!("unknown argument '{flag}' (try --help)"));
-        };
-        let Some(value) = args.get(i + 1) else {
-            return Err(format!("{flag} requires a value"));
-        };
-        pairs.push((known, value));
-        i += 2;
-    }
-    let get = |flag: &str| -> Option<&String> {
-        pairs.iter().rev().find(|(f, _)| *f == flag).map(|(_, v)| *v)
-    };
-    let parse_num = |flag: &str, default: f64| -> Result<f64, String> {
-        match get(flag) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("{flag}: cannot parse '{v}'")),
-        }
-    };
-    let tracker_list = get("--trackers").map(String::as_str).unwrap_or(DEFAULT_TRACKERS);
+    let parsed = sim_core::cli::parse(
+        args,
+        &[
+            "--trackers",
+            "--workload",
+            "--budget",
+            "--window-us",
+            "--nrh",
+            "--seed",
+            "--out",
+            "--csv",
+            "--cache-dir",
+            "--attacker",
+        ],
+        &[],
+        USAGE,
+    )?;
+    let tracker_list = parsed.get("--trackers").map(String::as_str).unwrap_or(DEFAULT_TRACKERS);
     let mut trackers: Vec<TrackerSel> = Vec::new();
     for name in tracker_list.split(',').filter(|s| !s.is_empty()) {
         // One lookup path for every spelling and alias: the registry.
@@ -116,21 +96,18 @@ pub fn parse_args(args: &[String]) -> Result<RedteamOpts, String> {
     if trackers.is_empty() {
         return Err("no trackers selected".to_string());
     }
-    let workload = get("--workload").map(String::as_str).unwrap_or("libquantum_like");
+    let workload = parsed.get("--workload").map(String::as_str).unwrap_or("libquantum_like");
     if workloads::spec_by_name(workload).is_none() {
         return Err(format!("unknown workload '{workload}'"));
     }
     let mut campaign = CampaignConfig::new(trackers, workload);
-    campaign.search_budget = parse_num("--budget", 50.0)? as u32;
-    campaign.window_us = parse_num("--window-us", 250.0)?;
-    campaign.nrh = parse_num("--nrh", 500.0)? as u32;
-    campaign.seed = match get("--seed") {
-        None => 0xDA99E5,
-        Some(v) => v.parse().map_err(|_| format!("--seed: cannot parse '{v}'"))?,
-    };
-    campaign.cache_dir = get("--cache-dir").cloned();
+    campaign.search_budget = parsed.num("--budget", 50.0)? as u32;
+    campaign.window_us = parsed.num("--window-us", 250.0)?;
+    campaign.nrh = parsed.num("--nrh", 500.0)? as u32;
+    campaign.seed = parsed.seed(0xDA99E5)?;
+    campaign.cache_dir = parsed.get("--cache-dir").cloned();
     let mut attacker: Vec<AttackerKnowledge> = Vec::new();
-    if let Some(levels) = get("--attacker") {
+    if let Some(levels) = parsed.get("--attacker") {
         for name in levels.split(',').filter(|s| !s.is_empty()) {
             if name.trim().eq_ignore_ascii_case("all") {
                 for level in AttackerKnowledge::ALL {
@@ -151,8 +128,8 @@ pub fn parse_args(args: &[String]) -> Result<RedteamOpts, String> {
     }
     Ok(RedteamOpts {
         campaign,
-        out: get("--out").cloned().unwrap_or_else(|| "out/redteam_results.json".to_string()),
-        csv: get("--csv").cloned(),
+        out: parsed.get("--out").cloned().unwrap_or_else(|| "out/redteam_results.json".to_string()),
+        csv: parsed.get("--csv").cloned(),
         attacker,
     })
 }

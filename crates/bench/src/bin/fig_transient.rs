@@ -23,19 +23,22 @@ use sim_core::json::{csv_field, Json};
 /// tailored attacks the paper plots).
 const TRACKERS: [&str; 3] = ["hydra", "comet", "dapper-h"];
 
+const USAGE: &str = "fig_transient [--quick] [--out DIR] [--workload NAME]
+  --quick     200 us window instead of 1000 us
+  --out       output directory (default out)
+  --workload  benign workload under attack (default gcc_like)
+";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_dir = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "out".to_string());
-    let workload = args
-        .iter()
-        .position(|a| a == "--workload")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "gcc_like".to_string());
+    let parsed = sim_core::cli::parse(&args, &["--out", "--workload"], &["--quick"], USAGE)
+        .unwrap_or_else(|msg| {
+            eprintln!("{msg}");
+            std::process::exit(2)
+        });
+    let quick = parsed.has("--quick");
+    let out_dir = parsed.get("--out").map_or("out", String::as_str);
+    let workload = parsed.get("--workload").map_or("gcc_like", String::as_str);
     let window_us = if quick { 200.0 } else { 1_000.0 };
     let sample_us = window_us / 20.0;
 
@@ -44,7 +47,7 @@ fn main() {
     let mut jobs = Vec::new();
     for tracker in TRACKERS {
         for (attack_label, attack) in attacks {
-            let e = Experiment::new(&workload)
+            let e = Experiment::new(workload)
                 .tracker(tracker)
                 .attack(attack)
                 .window_us(window_us)
@@ -106,13 +109,13 @@ fn main() {
 
     let doc = Json::obj([
         ("figure", Json::str("transient")),
-        ("workload", Json::str(&workload)),
+        ("workload", Json::str(workload)),
         ("window_us", Json::num(window_us)),
         ("sample_window_us", Json::num(sample_us)),
         ("recovery_threshold", Json::num(RECOVERY_THRESHOLD)),
         ("cells", Json::Arr(cells)),
     ]);
-    std::fs::create_dir_all(&out_dir).expect("create output directory");
+    std::fs::create_dir_all(out_dir).expect("create output directory");
     let json_path = format!("{out_dir}/fig_transient.json");
     let csv_path = format!("{out_dir}/fig_transient.csv");
     std::fs::write(&json_path, doc.render()).expect("write JSON");

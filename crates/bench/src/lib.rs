@@ -5,7 +5,11 @@
 //! * `--window-us <f64>` — simulation window per run (default 4000 µs),
 //! * `--full` — all 57 workloads instead of the 9-workload quick subset,
 //! * `--seed <u64>` — RNG seed,
-//! * `--nrh <u32>` — RowHammer threshold where applicable (default 500).
+//! * `--nrh <u32>` — RowHammer threshold where applicable (default 500),
+//! * `--sweep-points <usize>` — N_RH sweep points (default 6).
+//!
+//! The command line is parsed strictly ([`sim_core::cli`]): a typo'd flag or
+//! an unparsable value exits 2 naming it, before anything is simulated.
 //!
 //! Output is plain text: one table per figure with the same rows/series the
 //! paper reports, ready to diff against EXPERIMENTS.md.
@@ -33,20 +37,42 @@ pub struct BenchOpts {
     pub sweep_points: usize,
 }
 
+const USAGE: &str = "figure/table harness options:
+  --window-us F     simulation window per run in microseconds (default 4000)
+  --full            all 57 workloads instead of the 9-workload quick subset
+  --seed N          RNG seed, decimal or 0x hex (default 0xDA99E5)
+  --nrh N           RowHammer threshold where applicable (default 500)
+  --sweep-points N  N_RH sweep points: 6 = the paper's sweep, fewer = 3 (default 6)
+";
+
 impl BenchOpts {
-    /// Parses `std::env::args`.
+    /// Parses `std::env::args`; a bad command line prints the diagnostic
+    /// (or `--help`'s usage) and exits 2 before anything is simulated.
     pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let get = |flag: &str| -> Option<String> {
-            args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
-        };
-        Self {
-            window_us: get("--window-us").and_then(|v| v.parse().ok()).unwrap_or(4000.0),
-            full: args.iter().any(|a| a == "--full"),
-            seed: get("--seed").and_then(|v| v.parse().ok()).unwrap_or(0xDA99E5),
-            nrh: get("--nrh").and_then(|v| v.parse().ok()).unwrap_or(500),
-            sweep_points: get("--sweep-points").and_then(|v| v.parse().ok()).unwrap_or(6),
-        }
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Self::parse(&args).unwrap_or_else(|msg| {
+            eprintln!("{msg}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Strictly parses `args` (the command line without the program name):
+    /// unknown flags, missing values and unparsable numbers are errors.
+    pub fn parse(args: &[String]) -> Result<Self, String> {
+        let parsed = sim_core::cli::parse(
+            args,
+            &["--window-us", "--seed", "--nrh", "--sweep-points"],
+            &["--full"],
+            USAGE,
+        )?;
+        let d = Self::default();
+        Ok(Self {
+            window_us: parsed.num("--window-us", d.window_us)?,
+            full: parsed.has("--full"),
+            seed: parsed.seed(d.seed)?,
+            nrh: parsed.num("--nrh", d.nrh as f64)? as u32,
+            sweep_points: parsed.num("--sweep-points", d.sweep_points as f64)? as usize,
+        })
     }
 
     /// The N_RH values swept by the sensitivity figures.
@@ -167,5 +193,39 @@ pub fn print_workload_table(
             }
         }
         println!();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(s: &str) -> Vec<String> {
+        s.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn typos_and_bad_values_are_errors_that_name_the_flag() {
+        let err = BenchOpts::parse(&argv("--window_us 100")).expect_err("typo'd flag");
+        assert!(err.contains("--window_us"), "{err}");
+        let err = BenchOpts::parse(&argv("--window-us 1e")).expect_err("unparsable value");
+        assert!(err.contains("--window-us") && err.contains("1e"), "{err}");
+        let err = BenchOpts::parse(&argv("--nrh")).expect_err("missing value");
+        assert!(err.contains("--nrh requires a value"), "{err}");
+    }
+
+    #[test]
+    fn defaults_are_unchanged_and_flags_override_them() {
+        let d = BenchOpts::parse(&[]).expect("no arguments");
+        assert_eq!(
+            (d.window_us, d.full, d.seed, d.nrh, d.sweep_points),
+            (4000.0, false, 0xDA99E5, 500, 6)
+        );
+        let o = BenchOpts::parse(&argv("--full --window-us 60 --nrh 125 --sweep-points 3"))
+            .expect("valid flags");
+        assert_eq!(
+            (o.window_us, o.full, o.nrh, o.nrh_sweep()),
+            (60.0, true, 125, vec![125, 500, 2000])
+        );
     }
 }

@@ -27,6 +27,10 @@
 //! | `{"cmd":"stats"}` | `{"ok":true,"executed":X,"jobs":J,...,"cache":{"hits":H,"misses":M,"corrupt":C,"io_errors":E}\|null}` |
 //! | `{"cmd":"shutdown"}` | `{"ok":true,"stopping":true}`, then the server drains |
 //!
+//! `submit` and `lookup` serve plain sweep cells only: a spec with an
+//! `[attacker]` or `[profile]` section is an error naming the section
+//! (those run through `spec_run`), and nothing is scheduled for it.
+//!
 //! # Progress stream
 //!
 //! A `submit`-and-wait is event-driven: the connection's thread blocks on
@@ -619,11 +623,21 @@ fn lookup_job(inner: &Inner, request: &Json) -> Result<Arc<Job>, Json> {
     relock(&inner.jobs).get(&id).cloned().ok_or_else(|| err_json(format!("unknown job {id}")))
 }
 
-/// The sweep a request carries under `"spec"`, expanded: broken specs are
-/// rejected before anything is scheduled, and the cell count is fixed.
+/// The sweep a request carries under `"spec"`, expanded: broken specs —
+/// and specs whose cells this server cannot run — are rejected before
+/// anything is scheduled, and the cell count is fixed.
 fn requested_sweep(request: &Json) -> Result<(SweepSpec, Vec<KeyedCell>), Json> {
     let spec_json = request.get("spec").ok_or_else(|| err_json("missing 'spec'"))?;
     let spec = SweepSpec::from_json(spec_json).map_err(err_json)?;
+    // `[attacker]` cells run the attackpipe pipeline and `[profile]` specs
+    // the profiler workflow; only `spec_run` routes to those. Simulating
+    // them as plain cells would answer with the wrong numbers.
+    let unserved = [("attacker", spec.attacker.is_some()), ("profile", spec.profile.is_some())];
+    if let Some((section, _)) = unserved.into_iter().find(|(_, set)| *set) {
+        return Err(err_json(format!(
+            "campaignd cannot serve a spec that sets [{section}]; run it with spec_run"
+        )));
+    }
     let cells = spec.expand_keyed().map_err(err_json)?;
     Ok((spec, cells))
 }

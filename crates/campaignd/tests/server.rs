@@ -140,6 +140,25 @@ fn async_submit_status_wait_lifecycle() {
 
     assert_ok(&client.request(&Json::obj([("cmd", Json::str("ping"))])).expect("ping"));
 
+    // Sections only `spec_run` can route are refused by name, on `submit`
+    // and `lookup` alike, before anything is scheduled or simulated.
+    let mut attacker = tiny_spec();
+    attacker.attacker = Some(Default::default());
+    let mut profile = tiny_spec();
+    profile.profile = Some(Default::default());
+    for (section, spec) in [("[attacker]", attacker), ("[profile]", profile)] {
+        let lookup = Json::obj([("cmd", Json::str("lookup")), ("spec", spec.to_json())]);
+        for request in [submit_request(&spec, true), submit_request(&spec, false), lookup] {
+            let refused = client.request(&request).expect("refusal");
+            let error = refused.render();
+            assert!(matches!(refused.get("ok"), Some(Json::Bool(false))), "{error}");
+            assert!(error.contains(section) && error.contains("spec_run"), "{error}");
+        }
+    }
+    let stats = client.request(&Json::obj([("cmd", Json::str("stats"))])).expect("stats");
+    assert_eq!((field_u64(&stats, "executed"), field_u64(&stats, "jobs")), (0, 0));
+
+    // The same spec without the section runs.
     let queued = client.request(&submit_request(&tiny_spec(), false)).expect("submit");
     assert_ok(&queued);
     let job = field_u64(&queued, "job");

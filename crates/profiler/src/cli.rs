@@ -13,7 +13,8 @@
 
 use sim::cache::RunCache;
 use sim::experiment::TrackerSel;
-use sim_core::json::{parse_u64, Json, JsonCodec};
+use sim_core::cli::{parse, Parsed};
+use sim_core::json::{Json, JsonCodec};
 
 use crate::attack::{run_attack_observed, AttackConfig};
 use crate::evaluate::{run_evaluate_observed, EvaluateConfig};
@@ -55,66 +56,6 @@ attack    feeds the heatmap's hottest genomes into the worst-case
 --tui renders the live warroom dashboard (add --no-ansi for plain
 frames); `warroom --render-once` previews it without a campaign.
 ";
-
-/// Flag/value pairs plus boolean switches, strictly parsed: unknown
-/// flags and missing values fail instead of silently defaulting.
-struct Parsed<'a> {
-    pairs: Vec<(&'static str, &'a String)>,
-    switches: Vec<&'static str>,
-}
-
-impl<'a> Parsed<'a> {
-    fn get(&self, flag: &str) -> Option<&'a String> {
-        self.pairs.iter().rev().find(|(f, _)| *f == flag).map(|(_, v)| *v)
-    }
-
-    fn has(&self, switch: &str) -> bool {
-        self.switches.contains(&switch)
-    }
-
-    fn num(&self, flag: &str, default: f64) -> Result<f64, String> {
-        match self.get(flag) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("{flag}: cannot parse '{v}'")),
-        }
-    }
-
-    fn seed(&self, default: u64) -> Result<u64, String> {
-        match self.get("--seed") {
-            None => Ok(default),
-            Some(v) => parse_u64(v).ok_or_else(|| format!("--seed: cannot parse '{v}'")),
-        }
-    }
-}
-
-fn parse<'a>(
-    args: &'a [String],
-    flags: &'static [&'static str],
-    switches: &'static [&'static str],
-) -> Result<Parsed<'a>, String> {
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        return Err(USAGE.to_string());
-    }
-    let mut parsed = Parsed { pairs: Vec::new(), switches: Vec::new() };
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].as_str();
-        if let Some(&known) = switches.iter().find(|&&s| s == arg) {
-            parsed.switches.push(known);
-            i += 1;
-            continue;
-        }
-        let Some(&known) = flags.iter().find(|&&f| f == arg) else {
-            return Err(format!("unknown argument '{arg}' (try --help)"));
-        };
-        let Some(value) = args.get(i + 1) else {
-            return Err(format!("{arg} requires a value"));
-        };
-        parsed.pairs.push((known, value));
-        i += 2;
-    }
-    Ok(parsed)
-}
 
 fn parse_families(list: &str) -> Result<Vec<Family>, String> {
     let mut families = Vec::new();
@@ -209,6 +150,7 @@ fn cmd_profile(args: &[String]) -> Result<i32, String> {
             "--out",
         ],
         &["--tui", "--no-ansi"],
+        USAGE,
     )?;
     let tracker_key = parsed.get("--tracker").map(String::as_str).unwrap_or("hydra");
     let tracker = TrackerSel::by_key(tracker_key).map_err(|e| e.to_string())?;
@@ -246,6 +188,7 @@ fn cmd_evaluate(args: &[String]) -> Result<i32, String> {
         args,
         &["--heatmap", "--top-k", "--window-us", "--cache-dir", "--out"],
         &["--tui", "--no-ansi"],
+        USAGE,
     )?;
     let map = load_heatmap(&parsed)?;
     let mut cfg = EvaluateConfig::for_heatmap(&map)?;
@@ -281,6 +224,7 @@ fn cmd_attack(args: &[String]) -> Result<i32, String> {
             "--out",
         ],
         &["--baseline", "--tui", "--no-ansi"],
+        USAGE,
     )?;
     let map = load_heatmap(&parsed)?;
     let mut cfg = AttackConfig::for_heatmap(&map)?;
@@ -414,16 +358,6 @@ mod tests {
         );
         assert!(parse_families("warp").is_err());
         assert!(parse_families(",").is_err());
-    }
-
-    #[test]
-    fn seeds_parse_in_decimal_and_hex() {
-        let hex = argv("--seed 0xDA99E5");
-        let parsed = parse(&hex, &["--seed"], &[]).unwrap();
-        assert_eq!(parsed.seed(0).unwrap(), 0xDA99E5);
-        let dec = argv("--seed 12345");
-        let parsed = parse(&dec, &["--seed"], &[]).unwrap();
-        assert_eq!(parsed.seed(0).unwrap(), 12345);
     }
 
     #[test]

@@ -1,0 +1,94 @@
+//! Strict `--flag value` / `--switch` command-line parsing, shared by every
+//! flag-driven binary (`redteam` and its profiler subcommands, the figure
+//! and table harnesses): a typo'd flag, a forgotten value or an
+//! unparsable number fails fast instead of silently running a
+//! multi-minute campaign with defaults.
+
+use crate::json::parse_u64;
+
+/// Flag/value pairs plus boolean switches, strictly parsed: unknown
+/// flags and missing values fail instead of silently defaulting.
+pub struct Parsed<'a> {
+    pairs: Vec<(&'static str, &'a String)>,
+    switches: Vec<&'static str>,
+}
+
+impl<'a> Parsed<'a> {
+    /// The value of `flag`; the last occurrence of a repeated flag wins.
+    pub fn get(&self, flag: &str) -> Option<&'a String> {
+        self.pairs.iter().rev().find(|(f, _)| *f == flag).map(|(_, v)| *v)
+    }
+
+    /// Whether `switch` was given.
+    pub fn has(&self, switch: &str) -> bool {
+        self.switches.contains(&switch)
+    }
+
+    /// The numeric value of `flag`, or `default` when absent.
+    pub fn num(&self, flag: &str, default: f64) -> Result<f64, String> {
+        match self.get(flag) {
+            None => Ok(default),
+            Some(v) => v.parse().map_err(|_| format!("{flag}: cannot parse '{v}'")),
+        }
+    }
+
+    /// The `--seed` value (decimal or `0x` hex), or `default` when absent.
+    pub fn seed(&self, default: u64) -> Result<u64, String> {
+        match self.get("--seed") {
+            None => Ok(default),
+            Some(v) => parse_u64(v).ok_or_else(|| format!("--seed: cannot parse '{v}'")),
+        }
+    }
+}
+
+/// Parses `args` against the known value-taking `flags` and boolean
+/// `switches`. `--help`/`-h` anywhere yields `Err(usage)`; any other
+/// `Err` is a one-line diagnostic naming the offending argument.
+pub fn parse<'a>(
+    args: &'a [String],
+    flags: &'static [&'static str],
+    switches: &'static [&'static str],
+    usage: &str,
+) -> Result<Parsed<'a>, String> {
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        return Err(usage.to_string());
+    }
+    let mut parsed = Parsed { pairs: Vec::new(), switches: Vec::new() };
+    let mut i = 0;
+    while i < args.len() {
+        let arg = args[i].as_str();
+        if let Some(&known) = switches.iter().find(|&&s| s == arg) {
+            parsed.switches.push(known);
+            i += 1;
+            continue;
+        }
+        let Some(&known) = flags.iter().find(|&&f| f == arg) else {
+            return Err(format!("unknown argument '{arg}' (try --help)"));
+        };
+        let Some(value) = args.get(i + 1) else {
+            return Err(format!("{arg} requires a value"));
+        };
+        parsed.pairs.push((known, value));
+        i += 2;
+    }
+    Ok(parsed)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(s: &str) -> Vec<String> {
+        s.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn seeds_parse_in_decimal_and_hex() {
+        let hex = argv("--seed 0xDA99E5");
+        let parsed = parse(&hex, &["--seed"], &[], "").unwrap();
+        assert_eq!(parsed.seed(0).unwrap(), 0xDA99E5);
+        let dec = argv("--seed 12345");
+        let parsed = parse(&dec, &["--seed"], &[], "").unwrap();
+        assert_eq!(parsed.seed(0).unwrap(), 12345);
+    }
+}

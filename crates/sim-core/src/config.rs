@@ -88,29 +88,25 @@ impl CpuConfig {
 /// it — a cached result is valid regardless of how many threads produced
 /// it.
 ///
-/// In specs and serialized configs this is spelled `"seq"`, `"auto"`, or
-/// a positive integer.
+/// In specs and serialized configs this is spelled `"seq"` or a positive
+/// integer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Threads {
     /// Step every shard on the calling thread (the reference executor).
     #[default]
     Seq,
-    /// One stepping thread per channel, capped by the host's available
-    /// parallelism.
-    Auto,
     /// Exactly this many stepping threads (clamped to the channel count;
     /// `0` and `1` both mean sequential).
     N(usize),
 }
 
 impl Threads {
-    /// The resolved number of stepping threads for `channels` shards on
-    /// this host. Always `>= 1`; `1` means the sequential executor.
+    /// The resolved number of stepping threads for `channels` shards.
+    /// Always `>= 1`; `1` means the sequential executor.
     pub fn worker_count(self, channels: usize) -> usize {
         let cap = channels.max(1);
         match self {
             Threads::Seq => 1,
-            Threads::Auto => std::thread::available_parallelism().map_or(1, usize::from).min(cap),
             Threads::N(n) => n.clamp(1, cap),
         }
     }
@@ -120,22 +116,20 @@ impl std::fmt::Display for Threads {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Threads::Seq => write!(f, "seq"),
-            Threads::Auto => write!(f, "auto"),
             Threads::N(n) => write!(f, "{n}"),
         }
     }
 }
 
 impl Threads {
-    /// Parses the spec spelling: `"seq"`, `"auto"`, or a positive integer
-    /// rendered as a string. The inverse of [`Display`](std::fmt::Display).
+    /// Parses the spec spelling: `"seq"` or a positive integer rendered as
+    /// a string. The inverse of [`Display`](std::fmt::Display).
     pub fn parse(text: &str) -> Result<Self, String> {
         match text {
             "seq" => Ok(Threads::Seq),
-            "auto" => Ok(Threads::Auto),
             other => match other.parse::<usize>() {
                 Ok(n) if n >= 1 => Ok(Threads::N(n)),
-                _ => Err(format!("'{other}' is not 'seq', 'auto', or a thread count >= 1")),
+                _ => Err(format!("'{other}' is not 'seq' or a thread count >= 1")),
             },
         }
     }
@@ -273,17 +267,16 @@ mod tests {
         assert_eq!(Threads::N(0).worker_count(8), 1, "0 means sequential");
         assert_eq!(Threads::N(3).worker_count(8), 3);
         assert_eq!(Threads::N(64).worker_count(8), 8, "clamped to channel count");
-        let auto = Threads::Auto.worker_count(8);
-        assert!((1..=8).contains(&auto), "{auto}");
     }
 
     #[test]
     fn threads_parse_inverts_display() {
-        for t in [Threads::Seq, Threads::Auto, Threads::N(4)] {
+        for t in [Threads::Seq, Threads::N(4)] {
             assert_eq!(Threads::parse(&t.to_string()), Ok(t));
         }
         assert!(Threads::parse("0").is_err(), "0 threads is a config error, not Seq");
-        assert!(Threads::parse("fast").is_err());
+        let err = Threads::parse("auto").expect_err("no host-dependent spelling");
+        assert_eq!(err, "'auto' is not 'seq' or a thread count >= 1");
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! * [`cache`] — a content-addressed blob cache (stable hashing, checksummed
 //!   atomic disk store, LRU front) underpinning the run cache and
 //!   `campaignd`,
+//! * [`cli`] — the strict `--flag value` argument parser every flag-driven
+//!   binary shares,
 //! * [`time`] — the global clock domain (DDR5 memory-bus cycles) and unit
 //!   conversions,
 //! * [`config`] — the system configuration mirroring Table I of the paper,
@@ -46,6 +48,7 @@
 
 pub mod addr;
 pub mod cache;
+pub mod cli;
 pub mod config;
 pub mod events;
 pub mod fault;

@@ -282,7 +282,7 @@ impl Value for Engine {
     }
 }
 
-/// `"seq"`, `"auto"`, or a lane count (integer or its string form).
+/// `"seq"` or a lane count (integer or its string form).
 impl Value for Threads {
     fn read(v: &TomlValue) -> Result<Self, DecodeError> {
         match v {
@@ -291,13 +291,13 @@ impl Value for Threads {
                 Ok(n) if n >= 1 => Ok(Threads::N(n)),
                 _ => Err(DecodeError::new(format!("lane count must be >= 1, got {i}"))),
             },
-            other => expected("\"seq\", \"auto\", or a lane count", other),
+            other => expected("\"seq\" or a lane count", other),
         }
     }
     fn write(&self) -> Option<TomlValue> {
         Some(match self {
             Threads::N(n) => TomlValue::Int(*n as i64),
-            named => TomlValue::Str(named.to_string()),
+            Threads::Seq => TomlValue::Str(self.to_string()),
         })
     }
 }
@@ -662,7 +662,7 @@ impl Section for ProfileOptions {
 /// ```toml
 /// [system]
 /// geometry = "enlarged-8ch"   # or "paper-baseline" (default)
-/// threads = "auto"            # "seq" (default), "auto", or a lane count
+/// threads = 4                 # "seq" (default) or a lane count
 /// ```
 ///
 /// `geometry` selects a DRAM preset ([`Geometry::paper_baseline`] /
@@ -1211,14 +1211,14 @@ group_size = 256
     #[test]
     fn system_section_round_trips_and_applies() {
         let doc = "name = \"sharded\"\nworkloads = [\"gcc_like\"]\ntrackers = [\"none\"]\n\
-                   [system]\ngeometry = \"enlarged-8ch\"\nthreads = \"auto\"\n";
+                   [system]\ngeometry = \"enlarged-8ch\"\nthreads = \"2\"\n";
         let spec = SweepSpec::from_toml_str(doc).unwrap();
         let system = spec.system.as_ref().expect("[system] section present");
         assert_eq!(system.geometry.as_deref(), Some("enlarged-8ch"));
-        assert_eq!(system.threads, Some(Threads::Auto));
+        assert_eq!(system.threads, Some(Threads::N(2)), "string form of a lane count");
         let cells = spec.expand().unwrap();
         assert_eq!(cells[0].cfg.geometry.channels, 8, "preset reaches the cell config");
-        assert_eq!(cells[0].cfg.threads, Threads::Auto);
+        assert_eq!(cells[0].cfg.threads, Threads::N(2));
 
         // Integer lane counts and alias geometry spellings parse.
         let cell = "workloads = \"gcc_like\"\ntrackers = \"none\"\n";
@@ -1238,6 +1238,9 @@ group_size = 256
         assert!(err.to_string().contains("enlarged-8ch"), "must list known presets: {err}");
         let err = SweepSpec::from_toml_str(&format!("{cell}[system]\nthreads = 0\n")).unwrap_err();
         assert!(err.to_string().contains("system.threads"), "{err}");
+        let err =
+            SweepSpec::from_toml_str(&format!("{cell}[system]\nthreads = \"auto\"\n")).unwrap_err();
+        assert!(err.to_string().contains("'auto' is not 'seq' or a thread count"), "{err}");
     }
 
     #[test]
@@ -1340,7 +1343,7 @@ group_size = 256
             }),
             system: Some(SystemOptions {
                 geometry: Some(pick(rng, &KNOWN_GEOMETRIES).into()),
-                threads: Some(pick(rng, &[Threads::Seq, Threads::Auto, Threads::N(3)])),
+                threads: Some(pick(rng, &[Threads::Seq, Threads::N(3)])),
             }),
             cache: Some(CacheOptions {
                 dir: Some(format!("dir{}", rng.gen_range(9))),

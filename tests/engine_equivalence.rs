@@ -160,6 +160,34 @@ fn campaign_smoke_runs_on_the_event_engine() {
 }
 
 #[test]
+fn event_engine_dense_step_fraction_stays_under_its_floors() {
+    // The structural guard on time-skipping: the event engine may simulate
+    // at most this fraction of bus cycles densely. The fraction is
+    // bit-deterministic, so it holds on any machine in debug and release
+    // (0.024 / 0.051 / 0.463 / 0.518 when the floors moved here).
+    let floors = [
+        ("povray_like/dapper-h", Experiment::new("povray_like").tracker("dapper-h"), 500.0, 0.10),
+        ("namd_like/none", Experiment::new("namd_like").tracker("none"), 500.0, 0.15),
+        ("mcf_like/dapper-h", Experiment::new("mcf_like").tracker("dapper-h"), 125.0, 0.60),
+        (
+            "gcc_like/hydra/tailored",
+            Experiment::new("gcc_like").tracker("hydra").attack(AttackChoice::Tailored),
+            125.0,
+            0.60,
+        ),
+    ];
+    let outcomes = parallel_map(floors.into(), |(label, e, window_us, max)| {
+        let mut sys = e.window_us(window_us).build_system(false);
+        let cycles = sys.run_engine(sim::Engine::EventDriven).cycles;
+        (label, sys.engine_stats().dense_steps as f64 / cycles.max(1) as f64, max)
+    });
+    for o in outcomes {
+        let (label, fraction, max) = o.expect("floor job must not panic");
+        assert!(fraction <= max, "{label}: dense-step fraction {fraction:.3} above {max:.2}");
+    }
+}
+
+#[test]
 #[ignore = "full 57x11 matrix; run with --ignored (CI nightly / acceptance)"]
 fn full_catalog_tracker_matrix_is_engine_equivalent() {
     let mut jobs = Vec::new();

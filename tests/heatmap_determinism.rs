@@ -3,7 +3,7 @@
 //! The profiler's warm-start and zero-simulation guarantees both rest on
 //! the heatmap being a pure function of the profile configuration: the
 //! same grid must serialize byte-identically across
-//! `Threads::{Seq, N(2), Auto}` and across both simulation engines —
+//! `Threads::{Seq, N(2)}` and across both simulation engines —
 //! threads are an execution knob excluded from the probe cache key, and
 //! engines are modelled equivalently by construction. Any divergence
 //! would silently split cache entries or make a "warm" profile disagree
@@ -25,8 +25,7 @@ fn base_config() -> ProfileConfig {
 #[test]
 fn heatmap_is_byte_identical_across_lane_counts_and_engines() {
     let mut jobs = Vec::new();
-    for (tname, threads) in [("seq", Threads::Seq), ("n2", Threads::N(2)), ("auto", Threads::Auto)]
-    {
+    for (tname, threads) in [("seq", Threads::Seq), ("n2", Threads::N(2))] {
         for (ename, engine) in [("dense", Engine::Dense), ("event", Engine::EventDriven)] {
             for rep in 0..2 {
                 let mut cfg = base_config();

@@ -2,7 +2,7 @@
 //!
 //! The lane count is an execution knob, never a model knob: a mixed
 //! benign/attack workload on the enlarged eight-channel system must be
-//! **byte-identical** across `Threads::{Seq, N(2), Auto}` — and across
+//! **byte-identical** across `Threads::{Seq, N(2)}` — and across
 //! repeated runs of the same configuration. Any divergence means thread
 //! scheduling leaked into results (a merge-order bug, a lookahead
 //! violation, or nondeterminism in a shard), which would also silently
@@ -28,7 +28,7 @@ fn seeded_eight_channel_runs_are_byte_identical_across_lane_counts() {
     // single seq-vs-sharded comparison could miss (e.g. iteration over an
     // unordered container that happens to collide across settings).
     let mut jobs = Vec::new();
-    for (name, threads) in [("seq", Threads::Seq), ("n2", Threads::N(2)), ("auto", Threads::Auto)] {
+    for (name, threads) in [("seq", Threads::Seq), ("n2", Threads::N(2))] {
         for rep in 0..2 {
             jobs.push((format!("{name}/rep{rep}"), base.clone().threads(threads)));
         }

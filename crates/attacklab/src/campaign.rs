@@ -6,12 +6,11 @@
 //! tracker, and aggregates everything into a resilience leaderboard with
 //! JSON/CSV exports.
 
+use crate::arena::{Arena, Reference};
 use crate::scenario::ScenarioSpec;
-use crate::search::{
-    evaluate_specs, evaluate_specs_cached, reference_run, search_against, EvalRecord, SearchConfig,
-    SearchReport,
-};
+use crate::search::{records, search, EvalRecord, SearchConfig, SearchReport};
 use sim::cache::RunCache;
+use sim::exec::PayloadCache;
 use sim::experiment::TrackerSel;
 use sim_core::json::{csv_field, Json, JsonCodec};
 use workloads::Attack;
@@ -22,16 +21,10 @@ pub struct CampaignConfig {
     /// Trackers under test (registry selections, parameter overrides
     /// included).
     pub trackers: Vec<TrackerSel>,
-    /// Benign workload sharing the machine.
-    pub workload: String,
+    /// Evaluation conditions shared by every tracker's matrix and search.
+    pub arena: Arena,
     /// Fixed scenarios evaluated for every tracker.
     pub scenarios: Vec<ScenarioSpec>,
-    /// Simulation window per run, microseconds.
-    pub window_us: f64,
-    /// RowHammer threshold.
-    pub nrh: u32,
-    /// Seed for simulation and search.
-    pub seed: u64,
     /// Worst-case-search evaluations per tracker (0 disables the search).
     pub search_budget: u32,
     /// Content-addressed run-cache directory: when set, the fixed
@@ -42,28 +35,17 @@ pub struct CampaignConfig {
 }
 
 impl CampaignConfig {
-    /// A campaign over the given trackers with the paper's seven attack
-    /// patterns as the fixed matrix and a 50-evaluation search per tracker.
+    /// A campaign over the given trackers in the default [`Arena`], with
+    /// the paper's seven attack patterns as the fixed matrix and a
+    /// 50-evaluation search per tracker.
     pub fn new(trackers: Vec<TrackerSel>, workload: &str) -> Self {
         Self {
             trackers,
-            workload: workload.to_string(),
+            arena: Arena::new(workload),
             scenarios: Attack::all().map(ScenarioSpec::baseline).to_vec(),
-            window_us: 250.0,
-            nrh: 500,
-            seed: 0xDA99E5,
             search_budget: 50,
             cache_dir: None,
         }
-    }
-
-    fn search_config(&self, tracker: &TrackerSel) -> SearchConfig {
-        let mut cfg = SearchConfig::new(tracker.clone(), &self.workload);
-        cfg.window_us = self.window_us;
-        cfg.nrh = self.nrh;
-        cfg.seed = self.seed;
-        cfg.budget = self.search_budget.max(1);
-        cfg
     }
 }
 
@@ -94,16 +76,12 @@ pub struct CampaignReport {
 /// Runs the campaign: the fixed matrix for every tracker, then (budget
 /// permitting) the worst-case search per tracker.
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
+    assert!(!cfg.trackers.is_empty(), "campaign needs at least one tracker");
     let mut rows = Vec::new();
     let mut searches = Vec::new();
     // The reference run (insecure, attack-free) depends only on the
-    // workload and system config, so every tracker's matrix and search
-    // share one.
-    let reference = cfg
-        .trackers
-        .first()
-        .map(|t| reference_run(&cfg.search_config(t)))
-        .expect("campaign needs at least one tracker");
+    // arena, so every tracker's matrix and search share one.
+    let reference = Reference::default();
     let cache = cfg.cache_dir.as_ref().and_then(|dir| match RunCache::open(dir) {
         Ok(cache) => Some(cache),
         Err(e) => {
@@ -111,17 +89,19 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
             None
         }
     });
+    let cache = cache.as_ref().map(|c| c as &dyn PayloadCache<_>);
     for tracker in &cfg.trackers {
-        let scfg = cfg.search_config(tracker);
-        let matrix = match &cache {
-            Some(cache) => evaluate_specs_cached(&scfg, &reference, cfg.scenarios.clone(), cache),
-            None => evaluate_specs(&scfg, &reference, cfg.scenarios.clone()),
-        };
-        for record in matrix {
+        let (outcomes, _) =
+            cfg.arena.evaluate(tracker, &reference, &cfg.scenarios, cache, |_, _| {});
+        for record in records(&cfg.scenarios, outcomes).into_iter().flatten() {
             rows.push(CampaignRow { tracker: tracker.label(), origin: "fixed", record });
         }
         if cfg.search_budget > 0 {
-            let report = search_against(&scfg, &reference);
+            let scfg = SearchConfig {
+                budget: cfg.search_budget,
+                ..SearchConfig::new(tracker.clone(), cfg.arena.clone())
+            };
+            let report = search(&scfg, &reference, &[], &mut |_, _| {});
             rows.push(CampaignRow {
                 tracker: tracker.label(),
                 origin: "search",
@@ -245,10 +225,10 @@ impl CampaignReport {
                             self.config.trackers.iter().map(|t| Json::str(t.name())).collect(),
                         ),
                     ),
-                    ("workload", Json::str(&self.config.workload)),
-                    ("window_us", Json::num(self.config.window_us)),
-                    ("nrh", Json::count(self.config.nrh as u64)),
-                    ("seed", Json::hex(self.config.seed)),
+                    ("workload", Json::str(&self.config.arena.workload)),
+                    ("window_us", Json::num(self.config.arena.window_us)),
+                    ("nrh", Json::count(self.config.arena.nrh as u64)),
+                    ("seed", Json::hex(self.config.arena.seed)),
                     ("search_budget", Json::count(self.config.search_budget as u64)),
                 ]),
             ),
@@ -296,7 +276,7 @@ mod tests {
 
     fn tiny() -> CampaignConfig {
         let mut cfg = CampaignConfig::new(trackers(&["hydra", "dapper-h"]), "povray_like");
-        cfg.window_us = 60.0;
+        cfg.arena.window_us = 60.0;
         cfg.scenarios = vec![
             ScenarioSpec::baseline(Attack::Streaming),
             ScenarioSpec::baseline(Attack::CacheThrash),
@@ -326,7 +306,7 @@ mod tests {
         let baseline = TrackerSel::by_key("hydra").unwrap();
         let small = baseline.clone().with_param("rcc_entries", 512).unwrap();
         let mut cfg = CampaignConfig::new(vec![baseline, small], "povray_like");
-        cfg.window_us = 60.0;
+        cfg.arena.window_us = 60.0;
         cfg.scenarios = vec![ScenarioSpec::baseline(Attack::Streaming)];
         cfg.search_budget = 0;
         let report = run_campaign(&cfg);

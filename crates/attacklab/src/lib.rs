@@ -7,26 +7,35 @@
 //! * [`pattern`] — a SWAGE-style composable pattern engine: primitives
 //!   ([`pattern::RowSweep`], [`pattern::HammerRows`],
 //!   [`pattern::LineStream`], [`pattern::RandomRows`]) wrapped by
-//!   combinators ([`pattern::Interleave`], [`pattern::Burst`],
-//!   [`pattern::Decoy`], [`pattern::Feint`], [`pattern::RateLimit`]), all
-//!   deterministic in their seed;
+//!   combinators ([`pattern::Burst`], [`pattern::Decoy`],
+//!   [`pattern::Feint`], [`pattern::RateLimit`]), all deterministic in
+//!   their seed;
 //! * [`scenario`] — the [`scenario::ScenarioSpec`] genome that expands into
 //!   pattern compositions (every paper attack among them, rebuilt
 //!   bit-exactly) and supports one-gene mutation;
+//! * [`arena`] — the one evaluation core: (tracker, genome) → cacheable
+//!   [`sim::Experiment`], one lazily simulated shared [`Reference`], one
+//!   batch call through [`sim::exec::Executor`] against any payload
+//!   cache, one [`Score`] per result. The campaign and the search below,
+//!   and the `profiler` crate's stages, all evaluate through it;
 //! * [`search`](mod@search) — hill-climbing worst-case search on normalized slowdown,
 //!   seeded with the paper's tailored attacks so it can only match or beat
-//!   them, reporting the seed that reproduces its best find;
+//!   them, optionally warm-started from prior genomes, reporting the seed
+//!   that reproduces its best find;
 //! * [`campaign`] — scenario × tracker matrices over the parallel sweep
-//!   runner, with a resilience leaderboard and JSON/CSV export;
-//! * [`cli`] — the `redteam` binary driving all of the above.
+//!   runner, with a resilience leaderboard and JSON/CSV export.
+//!
+//! The `redteam` binary driving all of the above lives in the
+//! `attackpipe` crate (`attackpipe::cli`), next to the attacker pipeline
+//! and the profiler subcommands it also dispatches.
 //!
 //! # Quickstart
 //!
 //! ```no_run
-//! use attacklab::search::{search, SearchConfig};
-//! let mut cfg = SearchConfig::new("hydra", "libquantum_like");
+//! use attacklab::{search, Arena, Reference, SearchConfig};
+//! let mut cfg = SearchConfig::new("hydra", Arena::new("libquantum_like"));
 //! cfg.budget = 20;
-//! let report = search(&cfg);
+//! let report = search(&cfg, &Reference::default(), &[], &mut |_, _| {});
 //! println!(
 //!     "worst case for {}: {:.2}x slowdown via {} (seed {:#x})",
 //!     report.tracker, report.best.slowdown, report.best.name, report.seed
@@ -37,16 +46,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod arena;
 pub mod campaign;
-pub mod cli;
 pub mod pattern;
 pub mod scenario;
 pub mod search;
 
+pub use arena::{Arena, EvalStats, Reference, Score};
 pub use campaign::{run_campaign, CampaignConfig, CampaignReport, CampaignRow};
 pub use pattern::{BoxPattern, PatternGen, PatternTrace};
 pub use scenario::{ScenarioSpec, Shape};
-pub use search::{
-    evaluate_specs_cached, evaluate_specs_memo, search, search_seeded, search_seeded_observed,
-    EvalMemo, SearchConfig, SearchReport,
-};
+pub use search::{evaluate_specs_memo, search, EvalMemo, EvalRecord, SearchConfig, SearchReport};

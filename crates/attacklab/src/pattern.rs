@@ -3,8 +3,8 @@
 //! A [`PatternGen`] produces the attacker core's access stream one
 //! [`TraceEntry`] at a time. Primitives generate base shapes
 //! ([`RowSweep`], [`HammerRows`], [`LineStream`], [`RandomRows`]) and
-//! combinators wrap any pattern into a richer one ([`Interleave`],
-//! [`Burst`], [`Decoy`], [`Feint`], [`RateLimit`]) — the SWAGE idea of a
+//! combinators wrap any pattern into a richer one ([`Burst`], [`Decoy`],
+//! [`Feint`], [`RateLimit`]) — the SWAGE idea of a
 //! trait-per-stage attack pipeline, adapted from real-machine hammering to
 //! the simulator's trace interface. Every generator is deterministic given
 //! its construction parameters, so a scenario re-run from the same seed
@@ -269,38 +269,8 @@ impl PatternGen for RandomRows {
 
 // --------------------------------------------------------------- combinators
 
-/// Rotates between child patterns, one access each.
-pub struct Interleave {
-    children: Vec<BoxPattern>,
-    idx: usize,
-}
-
-impl Interleave {
-    /// Interleaves the children round-robin.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `children` is empty.
-    pub fn new(children: Vec<BoxPattern>) -> Self {
-        assert!(!children.is_empty(), "interleave needs at least one child");
-        Self { children, idx: 0 }
-    }
-}
-
-impl PatternGen for Interleave {
-    fn next_access(&mut self) -> TraceEntry {
-        let e = self.children[self.idx].next_access();
-        self.idx = (self.idx + 1) % self.children.len();
-        e
-    }
-
-    fn describe(&self) -> String {
-        let inner: Vec<String> = self.children.iter().map(|c| c.describe()).collect();
-        format!("interleave({})", inner.join(", "))
-    }
-}
-
-/// Rotates between child patterns in runs of `len` accesses.
+/// Rotates between child patterns in runs of `len` accesses (`len` 1 is
+/// a pure interleave).
 pub struct Burst {
     children: Vec<BoxPattern>,
     len: u32,
@@ -499,10 +469,9 @@ mod tests {
         let g = geom();
         let a = g.addr_from_rank_row_index(0, 0, 1);
         let b = g.addr_from_rank_row_index(0, 0, 2);
-        let mut p = Interleave::new(vec![
-            Box::new(HammerRows::new(g, vec![a])) as BoxPattern,
-            Box::new(HammerRows::new(g, vec![b])),
-        ]);
+        let children: Vec<BoxPattern> =
+            vec![Box::new(HammerRows::new(g, vec![a])), Box::new(HammerRows::new(g, vec![b]))];
+        let mut p = Burst::new(children, 1);
         let seq = rows_of(&mut p, 6);
         let (pa, pb) = (g.encode(&a).0, g.encode(&b).0);
         assert_eq!(seq, vec![pa, pb, pa, pb, pa, pb]);

@@ -10,17 +10,17 @@
 //! reproduces its best scenario.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Mutex;
 
+use crate::arena::{Arena, Reference, Score};
 use crate::scenario::ScenarioSpec;
-use sim::cache::{cell_key_with_attack_id, RunCache};
-use sim::exec::{Executor, PayloadCache};
-use sim::experiment::{CustomAttack, Experiment, TrackerSel};
-use sim::metrics::RunStats;
-use sim::runner::{parallel_map, RunnerConfig};
-use sim_core::json::JsonCodec;
+use sim::cache::CellKey;
+use sim::exec::PayloadCache;
+use sim::experiment::TrackerSel;
+use sim::runner::SweepError;
+use sim::ExperimentResult;
 use sim_core::rng::Xoshiro256;
-
-use crate::pattern::PatternTrace;
 
 /// Search configuration.
 #[derive(Debug, Clone)]
@@ -28,14 +28,8 @@ pub struct SearchConfig {
     /// Tracker under attack (a registry selection, parameter overrides
     /// included).
     pub tracker: TrackerSel,
-    /// Benign workload sharing the machine.
-    pub workload: String,
-    /// Simulation window per evaluation, microseconds.
-    pub window_us: f64,
-    /// RowHammer threshold.
-    pub nrh: u32,
-    /// Seed controlling the whole search (simulation + mutations).
-    pub seed: u64,
+    /// Evaluation conditions; `arena.seed` also seeds the mutations.
+    pub arena: Arena,
     /// Total scenario evaluations.
     pub budget: u32,
     /// Mutants evaluated per generation (fixed, so the search trajectory
@@ -44,18 +38,9 @@ pub struct SearchConfig {
 }
 
 impl SearchConfig {
-    /// Defaults: 250 µs window, N_RH 500, paper seed, 50 evaluations in
-    /// batches of 8.
-    pub fn new(tracker: impl Into<TrackerSel>, workload: &str) -> Self {
-        Self {
-            tracker: tracker.into(),
-            workload: workload.to_string(),
-            window_us: 250.0,
-            nrh: 500,
-            seed: 0xDA99E5,
-            budget: 50,
-            batch: 8,
-        }
+    /// A search of `tracker` in `arena`: 50 evaluations in batches of 8.
+    pub fn new(tracker: impl Into<TrackerSel>, arena: Arena) -> Self {
+        Self { tracker: tracker.into(), arena, budget: 50, batch: 8 }
     }
 }
 
@@ -94,6 +79,44 @@ pub struct EvalRecord {
     pub flips: Option<u64>,
 }
 
+impl EvalRecord {
+    /// The record of `spec` having scored `score` (a scenario evaluation:
+    /// no recon, no flips).
+    pub fn new(spec: ScenarioSpec, score: &Score) -> Self {
+        Self {
+            name: spec.name(),
+            spec,
+            slowdown: score.slowdown,
+            normalized_performance: score.normalized_performance,
+            mitigations: score.mitigations,
+            counter_ops: score.counter_ops,
+            reset_sweeps: score.reset_sweeps,
+            energy_mj: score.energy_mj,
+            time_to_max_slowdown_us: score.time_to_max_slowdown_us,
+            recovery_us: score.recovery_us,
+            recon_accuracy: None,
+            flips: None,
+        }
+    }
+}
+
+/// Scores a batch's outcomes in input order; a scenario whose simulation
+/// failed is reported and left out (`None`) rather than aborting the
+/// campaign.
+pub(crate) fn records(
+    specs: &[ScenarioSpec],
+    outcomes: Vec<Result<ExperimentResult, SweepError>>,
+) -> Vec<Option<EvalRecord>> {
+    let scored = specs.iter().zip(outcomes).map(|(spec, outcome)| match outcome {
+        Ok(result) => Some(EvalRecord::new(spec.clone(), &Score::of(&result))),
+        Err(e) => {
+            eprintln!("attacklab: scenario evaluation failed, skipping: {e}");
+            None
+        }
+    });
+    scored.collect()
+}
+
 /// Outcome of one search run.
 #[derive(Debug, Clone)]
 pub struct SearchReport {
@@ -129,134 +152,19 @@ impl SearchReport {
     }
 }
 
-/// Slowdown-trace windows per evaluation: enough resolution to score
-/// time-to-max-slowdown and recovery without noticeable cost.
-const TRACE_WINDOWS: f64 = 10.0;
-
-/// Builds the experiment evaluating `spec` against `cfg`'s tracker. Every
-/// evaluation records a per-window slowdown trace (probes do not perturb
-/// the run), so campaign rows can score attack transients.
-pub fn experiment_for(cfg: &SearchConfig, spec: &ScenarioSpec) -> Experiment {
-    let spec_for_factory = spec.clone();
-    let custom = CustomAttack::new(&spec.name(), spec.bypasses_llc(), move |geom, seed| {
-        Box::new(PatternTrace(spec_for_factory.build(geom, seed)))
-    });
-    Experiment::new(&cfg.workload)
-        .tracker(cfg.tracker.clone())
-        .custom(custom)
-        .window_us(cfg.window_us)
-        .nrh(cfg.nrh)
-        .seed(cfg.seed)
-        .record_slowdown(cfg.window_us / TRACE_WINDOWS)
-}
-
-/// The shared reference run (insecure, attack-free) all evaluations in this
-/// search normalize against. Computing it once removes half the simulation
-/// cost of every evaluation.
-pub fn reference_run(cfg: &SearchConfig) -> RunStats {
-    let mut e = experiment_for(cfg, &ScenarioSpec::baseline(workloads::Attack::CacheThrash));
-    // Evaluations normalize against the flat end-of-run reference (the
-    // `run_against` path), so recording reference windows would be pure
-    // waste; probes never change `RunStats`, only cost.
-    e.telemetry = sim::TelemetrySpec::default();
-    e.build_system(true).run()
-}
-
-fn record(spec: ScenarioSpec, r: &sim::ExperimentResult) -> EvalRecord {
-    let np = r.normalized_performance.max(1e-6);
-    EvalRecord {
-        name: spec.name(),
-        spec,
-        slowdown: 1.0 / np,
-        normalized_performance: r.normalized_performance,
-        mitigations: r.run.mem.vrr_commands + r.run.mem.rfm_commands,
-        counter_ops: r.run.mem.counter_reads + r.run.mem.counter_writes,
-        reset_sweeps: r.run.mem.reset_sweeps,
-        energy_mj: r.run.energy_mj,
-        time_to_max_slowdown_us: r.telemetry.as_ref().and_then(|t| t.time_to_max_slowdown_us()),
-        recovery_us: r.telemetry.as_ref().and_then(|t| t.recovery_us(sim::RECOVERY_THRESHOLD)),
-        recon_accuracy: None,
-        flips: None,
-    }
-}
-
-/// Evaluates a batch of scenarios in parallel against a shared reference.
-/// Results keep input order; a scenario whose simulation panics is dropped
-/// with a warning rather than aborting the search.
-pub fn evaluate_specs(
-    cfg: &SearchConfig,
-    reference: &RunStats,
-    specs: Vec<ScenarioSpec>,
-) -> Vec<EvalRecord> {
-    evaluate(cfg, reference, specs, None)
-}
-
-/// [`evaluate_specs`] read through the content-addressed run cache.
-///
-/// The scenario genome's canonical JSON identifies the custom attack, so
-/// each (tracker, workload, scenario, window, seed, …) cell is keyed
-/// stably across processes. The shared reference run is *not* part of the
-/// key: it is a deterministic function of fields the key already covers
-/// (workload, window, N_RH, seed), so equal keys imply equal references.
-/// Hits skip simulation entirely; misses simulate and store.
-pub fn evaluate_specs_cached(
-    cfg: &SearchConfig,
-    reference: &RunStats,
-    specs: Vec<ScenarioSpec>,
-    cache: &RunCache,
-) -> Vec<EvalRecord> {
-    evaluate(cfg, reference, specs, Some(cache))
-}
-
-fn evaluate(
-    cfg: &SearchConfig,
-    reference: &RunStats,
-    specs: Vec<ScenarioSpec>,
-    cache: Option<&RunCache>,
-) -> Vec<EvalRecord> {
-    let cells = specs
-        .iter()
-        .map(|spec| {
-            let key = cache.and_then(|_| {
-                let e = experiment_for(cfg, spec);
-                cell_key_with_attack_id(&e, Some(&spec.encode().render()))
-            });
-            (spec.clone(), key)
-        })
-        .collect();
-    let exec = Executor {
-        cache: cache.map(|c| c as &dyn PayloadCache<_>),
-        checkpoint: None,
-        runner: &RunnerConfig::default(),
-    };
-    let (cfg, reference) = (cfg.clone(), reference.clone());
-    let run = move |spec: ScenarioSpec| experiment_for(&cfg, &spec).run_against(&reference);
-    let (outcomes, _) = exec.probe(cells, |_, _, _| {}).run(ScenarioSpec::name, run, |_, _, _| {});
-    specs
-        .into_iter()
-        .zip(outcomes)
-        .filter_map(|(spec, outcome)| match outcome {
-            Ok(result) => Some(record(spec, &result)),
-            Err(e) => {
-                eprintln!("attacklab: scenario evaluation failed, skipping: {e}");
-                None
-            }
-        })
-        .collect()
-}
-
-/// An in-run memo of already-evaluated genomes, keyed by the genome's
-/// canonical JSON. Hill-climbing mutation collides often (a `seed_salt`
-/// nudge undone, the same shape scaling drawn twice), and each collision
-/// used to pay a full simulation; the memo answers it from memory instead.
+/// An in-run memo of already-evaluated genomes: the [`PayloadCache`] a
+/// search reads its batches through. Hill-climbing mutation collides
+/// often (a `seed_salt` nudge undone, the same shape scaling drawn
+/// twice), and each collision used to pay a full simulation; the memo
+/// answers it from memory instead.
 ///
 /// Deliberately *not* the PR 6 disk cache: the search trajectory is
 /// adaptive, so its cells would pollute a shared cache with one-off keys.
 /// The memo lives and dies with a single search run.
 #[derive(Debug, Default)]
 pub struct EvalMemo {
-    map: HashMap<String, EvalRecord>,
-    hits: u32,
+    map: Mutex<HashMap<String, ExperimentResult>>,
+    hits: AtomicU32,
 }
 
 impl EvalMemo {
@@ -267,126 +175,85 @@ impl EvalMemo {
 
     /// Evaluations answered from the memo instead of a simulation.
     pub fn hits(&self) -> u32 {
-        self.hits
+        self.hits.load(Ordering::Relaxed)
     }
 
     /// Distinct genomes simulated so far.
     pub fn simulated(&self) -> usize {
-        self.map.len()
+        self.map.lock().expect("memo lock").len()
     }
 }
 
-/// [`evaluate_specs`] deduplicated through an [`EvalMemo`]: identical
-/// genomes — within this batch or remembered from earlier batches of the
-/// same run — are simulated once and answered from the memo afterwards.
-/// Results keep input order; duplicates receive byte-identical records
-/// (the simulation is deterministic, so this changes cost, never results).
+impl PayloadCache<ExperimentResult> for EvalMemo {
+    fn lookup(&self, key: &CellKey) -> Option<ExperimentResult> {
+        let hit = self.map.lock().expect("memo lock").get(&key.key).cloned();
+        self.hits.fetch_add(u32::from(hit.is_some()), Ordering::Relaxed);
+        hit
+    }
+
+    fn save(&self, key: &CellKey, result: &ExperimentResult) -> std::io::Result<()> {
+        self.map.lock().expect("memo lock").insert(key.key.clone(), result.clone());
+        Ok(())
+    }
+}
+
+/// Evaluates a batch through an [`EvalMemo`]: identical genomes — within
+/// this batch or remembered from earlier batches of the same run — are
+/// simulated once and answered from the memo afterwards. Results keep
+/// input order, minus scenarios whose simulation failed; duplicates
+/// receive byte-identical records (the simulation is deterministic, so
+/// this changes cost, never results).
 pub fn evaluate_specs_memo(
     cfg: &SearchConfig,
-    reference: &RunStats,
+    reference: &Reference,
     specs: Vec<ScenarioSpec>,
-    memo: &mut EvalMemo,
+    memo: &EvalMemo,
 ) -> Vec<EvalRecord> {
-    let mut slots: Vec<Option<EvalRecord>> = Vec::with_capacity(specs.len());
-    let mut miss_index: HashMap<String, usize> = HashMap::new();
-    let mut miss_slots: Vec<Vec<usize>> = Vec::new();
-    let mut miss_keys: Vec<String> = Vec::new();
-    let mut miss_specs: Vec<ScenarioSpec> = Vec::new();
-    for (i, spec) in specs.into_iter().enumerate() {
-        let key = spec.encode().render();
-        if let Some(rec) = memo.map.get(&key) {
-            memo.hits += 1;
-            slots.push(Some(rec.clone()));
-        } else if let Some(&u) = miss_index.get(&key) {
-            // Within-batch collision: simulate once, fill both slots.
-            memo.hits += 1;
-            slots.push(None);
-            miss_slots[u].push(i);
-        } else {
-            slots.push(None);
-            miss_index.insert(key.clone(), miss_specs.len());
-            miss_slots.push(vec![i]);
-            miss_keys.push(key);
-            miss_specs.push(spec);
-        }
-    }
-    let outcomes = parallel_map(miss_specs, |spec| {
-        let result = experiment_for(cfg, &spec).run_against(reference);
-        record(spec, &result)
-    });
-    for (u, outcome) in outcomes.into_iter().enumerate() {
-        match outcome {
-            Ok(rec) => {
-                for &i in &miss_slots[u] {
-                    slots[i] = Some(rec.clone());
-                }
-                memo.map.insert(miss_keys[u].clone(), rec);
-            }
-            Err(e) => eprintln!("attacklab: scenario evaluation failed, skipping: {e}"),
-        }
-    }
-    slots.into_iter().flatten().collect()
+    // A genome repeated within the batch runs once, at its first
+    // occurrence; the memo can only answer what an earlier batch saved.
+    let mut unique: Vec<ScenarioSpec> = Vec::new();
+    let slot: Vec<usize> = specs
+        .into_iter()
+        .map(|spec| {
+            unique.iter().position(|u| *u == spec).unwrap_or_else(|| {
+                unique.push(spec);
+                unique.len() - 1
+            })
+        })
+        .collect();
+    memo.hits.fetch_add((slot.len() - unique.len()) as u32, Ordering::Relaxed);
+    let (outcomes, _) = cfg.arena.evaluate(&cfg.tracker, reference, &unique, Some(memo), |_, _| {});
+    let records = records(&unique, outcomes);
+    slot.into_iter().filter_map(|u| records[u].clone()).collect()
 }
 
 /// Runs the hill-climbing search and reports the worst case found.
 ///
-/// # Panics
+/// The `priors` (typically the top cells of a profiler sensitivity
+/// heatmap) warm-start it: they join the initial population ahead of the
+/// random fill, and the exploration move mutates a random prior instead
+/// of drawing a cold random genome — the search spends its budget where
+/// the profile already showed the tracker to be weak. With no priors the
+/// search is cold. `frontier(evaluations, best)` is called after every
+/// batch, exactly mirroring the report's `history` — dashboards render
+/// the climb live without changing the trajectory.
 ///
-/// Panics if the workload is unknown or the budget is zero.
-pub fn search(cfg: &SearchConfig) -> SearchReport {
-    let reference = reference_run(cfg);
-    search_against(cfg, &reference)
-}
-
-/// [`search`] with a caller-supplied reference run. The reference is
-/// tracker-independent, so campaigns sweeping many trackers compute it once
-/// and share it across every search and matrix evaluation.
-///
-/// # Panics
-///
-/// Panics if the budget is zero, or if the tailored-attack simulation
-/// itself fails (without it there is no baseline to compare against).
-pub fn search_against(cfg: &SearchConfig, reference: &RunStats) -> SearchReport {
-    search_seeded(cfg, reference, &[])
-}
-
-/// [`search_against`] warm-started from prior genomes (typically the top
-/// cells of a profiler sensitivity heatmap). The priors join the initial
-/// population ahead of the random fill, and the exploration move mutates a
-/// random prior instead of drawing a cold random genome — the search spends
-/// its budget where the profile already showed the tracker to be weak.
-///
-/// With an empty prior set this is exactly [`search_against`]: same rng
-/// draw sequence, same trajectory, bit-identical report.
+/// `reference` is tracker-independent, so campaigns sweeping many
+/// trackers, and a warm search with its cold baseline, share one.
 ///
 /// # Panics
 ///
-/// Panics if the budget is zero, or if the tailored-attack simulation
-/// itself fails (without it there is no baseline to compare against).
-pub fn search_seeded(
+/// Panics if the workload is unknown, the budget is zero, or the
+/// tailored-attack simulation itself fails (without it there is no
+/// baseline to compare against).
+pub fn search(
     cfg: &SearchConfig,
-    reference: &RunStats,
-    priors: &[ScenarioSpec],
-) -> SearchReport {
-    search_seeded_observed(cfg, reference, priors, &mut |_, _| {})
-}
-
-/// [`search_seeded`] streaming the climb: `frontier(evaluations, best)` is
-/// called after every batch, exactly mirroring the report's `history` —
-/// dashboards render the frontier live without changing the trajectory.
-///
-/// # Panics
-///
-/// Panics if the budget is zero, or if the tailored-attack simulation
-/// itself fails (without it there is no baseline to compare against).
-pub fn search_seeded_observed(
-    cfg: &SearchConfig,
-    reference: &RunStats,
+    reference: &Reference,
     priors: &[ScenarioSpec],
     frontier: &mut dyn FnMut(u32, f64),
 ) -> SearchReport {
     assert!(cfg.budget > 0, "search budget must be nonzero");
-    let mut rng = Xoshiro256::seed_from(cfg.seed ^ 0x5EA2C4);
+    let mut rng = Xoshiro256::seed_from(cfg.arena.seed ^ 0x5EA2C4);
 
     // Initial population: the attack the paper tailored to this tracker
     // (bit-exact via compat — guarantees the search never reports worse
@@ -411,7 +278,7 @@ pub fn search_seeded_observed(
     }
     init.truncate(cfg.budget as usize);
 
-    let mut memo = EvalMemo::new();
+    let memo = EvalMemo::new();
     let mut evaluations = 0u32;
     let mut history = Vec::new();
     // Count attempts (not successes) everywhere, so a panicking scenario
@@ -419,7 +286,7 @@ pub fn search_seeded_observed(
     // Memo hits count too: the search *trajectory* must not depend on how
     // many collisions happened to be answered cheaply.
     evaluations += init.len() as u32;
-    let evaluated = evaluate_specs_memo(cfg, reference, init, &mut memo);
+    let evaluated = evaluate_specs_memo(cfg, reference, init, &memo);
     let tailored = evaluated
         .iter()
         .find(|r| r.spec == ScenarioSpec::baseline(tailored_attack))
@@ -460,7 +327,7 @@ pub fn search_seeded_observed(
                 }
             })
             .collect();
-        let evaluated = evaluate_specs_memo(cfg, reference, mutants, &mut memo);
+        let evaluated = evaluate_specs_memo(cfg, reference, mutants, &memo);
         evaluations += n;
         for rec in evaluated {
             if rec.slowdown > best.slowdown {
@@ -473,7 +340,7 @@ pub fn search_seeded_observed(
 
     SearchReport {
         tracker: cfg.tracker.label(),
-        seed: cfg.seed,
+        seed: cfg.arena.seed,
         evaluations,
         best,
         tailored,
@@ -485,19 +352,35 @@ pub fn search_seeded_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim::RunCache;
 
     fn tiny(tracker: &str) -> SearchConfig {
-        let mut cfg = SearchConfig::new(tracker, "povray_like");
-        cfg.window_us = 60.0;
+        let mut cfg = SearchConfig::new(tracker, Arena::new("povray_like"));
+        cfg.arena.window_us = 60.0;
         cfg.budget = 6;
         cfg.batch = 3;
-        cfg.seed = 0xBEEF;
+        cfg.arena.seed = 0xBEEF;
         cfg
+    }
+
+    fn cold(cfg: &SearchConfig) -> SearchReport {
+        search(cfg, &Reference::default(), &[], &mut |_, _| {})
+    }
+
+    /// One batch against `cache`, every scenario expected to simulate.
+    fn evaluate(
+        cfg: &SearchConfig,
+        specs: &[ScenarioSpec],
+        cache: Option<&dyn PayloadCache<ExperimentResult>>,
+    ) -> Vec<EvalRecord> {
+        let (outcomes, _) =
+            cfg.arena.evaluate(&cfg.tracker, &Reference::default(), specs, cache, |_, _| {});
+        records(specs, outcomes).into_iter().flatten().collect()
     }
 
     #[test]
     fn search_never_reports_worse_than_the_tailored_attack() {
-        let report = search(&tiny("hydra"));
+        let report = cold(&tiny("hydra"));
         assert!(report.rediscovered_tailored(), "slack {}", report.slack());
         assert_eq!(report.evaluations, 6);
         assert_eq!(report.tracker, "Hydra");
@@ -506,8 +389,8 @@ mod tests {
 
     #[test]
     fn search_is_deterministic_in_its_seed() {
-        let a = search(&tiny("comet"));
-        let b = search(&tiny("comet"));
+        let a = cold(&tiny("comet"));
+        let b = cold(&tiny("comet"));
         assert_eq!(a.best.spec, b.best.spec);
         assert!((a.best.slowdown - b.best.slowdown).abs() < 1e-12);
         assert_eq!(a.history, b.history);
@@ -516,18 +399,14 @@ mod tests {
     #[test]
     fn evaluations_score_attack_transients() {
         let cfg = tiny("hydra");
-        let reference = reference_run(&cfg);
-        let records = evaluate_specs(
-            &cfg,
-            &reference,
-            vec![ScenarioSpec::baseline(workloads::Attack::CacheThrash)],
-        );
+        let records =
+            evaluate(&cfg, &[ScenarioSpec::baseline(workloads::Attack::CacheThrash)], None);
         assert_eq!(records.len(), 1);
         let r = &records[0];
         let t = r.time_to_max_slowdown_us.expect("slowdown trace must be recorded");
-        assert!(t > 0.0 && t <= cfg.window_us + 1e-9, "{t}");
+        assert!(t > 0.0 && t <= cfg.arena.window_us + 1e-9, "{t}");
         if let Some(rec) = r.recovery_us {
-            assert!(rec > 0.0 && rec < cfg.window_us);
+            assert!(rec > 0.0 && rec < cfg.arena.window_us);
         }
     }
 
@@ -537,15 +416,14 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let cache = RunCache::open(&dir).expect("open cache");
         let cfg = tiny("hydra");
-        let reference = reference_run(&cfg);
-        let specs = vec![
+        let specs = [
             ScenarioSpec::baseline(workloads::Attack::CacheThrash),
             ScenarioSpec::baseline(workloads::Attack::Streaming),
         ];
-        let plain = evaluate_specs(&cfg, &reference, specs.clone());
-        let cold = evaluate_specs_cached(&cfg, &reference, specs.clone(), &cache);
+        let plain = evaluate(&cfg, &specs, None);
+        let cold = evaluate(&cfg, &specs, Some(&cache));
         assert_eq!(cache.stats().misses, 2);
-        let warm = evaluate_specs_cached(&cfg, &reference, specs, &cache);
+        let warm = evaluate(&cfg, &specs, Some(&cache));
         assert_eq!(cache.stats().hits, 2, "warm pass must answer from cache");
         for (a, b) in plain.iter().zip(&cold).chain(cold.iter().zip(&warm)) {
             assert_eq!(a.name, b.name);
@@ -560,16 +438,15 @@ mod tests {
     #[test]
     fn memo_deduplicates_identical_genomes() {
         let cfg = tiny("hydra");
-        let reference = reference_run(&cfg);
-        let mut memo = EvalMemo::new();
+        let reference = Reference::default();
+        let memo = EvalMemo::new();
         let dup = ScenarioSpec::baseline(workloads::Attack::Streaming);
         let other = ScenarioSpec::baseline(workloads::Attack::CacheThrash);
-        let first =
-            evaluate_specs_memo(&cfg, &reference, vec![dup.clone(), dup.clone()], &mut memo);
+        let first = evaluate_specs_memo(&cfg, &reference, vec![dup.clone(), dup.clone()], &memo);
         assert_eq!(first.len(), 2);
         assert_eq!(memo.simulated(), 1, "within-batch duplicate must simulate once");
         assert_eq!(memo.hits(), 1);
-        let again = evaluate_specs_memo(&cfg, &reference, vec![other, dup], &mut memo);
+        let again = evaluate_specs_memo(&cfg, &reference, vec![other, dup], &memo);
         assert_eq!(again.len(), 2);
         assert_eq!(memo.simulated(), 2, "only the new genome simulates");
         assert_eq!(memo.hits(), 2);
@@ -579,25 +456,32 @@ mod tests {
 
     #[test]
     fn empty_priors_reproduce_the_cold_search_exactly() {
+        // However the one search is entered — a fresh reference and no
+        // observer (campaigns), or a reference something else already
+        // simulated and a live observer (the attack stage's baseline) —
+        // no priors means the cold trajectory.
         let cfg = tiny("comet");
-        let reference = reference_run(&cfg);
-        let cold = search_against(&cfg, &reference);
-        let seeded = search_seeded(&cfg, &reference, &[]);
+        let reference = Reference::default();
+        reference.get(&cfg.arena);
+        let cold = cold(&cfg);
+        let mut frontier = Vec::new();
+        let seeded = search(&cfg, &reference, &[], &mut |e, best| frontier.push((e, best)));
         assert_eq!(cold.best.spec, seeded.best.spec);
         assert_eq!(cold.history, seeded.history);
         assert_eq!(cold.evaluations, seeded.evaluations);
+        assert_eq!(frontier, seeded.history, "the frontier stream mirrors the history");
     }
 
     #[test]
     fn warm_started_search_is_deterministic_and_never_below_tailored() {
         let cfg = tiny("hydra");
-        let reference = reference_run(&cfg);
+        let reference = Reference::default();
         let priors = vec![ScenarioSpec {
             shape: crate::scenario::Shape::Hammer { banks: 32, per_bank: 8 },
             ..ScenarioSpec::baseline(workloads::Attack::CacheThrash)
         }];
-        let a = search_seeded(&cfg, &reference, &priors);
-        let b = search_seeded(&cfg, &reference, &priors);
+        let a = search(&cfg, &reference, &priors, &mut |_, _| {});
+        let b = search(&cfg, &reference, &priors, &mut |_, _| {});
         assert_eq!(a.best.spec, b.best.spec);
         assert_eq!(a.history, b.history);
         assert_eq!(a.dedup_hits, b.dedup_hits);
@@ -609,9 +493,10 @@ mod tests {
     fn shared_reference_matches_per_run_normalization() {
         let cfg = tiny("para");
         let spec = ScenarioSpec::baseline(workloads::Attack::Streaming);
-        let reference = reference_run(&cfg);
-        let via_shared = experiment_for(&cfg, &spec).run_against(&reference);
-        let via_fresh = experiment_for(&cfg, &spec).run();
+        let reference = Reference::default();
+        let experiment = || cfg.arena.experiment(&cfg.tracker, &spec);
+        let via_shared = experiment().run_against(reference.get(&cfg.arena));
+        let via_fresh = experiment().run();
         assert!(
             (via_shared.normalized_performance - via_fresh.normalized_performance).abs() < 1e-12
         );

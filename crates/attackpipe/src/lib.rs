@@ -30,7 +30,9 @@
 //! The [`pipeline`] module drives all three stages per experiment cell,
 //! caches verdicts content-addressed (a warm re-run simulates nothing),
 //! and powers both the `spec_run` `[attacker]` section and the
-//! `redteam --attacker` campaign axis.
+//! `redteam --attacker` campaign axis. The [`cli`] module is the whole
+//! `redteam` command line: the attacklab campaign, that axis, and the
+//! profiler's `profile` / `evaluate` / `attack` stages.
 //!
 //! # Quickstart
 //!
@@ -40,7 +42,7 @@
 //! let e = Experiment::quick("libquantum_like")
 //!     .tracker("para")
 //!     .attacker(AttackerConfig::new(AttackerKnowledge::TimingRecon));
-//! let reference = attackpipe::pipeline::reference_for(&e);
+//! let reference = e.reference();
 //! let verdict = attackpipe::pipeline::run_cell(&e, &reference);
 //! println!(
 //!     "{}: {} flips at {:.3} of baseline (map accuracy {:?})",
@@ -52,14 +54,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod hammer;
 pub mod pipeline;
 pub mod recon;
 pub mod victim;
 
+pub use cli::redteam_main;
 pub use hammer::{HammerPlan, PhysRoundRobin};
 pub use pipeline::{
-    redteam_main, reference_for, run_attacker_sweep, run_cell, AttackerSweepReport, PipelineVerdict,
+    attacker_axis, run_attacker_sweep, run_cell, AttackerSweepReport, PipelineVerdict,
 };
 pub use recon::{Belief, InferredMap, KnowledgeModel, PairVerdict};
 pub use victim::{FlipVerdict, VictimOrchestrator, VictimPlacement};

@@ -7,30 +7,32 @@
 //! [`PipelineVerdict`]: flips *and* slowdown, plus the recon quality
 //! metrics that explain them.
 //!
-//! Verdicts are content-addressed: [`run_attacker_sweep`] keys each cell
-//! by the canonical descriptor of its attack-stripped experiment (the
-//! attacker section included) and reads warm cells straight from a
-//! [`DiskStore`] — a repeated sweep executes zero simulations and emits
-//! byte-identical artifacts. [`redteam_main`] is the `redteam` binary's
-//! entry point; with `--attacker` it extends the attacklab campaign with
-//! one row per knowledge level.
+//! Verdicts are content-addressed: one driver keys each cell by the
+//! canonical descriptor of its attack-stripped experiment (the attacker
+//! section included) and reads warm cells straight from a [`DiskStore`]
+//! — a repeated sweep executes zero simulations and emits byte-identical
+//! artifacts. It has two front ends: [`run_attacker_sweep`] for
+//! `[attacker]` specs, and [`attacker_axis`], which extends an attacklab
+//! campaign with one row per tracker and knowledge level
+//! (`redteam --attacker`).
 
 use analysis::OracleProbe;
-use attacklab::campaign::{run_campaign, CampaignReport, CampaignRow};
+use attacklab::arena::Score;
+use attacklab::campaign::{CampaignReport, CampaignRow};
 use attacklab::scenario::{ScenarioSpec, Shape};
 use attacklab::search::EvalRecord;
 use sim::cache::{lookup_entry, save_entry};
 use sim::exec::{Executor, PayloadCache};
 use sim::metrics::RunStats;
 use sim::{
-    normalized_performance, AttackChoice, AttackerConfig, AttackerKnowledge, CellKey, CustomAttack,
-    Experiment, RunnerConfig, SweepSpec, TelemetrySpec,
+    normalized_performance, AttackChoice, AttackerConfig, AttackerKnowledge, CellKey, Experiment,
+    RunnerConfig, SweepSpec, TelemetrySpec,
 };
 use sim_core::cache::{content_key, DiskStore};
 use sim_core::json::{Json, JsonCodec};
 use std::collections::BTreeMap;
 
-use crate::hammer::{HammerPlan, PhysRoundRobin, PAIRS};
+use crate::hammer::{HammerPlan, PAIRS};
 use crate::recon;
 use crate::victim::VictimOrchestrator;
 
@@ -111,40 +113,13 @@ sim_core::json_record!(PipelineVerdict {
 
 // ---------------------------------------------------------------- running
 
-/// The insecure attack-free baseline every verdict in a cell family
-/// normalizes against. The attacker core slot is occupied (by the idle
-/// trace the reference build substitutes), so benign-core indices line
-/// up with the hammer run; the result depends only on the workload and
-/// system configuration, never on the knowledge level — one reference
-/// serves a whole sweep's cells for a workload.
-pub fn reference_for(e: &Experiment) -> RunStats {
-    let mut r = e.clone();
-    r.telemetry = TelemetrySpec::default();
-    // The attacker axis always normalizes against the attack-free
-    // baseline (flips-vs-slowdown needs an absolute cost), so the
-    // isolate-tracker-overhead normalization does not apply here.
-    r.isolate_tracker_overhead = false;
-    r.custom_attack = Some(idle_placeholder());
-    let engine = r.engine;
-    r.build_system(true).run_engine(engine)
-}
-
-/// A placeholder attack whose only job is to make the reference build
-/// reserve the attacker core; the reference run replaces it with the
-/// idle trace, so its pattern never executes.
-fn idle_placeholder() -> CustomAttack {
-    CustomAttack::new("attackpipe-reference", true, |_, _| {
-        Box::new(attacklab::pattern::PatternTrace(Box::new(PhysRoundRobin::new(
-            vec![sim_core::addr::PhysAddr(0)],
-            10_000,
-        ))))
-    })
-}
-
 /// Runs the full pipeline for one cell: acquire the knowledge level's
 /// belief (timing-recon simulates its probe campaign here), compile and
 /// run the hammer against the tracker, adjudicate victim flips, and
-/// score the benign cost against `reference`.
+/// score the benign cost against `reference` — the experiment's
+/// [`Experiment::reference`], which depends only on the workload and
+/// system configuration, never on the knowledge level: one serves a
+/// whole sweep's cells for a workload.
 ///
 /// # Panics
 ///
@@ -173,11 +148,12 @@ pub fn run_cell(e: &Experiment, reference: &RunStats) -> PipelineVerdict {
     let mut sys = he.build_system(false);
     let run = sys.run_engine(engine);
     let mut probes = sys.take_probes();
-    let oracle = recon::take_probe::<OracleProbe>(&mut probes)
+    let oracle = sim::experiment::take_recorder::<OracleProbe>(&mut probes)
         .expect("the hammer run attaches the ground-truth oracle");
     let flip = orchestrator.adjudicate(&placement, &oracle);
 
     let np = normalized_performance(&run, reference, &he.benign_cores());
+    let score = Score::new(&run, np, None);
     let inferred = belief.inferred.as_ref();
     PipelineVerdict {
         workload: e.workload.clone(),
@@ -187,17 +163,17 @@ pub fn run_cell(e: &Experiment, reference: &RunStats) -> PipelineVerdict {
         victims: flip.victims,
         max_victim_peak: flip.max_victim_peak,
         normalized_performance: np,
-        slowdown: 1.0 / np.max(1e-6),
+        slowdown: score.slowdown,
         recon_accuracy: inferred.and_then(|m| m.accuracy(&geom)),
         recon_recall: inferred.and_then(|m| m.same_bank_recall(&geom)),
         recon_row_shift: inferred.and_then(|m| m.row_shift),
         recon_probes: inferred.map_or(0, |m| m.probes_spent),
         recon_cadence_cycles: inferred.and_then(|m| m.cadence_cycles),
         believed_stride: plan.believed_stride,
-        mitigations: run.mem.vrr_commands + run.mem.rfm_commands,
-        counter_ops: run.mem.counter_reads + run.mem.counter_writes,
-        reset_sweeps: run.mem.reset_sweeps,
-        energy_mj: run.energy_mj,
+        mitigations: score.mitigations,
+        counter_ops: score.counter_ops,
+        reset_sweeps: score.reset_sweeps,
+        energy_mj: score.energy_mj,
     }
 }
 
@@ -304,15 +280,62 @@ impl AttackerSweepReport {
     }
 }
 
-fn reference_scope(e: &Experiment) -> String {
-    format!("{}|{}", e.workload, e.engine.name())
+/// The one cell driver: verdict-cache lookups first, then one shared
+/// reference per workload × engine (and only for cells that missed),
+/// then the missing cells in parallel. Without `cache_dir` every cell
+/// simulates and nothing persists.
+fn run_cells(
+    name: &str,
+    experiments: Vec<Experiment>,
+    cache_dir: Option<String>,
+) -> AttackerSweepReport {
+    let store = cache_dir.and_then(|dir| match DiskStore::open(&dir) {
+        Ok(store) => Some(VerdictStore(store)),
+        Err(e) => {
+            eprintln!("attackpipe: cannot open verdict cache {dir}: {e}; running uncached");
+            None
+        }
+    });
+    let cells = experiments
+        .into_iter()
+        .map(|e| {
+            let key = verdict_key(&e);
+            (e, key)
+        })
+        .collect();
+    let exec = Executor {
+        cache: store.as_ref().map(|s| s as &dyn PayloadCache<_>),
+        checkpoint: None,
+        runner: &RunnerConfig::default(),
+    };
+    let probed = exec.probe(cells, |_, _, _| {});
+    // References are computed up front so the parallel phase only reads
+    // them.
+    let scope = |e: &Experiment| format!("{}|{}", e.workload, e.engine.name());
+    let mut references: BTreeMap<String, RunStats> = BTreeMap::new();
+    for e in probed.missed() {
+        references.entry(scope(e)).or_insert_with(|| e.reference());
+    }
+    let run = move |e: Experiment| run_cell(&e, &references[&scope(&e)]);
+    let (outcomes, summary) = probed.run(sim::cell_label, run, |_, _, _| {});
+    let verdicts = outcomes
+        .into_iter()
+        .filter_map(|outcome| {
+            outcome.inspect_err(|e| eprintln!("attackpipe: cell failed, skipping: {e}")).ok()
+        })
+        .collect();
+    AttackerSweepReport {
+        name: name.to_string(),
+        verdicts,
+        cells: summary.cells,
+        hits: summary.hits as u64,
+        misses: (summary.misses + summary.uncacheable) as u64,
+    }
 }
 
-/// Expands a spec's `[attacker]` cells and runs the pipeline over them:
-/// verdict-cache lookups first, then one shared reference per workload,
-/// then the missing cells in parallel. `cache_dir` overrides the spec's
-/// `[cache]` section (`None` falls back to it; no directory anywhere
-/// disables caching).
+/// Expands a spec's `[attacker]` cells and runs the pipeline over them.
+/// `cache_dir` overrides the spec's `[cache]` section (`None` falls back
+/// to it; no directory anywhere disables caching).
 pub fn run_attacker_sweep(
     spec: &SweepSpec,
     cache_dir: Option<&str>,
@@ -329,48 +352,7 @@ pub fn run_attacker_sweep(
     let dir = cache_dir
         .map(str::to_string)
         .or_else(|| spec.cache.as_ref().and_then(|c| c.effective_dir().map(str::to_string)));
-    let store = dir.and_then(|dir| match DiskStore::open(&dir) {
-        Ok(store) => Some(VerdictStore(store)),
-        Err(e) => {
-            eprintln!("attackpipe: cannot open verdict cache {dir}: {e}; running uncached");
-            None
-        }
-    });
-
-    let cells = experiments
-        .into_iter()
-        .map(|e| {
-            let key = verdict_key(&e);
-            (e, key)
-        })
-        .collect();
-    let exec = Executor {
-        cache: store.as_ref().map(|s| s as &dyn PayloadCache<_>),
-        checkpoint: None,
-        runner: &RunnerConfig::default(),
-    };
-    let probed = exec.probe(cells, |_, _, _| {});
-    // References are computed up front (one per workload × engine, and
-    // only for cells that missed) so the parallel phase only reads them.
-    let mut references: BTreeMap<String, RunStats> = BTreeMap::new();
-    for e in probed.missed() {
-        references.entry(reference_scope(e)).or_insert_with(|| reference_for(e));
-    }
-    let run = move |e: Experiment| run_cell(&e, &references[&reference_scope(&e)]);
-    let (outcomes, summary) = probed.run(sim::cell_label, run, |_, _, _| {});
-    let verdicts = outcomes
-        .into_iter()
-        .filter_map(|outcome| {
-            outcome.inspect_err(|e| eprintln!("attackpipe: cell failed, skipping: {e}")).ok()
-        })
-        .collect();
-    Ok(AttackerSweepReport {
-        name: spec.name.clone(),
-        verdicts,
-        cells: summary.cells,
-        hits: summary.hits as u64,
-        misses: (summary.misses + summary.uncacheable) as u64,
-    })
+    Ok(run_cells(&spec.name, experiments, dir))
 }
 
 // ---------------------------------------------------------------- redteam
@@ -384,124 +366,58 @@ fn nominal_scenario() -> ScenarioSpec {
     spec
 }
 
-fn attacker_rows(
+/// The `redteam --attacker` axis: runs the pipeline for every tracker of
+/// the campaign at every knowledge level in `levels` — in the campaign's
+/// arena, through its `cache_dir` — and appends one row per verdict
+/// (origin `"attacker"`, scenario `attackpipe:<level>`) to `report`.
+pub fn attacker_axis(
     report: &mut CampaignReport,
     levels: &[AttackerKnowledge],
-) -> Vec<PipelineVerdict> {
-    let c = report.config.clone();
-    let mut verdicts = Vec::new();
-    let mut reference: Option<RunStats> = None;
+) -> AttackerSweepReport {
+    let c = &report.config;
+    let mut experiments = Vec::new();
     for tracker in &c.trackers {
-        for &level in levels {
-            let cfg = AttackerConfig {
-                knowledge: level,
+        for &knowledge in levels {
+            let attacker = AttackerConfig {
+                knowledge,
                 recon_budget: AttackerConfig::DEFAULT_RECON_BUDGET,
                 // One --seed reproduces the whole campaign, attacker side
                 // included.
-                seed: c.seed,
+                seed: c.arena.seed,
             };
-            let e = Experiment::new(&c.workload)
-                .tracker(tracker.clone())
-                .window_us(c.window_us)
-                .nrh(c.nrh)
-                .seed(c.seed)
-                .attacker(cfg);
-            if reference.is_none() {
-                reference = Some(reference_for(&e));
-            }
-            let verdict = run_cell(&e, reference.as_ref().expect("just computed"));
-            report.rows.push(CampaignRow {
-                tracker: tracker.label(),
-                origin: "attacker",
-                record: EvalRecord {
-                    spec: nominal_scenario(),
-                    name: format!("attackpipe:{}", level.key()),
-                    slowdown: verdict.slowdown,
-                    normalized_performance: verdict.normalized_performance,
-                    mitigations: verdict.mitigations,
-                    counter_ops: verdict.counter_ops,
-                    reset_sweeps: verdict.reset_sweeps,
-                    energy_mj: verdict.energy_mj,
-                    time_to_max_slowdown_us: None,
-                    recovery_us: None,
-                    recon_accuracy: verdict.recon_accuracy,
-                    flips: Some(verdict.flips),
-                },
-            });
-            verdicts.push(verdict);
+            experiments.push(
+                Experiment::new(&c.arena.workload)
+                    .tracker(tracker.clone())
+                    .window_us(c.arena.window_us)
+                    .nrh(c.arena.nrh)
+                    .seed(c.arena.seed)
+                    .engine(c.arena.engine)
+                    .attacker(attacker),
+            );
         }
     }
-    verdicts
-}
-
-/// Writes `content` to `path`, creating parent directories first.
-fn write_artifact(path: &str, content: &str) -> std::io::Result<()> {
-    if let Some(parent) = std::path::Path::new(path).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
+    let sweep = run_cells("redteam", experiments, c.cache_dir.clone());
+    for v in &sweep.verdicts {
+        report.rows.push(CampaignRow {
+            tracker: v.tracker.clone(),
+            origin: "attacker",
+            record: EvalRecord {
+                spec: nominal_scenario(),
+                name: format!("attackpipe:{}", v.knowledge.key()),
+                slowdown: v.slowdown,
+                normalized_performance: v.normalized_performance,
+                mitigations: v.mitigations,
+                counter_ops: v.counter_ops,
+                reset_sweeps: v.reset_sweeps,
+                energy_mj: v.energy_mj,
+                time_to_max_slowdown_us: None,
+                recovery_us: None,
+                recon_accuracy: v.recon_accuracy,
+                flips: Some(v.flips),
+            },
+        });
     }
-    std::fs::write(path, content)
-}
-
-/// The `redteam` binary's entry point. A leading `profile` / `evaluate`
-/// / `attack` subcommand dispatches to the profiler's campaign workflow;
-/// otherwise, without `--attacker` this is the plain attacklab campaign,
-/// and with it, every tracker additionally runs the pipeline once per
-/// knowledge level, and those rows (origin `"attacker"`, scenario
-/// `attackpipe:<level>`) join the campaign's exports.
-pub fn redteam_main(args: &[String]) -> i32 {
-    if let Some(first) = args.first() {
-        if matches!(first.as_str(), "profile" | "evaluate" | "attack") {
-            return profiler::cli::main_with_args(args);
-        }
-    }
-    let opts = match attacklab::cli::parse_args(args) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return 2;
-        }
-    };
-    if opts.attacker.is_empty() {
-        return attacklab::cli::main_with_args(args);
-    }
-    let mut report = run_campaign(&opts.campaign);
-    let verdicts = attacker_rows(&mut report, &opts.attacker);
-    attacklab::cli::print_report(&report);
-    println!();
-    println!("attacker-knowledge axis (flips vs slowdown per level):");
-    let pct = |v: Option<f64>| match v {
-        Some(v) => format!("{:.0}%", v * 100.0),
-        None => "-".to_string(),
-    };
-    for v in &verdicts {
-        println!(
-            "  {:<13} {:<13} flips {:>2}/{:<2} peak {:>6} slowdown {:>7.3}x recon-acc {:>4} recall {:>4}",
-            v.tracker,
-            v.knowledge.key(),
-            v.flips,
-            v.victims,
-            v.max_victim_peak,
-            v.slowdown,
-            pct(v.recon_accuracy),
-            pct(v.recon_recall),
-        );
-    }
-    let json = report.to_json().render();
-    if let Err(e) = write_artifact(&opts.out, &json) {
-        eprintln!("cannot write {}: {e}", opts.out);
-        return 1;
-    }
-    println!("\nresults written to {}", opts.out);
-    if let Some(csv_path) = &opts.csv {
-        if let Err(e) = write_artifact(csv_path, &report.to_csv()) {
-            eprintln!("cannot write {csv_path}: {e}");
-            return 1;
-        }
-        println!("rows written to {csv_path}");
-    }
-    0
+    sweep
 }
 
 #[cfg(test)]
@@ -568,7 +484,12 @@ mod tests {
         // The attack field is stripped: a custom attack attached by the
         // hammer stage does not change the verdict key.
         let mut with_attack = base.clone();
-        with_attack.custom_attack = Some(idle_placeholder());
+        let plan = HammerPlan {
+            aggressors: vec![sim_core::addr::PhysAddr(0)],
+            name: "attackpipe:blind".to_string(),
+            believed_stride: None,
+        };
+        with_attack.custom_attack = Some(plan.custom_attack());
         assert_eq!(verdict_key(&with_attack).unwrap(), k0);
         // The attacker section is part of the key.
         let other = base.clone().attacker(AttackerConfig::new(AttackerKnowledge::TimingRecon));

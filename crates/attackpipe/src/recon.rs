@@ -28,11 +28,12 @@
 //! and their spacing yields the estimated mitigation cadence.
 
 use cpu::{TraceEntry, TraceSource};
+use sim::experiment::take_recorder;
 use sim::{AttackerConfig, AttackerKnowledge, CustomAttack, Experiment};
 use sim_core::addr::{DramAddr, Geometry, PhysAddr};
 use sim_core::req::SourceId;
 use sim_core::rng::Xoshiro256;
-use sim_core::telemetry::{LatencyProbe, LatencySample, Probe};
+use sim_core::telemetry::{LatencyProbe, LatencySample};
 use std::collections::{HashMap, HashSet};
 
 /// Accesses spent calibrating the row-hit latency floor.
@@ -144,8 +145,6 @@ pub fn same_bank_conflict(geom: &Geometry, a: PhysAddr, b: PhysAddr) -> bool {
 /// reads the geometry (the classic simulator idealism), `TimingRecon`
 /// runs the probe campaign, `Blind` knows nothing.
 pub trait KnowledgeModel {
-    /// Canonical level name.
-    fn name(&self) -> &'static str;
     /// Acquires the belief, possibly by running recon simulations
     /// against the experiment's machine.
     fn acquire(&mut self, base: &Experiment, cfg: &AttackerConfig) -> Belief;
@@ -156,10 +155,6 @@ pub trait KnowledgeModel {
 pub struct Omniscient;
 
 impl KnowledgeModel for Omniscient {
-    fn name(&self) -> &'static str {
-        AttackerKnowledge::Omniscient.key()
-    }
-
     fn acquire(&mut self, base: &Experiment, _cfg: &AttackerConfig) -> Belief {
         // The one model allowed to consult the geometry directly: the
         // true same-bank adjacent-row stride is the encoding of row 1.
@@ -173,10 +168,6 @@ impl KnowledgeModel for Omniscient {
 pub struct Blind;
 
 impl KnowledgeModel for Blind {
-    fn name(&self) -> &'static str {
-        AttackerKnowledge::Blind.key()
-    }
-
     fn acquire(&mut self, _base: &Experiment, _cfg: &AttackerConfig) -> Belief {
         Belief::default()
     }
@@ -184,21 +175,12 @@ impl KnowledgeModel for Blind {
 
 /// Knowledge inferred from access latencies (runs the probe campaign).
 #[derive(Debug, Default)]
-pub struct TimingRecon {
-    /// The evidence from the last [`KnowledgeModel::acquire`] call.
-    pub map: Option<InferredMap>,
-}
+pub struct TimingRecon;
 
 impl KnowledgeModel for TimingRecon {
-    fn name(&self) -> &'static str {
-        AttackerKnowledge::TimingRecon.key()
-    }
-
     fn acquire(&mut self, base: &Experiment, cfg: &AttackerConfig) -> Belief {
         let map = infer_map(base, cfg);
-        let belief = Belief { row_stride: map.row_stride(), inferred: Some(map.clone()) };
-        self.map = Some(map);
-        belief
+        Belief { row_stride: map.row_stride(), inferred: Some(map) }
     }
 }
 
@@ -206,7 +188,7 @@ impl KnowledgeModel for TimingRecon {
 pub fn model_for(k: AttackerKnowledge) -> Box<dyn KnowledgeModel> {
     match k {
         AttackerKnowledge::Omniscient => Box::new(Omniscient),
-        AttackerKnowledge::TimingRecon => Box::new(TimingRecon::default()),
+        AttackerKnowledge::TimingRecon => Box::new(TimingRecon),
         AttackerKnowledge::Blind => Box::new(Blind),
     }
 }
@@ -294,15 +276,7 @@ fn probe_run(base: &Experiment, entries: Vec<TraceEntry>, idle: PhysAddr) -> Vec
     sys.attach_probe(Box::new(LatencyProbe::new(source)));
     let _ = sys.run_engine(e.engine);
     let mut probes = sys.take_probes();
-    take_probe::<LatencyProbe>(&mut probes).map(LatencyProbe::into_samples).unwrap_or_default()
-}
-
-/// Pulls the first probe of concrete type `T` out of a finished run's
-/// probe list (mirror of the experiment runner's private helper).
-pub(crate) fn take_probe<T: Probe>(probes: &mut Vec<Box<dyn Probe>>) -> Option<T> {
-    let idx = probes.iter().position(|p| p.as_any().is::<T>())?;
-    let any: Box<dyn std::any::Any> = probes.remove(idx).into_any();
-    any.downcast::<T>().ok().map(|b| *b)
+    take_recorder::<LatencyProbe>(&mut probes).map(LatencyProbe::into_samples).unwrap_or_default()
 }
 
 // ------------------------------------------------------------- statistics

@@ -70,8 +70,8 @@ impl BenchOpts {
             window_us: parsed.num("--window-us", d.window_us)?,
             full: parsed.has("--full"),
             seed: parsed.seed(d.seed)?,
-            nrh: parsed.num("--nrh", d.nrh as f64)? as u32,
-            sweep_points: parsed.num("--sweep-points", d.sweep_points as f64)? as usize,
+            nrh: parsed.nrh(d.nrh)?,
+            sweep_points: parsed.int("--sweep-points", d.sweep_points)?,
         })
     }
 
@@ -212,6 +212,11 @@ mod tests {
         assert!(err.contains("--window-us") && err.contains("1e"), "{err}");
         let err = BenchOpts::parse(&argv("--nrh")).expect_err("missing value");
         assert!(err.contains("--nrh requires a value"), "{err}");
+        // Integer flags are range-checked, not read as f64 and cast.
+        for bad in ["--nrh -7", "--nrh 2.9", "--nrh 1e12", "--nrh 0", "--sweep-points -1"] {
+            let err = BenchOpts::parse(&argv(bad)).expect_err(bad);
+            assert!(err.contains(bad.split(' ').next().unwrap()), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -9,7 +9,6 @@
 use crate::{DapperConfig, DapperH, DapperS, ResetStrategy};
 use sim_core::registry::{ParamSpec, RegistryError, TrackerParams, TrackerRegistry, TrackerSpec};
 use sim_core::time::ms_to_cycles;
-use sim_core::tracker::StorageOverhead;
 
 fn config_from(key: &'static str, p: &TrackerParams) -> Result<DapperConfig, RegistryError> {
     let mut cfg =
@@ -68,14 +67,6 @@ pub fn dapper_s_spec() -> TrackerSpec {
         Ok(Box::new(DapperS::new(config_from("dapper-s", p)?)))
     }))
     .summary("DAPPER-S (this paper, Sec. V): keyed row-group counters in SRAM")
-    .storage(|p| {
-        let cfg = match config_from("dapper-s", p) {
-            Ok(c) => c,
-            Err(_) => return StorageOverhead::default(),
-        };
-        let table = cfg.groups_per_rank() * cfg.bytes_per_counter();
-        StorageOverhead::new((table + 8) * cfg.geometry.ranks as u64, 0)
-    })
 }
 
 /// DAPPER-H's registry descriptor (Section VI: double hashing + bit-vector
@@ -86,15 +77,6 @@ pub fn dapper_h_spec() -> TrackerSpec {
     }))
     .alias("dapper")
     .summary("DAPPER-H (this paper, Sec. VI): hardened double-hashed tracker")
-    .storage(|p| {
-        let cfg = match config_from("dapper-h", p) {
-            Ok(c) => c,
-            Err(_) => return StorageOverhead::default(),
-        };
-        let groups = cfg.groups_per_rank();
-        let bytes = 2 * groups * cfg.bytes_per_counter() + groups * 4 + 16;
-        StorageOverhead::new(bytes * cfg.geometry.ranks as u64, 0)
-    })
 }
 
 /// Registers DAPPER-S and DAPPER-H into `reg`.

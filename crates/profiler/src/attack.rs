@@ -1,14 +1,16 @@
 //! The attack stage: hill-climbing search warm-started from the heatmap.
 //!
-//! [`attacklab::search_seeded`] takes the profile's hottest genomes as
-//! priors: they join the initial population and replace the cold random
-//! restarts, so the search spends its budget where the tracker already
-//! proved weak. The outcome records how many candidate evaluations the
-//! warm search needed to reach the cold random-restart baseline's best
-//! slowdown — the workflow's headline speedup.
+//! [`attacklab::search`](attacklab::search()) takes the profile's hottest
+//! genomes as priors: they join the initial population and replace the
+//! cold random restarts, so the search spends its budget where the
+//! tracker already proved weak. The outcome records how many candidate
+//! evaluations the warm search needed to reach the cold random-restart
+//! baseline's best slowdown — the workflow's headline speedup.
 
-use attacklab::search::{reference_run, search_seeded_observed, SearchConfig, SearchReport};
+use attacklab::arena::Reference;
+use attacklab::search::{search, SearchConfig, SearchReport};
 use sim::experiment::TrackerSel;
+use sim_core::json::{Json, JsonCodec};
 
 use crate::heatmap::SensitivityHeatmap;
 use crate::CampaignEvent;
@@ -16,38 +18,22 @@ use crate::CampaignEvent;
 /// Attack-stage configuration.
 #[derive(Debug, Clone)]
 pub struct AttackConfig {
-    /// Tracker to attack (normally rebuilt from the heatmap's
-    /// `tracker_key`).
-    pub tracker: TrackerSel,
-    /// Full-fidelity search window, microseconds.
-    pub window_us: f64,
-    /// Total candidate evaluations.
-    pub budget: u32,
-    /// Mutants per generation.
-    pub batch: u32,
-    /// Search seed (defaults to the heatmap's probe seed).
-    pub seed: u64,
+    /// The search: tracker (normally rebuilt from the heatmap's
+    /// `tracker_key`), arena, budget and batch.
+    pub search: SearchConfig,
     /// Heatmap genomes fed in as warm-start priors.
     pub priors: usize,
 }
 
 impl AttackConfig {
-    /// Defaults for a heatmap: its own tracker key and seed, the attacklab
-    /// campaign window, a 48-evaluation budget in batches of 6, the 4
-    /// hottest genomes as priors.
+    /// Defaults for a heatmap: its own tracker key and arena (so the
+    /// search seed is the probe seed), a 48-evaluation budget in batches
+    /// of 6, the 4 hottest genomes as priors.
     pub fn for_heatmap(map: &SensitivityHeatmap) -> Result<Self, String> {
         let tracker = TrackerSel::by_key(&map.tracker_key).map_err(|e| e.to_string())?;
-        Ok(Self { tracker, window_us: 250.0, budget: 48, batch: 6, seed: map.seed, priors: 4 })
-    }
-
-    fn search_config(&self, map: &SensitivityHeatmap) -> SearchConfig {
-        let mut cfg = SearchConfig::new(self.tracker.clone(), &map.workload);
-        cfg.window_us = self.window_us;
-        cfg.nrh = map.nrh;
-        cfg.seed = self.seed;
-        cfg.budget = self.budget;
-        cfg.batch = self.batch;
-        cfg
+        let search =
+            SearchConfig { budget: 48, batch: 6, ..SearchConfig::new(tracker, map.arena()) };
+        Ok(Self { search, priors: 4 })
     }
 }
 
@@ -69,10 +55,23 @@ pub struct AttackOutcome {
     pub ratio: Option<f64>,
 }
 
+impl AttackOutcome {
+    /// Canonical JSON document (what `redteam attack --out` writes).
+    pub fn to_json(&self) -> Json {
+        let count = |v: Option<u32>| v.map_or(Json::Null, |v| Json::count(v as u64));
+        Json::obj([
+            ("warm", search_report_json(&self.warm)),
+            ("cold", self.cold.as_ref().map_or(Json::Null, search_report_json)),
+            ("warm_evals_to_target", count(self.warm_evals_to_target)),
+            ("cold_evals_to_target", count(self.cold_evals_to_target)),
+            ("ratio", self.ratio.map_or(Json::Null, Json::num)),
+        ])
+    }
+}
+
 /// Canonical JSON document for one search report (shared by the CLI and
 /// the spec runner's attack artifacts).
-pub fn search_report_json(r: &SearchReport) -> sim_core::json::Json {
-    use sim_core::json::{Json, JsonCodec};
+pub fn search_report_json(r: &SearchReport) -> Json {
     Json::obj([
         ("tracker", Json::str(&r.tracker)),
         ("seed", Json::hex(r.seed)),
@@ -90,42 +89,33 @@ fn evals_to_reach(history: &[(u32, f64)], target: f64) -> Option<u32> {
     history.iter().find(|(_, best)| *best >= target - 1e-9).map(|(evals, _)| *evals)
 }
 
-/// Runs the attack stage. With `baseline` set, also runs the cold
-/// random-restart search under the identical budget/seed (sharing the
-/// reference run) and scores warm-vs-cold evaluations-to-target.
+/// Runs the attack stage, streaming [`CampaignEvent::Frontier`] points
+/// live. With `baseline` set, also runs the cold random-restart search
+/// under the identical budget/seed (sharing the reference run) and scores
+/// warm-vs-cold evaluations-to-target.
 ///
 /// # Panics
 ///
 /// Panics if the budget is zero or the tailored-attack simulation fails.
-pub fn run_attack(map: &SensitivityHeatmap, cfg: &AttackConfig, baseline: bool) -> AttackOutcome {
-    run_attack_observed(map, cfg, baseline, &mut |_| {})
-}
-
-/// [`run_attack`] streaming [`CampaignEvent::Frontier`] points live.
-pub fn run_attack_observed(
+pub fn run_attack(
     map: &SensitivityHeatmap,
     cfg: &AttackConfig,
     baseline: bool,
     observer: &mut dyn FnMut(&CampaignEvent),
 ) -> AttackOutcome {
     observer(&CampaignEvent::Stage("attack"));
-    let scfg = cfg.search_config(map);
     let priors = map.seed_genomes(cfg.priors);
     observer(&CampaignEvent::Note(format!(
         "attack: {} priors from the heatmap, budget {}",
         priors.len(),
-        scfg.budget
+        cfg.search.budget
     )));
     // One reference run shared by the warm search and the cold baseline.
-    let reference = reference_run(&scfg);
-    let warm = search_seeded_observed(&scfg, &reference, &priors, &mut |evaluation, best| {
+    let reference = Reference::default();
+    let warm = search(&cfg.search, &reference, &priors, &mut |evaluation, best| {
         observer(&CampaignEvent::Frontier { evaluation, best_slowdown: best });
     });
-    let cold = if baseline {
-        Some(search_seeded_observed(&scfg, &reference, &[], &mut |_, _| {}))
-    } else {
-        None
-    };
+    let cold = baseline.then(|| search(&cfg.search, &reference, &[], &mut |_, _| {}));
     let (warm_evals_to_target, cold_evals_to_target, ratio) = match &cold {
         Some(cold) => {
             let target = cold.best.slowdown;
@@ -145,24 +135,18 @@ pub fn run_attack_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::heatmap::Family;
-    use crate::profile::{run_profile, ProfileConfig};
+    use crate::profile::run_profile;
 
     #[test]
     fn attack_stage_feeds_heatmap_priors_into_the_search() {
-        let mut pcfg = ProfileConfig::new("hydra", "povray_like");
-        pcfg.probe_window_us = 25.0;
-        pcfg.bank_groups = 2;
-        pcfg.row_groups = 2;
-        pcfg.families = vec![Family::Hammer, Family::Sweep];
-        let (map, _) = run_profile(&pcfg, None);
+        let (map, _) = run_profile(&crate::profile::tiny(), None, &mut |_| {});
         let mut acfg = AttackConfig::for_heatmap(&map).expect("tracker key resolves");
-        acfg.window_us = 60.0;
-        acfg.budget = 8;
-        acfg.batch = 4;
+        acfg.search.arena.window_us = 60.0;
+        acfg.search.budget = 8;
+        acfg.search.batch = 4;
         acfg.priors = 2;
         let mut frontier = Vec::new();
-        let outcome = run_attack_observed(&map, &acfg, true, &mut |e| {
+        let outcome = run_attack(&map, &acfg, true, &mut |e| {
             if let CampaignEvent::Frontier { evaluation, best_slowdown } = e {
                 frontier.push((*evaluation, *best_slowdown));
             }

@@ -23,25 +23,13 @@ Live rendering is driven by the campaign stages:
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut render_once = false;
-    let mut ansi = true;
-    for arg in &args {
-        match arg.as_str() {
-            "--render-once" => render_once = true,
-            "--no-ansi" => ansi = false,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return;
-            }
-            other => {
-                eprintln!("unknown argument '{other}'\n\n{USAGE}");
-                std::process::exit(2);
-            }
+    let switches = sim_core::cli::parse(&args, &[], &["--render-once", "--no-ansi"], USAGE)
+        .and_then(|p| if p.has("--render-once") { Ok(p) } else { Err(USAGE.to_string()) });
+    match switches {
+        Ok(p) => print!("{}", Dashboard::render_once_sample(!p.has("--no-ansi"))),
+        Err(msg) => {
+            eprintln!("{msg}");
+            std::process::exit(2);
         }
     }
-    if !render_once {
-        eprintln!("{USAGE}");
-        std::process::exit(2);
-    }
-    print!("{}", Dashboard::render_once_sample(ansi));
 }

@@ -7,14 +7,14 @@
 //! the survivors by measured slowdown, which is the list a defender should
 //! actually worry about.
 
+use attacklab::arena::{Arena, EvalStats, Reference, Score};
 use attacklab::scenario::ScenarioSpec;
 use sim::cache::RunCache;
+use sim::exec::PayloadCache;
 use sim::experiment::TrackerSel;
-use sim::{Engine, Threads};
 use sim_core::json::{Json, JsonCodec};
 
 use crate::heatmap::{Family, SensitivityHeatmap};
-use crate::profile::{run_probes, ProfileConfig, ProfileStats};
 use crate::CampaignEvent;
 
 /// Evaluate-stage configuration.
@@ -26,26 +26,17 @@ pub struct EvaluateConfig {
     pub tracker: TrackerSel,
     /// Heatmap cells promoted to full fidelity.
     pub top_k: usize,
-    /// Full-fidelity simulation window, microseconds.
-    pub window_us: f64,
-    /// Simulation engine.
-    pub engine: Engine,
-    /// Memory-phase execution lanes.
-    pub threads: Threads,
+    /// Full-fidelity conditions: the heatmap's arena, probe telemetry
+    /// included, at the campaign window.
+    pub arena: Arena,
 }
 
 impl EvaluateConfig {
-    /// Defaults for a heatmap: its own tracker key, top 5 cells, the
-    /// attacklab campaign window (250 µs).
+    /// Defaults for a heatmap: its own tracker key, top 5 cells, its
+    /// arena at the attacklab campaign window (250 µs).
     pub fn for_heatmap(map: &SensitivityHeatmap) -> Result<Self, String> {
         let tracker = TrackerSel::by_key(&map.tracker_key).map_err(|e| e.to_string())?;
-        Ok(Self {
-            tracker,
-            top_k: 5,
-            window_us: 250.0,
-            engine: Engine::default(),
-            threads: Threads::Seq,
-        })
+        Ok(Self { tracker, top_k: 5, arena: map.arena().probing() })
     }
 }
 
@@ -154,7 +145,8 @@ impl VulnReport {
     }
 }
 
-/// Runs the evaluate stage over the heatmap's top-K cells.
+/// Runs the evaluate stage over the heatmap's top-K cells, streaming
+/// [`CampaignEvent`]s to `observer`.
 ///
 /// # Panics
 ///
@@ -164,38 +156,23 @@ pub fn run_evaluate(
     map: &SensitivityHeatmap,
     cfg: &EvaluateConfig,
     cache: Option<&RunCache>,
-) -> (VulnReport, ProfileStats) {
-    run_evaluate_observed(map, cfg, cache, &mut |_| {})
-}
-
-/// [`run_evaluate`] streaming [`CampaignEvent`]s to `observer`.
-pub fn run_evaluate_observed(
-    map: &SensitivityHeatmap,
-    cfg: &EvaluateConfig,
-    cache: Option<&RunCache>,
     observer: &mut dyn FnMut(&CampaignEvent),
-) -> (VulnReport, ProfileStats) {
+) -> (VulnReport, EvalStats) {
     observer(&CampaignEvent::Stage("evaluate"));
-    // Full fidelity is just a profile configuration with a longer window:
-    // the probe builder (telemetry, engine, threads, cache keys) is shared.
-    let run_cfg = ProfileConfig {
-        tracker: cfg.tracker.clone(),
-        workload: map.workload.clone(),
-        probe_window_us: cfg.window_us,
-        nrh: map.nrh,
-        seed: map.seed,
-        bank_groups: map.bank_groups,
-        row_groups: map.row_groups,
-        families: map.families.clone(),
-        engine: cfg.engine,
-        threads: cfg.threads,
-    };
-    let promoted: Vec<_> = map.top(cfg.top_k).into_iter().cloned().collect();
+    // Full fidelity is the profile's cell at a longer window: the same
+    // arena call builds, keys and runs it.
+    let promoted = map.top(cfg.top_k);
     let probes: Vec<ScenarioSpec> = promoted.iter().map(|cell| cell.probe.clone()).collect();
-    let (outcomes, stats) = run_probes(&run_cfg, cache, &probes, |_, _| {});
+    let (outcomes, stats) = cfg.arena.evaluate(
+        &cfg.tracker,
+        &Reference::default(),
+        &probes,
+        cache.map(|c| c as &dyn PayloadCache<_>),
+        |_, _| {},
+    );
 
-    // Rank by full-fidelity slowdown; ties break on promotion order so the
-    // report is deterministic.
+    // Rank by full-fidelity slowdown; the sort is stable, so ties keep
+    // promotion order and the report is deterministic.
     let mut rows: Vec<VulnRow> = promoted
         .iter()
         .zip(outcomes)
@@ -203,7 +180,7 @@ pub fn run_evaluate_observed(
             let r = outcome.unwrap_or_else(|e| {
                 panic!("profiler: evaluation of {} failed: {e}", cell.probe.name())
             });
-            let np = r.normalized_performance.max(1e-6);
+            let score = Score::of(&r);
             VulnRow {
                 rank: 0,
                 family: cell.family,
@@ -211,41 +188,33 @@ pub fn run_evaluate_observed(
                 row_group: cell.row_group,
                 probe: cell.probe.clone(),
                 probe_score: cell.score(),
-                slowdown: 1.0 / np,
-                normalized_performance: r.normalized_performance,
-                mitigations: r.run.mem.vrr_commands + r.run.mem.rfm_commands,
-                counter_ops: r.run.mem.counter_reads + r.run.mem.counter_writes,
-                time_to_max_us: r.telemetry.as_ref().and_then(|t| t.time_to_max_slowdown_us()),
-                recovery_us: r
-                    .telemetry
-                    .as_ref()
-                    .and_then(|t| t.recovery_us(sim::RECOVERY_THRESHOLD)),
+                slowdown: score.slowdown,
+                normalized_performance: score.normalized_performance,
+                mitigations: score.mitigations,
+                counter_ops: score.counter_ops,
+                time_to_max_us: score.time_to_max_slowdown_us,
+                recovery_us: score.recovery_us,
             }
         })
         .collect();
-    let mut order: Vec<usize> = (0..rows.len()).collect();
-    order.sort_by(|&a, &b| rows[b].slowdown.total_cmp(&rows[a].slowdown).then(a.cmp(&b)));
-    let mut ranked = Vec::with_capacity(rows.len());
-    for (rank, i) in order.into_iter().enumerate() {
-        let mut row = rows[i].clone();
-        row.rank = rank + 1;
+    rows.sort_by(|a, b| b.slowdown.total_cmp(&a.slowdown));
+    for (i, row) in rows.iter_mut().enumerate() {
+        row.rank = i + 1;
         observer(&CampaignEvent::Note(format!(
             "evaluate: #{} {} {:.2}x",
             row.rank,
             row.probe.name(),
             row.slowdown
         )));
-        ranked.push(row);
     }
-    rows = ranked;
     observer(&CampaignEvent::CacheStats { hits: stats.hits as u64, misses: stats.misses as u64 });
     (
         VulnReport {
             tracker: map.tracker.clone(),
-            workload: map.workload.clone(),
-            window_us: cfg.window_us,
-            nrh: map.nrh,
-            seed: map.seed,
+            workload: cfg.arena.workload.clone(),
+            window_us: cfg.arena.window_us,
+            nrh: cfg.arena.nrh,
+            seed: cfg.arena.seed,
             rows,
         },
         stats,
@@ -256,20 +225,17 @@ pub fn run_evaluate_observed(
 mod tests {
     use super::*;
     use crate::heatmap::Family;
-    use crate::profile::{run_profile, ProfileConfig};
+    use crate::profile::run_profile;
 
     #[test]
     fn evaluate_ranks_top_cells_at_full_fidelity() {
-        let mut pcfg = ProfileConfig::new("hydra", "povray_like");
-        pcfg.probe_window_us = 25.0;
-        pcfg.bank_groups = 2;
-        pcfg.row_groups = 2;
+        let mut pcfg = crate::profile::tiny();
         pcfg.families = vec![Family::Hammer];
-        let (map, _) = run_profile(&pcfg, None);
+        let (map, _) = run_profile(&pcfg, None, &mut |_| {});
         let mut ecfg = EvaluateConfig::for_heatmap(&map).expect("tracker key resolves");
         ecfg.top_k = 2;
-        ecfg.window_us = 60.0;
-        let (report, stats) = run_evaluate(&map, &ecfg, None);
+        ecfg.arena.window_us = 60.0;
+        let (report, stats) = run_evaluate(&map, &ecfg, None, &mut |_| {});
         assert_eq!(report.rows.len(), 2);
         assert_eq!(stats.misses, 2);
         assert_eq!(stats.simulations, 3, "2 cells + 1 reference");

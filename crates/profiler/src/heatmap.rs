@@ -5,8 +5,9 @@
 //! probe by the benign slowdown it causes under the tracker being profiled.
 //! The result is a [`SensitivityHeatmap`]: a serializable, byte-stable
 //! document the evaluate stage ranks and the attack stage feeds into
-//! [`attacklab::search_seeded`] as warm-start priors.
+//! [`attacklab::search`](attacklab::search()) as warm-start priors.
 
+use attacklab::arena::Arena;
 use attacklab::scenario::{ScenarioSpec, Shape};
 use sim_core::addr::Geometry;
 use sim_core::json::{DecodeError, Hex, Json, JsonCodec};
@@ -45,6 +46,23 @@ impl Family {
     /// Parses a [`Self::key`] spelling.
     pub fn by_key(key: &str) -> Option<Family> {
         Family::ALL.into_iter().find(|f| f.key() == key)
+    }
+
+    /// Parses a list of [`Self::key`] spellings, `all` standing for every
+    /// family, deduplicated in listing order.
+    pub fn parse_list<'a>(names: impl IntoIterator<Item = &'a str>) -> Result<Vec<Family>, String> {
+        let mut families = Vec::new();
+        for name in names {
+            if name.eq_ignore_ascii_case("all") {
+                return Ok(Family::ALL.to_vec());
+            }
+            let family = Family::by_key(name)
+                .ok_or_else(|| format!("unknown family '{name}' (try 'all')"))?;
+            if !families.contains(&family) {
+                families.push(family);
+            }
+        }
+        Ok(families)
     }
 
     /// Canonical index into [`Self::ALL`].
@@ -120,6 +138,20 @@ pub fn probe_spec(
         ^ ((bank_group as u64) << 32)
         ^ ((row_group as u64) << 16);
     spec
+}
+
+/// Intensity ramp shared by the heatmap grids and the warroom sparkline.
+const RAMP: [char; 10] = [' ', '.', ':', '-', '=', '+', '*', '#', '%', '@'];
+
+/// The ramp glyph for `value` within `lo..=hi` (the middle glyph when the
+/// range is empty).
+pub(crate) fn ramp(value: f64, lo: f64, hi: f64) -> char {
+    if hi > lo {
+        let t = (value - lo) / (hi - lo);
+        RAMP[((t * (RAMP.len() - 1) as f64).round() as usize).min(RAMP.len() - 1)]
+    } else {
+        RAMP[RAMP.len() / 2]
+    }
 }
 
 /// One profiled grid cell: the probe genome and its measured effect.
@@ -219,6 +251,46 @@ sim_core::json_record!(SensitivityHeatmap {
 });
 
 impl SensitivityHeatmap {
+    /// A deterministic synthetic 2×2 map over two families, no simulation
+    /// involved: what `warroom --render-once` previews and the unit tests
+    /// exercise. Sweep / bank group 1 / intensity 1 is its hottest cell.
+    pub fn synthetic() -> SensitivityHeatmap {
+        let geom = Geometry::paper_baseline();
+        let families = vec![Family::Hammer, Family::Sweep];
+        let mut cells = Vec::new();
+        for (fi, family) in families.iter().enumerate() {
+            for bg in 0..2 {
+                for rg in 0..2 {
+                    let slowdown = 1.0 + fi as f64 + bg as f64 * 0.25 + rg as f64 * 0.5;
+                    cells.push(HeatmapCell {
+                        family: *family,
+                        bank_group: bg,
+                        row_group: rg,
+                        probe: probe_spec(geom, *family, bg, 2, rg, 2),
+                        slowdown,
+                        peak_slowdown: slowdown + 0.5,
+                        time_to_max_us: Some(12.5),
+                        recovery_us: if rg == 0 { None } else { Some(30.0) },
+                        mitigations: 10 * (bg as u64 + 1),
+                        counter_ops: 100,
+                    });
+                }
+            }
+        }
+        SensitivityHeatmap {
+            tracker: "Hydra".into(),
+            tracker_key: "hydra".into(),
+            workload: "povray_like".into(),
+            probe_window_us: 60.0,
+            nrh: 500,
+            seed: 0xDA99E5,
+            bank_groups: 2,
+            row_groups: 2,
+            families,
+            cells,
+        }
+    }
+
     /// The cell at a grid coordinate, if that family was profiled.
     pub fn cell(&self, family: Family, bank_group: u32, row_group: u32) -> Option<&HeatmapCell> {
         self.cells
@@ -241,8 +313,18 @@ impl SensitivityHeatmap {
         self.ranked().into_iter().take(k).collect()
     }
 
+    /// The arena the evaluate and attack stages work in: this heatmap's
+    /// workload, threshold and seed at the attacklab campaign window
+    /// (250 µs) rather than the probe window.
+    pub fn arena(&self) -> Arena {
+        let mut arena = Arena::new(&self.workload);
+        arena.nrh = self.nrh;
+        arena.seed = self.seed;
+        arena
+    }
+
     /// The `n` strongest probe genomes — what the attack stage feeds into
-    /// [`attacklab::search_seeded`] as warm-start priors.
+    /// [`attacklab::search`](attacklab::search()) as warm-start priors.
     pub fn seed_genomes(&self, n: usize) -> Vec<ScenarioSpec> {
         self.top(n).into_iter().map(|c| c.probe.clone()).collect()
     }
@@ -251,7 +333,6 @@ impl SensitivityHeatmap {
     /// bank-spread buckets, columns intensity buckets, normalized over the
     /// whole map so families are comparable at a glance.
     pub fn render_ascii(&self) -> String {
-        const RAMP: [char; 10] = [' ', '.', ':', '-', '=', '+', '*', '#', '%', '@'];
         let lo = self.cells.iter().map(|c| c.score()).fold(f64::INFINITY, f64::min);
         let hi = self.cells.iter().map(|c| c.score()).fold(f64::NEG_INFINITY, f64::max);
         let mut out = String::new();
@@ -277,16 +358,7 @@ impl SensitivityHeatmap {
                 }
                 out.push_str(&format!("b{bg} |"));
                 for rg in 0..self.row_groups {
-                    let ch = match self.cell(*family, bg, rg) {
-                        Some(c) if hi > lo => {
-                            let t = (c.score() - lo) / (hi - lo);
-                            RAMP[((t * (RAMP.len() - 1) as f64).round() as usize)
-                                .min(RAMP.len() - 1)]
-                        }
-                        Some(_) => RAMP[RAMP.len() / 2],
-                        None => '?',
-                    };
-                    out.push(ch);
+                    out.push(self.cell(*family, bg, rg).map_or('?', |c| ramp(c.score(), lo, hi)));
                 }
                 out.push_str("|\n");
             }
@@ -308,43 +380,6 @@ impl SensitivityHeatmap {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tiny_map() -> SensitivityHeatmap {
-        let geom = Geometry::paper_baseline();
-        let families = vec![Family::Hammer, Family::Sweep];
-        let mut cells = Vec::new();
-        for (fi, family) in families.iter().enumerate() {
-            for bg in 0..2 {
-                for rg in 0..2 {
-                    let probe = probe_spec(geom, *family, bg, 2, rg, 2);
-                    cells.push(HeatmapCell {
-                        family: *family,
-                        bank_group: bg,
-                        row_group: rg,
-                        probe,
-                        slowdown: 1.0 + fi as f64 + bg as f64 * 0.25 + rg as f64 * 0.5,
-                        peak_slowdown: 1.5 + fi as f64 + bg as f64 * 0.25 + rg as f64 * 0.5,
-                        time_to_max_us: Some(12.5),
-                        recovery_us: if rg == 0 { None } else { Some(30.0) },
-                        mitigations: 10 * (bg as u64 + 1),
-                        counter_ops: 100,
-                    });
-                }
-            }
-        }
-        SensitivityHeatmap {
-            tracker: "Hydra".into(),
-            tracker_key: "hydra".into(),
-            workload: "povray_like".into(),
-            probe_window_us: 60.0,
-            nrh: 500,
-            seed: 0xDA99E5,
-            bank_groups: 2,
-            row_groups: 2,
-            families,
-            cells,
-        }
-    }
 
     #[test]
     fn family_keys_agree_with_the_spec_layer() {
@@ -369,7 +404,7 @@ mod tests {
         // named when one is missing or wrong-typed.
         let mut rng = sim_core::rng::Xoshiro256::seed_from(0x4EA7);
         for _ in 0..10 {
-            let mut map = tiny_map();
+            let mut map = SensitivityHeatmap::synthetic();
             map.seed = rng.next_u64();
             map.nrh = rng.next_u64() as u32;
             for cell in &mut map.cells {
@@ -387,7 +422,7 @@ mod tests {
     fn integers_that_do_not_fit_are_rejected_not_truncated() {
         // Regression: `bank_group` and `nrh` were read as u64 and cast
         // down, so 2^32 + 1 loaded as 1.
-        let doc = tiny_map().encode().render();
+        let doc = SensitivityHeatmap::synthetic().encode().render();
         for (field, bad) in [
             ("\"nrh\":500", "\"nrh\":4294967297"),
             ("\"nrh\":500", "\"nrh\":-500"),
@@ -403,7 +438,7 @@ mod tests {
 
     #[test]
     fn ranking_is_deterministic_and_score_ordered() {
-        let map = tiny_map();
+        let map = SensitivityHeatmap::synthetic();
         let ranked = map.ranked();
         assert_eq!(ranked.len(), map.cells.len());
         for pair in ranked.windows(2) {
@@ -441,7 +476,7 @@ mod tests {
 
     #[test]
     fn ascii_render_names_the_workflow_parts() {
-        let map = tiny_map();
+        let map = SensitivityHeatmap::synthetic();
         let art = map.render_ascii();
         assert!(art.contains("sensitivity heatmap"), "{art}");
         assert!(art.contains("hammer"), "{art}");

@@ -13,33 +13,33 @@
 //! 2. **evaluate** ([`run_evaluate`]) — re-run the top-K heatmap cells at
 //!    full fidelity and emit a ranked [`VulnReport`].
 //! 3. **attack** ([`run_attack`]) — feed the heatmap's hottest genomes
-//!    into [`attacklab::search_seeded`] as warm-start priors, replacing
+//!    into [`attacklab::search`](attacklab::search()) as warm-start priors, replacing
 //!    the hill-climber's cold random restarts; the outcome records how
 //!    many fewer evaluations the warm search needed to reach the cold
 //!    baseline's worst-case slowdown.
 //!
-//! The [`warroom`] module renders campaigns live in a raw-ANSI terminal
-//! dashboard (no dependencies, offline-friendly); [`cli`] exposes the
-//! `profile` / `evaluate` / `attack` subcommands the `redteam` binary
-//! dispatches to, and [`spec`] routes `[profile]` spec sections from
-//! `spec_run`.
+//! Every stage evaluates its genomes through the one core in
+//! [`attacklab::arena`] (genome → cacheable cell → shared reference →
+//! executor → score) and streams [`CampaignEvent`]s to the observer it
+//! is handed. The [`warroom`] module renders those live in a raw-ANSI
+//! terminal dashboard (no dependencies, offline-friendly); the
+//! `profile` / `evaluate` / `attack` subcommands of the `redteam` binary
+//! live with the rest of its command line in `attackpipe::cli`, and
+//! [`spec`] routes `[profile]` spec sections from `spec_run`.
 
 #![forbid(unsafe_code)]
 
 pub mod attack;
-pub mod cli;
 pub mod evaluate;
 pub mod heatmap;
 pub mod profile;
 pub mod spec;
 pub mod warroom;
 
-pub use attack::{run_attack, run_attack_observed, AttackConfig, AttackOutcome};
-pub use evaluate::{run_evaluate, run_evaluate_observed, EvaluateConfig, VulnReport, VulnRow};
+pub use attack::{run_attack, AttackConfig, AttackOutcome};
+pub use evaluate::{run_evaluate, EvaluateConfig, VulnReport, VulnRow};
 pub use heatmap::{probe_spec, Family, HeatmapCell, SensitivityHeatmap};
-pub use profile::{
-    probe_experiment, run_profile, run_profile_observed, ProfileConfig, ProfileStats,
-};
+pub use profile::{run_profile, ProfileConfig};
 pub use warroom::Dashboard;
 
 /// One live event of a running campaign — what the stages stream and the
@@ -48,9 +48,6 @@ pub use warroom::Dashboard;
 pub enum CampaignEvent {
     /// A stage began (`"profile"`, `"evaluate"`, `"attack"`).
     Stage(&'static str),
-    /// A sweep-progress line in the campaignd wire shape (the daemon's
-    /// streaming submits produce these; local stages synthesize them).
-    Progress(campaignd::ProgressEvent),
     /// One heatmap probe resolved.
     ProbeDone {
         /// Probe family.
@@ -63,14 +60,6 @@ pub enum CampaignEvent {
         slowdown: f64,
         /// Whether the run cache answered it without simulating.
         cached: bool,
-    },
-    /// One per-window [`SlowdownTrace`](sim_core::SlowdownTrace) sample of
-    /// the scenario currently on display.
-    TraceSample {
-        /// Window index within the run.
-        index: u32,
-        /// Slowdown in that window.
-        slowdown: f64,
     },
     /// The search frontier advanced: best slowdown after `evaluation`
     /// candidate evaluations.

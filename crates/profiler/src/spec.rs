@@ -17,27 +17,12 @@ use crate::evaluate::{run_evaluate, EvaluateConfig};
 use crate::heatmap::Family;
 use crate::profile::{run_profile, ProfileConfig};
 
-/// Defaults shared with the interactive CLI.
-const DEFAULT_PROBE_WINDOW_US: f64 = 60.0;
-const DEFAULT_GRID: u32 = 4;
-const DEFAULT_TOP_K: usize = 5;
-const DEFAULT_WINDOW_US: f64 = 250.0;
-const DEFAULT_NRH: u32 = 500;
-const DEFAULT_SEED: u64 = 0xDA99E5;
-
 fn families_from_spec(names: &[String]) -> Result<Vec<Family>, String> {
-    if names.is_empty() || names.iter().any(|n| n == "all") {
+    if names.is_empty() {
         return Ok(Family::ALL.to_vec());
     }
-    let mut families = Vec::new();
-    for name in names {
-        let family = Family::by_key(name)
-            .ok_or_else(|| format!("profile.families: unknown family '{name}'"))?;
-        if !families.contains(&family) {
-            families.push(family);
-        }
-    }
-    Ok(families)
+    Family::parse_list(names.iter().map(String::as_str))
+        .map_err(|e| format!("profile.families: {e}"))
 }
 
 /// Runs a `[profile]` spec: the full workflow per tracker × workload cell,
@@ -59,7 +44,6 @@ pub fn run_profile_spec(
             Some(RunCache::open(dir).map_err(|e| format!("cannot open cache dir {dir}: {e}"))?)
         }
     };
-    let full_window_us = spec.options.window_us.unwrap_or(DEFAULT_WINDOW_US);
     let budget = popts.budget.unwrap_or(0);
     std::fs::create_dir_all(out_dir).map_err(|e| format!("cannot create {out_dir}: {e}"))?;
 
@@ -71,49 +55,42 @@ pub fn run_profile_spec(
         Ok(())
     };
 
+    let quiet = &mut |_: &crate::CampaignEvent| {};
     for tracker in &trackers {
         for workload in &workload_names {
-            let cfg = ProfileConfig {
-                tracker: tracker.clone(),
-                workload: workload.clone(),
-                probe_window_us: popts.probe_window_us.unwrap_or(DEFAULT_PROBE_WINDOW_US),
-                nrh: spec.options.nrh.unwrap_or(DEFAULT_NRH),
-                seed: spec.options.seed.unwrap_or(DEFAULT_SEED),
-                bank_groups: popts.bank_groups.unwrap_or(DEFAULT_GRID),
-                row_groups: popts.row_groups.unwrap_or(DEFAULT_GRID),
-                families: families.clone(),
-                engine: spec.options.engine.unwrap_or_default(),
-                threads: sim::Threads::Seq,
-            };
+            let mut cfg = ProfileConfig::new(tracker.clone(), workload);
+            // Unset keys keep the interactive CLI's defaults.
+            cfg.arena.window_us = popts.probe_window_us.unwrap_or(cfg.arena.window_us);
+            cfg.arena.nrh = spec.options.nrh.unwrap_or(cfg.arena.nrh);
+            cfg.arena.seed = spec.options.seed.unwrap_or(cfg.arena.seed);
+            cfg.arena.engine = spec.options.engine.unwrap_or_default();
+            cfg.bank_groups = popts.bank_groups.unwrap_or(cfg.bank_groups);
+            cfg.row_groups = popts.row_groups.unwrap_or(cfg.row_groups);
+            cfg.families = families.clone();
             let stem = format!("{}_{}_{}", spec.name, tracker.key(), workload);
-            let (map, stats) = run_profile(&cfg, cache.as_ref());
+            let (map, stats) = run_profile(&cfg, cache.as_ref(), quiet);
             println!("  profile  {:<13} {:<18} {stats}", tracker.key(), workload);
             write(format!("{stem}_heatmap"), map.encode())?;
 
             // Evaluate reuses the resolved selection so `[params.*]`
             // overrides survive (the heatmap file alone only carries the
-            // registry key).
-            let ecfg = EvaluateConfig {
-                tracker: tracker.clone(),
-                top_k: popts.top_k.unwrap_or(DEFAULT_TOP_K as u32) as usize,
-                window_us: full_window_us,
-                engine: cfg.engine,
-                threads: cfg.threads,
-            };
-            let (report, estats) = run_evaluate(&map, &ecfg, cache.as_ref());
+            // registry key), and the profile's engine.
+            let mut ecfg = EvaluateConfig::for_heatmap(&map)?;
+            ecfg.tracker = tracker.clone();
+            ecfg.top_k = popts.top_k.map_or(ecfg.top_k, |k| k as usize);
+            ecfg.arena.engine = cfg.arena.engine;
+            ecfg.arena.window_us = spec.options.window_us.unwrap_or(ecfg.arena.window_us);
+            let (report, estats) = run_evaluate(&map, &ecfg, cache.as_ref(), quiet);
             println!("  evaluate {:<13} {:<18} {estats}", tracker.key(), workload);
             write(format!("{stem}_report"), report.to_json())?;
 
             if budget > 0 {
-                let acfg = AttackConfig {
-                    tracker: tracker.clone(),
-                    window_us: full_window_us,
-                    budget,
-                    batch: budget.min(6),
-                    seed: map.seed,
-                    priors: 4,
-                };
-                let outcome = run_attack(&map, &acfg, false);
+                let mut acfg = AttackConfig::for_heatmap(&map)?;
+                acfg.search.tracker = tracker.clone();
+                acfg.search.arena.window_us = ecfg.arena.window_us;
+                acfg.search.budget = budget;
+                acfg.search.batch = budget.min(6);
+                let outcome = run_attack(&map, &acfg, false, quiet);
                 println!(
                     "  attack   {:<13} {:<18} best {:.3}x via {} ({} evaluations, {} dedup hits)",
                     tracker.key(),

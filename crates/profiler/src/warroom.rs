@@ -2,38 +2,27 @@
 //!
 //! A deliberately dependency-free, offline-friendly renderer: plain ASCII
 //! panels plus two raw ANSI escapes (clear screen, cursor home) when ANSI
-//! is enabled. The [`Dashboard`] consumes [`CampaignEvent`]s — the same
-//! stream every stage emits and the same
-//! [`ProgressEvent`] wire shape campaignd's
-//! streaming submits produce — and renders the campaign's state: probe
-//! sweep progress, the sensitivity heatmap as it fills in, per-window
-//! slowdown trace samples, the search frontier, and run-cache hit rates.
+//! is enabled. The [`Dashboard`] consumes [`CampaignEvent`]s — the stream
+//! every stage emits — and renders the campaign's state: probe progress,
+//! the finished sensitivity heatmap, the search frontier, and run-cache
+//! hit rates.
 
 use std::collections::VecDeque;
 
-use campaignd::ProgressEvent;
-
+use crate::heatmap::ramp;
 use crate::CampaignEvent;
-
-/// Intensity ramp shared by the heatmap and the trace sparkline.
-const RAMP: [char; 10] = [' ', '.', ':', '-', '=', '+', '*', '#', '%', '@'];
 
 /// Log lines retained.
 const LOG_LINES: usize = 6;
-
-/// Trace samples retained (a scrolling window).
-const TRACE_SAMPLES: usize = 64;
 
 /// Accumulated campaign state, renderable at any moment.
 #[derive(Debug, Default)]
 pub struct Dashboard {
     stage: String,
-    progress: Option<ProgressEvent>,
     probes_done: usize,
     probes_cached: usize,
     last_probe: Option<String>,
     heatmap_art: Option<String>,
-    trace: VecDeque<f64>,
     frontier: Vec<(u32, f64)>,
     cache: Option<(u64, u64)>,
     log: VecDeque<String>,
@@ -52,7 +41,6 @@ impl Dashboard {
                 self.stage = name.to_string();
                 self.push_log(format!("stage: {name}"));
             }
-            CampaignEvent::Progress(p) => self.progress = Some(*p),
             CampaignEvent::ProbeDone { family, bank_group, row_group, slowdown, cached } => {
                 self.probes_done += 1;
                 if *cached {
@@ -62,12 +50,6 @@ impl Dashboard {
                     "{family} b{bank_group} r{row_group} {slowdown:.2}x{}",
                     if *cached { " (cached)" } else { "" }
                 ));
-            }
-            CampaignEvent::TraceSample { slowdown, .. } => {
-                if self.trace.len() == TRACE_SAMPLES {
-                    self.trace.pop_front();
-                }
-                self.trace.push_back(*slowdown);
             }
             CampaignEvent::Frontier { evaluation, best_slowdown } => {
                 self.frontier.push((*evaluation, *best_slowdown));
@@ -92,22 +74,7 @@ impl Dashboard {
     fn sparkline(values: &[f64]) -> String {
         let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
         let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        values
-            .iter()
-            .map(|v| {
-                if hi > lo {
-                    let t = (v - lo) / (hi - lo);
-                    RAMP[((t * (RAMP.len() - 1) as f64).round() as usize).min(RAMP.len() - 1)]
-                } else {
-                    RAMP[RAMP.len() / 2]
-                }
-            })
-            .collect()
-    }
-
-    fn bar(done: u64, total: u64, width: usize) -> String {
-        let filled = if total == 0 { width } else { (done as usize * width) / total as usize };
-        format!("[{}{}]", "#".repeat(filled.min(width)), ".".repeat(width - filled.min(width)))
+        values.iter().map(|v| ramp(*v, lo, hi)).collect()
     }
 
     /// Renders the full frame. With `ansi` the frame is prefixed by
@@ -123,15 +90,6 @@ impl Dashboard {
             "stage: {}\n",
             if self.stage.is_empty() { "(idle)" } else { &self.stage }
         ));
-        if let Some(p) = &self.progress {
-            out.push_str(&format!(
-                "sweep: {} {}/{} cells (job {})\n",
-                Self::bar(p.done, p.cells, 24),
-                p.done,
-                p.cells,
-                p.job
-            ));
-        }
         if self.probes_done > 0 {
             out.push_str(&format!(
                 "probes: {} done ({} cached){}\n",
@@ -144,15 +102,6 @@ impl Dashboard {
             for line in art.lines() {
                 out.push_str(&format!("  {line}\n"));
             }
-        }
-        if !self.trace.is_empty() {
-            let samples: Vec<f64> = self.trace.iter().copied().collect();
-            let hi = samples.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            out.push_str(&format!(
-                "slowdown trace |{}| peak {:.2}x\n",
-                Self::sparkline(&samples),
-                hi
-            ));
         }
         if let Some((evaluation, best)) = self.frontier.last() {
             let climb: Vec<f64> = self.frontier.iter().map(|(_, b)| *b).collect();
@@ -176,57 +125,19 @@ impl Dashboard {
     /// prints so headless environments (CI) can snapshot the renderer
     /// without running a campaign.
     pub fn render_once_sample(ansi: bool) -> String {
-        use crate::heatmap::{probe_spec, Family, HeatmapCell, SensitivityHeatmap};
-        use sim_core::addr::Geometry;
-
         let mut d = Dashboard::new();
         d.handle(&CampaignEvent::Stage("profile"));
-        d.handle(&CampaignEvent::Progress(ProgressEvent { job: 1, done: 12, cells: 16 }));
-        let geom = Geometry::paper_baseline();
-        let families = vec![Family::Hammer, Family::Sweep];
-        let mut cells = Vec::new();
-        for (fi, family) in families.iter().enumerate() {
-            for bg in 0..2u32 {
-                for rg in 0..2u32 {
-                    let slowdown = 1.1 + fi as f64 * 0.8 + bg as f64 * 0.3 + rg as f64 * 0.6;
-                    d.handle(&CampaignEvent::ProbeDone {
-                        family: *family,
-                        bank_group: bg,
-                        row_group: rg,
-                        slowdown,
-                        cached: (bg + rg) % 2 == 0,
-                    });
-                    cells.push(HeatmapCell {
-                        family: *family,
-                        bank_group: bg,
-                        row_group: rg,
-                        probe: probe_spec(geom, *family, bg, 2, rg, 2),
-                        slowdown,
-                        peak_slowdown: slowdown + 0.4,
-                        time_to_max_us: Some(18.0),
-                        recovery_us: None,
-                        mitigations: 64,
-                        counter_ops: 4096,
-                    });
-                }
-            }
+        let map = crate::SensitivityHeatmap::synthetic();
+        for cell in &map.cells {
+            d.handle(&CampaignEvent::ProbeDone {
+                family: cell.family,
+                bank_group: cell.bank_group,
+                row_group: cell.row_group,
+                slowdown: cell.slowdown,
+                cached: (cell.bank_group + cell.row_group) % 2 == 0,
+            });
         }
-        let map = SensitivityHeatmap {
-            tracker: "Hydra".into(),
-            tracker_key: "hydra".into(),
-            workload: "povray_like".into(),
-            probe_window_us: 60.0,
-            nrh: 500,
-            seed: 0xDA99E5,
-            bank_groups: 2,
-            row_groups: 2,
-            families,
-            cells,
-        };
         d.set_heatmap_art(&map.render_ascii());
-        for (i, s) in [1.0, 1.2, 1.9, 2.8, 3.1, 2.9, 3.4, 3.3].into_iter().enumerate() {
-            d.handle(&CampaignEvent::TraceSample { index: i as u32, slowdown: s });
-        }
         for (e, b) in [(6u32, 2.1f64), (12, 2.1), (18, 2.9), (24, 3.4)] {
             d.handle(&CampaignEvent::Frontier { evaluation: e, best_slowdown: b });
         }
@@ -247,10 +158,8 @@ mod tests {
         assert_eq!(a, b, "sample frame must be snapshot-stable");
         for needle in [
             "warroom — profile → evaluate → attack",
-            "sweep:",
             "probes:",
             "sensitivity heatmap",
-            "slowdown trace",
             "search frontier",
             "cache: 6 hits / 10 misses",
         ] {
@@ -266,10 +175,10 @@ mod tests {
     fn dashboard_folds_events_and_caps_buffers() {
         let mut d = Dashboard::new();
         for i in 0..100u32 {
-            d.handle(&CampaignEvent::TraceSample { index: i, slowdown: i as f64 });
+            d.handle(&CampaignEvent::Frontier { evaluation: i, best_slowdown: i as f64 });
             d.handle(&CampaignEvent::Note(format!("line {i}")));
         }
-        assert_eq!(d.trace.len(), TRACE_SAMPLES);
+        assert_eq!(d.frontier.len(), 100, "the whole climb feeds the sparkline");
         assert_eq!(d.log.len(), LOG_LINES);
         let frame = d.render(false);
         assert!(frame.contains("line 99"), "{frame}");

@@ -32,12 +32,34 @@ impl<'a> Parsed<'a> {
         }
     }
 
+    /// The integer value of `flag`, or `default` when absent, read by the
+    /// [`parse_u64`] rule (decimal or `0x` hex). Anything else — a sign,
+    /// a fraction, an exponent — and any value that does not fit `T` is
+    /// an error naming the flag, never a truncation.
+    pub fn int<T: TryFrom<u64>>(&self, flag: &str, default: T) -> Result<T, String> {
+        match self.get(flag) {
+            None => Ok(default),
+            Some(v) => parse_u64(v).and_then(|n| T::try_from(n).ok()).ok_or_else(|| {
+                format!(
+                    "{flag}: '{v}' is not a non-negative integer of {} bits",
+                    8 * size_of::<T>()
+                )
+            }),
+        }
+    }
+
+    /// The `--nrh` RowHammer threshold, or `default` when absent; zero is
+    /// rejected (every row would flip on its first activation).
+    pub fn nrh(&self, default: u32) -> Result<u32, String> {
+        match self.int("--nrh", default)? {
+            0 => Err("--nrh: the RowHammer threshold must be at least 1".to_string()),
+            nrh => Ok(nrh),
+        }
+    }
+
     /// The `--seed` value (decimal or `0x` hex), or `default` when absent.
     pub fn seed(&self, default: u64) -> Result<u64, String> {
-        match self.get("--seed") {
-            None => Ok(default),
-            Some(v) => parse_u64(v).ok_or_else(|| format!("--seed: cannot parse '{v}'")),
-        }
+        self.int("--seed", default)
     }
 }
 
@@ -90,5 +112,25 @@ mod tests {
         let dec = argv("--seed 12345");
         let parsed = parse(&dec, &["--seed"], &[], "").unwrap();
         assert_eq!(parsed.seed(0).unwrap(), 12345);
+    }
+
+    #[test]
+    fn integers_are_range_checked_not_cast() {
+        let int = |value: &str| {
+            let args = vec!["--n".to_string(), value.to_string()];
+            parse(&args, &["--n"], &[], "").unwrap().int::<u32>("--n", 7)
+        };
+        assert_eq!(int("500"), Ok(500));
+        assert_eq!(int("0x10"), Ok(16));
+        assert_eq!(int("4294967295"), Ok(u32::MAX));
+        // Each of these used to run: -7 and 1e12 saturated, 2.9 truncated.
+        for bad in ["-7", "2.9", "1e12", "4294967296", "many", ""] {
+            let err = int(bad).expect_err(bad);
+            assert!(err.contains("--n") && err.contains(bad), "{bad}: {err}");
+        }
+        assert_eq!(parse(&[], &["--n"], &[], "").unwrap().int::<u32>("--n", 7), Ok(7));
+        let zero = vec!["--nrh".to_string(), "0".to_string()];
+        let err = parse(&zero, &["--nrh"], &[], "").unwrap().nrh(500).expect_err("zero N_RH");
+        assert!(err.contains("--nrh"), "{err}");
     }
 }

@@ -10,7 +10,7 @@
 //! door:
 //!
 //! * each tracker publishes a [`TrackerSpec`]: canonical key, display name,
-//!   aliases, storage-overhead model, whether it reserves LLC capacity, a
+//!   aliases, whether it reserves LLC capacity, a
 //!   [`ParamSpec`] schema with paper-baseline defaults, and a `build`
 //!   factory from resolved [`TrackerParams`];
 //! * lookups normalize case and separators (`DAPPER_H`, `dapper-h`, and
@@ -316,10 +316,6 @@ impl TrackerParams {
 pub type BuildFn =
     Box<dyn Fn(&TrackerParams) -> Result<Box<dyn RowHammerTracker>, RegistryError> + Send + Sync>;
 
-/// Storage-overhead model: params in, Table III figure out, without paying
-/// for a full build.
-pub type StorageFn = Box<dyn Fn(&TrackerParams) -> StorageOverhead + Send + Sync>;
-
 /// Everything the registry knows about one tracker.
 pub struct TrackerSpec {
     key: String,
@@ -328,7 +324,6 @@ pub struct TrackerSpec {
     summary: String,
     reserves_llc: bool,
     params: Vec<ParamSpec>,
-    storage: Option<StorageFn>,
     build: BuildFn,
 }
 
@@ -360,7 +355,6 @@ impl TrackerSpec {
             summary: String::new(),
             reserves_llc: false,
             params: Vec::new(),
-            storage: None,
             build: Box::new(build),
         }
     }
@@ -387,15 +381,6 @@ impl TrackerSpec {
     /// Declares one tunable parameter.
     pub fn param(mut self, p: ParamSpec) -> Self {
         self.params.push(p);
-        self
-    }
-
-    /// Attaches the storage-overhead model.
-    pub fn storage<F>(mut self, f: F) -> Self
-    where
-        F: Fn(&TrackerParams) -> StorageOverhead + Send + Sync + 'static,
-    {
-        self.storage = Some(Box::new(f));
         self
     }
 
@@ -466,18 +451,11 @@ impl TrackerSpec {
         (self.build)(&resolved)
     }
 
-    /// Storage cost for the given parameters (Table III model).
+    /// Storage cost for the given parameters (Table III): builds the
+    /// tracker and asks it ([`RowHammerTracker::storage_overhead`] is the
+    /// one storage model); parameters that do not build cost nothing.
     pub fn storage_overhead(&self, base: &TrackerParams) -> StorageOverhead {
-        match (&self.storage, self.resolve_params(&base.values)) {
-            (Some(f), Ok(merged)) => f(&TrackerParams {
-                nrh: base.nrh,
-                geometry: base.geometry,
-                channel: base.channel,
-                seed: base.seed,
-                values: merged,
-            }),
-            _ => StorageOverhead::default(),
-        }
+        self.build(base).map(|t| t.storage_overhead()).unwrap_or_default()
     }
 }
 
@@ -687,12 +665,33 @@ pub fn null_spec() -> TrackerSpec {
         .alias("insecure")
         .alias("baseline")
         .summary("insecure baseline (no tracker)")
-        .storage(|_| StorageOverhead::default())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A tracker that does nothing but own a table of `entries` words.
+    struct Toy {
+        entries: u64,
+    }
+
+    impl RowHammerTracker for Toy {
+        fn name(&self) -> &'static str {
+            "Toy"
+        }
+
+        fn on_activation(
+            &mut self,
+            _act: crate::tracker::Activation,
+            _actions: &mut Vec<crate::tracker::TrackerAction>,
+        ) {
+        }
+
+        fn storage_overhead(&self) -> StorageOverhead {
+            StorageOverhead::new(self.entries * 4, 0)
+        }
+    }
 
     fn toy_registry() -> TrackerRegistry {
         let mut reg = TrackerRegistry::new();
@@ -702,13 +701,12 @@ mod tests {
                 if p.count("entries") % 2 != 0 {
                     return Err(RegistryError::invalid("toy", "entries", "must be even"));
                 }
-                Ok(Box::new(NullTracker))
+                Ok(Box::new(Toy { entries: p.count("entries") as u64 }))
             })
             .alias("toy-tracker")
             .param(ParamSpec::int("entries", "table entries", 64).range(2.0, 1024.0))
             .param(ParamSpec::float("prob", "sampling probability", 0.5).range(0.0, 1.0))
-            .param(ParamSpec::choice("mode", "reset mode", "soft", &["soft", "hard"]))
-            .storage(|p| StorageOverhead::new(p.count("entries") as u64 * 4, 0)),
+            .param(ParamSpec::choice("mode", "reset mode", "soft", &["soft", "hard"])),
         )
         .unwrap();
         reg

@@ -736,12 +736,36 @@ impl Experiment {
         self.run_with_reference(&reference, reference_windows)
     }
 
+    /// Simulates only the reference machine — insecure, and attack-free
+    /// unless [`isolating`](Self::isolating) — under this experiment's
+    /// engine, with no telemetry (probes never change [`RunStats`]): what
+    /// [`run_against`](Self::run_against) normalizes against. It depends
+    /// on the workload and the system configuration only, so a sweep
+    /// whose cells differ in tracker and attack computes it once.
+    ///
+    /// An experiment carrying an [`AttackerConfig`] has no attack yet (the
+    /// pipeline compiles its hammer onto the last core after recon), so
+    /// the reference reserves that core here, idle, keeping benign-core
+    /// indices aligned with the hammer run; and because flips-vs-slowdown
+    /// needs an absolute cost, it is always the attack-free machine.
+    pub fn reference(&self) -> RunStats {
+        let mut r = self.clone();
+        r.telemetry = TelemetrySpec::default();
+        if r.attacker.is_some() {
+            r.isolate_tracker_overhead = false;
+            // Any attack will do: a non-isolating reference idles it.
+            r.attack = AttackChoice::CacheThrash;
+        }
+        r.build_system(true).run_engine(r.engine)
+    }
+
     /// Runs only the system under test, normalizing against a pre-computed
-    /// reference (sweeps share one reference per workload). A slowdown
-    /// trace requested through the [`TelemetrySpec`] normalizes against
-    /// the reference's **end-of-run** per-core IPC here — per-window
-    /// reference samples are only available through [`Experiment::run`],
-    /// which owns the reference simulation.
+    /// reference ([`Experiment::reference`]; sweeps share one per
+    /// workload). A slowdown trace requested through the
+    /// [`TelemetrySpec`] normalizes against the reference's **end-of-run**
+    /// per-core IPC here — per-window reference samples are only
+    /// available through [`Experiment::run`], which owns the reference
+    /// simulation.
     pub fn run_against(self, reference: &RunStats) -> ExperimentResult {
         self.run_with_reference(reference, Vec::new())
     }
@@ -798,8 +822,8 @@ impl Experiment {
 }
 
 /// Pulls the first probe of concrete type `T` out of a finished run's
-/// probe list.
-fn take_recorder<T: Probe>(probes: &mut Vec<Box<dyn Probe>>) -> Option<T> {
+/// probe list ([`System::take_probes`]).
+pub fn take_recorder<T: Probe>(probes: &mut Vec<Box<dyn Probe>>) -> Option<T> {
     let idx = probes.iter().position(|p| p.as_any().is::<T>())?;
     let boxed = probes.remove(idx);
     // Probe: Any, so the box downcasts through Box<dyn Any>.
@@ -951,7 +975,7 @@ mod tests {
         let base = || {
             Experiment::quick("povray_like").tracker("para").window_us(150.0).record_slowdown(30.0)
         };
-        let reference = base().build_system(true).run();
+        let reference = base().reference();
         let r = base().run_against(&reference);
         let t = r.telemetry.expect("slowdown recorder on");
         assert!(t.reference_windows.is_empty(), "shared references have no window series");
@@ -963,7 +987,7 @@ mod tests {
     #[test]
     fn reference_reuse_matches_fresh_run() {
         let e1 = Experiment::quick("povray_like").tracker("para");
-        let reference = e1.build_system(true).run();
+        let reference = e1.reference();
         let a = e1.clone().run_against(&reference);
         let b = Experiment::quick("povray_like").tracker("para").run();
         assert!((a.normalized_performance - b.normalized_performance).abs() < 1e-9);

@@ -232,14 +232,6 @@ pub fn spec() -> TrackerSpec {
         ParamSpec::int("entries", "Misra-Gries table entries (0 = the paper's size for N_RH)", 0)
             .range(0.0, (1u64 << 24) as f64),
     )
-    .storage(|p| {
-        let entries = match p.count("entries") {
-            0 => table_entries_for(p.nrh),
-            n => n,
-        };
-        let (sram, cam) = abacus_storage(entries);
-        StorageOverhead::new(sram, cam)
-    })
 }
 
 #[cfg(test)]

@@ -261,9 +261,6 @@ pub fn spec() -> TrackerSpec {
         ParamSpec::int("blacklist_divisor", "blacklist threshold N_BL = N_RH / divisor", 4)
             .range(1.0, (1u64 << 16) as f64),
     )
-    .storage(|p| {
-        StorageOverhead::new(48 * 1024 * p.count("cbf_counters") as u64 / CBF_COUNTERS as u64, 0)
-    })
 }
 
 #[cfg(test)]

@@ -324,14 +324,6 @@ pub fn spec() -> TrackerSpec {
         )
         .range(0.0, 1.0),
     )
-    .storage(|p| {
-        let (sram, cam) = comet_storage(
-            &TrackerParams::from_build(p),
-            p.count("cms_width"),
-            p.count("rat_entries"),
-        );
-        StorageOverhead::new(sram, cam)
-    })
 }
 
 #[cfg(test)]

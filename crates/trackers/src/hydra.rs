@@ -267,16 +267,6 @@ pub fn spec() -> TrackerSpec {
         ParamSpec::int("rcc_ways", "row counter cache associativity", RCC_WAYS as i64)
             .range(1.0, 4096.0),
     )
-    .storage(|p| {
-        StorageOverhead::new(
-            hydra_storage(
-                &TrackerParams::from_build(p),
-                p.int("group_size") as u32,
-                p.count("rcc_entries"),
-            ),
-            0,
-        )
-    })
 }
 
 #[cfg(test)]

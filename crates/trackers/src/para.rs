@@ -98,7 +98,6 @@ pub fn spec() -> TrackerSpec {
         ParamSpec::float("exponent", "safety exponent; refresh p = exponent / N_RH", EXPONENT)
             .range(1e-6, 1e6),
     )
-    .storage(|_| StorageOverhead::new(16, 0))
 }
 
 #[cfg(test)]

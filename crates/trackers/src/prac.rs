@@ -159,7 +159,6 @@ pub fn spec() -> TrackerSpec {
         ParamSpec::int("abo_batch", "mitigations serviced per tREFI", ABO_BATCH as i64)
             .range(1.0, 65536.0),
     )
-    .storage(|_| StorageOverhead::new(1024, 0))
 }
 
 #[cfg(test)]

@@ -161,10 +161,6 @@ pub fn spec() -> TrackerSpec {
         )
         .range(1e-6, 1e6),
     )
-    .storage(|p| {
-        let banks = (p.geometry.ranks as u64) * p.geometry.banks_per_rank() as u64;
-        StorageOverhead::new(banks * p.count("queue_depth") as u64 * 3, 0)
-    })
 }
 
 #[cfg(test)]

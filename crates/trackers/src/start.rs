@@ -218,7 +218,6 @@ pub fn spec() -> TrackerSpec {
         )
         .range(16.0, (1u64 << 24) as f64),
     )
-    .storage(|_| StorageOverhead::new(4 * 1024, 0))
 }
 
 #[cfg(test)]

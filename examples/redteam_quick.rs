@@ -11,7 +11,7 @@ fn main() {
         vec![TrackerSel::by_key("dapper-h").unwrap(), TrackerSel::by_key("hydra").unwrap()],
         "libquantum_like",
     );
-    cfg.window_us = 120.0;
+    cfg.arena.window_us = 120.0;
     cfg.search_budget = 12;
 
     let report = run_campaign(&cfg);

@@ -12,7 +12,7 @@
 //! nothing concentrates no pressure at all.
 
 use dapper_repro::attackpipe::recon::infer_map;
-use dapper_repro::attackpipe::{reference_for, run_cell, PipelineVerdict};
+use dapper_repro::attackpipe::{run_cell, PipelineVerdict};
 use dapper_repro::sim::experiment::{AttackerConfig, AttackerKnowledge, Experiment};
 use dapper_repro::sim::parallel_map;
 
@@ -61,7 +61,7 @@ fn knowledge_orders_outcomes_for_three_trackers() {
     };
     // One reference serves every cell: it depends only on the workload
     // and machine, never on the tracker under test or knowledge level.
-    let reference = reference_for(&cell("dapper-s", AttackerKnowledge::Omniscient));
+    let reference = cell("dapper-s", AttackerKnowledge::Omniscient).reference();
 
     let mut jobs = Vec::new();
     for tracker in ["dapper-s", "hydra", "para"] {

@@ -180,3 +180,91 @@ fn walk_entries(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
     out.sort();
     out
 }
+
+/// The `.entry` files under `dir`, as the content keys they are named by.
+fn entry_keys(dir: &std::path::Path) -> Vec<String> {
+    walk_entries(dir)
+        .iter()
+        .map(|p| p.file_stem().expect("entry file").to_string_lossy().into_owned())
+        .collect()
+}
+
+#[test]
+fn redteam_cell_keys_are_stable_across_releases() {
+    // The red-team front ends key their cells by (conditions, scenario
+    // genome). Each runs here through the `redteam` entry point against
+    // an empty cache directory, and the entries it leaves behind are
+    // compared with keys recorded before the three crates were folded
+    // onto one evaluation core: a drift would turn every existing
+    // `--cache-dir` cold.
+    let dir = std::env::temp_dir().join(format!("redteam-goldens-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let redteam = |args: String| {
+        let argv: Vec<String> = args.split_whitespace().map(String::from).collect();
+        assert_eq!(attackpipe::redteam_main(&argv), 0, "redteam {args}");
+    };
+    let d = dir.display();
+
+    // attacklab's fixed matrix: the seven paper attacks against Hydra.
+    redteam(format!(
+        "--trackers hydra --budget 0 --window-us 60 --workload povray_like \
+         --cache-dir {d}/matrix --out {d}/matrix.json"
+    ));
+    assert_eq!(entry_keys(&dir.join("matrix")), GOLDEN_MATRIX, "attacklab fixed matrix");
+
+    // The profiler's probe cells (8 trace windows + mitigation log).
+    redteam(format!(
+        "profile --tracker hydra --workload povray_like --probe-window-us 25 --bank-groups 2 \
+         --row-groups 1 --families hammer --cache-dir {d}/profile --out {d}/heatmap.json"
+    ));
+    assert_eq!(entry_keys(&dir.join("profile")), GOLDEN_PROBES, "profiler probes");
+
+    // The evaluate stage's full-fidelity cell for the hottest probe.
+    redteam(format!(
+        "evaluate --heatmap {d}/heatmap.json --top-k 1 --window-us 60 --cache-dir {d}/evaluate"
+    ));
+    assert_eq!(entry_keys(&dir.join("evaluate")), GOLDEN_EVALUATE, "profiler evaluate");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+const GOLDEN_MATRIX: [&str; 7] = [
+    "379e093d1ee503a7f40b271a8ab9c4f5",
+    "80572f35ffbb03c513895e3b6b9beb14",
+    "8702163086e4d840104e54ed1ad442fd",
+    "a6b2be5347ff6213c8e7141bc518a9fa",
+    "bb371c3b32c1c5637529b6abe72a69c6",
+    "c71279910036da5149a73723bb33af1c",
+    "dd5e9bb0bbf6b94e4ea2b4ba9336bb36",
+];
+const GOLDEN_PROBES: [&str; 2] =
+    ["3c45dae42f532eb229e8ddcd50e2adc0", "420eef5cab20302d4cbd625092527b7d"];
+const GOLDEN_EVALUATE: [&str; 1] = ["b6b2bcd278d89260546674d97db5ac22"];
+
+#[test]
+fn redteam_attacker_axis_is_all_hits_and_byte_identical_on_a_warm_rerun() {
+    // `redteam --attacker all --cache-dir D`, twice: the pipeline cells
+    // run through the same cached driver as `[attacker]` specs, so the
+    // second campaign simulates none of them and exports the same bytes.
+    use attacklab::{run_campaign, CampaignConfig};
+    use sim::{AttackerKnowledge, TrackerSel};
+    let dir = std::env::temp_dir().join(format!("redteam-attacker-axis-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut cfg = CampaignConfig::new(vec![TrackerSel::by_key("hydra").unwrap()], "povray_like");
+    cfg.arena.window_us = 60.0;
+    cfg.scenarios.truncate(1);
+    cfg.search_budget = 0;
+    cfg.cache_dir = Some(dir.display().to_string());
+    let campaign = || {
+        let mut report = run_campaign(&cfg);
+        let axis = attackpipe::attacker_axis(&mut report, &AttackerKnowledge::ALL);
+        (report.to_json().render(), report.to_csv(), axis)
+    };
+    let (cold_json, cold_csv, cold) = campaign();
+    assert_eq!((cold.cells, cold.hits, cold.misses), (3, 0, 3));
+    let (warm_json, warm_csv, warm) = campaign();
+    assert_eq!((warm.cells, warm.hits, warm.misses), (3, 3, 0), "no pipeline cell simulates");
+    assert_eq!(warm.verdicts, cold.verdicts);
+    assert_eq!((warm_json, warm_csv), (cold_json.clone(), cold_csv));
+    assert_eq!(cold_json.matches("\"origin\":\"attacker\"").count(), 3, "one row per level");
+    let _ = std::fs::remove_dir_all(&dir);
+}

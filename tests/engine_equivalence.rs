@@ -148,7 +148,7 @@ fn campaign_smoke_runs_on_the_event_engine() {
         vec![TrackerSel::by_key("none").unwrap(), TrackerSel::by_key("dapper-h").unwrap()],
         "gcc_like",
     );
-    cfg.window_us = 100.0;
+    cfg.arena.window_us = 100.0;
     cfg.search_budget = 0;
     cfg.scenarios.truncate(2);
     let report = attacklab::run_campaign(&cfg);

@@ -2,20 +2,19 @@
 //!
 //! The profiler's warm-start and zero-simulation guarantees both rest on
 //! the heatmap being a pure function of the profile configuration: the
-//! same grid must serialize byte-identically across
-//! `Threads::{Seq, N(2)}` and across both simulation engines —
-//! threads are an execution knob excluded from the probe cache key, and
-//! engines are modelled equivalently by construction. Any divergence
-//! would silently split cache entries or make a "warm" profile disagree
-//! with the cold one it claims to reproduce.
+//! same grid must serialize byte-identically across both simulation
+//! engines (modelled equivalently by construction; the shared reference
+//! runs under the configured engine too) and across repeated concurrent
+//! profiles. Any divergence would make a "warm" profile disagree with
+//! the cold one it claims to reproduce.
 
 use dapper_repro::profiler::{run_profile, Family, ProfileConfig};
-use dapper_repro::sim::{parallel_map, Engine, Threads};
+use dapper_repro::sim::{parallel_map, Engine};
 use dapper_repro::sim_core::json::JsonCodec;
 
 fn base_config() -> ProfileConfig {
     let mut cfg = ProfileConfig::new("hydra", "povray_like");
-    cfg.probe_window_us = 25.0;
+    cfg.arena.window_us = 25.0;
     cfg.bank_groups = 2;
     cfg.row_groups = 2;
     cfg.families = vec![Family::Hammer, Family::Thrash];
@@ -23,45 +22,41 @@ fn base_config() -> ProfileConfig {
 }
 
 #[test]
-fn heatmap_is_byte_identical_across_lane_counts_and_engines() {
+fn heatmap_is_byte_identical_across_engines_and_repeats() {
     let mut jobs = Vec::new();
-    for (tname, threads) in [("seq", Threads::Seq), ("n2", Threads::N(2))] {
-        for (ename, engine) in [("dense", Engine::Dense), ("event", Engine::EventDriven)] {
-            for rep in 0..2 {
-                let mut cfg = base_config();
-                cfg.threads = threads;
-                cfg.engine = engine;
-                jobs.push((format!("{tname}/{ename}/rep{rep}"), ename, cfg));
-            }
+    for (ename, engine) in [("dense", Engine::Dense), ("event", Engine::EventDriven)] {
+        for rep in 0..2 {
+            let mut cfg = base_config();
+            cfg.arena.engine = engine;
+            jobs.push((format!("{ename}/rep{rep}"), cfg));
         }
     }
-    let outcomes: Vec<(String, &'static str, String)> =
-        parallel_map(jobs, |(label, ename, cfg)| {
-            let (map, stats) = run_profile(&cfg, None);
-            assert_eq!(stats.cells, 8, "{label}");
-            (label, ename, map.encode().render())
-        })
-        .into_iter()
-        .map(|o| o.expect("profile must not panic"))
-        .collect();
+    let outcomes: Vec<(String, String)> = parallel_map(jobs, |(label, cfg)| {
+        let (map, stats) = run_profile(&cfg, None, &mut |_| {});
+        assert_eq!(stats.cells, 8, "{label}");
+        (label, map.encode().render())
+    })
+    .into_iter()
+    .map(|o| o.expect("profile must not panic"))
+    .collect();
 
     // Engines agree on the model (PR 2's equivalence), so every rendering
-    // in the whole matrix must match the first — threads, engine, or rep.
-    let (ref_label, _, ref_bytes) = &outcomes[0];
+    // in the whole matrix must match the first — engine or rep.
+    let (ref_label, ref_bytes) = &outcomes[0];
     assert!(ref_bytes.contains("\"cells\""), "{ref_label}: heatmap must serialize cells");
-    for (label, _, bytes) in &outcomes[1..] {
+    for (label, bytes) in &outcomes[1..] {
         assert_eq!(bytes, ref_bytes, "{label}: heatmap bytes diverged from {ref_label}");
     }
 }
 
 #[test]
 fn interrupted_profile_keeps_every_settled_probe() {
-    use dapper_repro::profiler::{run_profile_observed, CampaignEvent};
+    use dapper_repro::profiler::CampaignEvent;
     use dapper_repro::sim::RunCache;
     let dir = std::env::temp_dir().join(format!("dapper-heatmap-resume-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = base_config();
-    let (uninterrupted, _) = run_profile(&cfg, None);
+    let (uninterrupted, _) = run_profile(&cfg, None, &mut |_| {});
 
     // Kill the profile the moment the first simulated probe is reported.
     // Probes are checkpointed as they settle, before anything is
@@ -70,7 +65,7 @@ fn interrupted_profile_keeps_every_settled_probe() {
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_profile_observed(&cfg, Some(&cache), &mut |e| {
+        run_profile(&cfg, Some(&cache), &mut |e| {
             if matches!(e, CampaignEvent::ProbeDone { cached: false, .. }) {
                 panic!("interrupted");
             }
@@ -80,7 +75,7 @@ fn interrupted_profile_keeps_every_settled_probe() {
     assert!(killed.is_err(), "the observer interrupts the cold profile");
 
     let cache = RunCache::open(&dir).expect("reopen cache");
-    let (resumed, stats) = run_profile(&cfg, Some(&cache));
+    let (resumed, stats) = run_profile(&cfg, Some(&cache), &mut |_| {});
     assert_eq!((stats.hits, stats.simulations), (8, 0), "every settled probe survived");
     assert_eq!(resumed.encode().render(), uninterrupted.encode().render());
     let _ = std::fs::remove_dir_all(&dir);

@@ -44,7 +44,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use sim_core::addr::PhysAddr;
 use sim_core::req::{AccessKind, SourceId};
@@ -175,7 +175,10 @@ pub struct Core {
     window: VecDeque<Slot>,
     head_seq: u64,
     next_seq: u64,
-    pending: HashMap<u64, u64>,
+    /// Outstanding reads as `(req_id, window seq)`, sorted by id. Ports
+    /// hand ids out ascending, so dispatch appends and completion is one
+    /// binary search over at most a window's worth of entries.
+    pending: Vec<(u64, u64)>,
     trace: Box<dyn TraceSource>,
     bubbles_left: u32,
     staged_access: Option<(PhysAddr, bool)>,
@@ -219,7 +222,7 @@ impl Core {
             window: VecDeque::with_capacity(rob_entries),
             head_seq: 0,
             next_seq: 0,
-            pending: HashMap::new(),
+            pending: Vec::new(),
             trace,
             bubbles_left: 0,
             staged_access: None,
@@ -332,7 +335,8 @@ impl Core {
                     } else {
                         self.mem_reads += 1;
                     }
-                    self.pending.insert(req_id, self.next_seq);
+                    let at = self.pending.partition_point(|&(id, _)| id < req_id);
+                    self.pending.insert(at, (req_id, self.next_seq));
                     self.window.push_back(Slot::Pending);
                     self.next_seq += 1;
                     dispatched += 1;
@@ -348,7 +352,8 @@ impl Core {
     /// only reports reads, so unknown ids indicate a harness bug in debug
     /// builds).
     pub fn complete(&mut self, req_id: u64) {
-        if let Some(seq) = self.pending.remove(&req_id) {
+        if let Ok(at) = self.pending.binary_search_by_key(&req_id, |&(id, _)| id) {
+            let (_, seq) = self.pending.remove(at);
             let idx = (seq - self.head_seq) as usize;
             debug_assert!(idx < self.window.len(), "completion for retired slot");
             if let Some(slot) = self.window.get_mut(idx) {

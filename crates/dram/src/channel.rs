@@ -7,16 +7,21 @@ use sim_core::config::MitigationKind;
 use sim_core::time::Cycle;
 use sim_core::tracker::ResetScope;
 
-/// State of one DRAM bank.
+/// State of one DRAM bank: its open row and the bank-local part of each
+/// command gate. The rank- and bus-wide parts are
+/// [`DramChannel::rank_act_gate`], [`DramChannel::rank_blocked_until`] and
+/// [`DramChannel::bus_col_gate`]; a command may issue once both parts have
+/// passed.
 #[derive(Debug, Clone, Copy, Default)]
-struct BankState {
-    open_row: Option<u32>,
+pub struct BankState {
+    /// The row currently open, if any.
+    pub open_row: Option<u32>,
     /// Earliest cycle an ACT may issue (tRC / tRP / blocking).
-    next_act: Cycle,
+    pub next_act: Cycle,
     /// Earliest PRE (tRAS / tRTP / tWR).
-    next_pre: Cycle,
+    pub next_pre: Cycle,
     /// Earliest column command (tRCD).
-    next_col: Cycle,
+    pub next_col: Cycle,
 }
 
 /// Per-rank constraints shared by its banks.
@@ -90,7 +95,7 @@ impl DramChannel {
     }
 
     fn bank(&self, a: &DramAddr) -> &BankState {
-        &self.ranks[a.rank as usize].banks[self.geom.bank_in_rank(a) as usize]
+        self.bank_state(a.rank, self.geom.bank_in_rank(a))
     }
 
     fn bank_mut(&mut self, a: &DramAddr) -> &mut BankState {
@@ -103,40 +108,27 @@ impl DramChannel {
         self.bank(a).open_row
     }
 
-    /// The row currently open in bank `(rank, bank-in-rank)`, if any.
-    ///
-    /// The `*_at` accessors are the scheduler's fast paths: its per-bank
-    /// scan already knows the coordinates, so they skip the address
-    /// re-decode the [`DramAddr`]-keyed variants pay.
-    pub fn open_row_at(&self, rank: u8, bank: u32) -> Option<u32> {
-        self.ranks[rank as usize].banks[bank as usize].open_row
+    /// State of bank `(rank, bank-in-rank)`: the bank-local half of every
+    /// gate, for a scheduler that caches it per bank.
+    #[inline]
+    pub fn bank_state(&self, rank: u8, bank: u32) -> &BankState {
+        &self.ranks[rank as usize].banks[bank as usize]
     }
 
-    /// [`DramChannel::earliest_col`] keyed by (rank, bank-in-rank).
-    pub fn earliest_col_at(&self, rank: u8, bank: u32, now: Cycle) -> Cycle {
+    /// The rank-wide half of the ACT gate for bank group `bg`: tRRD_S,
+    /// tRRD_L, tFAW and the REF/sweep block.
+    #[inline]
+    pub fn rank_act_gate(&self, rank: u8, bg: u8) -> Cycle {
         let r = &self.ranks[rank as usize];
-        let b = &r.banks[bank as usize];
-        let bus_gate = self.data_bus_free.saturating_sub(self.timing.t_cl);
-        now.max(b.next_col).max(r.blocked_until).max(bus_gate)
-    }
-
-    /// [`DramChannel::earliest_act`] keyed by (rank, bank-in-rank, group).
-    pub fn earliest_act_at(&self, rank: u8, bank: u32, bg: u8, now: Cycle) -> Cycle {
-        let r = &self.ranks[rank as usize];
-        let b = &r.banks[bank as usize];
-        debug_assert!(b.open_row.is_none(), "ACT to an open bank; PRE first");
         let faw_gate = if r.faw_count >= 4 { r.faw[r.faw_idx] + self.timing.t_faw } else { 0 };
-        now.max(b.next_act)
-            .max(r.next_act_any)
-            .max(r.next_act_bg[bg as usize])
-            .max(faw_gate)
-            .max(r.blocked_until)
+        r.next_act_any.max(r.next_act_bg[bg as usize]).max(faw_gate).max(r.blocked_until)
     }
 
-    /// [`DramChannel::earliest_pre`] keyed by (rank, bank-in-rank).
-    pub fn earliest_pre_at(&self, rank: u8, bank: u32, now: Cycle) -> Cycle {
-        let r = &self.ranks[rank as usize];
-        now.max(r.banks[bank as usize].next_pre).max(r.blocked_until)
+    /// The bus half of the column gate: a data burst (starting tCL/tCWL
+    /// after the command) must not overlap the previous one.
+    #[inline]
+    pub fn bus_col_gate(&self) -> Cycle {
+        self.data_bus_free.saturating_sub(self.timing.t_cl)
     }
 
     /// True if the addressed bank has `a.row` open (a row-buffer hit).
@@ -152,16 +144,9 @@ impl DramChannel {
     /// Earliest cycle >= `now` at which an ACT to `a` may issue. The bank
     /// must be closed (PRE first otherwise).
     pub fn earliest_act(&self, a: &DramAddr, now: Cycle) -> Cycle {
-        let rank = &self.ranks[a.rank as usize];
         let bank = self.bank(a);
         debug_assert!(bank.open_row.is_none(), "ACT to an open bank; PRE first");
-        let faw_gate =
-            if rank.faw_count >= 4 { rank.faw[rank.faw_idx] + self.timing.t_faw } else { 0 };
-        now.max(bank.next_act)
-            .max(rank.next_act_any)
-            .max(rank.next_act_bg[a.bank_group as usize])
-            .max(faw_gate)
-            .max(rank.blocked_until)
+        now.max(bank.next_act).max(self.rank_act_gate(a.rank, a.bank_group))
     }
 
     /// Issues an ACT at cycle `at` (must satisfy [`Self::earliest_act`]).
@@ -185,8 +170,7 @@ impl DramChannel {
 
     /// Earliest cycle >= `now` for a PRE to the addressed bank.
     pub fn earliest_pre(&self, a: &DramAddr, now: Cycle) -> Cycle {
-        let rank = &self.ranks[a.rank as usize];
-        now.max(self.bank(a).next_pre).max(rank.blocked_until)
+        now.max(self.bank(a).next_pre).max(self.rank_blocked_until(a.rank))
     }
 
     /// Issues a PRE (closes the open row).
@@ -205,12 +189,7 @@ impl DramChannel {
     /// Debug-asserts that the addressed row is open.
     pub fn earliest_col(&self, a: &DramAddr, now: Cycle) -> Cycle {
         debug_assert!(self.is_row_hit(a), "column command needs the row open");
-        let rank = &self.ranks[a.rank as usize];
-        let bank = self.bank(a);
-        // The data burst must not overlap the previous one; issue so that the
-        // burst (starting tCL/tCWL later) begins after data_bus_free.
-        let bus_gate = self.data_bus_free.saturating_sub(self.timing.t_cl);
-        now.max(bank.next_col).max(rank.blocked_until).max(bus_gate)
+        now.max(self.bank(a).next_col).max(self.rank_blocked_until(a.rank)).max(self.bus_col_gate())
     }
 
     /// Issues a read at `at`; returns the cycle at which data is fully
@@ -321,18 +300,14 @@ impl DramChannel {
         until
     }
 
-    /// The cycle until which the addressed bank cannot accept an ACT —
-    /// used by the scheduler to find ready requests cheaply.
-    pub fn bank_ready_for_act(&self, a: &DramAddr, now: Cycle) -> bool {
-        self.earliest_act(a, now) <= now
-    }
-
     /// True if the rank is currently blocked (REF or sweep in progress).
     pub fn rank_blocked(&self, rank: u8, now: Cycle) -> bool {
         self.ranks[rank as usize].blocked_until > now
     }
 
-    /// Earliest cycle at which the rank unblocks.
+    /// Earliest cycle at which the rank unblocks (REF or sweep): the
+    /// rank-wide half of the column and PRE gates.
+    #[inline]
     pub fn rank_blocked_until(&self, rank: u8) -> Cycle {
         self.ranks[rank as usize].blocked_until
     }

@@ -32,6 +32,6 @@ pub mod channel;
 pub mod energy;
 pub mod timing;
 
-pub use channel::DramChannel;
+pub use channel::{BankState, DramChannel};
 pub use energy::EnergyCounters;
 pub use timing::TimingParams;

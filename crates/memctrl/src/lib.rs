@@ -16,17 +16,51 @@
 //!
 //! # The indexed scheduler
 //!
-//! The controller is built for command-granularity stepping: queued
+//! The controller is built for command-granularity stepping. Queued
 //! requests live in **per-bank FIFO lists** (a request's bank never
-//! changes, so the queue layout *is* the scheduling index), and every
-//! mutation — enqueue, command issue, refresh, tracker hook — refreshes a
-//! cached **decision bound** (`quiet_until`): the earliest cycle at which
-//! [`ChannelController::tick`] could possibly act. Ticks before the bound
-//! return in O(1); [`ChannelController::next_event`] answers from the same
-//! cache in O(1), so the time-skipping engine can jump straight from one
-//! command-issue decision point to the next even while the bus is
-//! saturated. Selection at a decision point walks banks, rejecting a whole
-//! bank with one timing-gate check instead of re-querying DRAM per request.
+//! changes), and what a scheduling decision needs to know about them is
+//! kept in an index that is maintained where state changes, not re-derived
+//! where it is read:
+//!
+//! * a **per-bank digest** — which command the bank's queue asks for next
+//!   (column, ACT or PRE, by its open row), the FR-FCFS key and list
+//!   position of the request that would win it, and the *bank-local* half
+//!   of that command's timing gate (tRC/tRP and mitigation-busy for ACT,
+//!   tRCD/burst for a column, tRAS/tRTP/tWR for PRE) raised to the
+//!   earliest `not_before` among the requests it could serve;
+//! * a **shared-gate table** — per rank one column gate (REF/sweep block,
+//!   data bus), one PRE gate (block) and one ACT gate per bank group
+//!   (tRRD_S, tRRD_L, tFAW, block): the half of every gate that many
+//!   banks share.
+//!
+//! A decision scan visits each non-empty bank once and does no more than
+//! `eff = max(digest.local, gates[digest.gidx])`: `eff <= now` makes the
+//! bank ready (and its key competes for its phase), otherwise `eff` bounds
+//! the next decision. It walks no request and asks DRAM nothing.
+//!
+//! **Who invalidates what.** A digest is recomputed (one walk of that
+//! bank's list) when its bank is touched: `enqueue`, a metadata push, a
+//! column issue, an ACT issue or its throttle tax, a PRE. *Every* active
+//! bank's digest is recomputed when something bank-crossing moves: a REF,
+//! a reset sweep, the mitigation pass acting (same-bank commands close the
+//! bank number in every group), a flip of the write-drain mode (pool
+//! classes swap), a flip of the metadata-saturation veto (demand ACT
+//! candidates appear or vanish), and the expiry of a throttle tax (a
+//! request joins its bank's candidates). The shared gates of a rank are
+//! re-derived when an ACT issues to it, the column gates when a column
+//! command takes the bus, all of them after REF, sweep or mitigation. In
+//! debug builds every bank visit asserts that the digest equals a
+//! from-scratch recompute and the gate it reads a fresh derivation from
+//! [`DramChannel`], so a missed invalidation fails at the cycle it
+//! happens.
+//!
+//! On top of the scan sits a cached **decision bound** (`quiet_until`):
+//! the earliest cycle at which [`ChannelController::tick`] could possibly
+//! act, refreshed by every full tick and lowered by `enqueue`. Ticks
+//! before the bound return in O(1); [`ChannelController::next_event`]
+//! answers from the same cache in O(1), so the time-skipping engine can
+//! jump straight from one command-issue decision point to the next even
+//! while the bus is saturated.
 //!
 //! The pre-index full-scan selection survives as the **naive-scan oracle**
 //! ([`ChannelController::set_naive_scan`]): a straight-line implementation
@@ -138,18 +172,49 @@ type Candidate = (u8, u64, usize, usize);
 /// controller performs per bus cycle while a backlog exists.
 const MIT_ACTIONS_PER_TICK: usize = 8;
 
-/// Outcome of the fused per-bank scan: winning candidate of each phase
-/// (the PRE winner carries its slot and target address), how many banks
-/// hold an action ready this cycle, and the earliest strictly-future
-/// decision contribution.
+/// The command a bank's queue asks for next, in selection-priority order.
+/// Indexes [`Scan::win`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// The open row serves a queued request.
+    Col,
+    /// The bank is closed.
+    Act,
+    /// The open row serves nothing queued.
+    Pre,
+}
+
+/// Everything the decision scan needs to know about one non-empty bank,
+/// cached so a scan never walks the bank's requests or asks DRAM for a
+/// gate (module docs, "The indexed scheduler"). Recomputed by
+/// [`ChannelController::compute_digest`] whenever one of its inputs moves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct BankDigest {
+    /// Bank-local half of the phase's gate (ACT: tRC/tRP and
+    /// mitigation-busy; column: tRCD/burst; PRE: tRAS/tRTP/tWR), raised to
+    /// the earliest `not_before` among the requests the command could
+    /// serve. [`sched::NEVER`] when it could serve none (a closed bank
+    /// whose every request is vetoed by metadata backpressure).
+    local: Cycle,
+    /// FR-FCFS priority of the bank's winner — `class << 62 | seq` of the
+    /// best servable request whose `not_before` has passed — or, for PRE,
+    /// the slot (lowest slot wins, like the oracle's slot-order pass).
+    key: u64,
+    /// Position of the winner in the bank's list.
+    pos: u32,
+    /// Index into `gates` of the rank/bus-wide half of the gate.
+    gidx: u16,
+    phase: Phase,
+}
+
+/// Outcome of one decision scan over the active banks' digests.
 struct Scan {
-    col: Option<Candidate>,
-    act: Option<Candidate>,
-    pre: Option<(usize, DramAddr)>,
-    /// Banks with an action ready this cycle (at most one per bank is
-    /// counted; only `>= 2` is consumed: with two ready banks, issuing one
-    /// command leaves the other ready, pinning the next decision to the
-    /// very next cycle).
+    /// Per [`Phase`]: lowest ready key and its bank slot; `u64::MAX` while
+    /// no bank is ready in that phase.
+    win: [(u64, u32); 3],
+    /// Banks with an action ready this cycle (only `>= 2` is consumed:
+    /// with two ready banks, issuing one command leaves the other ready,
+    /// pinning the next decision to the very next cycle).
     ready: u32,
     /// Earliest `> now` decision contribution over the scanned banks.
     bound: Cycle,
@@ -157,14 +222,23 @@ struct Scan {
 
 impl Scan {
     fn empty() -> Self {
-        Scan { col: None, act: None, pre: None, ready: 0, bound: sched::NEVER }
+        Scan { win: [(u64::MAX, 0); 3], ready: 0, bound: sched::NEVER }
+    }
+
+    /// Slot of the bank that won `phase`, if any bank was ready in it.
+    fn winner(&self, phase: Phase) -> Option<usize> {
+        let (key, slot) = self.win[phase as usize];
+        (key != u64::MAX).then_some(slot as usize)
     }
 }
 
 /// Precomputed DRAM coordinates of a bank slot: (rank, bank-in-rank,
-/// bank group) — lets the scan use the re-decode-free `*_at` DRAM
-/// accessors.
+/// bank group).
 type SlotCoord = (u8, u32, u8);
+
+/// `(draining_writes, metadata saturated)`: the two controller-wide modes
+/// every digest depends on (pool class, ACT veto).
+type Modes = (bool, bool);
 
 /// One channel's memory controller.
 pub struct ChannelController {
@@ -181,8 +255,19 @@ pub struct ChannelController {
     active: Vec<u32>,
     /// Position of each slot in `active`, or `u32::MAX` when inactive.
     active_pos: Vec<u32>,
-    /// Per-slot DRAM coordinates for the scan's `*_at` fast paths.
+    /// Per-slot DRAM coordinates.
     slot_coords: Vec<SlotCoord>,
+    /// Per-slot digest; current for every slot in `active`, stale otherwise.
+    digests: Vec<BankDigest>,
+    /// Shared-gate table, `gate_stride` entries per rank: the column gate
+    /// (REF/sweep block, data bus), the PRE gate (block), then one ACT
+    /// gate per bank group (tRRD_S/tRRD_L/tFAW/block).
+    gates: Vec<Cycle>,
+    gate_stride: usize,
+    /// Earliest future `not_before` any digest was computed around: once
+    /// it passes, a throttled request joins its bank's candidates and the
+    /// digests are recomputed (a lower bound; reset on full recompute).
+    next_hold: Cycle,
     /// Demand reads queued (across all banks).
     nreads: usize,
     /// Demand writes queued.
@@ -266,6 +351,19 @@ impl ChannelController {
                     ((slot / banks) as u8, bank, (bank / geom.banks_per_group as u32) as u8)
                 })
                 .collect(),
+            digests: vec![
+                BankDigest {
+                    local: sched::NEVER,
+                    key: 0,
+                    pos: 0,
+                    gidx: 0,
+                    phase: Phase::Act
+                };
+                ranks * banks
+            ],
+            gates: vec![0; ranks * (2 + geom.bank_groups as usize)],
+            gate_stride: 2 + geom.bank_groups as usize,
+            next_hold: sched::NEVER,
             nreads: 0,
             nwrites: 0,
             ncounter: 0,
@@ -312,6 +410,9 @@ impl ChannelController {
     /// holds the indexed path against.
     pub fn set_naive_scan(&mut self, naive: bool) {
         self.naive = naive;
+        // The oracle's PRE pass goes around the index: have the next
+        // indexed scan recompute every digest.
+        self.next_hold = 0;
     }
 
     /// Hands every buffered event to `sink` in issue order and clears the
@@ -354,6 +455,7 @@ impl ChannelController {
     /// matching queue is full — the caller must retry.
     pub fn enqueue(&mut self, req: MemRequest) -> bool {
         debug_assert_eq!(req.dram.channel, self.channel);
+        let before = self.modes();
         match req.kind {
             AccessKind::Read => {
                 if self.nreads >= self.cfg.read_queue_cap {
@@ -384,6 +486,7 @@ impl ChannelController {
             seq,
         });
         self.note_bank_filled(slot);
+        self.reindex(slot, before, req.arrival);
         // Lower the decision bound to this request's own earliest issue
         // gate (O(1); the full per-bank recomputation happens on the next
         // full tick). `arrival` is the enqueue cycle.
@@ -433,9 +536,14 @@ impl ChannelController {
         if !self.naive && now < self.quiet_until {
             return;
         }
-        self.do_refresh(now);
+        let refreshed = self.do_refresh(now);
         self.run_tracker_hooks(now);
-        self.issue_mitigations(now);
+        let mitigated = self.issue_mitigations(now);
+        if refreshed || mitigated {
+            // REF, sweeps and mitigation commands close and block banks
+            // rank-wide; PREs ahead of a mitigation ride along.
+            self.refresh_index(now);
+        }
         // The scheduler's scan (re-run after any issue) plus the floors
         // over REF/hook/mitigation deadlines give the exact next decision
         // point; mitigation actions this tick are reflected because
@@ -444,11 +552,13 @@ impl ChannelController {
         self.quiet_until = self.quiet_floor(now, scan_bound);
     }
 
-    fn do_refresh(&mut self, now: Cycle) {
+    /// Issues every owed REF; true if any issued.
+    fn do_refresh(&mut self, now: Cycle) -> bool {
         // Catch-up loop: `now` may jump several tREFI at once (time-skipping
         // engine, or dense ticking resuming after a long sweep block), and
         // every owed REF boundary must be processed, not just the first.
         let trefi = self.dram.timing().t_refi;
+        let mut issued = false;
         for rank in 0..self.next_ref.len() {
             while now >= self.next_ref[rank] {
                 let blocked_until = self.dram.rank_blocked_until(rank as u8);
@@ -462,8 +572,10 @@ impl ChannelController {
                 self.dram.issue_ref(rank as u8, at);
                 self.stats.refreshes += 1;
                 self.next_ref[rank] += trefi;
+                issued = true;
             }
         }
+        issued
     }
 
     fn run_tracker_hooks(&mut self, now: Cycle) {
@@ -513,6 +625,7 @@ impl ChannelController {
         let slot = self.slot_of(&addr);
         let seq = self.next_seq;
         self.next_seq += 1;
+        let before = self.modes();
         self.banks[slot].push(Queued {
             req,
             not_before: now,
@@ -527,6 +640,7 @@ impl ChannelController {
             AccessKind::Read => self.stats.counter_reads += 1,
             AccessKind::Write => self.stats.counter_writes += 1,
         }
+        self.reindex(slot, before, now);
     }
 
     fn slot_of(&self, addr: &DramAddr) -> usize {
@@ -556,11 +670,13 @@ impl ChannelController {
         }
     }
 
-    /// Sweep and victim-row mitigation pass. The cached decision bound
-    /// needs no notification from here: `tick` recomputes it afterwards
-    /// via `schedule`'s scan and `mitigation_bound`, both of which read
-    /// the post-action state.
-    fn issue_mitigations(&mut self, now: Cycle) {
+    /// Sweep and victim-row mitigation pass; true if it issued anything
+    /// (the caller then rebuilds the scan index). The cached decision
+    /// bound needs no notification from here: `tick` recomputes it
+    /// afterwards via `schedule`'s scan and `mitigation_bound`, both of
+    /// which read the post-action state.
+    fn issue_mitigations(&mut self, now: Cycle) -> bool {
+        let mut acted = false;
         // Structure-reset sweeps take absolute priority.
         while let Some(&scope) = self.sweep_q.front() {
             // Only start a sweep when the scope isn't already mid-sweep.
@@ -575,6 +691,7 @@ impl ChannelController {
             }
             self.sweep_q.pop_front();
             let until = self.dram.issue_reset_sweep(scope, now);
+            acted = true;
             self.stats.reset_sweeps += 1;
             self.stats.mitigation_block_cycles += until - now;
             if self.capture_events {
@@ -647,7 +764,9 @@ impl ChannelController {
                     });
                 }
             }
+            acted |= actions > 0;
         }
+        acted
     }
 
     /// Earliest cycle the mitigation pass could act again, given current
@@ -720,7 +839,8 @@ impl ChannelController {
             return 0;
         }
         let scan = self.fused_scan(now);
-        if let Some((_, _, slot, pos)) = scan.col {
+        if let Some(slot) = scan.winner(Phase::Col) {
+            let pos = self.digests[slot].pos as usize;
             let was_saturated = self.ncounter >= self.cfg.counter_queue_cap;
             self.issue_column(slot, pos, now);
             if was_saturated && self.ncounter < self.cfg.counter_queue_cap {
@@ -730,7 +850,8 @@ impl ChannelController {
             }
             return self.post_issue_bound(&scan, slot, None, now);
         }
-        if let Some((_, _, slot, pos)) = scan.act {
+        if let Some(slot) = scan.winner(Phase::Act) {
+            let pos = self.digests[slot].pos as usize;
             let meta_before = self.ncounter;
             if self.commit_act(slot, pos, now) {
                 if self.ncounter != meta_before {
@@ -742,19 +863,23 @@ impl ChannelController {
             }
             // Throttled: the tax is a state change, but the PRE pass still
             // runs this very tick, like the dense reference.
-            let pre_slot = scan.pre.map(|(ps, a)| {
-                self.dram.issue_pre(&a, now);
-                self.stats.precharges += 1;
-                ps
-            });
+            let pre_slot = scan.winner(Phase::Pre).inspect(|&ps| self.precharge(ps, now));
             return self.post_issue_bound(&scan, slot, pre_slot, now);
         }
-        if let Some((ps, a)) = scan.pre {
-            self.dram.issue_pre(&a, now);
-            self.stats.precharges += 1;
+        if let Some(ps) = scan.winner(Phase::Pre) {
+            self.precharge(ps, now);
             return self.post_issue_bound(&scan, ps, None, now);
         }
         scan.bound
+    }
+
+    /// Precharges the bank in `slot`, whose open row serves nothing queued.
+    fn precharge(&mut self, slot: usize, now: Cycle) {
+        // Every queued request conflicts, so any of them names the bank.
+        let a = self.banks[slot][0].req.dram;
+        self.dram.issue_pre(&a, now);
+        self.stats.precharges += 1;
+        self.refresh_digest(slot, now);
     }
 
     /// Decision bound after this tick's action(s) touched `slot` (and
@@ -785,118 +910,168 @@ impl ChannelController {
         if self.banks[slot].is_empty() {
             return sched::NEVER;
         }
-        let meta_saturated = self.ncounter >= self.cfg.counter_queue_cap;
-        let mut s = Scan::empty();
-        self.scan_bank(slot, now, meta_saturated, &mut s);
-        if s.ready > 0 {
-            now
-        } else {
-            s.bound
-        }
+        self.ready_at(slot, now).max(now)
     }
 
-    /// One pass over the active banks computing all three phase winners,
-    /// the ready-bank count, and the no-issue decision bound
-    /// simultaneously — one open-row lookup and one timing-gate
-    /// evaluation per bank, instead of a DRAM-state query per request per
-    /// phase. `active` is unordered; every selection is order-independent
-    /// (winners by (class, age), the PRE target by lowest slot).
-    fn fused_scan(&self, now: Cycle) -> Scan {
-        // Backpressure: while the metadata queue is saturated, demand ACTs
-        // stall (Hydra/START counter updates gate forward progress).
-        let meta_saturated = self.ncounter >= self.cfg.counter_queue_cap;
+    /// One pass over the active banks' digests computing all three phase
+    /// winners, the ready-bank count, and the no-issue decision bound
+    /// simultaneously. `active` is unordered; every selection is
+    /// order-independent (winners by lowest key).
+    fn fused_scan(&mut self, now: Cycle) -> Scan {
+        if now >= self.next_hold {
+            self.refresh_all_digests(now);
+        }
         let mut s = Scan::empty();
         for &slot in &self.active {
-            self.scan_bank(slot as usize, now, meta_saturated, &mut s);
+            let eff = self.ready_at(slot as usize, now);
+            if eff <= now {
+                let d = &self.digests[slot as usize];
+                s.ready += 1;
+                let win = &mut s.win[d.phase as usize];
+                if d.key < win.0 {
+                    *win = (d.key, slot);
+                }
+            } else {
+                s.bound = s.bound.min(eff);
+            }
         }
         s
     }
 
-    /// Folds one bank into a [`Scan`].
-    fn scan_bank(&self, slot: usize, now: Cycle, meta_saturated: bool, s: &mut Scan) {
+    /// Earliest cycle the command the active bank in `slot` asks for could
+    /// issue: the later half of its gate. `now` only feeds the debug
+    /// invariant.
+    #[inline]
+    fn ready_at(&self, slot: usize, now: Cycle) -> Cycle {
+        let d = &self.digests[slot];
+        // Convict a missed invalidation at the cycle it happens.
+        debug_assert_eq!(*d, self.compute_digest(slot, now).0, "stale digest, slot {slot} @ {now}");
+        debug_assert_eq!(
+            self.gates[d.gidx as usize],
+            {
+                let rank = self.slot_coords[slot].0;
+                self.derive_gate(rank, d.gidx as usize - rank as usize * self.gate_stride)
+            },
+            "stale shared gate, slot {slot} @ {now}"
+        );
+        d.local.max(self.gates[d.gidx as usize])
+    }
+
+    /// The controller-wide modes digests depend on.
+    #[inline]
+    fn modes(&self) -> Modes {
+        (self.draining_writes, self.ncounter >= self.cfg.counter_queue_cap)
+    }
+
+    /// Digest of the bank in `slot` from scratch, valid from `now` until
+    /// the second value: the earliest future `not_before` among the
+    /// requests its command could serve ([`sched::NEVER`] if none).
+    fn compute_digest(&self, slot: usize, now: Cycle) -> (BankDigest, Cycle) {
         let (rank, bank_ix, bg) = self.slot_coords[slot];
-        let bank = &self.banks[slot];
-        match self.dram.open_row_at(rank, bank_ix) {
-            None => {
-                // Closed bank: every request is an ACT candidate behind
-                // one shared gate (tRC/tRRD/tFAW/REF/mitigation-busy).
-                let gate =
-                    self.dram.earliest_act_at(rank, bank_ix, bg, now).max(self.mit_busy[slot]);
-                let ready = gate <= now;
-                let mut min_nb = Cycle::MAX;
-                let mut bank_ready = false;
-                for (pos, q) in bank.iter().enumerate() {
-                    let class = self.class_of(q);
-                    if meta_saturated && class != 0 {
-                        // Unblocking needs a metadata issue — itself a
-                        // decision tick — so vetoed candidates contribute
-                        // neither readiness nor a bound.
-                        continue;
-                    }
-                    min_nb = min_nb.min(q.not_before);
-                    if !ready || q.not_before > now {
-                        continue;
-                    }
-                    bank_ready = true;
-                    if s.act.is_none_or(|(c, sq, _, _)| (class, q.seq) < (c, sq)) {
-                        s.act = Some((class, q.seq, slot, pos));
-                    }
-                }
-                if bank_ready {
-                    s.ready += 1;
-                } else if min_nb != Cycle::MAX {
-                    s.bound = s.bound.min(gate.max(min_nb));
-                }
+        let b = self.dram.bank_state(rank, bank_ix);
+        // Backpressure: while the metadata queue is saturated, demand ACTs
+        // stall (Hydra/START counter updates gate forward progress).
+        // Unblocking needs a metadata issue — itself a decision tick — so
+        // vetoed candidates contribute neither readiness nor a bound.
+        let (_, meta_saturated) = self.modes();
+        let (mut min_nb, mut hold, mut key, mut pos) = (sched::NEVER, sched::NEVER, u64::MAX, 0);
+        for (p, q) in self.banks[slot].iter().enumerate() {
+            let class = self.class_of(q);
+            // Servable: a hit on the open row, or an ACT candidate.
+            let servable = match b.open_row {
+                Some(open) => q.req.dram.row == open,
+                None => !(meta_saturated && class != 0),
+            };
+            if !servable {
+                continue;
             }
-            Some(open) => {
-                let mut min_nb_hit = Cycle::MAX;
-                let mut conflict: Option<DramAddr> = None;
-                let mut best_hit: Option<(u8, u64, usize)> = None;
-                for (pos, q) in bank.iter().enumerate() {
-                    if q.req.dram.row == open {
-                        min_nb_hit = min_nb_hit.min(q.not_before);
-                        if q.not_before <= now {
-                            let class = self.class_of(q);
-                            if best_hit.is_none_or(|(c, sq, _)| (class, q.seq) < (c, sq)) {
-                                best_hit = Some((class, q.seq, pos));
-                            }
-                        }
-                    } else if conflict.is_none() {
-                        conflict = Some(q.req.dram);
-                    }
-                }
-                if min_nb_hit != Cycle::MAX {
-                    // Served bank: column work only. PRE is impossible
-                    // while a hit is queued, and the serve set only
-                    // changes at a decision point, so the column gate is
-                    // the bank's entire contribution.
-                    let eff = self.dram.earliest_col_at(rank, bank_ix, now).max(min_nb_hit);
-                    if eff <= now {
-                        s.ready += 1;
-                        if let Some((class, seq, pos)) = best_hit {
-                            if s.col.is_none_or(|(c, sq, _, _)| (class, seq) < (c, sq)) {
-                                s.col = Some((class, seq, slot, pos));
-                            }
-                        }
-                    } else {
-                        s.bound = s.bound.min(eff);
-                    }
-                } else if let Some(a) = conflict {
-                    // Unserved conflict: PRE when the gate has passed
-                    // (lowest qualifying slot wins, matching the oracle's
-                    // slot-order scan), else the gate bounds the decision.
-                    let gate = self.dram.earliest_pre_at(rank, bank_ix, now);
-                    if gate <= now {
-                        s.ready += 1;
-                        if s.pre.is_none_or(|(ps, _)| slot < ps) {
-                            s.pre = Some((slot, a));
-                        }
-                    } else {
-                        s.bound = s.bound.min(gate);
-                    }
-                }
+            min_nb = min_nb.min(q.not_before);
+            if q.not_before > now {
+                hold = hold.min(q.not_before);
+                continue;
+            }
+            let k = (class as u64) << 62 | q.seq;
+            if k < key {
+                (key, pos) = (k, p as u32);
             }
         }
+        let base = rank as usize * self.gate_stride;
+        let digest = |phase, local, gidx: usize, key, pos| BankDigest {
+            local,
+            key,
+            pos,
+            gidx: gidx as u16,
+            phase,
+        };
+        let d = match b.open_row {
+            // Closed bank: every request is an ACT candidate behind one
+            // shared gate.
+            None => {
+                let local = b.next_act.max(self.mit_busy[slot]).max(min_nb);
+                digest(Phase::Act, local, base + 2 + bg as usize, key, pos)
+            }
+            // Served bank: column work only. PRE is impossible while a
+            // hit is queued, and the serve set only changes at a decision
+            // point, so the column gate is the bank's entire contribution.
+            Some(_) if min_nb != sched::NEVER => {
+                digest(Phase::Col, b.next_col.max(min_nb), base, key, pos)
+            }
+            // Unserved conflict: PRE once the gate has passed, whatever
+            // the requests' throttle or veto state.
+            Some(_) => digest(Phase::Pre, b.next_pre, base + 1, slot as u64, 0),
+        };
+        (d, hold)
+    }
+
+    fn refresh_digest(&mut self, slot: usize, now: Cycle) {
+        let (d, hold) = self.compute_digest(slot, now);
+        self.digests[slot] = d;
+        self.next_hold = self.next_hold.min(hold);
+    }
+
+    fn refresh_all_digests(&mut self, now: Cycle) {
+        self.next_hold = sched::NEVER;
+        for i in 0..self.active.len() {
+            self.refresh_digest(self.active[i] as usize, now);
+        }
+    }
+
+    /// After a queue mutation on `slot`: recomputes every digest if the
+    /// mutation flipped a controller-wide mode, else that bank's.
+    fn reindex(&mut self, slot: usize, before: Modes, now: Cycle) {
+        if self.modes() != before {
+            self.refresh_all_digests(now);
+        } else if !self.banks[slot].is_empty() {
+            self.refresh_digest(slot, now);
+        }
+    }
+
+    /// Entry `k` of `rank`'s block of the shared-gate table, derived from
+    /// DRAM state.
+    #[inline]
+    fn derive_gate(&self, rank: u8, k: usize) -> Cycle {
+        match k {
+            0 => self.dram.rank_blocked_until(rank).max(self.dram.bus_col_gate()),
+            1 => self.dram.rank_blocked_until(rank),
+            _ => self.dram.rank_act_gate(rank, (k - 2) as u8),
+        }
+    }
+
+    /// Re-derives `rank`'s block of the shared-gate table.
+    fn refresh_gates(&mut self, rank: u8) {
+        let base = rank as usize * self.gate_stride;
+        for k in 0..self.gate_stride {
+            self.gates[base + k] = self.derive_gate(rank, k);
+        }
+    }
+
+    /// Rebuilds the whole scan index: every shared gate, every active
+    /// bank's digest.
+    fn refresh_index(&mut self, now: Cycle) {
+        for rank in 0..self.next_ref.len() {
+            self.refresh_gates(rank as u8);
+        }
+        self.refresh_all_digests(now);
     }
 
     /// Naive-scan column selection (oracle): per-request eligibility from
@@ -921,6 +1096,7 @@ impl ChannelController {
     }
 
     fn issue_column(&mut self, slot: usize, pos: usize, now: Cycle) {
+        let before = self.modes();
         let q = self.banks[slot].remove(pos);
         self.note_bank_drained(slot);
         if q.metadata {
@@ -951,6 +1127,11 @@ impl ChannelController {
                 d
             }
         };
+        // The burst occupies the data bus: every rank's column gate moves.
+        for rank in 0..self.next_ref.len() {
+            self.gates[rank * self.gate_stride] = self.derive_gate(rank as u8, 0);
+        }
+        self.reindex(slot, before, now);
         if !q.metadata {
             if q.missed {
                 self.stats.row_misses += 1;
@@ -1030,10 +1211,13 @@ impl ChannelController {
                 let q = &mut self.banks[slot][pos];
                 q.not_before = now + delay;
                 q.taxed = true;
+                self.refresh_digest(slot, now);
                 return false;
             }
         }
         self.dram.issue_act(&addr, now);
+        self.refresh_gates(addr.rank);
+        self.refresh_digest(slot, now);
         self.stats.activations += 1;
         self.banks[slot][pos].missed = true;
         if self.capture_events {
@@ -1518,6 +1702,36 @@ mod tests {
         }
         assert!(fast.stats.reads > 0);
         assert!(fast.stats.vrr_commands > 0, "mitigation path exercised");
+    }
+
+    #[test]
+    fn leaving_oracle_mode_mid_run_rebuilds_the_index() {
+        // The oracle's PRE pass goes around the index; a controller that
+        // switches back to the indexed scan must not read digests from
+        // before the switch (debug builds assert that on every visit).
+        let mut switched = mk(Box::new(NullTracker), false);
+        let mut oracle = mk(Box::new(NullTracker), false);
+        switched.set_naive_scan(true);
+        oracle.set_naive_scan(true);
+        let (mut ds, mut dn) = (Vec::new(), Vec::new());
+        let mut id = 0u64;
+        for now in 0..8_000u64 {
+            if now == 3_000 {
+                switched.set_naive_scan(false);
+            }
+            if now % 23 == 0 && switched.can_accept_read() {
+                let r = rd(id, (id % 8) as u8, (id % 4) as u8, (id % 5) as u32, 0, now);
+                assert!(switched.enqueue(r) && oracle.enqueue(r));
+                id += 1;
+            }
+            switched.tick(now);
+            oracle.tick(now);
+            switched.pop_completions(now, &mut ds);
+            oracle.pop_completions(now, &mut dn);
+            assert_eq!(switched.stats, oracle.stats, "diverged at cycle {now}");
+        }
+        assert_eq!(ds, dn);
+        assert!(switched.stats.precharges > 50, "conflict traffic exercised");
     }
 
     #[test]

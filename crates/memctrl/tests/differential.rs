@@ -90,9 +90,8 @@ fn crate_meta_addr(geom: &Geometry, channel: u8, rank: u8, idx: u64) -> DramAddr
     }
 }
 
-fn controller(tracker: Box<dyn RowHammerTracker>) -> ChannelController {
+fn controller(tracker: Box<dyn RowHammerTracker>, cfg: CtrlConfig) -> ChannelController {
     let dram = DramChannel::new(Geometry::paper_baseline(), TimingParams::ddr5_6400());
-    let cfg = CtrlConfig::new(500, 1, MitigationKind::Vrr);
     let mut c = ChannelController::new(0, dram, tracker, cfg);
     c.set_event_capture(true);
     c
@@ -101,9 +100,24 @@ fn controller(tracker: Box<dyn RowHammerTracker>) -> ChannelController {
 /// Drives both controllers for `cycles` with an identical seeded request
 /// stream and asserts bit-identical observable behaviour every cycle.
 fn run_differential(seed: u64, cycles: Cycle, p: (u64, u64, u64, u64), hot_rows: u64) {
-    let mut indexed = controller(Box::new(ChaosTracker::new(seed ^ 0x7ac, p)));
-    let mut oracle = controller(Box::new(ChaosTracker::new(seed ^ 0x7ac, p)));
+    run_differential_with(seed, cycles, p, hot_rows, CtrlConfig::new(500, 1, MitigationKind::Vrr));
+}
+
+/// [`run_differential`] under a chosen controller configuration. Returns
+/// how often the metadata queue was seen to cross `counter_queue_cap`,
+/// `(upwards, downwards)`, sampled once per cycle.
+fn run_differential_with(
+    seed: u64,
+    cycles: Cycle,
+    p: (u64, u64, u64, u64),
+    hot_rows: u64,
+    cfg: CtrlConfig,
+) -> (u32, u32) {
+    let mut indexed = controller(Box::new(ChaosTracker::new(seed ^ 0x7ac, p)), cfg);
+    let mut oracle = controller(Box::new(ChaosTracker::new(seed ^ 0x7ac, p)), cfg);
     oracle.set_naive_scan(true);
+    let mut saturated = false;
+    let mut crossings = (0, 0);
 
     let mut rng = Xoshiro256::seed_from(seed);
     let geom = Geometry::paper_baseline();
@@ -143,6 +157,13 @@ fn run_differential(seed: u64, cycles: Cycle, p: (u64, u64, u64, u64), hot_rows:
         assert_eq!(done_i, done_o, "completions diverged at cycle {now} (seed {seed})");
         assert_eq!(indexed.stats, oracle.stats, "stats diverged at cycle {now} (seed {seed})");
         assert_eq!(indexed.occupancy(), oracle.occupancy(), "occupancy diverged at {now}");
+        let now_saturated = indexed.occupancy().2 >= cfg.counter_queue_cap;
+        match (saturated, now_saturated) {
+            (false, true) => crossings.0 += 1,
+            (true, false) => crossings.1 += 1,
+            _ => {}
+        }
+        saturated = now_saturated;
         indexed.drain_events(&mut |e| ev_i.push(*e));
         oracle.drain_events(&mut |e| ev_o.push(*e));
         assert_eq!(ev_i, ev_o, "event streams diverged at cycle {now} (seed {seed})");
@@ -154,6 +175,7 @@ fn run_differential(seed: u64, cycles: Cycle, p: (u64, u64, u64, u64), hot_rows:
     assert!(indexed.stats.reads + indexed.stats.writes > 0, "no column commands issued");
     assert!(indexed.stats.activations > 0, "no ACTs issued");
     assert!(hot_rows < 2 || indexed.stats.precharges > 0, "no PREs issued");
+    crossings
 }
 
 #[test]
@@ -186,5 +208,42 @@ fn row_hit_streams_match_the_oracle() {
     // and the served-bank PRE suppression logic.
     for seed in [7u64, 29] {
         run_differential(seed, 30_000, (15, 0, 0, 0), 1);
+    }
+}
+
+#[test]
+fn same_bank_mitigations_match_the_oracle() {
+    // DRFMsb / RFMsb close and block the aggressor's bank number in
+    // *every* bank group: one command invalidates what the indexed path
+    // caches about eight banks, seven of which it did not name.
+    for kind in [MitigationKind::DrfmSb, MitigationKind::RfmSb] {
+        for seed in [13u64, 31] {
+            run_differential_with(seed, 40_000, (60, 40, 0, 20), 4, CtrlConfig::new(500, 2, kind));
+        }
+    }
+}
+
+#[test]
+fn metadata_backpressure_flips_match_the_oracle() {
+    // A counter-heavy tracker against a small metadata queue: the demand
+    // ACT veto must come on and off many times, each flip changing which
+    // requests of *every* closed bank are candidates at all.
+    let mut cfg = CtrlConfig::new(500, 1, MitigationKind::Vrr);
+    cfg.counter_queue_cap = 5;
+    for seed in [3u64, 19] {
+        let (up, down) = run_differential_with(seed, 40_000, (10, 420, 0, 0), 6, cfg);
+        assert!(up >= 20 && down >= 20, "veto flipped only {up} up / {down} down (seed {seed})");
+    }
+}
+
+#[test]
+fn taxed_requests_turned_hits_match_the_oracle() {
+    // One hot row per bank and a tracker that taxes every second ACT
+    // winner: a taxed request's row is usually opened by a younger request
+    // to the same row before the tax runs out, leaving the bank holding
+    // ready hits *and* a hit that must still wait — the one case where a
+    // column command is gated by `not_before`.
+    for seed in [9u64, 41] {
+        run_differential(seed, 40_000, (40, 0, 0, 500), 1);
     }
 }

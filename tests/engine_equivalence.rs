@@ -188,6 +188,49 @@ fn event_engine_dense_step_fraction_stays_under_its_floors() {
 }
 
 #[test]
+fn engine_stats_of_three_loaded_cells_are_pinned() {
+    // `RunStats` equality cannot see a scheduler bound that is merely
+    // "safe but earlier": the run's numbers stay right while the event
+    // engine ticks and steps more than it has to. These counts can. They
+    // are bit-deterministic; recorded at PR 17's commit, before the
+    // scheduler's scan moved onto its per-bank digests.
+    use workloads::Attack;
+    let pins: [(&str, Experiment, [u64; 3], [u64; 2]); 3] = [
+        (
+            "mcf_like/dapper-h",
+            Experiment::new("mcf_like").tracker("dapper-h"),
+            [74_316, 27_824, 85_684],
+            [38_307, 38_845],
+        ),
+        (
+            "gcc_like/hydra/tailored",
+            Experiment::new("gcc_like").tracker("hydra").attack(AttackChoice::Tailored),
+            [86_385, 34_826, 73_615],
+            [81_699, 6_131],
+        ),
+        (
+            "milc_like/dapper-s/streaming",
+            Experiment::new("milc_like")
+                .tracker("dapper-s")
+                .attack(AttackChoice::Specific(Attack::Streaming)),
+            [88_781, 34_530, 71_219],
+            [83_532, 7_732],
+        ),
+    ];
+    let outcomes = parallel_map(pins.into(), |(label, e, engine, shard_ticks)| {
+        let mut sys = e.window_us(50.0).build_system(false);
+        sys.run_engine(sim::Engine::EventDriven);
+        let s = sys.engine_stats();
+        let got = ([s.dense_steps, s.skips, s.skipped_cycles], s.shard_ticks.clone());
+        (label, got, (engine, shard_ticks.to_vec()))
+    });
+    for o in outcomes {
+        let (label, got, want) = o.expect("pinned cell must not panic");
+        assert_eq!(got, want, "{label}: (dense_steps, skips, skipped_cycles), shard_ticks moved");
+    }
+}
+
+#[test]
 #[ignore = "full 57x11 matrix; run with --ignored (CI nightly / acceptance)"]
 fn full_catalog_tracker_matrix_is_engine_equivalent() {
     let mut jobs = Vec::new();

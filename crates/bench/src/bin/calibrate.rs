@@ -6,13 +6,27 @@ use sim::experiment::{AttackChoice, Experiment};
 use std::time::Instant;
 use workloads::Attack;
 
+const USAGE: &str = "calibrate [--window-us F] [--workload NAME]
+  --window-us  simulation window per case in microseconds (default 4000)
+  --workload   benign workload every case runs (default milc_like)
+";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let window_us: f64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(4000.0);
-    let wl = args.get(2).map(|s| s.as_str()).unwrap_or("milc_like").to_string();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let parsed = sim_core::cli::parse(&args, &["--window-us", "--workload"], &[], USAGE);
+    let (window_us, wl) = parsed
+        .and_then(|p| {
+            let wl = p.get("--workload").map_or("milc_like", String::as_str);
+            workloads::spec_by_name(wl).ok_or(format!("--workload: unknown workload '{wl}'"))?;
+            Ok((p.num("--window-us", 4000.0)?, wl))
+        })
+        .unwrap_or_else(|msg| {
+            eprintln!("{msg}");
+            std::process::exit(2)
+        });
     println!("workload={wl} window={window_us}us  (paper targets in parens)");
 
-    let base = |t: &str| Experiment::new(&wl).tracker(t).window_us(window_us);
+    let base = |t: &str| Experiment::new(wl).tracker(t).window_us(window_us);
 
     let cases: Vec<(&str, Experiment, &str)> = vec![
         ("Hydra   benign        ", base("hydra"), "(~1.0)"),
@@ -44,6 +58,7 @@ fn main() {
             "(~0.99)",
         ),
         ("BlockHammer benign    ", base("blockhammer"), "(~0.75)"),
+        ("BlockHammer @N_RH=125 ", base("blockhammer").nrh(125), "(~0.34)"),
         ("PARA    benign        ", base("para"), "(~0.97)"),
         ("PrIDE   benign        ", base("pride"), "(~0.93)"),
         ("PRAC    benign        ", base("prac"), "(~0.93)"),

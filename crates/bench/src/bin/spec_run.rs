@@ -103,15 +103,40 @@ fn run() -> Result<i32, String> {
         return Err("--resume needs a cache dir (it journals completed cells there)".to_string());
     }
 
-    let mut failed_cells = 0usize;
+    // Every file is read, expanded and checked against the flags before the
+    // first one runs: a bad second spec must not cost the first's simulations.
+    let mut loaded = Vec::new();
     for file in &files {
         let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
         let spec = SweepSpec::from_toml_str(&text).map_err(|e| format!("{file}: {e}"))?;
         // The one expansion of a plain sweep: it validates the spec, sizes
         // the banner, and is what runs below.
         let cells = spec.expand_keyed().map_err(|e| format!("{file}: {e}"))?;
+        // CLI flag > spec [cache] section > no cache.
+        let effective_cache_dir = match (&cache_dir, no_cache) {
+            (Some(dir), _) => Some(dir.clone()),
+            (None, true) => None,
+            (None, false) => {
+                spec.cache.as_ref().and_then(|c| c.effective_dir()).map(str::to_string)
+            }
+        };
+        if resume && effective_cache_dir.is_none() {
+            return Err(format!("{file}: --resume needs --cache-dir or a [cache] section"));
+        }
+        loaded.push((file, spec, cells, effective_cache_dir));
+    }
+
+    let mut failed_cells = 0usize;
+    for (file, spec, cells, effective_cache_dir) in loaded {
+        // The `[attacker]` section's knowledge levels are the innermost axis.
+        let levels: std::collections::BTreeSet<&str> =
+            cells.iter().filter_map(|(e, _)| Some(e.attacker?.knowledge.key())).collect();
+        let attacker_axis = match levels.len() {
+            0 => String::new(),
+            n => format!(" x {n} attacker knowledge levels"),
+        };
         println!(
-            "{file}: spec '{}' expands to {} experiments ({} workloads x {} trackers x {} attacks)",
+            "{file}: spec '{}' expands to {} experiments ({} workloads x {} trackers x {} attacks{attacker_axis})",
             spec.name,
             cells.len(),
             sim::spec::expand_workloads(&spec.workloads).map(|w| w.len()).unwrap_or(0),
@@ -121,14 +146,6 @@ fn run() -> Result<i32, String> {
         if validate {
             continue;
         }
-        // CLI flag > spec [cache] section > no cache.
-        let effective_cache_dir = match (&cache_dir, no_cache) {
-            (Some(dir), _) => Some(dir.clone()),
-            (None, true) => None,
-            (None, false) => {
-                spec.cache.as_ref().and_then(|c| c.effective_dir()).map(str::to_string)
-            }
-        };
         // Specs with a `[profile]` section route through the profiler's
         // campaign workflow: profile → evaluate → attack per tracker ×
         // workload cell, with its own artifact layout.
@@ -188,9 +205,6 @@ fn run() -> Result<i32, String> {
                 let (report, summary) = spec.run_expanded(cells, &cache, journal.as_ref(), &runner);
                 println!("  cache: {summary} in {dir}");
                 report
-            }
-            None if resume => {
-                return Err(format!("{file}: --resume needs --cache-dir or a [cache] section"));
             }
             None => SweepReport::assemble(
                 &spec,

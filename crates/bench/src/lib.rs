@@ -1,27 +1,24 @@
-//! Shared plumbing for the figure/table harness binaries.
+//! The figure harness: [`figures`] declares every figure and table of the
+//! paper's evaluation section as one table and runs any of them through one
+//! driver, `figure <id> [options]`, with the same five options for every id
+//! ([`BenchOpts`]). The command line is parsed strictly ([`sim_core::cli`]):
+//! an unknown id, a typo'd flag or an unparsable value exits 2 naming it,
+//! before anything is simulated.
 //!
-//! Every binary accepts:
-//!
-//! * `--window-us <f64>` — simulation window per run (default 4000 µs),
-//! * `--full` — all 57 workloads instead of the 9-workload quick subset,
-//! * `--seed <u64>` — RNG seed,
-//! * `--nrh <u32>` — RowHammer threshold where applicable (default 500),
-//! * `--sweep-points <usize>` — N_RH sweep points (default 6).
-//!
-//! The command line is parsed strictly ([`sim_core::cli`]): a typo'd flag or
-//! an unparsable value exits 2 naming it, before anything is simulated.
-//!
-//! Output is plain text: one table per figure with the same rows/series the
-//! paper reports, ready to diff against EXPERIMENTS.md.
+//! Output is plain text: one grid per figure with the same rows/series the
+//! paper reports, ready to diff against EXPERIMENTS.md. The crate's other
+//! binaries are `calibrate`, `fig_transient` and `spec_run`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use sim::experiment::{Experiment, ExperimentResult};
-use sim::runner::run_parallel;
+pub mod figures;
+mod printers;
+
+use sim::experiment::Experiment;
 use workloads::catalog::{catalog, quick_subset, WorkloadSpec};
 
-/// Command-line options shared by all harness binaries.
+/// The options every figure takes.
 #[derive(Debug, Clone, Copy)]
 pub struct BenchOpts {
     /// Simulation window per run, microseconds.
@@ -37,7 +34,7 @@ pub struct BenchOpts {
     pub sweep_points: usize,
 }
 
-const USAGE: &str = "figure/table harness options:
+pub(crate) const USAGE: &str = "options:
   --window-us F     simulation window per run in microseconds (default 4000)
   --full            all 57 workloads instead of the 9-workload quick subset
   --seed N          RNG seed, decimal or 0x hex (default 0xDA99E5)
@@ -46,16 +43,6 @@ const USAGE: &str = "figure/table harness options:
 ";
 
 impl BenchOpts {
-    /// Parses `std::env::args`; a bad command line prints the diagnostic
-    /// (or `--help`'s usage) and exits 2 before anything is simulated.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::parse(&args).unwrap_or_else(|msg| {
-            eprintln!("{msg}");
-            std::process::exit(2)
-        })
-    }
-
     /// Strictly parses `args` (the command line without the program name):
     /// unknown flags, missing values and unparsable numbers are errors.
     pub fn parse(args: &[String]) -> Result<Self, String> {
@@ -76,11 +63,11 @@ impl BenchOpts {
     }
 
     /// The N_RH values swept by the sensitivity figures.
-    pub fn nrh_sweep(&self) -> Vec<u32> {
+    pub fn nrh_sweep(&self) -> &'static [u32] {
         if self.sweep_points >= 6 {
-            vec![125, 250, 500, 1000, 2000, 4000]
+            &[125, 250, 500, 1000, 2000, 4000]
         } else {
-            vec![125, 500, 2000]
+            &[125, 500, 2000]
         }
     }
 
@@ -106,94 +93,15 @@ impl Default for BenchOpts {
 }
 
 /// Prints the standard harness header.
-pub fn header(id: &str, title: &str, opts: &BenchOpts) {
-    println!("==== {id}: {title} ====");
+pub(crate) fn header(title: &str, opts: &BenchOpts) {
+    println!("==== {title} ====");
     println!(
-        "window: {} us | workloads: {} | N_RH: {} | seed: {:#x}",
+        "window: {} us | workloads: {} | N_RH: {} | seed: {:#x}\n",
         opts.window_us,
         if opts.full { "all 57" } else { "quick subset (9)" },
         opts.nrh,
         opts.seed
     );
-    println!();
-}
-
-/// Runs a batch in parallel and returns the results.
-pub fn run_all(jobs: Vec<Experiment>) -> Vec<ExperimentResult> {
-    run_parallel(jobs)
-}
-
-/// Mean normalized performance of a result slice.
-pub fn mean_norm(results: &[&ExperimentResult]) -> f64 {
-    if results.is_empty() {
-        return 0.0;
-    }
-    results.iter().map(|r| r.normalized_performance).sum::<f64>() / results.len() as f64
-}
-
-/// Groups results by suite and prints one row per suite plus "All",
-/// with one column per (label) series.
-pub fn print_suite_table(
-    series: &[(&str, Vec<ExperimentResult>)],
-    workload_set: &[&'static WorkloadSpec],
-) {
-    print!("{:<14}", "suite");
-    for (label, _) in series {
-        print!(" {label:>16}");
-    }
-    println!();
-    let suites: Vec<workloads::Suite> = {
-        let mut seen = Vec::new();
-        for w in workload_set {
-            if !seen.contains(&w.suite) {
-                seen.push(w.suite);
-            }
-        }
-        seen
-    };
-    for suite in &suites {
-        let names: Vec<&str> =
-            workload_set.iter().filter(|w| w.suite == *suite).map(|w| w.name).collect();
-        print!("{:<14}", suite.to_string());
-        for (_, results) in series {
-            let vals: Vec<&ExperimentResult> =
-                results.iter().filter(|r| names.contains(&r.workload.as_str())).collect();
-            print!(" {:>16.3}", mean_norm(&vals));
-        }
-        println!();
-    }
-    print!("{:<14}", "All");
-    for (_, results) in series {
-        let all: Vec<&ExperimentResult> = results.iter().collect();
-        print!(" {:>16.3}", mean_norm(&all));
-    }
-    println!();
-}
-
-/// Prints one row per workload, one column per series.
-pub fn print_workload_table(
-    series: &[(&str, Vec<ExperimentResult>)],
-    workload_set: &[&'static WorkloadSpec],
-    intensive_only: bool,
-) {
-    print!("{:<22}", "workload");
-    for (label, _) in series {
-        print!(" {label:>14}");
-    }
-    println!();
-    for w in workload_set {
-        if intensive_only && !w.memory_intensive() {
-            continue;
-        }
-        print!("{:<22}", w.name);
-        for (_, results) in series {
-            match results.iter().find(|r| r.workload == w.name) {
-                Some(r) => print!(" {:>14.3}", r.normalized_performance),
-                None => print!(" {:>14}", "-"),
-            }
-        }
-        println!();
-    }
 }
 
 #[cfg(test)]
@@ -230,7 +138,7 @@ mod tests {
             .expect("valid flags");
         assert_eq!(
             (o.window_us, o.full, o.nrh, o.nrh_sweep()),
-            (60.0, true, 125, vec![125, 500, 2000])
+            (60.0, true, 125, &[125, 500, 2000][..])
         );
     }
 }

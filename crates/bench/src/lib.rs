@@ -6,8 +6,9 @@
 //! before anything is simulated.
 //!
 //! Output is plain text: one grid per figure with the same rows/series the
-//! paper reports, ready to diff against EXPERIMENTS.md. The crate's other
-//! binaries are `calibrate`, `fig_transient` and `spec_run`.
+//! paper reports; README "Reproducing a paper figure" lists the ids and what
+//! each one regenerates. The crate's other binaries are `calibrate`,
+//! `fig_transient` and `spec_run`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -101,15 +101,15 @@ enum Slot {
 
 /// How far a core can be advanced without simulating it cycle by cycle.
 ///
-/// The time-skipping engine may only fast-forward a core through cycles
-/// whose effect it can reproduce exactly. As long as the core neither
-/// touches the memory port (enough staged bubbles remain) nor receives a
-/// completion (the engine separately bounds skips by the controllers'
-/// event horizon), its evolution is a short sequence of closed-form
+/// The event engine may only park a core through cycles whose effect it
+/// can reproduce exactly. As long as the core neither touches the memory
+/// port (enough staged bubbles remain) nor receives a completion (the
+/// engine replays a parked core up to the delivery cycle first), its
+/// evolution is a short sequence of closed-form
 /// phases — bubble streaks, waits on the window head, full-window stalls —
 /// that [`Core::fast_forward`] replays without per-cycle work. A core
 /// about to consult its trace or issue an access answers
-/// [`Quiescence::Busy`] and forces dense stepping.
+/// [`Quiescence::Busy`] and stays live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Quiescence {
     /// The core may interact with the memory port on the very next cycle;
@@ -124,6 +124,12 @@ pub enum Quiescence {
     Streaming {
         /// Exact number of fast-forwardable core cycles.
         cycles: u64,
+        /// The phase walk that found the horizon (`None` on the O(1)
+        /// steady-drain path, whose replay is O(1) as well). An engine
+        /// that parks the core keeps it and hands it to
+        /// [`Core::fast_forward_planned`], so a replay that runs to the
+        /// horizon does not walk the window a second time.
+        plan: Option<StreamPlan>,
     },
     /// The core has an access parked after a Busy answer and no staged
     /// bubbles: every coming cycle retries exactly that access and
@@ -134,15 +140,15 @@ pub enum Quiescence {
     /// retire keeps draining ready window slots exactly as dense stepping
     /// would, and the Busy retries themselves are side-effect-free. This
     /// is the state saturated memory-bound cores live in, and what lets
-    /// the time-skipping engine advance them between command-issue
-    /// decision points instead of bus cycle by bus cycle.
+    /// the event engine leave them parked between command-issue decision
+    /// points instead of cycling them bus cycle by bus cycle.
     PortBlocked,
 }
 
 /// Accumulated effect of a virtual (no-memory) run over a core: shared by
 /// the dry pass ([`Core::quiescence`]) and the applying pass
 /// ([`Core::fast_forward`]) so both walk identical phase sequences.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 struct NoMemRun {
     /// Core cycles consumed.
     cycles: u64,
@@ -160,6 +166,18 @@ struct NoMemRun {
     bubbles: u64,
     /// True when the run ended in the absorb-anything full-stall state.
     unbounded: bool,
+}
+
+/// The walk behind a [`Quiescence::Streaming`] answer: the virtual run to
+/// the horizon and the same run one cycle short of it. An engine wakes a
+/// parked core on a bus cycle, and the largest bus-aligned core-cycle total
+/// within a horizon of `c` is `c` or `c - 1` (a bus cycle is at most two
+/// core cycles), so these two cover every replay that runs to the wake.
+/// Valid only while the core is not mutated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StreamPlan {
+    full: NoMemRun,
+    short: NoMemRun,
 }
 
 /// Phase-iteration cap for the dry pass: every phase advances at least one
@@ -380,18 +398,23 @@ impl Core {
     /// a slot dispatched at virtual cycle `p` is retireable from `p + 1`
     /// on, which is always before the retire cursor can reach it, so only
     /// the count matters (survivors are materialized by `fast_forward`).
-    fn no_mem_run(&self, limit: u64) -> NoMemRun {
-        let width = self.width as usize;
+    ///
+    /// Returns the run and, as `short`, the same run one cycle before its
+    /// end (every phase is a closed form in its cycle count, so the state
+    /// one cycle short costs no second walk).
+    fn no_mem_run(&self, limit: u64) -> StreamPlan {
+        let width = self.width as u64;
         let mut r = NoMemRun {
             len: self.window.len(),
             bubbles: self.bubbles_left as u64,
             ..NoMemRun::default()
         };
-        let mut vcycle = self.cycle;
+        let mut short = r;
         let mut phases = 0;
         while r.cycles < limit && phases < MAX_NO_MEM_PHASES {
             phases += 1;
             let budget = limit - r.cycles;
+            let vcycle = self.cycle + r.cycles;
             // Ready prefix from the retire cursor: existing slots first
             // (ready iff completed by `vcycle`), then appended bubbles
             // (always ready by the time retire reaches them).
@@ -424,12 +447,21 @@ impl Core {
             if prefix == 0 && r.len > 0 {
                 // Head blocked: pure stall, dispatch keeps filling the
                 // window until it is full or the head releases.
-                let room = self.rob - r.len;
+                let room = (self.rob - r.len) as u64;
+                // `m` stall cycles: dispatch fills the room `width` a cycle.
+                let stall = |mut r: NoMemRun, m: u64| {
+                    let pushed = room.min(m.saturating_mul(width));
+                    r.appended += pushed;
+                    r.bubbles -= pushed;
+                    r.len += pushed as usize;
+                    r.stalls += m;
+                    r.cycles += m;
+                    r
+                };
                 if room == 0 && head_pending {
+                    r = stall(r, budget);
                     r.unbounded = true;
-                    r.stalls += budget;
-                    r.cycles += budget;
-                    return r;
+                    break;
                 }
                 let mut m = budget;
                 if let Some(t) = head_wait {
@@ -439,72 +471,69 @@ impl Core {
                     // stops once the window fills, after which the state is
                     // the absorb-anything full stall — bound the phase so
                     // the loop reaches that classification.
-                    m = m.min((room as u64).div_ceil(width as u64));
+                    m = m.min(room.div_ceil(width));
                 }
-                if room > 0 && (room as u64) > r.bubbles {
+                if room > r.bubbles {
                     // Dispatch could exhaust the bubbles mid-phase; stay
                     // within the exactly-affordable cycle count.
-                    m = m.min(r.bubbles / width as u64);
+                    m = m.min(r.bubbles / width);
                     if m == 0 {
-                        return r;
+                        break;
                     }
                 }
-                let pushed = (room as u64).min(m * width as u64);
-                r.appended += pushed;
-                r.bubbles -= pushed;
-                r.len += pushed as usize;
-                r.stalls += m;
-                r.cycles += m;
-                vcycle += m;
+                short = stall(r, m - 1);
+                r = stall(r, m);
                 continue;
             }
 
-            if prefix >= width as u64 {
+            if prefix >= width {
                 // Steady drain: retire `width`, dispatch `width` per cycle
                 // (after retiring there is always room); length invariant.
                 // With the whole window ready the state is self-similar —
                 // each cycle's appends rejoin the ready prefix — so only
                 // the bubble supply bounds the phase; a mid-window blocker
                 // instead caps it at the ready prefix.
-                let mut m = budget.min(r.bubbles / width as u64);
+                let mut m = budget.min(r.bubbles / width);
                 if prefix < r.len as u64 {
-                    m = m.min(prefix / width as u64);
+                    m = m.min(prefix / width);
                 }
                 if m == 0 {
-                    return r; // not enough bubbles for a full cycle
+                    break; // not enough bubbles for a full cycle
                 }
-                let insts = m * width as u64;
-                let from_existing = (existing_left as u64).min(insts) as usize;
-                r.popped += insts;
-                r.popped_existing += from_existing;
-                r.appended += insts;
-                r.bubbles -= insts;
-                r.cycles += m;
-                vcycle += m;
+                let drain = |mut r: NoMemRun, m: u64| {
+                    let insts = m * width;
+                    r.popped += insts;
+                    r.popped_existing += (existing_left as u64).min(insts) as usize;
+                    r.appended += insts;
+                    r.bubbles -= insts;
+                    r.cycles += m;
+                    r
+                };
+                short = drain(r, m - 1);
+                r = drain(r, m);
                 continue;
             }
 
             // Single exact cycle: partial retire (0 < prefix < width) or an
             // empty window warming up.
-            let pops = prefix.min(width as u64);
+            let pops = prefix.min(width);
             let len_after = r.len - pops as usize;
-            let d = width.min(self.rob - len_after);
-            if (d as u64) > r.bubbles {
-                return r; // dispatch would reach the trace/port
+            let d = width.min((self.rob - len_after) as u64);
+            if d > r.bubbles {
+                break; // dispatch would reach the trace/port
             }
-            let from_existing = (existing_left as u64).min(pops) as usize;
+            short = r;
             r.popped += pops;
-            r.popped_existing += from_existing;
-            r.appended += d as u64;
-            r.bubbles -= d as u64;
-            r.len = len_after + d;
+            r.popped_existing += (existing_left as u64).min(pops) as usize;
+            r.appended += d;
+            r.bubbles -= d;
+            r.len = len_after + d as usize;
             if pops == 0 && r.len > 0 && len_after > 0 {
                 r.stalls += 1; // retire idled with a non-empty window
             }
             r.cycles += 1;
-            vcycle += 1;
         }
-        r
+        StreamPlan { full: r, short }
     }
 
     /// Reports how many core cycles can be skipped without changing any
@@ -529,7 +558,7 @@ impl Core {
     /// O(1): true when the core sits in the [`Quiescence::PortBlocked`]
     /// state (an access parked behind a Busy answer with no staged
     /// bubbles). Engines poll this every cycle when deciding whether a
-    /// core can be frozen, so it must not walk the window.
+    /// core can be parked, so it must not walk the window.
     pub fn is_port_blocked(&self) -> bool {
         self.staged_access.is_some() && self.bubbles_left == 0
     }
@@ -537,7 +566,7 @@ impl Core {
     /// O(1): true when the window is full behind a pending head — the
     /// [`Quiescence::Stalled`] shape. Nothing but a completion can change
     /// the core's state from here (the full window fences dispatch off
-    /// entirely), so an engine may freeze such a core with no standing
+    /// entirely), so an engine may park such a core with no standing
     /// condition at all and replay the elided span as pure stall cycles.
     pub fn is_fully_stalled(&self) -> bool {
         self.window.len() == self.rob && matches!(self.window.front(), Some(Slot::Pending))
@@ -564,16 +593,16 @@ impl Core {
         if self.whole_window_ready() && self.window.len() >= self.width as usize {
             let cycles = (self.bubbles_left / self.width) as u64;
             if cycles > 0 {
-                return Quiescence::Streaming { cycles };
+                return Quiescence::Streaming { cycles, plan: None };
             }
         }
-        let r = self.no_mem_run(u64::MAX);
-        if r.unbounded {
+        let plan = self.no_mem_run(u64::MAX);
+        if plan.full.unbounded {
             Quiescence::Stalled
-        } else if r.cycles == 0 {
+        } else if plan.full.cycles == 0 {
             Quiescence::Busy
         } else {
-            Quiescence::Streaming { cycles: r.cycles }
+            Quiescence::Streaming { cycles: plan.full.cycles, plan: Some(plan) }
         }
     }
 
@@ -681,8 +710,25 @@ impl Core {
             self.bubbles_left -= insts as u32;
             return;
         }
-        let r = self.no_mem_run(n);
+        let r = self.no_mem_run(n).full;
         debug_assert_eq!(r.cycles, n, "fast_forward past the quiescent horizon");
+        self.apply_run(r);
+    }
+
+    /// [`Core::fast_forward`] for a core parked since the
+    /// [`Quiescence::Streaming`] answer that carried `plan`, with no
+    /// mutation in between: a replay to the horizon (or one cycle short of
+    /// it) applies the walk the classification already made; any shorter
+    /// one walks again.
+    pub fn fast_forward_planned(&mut self, n: u64, plan: Option<&StreamPlan>) {
+        match plan.and_then(|p| [p.full, p.short].into_iter().find(|r| r.cycles == n)) {
+            Some(r) => self.apply_run(r),
+            None => self.fast_forward(n),
+        }
+    }
+
+    /// Applies a virtual run to the core's counters and window.
+    fn apply_run(&mut self, r: NoMemRun) {
         self.cycle += r.cycles;
         self.stall_cycles += r.stalls;
         self.retired += r.popped;
@@ -740,7 +786,7 @@ impl ClockRatio {
     /// (phase starting at zero): the per-cycle recurrence conserves
     /// `acc + 4 * emitted = 5 * bus`, so the sum telescopes to
     /// `floor(5 * bus / 4)`. Closed-form and path-independent — engines
-    /// use it to replay a frozen component's span `[a, b)` as
+    /// use it to replay a parked core's span `[a, b)` as
     /// `at(b) - at(a)` without sharing ratio state.
     pub fn cumulative_core_cycles(bus: u64) -> u64 {
         5 * bus / 4
@@ -776,6 +822,7 @@ impl ClockRatio {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_core::rng::Xoshiro256;
 
     struct FixedLatency(u32);
     impl MemoryPort for FixedLatency {
@@ -975,7 +1022,7 @@ mod tests {
             skip.cycle(&mut warm);
         }
         let q = skip.quiescence();
-        let Quiescence::Streaming { cycles } = q else { panic!("expected streak, got {q:?}") };
+        let Quiescence::Streaming { cycles, .. } = q else { panic!("expected streak, got {q:?}") };
         assert!(cycles > 100);
         let n = cycles.min(200);
         let mut port = UnreachablePort;
@@ -1050,7 +1097,7 @@ mod tests {
             skip.window.iter().any(|s| matches!(s, Slot::DoneAt(t) if *t > skip.cycle)),
             "setup: expected an in-flight hit in the window"
         );
-        let Quiescence::Streaming { cycles } = skip.quiescence() else {
+        let Quiescence::Streaming { cycles, .. } = skip.quiescence() else {
             panic!("in-flight hit with staged bubbles must be streamable")
         };
         assert!(cycles > 30, "horizon must span the wait, got {cycles}");
@@ -1165,7 +1212,7 @@ mod tests {
             skip.cycle(&mut port_b);
         }
         let mut port = UnreachablePort;
-        if let Quiescence::Streaming { cycles } = skip.quiescence() {
+        if let Quiescence::Streaming { cycles, .. } = skip.quiescence() {
             // Advance in uneven chunks across the horizon.
             let mut left = cycles;
             while left > 0 {
@@ -1179,5 +1226,127 @@ mod tests {
             }
         }
         assert_eq!(snapshot(&dense), snapshot(&skip));
+    }
+
+    /// A seeded trace: bubble streaks of mixed length, a third of the
+    /// accesses stores.
+    struct RandomTrace(Xoshiro256);
+    impl TraceSource for RandomTrace {
+        fn next_entry(&mut self) -> TraceEntry {
+            let bubbles = match self.0.gen_range(4) {
+                0 => 0,
+                1 => self.0.gen_range(8) as u32,
+                _ => self.0.gen_range(400) as u32,
+            };
+            let addr = PhysAddr(self.0.gen_range(1 << 20) << 6);
+            TraceEntry { bubbles, addr, is_write: self.0.gen_range(3) == 0 }
+        }
+    }
+
+    /// A seeded hierarchy: hits of mixed latency, misses, refusals, and
+    /// after `grants` accepted accesses nothing but refusals. Reads it left
+    /// outstanding are in `issued`.
+    struct RandomPort {
+        rng: Xoshiro256,
+        issued: Vec<u64>,
+        next_id: u64,
+        grants: u64,
+        busy_pct: u64,
+        hit_pct: u64,
+    }
+    impl MemoryPort for RandomPort {
+        fn access(&mut self, _s: SourceId, _a: PhysAddr, k: AccessKind) -> PortResponse {
+            let roll = self.rng.gen_range(100);
+            if self.grants == 0 || roll < self.busy_pct {
+                return PortResponse::Busy;
+            }
+            self.grants -= 1;
+            if self.rng.gen_range(100) < self.hit_pct || k == AccessKind::Write {
+                PortResponse::Done { latency: 1 + self.rng.gen_range(40) as u32 }
+            } else {
+                self.next_id += 1;
+                self.issued.push(self.next_id);
+                PortResponse::Pending { req_id: self.next_id }
+            }
+        }
+    }
+
+    /// The window as retire sees it: a slot is pending, or ready from some
+    /// cycle on (a ready slot's stamp no longer matters).
+    fn window_view(c: &Core) -> Vec<Option<u64>> {
+        c.window
+            .iter()
+            .map(|s| match s {
+                Slot::Pending => None,
+                Slot::DoneAt(t) => Some((*t).max(c.cycle)),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn parked_core_woken_at_every_offset_matches_dense_cycles() {
+        // Park a core wherever a seeded run leaves it, then wake it with a
+        // completion after every span `0..=bound` and hold it against the
+        // same number of dense cycles: the counters and the window agree,
+        // and so does everything the two cores do afterwards.
+        let mut seen = [0u32; 3];
+        for seed in 0..160u64 {
+            let mut rng = Xoshiro256::seed_from(0xC0DE ^ seed);
+            let (width, rob) = (1 + rng.gen_range(4) as u32, 4 + rng.gen_range(28) as usize);
+            let (warm, busy_pct, hit_pct) =
+                (rng.gen_range(300), rng.gen_range(30), rng.gen_range(100));
+            // One seed in three runs into a hierarchy that stops accepting.
+            let grants = if seed % 3 == 0 { rng.gen_range(40) } else { u64::MAX };
+            let answer_one_in = 2 + rng.gen_range(60);
+            let prime = || {
+                let trace = RandomTrace(Xoshiro256::seed_from(seed));
+                let mut core = Core::new(SourceId(0), width, rob, Box::new(trace));
+                let rng = Xoshiro256::seed_from(!seed);
+                let mut port =
+                    RandomPort { rng, issued: vec![], next_id: 0, grants, busy_pct, hit_pct };
+                for _ in 0..warm {
+                    core.cycle(&mut port);
+                    // Answer the oldest miss now and then, so windows hold
+                    // a mix of ready, waiting and pending slots.
+                    if port.rng.gen_range(answer_one_in) == 0 && !port.issued.is_empty() {
+                        core.complete(port.issued.remove(0));
+                    }
+                }
+                (core, port)
+            };
+            let (probe, _) = prime();
+            let (kind, bound, plan) = match probe.quiescence() {
+                Quiescence::Busy => continue,
+                Quiescence::Streaming { cycles, plan } => (0, cycles.min(400), plan),
+                Quiescence::Stalled => (1, 64, None),
+                Quiescence::PortBlocked => (2, 64, None),
+            };
+            seen[kind] += 1;
+            for offset in 0..=bound {
+                let (mut dense, mut dense_port) = prime();
+                let (mut skip, mut skip_port) = prime();
+                if kind == 2 {
+                    skip.port_blocked_forward(offset);
+                    (0..offset).for_each(|_| dense.cycle(&mut NeverReady));
+                } else {
+                    skip.fast_forward_planned(offset, plan.as_ref());
+                    (0..offset).for_each(|_| dense.cycle(&mut UnreachablePort));
+                }
+                let at = format!("seed {seed}, offset {offset} of {bound}");
+                assert_eq!(snapshot(&dense), snapshot(&skip), "{at}");
+                assert_eq!(window_view(&dense), window_view(&skip), "{at}");
+                if let Some(&id) = dense_port.issued.first() {
+                    dense.complete(id);
+                    skip.complete(id);
+                }
+                for _ in 0..200 {
+                    dense.cycle(&mut dense_port);
+                    skip.cycle(&mut skip_port);
+                }
+                assert_eq!(snapshot(&dense), snapshot(&skip), "after the wake, {at}");
+                assert_eq!(dense_port.issued, skip_port.issued, "after the wake, {at}");
+            }
+        }
+        assert!(seen.iter().all(|&n| n >= 5), "streaming/stalled/port-blocked parks: {seen:?}");
     }
 }

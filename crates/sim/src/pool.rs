@@ -226,7 +226,7 @@ mod tests {
             s.drain_completions_into(&mut b);
             assert_eq!(a, b, "pooled and inline advance agree");
             assert!(!a.is_empty(), "the read completed");
-            assert_eq!(slot.as_ref().unwrap().step_counts(), s.step_counts());
+            assert_eq!(slot.as_ref().unwrap().ticks(), s.ticks());
         }
     }
 

@@ -4,14 +4,27 @@
 //!
 //! * [`Engine::Dense`] ticks every component on every bus cycle — the
 //!   reference semantics.
-//! * [`Engine::EventDriven`] (the default) advances time straight to the
-//!   next *interesting* cycle whenever it can prove the jump is exact:
-//!   every controller reports a lower bound on its next actionable cycle
-//!   through [`sim_core::sched::NextEvent`], and every core reports how far
-//!   it can be fast-forwarded in closed form ([`cpu::Quiescence`]). The two
-//!   engines produce **bit-identical** [`RunStats`] by construction; the
+//! * [`Engine::EventDriven`] (the default) gives every component a **due
+//!   cycle** and touches only what is due. A channel shard's due cycle is
+//!   its controller's decision bound ([`sim_core::sched::NextEvent`]),
+//!   mirrored into one contiguous array that is refreshed when that shard
+//!   ticks and when it accepts a request. A core is either *live* (cycled
+//!   this bus cycle) or *parked*: classified once ([`cpu::Quiescence`])
+//!   when it goes quiet, left alone until its wake cycle, and then
+//!   replayed once in closed form. The run loop takes the minimum over
+//!   both arrays, the next window boundary and the end of the run; it
+//!   jumps there when that is ahead of `now`, and otherwise steps the due
+//!   shards and the live cores in the dense loop's order. The two engines
+//!   produce **bit-identical** [`RunStats`] by construction; the
 //!   cross-engine equivalence suite (`tests/engine_equivalence.rs`) holds
 //!   that line.
+//!
+//! Four things wake a parked core: its wake cycle arrives (the end of a
+//! bubble streak, or the first cycle at which it could cross the
+//! instruction budget), a completion targets it, the full queue it is
+//! parked behind opens, or a window boundary / the end of the run reads
+//! its counters. Each replays the elided span exactly as the dense loop
+//! would have executed it.
 //!
 //! Each bus cycle splits into a **memory phase** — every channel's
 //! [`memctrl::ChannelShard`] advances through the cycle, collecting due
@@ -32,12 +45,11 @@
 //! event sinks (the ground-truth oracle is one such client), per-window
 //! counter samplers, run-lifecycle hooks. Probes only read: `RunStats`
 //! stays bit-identical with and without them (`tests/telemetry_equivalence.rs`),
-//! and the event engine keeps skipping — it merely caps each jump at the
-//! next window boundary so samples land exactly where the dense loop
-//! would take them.
+//! and the event engine keeps jumping — a window boundary is one more due
+//! cycle, so samples land exactly where the dense loop would take them.
 
 use analysis::OracleProbe;
-use cpu::{ClockRatio, Core, MemoryPort, PortResponse, Quiescence, TraceSource};
+use cpu::{ClockRatio, Core, MemoryPort, PortResponse, Quiescence, StreamPlan, TraceSource};
 use dram::{DramChannel, TimingParams};
 use llcache::{Llc, LookupResult};
 use memctrl::{ChannelController, ChannelShard, CtrlConfig};
@@ -59,9 +71,9 @@ use crate::pool::{ShardOutcome, ShardPool};
 pub enum Engine {
     /// Tick every component on every bus cycle (reference semantics).
     Dense,
-    /// Skip quiet stretches; falls back to dense ticking whenever any
-    /// component might act. Bit-identical results, multi-x faster on
-    /// idle-heavy workloads.
+    /// Step only the components that are due and jump over stretches in
+    /// which none is. Bit-identical results, multi-x faster on idle-heavy
+    /// workloads.
     #[default]
     EventDriven,
 }
@@ -77,25 +89,29 @@ impl Engine {
 }
 
 /// Execution-engine diagnostics ([`System::engine_stats`]): where the
-/// simulated bus cycles went. `dense_steps` / `skipped_cycles` / `skips`
-/// describe the whole-system time-skipping engine; `shard_ticks` /
-/// `shard_idle_skips` attribute the *dense* residue per channel — on each
-/// densely-stepped cycle, every shard either ticked its controller or
-/// proved the cycle a no-op in O(1) and skipped it.
+/// simulated bus cycles went. Every bus cycle of a run is either stepped
+/// (some component was due) or jumped over, so `dense_steps +
+/// skipped_cycles` is the run's cycle count; `shard_ticks` /
+/// `shard_idle_skips` split the stepped cycles per channel into those on
+/// which that channel's controller ticked and those it sat out.
 ///
-/// Purely diagnostic: none of these numbers feed back into simulation, and
-/// they are identical across sequential and sharded execution.
+/// `shard_ticks` belongs to the model — a controller ticks exactly when
+/// its decision bound says so, whatever the engine — and is identical
+/// across sequential and sharded execution. The other four describe the
+/// engine. Purely diagnostic: none of these numbers feed back into
+/// simulation.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct EngineStats {
-    /// Bus cycles executed densely (one [`System::step`] each).
+    /// Bus cycles stepped (one [`System::step`] each).
     pub dense_steps: u64,
-    /// Bus cycles elided by whole-system exact time jumps.
+    /// Bus cycles jumped over because no component was due.
     pub skipped_cycles: u64,
     /// Number of successful jumps (`skipped_cycles` spread over this many).
     pub skips: u64,
-    /// Per-channel: memory-phase calls that ticked the controller.
+    /// Per-channel: stepped cycles on which the controller ticked.
     pub shard_ticks: Vec<u64>,
-    /// Per-channel: memory-phase calls elided by the shard's decision bound.
+    /// Per-channel: stepped cycles the shard sat out, `dense_steps -
+    /// shard_ticks[ch]`.
     pub shard_idle_skips: Vec<u64>,
 }
 
@@ -111,8 +127,8 @@ impl EngineStats {
         }
     }
 
-    /// Fraction of channel `ch`'s memory-phase calls that actually ticked
-    /// (0 when the channel never entered a memory phase).
+    /// Fraction of the stepped cycles on which channel `ch` ticked (0 when
+    /// nothing was stepped).
     pub fn shard_step_fraction(&self, ch: usize) -> f64 {
         let total = self.shard_ticks[ch] + self.shard_idle_skips[ch];
         if total == 0 {
@@ -139,30 +155,36 @@ impl EngineStats {
     }
 }
 
-/// Maximum dense steps between failed skip attempts (exponential backoff
-/// cap): bounds the overhead of probing for skips on saturated workloads
-/// while keeping reaction to reopening quiet windows prompt (a DRAM miss
-/// keeps the bus busy for some tens of cycles; the cap must not dwarf it).
-const MAX_SKIP_BACKOFF: u32 = 16;
-
 /// LLC hit latency in core cycles (tag + data array of a large shared LLC).
 const LLC_HIT_LATENCY: u32 = 30;
 
-/// A core frozen mid-run: parked behind a memory port that provably keeps
-/// answering Busy. Its dense evolution from `since` on is pure
-/// retire-plus-refused-retry, replayable in closed form at any later
-/// cycle, so the engine stops simulating it per cycle and remembers only
-/// where it stopped and which queue(s) must stay full.
+/// How a parked core's elided span is replayed.
 #[derive(Debug, Clone, Copy)]
-struct Frozen {
-    /// Bus cycle the core was frozen at (its state is "before `since`").
+enum Replay {
+    /// The core touches neither the port nor its trace (a bubble streak,
+    /// or a full window behind a pending head):
+    /// [`cpu::Core::fast_forward_planned`], with the walk the
+    /// classification made when it made one.
+    FastForward(Option<StreamPlan>),
+    /// The core retries one access that `(channel, is_write, bypass)`'s
+    /// full queue keeps refusing: [`cpu::Core::port_blocked_forward`].
+    /// Queue occupancy only shrinks when that channel's controller ticks,
+    /// so the refusal is re-checked on stepped cycles, O(1), and the core
+    /// wakes on the cycle the queue opens.
+    PortBlocked((usize, bool, bool)),
+}
+
+/// A core parked mid-run. Its dense evolution from `since` on is a closed
+/// form of the elapsed core cycles, so the engine stops cycling it and
+/// remembers only where it stopped and how to catch it up.
+#[derive(Debug, Clone, Copy)]
+struct Parked {
+    /// Bus cycle the core was parked at (its state is "before `since`").
     since: Cycle,
-    /// Standing condition: `Some((channel, is_write, bypass))` for a
-    /// port-blocked core, whose parked access must keep being refused by
-    /// that channel's queue(s) — re-checked each cycle, O(1). `None` for a
-    /// fully-stalled core (window full behind a pending head): nothing but
-    /// a completion can touch it, and completions unfreeze on delivery.
-    check: Option<(usize, bool, bool)>,
+    /// Most core cycles the replay may cover: the classification's horizon,
+    /// cut to the instruction budget. The wake cycle is derived from it.
+    bound: u64,
+    replay: Replay,
 }
 
 /// The memory hierarchy below the cores (split off so cores and hierarchy
@@ -177,6 +199,11 @@ struct Hierarchy {
     cfg: SystemConfig,
     llc: Llc,
     shards: Vec<Option<Box<ChannelShard>>>,
+    /// Per-channel due cycle: the controller's decision bound
+    /// ([`ChannelController::next_event`]) as of the last time the shard
+    /// ticked or accepted a request, the only two things that move it.
+    /// The event engine visits a shard only when `due[ch] <= now`.
+    due: Vec<Cycle>,
     /// Per-core: skip the LLC (clflush-style attacker access).
     bypass_llc: Vec<bool>,
     next_req: u64,
@@ -206,6 +233,7 @@ impl Hierarchy {
             AccessKind::Write => self.shard(ch).controller().can_accept_write(),
         } && self.shard_mut(ch).inject(req);
         if ok {
+            self.due[ch] = self.shard(ch).controller().next_event(self.now);
             self.next_req += 1;
             Some(id)
         } else {
@@ -219,7 +247,7 @@ impl Hierarchy {
 
     /// The queue coordinates `(channel, is_write, bypass)` that decide
     /// whether [`MemoryPort::access`] refuses this request — precomputed
-    /// once so a standing freeze proof can re-check refusal in O(1).
+    /// once so a parked core's refusal can be re-checked in O(1).
     fn stall_cond(&self, source: SourceId, addr: PhysAddr, is_write: bool) -> (usize, bool, bool) {
         let bypass = self.bypass_llc.get(source.0 as usize).copied().unwrap_or(false);
         (self.channel_of(addr), is_write, bypass)
@@ -229,12 +257,12 @@ impl Hierarchy {
     /// coordinates is guaranteed to answer [`PortResponse::Busy`] — and to
     /// keep answering Busy for as long as no controller issues a command
     /// or accepts an enqueue (queue occupancy is the only input). This is
-    /// the proof obligation behind skipping or freezing a
+    /// the proof obligation behind parking a
     /// [`Quiescence::PortBlocked`] core: its parked retries are no-ops
     /// while this holds, and it can only stop holding at a controller
     /// decision point. **This predicate must mirror the Busy pre-checks in
     /// [`MemoryPort::access`] below exactly** — it is the single copy
-    /// every freeze/skip path consults.
+    /// the engine consults.
     fn queue_full_for(&self, (ch, is_write, bypass): (usize, bool, bool)) -> bool {
         let ctrl = self.shard(ch).controller();
         if is_write {
@@ -319,8 +347,7 @@ pub struct System {
     /// Armed fault injector handed to the pool at creation (chaos tests
     /// only; `None` in production).
     faults: Option<std::sync::Arc<sim_core::fault::Injector>>,
-    /// Scratch: channel indices with work this cycle (reused across the
-    /// memory phases of a pooled run).
+    /// Scratch: the channels the in-flight step visits, in index order.
     active_shards: Vec<usize>,
     /// Attached observers (the ground-truth oracle rides here as an
     /// ordinary event probe). Probes only read; `RunStats` is bit-identical
@@ -354,29 +381,23 @@ pub struct System {
     /// (tracker metadata ids live in a disjoint high range and never
     /// complete back to a core).
     core_of_req: Vec<u8>,
-    /// Scratch: which cores the in-flight advance replays with
-    /// [`cpu::Core::port_blocked_forward`] (reused across attempts).
-    port_blocked: Vec<bool>,
-    /// Per-core freeze state (event engine only): a core parked behind a
-    /// provably-Busy port leaves the per-cycle loop entirely and is
-    /// replayed in closed form when something it can observe happens.
-    frozen: Vec<Option<Frozen>>,
-    /// Whether `step_cores` may freeze cores (event engine, no
-    /// instruction budget — a frozen core's retire counter lags reality).
-    freezing: bool,
-    /// Bus cycles of per-core execution elided by freezing (diagnostics).
+    /// Per-core parking state (event engine only): a quiet core leaves the
+    /// per-cycle loop and is replayed in closed form when it wakes.
+    parked: Vec<Option<Parked>>,
+    /// Per-core due cycle, contiguous for the run loop's minimum: 0 while
+    /// the core is live (always due), the bus cycle a parked core must be
+    /// live again otherwise.
+    wake: Vec<Cycle>,
+    /// True while [`Engine::EventDriven`] drives the run: shards are
+    /// visited by their due cycle and cores may park.
+    event: bool,
+    /// Bus cycles cores spent parked, summed over cores (diagnostics).
     frozen_core_cycles: u64,
-    /// Dense steps to run before the next skip attempt (failed-probe
-    /// backoff; purely a performance heuristic, never affects results).
-    skip_cooldown: u32,
-    /// Current backoff width, doubled on each failed probe up to
-    /// [`MAX_SKIP_BACKOFF`], reset by a successful skip.
-    skip_backoff: u32,
-    /// Bus cycles executed densely (diagnostics).
+    /// Bus cycles stepped (diagnostics).
     dense_steps: u64,
-    /// Bus cycles elided by skips (diagnostics).
+    /// Bus cycles jumped over (diagnostics).
     skipped_cycles: u64,
-    /// Number of successful skips (diagnostics).
+    /// Number of jumps (diagnostics).
     skips: u64,
 }
 
@@ -435,6 +456,7 @@ impl System {
             })
             .collect();
         let ncores = cores.len();
+        let due = shards.iter().flatten().map(|s| s.controller().next_event(0)).collect();
         let oracle = telemetry
             .oracle_requested()
             .then(|| Box::new(OracleProbe::new(cfg.nrh, cfg.blast_radius, cfg.geometry)));
@@ -442,7 +464,7 @@ impl System {
         let llc = Llc::new(cfg.llc, cfg.seed ^ 0x11C);
         let mut sys = Self {
             cores,
-            hierarchy: Hierarchy { cfg, llc, shards, bypass_llc, next_req: 1, now: 0 },
+            hierarchy: Hierarchy { cfg, llc, shards, due, bypass_llc, next_req: 1, now: 0 },
             ratio: ClockRatio::core_over_bus(),
             pool: None,
             faults: None,
@@ -460,12 +482,10 @@ impl System {
             run_ended: false,
             completions_buf: Vec::new(),
             core_of_req: Vec::new(),
-            port_blocked: Vec::new(),
-            frozen: vec![None; ncores],
-            freezing: false,
+            parked: vec![None; ncores],
+            wake: vec![0; ncores],
+            event: false,
             frozen_core_cycles: 0,
-            skip_cooldown: 0,
-            skip_backoff: 1,
             dense_steps: 0,
             skipped_cycles: 0,
             skips: 0,
@@ -567,9 +587,10 @@ impl System {
         self.step_memory(now);
         self.step_cores();
         self.hierarchy.now += 1;
+        self.dense_steps += 1;
     }
 
-    /// The memory half of a bus cycle: the memory phase (every shard
+    /// The memory half of a bus cycle: the memory phase (every due shard
     /// advances through `now`, concurrently when a pool is attached), then
     /// the deterministic merge (completion delivery in channel-index
     /// order), then event fan-out.
@@ -579,69 +600,69 @@ impl System {
         self.fan_out_events();
     }
 
-    /// Memory phase of bus cycle `now`: every shard advances through the
-    /// cycle, collecting its due completions into its private buffer.
+    /// Memory phase of bus cycle `now`: every shard with work this cycle
+    /// advances through it, collecting its due completions into its
+    /// private buffer; `active_shards` lists them for the rest of the step.
+    /// The event engine reads the `due` array; the dense reference asks
+    /// each controller for its bound, so it does not lean on the mirror.
     ///
     /// Shards share nothing, so the order they advance in — and the thread
     /// they advance on — is invisible to results; with a [`ShardPool`]
     /// attached, active shards are handed out to workers and the
-    /// coordinator advances its own share (plus the idle shards, an O(1)
-    /// bump each) while they run. The phase ends only when every shard is
-    /// home: the rendezvous is per cycle.
+    /// coordinator advances its own share while they run. The phase ends
+    /// only when every shard is home: the rendezvous is per cycle.
     fn mem_phase(&mut self, now: Cycle) {
-        if self.pool.is_none() {
-            for slot in self.hierarchy.shards.iter_mut() {
-                slot.as_deref_mut().expect("shard home outside the memory phase").advance_to(now);
-            }
-            return;
-        }
-        let pool = self.pool.as_mut().expect("checked above");
-        let shards = &mut self.hierarchy.shards;
+        let Hierarchy { shards, due, .. } = &mut self.hierarchy;
         let active = &mut self.active_shards;
         active.clear();
-        for (ch, slot) in shards.iter_mut().enumerate() {
-            let shard = slot.as_deref_mut().expect("shard home outside the memory phase");
-            if NextEvent::next_event(shard, now) <= now {
+        let bound = |ch: usize| {
+            let shard = shards[ch].as_deref().expect("shard home outside the memory phase");
+            NextEvent::next_event(shard, now)
+        };
+        for (ch, &mirrored) in due.iter().enumerate() {
+            let at = if self.event { mirrored } else { bound(ch) };
+            if at <= now {
                 active.push(ch);
             } else {
-                // Idle: the advance is a counted O(1) no-op; not worth a
-                // thread handoff.
-                shard.advance_to(now);
+                debug_assert!(bound(ch) > now, "stale shard due, ch {ch} @ {now}");
             }
         }
-        if active.len() < 2 {
-            // Nothing to overlap; skip the rendezvous entirely.
-            for &ch in active.iter() {
-                shards[ch].as_deref_mut().expect("classified above").advance_to(now);
-            }
-            return;
-        }
-        // The coordinator keeps the first active shard for itself and
-        // deals the rest out round-robin.
-        let mine = active[0];
-        let mut dispatched = 0;
-        for (i, &ch) in active[1..].iter().enumerate() {
-            let shard = shards[ch].take().expect("classified above");
-            pool.dispatch(i % pool.workers(), ch, shard, now);
-            dispatched += 1;
-        }
-        shards[mine].as_deref_mut().expect("classified above").advance_to(now);
-        for _ in 0..dispatched {
-            let (lane, ch, outcome) = pool.collect();
-            match outcome {
-                ShardOutcome::Advanced(shard) => shards[ch] = Some(shard),
-                ShardOutcome::Died(mut shard) => {
-                    // The worker died before touching the shard: advance
-                    // it inline (same cycle, same result) and replace the
-                    // lane. Recovery is invisible to simulation state.
-                    shard.advance_to(now);
-                    shards[ch] = Some(shard);
-                    pool.respawn(lane);
+        match self.pool.as_mut() {
+            // Two or more shards to overlap: the coordinator keeps the
+            // first for itself and deals the rest out round-robin.
+            Some(pool) if active.len() >= 2 => {
+                for (i, &ch) in active[1..].iter().enumerate() {
+                    let shard = shards[ch].take().expect("listed above");
+                    pool.dispatch(i % pool.workers(), ch, shard, now);
                 }
-                ShardOutcome::Panicked(message) => {
-                    panic!("channel {ch} shard worker panicked: {message}")
+                shards[active[0]].as_deref_mut().expect("listed above").advance_to(now);
+                for _ in 1..active.len() {
+                    let (lane, ch, outcome) = pool.collect();
+                    match outcome {
+                        ShardOutcome::Advanced(shard) => shards[ch] = Some(shard),
+                        ShardOutcome::Died(mut shard) => {
+                            // The worker died before touching the shard:
+                            // advance it inline (same cycle, same result)
+                            // and replace the lane. Recovery is invisible
+                            // to simulation state.
+                            shard.advance_to(now);
+                            shards[ch] = Some(shard);
+                            pool.respawn(lane);
+                        }
+                        ShardOutcome::Panicked(message) => {
+                            panic!("channel {ch} shard worker panicked: {message}")
+                        }
+                    }
                 }
             }
+            _ => {
+                for &ch in active.iter() {
+                    shards[ch].as_deref_mut().expect("listed above").advance_to(now);
+                }
+            }
+        }
+        for &ch in active.iter() {
+            due[ch] = shards[ch].as_deref().expect("home again").controller().next_event(now);
         }
     }
 
@@ -650,56 +671,115 @@ impl System {
     /// completions pop in `(due cycle, id)` order). This fixed merge order
     /// is what makes sequential and sharded execution bit-identical.
     fn deliver_completions(&mut self, now: Cycle) {
-        for ch in 0..self.hierarchy.channels() {
+        for i in 0..self.active_shards.len() {
+            let ch = self.active_shards[i];
             self.completions_buf.clear();
             self.hierarchy.shard_mut(ch).drain_completions_into(&mut self.completions_buf);
             for i in 0..self.completions_buf.len() {
                 let id = self.completions_buf[i];
                 let core = self.core_of_req[(id - 1) as usize] as usize;
-                // A frozen core must observe the completion from its exact
+                // A parked core must observe the completion from its exact
                 // dense state: replay it up to this cycle first.
-                self.unfreeze(core, now);
+                self.unpark(core, now);
                 self.cores[core].complete(id);
             }
         }
     }
 
-    /// Replays a frozen core's elided cycles (closed form) so its state is
-    /// exactly the dense state "before bus cycle `now`". No-op when the
-    /// core is not frozen.
-    fn unfreeze(&mut self, core: usize, now: Cycle) {
-        let Some(f) = self.frozen[core].take() else { return };
+    /// Replays a parked core's elided cycles (closed form) so its state is
+    /// exactly the dense state "before bus cycle `now`", and makes it live.
+    /// No-op when the core is not parked.
+    fn unpark(&mut self, core: usize, now: Cycle) {
+        let Some(p) = self.parked[core].take() else { return };
+        self.wake[core] = 0;
         // The span's core-cycle total is path-independent
         // ([`ClockRatio::cumulative_core_cycles`]), so per-core timelines
         // need no shared ratio state.
         let cc =
-            ClockRatio::cumulative_core_cycles(now) - ClockRatio::cumulative_core_cycles(f.since);
-        if cc > 0 {
-            self.cores[core].port_blocked_forward(cc);
+            ClockRatio::cumulative_core_cycles(now) - ClockRatio::cumulative_core_cycles(p.since);
+        debug_assert!(
+            cc <= p.bound,
+            "core {core} replayed {cc} core cycles, parked for {}",
+            p.bound
+        );
+        match p.replay {
+            Replay::FastForward(plan) => self.cores[core].fast_forward_planned(cc, plan.as_ref()),
+            Replay::PortBlocked(_) => self.cores[core].port_blocked_forward(cc),
         }
-        self.frozen_core_cycles += now - f.since;
+        self.frozen_core_cycles += now - p.since;
     }
 
-    /// Replays every frozen core up to `now` (window boundaries, run end,
-    /// anything that observes core counters).
-    fn unfreeze_all(&mut self, now: Cycle) {
+    /// Replays every parked core up to `now` (window boundaries, run end,
+    /// anything that reads core counters).
+    fn unpark_all(&mut self, now: Cycle) {
         for i in 0..self.cores.len() {
-            self.unfreeze(i, now);
+            self.unpark(i, now);
+        }
+        debug_assert!(
+            self.cores.iter().all(|c| c.cycles() == ClockRatio::cumulative_core_cycles(now)),
+            "a core is off the bus clock @ {now}"
+        );
+    }
+
+    /// Classifies live core `i` and parks it at `now` if the coming bus
+    /// cycle, at least, is a closed form of its state.
+    fn try_park(&mut self, i: usize, now: Cycle) {
+        let core = &self.cores[i];
+        let mut quiescence = if core.is_fully_stalled() {
+            // O(1), and the state saturated cores live in: nothing but a
+            // completion can touch the core.
+            Quiescence::Stalled
+        } else {
+            core.quiescence()
+        };
+        let mut refusing_queue = None;
+        if quiescence == Quiescence::PortBlocked {
+            let (addr, is_write) =
+                core.blocked_access().expect("PortBlocked implies a parked access");
+            let cond = self.hierarchy.stall_cond(core.id(), addr, is_write);
+            if self.hierarchy.queue_full_for(cond) {
+                // Queues only grow during the core phase, so this whole bus
+                // cycle is provably refused retries.
+                refusing_queue = Some(cond);
+            } else {
+                // The parked access could be accepted: the core may still
+                // stream/stall up to its next dispatch chance.
+                quiescence = core.quiescence_unparked();
+            }
+        }
+        let (mut bound, replay) = match (quiescence, refusing_queue) {
+            (_, Some(cond)) => (u64::MAX, Replay::PortBlocked(cond)),
+            (Quiescence::Stalled, _) => (u64::MAX, Replay::FastForward(None)),
+            (Quiescence::Streaming { cycles, plan }, _) => (cycles, Replay::FastForward(plan)),
+            (Quiescence::Busy | Quiescence::PortBlocked, None) => return,
+        };
+        let max_inst = self.hierarchy.cfg.max_instructions;
+        if core.retired() < max_inst {
+            // A parked core's retire counter lags. Keep it provably short
+            // of the instruction budget until it wakes (retire rate is at
+            // most `width` per core cycle), so the run-loop break fires on
+            // the same step as under dense execution.
+            let width = self.hierarchy.cfg.cpu.width as u64;
+            bound = bound.min((max_inst - core.retired() - 1) / width);
+        }
+        let k = self.ratio.max_bus_cycles_within(bound);
+        if k > 0 {
+            self.parked[i] = Some(Parked { since: now, bound, replay });
+            self.wake[i] = now.saturating_add(k);
         }
     }
 
     /// Fans the event stream out to every subscribed probe (the oracle
-    /// among them). No subscribers means the controllers buffered nothing
-    /// and this is a no-op.
+    /// among them). Only a shard that ticked has buffered anything, and no
+    /// subscribers means the controllers buffered nothing at all.
     fn fan_out_events(&mut self) {
         if self.event_probes.is_empty() {
             return;
         }
         let probes = &mut self.probes;
         let event_probes = &self.event_probes;
-        for (ch, slot) in self.hierarchy.shards.iter_mut().enumerate() {
-            let ctrl = slot.as_deref_mut().expect("shard home outside the memory phase");
-            ctrl.controller_mut().drain_events(&mut |ev| {
+        for &ch in &self.active_shards {
+            self.hierarchy.shard_mut(ch).controller_mut().drain_events(&mut |ev| {
                 for &i in event_probes {
                     probes[i].on_event(ch as u8, ev);
                 }
@@ -708,42 +788,31 @@ impl System {
     }
 
     /// The core half of a bus cycle: cores run in their own clock domain
-    /// (5 core cycles : 4 bus cycles). Under the event engine, a core
-    /// parked behind a provably-Busy port freezes instead of stepping:
-    /// queue occupancy can only shrink at a controller tick, so one O(1)
-    /// re-check per cycle keeps the proof current, and the core is
-    /// replayed in closed form the moment its queue opens.
+    /// (5 core cycles : 4 bus cycles). Under the event engine a parked core
+    /// sits the cycle out unless its wake has arrived or the queue it is
+    /// parked behind opened this cycle, and a live core that has gone quiet
+    /// parks instead of cycling.
     fn step_cores(&mut self) {
         let now = self.hierarchy.now;
-        if self.freezing {
+        if self.event {
             for i in 0..self.cores.len() {
-                if let Some(f) = self.frozen[i] {
-                    match f.check {
-                        // Fully stalled: only a completion (which unfreezes
-                        // on delivery) can touch this core.
-                        None => continue,
-                        Some(cond) if self.hierarchy.queue_full_for(cond) => continue,
-                        // The queue opened this cycle: the retry may
-                        // succeed, so the core rejoins dense stepping now.
-                        Some(_) => self.unfreeze(i, now),
+                if let Some(p) = &self.parked[i] {
+                    let opened = matches!(p.replay, Replay::PortBlocked(cond)
+                        if !self.hierarchy.queue_full_for(cond));
+                    if self.wake[i] <= now || opened {
+                        // The horizon ran out, or the retry may succeed:
+                        // the core cycles densely from this bus cycle on.
+                        self.unpark(i, now);
                     }
-                } else if self.cores[i].is_fully_stalled() {
-                    self.frozen[i] = Some(Frozen { since: now, check: None });
-                } else if self.cores[i].is_port_blocked() {
-                    let (addr, is_write) = self.cores[i].blocked_access().expect("parked access");
-                    let cond = self.hierarchy.stall_cond(self.cores[i].id(), addr, is_write);
-                    if self.hierarchy.queue_full_for(cond) {
-                        // Queues only grow during the core phase, so the
-                        // whole bus cycle is provably refused retries.
-                        self.frozen[i] = Some(Frozen { since: now, check: Some(cond) });
-                    }
+                } else {
+                    self.try_park(i, now);
                 }
             }
         }
         let n = self.ratio.core_cycles_for_bus_cycle();
         for _ in 0..n {
             for i in 0..self.cores.len() {
-                if self.frozen[i].is_some() {
+                if self.parked[i].is_some() {
                     continue;
                 }
                 let core = &mut self.cores[i];
@@ -787,18 +856,20 @@ impl System {
         }
         let window = self.hierarchy.cfg.window_cycles;
         let max_inst = self.hierarchy.cfg.max_instructions;
-        // Freezing defers per-core retire accounting, so it is off under
-        // an instruction budget (the run-loop break reads retired counts
-        // every iteration) and under the dense reference engine.
-        self.freezing = engine == Engine::EventDriven && max_inst == u64::MAX;
+        self.event = engine == Engine::EventDriven;
         while self.hierarchy.now < window {
-            if engine == Engine::Dense || !self.try_advance() {
+            // Under the dense engine everything is due on every cycle.
+            let target = if self.event { self.next_due(window) } else { self.hierarchy.now };
+            if target > self.hierarchy.now {
+                self.jump_to(target);
+            } else {
                 self.step();
-                self.dense_steps += 1;
             }
             if !self.window_probes.is_empty() {
                 self.pump_windows();
             }
+            // A parked core's count lags, on the safe side: `try_park`
+            // keeps it short of the budget until the core wakes.
             if max_inst != u64::MAX && self.cores.iter().all(|c| c.retired() >= max_inst) {
                 break;
             }
@@ -807,10 +878,49 @@ impl System {
         self.stats()
     }
 
+    /// The earliest cycle at which anything is due, or `now` as soon as
+    /// something is due already: the end of the run, the next window
+    /// boundary (samples must be taken exactly there, so a jump may reach
+    /// but never cross it), a parked core's wake (a live core is always
+    /// due), a shard's decision bound.
+    fn next_due(&self, window: Cycle) -> Cycle {
+        let now = self.hierarchy.now;
+        let mut target = window;
+        if !self.window_probes.is_empty() {
+            target = target.min(self.next_window);
+        }
+        for &due in self.wake.iter().chain(&self.hierarchy.due) {
+            if due <= now {
+                return now;
+            }
+            target = target.min(due);
+        }
+        target
+    }
+
+    /// Jumps to `target`, a cycle before which nothing is due: no shard
+    /// decides anything, and every core is parked past it. Nothing is
+    /// touched but the clocks, which is what keeps a jump exact.
+    fn jump_to(&mut self, target: Cycle) {
+        let now = self.hierarchy.now;
+        debug_assert!(
+            self.hierarchy
+                .shards
+                .iter()
+                .flatten()
+                .all(|s| NextEvent::next_event(&**s, now) >= target),
+            "jump from {now} to {target} crosses a shard's decision bound"
+        );
+        self.ratio.advance_bus_cycles(target - now);
+        self.hierarchy.now = target;
+        self.skipped_cycles += target - now;
+        self.skips += 1;
+    }
+
     /// Emits a [`WindowSample`] for every boundary `now` has reached.
-    /// Both engines pass through every boundary cycle (the skip engine
-    /// caps its horizon at the next boundary while window probes are
-    /// attached), so the samples are bit-identical across engines.
+    /// Both engines pass through every boundary cycle (a boundary is a due
+    /// cycle of the event engine while window probes are attached), so the
+    /// samples are bit-identical across engines.
     fn pump_windows(&mut self) {
         while self.hierarchy.now >= self.next_window {
             let end = self.next_window;
@@ -822,11 +932,11 @@ impl System {
     /// Closes the in-flight window at `end` and hands the delta sample to
     /// every window probe.
     fn emit_window(&mut self, end: Cycle) {
-        // The sample reads core counters, so every frozen core must be at
+        // The sample reads core counters, so every parked core must be at
         // its exact dense state for the boundary (`end` is always the
         // current cycle: jumps cap at the boundary and steps land on it).
         debug_assert_eq!(end, self.hierarchy.now);
-        self.unfreeze_all(end);
+        self.unpark_all(end);
         let mut mem = MemStats::default();
         for ch in 0..self.hierarchy.channels() {
             mem.merge(&self.hierarchy.shard(ch).controller().stats);
@@ -871,8 +981,8 @@ impl System {
         }
         self.run_ended = true;
         let now = self.hierarchy.now;
-        self.unfreeze_all(now);
-        self.freezing = false;
+        self.unpark_all(now);
+        self.event = false;
         if !self.window_probes.is_empty() && now > self.window_start {
             self.emit_window(now);
         }
@@ -882,22 +992,17 @@ impl System {
     }
 
     /// Execution-engine diagnostics so far: how much simulated time the
-    /// event engine elided, and how much of the dense residue each channel
-    /// shard elided on its own.
+    /// event engine jumped over, and on how many of the stepped cycles each
+    /// channel's controller ticked.
     pub fn engine_stats(&self) -> EngineStats {
-        let mut shard_ticks = Vec::with_capacity(self.hierarchy.channels());
-        let mut shard_idle_skips = Vec::with_capacity(self.hierarchy.channels());
-        for ch in 0..self.hierarchy.channels() {
-            let (ticks, idles) = self.hierarchy.shard(ch).step_counts();
-            shard_ticks.push(ticks);
-            shard_idle_skips.push(idles);
-        }
+        let shard_ticks: Vec<u64> =
+            (0..self.hierarchy.channels()).map(|ch| self.hierarchy.shard(ch).ticks()).collect();
         EngineStats {
             dense_steps: self.dense_steps,
             skipped_cycles: self.skipped_cycles,
             skips: self.skips,
+            shard_idle_skips: shard_ticks.iter().map(|t| self.dense_steps - t).collect(),
             shard_ticks,
-            shard_idle_skips,
         }
     }
 
@@ -910,124 +1015,11 @@ impl System {
             .collect()
     }
 
-    /// Bus cycles of per-core execution elided by freezing parked cores —
-    /// cycles the machine stepped densely for the memory side while one or
-    /// more cores were replayed in closed form later (diagnostics).
+    /// Bus cycles cores spent parked, summed over cores — per-core
+    /// execution the engine replayed in closed form instead of cycling
+    /// (diagnostics).
     pub fn frozen_core_cycles(&self) -> u64 {
         self.frozen_core_cycles
-    }
-
-    /// Attempts one exact time jump; returns false when the coming cycle
-    /// must be simulated (the caller then steps densely — cheaply, if the
-    /// cores are frozen and only a controller has work).
-    ///
-    /// A jump of `k >= 1` bus cycles is performed only when no controller
-    /// reports a decision point before `now + k`
-    /// ([`memctrl::ChannelController::next_event`], an O(1) probe — which
-    /// is what makes probing every cycle affordable) and every *running*
-    /// core can absorb the corresponding core-cycle total in closed form:
-    /// streaming/stalled cores via [`cpu::Quiescence`] /
-    /// [`cpu::Core::fast_forward`], port-blocked cores via
-    /// [`cpu::Core::port_blocked_forward`] when the hierarchy proves their
-    /// parked access keeps answering Busy. Frozen cores need nothing at
-    /// all: their standing proof only depends on queue occupancy, which
-    /// cannot change across a controller-quiet stretch.
-    ///
-    /// The jump replays exactly what dense stepping would have done, so
-    /// dense and event-driven execution produce identical [`RunStats`].
-    fn try_advance(&mut self) -> bool {
-        if self.skip_cooldown > 0 {
-            self.skip_cooldown -= 1;
-            return false;
-        }
-        let now = self.hierarchy.now;
-        let mut horizon = self.hierarchy.cfg.window_cycles;
-        if !self.window_probes.is_empty() {
-            // Window samples must be taken exactly at boundary cycles, so
-            // a skip may reach but never cross the next boundary. Splitting
-            // a would-be longer skip in two is still an exact no-op, so
-            // `RunStats` stays bit-identical with probes attached.
-            horizon = horizon.min(self.next_window);
-        }
-        let mut decision = horizon;
-        for slot in &self.hierarchy.shards {
-            let shard = slot.as_deref().expect("shard home outside the memory phase");
-            decision = decision.min(NextEvent::next_event(shard, now));
-        }
-        if decision <= now {
-            // A controller has work this very cycle. That is a fact, not a
-            // failed guess — step densely once (cheap when the cores are
-            // frozen) and probe again next cycle, with no backoff.
-            return false;
-        }
-        // Classify the running cores (frozen ones need no attention).
-        let max_inst = self.hierarchy.cfg.max_instructions;
-        let mut budget = u64::MAX;
-        self.port_blocked.clear();
-        self.port_blocked.resize(self.cores.len(), false);
-        for (i, core) in self.cores.iter().enumerate() {
-            if self.frozen[i].is_some() {
-                continue;
-            }
-            match core.quiescence() {
-                Quiescence::Busy => return self.skip_failed(),
-                Quiescence::PortBlocked => {
-                    let (addr, is_write) =
-                        core.blocked_access().expect("PortBlocked implies a parked access");
-                    let cond = self.hierarchy.stall_cond(core.id(), addr, is_write);
-                    if self.hierarchy.queue_full_for(cond) {
-                        self.port_blocked[i] = true;
-                    } else {
-                        // The parked access could be accepted: the core may
-                        // still stream/stall up to its next dispatch chance.
-                        match core.quiescence_unparked() {
-                            Quiescence::Busy => return self.skip_failed(),
-                            Quiescence::Stalled => {}
-                            Quiescence::Streaming { cycles } => budget = budget.min(cycles),
-                            Quiescence::PortBlocked => unreachable!("unparked never port-blocks"),
-                        }
-                    }
-                }
-                Quiescence::Stalled => {}
-                Quiescence::Streaming { cycles } => budget = budget.min(cycles),
-            }
-            if max_inst != u64::MAX && core.retired() < max_inst {
-                // Stop the advance no later than the first cycle this core
-                // could cross its instruction budget (retire rate is at
-                // most `width` per core cycle), so the run-loop break
-                // fires on the same step as under dense execution.
-                let width = self.hierarchy.cfg.cpu.width as u64;
-                budget = budget.min((max_inst - core.retired()).div_ceil(width));
-            }
-        }
-        let k = self.ratio.max_bus_cycles_within(budget).min(decision - now);
-        if k == 0 {
-            return self.skip_failed();
-        }
-        let core_cycles = self.ratio.advance_bus_cycles(k);
-        if core_cycles > 0 {
-            for (i, core) in self.cores.iter_mut().enumerate() {
-                if self.frozen[i].is_some() {
-                    continue;
-                }
-                if self.port_blocked[i] {
-                    core.port_blocked_forward(core_cycles);
-                } else {
-                    core.fast_forward(core_cycles);
-                }
-            }
-        }
-        self.hierarchy.now += k;
-        self.skipped_cycles += k;
-        self.skips += 1;
-        self.skip_backoff = 1;
-        true
-    }
-
-    fn skip_failed(&mut self) -> bool {
-        self.skip_cooldown = self.skip_backoff;
-        self.skip_backoff = (self.skip_backoff * 2).min(MAX_SKIP_BACKOFF);
-        false
     }
 
     /// Snapshot of the metrics so far.
@@ -1346,15 +1338,22 @@ mod tests {
 
     #[test]
     fn shard_step_fractions_reflect_channel_activity() {
-        let mut sys = build(small_cfg(), 10, false);
-        let _ = sys.run_dense();
-        let es = sys.engine_stats();
-        assert_eq!(es.shard_ticks.len(), 2);
-        for ch in 0..2 {
-            let total = es.shard_ticks[ch] + es.shard_idle_skips[ch];
-            assert_eq!(total, 60_000, "every dense cycle enters the memory phase once");
-            let f = es.shard_step_fraction(ch);
-            assert!(f > 0.0 && f < 1.0, "busy-but-not-saturated channel: {f}");
+        let stats_under = |engine: Engine| {
+            let mut sys = build(small_cfg(), 10, false);
+            let _ = sys.run_engine(engine);
+            sys.engine_stats()
+        };
+        let dense = stats_under(Engine::Dense);
+        let event = stats_under(Engine::EventDriven);
+        assert_eq!(dense.dense_steps, 60_000, "the dense engine steps every cycle");
+        assert_eq!(event.dense_steps + event.skipped_cycles, 60_000, "stepped or jumped over");
+        assert_eq!(dense.shard_ticks, event.shard_ticks, "a controller ticks by its own bound");
+        for es in [dense, event] {
+            for ch in 0..2 {
+                assert_eq!(es.shard_idle_skips[ch], es.dense_steps - es.shard_ticks[ch]);
+                let f = es.shard_step_fraction(ch);
+                assert!(f > 0.0 && f < 1.0, "busy-but-not-saturated channel: {f}");
+            }
         }
     }
 

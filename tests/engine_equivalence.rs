@@ -12,7 +12,7 @@
 
 use dapper_repro::sim::experiment::{AttackChoice, Experiment, TrackerSel};
 use dapper_repro::sim::{parallel_map, RunStats};
-use dapper_repro::{attacklab, sim, workloads};
+use dapper_repro::{attacklab, cpu, sim, workloads};
 
 /// Runs one experiment's system under both engines and returns the pair.
 fn both_engines(e: &Experiment) -> (RunStats, RunStats) {
@@ -190,22 +190,26 @@ fn event_engine_dense_step_fraction_stays_under_its_floors() {
 #[test]
 fn engine_stats_of_three_loaded_cells_are_pinned() {
     // `RunStats` equality cannot see a scheduler bound that is merely
-    // "safe but earlier": the run's numbers stay right while the event
-    // engine ticks and steps more than it has to. These counts can. They
-    // are bit-deterministic; recorded at PR 17's commit, before the
-    // scheduler's scan moved onto its per-bank digests.
+    // "safe but earlier": the run's numbers stay right while the
+    // controllers tick more than they have to. `shard_ticks` can: a
+    // controller ticks exactly when its decision bound says so, whatever
+    // the engine does around it. Recorded at PR 17's commit, before the
+    // scheduler's scan moved onto its per-bank digests, and unchanged since.
+    // The `(dense_steps, skips, skipped_cycles)` triples describe the
+    // engine, not the model; re-recorded when it went component-wise
+    // (PR 22). All of them are bit-deterministic.
     use workloads::Attack;
     let pins: [(&str, Experiment, [u64; 3], [u64; 2]); 3] = [
         (
             "mcf_like/dapper-h",
             Experiment::new("mcf_like").tracker("dapper-h"),
-            [74_316, 27_824, 85_684],
+            [75_117, 27_461, 84_883],
             [38_307, 38_845],
         ),
         (
             "gcc_like/hydra/tailored",
             Experiment::new("gcc_like").tracker("hydra").attack(AttackChoice::Tailored),
-            [86_385, 34_826, 73_615],
+            [89_813, 33_881, 70_187],
             [81_699, 6_131],
         ),
         (
@@ -213,20 +217,136 @@ fn engine_stats_of_three_loaded_cells_are_pinned() {
             Experiment::new("milc_like")
                 .tracker("dapper-s")
                 .attack(AttackChoice::Specific(Attack::Streaming)),
-            [88_781, 34_530, 71_219],
+            [89_822, 34_134, 70_178],
             [83_532, 7_732],
         ),
     ];
     let outcomes = parallel_map(pins.into(), |(label, e, engine, shard_ticks)| {
         let mut sys = e.window_us(50.0).build_system(false);
-        sys.run_engine(sim::Engine::EventDriven);
+        let cycles = sys.run_engine(sim::Engine::EventDriven).cycles;
         let s = sys.engine_stats();
         let got = ([s.dense_steps, s.skips, s.skipped_cycles], s.shard_ticks.clone());
-        (label, got, (engine, shard_ticks.to_vec()))
+        (label, got, (engine, shard_ticks.to_vec()), cycles)
     });
     for o in outcomes {
-        let (label, got, want) = o.expect("pinned cell must not panic");
+        let (label, got, want, cycles) = o.expect("pinned cell must not panic");
         assert_eq!(got, want, "{label}: (dense_steps, skips, skipped_cycles), shard_ticks moved");
+        assert_eq!(got.0[0] + got.0[2], cycles, "{label}: every cycle is stepped or jumped over");
+    }
+}
+
+#[test]
+fn instruction_budgets_that_land_mid_streak_stop_on_the_dense_cycle() {
+    // Cores park under an instruction budget too, their wake cut to the
+    // first cycle they could cross it. The budgets are odd and sit inside
+    // bubble streaks (povray), full-window stalls (mcf) and an attacked
+    // cell; the early stop must land on the cycle the dense loop stops at,
+    // with every counter equal.
+    let cells = [
+        ("povray_like/dapper-h", Experiment::quick("povray_like").tracker("dapper-h")),
+        ("mcf_like/dapper-h", Experiment::quick("mcf_like").tracker("dapper-h")),
+        (
+            "gcc_like/hydra/tailored",
+            Experiment::quick("gcc_like").tracker("hydra").attack(AttackChoice::Tailored),
+        ),
+    ];
+    let mut jobs = Vec::new();
+    for (label, e) in cells {
+        for budget in [1u64, 4_999, 61_337] {
+            let mut e = e.clone().window_us(400.0);
+            e.cfg.max_instructions = budget;
+            jobs.push((format!("{label}/budget {budget}"), e));
+        }
+    }
+    let outcomes = parallel_map(jobs, |(label, e)| {
+        let (dense, event) = both_engines(&e);
+        let stopped_early = dense.cycles < e.cfg.window_cycles;
+        (label, dense == event, stopped_early, format!("{dense:?}\n  vs\n{event:?}"))
+    });
+    let mut early_stops = 0;
+    for o in outcomes {
+        let (label, equal, stopped_early, detail) = o.expect("budget job must not panic");
+        assert!(equal, "engines diverged on {label}:\n{detail}");
+        early_stops += u32::from(stopped_early);
+    }
+    assert!(early_stops >= 6, "the budgets must end most runs early: {early_stops} of 9");
+}
+
+#[test]
+fn odd_windows_shorter_than_a_bubble_streak_cut_parked_spans_exactly() {
+    // 997 bus cycles is odd (the 5:4 clock ratio never lines up with it)
+    // and shorter than povray's bubble streaks, so nearly every boundary
+    // lands inside a parked span and replays it part-way.
+    use dapper_repro::sim::experiment::{take_recorder, TelemetrySpec};
+    use dapper_repro::sim_core::telemetry::TimeSeriesRecorder;
+    let spec =
+        TelemetrySpec { time_series: true, window_us: Some(997.0 / 3200.0), ..Default::default() };
+    let cells = [
+        Experiment::quick("povray_like").tracker("dapper-h"),
+        Experiment::quick("mcf_like").tracker("none"),
+    ];
+    for e in cells {
+        let e = e.window_us(120.0).with_telemetry(spec);
+        let run = |engine| {
+            let mut sys = e.build_system(false);
+            let stats = sys.run_engine(engine);
+            let rec: TimeSeriesRecorder =
+                take_recorder(&mut sys.take_probes()).expect("recorder attached");
+            (stats, rec.into_samples())
+        };
+        let (dense_stats, dense_windows) = run(sim::Engine::Dense);
+        let (event_stats, event_windows) = run(sim::Engine::EventDriven);
+        assert_eq!(dense_stats, event_stats, "{}", e.workload);
+        assert_eq!(dense_windows, event_windows, "{}", e.workload);
+        assert_eq!(dense_windows[0].end - dense_windows[0].start, 997);
+        assert_eq!(dense_windows.len() as u64, e.cfg.window_cycles.div_ceil(997));
+    }
+}
+
+/// Rewrites a trace's addresses onto channel 0 (the channel index is the
+/// low bits of the line address).
+struct OnChannelZero<T>(T, u64);
+
+impl<T: cpu::TraceSource> cpu::TraceSource for OnChannelZero<T> {
+    fn next_entry(&mut self) -> cpu::TraceEntry {
+        let mut e = self.0.next_entry();
+        e.addr.0 &= !((self.1 - 1) << 6);
+        e
+    }
+}
+
+#[test]
+fn one_hot_channel_leaves_seven_shards_idle_and_stays_exact() {
+    // Eight channels, all traffic on one: seven `due` entries only ever
+    // move for refresh, and the engine must neither visit those shards in
+    // between nor lose one of their refreshes.
+    use dapper_repro::sim_core::telemetry::Telemetry;
+    use dapper_repro::workloads::{spec_by_name, SyntheticTrace};
+    let e = Experiment::quick("mcf_like").tracker("dapper-h").eight_channel(2).window_us(100.0);
+    let build = || {
+        let g = e.cfg.geometry;
+        let spec = spec_by_name("mcf_like").expect("catalog workload");
+        let cores = e.cfg.cpu.cores as usize;
+        let traces = (0..cores)
+            .map(|core| {
+                let trace = SyntheticTrace::new(spec, core, e.cfg.seed);
+                Box::new(OnChannelZero(trace, g.channels as u64)) as Box<dyn cpu::TraceSource>
+            })
+            .collect();
+        let trackers = (0..g.channels).map(|ch| e.tracker.build(e.cfg.nrh, g, ch, 7)).collect();
+        sim::System::new(e.cfg.clone(), traces, vec![false; cores], trackers, Telemetry::none())
+    };
+    let dense = build().run_dense();
+    let mut sys = build();
+    let event = sys.run();
+    assert_eq!(dense, event);
+    let per_channel = sys.channel_stats();
+    assert!(per_channel[0].reads > 1_000, "channel 0 carries the cell: {:?}", per_channel[0]);
+    let ticks = sys.engine_stats().shard_ticks;
+    for ch in 1..8 {
+        assert_eq!(per_channel[ch].reads + per_channel[ch].writes, 0, "channel {ch} saw traffic");
+        assert!(per_channel[ch].refreshes > 0, "channel {ch} must keep refreshing");
+        assert!(ticks[ch] * 20 < ticks[0], "channel {ch} ticked {} of {}", ticks[ch], ticks[0]);
     }
 }
 

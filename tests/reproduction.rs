@@ -1,6 +1,6 @@
 //! Shape-level reproduction assertions: the orderings the paper's figures
-//! rest on, checked at miniature scale. EXPERIMENTS.md records the
-//! full-scale numbers.
+//! rest on, checked at miniature scale. `figure <id>` regenerates the
+//! full-scale numbers (README, "Reproducing a paper figure").
 
 use dapper_repro::sim::experiment::{AttackChoice, Experiment};
 use dapper_repro::workloads::Attack;

@@ -30,8 +30,8 @@
 
 use sim::cache::RunCache;
 use sim::journal::SweepJournal;
-use sim::runner::{try_run_parallel, RetryPolicy, RunnerConfig};
-use sim::spec::{result_to_json, SweepReport, SweepSpec};
+use sim::runner::{RetryPolicy, RunnerConfig};
+use sim::spec::{result_to_json, SweepSpec};
 
 const USAGE: &str = "spec_run — declarative experiment sweeps
 
@@ -190,27 +190,22 @@ fn run() -> Result<i32, String> {
             },
             ..RunnerConfig::default()
         };
-        let report = match &effective_cache_dir {
-            Some(dir) => {
-                let cache =
-                    RunCache::open(dir).map_err(|e| format!("cannot open cache dir {dir}: {e}"))?;
-                let journal = if resume {
-                    Some(
-                        SweepJournal::in_cache_dir(dir)
-                            .map_err(|e| format!("cannot open journal in {dir}: {e}"))?,
-                    )
-                } else {
-                    None
-                };
-                let (report, summary) = spec.run_expanded(cells, &cache, journal.as_ref(), &runner);
-                println!("  cache: {summary} in {dir}");
-                report
-            }
-            None => SweepReport::assemble(
-                &spec,
-                try_run_parallel(cells.into_iter().map(|(e, _)| e).collect()),
-            ),
-        };
+        let dir = effective_cache_dir.as_deref();
+        let cache = dir
+            .map(|dir| RunCache::open(dir).map_err(|e| format!("cannot open cache dir {dir}: {e}")))
+            .transpose()?;
+        // `--resume` without a cache dir was refused above.
+        let journal = dir
+            .filter(|_| resume)
+            .map(|dir| {
+                SweepJournal::in_cache_dir(dir)
+                    .map_err(|e| format!("cannot open journal in {dir}: {e}"))
+            })
+            .transpose()?;
+        let (report, summary) = spec.run_expanded(cells, cache.as_ref(), journal.as_ref(), &runner);
+        if let Some(dir) = dir {
+            println!("  cache: {summary} in {dir}");
+        }
         for r in &report.results {
             println!(
                 "  {:<22} {:<13} {:<14} {:.3}",

@@ -101,6 +101,11 @@ fn run() -> Result<(), String> {
     } else {
         true
     };
+    // Every known flag has been drained: a leftover one is a typo, and
+    // ignoring it would e.g. silently not write the report.
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        return Err(format!("campaignctl: unknown argument '{flag}' (try --help)"));
+    }
     let mut client =
         Client::connect(&socket).map_err(|e| format!("cannot connect to {socket}: {e}"))?;
     let command = args.first().map(String::as_str).unwrap_or("");

@@ -397,6 +397,58 @@ fn restarted_server_resumes_only_the_unfinished_remainder() {
 }
 
 #[test]
+fn resume_skips_a_journaled_spec_that_carries_a_retired_key() {
+    use sim::journal::SweepJournal;
+    // A journal written while `[system] threads` was a spec key: the spec
+    // no longer parses, so resume must pass over it and still bring the
+    // sweep journaled after it back.
+    let dir = scratch("resume-retired-key");
+    let mut old = tiny_spec();
+    old.name = "with_lane_knob".to_string();
+    old.system = Some(sim::SystemOptions { geometry: Some("paper-baseline".to_string()) });
+    let old_json = old.to_json().render().replace("\"geometry\":", "\"threads\":4,\"geometry\":");
+    let err = SweepSpec::from_json_str(&old_json).expect_err("the key is gone");
+    assert!(err.to_string().contains("system.threads"), "{err}");
+    let journal = SweepJournal::in_cache_dir(dir.join("cache")).expect("journal");
+    journal.record_start("0ld", &old_json, 2).expect("start");
+    let spec = tiny_spec();
+    let hash = SweepJournal::sweep_hash(&spec);
+    journal.record_start(&hash, &spec.to_json().render(), 2).expect("start");
+    assert_eq!(journal.load().expect("load").unfinished().count(), 2);
+    drop(journal);
+
+    let socket = start_with(&dir, "a", ServerConfig { resume: true, ..ServerConfig::default() });
+    let mut client = Client::connect(&socket).expect("connect");
+    let resumed = client
+        .request(&Json::obj([("cmd", Json::str("wait")), ("job", Json::count(1))]))
+        .expect("wait resumed");
+    assert_ok(&resumed);
+    assert_eq!(field_u64(&resumed, "executed"), 2, "the parseable sweep ran");
+    let stats = client.request(&Json::obj([("cmd", Json::str("stats"))])).expect("stats");
+    assert_eq!((field_u64(&stats, "resumed_sweeps"), field_u64(&stats, "jobs")), (1, 1));
+    shutdown(&socket);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn campaignctl_refuses_a_mistyped_flag_before_connecting() {
+    // `--outt` used to be ignored: the report was silently not written and
+    // the exit status was 0. No server listens on this socket, so reaching
+    // the connect would exit 1 instead.
+    let dir = scratch("ctl-typo");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_campaignctl"))
+        .arg("--socket")
+        .arg(dir.join("nobody.sock"))
+        .args(["wait", "1", "--outt", "r.json"])
+        .output()
+        .expect("run campaignctl");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("'--outt'"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn progress_events_round_trip_the_wire_shape() {
     use campaignd::ProgressEvent;
     let e = ProgressEvent { job: 7, done: 3, cells: 18 };

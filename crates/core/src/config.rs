@@ -105,18 +105,6 @@ impl DapperConfig {
         self.t_reset = t_reset;
         self
     }
-
-    /// Builder-style override of the reset strategy (ablation).
-    pub fn with_reset_strategy(mut self, strategy: ResetStrategy) -> Self {
-        self.reset_strategy = strategy;
-        self
-    }
-
-    /// Builder-style override of the bit-vector (ablation).
-    pub fn with_bit_vector(mut self, enabled: bool) -> Self {
-        self.bit_vector = enabled;
-        self
-    }
 }
 
 #[cfg(test)]

@@ -66,7 +66,6 @@ pub fn dapper_s_spec() -> TrackerSpec {
     dapper_params(TrackerSpec::new("dapper-s", "DAPPER-S", |p| {
         Ok(Box::new(DapperS::new(config_from("dapper-s", p)?)))
     }))
-    .summary("DAPPER-S (this paper, Sec. V): keyed row-group counters in SRAM")
 }
 
 /// DAPPER-H's registry descriptor (Section VI: double hashing + bit-vector
@@ -76,7 +75,6 @@ pub fn dapper_h_spec() -> TrackerSpec {
         Ok(Box::new(DapperH::new(config_from("dapper-h", p)?)))
     }))
     .alias("dapper")
-    .summary("DAPPER-H (this paper, Sec. VI): hardened double-hashed tracker")
 }
 
 /// Registers DAPPER-S and DAPPER-H into `reg`.

@@ -506,14 +506,6 @@ impl ChannelController {
         }
     }
 
-    /// Due time of the earliest queued completion, if any. Ticking only
-    /// ever enqueues completions with later due-times, so a caller may
-    /// peek before ticking to learn whether the coming cycle delivers.
-    #[inline]
-    pub fn earliest_completion(&self) -> Option<Cycle> {
-        self.completions.peek().map(|&Reverse((c, _))| c)
-    }
-
     /// Completed demand-read request ids due at or before `now`.
     #[inline]
     pub fn pop_completions(&mut self, now: Cycle, out: &mut Vec<u64>) {
@@ -1140,7 +1132,7 @@ impl ChannelController {
             }
         }
         if q.req.is_demand_read() {
-            // The lookahead contract the sharded executor leans on: no
+            // The lookahead contract the memory phase leans on: no
             // completion may land earlier than arrival + the advertised
             // inject-to-complete floor.
             debug_assert!(
@@ -1572,7 +1564,7 @@ mod tests {
     /// Counts every hook invocation through shared counters so the test
     /// can read them after the tracker moves into the controller
     /// (`Arc`/atomics rather than `Rc`/`Cell` because `RowHammerTracker`
-    /// is `Send` — shards travel to worker threads).
+    /// is `Send`).
     struct HookCounter {
         trefi: std::sync::Arc<std::sync::atomic::AtomicU64>,
         trefw: std::sync::Arc<std::sync::atomic::AtomicU64>,

@@ -1,4 +1,4 @@
-//! Channel shards: the unit of parallelism for multi-channel runs.
+//! Channel shards: the unit the memory phase steps, one per channel.
 //!
 //! A [`ChannelShard`] owns everything on the memory side of one channel —
 //! the [`ChannelController`], its [`dram::DramChannel`], the channel's
@@ -6,36 +6,35 @@
 //! exposes the narrow interface the system layer steps it through:
 //! [`ChannelShard::inject`] during the core phase,
 //! [`ChannelShard::advance_to`] during the memory phase. Nothing inside a
-//! shard is shared: the executor may move the whole box to a worker
-//! thread, advance it, and move it back, with no locking and no aliasing.
+//! shard is shared with another shard, so each carries its own due cycle
+//! and an idle channel costs the system one integer compare per step.
 //!
-//! # The rendezvous / lookahead contract
+//! # The two-phase / lookahead contract
 //!
 //! The system splits every bus cycle `t` into two phases:
 //!
-//! 1. **Memory phase**: every shard is advanced through cycle `t`
-//!    (concurrently, when a worker pool is attached). Each shard ticks
-//!    its controller and collects the demand-read completions falling due
-//!    at or before `t` into its private buffer.
-//! 2. **Core phase** (sequential): the coordinator drains each shard's
-//!    completion buffer *in channel-index order* (within a shard,
-//!    completions pop in `(due cycle, id)` order), delivers them to the
-//!    cores, then steps the cores, which inject new requests into shards
-//!    via [`ChannelShard::inject`].
+//! 1. **Memory phase**: every due shard is advanced through cycle `t`,
+//!    one after another. Each shard ticks its controller and collects the
+//!    demand-read completions falling due at or before `t` into its
+//!    private buffer.
+//! 2. **Core phase**: the system drains each shard's completion buffer
+//!    *in channel-index order* (within a shard, completions pop in
+//!    `(due cycle, id)` order), delivers them to the cores, then steps the
+//!    cores, which inject new requests into shards via
+//!    [`ChannelShard::inject`].
 //!
-//! This is deterministic — the merge order is fixed, independent of
-//! thread interleaving — and it is *safe* to run phase 1 concurrently
-//! because shards never talk to each other and because of the lookahead
-//! bound ([`sim_core::sched::NextEvent::min_inject_latency`]): a request
-//! injected during the core phase of cycle `t` cannot complete at or
-//! before `t + tCL + tBL`, so the completion set phase 1 collects is
-//! fully determined before the phase starts. The DDR5 controller
-//! advertises the row-hit floor `tCL + tBL` (a cold row additionally
-//! pays tRCD) and asserts it against every completion it schedules.
+//! The merge order is fixed, and the order in which phase 1 advances the
+//! shards cannot be observed: shards never talk to each other, and the
+//! lookahead bound ([`sim_core::sched::NextEvent::min_inject_latency`])
+//! says a request injected during the core phase of cycle `t` cannot
+//! complete at or before `t + tCL + tBL`, so the completion set phase 1
+//! collects is fully determined before the phase starts. That is also
+//! what lets the event engine skip a shard until its due cycle. The DDR5
+//! controller advertises the row-hit floor `tCL + tBL` (a cold row
+//! additionally pays tRCD) and asserts it against every completion it
+//! schedules.
 //!
-//! Telemetry window boundaries remain the hard global barrier: the
-//! system only samples per-channel statistics between cycles, when every
-//! shard is home and quiescent.
+//! Telemetry windows sample per-channel statistics only between cycles.
 
 use sim_core::req::MemRequest;
 use sim_core::sched::NextEvent;
@@ -79,8 +78,8 @@ impl ChannelShard {
     /// no-op — nothing schedulable, no completion due, no refresh or
     /// tracker deadline — the call returns in O(1) without ticking. This
     /// gate is exact (a non-naive tick before the bound is itself an
-    /// early return), so sequential and sharded execution agree
-    /// bit-for-bit with the dense reference loop.
+    /// early return), so the event engine agrees bit-for-bit with the
+    /// dense reference loop.
     #[inline]
     pub fn advance_to(&mut self, now: Cycle) {
         if self.ctrl.next_event(now) > now {
@@ -174,7 +173,6 @@ mod tests {
     fn shard_is_send() {
         fn assert_send<T: Send>() {}
         assert_send::<ChannelShard>();
-        assert_send::<Box<ChannelShard>>();
     }
 
     #[test]

@@ -79,62 +79,6 @@ impl CpuConfig {
     }
 }
 
-/// Worker-thread policy for stepping per-channel memory shards.
-///
-/// This is an **execution** knob, not a **model** knob: every simulated
-/// result (RunStats, telemetry windows, sweep reports) is bit-identical
-/// across all variants, enforced by the engine-equivalence suite. For
-/// exactly that reason the run-cache cell descriptor deliberately omits
-/// it — a cached result is valid regardless of how many threads produced
-/// it.
-///
-/// In specs and serialized configs this is spelled `"seq"` or a positive
-/// integer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Threads {
-    /// Step every shard on the calling thread (the reference executor).
-    #[default]
-    Seq,
-    /// Exactly this many stepping threads (clamped to the channel count;
-    /// `0` and `1` both mean sequential).
-    N(usize),
-}
-
-impl Threads {
-    /// The resolved number of stepping threads for `channels` shards.
-    /// Always `>= 1`; `1` means the sequential executor.
-    pub fn worker_count(self, channels: usize) -> usize {
-        let cap = channels.max(1);
-        match self {
-            Threads::Seq => 1,
-            Threads::N(n) => n.clamp(1, cap),
-        }
-    }
-}
-
-impl std::fmt::Display for Threads {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Threads::Seq => write!(f, "seq"),
-            Threads::N(n) => write!(f, "{n}"),
-        }
-    }
-}
-
-impl Threads {
-    /// Parses the spec spelling: `"seq"` or a positive integer rendered as
-    /// a string. The inverse of [`Display`](std::fmt::Display).
-    pub fn parse(text: &str) -> Result<Self, String> {
-        match text {
-            "seq" => Ok(Threads::Seq),
-            other => match other.parse::<usize>() {
-                Ok(n) if n >= 1 => Ok(Threads::N(n)),
-                _ => Err(format!("'{other}' is not 'seq' or a thread count >= 1")),
-            },
-        }
-    }
-}
-
 /// Full system configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
@@ -157,10 +101,6 @@ pub struct SystemConfig {
     pub max_instructions: u64,
     /// RNG seed controlling every stochastic element of the run.
     pub seed: u64,
-    /// Worker-thread policy for the sharded channel executor. Pure
-    /// execution knob: results are bit-identical across variants and the
-    /// run-cache descriptor excludes it.
-    pub threads: Threads,
 }
 
 impl SystemConfig {
@@ -177,7 +117,6 @@ impl SystemConfig {
             window_cycles: ms_to_cycles(4.0),
             max_instructions: u64::MAX,
             seed: 0xDA99E5,
-            threads: Threads::Seq,
         }
     }
 
@@ -213,12 +152,6 @@ impl SystemConfig {
     /// Builder-style override of the seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Builder-style override of the shard-thread policy.
-    pub fn with_threads(mut self, threads: Threads) -> Self {
-        self.threads = threads;
         self
     }
 }
@@ -258,25 +191,6 @@ mod tests {
         assert_eq!(c.blast_radius, 2);
         assert_eq!(c.mitigation, MitigationKind::DrfmSb);
         assert_eq!(c.seed, 7);
-    }
-
-    #[test]
-    fn threads_resolve_and_default_to_seq() {
-        assert_eq!(SystemConfig::paper_baseline().threads, Threads::Seq);
-        assert_eq!(Threads::Seq.worker_count(8), 1);
-        assert_eq!(Threads::N(0).worker_count(8), 1, "0 means sequential");
-        assert_eq!(Threads::N(3).worker_count(8), 3);
-        assert_eq!(Threads::N(64).worker_count(8), 8, "clamped to channel count");
-    }
-
-    #[test]
-    fn threads_parse_inverts_display() {
-        for t in [Threads::Seq, Threads::N(4)] {
-            assert_eq!(Threads::parse(&t.to_string()), Ok(t));
-        }
-        assert!(Threads::parse("0").is_err(), "0 threads is a config error, not Seq");
-        let err = Threads::parse("auto").expect_err("no host-dependent spelling");
-        assert_eq!(err, "'auto' is not 'seq' or a thread count >= 1");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! against, so this module gives every infrastructure layer a common
 //! *fault plane*: a [`FaultPlan`] is a seeded, declarative schedule of
 //! faults ([`FaultRule`]s), armed into an [`Injector`] that the cache
-//! store, the parallel runner, the shard pool, and `campaignd` consult at
+//! store, the parallel runner, and `campaignd` consult at
 //! well-known [`FaultSite`]s. Production paths hold an
 //! `Option<Arc<Injector>>` that is `None` unless a chaos test armed a
 //! plan, so the unarmed hook is a single branch on an `Option` — no
@@ -15,7 +15,7 @@
 //! * every probe of a site bumps a per-site atomic occurrence counter, so
 //!   `nth`-triggered rules fire at a reproducible point in any *serial*
 //!   site (cache reads, client streams);
-//! * sites probed concurrently (sweep jobs, shard-pool lanes) pass an
+//! * sites probed concurrently (sweep jobs) pass an
 //!   explicit index ([`Injector::check_indexed`]) and rules target that
 //!   index, which is stable regardless of thread interleaving;
 //! * every rule carries a fire *budget* (default: once), so "the fault
@@ -44,21 +44,18 @@ pub enum FaultSite {
     CacheWrite,
     /// A sweep job about to run (`sim::runner`); indexed by job position.
     JobRun,
-    /// A shard-pool worker receiving a job (`sim::pool`); indexed by lane.
-    ShardWorker,
     /// A `campaignd` connection streaming progress events to a client.
     ClientStream,
 }
 
-const SITE_COUNT: usize = 5;
+const SITE_COUNT: usize = 4;
 
 fn site_idx(site: FaultSite) -> usize {
     match site {
         FaultSite::CacheRead => 0,
         FaultSite::CacheWrite => 1,
         FaultSite::JobRun => 2,
-        FaultSite::ShardWorker => 3,
-        FaultSite::ClientStream => 4,
+        FaultSite::ClientStream => 3,
     }
 }
 
@@ -75,8 +72,6 @@ pub enum FaultAction {
     CrashBeforeRename,
     /// Panic inside the job body (exercises catch-unwind + retry).
     Panic,
-    /// The worker thread exits after handing its work back untouched.
-    KillWorker,
     /// Sever the client connection mid-stream.
     Disconnect,
 }
@@ -88,8 +83,8 @@ pub enum Trigger {
     /// sites probed serially — under concurrency the occurrence order is
     /// scheduling-dependent.
     Nth(u64),
-    /// When the caller-supplied index equals `n` (job index, worker
-    /// lane). Stable under any thread interleaving.
+    /// When the caller-supplied index equals `n` (job index). Stable
+    /// under any thread interleaving.
     Index(u64),
     /// When the caller-supplied index is `>= n`. Used to "kill" the tail
     /// of a sweep deterministically.
@@ -187,12 +182,6 @@ impl FaultPlan {
         })
     }
 
-    /// Kill shard-pool worker `lane` once (it hands its shard back and
-    /// exits; the coordinator advances inline and respawns the lane).
-    pub fn kill_worker_once(self, lane: u64) -> FaultPlan {
-        self.once(FaultSite::ShardWorker, FaultAction::KillWorker, Trigger::Index(lane))
-    }
-
     /// Sever the `n`th client progress stream, once.
     pub fn disconnect_client_nth(self, n: u64) -> FaultPlan {
         self.once(FaultSite::ClientStream, FaultAction::Disconnect, Trigger::Nth(n))
@@ -228,7 +217,7 @@ impl Injector {
     }
 
     /// Probes a concurrent site with an explicit stable index (job
-    /// position, worker lane).
+    /// position).
     pub fn check_indexed(&self, site: FaultSite, index: u64) -> Option<FaultAction> {
         self.probe(site, Some(index))
     }
@@ -402,7 +391,6 @@ mod tests {
             FaultSite::CacheRead,
             FaultSite::CacheWrite,
             FaultSite::JobRun,
-            FaultSite::ShardWorker,
             FaultSite::ClientStream,
         ] {
             assert_eq!(inj.check(site), None);

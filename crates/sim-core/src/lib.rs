@@ -64,7 +64,7 @@ pub mod tracker;
 
 pub use addr::{DramAddr, Geometry, PhysAddr};
 pub use cache::{CacheStats, DiskStore};
-pub use config::{SystemConfig, Threads};
+pub use config::SystemConfig;
 pub use events::MemEvent;
 pub use fault::{FaultAction, FaultPlan, FaultRule, FaultSite, Injector, Trigger};
 pub use registry::{

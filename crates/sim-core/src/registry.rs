@@ -321,7 +321,6 @@ pub struct TrackerSpec {
     key: String,
     display_name: String,
     aliases: Vec<String>,
-    summary: String,
     reserves_llc: bool,
     params: Vec<ParamSpec>,
     build: BuildFn,
@@ -352,7 +351,6 @@ impl TrackerSpec {
             key: key.to_string(),
             display_name: display_name.to_string(),
             aliases: Vec::new(),
-            summary: String::new(),
             reserves_llc: false,
             params: Vec::new(),
             build: Box::new(build),
@@ -362,12 +360,6 @@ impl TrackerSpec {
     /// Adds a lookup alias (normalized like any other name).
     pub fn alias(mut self, alias: &str) -> Self {
         self.aliases.push(alias.to_string());
-        self
-    }
-
-    /// One-line description (venue, mechanism).
-    pub fn summary(mut self, summary: &str) -> Self {
-        self.summary = summary.to_string();
         self
     }
 
@@ -397,11 +389,6 @@ impl TrackerSpec {
     /// Lookup aliases.
     pub fn aliases(&self) -> &[String] {
         &self.aliases
-    }
-
-    /// One-line description.
-    pub fn summary_text(&self) -> &str {
-        &self.summary
     }
 
     /// Whether the tracker reserves half the LLC.
@@ -664,7 +651,6 @@ pub fn null_spec() -> TrackerSpec {
         .alias("null")
         .alias("insecure")
         .alias("baseline")
-        .summary("insecure baseline (no tracker)")
 }
 
 #[cfg(test)]

@@ -100,12 +100,13 @@ impl StorageOverhead {
 /// Implementations must be deterministic given their construction seed; the
 /// simulator relies on replayability.
 ///
-/// `Send` is a supertrait because a tracker lives inside a channel shard
-/// (`memctrl::ChannelShard`) that the sharded executor hands to worker
-/// threads; trackers own their state (no `Rc`, no thread-local aliasing)
-/// and shards are never aliased across threads, so this costs
-/// implementations nothing beyond using `Arc` where a test double might
-/// have reached for `Rc`.
+/// `Send` is a supertrait so that everything a tracker ends up inside
+/// (`memctrl::ChannelShard`, a whole `sim::System`) is `Send` too and a
+/// front end may build a system on one thread and run it on another.
+/// Nothing in the workspace moves one today: `sim::runner` builds each
+/// cell's system on the worker that runs it. Trackers own their state (no
+/// `Rc`, no thread-local aliasing), so this costs implementations nothing
+/// beyond using `Arc` where a test double might have reached for `Rc`.
 pub trait RowHammerTracker: Send {
     /// Short display name ("Hydra", "DAPPER-H", ...).
     fn name(&self) -> &'static str;

@@ -30,11 +30,7 @@
 //!   trace-generation genome (see [`cell_key_with_attack_id`]),
 //! * every [`sim_core::SystemConfig`] field that shapes results
 //!   (geometry, CPU, LLC, N_RH, blast radius, mitigation kind, window,
-//!   instruction budget, seed) — but **not**
-//!   [`Threads`](sim_core::config::Threads): the executor produces
-//!   bit-identical results at any lane count, so a sequential and a
-//!   sharded run of the same cell share one cache entry by design
-//!   (`tests/cache_keys.rs` pins this),
+//!   instruction budget, seed),
 //! * the engine, the normalization mode, and the full telemetry spec
 //!   (recorders change what a result *carries*, so they are part of
 //!   identity, not just presentation).
@@ -319,22 +315,24 @@ impl SweepSpec {
         journal: Option<&SweepJournal>,
         runner: &RunnerConfig,
     ) -> Result<(SweepReport, CacheRunSummary), SpecError> {
-        Ok(self.run_expanded(self.expand_keyed()?, cache, journal, runner))
+        Ok(self.run_expanded(self.expand_keyed()?, Some(cache), journal, runner))
     }
 
     /// [`SweepSpec::run_cached_with`] over cells the caller already
     /// expanded: `cells` must be this spec's [`SweepSpec::expand_keyed`],
     /// so a front end that expands to validate or announce a sweep runs it
-    /// without expanding again.
+    /// without expanding again. Without a `cache` every cell simulates
+    /// (under the same `runner`) and nothing is persisted.
     pub fn run_expanded(
         &self,
         cells: Vec<KeyedCell>,
-        cache: &RunCache,
+        cache: Option<&RunCache>,
         journal: Option<&SweepJournal>,
         runner: &RunnerConfig,
     ) -> (SweepReport, CacheRunSummary) {
         let checkpoint = journal.map(|j| Checkpoint::begin(j, self, cells.len()));
-        let exec = Executor { cache: Some(cache), checkpoint: checkpoint.as_ref(), runner };
+        let cache = cache.map(|c| c as &dyn PayloadCache<ExperimentResult>);
+        let exec = Executor { cache, checkpoint: checkpoint.as_ref(), runner };
         let (outcomes, summary) =
             exec.probe(cells, |_, _, _| {}).run(cell_label, Experiment::run, |_, _, _| {});
         let report = SweepReport::assemble(self, outcomes);
@@ -362,6 +360,29 @@ mod tests {
         let mut e = Experiment::quick("mcf_like").tracker("para");
         e.cfg.window_cycles = 20_000;
         e
+    }
+
+    #[test]
+    fn uncached_run_expanded_retries_under_the_runner_it_is_given() {
+        use crate::runner::RetryPolicy;
+        use sim_core::fault::FaultPlan;
+        let mut spec = SweepSpec::new("uncached-retry");
+        spec.workloads = vec!["mcf_like".to_string()];
+        spec.trackers = vec!["none".to_string(), "para".to_string()];
+        spec.options.window_us = Some(20.0);
+        let clean = spec.run().expect("clean run").to_json().render();
+
+        let faults = FaultPlan::new(47).panic_job_once(1).arm();
+        let runner = RunnerConfig { retry: RetryPolicy::standard(), faults: Some(faults.clone()) };
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let (report, summary) =
+            spec.run_expanded(spec.expand_keyed().expect("expands"), None, None, &runner);
+        std::panic::set_hook(prev);
+        assert_eq!(faults.fired_total(), 1, "the second cell's first attempt panicked");
+        assert!(report.failures.is_empty(), "the retry absorbed it: {:?}", report.failures);
+        assert_eq!((summary.misses, summary.stored), (2, 0), "no cache: all run, none saved");
+        assert_eq!(report.to_json().render(), clean, "retried report is byte-identical");
     }
 
     #[test]

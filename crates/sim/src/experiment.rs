@@ -8,7 +8,7 @@
 
 use cpu::{TraceEntry, TraceSource};
 use sim_core::addr::{Geometry, PhysAddr};
-use sim_core::config::{MitigationKind, SystemConfig, Threads};
+use sim_core::config::{MitigationKind, SystemConfig};
 use sim_core::json::{DecodeError, Hex, Json, JsonCodec};
 use sim_core::registry::{ParamValue, RegistryError, TrackerParams, TrackerSpec};
 use sim_core::telemetry::{
@@ -440,11 +440,17 @@ pub struct Experiment {
     /// canonicalizes it only when present so attacker-free keys are
     /// unchanged.
     pub attacker: Option<AttackerConfig>,
-    /// Armed fault injector (chaos tests only). An execution knob like
-    /// `cfg.threads`: recovery is bit-identical, so the run-cache cell
-    /// descriptor deliberately ignores it. Threaded into every built
-    /// [`System`]'s shard pool.
-    pub faults: Option<std::sync::Arc<sim_core::fault::Injector>>,
+}
+
+/// The argument of [`Experiment::threads`]; selects nothing. Kept so
+/// `benchmark/` builds; ROADMAP item 1 deletes it with
+/// `pool.sharded_over_seq` and `pool.worker_respawns`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Threads {
+    /// Ignored.
+    Seq,
+    /// Ignored.
+    N(usize),
 }
 
 /// Outcome of [`Experiment::run`].
@@ -490,7 +496,6 @@ impl Experiment {
             isolate_tracker_overhead: false,
             engine: Engine::default(),
             attacker: None,
-            faults: None,
         }
     }
 
@@ -575,12 +580,10 @@ impl Experiment {
         self
     }
 
-    /// Sets the memory-phase execution lanes ([`Threads::Seq`] by
-    /// default). An execution knob, not a model knob: results are
-    /// bit-identical for every setting, only wall-clock changes, and the
-    /// run-cache cell key deliberately ignores it.
-    pub fn threads(mut self, threads: Threads) -> Self {
-        self.cfg.threads = threads;
+    /// Does nothing: the memory phase has one, sequential, executor. Kept
+    /// so `benchmark/` builds; ROADMAP item 1 deletes it with
+    /// `pool.sharded_over_seq` and `pool.worker_respawns`.
+    pub fn threads(self, _: Threads) -> Self {
         self
     }
 
@@ -624,14 +627,6 @@ impl Experiment {
     /// inert for plain [`Experiment::run`].
     pub fn attacker(mut self, a: AttackerConfig) -> Self {
         self.attacker = Some(a);
-        self
-    }
-
-    /// Arms a fault plan on every system this experiment builds (chaos
-    /// tests only). Recovery is bit-identical by construction, so results
-    /// — and the run-cache cell key — are unchanged by arming.
-    pub fn fault_plan(mut self, plan: sim_core::fault::FaultPlan) -> Self {
-        self.faults = Some(plan.arm());
         self
     }
 
@@ -708,11 +703,7 @@ impl Experiment {
                 telemetry = telemetry.probe(MitigationLog::new());
             }
         }
-        let mut sys = System::new(cfg, traces, bypass, trackers, telemetry);
-        if let Some(faults) = &self.faults {
-            sys.arm_faults(std::sync::Arc::clone(faults));
-        }
-        sys
+        System::new(cfg, traces, bypass, trackers, telemetry)
     }
 
     /// The benign core indices for this experiment.

@@ -49,7 +49,6 @@ pub mod exec;
 pub mod experiment;
 pub mod journal;
 pub mod metrics;
-mod pool;
 pub mod registry;
 pub mod runner;
 pub mod spec;
@@ -60,7 +59,7 @@ pub use cache::{cell_key, cell_key_with_attack_id, CacheRunSummary, CellKey, Run
 pub use exec::{Checkpoint, Executor, PayloadCache, Source};
 pub use experiment::{
     AttackChoice, AttackerConfig, AttackerKnowledge, CustomAttack, Experiment, ExperimentResult,
-    TelemetrySpec, TrackerSel,
+    TelemetrySpec, Threads, TrackerSel,
 };
 pub use journal::{JournalState, SweepJournal, SweepProgress};
 pub use metrics::{normalized_performance, RunStats, RunTelemetry, RECOVERY_THRESHOLD};
@@ -68,7 +67,6 @@ pub use registry::{register_tracker, tracker_keys, with_registry};
 pub use runner::{
     cell_label, parallel_map, run_parallel, try_run_parallel, RetryPolicy, RunnerConfig, SweepError,
 };
-pub use sim_core::config::Threads;
 pub use spec::{
     AttackerOptions, CacheOptions, ProfileOptions, SpecError, SweepSpec, SystemOptions,
     TelemetryOptions, KNOWN_PROFILE_FAMILIES,

@@ -4,8 +4,8 @@
 //! A [`SweepSpec`] names trackers by registry key (with per-tracker
 //! parameter overrides like `hydra.rcc_entries = 512`), workloads from the
 //! catalog (or the `@quick` / `@all` tokens), and attacks by name; it
-//! expands into the full cross product for
-//! [`crate::runner::try_run_parallel`] and round-trips results to JSON.
+//! expands into the full cross product for [`SweepSpec::run_expanded`]
+//! and round-trips results to JSON.
 //! A single cell is a sweep that expands to one. Specs serialize to TOML
 //! and JSON and parse back losslessly; every validation failure names the
 //! offending key. Each table — the top level and every `[section]` —
@@ -29,10 +29,9 @@ use crate::experiment::{
     AttackChoice, AttackerConfig, AttackerKnowledge, Experiment, ExperimentResult, TelemetrySpec,
     TrackerSel,
 };
-use crate::runner::{try_run_parallel, SweepError};
+use crate::runner::{RunnerConfig, SweepError};
 use crate::system::Engine;
 use crate::toml::{self, TomlError, TomlValue};
-use sim_core::config::Threads;
 use sim_core::json::{parse_u64, DecodeError, Json, JsonCodec, JsonError};
 use sim_core::registry::{normalize_key, ParamValue, RegistryError};
 use std::collections::BTreeMap;
@@ -279,26 +278,6 @@ impl Value for Engine {
     }
     fn write(&self) -> Option<TomlValue> {
         Some(TomlValue::Str(self.name().into()))
-    }
-}
-
-/// `"seq"` or a lane count (integer or its string form).
-impl Value for Threads {
-    fn read(v: &TomlValue) -> Result<Self, DecodeError> {
-        match v {
-            TomlValue::Str(s) => Threads::parse(s).map_err(DecodeError::new),
-            TomlValue::Int(i) => match usize::try_from(*i) {
-                Ok(n) if n >= 1 => Ok(Threads::N(n)),
-                _ => Err(DecodeError::new(format!("lane count must be >= 1, got {i}"))),
-            },
-            other => expected("\"seq\" or a lane count", other),
-        }
-    }
-    fn write(&self) -> Option<TomlValue> {
-        Some(match self {
-            Threads::N(n) => TomlValue::Int(*n as i64),
-            Threads::Seq => TomlValue::Str(self.to_string()),
-        })
     }
 }
 
@@ -662,15 +641,12 @@ impl Section for ProfileOptions {
 /// ```toml
 /// [system]
 /// geometry = "enlarged-8ch"   # or "paper-baseline" (default)
-/// threads = 4                 # "seq" (default) or a lane count
 /// ```
 ///
 /// `geometry` selects a DRAM preset ([`Geometry::paper_baseline`] /
 /// [`Geometry::enlarged_8ch`]); the LLC stays at the baseline capacity
-/// either way. `threads` picks the memory-phase executor
-/// ([`sim_core::config::Threads`]) — an execution knob with bit-identical
-/// results, so it is deliberately **excluded** from the run-cache cell
-/// key, while `geometry` (which changes what is simulated) is part of it.
+/// either way. It changes what is simulated, so it is part of the
+/// run-cache cell key.
 ///
 /// [`Geometry::paper_baseline`]: sim_core::addr::Geometry::paper_baseline
 /// [`Geometry::enlarged_8ch`]: sim_core::addr::Geometry::enlarged_8ch
@@ -678,37 +654,32 @@ impl Section for ProfileOptions {
 pub struct SystemOptions {
     /// Canonical geometry preset name (`paper-baseline` / `enlarged-8ch`).
     pub geometry: Option<String>,
-    /// Memory-phase execution lanes.
-    pub threads: Option<Threads>,
 }
 
 /// The geometry preset names `[system] geometry = "..."` accepts.
 pub const KNOWN_GEOMETRIES: [&str; 2] = ["paper-baseline", "enlarged-8ch"];
 
 impl Section for SystemOptions {
-    const KEYS: &'static [Key<Self>] = &[
-        Key {
-            name: "geometry",
-            // Aliases resolve to the canonical spelling at parse time.
-            read: |s, v| {
-                let name = String::read(v)?;
-                let canonical = match normalize_key(&name).as_str() {
-                    "paperbaseline" | "baseline" => KNOWN_GEOMETRIES[0],
-                    "enlarged8ch" | "eightchannel" | "8ch" => KNOWN_GEOMETRIES[1],
-                    _ => {
-                        return Err(DecodeError::new(format!(
-                            "unknown geometry '{name}'; known: {}",
-                            KNOWN_GEOMETRIES.join(", ")
-                        )))
-                    }
-                };
-                s.geometry = Some(canonical.to_string());
-                Ok(())
-            },
-            write: |s| s.geometry.write(),
+    const KEYS: &'static [Key<Self>] = &[Key {
+        name: "geometry",
+        // Aliases resolve to the canonical spelling at parse time.
+        read: |s, v| {
+            let name = String::read(v)?;
+            let canonical = match normalize_key(&name).as_str() {
+                "paperbaseline" | "baseline" => KNOWN_GEOMETRIES[0],
+                "enlarged8ch" | "eightchannel" | "8ch" => KNOWN_GEOMETRIES[1],
+                _ => {
+                    return Err(DecodeError::new(format!(
+                        "unknown geometry '{name}'; known: {}",
+                        KNOWN_GEOMETRIES.join(", ")
+                    )))
+                }
+            };
+            s.geometry = Some(canonical.to_string());
+            Ok(())
         },
-        key!(threads),
-    ];
+        write: |s| s.geometry.write(),
+    }];
 }
 
 impl SystemOptions {
@@ -717,9 +688,6 @@ impl SystemOptions {
             // Baseline per-core LLC share (2 MiB x 4 cores = the 8 MiB
             // baseline): geometry changes the memory system only.
             e = e.eight_channel(2);
-        }
-        if let Some(threads) = self.threads {
-            e = e.threads(threads);
         }
         e
     }
@@ -1024,7 +992,7 @@ impl SweepSpec {
     /// Expands and runs the sweep in parallel. Individual cell failures
     /// are collected, not fatal.
     pub fn run(&self) -> Result<SweepReport, SpecError> {
-        Ok(SweepReport::assemble(self, try_run_parallel(self.expand()?)))
+        Ok(self.run_expanded(self.expand_keyed()?, None, None, &RunnerConfig::default()).0)
     }
 }
 
@@ -1210,37 +1178,30 @@ group_size = 256
 
     #[test]
     fn system_section_round_trips_and_applies() {
-        let doc = "name = \"sharded\"\nworkloads = [\"gcc_like\"]\ntrackers = [\"none\"]\n\
-                   [system]\ngeometry = \"enlarged-8ch\"\nthreads = \"2\"\n";
+        let doc = "name = \"eight\"\nworkloads = [\"gcc_like\"]\ntrackers = [\"none\"]\n\
+                   [system]\ngeometry = \"enlarged-8ch\"\n";
         let spec = SweepSpec::from_toml_str(doc).unwrap();
         let system = spec.system.as_ref().expect("[system] section present");
         assert_eq!(system.geometry.as_deref(), Some("enlarged-8ch"));
-        assert_eq!(system.threads, Some(Threads::N(2)), "string form of a lane count");
         let cells = spec.expand().unwrap();
         assert_eq!(cells[0].cfg.geometry.channels, 8, "preset reaches the cell config");
-        assert_eq!(cells[0].cfg.threads, Threads::N(2));
 
-        // Integer lane counts and alias geometry spellings parse.
+        // Alias geometry spellings parse.
         let cell = "workloads = \"gcc_like\"\ntrackers = \"none\"\n";
         let spec =
-            SweepSpec::from_toml_str(&format!("{cell}[system]\ngeometry = \"8ch\"\nthreads = 4\n"))
-                .unwrap();
+            SweepSpec::from_toml_str(&format!("{cell}[system]\ngeometry = \"8ch\"\n")).unwrap();
         let system = spec.system.as_ref().unwrap();
         assert_eq!(system.geometry.as_deref(), Some("enlarged-8ch"), "canonical spelling");
-        assert_eq!(system.threads, Some(Threads::N(4)));
-        let e = &spec.expand().unwrap()[0];
-        assert_eq!(e.cfg.geometry.channels, 8);
-        assert_eq!(e.cfg.threads, Threads::N(4));
+        assert_eq!(spec.expand().unwrap()[0].cfg.geometry.channels, 8);
 
         // Bad values are rejected with the key named.
         let err = SweepSpec::from_toml_str(&format!("{cell}[system]\ngeometry = \"16ch\"\n"))
             .unwrap_err();
         assert!(err.to_string().contains("enlarged-8ch"), "must list known presets: {err}");
-        let err = SweepSpec::from_toml_str(&format!("{cell}[system]\nthreads = 0\n")).unwrap_err();
+        // The lane knob is gone: its key is unknown like any other.
+        let err = SweepSpec::from_toml_str(&format!("{cell}[system]\nthreads = 4\n")).unwrap_err();
         assert!(err.to_string().contains("system.threads"), "{err}");
-        let err =
-            SweepSpec::from_toml_str(&format!("{cell}[system]\nthreads = \"auto\"\n")).unwrap_err();
-        assert!(err.to_string().contains("'auto' is not 'seq' or a thread count"), "{err}");
+        assert!(err.to_string().contains("allowed: geometry"), "{err}");
     }
 
     #[test]
@@ -1341,10 +1302,7 @@ group_size = 256
                 },
                 out: Some(format!("stem{}", rng.gen_range(9))),
             }),
-            system: Some(SystemOptions {
-                geometry: Some(pick(rng, &KNOWN_GEOMETRIES).into()),
-                threads: Some(pick(rng, &[Threads::Seq, Threads::N(3)])),
-            }),
+            system: Some(SystemOptions { geometry: Some(pick(rng, &KNOWN_GEOMETRIES).into()) }),
             cache: Some(CacheOptions {
                 dir: Some(format!("dir{}", rng.gen_range(9))),
                 enabled: Some(rng.gen_bool(0.5)),

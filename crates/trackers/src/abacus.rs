@@ -227,7 +227,6 @@ pub fn spec() -> TrackerSpec {
         ap.entries = p.count("entries");
         Ok(Box::new(Abacus::with_params(ap)?))
     })
-    .summary("ABACuS (Security'24): shared Misra-Gries table with spillover counter")
     .param(
         ParamSpec::int("entries", "Misra-Gries table entries (0 = the paper's size for N_RH)", 0)
             .range(0.0, (1u64 << 24) as f64),

@@ -248,7 +248,6 @@ pub fn spec() -> TrackerSpec {
         Ok(Box::new(BlockHammer::with_params(bp)?))
     })
     .alias("bh")
-    .summary("BlockHammer (HPCA'21): dual counting Bloom filters + ACT throttling")
     .param(
         ParamSpec::int("cbf_counters", "counters per bank per filter", CBF_COUNTERS as i64)
             .range(1.0, (1u64 << 20) as f64),

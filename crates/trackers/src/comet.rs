@@ -303,7 +303,6 @@ pub fn spec() -> TrackerSpec {
         Ok(Box::new(Comet::with_params(cp)?))
     })
     .alias("cat")
-    .summary("CoMeT (HPCA'24): count-min-sketch tracking + recent aggressor table")
     .param(
         ParamSpec::int("cms_width", "counters per hash function per bank", CMS_WIDTH as i64)
             .range(1.0, (1u64 << 20) as f64),

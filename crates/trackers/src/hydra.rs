@@ -254,7 +254,6 @@ pub fn spec() -> TrackerSpec {
         hp.rcc_ways = p.count("rcc_ways");
         Ok(Box::new(Hydra::with_params(hp)?))
     })
-    .summary("Hydra (ISCA'22): group counters + per-row counter cache over DRAM")
     .param(
         ParamSpec::int("group_size", "rows sharing one group counter", GROUP_SIZE as i64)
             .range(1.0, (1u64 << 20) as f64),

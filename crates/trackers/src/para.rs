@@ -93,7 +93,6 @@ pub fn spec() -> TrackerSpec {
         pp.exponent = p.float("exponent");
         Ok(Box::new(Para::with_params(pp)?))
     })
-    .summary("PARA (ISCA'14): stateless probabilistic adjacent-row refresh")
     .param(
         ParamSpec::float("exponent", "safety exponent; refresh p = exponent / N_RH", EXPONENT)
             .range(1e-6, 1e6),

@@ -150,7 +150,6 @@ pub fn spec() -> TrackerSpec {
         Ok(Box::new(Prac::with_params(pp)?))
     })
     .alias("qprac")
-    .summary("PRAC/QPRAC (HPCA'25): exact in-DRAM counters, per-ACT timing tax")
     .param(
         ParamSpec::float("rmw_tax_ns", "per-ACT read-modify-write tax, ns", RMW_TAX_NS)
             .range(0.0, 1000.0),

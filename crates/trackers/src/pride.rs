@@ -148,7 +148,6 @@ pub fn spec() -> TrackerSpec {
         pp.sample_numerator = p.float("sample_numerator");
         Ok(Box::new(Pride::with_params(pp)?))
     })
-    .summary("PrIDE (ISCA'24): in-DRAM probabilistic FIFO sampling per bank")
     .param(
         ParamSpec::int("queue_depth", "per-bank FIFO depth", QUEUE_DEPTH as i64)
             .range(1.0, 65536.0),

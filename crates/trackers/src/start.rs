@@ -209,7 +209,6 @@ pub fn spec() -> TrackerSpec {
         Ok(Box::new(Start::with_params(sp)?))
     })
     .reserves_llc(true)
-    .summary("START (HPCA'24): per-row counters cached in a reserved LLC half")
     .param(
         ParamSpec::int(
             "region_lines",

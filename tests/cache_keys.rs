@@ -57,18 +57,14 @@ fn cell_keys_are_stable_across_releases() {
 
 #[test]
 fn cell_keys_ignore_threads_but_track_geometry() {
-    // Threads is an execution knob: the sharded executor is bit-identical
-    // to sequential, so a sequential warm-up and a sharded re-run must
-    // share one cache entry.
+    // The key never held a lane count (the knob is gone; entries written
+    // while it existed stay valid). Geometry shapes results: the enlarged
+    // eight-channel system must never collide with the two-channel
+    // baseline.
     let base = Experiment::new("mcf_like").tracker("dapper-h");
-    let seq = cell_key(&base.clone().threads(sim::Threads::Seq)).expect("cacheable").key;
-    let sharded = cell_key(&base.clone().threads(sim::Threads::N(4))).expect("cacheable").key;
-    assert_eq!(seq, sharded, "lane count must not perturb the cell key");
-
-    // Geometry, by contrast, shapes results: the enlarged eight-channel
-    // system must never collide with the two-channel baseline.
+    let baseline = cell_key(&base).expect("cacheable").key;
     let enlarged = cell_key(&base.clone().eight_channel(2)).expect("cacheable").key;
-    assert_ne!(seq, enlarged, "channel count is part of the modeled system");
+    assert_ne!(baseline, enlarged, "channel count is part of the modeled system");
 }
 
 #[test]
@@ -113,25 +109,15 @@ fn injected_io_errors_recover_across_engines_and_thread_counts() {
     use sim_core::fault::FaultPlan;
     // The recovery path (injected read IO error → miss → recompute →
     // re-store) must behave identically however the cell executes: both
-    // engines are bit-identical by contract and lane count is an
-    // execution knob, so all four combinations share one result payload
-    // and the sequential/sharded pair shares one cell key per engine.
-    let combos = [
-        ("dense-seq", sim::Engine::Dense, sim::Threads::Seq),
-        ("dense-n2", sim::Engine::Dense, sim::Threads::N(2)),
-        ("event-seq", sim::Engine::EventDriven, sim::Threads::Seq),
-        ("event-n2", sim::Engine::EventDriven, sim::Threads::N(2)),
-    ];
+    // engines are bit-identical by contract, so they share one result
+    // payload (the key may differ: the engine is part of it).
+    let combos = [("dense", sim::Engine::Dense), ("event", sim::Engine::EventDriven)];
     let mut renders = Vec::new();
-    for (label, engine, threads) in combos {
+    for (label, engine) in combos {
         let dir =
             std::env::temp_dir().join(format!("cache-io-golden-{label}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let e = Experiment::quick("mcf_like")
-            .tracker("para")
-            .window_us(50.0)
-            .engine(engine)
-            .threads(threads);
+        let e = Experiment::quick("mcf_like").tracker("para").window_us(50.0).engine(engine);
         let key = cell_key(&e).expect("cacheable");
         let cache = RunCache::open(&dir).expect("open cache");
         let cold = e.clone().run();
@@ -152,16 +138,10 @@ fn injected_io_errors_recover_across_engines_and_thread_counts() {
             sim::spec::result_to_json(&cold).render(),
             "{label}: recovery reproduces the cold result byte-for-byte"
         );
-        renders.push((label, key.key.clone(), render));
+        renders.push(render);
         let _ = std::fs::remove_dir_all(&dir);
     }
-    // Engines and lane counts are bit-identical: one payload for all four.
-    for (label, _, render) in &renders[1..] {
-        assert_eq!(render, &renders[0].2, "{label}: bit-identical across engines and lanes");
-    }
-    // Lane count never perturbs the key; the engine is allowed to.
-    assert_eq!(renders[0].1, renders[1].1, "dense: Seq and N(2) share a key");
-    assert_eq!(renders[2].1, renders[3].1, "event-driven: Seq and N(2) share a key");
+    assert_eq!(renders[0], renders[1], "one payload for both engines");
 }
 
 fn walk_entries(dir: &std::path::Path) -> Vec<std::path::PathBuf> {

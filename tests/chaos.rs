@@ -2,7 +2,7 @@
 //!
 //! Every test arms a deterministic [`sim_core::fault::FaultPlan`] against
 //! one layer — cache payload corruption, cache IO errors, job panics,
-//! shard-worker death, campaignd client disconnects, kill-and-resume —
+//! campaignd client disconnects, kill-and-resume —
 //! and asserts the headline invariant: the surviving run produces a
 //! report **byte-identical** to an undisturbed one (or, for permanent
 //! faults, a deterministic quarantine list), with exact executed-cell
@@ -12,8 +12,8 @@
 use sim::cache::RunCache;
 use sim::journal::SweepJournal;
 use sim::runner::{RetryPolicy, RunnerConfig};
-use sim::spec::{result_to_json, SweepSpec};
-use sim_core::fault::{FaultPlan, FaultSite};
+use sim::spec::SweepSpec;
+use sim_core::fault::FaultPlan;
 
 fn scratch(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("dapper-chaos-{name}-{}", std::process::id()));
@@ -150,25 +150,6 @@ fn permanent_job_panic_quarantines_deterministically() {
         "quarantine (and the surviving cells) is deterministic"
     );
     assert_eq!(a.results.len(), 3, "healthy neighbours complete");
-}
-
-#[test]
-fn shard_worker_death_is_bit_identical() {
-    use sim::Experiment;
-    let base = || {
-        Experiment::quick("mcf_like")
-            .tracker("para")
-            .window_us(50.0)
-            .eight_channel(2)
-            .threads(sim::Threads::N(2))
-    };
-    let clean = result_to_json(&base().run()).render();
-    let injector = FaultPlan::new(59).kill_worker_once(0).arm();
-    let mut faulted = base();
-    faulted.faults = Some(injector.clone());
-    let survived = result_to_json(&faulted.run()).render();
-    assert_eq!(injector.fired(FaultSite::ShardWorker), 1, "the worker really died");
-    assert_eq!(survived, clean, "the respawned pool reproduces the run bit-identically");
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Cross-crate integration: every tracker runs inside the full system and
 //! produces sane statistics.
 
-use dapper_repro::sim::experiment::{AttackChoice, Experiment};
+use dapper_repro::sim::experiment::{AttackChoice, Experiment, TelemetrySpec};
 
 const ALL_TRACKERS: [&str; 11] = [
     "none",
@@ -89,8 +89,25 @@ fn start_reserves_half_the_llc() {
 
 #[test]
 fn determinism_same_seed_same_result() {
-    let a = Experiment::quick("milc_like").tracker("dapper-h").window_us(150.0).run();
-    let b = Experiment::quick("milc_like").tracker("dapper-h").window_us(150.0).run();
-    assert_eq!(a.run.retired, b.run.retired);
-    assert_eq!(a.run.mem, b.run.mem);
+    let bytes = |e: &Experiment| {
+        let r = e.clone().run();
+        let telemetry = r.telemetry.map(|t| t.to_json().render()).unwrap_or_default();
+        (format!("{:?}", r.run), telemetry)
+    };
+    // The second input is the widest cell the repo runs: eight channels,
+    // a tailored attacker beside three benign cores, every recorder
+    // attached so the telemetry bytes are compared too. A divergence here
+    // is nondeterminism in a shard or in the completion merge order.
+    let eight_channel = Experiment::quick("mcf_like")
+        .tracker("dapper-h")
+        .attack(AttackChoice::Tailored)
+        .eight_channel(2)
+        .seed(0xDA99E5)
+        .window_us(150.0)
+        .with_telemetry(TelemetrySpec::all_recorders(50.0));
+    for e in [Experiment::quick("milc_like").tracker("dapper-h").window_us(150.0), eight_channel] {
+        let (stats, telemetry) = bytes(&e);
+        assert_eq!(e.telemetry.recorders_wanted(), !telemetry.is_empty(), "recorders must record");
+        assert_eq!(bytes(&e), (stats, telemetry), "{} repeat diverged", e.workload);
+    }
 }

@@ -154,13 +154,11 @@ fn enlarged_spec_selects_the_eight_channel_geometry() {
     let spec = SweepSpec::from_toml_str(&text).unwrap();
     let system = spec.system.as_ref().expect("[system] section present");
     assert_eq!(system.geometry.as_deref(), Some("enlarged-8ch"));
-    assert_eq!(system.threads, None, "the shipped example opts nobody into the pool");
 
     let experiments = spec.expand().unwrap();
     assert_eq!(experiments.len(), 8, "2 workloads x 2 trackers x 2 attacks");
     for e in &experiments {
         assert_eq!(e.cfg.geometry.channels, 8, "enlarged-8ch applies to every cell");
-        assert_eq!(e.cfg.threads, dapper_repro::sim::Threads::Seq);
     }
 }
 

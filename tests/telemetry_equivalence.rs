@@ -11,7 +11,7 @@
 //! change nothing but the `oracle` verdict field.
 
 use dapper_repro::sim::experiment::{AttackChoice, Experiment, TelemetrySpec};
-use dapper_repro::sim::{parallel_map, Engine, RunStats, Threads};
+use dapper_repro::sim::{parallel_map, Engine, RunStats};
 use dapper_repro::sim_core::req::SourceId;
 use dapper_repro::sim_core::telemetry::{LatencyProbe, SlowdownTrace};
 use dapper_repro::workloads;
@@ -112,18 +112,15 @@ fn latency_tap_does_not_perturb_either_engine_or_lane_count() {
     // The attackpipe recon stage reads its timing side channel through a
     // LatencyProbe on the attacker core's read completions. Like every
     // probe it must be a pure observer: RunStats stay bit-identical with
-    // the tap attached, on both engines, sequential and sharded.
+    // the tap attached, on both engines.
     let mut jobs = Vec::new();
     for engine in [Engine::Dense, Engine::EventDriven] {
-        for (lanes, threads) in [("seq", Threads::Seq), ("n2", Threads::N(2))] {
-            let e = Experiment::quick("mcf_like")
-                .tracker("dapper-h")
-                .attack(AttackChoice::Tailored)
-                .seed(0xDA99E5)
-                .window_us(100.0)
-                .threads(threads);
-            jobs.push((format!("{engine:?}/{lanes}"), e, engine));
-        }
+        let e = Experiment::quick("mcf_like")
+            .tracker("dapper-h")
+            .attack(AttackChoice::Tailored)
+            .seed(0xDA99E5)
+            .window_us(100.0);
+        jobs.push((format!("{engine:?}"), e, engine));
     }
     let outcomes = parallel_map(jobs, |(label, e, engine)| {
         let plain = plain_run(&e, engine);

@@ -31,53 +31,33 @@ USAGE: campaignd [--socket PATH] [--cache-dir DIR] [--resume]
                         backoff before quarantining it (default 1)
 ";
 
-fn run() -> Result<(), String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        return Err(USAGE.to_string());
-    }
+/// The server configuration `args` ask for, or the line to exit 2 with.
+fn config_from(args: &[String]) -> Result<ServerConfig, String> {
+    let flags = &["--socket", "--cache-dir", "--drain-timeout", "--retries"];
+    let parsed = sim_core::cli::parse(args, flags, &["--resume"], USAGE)?;
     let mut cfg = ServerConfig::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--socket" => {
-                cfg.socket = PathBuf::from(args.get(i + 1).ok_or("--socket requires a value")?);
-                i += 1;
-            }
-            "--cache-dir" => {
-                cfg.cache_dir =
-                    Some(PathBuf::from(args.get(i + 1).ok_or("--cache-dir requires a value")?));
-                i += 1;
-            }
-            "--resume" => cfg.resume = true,
-            "--drain-timeout" => {
-                let secs: u64 = args
-                    .get(i + 1)
-                    .ok_or("--drain-timeout requires a value")?
-                    .parse()
-                    .map_err(|e| format!("--drain-timeout: {e}"))?;
-                cfg.drain_timeout = Some(Duration::from_secs(secs));
-                i += 1;
-            }
-            "--retries" => {
-                let n: u32 = args
-                    .get(i + 1)
-                    .ok_or("--retries requires a value")?
-                    .parse()
-                    .map_err(|e| format!("--retries: {e}"))?;
-                if n == 0 {
-                    return Err("--retries must be at least 1".to_string());
-                }
-                cfg.retry = RetryPolicy::standard().attempts(n);
-                i += 1;
-            }
-            other => return Err(format!("unknown argument '{other}' (try --help)")),
-        }
-        i += 1;
+    if let Some(socket) = parsed.get("--socket") {
+        cfg.socket = PathBuf::from(socket);
+    }
+    cfg.cache_dir = parsed.get("--cache-dir").map(PathBuf::from);
+    cfg.resume = parsed.has("--resume");
+    if parsed.get("--drain-timeout").is_some() {
+        cfg.drain_timeout = Some(Duration::from_secs(parsed.int("--drain-timeout", 0)?));
+    }
+    match parsed.int::<u32>("--retries", 1)? {
+        0 => return Err("--retries: a cell needs at least 1 attempt".to_string()),
+        1 => {}
+        n => cfg.retry = RetryPolicy::standard().attempts(n),
     }
     if cfg.resume && cfg.cache_dir.is_none() {
         return Err("--resume needs --cache-dir (the journal lives there)".to_string());
     }
+    Ok(cfg)
+}
+
+fn run() -> Result<(), String> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let cfg = config_from(&args)?;
     let server = Server::bind(cfg).map_err(|e| format!("cannot bind: {e}"))?;
     if server.resumed_sweeps() > 0 {
         println!(
@@ -93,5 +73,48 @@ fn main() {
     if let Err(msg) = run() {
         eprintln!("{msg}");
         std::process::exit(2);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn config(line: &str) -> Result<ServerConfig, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        config_from(&args)
+    }
+
+    #[test]
+    fn flags_land_in_their_fields_and_default_when_absent() {
+        let cfg = config("").expect("defaults");
+        let default = ServerConfig::default();
+        assert_eq!(cfg.socket, default.socket);
+        assert_eq!(cfg.cache_dir, None);
+        assert!(!cfg.resume);
+        assert_eq!(cfg.drain_timeout, None);
+        assert_eq!(cfg.retry, RetryPolicy::none());
+        let cfg = config("--socket s.sock --cache-dir c --resume --drain-timeout 5 --retries 4")
+            .expect("valid flags");
+        assert_eq!(cfg.socket, PathBuf::from("s.sock"));
+        assert_eq!(cfg.cache_dir, Some(PathBuf::from("c")));
+        assert!(cfg.resume);
+        assert_eq!(cfg.drain_timeout, Some(Duration::from_secs(5)));
+        assert_eq!(cfg.retry, RetryPolicy::standard().attempts(4));
+    }
+
+    #[test]
+    fn bad_arguments_name_the_offender() {
+        for (line, offender) in [
+            ("--retreis 2", "'--retreis'"),
+            ("--socket", "--socket requires a value"),
+            ("--retries 0", "--retries"),
+            ("--retries -1", "--retries"),
+            ("--drain-timeout 1.5", "--drain-timeout"),
+            ("--resume", "--cache-dir"),
+        ] {
+            let err = config(line).err().unwrap_or_else(|| panic!("`{line}` was accepted"));
+            assert!(err.contains(offender), "`{line}`: {err}");
+        }
     }
 }

@@ -70,7 +70,7 @@ use sim::Experiment;
 use sim_core::fault::{FaultAction, FaultSite, Injector};
 use sim_core::json::{Json, JsonCodec};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -544,15 +544,27 @@ fn spawn_background_job(
     (job_id, count)
 }
 
+/// Longest request line a connection may send, newline included. The
+/// largest request the repo makes, a waiting submit of the pinned 18-cell
+/// spec, is 239 bytes.
+const MAX_REQUEST_LINE: usize = 1 << 20;
+
 fn handle_connection(inner: &Arc<Inner>, mut stream: UnixStream) {
     let Ok(read_half) = stream.try_clone() else { return };
     let mut reader = BufReader::new(read_half);
     let mut line = String::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        // Bounded, so a client that never sends a newline costs at most one
+        // line of memory and then its own connection.
+        match (&mut reader).take(MAX_REQUEST_LINE as u64 + 1).read_line(&mut line) {
             Ok(0) | Err(_) => return,
             Ok(_) => {}
+        }
+        if line.len() > MAX_REQUEST_LINE {
+            let refusal = err_json(format!("request line exceeds {MAX_REQUEST_LINE} bytes"));
+            let _ = write_line(&mut stream, &refusal);
+            return;
         }
         let text = line.trim();
         if text.is_empty() {

@@ -267,6 +267,29 @@ fn disconnected_client_does_not_wedge_the_job() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn oversized_request_line_is_refused_and_costs_only_its_connection() {
+    use std::io::{BufRead, BufReader, Write};
+    let dir = scratch("oversized");
+    let socket = start(&dir, "a");
+    // One byte past the 1 MiB limit and never a newline: an unbounded
+    // `read_line` would buffer this (and whatever followed) for ever.
+    let mut hog = std::os::unix::net::UnixStream::connect(&socket).expect("connect");
+    hog.set_read_timeout(Some(std::time::Duration::from_secs(10))).expect("timeout");
+    hog.write_all(&vec![b'x'; (1 << 20) + 1]).expect("write the oversized line");
+    let mut reader = BufReader::new(hog);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("the server answers instead of buffering on");
+    assert_eq!(line, "{\"ok\":false,\"error\":\"request line exceeds 1048576 bytes\"}\n");
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).expect("eof"), 0, "the connection is closed");
+    // Only that connection: the server still answers everyone else.
+    let mut client = Client::connect(&socket).expect("connect");
+    assert_ok(&client.request(&Json::obj([("cmd", Json::str("ping"))])).expect("ping"));
+    shutdown(&socket);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// One waiting submit of `tiny_spec()`; returns the `done` value of every
 /// progress line it streamed, in order, and the final response.
 fn waiting_submit(client: &mut Client) -> (Vec<u64>, Json) {

@@ -1,6 +1,9 @@
 //! Memory controller model.
 //!
-//! One [`ChannelController`] per DDR5 channel. Responsibilities:
+//! One [`ChannelController`] per DDR5 channel, owning that channel's
+//! [`DramChannel`] and RowHammer tracker and sharing nothing with the
+//! others; the system ticks it on the cycles
+//! [`ChannelController::next_event`] says it is due. Responsibilities:
 //!
 //! * **Scheduling**: FR-FCFS — ready column commands (row hits) first,
 //!   oldest first; then activations; precharges when the open row has no
@@ -95,10 +98,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod shard;
-
-pub use shard::ChannelShard;
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -1132,8 +1131,7 @@ impl ChannelController {
             }
         }
         if q.req.is_demand_read() {
-            // The lookahead contract the memory phase leans on: no
-            // completion may land earlier than arrival + the advertised
+            // No completion may land earlier than arrival + the advertised
             // inject-to-complete floor.
             debug_assert!(
                 done >= q.req.arrival + self.min_inject_latency(),
@@ -1269,15 +1267,27 @@ impl ChannelController {
         self.mit_q_len + self.sweep_q.len()
     }
 
-    /// The next command-granularity decision point: the first cycle `>=
-    /// now` at which [`ChannelController::tick`] could have an observable
-    /// effect or a queued completion falls due (see
-    /// [`sim_core::sched::NextEvent`]). Answered in O(1) from the cached
-    /// decision bound — `tick` keeps it current, and `enqueue` lowers it —
-    /// so the time-skipping engine can probe a saturated controller every
-    /// cycle without paying a queue walk.
+    /// The next command-granularity decision point, which is this
+    /// channel's **due cycle**: a lower bound `>= now` on the first cycle
+    /// at which [`ChannelController::tick`] could have an observable effect
+    /// (issue a command, fire a refresh or tracker hook, mutate statistics,
+    /// consult the tracker) or a queued completion falls due.
     ///
-    /// Returning `now` means "tick me this very cycle".
+    /// * `now` means "tick me this very cycle". `T > now` asserts that
+    ///   ticks at every cycle in `now..T` are exact no-ops, so the engine
+    ///   may leave the channel alone until `T`; that is what lets a
+    ///   saturated controller advance one tick per command-issue decision
+    ///   rather than one per bus cycle.
+    /// * A bound that is too small costs a wasted tick. One that is too
+    ///   large skips real work and breaks bit-exact equivalence with the
+    ///   dense engine.
+    /// * Only [`ChannelController::tick`] (with the
+    ///   [`ChannelController::pop_completions`] that follows it) and
+    ///   [`ChannelController::enqueue`] move the bound, so a caller that
+    ///   re-reads it after those two has it current.
+    ///
+    /// Answered in O(1) from the cached decision bound, mutating nothing,
+    /// so probing a saturated controller every cycle costs no queue walk.
     #[inline]
     pub fn next_event(&self, now: Cycle) -> Cycle {
         let mut t = self.quiet_until;
@@ -1287,30 +1297,18 @@ impl ChannelController {
         t.max(now)
     }
 
-    /// Lookahead bound (see [`sim_core::sched::NextEvent`]): a request
-    /// enqueued at cycle `t` cannot complete before `t + tCL + tBL` — the
-    /// CAS-to-data latency plus the burst, which every demand read pays
-    /// even on a row hit issued the same cycle it arrives. A read that
-    /// must open its row additionally pays tRCD (and possibly tRP), so
-    /// the true floor for cold rows is `tRCD + tCL + tBL`; the controller
-    /// reports the guaranteed row-hit floor. `issue_column` asserts the
-    /// bound against every completion it schedules.
+    /// Inject-to-complete floor: a request enqueued at cycle `t` cannot
+    /// complete before `t + tCL + tBL` — the CAS-to-data latency plus the
+    /// burst, which every demand read pays even on a row hit issued the
+    /// same cycle it arrives. A read that must open its row additionally
+    /// pays tRCD (and possibly tRP), so the true floor for cold rows is
+    /// `tRCD + tCL + tBL`; the controller reports the guaranteed row-hit
+    /// floor. `issue_column` asserts the bound against every completion it
+    /// schedules.
     #[inline]
     pub fn min_inject_latency(&self) -> Cycle {
         let t = self.dram.timing();
         t.t_cl + t.t_bl
-    }
-}
-
-impl sched::NextEvent for ChannelController {
-    #[inline]
-    fn next_event(&self, now: Cycle) -> Cycle {
-        ChannelController::next_event(self, now)
-    }
-
-    #[inline]
-    fn min_inject_latency(&self) -> Cycle {
-        ChannelController::min_inject_latency(self)
     }
 }
 
@@ -1365,6 +1363,42 @@ mod tests {
         assert_eq!(done.len(), 2);
         assert_eq!(c.stats.activations, 1, "second access rides the open row");
         assert_eq!(c.stats.row_hits, 1);
+    }
+
+    #[test]
+    fn controller_is_send() {
+        fn assert_send<T: Send>() {}
+        assert_send::<ChannelController>();
+    }
+
+    #[test]
+    fn same_row_reads_complete_in_due_cycle_then_id_order() {
+        let mut c = mk(Box::new(NullTracker), false);
+        assert!(c.enqueue(rd(1, 0, 0, 10, 0, 0)));
+        assert!(c.enqueue(rd(2, 0, 0, 10, 0, 0)));
+        let mut done = Vec::new();
+        run(&mut c, 0, 500, &mut done);
+        assert_eq!(done, vec![1, 2], "pop order is (due cycle, id)");
+    }
+
+    #[test]
+    fn completions_respect_the_lookahead_bound() {
+        let mut c = mk(Box::new(NullTracker), false);
+        let floor = c.min_inject_latency();
+        let timing = *c.dram().timing();
+        assert_eq!(floor, timing.t_cl + timing.t_bl);
+        assert!(floor >= 1, "the bound must rule out same-cycle completion");
+        let inject_at = 7;
+        let mut done = Vec::new();
+        run(&mut c, 0, inject_at, &mut done);
+        assert!(c.enqueue(rd(9, 0, 0, 42, 0, inject_at)));
+        let done_at = (inject_at..inject_at + 4000)
+            .find(|&now| {
+                run(&mut c, now, now + 1, &mut done);
+                !done.is_empty()
+            })
+            .expect("read completes");
+        assert!(done_at >= inject_at + floor, "{done_at} < {inject_at} + {floor}");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   conversions,
 //! * [`config`] — the system configuration mirroring Table I of the paper,
 //! * [`fault`] — the deterministic fault-injection plane ([`FaultPlan`] /
-//!   [`Injector`]) the chaos suite arms into the cache, runner, pool, and
+//!   [`Injector`]) the chaos suite arms into the cache, runner and
 //!   `campaignd` layers,
 //! * [`tracker`] — the [`RowHammerTracker`] trait
 //!   through which the memory controller consults a mitigation,
@@ -23,8 +23,8 @@
 //!   structured results,
 //! * [`req`] — memory requests exchanged by cores, caches, and controllers,
 //! * [`rng`] — small deterministic PRNGs used in simulation hot paths,
-//! * [`sched`] — the [`NextEvent`] contract components
-//!   implement so the time-skipping engine can jump quiet stretches,
+//! * [`sched`] — the event-time vocabulary ([`sched::NEVER`] and two
+//!   helpers) the time-skipping engine's due cycles are written in,
 //! * [`stats`] — counters and summary statistics,
 //! * [`telemetry`] — the composable [`Probe`] observation
 //!   API: typed taps on memory events, per-window counter deltas, and run
@@ -71,7 +71,6 @@ pub use registry::{
     ParamSpec, ParamValue, RegistryError, TrackerParams, TrackerRegistry, TrackerSpec,
 };
 pub use req::{AccessKind, MemRequest, SourceId};
-pub use sched::NextEvent;
 pub use telemetry::{
     LatencyProbe, LatencySample, MitigationLog, NullProbe, Probe, SlowdownTrace, Telemetry,
     TimeSeriesRecorder, WindowSample,

@@ -1,71 +1,18 @@
-//! Event-driven scheduling vocabulary.
+//! Event-time vocabulary for the time-skipping engine.
 //!
-//! The simulator's time-skipping engine asks each component when it next
-//! has something to do and advances the clock straight to that cycle
-//! instead of ticking every bus cycle. [`NextEvent`] is the contract a
-//! component must uphold to participate:
-//!
-//! * `next_event(now)` returns the component's next **decision point**: a
-//!   lower bound `>= now` on the first cycle at which ticking the
-//!   component could have any observable effect (issue a command, surface
-//!   a completion, fire a refresh or tracker hook, mutate statistics,
-//!   consult the tracker, ...).
-//! * Returning `now` means "tick me this very cycle" — the caller must
-//!   step densely. Returning `T > now` asserts that ticks at every cycle
-//!   in `now..T` are exact no-ops, so the engine may jump straight to `T`
-//!   and tick there; this is what lets a saturated controller advance in
-//!   command-granularity steps (one tick per command-issue decision)
-//!   rather than one tick per bus cycle.
-//! * Returning a bound that is *too small* merely costs a wasted dense
-//!   tick; returning a bound that is *too large* skips real work and
-//!   breaks bit-exact equivalence with the dense engine. When in doubt a
-//!   component must answer `now`.
-//! * The bound is computed against current state only; it must not mutate
-//!   the component. Implementations are expected to answer in O(1) — the
-//!   engine probes every component each iteration, so the probe must cost
-//!   less than the dense tick it hopes to elide (the memory controller
-//!   caches its bound and keeps it current across mutations for exactly
-//!   this reason).
-//!
-//! [`NEVER`] is the answer for "no pending work at all"; callers clamp it
-//! against their own horizon (simulation window end).
+//! A component that can be skipped reports a **due cycle**: a lower bound
+//! on the first cycle at which stepping it could have an observable
+//! effect. The memory controller's is `ChannelController::next_event` in
+//! `memctrl`, which carries the contract; a parked core's is its wake
+//! cycle in `sim::System`. This module holds what both are written in:
+//! [`NEVER`] for "nothing pending at all" (callers clamp it against their
+//! own horizon, the end of the simulation window), and two helpers for
+//! combining candidate times.
 
 use crate::time::Cycle;
 
 /// "No event pending": the maximal cycle, to be clamped by the caller.
 pub const NEVER: Cycle = Cycle::MAX;
-
-/// A component that can report its next decision point.
-pub trait NextEvent {
-    /// The first cycle `>= now` at which ticking this component could have
-    /// an observable effect; `now` itself means "cannot skip". See the
-    /// module docs for the exact contract.
-    fn next_event(&self, now: Cycle) -> Cycle;
-
-    /// Lookahead bound: a lower bound on the component's
-    /// *inject-to-complete* latency. A request handed to the component at
-    /// cycle `t` must not surface a completion before `t +
-    /// min_inject_latency()`.
-    ///
-    /// This is what makes conservative parallel stepping safe: when the
-    /// system splits each bus cycle into a core phase (which injects
-    /// requests) and a memory phase (which consumes them), the executor
-    /// may advance every shard through cycle `t` concurrently, knowing
-    /// that nothing injected during the core phase of cycle `t` can
-    /// produce a completion at or before `t` — so the set of completions
-    /// the rendezvous delivers is fixed before the phase starts, on any
-    /// thread interleaving.
-    ///
-    /// The bound must be conservative (small is safe, large is wrong). A
-    /// memory controller's true floor is `tRCD + tCL + tBL` for a request
-    /// that must open its row; the guaranteed bound is the row-hit floor
-    /// `tCL + tBL`, which is what the DDR5 controller reports. The
-    /// default claims nothing (`0` — only same-cycle completion is
-    /// excluded by the phase ordering itself).
-    fn min_inject_latency(&self) -> Cycle {
-        0
-    }
-}
 
 /// Clamps a candidate event time into the range callers that track
 /// "first effect strictly after the tick I just ran" expect: at least

@@ -101,7 +101,7 @@ impl StorageOverhead {
 /// simulator relies on replayability.
 ///
 /// `Send` is a supertrait so that everything a tracker ends up inside
-/// (`memctrl::ChannelShard`, a whole `sim::System`) is `Send` too and a
+/// (`memctrl::ChannelController`, a whole `sim::System`) is `Send` too and a
 /// front end may build a system on one thread and run it on another.
 /// Nothing in the workspace moves one today: `sim::runner` builds each
 /// cell's system on the worker that runs it. Trackers own their state (no

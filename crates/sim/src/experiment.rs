@@ -580,7 +580,7 @@ impl Experiment {
         self
     }
 
-    /// Does nothing: the memory phase has one, sequential, executor. Kept
+    /// Does nothing: the channels of a cell are stepped by one loop. Kept
     /// so `benchmark/` builds; ROADMAP item 1 deletes it with
     /// `pool.sharded_over_seq` and `pool.worker_respawns`.
     pub fn threads(self, _: Threads) -> Self {

@@ -5,19 +5,19 @@
 //! * [`Engine::Dense`] ticks every component on every bus cycle — the
 //!   reference semantics.
 //! * [`Engine::EventDriven`] (the default) gives every component a **due
-//!   cycle** and touches only what is due. A channel shard's due cycle is
-//!   its controller's decision bound ([`sim_core::sched::NextEvent`]),
-//!   mirrored into one contiguous array that is refreshed when that shard
-//!   ticks and when it accepts a request. A core is either *live* (cycled
-//!   this bus cycle) or *parked*: classified once ([`cpu::Quiescence`])
-//!   when it goes quiet, left alone until its wake cycle, and then
-//!   replayed once in closed form. The run loop takes the minimum over
-//!   both arrays, the next window boundary and the end of the run; it
-//!   jumps there when that is ahead of `now`, and otherwise steps the due
-//!   shards and the live cores in the dense loop's order. The two engines
-//!   produce **bit-identical** [`RunStats`] by construction; the
-//!   cross-engine equivalence suite (`tests/engine_equivalence.rs`) holds
-//!   that line.
+//!   cycle** and touches only what is due. A channel's due cycle is its
+//!   controller's decision bound ([`ChannelController::next_event`]),
+//!   mirrored into one contiguous array that is refreshed when that
+//!   channel ticks and when it accepts a request. A core is either *live*
+//!   (cycled this bus cycle) or *parked*: classified once
+//!   ([`cpu::Quiescence`]) when it goes quiet, left alone until its wake
+//!   cycle, and then replayed once in closed form. The run loop takes the
+//!   minimum over both arrays, the next window boundary and the end of the
+//!   run; it jumps there when that is ahead of `now`, and otherwise steps
+//!   the due channels and the live cores in the dense loop's order. The
+//!   two engines produce **bit-identical** [`RunStats`] by construction;
+//!   the cross-engine equivalence suite (`tests/engine_equivalence.rs`)
+//!   holds that line.
 //!
 //! Four things wake a parked core: its wake cycle arrives (the end of a
 //! bubble streak, or the first cycle at which it could cross the
@@ -26,18 +26,13 @@
 //! its counters. Each replays the elided span exactly as the dense loop
 //! would have executed it.
 //!
-//! Each bus cycle splits into a **memory phase** — every channel's
-//! [`memctrl::ChannelShard`] advances through the cycle, collecting due
-//! completions into its private buffer — and a **core phase** — the
-//! coordinator drains those buffers *in channel-index order*, delivers
-//! them, and steps the cores, which inject new requests into the shards.
-//! Shards share nothing, and the lookahead bound
-//! ([`sim_core::sched::NextEvent::min_inject_latency`]) guarantees
-//! nothing injected during the core phase of cycle `t` can complete at or
-//! before `t`, so the order in which the shards advance within a memory
-//! phase cannot be observed: the merge order is fixed by construction.
-//! Telemetry window boundaries are a global barrier — samples are taken
-//! only between cycles.
+//! A bus cycle is the memory step, then the cores. The memory step
+//! (`System::step_memory`) is one pass over the channels **in index
+//! order**: a due channel ticks, its completions (popped in `(due cycle,
+//! id)` order) go to their cores and its events to the probes before the
+//! next channel is looked at. Channels share nothing, so that order is the
+//! only order completions and events have. Telemetry window boundaries
+//! fall between cycles.
 //!
 //! Observation rides the [`sim_core::telemetry`] probe API: a
 //! [`Telemetry`] configuration attaches any number of probes to a run —
@@ -51,12 +46,11 @@ use analysis::OracleProbe;
 use cpu::{ClockRatio, Core, MemoryPort, PortResponse, Quiescence, StreamPlan, TraceSource};
 use dram::{DramChannel, TimingParams};
 use llcache::{Llc, LookupResult};
-use memctrl::{ChannelController, ChannelShard, CtrlConfig};
+use memctrl::{ChannelController, CtrlConfig};
 use sim_core::addr::PhysAddr;
 use sim_core::config::SystemConfig;
 use sim_core::json::Json;
 use sim_core::req::{AccessKind, MemRequest, SourceId};
-use sim_core::sched::NextEvent;
 use sim_core::stats::MemStats;
 use sim_core::telemetry::{Probe, RunMeta, Telemetry, WindowSample};
 use sim_core::time::Cycle;
@@ -107,7 +101,7 @@ pub struct EngineStats {
     pub skips: u64,
     /// Per-channel: stepped cycles on which the controller ticked.
     pub shard_ticks: Vec<u64>,
-    /// Per-channel: stepped cycles the shard sat out, `dense_steps -
+    /// Per-channel: stepped cycles the channel sat out, `dense_steps -
     /// shard_ticks[ch]`.
     pub shard_idle_skips: Vec<u64>,
 }
@@ -189,13 +183,15 @@ struct Parked {
 struct Hierarchy {
     cfg: SystemConfig,
     llc: Llc,
-    /// One [`ChannelShard`] per channel, in channel-index order.
-    shards: Vec<ChannelShard>,
+    /// One controller (with its DRAM and tracker) per channel.
+    ctrls: Vec<ChannelController>,
     /// Per-channel due cycle: the controller's decision bound
-    /// ([`ChannelController::next_event`]) as of the last time the shard
+    /// ([`ChannelController::next_event`]) as of the last time the channel
     /// ticked or accepted a request, the only two things that move it.
-    /// The event engine visits a shard only when `due[ch] <= now`.
+    /// The event engine visits a channel only when `due[ch] <= now`.
     due: Vec<Cycle>,
+    /// Per-channel: stepped cycles on which the controller ticked.
+    ticks: Vec<u64>,
     /// Per-core: skip the LLC (clflush-style attacker access).
     bypass_llc: Vec<bool>,
     next_req: u64,
@@ -208,12 +204,10 @@ impl Hierarchy {
         let ch = dram_addr.channel as usize;
         let id = self.next_req;
         let req = MemRequest::new(id, source, kind, addr, dram_addr, self.now);
-        let ok = match kind {
-            AccessKind::Read => self.shards[ch].controller().can_accept_read(),
-            AccessKind::Write => self.shards[ch].controller().can_accept_write(),
-        } && self.shards[ch].inject(req);
-        if ok {
-            self.due[ch] = self.shards[ch].controller().next_event(self.now);
+        let ctrl = &mut self.ctrls[ch];
+        // A full queue refuses the request.
+        if ctrl.enqueue(req) {
+            self.due[ch] = ctrl.next_event(self.now);
             self.next_req += 1;
             Some(id)
         } else {
@@ -244,7 +238,7 @@ impl Hierarchy {
     /// [`MemoryPort::access`] below exactly** — it is the single copy
     /// the engine consults.
     fn queue_full_for(&self, (ch, is_write, bypass): (usize, bool, bool)) -> bool {
-        let ctrl = self.shards[ch].controller();
+        let ctrl = &self.ctrls[ch];
         if is_write {
             // Bypass and LLC write paths both refuse on a full write queue
             // (a write-allocate miss also charges its writeback there).
@@ -273,7 +267,7 @@ impl MemoryPort for Hierarchy {
         // Capacity pre-check: a miss may need a read slot plus a writeback
         // slot; refuse before mutating the LLC so state stays consistent.
         let ch = self.channel_of(addr);
-        let ctrl = self.shards[ch].controller();
+        let ctrl = &self.ctrls[ch];
         match kind {
             AccessKind::Read => {
                 if !ctrl.can_accept_read() || !ctrl.can_accept_write() {
@@ -319,8 +313,6 @@ pub struct System {
     cores: Vec<Core>,
     hierarchy: Hierarchy,
     ratio: ClockRatio,
-    /// Scratch: the channels the in-flight step visits, in index order.
-    active_shards: Vec<usize>,
     /// Attached observers (the ground-truth oracle rides here as an
     /// ordinary event probe). Probes only read; `RunStats` is bit-identical
     /// with and without them, on both engines.
@@ -360,7 +352,7 @@ pub struct System {
     /// the core is live (always due), the bus cycle a parked core must be
     /// live again otherwise.
     wake: Vec<Cycle>,
-    /// True while [`Engine::EventDriven`] drives the run: shards are
+    /// True while [`Engine::EventDriven`] drives the run: channels are
     /// visited by their due cycle and cores may park.
     event: bool,
     /// Bus cycles cores spent parked, summed over cores (diagnostics).
@@ -415,20 +407,21 @@ impl System {
             .collect();
         let timing = TimingParams::ddr5_6400();
         let ctrl_cfg = CtrlConfig::new(cfg.nrh, cfg.blast_radius, cfg.mitigation);
-        let shards: Vec<ChannelShard> = trackers
+        let ctrls: Vec<ChannelController> = trackers
             .into_iter()
             .enumerate()
             .map(|(ch, tr)| {
-                ChannelShard::new(ChannelController::new(
+                ChannelController::new(
                     ch as u8,
                     DramChannel::new(cfg.geometry, timing),
                     tr,
                     ctrl_cfg,
-                ))
+                )
             })
             .collect();
         let ncores = cores.len();
-        let due = shards.iter().map(|s| s.controller().next_event(0)).collect();
+        let due = ctrls.iter().map(|c| c.next_event(0)).collect();
+        let ticks = vec![0; ctrls.len()];
         let oracle = telemetry
             .oracle_requested()
             .then(|| Box::new(OracleProbe::new(cfg.nrh, cfg.blast_radius, cfg.geometry)));
@@ -436,9 +429,8 @@ impl System {
         let llc = Llc::new(cfg.llc, cfg.seed ^ 0x11C);
         let mut sys = Self {
             cores,
-            hierarchy: Hierarchy { cfg, llc, shards, due, bypass_llc, next_req: 1, now: 0 },
+            hierarchy: Hierarchy { cfg, llc, ctrls, due, ticks, bypass_llc, next_req: 1, now: 0 },
             ratio: ClockRatio::core_over_bus(),
-            active_shards: Vec::new(),
             probes: Vec::new(),
             event_probes: Vec::new(),
             window_probes: Vec::new(),
@@ -487,17 +479,17 @@ impl System {
     /// differential suite runs whole workloads both ways and requires
     /// bit-identical [`RunStats`].
     pub fn set_naive_scan(&mut self, naive: bool) {
-        for shard in &mut self.hierarchy.shards {
-            shard.controller_mut().set_naive_scan(naive);
+        for ctrl in &mut self.hierarchy.ctrls {
+            ctrl.set_naive_scan(naive);
         }
     }
 
     /// Immutable facts delivered to probes at attach time.
     fn run_meta(&self) -> RunMeta {
         RunMeta {
-            tracker: self.hierarchy.shards[0].controller().tracker().name().to_string(),
+            tracker: self.hierarchy.ctrls[0].tracker().name().to_string(),
             cores: self.cores.len(),
-            channels: self.hierarchy.shards.len(),
+            channels: self.hierarchy.ctrls.len(),
             window_len: self.window_len,
         }
     }
@@ -515,8 +507,8 @@ impl System {
         let idx = self.probes.len();
         if probe.wants_events() {
             self.event_probes.push(idx);
-            for shard in &mut self.hierarchy.shards {
-                shard.controller_mut().set_event_capture(true);
+            for ctrl in &mut self.hierarchy.ctrls {
+                ctrl.set_event_capture(true);
             }
         }
         if probe.wants_windows() {
@@ -535,8 +527,8 @@ impl System {
         self.window_probes.clear();
         // No drainer remains: stop the controllers buffering events, or
         // further `step` calls would grow the buffers unboundedly.
-        for shard in &mut self.hierarchy.shards {
-            shard.controller_mut().set_event_capture(false);
+        for ctrl in &mut self.hierarchy.ctrls {
+            ctrl.set_event_capture(false);
         }
         std::mem::take(&mut self.probes)
     }
@@ -550,49 +542,37 @@ impl System {
         self.dense_steps += 1;
     }
 
-    /// The memory half of a bus cycle: the memory phase (every due shard
-    /// advances through `now`), then the deterministic merge (completion
-    /// delivery in channel-index order), then event fan-out.
+    /// The memory half of a bus cycle: one pass over the channels in index
+    /// order. A due channel ticks, refreshes its due cycle, hands its events
+    /// to the probes and delivers the completions that fell due (popped in
+    /// `(due cycle, id)` order) to their cores, all before the next channel
+    /// is looked at, so channel order is the only order completions and
+    /// events have. The event engine reads the `due` array; the dense
+    /// reference asks each controller for its bound, so it does not lean on
+    /// the mirror.
     fn step_memory(&mut self, now: Cycle) {
-        self.mem_phase(now);
-        self.deliver_completions(now);
-        self.fan_out_events();
-    }
-
-    /// Memory phase of bus cycle `now`: every shard with work this cycle
-    /// advances through it, collecting its due completions into its
-    /// private buffer; `active_shards` lists them for the rest of the step.
-    /// The event engine reads the `due` array; the dense reference asks
-    /// each controller for its bound, so it does not lean on the mirror.
-    /// Shards share nothing, so the order they advance in is invisible to
-    /// results.
-    fn mem_phase(&mut self, now: Cycle) {
-        let Hierarchy { shards, due, .. } = &mut self.hierarchy;
-        self.active_shards.clear();
-        for (ch, shard) in shards.iter_mut().enumerate() {
-            let at = if self.event { due[ch] } else { NextEvent::next_event(shard, now) };
-            if at <= now {
-                shard.advance_to(now);
-                due[ch] = shard.controller().next_event(now);
-                self.active_shards.push(ch);
-            } else {
-                debug_assert!(
-                    NextEvent::next_event(shard, now) > now,
-                    "stale shard due, ch {ch} @ {now}"
-                );
+        for ch in 0..self.hierarchy.ctrls.len() {
+            let Hierarchy { ctrls, due, ticks, .. } = &mut self.hierarchy;
+            let ctrl = &mut ctrls[ch];
+            let at = if self.event { due[ch] } else { ctrl.next_event(now) };
+            if at > now {
+                debug_assert!(ctrl.next_event(now) > now, "stale channel due, ch {ch} @ {now}");
+                continue;
             }
-        }
-    }
-
-    /// Delivers every completion the memory phase collected, draining the
-    /// shard buffers **in channel-index order** (within a shard,
-    /// completions pop in `(due cycle, id)` order): the merge order is
-    /// fixed, whatever order the shards advanced in.
-    fn deliver_completions(&mut self, now: Cycle) {
-        for i in 0..self.active_shards.len() {
-            let ch = self.active_shards[i];
+            ctrl.tick(now);
+            ticks[ch] += 1;
             self.completions_buf.clear();
-            self.hierarchy.shards[ch].drain_completions_into(&mut self.completions_buf);
+            ctrl.pop_completions(now, &mut self.completions_buf);
+            due[ch] = ctrl.next_event(now);
+            // No subscribers means the controllers buffered nothing at all.
+            if !self.event_probes.is_empty() {
+                let (probes, event_probes) = (&mut self.probes, &self.event_probes);
+                ctrl.drain_events(&mut |ev| {
+                    for &i in event_probes {
+                        probes[i].on_event(ch as u8, ev);
+                    }
+                });
+            }
             for i in 0..self.completions_buf.len() {
                 let id = self.completions_buf[i];
                 let core = self.core_of_req[(id - 1) as usize] as usize;
@@ -656,7 +636,7 @@ impl System {
                 core.blocked_access().expect("PortBlocked implies a parked access");
             let cond = self.hierarchy.stall_cond(core.id(), addr, is_write);
             if self.hierarchy.queue_full_for(cond) {
-                // Queues only grow during the core phase, so this whole bus
+                // Queues only grow while the cores step, so this whole bus
                 // cycle is provably refused retries.
                 refusing_queue = Some(cond);
             } else {
@@ -684,24 +664,6 @@ impl System {
         if k > 0 {
             self.parked[i] = Some(Parked { since: now, bound, replay });
             self.wake[i] = now.saturating_add(k);
-        }
-    }
-
-    /// Fans the event stream out to every subscribed probe (the oracle
-    /// among them). Only a shard that ticked has buffered anything, and no
-    /// subscribers means the controllers buffered nothing at all.
-    fn fan_out_events(&mut self) {
-        if self.event_probes.is_empty() {
-            return;
-        }
-        let probes = &mut self.probes;
-        let event_probes = &self.event_probes;
-        for &ch in &self.active_shards {
-            self.hierarchy.shards[ch].controller_mut().drain_events(&mut |ev| {
-                for &i in event_probes {
-                    probes[i].on_event(ch as u8, ev);
-                }
-            });
         }
     }
 
@@ -788,7 +750,7 @@ impl System {
     /// something is due already: the end of the run, the next window
     /// boundary (samples must be taken exactly there, so a jump may reach
     /// but never cross it), a parked core's wake (a live core is always
-    /// due), a shard's decision bound.
+    /// due), a channel's decision bound.
     fn next_due(&self, window: Cycle) -> Cycle {
         let now = self.hierarchy.now;
         let mut target = window;
@@ -804,14 +766,14 @@ impl System {
         target
     }
 
-    /// Jumps to `target`, a cycle before which nothing is due: no shard
+    /// Jumps to `target`, a cycle before which nothing is due: no channel
     /// decides anything, and every core is parked past it. Nothing is
     /// touched but the clocks, which is what keeps a jump exact.
     fn jump_to(&mut self, target: Cycle) {
         let now = self.hierarchy.now;
         debug_assert!(
-            self.hierarchy.shards.iter().all(|s| NextEvent::next_event(s, now) >= target),
-            "jump from {now} to {target} crosses a shard's decision bound"
+            self.hierarchy.ctrls.iter().all(|c| c.next_event(now) >= target),
+            "jump from {now} to {target} crosses a channel's decision bound"
         );
         self.ratio.advance_bus_cycles(target - now);
         self.hierarchy.now = target;
@@ -840,8 +802,8 @@ impl System {
         debug_assert_eq!(end, self.hierarchy.now);
         self.unpark_all(end);
         let mut mem = MemStats::default();
-        for shard in &self.hierarchy.shards {
-            mem.merge(&shard.controller().stats);
+        for ctrl in &self.hierarchy.ctrls {
+            mem.merge(&ctrl.stats);
         }
         let sample = WindowSample {
             index: self.window_index,
@@ -897,7 +859,7 @@ impl System {
     /// event engine jumped over, and on how many of the stepped cycles each
     /// channel's controller ticked.
     pub fn engine_stats(&self) -> EngineStats {
-        let shard_ticks: Vec<u64> = self.hierarchy.shards.iter().map(|s| s.ticks()).collect();
+        let shard_ticks = self.hierarchy.ticks.clone();
         EngineStats {
             dense_steps: self.dense_steps,
             skipped_cycles: self.skipped_cycles,
@@ -911,7 +873,7 @@ impl System {
     /// `channel_stats()[ch]` is channel `ch`'s own [`MemStats`], and their
     /// merge equals the run-level aggregate exactly.
     pub fn channel_stats(&self) -> Vec<MemStats> {
-        self.hierarchy.shards.iter().map(|s| s.controller().stats).collect()
+        self.hierarchy.ctrls.iter().map(|c| c.stats).collect()
     }
 
     /// Bus cycles cores spent parked, summed over cores — per-core
@@ -925,8 +887,7 @@ impl System {
     pub fn stats(&self) -> RunStats {
         let mut mem = sim_core::stats::MemStats::default();
         let mut energy = 0.0;
-        for shard in &self.hierarchy.shards {
-            let ctrl = shard.controller();
+        for ctrl in &self.hierarchy.ctrls {
             mem.merge(&ctrl.stats);
             energy += ctrl
                 .dram()
@@ -938,7 +899,7 @@ impl System {
             p.as_any().downcast_ref::<OracleProbe>().map(|o| (o.max_damage(), o.violations()))
         });
         RunStats {
-            tracker: self.hierarchy.shards[0].controller().tracker().name().to_string(),
+            tracker: self.hierarchy.ctrls[0].tracker().name().to_string(),
             cycles: self.hierarchy.now,
             retired: self.cores.iter().map(|c| c.retired()).collect(),
             core_cycles: self.cores.iter().map(|c| c.cycles()).collect(),
@@ -951,7 +912,7 @@ impl System {
 
     /// Mitigation-queue / metadata backlog across channels (introspection).
     pub fn pending_mitigations(&self) -> usize {
-        self.hierarchy.shards.iter().map(|s| s.controller().pending_mitigations()).sum()
+        self.hierarchy.ctrls.iter().map(|c| c.pending_mitigations()).sum()
     }
 }
 

@@ -97,7 +97,7 @@ fn determinism_same_seed_same_result() {
     // The second input is the widest cell the repo runs: eight channels,
     // a tailored attacker beside three benign cores, every recorder
     // attached so the telemetry bytes are compared too. A divergence here
-    // is nondeterminism in a shard or in the completion merge order.
+    // is nondeterminism in a channel or in the completion delivery order.
     let eight_channel = Experiment::quick("mcf_like")
         .tracker("dapper-h")
         .attack(AttackChoice::Tailored)

@@ -60,12 +60,11 @@ fn workload_subset_is_engine_equivalent() {
 }
 
 #[test]
-fn sharded_execution_is_engine_equivalent_across_channel_counts() {
-    // Per-channel shards with their own due cycles must be invisible: on
-    // both geometries (paper baseline and the enlarged eight-channel
-    // system) the two engines yield bit-identical `RunStats` and
-    // byte-identical telemetry windows, because shards merge in
-    // channel-index order at every core phase.
+fn engines_agree_across_channel_counts() {
+    // Per-channel due cycles must be invisible: on both geometries (paper
+    // baseline and the enlarged eight-channel system) the two engines
+    // yield bit-identical `RunStats` and byte-identical telemetry windows,
+    // because channels deliver in index order on every stepped cycle.
     use dapper_repro::sim::experiment::TelemetrySpec;
     let mut jobs = Vec::new();
     for channels in [2usize, 8] {
@@ -310,9 +309,9 @@ impl<T: cpu::TraceSource> cpu::TraceSource for OnChannelZero<T> {
 }
 
 #[test]
-fn one_hot_channel_leaves_seven_shards_idle_and_stays_exact() {
+fn one_hot_channel_leaves_seven_channels_idle_and_stays_exact() {
     // Eight channels, all traffic on one: seven `due` entries only ever
-    // move for refresh, and the engine must neither visit those shards in
+    // move for refresh, and the engine must neither visit those channels in
     // between nor lose one of their refreshes.
     use dapper_repro::sim_core::telemetry::Telemetry;
     use dapper_repro::workloads::{spec_by_name, SyntheticTrace};

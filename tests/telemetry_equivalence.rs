@@ -13,7 +13,8 @@
 use dapper_repro::sim::experiment::{AttackChoice, Experiment, TelemetrySpec};
 use dapper_repro::sim::{parallel_map, Engine, RunStats};
 use dapper_repro::sim_core::req::SourceId;
-use dapper_repro::sim_core::telemetry::{LatencyProbe, SlowdownTrace};
+use dapper_repro::sim_core::telemetry::{LatencyProbe, Probe, SlowdownTrace};
+use dapper_repro::sim_core::MemEvent;
 use dapper_repro::workloads;
 
 const TRACKERS: [&str; 4] = ["none", "hydra", "para", "dapper-h"];
@@ -108,7 +109,7 @@ fn oracle_rides_the_sink_api_without_perturbing() {
 }
 
 #[test]
-fn latency_tap_does_not_perturb_either_engine_or_lane_count() {
+fn latency_tap_does_not_perturb_either_engine() {
     // The attackpipe recon stage reads its timing side channel through a
     // LatencyProbe on the attacker core's read completions. Like every
     // probe it must be a pure observer: RunStats stay bit-identical with
@@ -140,6 +141,72 @@ fn latency_tap_does_not_perturb_either_engine_or_lane_count() {
         assert!(equal, "latency tap perturbed {label}");
         assert!(samples > 0, "{label}: the tap must actually observe read completions");
     }
+}
+
+/// Records the raw event stream exactly as the system hands it over.
+#[derive(Default)]
+struct EventTape(Vec<(u8, MemEvent)>);
+
+impl Probe for EventTape {
+    fn name(&self) -> &'static str {
+        "event-tape"
+    }
+    fn wants_events(&self) -> bool {
+        true
+    }
+    fn on_event(&mut self, channel: u8, ev: &MemEvent) {
+        self.0.push((channel, *ev));
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
+        self
+    }
+}
+
+#[test]
+fn event_stream_is_engine_identical_and_channel_ordered() {
+    // `RunStats` equality does not see the order events reach the probes
+    // in. On an eight-channel attacked cell both engines must hand over
+    // the same `(channel, event)` sequence, and the events of one bus
+    // cycle must arrive in channel-index order: the memory step visits
+    // the channels in that order and drains each before the next.
+    let e = Experiment::quick("mcf_like")
+        .tracker("dapper-h")
+        .attack(AttackChoice::Tailored)
+        .eight_channel(2)
+        .window_us(100.0);
+    let tape = |engine: Engine| {
+        let mut sys = e.build_system(false);
+        sys.attach_probe(Box::<EventTape>::default());
+        sys.run_engine(engine);
+        let probe = sys.take_probes().pop().expect("the tape comes back out");
+        probe.into_any().downcast::<EventTape>().expect("it is the tape").0
+    };
+    let dense = tape(Engine::Dense);
+    let event = tape(Engine::EventDriven);
+    assert!(dense == event, "the engines hand the probes different event sequences");
+
+    // ACTs and refresh-window ends are stamped with the bus cycle they are
+    // issued (and drained) on; the other events carry completion cycles.
+    let issued: Vec<(u64, u8)> = event
+        .iter()
+        .filter_map(|&(ch, ev)| match ev {
+            MemEvent::Activate { cycle, .. } | MemEvent::RefreshWindowEnd { cycle } => {
+                Some((cycle, ch))
+            }
+            _ => None,
+        })
+        .collect();
+    assert!(issued.is_sorted(), "an event overtook an earlier cycle or a lower channel");
+    let shared_cycles = issued.windows(2).filter(|w| w[0].0 == w[1].0 && w[0].1 < w[1].1).count();
+    assert!(shared_cycles > 100, "only {shared_cycles} bus cycles had two channels issuing");
+    let channels: std::collections::BTreeSet<u8> = issued.iter().map(|&(_, ch)| ch).collect();
+    assert_eq!(channels.len(), 8, "every channel must contribute: {channels:?}");
 }
 
 #[test]

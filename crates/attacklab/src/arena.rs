@@ -18,6 +18,10 @@
 //!    search's in-run memo, or none;
 //! 4. [`Score::of`] reads the numbers every report is built from off the
 //!    [`ExperimentResult`].
+//!
+//! Cells and their reference always run on the event-driven loop; that a
+//! genome cell agrees with the dense reference loop is checked at the
+//! `System` level, in `tests/engine_equivalence.rs`.
 
 use std::sync::OnceLock;
 
@@ -28,7 +32,7 @@ use sim::exec::{Executor, PayloadCache};
 use sim::experiment::{CustomAttack, Experiment, TrackerSel};
 use sim::metrics::{RunStats, RunTelemetry};
 use sim::runner::{RunnerConfig, SweepError};
-use sim::{Engine, ExperimentResult};
+use sim::ExperimentResult;
 use sim_core::json::JsonCodec;
 
 /// Slowdown-trace windows per evaluation: enough resolution to score
@@ -52,23 +56,20 @@ pub struct Arena {
     pub nrh: u32,
     /// Seed of every simulation (and of the search's mutations).
     pub seed: u64,
-    /// Simulation engine (part of the cell key; results are bit-identical).
-    pub engine: Engine,
     /// Whether cells carry the profiler's probe telemetry (part of the
     /// cell key, like everything an [`Experiment`] records).
     probing: bool,
 }
 
 impl Arena {
-    /// Defaults: 250 µs window, N_RH 500, the paper seed, the default
-    /// engine, campaign telemetry.
+    /// Defaults: 250 µs window, N_RH 500, the paper seed, campaign
+    /// telemetry.
     pub fn new(workload: &str) -> Self {
         Self {
             workload: workload.to_string(),
             window_us: 250.0,
             nrh: 500,
             seed: 0xDA99E5,
-            engine: Engine::default(),
             probing: false,
         }
     }
@@ -95,7 +96,6 @@ impl Arena {
             .window_us(self.window_us)
             .nrh(self.nrh)
             .seed(self.seed)
-            .engine(self.engine)
             .record_slowdown(self.window_us / windows);
         e.telemetry.mitigation_log = self.probing;
         e

@@ -144,9 +144,8 @@ pub fn run_cell(e: &Experiment, reference: &RunStats) -> PipelineVerdict {
     let mut he = e.clone();
     he.custom_attack = Some(plan.custom_attack());
     he.telemetry = TelemetrySpec { oracle: true, ..TelemetrySpec::default() };
-    let engine = he.engine;
     let mut sys = he.build_system(false);
-    let run = sys.run_engine(engine);
+    let run = sys.run();
     let mut probes = sys.take_probes();
     let oracle = sim::experiment::take_recorder::<OracleProbe>(&mut probes)
         .expect("the hammer run attaches the ground-truth oracle");
@@ -281,7 +280,7 @@ impl AttackerSweepReport {
 }
 
 /// The one cell driver: verdict-cache lookups first, then one shared
-/// reference per workload × engine (and only for cells that missed),
+/// reference per workload (and only for cells that missed),
 /// then the missing cells in parallel. Without `cache_dir` every cell
 /// simulates and nothing persists.
 fn run_cells(
@@ -311,12 +310,11 @@ fn run_cells(
     let probed = exec.probe(cells, |_, _, _| {});
     // References are computed up front so the parallel phase only reads
     // them.
-    let scope = |e: &Experiment| format!("{}|{}", e.workload, e.engine.name());
     let mut references: BTreeMap<String, RunStats> = BTreeMap::new();
     for e in probed.missed() {
-        references.entry(scope(e)).or_insert_with(|| e.reference());
+        references.entry(e.workload.clone()).or_insert_with(|| e.reference());
     }
-    let run = move |e: Experiment| run_cell(&e, &references[&scope(&e)]);
+    let run = move |e: Experiment| run_cell(&e, &references[&e.workload]);
     let (outcomes, summary) = probed.run(sim::cell_label, run, |_, _, _| {});
     let verdicts = outcomes
         .into_iter()
@@ -349,9 +347,7 @@ pub fn run_attacker_sweep(
     if experiments.is_empty() {
         return Err("spec has no [attacker] section; nothing for the pipeline to run".to_string());
     }
-    let dir = cache_dir
-        .map(str::to_string)
-        .or_else(|| spec.cache.as_ref().and_then(|c| c.effective_dir().map(str::to_string)));
+    let dir = cache_dir.map(str::to_string).or_else(|| spec.cache.as_ref()?.dir.clone());
     Ok(run_cells(&spec.name, experiments, dir))
 }
 
@@ -391,7 +387,6 @@ pub fn attacker_axis(
                     .window_us(c.arena.window_us)
                     .nrh(c.arena.nrh)
                     .seed(c.arena.seed)
-                    .engine(c.arena.engine)
                     .attacker(attacker),
             );
         }

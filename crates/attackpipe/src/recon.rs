@@ -274,7 +274,7 @@ fn probe_run(base: &Experiment, entries: Vec<TraceEntry>, idle: PhysAddr) -> Vec
     let source = SourceId(e.cfg.cpu.cores - 1);
     let mut sys = e.build_system(false);
     sys.attach_probe(Box::new(LatencyProbe::new(source)));
-    let _ = sys.run_engine(e.engine);
+    let _ = sys.run();
     let mut probes = sys.take_probes();
     take_recorder::<LatencyProbe>(&mut probes).map(LatencyProbe::into_samples).unwrap_or_default()
 }

@@ -47,6 +47,9 @@ USAGE: spec_run [--validate] [--out DIR] [--cache-dir DIR | --no-cache] SPEC.tom
                    unfinished remainder (requires a cache dir)
   --retries N      attempt each cell up to N times with exponential
                    backoff before quarantining it (default 1)
+
+--resume and --retries apply to plain sweeps only: a spec with an
+[attacker] or [profile] section is refused with either flag.
 ";
 
 fn run() -> Result<i32, String> {
@@ -112,13 +115,24 @@ fn run() -> Result<i32, String> {
         // The one expansion of a plain sweep: it validates the spec, sizes
         // the banner, and is what runs below.
         let cells = spec.expand_keyed().map_err(|e| format!("{file}: {e}"))?;
+        // The profiler and attackpipe drivers take neither a retry policy
+        // nor a journal: refuse the flags rather than drop them.
+        let section = [("attacker", spec.attacker.is_some()), ("profile", spec.profile.is_some())]
+            .into_iter()
+            .find_map(|(section, set)| set.then_some(section));
+        let flag = [("--retries", retries > 1), ("--resume", resume)]
+            .into_iter()
+            .find_map(|(flag, set)| set.then_some(flag));
+        if let (Some(section), Some(flag)) = (section, flag) {
+            return Err(format!(
+                "{file}: {flag} does not apply to a spec with an [{section}] section"
+            ));
+        }
         // CLI flag > spec [cache] section > no cache.
         let effective_cache_dir = match (&cache_dir, no_cache) {
             (Some(dir), _) => Some(dir.clone()),
             (None, true) => None,
-            (None, false) => {
-                spec.cache.as_ref().and_then(|c| c.effective_dir()).map(str::to_string)
-            }
+            (None, false) => spec.cache.as_ref().and_then(|c| c.dir.clone()),
         };
         if resume && effective_cache_dir.is_none() {
             return Err(format!("{file}: --resume needs --cache-dir or a [cache] section"));
@@ -182,14 +196,7 @@ fn run() -> Result<i32, String> {
             println!("  results written to {out_path}");
             continue;
         }
-        let runner = RunnerConfig {
-            retry: if retries > 1 {
-                RetryPolicy::standard().attempts(retries)
-            } else {
-                RetryPolicy::none()
-            },
-            ..RunnerConfig::default()
-        };
+        let runner = RunnerConfig { retry: RetryPolicy::attempts(retries), faults: None };
         let dir = effective_cache_dir.as_deref();
         let cache = dir
             .map(|dir| RunCache::open(dir).map_err(|e| format!("cannot open cache dir {dir}: {e}")))

@@ -46,8 +46,7 @@ fn config_from(args: &[String]) -> Result<ServerConfig, String> {
     }
     match parsed.int::<u32>("--retries", 1)? {
         0 => return Err("--retries: a cell needs at least 1 attempt".to_string()),
-        1 => {}
-        n => cfg.retry = RetryPolicy::standard().attempts(n),
+        n => cfg.retry = RetryPolicy::attempts(n),
     }
     if cfg.resume && cfg.cache_dir.is_none() {
         return Err("--resume needs --cache-dir (the journal lives there)".to_string());
@@ -100,7 +99,7 @@ mod tests {
         assert_eq!(cfg.cache_dir, Some(PathBuf::from("c")));
         assert!(cfg.resume);
         assert_eq!(cfg.drain_timeout, Some(Duration::from_secs(5)));
-        assert_eq!(cfg.retry, RetryPolicy::standard().attempts(4));
+        assert_eq!(cfg.retry, RetryPolicy::attempts(4));
     }
 
     #[test]

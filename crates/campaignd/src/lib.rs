@@ -175,7 +175,7 @@ struct Inner {
     /// keys are logged so a restarted server re-executes only the
     /// unfinished remainder of an interrupted sweep.
     journal: Option<SweepJournal>,
-    /// Retry/backoff policy applied to every simulated cell.
+    /// Retry policy applied to every simulated cell.
     retry: RetryPolicy,
     /// Armed fault plan (chaos tests only).
     faults: Option<Arc<Injector>>,
@@ -384,7 +384,7 @@ pub struct ServerConfig {
     /// How long `shutdown` waits for in-flight jobs before exiting
     /// anyway (`None` = wait until they all finish).
     pub drain_timeout: Option<Duration>,
-    /// Retry/backoff/timeout policy for every simulated cell.
+    /// Retry policy for every simulated cell.
     pub retry: RetryPolicy,
     /// Armed fault plan (chaos tests only; `None` costs one branch).
     pub faults: Option<Arc<Injector>>,

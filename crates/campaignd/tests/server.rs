@@ -422,22 +422,27 @@ fn restarted_server_resumes_only_the_unfinished_remainder() {
 #[test]
 fn resume_skips_a_journaled_spec_that_carries_a_retired_key() {
     use sim::journal::SweepJournal;
-    // A journal written while `[system] threads` was a spec key: the spec
-    // no longer parses, so resume must pass over it and still bring the
-    // sweep journaled after it back.
+    // A journal written while `[system] threads` and the top-level
+    // `engine` were spec keys: those specs no longer parse, so resume must
+    // pass over them and still bring the sweep journaled after them back.
     let dir = scratch("resume-retired-key");
     let mut old = tiny_spec();
     old.name = "with_lane_knob".to_string();
     old.system = Some(sim::SystemOptions { geometry: Some("paper-baseline".to_string()) });
-    let old_json = old.to_json().render().replace("\"geometry\":", "\"threads\":4,\"geometry\":");
-    let err = SweepSpec::from_json_str(&old_json).expect_err("the key is gone");
-    assert!(err.to_string().contains("system.threads"), "{err}");
+    let lanes = old.to_json().render().replace("\"geometry\":", "\"threads\":4,\"geometry\":");
+    old.name = "with_engine_knob".to_string();
+    let engine = old.to_json().render().replace("\"name\":", "\"engine\":\"dense\",\"name\":");
     let journal = SweepJournal::in_cache_dir(dir.join("cache")).expect("journal");
-    journal.record_start("0ld", &old_json, 2).expect("start");
+    for (hash, old_json, key) in [("0ld", &lanes, "system.threads"), ("0ld2", &engine, "'engine'")]
+    {
+        let err = SweepSpec::from_json_str(old_json).expect_err("the key is gone");
+        assert!(err.to_string().contains(key), "{err}");
+        journal.record_start(hash, old_json, 2).expect("start");
+    }
     let spec = tiny_spec();
     let hash = SweepJournal::sweep_hash(&spec);
     journal.record_start(&hash, &spec.to_json().render(), 2).expect("start");
-    assert_eq!(journal.load().expect("load").unfinished().count(), 2);
+    assert_eq!(journal.load().expect("load").unfinished().count(), 3);
     drop(journal);
 
     let socket = start_with(&dir, "a", ServerConfig { resume: true, ..ServerConfig::default() });

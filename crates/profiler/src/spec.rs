@@ -63,7 +63,6 @@ pub fn run_profile_spec(
             cfg.arena.window_us = popts.probe_window_us.unwrap_or(cfg.arena.window_us);
             cfg.arena.nrh = spec.options.nrh.unwrap_or(cfg.arena.nrh);
             cfg.arena.seed = spec.options.seed.unwrap_or(cfg.arena.seed);
-            cfg.arena.engine = spec.options.engine.unwrap_or_default();
             cfg.bank_groups = popts.bank_groups.unwrap_or(cfg.bank_groups);
             cfg.row_groups = popts.row_groups.unwrap_or(cfg.row_groups);
             cfg.families = families.clone();
@@ -74,11 +73,10 @@ pub fn run_profile_spec(
 
             // Evaluate reuses the resolved selection so `[params.*]`
             // overrides survive (the heatmap file alone only carries the
-            // registry key), and the profile's engine.
+            // registry key).
             let mut ecfg = EvaluateConfig::for_heatmap(&map)?;
             ecfg.tracker = tracker.clone();
             ecfg.top_k = popts.top_k.map_or(ecfg.top_k, |k| k as usize);
-            ecfg.arena.engine = cfg.arena.engine;
             ecfg.arena.window_us = spec.options.window_us.unwrap_or(ecfg.arena.window_us);
             let (report, estats) = run_evaluate(&map, &ecfg, cache.as_ref(), quiet);
             println!("  evaluate {:<13} {:<18} {estats}", tracker.key(), workload);

@@ -124,36 +124,6 @@ impl SystemConfig {
     pub fn nm(&self) -> u32 {
         self.nrh / 2
     }
-
-    /// Builder-style override of the RowHammer threshold.
-    pub fn with_nrh(mut self, nrh: u32) -> Self {
-        self.nrh = nrh;
-        self
-    }
-
-    /// Builder-style override of the simulation window.
-    pub fn with_window(mut self, cycles: Cycle) -> Self {
-        self.window_cycles = cycles;
-        self
-    }
-
-    /// Builder-style override of the mitigation command.
-    pub fn with_mitigation(mut self, kind: MitigationKind) -> Self {
-        self.mitigation = kind;
-        self
-    }
-
-    /// Builder-style override of the blast radius.
-    pub fn with_blast_radius(mut self, br: u8) -> Self {
-        self.blast_radius = br;
-        self
-    }
-
-    /// Builder-style override of the seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
 }
 
 impl Default for SystemConfig {
@@ -177,20 +147,6 @@ mod tests {
         assert_eq!(c.nrh, 500);
         assert_eq!(c.nm(), 250);
         assert_eq!(c.mitigation, MitigationKind::Vrr);
-    }
-
-    #[test]
-    fn builder_overrides_compose() {
-        let c = SystemConfig::paper_baseline()
-            .with_nrh(125)
-            .with_blast_radius(2)
-            .with_mitigation(MitigationKind::DrfmSb)
-            .with_seed(7);
-        assert_eq!(c.nrh, 125);
-        assert_eq!(c.nm(), 62);
-        assert_eq!(c.blast_radius, 2);
-        assert_eq!(c.mitigation, MitigationKind::DrfmSb);
-        assert_eq!(c.seed, 7);
     }
 
     #[test]

@@ -31,9 +31,13 @@
 //! * every [`sim_core::SystemConfig`] field that shapes results
 //!   (geometry, CPU, LLC, N_RH, blast radius, mitigation kind, window,
 //!   instruction budget, seed),
-//! * the engine, the normalization mode, and the full telemetry spec
-//!   (recorders change what a result *carries*, so they are part of
-//!   identity, not just presentation).
+//! * the normalization mode and the full telemetry spec (recorders
+//!   change what a result *carries*, so they are part of identity, not
+//!   just presentation).
+//!
+//! The descriptor also holds `"engine": "event-driven"`, a constant: it
+//! named the simulation loop while that was a setting, and it stays so
+//! that every key written since keeps its bytes.
 //!
 //! Each entry embeds its descriptor and the reader compares it
 //! byte-for-byte, so even a hash collision cannot alias results; a
@@ -117,7 +121,8 @@ fn descriptor(e: &Experiment, attack_id: Option<&str>) -> Option<Json> {
         ("window_cycles", Json::hex(e.cfg.window_cycles)),
         ("max_instructions", Json::hex(e.cfg.max_instructions)),
         ("seed", Json::hex(e.cfg.seed)),
-        ("engine", Json::str(e.engine.name())),
+        // Constant since the loop stopped being a setting; kept for the keys.
+        ("engine", Json::str("event-driven")),
         ("isolate", Json::Bool(e.isolate_tracker_overhead)),
         ("telemetry", e.telemetry.encode()),
     ];
@@ -347,7 +352,6 @@ impl SweepSpec {
 mod tests {
     use super::*;
     use crate::experiment::AttackChoice;
-    use crate::system::Engine;
 
     fn scratch(name: &str) -> std::path::PathBuf {
         let dir =
@@ -409,9 +413,6 @@ mod tests {
         let mut threshold = tiny();
         threshold.cfg.nrh = 1000;
         assert_ne!(cell_key(&threshold).unwrap().key, base.key, "nrh is identity");
-        let mut engine = tiny();
-        engine.engine = Engine::Dense;
-        assert_ne!(cell_key(&engine).unwrap().key, base.key, "engine is identity");
         let mut telem = tiny();
         telem.telemetry.mitigation_log = true;
         assert_ne!(cell_key(&telem).unwrap().key, base.key, "telemetry is identity");

@@ -33,7 +33,6 @@ use crate::runner::{parallel_map, run_attempts, RunnerConfig, SweepError};
 use crate::spec::SweepSpec;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// A keyed payload store the executor reads through: [`crate::RunCache`]
 /// for experiment results, attackpipe's verdict store for verdicts.
@@ -180,15 +179,14 @@ impl<C, R> Probed<'_, '_, C, R> {
     pub fn run(
         self,
         label: impl Fn(&C) -> String + Sync,
-        run: impl Fn(C) -> R + Send + Sync + 'static,
+        run: impl Fn(C) -> R + Sync,
         on_settled: impl Fn(usize, &Result<R, SweepError>, Source) + Sync,
     ) -> (Vec<Result<R, SweepError>>, CacheRunSummary)
     where
-        C: Clone + Send + 'static,
-        R: Send + 'static,
+        C: Clone + Send,
+        R: Send,
     {
         let Probed { exec, mut slots, pending, mut summary } = self;
-        let run: Arc<dyn Fn(C) -> R + Send + Sync> = Arc::new(run);
         let stored = AtomicUsize::new(0);
         let indices: Vec<usize> = pending.iter().map(|(index, ..)| *index).collect();
         let jobs: Vec<_> = pending.into_iter().enumerate().collect();
@@ -392,7 +390,7 @@ mod tests {
         // The fault plan counts simulated cells: with cell 0 a hit,
         // position 1 is cell 2. The error reports the input index.
         let runner = RunnerConfig {
-            retry: RetryPolicy::none().attempts(2),
+            retry: RetryPolicy::attempts(2),
             faults: Some(FaultPlan::new(73).panic_job_always(1).arm()),
         };
         let exec = Executor { cache: Some(&cache), checkpoint: None, runner: &runner };

@@ -5,6 +5,12 @@
 //! string key and carries validated parameter overrides, so any registered
 //! scheme — built-in or third-party — drops into an [`Experiment`] with
 //! `.tracker("hydra")` or a full parameter map.
+//!
+//! An experiment's run and its reference both simulate on
+//! [`System::run`], the event-driven loop; which loop runs is not part of
+//! an experiment. The dense reference loop is reached one level down,
+//! through [`System::run_engine`] on [`Experiment::build_system`], which
+//! is how the equivalence suites hold the two to bit-identity.
 
 use cpu::{TraceEntry, TraceSource};
 use sim_core::addr::{Geometry, PhysAddr};
@@ -19,7 +25,7 @@ use sim_core::tracker::{NullTracker, RowHammerTracker};
 use workloads::{spec_by_name, Attack, SyntheticTrace};
 
 use crate::metrics::{normalized_performance, RunStats, RunTelemetry};
-use crate::system::{Engine, System};
+use crate::system::System;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -430,10 +436,6 @@ pub struct Experiment {
     /// 16, 17); the motivation figures (1, 3-5) compare against the
     /// attack-free baseline.
     pub isolate_tracker_overhead: bool,
-    /// Simulation loop for both the run and its reference. The engines are
-    /// bit-identical in results; [`Engine::EventDriven`] (default) is
-    /// faster on quiet workloads.
-    pub engine: Engine,
     /// Attacker-pipeline configuration (the `[attacker]` spec section).
     /// Pure data at this layer: the `attackpipe` crate interprets it;
     /// plain `Experiment::run` ignores it, and the cell descriptor
@@ -491,10 +493,12 @@ impl Experiment {
             tracker: TrackerSel::by_key("dapper-h").expect("built-in key"),
             attack: AttackChoice::None,
             custom_attack: None,
-            cfg: SystemConfig::paper_baseline().with_window(us_to_cycles(2_000.0)),
+            cfg: SystemConfig {
+                window_cycles: us_to_cycles(2_000.0),
+                ..SystemConfig::paper_baseline()
+            },
             telemetry: TelemetrySpec::default(),
             isolate_tracker_overhead: false,
-            engine: Engine::default(),
             attacker: None,
         }
     }
@@ -616,12 +620,6 @@ impl Experiment {
         self
     }
 
-    /// Selects the simulation engine (default: [`Engine::EventDriven`]).
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Sets the attacker-pipeline configuration (knowledge level, recon
     /// budget, attacker seed). Interpreted by the `attackpipe` crate;
     /// inert for plain [`Experiment::run`].
@@ -720,7 +718,7 @@ impl Experiment {
     /// performance (the paper's metric).
     pub fn run(self) -> ExperimentResult {
         let mut ref_sys = self.build_system(true);
-        let reference = ref_sys.run_engine(self.engine);
+        let reference = ref_sys.run();
         let reference_windows = take_recorder::<TimeSeriesRecorder>(&mut ref_sys.take_probes())
             .map(TimeSeriesRecorder::into_samples)
             .unwrap_or_default();
@@ -728,8 +726,8 @@ impl Experiment {
     }
 
     /// Simulates only the reference machine — insecure, and attack-free
-    /// unless [`isolating`](Self::isolating) — under this experiment's
-    /// engine, with no telemetry (probes never change [`RunStats`]): what
+    /// unless [`isolating`](Self::isolating) — with no telemetry (probes
+    /// never change [`RunStats`]): what
     /// [`run_against`](Self::run_against) normalizes against. It depends
     /// on the workload and the system configuration only, so a sweep
     /// whose cells differ in tracker and attack computes it once.
@@ -747,7 +745,7 @@ impl Experiment {
             // Any attack will do: a non-isolating reference idles it.
             r.attack = AttackChoice::CacheThrash;
         }
-        r.build_system(true).run_engine(r.engine)
+        r.build_system(true).run()
     }
 
     /// Runs only the system under test, normalizing against a pre-computed
@@ -777,7 +775,7 @@ impl Experiment {
             };
             sys.attach_probe(Box::new(trace));
         }
-        let run = sys.run_engine(self.engine);
+        let run = sys.run();
         let telemetry = self.telemetry.recorders_wanted().then(|| {
             let mut probes = sys.take_probes();
             RunTelemetry {

@@ -6,8 +6,8 @@
 //! experiment (unknown workload, assertion in a model, ...) surfaces as a
 //! [`SweepError`] for that slot instead of poisoning the queue and killing
 //! the entire sweep. [`parallel_map`] is that pool, generic over the job;
-//! [`RunnerConfig`] carries the [`RetryPolicy`] (bounded retries,
-//! exponential backoff, per-attempt timeout) and the [`sim_core::fault`]
+//! [`RunnerConfig`] carries the [`RetryPolicy`] (bounded retries on one
+//! exponential backoff schedule) and the [`sim_core::fault`]
 //! hook the [executor](crate::exec) applies to every cell it simulates.
 //! [`try_run_parallel`] runs plain experiments through that executor with
 //! no cache; [`run_parallel`] keeps the historical infallible signature
@@ -22,7 +22,6 @@ use crate::exec::Executor;
 use crate::experiment::{Experiment, ExperimentResult};
 use sim_core::fault::{FaultAction, FaultSite, Injector};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -62,23 +61,13 @@ impl std::fmt::Display for SweepError {
 
 impl std::error::Error for SweepError {}
 
-/// Bounded retries with exponential backoff and an optional per-attempt
-/// timeout. The default is the historical behavior: one attempt, no
-/// timeout.
+/// How many times a job is attempted. Retries all wait on one schedule:
+/// 10 ms before the first, doubling, capped at 250 ms. The default is one
+/// attempt.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts per job, including the first (>= 1).
     pub max_attempts: u32,
-    /// Delay before the first retry.
-    pub backoff: Duration,
-    /// Multiplier applied to the delay after each retry.
-    pub backoff_factor: u32,
-    /// Ceiling on the delay between attempts.
-    pub max_backoff: Duration,
-    /// Wall-clock budget per attempt. A timed-out attempt counts as a
-    /// failure and is retried like a panic; the runaway attempt thread is
-    /// abandoned (its result, if any ever arrives, is discarded).
-    pub timeout: Option<Duration>,
 }
 
 impl Default for RetryPolicy {
@@ -88,45 +77,30 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// One attempt, no backoff, no timeout — the historical semantics.
+    /// Delay before the first retry.
+    const BACKOFF: Duration = Duration::from_millis(10);
+    /// Ceiling on the delay between attempts.
+    const MAX_BACKOFF: Duration = Duration::from_millis(250);
+
+    /// Up to `attempts` total attempts (at least one).
+    pub fn attempts(attempts: u32) -> RetryPolicy {
+        RetryPolicy { max_attempts: attempts.max(1) }
+    }
+
+    /// One attempt — the historical semantics.
     pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            backoff: Duration::ZERO,
-            backoff_factor: 2,
-            max_backoff: Duration::ZERO,
-            timeout: None,
-        }
+        RetryPolicy::attempts(1)
     }
 
-    /// A sensible service-side default: 3 attempts, 10 ms doubling
-    /// backoff capped at 250 ms, no timeout.
+    /// A sensible service-side default: 3 attempts.
     pub fn standard() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 3,
-            backoff: Duration::from_millis(10),
-            backoff_factor: 2,
-            max_backoff: Duration::from_millis(250),
-            timeout: None,
-        }
-    }
-
-    /// Retry up to `attempts` total attempts (builder-style).
-    pub fn attempts(mut self, attempts: u32) -> RetryPolicy {
-        self.max_attempts = attempts.max(1);
-        self
-    }
-
-    /// Set the per-attempt timeout (builder-style).
-    pub fn attempt_timeout(mut self, timeout: Duration) -> RetryPolicy {
-        self.timeout = Some(timeout);
-        self
+        RetryPolicy::attempts(3)
     }
 
     /// Delay before retry number `retry` (1-based).
     fn delay(&self, retry: u32) -> Duration {
-        let factor = self.backoff_factor.max(1).saturating_pow(retry.saturating_sub(1));
-        (self.backoff * factor).min(self.max_backoff.max(self.backoff))
+        let factor = 2u32.saturating_pow(retry.saturating_sub(1));
+        Self::BACKOFF.saturating_mul(factor).min(Self::MAX_BACKOFF)
     }
 }
 
@@ -134,7 +108,7 @@ impl RetryPolicy {
 /// armed fault injector (chaos tests only — `None` costs one branch).
 #[derive(Debug, Clone, Default)]
 pub struct RunnerConfig {
-    /// Retry/backoff/timeout policy applied to every job.
+    /// Retry policy applied to every job.
     pub retry: RetryPolicy,
     /// Armed fault plan probed at [`FaultSite::JobRun`] before each
     /// attempt, with the job's position among the simulated cells.
@@ -261,68 +235,36 @@ pub fn cell_label(e: &Experiment) -> String {
 }
 
 /// One cell's attempt loop: inject → run → retry with backoff. Every
-/// attempt runs under `catch_unwind`, bounded by `retry.timeout` if set;
-/// `position` is what [`FaultSite::JobRun`] is probed with. `Err` carries
-/// the last attempt's message once all `retry.max_attempts` are spent.
-pub(crate) fn run_attempts<C, R>(
+/// attempt runs under `catch_unwind`; `position` is what
+/// [`FaultSite::JobRun`] is probed with. `Err` carries the last attempt's
+/// message once all `retry.max_attempts` are spent.
+pub(crate) fn run_attempts<C: Clone, R>(
     cfg: &RunnerConfig,
     position: u64,
     cell: &C,
-    run: &Arc<dyn Fn(C) -> R + Send + Sync>,
-) -> Result<R, String>
-where
-    C: Clone + Send + 'static,
-    R: Send + 'static,
-{
+    run: &impl Fn(C) -> R,
+) -> Result<R, String> {
     let max_attempts = cfg.retry.max_attempts.max(1);
     let mut last = String::new();
     for attempt in 1..=max_attempts {
         let injected =
             cfg.faults.as_ref().and_then(|f| f.check_indexed(FaultSite::JobRun, position))
                 == Some(FaultAction::Panic);
-        let (cell, run) = (cell.clone(), Arc::clone(run));
-        let body = move || {
+        let body = || {
             if injected {
                 panic!("injected fault: job panic");
             }
-            run(cell)
+            run(cell.clone())
         };
-        match run_attempt(body, cfg.retry.timeout) {
+        match catch_unwind(AssertUnwindSafe(body)) {
             Ok(result) => return Ok(result),
-            Err(message) => last = message,
+            Err(payload) => last = panic_message(payload),
         }
         if attempt < max_attempts {
             std::thread::sleep(cfg.retry.delay(attempt));
         }
     }
     Err(last)
-}
-
-/// One attempt: the job body under `catch_unwind`, optionally raced
-/// against a wall-clock deadline on a detached thread (a scoped thread
-/// cannot be abandoned, and a CPU-bound simulation cannot be interrupted
-/// cooperatively — abandonment is the only honest timeout).
-fn run_attempt<R: Send + 'static>(
-    body: impl FnOnce() -> R + Send + 'static,
-    timeout: Option<Duration>,
-) -> Result<R, String> {
-    match timeout {
-        None => catch_unwind(AssertUnwindSafe(body)).map_err(panic_message),
-        Some(limit) => {
-            let (tx, rx) = mpsc::channel();
-            std::thread::Builder::new()
-                .name("sweep-attempt".into())
-                .spawn(move || {
-                    let outcome = catch_unwind(AssertUnwindSafe(body)).map_err(panic_message);
-                    let _ = tx.send(outcome);
-                })
-                .expect("spawn attempt thread");
-            match rx.recv_timeout(limit) {
-                Ok(outcome) => outcome,
-                Err(_) => Err(format!("attempt timed out after {limit:?}")),
-            }
-        }
-    }
 }
 
 /// Runs experiments across all available cores, preserving input order.
@@ -510,25 +452,13 @@ mod tests {
     }
 
     #[test]
-    fn per_attempt_timeout_quarantines_runaway_jobs() {
-        let cfg = RunnerConfig {
-            retry: RetryPolicy::none().attempt_timeout(std::time::Duration::from_millis(5)),
-            faults: None,
-        };
-        // A real workload at a long horizon takes far more than 5 ms.
-        let jobs = vec![Experiment::quick("mcf_like").tracker("hydra").window_us(10_000.0)];
-        let out = run_cfg(jobs, &cfg);
-        let err = out[0].as_ref().expect_err("timeout fires");
-        assert!(err.message.contains("timed out"), "{}", err.message);
-        assert_eq!(err.attempts, 1);
-    }
-
-    #[test]
     fn retry_backoff_grows_and_caps() {
         let p = RetryPolicy::standard();
-        assert_eq!(p.delay(1), std::time::Duration::from_millis(10));
-        assert_eq!(p.delay(2), std::time::Duration::from_millis(20));
-        assert_eq!(p.delay(6), std::time::Duration::from_millis(250), "capped");
+        assert_eq!(p.delay(1), Duration::from_millis(10));
+        assert_eq!(p.delay(2), Duration::from_millis(20));
+        assert_eq!(p.delay(5), Duration::from_millis(160));
+        assert_eq!(p.delay(6), Duration::from_millis(250), "capped");
+        assert_eq!(p.delay(40), Duration::from_millis(250), "no overflow past the cap");
     }
 
     #[test]

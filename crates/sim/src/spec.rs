@@ -30,7 +30,6 @@ use crate::experiment::{
     TrackerSel,
 };
 use crate::runner::{RunnerConfig, SweepError};
-use crate::system::Engine;
 use crate::toml::{self, TomlError, TomlValue};
 use sim_core::json::{parse_u64, DecodeError, Json, JsonCodec, JsonError};
 use sim_core::registry::{normalize_key, ParamValue, RegistryError};
@@ -270,17 +269,6 @@ impl Value for u32 {
     }
 }
 
-impl Value for Engine {
-    fn read(v: &TomlValue) -> Result<Self, DecodeError> {
-        let name = String::read(v)?.replace('_', "-");
-        let engine = [Engine::Dense, Engine::EventDriven].into_iter().find(|e| e.name() == name);
-        engine.ok_or_else(|| DecodeError::new(format!("'{name}' is not 'dense' or 'event-driven'")))
-    }
-    fn write(&self) -> Option<TomlValue> {
-        Some(TomlValue::Str(self.name().into()))
-    }
-}
-
 impl Value for AttackerKnowledge {
     fn read(v: &TomlValue) -> Result<Self, DecodeError> {
         AttackerKnowledge::by_key(&String::read(v)?).map_err(DecodeError::new)
@@ -442,8 +430,6 @@ pub struct SpecOptions {
     /// Normalize against an attacker-inclusive baseline (the DAPPER-figure
     /// normalization).
     pub isolate: Option<bool>,
-    /// Simulation engine (`dense` / `event-driven`).
-    pub engine: Option<Engine>,
 }
 
 impl SpecOptions {
@@ -459,9 +445,6 @@ impl SpecOptions {
         }
         if self.isolate == Some(true) {
             e = e.isolating();
-        }
-        if let Some(engine) = self.engine {
-            e = e.engine(engine);
         }
         e
     }
@@ -540,41 +523,25 @@ impl Section for TelemetryOptions {
     ];
 }
 
-/// The `[cache]` spec section: where (and whether) to read results
-/// through the content-addressed run cache
-/// ([`crate::cache::RunCache`]).
+/// The `[cache]` spec section: where to read results through the
+/// content-addressed run cache ([`crate::cache::RunCache`]).
 ///
 /// ```toml
 /// [cache]
 /// dir = "run_cache"   # relative paths resolve against the working dir
-/// enabled = true      # default; set false to keep the section but opt out
 /// ```
 ///
 /// Runners honour the section when expanding the sweep through
-/// [`SweepSpec::run_cached`]; `spec_run`'s `--cache-dir`/`--no-cache`
-/// flags override it.
+/// [`SweepSpec::run_cached`]; `spec_run`'s `--cache-dir` flag overrides
+/// it and `--no-cache` ignores it.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CacheOptions {
     /// Cache directory.
     pub dir: Option<String>,
-    /// Explicit opt-out that survives round-trips (`Some(false)` keeps
-    /// the directory configured but disables reads and writes).
-    pub enabled: Option<bool>,
 }
 
 impl Section for CacheOptions {
-    const KEYS: &'static [Key<Self>] = &[key!(dir), key!(enabled)];
-}
-
-impl CacheOptions {
-    /// The configured directory, unless the section opts out with
-    /// `enabled = false`.
-    pub fn effective_dir(&self) -> Option<&str> {
-        if self.enabled == Some(false) {
-            return None;
-        }
-        self.dir.as_deref()
-    }
+    const KEYS: &'static [Key<Self>] = &[key!(dir)];
 }
 
 /// The probe-family names `[profile] families = [...]` accepts (`"all"`
@@ -830,7 +797,6 @@ impl Section for SweepSpec {
         key!(window_us => options.window_us),
         key!(seed => options.seed),
         key!(isolate => options.isolate),
-        key!(engine => options.engine),
         key!(telemetry),
         key!(system),
         key!(cache),
@@ -1141,13 +1107,8 @@ group_size = 256
         let doc = "name = \"cached\"\nworkloads = [\"gcc_like\"]\ntrackers = [\"none\"]\n\
                    [cache]\ndir = \"run_cache\"\n";
         let spec = SweepSpec::from_toml_str(doc).unwrap();
-        assert_eq!(spec.cache.as_ref().unwrap().effective_dir(), Some("run_cache"));
-        // An explicit opt-out disables the directory but survives
-        // round-trips.
-        let off =
-            SweepSpec::from_toml_str(&doc.replace("[cache]", "[cache]\nenabled = false")).unwrap();
-        assert_eq!(off.cache.as_ref().unwrap().effective_dir(), None);
-        assert_eq!(SweepSpec::from_toml_str(&off.to_toml()).unwrap(), off);
+        assert_eq!(spec.cache.as_ref().unwrap().dir.as_deref(), Some("run_cache"));
+        assert_eq!(SweepSpec::from_toml_str(&spec.to_toml()).unwrap(), spec);
     }
 
     #[test]
@@ -1290,7 +1251,6 @@ group_size = 256
                 window_us: us(rng),
                 seed: Some(rng.next_u64() >> rng.gen_range(64)),
                 isolate: Some(rng.gen_bool(0.5)),
-                engine: Some(pick(rng, &[Engine::Dense, Engine::EventDriven])),
             },
             telemetry: Some(TelemetryOptions {
                 spec: TelemetrySpec {
@@ -1303,10 +1263,7 @@ group_size = 256
                 out: Some(format!("stem{}", rng.gen_range(9))),
             }),
             system: Some(SystemOptions { geometry: Some(pick(rng, &KNOWN_GEOMETRIES).into()) }),
-            cache: Some(CacheOptions {
-                dir: Some(format!("dir{}", rng.gen_range(9))),
-                enabled: Some(rng.gen_bool(0.5)),
-            }),
+            cache: Some(CacheOptions { dir: Some(format!("dir{}", rng.gen_range(9))) }),
             attacker: Some(AttackerOptions {
                 knowledge: AttackerKnowledge::ALL[rng.gen_range(3) as usize..].to_vec(),
                 recon_budget: Some(rng.next_u64() >> rng.gen_range(64) | 1),
@@ -1394,7 +1351,6 @@ group_size = 256
         spec.options.nrh = Some(250);
         spec.options.window_us = Some(100.0);
         spec.options.seed = Some(0xDA99E5);
-        spec.options.engine = Some(Engine::Dense);
         assert_eq!(SweepSpec::from_toml_str(&spec.to_toml()).unwrap(), spec);
         assert_eq!(SweepSpec::from_json_str(&spec.to_json().render()).unwrap(), spec);
         let cells = spec.expand().unwrap();
@@ -1403,7 +1359,6 @@ group_size = 256
         assert_eq!(e.tracker.key(), "hydra");
         assert_eq!(e.tracker.params()["rcc_entries"], ParamValue::Int(512));
         assert_eq!(e.cfg.nrh, 250);
-        assert_eq!(e.engine, Engine::Dense);
     }
 
     #[test]
@@ -1518,6 +1473,19 @@ group_size = 256
             "name = \"x\"\nworkloads = [\"gcc_like\"]\ntrackers = [\"none\"]\nwidnow_us = 5.0\n";
         let err = SweepSpec::from_toml_str(doc).unwrap_err();
         assert!(err.to_string().contains("widnow_us"), "{err}");
+    }
+
+    #[test]
+    fn the_simulation_loop_is_not_a_spec_key() {
+        // The simulation loop is not a setting: `engine` is an unknown key
+        // whatever it names, and the error lists the keys there are.
+        let cell = "name = \"x\"\nworkloads = [\"gcc_like\"]\ntrackers = [\"none\"]\n";
+        for engine in ["dense", "event-driven"] {
+            let err = SweepSpec::from_toml_str(&format!("{cell}engine = \"{engine}\"\n"));
+            let err = err.unwrap_err().to_string();
+            assert!(err.contains("'engine'") && err.contains("unknown spec field"), "{err}");
+            assert!(err.contains("allowed: name, workloads, trackers, attacks, nrh"), "{err}");
+        }
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! Two execution engines share the same component models:
 //!
 //! * [`Engine::Dense`] ticks every component on every bus cycle — the
-//!   reference semantics.
-//! * [`Engine::EventDriven`] (the default) gives every component a **due
+//!   reference semantics, reached only through [`System::run_engine`] /
+//!   [`System::run_dense`] by the equivalence suites and `benchmark/`.
+//! * [`Engine::EventDriven`] ([`System::run`], and so every
+//!   [`Experiment`](crate::Experiment)) gives every component a **due
 //!   cycle** and touches only what is due. A channel's due cycle is its
 //!   controller's decision bound ([`ChannelController::next_event`]),
 //!   mirrored into one contiguous array that is refreshed when that
@@ -58,26 +60,17 @@ use sim_core::tracker::RowHammerTracker;
 
 use crate::metrics::RunStats;
 
-/// Which simulation loop drives the machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// Which simulation loop drives the machine. Not a setting: [`System::run`]
+/// is event-driven, and the dense loop is the reference the equivalence
+/// suites hold it to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Engine {
     /// Tick every component on every bus cycle (reference semantics).
     Dense,
     /// Step only the components that are due and jump over stretches in
     /// which none is. Bit-identical results, multi-x faster on idle-heavy
     /// workloads.
-    #[default]
     EventDriven,
-}
-
-impl Engine {
-    /// The spelling specs, cache descriptors and reports use.
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Dense => "dense",
-            Engine::EventDriven => "event-driven",
-        }
-    }
 }
 
 /// Execution-engine diagnostics ([`System::engine_stats`]): where the
@@ -709,7 +702,7 @@ impl System {
     }
 
     /// Runs until the window closes or every core reaches `max_instructions`,
-    /// using the default [`Engine::EventDriven`] loop.
+    /// using the [`Engine::EventDriven`] loop.
     pub fn run(&mut self) -> RunStats {
         self.run_engine(Engine::EventDriven)
     }

@@ -9,9 +9,16 @@
 //! The default suite covers every tracker (benign and tailored attack) and
 //! a suite-spanning workload subset; `--ignored` unlocks the full
 //! 57-workload × 11-tracker matrix the acceptance criteria describe.
+//!
+//! The dense loop is not a setting of an [`Experiment`]: every check here
+//! builds the experiment's systems and runs them with
+//! `System::run_engine(Engine::Dense)`, against what the event-driven
+//! default (`System::run`, `Experiment::run`) produced.
 
-use dapper_repro::sim::experiment::{AttackChoice, Experiment, TrackerSel};
-use dapper_repro::sim::{parallel_map, RunStats};
+use dapper_repro::sim::experiment::{take_recorder, AttackChoice, Experiment, TrackerSel};
+use dapper_repro::sim::{parallel_map, Engine, RunStats};
+use dapper_repro::sim_core::telemetry::{MitigationLog, MitigationRecord, TimeSeriesRecorder};
+use dapper_repro::sim_core::WindowSample;
 use dapper_repro::{attacklab, cpu, sim, workloads};
 
 /// Runs one experiment's system under both engines and returns the pair.
@@ -19,6 +26,41 @@ fn both_engines(e: &Experiment) -> (RunStats, RunStats) {
     let dense = e.build_system(false).run_dense();
     let event = e.build_system(false).run();
     (dense, event)
+}
+
+/// What one system of `e` — the run, or with `reference` its reference —
+/// produced on `engine`: its stats, its window series and its mitigation
+/// log (empty where the telemetry attaches no such recorder).
+type Leg = (RunStats, Vec<WindowSample>, Vec<MitigationRecord>);
+
+fn leg(e: &Experiment, reference: bool, engine: Engine) -> Leg {
+    let mut sys = e.build_system(reference);
+    let stats = sys.run_engine(engine);
+    let mut probes = sys.take_probes();
+    let windows = take_recorder::<TimeSeriesRecorder>(&mut probes)
+        .map(TimeSeriesRecorder::into_samples)
+        .unwrap_or_default();
+    let mitigations = take_recorder::<MitigationLog>(&mut probes)
+        .map(|log| log.records().to_vec())
+        .unwrap_or_default();
+    (stats, windows, mitigations)
+}
+
+/// `Experiment::run` against its two systems run by hand on the dense
+/// loop: the run's and the reference's `RunStats` and window series, and
+/// the mitigation log. The slowdown trace is a function of the two window
+/// series, so it is covered too.
+fn assert_run_matches_dense_legs(label: &str, e: &Experiment) {
+    let r = e.clone().run();
+    let t = r.telemetry.expect("the experiment records windows");
+    let (run, windows, mitigations) = leg(e, false, Engine::Dense);
+    let (reference, reference_windows, _) = leg(e, true, Engine::Dense);
+    assert!(!windows.is_empty() && !reference_windows.is_empty(), "{label}: no windows");
+    assert_eq!(run, r.run, "{label}: run stats");
+    assert_eq!(reference, r.reference, "{label}: reference stats");
+    assert_eq!(windows, t.windows, "{label}: run windows");
+    assert_eq!(reference_windows, t.reference_windows, "{label}: reference windows");
+    assert_eq!(mitigations, t.mitigations, "{label}: mitigation log");
 }
 
 fn assert_matrix_equal(jobs: Vec<(String, Experiment)>) {
@@ -62,43 +104,48 @@ fn workload_subset_is_engine_equivalent() {
 #[test]
 fn engines_agree_across_channel_counts() {
     // Per-channel due cycles must be invisible: on both geometries (paper
-    // baseline and the enlarged eight-channel system) the two engines
-    // yield bit-identical `RunStats` and byte-identical telemetry windows,
-    // because channels deliver in index order on every stepped cycle.
+    // baseline and the enlarged eight-channel system) the dense loop
+    // yields the `RunStats`, telemetry windows and mitigation log
+    // `Experiment::run` reports, because channels deliver in index order
+    // on every stepped cycle.
     use dapper_repro::sim::experiment::TelemetrySpec;
-    let mut jobs = Vec::new();
-    for channels in [2usize, 8] {
-        let mut base = Experiment::quick("gcc_like")
-            .tracker("dapper-h")
-            .attack(AttackChoice::Tailored)
-            .window_us(200.0)
-            .with_telemetry(TelemetrySpec::all_recorders(50.0));
-        if channels == 8 {
-            base = base.eight_channel(2);
-        }
-        for engine in [sim::Engine::Dense, sim::Engine::EventDriven] {
-            jobs.push((format!("{channels}ch/{engine:?}"), base.clone().engine(engine)));
-        }
+    let base = Experiment::quick("gcc_like")
+        .tracker("dapper-h")
+        .attack(AttackChoice::Tailored)
+        .window_us(200.0)
+        .with_telemetry(TelemetrySpec::all_recorders(50.0));
+    let jobs = vec![("2ch", base.clone()), ("8ch", base.eight_channel(2))];
+    for outcome in parallel_map(jobs, |(label, e)| assert_run_matches_dense_legs(label, &e)) {
+        outcome.expect("geometry job must not panic");
     }
-    let outcomes: Vec<(String, RunStats, String)> = parallel_map(jobs, |(label, e)| {
-        let r = e.run();
-        let telemetry = r.telemetry.map(|t| t.to_json().render()).unwrap_or_default();
-        (label, r.run, telemetry)
-    })
-    .into_iter()
-    .map(|o| o.expect("matrix job must not panic"))
-    .collect();
-    // Two executions per geometry; the first (dense) is the reference.
-    for group in outcomes.chunks(2) {
-        let (ref_label, ref_stats, ref_telemetry) = &group[0];
-        assert!(!ref_telemetry.is_empty(), "{ref_label}: telemetry must be recorded");
-        for (label, stats, telemetry) in &group[1..] {
-            assert_eq!(stats, ref_stats, "{label} diverged from {ref_label}");
-            assert_eq!(
-                telemetry, ref_telemetry,
-                "{label} telemetry windows diverged from {ref_label}"
-            );
-        }
+}
+
+#[test]
+fn scenario_genome_cell_and_its_reference_are_engine_equivalent() {
+    // The red-team cells: `Arena::experiment` puts a scenario genome on the
+    // attacker core as a `CustomAttack`, with the profiler's probe
+    // telemetry (slowdown windows plus the mitigation log). The run and
+    // the reference the arena normalizes against each agree dense against
+    // event, windows and mitigations included.
+    use attacklab::arena::Arena;
+    use attacklab::scenario::{ScenarioSpec, Shape};
+    let mut arena = Arena::new("povray_like").probing();
+    arena.window_us = 60.0;
+    let mut genome = ScenarioSpec::baseline(workloads::Attack::CacheThrash);
+    genome.shape = Shape::Hammer { banks: 2, per_bank: 4 };
+    genome.lanes = 2;
+    genome.decoy_pct = 10;
+    let mut e = arena.experiment(&TrackerSel::by_key("hydra").unwrap(), &genome);
+    assert!(e.custom_attack.is_some(), "the genome rides a custom attack");
+    e.telemetry.time_series = true;
+    let jobs = vec![("run", false), ("reference", true)];
+    let outcomes = parallel_map(jobs, |(label, reference)| {
+        (label, leg(&e, reference, Engine::Dense), leg(&e, reference, Engine::EventDriven))
+    });
+    for o in outcomes {
+        let (label, dense, event) = o.expect("scenario leg must not panic");
+        assert!(!dense.1.is_empty(), "{label}: windows recorded");
+        assert_eq!(dense, event, "{label}: engines diverged on the scenario cell");
     }
 }
 
@@ -134,8 +181,8 @@ fn sweep_heavy_trackers_skip_across_blocks_equivalently() {
 
 #[test]
 fn campaign_smoke_runs_on_the_event_engine() {
-    // The attacklab campaign runner goes through Experiment, which defaults
-    // to the event-driven engine: a small end-to-end campaign must complete
+    // The attacklab campaign runner goes through Experiment, which runs on
+    // the event-driven engine: a small end-to-end campaign must complete
     // and produce sane normalized-performance numbers.
     let mut cfg = attacklab::CampaignConfig::new(
         vec![TrackerSel::by_key("none").unwrap(), TrackerSel::by_key("dapper-h").unwrap()],
@@ -171,7 +218,7 @@ fn event_engine_dense_step_fraction_stays_under_its_floors() {
     ];
     let outcomes = parallel_map(floors.into(), |(label, e, window_us, max)| {
         let mut sys = e.window_us(window_us).build_system(false);
-        let cycles = sys.run_engine(sim::Engine::EventDriven).cycles;
+        let cycles = sys.run_engine(Engine::EventDriven).cycles;
         (label, sys.engine_stats().dense_steps as f64 / cycles.max(1) as f64, max)
     });
     for o in outcomes {
@@ -216,7 +263,7 @@ fn engine_stats_of_three_loaded_cells_are_pinned() {
     ];
     let outcomes = parallel_map(pins.into(), |(label, e, engine, shard_ticks)| {
         let mut sys = e.window_us(50.0).build_system(false);
-        let cycles = sys.run_engine(sim::Engine::EventDriven).cycles;
+        let cycles = sys.run_engine(Engine::EventDriven).cycles;
         let s = sys.engine_stats();
         let got = ([s.dense_steps, s.skips, s.skipped_cycles], s.shard_ticks.clone());
         (label, got, (engine, shard_ticks.to_vec()), cycles)
@@ -270,8 +317,7 @@ fn odd_windows_shorter_than_a_bubble_streak_cut_parked_spans_exactly() {
     // 997 bus cycles is odd (the 5:4 clock ratio never lines up with it)
     // and shorter than povray's bubble streaks, so nearly every boundary
     // lands inside a parked span and replays it part-way.
-    use dapper_repro::sim::experiment::{take_recorder, TelemetrySpec};
-    use dapper_repro::sim_core::telemetry::TimeSeriesRecorder;
+    use dapper_repro::sim::experiment::TelemetrySpec;
     let spec =
         TelemetrySpec { time_series: true, window_us: Some(997.0 / 3200.0), ..Default::default() };
     let cells = [
@@ -287,8 +333,8 @@ fn odd_windows_shorter_than_a_bubble_streak_cut_parked_spans_exactly() {
                 take_recorder(&mut sys.take_probes()).expect("recorder attached");
             (stats, rec.into_samples())
         };
-        let (dense_stats, dense_windows) = run(sim::Engine::Dense);
-        let (event_stats, event_windows) = run(sim::Engine::EventDriven);
+        let (dense_stats, dense_windows) = run(Engine::Dense);
+        let (event_stats, event_windows) = run(Engine::EventDriven);
         assert_eq!(dense_stats, event_stats, "{}", e.workload);
         assert_eq!(dense_windows, event_windows, "{}", e.workload);
         assert_eq!(dense_windows[0].end - dense_windows[0].start, 997);
@@ -358,13 +404,13 @@ fn full_catalog_tracker_matrix_is_engine_equivalent() {
 
 #[test]
 fn event_engine_is_the_default_everywhere() {
-    // Experiment::run and System::run both use the event engine; a dense
-    // run of the same experiment must agree, so default-path consumers
-    // (figures, campaigns, sweeps) inherit identical numbers.
-    let e = Experiment::quick("namd_like").tracker("dapper-s").window_us(100.0);
-    let default_run = e.clone().run();
-    let dense_run = e.engine(sim::Engine::Dense).run();
-    assert_eq!(default_run.run, dense_run.run);
-    assert_eq!(default_run.reference, dense_run.reference);
-    assert!((default_run.normalized_performance - dense_run.normalized_performance).abs() < 1e-15);
+    // Experiment::run and System::run both use the event engine; the dense
+    // loop on the same experiment's systems must agree, so default-path
+    // consumers (figures, campaigns, sweeps) inherit identical numbers.
+    use dapper_repro::sim::experiment::TelemetrySpec;
+    let e = Experiment::quick("namd_like")
+        .tracker("dapper-s")
+        .window_us(100.0)
+        .with_telemetry(TelemetrySpec::all_recorders(25.0));
+    assert_run_matches_dense_legs("namd_like/dapper-s", &e);
 }

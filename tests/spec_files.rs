@@ -102,7 +102,7 @@ fn cached_spec_round_trips_its_cache_section() {
     let text = std::fs::read_to_string(spec_dir().join("cached_smoke.toml")).unwrap();
     let spec = SweepSpec::from_toml_str(&text).unwrap();
     let cache = spec.cache.as_ref().expect("[cache] section present");
-    assert_eq!(cache.effective_dir(), Some("out/run_cache"));
+    assert_eq!(cache.dir.as_deref(), Some("out/run_cache"));
 
     // The section survives both serialized forms.
     let toml_back = SweepSpec::from_toml_str(&spec.to_toml()).unwrap();
@@ -110,15 +110,11 @@ fn cached_spec_round_trips_its_cache_section() {
     let json_back = SweepSpec::from_json_str(&spec.to_json().render()).unwrap();
     assert_eq!(json_back.cache, spec.cache);
 
-    // `enabled = false` opts the spec out without losing the dir.
-    let disabled = format!("{text}enabled = false\n");
-    let spec = SweepSpec::from_toml_str(&disabled).unwrap();
-    assert_eq!(spec.cache.as_ref().unwrap().effective_dir(), None);
-    assert_eq!(
-        SweepSpec::from_toml_str(&spec.to_toml()).unwrap().cache,
-        spec.cache,
-        "opt-out round-trips too"
-    );
+    // The section names a directory and nothing else: `spec_run
+    // --no-cache` is the one opt-out.
+    let err = SweepSpec::from_toml_str(&format!("{text}enabled = false\n")).unwrap_err();
+    let err = err.to_string();
+    assert!(err.contains("cache.enabled") && err.contains("allowed: dir"), "{err}");
 }
 
 #[test]

@@ -13,6 +13,20 @@
 //! memory-bus clock; [`ClockRatio`] converts between the domains (5 core
 //! cycles per 4 bus cycles).
 //!
+//! # The run-length window
+//!
+//! Most of a window is slots that retire as soon as retire reaches them:
+//! bubbles, stores, one-cycle answers, completed reads. The window stores
+//! them as runs, not slot by slot. A run is `Ready(n)` (`n` such slots),
+//! `At(t)` (one slot whose cache hit lands at core cycle `t`) or `Pending`
+//! (one slot waiting on memory), and carries the sequence number of its
+//! first slot. Adjacent `Ready` runs are merged on dispatch and around a
+//! slot that completes, so a window holds at most `2m + 1` runs for `m`
+//! memory slots. Retire, dispatch, the phase walk behind
+//! [`Core::quiescence`] and its replay all step whole runs, so their cost
+//! is O(memory slots), not O(window size). Debug builds check the
+//! representation after every mutation.
+//!
 //! # Example
 //!
 //! ```
@@ -93,10 +107,32 @@ pub trait MemoryPort {
     fn access(&mut self, source: SourceId, addr: PhysAddr, kind: AccessKind) -> PortResponse;
 }
 
+/// What a window run holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Slot {
-    DoneAt(u64),
+enum RunKind {
+    /// `n` slots that retire whenever retire reaches them: each was ready
+    /// by the core cycle after it was dispatched or completed.
+    Ready(u64),
+    /// One slot (an LLC hit) that becomes ready at core cycle `t`.
+    At(u64),
+    /// One slot waiting on memory.
     Pending,
+}
+
+/// A run of window slots, oldest first from sequence number `seq`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Run {
+    seq: u64,
+    kind: RunKind,
+}
+
+impl Run {
+    fn slots(&self) -> u64 {
+        match self.kind {
+            RunKind::Ready(n) => n,
+            RunKind::At(_) | RunKind::Pending => 1,
+        }
+    }
 }
 
 /// How far a core can be advanced without simulating it cycle by cycle.
@@ -124,12 +160,6 @@ pub enum Quiescence {
     Streaming {
         /// Exact number of fast-forwardable core cycles.
         cycles: u64,
-        /// The phase walk that found the horizon (`None` on the O(1)
-        /// steady-drain path, whose replay is O(1) as well). An engine
-        /// that parks the core keeps it and hands it to
-        /// [`Core::fast_forward_planned`], so a replay that runs to the
-        /// horizon does not walk the window a second time.
-        plan: Option<StreamPlan>,
     },
     /// The core has an access parked after a Busy answer and no staged
     /// bubbles: every coming cycle retries exactly that access and
@@ -148,7 +178,7 @@ pub enum Quiescence {
 /// Accumulated effect of a virtual (no-memory) run over a core: shared by
 /// the dry pass ([`Core::quiescence`]) and the applying pass
 /// ([`Core::fast_forward`]) so both walk identical phase sequences.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy)]
 struct NoMemRun {
     /// Core cycles consumed.
     cycles: u64,
@@ -168,18 +198,6 @@ struct NoMemRun {
     unbounded: bool,
 }
 
-/// The walk behind a [`Quiescence::Streaming`] answer: the virtual run to
-/// the horizon and the same run one cycle short of it. An engine wakes a
-/// parked core on a bus cycle, and the largest bus-aligned core-cycle total
-/// within a horizon of `c` is `c` or `c - 1` (a bus cycle is at most two
-/// core cycles), so these two cover every replay that runs to the wake.
-/// Valid only while the core is not mutated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamPlan {
-    full: NoMemRun,
-    short: NoMemRun,
-}
-
 /// Phase-iteration cap for the dry pass: every phase advances at least one
 /// cycle, and realistic states settle in a handful of phases; the cap only
 /// bounds pathological ready/blocked interleavings.
@@ -190,7 +208,9 @@ pub struct Core {
     id: SourceId,
     width: u32,
     rob: usize,
-    window: VecDeque<Slot>,
+    /// The instruction window as runs (see the crate docs), oldest first:
+    /// slot `head_seq` up to, not including, slot `next_seq`.
+    window: VecDeque<Run>,
     head_seq: u64,
     next_seq: u64,
     /// Outstanding reads as `(req_id, window seq)`, sorted by id. Ports
@@ -200,10 +220,10 @@ pub struct Core {
     trace: Box<dyn TraceSource>,
     bubbles_left: u32,
     staged_access: Option<(PhysAddr, bool)>,
-    /// Upper bound on every `DoneAt` time in the window (it survives pops,
-    /// so it may be stale-high). With `pending` empty and `cycle >=
-    /// max_done_at` the whole window is provably retireable, which unlocks
-    /// the O(1) fast-forward fast path.
+    /// Latest `At` time ever dispatched (it survives pops, but a popped
+    /// `At` was due by then). With `pending` empty and `cycle >=
+    /// max_done_at` the whole window is retireable, which unlocks the O(1)
+    /// fast-forward fast path.
     max_done_at: u64,
     cycle: u64,
     retired: u64,
@@ -218,7 +238,7 @@ impl std::fmt::Debug for Core {
             .field("id", &self.id)
             .field("cycle", &self.cycle)
             .field("retired", &self.retired)
-            .field("window", &self.window.len())
+            .field("window", &self.len())
             .field("outstanding", &self.pending.len())
             .finish_non_exhaustive()
     }
@@ -237,7 +257,7 @@ impl Core {
             id,
             width,
             rob: rob_entries,
-            window: VecDeque::with_capacity(rob_entries),
+            window: VecDeque::new(),
             head_seq: 0,
             next_seq: 0,
             pending: Vec::new(),
@@ -289,32 +309,21 @@ impl Core {
 
     /// Advances the core by one **core** cycle.
     pub fn cycle(&mut self, port: &mut dyn MemoryPort) {
-        // Retire from the head.
-        let mut retired_now = 0;
-        while retired_now < self.width {
-            match self.window.front() {
-                Some(Slot::DoneAt(t)) if *t <= self.cycle => {
-                    self.window.pop_front();
-                    self.head_seq += 1;
-                    self.retired += 1;
-                    retired_now += 1;
-                }
-                _ => break,
-            }
-        }
-        if retired_now == 0 && !self.window.is_empty() {
+        let width = self.width as u64;
+        if self.retire(width) == 0 && self.len() > 0 {
             self.stall_cycles += 1;
         }
 
         // Dispatch into the window.
         let mut dispatched = 0;
-        while dispatched < self.width && self.window.len() < self.rob {
+        while dispatched < width && self.len() < self.rob {
             if self.bubbles_left > 0 {
-                self.bubbles_left -= 1;
-                self.window.push_back(Slot::DoneAt(self.cycle + 1));
-                self.max_done_at = self.max_done_at.max(self.cycle + 1);
-                self.next_seq += 1;
-                dispatched += 1;
+                let k = (self.bubbles_left as u64)
+                    .min(width - dispatched)
+                    .min((self.rob - self.len()) as u64);
+                self.bubbles_left -= k as u32;
+                self.push(RunKind::Ready(k));
+                dispatched += k;
                 continue;
             }
             let (addr, is_write) = match self.staged_access.take() {
@@ -342,9 +351,14 @@ impl Core {
                     } else {
                         self.mem_reads += 1;
                     }
-                    self.window.push_back(Slot::DoneAt(self.cycle + latency as u64));
-                    self.max_done_at = self.max_done_at.max(self.cycle + latency as u64);
-                    self.next_seq += 1;
+                    if latency <= 1 {
+                        // Ready by next cycle, the first retire could reach it.
+                        self.push(RunKind::Ready(1));
+                    } else {
+                        let t = self.cycle + latency as u64;
+                        self.push(RunKind::At(t));
+                        self.max_done_at = self.max_done_at.max(t);
+                    }
                     dispatched += 1;
                 }
                 PortResponse::Pending { req_id } => {
@@ -355,14 +369,14 @@ impl Core {
                     }
                     let at = self.pending.partition_point(|&(id, _)| id < req_id);
                     self.pending.insert(at, (req_id, self.next_seq));
-                    self.window.push_back(Slot::Pending);
-                    self.next_seq += 1;
+                    self.push(RunKind::Pending);
                     dispatched += 1;
                 }
             }
         }
 
         self.cycle += 1;
+        debug_assert_eq!(self.window_fault(), None);
     }
 
     /// Marks an outstanding request complete. Unknown ids are ignored
@@ -370,17 +384,116 @@ impl Core {
     /// only reports reads, so unknown ids indicate a harness bug in debug
     /// builds).
     pub fn complete(&mut self, req_id: u64) {
-        if let Ok(at) = self.pending.binary_search_by_key(&req_id, |&(id, _)| id) {
-            let (_, seq) = self.pending.remove(at);
-            let idx = (seq - self.head_seq) as usize;
-            debug_assert!(idx < self.window.len(), "completion for retired slot");
-            if let Some(slot) = self.window.get_mut(idx) {
-                debug_assert_eq!(*slot, Slot::Pending);
-                *slot = Slot::DoneAt(self.cycle);
-            }
-        } else {
+        let Ok(at) = self.pending.binary_search_by_key(&req_id, |&(id, _)| id) else {
             debug_assert!(false, "completion for unknown request {req_id}");
+            return;
+        };
+        let (_, seq) = self.pending.remove(at);
+        let i = self.window.partition_point(|r| r.seq <= seq).wrapping_sub(1);
+        match self.window.get_mut(i) {
+            Some(run) if *run == (Run { seq, kind: RunKind::Pending }) => {
+                // Ready from this cycle on: merge it with its neighbours.
+                run.kind = RunKind::Ready(1);
+                self.merge_with_next(i);
+                if i > 0 {
+                    self.merge_with_next(i - 1);
+                }
+            }
+            _ => debug_assert!(false, "completion for retired slot"),
         }
+        debug_assert_eq!(self.window_fault(), None);
+    }
+
+    /// Window slots, ready or not.
+    fn len(&self) -> usize {
+        (self.next_seq - self.head_seq) as usize
+    }
+
+    /// Appends slots at the window tail, extending a `Ready` tail run.
+    fn push(&mut self, kind: RunKind) {
+        let run = Run { seq: self.next_seq, kind };
+        self.next_seq += run.slots();
+        match (kind, self.window.back_mut()) {
+            (RunKind::Ready(0), _) => {}
+            (RunKind::Ready(n), Some(Run { kind: RunKind::Ready(m), .. })) => *m += n,
+            _ => self.window.push_back(run),
+        }
+    }
+
+    /// Folds run `i + 1` into run `i` when both are `Ready`.
+    fn merge_with_next(&mut self, i: usize) {
+        let kinds = (self.window.get(i).map(|r| r.kind), self.window.get(i + 1).map(|r| r.kind));
+        if let (Some(RunKind::Ready(m)), Some(RunKind::Ready(n))) = kinds {
+            self.window[i].kind = RunKind::Ready(m + n);
+            self.window.remove(i + 1);
+        }
+    }
+
+    /// Drops the oldest `k` slots; the caller has checked they retire.
+    fn pop(&mut self, mut k: u64) {
+        self.head_seq += k;
+        while k > 0 {
+            let run = self.window.front_mut().expect("popped past the window tail");
+            let n = run.slots();
+            if n <= k {
+                self.window.pop_front();
+                k -= n;
+            } else {
+                // Only a `Ready` run holds more than one slot.
+                run.seq += k;
+                run.kind = RunKind::Ready(n - k);
+                k = 0;
+            }
+        }
+    }
+
+    /// One cycle's retire stage: retires up to `max` ready slots from the
+    /// head, oldest first, and returns how many.
+    fn retire(&mut self, max: u64) -> u64 {
+        let mut done = 0;
+        while done < max {
+            let k = match self.window.front() {
+                Some(&Run { kind: RunKind::Ready(n), .. }) => n.min(max - done),
+                Some(&Run { kind: RunKind::At(t), .. }) if t <= self.cycle => 1,
+                _ => break,
+            };
+            self.pop(k);
+            done += k;
+        }
+        self.retired += done;
+        done
+    }
+
+    /// The first way the window breaks its representation, if any: a
+    /// zero-length run, two adjacent `Ready` runs, runs that do not tile
+    /// `head_seq..next_seq`, or `Pending` runs that do not match `pending`
+    /// one to one (ports hand ids out ascending, so both lists run in slot
+    /// order).
+    fn window_fault(&self) -> Option<String> {
+        let mut seq = self.head_seq;
+        let mut prev_ready = false;
+        let mut pending = self.pending.iter().map(|&(_, s)| s);
+        for run in &self.window {
+            if run.seq != seq {
+                return Some(format!("run at seq {} where slot {seq} belongs", run.seq));
+            }
+            match run.kind {
+                RunKind::Ready(0) => return Some(format!("zero-length run at seq {seq}")),
+                RunKind::Ready(_) if prev_ready => {
+                    return Some(format!("unmerged ready runs at seq {seq}"));
+                }
+                RunKind::Pending if pending.next() != Some(seq) => {
+                    return Some(format!("pending slot {seq} is not the next outstanding read"));
+                }
+                _ => {}
+            }
+            prev_ready = matches!(run.kind, RunKind::Ready(_));
+            seq += run.slots();
+        }
+        if seq != self.next_seq {
+            return Some(format!("runs end at slot {seq}, the window at {}", self.next_seq));
+        }
+        pending.next().map(|s| format!("outstanding read for slot {s} has no pending run"))
     }
 
     /// Number of window slots still waiting on memory.
@@ -398,18 +511,11 @@ impl Core {
     /// a slot dispatched at virtual cycle `p` is retireable from `p + 1`
     /// on, which is always before the retire cursor can reach it, so only
     /// the count matters (survivors are materialized by `fast_forward`).
-    ///
-    /// Returns the run and, as `short`, the same run one cycle before its
-    /// end (every phase is a closed form in its cycle count, so the state
-    /// one cycle short costs no second walk).
-    fn no_mem_run(&self, limit: u64) -> StreamPlan {
+    /// Each phase finds its ready prefix by walking runs, not slots.
+    fn no_mem_run(&self, limit: u64) -> NoMemRun {
         let width = self.width as u64;
-        let mut r = NoMemRun {
-            len: self.window.len(),
-            bubbles: self.bubbles_left as u64,
-            ..NoMemRun::default()
-        };
-        let mut short = r;
+        let mut r =
+            NoMemRun { len: self.len(), bubbles: self.bubbles_left as u64, ..NoMemRun::default() };
         let mut phases = 0;
         while r.cycles < limit && phases < MAX_NO_MEM_PHASES {
             phases += 1;
@@ -418,27 +524,35 @@ impl Core {
             // Ready prefix from the retire cursor: existing slots first
             // (ready iff completed by `vcycle`), then appended bubbles
             // (always ready by the time retire reaches them).
-            let existing_left = self.window.len() - r.popped_existing;
+            let existing_left = self.len() - r.popped_existing;
             let appended_left = r.appended - (r.popped - r.popped_existing as u64);
             let mut prefix: u64 = 0;
             let mut head_pending = false;
-            let mut head_wait: Option<u64> = None; // future DoneAt head
-            for s in self.window.iter().skip(r.popped_existing) {
-                match s {
-                    Slot::DoneAt(t) if *t <= vcycle => prefix += 1,
-                    Slot::DoneAt(t) => {
+            let mut head_wait: Option<u64> = None; // future `At` head
+            let mut skip = r.popped_existing as u64;
+            for run in &self.window {
+                let n = run.slots();
+                if skip >= n {
+                    skip -= n;
+                    continue;
+                }
+                match run.kind {
+                    RunKind::Ready(_) => prefix += n - skip,
+                    RunKind::At(t) if t <= vcycle => prefix += 1,
+                    RunKind::At(t) => {
                         if prefix == 0 {
-                            head_wait = Some(*t);
+                            head_wait = Some(t);
                         }
                         break;
                     }
-                    Slot::Pending => {
+                    RunKind::Pending => {
                         if prefix == 0 {
                             head_pending = true;
                         }
                         break;
                     }
                 }
+                skip = 0;
             }
             if prefix == existing_left as u64 {
                 prefix += appended_left;
@@ -448,18 +562,9 @@ impl Core {
                 // Head blocked: pure stall, dispatch keeps filling the
                 // window until it is full or the head releases.
                 let room = (self.rob - r.len) as u64;
-                // `m` stall cycles: dispatch fills the room `width` a cycle.
-                let stall = |mut r: NoMemRun, m: u64| {
-                    let pushed = room.min(m.saturating_mul(width));
-                    r.appended += pushed;
-                    r.bubbles -= pushed;
-                    r.len += pushed as usize;
-                    r.stalls += m;
-                    r.cycles += m;
-                    r
-                };
                 if room == 0 && head_pending {
-                    r = stall(r, budget);
+                    r.stalls += budget;
+                    r.cycles += budget;
                     r.unbounded = true;
                     break;
                 }
@@ -481,8 +586,13 @@ impl Core {
                         break;
                     }
                 }
-                short = stall(r, m - 1);
-                r = stall(r, m);
+                // `m` stall cycles: dispatch fills the room `width` a cycle.
+                let pushed = room.min(m.saturating_mul(width));
+                r.appended += pushed;
+                r.bubbles -= pushed;
+                r.len += pushed as usize;
+                r.stalls += m;
+                r.cycles += m;
                 continue;
             }
 
@@ -500,17 +610,12 @@ impl Core {
                 if m == 0 {
                     break; // not enough bubbles for a full cycle
                 }
-                let drain = |mut r: NoMemRun, m: u64| {
-                    let insts = m * width;
-                    r.popped += insts;
-                    r.popped_existing += (existing_left as u64).min(insts) as usize;
-                    r.appended += insts;
-                    r.bubbles -= insts;
-                    r.cycles += m;
-                    r
-                };
-                short = drain(r, m - 1);
-                r = drain(r, m);
+                let insts = m * width;
+                r.popped += insts;
+                r.popped_existing += (existing_left as u64).min(insts) as usize;
+                r.appended += insts;
+                r.bubbles -= insts;
+                r.cycles += m;
                 continue;
             }
 
@@ -522,7 +627,6 @@ impl Core {
             if d > r.bubbles {
                 break; // dispatch would reach the trace/port
             }
-            short = r;
             r.popped += pops;
             r.popped_existing += (existing_left as u64).min(pops) as usize;
             r.appended += d;
@@ -533,7 +637,7 @@ impl Core {
             }
             r.cycles += 1;
         }
-        StreamPlan { full: r, short }
+        r
     }
 
     /// Reports how many core cycles can be skipped without changing any
@@ -569,7 +673,8 @@ impl Core {
     /// entirely), so an engine may park such a core with no standing
     /// condition at all and replay the elided span as pure stall cycles.
     pub fn is_fully_stalled(&self) -> bool {
-        self.window.len() == self.rob && matches!(self.window.front(), Some(Slot::Pending))
+        self.len() == self.rob
+            && matches!(self.window.front(), Some(Run { kind: RunKind::Pending, .. }))
     }
 
     /// [`Core::quiescence`] without the port-blocked short-circuit: how
@@ -584,25 +689,25 @@ impl Core {
         // only shrinks the window, so dispatch cannot be fenced off).
         // Actively-running cores answer here, which keeps failed skip
         // probes on saturated-but-churning phases cheap.
-        if self.bubbles_left == 0 && self.staged_access.is_none() && self.window.len() < self.rob {
+        if self.bubbles_left == 0 && self.staged_access.is_none() && self.len() < self.rob {
             return Quiescence::Busy;
         }
         // Fast path: whole window retireable and enough bubbles for at
         // least one full-width cycle — the steady drain needs no phase
         // walk; its horizon is purely bubble-bounded.
-        if self.whole_window_ready() && self.window.len() >= self.width as usize {
+        if self.whole_window_ready() && self.len() >= self.width as usize {
             let cycles = (self.bubbles_left / self.width) as u64;
             if cycles > 0 {
-                return Quiescence::Streaming { cycles, plan: None };
+                return Quiescence::Streaming { cycles };
             }
         }
-        let plan = self.no_mem_run(u64::MAX);
-        if plan.full.unbounded {
+        let r = self.no_mem_run(u64::MAX);
+        if r.unbounded {
             Quiescence::Stalled
-        } else if plan.full.cycles == 0 {
+        } else if r.cycles == 0 {
             Quiescence::Busy
         } else {
-            Quiescence::Streaming { cycles: plan.full.cycles, plan: Some(plan) }
+            Quiescence::Streaming { cycles: r.cycles }
         }
     }
 
@@ -629,51 +734,50 @@ impl Core {
             self.is_port_blocked() || self.is_fully_stalled(),
             "port_blocked_forward outside the port-blocked/fully-stalled states"
         );
+        let width = self.width as u64;
         let mut left = n;
         while left > 0 {
-            match self.window.front() {
+            match self.window.front().map(|r| r.kind) {
                 None => {
                     // Empty window: nothing retires, nothing stalls (the
                     // stall counter only runs against a non-empty window).
                     self.cycle += left;
                     break;
                 }
-                Some(Slot::Pending) => {
+                Some(RunKind::Pending) => {
                     // Only a completion could unwedge the head, and none
                     // arrives within the caller's horizon.
                     self.stall_cycles += left;
                     self.cycle += left;
                     break;
                 }
-                Some(Slot::DoneAt(t)) if *t > self.cycle => {
+                Some(RunKind::At(t)) if t > self.cycle => {
                     // Head completes at a known future cycle: stall up to
                     // it in one jump.
-                    let m = (*t - self.cycle).min(left);
+                    let m = (t - self.cycle).min(left);
                     self.stall_cycles += m;
                     self.cycle += m;
                     left -= m;
                 }
-                Some(Slot::DoneAt(_)) => {
-                    // Ready head: replay one dense retire cycle (at most
-                    // `width` pops), then reclassify — slots further back
+                Some(RunKind::Ready(k)) if k >= width => {
+                    // A ready head run feeds whole `width`-wide retire
+                    // cycles on its own.
+                    let m = (k / width).min(left);
+                    self.retire(m * width);
+                    self.cycle += m;
+                    left -= m;
+                }
+                Some(_) => {
+                    // Ready head shorter than a cycle: replay one dense
+                    // retire cycle, then reclassify — slots further back
                     // may become ready as the clock advances.
-                    let mut retired_now = 0;
-                    while retired_now < self.width {
-                        match self.window.front() {
-                            Some(Slot::DoneAt(t)) if *t <= self.cycle => {
-                                self.window.pop_front();
-                                self.head_seq += 1;
-                                self.retired += 1;
-                                retired_now += 1;
-                            }
-                            _ => break,
-                        }
-                    }
+                    self.retire(width);
                     self.cycle += 1;
                     left -= 1;
                 }
             }
         }
+        debug_assert_eq!(self.window_fault(), None);
     }
 
     /// True when every window slot is provably retireable right now (O(1)
@@ -694,37 +798,27 @@ impl Core {
         }
         // Fast path mirroring `quiescence`'s: a steady drain retires and
         // dispatches exactly `width` per cycle, leaving the window length
-        // unchanged and every slot still retireable — and since retire
-        // only tests `t <= cycle` against a non-decreasing clock, the
-        // existing (already retireable) slots can simply stand in for the
-        // freshly dispatched ones. Pure scalar updates, no window churn.
+        // unchanged and every slot still retireable — so the window is one
+        // `Ready` run of the same length, shifted by what retired.
         let insts = n * self.width as u64;
+        let len = self.len() as u64;
         if self.whole_window_ready()
-            && self.window.len() >= self.width as usize
+            && len >= self.width as u64
             && insts <= self.bubbles_left as u64
         {
             self.cycle += n;
             self.retired += insts;
             self.head_seq += insts;
-            self.next_seq += insts;
+            self.next_seq = self.head_seq;
             self.bubbles_left -= insts as u32;
+            self.window.clear();
+            self.push(RunKind::Ready(len));
+            debug_assert_eq!(self.window_fault(), None);
             return;
         }
-        let r = self.no_mem_run(n).full;
+        let r = self.no_mem_run(n);
         debug_assert_eq!(r.cycles, n, "fast_forward past the quiescent horizon");
         self.apply_run(r);
-    }
-
-    /// [`Core::fast_forward`] for a core parked since the
-    /// [`Quiescence::Streaming`] answer that carried `plan`, with no
-    /// mutation in between: a replay to the horizon (or one cycle short of
-    /// it) applies the walk the classification already made; any shorter
-    /// one walks again.
-    pub fn fast_forward_planned(&mut self, n: u64, plan: Option<&StreamPlan>) {
-        match plan.and_then(|p| [p.full, p.short].into_iter().find(|r| r.cycles == n)) {
-            Some(r) => self.apply_run(r),
-            None => self.fast_forward(n),
-        }
     }
 
     /// Applies a virtual run to the core's counters and window.
@@ -732,30 +826,21 @@ impl Core {
         self.cycle += r.cycles;
         self.stall_cycles += r.stalls;
         self.retired += r.popped;
-        self.head_seq += r.popped;
-        self.next_seq += r.appended;
         self.bubbles_left -= r.appended as u32;
-        if r.popped_existing == self.window.len() {
-            // Every original slot retired: the survivors are all appended
-            // bubbles, ready at the final cycle.
-            self.window.clear();
-            self.window.resize(r.len, Slot::DoneAt(self.cycle));
-        } else {
-            for _ in 0..r.popped_existing {
-                self.window.pop_front();
-            }
-            // Surviving appended bubbles: dispatched at some cycle `p`
-            // within the run, retireable from `p + 1 <= self.cycle`;
-            // stamping them with the final cycle is behaviourally
-            // identical.
-            let appended_popped = r.popped - r.popped_existing as u64;
-            for _ in 0..(r.appended - appended_popped) {
-                self.window.push_back(Slot::DoneAt(self.cycle));
-            }
-        }
-        self.max_done_at = self.max_done_at.max(self.cycle);
-        debug_assert_eq!(self.window.len(), r.len);
+        // Retire is in order: the original slots go first, then the
+        // appended bubbles. Every appended bubble was dispatched at some
+        // cycle `p` within the run and is retireable from `p + 1 <=
+        // self.cycle`, so the survivors are one `Ready` run. Bubbles that
+        // retired within the run did so from an emptied window and never
+        // reach it.
+        let appended_popped = r.popped - r.popped_existing as u64;
+        self.pop(r.popped_existing as u64);
+        self.head_seq += appended_popped;
+        self.next_seq += appended_popped;
+        self.push(RunKind::Ready(r.appended - appended_popped));
+        debug_assert_eq!(self.len(), r.len);
         debug_assert_eq!(self.bubbles_left as u64, r.bubbles);
+        debug_assert_eq!(self.window_fault(), None);
     }
 }
 
@@ -1006,7 +1091,7 @@ mod tests {
     }
 
     fn snapshot(c: &Core) -> (u64, u64, u64, u64, u64, usize) {
-        (c.retired, c.cycle, c.stall_cycles, c.head_seq, c.next_seq, c.window.len())
+        (c.retired, c.cycle, c.stall_cycles, c.head_seq, c.next_seq, c.len())
     }
 
     #[test]
@@ -1094,7 +1179,7 @@ mod tests {
             skip.cycle(&mut port_b);
         }
         assert!(
-            skip.window.iter().any(|s| matches!(s, Slot::DoneAt(t) if *t > skip.cycle)),
+            skip.window.iter().any(|r| matches!(r.kind, RunKind::At(t) if t > skip.cycle)),
             "setup: expected an in-flight hit in the window"
         );
         let Quiescence::Streaming { cycles, .. } = skip.quiescence() else {
@@ -1274,13 +1359,20 @@ mod tests {
     /// The window as retire sees it: a slot is pending, or ready from some
     /// cycle on (a ready slot's stamp no longer matters).
     fn window_view(c: &Core) -> Vec<Option<u64>> {
-        c.window
+        let view: Vec<_> = c
+            .window
             .iter()
-            .map(|s| match s {
-                Slot::Pending => None,
-                Slot::DoneAt(t) => Some((*t).max(c.cycle)),
+            .flat_map(|r| {
+                let slot = match r.kind {
+                    RunKind::Pending => None,
+                    RunKind::Ready(_) => Some(c.cycle),
+                    RunKind::At(t) => Some(t.max(c.cycle)),
+                };
+                std::iter::repeat_n(slot, r.slots() as usize)
             })
-            .collect()
+            .collect();
+        assert_eq!(view.len(), c.len());
+        view
     }
 
     #[test]
@@ -1315,11 +1407,11 @@ mod tests {
                 (core, port)
             };
             let (probe, _) = prime();
-            let (kind, bound, plan) = match probe.quiescence() {
+            let (kind, bound) = match probe.quiescence() {
                 Quiescence::Busy => continue,
-                Quiescence::Streaming { cycles, plan } => (0, cycles.min(400), plan),
-                Quiescence::Stalled => (1, 64, None),
-                Quiescence::PortBlocked => (2, 64, None),
+                Quiescence::Streaming { cycles } => (0, cycles.min(400)),
+                Quiescence::Stalled => (1, 64),
+                Quiescence::PortBlocked => (2, 64),
             };
             seen[kind] += 1;
             for offset in 0..=bound {
@@ -1329,7 +1421,7 @@ mod tests {
                     skip.port_blocked_forward(offset);
                     (0..offset).for_each(|_| dense.cycle(&mut NeverReady));
                 } else {
-                    skip.fast_forward_planned(offset, plan.as_ref());
+                    skip.fast_forward(offset);
                     (0..offset).for_each(|_| dense.cycle(&mut UnreachablePort));
                 }
                 let at = format!("seed {seed}, offset {offset} of {bound}");
@@ -1348,5 +1440,64 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&n| n >= 5), "streaming/stalled/port-blocked parks: {seen:?}");
+    }
+
+    /// A povray-like trace: hundreds to thousands of bubbles before most
+    /// accesses, now and then a short burst.
+    struct SparseTrace(Xoshiro256);
+    impl TraceSource for SparseTrace {
+        fn next_entry(&mut self) -> TraceEntry {
+            let bubbles = match self.0.gen_range(8) {
+                0 => self.0.gen_range(16),
+                _ => 200 + self.0.gen_range(3000),
+            } as u32;
+            let addr = PhysAddr(self.0.gen_range(1 << 20) << 6);
+            TraceEntry { bubbles, addr, is_write: self.0.gen_range(4) == 0 }
+        }
+    }
+
+    #[test]
+    fn window_runs_scale_with_memory_slots_not_window_size() {
+        // Run a core the way the engine does (cycle it, fast-forward it
+        // when it streams, complete reads out of order) and count runs
+        // after every step: a run-length window holds at most one run per
+        // memory slot plus one `Ready` run around each, however many
+        // bubbles it holds.
+        let mut max_runs = 0;
+        for seed in 0..12u64 {
+            let trace = SparseTrace(Xoshiro256::seed_from(seed));
+            let mut core = Core::new(SourceId(0), 4, 128, Box::new(trace));
+            let rng = Xoshiro256::seed_from(!seed);
+            let mut port = RandomPort {
+                rng,
+                issued: vec![],
+                next_id: 0,
+                grants: u64::MAX,
+                busy_pct: 20,
+                hit_pct: 50,
+            };
+            while core.cycles() < 40_000 {
+                match core.quiescence_unparked() {
+                    Quiescence::Streaming { cycles } if port.rng.gen_range(2) == 0 => {
+                        core.fast_forward(1 + port.rng.gen_range(cycles));
+                    }
+                    _ => core.cycle(&mut port),
+                }
+                if !port.issued.is_empty() && port.rng.gen_range(60) == 0 {
+                    let i = port.rng.gen_range(port.issued.len() as u64) as usize;
+                    core.complete(port.issued.remove(i));
+                }
+                let runs = core.window.len();
+                // A hit stays an `At` run after it lands, so it counts.
+                let memory =
+                    core.window.iter().filter(|r| !matches!(r.kind, RunKind::Ready(_))).count();
+                let at = format!("seed {seed} @ {}: {:?}", core.cycle, core.window);
+                assert!(runs <= 2 * memory + 1, "{runs} runs for {memory} memory slots, {at}");
+                assert!(memory > 0 || runs <= 1, "bubbles only, yet {runs} runs, {at}");
+                max_runs = max_runs.max(runs);
+            }
+            assert!(core.retired() > 40_000, "seed {seed} barely ran: {core:?}");
+        }
+        assert!(max_runs >= 5, "no seed put two memory slots mid-window");
     }
 }

@@ -45,7 +45,7 @@
 //! cycle, so samples land exactly where the dense loop would take them.
 
 use analysis::OracleProbe;
-use cpu::{ClockRatio, Core, MemoryPort, PortResponse, Quiescence, StreamPlan, TraceSource};
+use cpu::{ClockRatio, Core, MemoryPort, PortResponse, Quiescence, TraceSource};
 use dram::{DramChannel, TimingParams};
 use llcache::{Llc, LookupResult};
 use memctrl::{ChannelController, CtrlConfig};
@@ -147,9 +147,8 @@ const LLC_HIT_LATENCY: u32 = 30;
 enum Replay {
     /// The core touches neither the port nor its trace (a bubble streak,
     /// or a full window behind a pending head):
-    /// [`cpu::Core::fast_forward_planned`], with the walk the
-    /// classification made when it made one.
-    FastForward(Option<StreamPlan>),
+    /// [`cpu::Core::fast_forward`].
+    FastForward,
     /// The core retries one access that `(channel, is_write, bypass)`'s
     /// full queue keeps refusing: [`cpu::Core::port_blocked_forward`].
     /// Queue occupancy only shrinks when that channel's controller ticks,
@@ -594,7 +593,7 @@ impl System {
             p.bound
         );
         match p.replay {
-            Replay::FastForward(plan) => self.cores[core].fast_forward_planned(cc, plan.as_ref()),
+            Replay::FastForward => self.cores[core].fast_forward(cc),
             Replay::PortBlocked(_) => self.cores[core].port_blocked_forward(cc),
         }
         self.frozen_core_cycles += now - p.since;
@@ -640,8 +639,8 @@ impl System {
         }
         let (mut bound, replay) = match (quiescence, refusing_queue) {
             (_, Some(cond)) => (u64::MAX, Replay::PortBlocked(cond)),
-            (Quiescence::Stalled, _) => (u64::MAX, Replay::FastForward(None)),
-            (Quiescence::Streaming { cycles, plan }, _) => (cycles, Replay::FastForward(plan)),
+            (Quiescence::Stalled, _) => (u64::MAX, Replay::FastForward),
+            (Quiescence::Streaming { cycles }, _) => (cycles, Replay::FastForward),
             (Quiescence::Busy | Quiescence::PortBlocked, None) => return,
         };
         let max_inst = self.hierarchy.cfg.max_instructions;

@@ -290,6 +290,32 @@ fn oversized_request_line_is_refused_and_costs_only_its_connection() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn deeply_nested_request_line_is_an_error_not_an_abort() {
+    use std::io::{BufRead, BufReader, Write};
+    let dir = scratch("nesting");
+    let socket = start(&dir, "a");
+    // 100 KB of brackets, well inside the 1 MiB line cap: parsing it by
+    // unbounded recursion overflowed the stack and aborted the server.
+    let mut conn = std::os::unix::net::UnixStream::connect(&socket).expect("connect");
+    conn.set_read_timeout(Some(std::time::Duration::from_secs(10))).expect("timeout");
+    let mut reader = BufReader::new(conn.try_clone().expect("clone"));
+    let mut ask = |request: String| {
+        conn.write_all(format!("{request}\n").as_bytes()).expect("write the request");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("the server answers");
+        Json::parse(&line).unwrap_or_else(|e| panic!("{e}: {line:?}"))
+    };
+    let refused = ask("[".repeat(100_000));
+    assert!(matches!(refused.get("ok"), Some(Json::Bool(false))), "{}", refused.render());
+    assert!(refused.render().contains("nested deeper than 128"), "{}", refused.render());
+    // The same connection is still served.
+    let pong = ask(Json::obj([("cmd", Json::str("ping"))]).render());
+    assert!(matches!(pong.get("pong"), Some(Json::Bool(true))), "{}", pong.render());
+    shutdown(&socket);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// One waiting submit of `tiny_spec()`; returns the `done` value of every
 /// progress line it streamed, in order, and the final response.
 fn waiting_submit(client: &mut Client) -> (Vec<u64>, Json) {

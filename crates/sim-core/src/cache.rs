@@ -68,9 +68,12 @@ pub fn checksum64(bytes: &[u8]) -> u64 {
 /// layer additionally stores the full descriptor inside each entry and
 /// compares it on read, so even a collision cannot alias results.
 pub fn content_key(bytes: &[u8]) -> String {
-    let lane0 = mix(fnv1a(FNV_OFFSET, bytes));
-    let lane1 =
-        mix(fnv1a(FNV_OFFSET ^ 0x9e37_79b9_7f4a_7c15, bytes).wrapping_add(bytes.len() as u64));
+    let (mut lane0, mut lane1) = (FNV_OFFSET, FNV_OFFSET ^ 0x9e37_79b9_7f4a_7c15);
+    for &b in bytes {
+        lane0 = (lane0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        lane1 = (lane1 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+    }
+    let (lane0, lane1) = (mix(lane0), mix(lane1.wrapping_add(bytes.len() as u64)));
     format!("{lane0:016x}{lane1:016x}")
 }
 
@@ -313,6 +316,23 @@ mod tests {
         assert_ne!(&a[..8], &b[..8], "shard prefixes must decorrelate: {a} vs {b}");
         assert_eq!(a.len(), 32);
         assert!(a.bytes().all(|c| c.is_ascii_hexdigit()));
+    }
+
+    #[test]
+    fn one_pass_content_key_matches_the_two_pass_lanes() {
+        // The key as it was computed before both lanes shared one pass.
+        let two_pass = |bytes: &[u8]| {
+            let lane0 = mix(fnv1a(FNV_OFFSET, bytes));
+            let lane1 =
+                mix(fnv1a(FNV_OFFSET ^ 0x9e37_79b9_7f4a_7c15, bytes)
+                    .wrapping_add(bytes.len() as u64));
+            format!("{lane0:016x}{lane1:016x}")
+        };
+        let mut rng = crate::rng::Xoshiro256::seed_from(0xF1A);
+        for _ in 0..500 {
+            let bytes: Vec<u8> = (0..rng.gen_range(300)).map(|_| rng.next_u64() as u8).collect();
+            assert_eq!(content_key(&bytes), two_pass(&bytes));
+        }
     }
 
     #[test]

@@ -13,6 +13,20 @@
 //! that name the dotted path of the offending value. A flat record
 //! declares its field list once with [`json_record!`](crate::json_record)
 //! and gets both directions from it.
+//!
+//! Cost: reading and writing are both linear in the document. The reader
+//! keeps the input `&str`, which is valid UTF-8 already, and copies the
+//! text between two escapes of a string in one run; the writer does the
+//! same in reverse and writes keys and numbers straight into its output.
+//! The parser recurses once per array or object level and accepts at most
+//! 128 of them, so a hostile line of brackets is an error at its offset,
+//! not a stack overflow.
+
+use std::fmt::Write;
+
+/// Deepest array / object nesting [`Json::parse`] accepts. The deepest
+/// document the workspace writes nests a handful of levels.
+const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -97,28 +111,11 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                if n.is_finite() {
-                    out.push_str(&format!("{n}"));
-                } else {
-                    out.push_str("null");
-                }
+            Json::Num(n) if n.is_finite() => {
+                let _ = write!(out, "{n}");
             }
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
+            Json::Num(_) => out.push_str("null"),
+            Json::Str(s) => write_str(s, out),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
@@ -135,7 +132,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    Json::Str(k.clone()).write(out);
+                    write_str(k, out);
                     out.push(':');
                     v.write(out);
                 }
@@ -145,17 +142,46 @@ impl Json {
     }
 
     /// Parses a JSON document. Strict: exactly one value, nothing but
-    /// whitespace after it. Errors carry a byte offset.
+    /// whitespace after it, no raw control characters inside strings, no
+    /// nesting deeper than 128 arrays or objects. Errors carry a byte
+    /// offset.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut p = Parser { text: input, pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != input.len() {
             return Err(p.err("trailing characters after the document"));
         }
         Ok(v)
     }
+}
+
+/// Writes `s` as a JSON string literal. Only `"`, `\` and bytes below 0x20
+/// are escaped; all are ASCII, so the text between two of them starts and
+/// ends on char boundaries and is copied as one run.
+fn write_str(s: &str, out: &mut String) {
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 /// A JSON parse failure at a byte offset.
@@ -425,17 +451,19 @@ macro_rules! json_record {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
-impl<'a> Parser<'a> {
+impl Parser<'_> {
     fn err(&self, msg: impl Into<String>) -> JsonError {
         JsonError { offset: self.pos, message: msg.into() }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -454,7 +482,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -468,8 +496,15 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(format!("nested deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let nested = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                nested
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -526,10 +561,20 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Reads a string literal. The input is valid UTF-8 and `"`, `\` and
+    /// the control characters are ASCII, so the text between two of them
+    /// is copied as one run, already validated.
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            let rest = &self.text.as_bytes()[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -538,44 +583,41 @@ impl<'a> Parser<'a> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|b| std::str::from_utf8(b).ok())
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            // Surrogate pairs are not needed for our specs;
-                            // reject rather than mis-decode.
-                            let c = char::from_u32(code)
-                                .ok_or_else(|| self.err("non-scalar \\u escape"))?;
-                            out.push(c);
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
+                    out.push(self.escape()?);
                 }
-                Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("nonempty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("unescaped control character in string")),
             }
         }
+    }
+
+    /// Decodes the escape whose letter is at `pos` and steps past it.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                let hex = self
+                    .text
+                    .get(self.pos + 1..self.pos + 5)
+                    .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+                    .ok_or_else(|| self.err("\\u needs four hex digits"))?;
+                let code = u32::from_str_radix(hex, 16).expect("four hex digits");
+                // Surrogate pairs are not needed for our specs; reject
+                // rather than mis-decode.
+                let c = char::from_u32(code).ok_or_else(|| self.err("non-scalar \\u escape"))?;
+                self.pos += 4;
+                c
+            }
+            _ => return Err(self.err("invalid escape")),
+        };
+        self.pos += 1;
+        Ok(c)
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -587,7 +629,7 @@ impl<'a> Parser<'a> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        let text = &self.text[start..self.pos];
         text.parse::<f64>().map(Json::Num).map_err(|_| self.err(format!("bad number '{text}'")))
     }
 }
@@ -633,6 +675,36 @@ mod tests {
         }
     }
 
+    fn point(rng: &mut Xoshiro256, end: u64) -> SlowdownPoint {
+        SlowdownPoint { index: count(rng), end, normalized_ipc: rng.gen_f64() }
+    }
+
+    fn mitigation(rng: &mut Xoshiro256) -> MitigationRecord {
+        let kind = if rng.gen_bool(0.5) {
+            MitigationKindTag::Sweep
+        } else {
+            MitigationKindTag::VictimRefresh {
+                row: rng.next_u64() as u32,
+                blast_radius: rng.next_u64() as u8,
+            }
+        };
+        let channel = rng.next_u64() as u8;
+        MitigationRecord { cycle: count(rng), channel, kind }
+    }
+
+    fn trace(rng: &mut Xoshiro256) -> SlowdownTrace {
+        let benign = vec![0, rng.gen_range(8) as usize];
+        let mut trace = if rng.gen_bool(0.5) {
+            SlowdownTrace::flat(vec![rng.gen_f64(), rng.gen_f64()], benign)
+        } else {
+            SlowdownTrace::per_window(vec![window(rng), window(rng)], benign)
+        };
+        for _ in 0..rng.gen_range(3) {
+            trace.on_window(&window(rng));
+        }
+        trace
+    }
+
     #[test]
     fn every_record_obeys_the_codec_laws() {
         let mut rng = Xoshiro256::seed_from(0xC0DEC);
@@ -640,29 +712,9 @@ mod tests {
             let w = window(&mut rng);
             assert_codec_laws(&w.mem);
             assert_codec_laws(&w);
-            let point =
-                SlowdownPoint { index: count(&mut rng), end: w.end, normalized_ipc: rng.gen_f64() };
-            assert_codec_laws(&point);
-            let kind = if rng.gen_bool(0.5) {
-                MitigationKindTag::Sweep
-            } else {
-                MitigationKindTag::VictimRefresh {
-                    row: rng.next_u64() as u32,
-                    blast_radius: rng.next_u64() as u8,
-                }
-            };
-            let channel = rng.next_u64() as u8;
-            assert_codec_laws(&MitigationRecord { cycle: count(&mut rng), channel, kind });
-            let benign = vec![0, rng.gen_range(8) as usize];
-            let mut trace = if rng.gen_bool(0.5) {
-                SlowdownTrace::flat(vec![rng.gen_f64(), rng.gen_f64()], benign)
-            } else {
-                SlowdownTrace::per_window(vec![window(&mut rng), window(&mut rng)], benign)
-            };
-            for _ in 0..rng.gen_range(3) {
-                trace.on_window(&window(&mut rng));
-            }
-            assert_codec_laws(&trace);
+            assert_codec_laws(&point(&mut rng, w.end));
+            assert_codec_laws(&mitigation(&mut rng));
+            assert_codec_laws(&trace(&mut rng));
         }
     }
 
@@ -794,5 +846,233 @@ mod tests {
         let v = Json::parse(r#"{"a":{"b":3}}"#).unwrap();
         assert_eq!(v.get("a").and_then(|a| a.get("b")), Some(&Json::Num(3.0)));
         assert_eq!(v.get("z"), None);
+    }
+
+    #[test]
+    fn parse_bounds_the_nesting_depth() {
+        // 100 KB of brackets, well inside campaignd's 1 MiB request line:
+        // unbounded recursion overflowed the stack and aborted the process.
+        let err = Json::parse(&"[".repeat(100_000)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH, "{err}");
+        let objects = "{\"k\":".repeat(MAX_DEPTH + 1);
+        assert_eq!(Json::parse(&objects).unwrap_err().offset, 5 * MAX_DEPTH);
+        // The limit itself parses, and leaving a level gives it back.
+        let nest = |depth| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let inner = nest(MAX_DEPTH - 1);
+        assert!(Json::parse(&format!("[{inner},{inner}]")).is_ok());
+    }
+
+    #[test]
+    fn parse_rejects_raw_control_characters_in_strings() {
+        for (doc, offset) in [
+            ("\"a\u{1}b\"", 2),
+            ("\"line\nbreak\"", 5),
+            ("{\"k\tey\":1}", 3),
+            ("[\"\u{1f}\"]", 2),
+            ("\"\u{0}\"", 1),
+        ] {
+            let err = Json::parse(doc).unwrap_err();
+            assert_eq!(err.offset, offset, "{doc:?}: {err}");
+            assert!(err.message.contains("control character"), "{err}");
+        }
+        // Escaped they read back, and DEL is not a control character here.
+        assert_eq!(Json::parse(r#""a\u0001b\n\u001f""#), Ok(Json::str("a\u{1}b\n\u{1f}")));
+        assert_eq!(Json::parse("\"\u{7f}\""), Ok(Json::str("\u{7f}")));
+    }
+
+    #[test]
+    fn parse_rejects_u_escapes_that_are_not_four_hex_digits() {
+        // `u32::from_str_radix` takes a sign, so `\u+041` used to read as 'A'.
+        for doc in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u004""#,
+            r#""\u00g1""#,
+            "\"\\u0é\"",
+            r#""\u"#,
+        ] {
+            let err = Json::parse(doc).unwrap_err();
+            assert_eq!(err.offset, 2, "{doc:?}: {err}");
+        }
+        assert_eq!(Json::parse(r#""\u0041\u00E9""#), Ok(Json::str("Aé")));
+    }
+
+    /// The string escaper as it was before the writer copied runs, one
+    /// character at a time: the reference [`write_str`] must match.
+    fn escape_char_at_a_time(s: &str) -> String {
+        let mut out = String::new();
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// A character from one of the writer's classes: a named escape, any
+    /// control character, DEL, 2-, 3- or 4-byte UTF-8, or printable ASCII.
+    fn escape_class_char(rng: &mut Xoshiro256) -> char {
+        let (lo, hi) = match rng.gen_range(7) {
+            0 => return ['"', '\\', '\n', '\r', '\t'][rng.gen_range(5) as usize],
+            1 => (0x00, 0x20),
+            2 => return '\u{7f}',
+            3 => (0x80, 0x800),
+            4 => (0x800, 0x1_0000),
+            5 => (0x1_0000, 0x11_0000),
+            _ => (0x20, 0x7f),
+        };
+        loop {
+            // Surrogates are not chars: draw again.
+            if let Some(c) = char::from_u32(lo + rng.gen_range(u64::from(hi - lo)) as u32) {
+                return c;
+            }
+        }
+    }
+
+    #[test]
+    fn writer_is_byte_identical_to_the_char_at_a_time_escaper() {
+        let mut rng = Xoshiro256::seed_from(0xE5C);
+        for _ in 0..2_000 {
+            let s: String = (0..rng.gen_range(24)).map(|_| escape_class_char(&mut rng)).collect();
+            let mut written = String::new();
+            write_str(&s, &mut written);
+            assert_eq!(written, escape_char_at_a_time(&s), "{s:?}");
+            assert_eq!(Json::parse(&written), Ok(Json::Str(s.clone())));
+            let key = Json::Obj(vec![(s.clone(), Json::Null)]);
+            assert_eq!(key.render(), format!("{{{}:null}}", escape_char_at_a_time(&s)));
+        }
+        for _ in 0..2_000 {
+            let n = match rng.gen_range(3) {
+                0 => f64::from_bits(rng.next_u64()),
+                1 => (rng.gen_f64() - 0.5) * 1e6,
+                _ => count(&mut rng) as f64,
+            };
+            if n.is_finite() {
+                assert_eq!(Json::Num(n).render(), format!("{n}"));
+            }
+        }
+    }
+
+    #[test]
+    fn parse_time_is_linear_in_the_document() {
+        // The reader used to re-validate the rest of the document for every
+        // string character: tens of seconds for each of these in debug.
+        let long = Json::str("x".repeat(1 << 20)).render();
+        let keys = Json::Obj((0..100_000).map(|i| (format!("key{i}"), Json::count(i))).collect());
+        for doc in [long, keys.render()] {
+            let started = std::time::Instant::now();
+            let parsed = Json::parse(&doc).expect("parses");
+            let took = started.elapsed();
+            assert!(took < std::time::Duration::from_secs(2), "{} B took {took:?}", doc.len());
+            assert_eq!(parsed.render(), doc);
+        }
+    }
+
+    /// The documents the reader fuzz starts from: every record
+    /// `every_record_obeys_the_codec_laws` generates, rendered, and one
+    /// run-cache entry as the `sim` crate writes it.
+    fn fuzz_seeds(rng: &mut Xoshiro256) -> Vec<String> {
+        let w = window(rng);
+        let records = [
+            w.mem.encode(),
+            w.encode(),
+            point(rng, w.end).encode(),
+            mitigation(rng).encode(),
+            trace(rng).encode(),
+        ];
+        let entry = include_str!("../testdata/run_cache_entry.json");
+        records.iter().map(Json::render).chain([entry.to_string()]).collect()
+    }
+
+    /// Escapes, broken escapes, multi-byte and control characters, and
+    /// structure, for the fuzz to splice in.
+    const SPLICES: [&str; 24] = [
+        "\\", "\"", "\\\"", "\\n", "\\u", "\\u00e9", "\\ud800", "\\u+041", "\\x", "é", "中", "😀",
+        "\u{1}", "\u{7f}", "[", "]", "{", "}", ",", ":", "null", "-", "1e999", "0.5",
+    ];
+
+    /// One seeded character-level edit: delete, insert, replace, truncate,
+    /// duplicate a span, or splice in one of [`SPLICES`].
+    fn mutate(doc: &mut Vec<char>, rng: &mut Xoshiro256) {
+        let at = |rng: &mut Xoshiro256, last: usize| rng.gen_range(last as u64 + 1) as usize;
+        match rng.gen_range(6) {
+            0 if !doc.is_empty() => {
+                let i = at(rng, doc.len() - 1);
+                doc.remove(i);
+            }
+            1 => {
+                let i = at(rng, doc.len());
+                doc.insert(i, escape_class_char(rng));
+            }
+            2 if !doc.is_empty() => {
+                let i = at(rng, doc.len() - 1);
+                doc[i] = escape_class_char(rng);
+            }
+            3 => {
+                let i = at(rng, doc.len());
+                doc.truncate(i);
+            }
+            4 => {
+                let i = at(rng, doc.len());
+                let span = doc[i..(i + 1 + rng.gen_range(64) as usize).min(doc.len())].to_vec();
+                let k = at(rng, doc.len());
+                doc.splice(k..k, span);
+            }
+            _ => {
+                let splice = SPLICES[rng.gen_range(SPLICES.len() as u64) as usize];
+                let i = at(rng, doc.len());
+                doc.splice(i..i, splice.chars());
+            }
+        }
+    }
+
+    /// `rounds` rounds of one to four edits on every seed document. The
+    /// reader must never panic, and whatever it accepts must re-render to
+    /// a fixed point. Returns how many mutants were accepted.
+    fn fuzz_reader(seed: u64, rounds: usize) -> usize {
+        let mut rng = Xoshiro256::seed_from(seed);
+        let seeds = fuzz_seeds(&mut rng);
+        let mut accepted = 0;
+        for _ in 0..rounds {
+            for doc in &seeds {
+                let mut chars: Vec<char> = doc.chars().collect();
+                for _ in 0..=rng.gen_range(4) {
+                    mutate(&mut chars, &mut rng);
+                }
+                let text: String = chars.into_iter().collect();
+                let Ok(value) = Json::parse(&text) else { continue };
+                accepted += 1;
+                let rendered = value.render();
+                let again = Json::parse(&rendered)
+                    .unwrap_or_else(|e| panic!("{e}: {text:?} re-rendered as {rendered:?}"));
+                assert_eq!(again.render(), rendered, "{text:?}");
+            }
+        }
+        accepted
+    }
+
+    #[test]
+    fn mutated_documents_never_panic_the_reader() {
+        for seed in [1, 2, 3, 0xF022] {
+            assert!(fuzz_reader(seed, 50) > 0, "seed {seed}: no mutant parsed");
+        }
+    }
+
+    #[test]
+    #[ignore = "long reader fuzz; run with --ignored (CI chaos-smoke)"]
+    fn mutated_documents_never_panic_the_reader_long_sweep() {
+        for seed in 0..1_000 {
+            fuzz_reader(seed, 200);
+        }
     }
 }

@@ -398,7 +398,7 @@ mod tests {
     fn heterogeneous_hc_thresholds_adjudicate_per_row() {
         // Two victims with the same exposure but different per-row HC
         // thresholds: the weak cell flips, the strong one does not. This is
-        // the per-row adjudication contract the attackpipe victim stage
+        // the per-row adjudication contract the attacker pipeline's victim stage
         // builds on.
         let mut o = Oracle::new(10_000, 1, Geometry::paper_baseline());
         for _ in 0..300 {

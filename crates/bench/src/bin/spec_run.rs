@@ -21,12 +21,15 @@
 //! run's report byte-identically, and an edited spec re-runs only the
 //! changed frontier.
 //!
-//! Specs with an `[attacker]` section run the attackpipe recon → hammer
-//! → victim pipeline instead of the plain sweep, caching per-cell
-//! verdicts under the same directory. Specs with a `[profile]` section
-//! run the profiler's profile → evaluate → attack workflow per tracker ×
-//! workload cell, writing heatmap/report/attack artifacts to the output
-//! directory.
+//! Specs with an `[attacker]` section run the attacker pipeline (recon →
+//! hammer → victim) instead of the plain sweep, caching per-cell verdicts
+//! under the same directory. Specs with a `[profile]` section run the
+//! profile → evaluate → attack workflow per tracker × workload cell,
+//! writing heatmap/report/attack artifacts to the output directory. Both
+//! go through one call, `redteam::run_spec`.
+//!
+//! A cache directory is opened once per spec, before the first spec runs:
+//! one that cannot be opened exits 2 naming it, whatever the spec's route.
 
 use sim::cache::RunCache;
 use sim::journal::SweepJournal;
@@ -115,8 +118,8 @@ fn run() -> Result<i32, String> {
         // The one expansion of a plain sweep: it validates the spec, sizes
         // the banner, and is what runs below.
         let cells = spec.expand_keyed().map_err(|e| format!("{file}: {e}"))?;
-        // The profiler and attackpipe drivers take neither a retry policy
-        // nor a journal: refuse the flags rather than drop them.
+        // The red-team drivers take neither a retry policy nor a journal:
+        // refuse the flags rather than drop them.
         let section = [("attacker", spec.attacker.is_some()), ("profile", spec.profile.is_some())]
             .into_iter()
             .find_map(|(section, set)| set.then_some(section));
@@ -137,11 +140,17 @@ fn run() -> Result<i32, String> {
         if resume && effective_cache_dir.is_none() {
             return Err(format!("{file}: --resume needs --cache-dir or a [cache] section"));
         }
-        loaded.push((file, spec, cells, effective_cache_dir));
+        let cache = match &effective_cache_dir {
+            Some(dir) if !validate => {
+                Some(RunCache::open(dir).map_err(|e| format!("cannot open cache dir {dir}: {e}"))?)
+            }
+            _ => None,
+        };
+        loaded.push((file, spec, cells, effective_cache_dir, cache));
     }
 
     let mut failed_cells = 0usize;
-    for (file, spec, cells, effective_cache_dir) in loaded {
+    for (file, spec, cells, effective_cache_dir, cache) in loaded {
         // The `[attacker]` section's knowledge levels are the innermost axis.
         let levels: std::collections::BTreeSet<&str> =
             cells.iter().filter_map(|(e, _)| Some(e.attacker?.knowledge.key())).collect();
@@ -160,47 +169,16 @@ fn run() -> Result<i32, String> {
         if validate {
             continue;
         }
-        // Specs with a `[profile]` section route through the profiler's
-        // campaign workflow: profile → evaluate → attack per tracker ×
-        // workload cell, with its own artifact layout.
-        if spec.profile.is_some() {
-            let artifacts =
-                profiler::spec::run_profile_spec(&spec, effective_cache_dir.as_deref(), &out_dir)
-                    .map_err(|e| format!("{file}: {e}"))?;
-            for path in &artifacts {
-                println!("  artifact written to {path}");
-            }
-            continue;
-        }
-        // Specs with an `[attacker]` section route through the attackpipe
-        // pipeline: their cells need recon, hammer compilation and victim
-        // adjudication, which the plain sweep runner cannot provide.
-        if spec.attacker.is_some() {
-            let mut spec = spec.clone();
-            if effective_cache_dir.is_none() {
-                spec.cache = None; // honour --no-cache / an absent [cache]
-            }
-            let report = attackpipe::run_attacker_sweep(&spec, effective_cache_dir.as_deref())
+        // Specs with a `[profile]` or `[attacker]` section run the red-team
+        // workflow or pipeline, with their own artifact layout: their cells
+        // need what the plain sweep runner cannot provide.
+        if spec.profile.is_some() || spec.attacker.is_some() {
+            failed_cells += redteam::run_spec(&spec, cache.as_ref(), &out_dir)
                 .map_err(|e| format!("{file}: {e}"))?;
-            print!("{}", report.leaderboard_table());
-            println!(
-                "  attacker cache: {} hits, {} misses ({} cells)",
-                report.hits, report.misses, report.cells
-            );
-            failed_cells += report.cells - report.verdicts.len();
-            std::fs::create_dir_all(&out_dir)
-                .map_err(|e| format!("cannot create {out_dir}: {e}"))?;
-            let out_path = format!("{out_dir}/{}.json", report.name);
-            std::fs::write(&out_path, report.to_json().render())
-                .map_err(|e| format!("cannot write {out_path}: {e}"))?;
-            println!("  results written to {out_path}");
             continue;
         }
         let runner = RunnerConfig { retry: RetryPolicy::attempts(retries), faults: None };
         let dir = effective_cache_dir.as_deref();
-        let cache = dir
-            .map(|dir| RunCache::open(dir).map_err(|e| format!("cannot open cache dir {dir}: {e}")))
-            .transpose()?;
         // `--resume` without a cache dir was refused above.
         let journal = dir
             .filter(|_| resume)

@@ -13,8 +13,8 @@ fn spec(name: &str) -> String {
 
 #[test]
 fn retries_and_resume_are_refused_for_pipeline_specs() {
-    // `[attacker]` specs go to attackpipe and `[profile]` specs to the
-    // profiler, neither of which takes a retry policy or a journal. The
+    // `[attacker]` and `[profile]` specs go to the red-team drivers,
+    // neither of which takes a retry policy or a journal. The
     // refusal comes from the load loop, so `--validate` (no simulation)
     // shows it.
     let cache = std::env::temp_dir().join(format!("spec-run-refusal-{}", std::process::id()));
@@ -35,6 +35,24 @@ fn retries_and_resume_are_refused_for_pipeline_specs() {
         assert!(out.stdout.is_empty(), "{args:?}: refused before the first spec is announced");
     }
     assert!(!std::path::Path::new(cache).exists(), "nothing was opened");
+}
+
+#[test]
+fn a_cache_dir_that_cannot_be_opened_exits_2_naming_it() {
+    // An `[attacker]` spec used to warn "running uncached" and exit 0 where
+    // a plain sweep exited 2: one rule now, checked before anything runs.
+    let dir = std::env::temp_dir().join(format!("spec-run-bad-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let file = dir.join("not-a-dir");
+    std::fs::write(&file, "").expect("regular file");
+    let file = file.to_str().expect("utf-8 temp path");
+    let out = spec_run(&["--cache-dir", file, &spec("attacker_realism.toml")]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains(&format!("cannot open cache dir {file}")), "{stderr}");
+    assert!(out.stdout.is_empty(), "refused before the first spec is announced");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -641,8 +641,8 @@ fn lookup_job(inner: &Inner, request: &Json) -> Result<Arc<Job>, Json> {
 fn requested_sweep(request: &Json) -> Result<(SweepSpec, Vec<KeyedCell>), Json> {
     let spec_json = request.get("spec").ok_or_else(|| err_json("missing 'spec'"))?;
     let spec = SweepSpec::from_json(spec_json).map_err(err_json)?;
-    // `[attacker]` cells run the attackpipe pipeline and `[profile]` specs
-    // the profiler workflow; only `spec_run` routes to those. Simulating
+    // `[attacker]` cells run the attacker pipeline and `[profile]` specs
+    // the profile workflow (`redteam::run_spec`); only `spec_run` routes to those. Simulating
     // them as plain cells would answer with the wrong numbers.
     let unserved = [("attacker", spec.attacker.is_some()), ("profile", spec.profile.is_some())];
     if let Some((section, _)) = unserved.into_iter().find(|(_, set)| *set) {
@@ -682,7 +682,7 @@ fn lookup_cell(inner: &Inner, request: &Json) -> Json {
 
 /// One `{"event":"progress",...}` line of a waiting submit: `done` of
 /// `cells` sweep cells finished for job `job`. Public so dashboards (the
-/// profiler's `warroom` TUI) can build and parse the exact wire shape the
+/// `redteam warroom` TUI) can build and parse the exact wire shape the
 /// server streams.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProgressEvent {

@@ -2,7 +2,7 @@
 //! cell.
 //!
 //! Every red-team front end — the campaign's fixed matrix, the mutation
-//! search, the profiler's profile and evaluate stages — asks the same
+//! search, the profile and evaluate stages — asks the same
 //! question: *how much does this [`ScenarioSpec`] slow the benign cores
 //! down under this tracker?* This module is the one place that knows how
 //! the question is put to the simulator:
@@ -39,13 +39,13 @@ use sim_core::json::JsonCodec;
 /// time-to-max-slowdown and recovery without noticeable cost.
 const TRACE_WINDOWS: f64 = 10.0;
 
-/// Slowdown-trace windows per profiler probe: coarse enough to stay
+/// Slowdown-trace windows per profile probe: coarse enough to stay
 /// cheap, fine enough to catch the transient.
 const PROBE_WINDOWS: f64 = 8.0;
 
 /// The conditions scenarios are evaluated under — everything a cell
 /// depends on besides the tracker and the genome, which is also exactly
-/// what the shared [`Reference`] depends on.
+/// what the shared reference run depends on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Arena {
     /// Benign workload sharing the machine.
@@ -56,7 +56,7 @@ pub struct Arena {
     pub nrh: u32,
     /// Seed of every simulation (and of the search's mutations).
     pub seed: u64,
-    /// Whether cells carry the profiler's probe telemetry (part of the
+    /// Whether cells carry the profile stage's probe telemetry (part of the
     /// cell key, like everything an [`Experiment`] records).
     probing: bool,
 }
@@ -74,7 +74,7 @@ impl Arena {
         }
     }
 
-    /// Switches to the profiler's probe telemetry: 8 trace windows plus
+    /// Switches to the profile stage's probe telemetry: 8 trace windows plus
     /// the mitigation log instead of 10 trace windows.
     pub fn probing(mut self) -> Self {
         self.probing = true;
@@ -108,7 +108,7 @@ impl Arena {
     /// batch performs **zero** simulations. Misses are saved as they
     /// settle. Returns each scenario's outcome in input order; what to do
     /// with a failed one is the caller's call.
-    pub fn evaluate(
+    pub(crate) fn evaluate(
         &self,
         tracker: &TrackerSel,
         reference: &Reference,
@@ -154,11 +154,11 @@ impl Arena {
 /// campaign over many trackers, or a warm search and its cold baseline,
 /// pass one `Reference` around.
 #[derive(Debug, Default)]
-pub struct Reference(OnceLock<RunStats>);
+pub(crate) struct Reference(OnceLock<RunStats>);
 
 impl Reference {
     /// The reference for `arena`, simulating it on first use.
-    pub fn get(&self, arena: &Arena) -> &RunStats {
+    pub(crate) fn get(&self, arena: &Arena) -> &RunStats {
         self.0.get_or_init(|| {
             let idle = ScenarioSpec::baseline(workloads::Attack::CacheThrash);
             let none = TrackerSel::by_key("none").expect("built-in key");
@@ -167,7 +167,7 @@ impl Reference {
     }
 }
 
-/// Cache accounting for one [`Arena::evaluate`] batch.
+/// Cache accounting for one batch of evaluations.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalStats {
     /// Scenarios in the batch.
@@ -191,40 +191,44 @@ impl std::fmt::Display for EvalStats {
 /// (campaign rows, heatmap cells, vulnerability rows, pipeline verdicts)
 /// is filled from.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Score {
+pub(crate) struct Score {
     /// Mean benign slowdown vs. the insecure attack-free baseline
     /// (1 / normalized performance; higher = stronger attack).
-    pub slowdown: f64,
+    pub(crate) slowdown: f64,
     /// Normalized performance (the paper's metric).
-    pub normalized_performance: f64,
+    pub(crate) normalized_performance: f64,
     /// Worst single-window slowdown of the slowdown trace (0 when no
     /// trace window completed).
-    pub peak_slowdown: f64,
+    pub(crate) peak_slowdown: f64,
     /// Microseconds until the attack's full effect (the worst window).
-    pub time_to_max_slowdown_us: Option<f64>,
+    pub(crate) time_to_max_slowdown_us: Option<f64>,
     /// Microseconds from the worst window until benign IPC recovers above
     /// [`sim::RECOVERY_THRESHOLD`] of the reference; `None` when the
     /// tracker never recovers within the window.
-    pub recovery_us: Option<f64>,
+    pub(crate) recovery_us: Option<f64>,
     /// Mitigation commands issued (VRR + RFM).
-    pub mitigations: u64,
+    pub(crate) mitigations: u64,
     /// Tracker counter reads + writes injected into DRAM.
-    pub counter_ops: u64,
+    pub(crate) counter_ops: u64,
     /// Structure-reset sweeps triggered.
-    pub reset_sweeps: u64,
+    pub(crate) reset_sweeps: u64,
     /// Total DRAM energy, millijoules.
-    pub energy_mj: f64,
+    pub(crate) energy_mj: f64,
 }
 
 impl Score {
     /// The score of one finished evaluation.
-    pub fn of(r: &ExperimentResult) -> Score {
+    pub(crate) fn of(r: &ExperimentResult) -> Score {
         Score::new(&r.run, r.normalized_performance, r.telemetry.as_ref())
     }
 
     /// The score of a run normalized outside [`Experiment::run_against`]
     /// (the attacker pipeline owns its hammer run).
-    pub fn new(run: &RunStats, normalized_performance: f64, t: Option<&RunTelemetry>) -> Score {
+    pub(crate) fn new(
+        run: &RunStats,
+        normalized_performance: f64,
+        t: Option<&RunTelemetry>,
+    ) -> Score {
         Score {
             slowdown: 1.0 / normalized_performance.max(1e-6),
             normalized_performance,

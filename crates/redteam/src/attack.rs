@@ -1,35 +1,35 @@
 //! The attack stage: hill-climbing search warm-started from the heatmap.
 //!
-//! [`attacklab::search`](attacklab::search()) takes the profile's hottest
+//! [`search`](crate::search::search()) takes the profile's hottest
 //! genomes as priors: they join the initial population and replace the
 //! cold random restarts, so the search spends its budget where the
 //! tracker already proved weak. The outcome records how many candidate
 //! evaluations the warm search needed to reach the cold random-restart
 //! baseline's best slowdown — the workflow's headline speedup.
 
-use attacklab::arena::Reference;
-use attacklab::search::{search, SearchConfig, SearchReport};
 use sim::experiment::TrackerSel;
 use sim_core::json::{Json, JsonCodec};
 
+use crate::arena::Reference;
 use crate::heatmap::SensitivityHeatmap;
-use crate::CampaignEvent;
+use crate::search::{search, SearchConfig, SearchReport};
+use crate::warroom::CampaignEvent;
 
 /// Attack-stage configuration.
 #[derive(Debug, Clone)]
-pub struct AttackConfig {
+pub(crate) struct AttackConfig {
     /// The search: tracker (normally rebuilt from the heatmap's
     /// `tracker_key`), arena, budget and batch.
-    pub search: SearchConfig,
+    pub(crate) search: SearchConfig,
     /// Heatmap genomes fed in as warm-start priors.
-    pub priors: usize,
+    pub(crate) priors: usize,
 }
 
 impl AttackConfig {
     /// Defaults for a heatmap: its own tracker key and arena (so the
     /// search seed is the probe seed), a 48-evaluation budget in batches
     /// of 6, the 4 hottest genomes as priors.
-    pub fn for_heatmap(map: &SensitivityHeatmap) -> Result<Self, String> {
+    pub(crate) fn for_heatmap(map: &SensitivityHeatmap) -> Result<Self, String> {
         let tracker = TrackerSel::by_key(&map.tracker_key).map_err(|e| e.to_string())?;
         let search =
             SearchConfig { budget: 48, batch: 6, ..SearchConfig::new(tracker, map.arena()) };
@@ -39,25 +39,25 @@ impl AttackConfig {
 
 /// Outcome of the attack stage.
 #[derive(Debug, Clone)]
-pub struct AttackOutcome {
+pub(crate) struct AttackOutcome {
     /// The heatmap-warmed search.
-    pub warm: SearchReport,
+    pub(crate) warm: SearchReport,
     /// The cold random-restart baseline, when requested.
-    pub cold: Option<SearchReport>,
+    pub(crate) cold: Option<SearchReport>,
     /// Evaluations the warm search needed to reach the cold baseline's
     /// best slowdown (`None` when it never did, or without a baseline).
-    pub warm_evals_to_target: Option<u32>,
+    pub(crate) warm_evals_to_target: Option<u32>,
     /// Evaluations the cold search needed to reach its own best.
-    pub cold_evals_to_target: Option<u32>,
+    pub(crate) cold_evals_to_target: Option<u32>,
     /// `warm_evals_to_target / cold_evals_to_target` — below 1.0 the
     /// warm start paid off; the CI gate requires ≤ 0.6 on the pinned
     /// benchmark.
-    pub ratio: Option<f64>,
+    pub(crate) ratio: Option<f64>,
 }
 
 impl AttackOutcome {
     /// Canonical JSON document (what `redteam attack --out` writes).
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let count = |v: Option<u32>| v.map_or(Json::Null, |v| Json::count(v as u64));
         Json::obj([
             ("warm", search_report_json(&self.warm)),
@@ -71,7 +71,7 @@ impl AttackOutcome {
 
 /// Canonical JSON document for one search report (shared by the CLI and
 /// the spec runner's attack artifacts).
-pub fn search_report_json(r: &SearchReport) -> Json {
+pub(crate) fn search_report_json(r: &SearchReport) -> Json {
     Json::obj([
         ("tracker", Json::str(&r.tracker)),
         ("seed", Json::hex(r.seed)),
@@ -97,7 +97,7 @@ fn evals_to_reach(history: &[(u32, f64)], target: f64) -> Option<u32> {
 /// # Panics
 ///
 /// Panics if the budget is zero or the tailored-attack simulation fails.
-pub fn run_attack(
+pub(crate) fn run_attack(
     map: &SensitivityHeatmap,
     cfg: &AttackConfig,
     baseline: bool,

@@ -27,11 +27,6 @@ pub struct CampaignConfig {
     pub scenarios: Vec<ScenarioSpec>,
     /// Worst-case-search evaluations per tracker (0 disables the search).
     pub search_budget: u32,
-    /// Content-addressed run-cache directory: when set, the fixed
-    /// scenario × tracker matrix reads through it (hits skip simulation).
-    /// Search evaluations are never cached — the mutation trajectory is
-    /// adaptive, so its cells rarely repeat across campaigns.
-    pub cache_dir: Option<String>,
 }
 
 impl CampaignConfig {
@@ -44,7 +39,6 @@ impl CampaignConfig {
             arena: Arena::new(workload),
             scenarios: Attack::all().map(ScenarioSpec::baseline).to_vec(),
             search_budget: 50,
-            cache_dir: None,
         }
     }
 }
@@ -74,22 +68,18 @@ pub struct CampaignReport {
 }
 
 /// Runs the campaign: the fixed matrix for every tracker, then (budget
-/// permitting) the worst-case search per tracker.
-pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
+/// permitting) the worst-case search per tracker. With a `cache`, the
+/// fixed scenario × tracker matrix reads through it (hits skip
+/// simulation). Search evaluations are never cached — the mutation
+/// trajectory is adaptive, so its cells rarely repeat across campaigns.
+pub fn run_campaign(cfg: &CampaignConfig, cache: Option<&RunCache>) -> CampaignReport {
     assert!(!cfg.trackers.is_empty(), "campaign needs at least one tracker");
     let mut rows = Vec::new();
     let mut searches = Vec::new();
     // The reference run (insecure, attack-free) depends only on the
     // arena, so every tracker's matrix and search share one.
     let reference = Reference::default();
-    let cache = cfg.cache_dir.as_ref().and_then(|dir| match RunCache::open(dir) {
-        Ok(cache) => Some(cache),
-        Err(e) => {
-            eprintln!("attacklab: cannot open run cache {dir}: {e}; running uncached");
-            None
-        }
-    });
-    let cache = cache.as_ref().map(|c| c as &dyn PayloadCache<_>);
+    let cache = cache.map(|c| c as &dyn PayloadCache<_>);
     for tracker in &cfg.trackers {
         let (outcomes, _) =
             cfg.arena.evaluate(tracker, &reference, &cfg.scenarios, cache, |_, _| {});
@@ -116,7 +106,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
 impl CampaignReport {
     /// The worst (highest-slowdown) row per tracker, most-resilient tracker
     /// first.
-    pub fn leaderboard(&self) -> Vec<&CampaignRow> {
+    pub(crate) fn leaderboard(&self) -> Vec<&CampaignRow> {
         let mut worst: Vec<&CampaignRow> = Vec::new();
         for tracker in &self.config.trackers {
             let name = tracker.label();
@@ -287,7 +277,7 @@ mod tests {
 
     #[test]
     fn campaign_covers_the_full_matrix() {
-        let report = run_campaign(&tiny());
+        let report = run_campaign(&tiny(), None);
         assert_eq!(report.rows.len(), 4, "2 trackers x 2 scenarios");
         assert!(report.searches.is_empty());
         let board = report.leaderboard();
@@ -309,7 +299,7 @@ mod tests {
         cfg.arena.window_us = 60.0;
         cfg.scenarios = vec![ScenarioSpec::baseline(Attack::Streaming)];
         cfg.search_budget = 0;
-        let report = run_campaign(&cfg);
+        let report = run_campaign(&cfg, None);
         assert_eq!(report.rows.len(), 2);
         assert_eq!(report.rows[0].tracker, "Hydra");
         assert_eq!(report.rows[1].tracker, "Hydra{rcc_entries=512}");
@@ -320,7 +310,7 @@ mod tests {
 
     #[test]
     fn exports_are_well_formed() {
-        let report = run_campaign(&tiny());
+        let report = run_campaign(&tiny(), None);
         let json = report.to_json().render();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"rows\""));

@@ -6,49 +6,55 @@
 //! redteam profile  --tracker hydra --workload povray_like --cache-dir out/cache
 //! redteam evaluate --heatmap out/heatmap.json --top-k 5
 //! redteam attack   --heatmap out/heatmap.json --baseline --max-ratio 0.6
+//! redteam warroom  --render-once --no-ansi
 //! ```
 //!
-//! Without a subcommand it runs the attacklab campaign — the fixed attack
-//! matrix plus the worst-case search for every named tracker — prints the
+//! Without a subcommand it runs the campaign — the fixed attack matrix
+//! plus the worst-case search for every named tracker — prints the
 //! resilience leaderboard and the search-vs-tailored comparison (with the
 //! seed reproducing each best scenario), and writes the full structured
 //! results as JSON (and optionally CSV); `--attacker` adds the attacker
 //! pipeline's knowledge axis ([`crate::pipeline::attacker_axis`]). The
-//! `profile` / `evaluate` / `attack` subcommands are the profiler's
-//! campaign stages: each consumes the previous stage's artifact, and
-//! `--tui` renders the live warroom dashboard while a stage runs.
+//! `profile` / `evaluate` / `attack` subcommands are the campaign stages:
+//! each consumes the previous stage's artifact, and `--tui` renders the
+//! live warroom dashboard while a stage runs; `warroom --render-once`
+//! prints one synthetic frame of it. A `--cache-dir` is opened once, at
+//! the command's entry: one that cannot be opened is an error naming it.
 
-use attacklab::campaign::{run_campaign, CampaignConfig, CampaignReport};
-use profiler::warroom::Dashboard;
-use profiler::{
-    run_attack, run_evaluate, run_profile, AttackConfig, CampaignEvent, EvaluateConfig, Family,
-    ProfileConfig, SensitivityHeatmap,
-};
 use sim::cache::RunCache;
 use sim::experiment::TrackerSel;
 use sim::AttackerKnowledge;
 use sim_core::cli::{parse, Parsed};
 use sim_core::json::{Json, JsonCodec};
 
+use crate::attack::{run_attack, AttackConfig};
+use crate::campaign::{run_campaign, CampaignConfig, CampaignReport};
+use crate::evaluate::{run_evaluate, EvaluateConfig};
+use crate::heatmap::{Family, SensitivityHeatmap};
 use crate::pipeline::attacker_axis;
+use crate::profile::{run_profile, ProfileConfig};
+use crate::warroom::{CampaignEvent, Dashboard};
 
 /// Parsed campaign options (the subcommand-free command line).
 #[derive(Debug, Clone)]
-pub struct RedteamOpts {
+struct RedteamOpts {
     /// Campaign configuration.
-    pub campaign: CampaignConfig,
+    campaign: CampaignConfig,
+    /// Run-cache directory the fixed matrix and the attacker cells read
+    /// through.
+    cache_dir: Option<String>,
     /// JSON output path.
-    pub out: String,
+    out: String,
     /// Optional CSV output path.
-    pub csv: Option<String>,
+    csv: Option<String>,
     /// `--attacker` knowledge levels, deduplicated in flag order. Empty
     /// means the flag was absent.
-    pub attacker: Vec<AttackerKnowledge>,
+    attacker: Vec<AttackerKnowledge>,
 }
 
 /// Default tracker set: DAPPER plus the four attackable shared-structure
 /// baselines.
-pub const DEFAULT_TRACKERS: &str = "dapper-h,dapper-s,hydra,start,comet,abacus";
+const DEFAULT_TRACKERS: &str = "dapper-h,dapper-s,hydra,start,comet,abacus";
 
 const USAGE: &str = "redteam — adversarial scenario campaign runner
 
@@ -67,7 +73,7 @@ USAGE: redteam [--trackers a,b,c] [--workload NAME] [--budget N]
   --cache-dir  read the fixed matrix, and the --attacker cells, through
                the content-addressed cache in DIR (search evaluations
                always simulate)
-  --attacker   also run the attackpipe knowledge axis: comma-separated
+  --attacker   also run the attacker pipeline's knowledge axis: comma-separated
                levels (omniscient, timing-recon, blind) or 'all'; adds
                one flips-vs-slowdown row per tracker and level
 
@@ -75,11 +81,12 @@ Tracker names resolve through the open registry: any key, display name,
 or alias works, case- and separator-insensitively (dapper-h, DAPPER_H,
 DapperH). Parent directories of --out/--csv are created as needed.
 
-The profiler's campaign stages are subcommands:
-redteam profile | evaluate | attack (see each --help).
+The campaign stages are subcommands:
+redteam profile | evaluate | attack (see each --help), and
+redteam warroom previews their dashboard.
 ";
 
-const STAGES_USAGE: &str = "redteam profiler — profile → evaluate → attack campaign stages
+const STAGES_USAGE: &str = "redteam stages — profile → evaluate → attack campaign stages
 
 USAGE:
   redteam profile  [--tracker KEY] [--workload NAME] [--probe-window-us F]
@@ -110,7 +117,18 @@ attack    feeds the heatmap's hottest genomes into the worst-case
           --baseline) exits 1 unless the ratio is <= F.
 
 --tui renders the live warroom dashboard (add --no-ansi for plain
-frames); `warroom --render-once` previews it without a campaign.
+frames); `redteam warroom --render-once` previews it without a campaign.
+";
+
+const WARROOM_USAGE: &str = "redteam warroom — the campaign stages' dashboard
+
+USAGE: redteam warroom --render-once [--no-ansi]
+
+  --render-once  print one deterministic synthetic frame and exit
+  --no-ansi      plain text, no clear-screen/cursor-home escapes
+
+Live rendering is driven by the campaign stages:
+  redteam profile --tui | redteam evaluate --tui | redteam attack --tui
 ";
 
 // ---------------------------------------------------------------- shared
@@ -128,6 +146,14 @@ fn write_artifact(path: &str, content: &str) -> Result<(), String> {
         std::fs::write(path, content)
     };
     write().map_err(|e: std::io::Error| format!("cannot write {path}: {e}"))
+}
+
+/// Opens the run cache in `dir`, once, at a command's entry: a directory
+/// that cannot be opened is an error naming it, never a silent uncached
+/// run.
+fn open_cache(dir: Option<&str>) -> Result<Option<RunCache>, String> {
+    dir.map(|dir| RunCache::open(dir).map_err(|e| format!("cannot open cache dir {dir}: {e}")))
+        .transpose()
 }
 
 fn known_workload(parsed: &Parsed<'_>, default: &'static str) -> Result<String, String> {
@@ -159,7 +185,7 @@ fn comma_list<T: PartialEq>(
 
 /// Parses the campaign command line. Returns `Err` with a usage/diagnostic
 /// string on bad input (the caller prints it and sets the exit code).
-pub fn parse_args(args: &[String]) -> Result<RedteamOpts, String> {
+fn parse_args(args: &[String]) -> Result<RedteamOpts, String> {
     // Strict parse: every argument must be a known flag followed by its
     // value, so a typo'd flag or a forgotten value fails fast instead of
     // silently running a multi-minute campaign with defaults.
@@ -193,7 +219,6 @@ pub fn parse_args(args: &[String]) -> Result<RedteamOpts, String> {
     campaign.arena.window_us = parsed.num("--window-us", campaign.arena.window_us)?;
     campaign.arena.nrh = parsed.nrh(campaign.arena.nrh)?;
     campaign.arena.seed = parsed.seed(campaign.arena.seed)?;
-    campaign.cache_dir = parsed.get("--cache-dir").cloned();
     let mut attacker = Vec::new();
     if let Some(levels) = parsed.get("--attacker") {
         attacker = comma_list(levels, |name| match name.eq_ignore_ascii_case("all") {
@@ -207,6 +232,7 @@ pub fn parse_args(args: &[String]) -> Result<RedteamOpts, String> {
     }
     Ok(RedteamOpts {
         campaign,
+        cache_dir: parsed.get("--cache-dir").cloned(),
         out: parsed.get("--out").cloned().unwrap_or_else(|| "out/redteam_results.json".to_string()),
         csv: parsed.get("--csv").cloned(),
         attacker,
@@ -250,8 +276,10 @@ fn print_report(report: &CampaignReport) {
 /// `"attacker"`, scenario `attackpipe:<level>`) join the exports.
 fn cmd_campaign(args: &[String]) -> Result<i32, String> {
     let opts = parse_args(args)?;
-    let mut report = run_campaign(&opts.campaign);
-    let axis = (!opts.attacker.is_empty()).then(|| attacker_axis(&mut report, &opts.attacker));
+    let cache = open_cache(opts.cache_dir.as_deref())?;
+    let mut report = run_campaign(&opts.campaign, cache.as_ref());
+    let axis = (!opts.attacker.is_empty())
+        .then(|| attacker_axis(&mut report, &opts.attacker, cache.as_ref()));
     print_report(&report);
     if let Some(axis) = &axis {
         println!("\nattacker-knowledge axis (flips vs slowdown per level):");
@@ -279,13 +307,6 @@ fn parse_families(list: &str) -> Result<Vec<Family>, String> {
         families => families,
     }
     .map_err(|e| format!("--families: {e}"))
-}
-
-fn open_cache(parsed: &Parsed<'_>) -> Result<Option<RunCache>, String> {
-    match parsed.get("--cache-dir") {
-        None => Ok(None),
-        Some(dir) => RunCache::open(dir).map(Some).map_err(|e| format!("--cache-dir: {e}")),
-    }
 }
 
 fn load_heatmap(parsed: &Parsed<'_>) -> Result<SensitivityHeatmap, String> {
@@ -363,7 +384,7 @@ fn cmd_profile(args: &[String]) -> Result<i32, String> {
     if let Some(list) = parsed.get("--families") {
         cfg.families = parse_families(list)?;
     }
-    let cache = open_cache(&parsed)?;
+    let cache = open_cache(parsed.get("--cache-dir").map(String::as_str))?;
     let mut tui = TuiObserver::new(&parsed);
     let (map, stats) = run_profile(&cfg, cache.as_ref(), &mut |e| tui.handle(e));
     let art = map.render_ascii();
@@ -390,7 +411,7 @@ fn cmd_evaluate(args: &[String]) -> Result<i32, String> {
     if cfg.top_k == 0 || cfg.arena.window_us <= 0.0 {
         return Err("--top-k and --window-us must be positive".to_string());
     }
-    let cache = open_cache(&parsed)?;
+    let cache = open_cache(parsed.get("--cache-dir").map(String::as_str))?;
     let mut tui = TuiObserver::new(&parsed);
     let (report, stats) = run_evaluate(&map, &cfg, cache.as_ref(), &mut |e| tui.handle(e));
     tui.finish(None);
@@ -485,24 +506,40 @@ fn cmd_attack(args: &[String]) -> Result<i32, String> {
     Ok(0)
 }
 
+fn cmd_warroom(args: &[String]) -> Result<i32, String> {
+    let switches = parse(args, &[], &["--render-once", "--no-ansi"], WARROOM_USAGE);
+    match switches {
+        Ok(p) if p.has("--render-once") => {
+            print!("{}", Dashboard::render_once_sample(!p.has("--no-ansi")));
+            Ok(0)
+        }
+        _ => Err(WARROOM_USAGE.to_string()),
+    }
+}
+
 // -------------------------------------------------------------- dispatch
 
-/// The `redteam` binary's entry point; returns the process exit code. A
-/// leading `profile` / `evaluate` / `attack` runs that profiler stage;
-/// anything else is the campaign command line. A bad command line or an
-/// unwritable artifact prints one diagnostic and exits 2.
-pub fn redteam_main(args: &[String]) -> i32 {
+/// Runs one command line: a leading `profile` / `evaluate` / `attack` /
+/// `warroom` runs that subcommand; anything else is the campaign.
+fn dispatch(args: &[String]) -> Result<i32, String> {
     let (stage, rest) = match args.split_first() {
         Some((first, rest)) => (first.as_str(), rest),
         None => ("", args),
     };
-    let outcome = match stage {
+    match stage {
         "profile" => cmd_profile(rest),
         "evaluate" => cmd_evaluate(rest),
         "attack" => cmd_attack(rest),
+        "warroom" => cmd_warroom(rest),
         _ => cmd_campaign(args),
-    };
-    outcome.unwrap_or_else(|msg| {
+    }
+}
+
+/// The `redteam` binary's entry point; returns the process exit code. A
+/// bad command line, a cache directory that cannot be opened or an
+/// unwritable artifact prints one diagnostic and exits 2.
+pub fn redteam_main(args: &[String]) -> i32 {
+    dispatch(args).unwrap_or_else(|msg| {
         eprintln!("{msg}");
         2
     })
@@ -611,6 +648,44 @@ mod tests {
     }
 
     #[test]
+    fn warroom_is_a_strict_subcommand() {
+        assert_eq!(redteam_main(&argv("warroom --render-once --no-ansi")), 0);
+        for bad in ["warroom", "warroom --no-ansi", "warroom --render-once --bogus"] {
+            let err = dispatch(&argv(bad)).expect_err(bad);
+            assert_eq!(err, WARROOM_USAGE, "{bad}");
+            assert_eq!(redteam_main(&argv(bad)), 2, "{bad}");
+        }
+    }
+
+    #[test]
+    fn a_cache_dir_that_cannot_be_opened_fails_every_command() {
+        // A regular file where the cache directory should be: the campaign
+        // and its attacker axis used to warn and run uncached (exit 0)
+        // while the stages exited 2 without naming the directory.
+        let dir = std::env::temp_dir().join(format!("redteam-bad-cache-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("not-a-dir");
+        std::fs::write(&file, "").unwrap();
+        let heatmap = dir.join("heatmap.json");
+        std::fs::write(&heatmap, SensitivityHeatmap::synthetic().encode().render()).unwrap();
+        let (file, heatmap) = (file.display(), heatmap.display());
+        for cmd in [
+            format!("--trackers hydra --budget 0 --window-us 20 --cache-dir {file}"),
+            format!("--trackers hydra --budget 0 --attacker blind --cache-dir {file}"),
+            format!(
+                "profile --probe-window-us 20 --bank-groups 1 --row-groups 1 --cache-dir {file}"
+            ),
+            format!("evaluate --heatmap {heatmap} --top-k 1 --cache-dir {file}"),
+        ] {
+            let err = dispatch(&argv(&cmd)).expect_err(&cmd);
+            assert!(err.starts_with(&format!("cannot open cache dir {file}: ")), "{cmd}: {err}");
+            assert_eq!(redteam_main(&argv(&cmd)), 2, "{cmd}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn families_parse_with_dedup_and_the_all_token() {
         assert_eq!(parse_families("all").unwrap(), Family::ALL.to_vec());
         assert_eq!(
@@ -623,7 +698,7 @@ mod tests {
 
     #[test]
     fn profile_and_attack_run_end_to_end_through_the_cli() {
-        let dir = std::env::temp_dir().join(format!("profiler-cli-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("redteam-cli-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let heatmap = dir.join("heatmap.json");
         let heatmap = heatmap.to_str().expect("utf-8 temp path");

@@ -3,38 +3,38 @@
 //!
 //! Probe windows are deliberately short — cheap, but noisy about sustained
 //! damage. The evaluate stage promotes the strongest cells to the full
-//! campaign window (the same fidelity `attacklab` campaigns use) and ranks
+//! campaign window (the same fidelity campaigns use) and ranks
 //! the survivors by measured slowdown, which is the list a defender should
 //! actually worry about.
 
-use attacklab::arena::{Arena, EvalStats, Reference, Score};
-use attacklab::scenario::ScenarioSpec;
 use sim::cache::RunCache;
 use sim::exec::PayloadCache;
 use sim::experiment::TrackerSel;
 use sim_core::json::{Json, JsonCodec};
 
+use crate::arena::{Arena, EvalStats, Reference, Score};
 use crate::heatmap::{Family, SensitivityHeatmap};
-use crate::CampaignEvent;
+use crate::scenario::ScenarioSpec;
+use crate::warroom::CampaignEvent;
 
 /// Evaluate-stage configuration.
 #[derive(Debug, Clone)]
-pub struct EvaluateConfig {
+pub(crate) struct EvaluateConfig {
     /// Tracker to evaluate against (normally rebuilt from the heatmap's
     /// `tracker_key`; pass an explicit selection to carry parameter
     /// overrides the key alone cannot express).
-    pub tracker: TrackerSel,
+    pub(crate) tracker: TrackerSel,
     /// Heatmap cells promoted to full fidelity.
-    pub top_k: usize,
+    pub(crate) top_k: usize,
     /// Full-fidelity conditions: the heatmap's arena, probe telemetry
     /// included, at the campaign window.
-    pub arena: Arena,
+    pub(crate) arena: Arena,
 }
 
 impl EvaluateConfig {
     /// Defaults for a heatmap: its own tracker key, top 5 cells, its
-    /// arena at the attacklab campaign window (250 µs).
-    pub fn for_heatmap(map: &SensitivityHeatmap) -> Result<Self, String> {
+    /// arena at the campaign window (250 µs).
+    pub(crate) fn for_heatmap(map: &SensitivityHeatmap) -> Result<Self, String> {
         let tracker = TrackerSel::by_key(&map.tracker_key).map_err(|e| e.to_string())?;
         Ok(Self { tracker, top_k: 5, arena: map.arena().probing() })
     }
@@ -42,53 +42,53 @@ impl EvaluateConfig {
 
 /// One full-fidelity row of the vulnerability report.
 #[derive(Debug, Clone)]
-pub struct VulnRow {
+struct VulnRow {
     /// 1-based rank by full-fidelity slowdown.
-    pub rank: usize,
+    rank: usize,
     /// Probe family.
-    pub family: Family,
+    family: Family,
     /// Bank-spread bucket.
-    pub bank_group: u32,
+    bank_group: u32,
     /// Intensity bucket.
-    pub row_group: u32,
+    row_group: u32,
     /// The genome evaluated.
-    pub probe: ScenarioSpec,
+    probe: ScenarioSpec,
     /// The short-probe score that promoted this cell.
-    pub probe_score: f64,
+    probe_score: f64,
     /// Full-fidelity mean slowdown.
-    pub slowdown: f64,
+    slowdown: f64,
     /// Normalized performance (the paper's metric).
-    pub normalized_performance: f64,
+    normalized_performance: f64,
     /// Mitigation commands issued (VRR + RFM).
-    pub mitigations: u64,
+    mitigations: u64,
     /// Tracker counter reads + writes injected into DRAM.
-    pub counter_ops: u64,
+    counter_ops: u64,
     /// Microseconds until the worst window.
-    pub time_to_max_us: Option<f64>,
+    time_to_max_us: Option<f64>,
     /// Microseconds from the worst window to recovery.
-    pub recovery_us: Option<f64>,
+    recovery_us: Option<f64>,
 }
 
 /// The ranked vulnerability report the evaluate stage emits.
 #[derive(Debug, Clone)]
-pub struct VulnReport {
+pub(crate) struct VulnReport {
     /// Tracker display label.
-    pub tracker: String,
+    tracker: String,
     /// Benign workload.
-    pub workload: String,
+    workload: String,
     /// Full-fidelity window, microseconds.
-    pub window_us: f64,
+    window_us: f64,
     /// RowHammer threshold.
-    pub nrh: u32,
+    nrh: u32,
     /// Seed shared with the profile stage.
-    pub seed: u64,
+    seed: u64,
     /// Rows ranked by slowdown descending.
-    pub rows: Vec<VulnRow>,
+    rows: Vec<VulnRow>,
 }
 
 impl VulnReport {
     /// Canonical JSON document.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let rows: Vec<Json> = self
             .rows
             .iter()
@@ -120,7 +120,7 @@ impl VulnReport {
     }
 
     /// Fixed-width table for terminals.
-    pub fn render_table(&self) -> String {
+    pub(crate) fn render_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
             "vulnerability report — {} / {} ({} µs, N_RH {})\n",
@@ -152,7 +152,7 @@ impl VulnReport {
 ///
 /// Panics if a promoted genome fails to simulate (genomes are clamped, so
 /// they always build).
-pub fn run_evaluate(
+pub(crate) fn run_evaluate(
     map: &SensitivityHeatmap,
     cfg: &EvaluateConfig,
     cache: Option<&RunCache>,
@@ -178,7 +178,7 @@ pub fn run_evaluate(
         .zip(outcomes)
         .map(|(cell, outcome)| {
             let r = outcome.unwrap_or_else(|e| {
-                panic!("profiler: evaluation of {} failed: {e}", cell.probe.name())
+                panic!("redteam: evaluation of {} failed: {e}", cell.probe.name())
             });
             let score = Score::of(&r);
             VulnRow {

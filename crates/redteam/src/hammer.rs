@@ -3,7 +3,7 @@
 //! The hammer stage never sees the geometry. It turns a
 //! [`Belief`] — possibly wrong, possibly empty —
 //! into a concrete aggressor set and drives it through the
-//! [`attacklab::pattern`] engine, so mapping errors blunt the attack
+//! [`PatternGen`] engine, so mapping errors blunt the attack
 //! exactly as they would on hardware:
 //!
 //! * a **correct** row stride yields a classic double-sided pattern —
@@ -13,28 +13,28 @@
 //! * **no** stride (blind, or inconclusive recon) falls back to random
 //!   line addresses — near-zero per-row pressure by construction.
 
-use attacklab::pattern::{PatternGen, PatternTrace};
 use cpu::TraceEntry;
 use sim::{AttackerConfig, CustomAttack};
 use sim_core::addr::PhysAddr;
 use sim_core::rng::Xoshiro256;
 
+use crate::pattern::{PatternGen, PatternTrace};
 use crate::recon::Belief;
 
 /// Aggressor pairs on each side of the double-sided ladder: with
 /// [`HammerPlan::compile`]'s layout, `PAIRS + 1` aggressors sandwich
 /// `PAIRS` victim rows.
-pub const PAIRS: usize = 6;
+pub(crate) const PAIRS: usize = 6;
 
 /// Addresses the blind fallback spreads its accesses over.
 const BLIND_ADDRS: usize = 16;
 
 /// Round-robins a fixed physical-address set — the one primitive the
 /// attacker can drive without knowing what the addresses decode to.
-/// (The [`attacklab`] primitives all speak [`sim_core::addr::DramAddr`];
+/// (The [`crate::pattern`] primitives all speak [`sim_core::addr::DramAddr`];
 /// an attacker without the mapping cannot.)
 #[derive(Debug, Clone)]
-pub struct PhysRoundRobin {
+struct PhysRoundRobin {
     addrs: Vec<PhysAddr>,
     bubbles: u32,
     next: usize,
@@ -47,7 +47,7 @@ impl PhysRoundRobin {
     /// # Panics
     ///
     /// Panics if `addrs` is empty.
-    pub fn new(addrs: Vec<PhysAddr>, bubbles: u32) -> Self {
+    fn new(addrs: Vec<PhysAddr>, bubbles: u32) -> Self {
         assert!(!addrs.is_empty(), "hammer address set must be non-empty");
         Self { addrs, bubbles, next: 0 }
     }
@@ -67,14 +67,14 @@ impl PatternGen for PhysRoundRobin {
 
 /// A compiled hammer: the aggressor addresses the attacker will cycle.
 #[derive(Debug, Clone)]
-pub struct HammerPlan {
+pub(crate) struct HammerPlan {
     /// Aggressor physical addresses, in round-robin order.
-    pub aggressors: Vec<PhysAddr>,
+    pub(crate) aggressors: Vec<PhysAddr>,
     /// Display name (`attackpipe:<level>`), used as the attack label.
-    pub name: String,
+    pub(crate) name: String,
     /// The believed row stride the plan was compiled from (`None` for
     /// the blind fallback).
-    pub believed_stride: Option<u64>,
+    pub(crate) believed_stride: Option<u64>,
 }
 
 impl HammerPlan {
@@ -87,7 +87,7 @@ impl HammerPlan {
     /// aggressors at `region_base + 2iS`, leaving the odd multiples as
     /// victims. Without one: `BLIND_ADDRS` (16) uniformly random line
     /// addresses below `capacity`.
-    pub fn compile(
+    pub(crate) fn compile(
         belief: &Belief,
         cfg: &AttackerConfig,
         capacity: u64,
@@ -114,7 +114,7 @@ impl HammerPlan {
     /// Wraps the plan as the experiment's custom attacker: an LLC-
     /// bypassing round-robin over the aggressor set, rebuilt identically
     /// on every system construction.
-    pub fn custom_attack(&self) -> CustomAttack {
+    pub(crate) fn custom_attack(&self) -> CustomAttack {
         let addrs = self.aggressors.clone();
         CustomAttack::new(&self.name, true, move |_, _| {
             Box::new(PatternTrace(Box::new(PhysRoundRobin::new(addrs.clone(), 0))))

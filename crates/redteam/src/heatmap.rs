@@ -5,12 +5,14 @@
 //! probe by the benign slowdown it causes under the tracker being profiled.
 //! The result is a [`SensitivityHeatmap`]: a serializable, byte-stable
 //! document the evaluate stage ranks and the attack stage feeds into
-//! [`attacklab::search`](attacklab::search()) as warm-start priors.
+//! [`search`](crate::search::search()) as warm-start priors.
 
-use attacklab::arena::Arena;
-use attacklab::scenario::{ScenarioSpec, Shape};
 use sim_core::addr::Geometry;
 use sim_core::json::{DecodeError, Hex, Json, JsonCodec};
+
+use crate::arena::Arena;
+use crate::pattern::RESERVED_TOP_ROWS;
+use crate::scenario::{ScenarioSpec, Shape};
 
 /// The parametric probe families, one per non-baseline [`Shape`] kind.
 ///
@@ -31,10 +33,11 @@ pub enum Family {
 
 impl Family {
     /// Every family, in canonical (serialization) order.
-    pub const ALL: [Family; 4] = [Family::Hammer, Family::Sweep, Family::Diagonal, Family::Thrash];
+    pub(crate) const ALL: [Family; 4] =
+        [Family::Hammer, Family::Sweep, Family::Diagonal, Family::Thrash];
 
     /// Stable lower-case key (what specs and JSON documents spell).
-    pub fn key(self) -> &'static str {
+    pub(crate) fn key(self) -> &'static str {
         match self {
             Family::Hammer => "hammer",
             Family::Sweep => "sweep",
@@ -43,14 +46,17 @@ impl Family {
         }
     }
 
-    /// Parses a [`Self::key`] spelling.
+    /// Parses a family's lower-case key (`hammer`, `sweep`, `diagonal`,
+    /// `thrash`).
     pub fn by_key(key: &str) -> Option<Family> {
         Family::ALL.into_iter().find(|f| f.key() == key)
     }
 
     /// Parses a list of [`Self::key`] spellings, `all` standing for every
     /// family, deduplicated in listing order.
-    pub fn parse_list<'a>(names: impl IntoIterator<Item = &'a str>) -> Result<Vec<Family>, String> {
+    pub(crate) fn parse_list<'a>(
+        names: impl IntoIterator<Item = &'a str>,
+    ) -> Result<Vec<Family>, String> {
         let mut families = Vec::new();
         for name in names {
             if name.eq_ignore_ascii_case("all") {
@@ -66,12 +72,12 @@ impl Family {
     }
 
     /// Canonical index into [`Self::ALL`].
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         Family::ALL.iter().position(|f| *f == self).expect("family in ALL")
     }
 }
 
-/// Travels as its [`Family::key`].
+/// Travels as its lower-case key.
 impl JsonCodec for Family {
     fn encode(&self) -> Json {
         Json::str(self.key())
@@ -98,7 +104,7 @@ impl std::fmt::Display for Family {
 /// thrashing. The cell coordinates are folded into `seed_salt`, so every
 /// cell draws a distinct aggressor row set even when clamping collapses
 /// its other parameters.
-pub fn probe_spec(
+pub(crate) fn probe_spec(
     geom: Geometry,
     family: Family,
     bank_group: u32,
@@ -109,7 +115,7 @@ pub fn probe_spec(
     assert!(bank_groups >= 1 && row_groups >= 1, "grid axes must be >= 1");
     assert!(bank_group < bank_groups && row_group < row_groups, "cell out of grid");
     let max_banks = geom.banks_per_rank();
-    let max_span = geom.rows_per_bank - attacklab::pattern::RESERVED_TOP_ROWS;
+    let max_span = geom.rows_per_bank - RESERVED_TOP_ROWS;
     let banks = (max_banks * (bank_group + 1) / bank_groups).max(1);
     let shape = match family {
         // 2 rows/bank at the low end up to 512 at the top: spans the RCC /
@@ -156,29 +162,29 @@ pub(crate) fn ramp(value: f64, lo: f64, hi: f64) -> char {
 
 /// One profiled grid cell: the probe genome and its measured effect.
 #[derive(Debug, Clone, PartialEq)]
-pub struct HeatmapCell {
+pub(crate) struct HeatmapCell {
     /// Probe pattern family.
-    pub family: Family,
+    pub(crate) family: Family,
     /// Bank-spread bucket (0-based).
-    pub bank_group: u32,
+    pub(crate) bank_group: u32,
     /// Intensity bucket (0-based).
-    pub row_group: u32,
+    pub(crate) row_group: u32,
     /// The exact genome probed (rebuildable via [`ScenarioSpec::build`]).
-    pub probe: ScenarioSpec,
+    pub(crate) probe: ScenarioSpec,
     /// Mean benign slowdown vs. the insecure attack-free baseline.
-    pub slowdown: f64,
+    pub(crate) slowdown: f64,
     /// Worst single-window slowdown from the probe's
     /// [`SlowdownTrace`](sim_core::SlowdownTrace) (0 when no trace window
     /// completed).
-    pub peak_slowdown: f64,
+    pub(crate) peak_slowdown: f64,
     /// Microseconds until the worst window.
-    pub time_to_max_us: Option<f64>,
+    pub(crate) time_to_max_us: Option<f64>,
     /// Microseconds from the worst window to recovery.
-    pub recovery_us: Option<f64>,
+    pub(crate) recovery_us: Option<f64>,
     /// Mitigation commands the probe provoked (VRR + RFM).
-    pub mitigations: u64,
+    pub(crate) mitigations: u64,
     /// Tracker counter reads + writes injected into DRAM.
-    pub counter_ops: u64,
+    pub(crate) counter_ops: u64,
 }
 
 sim_core::json_record!(HeatmapCell {
@@ -198,7 +204,7 @@ impl HeatmapCell {
     /// Ranking score: the worst-window slowdown when the trace caught one
     /// (transients matter more than the mean under short probe windows),
     /// the mean slowdown otherwise.
-    pub fn score(&self) -> f64 {
+    pub(crate) fn score(&self) -> f64 {
         if self.peak_slowdown > 0.0 {
             self.peak_slowdown
         } else {
@@ -216,25 +222,25 @@ impl HeatmapCell {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SensitivityHeatmap {
     /// Tracker display label (params included), for reports.
-    pub tracker: String,
+    pub(crate) tracker: String,
     /// Tracker registry key, so later stages can rebuild the selection.
-    pub tracker_key: String,
+    pub(crate) tracker_key: String,
     /// Benign workload sharing the machine.
-    pub workload: String,
+    pub(crate) workload: String,
     /// Probe simulation window, microseconds.
-    pub probe_window_us: f64,
+    pub(crate) probe_window_us: f64,
     /// RowHammer threshold probed at.
-    pub nrh: u32,
+    pub(crate) nrh: u32,
     /// Seed the probes ran under.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Bank-spread buckets.
-    pub bank_groups: u32,
+    pub(crate) bank_groups: u32,
     /// Intensity buckets.
-    pub row_groups: u32,
+    pub(crate) row_groups: u32,
     /// Families profiled, in [`Family::ALL`] order.
-    pub families: Vec<Family>,
+    pub(crate) families: Vec<Family>,
     /// Cells in canonical order (family-major, bank group, row group).
-    pub cells: Vec<HeatmapCell>,
+    pub(crate) cells: Vec<HeatmapCell>,
 }
 
 sim_core::json_record!(SensitivityHeatmap {
@@ -254,7 +260,7 @@ impl SensitivityHeatmap {
     /// A deterministic synthetic 2×2 map over two families, no simulation
     /// involved: what `warroom --render-once` previews and the unit tests
     /// exercise. Sweep / bank group 1 / intensity 1 is its hottest cell.
-    pub fn synthetic() -> SensitivityHeatmap {
+    pub(crate) fn synthetic() -> SensitivityHeatmap {
         let geom = Geometry::paper_baseline();
         let families = vec![Family::Hammer, Family::Sweep];
         let mut cells = Vec::new();
@@ -292,7 +298,12 @@ impl SensitivityHeatmap {
     }
 
     /// The cell at a grid coordinate, if that family was profiled.
-    pub fn cell(&self, family: Family, bank_group: u32, row_group: u32) -> Option<&HeatmapCell> {
+    pub(crate) fn cell(
+        &self,
+        family: Family,
+        bank_group: u32,
+        row_group: u32,
+    ) -> Option<&HeatmapCell> {
         self.cells
             .iter()
             .find(|c| c.family == family && c.bank_group == bank_group && c.row_group == row_group)
@@ -300,7 +311,7 @@ impl SensitivityHeatmap {
 
     /// Cells ranked by [`HeatmapCell::score`] descending; ties break on
     /// canonical cell order so the ranking is deterministic.
-    pub fn ranked(&self) -> Vec<&HeatmapCell> {
+    pub(crate) fn ranked(&self) -> Vec<&HeatmapCell> {
         let mut order: Vec<usize> = (0..self.cells.len()).collect();
         order.sort_by(|&a, &b| {
             self.cells[b].score().total_cmp(&self.cells[a].score()).then(a.cmp(&b))
@@ -309,14 +320,14 @@ impl SensitivityHeatmap {
     }
 
     /// The `k` strongest cells.
-    pub fn top(&self, k: usize) -> Vec<&HeatmapCell> {
+    pub(crate) fn top(&self, k: usize) -> Vec<&HeatmapCell> {
         self.ranked().into_iter().take(k).collect()
     }
 
     /// The arena the evaluate and attack stages work in: this heatmap's
-    /// workload, threshold and seed at the attacklab campaign window
+    /// workload, threshold and seed at the campaign window
     /// (250 µs) rather than the probe window.
-    pub fn arena(&self) -> Arena {
+    pub(crate) fn arena(&self) -> Arena {
         let mut arena = Arena::new(&self.workload);
         arena.nrh = self.nrh;
         arena.seed = self.seed;
@@ -324,15 +335,15 @@ impl SensitivityHeatmap {
     }
 
     /// The `n` strongest probe genomes — what the attack stage feeds into
-    /// [`attacklab::search`](attacklab::search()) as warm-start priors.
-    pub fn seed_genomes(&self, n: usize) -> Vec<ScenarioSpec> {
+    /// [`search`](crate::search::search()) as warm-start priors.
+    pub(crate) fn seed_genomes(&self, n: usize) -> Vec<ScenarioSpec> {
         self.top(n).into_iter().map(|c| c.probe.clone()).collect()
     }
 
     /// Renders per-family intensity grids with an ASCII ramp — rows are
     /// bank-spread buckets, columns intensity buckets, normalized over the
     /// whole map so families are comparable at a glance.
-    pub fn render_ascii(&self) -> String {
+    pub(crate) fn render_ascii(&self) -> String {
         let lo = self.cells.iter().map(|c| c.score()).fold(f64::INFINITY, f64::min);
         let hi = self.cells.iter().map(|c| c.score()).fold(f64::NEG_INFINITY, f64::max);
         let mut out = String::new();

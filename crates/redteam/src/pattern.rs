@@ -19,10 +19,10 @@ use sim_core::rng::Xoshiro256;
 
 /// Rows at the top of every bank reserved for tracker metadata; attack
 /// generators stay clear of them (mirrors the legacy `Attack` behaviour).
-pub const RESERVED_TOP_ROWS: u32 = 64;
+pub(crate) const RESERVED_TOP_ROWS: u32 = 64;
 
 /// An endless, deterministic attack access stream.
-pub trait PatternGen: Send {
+pub(crate) trait PatternGen: Send {
     /// Produces the next access of the attack.
     fn next_access(&mut self) -> TraceEntry;
 
@@ -32,7 +32,7 @@ pub trait PatternGen: Send {
 }
 
 /// A boxed pattern, the unit the combinators compose over.
-pub type BoxPattern = Box<dyn PatternGen>;
+pub(crate) type BoxPattern = Box<dyn PatternGen>;
 
 impl PatternGen for BoxPattern {
     fn next_access(&mut self) -> TraceEntry {
@@ -45,7 +45,7 @@ impl PatternGen for BoxPattern {
 }
 
 /// Adapts a pattern to the [`cpu::TraceSource`] the attacker core runs.
-pub struct PatternTrace(pub BoxPattern);
+pub(crate) struct PatternTrace(pub(crate) BoxPattern);
 
 impl std::fmt::Debug for PatternTrace {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -67,7 +67,7 @@ fn read(geom: &Geometry, addr: DramAddr) -> TraceEntry {
 
 /// How [`RowSweep`] orders its walk over the row space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SweepOrder {
+pub(crate) enum SweepOrder {
     /// Banks innermost; rows advance with the given stride so consecutive
     /// activations touch distinct counter *lines* (the order that defeats
     /// line-granularity counter caching — START's attack).
@@ -80,7 +80,7 @@ pub enum SweepOrder {
 
 /// Walks rows of one rank across a set of banks — the streaming family.
 #[derive(Debug, Clone)]
-pub struct RowSweep {
+pub(crate) struct RowSweep {
     geom: Geometry,
     rank: u8,
     banks: u64,
@@ -95,7 +95,7 @@ impl RowSweep {
     /// # Panics
     ///
     /// Panics if `banks` or `span` is zero or exceeds the geometry.
-    pub fn new(geom: Geometry, rank: u8, banks: u32, span: u32, order: SweepOrder) -> Self {
+    pub(crate) fn new(geom: Geometry, rank: u8, banks: u32, span: u32, order: SweepOrder) -> Self {
         assert!(banks >= 1 && banks <= geom.banks_per_rank(), "banks {banks} out of range");
         assert!(span >= 1 && span <= geom.rows_per_bank - RESERVED_TOP_ROWS, "span {span}");
         if let SweepOrder::LineStride(s) = order {
@@ -105,7 +105,7 @@ impl RowSweep {
     }
 
     /// The full-rank sweep of the paper's streaming / START attacks.
-    pub fn paper_streaming(geom: Geometry) -> Self {
+    pub(crate) fn paper_streaming(geom: Geometry) -> Self {
         Self::new(
             geom,
             0,
@@ -147,7 +147,7 @@ impl PatternGen for RowSweep {
 /// Cycles a fixed aggressor set — the hammer family (Hydra RCC thrash,
 /// CoMeT RAT overflow, the refresh attack).
 #[derive(Debug, Clone)]
-pub struct HammerRows {
+pub(crate) struct HammerRows {
     geom: Geometry,
     rows: Vec<DramAddr>,
     step: u64,
@@ -159,7 +159,7 @@ impl HammerRows {
     /// # Panics
     ///
     /// Panics if `rows` is empty.
-    pub fn new(geom: Geometry, rows: Vec<DramAddr>) -> Self {
+    pub(crate) fn new(geom: Geometry, rows: Vec<DramAddr>) -> Self {
         assert!(!rows.is_empty(), "hammer set must be non-empty");
         Self { geom, rows, step: 0 }
     }
@@ -167,7 +167,7 @@ impl HammerRows {
     /// A seed-deterministic aggressor set: `per_bank` rows in each of
     /// `banks` banks of rank 0, rows drawn uniformly below the reserved
     /// region.
-    pub fn random_set(geom: Geometry, banks: u32, per_bank: u32, seed: u64) -> Self {
+    pub(crate) fn random_set(geom: Geometry, banks: u32, per_bank: u32, seed: u64) -> Self {
         let banks = banks.clamp(1, geom.banks_per_rank());
         let per_bank = per_bank.max(1);
         let mut rng = Xoshiro256::seed_from(seed ^ 0x4A3A_11AB);
@@ -180,11 +180,6 @@ impl HammerRows {
         }
         rng.shuffle(&mut rows);
         Self::new(geom, rows)
-    }
-
-    /// The aggressor set.
-    pub fn rows(&self) -> &[DramAddr] {
-        &self.rows
     }
 }
 
@@ -202,7 +197,7 @@ impl PatternGen for HammerRows {
 
 /// Streams cache lines through the LLC — the cache-thrashing shape.
 #[derive(Debug, Clone)]
-pub struct LineStream {
+pub(crate) struct LineStream {
     lines: u64,
     bubbles: u32,
     step: u64,
@@ -215,13 +210,13 @@ impl LineStream {
     /// # Panics
     ///
     /// Panics if `lines` is zero.
-    pub fn new(lines: u64, bubbles: u32) -> Self {
+    pub(crate) fn new(lines: u64, bubbles: u32) -> Self {
         assert!(lines > 0, "line stream needs at least one line");
         Self { lines, bubbles, step: 0 }
     }
 
     /// The paper's 64 MB cache-thrashing stream.
-    pub fn paper_thrash() -> Self {
+    pub(crate) fn paper_thrash() -> Self {
         Self::new((64 << 20) / 64, 6)
     }
 }
@@ -240,7 +235,7 @@ impl PatternGen for LineStream {
 
 /// Uniformly random rows of one rank — pure mapping-agnostic noise.
 #[derive(Debug, Clone)]
-pub struct RandomRows {
+struct RandomRows {
     geom: Geometry,
     rank: u8,
     rng: Xoshiro256,
@@ -248,7 +243,7 @@ pub struct RandomRows {
 
 impl RandomRows {
     /// Draws rows uniformly below the reserved region.
-    pub fn new(geom: Geometry, rank: u8, seed: u64) -> Self {
+    fn new(geom: Geometry, rank: u8, seed: u64) -> Self {
         Self { geom, rank, rng: Xoshiro256::seed_from(seed ^ 0xDEC0_7101) }
     }
 }
@@ -271,7 +266,7 @@ impl PatternGen for RandomRows {
 
 /// Rotates between child patterns in runs of `len` accesses (`len` 1 is
 /// a pure interleave).
-pub struct Burst {
+pub(crate) struct Burst {
     children: Vec<BoxPattern>,
     len: u32,
     idx: usize,
@@ -284,7 +279,7 @@ impl Burst {
     /// # Panics
     ///
     /// Panics if `children` is empty or `len` is zero.
-    pub fn new(children: Vec<BoxPattern>, len: u32) -> Self {
+    pub(crate) fn new(children: Vec<BoxPattern>, len: u32) -> Self {
         assert!(!children.is_empty(), "burst needs at least one child");
         assert!(len > 0, "burst length must be nonzero");
         Self { children, len, idx: 0, pos: 0 }
@@ -310,7 +305,7 @@ impl PatternGen for Burst {
 
 /// Replaces a fraction of the inner accesses with random-row decoys,
 /// diluting what a tracker's sampled or cached state can learn.
-pub struct Decoy {
+pub(crate) struct Decoy {
     inner: BoxPattern,
     noise: RandomRows,
     pct: u8,
@@ -325,7 +320,7 @@ impl Decoy {
     /// # Panics
     ///
     /// Panics if `pct > 100`.
-    pub fn new(inner: BoxPattern, pct: u8, geom: Geometry, seed: u64) -> Self {
+    pub(crate) fn new(inner: BoxPattern, pct: u8, geom: Geometry, seed: u64) -> Self {
         assert!(pct <= 100, "decoy percentage {pct} > 100");
         Self {
             inner,
@@ -352,7 +347,7 @@ impl PatternGen for Decoy {
 
 /// Alternates between the attack pattern and an innocuous cover pattern —
 /// hammering in pulses to ride under decay/reset windows.
-pub struct Feint {
+pub(crate) struct Feint {
     inner: BoxPattern,
     cover: BoxPattern,
     on: u32,
@@ -366,7 +361,7 @@ impl Feint {
     /// # Panics
     ///
     /// Panics if `on` or `off` is zero.
-    pub fn new(inner: BoxPattern, cover: BoxPattern, on: u32, off: u32) -> Self {
+    pub(crate) fn new(inner: BoxPattern, cover: BoxPattern, on: u32, off: u32) -> Self {
         assert!(on > 0 && off > 0, "feint phases must be nonzero");
         Self { inner, cover, on, off, pos: 0 }
     }
@@ -391,14 +386,14 @@ impl PatternGen for Feint {
 
 /// Inserts compute bubbles between accesses, pacing the attack below
 /// throttling thresholds (BlockHammer) or a target ACT rate.
-pub struct RateLimit {
+pub(crate) struct RateLimit {
     inner: BoxPattern,
     bubbles: u32,
 }
 
 impl RateLimit {
     /// Adds `bubbles` non-memory instructions before every inner access.
-    pub fn new(inner: BoxPattern, bubbles: u32) -> Self {
+    pub(crate) fn new(inner: BoxPattern, bubbles: u32) -> Self {
         Self { inner, bubbles }
     }
 }

@@ -9,19 +9,15 @@
 //!
 //! Verdicts are content-addressed: one driver keys each cell by the
 //! canonical descriptor of its attack-stripped experiment (the attacker
-//! section included) and reads warm cells straight from a [`DiskStore`]
-//! — a repeated sweep executes zero simulations and emits byte-identical
-//! artifacts. It has two front ends: [`run_attacker_sweep`] for
-//! `[attacker]` specs, and [`attacker_axis`], which extends an attacklab
+//! section included) and reads warm cells straight from the run cache's
+//! [`DiskStore`] — a repeated sweep executes zero simulations and emits
+//! byte-identical artifacts. It has two front ends: [`run_attacker_sweep`]
+//! for `[attacker]` specs, and [`attacker_axis`], which extends a
 //! campaign with one row per tracker and knowledge level
 //! (`redteam --attacker`).
 
 use analysis::OracleProbe;
-use attacklab::arena::Score;
-use attacklab::campaign::{CampaignReport, CampaignRow};
-use attacklab::scenario::{ScenarioSpec, Shape};
-use attacklab::search::EvalRecord;
-use sim::cache::{lookup_entry, save_entry};
+use sim::cache::{lookup_entry, save_entry, RunCache};
 use sim::exec::{Executor, PayloadCache};
 use sim::metrics::RunStats;
 use sim::{
@@ -32,8 +28,12 @@ use sim_core::cache::{content_key, DiskStore};
 use sim_core::json::{Json, JsonCodec};
 use std::collections::BTreeMap;
 
+use crate::arena::Score;
+use crate::campaign::{CampaignReport, CampaignRow};
 use crate::hammer::{HammerPlan, PAIRS};
 use crate::recon;
+use crate::scenario::{ScenarioSpec, Shape};
+use crate::search::EvalRecord;
 use crate::victim::VictimOrchestrator;
 
 /// Verdict-cache epoch, folded into every cache key and entry. Bump when
@@ -194,24 +194,24 @@ fn verdict_key(e: &Experiment) -> Option<CellKey> {
     })
 }
 
-/// The verdict cache: [`PipelineVerdict`]s in a [`DiskStore`], in the run
-/// cache's entry envelope under [`VERDICT_EPOCH`] — a stale, colliding or
-/// undecodable entry is evicted, never served.
-struct VerdictStore(DiskStore);
+/// The verdict cache: [`PipelineVerdict`]s in the run cache's
+/// [`DiskStore`], in its entry envelope under [`VERDICT_EPOCH`] — a
+/// stale, colliding or undecodable entry is evicted, never served.
+struct VerdictStore<'a>(&'a DiskStore);
 
-impl PayloadCache<PipelineVerdict> for VerdictStore {
+impl PayloadCache<PipelineVerdict> for VerdictStore<'_> {
     fn lookup(&self, key: &CellKey) -> Option<PipelineVerdict> {
-        lookup_entry(&self.0, key, &Json::str(VERDICT_EPOCH), "verdict")
+        lookup_entry(self.0, key, &Json::str(VERDICT_EPOCH), "verdict")
     }
 
     fn save(&self, key: &CellKey, v: &PipelineVerdict) -> std::io::Result<()> {
-        save_entry(&self.0, key, Json::str(VERDICT_EPOCH), "verdict", v)
+        save_entry(self.0, key, Json::str(VERDICT_EPOCH), "verdict", v)
     }
 }
 
 // ---------------------------------------------------------------- sweeps
 
-/// Outcome of [`run_attacker_sweep`]: one verdict per cell, in spec
+/// Outcome of an attacker sweep: one verdict per cell, in spec
 /// expansion order, plus the cache traffic. The JSON export excludes the
 /// hit/miss counters on purpose — a warm re-run must render
 /// byte-identically to the cold run that filled the cache.
@@ -233,7 +233,7 @@ pub struct AttackerSweepReport {
 impl AttackerSweepReport {
     /// Aligned text table: one row per verdict, grouped as expanded
     /// (knowledge levels of one tracker stay adjacent).
-    pub fn leaderboard_table(&self) -> String {
+    pub(crate) fn leaderboard_table(&self) -> String {
         let mut out = format!(
             "{:<16} {:<13} {:<13} {:>7} {:>6} {:>9} {:>9} {:>9} {:>7}\n",
             "workload",
@@ -270,7 +270,7 @@ impl AttackerSweepReport {
 
     /// Serializes the report as JSON (deterministic: equal verdict sets
     /// render byte-identically, cached or not).
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::obj([
             ("name", Json::str(&self.name)),
             ("cells", Json::count(self.cells as u64)),
@@ -281,20 +281,14 @@ impl AttackerSweepReport {
 
 /// The one cell driver: verdict-cache lookups first, then one shared
 /// reference per workload (and only for cells that missed),
-/// then the missing cells in parallel. Without `cache_dir` every cell
+/// then the missing cells in parallel. Without a `cache` every cell
 /// simulates and nothing persists.
 fn run_cells(
     name: &str,
     experiments: Vec<Experiment>,
-    cache_dir: Option<String>,
+    cache: Option<&RunCache>,
 ) -> AttackerSweepReport {
-    let store = cache_dir.and_then(|dir| match DiskStore::open(&dir) {
-        Ok(store) => Some(VerdictStore(store)),
-        Err(e) => {
-            eprintln!("attackpipe: cannot open verdict cache {dir}: {e}; running uncached");
-            None
-        }
-    });
+    let store = cache.map(|c| VerdictStore(c.store()));
     let cells = experiments
         .into_iter()
         .map(|e| {
@@ -319,7 +313,7 @@ fn run_cells(
     let verdicts = outcomes
         .into_iter()
         .filter_map(|outcome| {
-            outcome.inspect_err(|e| eprintln!("attackpipe: cell failed, skipping: {e}")).ok()
+            outcome.inspect_err(|e| eprintln!("redteam: cell failed, skipping: {e}")).ok()
         })
         .collect();
     AttackerSweepReport {
@@ -331,12 +325,11 @@ fn run_cells(
     }
 }
 
-/// Expands a spec's `[attacker]` cells and runs the pipeline over them.
-/// `cache_dir` overrides the spec's `[cache]` section (`None` falls back
-/// to it; no directory anywhere disables caching).
-pub fn run_attacker_sweep(
+/// Expands a spec's `[attacker]` cells and runs the pipeline over them,
+/// reading verdicts through `cache` when given.
+pub(crate) fn run_attacker_sweep(
     spec: &SweepSpec,
-    cache_dir: Option<&str>,
+    cache: Option<&RunCache>,
 ) -> Result<AttackerSweepReport, String> {
     let experiments: Vec<Experiment> = spec
         .expand()
@@ -347,8 +340,7 @@ pub fn run_attacker_sweep(
     if experiments.is_empty() {
         return Err("spec has no [attacker] section; nothing for the pipeline to run".to_string());
     }
-    let dir = cache_dir.map(str::to_string).or_else(|| spec.cache.as_ref()?.dir.clone());
-    Ok(run_cells(&spec.name, experiments, dir))
+    Ok(run_cells(&spec.name, experiments, cache))
 }
 
 // ---------------------------------------------------------------- redteam
@@ -364,11 +356,13 @@ fn nominal_scenario() -> ScenarioSpec {
 
 /// The `redteam --attacker` axis: runs the pipeline for every tracker of
 /// the campaign at every knowledge level in `levels` — in the campaign's
-/// arena, through its `cache_dir` — and appends one row per verdict
-/// (origin `"attacker"`, scenario `attackpipe:<level>`) to `report`.
+/// arena, reading verdicts through `cache` when given — and appends one
+/// row per verdict (origin `"attacker"`, scenario `attackpipe:<level>`)
+/// to `report`.
 pub fn attacker_axis(
     report: &mut CampaignReport,
     levels: &[AttackerKnowledge],
+    cache: Option<&RunCache>,
 ) -> AttackerSweepReport {
     let c = &report.config;
     let mut experiments = Vec::new();
@@ -391,7 +385,7 @@ pub fn attacker_axis(
             );
         }
     }
-    let sweep = run_cells("redteam", experiments, c.cache_dir.clone());
+    let sweep = run_cells("redteam", experiments, cache);
     for v in &sweep.verdicts {
         report.rows.push(CampaignRow {
             tracker: v.tracker.clone(),
@@ -493,11 +487,11 @@ mod tests {
         assert_ne!(k1.key, k0.key);
     }
 
-    fn scratch_store(name: &str) -> VerdictStore {
+    fn scratch_disk(name: &str) -> DiskStore {
         let dir = std::env::temp_dir()
-            .join(format!("attackpipe-verdict-cache-{}-{name}", std::process::id()));
+            .join(format!("redteam-verdict-cache-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        VerdictStore(DiskStore::open(&dir).expect("open"))
+        DiskStore::open(&dir).expect("open")
     }
 
     fn key(knowledge: AttackerKnowledge) -> CellKey {
@@ -509,7 +503,8 @@ mod tests {
 
     #[test]
     fn verdict_store_round_trips_and_rejects_descriptor_mismatch() {
-        let store = scratch_store("mismatch");
+        let disk = scratch_disk("mismatch");
+        let store = VerdictStore(&disk);
         let v = verdict();
         let a = key(AttackerKnowledge::TimingRecon);
         store.save(&a, &v).expect("save");
@@ -527,7 +522,8 @@ mod tests {
         // a damaged-but-checksummed entry was served with `flips: -3`
         // saturated to 0 and an oversized peak truncated to 32 bits. Now
         // the decoder names the field and the store evicts the entry.
-        let store = scratch_store("integers");
+        let disk = scratch_disk("integers");
+        let store = VerdictStore(&disk);
         let a = key(AttackerKnowledge::TimingRecon);
         for (field, good, bad) in [
             ("flips", "3", "-3"),

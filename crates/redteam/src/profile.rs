@@ -9,14 +9,14 @@
 //! PR 6 content-addressed run cache — a warm profile performs **zero**
 //! simulations and reproduces the heatmap byte-identically.
 
-use attacklab::arena::{Arena, EvalStats, Reference, Score};
 use sim::cache::RunCache;
 use sim::exec::PayloadCache;
 use sim::experiment::TrackerSel;
 use sim_core::addr::Geometry;
 
+use crate::arena::{Arena, EvalStats, Reference, Score};
 use crate::heatmap::{probe_spec, Family, HeatmapCell, SensitivityHeatmap};
-use crate::CampaignEvent;
+use crate::warroom::CampaignEvent;
 
 /// Profile-stage configuration.
 #[derive(Debug, Clone)]
@@ -106,7 +106,7 @@ pub fn run_profile(
     for (i, (outcome, probe)) in outcomes.into_iter().zip(probes).enumerate() {
         let result = outcome.unwrap_or_else(|e| {
             panic!(
-                "profiler: probe {} failed to simulate against {}: {e}",
+                "redteam: probe {} failed to simulate against {}: {e}",
                 probe.name(),
                 cfg.tracker.label()
             )

@@ -17,7 +17,7 @@
 //!   stride between same-bank adjacent rows.
 //! * **Verification** — a pool of believed same-bank adjacent pairs
 //!   (`B + 2kS`, `B + (2k+1)S`) plus sub-row-stride control pairs, each
-//!   probed and classified with a per-pair confidence.
+//!   probed and classified.
 //!
 //! Latencies are observed through a [`LatencyProbe`] on the attacker's
 //! own [`SourceId`] — the inject-to-completion interval a userspace
@@ -59,28 +59,24 @@ const MIN_CLUSTER_GAP: f64 = 6.0;
 
 /// What the attacker believes about the machine after stage 1.
 #[derive(Debug, Clone, Default)]
-pub struct Belief {
+pub(crate) struct Belief {
     /// Believed physical-address stride between same-bank adjacent rows
     /// (`None`: no usable belief — hammer falls back to blind guessing).
-    pub row_stride: Option<u64>,
+    pub(crate) row_stride: Option<u64>,
     /// The recon evidence backing the belief (timing-recon only).
-    pub inferred: Option<InferredMap>,
+    pub(crate) inferred: Option<InferredMap>,
 }
 
 /// One probed address pair and its classification.
 #[derive(Debug, Clone, Copy)]
-pub struct PairVerdict {
+struct PairVerdict {
     /// First address of the pair.
-    pub a: PhysAddr,
+    a: PhysAddr,
     /// Second address of the pair.
-    pub b: PhysAddr,
+    b: PhysAddr,
     /// Classified as same-bank different-row (a row-buffer-conflict
     /// pair — the kind double-sided hammering needs).
-    pub same_bank: bool,
-    /// Distance of the pair's median latency from the decision
-    /// threshold, normalized to the cluster separation and clamped to
-    /// `[0, 1]`.
-    pub confidence: f64,
+    same_bank: bool,
 }
 
 /// Everything stage 1 inferred, with the ground-truth scoring hooks the
@@ -90,7 +86,7 @@ pub struct InferredMap {
     /// Inferred row-field shift: the believed stride is `1 << row_shift`.
     pub row_shift: Option<u32>,
     /// Per-pair verdicts from the verification phase.
-    pub pairs: Vec<PairVerdict>,
+    pairs: Vec<PairVerdict>,
     /// Estimated mitigation cadence (bus cycles between latency spikes),
     /// when enough spikes were observed.
     pub cadence_cycles: Option<u64>,
@@ -130,7 +126,7 @@ impl InferredMap {
 
 /// Ground truth: do the two addresses hit the same bank on different
 /// rows (the row-buffer-conflict relation the probes classify)?
-pub fn same_bank_conflict(geom: &Geometry, a: PhysAddr, b: PhysAddr) -> bool {
+fn same_bank_conflict(geom: &Geometry, a: PhysAddr, b: PhysAddr) -> bool {
     let da = geom.decode(a);
     let db = geom.decode(b);
     da.channel == db.channel
@@ -144,15 +140,15 @@ pub fn same_bank_conflict(geom: &Geometry, a: PhysAddr, b: PhysAddr) -> bool {
 /// mapping belief. The trait is the recon stage's seam: `Omniscient`
 /// reads the geometry (the classic simulator idealism), `TimingRecon`
 /// runs the probe campaign, `Blind` knows nothing.
-pub trait KnowledgeModel {
+pub(crate) trait KnowledgeModel {
     /// Acquires the belief, possibly by running recon simulations
     /// against the experiment's machine.
     fn acquire(&mut self, base: &Experiment, cfg: &AttackerConfig) -> Belief;
 }
 
-/// Full mapping knowledge (the pre-attackpipe default).
+/// Full mapping knowledge (the classic simulator default).
 #[derive(Debug, Default)]
-pub struct Omniscient;
+struct Omniscient;
 
 impl KnowledgeModel for Omniscient {
     fn acquire(&mut self, base: &Experiment, _cfg: &AttackerConfig) -> Belief {
@@ -165,7 +161,7 @@ impl KnowledgeModel for Omniscient {
 
 /// No mapping knowledge at all.
 #[derive(Debug, Default)]
-pub struct Blind;
+struct Blind;
 
 impl KnowledgeModel for Blind {
     fn acquire(&mut self, _base: &Experiment, _cfg: &AttackerConfig) -> Belief {
@@ -175,7 +171,7 @@ impl KnowledgeModel for Blind {
 
 /// Knowledge inferred from access latencies (runs the probe campaign).
 #[derive(Debug, Default)]
-pub struct TimingRecon;
+struct TimingRecon;
 
 impl KnowledgeModel for TimingRecon {
     fn acquire(&mut self, base: &Experiment, cfg: &AttackerConfig) -> Belief {
@@ -185,7 +181,7 @@ impl KnowledgeModel for TimingRecon {
 }
 
 /// The model implementing a configured knowledge level.
-pub fn model_for(k: AttackerKnowledge) -> Box<dyn KnowledgeModel> {
+pub(crate) fn model_for(k: AttackerKnowledge) -> Box<dyn KnowledgeModel> {
     match k {
         AttackerKnowledge::Omniscient => Box::new(Omniscient),
         AttackerKnowledge::TimingRecon => Box::new(TimingRecon),
@@ -317,13 +313,6 @@ struct Classes {
     low: f64,
     high: f64,
     threshold: f64,
-}
-
-impl Classes {
-    fn confidence(&self, med: f64) -> f64 {
-        let sep = (self.high - self.low).max(1.0);
-        ((med - self.threshold).abs() / sep * 2.0).min(1.0)
-    }
 }
 
 /// Splits latency medians into a fast and a slow cluster at the largest
@@ -470,12 +459,7 @@ pub fn infer_map(base: &Experiment, cfg: &AttackerConfig) -> InferredMap {
             let vmeds = phase_medians(&vphases, &verify_samples);
             for (p, m) in vphases.iter().zip(&vmeds) {
                 if let Some(m) = m {
-                    pairs.push(PairVerdict {
-                        a: p.a,
-                        b: p.b,
-                        same_bank: *m >= classes.threshold,
-                        confidence: classes.confidence(*m),
-                    });
+                    pairs.push(PairVerdict { a: p.a, b: p.b, same_bank: *m >= classes.threshold });
                 }
             }
         }
@@ -500,8 +484,6 @@ mod tests {
         let c = split_classes(&meds).expect("clear bimodal split");
         assert!(c.threshold > 43.0 && c.threshold < 95.0);
         assert!(c.low < 45.0 && c.high > 90.0);
-        assert!(c.confidence(41.0) > 0.9);
-        assert!(c.confidence(c.threshold) < 0.05);
         assert!(split_classes(&[40.0, 41.0, 42.0]).is_none(), "no gap, no verdict");
     }
 

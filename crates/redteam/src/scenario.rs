@@ -20,7 +20,7 @@ use workloads::Attack;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Shape {
     /// One of the paper's hand-written attacks, rebuilt bit-exactly from
-    /// attacklab primitives.
+    /// pattern primitives.
     Baseline(Attack),
     /// A fixed aggressor set: `per_bank` seed-drawn rows in each of `banks`
     /// banks, hammered round-robin (optionally split into interleaved
@@ -92,7 +92,7 @@ impl ScenarioSpec {
     }
 
     /// A random scenario drawn from the full genome space.
-    pub fn random(rng: &mut Xoshiro256) -> Self {
+    pub(crate) fn random(rng: &mut Xoshiro256) -> Self {
         let shape = match rng.gen_range(4) {
             0 => Shape::Hammer {
                 banks: 1 << rng.gen_range(6),    // 1..=32
@@ -127,7 +127,7 @@ impl ScenarioSpec {
 
     /// Whether the attacker's accesses skip the LLC (mirrors
     /// [`Attack::bypasses_llc`]: everything except cache thrashing does).
-    pub fn bypasses_llc(&self) -> bool {
+    pub(crate) fn bypasses_llc(&self) -> bool {
         match self.shape {
             Shape::Baseline(a) => a.bypasses_llc(),
             Shape::Thrash { .. } => false,
@@ -137,13 +137,13 @@ impl ScenarioSpec {
 
     /// Expands the spec into a pattern for one system instance. All
     /// parameters are clamped to `geom`, so every spec builds.
-    pub fn build(&self, geom: Geometry, seed: u64) -> BoxPattern {
+    pub(crate) fn build(&self, geom: Geometry, seed: u64) -> BoxPattern {
         let seed = seed ^ self.seed_salt;
         let max_span = geom.rows_per_bank - RESERVED_TOP_ROWS;
         let max_banks = geom.banks_per_rank();
         let mut p: BoxPattern = match self.shape {
             // Every hand-written attack of the paper is a composition of
-            // attacklab primitives emitting the same access stream, entry
+            // pattern primitives emitting the same access stream, entry
             // for entry, as the legacy `workloads::AttackTrace` — which is
             // what lets the search seed itself with the paper's tailored
             // attacks and then mutate beyond them.
@@ -217,7 +217,7 @@ impl ScenarioSpec {
     }
 
     /// Compact, stable identifier (used as the attack display name).
-    pub fn name(&self) -> String {
+    pub(crate) fn name(&self) -> String {
         let mut s = match self.shape {
             Shape::Baseline(a) => a.name().to_string(),
             Shape::Hammer { banks, per_bank } => format!("hammer{banks}x{per_bank}"),
@@ -244,7 +244,7 @@ impl ScenarioSpec {
     }
 
     /// Produces a neighbour in genome space: one gene nudged.
-    pub fn mutate(&self, rng: &mut Xoshiro256) -> ScenarioSpec {
+    pub(crate) fn mutate(&self, rng: &mut Xoshiro256) -> ScenarioSpec {
         let mut next = self.clone();
         // A Baseline shape first "opens up" into its parametric equivalent
         // family so its parameters become mutable.

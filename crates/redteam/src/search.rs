@@ -24,22 +24,22 @@ use sim_core::rng::Xoshiro256;
 
 /// Search configuration.
 #[derive(Debug, Clone)]
-pub struct SearchConfig {
+pub(crate) struct SearchConfig {
     /// Tracker under attack (a registry selection, parameter overrides
     /// included).
-    pub tracker: TrackerSel,
+    pub(crate) tracker: TrackerSel,
     /// Evaluation conditions; `arena.seed` also seeds the mutations.
-    pub arena: Arena,
+    pub(crate) arena: Arena,
     /// Total scenario evaluations.
-    pub budget: u32,
+    pub(crate) budget: u32,
     /// Mutants evaluated per generation (fixed, so the search trajectory
     /// does not depend on host parallelism).
-    pub batch: u32,
+    pub(crate) batch: u32,
 }
 
 impl SearchConfig {
     /// A search of `tracker` in `arena`: 50 evaluations in batches of 8.
-    pub fn new(tracker: impl Into<TrackerSel>, arena: Arena) -> Self {
+    pub(crate) fn new(tracker: impl Into<TrackerSel>, arena: Arena) -> Self {
         Self { tracker: tracker.into(), arena, budget: 50, batch: 8 }
     }
 }
@@ -71,10 +71,10 @@ pub struct EvalRecord {
     /// [`sim::RECOVERY_THRESHOLD`] of the reference; `None` when the
     /// tracker never recovers within the window.
     pub recovery_us: Option<f64>,
-    /// Recon map accuracy, for rows produced by the attackpipe pipeline
+    /// Recon map accuracy, for rows produced by the attacker pipeline
     /// (`None` for scenario evaluations, which assume full knowledge).
     pub recon_accuracy: Option<f64>,
-    /// Victim bit flips adjudicated by the attackpipe pipeline (`None`
+    /// Victim bit flips adjudicated by the attacker pipeline (`None`
     /// for scenario evaluations, which score slowdown only).
     pub flips: Option<u64>,
 }
@@ -82,7 +82,7 @@ pub struct EvalRecord {
 impl EvalRecord {
     /// The record of `spec` having scored `score` (a scenario evaluation:
     /// no recon, no flips).
-    pub fn new(spec: ScenarioSpec, score: &Score) -> Self {
+    pub(crate) fn new(spec: ScenarioSpec, score: &Score) -> Self {
         Self {
             name: spec.name(),
             spec,
@@ -110,7 +110,7 @@ pub(crate) fn records(
     let scored = specs.iter().zip(outcomes).map(|(spec, outcome)| match outcome {
         Ok(result) => Some(EvalRecord::new(spec.clone(), &Score::of(&result))),
         Err(e) => {
-            eprintln!("attacklab: scenario evaluation failed, skipping: {e}");
+            eprintln!("redteam: scenario evaluation failed, skipping: {e}");
             None
         }
     });
@@ -134,7 +134,7 @@ pub struct SearchReport {
     /// (evaluation index, best slowdown so far) — the climb.
     pub history: Vec<(u32, f64)>,
     /// Candidate genomes answered from the in-run memo instead of a fresh
-    /// simulation (mutation collisions; see [`EvalMemo`]).
+    /// simulation (mutation collisions).
     pub dedup_hits: u32,
 }
 
@@ -142,12 +142,12 @@ impl SearchReport {
     /// True when the search at least matched the hand-written tailored
     /// attack (it always should: the tailored attack seeds the initial
     /// population bit-exactly).
-    pub fn rediscovered_tailored(&self) -> bool {
+    pub(crate) fn rediscovered_tailored(&self) -> bool {
         self.slack() >= 0.0
     }
 
     /// Slowdown margin of the search's best over the tailored attack.
-    pub fn slack(&self) -> f64 {
+    pub(crate) fn slack(&self) -> f64 {
         self.best.slowdown - self.tailored.slowdown
     }
 }
@@ -162,25 +162,20 @@ impl SearchReport {
 /// adaptive, so its cells would pollute a shared cache with one-off keys.
 /// The memo lives and dies with a single search run.
 #[derive(Debug, Default)]
-pub struct EvalMemo {
+struct EvalMemo {
     map: Mutex<HashMap<String, ExperimentResult>>,
     hits: AtomicU32,
 }
 
 impl EvalMemo {
     /// An empty memo.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self::default()
     }
 
     /// Evaluations answered from the memo instead of a simulation.
-    pub fn hits(&self) -> u32 {
+    fn hits(&self) -> u32 {
         self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Distinct genomes simulated so far.
-    pub fn simulated(&self) -> usize {
-        self.map.lock().expect("memo lock").len()
     }
 }
 
@@ -203,7 +198,7 @@ impl PayloadCache<ExperimentResult> for EvalMemo {
 /// input order, minus scenarios whose simulation failed; duplicates
 /// receive byte-identical records (the simulation is deterministic, so
 /// this changes cost, never results).
-pub fn evaluate_specs_memo(
+fn evaluate_specs_memo(
     cfg: &SearchConfig,
     reference: &Reference,
     specs: Vec<ScenarioSpec>,
@@ -229,7 +224,7 @@ pub fn evaluate_specs_memo(
 
 /// Runs the hill-climbing search and reports the worst case found.
 ///
-/// The `priors` (typically the top cells of a profiler sensitivity
+/// The `priors` (typically the top cells of a profile stage's sensitivity
 /// heatmap) warm-start it: they join the initial population ahead of the
 /// random fill, and the exploration move mutates a random prior instead
 /// of drawing a cold random genome — the search spends its budget where
@@ -246,7 +241,7 @@ pub fn evaluate_specs_memo(
 /// Panics if the workload is unknown, the budget is zero, or the
 /// tailored-attack simulation itself fails (without it there is no
 /// baseline to compare against).
-pub fn search(
+pub(crate) fn search(
     cfg: &SearchConfig,
     reference: &Reference,
     priors: &[ScenarioSpec],
@@ -412,7 +407,7 @@ mod tests {
 
     #[test]
     fn cached_evaluation_reproduces_the_uncached_records() {
-        let dir = std::env::temp_dir().join(format!("attacklab-eval-cache-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("redteam-eval-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = RunCache::open(&dir).expect("open cache");
         let cfg = tiny("hydra");
@@ -444,11 +439,12 @@ mod tests {
         let other = ScenarioSpec::baseline(workloads::Attack::CacheThrash);
         let first = evaluate_specs_memo(&cfg, &reference, vec![dup.clone(), dup.clone()], &memo);
         assert_eq!(first.len(), 2);
-        assert_eq!(memo.simulated(), 1, "within-batch duplicate must simulate once");
+        let simulated = || memo.map.lock().unwrap().len();
+        assert_eq!(simulated(), 1, "within-batch duplicate must simulate once");
         assert_eq!(memo.hits(), 1);
         let again = evaluate_specs_memo(&cfg, &reference, vec![other, dup], &memo);
         assert_eq!(again.len(), 2);
-        assert_eq!(memo.simulated(), 2, "only the new genome simulates");
+        assert_eq!(simulated(), 2, "only the new genome simulates");
         assert_eq!(memo.hits(), 2);
         assert!((first[0].slowdown - first[1].slowdown).abs() == 0.0);
         assert!((again[1].slowdown - first[0].slowdown).abs() == 0.0);

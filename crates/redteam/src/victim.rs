@@ -16,11 +16,11 @@
 //! believed stride actually lands aggressors around it.
 
 use analysis::OracleProbe;
-use attacklab::pattern::RESERVED_TOP_ROWS;
 use sim_core::addr::{DramAddr, Geometry, PhysAddr};
 use sim_core::rng::Xoshiro256;
 
 use crate::hammer::PAIRS;
+use crate::pattern::RESERVED_TOP_ROWS;
 
 /// Per-row HC threshold spread: thresholds are drawn uniformly from
 /// `N_RH x [LOW, LOW + SPAN)` — some cells flip at barely half the rated
@@ -30,30 +30,30 @@ const THRESHOLD_SPAN: f64 = 0.90;
 
 /// Where the victims live and how weak each one is.
 #[derive(Debug, Clone)]
-pub struct VictimPlacement {
+pub(crate) struct VictimPlacement {
     /// Physical address of the region's first (even, aggressor) row —
     /// the anchor handed to the hammer compiler.
-    pub region_base: PhysAddr,
+    pub(crate) region_base: PhysAddr,
     /// Victim rows (the odd rows of the region) with their individual
     /// HC thresholds.
-    pub victims: Vec<(DramAddr, u32)>,
+    pub(crate) victims: Vec<(DramAddr, u32)>,
 }
 
 /// The flip count the run actually produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlipVerdict {
+pub(crate) struct FlipVerdict {
     /// Victim rows whose peak disturbance reached their HC threshold.
-    pub flips: u64,
+    pub(crate) flips: u64,
     /// Victim rows placed.
-    pub victims: u64,
+    pub(crate) victims: u64,
     /// Highest peak disturbance observed on any victim row — a robust
     /// pressure metric even when no threshold was crossed.
-    pub max_victim_peak: u32,
+    pub(crate) max_victim_peak: u32,
 }
 
 /// Places victims and adjudicates flips for one experiment cell.
 #[derive(Debug, Clone)]
-pub struct VictimOrchestrator {
+pub(crate) struct VictimOrchestrator {
     geom: Geometry,
     nrh: u32,
     seed: u64,
@@ -63,14 +63,14 @@ impl VictimOrchestrator {
     /// An orchestrator for the given machine and rated threshold. The
     /// seed drives placement and per-row thresholds, so one cell's
     /// knowledge levels (same seed) share identical victims.
-    pub fn new(geom: Geometry, nrh: u32, seed: u64) -> Self {
+    pub(crate) fn new(geom: Geometry, nrh: u32, seed: u64) -> Self {
         Self { geom, nrh, seed }
     }
 
     /// Picks the victim region: a random bank, an even base row with
     /// room for the [`PAIRS`]-victim ladder below the reserved rows, and
     /// a weak-cell threshold per victim.
-    pub fn place(&self) -> VictimPlacement {
+    pub(crate) fn place(&self) -> VictimPlacement {
         let mut rng = Xoshiro256::seed_from(self.seed ^ 0x71C7_1235);
         let g = &self.geom;
         let channel = rng.gen_range(g.channels as u64) as u8;
@@ -92,7 +92,11 @@ impl VictimOrchestrator {
 
     /// Scores a finished hammer run: each victim flips iff its peak
     /// disturbance reached its own threshold.
-    pub fn adjudicate(&self, placement: &VictimPlacement, oracle: &OracleProbe) -> FlipVerdict {
+    pub(crate) fn adjudicate(
+        &self,
+        placement: &VictimPlacement,
+        oracle: &OracleProbe,
+    ) -> FlipVerdict {
         let mut flips = 0;
         let mut max_victim_peak = 0;
         for (addr, hc) in &placement.victims {

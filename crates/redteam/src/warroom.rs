@@ -1,4 +1,4 @@
-//! The warroom: a live terminal dashboard for profiler campaigns.
+//! The warroom: a live terminal dashboard for the campaign stages.
 //!
 //! A deliberately dependency-free, offline-friendly renderer: plain ASCII
 //! panels plus two raw ANSI escapes (clear screen, cursor home) when ANSI
@@ -9,15 +9,52 @@
 
 use std::collections::VecDeque;
 
-use crate::heatmap::ramp;
-use crate::CampaignEvent;
+use crate::heatmap::{ramp, Family, SensitivityHeatmap};
+
+/// One live event of a running campaign — what the stages stream and the
+/// dashboard renders.
+#[derive(Debug, Clone)]
+pub enum CampaignEvent {
+    /// A stage began (`"profile"`, `"evaluate"`, `"attack"`).
+    Stage(&'static str),
+    /// One heatmap probe resolved.
+    ProbeDone {
+        /// Probe family.
+        family: Family,
+        /// Bank-spread bucket.
+        bank_group: u32,
+        /// Intensity bucket.
+        row_group: u32,
+        /// Mean slowdown the probe provoked.
+        slowdown: f64,
+        /// Whether the run cache answered it without simulating.
+        cached: bool,
+    },
+    /// The search frontier advanced: best slowdown after `evaluation`
+    /// candidate evaluations.
+    Frontier {
+        /// Candidate evaluations spent so far.
+        evaluation: u32,
+        /// Best slowdown found so far.
+        best_slowdown: f64,
+    },
+    /// Run-cache counters for the stage so far.
+    CacheStats {
+        /// Cells answered from cache.
+        hits: u64,
+        /// Cells that simulated.
+        misses: u64,
+    },
+    /// A free-form log line.
+    Note(String),
+}
 
 /// Log lines retained.
 const LOG_LINES: usize = 6;
 
 /// Accumulated campaign state, renderable at any moment.
 #[derive(Debug, Default)]
-pub struct Dashboard {
+pub(crate) struct Dashboard {
     stage: String,
     probes_done: usize,
     probes_cached: usize,
@@ -30,12 +67,12 @@ pub struct Dashboard {
 
 impl Dashboard {
     /// An empty dashboard.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Folds one campaign event into the state.
-    pub fn handle(&mut self, event: &CampaignEvent) {
+    pub(crate) fn handle(&mut self, event: &CampaignEvent) {
         match event {
             CampaignEvent::Stage(name) => {
                 self.stage = name.to_string();
@@ -60,7 +97,7 @@ impl Dashboard {
     }
 
     /// Installs the finished heatmap's ASCII rendering as a panel.
-    pub fn set_heatmap_art(&mut self, art: &str) {
+    pub(crate) fn set_heatmap_art(&mut self, art: &str) {
         self.heatmap_art = Some(art.trim_end().to_string());
     }
 
@@ -80,7 +117,7 @@ impl Dashboard {
     /// Renders the full frame. With `ansi` the frame is prefixed by
     /// clear-screen + cursor-home so repeated renders animate in place;
     /// without it the frame is plain text (for logs, CI, and pipes).
-    pub fn render(&self, ansi: bool) -> String {
+    pub(crate) fn render(&self, ansi: bool) -> String {
         let mut out = String::new();
         if ansi {
             out.push_str("\x1b[2J\x1b[H");
@@ -121,13 +158,13 @@ impl Dashboard {
         out
     }
 
-    /// A deterministic synthetic frame: what `warroom --render-once`
-    /// prints so headless environments (CI) can snapshot the renderer
-    /// without running a campaign.
-    pub fn render_once_sample(ansi: bool) -> String {
+    /// A deterministic synthetic frame: what `redteam warroom
+    /// --render-once` prints so headless environments (CI) can snapshot
+    /// the renderer without running a campaign.
+    pub(crate) fn render_once_sample(ansi: bool) -> String {
         let mut d = Dashboard::new();
         d.handle(&CampaignEvent::Stage("profile"));
-        let map = crate::SensitivityHeatmap::synthetic();
+        let map = SensitivityHeatmap::synthetic();
         for cell in &map.cells {
             d.handle(&CampaignEvent::ProbeDone {
                 family: cell.family,

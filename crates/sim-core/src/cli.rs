@@ -1,5 +1,5 @@
 //! Strict `--flag value` / `--switch` command-line parsing, shared by every
-//! flag-driven binary (`redteam` and its profiler subcommands, the figure
+//! flag-driven binary (`redteam` and its subcommands, the figure
 //! and table harnesses): a typo'd flag, a forgotten value or an
 //! unparsable number fails fast instead of silently running a
 //! multi-minute campaign with defaults.

@@ -127,7 +127,7 @@ fn descriptor(e: &Experiment, attack_id: Option<&str>) -> Option<Json> {
         ("telemetry", e.telemetry.encode()),
     ];
     // The attacker descriptor is appended only when the experiment carries
-    // one: attacker-free cells keep their pre-attackpipe keys (pinned by
+    // one: attacker-free cells keep their pre-pipeline keys (pinned by
     // the goldens in tests/cache_keys.rs), while two attacker cells
     // differing in knowledge, budget, or seed can never collide.
     if let Some(attacker) = &e.attacker {
@@ -146,7 +146,7 @@ pub fn cell_key(e: &Experiment) -> Option<CellKey> {
 /// Like [`cell_key`], with an explicit identity for a custom attack. The
 /// caller asserts `attack_id` covers everything the attack's trace
 /// factory depends on besides the experiment's geometry and seed
-/// (attacklab passes the full scenario genome JSON).
+/// (`redteam` passes the full scenario genome JSON).
 pub fn cell_key_with_attack_id(e: &Experiment, attack_id: Option<&str>) -> Option<CellKey> {
     let descriptor = descriptor(e, attack_id)?.render();
     Some(CellKey { key: content_key(descriptor.as_bytes()), descriptor })

@@ -1,8 +1,8 @@
 //! The one cell-execution path: probe → run → save → journal → notify.
 //!
 //! Every front end that turns *cells* into payloads — `spec_run`,
-//! `campaignd`, the attacklab matrix, the profiler's profile and evaluate
-//! stages, attackpipe's attacker sweep — hands its cells to an
+//! `campaignd`, the red-team campaign matrix, the profile and evaluate
+//! stages, the attacker sweep (all in `redteam`) — hands its cells to an
 //! [`Executor`] instead of writing the policy out again. The executor is
 //! generic over the cell type `C` and the payload type `R`, and works in
 //! two visible steps:
@@ -35,7 +35,7 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// A keyed payload store the executor reads through: [`crate::RunCache`]
-/// for experiment results, attackpipe's verdict store for verdicts.
+/// for experiment results, the `redteam` verdict store for verdicts.
 pub trait PayloadCache<R>: Sync {
     /// The payload stored under `key`, if a valid entry exists.
     fn lookup(&self, key: &CellKey) -> Option<R>;

@@ -200,7 +200,7 @@ impl AttackChoice {
 }
 
 /// An attacker trace injected from outside the fixed [`Attack`] menu —
-/// attacklab scenarios drive the attacker core through this hook.
+/// `redteam` scenario genomes drive the attacker core through this hook.
 ///
 /// The factory is called once per system build with the experiment's
 /// geometry and seed, so a cloned experiment (reference run, parallel
@@ -264,12 +264,12 @@ impl TraceSource for IdleTrace {
 }
 
 /// How much the attacker knows about the machine before hammering — the
-/// realism axis of the attackpipe end-to-end pipeline.
+/// realism axis of the `redteam` end-to-end attacker pipeline.
 ///
 /// This is pure configuration data: the `sim` crate carries it so the
 /// spec layer can parse a `[attacker]` section and the run cache can
 /// canonicalize it, while the pipeline itself (recon, hammer compilation,
-/// victim adjudication) lives in the `attackpipe` crate.
+/// victim adjudication) lives in the `redteam` crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttackerKnowledge {
     /// Full knowledge of the address mapping: the attacker hammers true
@@ -437,7 +437,7 @@ pub struct Experiment {
     /// attack-free baseline.
     pub isolate_tracker_overhead: bool,
     /// Attacker-pipeline configuration (the `[attacker]` spec section).
-    /// Pure data at this layer: the `attackpipe` crate interprets it;
+    /// Pure data at this layer: the `redteam` crate interprets it;
     /// plain `Experiment::run` ignores it, and the cell descriptor
     /// canonicalizes it only when present so attacker-free keys are
     /// unchanged.
@@ -621,7 +621,7 @@ impl Experiment {
     }
 
     /// Sets the attacker-pipeline configuration (knowledge level, recon
-    /// budget, attacker seed). Interpreted by the `attackpipe` crate;
+    /// budget, attacker seed). Interpreted by the `redteam` crate;
     /// inert for plain [`Experiment::run`].
     pub fn attacker(mut self, a: AttackerConfig) -> Self {
         self.attacker = Some(a);

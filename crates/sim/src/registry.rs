@@ -5,7 +5,7 @@
 //! the DAPPER variants from their home crate — in the order the paper's
 //! tables list them. Third-party trackers join the same namespace through
 //! [`register_tracker`]; everything downstream (experiments, spec files,
-//! the attacklab CLI) resolves names through this one registry, so a
+//! the `redteam` CLI) resolves names through this one registry, so a
 //! registered tracker is immediately sweepable from config.
 //!
 //! ```

@@ -545,12 +545,12 @@ impl Section for CacheOptions {
 }
 
 /// The probe-family names `[profile] families = [...]` accepts (`"all"`
-/// expands to every parametric family). The profiler crate's `Family`
+/// expands to every parametric family). The `redteam` crate's `Family`
 /// enum must agree with this list; a unit test over there pins it.
 pub const KNOWN_PROFILE_FAMILIES: [&str; 5] = ["hammer", "sweep", "diagonal", "thrash", "all"];
 
 /// The `[profile]` spec section: run the profile → evaluate → attack
-/// campaign workflow (the `profiler` crate) instead of a plain sweep.
+/// campaign workflow (the `redteam` crate) instead of a plain sweep.
 ///
 /// ```toml
 /// [profile]
@@ -562,7 +562,7 @@ pub const KNOWN_PROFILE_FAMILIES: [&str; 5] = ["hammer", "sweep", "diagonal", "t
 /// budget = 48            # attack-stage search budget (0 / absent: skip)
 /// ```
 ///
-/// Runners route specs carrying this section through the profiler
+/// Runners route specs carrying this section through the profile
 /// workflow per (tracker, workload) pair; the `[cache]` section (or
 /// `--cache-dir`) makes warm profiles cost zero simulations.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -661,7 +661,7 @@ impl SystemOptions {
 }
 
 /// The `[attacker]` spec section: the attacker-realism axis run by the
-/// `attackpipe` pipeline (recon → hammer → victim adjudication).
+/// `redteam` attacker pipeline (recon → hammer → victim adjudication).
 ///
 /// ```toml
 /// [attacker]
@@ -766,7 +766,7 @@ pub struct SweepSpec {
     pub cache: Option<CacheOptions>,
     /// Attacker section (`[attacker]`): one cell per knowledge level.
     pub attacker: Option<AttackerOptions>,
-    /// Profile section (`[profile]`): route through the profiler's
+    /// Profile section (`[profile]`): route through the `redteam`
     /// profile → evaluate → attack workflow.
     pub profile: Option<ProfileOptions>,
 }

@@ -39,7 +39,7 @@ pub enum Attack {
 
 impl Attack {
     /// Every attack pattern, in paper order. Campaign matrices and the
-    /// attacklab compatibility layer iterate this.
+    /// red-team scenario genome (`redteam`) iterate this.
     pub fn all() -> [Attack; 7] {
         [
             Attack::CacheThrash,
@@ -175,7 +175,7 @@ impl AttackTrace {
     }
 
     /// The fixed aggressor set of this attack (empty for the formula-driven
-    /// streaming patterns). Exposed so the attacklab compatibility layer can
+    /// streaming patterns). Exposed so the red-team scenario genome can
     /// rebuild the same pattern as a composition of primitives.
     pub fn aggressor_rows(&self) -> &[DramAddr] {
         &self.aggressors

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example redteam_quick`
 
-use dapper_repro::attacklab::{run_campaign, CampaignConfig};
+use dapper_repro::redteam::{run_campaign, CampaignConfig};
 use dapper_repro::sim::TrackerSel;
 
 fn main() {
@@ -14,7 +14,7 @@ fn main() {
     cfg.arena.window_us = 120.0;
     cfg.search_budget = 12;
 
-    let report = run_campaign(&cfg);
+    let report = run_campaign(&cfg, None);
     println!("resilience leaderboard (worst case per tracker, best defense first):");
     print!("{}", report.leaderboard_table());
     for s in &report.searches {

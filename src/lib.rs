@@ -10,14 +10,11 @@
 //! * [`sim`] — the full-system simulator and experiment runner,
 //! * [`workloads`] — the 57-workload catalog and the Perf-Attack generators,
 //! * [`analysis`] — security/storage/energy models and the RowHammer oracle,
-//! * [`attacklab`] — the composable adversarial scenario engine, worst-case
-//!   scenario search, and the campaign machinery,
-//! * [`attackpipe`] — the end-to-end attacker pipeline (timing-side-channel
-//!   recon → hammer compilation → victim bit-flip adjudication) and the
-//!   `redteam` campaign runner,
-//! * [`profiler`] — the profile → evaluate → attack campaign workflow:
-//!   cached sensitivity heatmaps, ranked vulnerability reports,
-//!   warm-started worst-case search, and the `warroom` live dashboard,
+//! * [`redteam`] — red-teaming trackers: the composable scenario genome,
+//!   worst-case search and campaigns, the end-to-end attacker pipeline
+//!   (timing-side-channel recon → hammer compilation → victim bit-flip
+//!   adjudication), the profile → evaluate → attack stages with their
+//!   `warroom` dashboard, and the `redteam` command line,
 //! * [`dram`], [`memctrl`], [`llcache`], [`cpu`], [`llbc`], [`sim_core`] —
 //!   substrates.
 //!
@@ -40,15 +37,13 @@
 #![forbid(unsafe_code)]
 
 pub use analysis;
-pub use attacklab;
-pub use attackpipe;
 pub use cpu;
 pub use dapper;
 pub use dram;
 pub use llbc;
 pub use llcache;
 pub use memctrl;
-pub use profiler;
+pub use redteam;
 pub use sim;
 pub use sim_core;
 pub use trackers;

@@ -11,8 +11,7 @@
 //! mapping can never beat one who is handed it, and one who knows
 //! nothing concentrates no pressure at all.
 
-use dapper_repro::attackpipe::recon::infer_map;
-use dapper_repro::attackpipe::{run_cell, PipelineVerdict};
+use dapper_repro::redteam::{infer_map, run_cell, PipelineVerdict};
 use dapper_repro::sim::experiment::{AttackerConfig, AttackerKnowledge, Experiment};
 use dapper_repro::sim::parallel_map;
 

@@ -168,29 +168,29 @@ fn redteam_cell_keys_are_stable_across_releases() {
     let _ = std::fs::remove_dir_all(&dir);
     let redteam = |args: String| {
         let argv: Vec<String> = args.split_whitespace().map(String::from).collect();
-        assert_eq!(attackpipe::redteam_main(&argv), 0, "redteam {args}");
+        assert_eq!(redteam::redteam_main(&argv), 0, "redteam {args}");
     };
     let d = dir.display();
 
-    // attacklab's fixed matrix: the seven paper attacks against Hydra.
+    // The campaign's fixed matrix: the seven paper attacks against Hydra.
     redteam(format!(
         "--trackers hydra --budget 0 --window-us 60 --workload povray_like \
          --cache-dir {d}/matrix --out {d}/matrix.json"
     ));
-    assert_eq!(entry_keys(&dir.join("matrix")), GOLDEN_MATRIX, "attacklab fixed matrix");
+    assert_eq!(entry_keys(&dir.join("matrix")), GOLDEN_MATRIX, "fixed matrix");
 
-    // The profiler's probe cells (8 trace windows + mitigation log).
+    // The profile stage's probe cells (8 trace windows + mitigation log).
     redteam(format!(
         "profile --tracker hydra --workload povray_like --probe-window-us 25 --bank-groups 2 \
          --row-groups 1 --families hammer --cache-dir {d}/profile --out {d}/heatmap.json"
     ));
-    assert_eq!(entry_keys(&dir.join("profile")), GOLDEN_PROBES, "profiler probes");
+    assert_eq!(entry_keys(&dir.join("profile")), GOLDEN_PROBES, "profile probes");
 
     // The evaluate stage's full-fidelity cell for the hottest probe.
     redteam(format!(
         "evaluate --heatmap {d}/heatmap.json --top-k 1 --window-us 60 --cache-dir {d}/evaluate"
     ));
-    assert_eq!(entry_keys(&dir.join("evaluate")), GOLDEN_EVALUATE, "profiler evaluate");
+    assert_eq!(entry_keys(&dir.join("evaluate")), GOLDEN_EVALUATE, "evaluate cell");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -212,7 +212,7 @@ fn redteam_attacker_axis_is_all_hits_and_byte_identical_on_a_warm_rerun() {
     // `redteam --attacker all --cache-dir D`, twice: the pipeline cells
     // run through the same cached driver as `[attacker]` specs, so the
     // second campaign simulates none of them and exports the same bytes.
-    use attacklab::{run_campaign, CampaignConfig};
+    use redteam::{attacker_axis, run_campaign, CampaignConfig};
     use sim::{AttackerKnowledge, TrackerSel};
     let dir = std::env::temp_dir().join(format!("redteam-attacker-axis-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -220,10 +220,10 @@ fn redteam_attacker_axis_is_all_hits_and_byte_identical_on_a_warm_rerun() {
     cfg.arena.window_us = 60.0;
     cfg.scenarios.truncate(1);
     cfg.search_budget = 0;
-    cfg.cache_dir = Some(dir.display().to_string());
     let campaign = || {
-        let mut report = run_campaign(&cfg);
-        let axis = attackpipe::attacker_axis(&mut report, &AttackerKnowledge::ALL);
+        let cache = RunCache::open(&dir).expect("open cache");
+        let mut report = run_campaign(&cfg, Some(&cache));
+        let axis = attacker_axis(&mut report, &AttackerKnowledge::ALL, Some(&cache));
         (report.to_json().render(), report.to_csv(), axis)
     };
     let (cold_json, cold_csv, cold) = campaign();

@@ -1,6 +1,6 @@
 //! The `RowHammerTracker` trait contract requires every implementation to
 //! be deterministic given its construction seed: the simulator depends on
-//! replayability (shared reference runs, parallel sweeps, and attacklab's
+//! replayability (shared reference runs, parallel sweeps, and the red-team
 //! "reproduce with this seed" reports are all meaningless otherwise).
 //!
 //! This property test drives every tracker twice through an identical

@@ -19,7 +19,7 @@ use dapper_repro::sim::experiment::{take_recorder, AttackChoice, Experiment, Tra
 use dapper_repro::sim::{parallel_map, Engine, RunStats};
 use dapper_repro::sim_core::telemetry::{MitigationLog, MitigationRecord, TimeSeriesRecorder};
 use dapper_repro::sim_core::WindowSample;
-use dapper_repro::{attacklab, cpu, sim, workloads};
+use dapper_repro::{cpu, redteam, sim, workloads};
 
 /// Runs one experiment's system under both engines and returns the pair.
 fn both_engines(e: &Experiment) -> (RunStats, RunStats) {
@@ -123,12 +123,11 @@ fn engines_agree_across_channel_counts() {
 #[test]
 fn scenario_genome_cell_and_its_reference_are_engine_equivalent() {
     // The red-team cells: `Arena::experiment` puts a scenario genome on the
-    // attacker core as a `CustomAttack`, with the profiler's probe
+    // attacker core as a `CustomAttack`, with the profile stage's probe
     // telemetry (slowdown windows plus the mitigation log). The run and
     // the reference the arena normalizes against each agree dense against
     // event, windows and mitigations included.
-    use attacklab::arena::Arena;
-    use attacklab::scenario::{ScenarioSpec, Shape};
+    use redteam::{Arena, ScenarioSpec, Shape};
     let mut arena = Arena::new("povray_like").probing();
     arena.window_us = 60.0;
     let mut genome = ScenarioSpec::baseline(workloads::Attack::CacheThrash);
@@ -181,17 +180,17 @@ fn sweep_heavy_trackers_skip_across_blocks_equivalently() {
 
 #[test]
 fn campaign_smoke_runs_on_the_event_engine() {
-    // The attacklab campaign runner goes through Experiment, which runs on
+    // The red-team campaign runner goes through Experiment, which runs on
     // the event-driven engine: a small end-to-end campaign must complete
     // and produce sane normalized-performance numbers.
-    let mut cfg = attacklab::CampaignConfig::new(
+    let mut cfg = redteam::CampaignConfig::new(
         vec![TrackerSel::by_key("none").unwrap(), TrackerSel::by_key("dapper-h").unwrap()],
         "gcc_like",
     );
     cfg.arena.window_us = 100.0;
     cfg.search_budget = 0;
     cfg.scenarios.truncate(2);
-    let report = attacklab::run_campaign(&cfg);
+    let report = redteam::run_campaign(&cfg, None);
     assert_eq!(report.rows.len(), 2 * 2, "2 trackers x 2 fixed scenarios");
     for row in &report.rows {
         let np = row.record.normalized_performance;

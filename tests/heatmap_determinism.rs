@@ -1,6 +1,6 @@
 //! Byte-identical sensitivity heatmaps across repeated profiles.
 //!
-//! The profiler's warm-start and zero-simulation guarantees both rest on
+//! The profile stage's warm-start and zero-simulation guarantees rest on
 //! the heatmap being a pure function of the profile configuration: the
 //! same grid must serialize byte-identically across repeated concurrent
 //! profiles, and a profile interrupted mid-way must resume to the same
@@ -9,7 +9,7 @@
 //! reference are the same on the dense loop is checked at the `System`
 //! level, in `tests/engine_equivalence.rs`.)
 
-use dapper_repro::profiler::{run_profile, Family, ProfileConfig};
+use dapper_repro::redteam::{run_profile, Family, ProfileConfig};
 use dapper_repro::sim::parallel_map;
 use dapper_repro::sim_core::json::JsonCodec;
 
@@ -44,7 +44,7 @@ fn heatmap_is_byte_identical_across_repeats() {
 
 #[test]
 fn interrupted_profile_keeps_every_settled_probe() {
-    use dapper_repro::profiler::CampaignEvent;
+    use dapper_repro::redteam::CampaignEvent;
     use dapper_repro::sim::RunCache;
     let dir = std::env::temp_dir().join(format!("dapper-heatmap-resume-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

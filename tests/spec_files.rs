@@ -135,11 +135,11 @@ fn profile_spec_round_trips_its_profile_section() {
     let json_back = SweepSpec::from_json_str(&spec.to_json().render()).unwrap();
     assert_eq!(json_back.profile, spec.profile);
 
-    // The profiler's family enum accepts every family the spec names.
+    // The profile stage's family enum accepts every family the spec names.
     for family in &profile.families {
         assert!(
-            dapper_repro::profiler::Family::by_key(family).is_some(),
-            "spec family '{family}' must resolve in the profiler"
+            dapper_repro::redteam::Family::by_key(family).is_some(),
+            "spec family '{family}' must resolve in the profile stage"
         );
     }
 }

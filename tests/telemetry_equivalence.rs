@@ -110,7 +110,7 @@ fn oracle_rides_the_sink_api_without_perturbing() {
 
 #[test]
 fn latency_tap_does_not_perturb_either_engine() {
-    // The attackpipe recon stage reads its timing side channel through a
+    // The attacker pipeline's recon stage reads its timing side channel through a
     // LatencyProbe on the attacker core's read completions. Like every
     // probe it must be a pure observer: RunStats stay bit-identical with
     // the tap attached, on both engines.

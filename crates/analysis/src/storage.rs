@@ -1,8 +1,24 @@
 //! Table III: storage and die-area overhead per 32 GB DDR5 channel.
 
-use dapper::{DapperConfig, DapperH, DapperS};
-use sim_core::tracker::{RowHammerTracker, StorageOverhead};
-use trackers::{Abacus, BlockHammer, Comet, Hydra, Para, Prac, Pride, Start, TrackerParams};
+use sim_core::registry::TrackerSpec;
+use sim_core::tracker::{StorageOverhead, TrackerParams};
+use std::collections::BTreeMap;
+use trackers::{abacus, blockhammer, comet, hydra, para, prac, pride, start};
+
+/// Table III's rows in the paper's order, each with whether the paper's
+/// table includes it.
+const ROWS: [(&TrackerSpec, bool); 10] = [
+    (&hydra::SPEC, true),
+    (&comet::SPEC, true),
+    (&start::SPEC, true),
+    (&abacus::SPEC, true),
+    (&dapper::DAPPER_S, false),
+    (&dapper::DAPPER_H, true),
+    (&blockhammer::SPEC, false),
+    (&para::SPEC, false),
+    (&pride::SPEC, false),
+    (&prac::SPEC, false),
+];
 
 /// One row of Table III.
 #[derive(Debug, Clone)]
@@ -16,24 +32,18 @@ pub struct StorageRow {
 }
 
 /// Builds the storage comparison at a given threshold (Table III uses
-/// N_RH = 500).
+/// N_RH = 500), each tracker from its table entry with default parameters.
 pub fn storage_table(nrh: u32) -> Vec<StorageRow> {
     let p = TrackerParams::baseline(nrh, 0, 0);
-    let d = DapperConfig::baseline(nrh, 0, 0);
-    let rows: Vec<(&'static str, StorageOverhead, bool)> = vec![
-        ("Hydra", Hydra::new(p).storage_overhead(), true),
-        ("CoMeT", Comet::new(p).storage_overhead(), true),
-        ("START", Start::new(p).storage_overhead(), true),
-        ("ABACUS", Abacus::new(p).storage_overhead(), true),
-        ("DAPPER-S", DapperS::new(d).storage_overhead(), false),
-        ("DAPPER-H", DapperH::new(d).storage_overhead(), true),
-        ("BlockHammer", BlockHammer::new(p).storage_overhead(), false),
-        ("PARA", Para::new(p).storage_overhead(), false),
-        ("PrIDE", Pride::new(p).storage_overhead(), false),
-        ("PRAC", Prac::new(p).storage_overhead(), false),
-    ];
-    rows.into_iter()
-        .map(|(name, overhead, in_paper_table)| StorageRow { name, overhead, in_paper_table })
+    ROWS.iter()
+        .map(|&(spec, in_paper_table)| StorageRow {
+            name: spec.name,
+            overhead: spec
+                .build(p, &BTreeMap::new())
+                .expect("every tracker builds with its defaults")
+                .storage_overhead(),
+            in_paper_table,
+        })
         .collect()
 }
 

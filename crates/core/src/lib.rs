@@ -53,5 +53,5 @@ mod rgc;
 pub use config::{DapperConfig, ResetStrategy};
 pub use dapper_h::DapperH;
 pub use dapper_s::DapperS;
-pub use registry::{dapper_h_spec, dapper_s_spec, register_builtin};
+pub use registry::{DAPPER_H, DAPPER_S};
 pub use rgc::RgcTable;

@@ -77,7 +77,7 @@ USAGE: redteam [--trackers a,b,c] [--workload NAME] [--budget N]
                levels (omniscient, timing-recon, blind) or 'all'; adds
                one flips-vs-slowdown row per tracker and level
 
-Tracker names resolve through the open registry: any key, display name,
+Tracker names resolve through the tracker table: any key, display name,
 or alias works, case- and separator-insensitively (dapper-h, DAPPER_H,
 DapperH). Parent directories of --out/--csv are created as needed.
 

@@ -16,9 +16,8 @@
 //!   `campaignd` layers,
 //! * [`tracker`] — the [`RowHammerTracker`] trait
 //!   through which the memory controller consults a mitigation,
-//! * [`registry`] — the open, string-keyed
-//!   [`TrackerRegistry`] through which trackers
-//!   are described, parameterized, and built,
+//! * [`registry`] — the [`TrackerSpec`] entry through which trackers are
+//!   described, parameterized, and built,
 //! * [`json`] — a dependency-free JSON builder/parser for spec files and
 //!   structured results,
 //! * [`req`] — memory requests exchanged by cores, caches, and controllers,
@@ -67,13 +66,11 @@ pub use cache::{CacheStats, DiskStore};
 pub use config::SystemConfig;
 pub use events::MemEvent;
 pub use fault::{FaultAction, FaultPlan, FaultRule, FaultSite, Injector, Trigger};
-pub use registry::{
-    ParamSpec, ParamValue, RegistryError, TrackerParams, TrackerRegistry, TrackerSpec,
-};
+pub use registry::{ParamSpec, ParamValue, RegistryError, TrackerSpec};
 pub use req::{AccessKind, MemRequest, SourceId};
 pub use telemetry::{
     LatencyProbe, LatencySample, MitigationLog, NullProbe, Probe, SlowdownTrace, Telemetry,
     TimeSeriesRecorder, WindowSample,
 };
 pub use time::Cycle;
-pub use tracker::{Activation, RowHammerTracker, StorageOverhead, TrackerAction};
+pub use tracker::{Activation, RowHammerTracker, StorageOverhead, TrackerAction, TrackerParams};

@@ -1,33 +1,26 @@
-//! The open tracker registry: string-keyed tracker descriptors with a
-//! tunable parameter schema and a build factory.
+//! The tracker table's vocabulary: what one entry says about its tracker,
+//! and how the tracker's tunable parameters are declared, validated and
+//! read.
 //!
 //! The paper's evaluation is comparative — DAPPER against Hydra, START,
 //! CoMeT, ABACuS, BlockHammer, PARA, PrIDE, and PRAC — and the design space
 //! around each of those points is wide (structure sizes, probabilities,
-//! reset policies). A [`TrackerRegistry`] makes every tracker constructible
-//! from a **string key plus a parameter map**, so experiment sweeps,
-//! declarative spec files, and third-party trackers all go through one
-//! door:
+//! reset policies). Every tracker is therefore one `const` [`TrackerSpec`]
+//! kept next to its implementation: canonical key, display name, aliases,
+//! whether it reserves LLC capacity, a [`ParamSpec`] schema with
+//! paper-baseline defaults, and a build function from the shared
+//! [`TrackerParams`] plus its resolved [`ParamValues`]. Parameter maps are
+//! validated against the schema **before** the build function runs —
+//! unknown keys, type mismatches, and out-of-range values all fail with the
+//! offending key in the message.
 //!
-//! * each tracker publishes a [`TrackerSpec`]: canonical key, display name,
-//!   aliases, whether it reserves LLC capacity, a
-//!   [`ParamSpec`] schema with paper-baseline defaults, and a `build`
-//!   factory from resolved [`TrackerParams`];
-//! * lookups normalize case and separators (`DAPPER_H`, `dapper-h`, and
-//!   `DapperH` resolve identically) and honour the spec's alias table;
-//! * parameter maps are validated against the schema **before** the factory
-//!   runs — unknown keys, type mismatches, and out-of-range values all fail
-//!   with the offending key in the message.
-//!
-//! The registry itself lives here in `sim_core` so tracker crates can
-//! register into it without depending on the simulator; `sim` assembles the
-//! default instance from the built-in trackers and exposes it globally.
+//! `sim::registry::TRACKERS` lists every entry in the order the paper's
+//! tables do; it is fixed at compile time and is the one place a tracker
+//! name resolves (case and separators ignored, see [`normalize_key`]).
 
-use crate::addr::Geometry;
-use crate::tracker::{NullTracker, RowHammerTracker, StorageOverhead};
-use std::collections::{BTreeMap, HashMap};
+use crate::tracker::{RowHammerTracker, TrackerParams};
+use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// One tunable parameter value.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,78 +108,89 @@ impl From<String> for ParamValue {
     }
 }
 
+/// A parameter's kind together with its paper-baseline default.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    Int(i64),
+    Float(f64),
+    Bool(bool),
+    Str(&'static str),
+}
+
 /// Schema entry for one tunable parameter.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct ParamSpec {
     /// Parameter key (`rcc_entries`, `exponent`, ...).
-    pub key: String,
-    /// One-line description shown by introspection tools.
-    pub doc: String,
-    /// Paper-baseline default.
-    pub default: ParamValue,
-    /// Inclusive lower bound (numeric parameters).
-    pub min: Option<f64>,
-    /// Inclusive upper bound (numeric parameters).
-    pub max: Option<f64>,
+    pub key: &'static str,
+    /// One-line description.
+    pub doc: &'static str,
+    /// Inclusive bounds (numeric parameters).
+    min: Option<f64>,
+    max: Option<f64>,
     /// Allowed values (string parameters); empty = unrestricted.
-    pub choices: Vec<String>,
+    choices: &'static [&'static str],
+    default: Kind,
 }
 
 impl ParamSpec {
     /// An integer parameter with a paper-baseline default.
-    pub fn int(key: &str, doc: &str, default: i64) -> Self {
-        Self::new(key, doc, ParamValue::Int(default))
+    pub const fn int(key: &'static str, doc: &'static str, default: i64) -> Self {
+        Self::new(key, doc, Kind::Int(default))
     }
 
     /// A float parameter with a paper-baseline default.
-    pub fn float(key: &str, doc: &str, default: f64) -> Self {
-        Self::new(key, doc, ParamValue::Float(default))
+    pub const fn float(key: &'static str, doc: &'static str, default: f64) -> Self {
+        Self::new(key, doc, Kind::Float(default))
     }
 
     /// A boolean parameter with a paper-baseline default.
-    pub fn flag(key: &str, doc: &str, default: bool) -> Self {
-        Self::new(key, doc, ParamValue::Bool(default))
+    pub const fn flag(key: &'static str, doc: &'static str, default: bool) -> Self {
+        Self::new(key, doc, Kind::Bool(default))
     }
 
     /// A string-choice parameter with a paper-baseline default.
-    pub fn choice(key: &str, doc: &str, default: &str, choices: &[&str]) -> Self {
-        let mut s = Self::new(key, doc, ParamValue::Str(default.to_string()));
-        s.choices = choices.iter().map(|c| c.to_string()).collect();
-        s
+    pub const fn choice(
+        key: &'static str,
+        doc: &'static str,
+        default: &'static str,
+        choices: &'static [&'static str],
+    ) -> Self {
+        Self { choices, ..Self::new(key, doc, Kind::Str(default)) }
     }
 
-    fn new(key: &str, doc: &str, default: ParamValue) -> Self {
-        Self {
-            key: key.to_string(),
-            doc: doc.to_string(),
-            default,
-            min: None,
-            max: None,
-            choices: Vec::new(),
-        }
+    const fn new(key: &'static str, doc: &'static str, default: Kind) -> Self {
+        Self { key, doc, min: None, max: None, choices: &[], default }
     }
 
     /// Builder-style inclusive numeric range.
-    pub fn range(mut self, min: f64, max: f64) -> Self {
-        self.min = Some(min);
-        self.max = Some(max);
-        self
+    pub const fn range(self, min: f64, max: f64) -> Self {
+        Self { min: Some(min), max: Some(max), ..self }
+    }
+
+    /// The paper-baseline default.
+    pub fn default_value(&self) -> ParamValue {
+        match self.default {
+            Kind::Int(i) => ParamValue::Int(i),
+            Kind::Float(f) => ParamValue::Float(f),
+            Kind::Bool(b) => ParamValue::Bool(b),
+            Kind::Str(s) => ParamValue::Str(s.to_string()),
+        }
     }
 
     fn check(&self, tracker: &str, value: &ParamValue) -> Result<(), RegistryError> {
         let compatible = matches!(
-            (&self.default, value),
-            (ParamValue::Int(_), ParamValue::Int(_))
-                | (ParamValue::Float(_), ParamValue::Float(_))
-                | (ParamValue::Float(_), ParamValue::Int(_))
-                | (ParamValue::Bool(_), ParamValue::Bool(_))
-                | (ParamValue::Str(_), ParamValue::Str(_))
+            (self.default, value),
+            (Kind::Int(_), ParamValue::Int(_))
+                | (Kind::Float(_), ParamValue::Float(_))
+                | (Kind::Float(_), ParamValue::Int(_))
+                | (Kind::Bool(_), ParamValue::Bool(_))
+                | (Kind::Str(_), ParamValue::Str(_))
         );
         if !compatible {
             return Err(RegistryError::WrongType {
                 tracker: tracker.to_string(),
-                key: self.key.clone(),
-                expected: self.default.kind(),
+                key: self.key.to_string(),
+                expected: self.default_value().kind(),
                 got: value.kind(),
             });
         }
@@ -196,7 +200,7 @@ impl ParamSpec {
             if below || above {
                 return Err(RegistryError::OutOfRange {
                     tracker: tracker.to_string(),
-                    key: self.key.clone(),
+                    key: self.key.to_string(),
                     value: value.clone(),
                     min: self.min,
                     max: self.max,
@@ -204,10 +208,10 @@ impl ParamSpec {
             }
         }
         if let ParamValue::Str(s) = value {
-            if !self.choices.is_empty() && !self.choices.contains(s) {
+            if !self.choices.is_empty() && !self.choices.contains(&s.as_str()) {
                 return Err(RegistryError::InvalidParam {
                     tracker: tracker.to_string(),
-                    key: self.key.clone(),
+                    key: self.key.to_string(),
                     message: format!("{s:?} is not one of {:?}", self.choices),
                 });
             }
@@ -217,62 +221,30 @@ impl ParamSpec {
 
     /// Coerces a compatible value to the schema's kind (int → float).
     fn coerce(&self, value: ParamValue) -> ParamValue {
-        match (&self.default, value) {
-            (ParamValue::Float(_), ParamValue::Int(i)) => ParamValue::Float(i as f64),
+        match (self.default, value) {
+            (Kind::Float(_), ParamValue::Int(i)) => ParamValue::Float(i as f64),
             (_, v) => v,
         }
     }
 }
 
-/// Resolved build-time inputs a [`TrackerSpec`] factory receives: the
-/// system-level knobs every tracker needs plus the full parameter map
-/// (schema defaults merged with validated overrides).
-#[derive(Debug, Clone)]
-pub struct TrackerParams {
-    /// RowHammer threshold N_RH.
-    pub nrh: u32,
-    /// DRAM organisation.
-    pub geometry: Geometry,
-    /// The channel this instance covers.
-    pub channel: u8,
-    /// Seed for all randomised internals.
-    pub seed: u64,
-    values: BTreeMap<String, ParamValue>,
-}
+/// A tracker's resolved parameters — schema defaults merged with validated
+/// overrides — as its build function reads them. Only
+/// [`TrackerSpec::build`] makes one, so every key of the schema is present
+/// with the schema's kind.
+#[derive(Debug)]
+pub struct ParamValues(BTreeMap<String, ParamValue>);
 
-impl TrackerParams {
-    /// Build-time inputs with an empty parameter map (the registry merges
-    /// schema defaults in before the factory ever sees it).
-    pub fn new(nrh: u32, geometry: Geometry, channel: u8, seed: u64) -> Self {
-        Self { nrh, geometry, channel, seed, values: BTreeMap::new() }
+impl ParamValues {
+    fn get(&self, key: &str) -> &ParamValue {
+        self.0.get(key).unwrap_or_else(|| panic!("parameter '{key}' is not in the schema"))
     }
 
-    /// Attaches raw overrides (validated against the schema at build time).
-    pub fn with_values(mut self, values: BTreeMap<String, ParamValue>) -> Self {
-        self.values = values;
-        self
-    }
-
-    /// The raw parameter map.
-    pub fn values(&self) -> &BTreeMap<String, ParamValue> {
-        &self.values
-    }
-
-    /// Looks a parameter up without panicking.
-    pub fn value(&self, key: &str) -> Option<&ParamValue> {
-        self.values.get(key)
-    }
-
-    fn required(&self, key: &str) -> &ParamValue {
-        self.values.get(key).unwrap_or_else(|| {
-            panic!("parameter '{key}' missing: factories must be called through the registry")
-        })
-    }
-
-    /// An integer parameter (panics if absent or non-integer — the registry
-    /// validates before the factory runs, so this indicates a schema bug).
+    /// An integer parameter (panics if absent or non-integer — the schema
+    /// was validated before the build function runs, so this indicates a
+    /// schema bug).
     pub fn int(&self, key: &str) -> i64 {
-        match self.required(key) {
+        match self.get(key) {
             ParamValue::Int(i) => *i,
             v => panic!("parameter '{key}' is {} ({v}), expected int", v.kind()),
         }
@@ -286,7 +258,7 @@ impl TrackerParams {
 
     /// A float parameter (ints coerce).
     pub fn float(&self, key: &str) -> f64 {
-        match self.required(key) {
+        match self.get(key) {
             ParamValue::Float(f) => *f,
             ParamValue::Int(i) => *i as f64,
             v => panic!("parameter '{key}' is {} ({v}), expected float", v.kind()),
@@ -295,7 +267,7 @@ impl TrackerParams {
 
     /// A boolean parameter.
     pub fn flag(&self, key: &str) -> bool {
-        match self.required(key) {
+        match self.get(key) {
             ParamValue::Bool(b) => *b,
             v => panic!("parameter '{key}' is {} ({v}), expected bool", v.kind()),
         }
@@ -303,102 +275,45 @@ impl TrackerParams {
 
     /// A string parameter.
     pub fn text(&self, key: &str) -> &str {
-        match self.required(key) {
+        match self.get(key) {
             ParamValue::Str(s) => s,
             v => panic!("parameter '{key}' is {} ({v}), expected str", v.kind()),
         }
     }
 }
 
-/// Factory signature: resolved params in, tracker out. Factories may reject
-/// parameter *combinations* the flat schema cannot express (e.g. a group
-/// size that must divide the rows per rank).
+/// A tracker's build function: the shared build inputs and its resolved
+/// parameters in, the tracker out. It may reject parameter *combinations*
+/// the flat schema cannot express (e.g. a group size that must divide the
+/// rows per rank).
 pub type BuildFn =
-    Box<dyn Fn(&TrackerParams) -> Result<Box<dyn RowHammerTracker>, RegistryError> + Send + Sync>;
+    fn(TrackerParams, &ParamValues) -> Result<Box<dyn RowHammerTracker>, RegistryError>;
 
-/// Everything the registry knows about one tracker.
+/// One entry of the tracker table: everything the simulator knows about a
+/// tracker before it builds one.
+#[derive(Debug)]
 pub struct TrackerSpec {
-    key: String,
-    display_name: String,
-    aliases: Vec<String>,
-    reserves_llc: bool,
-    params: Vec<ParamSpec>,
-    build: BuildFn,
-}
-
-impl fmt::Debug for TrackerSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TrackerSpec")
-            .field("key", &self.key)
-            .field("display_name", &self.display_name)
-            .field("aliases", &self.aliases)
-            .field("reserves_llc", &self.reserves_llc)
-            .field("params", &self.params.iter().map(|p| p.key.as_str()).collect::<Vec<_>>())
-            .finish_non_exhaustive()
-    }
+    /// Canonical key (`hydra`, `dapper-h`, ...), the name cache keys,
+    /// reports and heatmaps record.
+    pub key: &'static str,
+    /// Display name matching the paper's figures.
+    pub name: &'static str,
+    /// Further spellings the lookup accepts.
+    pub aliases: &'static [&'static str],
+    /// Whether the tracker reserves half the LLC (START-style); the
+    /// simulator mirrors the reservation on the demand side.
+    pub reserves_llc: bool,
+    /// The tunable parameter schema.
+    pub params: &'static [ParamSpec],
+    /// Builds one instance from validated parameters.
+    pub factory: BuildFn,
 }
 
 impl TrackerSpec {
-    /// A new descriptor under a canonical key, display name, and factory.
-    pub fn new<F>(key: &str, display_name: &str, build: F) -> Self
-    where
-        F: Fn(&TrackerParams) -> Result<Box<dyn RowHammerTracker>, RegistryError>
-            + Send
-            + Sync
-            + 'static,
-    {
-        Self {
-            key: key.to_string(),
-            display_name: display_name.to_string(),
-            aliases: Vec::new(),
-            reserves_llc: false,
-            params: Vec::new(),
-            build: Box::new(build),
-        }
-    }
-
-    /// Adds a lookup alias (normalized like any other name).
-    pub fn alias(mut self, alias: &str) -> Self {
-        self.aliases.push(alias.to_string());
-        self
-    }
-
-    /// Marks the tracker as reserving half the LLC (START-style); the
-    /// simulator mirrors the reservation on the demand side.
-    pub fn reserves_llc(mut self, yes: bool) -> Self {
-        self.reserves_llc = yes;
-        self
-    }
-
-    /// Declares one tunable parameter.
-    pub fn param(mut self, p: ParamSpec) -> Self {
-        self.params.push(p);
-        self
-    }
-
-    /// Canonical registry key.
-    pub fn key(&self) -> &str {
-        &self.key
-    }
-
-    /// Display name matching the paper's figures.
-    pub fn display_name(&self) -> &str {
-        &self.display_name
-    }
-
-    /// Lookup aliases.
-    pub fn aliases(&self) -> &[String] {
-        &self.aliases
-    }
-
-    /// Whether the tracker reserves half the LLC.
-    pub fn llc_reserved(&self) -> bool {
-        self.reserves_llc
-    }
-
-    /// The tunable parameter schema.
-    pub fn param_schema(&self) -> &[ParamSpec] {
-        &self.params
+    /// Every spelling that names this tracker: key, display name, aliases.
+    pub fn names(&self) -> impl Iterator<Item = &'static str> {
+        let aliases = self.aliases;
+        [self.key, self.name].into_iter().chain(aliases.iter().copied())
     }
 
     /// Validates `overrides` against the schema and merges them over the
@@ -408,41 +323,31 @@ impl TrackerSpec {
         overrides: &BTreeMap<String, ParamValue>,
     ) -> Result<BTreeMap<String, ParamValue>, RegistryError> {
         for (key, value) in overrides {
-            let Some(spec) = self.params.iter().find(|p| &p.key == key) else {
+            let Some(spec) = self.params.iter().find(|p| p.key == key) else {
                 return Err(RegistryError::UnknownParam {
-                    tracker: self.key.clone(),
+                    tracker: self.key.to_string(),
                     key: key.clone(),
-                    known: self.params.iter().map(|p| p.key.clone()).collect(),
+                    known: self.params.iter().map(|p| p.key.to_string()).collect(),
                 });
             };
-            spec.check(&self.key, value)?;
+            spec.check(self.key, value)?;
         }
         let mut merged = BTreeMap::new();
-        for p in &self.params {
-            let v = overrides.get(&p.key).cloned().unwrap_or_else(|| p.default.clone());
-            merged.insert(p.key.clone(), p.coerce(v));
+        for p in self.params {
+            let v = overrides.get(p.key).cloned().unwrap_or_else(|| p.default_value());
+            merged.insert(p.key.to_string(), p.coerce(v));
         }
         Ok(merged)
     }
 
-    /// Validates + merges the params carried by `base` and runs the factory.
-    pub fn build(&self, base: &TrackerParams) -> Result<Box<dyn RowHammerTracker>, RegistryError> {
-        let merged = self.resolve_params(&base.values)?;
-        let resolved = TrackerParams {
-            nrh: base.nrh,
-            geometry: base.geometry,
-            channel: base.channel,
-            seed: base.seed,
-            values: merged,
-        };
-        (self.build)(&resolved)
-    }
-
-    /// Storage cost for the given parameters (Table III): builds the
-    /// tracker and asks it ([`RowHammerTracker::storage_overhead`] is the
-    /// one storage model); parameters that do not build cost nothing.
-    pub fn storage_overhead(&self, base: &TrackerParams) -> StorageOverhead {
-        self.build(base).map(|t| t.storage_overhead()).unwrap_or_default()
+    /// Validates + merges `overrides` and runs the build function.
+    pub fn build(
+        &self,
+        params: TrackerParams,
+        overrides: &BTreeMap<String, ParamValue>,
+    ) -> Result<Box<dyn RowHammerTracker>, RegistryError> {
+        let values = ParamValues(self.resolve_params(overrides)?);
+        (self.factory)(params, &values)
     }
 }
 
@@ -455,13 +360,8 @@ pub enum RegistryError {
     UnknownTracker {
         /// The name that failed to resolve.
         name: String,
-        /// Canonical keys the registry does know.
+        /// Canonical keys the table does know.
         known: Vec<String>,
-    },
-    /// A registration collided with an existing key or alias.
-    DuplicateKey {
-        /// The colliding (normalized) name.
-        key: String,
     },
     /// A parameter key the tracker's schema does not declare.
     UnknownParam {
@@ -496,7 +396,8 @@ pub enum RegistryError {
         /// Kind that was supplied.
         got: &'static str,
     },
-    /// A value the factory rejected (bad combination, invalid choice, ...).
+    /// A value the build function rejected (bad combination, invalid
+    /// choice, ...).
     InvalidParam {
         /// Tracker key.
         tracker: String,
@@ -508,7 +409,7 @@ pub enum RegistryError {
 }
 
 impl RegistryError {
-    /// Shorthand for factory-side rejections.
+    /// Shorthand for build-function rejections.
     pub fn invalid(tracker: &str, key: &str, message: impl Into<String>) -> Self {
         RegistryError::InvalidParam {
             tracker: tracker.to_string(),
@@ -523,9 +424,6 @@ impl fmt::Display for RegistryError {
         match self {
             RegistryError::UnknownTracker { name, known } => {
                 write!(f, "unknown tracker '{name}'; known: {}", known.join(", "))
-            }
-            RegistryError::DuplicateKey { key } => {
-                write!(f, "tracker key or alias '{key}' is already registered")
             }
             RegistryError::UnknownParam { tracker, key, known } => {
                 write!(
@@ -565,97 +463,10 @@ pub fn normalize_key(s: &str) -> String {
     s.chars().filter(|c| c.is_ascii_alphanumeric()).map(|c| c.to_ascii_lowercase()).collect()
 }
 
-/// An open, string-keyed collection of [`TrackerSpec`]s.
-#[derive(Debug, Default)]
-pub struct TrackerRegistry {
-    specs: Vec<Arc<TrackerSpec>>,
-    index: HashMap<String, usize>,
-}
-
-impl TrackerRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers a spec, indexing its key, display name, and aliases
-    /// (normalized). Fails on any collision.
-    pub fn register(&mut self, spec: TrackerSpec) -> Result<(), RegistryError> {
-        let mut names = vec![spec.key.clone(), spec.display_name.clone()];
-        names.extend(spec.aliases.iter().cloned());
-        let mut normalized: Vec<String> = names.iter().map(|n| normalize_key(n)).collect();
-        normalized.sort();
-        normalized.dedup();
-        for n in &normalized {
-            if self.index.contains_key(n) {
-                return Err(RegistryError::DuplicateKey { key: n.clone() });
-            }
-        }
-        let slot = self.specs.len();
-        self.specs.push(Arc::new(spec));
-        for n in normalized {
-            self.index.insert(n, slot);
-        }
-        Ok(())
-    }
-
-    /// Looks up a spec by key, display name, or alias (case/separator
-    /// insensitive).
-    pub fn get(&self, name: &str) -> Option<&Arc<TrackerSpec>> {
-        self.index.get(&normalize_key(name)).map(|&i| &self.specs[i])
-    }
-
-    /// [`TrackerRegistry::get`], with an error listing the known keys.
-    pub fn resolve(&self, name: &str) -> Result<&Arc<TrackerSpec>, RegistryError> {
-        self.get(name).ok_or_else(|| RegistryError::UnknownTracker {
-            name: name.to_string(),
-            known: self.keys().map(str::to_string).collect(),
-        })
-    }
-
-    /// Every spec, in registration order.
-    pub fn specs(&self) -> impl Iterator<Item = &Arc<TrackerSpec>> {
-        self.specs.iter()
-    }
-
-    /// Canonical keys, in registration order.
-    pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.specs.iter().map(|s| s.key())
-    }
-
-    /// Number of registered trackers.
-    pub fn len(&self) -> usize {
-        self.specs.len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
-    }
-
-    /// Resolves `name` and builds an instance from `params` (overrides are
-    /// validated against the schema first).
-    pub fn build(
-        &self,
-        name: &str,
-        params: &TrackerParams,
-    ) -> Result<Box<dyn RowHammerTracker>, RegistryError> {
-        self.resolve(name)?.build(params)
-    }
-}
-
-/// The descriptor for the insecure baseline ([`NullTracker`]): key `none`,
-/// no parameters, zero storage.
-pub fn null_spec() -> TrackerSpec {
-    TrackerSpec::new("none", "none", |_p| Ok(Box::new(NullTracker)))
-        .alias("null")
-        .alias("insecure")
-        .alias("baseline")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tracker::{Activation, StorageOverhead, TrackerAction};
 
     /// A tracker that does nothing but own a table of `entries` words.
     struct Toy {
@@ -667,116 +478,80 @@ mod tests {
             "Toy"
         }
 
-        fn on_activation(
-            &mut self,
-            _act: crate::tracker::Activation,
-            _actions: &mut Vec<crate::tracker::TrackerAction>,
-        ) {
-        }
+        fn on_activation(&mut self, _act: Activation, _actions: &mut Vec<TrackerAction>) {}
 
         fn storage_overhead(&self) -> StorageOverhead {
             StorageOverhead::new(self.entries * 4, 0)
         }
     }
 
-    fn toy_registry() -> TrackerRegistry {
-        let mut reg = TrackerRegistry::new();
-        reg.register(null_spec()).unwrap();
-        reg.register(
-            TrackerSpec::new("toy", "Toy", |p| {
-                if p.count("entries") % 2 != 0 {
-                    return Err(RegistryError::invalid("toy", "entries", "must be even"));
-                }
-                Ok(Box::new(Toy { entries: p.count("entries") as u64 }))
-            })
-            .alias("toy-tracker")
-            .param(ParamSpec::int("entries", "table entries", 64).range(2.0, 1024.0))
-            .param(ParamSpec::float("prob", "sampling probability", 0.5).range(0.0, 1.0))
-            .param(ParamSpec::choice("mode", "reset mode", "soft", &["soft", "hard"])),
-        )
-        .unwrap();
-        reg
-    }
+    const TOY: TrackerSpec = TrackerSpec {
+        key: "toy",
+        name: "Toy",
+        aliases: &["toy-tracker"],
+        reserves_llc: false,
+        params: &[
+            ParamSpec::int("entries", "table entries", 64).range(2.0, 1024.0),
+            ParamSpec::float("prob", "sampling probability", 0.5).range(0.0, 1.0),
+            ParamSpec::choice("mode", "reset mode", "soft", &["soft", "hard"]),
+        ],
+        factory: |_p, v| {
+            if v.count("entries") % 2 != 0 {
+                return Err(RegistryError::invalid("toy", "entries", "must be even"));
+            }
+            Ok(Box::new(Toy { entries: v.count("entries") as u64 }))
+        },
+    };
 
     fn base() -> TrackerParams {
-        TrackerParams::new(500, Geometry::paper_baseline(), 0, 1)
+        TrackerParams::baseline(500, 0, 1)
     }
 
-    #[test]
-    fn lookup_normalizes_case_and_separators() {
-        let reg = toy_registry();
-        for name in ["toy", "TOY", "Toy_Tracker", "toy-tracker", "NONE", "Null", "insecure"] {
-            assert!(reg.get(name).is_some(), "{name} must resolve");
-        }
-        assert!(reg.get("unknown").is_none());
-        let err = reg.resolve("unknown").unwrap_err();
-        assert!(err.to_string().contains("unknown tracker 'unknown'"), "{err}");
-        assert!(err.to_string().contains("toy"), "error must list known keys: {err}");
+    fn one(key: &str, value: ParamValue) -> BTreeMap<String, ParamValue> {
+        BTreeMap::from([(key.to_string(), value)])
     }
 
     #[test]
     fn defaults_merge_and_overrides_validate() {
-        let reg = toy_registry();
-        let spec = reg.get("toy").unwrap();
-        let merged = spec.resolve_params(&BTreeMap::new()).unwrap();
+        let merged = TOY.resolve_params(&BTreeMap::new()).unwrap();
         assert_eq!(merged["entries"], ParamValue::Int(64));
         assert_eq!(merged["mode"], ParamValue::Str("soft".into()));
 
-        let mut ov = BTreeMap::new();
-        ov.insert("entries".to_string(), ParamValue::Int(128));
-        let merged = spec.resolve_params(&ov).unwrap();
+        let merged = TOY.resolve_params(&one("entries", ParamValue::Int(128))).unwrap();
         assert_eq!(merged["entries"], ParamValue::Int(128));
     }
 
     #[test]
     fn unknown_param_errors_name_the_key() {
-        let reg = toy_registry();
-        let mut ov = BTreeMap::new();
-        ov.insert("entriez".to_string(), ParamValue::Int(128));
-        let err = reg.get("toy").unwrap().resolve_params(&ov).unwrap_err();
+        let err = TOY.resolve_params(&one("entriez", ParamValue::Int(128))).unwrap_err();
         assert!(err.to_string().contains("'entriez'"), "{err}");
         assert!(err.to_string().contains("entries"), "must list known params: {err}");
     }
 
     #[test]
     fn out_of_range_param_errors_name_the_key() {
-        let reg = toy_registry();
-        let mut ov = BTreeMap::new();
-        ov.insert("prob".to_string(), ParamValue::Float(1.5));
-        let err = reg.get("toy").unwrap().resolve_params(&ov).unwrap_err();
+        let err = TOY.resolve_params(&one("prob", ParamValue::Float(1.5))).unwrap_err();
         assert!(err.to_string().contains("'toy.prob'"), "{err}");
         assert!(err.to_string().contains("1.5"), "{err}");
     }
 
     #[test]
     fn wrong_type_and_bad_choice_are_rejected() {
-        let reg = toy_registry();
-        let spec = reg.get("toy").unwrap();
-        let mut ov = BTreeMap::new();
-        ov.insert("entries".to_string(), ParamValue::Bool(true));
-        let err = spec.resolve_params(&ov).unwrap_err();
+        let err = TOY.resolve_params(&one("entries", ParamValue::Bool(true))).unwrap_err();
         assert!(err.to_string().contains("must be int"), "{err}");
-        let mut ov = BTreeMap::new();
-        ov.insert("mode".to_string(), ParamValue::Str("medium".into()));
-        let err = spec.resolve_params(&ov).unwrap_err();
+        let err = TOY.resolve_params(&one("mode", ParamValue::Str("medium".into()))).unwrap_err();
         assert!(err.to_string().contains("'toy.mode'"), "{err}");
     }
 
     #[test]
     fn ints_coerce_into_float_params() {
-        let reg = toy_registry();
-        let mut ov = BTreeMap::new();
-        ov.insert("prob".to_string(), ParamValue::Int(1));
-        let merged = reg.get("toy").unwrap().resolve_params(&ov).unwrap();
+        let merged = TOY.resolve_params(&one("prob", ParamValue::Int(1))).unwrap();
         assert_eq!(merged["prob"], ParamValue::Float(1.0));
     }
 
     #[test]
     fn factory_rejections_surface_as_invalid_param() {
-        let reg = toy_registry();
-        let mut ov = BTreeMap::new();
-        ov.insert("entries".to_string(), ParamValue::Int(3));
-        let err = match reg.build("toy", &base().with_values(ov)) {
+        let err = match TOY.build(base(), &one("entries", ParamValue::Int(3))) {
             Err(e) => e,
             Ok(_) => panic!("odd entry count must be rejected"),
         };
@@ -785,27 +560,9 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_registration_is_rejected() {
-        let mut reg = toy_registry();
-        let err = reg.register(TrackerSpec::new("TOY", "Other", |_p| Ok(Box::new(NullTracker))));
-        assert_eq!(err, Err(RegistryError::DuplicateKey { key: "toy".into() }));
-    }
-
-    #[test]
     fn storage_model_sees_resolved_params() {
-        let reg = toy_registry();
-        let spec = reg.get("toy").unwrap();
-        assert_eq!(spec.storage_overhead(&base()).sram_bytes, 256);
-        let mut ov = BTreeMap::new();
-        ov.insert("entries".to_string(), ParamValue::Int(100));
-        assert_eq!(spec.storage_overhead(&base().with_values(ov)).sram_bytes, 400);
-    }
-
-    #[test]
-    fn null_spec_builds_the_insecure_baseline() {
-        let reg = toy_registry();
-        let t = reg.build("none", &base()).unwrap();
-        assert_eq!(t.name(), "none");
-        assert_eq!(t.storage_overhead().sram_bytes, 0);
+        let sram = |ov| TOY.build(base(), &ov).unwrap().storage_overhead().sram_bytes;
+        assert_eq!(sram(BTreeMap::new()), 256);
+        assert_eq!(sram(one("entries", ParamValue::Int(100))), 400);
     }
 }

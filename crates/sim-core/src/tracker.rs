@@ -12,9 +12,42 @@
 //! [`RowHammerTracker::activation_delay`], which the controller consults
 //! *before* issuing an ACT.
 
-use crate::addr::DramAddr;
+use crate::addr::{DramAddr, Geometry};
 use crate::req::SourceId;
 use crate::time::Cycle;
+
+/// What every tracker is built from: the system-level knobs it cannot
+/// choose for itself. A tracker's own tunables (structure sizes,
+/// probabilities) ride beside these in its
+/// [`ParamValues`](crate::registry::ParamValues).
+#[derive(Debug, Clone, Copy)]
+pub struct TrackerParams {
+    /// RowHammer threshold N_RH.
+    pub nrh: u32,
+    /// DRAM organisation.
+    pub geometry: Geometry,
+    /// The channel this instance covers.
+    pub channel: u8,
+    /// Seed for all randomised internals.
+    pub seed: u64,
+}
+
+impl TrackerParams {
+    /// Build inputs for any DRAM organisation.
+    pub fn new(nrh: u32, geometry: Geometry, channel: u8, seed: u64) -> Self {
+        Self { nrh, geometry, channel, seed }
+    }
+
+    /// Build inputs for the paper-baseline organisation.
+    pub fn baseline(nrh: u32, channel: u8, seed: u64) -> Self {
+        Self::new(nrh, Geometry::paper_baseline(), channel, seed)
+    }
+
+    /// Mitigation threshold N_M = N_RH / 2.
+    pub fn nm(&self) -> u32 {
+        self.nrh / 2
+    }
+}
 
 /// One row activation as observed by the memory controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,10 +1,9 @@
 //! Experiment definition: workload x tracker x attack -> normalized perf.
 //!
-//! Trackers are selected through the open registry (see
-//! [`crate::registry`]): a [`TrackerSel`] names a registered tracker by
-//! string key and carries validated parameter overrides, so any registered
-//! scheme — built-in or third-party — drops into an [`Experiment`] with
-//! `.tracker("hydra")` or a full parameter map.
+//! Trackers are selected through the tracker table (see
+//! [`crate::registry`]): a [`TrackerSel`] names an entry by string key and
+//! carries validated parameter overrides, so any scheme drops into an
+//! [`Experiment`] with `.tracker("hydra")` or a full parameter map.
 //!
 //! An experiment's run and its reference both simulate on
 //! [`System::run`], the event-driven loop; which loop runs is not part of
@@ -16,12 +15,12 @@ use cpu::{TraceEntry, TraceSource};
 use sim_core::addr::{Geometry, PhysAddr};
 use sim_core::config::{MitigationKind, SystemConfig};
 use sim_core::json::{DecodeError, Hex, Json, JsonCodec};
-use sim_core::registry::{ParamValue, RegistryError, TrackerParams, TrackerSpec};
+use sim_core::registry::{ParamValue, RegistryError, TrackerSpec};
 use sim_core::telemetry::{
     MitigationLog, Probe, SlowdownTrace, Telemetry, TimeSeriesRecorder, WindowSample,
 };
 use sim_core::time::{us_to_cycles, Cycle};
-use sim_core::tracker::{NullTracker, RowHammerTracker};
+use sim_core::tracker::{NullTracker, RowHammerTracker, TrackerParams};
 use workloads::{spec_by_name, Attack, SyntheticTrace};
 
 use crate::metrics::{normalized_performance, RunStats, RunTelemetry};
@@ -29,24 +28,24 @@ use crate::system::System;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// A tracker selection: a resolved registry spec plus validated parameter
+/// A tracker selection: a tracker-table entry plus validated parameter
 /// overrides. This is how experiments, sweeps, and campaigns name the
 /// defense under test.
 #[derive(Clone)]
 pub struct TrackerSel {
-    spec: Arc<TrackerSpec>,
+    spec: &'static TrackerSpec,
     overrides: BTreeMap<String, ParamValue>,
 }
 
 impl TrackerSel {
     /// Resolves a tracker by key, display name, or alias through the
-    /// global registry.
+    /// tracker table.
     pub fn by_key(name: &str) -> Result<TrackerSel, RegistryError> {
-        Ok(TrackerSel { spec: crate::registry::resolve(name)?, overrides: BTreeMap::new() })
+        Ok(TrackerSel::from_spec(crate::registry::resolve(name)?))
     }
 
-    /// Wraps an already-resolved spec.
-    pub fn from_spec(spec: Arc<TrackerSpec>) -> TrackerSel {
+    /// Selects an entry directly, including one outside the table.
+    pub fn from_spec(spec: &'static TrackerSpec) -> TrackerSel {
         TrackerSel { spec, overrides: BTreeMap::new() }
     }
 
@@ -75,19 +74,19 @@ impl TrackerSel {
         Ok(self)
     }
 
-    /// The resolved spec.
-    pub fn spec(&self) -> &Arc<TrackerSpec> {
-        &self.spec
+    /// The selected entry.
+    pub fn spec(&self) -> &'static TrackerSpec {
+        self.spec
     }
 
     /// Canonical registry key.
-    pub fn key(&self) -> &str {
-        self.spec.key()
+    pub fn key(&self) -> &'static str {
+        self.spec.key
     }
 
     /// Display name matching the paper's figures.
-    pub fn name(&self) -> &str {
-        self.spec.display_name()
+    pub fn name(&self) -> &'static str {
+        self.spec.name
     }
 
     /// The parameter overrides riding on this selection.
@@ -109,16 +108,17 @@ impl TrackerSel {
 
     /// True if this tracker reserves half the LLC (START).
     pub fn reserves_llc(&self) -> bool {
-        self.spec.llc_reserved()
+        self.spec.reserves_llc
     }
 
     /// Instantiates the tracker for one channel.
     ///
     /// # Panics
     ///
-    /// Panics if the factory rejects the parameter combination; individual
-    /// values were already validated when the selection was built, so this
-    /// indicates an invalid combination (the error message names the key).
+    /// Panics if the build function rejects the parameter combination;
+    /// individual values were already validated when the selection was
+    /// built, so this indicates an invalid combination (the error message
+    /// names the key).
     pub fn build(
         &self,
         nrh: u32,
@@ -126,17 +126,15 @@ impl TrackerSel {
         channel: u8,
         seed: u64,
     ) -> Box<dyn RowHammerTracker> {
-        let params =
-            TrackerParams::new(nrh, geometry, channel, seed).with_values(self.overrides.clone());
         self.spec
-            .build(&params)
+            .build(TrackerParams::new(nrh, geometry, channel, seed), &self.overrides)
             .unwrap_or_else(|e| panic!("cannot build tracker '{}': {e}", self.key()))
     }
 }
 
 impl PartialEq for TrackerSel {
     fn eq(&self, other: &Self) -> bool {
-        self.spec.key() == other.spec.key() && self.overrides == other.overrides
+        self.key() == other.key() && self.overrides == other.overrides
     }
 }
 
@@ -161,12 +159,6 @@ impl From<&str> for TrackerSel {
 impl From<&String> for TrackerSel {
     fn from(name: &String) -> Self {
         TrackerSel::from(name.as_str())
-    }
-}
-
-impl From<Arc<TrackerSpec>> for TrackerSel {
-    fn from(spec: Arc<TrackerSpec>) -> Self {
-        TrackerSel::from_spec(spec)
     }
 }
 
@@ -490,7 +482,7 @@ impl Experiment {
     pub fn new(workload: &str) -> Self {
         Self {
             workload: workload.to_string(),
-            tracker: TrackerSel::by_key("dapper-h").expect("built-in key"),
+            tracker: TrackerSel::from_spec(&dapper::DAPPER_H),
             attack: AttackChoice::None,
             custom_attack: None,
             cfg: SystemConfig {
@@ -883,8 +875,8 @@ mod tests {
         assert_eq!(key("dapper").as_deref(), Some("dapper-h"));
         assert_eq!(key("insecure").as_deref(), Some("none"));
         for k in crate::tracker_keys() {
-            let sel = TrackerSel::by_key(&k).unwrap();
-            assert_eq!(key(sel.name()), Some(k.clone()), "{} must round-trip", sel.name());
+            let sel = TrackerSel::by_key(k).unwrap();
+            assert_eq!(key(sel.name()).as_deref(), Some(k), "{} must round-trip", sel.name());
         }
     }
 

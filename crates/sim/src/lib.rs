@@ -6,9 +6,9 @@
 //! `trackers`), and provides the experiment runner every bench binary and
 //! figure harness uses.
 //!
-//! Trackers are resolved through the open [`registry`]: every defense —
-//! built-in or third-party — is constructible by string key plus a
-//! parameter map, and the declarative [`spec`] layer turns TOML/JSON
+//! Trackers are resolved through the fixed tracker table in [`registry`]:
+//! every defense is constructible by string key plus a parameter map, and
+//! the declarative [`spec`] layer turns TOML/JSON
 //! experiment descriptions into parallel sweeps. Every cell any front end
 //! runs goes through the one [`exec`] path: probe the cache, simulate the
 //! misses, save, journal, notify.
@@ -63,7 +63,7 @@ pub use experiment::{
 };
 pub use journal::{JournalState, SweepJournal, SweepProgress};
 pub use metrics::{normalized_performance, RunStats, RunTelemetry, RECOVERY_THRESHOLD};
-pub use registry::{register_tracker, tracker_keys, with_registry};
+pub use registry::tracker_keys;
 pub use runner::{
     cell_label, parallel_map, run_parallel, try_run_parallel, RetryPolicy, RunnerConfig, SweepError,
 };

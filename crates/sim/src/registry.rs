@@ -1,81 +1,76 @@
-//! The process-wide tracker registry.
+//! The tracker table: every tracker the simulator can build, in the order
+//! the paper's tables list them.
 //!
-//! `sim` assembles the default [`TrackerRegistry`] from every built-in
-//! tracker — the insecure baseline, the eight schemes in `trackers`, and
-//! the DAPPER variants from their home crate — in the order the paper's
-//! tables list them. Third-party trackers join the same namespace through
-//! [`register_tracker`]; everything downstream (experiments, spec files,
-//! the `redteam` CLI) resolves names through this one registry, so a
-//! registered tracker is immediately sweepable from config.
+//! [`TRACKERS`] is fixed at compile time — the insecure baseline, the
+//! eight schemes in `trackers`, and the DAPPER variants from their home
+//! crate, each one `const` [`TrackerSpec`] kept next to its
+//! implementation. Every tracker name anywhere (experiments, spec files,
+//! the `redteam` CLI) resolves through [`resolve`]: key, display name, or
+//! alias, case and separators ignored. A tracker outside the table still
+//! runs: hand its `&'static TrackerSpec` to
+//! [`TrackerSel::from_spec`](crate::TrackerSel::from_spec).
 //!
 //! ```
-//! let keys: Vec<String> = sim::registry::tracker_keys();
-//! assert_eq!(keys.first().map(String::as_str), Some("none"));
-//! assert!(keys.iter().any(|k| k == "dapper-h"));
+//! let keys: Vec<&str> = sim::registry::tracker_keys().collect();
+//! assert_eq!(keys.first(), Some(&"none"));
+//! assert!(keys.contains(&"dapper-h"));
 //! ```
 
-use sim_core::registry::{RegistryError, TrackerParams, TrackerRegistry, TrackerSpec};
-use sim_core::tracker::RowHammerTracker;
-use std::sync::{Arc, OnceLock, RwLock};
+use sim_core::registry::{normalize_key, RegistryError, TrackerSpec};
+use sim_core::tracker::NullTracker;
+use trackers::{abacus, blockhammer, comet, hydra, para, prac, pride, start};
 
-/// The four scalable baselines of Figs. 1 and 3-5, by registry key.
-pub const SCALABLE_BASELINES: [&str; 4] = ["hydra", "start", "abacus", "comet"];
+/// The insecure baseline ([`NullTracker`]): no parameters, zero storage.
+const NONE: TrackerSpec = TrackerSpec {
+    key: "none",
+    name: "none",
+    aliases: &["null", "insecure", "baseline"],
+    reserves_llc: false,
+    params: &[],
+    factory: |_p, _v| Ok(Box::new(NullTracker)),
+};
 
-fn global() -> &'static RwLock<TrackerRegistry> {
-    static REGISTRY: OnceLock<RwLock<TrackerRegistry>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        let mut reg = TrackerRegistry::new();
-        reg.register(sim_core::registry::null_spec()).expect("fresh registry");
-        trackers::register_builtin(&mut reg).expect("built-in trackers");
-        dapper::register_builtin(&mut reg).expect("DAPPER variants");
-        RwLock::new(reg)
+/// Every tracker, in the paper's table order.
+pub static TRACKERS: [TrackerSpec; 11] = [
+    NONE,
+    hydra::SPEC,
+    start::SPEC,
+    comet::SPEC,
+    abacus::SPEC,
+    blockhammer::SPEC,
+    para::SPEC,
+    pride::SPEC,
+    prac::SPEC,
+    dapper::DAPPER_S,
+    dapper::DAPPER_H,
+];
+
+/// Resolves a tracker name (key, display name, or alias; case and
+/// separator insensitive) to its entry.
+pub fn resolve(name: &str) -> Result<&'static TrackerSpec, RegistryError> {
+    let wanted = normalize_key(name);
+    TRACKERS.iter().find(|spec| spec.names().any(|n| normalize_key(n) == wanted)).ok_or_else(|| {
+        RegistryError::UnknownTracker {
+            name: name.to_string(),
+            known: tracker_keys().map(str::to_string).collect(),
+        }
     })
 }
 
-/// Runs `f` with a read lock on the global registry. Keep the closure
-/// cheap (resolve, clone an `Arc`, list keys) — building or simulating
-/// inside it would serialize sweeps.
-pub fn with_registry<R>(f: impl FnOnce(&TrackerRegistry) -> R) -> R {
-    f(&global().read().unwrap_or_else(std::sync::PoisonError::into_inner))
-}
-
-/// Registers a third-party [`TrackerSpec`] into the global registry,
-/// making it constructible by key everywhere (experiments, spec files,
-/// the red-team CLI). Fails if the key or an alias is already taken.
-pub fn register_tracker(spec: TrackerSpec) -> Result<(), RegistryError> {
-    global().write().unwrap_or_else(std::sync::PoisonError::into_inner).register(spec)
-}
-
-/// Resolves a tracker name (key, display name, or alias; case and
-/// separator insensitive) to its spec.
-pub fn resolve(name: &str) -> Result<Arc<TrackerSpec>, RegistryError> {
-    with_registry(|reg| reg.resolve(name).cloned())
-}
-
-/// Canonical keys of every registered tracker, in registration order
-/// (the paper's table order for the built-ins).
-pub fn tracker_keys() -> Vec<String> {
-    with_registry(|reg| reg.keys().map(str::to_string).collect())
-}
-
-/// Builds a tracker instance by name through the global registry.
-pub fn build_tracker(
-    name: &str,
-    params: &TrackerParams,
-) -> Result<Box<dyn RowHammerTracker>, RegistryError> {
-    resolve(name)?.build(params)
+/// Canonical keys of every tracker, in table order.
+pub fn tracker_keys() -> impl Iterator<Item = &'static str> {
+    TRACKERS.iter().map(|spec| spec.key)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_core::addr::Geometry;
-    use sim_core::registry::ParamSpec;
-    use sim_core::tracker::NullTracker;
+    use crate::experiment::{Experiment, TrackerSel};
+    use sim_core::tracker::TrackerParams;
+    use std::collections::{BTreeMap, BTreeSet};
 
     #[test]
     fn builtins_register_in_paper_order() {
-        let keys = tracker_keys();
         let expected = [
             "none",
             "hydra",
@@ -89,39 +84,79 @@ mod tests {
             "dapper-s",
             "dapper-h",
         ];
-        assert_eq!(&keys[..expected.len()], &expected[..]);
+        assert_eq!(tracker_keys().collect::<Vec<_>>(), expected);
+    }
+
+    #[test]
+    fn lookup_normalizes_case_and_separators() {
+        for (name, key) in [
+            ("dapper-h", "dapper-h"),
+            ("DAPPER_H", "dapper-h"),
+            ("DapperH", "dapper-h"),
+            ("dapper", "dapper-h"),
+            ("NONE", "none"),
+            ("Null", "none"),
+            ("insecure", "none"),
+            ("BH", "blockhammer"),
+        ] {
+            assert_eq!(resolve(name).map(|s| s.key), Ok(key), "{name}");
+        }
+        let err = resolve("unknown").unwrap_err();
+        assert!(err.to_string().contains("unknown tracker 'unknown'"), "{err}");
+        assert!(err.to_string().contains("dapper-h"), "error must list known keys: {err}");
+    }
+
+    #[test]
+    fn no_two_entries_share_a_spelling() {
+        let mut seen = BTreeSet::new();
+        for spec in &TRACKERS {
+            let own: BTreeSet<String> = spec.names().map(normalize_key).collect();
+            for n in own {
+                assert!(seen.insert(n.clone()), "'{n}' names two trackers");
+            }
+        }
     }
 
     #[test]
     fn every_builtin_builds_with_defaults() {
-        let p = TrackerParams::new(500, Geometry::paper_baseline(), 0, 7);
-        for key in tracker_keys() {
-            let t = build_tracker(&key, &p)
-                .unwrap_or_else(|e| panic!("{key} must build with defaults: {e}"));
+        let p = TrackerParams::baseline(500, 0, 7);
+        for spec in &TRACKERS {
+            let t = spec
+                .build(p, &BTreeMap::new())
+                .unwrap_or_else(|e| panic!("{} must build with defaults: {e}", spec.key));
             assert!(!t.name().is_empty());
         }
     }
 
     #[test]
-    fn third_party_registration_is_visible_globally() {
-        // Key chosen to avoid collision with other tests in this binary.
-        let spec =
-            TrackerSpec::new("unit-test-tracker", "UnitTest", |_p| Ok(Box::new(NullTracker)))
-                .param(ParamSpec::int("knob", "a knob", 1));
-        register_tracker(spec).expect("fresh key");
-        let p = TrackerParams::new(500, Geometry::paper_baseline(), 0, 7);
-        assert!(build_tracker("Unit_Test_Tracker", &p).is_ok());
-        let err = register_tracker(TrackerSpec::new("unit-test-tracker", "X", |_p| {
-            Ok(Box::new(NullTracker))
-        }));
-        assert!(err.is_err(), "duplicate keys must be rejected");
+    fn null_spec_builds_the_insecure_baseline() {
+        let p = TrackerParams::baseline(500, 0, 1);
+        let t = resolve("none").unwrap().build(p, &BTreeMap::new()).unwrap();
+        assert_eq!(t.name(), "none");
+        assert_eq!(t.storage_overhead().sram_bytes, 0);
+    }
+
+    #[test]
+    fn a_tracker_outside_the_table_runs_through_its_selection() {
+        static OUTSIDE: TrackerSpec = TrackerSpec {
+            key: "unit-test-tracker",
+            name: "UnitTest",
+            aliases: &[],
+            reserves_llc: false,
+            params: &[],
+            factory: |_p, _v| Ok(Box::new(NullTracker)),
+        };
+        assert!(resolve("unit-test-tracker").is_err(), "the table is fixed");
+        let e = Experiment::quick("povray_like").window_us(20.0);
+        let outside = e.clone().tracker(TrackerSel::from_spec(&OUTSIDE)).run();
+        assert_eq!(outside.tracker_name, "UnitTest");
+        assert_eq!(outside.run, e.tracker("none").run().run, "a null tracker by any name");
     }
 
     #[test]
     fn start_is_the_only_llc_reserver() {
-        for key in tracker_keys() {
-            let spec = resolve(&key).unwrap();
-            assert_eq!(spec.llc_reserved(), key == "start", "{key}");
+        for spec in &TRACKERS {
+            assert_eq!(spec.reserves_llc, spec.key == "start", "{}", spec.key);
         }
     }
 }

@@ -861,15 +861,14 @@ impl SweepSpec {
             // Overrides may be keyed by any accepted spelling of the
             // tracker's name; match on the canonical key.
             for (param_key, overrides) in &self.params {
-                let canonical = crate::registry::resolve(param_key)?.key().to_string();
-                if canonical == sel.key() {
+                if crate::registry::resolve(param_key)?.key == sel.key() {
                     sel = sel.with_params(overrides.clone())?;
                 }
             }
             sels.push(sel);
         }
         for param_key in self.params.keys() {
-            let canonical = crate::registry::resolve(param_key)?.key().to_string();
+            let canonical = crate::registry::resolve(param_key)?.key;
             if !sels.iter().any(|s| s.key() == canonical) {
                 return Err(field_err(
                     &format!("params.{param_key}"),
@@ -904,9 +903,8 @@ impl SweepSpec {
         let probe_cfg = sim_core::config::SystemConfig::paper_baseline();
         let nrh = self.options.nrh.unwrap_or(probe_cfg.nrh);
         for tracker in &trackers {
-            let probe = sim_core::registry::TrackerParams::new(nrh, probe_cfg.geometry, 0, 0)
-                .with_values(tracker.params().clone());
-            tracker.spec().build(&probe)?;
+            let probe = sim_core::tracker::TrackerParams::new(nrh, probe_cfg.geometry, 0, 0);
+            tracker.spec().build(probe, tracker.params())?;
         }
         let attacks: Vec<AttackChoice> =
             self.attacks.iter().map(|a| parse_attack(a)).collect::<Result<_, _>>()?;

@@ -11,10 +11,11 @@
 //! the Perf-Attack lever (Section III-B): sequentially activating distinct
 //! row IDs overflows the spillover every `entries x N_RH/2` activations.
 
-use crate::TrackerParams;
 use sim_core::registry::{ParamSpec, RegistryError, TrackerSpec};
 use sim_core::time::Cycle;
-use sim_core::tracker::{Activation, ResetScope, RowHammerTracker, StorageOverhead, TrackerAction};
+use sim_core::tracker::{
+    Activation, ResetScope, RowHammerTracker, StorageOverhead, TrackerAction, TrackerParams,
+};
 use std::collections::HashMap;
 
 /// Misra-Gries table sizes from the paper, per N_RH.
@@ -219,19 +220,25 @@ fn abacus_storage(entries: usize) -> (u64, u64) {
     (19_763 * entries as u64 / 2466, 7_680 * entries as u64 / 2466)
 }
 
-/// ABACuS's registry descriptor: key `abacus`, Misra-Gries table size
+/// ABACuS's tracker-table entry: key `abacus`, Misra-Gries table size
 /// exposed as a tunable parameter (`0` = the paper's size for N_RH).
-pub fn spec() -> TrackerSpec {
-    TrackerSpec::new("abacus", "ABACUS", |p| {
-        let mut ap = AbacusParams::new(TrackerParams::from_build(p));
-        ap.entries = p.count("entries");
-        Ok(Box::new(Abacus::with_params(ap)?))
-    })
-    .param(
-        ParamSpec::int("entries", "Misra-Gries table entries (0 = the paper's size for N_RH)", 0)
-            .range(0.0, (1u64 << 24) as f64),
+pub const SPEC: TrackerSpec = TrackerSpec {
+    key: "abacus",
+    name: "ABACUS",
+    aliases: &[],
+    reserves_llc: false,
+    params: &[ParamSpec::int(
+        "entries",
+        "Misra-Gries table entries (0 = the paper's size for N_RH)",
+        0,
     )
-}
+    .range(0.0, (1u64 << 24) as f64)],
+    factory: |p, v| {
+        let mut ap = AbacusParams::new(p);
+        ap.entries = v.count("entries");
+        Ok(Box::new(Abacus::with_params(ap)?))
+    },
+};
 
 #[cfg(test)]
 mod tests {

@@ -12,12 +12,13 @@
 //! share filter entries with a victim's working set).
 
 use crate::util::hash64;
-use crate::TrackerParams;
 use sim_core::addr::DramAddr;
 use sim_core::registry::{ParamSpec, RegistryError, TrackerSpec};
 use sim_core::req::SourceId;
 use sim_core::time::Cycle;
-use sim_core::tracker::{Activation, RowHammerTracker, StorageOverhead, TrackerAction};
+use sim_core::tracker::{
+    Activation, RowHammerTracker, StorageOverhead, TrackerAction, TrackerParams,
+};
 
 /// Counters per bank per filter. The HPCA'21 design uses 1K counters per
 /// bank over a 32 ms epoch; we scale the filter with our shorter default
@@ -237,30 +238,29 @@ impl RowHammerTracker for BlockHammer {
     }
 }
 
-/// BlockHammer's registry descriptor: key `blockhammer`, counting-Bloom
+/// BlockHammer's tracker-table entry: key `blockhammer`, counting-Bloom
 /// geometry and blacklist divisor exposed as tunable parameters.
-pub fn spec() -> TrackerSpec {
-    TrackerSpec::new("blockhammer", "BlockHammer", |p| {
-        let mut bp = BlockHammerParams::new(TrackerParams::from_build(p));
-        bp.cbf_counters = p.count("cbf_counters");
-        bp.cbf_hashes = p.count("cbf_hashes");
-        bp.blacklist_divisor = p.int("blacklist_divisor") as u32;
-        Ok(Box::new(BlockHammer::with_params(bp)?))
-    })
-    .alias("bh")
-    .param(
+pub const SPEC: TrackerSpec = TrackerSpec {
+    key: "blockhammer",
+    name: "BlockHammer",
+    aliases: &["bh"],
+    reserves_llc: false,
+    params: &[
         ParamSpec::int("cbf_counters", "counters per bank per filter", CBF_COUNTERS as i64)
             .range(1.0, (1u64 << 20) as f64),
-    )
-    .param(
         ParamSpec::int("cbf_hashes", "Bloom hash functions", CBF_HASHES as i64)
             .range(1.0, MAX_CBF_HASHES as f64),
-    )
-    .param(
         ParamSpec::int("blacklist_divisor", "blacklist threshold N_BL = N_RH / divisor", 4)
             .range(1.0, (1u64 << 16) as f64),
-    )
-}
+    ],
+    factory: |p, v| {
+        let mut bp = BlockHammerParams::new(p);
+        bp.cbf_counters = v.count("cbf_counters");
+        bp.cbf_hashes = v.count("cbf_hashes");
+        bp.blacklist_divisor = v.int("blacklist_divisor") as u32;
+        Ok(Box::new(BlockHammer::with_params(bp)?))
+    },
+};
 
 #[cfg(test)]
 mod tests {

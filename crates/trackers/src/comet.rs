@@ -13,10 +13,11 @@
 //! stall.
 
 use crate::util::hash64;
-use crate::TrackerParams;
 use sim_core::registry::{ParamSpec, RegistryError, TrackerSpec};
 use sim_core::time::Cycle;
-use sim_core::tracker::{Activation, ResetScope, RowHammerTracker, StorageOverhead, TrackerAction};
+use sim_core::tracker::{
+    Activation, ResetScope, RowHammerTracker, StorageOverhead, TrackerAction, TrackerParams,
+};
 
 /// Hash functions in the sketch.
 pub const CMS_HASHES: usize = 4;
@@ -291,39 +292,36 @@ fn comet_storage(p: &TrackerParams, cms_width: usize, rat_entries: usize) -> (u6
     (sram, cam)
 }
 
-/// CoMeT's registry descriptor: key `comet`, sketch width and RAT (CAT)
+/// CoMeT's tracker-table entry: key `comet`, sketch width and RAT (CAT)
 /// capacity exposed as tunable parameters with paper-baseline defaults.
-pub fn spec() -> TrackerSpec {
-    TrackerSpec::new("comet", "CoMeT", |p| {
-        let mut cp = CometParams::new(TrackerParams::from_build(p));
-        cp.cms_width = p.count("cms_width");
-        cp.rat_entries = p.count("rat_entries");
-        cp.miss_history = p.count("miss_history");
-        cp.miss_rate_reset = p.float("miss_rate_reset");
-        Ok(Box::new(Comet::with_params(cp)?))
-    })
-    .alias("cat")
-    .param(
+pub const SPEC: TrackerSpec = TrackerSpec {
+    key: "comet",
+    name: "CoMeT",
+    aliases: &["cat"],
+    reserves_llc: false,
+    params: &[
         ParamSpec::int("cms_width", "counters per hash function per bank", CMS_WIDTH as i64)
             .range(1.0, (1u64 << 20) as f64),
-    )
-    .param(
         ParamSpec::int("rat_entries", "recent aggressor table (CAT) entries", RAT_ENTRIES as i64)
             .range(1.0, (1u64 << 20) as f64),
-    )
-    .param(
         ParamSpec::int("miss_history", "sliding RAT-outcome history length", MISS_HISTORY as i64)
             .range(1.0, (1u64 << 20) as f64),
-    )
-    .param(
         ParamSpec::float(
             "miss_rate_reset",
             "early-reset miss-rate threshold over the history",
             MISS_RATE_RESET,
         )
         .range(0.0, 1.0),
-    )
-}
+    ],
+    factory: |p, v| {
+        let mut cp = CometParams::new(p);
+        cp.cms_width = v.count("cms_width");
+        cp.rat_entries = v.count("rat_entries");
+        cp.miss_history = v.count("miss_history");
+        cp.miss_rate_reset = v.float("miss_rate_reset");
+        Ok(Box::new(Comet::with_params(cp)?))
+    },
+};
 
 #[cfg(test)]
 mod tests {

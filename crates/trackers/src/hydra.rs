@@ -13,12 +13,13 @@
 //! Everything resets at each tREFW boundary.
 
 use crate::util::{hash64, meta_addr, RowMap};
-use crate::TrackerParams;
 use sim_core::addr::Geometry;
 use sim_core::registry::{ParamSpec, RegistryError, TrackerSpec};
 use sim_core::rng::Xoshiro256;
 use sim_core::time::Cycle;
-use sim_core::tracker::{Activation, RowHammerTracker, StorageOverhead, TrackerAction};
+use sim_core::tracker::{
+    Activation, RowHammerTracker, StorageOverhead, TrackerAction, TrackerParams,
+};
 
 /// Rows sharing one group counter (the paper's Hydra configuration).
 pub const GROUP_SIZE: u32 = 128;
@@ -244,29 +245,29 @@ fn hydra_storage(p: &TrackerParams, group_size: u32, rcc_entries: usize) -> u64 
     p.geometry.ranks as u64 * (groups + rcc_bytes)
 }
 
-/// Hydra's registry descriptor: key `hydra`, structure sizes exposed as
+/// Hydra's tracker-table entry: key `hydra`, structure sizes exposed as
 /// tunable parameters with the paper-baseline defaults.
-pub fn spec() -> TrackerSpec {
-    TrackerSpec::new("hydra", "Hydra", |p| {
-        let mut hp = HydraParams::new(TrackerParams::from_build(p));
-        hp.group_size = p.int("group_size") as u32;
-        hp.rcc_entries = p.count("rcc_entries");
-        hp.rcc_ways = p.count("rcc_ways");
-        Ok(Box::new(Hydra::with_params(hp)?))
-    })
-    .param(
+pub const SPEC: TrackerSpec = TrackerSpec {
+    key: "hydra",
+    name: "Hydra",
+    aliases: &[],
+    reserves_llc: false,
+    params: &[
         ParamSpec::int("group_size", "rows sharing one group counter", GROUP_SIZE as i64)
             .range(1.0, (1u64 << 20) as f64),
-    )
-    .param(
         ParamSpec::int("rcc_entries", "row counter cache entries per rank", RCC_ENTRIES as i64)
             .range(1.0, (1u64 << 24) as f64),
-    )
-    .param(
         ParamSpec::int("rcc_ways", "row counter cache associativity", RCC_WAYS as i64)
             .range(1.0, 4096.0),
-    )
-}
+    ],
+    factory: |p, v| {
+        let mut hp = HydraParams::new(p);
+        hp.group_size = v.int("group_size") as u32;
+        hp.rcc_entries = v.count("rcc_entries");
+        hp.rcc_ways = v.count("rcc_ways");
+        Ok(Box::new(Hydra::with_params(hp)?))
+    },
+};
 
 #[cfg(test)]
 mod tests {

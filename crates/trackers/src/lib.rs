@@ -14,8 +14,10 @@
 //! | [`pride`] | PrIDE (ISCA'24) | per-tREFI mitigation budget |
 //! | [`prac`] | PRAC/QPRAC (DDR5 spec / HPCA'25) | per-ACT counter read-modify-write tax |
 //!
-//! Every tracker implements [`sim_core::tracker::RowHammerTracker`] and
-//! covers **one memory channel**.
+//! Every tracker implements [`sim_core::tracker::RowHammerTracker`],
+//! covers **one memory channel**, is built from
+//! [`sim_core::tracker::TrackerParams`], and publishes its entry of the
+//! tracker table as its module's `SPEC`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,54 +40,3 @@ pub use para::{Para, ParaParams};
 pub use prac::{Prac, PracParams};
 pub use pride::{Pride, PrideParams};
 pub use start::{Start, StartParams};
-
-use sim_core::addr::Geometry;
-
-/// Construction parameters shared by every tracker.
-#[derive(Debug, Clone, Copy)]
-pub struct TrackerParams {
-    /// RowHammer threshold.
-    pub nrh: u32,
-    /// DRAM organisation.
-    pub geometry: Geometry,
-    /// The channel this instance covers.
-    pub channel: u8,
-    /// Seed for all randomised internals.
-    pub seed: u64,
-}
-
-impl TrackerParams {
-    /// Parameters for the paper baseline at a given threshold.
-    pub fn baseline(nrh: u32, channel: u8, seed: u64) -> Self {
-        Self { nrh, geometry: Geometry::paper_baseline(), channel, seed }
-    }
-
-    /// The system-level subset of a registry build request (the tunable
-    /// per-tracker values ride separately in the registry's parameter map).
-    pub fn from_build(p: &sim_core::registry::TrackerParams) -> Self {
-        Self { nrh: p.nrh, geometry: p.geometry, channel: p.channel, seed: p.seed }
-    }
-
-    /// Mitigation threshold N_M = N_RH / 2.
-    pub fn nm(&self) -> u32 {
-        self.nrh / 2
-    }
-}
-
-/// Registers every baseline tracker in this crate — Hydra, START, CoMeT,
-/// ABACuS, BlockHammer, PARA, PrIDE, PRAC — into `reg`, in the order the
-/// paper's tables list them. The DAPPER variants register from their home
-/// crate (`dapper::register_builtin`), and the insecure baseline from
-/// [`sim_core::registry::null_spec`].
-pub fn register_builtin(
-    reg: &mut sim_core::registry::TrackerRegistry,
-) -> Result<(), sim_core::registry::RegistryError> {
-    reg.register(hydra::spec())?;
-    reg.register(start::spec())?;
-    reg.register(comet::spec())?;
-    reg.register(abacus::spec())?;
-    reg.register(blockhammer::spec())?;
-    reg.register(para::spec())?;
-    reg.register(pride::spec())?;
-    reg.register(prac::spec())
-}

@@ -7,10 +7,11 @@
 //! needs no reset and is immune to structure-targeted Perf-Attacks, but its
 //! mitigation frequency grows quickly as N_RH drops (Fig. 15/16).
 
-use crate::TrackerParams;
 use sim_core::registry::{ParamSpec, RegistryError, TrackerSpec};
 use sim_core::rng::Xoshiro256;
-use sim_core::tracker::{Activation, RowHammerTracker, StorageOverhead, TrackerAction};
+use sim_core::tracker::{
+    Activation, RowHammerTracker, StorageOverhead, TrackerAction, TrackerParams,
+};
 
 /// Safety exponent: p = EXPONENT / N_RH.
 pub const EXPONENT: f64 = 18.4;
@@ -84,20 +85,26 @@ impl RowHammerTracker for Para {
     }
 }
 
-/// PARA's registry descriptor: key `para`, the probabilistic policy's
+/// PARA's tracker-table entry: key `para`, the probabilistic policy's
 /// safety exponent exposed for sweeps (Jaleel et al., arXiv:2404.16256
 /// explore exactly this axis of tracker-management policies).
-pub fn spec() -> TrackerSpec {
-    TrackerSpec::new("para", "PARA", |p| {
-        let mut pp = ParaParams::new(TrackerParams::from_build(p));
-        pp.exponent = p.float("exponent");
-        Ok(Box::new(Para::with_params(pp)?))
-    })
-    .param(
-        ParamSpec::float("exponent", "safety exponent; refresh p = exponent / N_RH", EXPONENT)
-            .range(1e-6, 1e6),
+pub const SPEC: TrackerSpec = TrackerSpec {
+    key: "para",
+    name: "PARA",
+    aliases: &[],
+    reserves_llc: false,
+    params: &[ParamSpec::float(
+        "exponent",
+        "safety exponent; refresh p = exponent / N_RH",
+        EXPONENT,
     )
-}
+    .range(1e-6, 1e6)],
+    factory: |p, v| {
+        let mut pp = ParaParams::new(p);
+        pp.exponent = v.float("exponent");
+        Ok(Box::new(Para::with_params(pp)?))
+    },
+};
 
 #[cfg(test)]
 mod tests {

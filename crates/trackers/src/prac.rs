@@ -7,12 +7,13 @@
 //! QPRAC paper reports costing ~7% on benign workloads) and service
 //! Alert-Back-Off mitigations from a priority queue at each tREFI.
 
-use crate::TrackerParams;
 use sim_core::addr::DramAddr;
 use sim_core::registry::{ParamSpec, RegistryError, TrackerSpec};
 use sim_core::req::SourceId;
 use sim_core::time::{ns_to_cycles, Cycle};
-use sim_core::tracker::{Activation, RowHammerTracker, StorageOverhead, TrackerAction};
+use sim_core::tracker::{
+    Activation, RowHammerTracker, StorageOverhead, TrackerAction, TrackerParams,
+};
 use std::collections::{HashMap, VecDeque};
 
 /// Per-ACT read-modify-write tax in nanoseconds (the tRAS/tRP extension
@@ -140,25 +141,26 @@ impl RowHammerTracker for Prac {
     }
 }
 
-/// PRAC's registry descriptor: key `prac` (alias `qprac`), the per-ACT
+/// PRAC's tracker-table entry: key `prac` (alias `qprac`), the per-ACT
 /// timing tax and ABO service batch exposed as tunable parameters.
-pub fn spec() -> TrackerSpec {
-    TrackerSpec::new("prac", "PRAC", |p| {
-        let mut pp = PracParams::new(TrackerParams::from_build(p));
-        pp.rmw_tax_ns = p.float("rmw_tax_ns");
-        pp.abo_batch = p.count("abo_batch");
-        Ok(Box::new(Prac::with_params(pp)?))
-    })
-    .alias("qprac")
-    .param(
+pub const SPEC: TrackerSpec = TrackerSpec {
+    key: "prac",
+    name: "PRAC",
+    aliases: &["qprac"],
+    reserves_llc: false,
+    params: &[
         ParamSpec::float("rmw_tax_ns", "per-ACT read-modify-write tax, ns", RMW_TAX_NS)
             .range(0.0, 1000.0),
-    )
-    .param(
         ParamSpec::int("abo_batch", "mitigations serviced per tREFI", ABO_BATCH as i64)
             .range(1.0, 65536.0),
-    )
-}
+    ],
+    factory: |p, v| {
+        let mut pp = PracParams::new(p);
+        pp.rmw_tax_ns = v.float("rmw_tax_ns");
+        pp.abo_batch = v.count("abo_batch");
+        Ok(Box::new(Prac::with_params(pp)?))
+    },
+};
 
 #[cfg(test)]
 mod tests {

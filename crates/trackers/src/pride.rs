@@ -7,12 +7,13 @@
 //! refresh cadence). The fixed per-tREFI mitigation budget is what
 //! Perf-Attacks and low N_RH stress (Figs. 15/16).
 
-use crate::TrackerParams;
 use sim_core::addr::DramAddr;
 use sim_core::registry::{ParamSpec, RegistryError, TrackerSpec};
 use sim_core::rng::Xoshiro256;
 use sim_core::time::Cycle;
-use sim_core::tracker::{Activation, RowHammerTracker, StorageOverhead, TrackerAction};
+use sim_core::tracker::{
+    Activation, RowHammerTracker, StorageOverhead, TrackerAction, TrackerParams,
+};
 use std::collections::VecDeque;
 
 /// Per-bank FIFO depth.
@@ -139,28 +140,30 @@ impl RowHammerTracker for Pride {
     }
 }
 
-/// PrIDE's registry descriptor: key `pride`, FIFO depth and sampling
+/// PrIDE's tracker-table entry: key `pride`, FIFO depth and sampling
 /// numerator exposed as tunable parameters.
-pub fn spec() -> TrackerSpec {
-    TrackerSpec::new("pride", "PrIDE", |p| {
-        let mut pp = PrideParams::new(TrackerParams::from_build(p));
-        pp.queue_depth = p.count("queue_depth");
-        pp.sample_numerator = p.float("sample_numerator");
-        Ok(Box::new(Pride::with_params(pp)?))
-    })
-    .param(
+pub const SPEC: TrackerSpec = TrackerSpec {
+    key: "pride",
+    name: "PrIDE",
+    aliases: &[],
+    reserves_llc: false,
+    params: &[
         ParamSpec::int("queue_depth", "per-bank FIFO depth", QUEUE_DEPTH as i64)
             .range(1.0, 65536.0),
-    )
-    .param(
         ParamSpec::float(
             "sample_numerator",
             "sampling probability = numerator / N_RH",
             SAMPLE_NUMERATOR,
         )
         .range(1e-6, 1e6),
-    )
-}
+    ],
+    factory: |p, v| {
+        let mut pp = PrideParams::new(p);
+        pp.queue_depth = v.count("queue_depth");
+        pp.sample_numerator = v.float("sample_numerator");
+        Ok(Box::new(Pride::with_params(pp)?))
+    },
+};
 
 #[cfg(test)]
 mod tests {

@@ -12,10 +12,11 @@
 //! in the paper (1 B per counter).
 
 use crate::util::{hash64, meta_addr};
-use crate::TrackerParams;
 use sim_core::registry::{ParamSpec, RegistryError, TrackerSpec};
 use sim_core::time::Cycle;
-use sim_core::tracker::{Activation, RowHammerTracker, StorageOverhead, TrackerAction};
+use sim_core::tracker::{
+    Activation, RowHammerTracker, StorageOverhead, TrackerAction, TrackerParams,
+};
 use std::collections::HashMap;
 
 /// Counters per 64-byte LLC line.
@@ -199,25 +200,26 @@ impl RowHammerTracker for Start {
     }
 }
 
-/// START's registry descriptor: key `start`, reserved-region size exposed
+/// START's tracker-table entry: key `start`, reserved-region size exposed
 /// as a tunable parameter. Marked as reserving half the LLC — the
 /// simulator mirrors the demand-side capacity loss.
-pub fn spec() -> TrackerSpec {
-    TrackerSpec::new("start", "START", |p| {
-        let mut sp = StartParams::new(TrackerParams::from_build(p));
-        sp.region_lines = p.count("region_lines");
-        Ok(Box::new(Start::with_params(sp)?))
-    })
-    .reserves_llc(true)
-    .param(
-        ParamSpec::int(
-            "region_lines",
-            "reserved counter-region size in 64 B lines (16-way sets)",
-            REGION_LINES as i64,
-        )
-        .range(16.0, (1u64 << 24) as f64),
+pub const SPEC: TrackerSpec = TrackerSpec {
+    key: "start",
+    name: "START",
+    aliases: &[],
+    reserves_llc: true,
+    params: &[ParamSpec::int(
+        "region_lines",
+        "reserved counter-region size in 64 B lines (16-way sets)",
+        REGION_LINES as i64,
     )
-}
+    .range(16.0, (1u64 << 24) as f64)],
+    factory: |p, v| {
+        let mut sp = StartParams::new(p);
+        sp.region_lines = v.count("region_lines");
+        Ok(Box::new(Start::with_params(sp)?))
+    },
+};
 
 #[cfg(test)]
 mod tests {

@@ -20,9 +20,8 @@
 //!
 //! # Quickstart
 //!
-//! Trackers resolve through the open registry by string key (any
-//! registered tracker, built-in or third-party, with optional parameter
-//! overrides):
+//! Trackers resolve through the fixed tracker table by string key (key,
+//! display name or alias, with optional parameter overrides):
 //!
 //! ```no_run
 //! use dapper_repro::sim::experiment::{AttackChoice, Experiment};

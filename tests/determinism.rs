@@ -64,8 +64,8 @@ fn observe(key: &str, build_seed: u64) -> (Vec<TrackerAction>, Vec<Cycle>) {
 #[test]
 fn every_tracker_replays_identically_from_its_seed() {
     for key in dapper_repro::sim::tracker_keys() {
-        let (actions_a, delays_a) = observe(&key, 0xD00D);
-        let (actions_b, delays_b) = observe(&key, 0xD00D);
+        let (actions_a, delays_a) = observe(key, 0xD00D);
+        let (actions_b, delays_b) = observe(key, 0xD00D);
         assert_eq!(actions_a, actions_b, "{key}: action streams diverge between identical replays");
         assert_eq!(
             delays_a, delays_b,
@@ -94,7 +94,7 @@ fn every_tracker_acts_under_a_hammering_schedule() {
         if key == "none" {
             continue;
         }
-        let (actions, delays) = observe(&key, 0xD00D);
+        let (actions, delays) = observe(key, 0xD00D);
         assert!(
             !actions.is_empty() || delays.iter().any(|&d| d > 0),
             "{key}: schedule produced no observable behaviour"

@@ -78,10 +78,10 @@ fn assert_matrix_equal(jobs: Vec<(String, Experiment)>) {
 fn every_tracker_is_engine_equivalent_benign_and_attacked() {
     let mut jobs = Vec::new();
     for tracker in dapper_repro::sim::tracker_keys() {
-        let benign = Experiment::quick("gcc_like").tracker(&tracker).window_us(100.0);
+        let benign = Experiment::quick("gcc_like").tracker(tracker).window_us(100.0);
         jobs.push((format!("{tracker}/benign"), benign));
         let attacked = Experiment::quick("gcc_like")
-            .tracker(&tracker)
+            .tracker(tracker)
             .attack(AttackChoice::Tailored)
             .window_us(100.0);
         jobs.push((format!("{tracker}/tailored"), attacked));
@@ -394,7 +394,7 @@ fn full_catalog_tracker_matrix_is_engine_equivalent() {
     let mut jobs = Vec::new();
     for spec in workloads::catalog() {
         for tracker in dapper_repro::sim::tracker_keys() {
-            let e = Experiment::quick(spec.name).tracker(&tracker).window_us(100.0);
+            let e = Experiment::quick(spec.name).tracker(tracker).window_us(100.0);
             jobs.push((format!("{}/{}", spec.name, tracker), e));
         }
     }

@@ -55,7 +55,7 @@ fn every_tracker_matches_the_oracle_under_attack() {
     let mut jobs = Vec::new();
     for tracker in dapper_repro::sim::tracker_keys() {
         let e = Experiment::quick("gcc_like")
-            .tracker(&tracker)
+            .tracker(tracker)
             .attack(AttackChoice::Tailored)
             .window_us(100.0);
         jobs.push((format!("gcc_like/{tracker}/tailored"), e));
@@ -71,7 +71,7 @@ fn full_quick_subset_tracker_matrix_matches_the_oracle() {
         for tracker in dapper_repro::sim::tracker_keys() {
             for attack in [AttackChoice::None, AttackChoice::Tailored] {
                 let e =
-                    Experiment::quick(spec.name).tracker(&tracker).attack(attack).window_us(100.0);
+                    Experiment::quick(spec.name).tracker(tracker).attack(attack).window_us(100.0);
                 jobs.push((format!("{}/{}/{:?}", spec.name, tracker, attack), e));
             }
         }

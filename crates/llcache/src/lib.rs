@@ -4,11 +4,34 @@
 //! reservation**: START dedicates half of the LLC ways to RowHammer
 //! counters, shrinking the effective capacity seen by demand accesses
 //! (Section III-A of the paper). Reserved ways are simply excluded from the
-//! demand lookup; the START tracker models the counter contents itself.
+//! demand lookup; the START tracker models the counter contents itself, so
+//! the model stores demand ways only.
 //!
 //! The model is hit/miss + writeback only (no MSHRs): the core model bounds
 //! outstanding misses through its instruction window, which is the same
 //! abstraction Ramulator's OoO frontend uses.
+//!
+//! # Representation
+//!
+//! Nine bytes per demand line, 1.125 MiB for the paper's 8 MiB, 16-way LLC:
+//!
+//! * **Line word** (8 B): a valid bit and a dirty bit under the tag. Line
+//!   addresses are byte addresses `>> 6`, so a tag always fits the 62 bits
+//!   left. A zero word is an invalid line.
+//! * **Recency rank** (1 B): 0 for the set's most recently used line, 1 for
+//!   the next, and so on. Touching a line gives it rank 0 and moves every
+//!   line that was more recent than it down one rank.
+//!
+//! Both live in zero-allocated vectors, so building a cache writes nothing
+//! and the host faults pages in only as sets are touched.
+//!
+//! LRU stays exact. Lines are never invalidated and a miss fills the first
+//! invalid way, so a set's valid lines are a prefix of its ways and the set
+//! is full when its last word is valid. The ranks of a set's `n` valid
+//! lines are then always `0..n` in the order of their last touch, which is
+//! the order a per-line 64-bit access stamp gives: the victim of a full set,
+//! the line ranked last, is the line with the oldest stamp. Random
+//! replacement draws the same way index from the same generator.
 //!
 //! # Example
 //!
@@ -43,13 +66,12 @@ pub enum LookupResult {
     },
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    lru: u64,
-}
+/// Valid bit of a line word.
+const VALID: u64 = 1;
+/// Dirty bit of a line word.
+const DIRTY: u64 = 2;
+/// The tag sits above the two flag bits.
+const TAG_SHIFT: u32 = 2;
 
 /// Replacement policy for demand ways.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,10 +87,14 @@ pub enum Replacement {
 pub struct Llc {
     cfg: LlcConfig,
     sets: u64,
-    lines: Vec<Line>,
+    /// Demand ways per set.
+    demand: usize,
+    /// One line word per demand line, `demand` per set.
+    words: Vec<u64>,
+    /// One recency rank per demand line (meaningless for invalid lines).
+    ranks: Vec<u8>,
     policy: Replacement,
     rng: Xoshiro256,
-    tick: u64,
     hits: u64,
     misses: u64,
 }
@@ -78,17 +104,22 @@ impl Llc {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration reserves every way.
+    /// Panics if the configuration reserves every way or leaves more than
+    /// 256 demand ways.
     pub fn new(cfg: LlcConfig, seed: u64) -> Self {
         assert!(cfg.reserved_ways < cfg.ways, "at least one way must remain for demand accesses");
+        let demand = (cfg.ways - cfg.reserved_ways) as usize;
+        assert!(demand <= 256, "at most 256 demand ways fit a one-byte rank");
         let sets = cfg.sets();
+        let lines = sets as usize * demand;
         Self {
             cfg,
             sets,
-            lines: vec![Line::default(); (sets * cfg.ways as u64) as usize],
+            demand,
+            words: vec![0; lines],
+            ranks: vec![0; lines],
             policy: Replacement::Lru,
             rng: Xoshiro256::seed_from(seed),
-            tick: 0,
             hits: 0,
             misses: 0,
         }
@@ -125,16 +156,6 @@ impl Llc {
         }
     }
 
-    #[inline]
-    fn set_index(&self, line_addr: u64) -> u64 {
-        line_addr % self.sets
-    }
-
-    #[inline]
-    fn tag(&self, line_addr: u64) -> u64 {
-        line_addr / self.sets
-    }
-
     /// Looks up the 64-byte line containing byte address `addr` (demand
     /// access), allocating on miss. `is_write` marks the line dirty.
     pub fn access(&mut self, addr: u64, is_write: bool) -> LookupResult {
@@ -144,67 +165,67 @@ impl Llc {
 
     /// Looks up by line address directly.
     pub fn access_line(&mut self, line_addr: u64, is_write: bool) -> LookupResult {
-        self.tick += 1;
-        let set = self.set_index(line_addr);
-        let tag = self.tag(line_addr);
-        let reserved = self.cfg.reserved_ways as usize;
-        let ways = self.cfg.ways as usize;
-        let base = (set * self.cfg.ways as u64) as usize;
+        let set = line_addr % self.sets;
+        let tag = line_addr / self.sets;
+        assert!(tag >> (64 - TAG_SHIFT) == 0, "tag {tag:#x} does not fit a line word");
+        let key = tag << TAG_SHIFT | VALID;
+        let dirty = if is_write { DIRTY } else { 0 };
+        let d = self.demand;
+        let base = set as usize * d;
+        let words = &mut self.words[base..base + d];
+        let ranks = &mut self.ranks[base..base + d];
 
-        // Hit path: scan the demand ways.
-        for w in reserved..ways {
-            let line = &mut self.lines[base + w];
-            if line.valid && line.tag == tag {
-                line.lru = self.tick;
-                line.dirty |= is_write;
-                self.hits += 1;
-                return LookupResult::Hit;
-            }
+        // Hit path: scan the demand ways (a zero word never matches).
+        if let Some(way) = words.iter().position(|&w| w & !DIRTY == key) {
+            words[way] |= dirty;
+            touch(ranks, way, ranks[way]);
+            self.hits += 1;
+            return LookupResult::Hit;
         }
         self.misses += 1;
 
-        // Miss: find a victim among demand ways (invalid first).
-        let victim_way = {
-            let mut invalid = None;
-            let mut lru_way = reserved;
-            let mut lru_min = u64::MAX;
-            for w in reserved..ways {
-                let line = &self.lines[base + w];
-                if !line.valid {
-                    invalid = Some(w);
-                    break;
-                }
-                if line.lru < lru_min {
-                    lru_min = line.lru;
-                    lru_way = w;
-                }
-            }
-            match (invalid, self.policy) {
-                (Some(w), _) => w,
-                (None, Replacement::Lru) => lru_way,
-                (None, Replacement::Random) => {
-                    reserved + self.rng.gen_range((ways - reserved) as u64) as usize
-                }
-            }
-        };
-
-        let victim = self.lines[base + victim_way];
-        let writeback = if victim.valid && victim.dirty {
-            // Reconstruct the victim's line address from tag and set.
-            Some(victim.tag * self.sets + set)
+        // Miss: fill the first invalid way, ranked behind every valid line,
+        // else evict one.
+        let (way, rank) = if words[d - 1] == 0 {
+            let free = words.iter().position(|&w| w == 0).expect("the last way is free");
+            (free, free as u8)
         } else {
-            None
+            match self.policy {
+                Replacement::Lru => {
+                    let last = (d - 1) as u8;
+                    let way = ranks.iter().position(|&r| r == last);
+                    (way.expect("a full set ranks every way"), last)
+                }
+                Replacement::Random => {
+                    let way = self.rng.gen_range(d as u64) as usize;
+                    (way, ranks[way])
+                }
+            }
         };
-        self.lines[base + victim_way] = Line { tag, valid: true, dirty: is_write, lru: self.tick };
+        let victim = words[way];
+        let writeback = (victim & DIRTY != 0).then(|| (victim >> TAG_SHIFT) * self.sets + set);
+        words[way] = key | dirty;
+        touch(ranks, way, rank);
         LookupResult::Miss { writeback }
     }
+}
 
-    /// Invalidates everything (used when reconfiguring reservations).
-    pub fn flush(&mut self) {
-        for l in &mut self.lines {
-            *l = Line::default();
+/// Makes `way`, ranked `rank`, a set's most recently used line: every
+/// line ranked ahead of it moves down one. Runs over whole 16-byte chunks
+/// so the compiler can vectorize it; invalid lines' ranks may move too,
+/// but never past `rank`.
+#[inline]
+fn touch(ranks: &mut [u8], way: usize, rank: u8) {
+    let mut chunks = ranks.chunks_exact_mut(16);
+    for chunk in &mut chunks {
+        for r in chunk {
+            *r += (*r < rank) as u8;
         }
     }
+    for r in chunks.into_remainder() {
+        *r += (*r < rank) as u8;
+    }
+    ranks[way] = 0;
 }
 
 #[cfg(test)]
@@ -290,12 +311,197 @@ mod tests {
         let _ = Llc::new(small_cfg(4), 0);
     }
 
+    /// The paper LLC's line state stays within 1.6 MiB, about half of what
+    /// 24-byte lines cost: a field that re-inflates a line fails here.
     #[test]
-    fn flush_clears_contents() {
-        let mut c = Llc::new(small_cfg(0), 0);
-        c.access_line(0, false);
-        c.flush();
-        assert!(matches!(c.access_line(0, false), LookupResult::Miss { .. }));
+    fn paper_llc_state_fits_its_budget() {
+        let c = Llc::new(LlcConfig::paper_baseline(), 0);
+        let bytes = std::mem::size_of_val(&*c.words) + std::mem::size_of_val(&*c.ranks);
+        assert!(bytes * 10 <= 16 << 20, "{bytes} B of line state");
+    }
+
+    /// The previous model, one 24-byte `Line` with a 64-bit LRU stamp per
+    /// way, kept verbatim as the oracle for the compact one.
+    mod line_model {
+        use super::super::{LookupResult, Replacement};
+        use sim_core::config::LlcConfig;
+        use sim_core::rng::Xoshiro256;
+
+        #[derive(Debug, Clone, Copy, Default)]
+        struct Line {
+            tag: u64,
+            valid: bool,
+            dirty: bool,
+            lru: u64,
+        }
+
+        #[derive(Debug, Clone)]
+        pub struct Llc {
+            cfg: LlcConfig,
+            sets: u64,
+            lines: Vec<Line>,
+            policy: Replacement,
+            rng: Xoshiro256,
+            tick: u64,
+            hits: u64,
+            misses: u64,
+        }
+
+        impl Llc {
+            pub fn new(cfg: LlcConfig, seed: u64) -> Self {
+                assert!(
+                    cfg.reserved_ways < cfg.ways,
+                    "at least one way must remain for demand accesses"
+                );
+                let sets = cfg.sets();
+                Self {
+                    cfg,
+                    sets,
+                    lines: vec![Line::default(); (sets * cfg.ways as u64) as usize],
+                    policy: Replacement::Lru,
+                    rng: Xoshiro256::seed_from(seed),
+                    tick: 0,
+                    hits: 0,
+                    misses: 0,
+                }
+            }
+
+            pub fn with_policy(mut self, policy: Replacement) -> Self {
+                self.policy = policy;
+                self
+            }
+
+            pub fn hit_miss(&self) -> (u64, u64) {
+                (self.hits, self.misses)
+            }
+
+            #[inline]
+            fn set_index(&self, line_addr: u64) -> u64 {
+                line_addr % self.sets
+            }
+
+            #[inline]
+            fn tag(&self, line_addr: u64) -> u64 {
+                line_addr / self.sets
+            }
+
+            pub fn access_line(&mut self, line_addr: u64, is_write: bool) -> LookupResult {
+                self.tick += 1;
+                let set = self.set_index(line_addr);
+                let tag = self.tag(line_addr);
+                let reserved = self.cfg.reserved_ways as usize;
+                let ways = self.cfg.ways as usize;
+                let base = (set * self.cfg.ways as u64) as usize;
+
+                // Hit path: scan the demand ways.
+                for w in reserved..ways {
+                    let line = &mut self.lines[base + w];
+                    if line.valid && line.tag == tag {
+                        line.lru = self.tick;
+                        line.dirty |= is_write;
+                        self.hits += 1;
+                        return LookupResult::Hit;
+                    }
+                }
+                self.misses += 1;
+
+                // Miss: find a victim among demand ways (invalid first).
+                let victim_way = {
+                    let mut invalid = None;
+                    let mut lru_way = reserved;
+                    let mut lru_min = u64::MAX;
+                    for w in reserved..ways {
+                        let line = &self.lines[base + w];
+                        if !line.valid {
+                            invalid = Some(w);
+                            break;
+                        }
+                        if line.lru < lru_min {
+                            lru_min = line.lru;
+                            lru_way = w;
+                        }
+                    }
+                    match (invalid, self.policy) {
+                        (Some(w), _) => w,
+                        (None, Replacement::Lru) => lru_way,
+                        (None, Replacement::Random) => {
+                            reserved + self.rng.gen_range((ways - reserved) as u64) as usize
+                        }
+                    }
+                };
+
+                let victim = self.lines[base + victim_way];
+                let writeback = if victim.valid && victim.dirty {
+                    // Reconstruct the victim's line address from tag and set.
+                    Some(victim.tag * self.sets + set)
+                } else {
+                    None
+                };
+                self.lines[base + victim_way] =
+                    Line { tag, valid: true, dirty: is_write, lru: self.tick };
+                LookupResult::Miss { writeback }
+            }
+        }
+    }
+
+    /// Runs `accesses` seeded accesses through the compact model and the
+    /// line model on every configuration and policy, requiring the same
+    /// outcome for each access and the same final counts. Addresses come
+    /// from a hot pool of a few sets' worth of lines (about twice what
+    /// those sets hold) so hits, LRU evictions and dirty writebacks all
+    /// occur, plus an occasional cold line anywhere in the cache.
+    fn differential(seed: u64, accesses: usize) {
+        let base = LlcConfig::paper_baseline();
+        let configs = [
+            base,
+            small_cfg(0),
+            LlcConfig { capacity_bytes: 8 * 8 * 64, ways: 8, line_bytes: 64, reserved_ways: 4 },
+            LlcConfig { reserved_ways: 8, ..base },
+        ];
+        for cfg in configs {
+            for policy in [Replacement::Lru, Replacement::Random] {
+                let mut rng = Xoshiro256::seed_from(seed);
+                let mut fast = Llc::new(cfg, seed).with_policy(policy);
+                let mut oracle = line_model::Llc::new(cfg, seed).with_policy(policy);
+                let sets = cfg.sets();
+                let hot_sets = sets.min(4);
+                let hot_tags = 2 * (cfg.ways - cfg.reserved_ways) as u64;
+                let (mut hits, mut writebacks) = (0, 0);
+                for i in 0..accesses {
+                    let line = if rng.gen_range(16) == 0 {
+                        rng.gen_range(sets * 1024)
+                    } else {
+                        rng.gen_range(hot_sets) + rng.gen_range(hot_tags) * sets
+                    };
+                    let is_write = rng.gen_range(3) == 0;
+                    let got = fast.access_line(line, is_write);
+                    let want = oracle.access_line(line, is_write);
+                    assert_eq!(
+                        got, want,
+                        "access {i} (line {line:#x}, write {is_write}) diverged: {cfg:?} {policy:?} seed {seed}"
+                    );
+                    hits += (got == LookupResult::Hit) as u64;
+                    writebacks += matches!(got, LookupResult::Miss { writeback: Some(_) }) as u64;
+                }
+                assert_eq!(fast.hit_miss(), oracle.hit_miss(), "{cfg:?} {policy:?} seed {seed}");
+                assert!(hits > 0 && writebacks > 0, "stream too tame: {cfg:?} {policy:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn compact_model_matches_the_line_model() {
+        for seed in 0..4 {
+            differential(seed, 20_000);
+        }
+    }
+
+    #[test]
+    #[ignore = "long sweep; run with --ignored"]
+    fn compact_model_matches_the_line_model_long_sweep() {
+        for seed in 0..64 {
+            differential(0x11c0_0000 + seed, 200_000);
+        }
     }
 }
 

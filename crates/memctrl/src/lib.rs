@@ -106,7 +106,7 @@ use dram::DramChannel;
 use sim_core::addr::DramAddr;
 use sim_core::config::MitigationKind;
 use sim_core::events::MemEvent;
-use sim_core::req::{AccessKind, MemRequest};
+use sim_core::req::{AccessKind, MemRequest, SourceId};
 use sim_core::sched;
 use sim_core::stats::MemStats;
 use sim_core::time::Cycle;
@@ -275,7 +275,9 @@ pub struct ChannelController {
     ncounter: usize,
     /// Next enqueue sequence number (age tie-breaker).
     next_seq: u64,
-    completions: BinaryHeap<Reverse<(Cycle, u64)>>,
+    /// Demand reads in flight as `(due cycle, id, issuer)`: popped in
+    /// `(due cycle, id)` order, ids being unique.
+    completions: BinaryHeap<Reverse<(Cycle, u64, SourceId)>>,
     /// Aggressor rows awaiting a mitigation command, bucketed per bank.
     mit_q: Vec<VecDeque<DramAddr>>,
     /// Total entries across `mit_q`.
@@ -505,15 +507,16 @@ impl ChannelController {
         }
     }
 
-    /// Completed demand-read request ids due at or before `now`.
+    /// Completed demand reads due at or before `now`, as `(id, issuer)`
+    /// in `(due cycle, id)` order.
     #[inline]
-    pub fn pop_completions(&mut self, now: Cycle, out: &mut Vec<u64>) {
-        while let Some(Reverse((t, id))) = self.completions.peek().copied() {
+    pub fn pop_completions(&mut self, now: Cycle, out: &mut Vec<(u64, SourceId)>) {
+        while let Some(Reverse((t, id, source))) = self.completions.peek().copied() {
             if t > now {
                 break;
             }
             self.completions.pop();
-            out.push(id);
+            out.push((id, source));
         }
     }
 
@@ -612,7 +615,7 @@ impl ChannelController {
         let id = self.next_meta_id;
         self.next_meta_id += 1;
         let phys = self.dram.geometry().encode(&addr);
-        let req = MemRequest::new(id, sim_core::req::SourceId::TRACKER, kind, phys, addr, now);
+        let req = MemRequest::new(id, SourceId::TRACKER, kind, phys, addr, now);
         let slot = self.slot_of(&addr);
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -1138,7 +1141,7 @@ impl ChannelController {
                 "completion at {done} violates the lookahead bound for a request arriving at {}",
                 q.req.arrival
             );
-            self.completions.push(Reverse((done, q.req.id)));
+            self.completions.push(Reverse((done, q.req.id, q.req.source)));
             if self.capture_events {
                 self.events.push(MemEvent::ReadCompleted {
                     source: q.req.source,
@@ -1291,7 +1294,7 @@ impl ChannelController {
     #[inline]
     pub fn next_event(&self, now: Cycle) -> Cycle {
         let mut t = self.quiet_until;
-        if let Some(&Reverse((c, _))) = self.completions.peek() {
+        if let Some(&Reverse((c, _, _))) = self.completions.peek() {
             t = t.min(c);
         }
         t.max(now)
@@ -1317,7 +1320,6 @@ mod tests {
     use super::*;
     use dram::TimingParams;
     use sim_core::addr::{Geometry, PhysAddr};
-    use sim_core::req::SourceId;
     use sim_core::tracker::{NullTracker, StorageOverhead};
 
     fn mk(tracker: Box<dyn RowHammerTracker>, events: bool) -> ChannelController {
@@ -1334,7 +1336,7 @@ mod tests {
         MemRequest::new(id, SourceId(0), AccessKind::Read, PhysAddr(0), d, at)
     }
 
-    fn run(ctrl: &mut ChannelController, from: Cycle, to: Cycle, done: &mut Vec<u64>) {
+    fn run(ctrl: &mut ChannelController, from: Cycle, to: Cycle, done: &mut Vec<(u64, SourceId)>) {
         for now in from..to {
             ctrl.tick(now);
             ctrl.pop_completions(now, done);
@@ -1347,7 +1349,7 @@ mod tests {
         assert!(c.enqueue(rd(1, 0, 0, 10, 2, 0)));
         let mut done = Vec::new();
         run(&mut c, 0, 400, &mut done);
-        assert_eq!(done, vec![1]);
+        assert_eq!(done, vec![(1, SourceId(0))]);
         assert_eq!(c.stats.activations, 1);
         assert_eq!(c.stats.reads, 1);
         assert_eq!(c.stats.row_misses, 1);
@@ -1374,11 +1376,12 @@ mod tests {
     #[test]
     fn same_row_reads_complete_in_due_cycle_then_id_order() {
         let mut c = mk(Box::new(NullTracker), false);
-        assert!(c.enqueue(rd(1, 0, 0, 10, 0, 0)));
+        assert!(c.enqueue(MemRequest { source: SourceId(3), ..rd(1, 0, 0, 10, 0, 0) }));
         assert!(c.enqueue(rd(2, 0, 0, 10, 0, 0)));
         let mut done = Vec::new();
         run(&mut c, 0, 500, &mut done);
-        assert_eq!(done, vec![1, 2], "pop order is (due cycle, id)");
+        let want = vec![(1, SourceId(3)), (2, SourceId(0))];
+        assert_eq!(done, want, "pop order is (due cycle, id), each with its issuer");
     }
 
     #[test]
@@ -1555,7 +1558,7 @@ mod tests {
         assert!(c.enqueue(rd(9, 0, 0, 5, 0, trefi + 2000)));
         let sweep_cycles = c.dram().timing().sweep_block(64 * 1024);
         run(&mut c, trefi + 2000, trefi + 2000 + sweep_cycles + 20_000, &mut done);
-        assert_eq!(done, vec![9]);
+        assert_eq!(done, vec![(9, SourceId(0))]);
         assert!(c.stats.mitigation_block_cycles >= sweep_cycles);
     }
 

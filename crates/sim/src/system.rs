@@ -330,13 +330,8 @@ pub struct System {
     win_prev_mem: MemStats,
     /// Set once `on_run_end` has fired.
     run_ended: bool,
-    completions_buf: Vec<u64>,
-    /// Issuing core per request id, indexed by `id - 1`: demand ids are
-    /// allocated densely from 1 by `Hierarchy::enqueue_dram`, so a flat
-    /// slab replaces the former per-request HashMap on the hot path
-    /// (tracker metadata ids live in a disjoint high range and never
-    /// complete back to a core).
-    core_of_req: Vec<u8>,
+    /// Completions popped this cycle, as `(request id, issuing core)`.
+    completions_buf: Vec<(u64, SourceId)>,
     /// Per-core parking state (event engine only): a quiet core leaves the
     /// per-cycle loop and is replayed in closed form when it wakes.
     parked: Vec<Option<Parked>>,
@@ -435,7 +430,6 @@ impl System {
             win_prev_mem: MemStats::default(),
             run_ended: false,
             completions_buf: Vec::new(),
-            core_of_req: Vec::new(),
             parked: vec![None; ncores],
             wake: vec![0; ncores],
             event: false,
@@ -566,8 +560,8 @@ impl System {
                 });
             }
             for i in 0..self.completions_buf.len() {
-                let id = self.completions_buf[i];
-                let core = self.core_of_req[(id - 1) as usize] as usize;
+                let (id, source) = self.completions_buf[i];
+                let core = source.0 as usize;
                 // A parked core must observe the completion from its exact
                 // dense state: replay it up to this cycle first.
                 self.unpark(core, now);
@@ -687,15 +681,7 @@ impl System {
                 if self.parked[i].is_some() {
                     continue;
                 }
-                let core = &mut self.cores[i];
-                let before = self.hierarchy.next_req;
-                core.cycle(&mut self.hierarchy);
-                // Register any requests this core just issued. Ids are
-                // allocated densely, so the slab stays push-only.
-                debug_assert_eq!(self.core_of_req.len() as u64, before - 1);
-                for _ in before..self.hierarchy.next_req {
-                    self.core_of_req.push(core.id().0);
-                }
+                self.cores[i].cycle(&mut self.hierarchy);
             }
         }
     }

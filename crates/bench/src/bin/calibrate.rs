@@ -18,7 +18,7 @@ fn main() {
         .and_then(|p| {
             let wl = p.get("--workload").map_or("milc_like", String::as_str);
             workloads::spec_by_name(wl).ok_or(format!("--workload: unknown workload '{wl}'"))?;
-            Ok((p.num("--window-us", 4000.0)?, wl))
+            Ok((p.positive_us("--window-us", 4000.0)?, wl))
         })
         .unwrap_or_else(|msg| {
             eprintln!("{msg}");

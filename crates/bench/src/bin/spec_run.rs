@@ -33,7 +33,7 @@
 
 use sim::cache::RunCache;
 use sim::journal::SweepJournal;
-use sim::runner::{RetryPolicy, RunnerConfig};
+use sim::runner::RunnerConfig;
 use sim::spec::{result_to_json, SweepSpec};
 
 const USAGE: &str = "spec_run — declarative experiment sweeps
@@ -48,11 +48,9 @@ USAGE: spec_run [--validate] [--out DIR] [--cache-dir DIR | --no-cache] SPEC.tom
   --resume         journal completed cells in the cache dir and, on a
                    re-run after an interruption, re-execute only the
                    unfinished remainder (requires a cache dir)
-  --retries N      attempt each cell up to N times with exponential
-                   backoff before quarantining it (default 1)
 
---resume and --retries apply to plain sweeps only: a spec with an
-[attacker] or [profile] section is refused with either flag.
+--resume applies to plain sweeps only: a spec with an [attacker] or
+[profile] section is refused with it.
 ";
 
 fn run() -> Result<i32, String> {
@@ -65,24 +63,12 @@ fn run() -> Result<i32, String> {
     let mut cache_dir: Option<String> = None;
     let mut no_cache = false;
     let mut resume = false;
-    let mut retries = 1u32;
     let mut files: Vec<String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--validate" => validate = true,
             "--resume" => resume = true,
-            "--retries" => {
-                retries = args
-                    .get(i + 1)
-                    .ok_or("--retries requires a value")?
-                    .parse()
-                    .map_err(|e| format!("--retries: {e}"))?;
-                if retries == 0 {
-                    return Err("--retries must be at least 1".to_string());
-                }
-                i += 1;
-            }
             "--out" => {
                 out_dir = args.get(i + 1).ok_or("--out requires a value")?.clone();
                 i += 1;
@@ -118,17 +104,14 @@ fn run() -> Result<i32, String> {
         // The one expansion of a plain sweep: it validates the spec, sizes
         // the banner, and is what runs below.
         let cells = spec.expand_keyed().map_err(|e| format!("{file}: {e}"))?;
-        // The red-team drivers take neither a retry policy nor a journal:
-        // refuse the flags rather than drop them.
+        // The red-team drivers take no journal: refuse the flag rather
+        // than drop it.
         let section = [("attacker", spec.attacker.is_some()), ("profile", spec.profile.is_some())]
             .into_iter()
             .find_map(|(section, set)| set.then_some(section));
-        let flag = [("--retries", retries > 1), ("--resume", resume)]
-            .into_iter()
-            .find_map(|(flag, set)| set.then_some(flag));
-        if let (Some(section), Some(flag)) = (section, flag) {
+        if let (Some(section), true) = (section, resume) {
             return Err(format!(
-                "{file}: {flag} does not apply to a spec with an [{section}] section"
+                "{file}: --resume does not apply to a spec with an [{section}] section"
             ));
         }
         // CLI flag > spec [cache] section > no cache.
@@ -177,7 +160,6 @@ fn run() -> Result<i32, String> {
                 .map_err(|e| format!("{file}: {e}"))?;
             continue;
         }
-        let runner = RunnerConfig { retry: RetryPolicy::attempts(retries), faults: None };
         let dir = effective_cache_dir.as_deref();
         // `--resume` without a cache dir was refused above.
         let journal = dir
@@ -187,7 +169,8 @@ fn run() -> Result<i32, String> {
                     .map_err(|e| format!("cannot open journal in {dir}: {e}"))
             })
             .transpose()?;
-        let (report, summary) = spec.run_expanded(cells, cache.as_ref(), journal.as_ref(), &runner);
+        let (report, summary) =
+            spec.run_expanded(cells, cache.as_ref(), journal.as_ref(), &RunnerConfig::default());
         if let Some(dir) = dir {
             println!("  cache: {summary} in {dir}");
         }
@@ -198,10 +181,7 @@ fn run() -> Result<i32, String> {
             );
         }
         for f in &report.failures {
-            eprintln!(
-                "  cell {} ({}) FAILED after {} attempt(s): {}",
-                f.index, f.cell, f.attempts, f.message
-            );
+            eprintln!("  cell {} ({}) FAILED: {}", f.index, f.cell, f.message);
         }
         failed_cells += report.failures.len();
         std::fs::create_dir_all(&out_dir).map_err(|e| format!("cannot create {out_dir}: {e}"))?;

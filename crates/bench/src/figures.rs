@@ -11,7 +11,8 @@
 use crate::{header, printers, BenchOpts, USAGE};
 use sim::experiment::AttackChoice::{self, CacheThrash, Specific, Tailored};
 use sim::experiment::{Experiment, ExperimentResult};
-use sim::runner::run_parallel;
+use sim::runner::{cell_label, RunnerConfig};
+use sim::Executor;
 use sim_core::config::MitigationKind::{self, DrfmSb, RfmSb, Vrr};
 use workloads::catalog::WorkloadSpec;
 use workloads::Attack::{RefreshAttack, Streaming};
@@ -302,9 +303,28 @@ impl GridSpec {
         cells
     }
 
-    /// Simulates every cell as one parallel batch.
+    /// Simulates every cell as one parallel batch through the executor,
+    /// uncached.
+    ///
+    /// # Panics
+    ///
+    /// After the batch, if any cell failed, naming every quarantined cell.
     pub(crate) fn simulate(&self, opts: &BenchOpts) -> Cube<'_> {
-        Cube { spec: self, workloads: opts.workloads(), results: run_parallel(self.cells(opts)) }
+        let cells = self.cells(opts).into_iter().map(|e| (e, None)).collect();
+        let exec = Executor { cache: None, checkpoint: None, runner: &RunnerConfig::default() };
+        let (outcomes, _) =
+            exec.probe(cells, |_, _, _| {}).run(cell_label, Experiment::run, |_, _, _| {});
+        let failed: Vec<String> =
+            outcomes.iter().filter_map(|o| o.as_ref().err().map(ToString::to_string)).collect();
+        assert!(
+            failed.is_empty(),
+            "{} of {} cells failed: {}",
+            failed.len(),
+            outcomes.len(),
+            failed.join("; ")
+        );
+        let results = outcomes.into_iter().map(|o| o.expect("checked above")).collect();
+        Cube { spec: self, workloads: opts.workloads(), results }
     }
 
     /// Simulates the figure and prints its grids.

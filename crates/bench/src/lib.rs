@@ -7,8 +7,9 @@
 //!
 //! Output is plain text: one grid per figure with the same rows/series the
 //! paper reports; README "Reproducing a paper figure" lists the ids and what
-//! each one regenerates. The crate's other binaries are `calibrate`,
-//! `fig_transient` and `spec_run`.
+//! each one regenerates. The crate's other binaries are `calibrate` and
+//! `spec_run`; the performance-attack transient is a spec,
+//! `examples/specs/fig_transient.toml`, that `spec_run` runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,7 +56,7 @@ impl BenchOpts {
         )?;
         let d = Self::default();
         Ok(Self {
-            window_us: parsed.num("--window-us", d.window_us)?,
+            window_us: parsed.positive_us("--window-us", d.window_us)?,
             full: parsed.has("--full"),
             seed: parsed.seed(d.seed)?,
             nrh: parsed.nrh(d.nrh)?,
@@ -122,7 +123,18 @@ mod tests {
         let err = BenchOpts::parse(&argv("--nrh")).expect_err("missing value");
         assert!(err.contains("--nrh requires a value"), "{err}");
         // Integer flags are range-checked, not read as f64 and cast.
-        for bad in ["--nrh -7", "--nrh 2.9", "--nrh 1e12", "--nrh 0", "--sweep-points -1"] {
+        // So are windows: zero, negative, NaN and infinite ones used to run.
+        for bad in [
+            "--nrh -7",
+            "--nrh 2.9",
+            "--nrh 1e12",
+            "--nrh 0",
+            "--sweep-points -1",
+            "--window-us 0",
+            "--window-us -5",
+            "--window-us nan",
+            "--window-us inf",
+        ] {
             let err = BenchOpts::parse(&argv(bad)).expect_err(bad);
             assert!(err.contains(bad.split(' ').next().unwrap()), "{bad}: {err}");
         }

@@ -14,15 +14,15 @@ fn spec(name: &str) -> String {
 #[test]
 fn retries_and_resume_are_refused_for_pipeline_specs() {
     // `[attacker]` and `[profile]` specs go to the red-team drivers,
-    // neither of which takes a retry policy or a journal. The
-    // refusal comes from the load loop, so `--validate` (no simulation)
-    // shows it.
+    // neither of which takes a journal, and no spec takes retries: a cell
+    // runs once. The refusal comes from argument parsing or the load
+    // loop, so `--validate` (no simulation) shows it.
     let cache = std::env::temp_dir().join(format!("spec-run-refusal-{}", std::process::id()));
     let cache = cache.to_str().expect("utf-8 temp path");
-    for (flags, file, section) in [
-        (&["--retries", "2"][..], "attacker_realism.toml", "[attacker]"),
+    for (flags, file, reason) in [
+        (&["--retries", "2"][..], "attacker_realism.toml", "unknown argument"),
         (&["--resume", "--cache-dir", cache][..], "attacker_realism.toml", "[attacker]"),
-        (&["--retries", "3", "--cache-dir", cache][..], "profile_quick.toml", "[profile]"),
+        (&["--resume", "--cache-dir", cache][..], "profile_quick.toml", "[profile]"),
     ] {
         let mut args = vec!["--validate"];
         args.extend_from_slice(flags);
@@ -31,7 +31,7 @@ fn retries_and_resume_are_refused_for_pipeline_specs() {
         let out = spec_run(&args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(stderr.contains(flags[0]) && stderr.contains(section), "{args:?}: {stderr}");
+        assert!(stderr.contains(flags[0]) && stderr.contains(reason), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?}: refused before the first spec is announced");
     }
     assert!(!std::path::Path::new(cache).exists(), "nothing was opened");
@@ -56,7 +56,10 @@ fn a_cache_dir_that_cannot_be_opened_exits_2_naming_it() {
 }
 
 #[test]
-fn plain_sweeps_still_take_retries() {
+fn plain_sweeps_refuse_retries_as_an_unknown_flag() {
     let out = spec_run(&["--validate", "--retries", "2", &spec("fig09_quick.toml")]);
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown argument '--retries'"), "{stderr}");
+    assert!(out.stdout.is_empty(), "refused before the first spec is announced");
 }

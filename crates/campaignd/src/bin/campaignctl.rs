@@ -60,9 +60,9 @@ fn finish(response: &Json, out: Option<&str>) -> Result<(), String> {
         return Ok(());
     }
     eprintln!("quarantined cells:");
-    eprintln!("  {:>5}  {:>8}  {:<48}  message", "index", "attempts", "cell");
+    eprintln!("  {:>5}  {:<48}  message", "index", "cell");
     for f in &failures {
-        eprintln!("  {:>5}  {:>8}  {:<48}  {}", f.index, f.attempts, f.cell, f.message);
+        eprintln!("  {:>5}  {:<48}  {}", f.index, f.cell, f.message);
     }
     Err(format!("{} cell(s) quarantined", failures.len()))
 }

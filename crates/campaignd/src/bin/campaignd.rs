@@ -10,14 +10,13 @@
 //! semantics.
 
 use campaignd::{Server, ServerConfig};
-use sim::runner::RetryPolicy;
 use std::path::PathBuf;
 use std::time::Duration;
 
 const USAGE: &str = "campaignd — campaign-as-a-service sweep server
 
 USAGE: campaignd [--socket PATH] [--cache-dir DIR] [--resume]
-                 [--drain-timeout SECS] [--retries N]
+                 [--drain-timeout SECS]
 
   --socket PATH         unix socket to listen on (default /tmp/campaignd.sock)
   --cache-dir DIR       persist results in a content-addressed run cache
@@ -27,13 +26,11 @@ USAGE: campaignd [--socket PATH] [--cache-dir DIR] [--resume]
                         re-execute; requires --cache-dir)
   --drain-timeout SECS  cap how long shutdown waits for in-flight jobs
                         (default: wait until they finish)
-  --retries N           attempt each cell up to N times with exponential
-                        backoff before quarantining it (default 1)
 ";
 
 /// The server configuration `args` ask for, or the line to exit 2 with.
 fn config_from(args: &[String]) -> Result<ServerConfig, String> {
-    let flags = &["--socket", "--cache-dir", "--drain-timeout", "--retries"];
+    let flags = &["--socket", "--cache-dir", "--drain-timeout"];
     let parsed = sim_core::cli::parse(args, flags, &["--resume"], USAGE)?;
     let mut cfg = ServerConfig::default();
     if let Some(socket) = parsed.get("--socket") {
@@ -43,10 +40,6 @@ fn config_from(args: &[String]) -> Result<ServerConfig, String> {
     cfg.resume = parsed.has("--resume");
     if parsed.get("--drain-timeout").is_some() {
         cfg.drain_timeout = Some(Duration::from_secs(parsed.int("--drain-timeout", 0)?));
-    }
-    match parsed.int::<u32>("--retries", 1)? {
-        0 => return Err("--retries: a cell needs at least 1 attempt".to_string()),
-        n => cfg.retry = RetryPolicy::attempts(n),
     }
     if cfg.resume && cfg.cache_dir.is_none() {
         return Err("--resume needs --cache-dir (the journal lives there)".to_string());
@@ -92,14 +85,12 @@ mod tests {
         assert_eq!(cfg.cache_dir, None);
         assert!(!cfg.resume);
         assert_eq!(cfg.drain_timeout, None);
-        assert_eq!(cfg.retry, RetryPolicy::none());
-        let cfg = config("--socket s.sock --cache-dir c --resume --drain-timeout 5 --retries 4")
+        let cfg = config("--socket s.sock --cache-dir c --resume --drain-timeout 5")
             .expect("valid flags");
         assert_eq!(cfg.socket, PathBuf::from("s.sock"));
         assert_eq!(cfg.cache_dir, Some(PathBuf::from("c")));
         assert!(cfg.resume);
         assert_eq!(cfg.drain_timeout, Some(Duration::from_secs(5)));
-        assert_eq!(cfg.retry, RetryPolicy::attempts(4));
     }
 
     #[test]
@@ -107,8 +98,7 @@ mod tests {
         for (line, offender) in [
             ("--retreis 2", "'--retreis'"),
             ("--socket", "--socket requires a value"),
-            ("--retries 0", "--retries"),
-            ("--retries -1", "--retries"),
+            ("--retries 2", "'--retries'"),
             ("--drain-timeout 1.5", "--drain-timeout"),
             ("--resume", "--cache-dir"),
         ] {

@@ -64,7 +64,7 @@ use sim::cache::{CellKey, KeyedCell, RunCache};
 use sim::exec::{Checkpoint, Executor, PayloadCache, Source};
 use sim::experiment::ExperimentResult;
 use sim::journal::SweepJournal;
-use sim::runner::{cell_label, RetryPolicy, RunnerConfig, SweepError};
+use sim::runner::{cell_label, RunnerConfig, SweepError};
 use sim::spec::{result_to_json, SweepReport, SweepSpec};
 use sim::Experiment;
 use sim_core::fault::{FaultAction, FaultSite, Injector};
@@ -87,12 +87,11 @@ fn relock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 struct CellFailure {
     cell: String,
     message: String,
-    attempts: u32,
 }
 
 impl From<SweepError> for CellFailure {
     fn from(e: SweepError) -> Self {
-        CellFailure { cell: e.cell, message: e.message, attempts: e.attempts }
+        CellFailure { cell: e.cell, message: e.message }
     }
 }
 
@@ -175,8 +174,6 @@ struct Inner {
     /// keys are logged so a restarted server re-executes only the
     /// unfinished remainder of an interrupted sweep.
     journal: Option<SweepJournal>,
-    /// Retry policy applied to every simulated cell.
-    retry: RetryPolicy,
     /// Armed fault plan (chaos tests only).
     faults: Option<Arc<Injector>>,
     cells: Mutex<HashMap<String, CellState>>,
@@ -273,7 +270,7 @@ fn run_job(inner: &Inner, job: &Job, spec: &SweepSpec, cells: Vec<KeyedCell>) ->
             owned_cells.push((experiment, keys[i].clone()));
         }
     }
-    let runner = RunnerConfig { retry: inner.retry.clone(), faults: inner.faults.clone() };
+    let runner = RunnerConfig { faults: inner.faults.clone() };
     let exec = Executor {
         cache: inner.cache.as_ref().map(|cache| cache as &dyn PayloadCache<_>),
         checkpoint: checkpoint.as_ref(),
@@ -315,14 +312,13 @@ fn run_job(inner: &Inner, job: &Job, spec: &SweepSpec, cells: Vec<KeyedCell>) ->
                 index: i,
                 cell: f.cell,
                 message: f.message,
-                attempts: f.attempts,
             })
         })
         .collect();
     let report = SweepReport::assemble(spec, outcomes);
     // A clean pass closes the sweep's journal entry; a pass with
     // quarantined cells leaves it open so a resubmit (or a restart with
-    // --resume) retries only the failures.
+    // --resume) re-runs only the failures.
     if let (Some(checkpoint), true) = (&checkpoint, report.failures.is_empty()) {
         checkpoint.end();
     }
@@ -384,8 +380,6 @@ pub struct ServerConfig {
     /// How long `shutdown` waits for in-flight jobs before exiting
     /// anyway (`None` = wait until they all finish).
     pub drain_timeout: Option<Duration>,
-    /// Retry policy for every simulated cell.
-    pub retry: RetryPolicy,
     /// Armed fault plan (chaos tests only; `None` costs one branch).
     pub faults: Option<Arc<Injector>>,
 }
@@ -397,7 +391,6 @@ impl Default for ServerConfig {
             cache_dir: None,
             resume: false,
             drain_timeout: None,
-            retry: RetryPolicy::none(),
             faults: None,
         }
     }
@@ -426,7 +419,6 @@ impl Server {
             socket: cfg.socket,
             cache,
             journal,
-            retry: cfg.retry,
             faults: cfg.faults,
             cells: Mutex::new(HashMap::new()),
             cells_cv: Condvar::new(),

@@ -216,7 +216,7 @@ fn parse_args(args: &[String]) -> Result<RedteamOpts, String> {
     }
     let mut campaign = CampaignConfig::new(trackers, &known_workload(&parsed, "libquantum_like")?);
     campaign.search_budget = parsed.int("--budget", campaign.search_budget)?;
-    campaign.arena.window_us = parsed.num("--window-us", campaign.arena.window_us)?;
+    campaign.arena.window_us = parsed.positive_us("--window-us", campaign.arena.window_us)?;
     campaign.arena.nrh = parsed.nrh(campaign.arena.nrh)?;
     campaign.arena.seed = parsed.seed(campaign.arena.seed)?;
     let mut attacker = Vec::new();
@@ -373,13 +373,13 @@ fn cmd_profile(args: &[String]) -> Result<i32, String> {
     let tracker_key = parsed.get("--tracker").map(String::as_str).unwrap_or("hydra");
     let tracker = TrackerSel::by_key(tracker_key).map_err(|e| e.to_string())?;
     let mut cfg = ProfileConfig::new(tracker, &known_workload(&parsed, "povray_like")?);
-    cfg.arena.window_us = parsed.num("--probe-window-us", cfg.arena.window_us)?;
+    cfg.arena.window_us = parsed.positive_us("--probe-window-us", cfg.arena.window_us)?;
     cfg.arena.nrh = parsed.nrh(cfg.arena.nrh)?;
     cfg.arena.seed = parsed.seed(cfg.arena.seed)?;
     cfg.bank_groups = parsed.int("--bank-groups", cfg.bank_groups)?;
     cfg.row_groups = parsed.int("--row-groups", cfg.row_groups)?;
-    if cfg.bank_groups == 0 || cfg.row_groups == 0 || cfg.arena.window_us <= 0.0 {
-        return Err("profile grid and probe window must be positive".to_string());
+    if cfg.bank_groups == 0 || cfg.row_groups == 0 {
+        return Err("--bank-groups and --row-groups must be positive".to_string());
     }
     if let Some(list) = parsed.get("--families") {
         cfg.families = parse_families(list)?;
@@ -407,9 +407,9 @@ fn cmd_evaluate(args: &[String]) -> Result<i32, String> {
     let map = load_heatmap(&parsed)?;
     let mut cfg = EvaluateConfig::for_heatmap(&map)?;
     cfg.top_k = parsed.int("--top-k", cfg.top_k)?;
-    cfg.arena.window_us = parsed.num("--window-us", cfg.arena.window_us)?;
-    if cfg.top_k == 0 || cfg.arena.window_us <= 0.0 {
-        return Err("--top-k and --window-us must be positive".to_string());
+    cfg.arena.window_us = parsed.positive_us("--window-us", cfg.arena.window_us)?;
+    if cfg.top_k == 0 {
+        return Err("--top-k must be positive".to_string());
     }
     let cache = open_cache(parsed.get("--cache-dir").map(String::as_str))?;
     let mut tui = TuiObserver::new(&parsed);
@@ -445,10 +445,10 @@ fn cmd_attack(args: &[String]) -> Result<i32, String> {
     let search = &mut cfg.search;
     search.budget = parsed.int("--budget", search.budget)?;
     search.batch = parsed.int("--batch", search.batch)?;
-    search.arena.window_us = parsed.num("--window-us", search.arena.window_us)?;
+    search.arena.window_us = parsed.positive_us("--window-us", search.arena.window_us)?;
     search.arena.seed = parsed.seed(search.arena.seed)?;
-    if search.budget == 0 || search.batch == 0 || search.arena.window_us <= 0.0 {
-        return Err("--budget, --batch and --window-us must be positive".to_string());
+    if search.budget == 0 || search.batch == 0 {
+        return Err("--budget and --batch must be positive".to_string());
     }
     cfg.priors = parsed.int("--priors", cfg.priors)?;
     let baseline = parsed.has("--baseline");
@@ -645,6 +645,14 @@ mod tests {
         assert_eq!(redteam_main(&argv("profile --tracker")), 2);
         assert_eq!(redteam_main(&argv("attack --max-ratio 0.6")), 2, "needs --heatmap");
         assert_eq!(redteam_main(&argv("evaluate --top-k 3")), 2, "needs --heatmap");
+        // A zero, negative, NaN or infinite window used to run (an
+        // infinite one never returned); each is refused naming its flag.
+        for bad in ["0", "-5", "nan", "inf"] {
+            let err = parse_args(&argv(&format!("--window-us {bad}"))).expect_err(bad);
+            assert!(err.starts_with("--window-us: must be a positive"), "{bad}: {err}");
+            let err = dispatch(&argv(&format!("profile --probe-window-us {bad}"))).expect_err(bad);
+            assert!(err.starts_with("--probe-window-us: must be a positive"), "{bad}: {err}");
+        }
     }
 
     #[test]
@@ -714,7 +722,13 @@ mod tests {
             "attack --heatmap {heatmap} --budget 8 --batch 4 --window-us 60 --priors 2"
         )));
         assert_eq!(code, 0);
-        // The later stages range-check their integer flags too.
+        // The later stages refuse a NaN window, and range-check their
+        // integer flags too.
+        for stage in ["evaluate", "attack"] {
+            let cmd = format!("{stage} --heatmap {heatmap} --window-us nan");
+            let err = dispatch(&argv(&cmd)).expect_err(&cmd);
+            assert!(err.starts_with("--window-us: must be a positive"), "{cmd}: {err}");
+        }
         assert_eq!(redteam_main(&argv(&format!("evaluate --heatmap {heatmap} --top-k 1.5"))), 2);
         assert_eq!(redteam_main(&argv(&format!("attack --heatmap {heatmap} --batch 1e3"))), 2);
         assert_eq!(redteam_main(&argv(&format!("attack --heatmap {heatmap} --priors -2"))), 2);

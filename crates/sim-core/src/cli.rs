@@ -5,6 +5,7 @@
 //! multi-minute campaign with defaults.
 
 use crate::json::parse_u64;
+use crate::time::is_positive_us;
 
 /// Flag/value pairs plus boolean switches, strictly parsed: unknown
 /// flags and missing values fail instead of silently defaulting.
@@ -29,6 +30,16 @@ impl<'a> Parsed<'a> {
         match self.get(flag) {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| format!("{flag}: cannot parse '{v}'")),
+        }
+    }
+
+    /// The window length `flag` names in microseconds, or `default` when
+    /// absent. It must pass [`is_positive_us`], the rule spec files apply
+    /// to their `window_us` keys.
+    pub fn positive_us(&self, flag: &str, default: f64) -> Result<f64, String> {
+        match self.num(flag, default)? {
+            us if is_positive_us(us) => Ok(us),
+            us => Err(format!("{flag}: must be a positive number of microseconds, got {us}")),
         }
     }
 

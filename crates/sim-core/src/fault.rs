@@ -4,7 +4,7 @@
 //! against, so this module gives every infrastructure layer a common
 //! *fault plane*: a [`FaultPlan`] is a seeded, declarative schedule of
 //! faults ([`FaultRule`]s), armed into an [`Injector`] that the cache
-//! store, the parallel runner, and `campaignd` consult at
+//! store, the cell executor, and `campaignd` consult at
 //! well-known [`FaultSite`]s. Production paths hold an
 //! `Option<Arc<Injector>>` that is `None` unless a chaos test armed a
 //! plan, so the unarmed hook is a single branch on an `Option` — no
@@ -19,7 +19,7 @@
 //!   explicit index ([`Injector::check_indexed`]) and rules target that
 //!   index, which is stable regardless of thread interleaving;
 //! * every rule carries a fire *budget* (default: once), so "the fault
-//!   happens exactly N times, then the retry succeeds" is expressible;
+//!   happens exactly N times, then the site recovers" is expressible;
 //! * payload damage (which byte a bit-flip hits) derives from the plan's
 //!   seed, never from ambient randomness.
 //!
@@ -42,7 +42,8 @@ pub enum FaultSite {
     CacheRead,
     /// [`crate::cache::DiskStore::put`].
     CacheWrite,
-    /// A sweep job about to run (`sim::runner`); indexed by job position.
+    /// A sweep cell about to run (`sim::exec`); indexed by its position
+    /// among the cells that simulate.
     JobRun,
     /// A `campaignd` connection streaming progress events to a client.
     ClientStream,
@@ -70,7 +71,7 @@ pub enum FaultAction {
     Truncate,
     /// Crash after writing the temp file but before the rename commits.
     CrashBeforeRename,
-    /// Panic inside the job body (exercises catch-unwind + retry).
+    /// Panic inside the job body (exercises catch-unwind + quarantine).
     Panic,
     /// Sever the client connection mid-stream.
     Disconnect,
@@ -156,12 +157,7 @@ impl FaultPlan {
         self.once(FaultSite::CacheWrite, FaultAction::CrashBeforeRename, Trigger::Nth(n))
     }
 
-    /// Panic sweep job `index` once (the retry then succeeds).
-    pub fn panic_job_once(self, index: u64) -> FaultPlan {
-        self.once(FaultSite::JobRun, FaultAction::Panic, Trigger::Index(index))
-    }
-
-    /// Panic sweep job `index` on every attempt (permanent quarantine).
+    /// Panic sweep job `index` whenever it runs (permanent quarantine).
     pub fn panic_job_always(self, index: u64) -> FaultPlan {
         self.rule(FaultRule {
             site: FaultSite::JobRun,
@@ -171,7 +167,7 @@ impl FaultPlan {
         })
     }
 
-    /// Panic every sweep job at index `>= index`, on every attempt —
+    /// Panic every sweep job at index `>= index` —
     /// the in-process stand-in for killing a sweep partway through.
     pub fn halt_jobs_from(self, index: u64) -> FaultPlan {
         self.rule(FaultRule {
@@ -320,15 +316,20 @@ mod tests {
 
     #[test]
     fn index_trigger_ignores_occurrence_order() {
-        let inj = FaultPlan::new(1).panic_job_once(3).arm();
+        let inj = FaultPlan::new(1).panic_job_always(3).arm();
         // Whatever order a parallel sweep probes in, only index 3 fires.
         for ix in [5u64, 0, 3, 3, 1] {
-            let hit = inj.check_indexed(FaultSite::JobRun, ix);
-            if ix == 3 && inj.fired(FaultSite::JobRun) == 1 && hit.is_some() {
-                assert_eq!(hit, Some(FaultAction::Panic));
-            }
+            let expected = (ix == 3).then_some(FaultAction::Panic);
+            assert_eq!(inj.check_indexed(FaultSite::JobRun, ix), expected, "index {ix}");
         }
-        assert_eq!(inj.fired(FaultSite::JobRun), 1, "budget of one fire");
+        assert_eq!(inj.fired(FaultSite::JobRun), 2);
+        // A `once` builder fires once, however often its site is probed.
+        let inj = FaultPlan::new(1).disconnect_client_nth(0).arm();
+        assert_eq!(inj.check(FaultSite::ClientStream), Some(FaultAction::Disconnect));
+        for _ in 0..4 {
+            assert_eq!(inj.check(FaultSite::ClientStream), None);
+        }
+        assert_eq!(inj.fired(FaultSite::ClientStream), 1, "budget of one fire");
     }
 
     #[test]

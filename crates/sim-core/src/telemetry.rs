@@ -25,7 +25,7 @@
 //! Built-in recorders:
 //!
 //! * [`TimeSeriesRecorder`] — keeps every [`WindowSample`] (a windowed
-//!   time series of `RunStats` deltas) with JSON/CSV export,
+//!   time series of `RunStats` deltas) with JSON export,
 //! * [`SlowdownTrace`] — per-window benign IPC normalized to a reference
 //!   run (the paper's x-axis for performance-attack transients), with
 //!   time-to-max-slowdown and recovery scoring,
@@ -296,36 +296,6 @@ impl TimeSeriesRecorder {
     pub fn to_json(&self) -> Json {
         Json::Arr(self.samples.iter().map(WindowSample::to_json).collect())
     }
-
-    /// Serializes the series as CSV (header + one line per window).
-    pub fn to_csv(&self) -> String {
-        let cores = self.samples.first().map_or(0, |s| s.retired.len());
-        let mut out = String::from("window,start_cycle,end_cycle,end_us");
-        for i in 0..cores {
-            out.push_str(&format!(",ipc_core{i}"));
-        }
-        out.push_str(
-            ",activations,vrr,rfm,counter_ops,reset_sweeps,mitigation_block_cycles,row_hit_rate\n",
-        );
-        for s in &self.samples {
-            out.push_str(&format!("{},{},{},{:.3}", s.index, s.start, s.end, cycles_to_us(s.end)));
-            for i in 0..cores {
-                out.push_str(&format!(",{:.6}", s.ipc(i)));
-            }
-            let m = &s.mem;
-            out.push_str(&format!(
-                ",{},{},{},{},{},{},{:.6}\n",
-                m.activations,
-                m.vrr_commands,
-                m.rfm_commands,
-                m.counter_reads + m.counter_writes,
-                m.reset_sweeps,
-                m.mitigation_block_cycles,
-                m.row_hit_rate(),
-            ));
-        }
-        out
-    }
 }
 
 impl Probe for TimeSeriesRecorder {
@@ -468,21 +438,6 @@ impl SlowdownTrace {
                 })
                 .collect(),
         )
-    }
-
-    /// Serializes the trace as CSV.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("window,end_us,normalized_ipc,slowdown\n");
-        for p in &self.points {
-            out.push_str(&format!(
-                "{},{:.3},{:.6},{:.6}\n",
-                p.index,
-                cycles_to_us(p.end),
-                p.normalized_ipc,
-                p.slowdown()
-            ));
-        }
-        out
     }
 }
 
@@ -823,10 +778,6 @@ mod tests {
         let json = rec.to_json().render();
         assert!(json.contains("\"index\":0"));
         assert!(Json::parse(&json).is_ok());
-        let csv = rec.to_csv();
-        assert_eq!(csv.lines().count(), 3, "header + 2 windows");
-        assert!(csv.starts_with("window,"));
-        assert!(csv.contains("ipc_core1"));
     }
 
     #[test]
@@ -857,7 +808,6 @@ mod tests {
         assert_eq!(tr.max_slowdown_point().unwrap().index, 1);
         assert_eq!(tr.recovery_window(0.9), None, "never climbs back");
         assert!(Json::parse(&tr.to_json().render()).is_ok());
-        assert!(tr.to_csv().starts_with("window,end_us,"));
     }
 
     #[test]

@@ -31,6 +31,14 @@ pub fn ns_to_cycles(ns: f64) -> Cycle {
     (ns * BUS_FREQ_GHZ).ceil() as Cycle
 }
 
+/// Whether `us` is a usable window length in microseconds: finite and
+/// positive. Spec keys and command-line flags share this one rule, so a
+/// zero, negative, NaN or infinite window is refused where it is named,
+/// not run.
+pub fn is_positive_us(us: f64) -> bool {
+    us.is_finite() && us > 0.0
+}
+
 /// Converts microseconds to bus cycles, rounding up.
 pub fn us_to_cycles(us: f64) -> Cycle {
     ns_to_cycles(us * 1_000.0)

@@ -311,8 +311,8 @@ impl SweepSpec {
     /// are journaled after they land in the cache; an interrupted sweep
     /// resumed against the same journal+cache re-executes only the
     /// remainder, and the resumed report is byte-identical to an
-    /// uninterrupted run) and an explicit [`RunnerConfig`] (retry policy,
-    /// fault injection) for the cells that do simulate. The
+    /// uninterrupted run) and an explicit [`RunnerConfig`] (the fault plan
+    /// chaos tests arm) for the cells that do simulate. The
     /// [executor](crate::exec) does the per-cell work.
     pub fn run_cached_with(
         &self,
@@ -367,26 +367,25 @@ mod tests {
     }
 
     #[test]
-    fn uncached_run_expanded_retries_under_the_runner_it_is_given() {
-        use crate::runner::RetryPolicy;
+    fn uncached_run_expanded_quarantines_under_the_runner_it_is_given() {
         use sim_core::fault::FaultPlan;
-        let mut spec = SweepSpec::new("uncached-retry");
+        let mut spec = SweepSpec::new("uncached-fault");
         spec.workloads = vec!["mcf_like".to_string()];
         spec.trackers = vec!["none".to_string(), "para".to_string()];
         spec.options.window_us = Some(20.0);
-        let clean = spec.run().expect("clean run").to_json().render();
 
-        let faults = FaultPlan::new(47).panic_job_once(1).arm();
-        let runner = RunnerConfig { retry: RetryPolicy::standard(), faults: Some(faults.clone()) };
+        let faults = FaultPlan::new(47).panic_job_always(1).arm();
+        let runner = RunnerConfig { faults: Some(faults.clone()) };
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let (report, summary) =
             spec.run_expanded(spec.expand_keyed().expect("expands"), None, None, &runner);
         std::panic::set_hook(prev);
-        assert_eq!(faults.fired_total(), 1, "the second cell's first attempt panicked");
-        assert!(report.failures.is_empty(), "the retry absorbed it: {:?}", report.failures);
+        assert_eq!(faults.fired_total(), 1, "the second cell ran once and panicked");
+        assert_eq!(report.failures.len(), 1, "{:?}", report.failures);
+        assert_eq!(report.failures[0].index, 1);
+        assert_eq!(report.results.len(), 1, "the healthy cell completes");
         assert_eq!((summary.misses, summary.stored), (2, 0), "no cache: all run, none saved");
-        assert_eq!(report.to_json().render(), clean, "retried report is byte-identical");
     }
 
     #[test]

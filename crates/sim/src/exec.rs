@@ -1,9 +1,10 @@
 //! The one cell-execution path: probe → run → save → journal → notify.
 //!
 //! Every front end that turns *cells* into payloads — `spec_run`,
-//! `campaignd`, the red-team campaign matrix, the profile and evaluate
-//! stages, the attacker sweep (all in `redteam`) — hands its cells to an
-//! [`Executor`] instead of writing the policy out again. The executor is
+//! `campaignd`, the `figure` harness, the red-team campaign matrix, the
+//! profile and evaluate stages, the attacker sweep (all in `redteam`) —
+//! hands its cells to an [`Executor`] instead of writing the policy out
+//! again. The executor is
 //! generic over the cell type `C` and the payload type `R`, and works in
 //! two visible steps:
 //!
@@ -13,8 +14,8 @@
 //!    a caller can prepare what only a cold pass needs (a shared
 //!    reference run) before anything is scheduled.
 //! 2. [`Probed::run`] simulates the misses on the
-//!    [worker pool](crate::runner::parallel_map) under the
-//!    [`RunnerConfig`]'s retry policy and fault plan. Each cell is
+//!    [worker pool](crate::runner::parallel_map), one attempt each,
+//!    under the [`RunnerConfig`]'s fault plan. Each cell is
 //!    checkpointed from its worker thread the moment it settles: cache
 //!    save first, then the journal's `cell` record — only if the save
 //!    landed, so the journal never claims a payload the cache lacks —
@@ -29,9 +30,11 @@
 
 use crate::cache::{CacheRunSummary, CellKey};
 use crate::journal::SweepJournal;
-use crate::runner::{parallel_map, run_attempts, RunnerConfig, SweepError};
+use crate::runner::{panic_message, parallel_map, RunnerConfig, SweepError};
 use crate::spec::SweepSpec;
+use sim_core::fault::{FaultAction, FaultSite};
 use std::collections::BTreeSet;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// A keyed payload store the executor reads through: [`crate::RunCache`]
@@ -91,7 +94,7 @@ impl<'a> Checkpoint<'a> {
 
     /// Closes the sweep's journal entry. Call once every cell of the
     /// sweep settled without failure; a pass with quarantined cells
-    /// leaves the entry open so a resume retries them. A re-run of a
+    /// leaves the entry open so a resume re-runs them. A re-run of a
     /// sweep the journal already shows ended, which journaled nothing
     /// new, appends nothing.
     pub fn end(&self) {
@@ -102,13 +105,13 @@ impl<'a> Checkpoint<'a> {
 }
 
 /// The cell executor (see the module docs): an optional cache to read
-/// through, an optional journal checkpoint, and the attempt policy.
+/// through, an optional journal checkpoint, and the runner config.
 pub struct Executor<'a, R> {
     /// Payload cache; `None` simulates every cell and persists nothing.
     pub cache: Option<&'a dyn PayloadCache<R>>,
     /// Journal checkpoint; saved cells are recorded under it.
     pub checkpoint: Option<&'a Checkpoint<'a>>,
-    /// Retry policy and fault plan for the cells that simulate.
+    /// Fault plan for the cells that simulate.
     pub runner: &'a RunnerConfig,
 }
 
@@ -171,8 +174,9 @@ impl<C, R> Probed<'_, '_, C, R> {
 
     /// Step two: simulates the missed cells in parallel and returns every
     /// cell's outcome in input order plus the pass's summary. `run`
-    /// produces a cell's payload (a panic is a failed attempt); `label`
-    /// names a cell in its [`SweepError`] once its attempts are spent.
+    /// produces a cell's payload and runs once per cell (a panic
+    /// quarantines the cell); `label` names a failed cell in its
+    /// [`SweepError`].
     /// `on_settled(index, outcome, Ran)` fires from the worker thread
     /// after the cell is saved and journaled. An all-hit sweep spawns no
     /// thread.
@@ -193,15 +197,20 @@ impl<C, R> Probed<'_, '_, C, R> {
         let outcomes = parallel_map(jobs, |(position, (index, cell, key))| {
             // The fault plan counts simulated cells; reports count
             // expansion slots.
-            let outcome =
-                run_attempts(exec.runner, position as u64, &cell, &run).map_err(|message| {
-                    SweepError {
-                        index,
-                        cell: label(&cell),
-                        message,
-                        attempts: exec.runner.retry.max_attempts.max(1),
-                    }
-                });
+            let faults = exec.runner.faults.as_ref();
+            let injected = faults.and_then(|f| f.check_indexed(FaultSite::JobRun, position as u64))
+                == Some(FaultAction::Panic);
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                if injected {
+                    panic!("injected fault: job panic");
+                }
+                run(cell.clone())
+            }))
+            .map_err(|p| SweepError {
+                index,
+                cell: label(&cell),
+                message: panic_message(p),
+            });
             if let (Ok(payload), Some(cache), Some(key)) = (&outcome, exec.cache, &key) {
                 if cache.save(key, payload).is_ok() {
                     stored.fetch_add(1, Ordering::Relaxed);
@@ -214,8 +223,8 @@ impl<C, R> Probed<'_, '_, C, R> {
             outcome
         });
         for (index, outcome) in indices.into_iter().zip(outcomes) {
-            // The outer error is a panic outside the attempt loop (a
-            // cache impl or the observer): charge it to the cell.
+            // The outer error is a panic outside the cell's run (a cache
+            // impl or the observer): charge it to the cell.
             slots[index] = Some(outcome.unwrap_or_else(|e| Err(SweepError { index, ..e })));
         }
         summary.stored = stored.into_inner();
@@ -226,7 +235,6 @@ impl<C, R> Probed<'_, '_, C, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::RetryPolicy;
     use sim_core::cache::{content_key, DiskStore};
     use sim_core::fault::FaultPlan;
     use std::sync::Mutex;
@@ -389,10 +397,8 @@ mod tests {
         cache.save(&key(0), &0).unwrap();
         // The fault plan counts simulated cells: with cell 0 a hit,
         // position 1 is cell 2. The error reports the input index.
-        let runner = RunnerConfig {
-            retry: RetryPolicy::attempts(2),
-            faults: Some(FaultPlan::new(73).panic_job_always(1).arm()),
-        };
+        let faults = FaultPlan::new(73).panic_job_always(1).arm();
+        let runner = RunnerConfig { faults: Some(faults.clone()) };
         let exec = Executor { cache: Some(&cache), checkpoint: None, runner: &runner };
         let explode = |cell: u64| if cell == 4 { panic!("cell 4 exploded") } else { cell * cell };
         let (outcomes, summary) = quiet_panics(|| {
@@ -400,10 +406,8 @@ mod tests {
         });
         let failed: Vec<&SweepError> = outcomes.iter().filter_map(|o| o.as_ref().err()).collect();
         assert_eq!(failed.len(), 2);
-        assert_eq!(
-            (failed[0].index, failed[0].cell.as_str(), failed[0].attempts),
-            (2, "cell-2", 2)
-        );
+        assert_eq!((failed[0].index, failed[0].cell.as_str()), (2, "cell-2"));
+        assert_eq!(faults.fired_total(), 1, "a failed cell runs once");
         assert!(failed[0].message.contains("injected fault"), "{}", failed[0].message);
         assert_eq!((failed[1].index, failed[1].message.as_str()), (4, "cell 4 exploded"));
         assert_eq!((summary.hits, summary.misses, summary.stored), (1, 5, 3));

@@ -64,9 +64,7 @@ pub use experiment::{
 pub use journal::{JournalState, SweepJournal, SweepProgress};
 pub use metrics::{normalized_performance, RunStats, RunTelemetry, RECOVERY_THRESHOLD};
 pub use registry::tracker_keys;
-pub use runner::{
-    cell_label, parallel_map, run_parallel, try_run_parallel, RetryPolicy, RunnerConfig, SweepError,
-};
+pub use runner::{cell_label, parallel_map, RunnerConfig, SweepError};
 pub use spec::{
     AttackerOptions, CacheOptions, ProfileOptions, SpecError, SweepSpec, SystemOptions,
     TelemetryOptions, KNOWN_PROFILE_FAMILIES,

@@ -1,33 +1,26 @@
-//! Parallel experiment sweeps: the worker pool and the per-cell attempt
-//! policy.
+//! Parallel experiment sweeps: the worker pool and the quarantine record.
 //!
 //! The work queue is a shared stack drained by one worker per host core.
 //! Every job runs under [`std::panic::catch_unwind`], so a single bad
 //! experiment (unknown workload, assertion in a model, ...) surfaces as a
 //! [`SweepError`] for that slot instead of poisoning the queue and killing
 //! the entire sweep. [`parallel_map`] is that pool, generic over the job;
-//! [`RunnerConfig`] carries the [`RetryPolicy`] (bounded retries on one
-//! exponential backoff schedule) and the [`sim_core::fault`]
-//! hook the [executor](crate::exec) applies to every cell it simulates.
-//! [`try_run_parallel`] runs plain experiments through that executor with
-//! no cache; [`run_parallel`] keeps the historical infallible signature
-//! for the figure harnesses.
+//! [`RunnerConfig`] carries the [`sim_core::fault`] hook the
+//! [executor](crate::exec) applies to every cell it simulates.
 //!
-//! Failed jobs are *quarantined*, never silently dropped: the
-//! [`SweepError`] carries the cell's human-readable descriptor and cache
-//! key prefix plus the attempt count, so a sweep report names exactly
-//! which cells died and why.
+//! A cell is a seeded, replayable simulation, so it runs once: a cell that
+//! panicked would panic again. Failed cells are *quarantined*, never
+//! silently dropped: the [`SweepError`] carries the cell's human-readable
+//! descriptor and cache key prefix, so a sweep report names exactly which
+//! cells died and why.
 
-use crate::exec::Executor;
-use crate::experiment::{Experiment, ExperimentResult};
-use sim_core::fault::{FaultAction, FaultSite, Injector};
+use crate::experiment::Experiment;
+use sim_core::fault::Injector;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
 
 /// Failure of a single job inside a parallel sweep — the quarantine
-/// record: which slot, which cell, what the panic said, how many attempts
-/// were made before giving up.
+/// record: which slot, which cell, what the panic said.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepError {
     /// Index of the failed job in the input order.
@@ -36,82 +29,32 @@ pub struct SweepError {
     /// [key-prefix]`); empty when the generic engine had no experiment to
     /// describe.
     pub cell: String,
-    /// The panic payload, stringified (the last attempt's, if retried).
+    /// The panic payload, stringified.
     pub message: String,
-    /// How many attempts were made (>= 1).
-    pub attempts: u32,
 }
 
 // The row a sweep report's `failures` list carries.
-sim_core::json_record!(SweepError { index, cell, message, attempts });
+sim_core::json_record!(SweepError { index, cell, message });
 
 impl std::fmt::Display for SweepError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         if self.cell.is_empty() {
             write!(f, "job {} panicked: {}", self.index, self.message)
         } else {
-            write!(
-                f,
-                "job {} ({}) failed after {} attempt(s): {}",
-                self.index, self.cell, self.attempts, self.message
-            )
+            write!(f, "job {} ({}) failed: {}", self.index, self.cell, self.message)
         }
     }
 }
 
 impl std::error::Error for SweepError {}
 
-/// How many times a job is attempted. Retries all wait on one schedule:
-/// 10 ms before the first, doubling, capped at 250 ms. The default is one
-/// attempt.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per job, including the first (>= 1).
-    pub max_attempts: u32,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy::none()
-    }
-}
-
-impl RetryPolicy {
-    /// Delay before the first retry.
-    const BACKOFF: Duration = Duration::from_millis(10);
-    /// Ceiling on the delay between attempts.
-    const MAX_BACKOFF: Duration = Duration::from_millis(250);
-
-    /// Up to `attempts` total attempts (at least one).
-    pub fn attempts(attempts: u32) -> RetryPolicy {
-        RetryPolicy { max_attempts: attempts.max(1) }
-    }
-
-    /// One attempt — the historical semantics.
-    pub fn none() -> RetryPolicy {
-        RetryPolicy::attempts(1)
-    }
-
-    /// A sensible service-side default: 3 attempts.
-    pub fn standard() -> RetryPolicy {
-        RetryPolicy::attempts(3)
-    }
-
-    /// Delay before retry number `retry` (1-based).
-    fn delay(&self, retry: u32) -> Duration {
-        let factor = 2u32.saturating_pow(retry.saturating_sub(1));
-        Self::BACKOFF.saturating_mul(factor).min(Self::MAX_BACKOFF)
-    }
-}
-
-/// Knobs for every simulated cell: the retry policy plus an optional
-/// armed fault injector (chaos tests only — `None` costs one branch).
+/// What every simulated cell runs under: an optional armed fault injector
+/// (chaos tests only — `None` costs one branch).
 #[derive(Debug, Clone, Default)]
 pub struct RunnerConfig {
-    /// Retry policy applied to every job.
-    pub retry: RetryPolicy,
-    /// Armed fault plan probed at [`FaultSite::JobRun`] before each
-    /// attempt, with the job's position among the simulated cells.
+    /// Armed fault plan the [executor](crate::exec) probes at
+    /// [`sim_core::fault::FaultSite::JobRun`] before each cell runs, with
+    /// the cell's position among the simulated cells.
     pub faults: Option<Arc<Injector>>,
 }
 
@@ -189,13 +132,9 @@ where
                 let job = relock(&work).pop();
                 match job {
                     Some((i, item)) => {
-                        let outcome =
-                            catch_unwind(AssertUnwindSafe(|| f(item))).map_err(|p| SweepError {
-                                index: i,
-                                cell: String::new(),
-                                message: panic_message(p),
-                                attempts: 1,
-                            });
+                        let outcome = catch_unwind(AssertUnwindSafe(|| f(item))).map_err(|p| {
+                            SweepError { index: i, cell: String::new(), message: panic_message(p) }
+                        });
                         relock(&results)[i] = Some(outcome);
                     }
                     None => break,
@@ -209,14 +148,6 @@ where
         .into_iter()
         .map(|r| r.expect("every job completed"))
         .collect()
-}
-
-/// Runs experiments in parallel, returning one `Result` per job in input
-/// order. A panicking experiment does not disturb its neighbours.
-pub fn try_run_parallel(jobs: Vec<Experiment>) -> Vec<Result<ExperimentResult, SweepError>> {
-    let cells = jobs.into_iter().map(|e| (e, None)).collect();
-    let exec = Executor { cache: None, checkpoint: None, runner: &RunnerConfig::default() };
-    exec.probe(cells, |_, _, _| {}).run(cell_label, Experiment::run, |_, _, _| {}).0
 }
 
 /// Human-readable cell attribution for quarantine records:
@@ -234,64 +165,14 @@ pub fn cell_label(e: &Experiment) -> String {
     format!("{} x {} x {} [{}]", e.workload, e.tracker.label(), attack, key)
 }
 
-/// One cell's attempt loop: inject → run → retry with backoff. Every
-/// attempt runs under `catch_unwind`; `position` is what
-/// [`FaultSite::JobRun`] is probed with. `Err` carries the last attempt's
-/// message once all `retry.max_attempts` are spent.
-pub(crate) fn run_attempts<C: Clone, R>(
-    cfg: &RunnerConfig,
-    position: u64,
-    cell: &C,
-    run: &impl Fn(C) -> R,
-) -> Result<R, String> {
-    let max_attempts = cfg.retry.max_attempts.max(1);
-    let mut last = String::new();
-    for attempt in 1..=max_attempts {
-        let injected =
-            cfg.faults.as_ref().and_then(|f| f.check_indexed(FaultSite::JobRun, position))
-                == Some(FaultAction::Panic);
-        let body = || {
-            if injected {
-                panic!("injected fault: job panic");
-            }
-            run(cell.clone())
-        };
-        match catch_unwind(AssertUnwindSafe(body)) {
-            Ok(result) => return Ok(result),
-            Err(payload) => last = panic_message(payload),
-        }
-        if attempt < max_attempts {
-            std::thread::sleep(cfg.retry.delay(attempt));
-        }
-    }
-    Err(last)
-}
-
-/// Runs experiments across all available cores, preserving input order.
-///
-/// # Panics
-///
-/// Panics after the whole sweep finishes if any job failed, reporting every
-/// failure (use [`try_run_parallel`] to handle failures per job).
-pub fn run_parallel(jobs: Vec<Experiment>) -> Vec<ExperimentResult> {
-    let (ok, errs): (Vec<_>, Vec<_>) = try_run_parallel(jobs).into_iter().partition(Result::is_ok);
-    let errs: Vec<SweepError> = errs.into_iter().map(|e| e.unwrap_err()).collect();
-    assert!(
-        errs.is_empty(),
-        "{} of {} sweep jobs failed: {}",
-        errs.len(),
-        errs.len() + ok.len(),
-        errs.iter().map(ToString::to_string).collect::<Vec<_>>().join("; ")
-    );
-    ok.into_iter().map(|r| r.expect("partitioned ok")).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::Source;
+    use crate::exec::{Executor, Source};
+    use crate::experiment::ExperimentResult;
 
-    /// [`try_run_parallel`] under an explicit config, with an observer.
+    /// Runs `jobs` through the uncached executor under `cfg`, with an
+    /// observer.
     fn run_observed(
         jobs: Vec<Experiment>,
         cfg: &RunnerConfig,
@@ -315,15 +196,15 @@ mod tests {
             Experiment::quick("povray_like").tracker("none").window_us(100.0),
             Experiment::quick("namd_like").tracker("none").window_us(100.0),
         ];
-        let results = run_parallel(jobs);
+        let results = run_cfg(jobs, &RunnerConfig::default());
         assert_eq!(results.len(), 2);
-        assert_eq!(results[0].workload, "povray_like");
-        assert_eq!(results[1].workload, "namd_like");
+        assert_eq!(results[0].as_ref().expect("clean run").workload, "povray_like");
+        assert_eq!(results[1].as_ref().expect("clean run").workload, "namd_like");
     }
 
     #[test]
     fn empty_job_list_is_fine() {
-        assert!(run_parallel(vec![]).is_empty());
+        assert!(run_cfg(vec![], &RunnerConfig::default()).is_empty());
     }
 
     #[test]
@@ -336,7 +217,7 @@ mod tests {
             Experiment::quick("not_a_workload").window_us(100.0),
             Experiment::quick("namd_like").tracker("none").window_us(100.0),
         ];
-        let results = try_run_parallel(jobs);
+        let results = run_cfg(jobs, &RunnerConfig::default());
         std::panic::set_hook(prev);
         assert_eq!(results.len(), 3);
         assert!(results[0].is_ok());
@@ -391,74 +272,31 @@ mod tests {
             Experiment::quick("povray_like").tracker("none").window_us(100.0),
             Experiment::quick("not_a_workload").window_us(100.0),
         ];
-        let results = try_run_parallel(jobs);
+        let results = run_cfg(jobs, &RunnerConfig::default());
         std::panic::set_hook(prev);
         let err = results[1].as_ref().expect_err("bad workload fails");
-        assert_eq!(err.attempts, 1);
         assert!(err.cell.contains("not_a_workload"), "{}", err.cell);
         let rendered = err.to_string();
-        assert!(rendered.contains("not_a_workload") && rendered.contains("attempt"), "{rendered}");
-    }
-
-    #[test]
-    fn injected_transient_panic_is_absorbed_by_a_retry() {
-        use sim_core::fault::FaultPlan;
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let jobs = vec![
-            Experiment::quick("povray_like").tracker("none").window_us(100.0),
-            Experiment::quick("namd_like").tracker("none").window_us(100.0),
-        ];
-        let clean: Vec<_> =
-            try_run_parallel(jobs.clone()).into_iter().map(|r| r.expect("clean run")).collect();
-        let cfg = RunnerConfig {
-            retry: RetryPolicy::standard(),
-            faults: Some(FaultPlan::new(11).panic_job_once(1).arm()),
-        };
-        let faulted = run_cfg(jobs, &cfg);
-        std::panic::set_hook(prev);
-        let rendered = |rs: &[ExperimentResult]| -> Vec<String> {
-            rs.iter().map(|r| crate::spec::result_to_json(r).render()).collect()
-        };
-        let recovered: Vec<_> =
-            faulted.into_iter().map(|r| r.expect("retry absorbs the fault")).collect();
-        assert_eq!(
-            rendered(&recovered),
-            rendered(&clean),
-            "retried sweep is bit-identical to the clean one"
-        );
+        assert!(rendered.contains("not_a_workload") && rendered.contains("failed"), "{rendered}");
     }
 
     #[test]
     fn permanent_panic_is_quarantined_with_attempt_count() {
-        use sim_core::fault::FaultPlan;
+        use sim_core::fault::{FaultPlan, FaultSite};
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let jobs = vec![
             Experiment::quick("povray_like").tracker("none").window_us(100.0),
             Experiment::quick("namd_like").tracker("none").window_us(100.0),
         ];
-        let cfg = RunnerConfig {
-            retry: RetryPolicy::standard(),
-            faults: Some(FaultPlan::new(11).panic_job_always(0).arm()),
-        };
-        let out = run_cfg(jobs, &cfg);
+        let faults = FaultPlan::new(11).panic_job_always(0).arm();
+        let out = run_cfg(jobs, &RunnerConfig { faults: Some(faults.clone()) });
         std::panic::set_hook(prev);
         let err = out[0].as_ref().expect_err("permanently faulted job is quarantined");
-        assert_eq!(err.attempts, 3);
+        assert_eq!(faults.fired(FaultSite::JobRun), 1, "one attempt, then quarantine");
         assert!(err.cell.contains("povray_like"), "{}", err.cell);
         assert!(err.message.contains("injected fault"), "{}", err.message);
         assert!(out[1].is_ok(), "the healthy neighbour completes");
-    }
-
-    #[test]
-    fn retry_backoff_grows_and_caps() {
-        let p = RetryPolicy::standard();
-        assert_eq!(p.delay(1), Duration::from_millis(10));
-        assert_eq!(p.delay(2), Duration::from_millis(20));
-        assert_eq!(p.delay(5), Duration::from_millis(160));
-        assert_eq!(p.delay(6), Duration::from_millis(250), "capped");
-        assert_eq!(p.delay(40), Duration::from_millis(250), "no overflow past the cap");
     }
 
     #[test]

@@ -403,7 +403,7 @@ fn positive_us(w: &Option<f64>) -> Result<(), String> {
     match w {
         // Catch it here with the key named, not as a per-job panic when
         // the engine asserts a nonzero window length.
-        Some(w) if !(w.is_finite() && *w > 0.0) => {
+        Some(w) if !sim_core::time::is_positive_us(*w) => {
             Err(format!("must be a positive number of microseconds, got {w}"))
         }
         _ => Ok(()),

@@ -11,9 +11,10 @@
 
 use sim::cache::RunCache;
 use sim::journal::SweepJournal;
-use sim::runner::{RetryPolicy, RunnerConfig};
+use sim::runner::RunnerConfig;
 use sim::spec::SweepSpec;
-use sim_core::fault::FaultPlan;
+use sim_core::fault::{FaultPlan, FaultSite};
+use sim_core::json::Json;
 
 fn scratch(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("dapper-chaos-{name}-{}", std::process::id()));
@@ -105,43 +106,26 @@ fn cache_io_errors_degrade_to_recompute() {
 }
 
 #[test]
-fn transient_job_panic_is_retried_to_byte_identity() {
-    let spec = chaos_spec();
-    let clean = spec.run().expect("clean run").to_json().render();
-    let dir = scratch("retry");
-    let cache = RunCache::open(&dir).expect("open cache");
-    let runner = RunnerConfig {
-        retry: RetryPolicy::standard(),
-        faults: Some(FaultPlan::new(47).panic_job_once(2).arm()),
-    };
-    let (report, summary) =
-        quiet_panics(|| spec.run_cached_with(&cache, None, &runner)).expect("faulted run");
-    assert_eq!(summary.misses, 4, "every cell simulated (one of them twice)");
-    assert!(report.failures.is_empty(), "the retry absorbed the injected panic");
-    assert_eq!(report.to_json().render(), clean, "retried report is byte-identical");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn permanent_job_panic_quarantines_deterministically() {
     let spec = chaos_spec();
     let run_once = || {
         let dir = scratch("quarantine");
         let cache = RunCache::open(&dir).expect("open cache");
-        let runner = RunnerConfig {
-            retry: RetryPolicy::standard(),
-            faults: Some(FaultPlan::new(53).panic_job_always(1).arm()),
-        };
+        let faults = FaultPlan::new(53).panic_job_always(1).arm();
+        let runner = RunnerConfig { faults: Some(faults.clone()) };
         let (report, _) =
             quiet_panics(|| spec.run_cached_with(&cache, None, &runner)).expect("faulted run");
         let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(faults.fired(FaultSite::JobRun), 1, "the quarantined cell ran once");
         report
     };
     let (a, b) = (run_once(), run_once());
     assert_eq!(a.failures.len(), 1, "exactly the armed cell is quarantined");
     let f = &a.failures[0];
     assert_eq!(f.index, 1);
-    assert_eq!(f.attempts, 3, "the whole retry budget was spent");
+    let rendered = a.to_json();
+    let Some(Json::Arr(failures)) = rendered.get("failures") else { panic!("no failures list") };
+    assert!(failures[0].get("attempts").is_none(), "no attempt count: {}", failures[0].render());
     assert!(f.cell.contains("mcf_like") && f.cell.contains("PARA"), "{}", f.cell);
     assert!(f.message.contains("injected fault"), "{}", f.message);
     assert_eq!(
@@ -168,10 +152,7 @@ fn interrupted_sweep_resumes_byte_identically() {
     let dir = scratch("resume");
     let cache = RunCache::open(&dir).expect("open cache");
     let journal = SweepJournal::in_cache_dir(&dir).expect("open journal");
-    let runner = RunnerConfig {
-        retry: RetryPolicy::none(),
-        faults: Some(FaultPlan::new(61).halt_jobs_from(2).arm()),
-    };
+    let runner = RunnerConfig { faults: Some(FaultPlan::new(61).halt_jobs_from(2).arm()) };
     let (hurt, summary) =
         quiet_panics(|| spec.run_cached_with(&cache, Some(&journal), &runner)).expect("hurt run");
     assert_eq!(summary.misses, 4);

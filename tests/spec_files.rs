@@ -85,16 +85,23 @@ fn fig09_spec_reproduces_the_figure_matrix() {
 
 #[test]
 fn transient_spec_attaches_telemetry_to_every_cell() {
-    let text = std::fs::read_to_string(spec_dir().join("transient_telemetry.toml")).unwrap();
-    let spec = SweepSpec::from_toml_str(&text).unwrap();
-    let telemetry = spec.telemetry.as_ref().expect("[telemetry] section present");
-    assert!(telemetry.spec.time_series && telemetry.spec.slowdown);
-    assert_eq!(telemetry.spec.window_us, Some(20.0));
-    assert_eq!(telemetry.out.as_deref(), Some("transient_quick"));
-    let experiments = spec.expand().unwrap();
-    assert_eq!(experiments.len(), 6, "1 workload x 3 trackers x 2 attacks");
-    assert!(experiments.iter().all(|e| e.telemetry.slowdown && e.telemetry.time_series));
-    assert!(experiments.iter().all(|e| e.telemetry.window_us == Some(20.0)));
+    // The quick transient and the full one `fig_transient.toml` declares.
+    for (file, window_us, stem, isolate) in [
+        ("transient_telemetry.toml", 20.0, "transient_quick", true),
+        ("fig_transient.toml", 50.0, "fig_transient", false),
+    ] {
+        let text = std::fs::read_to_string(spec_dir().join(file)).unwrap();
+        let spec = SweepSpec::from_toml_str(&text).unwrap();
+        let telemetry = spec.telemetry.as_ref().expect("[telemetry] section present");
+        assert!(telemetry.spec.time_series && telemetry.spec.slowdown, "{file}");
+        assert_eq!(telemetry.spec.window_us, Some(window_us), "{file}");
+        assert_eq!(telemetry.out.as_deref(), Some(stem), "{file}");
+        let experiments = spec.expand().unwrap();
+        assert_eq!(experiments.len(), 6, "{file}: 1 workload x 3 trackers x 2 attacks");
+        assert!(experiments.iter().all(|e| e.telemetry.slowdown && e.telemetry.time_series));
+        assert!(experiments.iter().all(|e| e.telemetry.window_us == Some(window_us)), "{file}");
+        assert!(experiments.iter().all(|e| e.isolate_tracker_overhead == isolate), "{file}");
+    }
 }
 
 #[test]

@@ -10,22 +10,36 @@
 //! an experiment. The dense reference loop is reached one level down,
 //! through [`System::run_engine`] on [`Experiment::build_system`], which
 //! is how the equivalence suites hold the two to bit-identity.
+//!
+//! A tracker changes the machine only through a [`TrackerAction`], a
+//! nonzero [`RowHammerTracker::activation_delay`] or START's LLC
+//! reservation; until then the system under test *is* the reference
+//! machine, cycle for cycle. So when a cell's reference and system under
+//! test differ only in their trackers (see [`Experiment::run_counted`]),
+//! the reference machine carries each channel's real tracker as a private
+//! `Shadow` that observes but never acts, and a cell whose tracker stayed
+//! quiet to the end takes the reference's [`RunStats`] instead of
+//! simulating a second machine.
 
 use cpu::{TraceEntry, TraceSource};
-use sim_core::addr::{Geometry, PhysAddr};
+use sim_core::addr::{DramAddr, Geometry, PhysAddr};
 use sim_core::config::{MitigationKind, SystemConfig};
 use sim_core::json::{DecodeError, Hex, Json, JsonCodec};
 use sim_core::registry::{ParamValue, RegistryError, TrackerSpec};
+use sim_core::req::SourceId;
 use sim_core::telemetry::{
     MitigationLog, Probe, SlowdownTrace, Telemetry, TimeSeriesRecorder, WindowSample,
 };
 use sim_core::time::{us_to_cycles, Cycle};
-use sim_core::tracker::{NullTracker, RowHammerTracker, TrackerParams};
+use sim_core::tracker::{
+    Activation, NullTracker, RowHammerTracker, StorageOverhead, TrackerAction, TrackerParams,
+};
 use workloads::{spec_by_name, Attack, SyntheticTrace};
 
 use crate::metrics::{normalized_performance, RunStats, RunTelemetry};
 use crate::system::System;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// A tracker selection: a tracker-table entry plus validated parameter
@@ -252,6 +266,79 @@ impl TraceSource for IdleTrace {
         // negligible memory traffic.
         self.next = (self.next + 64) % 4096;
         TraceEntry { bubbles: 50_000, addr: PhysAddr((60 << 30) + self.next), is_write: false }
+    }
+}
+
+/// A cell's tracker riding the reference machine as an observer: it sees
+/// every ACT, tREFI and tREFW the reference's controller delivers, but
+/// its actions and delays never reach the machine, and to that machine it
+/// is [`NullTracker`] (name and storage included), so the reference's
+/// [`RunStats`] are exactly those of a plain reference run.
+///
+/// The first action or nonzero delay the inner tracker emits raises the
+/// shared `acted` flag: from that point the system under test would leave
+/// the reference's trajectory, so the cell must simulate it, and every
+/// shadow sharing the flag stops forwarding.
+struct Shadow {
+    inner: Box<dyn RowHammerTracker>,
+    acted: Arc<AtomicBool>,
+    /// The inner tracker's action buffer; never handed to the controller.
+    actions: Vec<TrackerAction>,
+}
+
+impl Shadow {
+    fn new(inner: Box<dyn RowHammerTracker>, acted: Arc<AtomicBool>) -> Self {
+        Self { inner, acted, actions: Vec::new() }
+    }
+
+    fn quiet(&self) -> bool {
+        !self.acted.load(Ordering::Relaxed)
+    }
+
+    /// Raises the flag if the inner tracker just asked for anything.
+    fn swallow(&mut self) {
+        if !self.actions.is_empty() {
+            self.actions.clear();
+            self.acted.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
+impl RowHammerTracker for Shadow {
+    fn name(&self) -> &'static str {
+        NullTracker.name()
+    }
+
+    fn on_activation(&mut self, act: Activation, _: &mut Vec<TrackerAction>) {
+        if self.quiet() {
+            self.inner.on_activation(act, &mut self.actions);
+            self.swallow();
+        }
+    }
+
+    fn on_trefi(&mut self, cycle: Cycle, _: &mut Vec<TrackerAction>) {
+        if self.quiet() {
+            self.inner.on_trefi(cycle, &mut self.actions);
+            self.swallow();
+        }
+    }
+
+    fn on_refresh_window(&mut self, cycle: Cycle, _: &mut Vec<TrackerAction>) {
+        if self.quiet() {
+            self.inner.on_refresh_window(cycle, &mut self.actions);
+            self.swallow();
+        }
+    }
+
+    fn activation_delay(&mut self, addr: &DramAddr, source: SourceId, cycle: Cycle) -> Cycle {
+        if self.quiet() && self.inner.activation_delay(addr, source, cycle) > 0 {
+            self.acted.store(true, Ordering::Relaxed);
+        }
+        0
+    }
+
+    fn storage_overhead(&self) -> StorageOverhead {
+        NullTracker.storage_overhead()
     }
 }
 
@@ -660,21 +747,32 @@ impl Experiment {
     /// machine gets a [`TimeSeriesRecorder`] when a slowdown trace will
     /// need per-window reference IPC.
     pub fn build_system(&self, reference: bool) -> System {
+        let trackers = if reference { self.null_trackers() } else { self.trackers() };
+        self.assemble(reference, trackers)
+    }
+
+    /// The insecure baseline's tracker on every channel.
+    fn null_trackers(&self) -> Vec<Box<dyn RowHammerTracker>> {
+        (0..self.cfg.geometry.channels).map(|_| Box::new(NullTracker) as _).collect()
+    }
+
+    /// One instance of the tracker under test per channel.
+    fn trackers(&self) -> Vec<Box<dyn RowHammerTracker>> {
+        let cfg = &self.cfg;
+        (0..cfg.geometry.channels)
+            .map(|ch| self.tracker.build(cfg.nrh, cfg.geometry, ch, cfg.seed ^ (ch as u64) << 8))
+            .collect()
+    }
+
+    /// [`build_system`](Self::build_system) with the given per-channel
+    /// trackers.
+    fn assemble(&self, reference: bool, trackers: Vec<Box<dyn RowHammerTracker>>) -> System {
         let attack = self.attack.resolve(&self.tracker);
         let (traces, bypass) = self.build_traces(attack, reference);
         let mut cfg = self.cfg.clone();
         if !reference && self.tracker.reserves_llc() {
             cfg.llc.reserved_ways = cfg.llc.ways / 2;
         }
-        let trackers: Vec<Box<dyn RowHammerTracker>> = (0..cfg.geometry.channels)
-            .map(|ch| {
-                if reference {
-                    Box::new(NullTracker) as Box<dyn RowHammerTracker>
-                } else {
-                    self.tracker.build(cfg.nrh, cfg.geometry, ch, cfg.seed ^ (ch as u64) << 8)
-                }
-            })
-            .collect();
         let t = &self.telemetry;
         let mut telemetry = Telemetry::none();
         if let Some(w) = t.window_cycles() {
@@ -696,6 +794,17 @@ impl Experiment {
         System::new(cfg, traces, bypass, trackers, telemetry)
     }
 
+    /// True when this cell's reference machine and system under test are
+    /// built from the same traces, LLC configuration and probes, so they
+    /// differ only in their trackers: the cell is benign or isolating, its
+    /// tracker reserves no LLC ways, and its [`TelemetrySpec`] attaches
+    /// no probe (no oracle, no recorder).
+    fn shadowable(&self) -> bool {
+        let benign = self.custom_attack.is_none() && self.attack.resolve(&self.tracker).is_none();
+        let probed = self.telemetry.oracle || self.telemetry.recorders_wanted();
+        (benign || self.isolate_tracker_overhead) && !self.tracker.reserves_llc() && !probed
+    }
+
     /// The benign core indices for this experiment.
     pub fn benign_cores(&self) -> Vec<usize> {
         let cores = self.cfg.cpu.cores as usize;
@@ -709,20 +818,59 @@ impl Experiment {
     /// Runs the experiment and its reference, returning normalized
     /// performance (the paper's metric).
     pub fn run(self) -> ExperimentResult {
-        let mut ref_sys = self.build_system(true);
-        let reference = ref_sys.run();
-        let reference_windows = take_recorder::<TimeSeriesRecorder>(&mut ref_sys.take_probes())
-            .map(TimeSeriesRecorder::into_samples)
-            .unwrap_or_default();
-        self.run_with_reference(&reference, reference_windows)
+        self.run_counted().0
+    }
+
+    /// [`run`](Self::run), also returning how many systems it simulated.
+    ///
+    /// When the cell is *shadowable* (benign or isolating, no LLC
+    /// reservation, no probe), the reference machine carries the cell's
+    /// trackers as shadows. If none of them acted by the end of the run
+    /// (no [`TrackerAction`], no nonzero activation delay), the system
+    /// under test would have run the reference's trajectory cycle for
+    /// cycle, so the cell's `run` is the reference's [`RunStats`] under
+    /// the tracker's name and one system was simulated. Otherwise the
+    /// system under test is simulated as usual: two systems.
+    pub fn run_counted(self) -> (ExperimentResult, usize) {
+        let acted = Arc::new(AtomicBool::new(false));
+        let mut shadowed = None;
+        let trackers = if self.shadowable() {
+            let inner = self.trackers();
+            shadowed = Some(inner[0].name());
+            inner.into_iter().map(|t| Box::new(Shadow::new(t, acted.clone())) as _).collect()
+        } else {
+            self.null_trackers()
+        };
+        // The reference machine is dropped at the end of this block,
+        // before the system under test is built: one simulated machine per
+        // worker at a time.
+        let (reference, reference_windows) = {
+            let mut ref_sys = self.assemble(true, trackers);
+            let reference = ref_sys.run();
+            let windows = take_recorder::<TimeSeriesRecorder>(&mut ref_sys.take_probes())
+                .map(TimeSeriesRecorder::into_samples)
+                .unwrap_or_default();
+            (reference, windows)
+        };
+        match shadowed {
+            Some(name) if !acted.load(Ordering::Relaxed) => {
+                let run = RunStats { tracker: name.to_string(), ..reference.clone() };
+                (self.result(run, &reference, None), 1)
+            }
+            _ => (self.run_with_reference(&reference, reference_windows), 2),
+        }
     }
 
     /// Simulates only the reference machine — insecure, and attack-free
     /// unless [`isolating`](Self::isolating) — with no telemetry (probes
     /// never change [`RunStats`]): what
     /// [`run_against`](Self::run_against) normalizes against. It depends
-    /// on the workload and the system configuration only, so a sweep
-    /// whose cells differ in tracker and attack computes it once.
+    /// on the workload, the system configuration and the attacker slot,
+    /// never on the tracker, so callers that hold many cells of one
+    /// machine may compute it once and share it (the `redteam` stages
+    /// do). The sweep front ends do not: each cell goes through
+    /// [`run`](Self::run), whose reference run may shadow the cell's
+    /// tracker instead (see [`run_counted`](Self::run_counted)).
     ///
     /// An experiment carrying an [`AttackerConfig`] has no attack yet (the
     /// pipeline compiles its hammer onto the last core after recon), so
@@ -741,12 +889,14 @@ impl Experiment {
     }
 
     /// Runs only the system under test, normalizing against a pre-computed
-    /// reference ([`Experiment::reference`]; sweeps share one per
-    /// workload). A slowdown trace requested through the
-    /// [`TelemetrySpec`] normalizes against the reference's **end-of-run**
-    /// per-core IPC here — per-window reference samples are only
-    /// available through [`Experiment::run`], which owns the reference
-    /// simulation.
+    /// reference ([`Experiment::reference`], which the `redteam` stages
+    /// share across the cells of one machine). It always simulates: the
+    /// shadow rule of [`run_counted`](Self::run_counted) needs the
+    /// reference run to carry the cell's tracker. A slowdown trace
+    /// requested through the [`TelemetrySpec`] normalizes against the
+    /// reference's **end-of-run** per-core IPC here — per-window reference
+    /// samples are only available through [`Experiment::run`], which owns
+    /// the reference simulation.
     pub fn run_against(self, reference: &RunStats) -> ExperimentResult {
         self.run_with_reference(reference, Vec::new())
     }
@@ -756,14 +906,14 @@ impl Experiment {
         reference: &RunStats,
         reference_windows: Vec<WindowSample>,
     ) -> ExperimentResult {
-        let benign = self.benign_cores();
         let mut sys = self.build_system(false);
         if self.telemetry.slowdown {
+            let benign = self.benign_cores();
             let trace = if reference_windows.is_empty() {
                 let flat = (0..self.cfg.cpu.cores as usize).map(|i| reference.ipc(i)).collect();
-                SlowdownTrace::flat(flat, benign.clone())
+                SlowdownTrace::flat(flat, benign)
             } else {
-                SlowdownTrace::per_window(reference_windows.clone(), benign.clone())
+                SlowdownTrace::per_window(reference_windows.clone(), benign)
             };
             sys.attach_probe(Box::new(trace));
         }
@@ -785,13 +935,22 @@ impl Experiment {
                     .unwrap_or_default(),
             }
         });
+        self.result(run, reference, telemetry)
+    }
+
+    fn result(
+        self,
+        run: RunStats,
+        reference: &RunStats,
+        telemetry: Option<RunTelemetry>,
+    ) -> ExperimentResult {
         let attack_name = match (&self.custom_attack, self.attack.resolve(&self.tracker)) {
             (Some(c), _) => c.name().to_string(),
             (None, Some(a)) => a.name().to_string(),
             (None, None) => "benign".to_string(),
         };
         ExperimentResult {
-            normalized_performance: normalized_performance(&run, reference, &benign),
+            normalized_performance: normalized_performance(&run, reference, &self.benign_cores()),
             workload: self.workload,
             tracker_name: self.tracker.name().to_string(),
             attack_name,
@@ -963,6 +1122,101 @@ mod tests {
         let trace = t.slowdown.expect("trace recorded");
         assert_eq!(trace.points().len(), 5);
         assert!(trace.points().iter().all(|p| p.normalized_ipc > 0.0));
+    }
+
+    /// Which hook a [`Stub`] acts through.
+    enum Via {
+        /// An action at the Nth `on_activation`.
+        Activation(usize),
+        Trefi,
+        RefreshWindow,
+        Delay,
+    }
+
+    /// A tracker that acts through one hook, counting every call it gets.
+    struct Stub {
+        via: Via,
+        activations: usize,
+        calls: Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl Stub {
+        fn called(&self) {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    impl RowHammerTracker for Stub {
+        fn name(&self) -> &'static str {
+            "stub"
+        }
+
+        fn on_activation(&mut self, act: Activation, actions: &mut Vec<TrackerAction>) {
+            self.called();
+            self.activations += 1;
+            if matches!(self.via, Via::Activation(n) if n == self.activations) {
+                actions.push(TrackerAction::MitigateRow(act.addr));
+            }
+        }
+
+        fn on_trefi(&mut self, _: Cycle, actions: &mut Vec<TrackerAction>) {
+            self.called();
+            if matches!(self.via, Via::Trefi) {
+                actions.push(TrackerAction::CounterRead(DramAddr::default()));
+            }
+        }
+
+        fn on_refresh_window(&mut self, _: Cycle, actions: &mut Vec<TrackerAction>) {
+            self.called();
+            if matches!(self.via, Via::RefreshWindow) {
+                let scope = sim_core::tracker::ResetScope::Channel { channel: 0 };
+                actions.push(TrackerAction::ResetSweep(scope));
+            }
+        }
+
+        fn activation_delay(&mut self, _: &DramAddr, _: SourceId, _: Cycle) -> Cycle {
+            self.called();
+            if matches!(self.via, Via::Delay) {
+                7
+            } else {
+                0
+            }
+        }
+
+        fn storage_overhead(&self) -> StorageOverhead {
+            StorageOverhead::new(1024, 64)
+        }
+    }
+
+    #[test]
+    fn shadow_raises_the_flag_and_never_acts() {
+        // Hooks in controller order, one ACT per round: delay, ACT, tREFI,
+        // tREFW. The stub acts in `round`; afterwards the shadow forwards
+        // nothing more.
+        for (via, round) in
+            [(Via::Activation(3), 3), (Via::Trefi, 1), (Via::RefreshWindow, 1), (Via::Delay, 1)]
+        {
+            let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+            let acted = Arc::new(AtomicBool::new(false));
+            let stub = Stub { via, activations: 0, calls: calls.clone() };
+            let mut shadow = Shadow::new(Box::new(stub), acted.clone());
+            assert_eq!(shadow.name(), "none");
+            assert_eq!(shadow.storage_overhead(), StorageOverhead::default());
+            let mut ctrl = Vec::new();
+            let act = Activation { addr: DramAddr::default(), source: SourceId(0), cycle: 0 };
+            for r in 1..=round + 2 {
+                let forwarded = calls.load(Ordering::Relaxed);
+                assert_eq!(shadow.activation_delay(&act.addr, act.source, r), 0);
+                shadow.on_activation(act, &mut ctrl);
+                shadow.on_trefi(r, &mut ctrl);
+                shadow.on_refresh_window(r, &mut ctrl);
+                assert!(ctrl.is_empty(), "the shadow pushed an action");
+                assert_eq!(acted.load(Ordering::Relaxed), r >= round, "round {r}");
+                if r > round {
+                    assert_eq!(calls.load(Ordering::Relaxed), forwarded, "forwarded after acting");
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! Cost: reading and writing are both linear in the document. The reader
 //! keeps the input `&str`, which is valid UTF-8 already, and copies the
 //! text between two escapes of a string in one run; the writer does the
-//! same in reverse and writes keys and numbers straight into its output.
+//! same in reverse and writes keys and numbers straight into its output,
+//! spelling an integral number below 2^53 with integer formatting (the
+//! text `{n}` gives it, without the shortest-float search).
 //! The parser recurses once per array or object level and accepts at most
 //! 128 of them, so a hostile line of brackets is an error at its offset,
 //! not a stack overflow.
@@ -103,14 +105,18 @@ impl Json {
     /// Serializes the value as compact JSON.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out);
+        self.render_into(&mut out);
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends [`Json::render`]'s bytes to `out`.
+    pub fn render_into(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) if is_exact_int(*n) => {
+                let _ = write!(out, "{}", *n as i64);
+            }
             Json::Num(n) if n.is_finite() => {
                 let _ = write!(out, "{n}");
             }
@@ -122,7 +128,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    v.write(out);
+                    v.render_into(out);
                 }
                 out.push(']');
             }
@@ -134,7 +140,7 @@ impl Json {
                     }
                     write_str(k, out);
                     out.push(':');
-                    v.write(out);
+                    v.render_into(out);
                 }
                 out.push('}');
             }
@@ -157,10 +163,22 @@ impl Json {
     }
 }
 
-/// Writes `s` as a JSON string literal. Only `"`, `\` and bytes below 0x20
+/// 2^53: below it in magnitude every integer is an `f64` and back.
+const EXACT_INT: f64 = 9_007_199_254_740_992.0;
+
+/// Whether `n` is a count the writer spells with integer formatting, which
+/// skips the shortest-float search `{n}` runs on an `f64` and gives the
+/// same text: integral, below 2^53 in magnitude, and not `-0.0` (which
+/// is `-0`).
+fn is_exact_int(n: f64) -> bool {
+    n.abs() < EXACT_INT && n == (n as i64) as f64 && (n != 0.0 || n.is_sign_positive())
+}
+
+/// Appends `s` as a JSON string literal, the bytes `Json::str(s)` renders
+/// to. Only `"`, `\` and bytes below 0x20
 /// are escaped; all are ASCII, so the text between two of them starts and
 /// ends on char boundaries and is copied as one run.
-fn write_str(s: &str, out: &mut String) {
+pub fn write_str(s: &str, out: &mut String) {
     out.push('"');
     let mut run = 0;
     for (i, b) in s.bytes().enumerate() {
@@ -951,16 +969,42 @@ mod tests {
             let key = Json::Obj(vec![(s.clone(), Json::Null)]);
             assert_eq!(key.render(), format!("{{{}:null}}", escape_char_at_a_time(&s)));
         }
-        for _ in 0..2_000 {
-            let n = match rng.gen_range(3) {
+        // Numbers: integral counts take integer formatting, the rest `{n}`;
+        // both must spell what `{n}` spells.
+        let two53 = 9_007_199_254_740_992.0_f64;
+        let mut numbers = vec![
+            0.0,
+            two53 - 1.0,
+            two53,
+            two53 + 2.0,
+            9e15,
+            1e16,
+            1e300,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            2f64.powi(52) + 0.5,
+            (two53 - 1.0) / 2.0,
+            0.5,
+            1.0 - f64::EPSILON,
+            i64::MAX as f64,
+        ];
+        for _ in 0..4_000 {
+            numbers.push(match rng.gen_range(6) {
                 0 => f64::from_bits(rng.next_u64()),
                 1 => (rng.gen_f64() - 0.5) * 1e6,
-                _ => count(&mut rng) as f64,
-            };
-            if n.is_finite() {
-                assert_eq!(Json::Num(n).render(), format!("{n}"));
-            }
+                2 => count(&mut rng) as f64,
+                3 => (rng.next_u64() >> rng.gen_range(64)) as f64,
+                4 => rng.gen_range(100_000) as f64,
+                _ => (rng.next_u64() >> 12) as f64 + 0.5,
+            });
         }
+        for n in numbers.clone() {
+            numbers.push(-n);
+        }
+        for n in numbers.into_iter().filter(|n| n.is_finite()) {
+            assert_eq!(Json::Num(n).render(), format!("{n}"), "{n:e}");
+        }
+        assert_eq!(Json::Num(-0.0).render(), "-0", "-0.0 keeps its sign");
     }
 
     #[test]

@@ -39,6 +39,22 @@
 //! named the simulation loop while that was a setting, and it stays so
 //! that every key written since keeps its bytes.
 //!
+//! # Rendering
+//!
+//! The descriptor is written straight to its bytes, never built as a
+//! `Json` tree, in three fragments around the per-cell attack text: the
+//! prefix (`{"epoch":…,"workload":…`), a tracker fragment (`tracker`,
+//! the resolved `params`, up to `"attack":`) and a machine fragment
+//! (`geometry` through `telemetry`, then `attacker` when the cell has
+//! one). [`SweepSpec::expand_keyed`] renders each tracker fragment once
+//! per selection (one table entry, one override map) and each machine
+//! fragment once per distinct (`SystemConfig`, isolation, telemetry,
+//! attacker), deciding reuse by value equality with floats compared bit
+//! for bit (`0.0 == -0.0`, but they spell differently); what it keeps
+//! lives for that one expansion. [`cell_key`] is the same renderer run on one cell. The test
+//! module keeps the tree-building descriptor as an oracle and holds both
+//! paths to it byte for byte over a seeded, shuffled matrix.
+//!
 //! Each entry embeds its descriptor and the reader compares it
 //! byte-for-byte, so even a hash collision cannot alias results; a
 //! mismatched or undecodable entry is evicted and recomputed, never
@@ -47,13 +63,14 @@
 //! [`RunStats`]: crate::RunStats
 
 use crate::exec::{Checkpoint, Executor, PayloadCache};
-use crate::experiment::{Experiment, ExperimentResult};
+use crate::experiment::{AttackerConfig, Experiment, ExperimentResult, TelemetrySpec, TrackerSel};
 use crate::journal::SweepJournal;
 use crate::runner::{cell_label, RunnerConfig};
 use crate::spec::{SpecError, SweepReport, SweepSpec};
 use sim_core::cache::{content_key, CacheStats, DiskStore};
-use sim_core::json::{Json, JsonCodec};
-use sim_core::ParamValue;
+use sim_core::json::{write_str, Json, JsonCodec};
+use sim_core::{ParamValue, SystemConfig};
+use std::fmt::Write;
 
 /// Cache-format epoch. Part of every cell descriptor: bump it whenever
 /// canonicalization or the entry codec changes meaning, and every prior
@@ -87,55 +104,6 @@ fn param_tag(v: &ParamValue) -> String {
     }
 }
 
-/// The canonical descriptor of an experiment, or `None` when the cell is
-/// uncacheable (a custom attack without a supplied identity, or tracker
-/// parameters that no longer resolve).
-fn descriptor(e: &Experiment, attack_id: Option<&str>) -> Option<Json> {
-    let params = e.tracker.spec().resolve_params(e.tracker.params()).ok()?;
-    let attack = if e.custom_attack.is_some() {
-        // The factory closure is opaque; only an explicit identity that
-        // covers the whole trace-generation genome makes caching sound.
-        format!("custom:{}", attack_id?)
-    } else {
-        match e.attack.resolve(&e.tracker) {
-            Some(a) => format!("attack:{}", a.name()),
-            None => "benign".to_string(),
-        }
-    };
-    let mut fields = vec![
-        ("epoch", CACHE_EPOCH.encode()),
-        ("workload", Json::str(&e.workload)),
-        ("tracker", Json::str(e.tracker.key())),
-        (
-            "params",
-            Json::Obj(params.iter().map(|(k, v)| (k.clone(), Json::str(param_tag(v)))).collect()),
-        ),
-        ("attack", Json::str(attack)),
-        // (`Geometry::encode` proper maps addresses.)
-        ("geometry", JsonCodec::encode(&e.cfg.geometry)),
-        ("cpu", e.cfg.cpu.encode()),
-        ("llc", e.cfg.llc.encode()),
-        ("nrh", e.cfg.nrh.encode()),
-        ("blast_radius", e.cfg.blast_radius.encode()),
-        ("mitigation", Json::str(e.cfg.mitigation.to_string())),
-        ("window_cycles", Json::hex(e.cfg.window_cycles)),
-        ("max_instructions", Json::hex(e.cfg.max_instructions)),
-        ("seed", Json::hex(e.cfg.seed)),
-        // Constant since the loop stopped being a setting; kept for the keys.
-        ("engine", Json::str("event-driven")),
-        ("isolate", Json::Bool(e.isolate_tracker_overhead)),
-        ("telemetry", e.telemetry.encode()),
-    ];
-    // The attacker descriptor is appended only when the experiment carries
-    // one: attacker-free cells keep their pre-pipeline keys (pinned by
-    // the goldens in tests/cache_keys.rs), while two attacker cells
-    // differing in knowledge, budget, or seed can never collide.
-    if let Some(attacker) = &e.attacker {
-        fields.push(("attacker", attacker.encode()));
-    }
-    Some(Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect()))
-}
-
 /// The content-addressed key of an experiment cell, or `None` when the
 /// cell is uncacheable (anonymous custom attacks need
 /// [`cell_key_with_attack_id`]).
@@ -148,8 +116,177 @@ pub fn cell_key(e: &Experiment) -> Option<CellKey> {
 /// factory depends on besides the experiment's geometry and seed
 /// (`redteam` passes the full scenario genome JSON).
 pub fn cell_key_with_attack_id(e: &Experiment, attack_id: Option<&str>) -> Option<CellKey> {
-    let descriptor = descriptor(e, attack_id)?.render();
-    Some(CellKey { key: content_key(descriptor.as_bytes()), descriptor })
+    CellKeys::default().key(e, attack_id)
+}
+
+/// The renderer behind every cell key: writes a cell's descriptor
+/// straight to its bytes as a prefix, a tracker fragment, the attack and a
+/// machine fragment, keeping each tracker and machine fragment it renders
+/// for the cells after it. One value serves one expansion; it holds no
+/// more than that expansion's distinct trackers and machines.
+#[derive(Default)]
+pub(crate) struct CellKeys {
+    /// `,"tracker":…,"attack":` per selection (`None`: the parameters no
+    /// longer resolve).
+    trackers: Vec<(TrackerSel, Option<String>)>,
+    /// `,"geometry":…}` per machine.
+    machines: Vec<(Machine, String)>,
+}
+
+/// Everything the machine fragment renders.
+struct Machine {
+    cfg: SystemConfig,
+    isolate: bool,
+    telemetry: TelemetrySpec,
+    attacker: Option<AttackerConfig>,
+}
+
+impl Machine {
+    /// Whether `e` renders this machine's fragment: equal fields, the one
+    /// float compared bit for bit (`0.0 == -0.0`, but they spell
+    /// differently).
+    fn renders_as(&self, e: &Experiment) -> bool {
+        let bits = |t: &TelemetrySpec| t.window_us.map(f64::to_bits);
+        self.cfg == e.cfg
+            && self.isolate == e.isolate_tracker_overhead
+            && self.telemetry == e.telemetry
+            && bits(&self.telemetry) == bits(&e.telemetry)
+            && self.attacker == e.attacker
+    }
+
+    fn fragment(&self) -> String {
+        let cfg = &self.cfg;
+        let mut out = String::with_capacity(512);
+        // (`Geometry::encode` proper maps addresses.)
+        let members = [
+            ("geometry", JsonCodec::encode(&cfg.geometry)),
+            ("cpu", cfg.cpu.encode()),
+            ("llc", cfg.llc.encode()),
+            ("nrh", cfg.nrh.encode()),
+            ("blast_radius", cfg.blast_radius.encode()),
+        ];
+        for (name, value) in members {
+            let _ = write!(out, ",\"{name}\":");
+            value.render_into(&mut out);
+        }
+        out.push_str(",\"mitigation\":");
+        write_str(&cfg.mitigation.to_string(), &mut out);
+        let _ = write!(
+            out,
+            ",\"window_cycles\":\"{:#x}\",\"max_instructions\":\"{:#x}\",\"seed\":\"{:#x}\"",
+            cfg.window_cycles, cfg.max_instructions, cfg.seed
+        );
+        // Constant since the loop stopped being a setting; kept for the keys.
+        let _ = write!(out, ",\"engine\":\"event-driven\",\"isolate\":{}", self.isolate);
+        out.push_str(",\"telemetry\":");
+        self.telemetry.encode().render_into(&mut out);
+        // Only a cell with an attacker names one: attacker-free cells keep
+        // their pre-pipeline keys (pinned by the goldens in
+        // tests/cache_keys.rs), while two attacker cells differing in
+        // knowledge, budget, or seed can never collide.
+        if let Some(attacker) = &self.attacker {
+            out.push_str(",\"attacker\":");
+            attacker.encode().render_into(&mut out);
+        }
+        out.push('}');
+        out
+    }
+}
+
+/// The tracker fragment: canonical key and fully resolved parameters, up
+/// to the attack's member name; `None` when the parameters no longer
+/// resolve.
+fn tracker_fragment(tracker: &TrackerSel) -> Option<String> {
+    let params = tracker.spec().resolve_params(tracker.params()).ok()?;
+    let mut out = String::with_capacity(64 + 32 * params.len());
+    out.push_str(",\"tracker\":");
+    write_str(tracker.key(), &mut out);
+    out.push_str(",\"params\":{");
+    for (i, (name, value)) in params.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_str(name, &mut out);
+        out.push(':');
+        write_str(&param_tag(value), &mut out);
+    }
+    out.push_str("},\"attack\":");
+    Some(out)
+}
+
+/// Whether two selections render one tracker fragment: the same table
+/// entry and equal overrides, floats compared bit for bit.
+fn same_tracker(a: &TrackerSel, b: &TrackerSel) -> bool {
+    let same_bits = |(x, y): (&ParamValue, &ParamValue)| match (x, y) {
+        (ParamValue::Float(x), ParamValue::Float(y)) => x.to_bits() == y.to_bits(),
+        _ => true,
+    };
+    std::ptr::eq(a.spec(), b.spec())
+        && a.params() == b.params()
+        && a.params().values().zip(b.params().values()).all(same_bits)
+}
+
+/// The value kept for the first entry `hit` accepts, or for a new one
+/// `make` builds.
+fn reuse<K, V>(
+    kept: &mut Vec<(K, V)>,
+    hit: impl Fn(&K) -> bool,
+    make: impl FnOnce() -> (K, V),
+) -> &V {
+    let i = match kept.iter().position(|(k, _)| hit(k)) {
+        Some(i) => i,
+        None => {
+            kept.push(make());
+            kept.len() - 1
+        }
+    };
+    &kept[i].1
+}
+
+impl CellKeys {
+    /// [`cell_key_with_attack_id`], reusing the fragments of earlier
+    /// cells.
+    pub(crate) fn key(&mut self, e: &Experiment, attack_id: Option<&str>) -> Option<CellKey> {
+        let tracker = reuse(
+            &mut self.trackers,
+            |t| same_tracker(t, &e.tracker),
+            || (e.tracker.clone(), tracker_fragment(&e.tracker)),
+        )
+        .as_deref()?;
+        let attack = if e.custom_attack.is_some() {
+            // The factory closure is opaque; only an explicit identity that
+            // covers the whole trace-generation genome makes caching sound.
+            format!("custom:{}", attack_id?)
+        } else {
+            match e.attack.resolve(&e.tracker) {
+                Some(a) => format!("attack:{}", a.name()),
+                None => "benign".to_string(),
+            }
+        };
+        let machine = reuse(
+            &mut self.machines,
+            |m| m.renders_as(e),
+            || {
+                let machine = Machine {
+                    cfg: e.cfg.clone(),
+                    isolate: e.isolate_tracker_overhead,
+                    telemetry: e.telemetry,
+                    attacker: e.attacker,
+                };
+                let fragment = machine.fragment();
+                (machine, fragment)
+            },
+        );
+        let mut descriptor = String::with_capacity(
+            48 + e.workload.len() + tracker.len() + attack.len() + machine.len(),
+        );
+        let _ = write!(descriptor, "{{\"epoch\":{CACHE_EPOCH},\"workload\":");
+        write_str(&e.workload, &mut descriptor);
+        descriptor.push_str(tracker);
+        write_str(&attack, &mut descriptor);
+        descriptor.push_str(machine);
+        Some(CellKey { key: content_key(descriptor.as_bytes()), descriptor })
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -352,6 +489,215 @@ impl SweepSpec {
 mod tests {
     use super::*;
     use crate::experiment::AttackChoice;
+
+    /// The descriptor as it was built before [`CellKeys`] wrote it straight
+    /// to bytes, kept verbatim: a `Json` tree, rendered whole. The renderer
+    /// must match it byte for byte.
+    mod oracle {
+        use super::super::{param_tag, CACHE_EPOCH};
+        use crate::experiment::Experiment;
+        use sim_core::json::{Json, JsonCodec};
+
+        /// The canonical descriptor of an experiment, or `None` when the cell is
+        /// uncacheable (a custom attack without a supplied identity, or tracker
+        /// parameters that no longer resolve).
+        pub(super) fn descriptor(e: &Experiment, attack_id: Option<&str>) -> Option<Json> {
+            let params = e.tracker.spec().resolve_params(e.tracker.params()).ok()?;
+            let attack = if e.custom_attack.is_some() {
+                // The factory closure is opaque; only an explicit identity that
+                // covers the whole trace-generation genome makes caching sound.
+                format!("custom:{}", attack_id?)
+            } else {
+                match e.attack.resolve(&e.tracker) {
+                    Some(a) => format!("attack:{}", a.name()),
+                    None => "benign".to_string(),
+                }
+            };
+            let mut fields = vec![
+                ("epoch", CACHE_EPOCH.encode()),
+                ("workload", Json::str(&e.workload)),
+                ("tracker", Json::str(e.tracker.key())),
+                (
+                    "params",
+                    Json::Obj(
+                        params.iter().map(|(k, v)| (k.clone(), Json::str(param_tag(v)))).collect(),
+                    ),
+                ),
+                ("attack", Json::str(attack)),
+                // (`Geometry::encode` proper maps addresses.)
+                ("geometry", JsonCodec::encode(&e.cfg.geometry)),
+                ("cpu", e.cfg.cpu.encode()),
+                ("llc", e.cfg.llc.encode()),
+                ("nrh", e.cfg.nrh.encode()),
+                ("blast_radius", e.cfg.blast_radius.encode()),
+                ("mitigation", Json::str(e.cfg.mitigation.to_string())),
+                ("window_cycles", Json::hex(e.cfg.window_cycles)),
+                ("max_instructions", Json::hex(e.cfg.max_instructions)),
+                ("seed", Json::hex(e.cfg.seed)),
+                // Constant since the loop stopped being a setting; kept for the keys.
+                ("engine", Json::str("event-driven")),
+                ("isolate", Json::Bool(e.isolate_tracker_overhead)),
+                ("telemetry", e.telemetry.encode()),
+            ];
+            // The attacker descriptor is appended only when the experiment carries
+            // one: attacker-free cells keep their pre-pipeline keys (pinned by
+            // the goldens in tests/cache_keys.rs), while two attacker cells
+            // differing in knowledge, budget, or seed can never collide.
+            if let Some(attacker) = &e.attacker {
+                fields.push(("attacker", attacker.encode()));
+            }
+            Some(Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect()))
+        }
+    }
+
+    /// Every tracker table entry with its defaults, then with one seeded
+    /// override per schema parameter (an integer spelling of a float
+    /// parameter among them), plus `0.0` and `-0.0` for each float
+    /// parameter that takes them: equal as values, different as text.
+    fn tracker_matrix(rng: &mut sim_core::rng::Xoshiro256) -> Vec<TrackerSel> {
+        let mut out = Vec::new();
+        for spec in &crate::registry::TRACKERS {
+            let defaults = TrackerSel::from_spec(spec);
+            out.push(defaults.clone());
+            for param in spec.params {
+                let with = |v: ParamValue| defaults.clone().with_param(param.key, v).ok();
+                let candidates = match param.default_value() {
+                    ParamValue::Int(d) => vec![
+                        ParamValue::Int(d + 1 + rng.gen_range(8) as i64),
+                        ParamValue::Int(d * 2),
+                        ParamValue::Int(d / 2),
+                        ParamValue::Int(d - 1),
+                    ],
+                    ParamValue::Float(d) => {
+                        out.extend([0.0, -0.0].map(ParamValue::Float).into_iter().filter_map(with));
+                        vec![
+                            ParamValue::Float(d * (0.5 + rng.gen_f64())),
+                            ParamValue::Int(d.round() as i64 + 1),
+                            ParamValue::Float(d / 2.0),
+                        ]
+                    }
+                    ParamValue::Bool(b) => vec![ParamValue::Bool(!b)],
+                    default => vec![default],
+                };
+                let value = candidates.into_iter().chain([param.default_value()]);
+                out.push(value.filter_map(with).next().expect("the default is in range"));
+            }
+        }
+        out
+    }
+
+    /// Machines covering every telemetry flag combination with the window
+    /// set and unset, no attacker and each knowledge level, both
+    /// geometries, and varied N_RH, blast radius, mitigation, seed, window,
+    /// instruction budget and isolation; each machine with a `0.0` window
+    /// has a twin with `-0.0`, equal as values, different as text.
+    fn machine_matrix(rng: &mut sim_core::rng::Xoshiro256) -> Vec<Experiment> {
+        use crate::experiment::{AttackerKnowledge, TelemetrySpec};
+        use sim_core::config::MitigationKind;
+        let mut machines: Vec<Experiment> = (0..96u64)
+            .map(|j| {
+                let mut e = Experiment::new("template");
+                if j % 3 == 0 {
+                    e = e.eight_channel(1 + rng.gen_range(2));
+                }
+                let windows = [25.0, 2.5, 0.0, -0.0, 1e-3, 31.25, 4000.0];
+                e.telemetry = TelemetrySpec {
+                    oracle: j & 1 != 0,
+                    time_series: j & 2 != 0,
+                    slowdown: j & 4 != 0,
+                    mitigation_log: j & 8 != 0,
+                    window_us: (j & 16 != 0).then_some(windows[(j % 7) as usize]),
+                };
+                let knowledge = [None]
+                    .into_iter()
+                    .chain(AttackerKnowledge::ALL.map(Some))
+                    .nth((j / 24 % 4) as usize)
+                    .expect("four attacker choices");
+                e.attacker = knowledge.map(|knowledge| AttackerConfig {
+                    knowledge,
+                    recon_budget: rng.gen_range(10_000),
+                    seed: rng.next_u64(),
+                });
+                e.cfg.nrh = [125, 250, 500, 1000, 4000][rng.gen_range(5) as usize];
+                e.cfg.blast_radius = 1 + rng.gen_range(2) as u8;
+                e.cfg.mitigation =
+                    [MitigationKind::Vrr, MitigationKind::DrfmSb, MitigationKind::RfmSb]
+                        [rng.gen_range(3) as usize];
+                e.cfg.seed = rng.next_u64();
+                e.cfg.window_cycles = rng.next_u64() >> rng.gen_range(64);
+                e.cfg.max_instructions =
+                    if rng.gen_bool(0.5) { u64::MAX } else { rng.gen_range(1 << 30) };
+                e.isolate_tracker_overhead = rng.gen_bool(0.5);
+                e
+            })
+            .collect();
+        let zero_windows: Vec<Experiment> =
+            machines.iter().filter(|e| e.telemetry.window_us == Some(0.0)).cloned().collect();
+        for mut twin in zero_windows {
+            twin.telemetry.window_us = twin.telemetry.window_us.map(|w| -w);
+            machines.push(twin);
+        }
+        machines
+    }
+
+    #[test]
+    fn rendered_descriptors_match_the_tree_built_oracle() {
+        use crate::experiment::CustomAttack;
+        use workloads::attacks::Attack;
+        let mut rng = sim_core::rng::Xoshiro256::seed_from(0xDE5C_0A7E);
+        let trackers = tracker_matrix(&mut rng);
+        let machines = machine_matrix(&mut rng);
+        let attacks: Vec<AttackChoice> =
+            [AttackChoice::None, AttackChoice::CacheThrash, AttackChoice::Tailored]
+                .into_iter()
+                .chain(Attack::all().map(AttackChoice::Specific))
+                .collect();
+        let workloads = ["mcf_like", "gcc_like", "quoted \"name\"\n\u{1}é"];
+        let custom = CustomAttack::new("genome", true, |_, _| panic!("never built here"));
+        // (cell, identity) for every tracker against every attack, then a
+        // custom attack with and without an identity; each on a drawn
+        // machine and workload.
+        let mut cells = Vec::new();
+        for tracker in &trackers {
+            let named = attacks.iter().map(|&attack| (Some(attack), None));
+            let ids = [Some("genome-1".to_string()), Some("{\"g\":[1,\"\\\"]}".into()), None];
+            for (attack, id) in named.chain(ids.into_iter().map(|id| (None, id))) {
+                let mut e = machines[rng.gen_range(machines.len() as u64) as usize].clone();
+                e.workload = workloads[rng.gen_range(3) as usize].to_string();
+                e.tracker = tracker.clone();
+                match attack {
+                    Some(attack) => e.attack = attack,
+                    None => e.custom_attack = Some(custom.clone()),
+                }
+                cells.push((e, id));
+            }
+        }
+        rng.shuffle(&mut cells);
+
+        let mut shared = CellKeys::default();
+        let mut cacheable = 0;
+        for (e, id) in &cells {
+            let expected = oracle::descriptor(e, id.as_deref()).map(|d| {
+                let descriptor = d.render();
+                CellKey { key: content_key(descriptor.as_bytes()), descriptor }
+            });
+            let what = || format!("{:?} / {:?} / {id:?}", e.tracker, e.attack);
+            assert_eq!(cell_key_with_attack_id(e, id.as_deref()), expected, "{}", what());
+            assert_eq!(shared.key(e, id.as_deref()), expected, "shared: {}", what());
+            assert_eq!(expected.is_none(), e.custom_attack.is_some() && id.is_none(), "{}", what());
+            if let Some(k) = expected {
+                let reparsed = Json::parse(&k.descriptor).expect("descriptors parse");
+                assert_eq!(reparsed.render(), k.descriptor, "lookup_entry compares re-rendered");
+                cacheable += 1;
+            }
+        }
+        // Fragments were reused and re-rendered: one per distinct selection
+        // and machine, far fewer than cells.
+        assert_eq!(cacheable, trackers.len() * (attacks.len() + 2), "all but anonymous customs");
+        assert_eq!(shared.trackers.len(), trackers.len(), "one fragment per selection");
+        assert!(shared.machines.len() <= machines.len(), "one fragment per machine");
+        assert!(shared.machines.len() > machines.len() / 2, "the draws spread over the machines");
+    }
 
     fn scratch(name: &str) -> std::path::PathBuf {
         let dir =

@@ -24,7 +24,7 @@
 //! group_size = 256
 //! ```
 
-use crate::cache::{cell_key, KeyedCell};
+use crate::cache::{CellKeys, KeyedCell};
 use crate::experiment::{
     AttackChoice, AttackerConfig, AttackerKnowledge, Experiment, ExperimentResult, TelemetrySpec,
     TrackerSel,
@@ -33,7 +33,7 @@ use crate::runner::{RunnerConfig, SweepError};
 use crate::toml::{self, TomlError, TomlValue};
 use sim_core::json::{parse_u64, DecodeError, Json, JsonCodec, JsonError};
 use sim_core::registry::{normalize_key, ParamValue, RegistryError};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use workloads::Attack;
 
 /// What went wrong turning a spec into experiments. Every variant names
@@ -920,10 +920,8 @@ impl SweepSpec {
         let mut out = Vec::with_capacity(
             workloads.len() * trackers.len() * attacks.len() * attacker_cfgs.len(),
         );
-        // Cells that canonicalize identically (an alias tracker name next
-        // to its primary key, `tailored` next to the pattern it resolves
-        // to) are one cell and run once; the first occurrence wins.
-        let mut seen = std::collections::BTreeSet::new();
+        let mut keys = CellKeys::default();
+        let mut first = HashMap::new();
         for workload in &workloads {
             for tracker in &trackers {
                 for attack in &attacks {
@@ -940,12 +938,8 @@ impl SweepSpec {
                             e = e.attacker(*cfg);
                         }
                         let e = self.options.apply(e);
-                        // Uncacheable cells are never deduped: two opaque
-                        // custom attacks cannot be proven equal.
-                        let key = cell_key(&e);
-                        if key.as_ref().is_none_or(|k| seen.insert(k.descriptor.clone())) {
-                            out.push((e, key));
-                        }
+                        let key = keys.key(&e, None);
+                        push_unique(&mut out, &mut first, (e, key));
                     }
                 }
             }
@@ -958,6 +952,27 @@ impl SweepSpec {
     pub fn run(&self) -> Result<SweepReport, SpecError> {
         Ok(self.run_expanded(self.expand_keyed()?, None, None, &RunnerConfig::default()).0)
     }
+}
+
+/// Appends `cell` to an expansion unless it repeats an earlier cell.
+/// Cells that canonicalize identically (an alias tracker name next to its
+/// primary key, `tailored` next to the pattern it resolves to) are one
+/// cell and run once; the first occurrence wins. `first` maps a content
+/// key to the first cell under it, and only an equal descriptor makes a
+/// repeat: a hash collision never merges two different cells. Uncacheable
+/// cells are never deduped: two opaque custom attacks cannot be proven
+/// equal.
+fn push_unique(out: &mut Vec<KeyedCell>, first: &mut HashMap<String, usize>, cell: KeyedCell) {
+    if let Some(key) = &cell.1 {
+        match first.get(&key.key) {
+            Some(&i) if out[i..].iter().any(|(_, other)| other.as_ref() == Some(key)) => return,
+            Some(_) => {}
+            None => {
+                first.insert(key.key.clone(), out.len());
+            }
+        }
+    }
+    out.push(cell);
 }
 
 /// Outcome of [`SweepSpec::run`].
@@ -1095,9 +1110,27 @@ group_size = 256
         assert_eq!(cells[1].0.attack, AttackChoice::Specific(Attack::Streaming));
         // The attached key is the surviving cell's own, rendered once.
         for (experiment, key) in &cells {
-            assert_eq!(key, &cell_key(experiment));
+            assert_eq!(key, &crate::cache::cell_key(experiment));
         }
         assert_eq!(cells.len(), spec.expand().unwrap().len(), "expand() is the projection");
+    }
+
+    #[test]
+    fn expansion_dedupes_on_descriptors_not_on_keys_alone() {
+        // A forged collision: four cells under one content key, two
+        // descriptors. Each descriptor runs once, and uncacheable cells
+        // always run.
+        let cell = |descriptor: Option<&str>| {
+            let key =
+                descriptor.map(|d| crate::cache::CellKey { key: "k".into(), descriptor: d.into() });
+            (Experiment::new("mcf_like"), key)
+        };
+        let (mut out, mut first) = (Vec::new(), HashMap::new());
+        for descriptor in [Some("a"), Some("b"), None, Some("a"), Some("b"), None] {
+            push_unique(&mut out, &mut first, cell(descriptor));
+        }
+        let kept: Vec<_> = out.iter().map(|(_, k)| k.as_ref().map(|k| &k.descriptor[..])).collect();
+        assert_eq!(kept, [Some("a"), Some("b"), None, None]);
     }
 
     #[test]

@@ -54,15 +54,51 @@ fn cell_keys_are_stable_across_releases() {
 }
 
 #[test]
-fn cell_keys_ignore_threads_but_track_geometry() {
-    // The key never held a lane count (the knob is gone; entries written
-    // while it existed stay valid). Geometry shapes results: the enlarged
-    // eight-channel system must never collide with the two-channel
-    // baseline.
+fn cell_keys_track_geometry() {
+    // Geometry shapes results: the enlarged eight-channel system must
+    // never collide with the two-channel baseline.
     let base = Experiment::new("mcf_like").tracker("dapper-h");
     let baseline = cell_key(&base).expect("cacheable").key;
     let enlarged = cell_key(&base.clone().eight_channel(2)).expect("cacheable").key;
     assert_ne!(baseline, enlarged, "channel count is part of the modeled system");
+}
+
+/// One digest over the keys of every cell the repository ships a spec for:
+/// each `examples/specs/*.toml` in file-name order, then the benchmark's
+/// pinned sweep, every cell in expansion order, one key per line.
+const SHIPPED_KEYS_DIGEST: &str = "03c1f85fef2959c1a6ce515b80938198";
+
+#[test]
+fn shipped_spec_cell_keys_are_stable_across_releases() {
+    // The four goldens above pin one cell per canonicalization feature;
+    // this pins every shipped cell, so a drift anywhere in a descriptor
+    // (a member, its order, escaping or number text) fails here.
+    let root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let mut files: Vec<_> = std::fs::read_dir(root.join("examples/specs"))
+        .expect("examples/specs")
+        .map(|entry| entry.expect("spec dir entry").path())
+        .filter(|p| p.extension().is_some_and(|ext| ext == "toml"))
+        .collect();
+    files.sort();
+    files.push(root.join("benchmark/specs/campaign.toml"));
+    let mut manifest = String::new();
+    let mut cells = 0;
+    for file in &files {
+        let text = std::fs::read_to_string(file).expect("read spec");
+        let spec = SweepSpec::from_toml_str(&text).expect("spec parses");
+        for (_, key) in spec.expand_keyed().expect("spec expands") {
+            let key = key.unwrap_or_else(|| panic!("{}: uncacheable cell", file.display()));
+            manifest.push_str(&key.key);
+            manifest.push('\n');
+            cells += 1;
+        }
+    }
+    assert_eq!(
+        (cells, sim_core::cache::content_key(manifest.as_bytes()).as_str()),
+        (74, SHIPPED_KEYS_DIGEST),
+        "a shipped cell's key drifted: revert the canonicalization change, or bump \
+         CACHE_EPOCH and refresh this digest (and the cell count, when a spec changes)"
+    );
 }
 
 #[test]

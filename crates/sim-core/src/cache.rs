@@ -172,10 +172,11 @@ impl DiskStore {
         self.faults.get().and_then(|f| f.check(site))
     }
 
-    /// Looks a key up. A corrupt entry (checksum or length mismatch) is
-    /// evicted and reported as a miss — never returned. An unreadable
-    /// entry (IO error) likewise degrades to a miss, counted under
-    /// `io_errors`, so the caller recomputes instead of aborting.
+    /// Looks a key up. A corrupt entry (checksum or length mismatch, or
+    /// bytes that are not UTF-8) is evicted and reported as a miss, counted
+    /// under `corrupt` — never returned. An unreadable entry (IO error)
+    /// likewise degrades to a miss, counted under `io_errors` and left on
+    /// disk, so the caller recomputes instead of aborting.
     pub fn get(&self, key: &str) -> Option<String> {
         let path = self.entry_path(key);
         let damage = self.injected(FaultSite::CacheRead);
@@ -184,8 +185,10 @@ impl DiskStore {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        let mut text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
+        let mut text = match std::fs::read(&path) {
+            // Bytes that are not UTF-8 are corrupt: read as an empty entry,
+            // they fail decoding below and are evicted.
+            Ok(bytes) => String::from_utf8(bytes).unwrap_or_default(),
             Err(e) => {
                 if e.kind() != std::io::ErrorKind::NotFound {
                     self.io_errors.fetch_add(1, Ordering::Relaxed);
@@ -365,19 +368,26 @@ mod tests {
 
     #[test]
     fn corrupt_entries_are_evicted_not_returned() {
-        let store = DiskStore::open(scratch("corrupt")).unwrap();
-        store.put("deadbeef", "the-truth").unwrap();
-        let path = store.entry_path("deadbeef");
-        // Truncate the file mid-payload, as a crash between write and
-        // rename cannot (rename is atomic) but a torn disk can.
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, &text[..text.len() - 4]).unwrap();
-        assert_eq!(store.get("deadbeef"), None, "corruption must read as a miss");
-        assert_eq!(store.stats().corrupt, 1);
-        assert!(!path.exists(), "corrupt entry must be evicted from disk");
-        // Recompute-and-store works again.
-        store.put("deadbeef", "the-truth").unwrap();
-        assert_eq!(store.get("deadbeef").as_deref(), Some("the-truth"));
+        // Truncated mid-payload, as a crash between write and rename
+        // cannot (rename is atomic) but a torn disk can; and one high bit
+        // flipped, so that the entry is not UTF-8 any more.
+        let damages: [fn(&mut Vec<u8>); 2] =
+            [|bytes| bytes.truncate(bytes.len() - 4), |bytes| *bytes.last_mut().unwrap() ^= 0x80];
+        for (i, damage) in damages.into_iter().enumerate() {
+            let store = DiskStore::open(scratch(&format!("corrupt-{i}"))).unwrap();
+            store.put("deadbeef", "the-truth").unwrap();
+            let path = store.entry_path("deadbeef");
+            let mut bytes = std::fs::read(&path).unwrap();
+            damage(&mut bytes);
+            std::fs::write(&path, &bytes).unwrap();
+            assert_eq!(store.get("deadbeef"), None, "corruption must read as a miss");
+            let s = store.stats();
+            assert_eq!((s.corrupt, s.io_errors, s.misses), (1, 0, 1), "damage {i}");
+            assert!(!path.exists(), "corrupt entry must be evicted from disk");
+            // Recompute-and-store works again.
+            store.put("deadbeef", "the-truth").unwrap();
+            assert_eq!(store.get("deadbeef").as_deref(), Some("the-truth"));
+        }
     }
 
     #[test]

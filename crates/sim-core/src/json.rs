@@ -20,6 +20,9 @@
 //! same in reverse and writes keys and numbers straight into its output,
 //! spelling an integral number below 2^53 with integer formatting (the
 //! text `{n}` gives it, without the shortest-float search).
+//! The reader likewise accumulates a number token of at most 15 digits, no
+//! fraction and no exponent as an integer, and hands every other token to
+//! `str::parse::<f64>`.
 //! The parser recurses once per array or object level and accepts at most
 //! 128 of them, so a hostile line of brackets is an error at its offset,
 //! not a stack overflow.
@@ -638,10 +641,30 @@ impl Parser<'_> {
         Ok(c)
     }
 
+    /// Reads a number. A token that is an optional `-` and 1–15 digits
+    /// with no fraction or exponent is accumulated as an integer while it
+    /// is scanned: below 10^15 < 2^53 every such value is an `f64`, so this
+    /// is the value `str::parse::<f64>` gives, `-0` and leading zeros
+    /// included, without its general decimal algorithm. Every other token
+    /// goes to `str::parse::<f64>`.
     fn number(&mut self) -> Result<Json, JsonError> {
+        let bytes = self.text.as_bytes();
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+        let negative = bytes.get(start) == Some(&b'-');
+        let digits = start + usize::from(negative);
+        let mut end = digits;
+        let mut n = 0u64;
+        while let Some(&b) = bytes.get(end).filter(|b| b.is_ascii_digit()) {
+            // Wrapping: past 15 digits the value is not used.
+            n = n.wrapping_mul(10).wrapping_add(u64::from(b - b'0'));
+            end += 1;
+        }
+        self.pos = end;
+        if (1..=15).contains(&(end - digits))
+            && !matches!(self.peek(), Some(b'.' | b'e' | b'E' | b'+' | b'-'))
+        {
+            let n = n as f64;
+            return Ok(Json::Num(if negative { -n } else { n }));
         }
         while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
         {
@@ -1005,6 +1028,63 @@ mod tests {
             assert_eq!(Json::Num(n).render(), format!("{n}"), "{n:e}");
         }
         assert_eq!(Json::Num(-0.0).render(), "-0", "-0.0 keeps its sign");
+    }
+
+    #[test]
+    fn integer_tokens_read_bit_for_bit_like_the_float_parser() {
+        let mut rng = Xoshiro256::seed_from(0x1D16);
+        let mut tokens: Vec<String> = [
+            "0",
+            "-0",
+            "00",
+            "-00",
+            "007",
+            "-0007",
+            "000000000000000",
+            "999999999999999",
+            "-999999999999999",
+            "1000000000000000",
+            "9007199254740991",
+            "9007199254740992",
+            "9007199254740993",
+            "18446744073709551615",
+            "18446744073709551616",
+            "99999999999999999999",
+            "-",
+            "--1",
+            "1-",
+            "1e5",
+            "1.0",
+        ]
+        .map(String::from)
+        .to_vec();
+        for _ in 0..20_000 {
+            let len = 1 + rng.gen_range(20) as usize;
+            let digits: String =
+                (0..len).map(|_| char::from(b'0' + rng.gen_range(10) as u8)).collect();
+            let sign = if rng.gen_bool(0.5) { "-" } else { "" };
+            tokens.push(format!("{sign}{digits}"));
+        }
+        for token in &tokens {
+            let parsed = Json::parse(token).map(|v| match v {
+                Json::Num(n) => n.to_bits(),
+                other => panic!("{token:?} read as {other:?}"),
+            });
+            match token.parse::<f64>() {
+                Ok(n) => assert_eq!(parsed, Ok(n.to_bits()), "{token:?}"),
+                Err(_) => assert!(parsed.is_err(), "{token:?}"),
+            }
+        }
+        assert_eq!(Json::parse("-0").map(|v| v.render()).as_deref(), Ok("-0"), "-0 keeps its sign");
+    }
+
+    #[test]
+    fn the_fuzz_corpus_renders_back_to_its_own_bytes() {
+        for seed in [1, 2, 3, 0xF022] {
+            for doc in fuzz_seeds(&mut Xoshiro256::seed_from(seed)) {
+                assert_eq!(Json::parse(&doc).map(|v| v.render()), Ok(doc));
+            }
+        }
     }
 
     #[test]

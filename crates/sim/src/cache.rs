@@ -55,9 +55,12 @@
 //! module keeps the tree-building descriptor as an oracle and holds both
 //! paths to it byte for byte over a seeded, shuffled matrix.
 //!
-//! Each entry embeds its descriptor and the reader compares it
-//! byte-for-byte, so even a hash collision cannot alias results; a
-//! mismatched or undecodable entry is evicted and recomputed, never
+//! Each entry embeds its descriptor, so even a hash collision cannot alias
+//! results. An entry is the layout `{"epoch":E,"descriptor":D,"<field>":P}`
+//! written by concatenation, and the reader checks it as bytes: everything
+//! before the payload `P` must equal the envelope the key renders to,
+//! descriptor included, and only `P` is parsed and decoded. A mismatched,
+//! non-canonical or undecodable entry is evicted and recomputed, never
 //! returned.
 //!
 //! [`RunStats`]: crate::RunStats
@@ -298,12 +301,30 @@ impl CellKeys {
 // payload's exact [`JsonCodec`] form instead — every field of
 // `ExperimentResult`, telemetry traces included, decodes into an equal
 // value that re-renders byte-identically — inside the envelope that makes
-// serving it sound.
+// serving it sound. The envelope is compared as bytes, never parsed: the
+// writer renders it the one way the reader expects, and a checksummed
+// entry holding anything else (another descriptor or epoch, reordered
+// members, added whitespace) is not one this writer made.
 
-/// Reads the payload stored for `key`: served only when the entry parses,
-/// carries `epoch`, embeds a descriptor byte-identical to the key's, and
-/// holds a `field` member that decodes as `R`. Anything less is evicted
-/// and read as a miss.
+/// The bytes an entry holds before its payload:
+/// `{"epoch":E,"descriptor":D,"<field>":`.
+fn envelope(key: &CellKey, epoch: &Json, field: &str) -> String {
+    let mut out = String::with_capacity(32 + key.descriptor.len() + field.len());
+    out.push_str("{\"epoch\":");
+    epoch.render_into(&mut out);
+    out.push_str(",\"descriptor\":");
+    out.push_str(&key.descriptor);
+    out.push(',');
+    write_str(field, &mut out);
+    out.push(':');
+    out
+}
+
+/// Reads the payload stored for `key`: served only when the entry starts
+/// with the envelope `key`, `epoch` and `field` render to (so it embeds a
+/// descriptor byte-identical to the key's), ends in `}`, and the text
+/// between parses and decodes as `R`. Anything less is evicted and read as
+/// a miss.
 pub fn lookup_entry<R: JsonCodec>(
     store: &DiskStore,
     key: &CellKey,
@@ -311,19 +332,18 @@ pub fn lookup_entry<R: JsonCodec>(
     field: &str,
 ) -> Option<R> {
     let text = store.get(&key.key)?;
-    let payload = Json::parse(&text).ok().and_then(|entry| {
-        if entry.get("epoch")? != epoch || entry.get("descriptor")?.render() != key.descriptor {
-            return None;
-        }
-        entry.field(field).ok()
-    });
+    let payload = text
+        .strip_prefix(envelope(key, epoch, field).as_str())
+        .and_then(|rest| rest.strip_suffix('}'))
+        .and_then(|payload| R::decode(&Json::parse(payload).ok()?).ok());
     if payload.is_none() {
         store.evict(&key.key);
     }
     payload
 }
 
-/// Writes the entry [`lookup_entry`] reads: `{epoch, descriptor, <field>}`.
+/// Writes the entry [`lookup_entry`] reads:
+/// `{"epoch":E,"descriptor":D,"<field>":P}`.
 pub fn save_entry<R: JsonCodec>(
     store: &DiskStore,
     key: &CellKey,
@@ -331,10 +351,10 @@ pub fn save_entry<R: JsonCodec>(
     field: &'static str,
     payload: &R,
 ) -> std::io::Result<()> {
-    let descriptor = Json::parse(&key.descriptor).expect("descriptors are rendered canonical JSON");
-    let entry =
-        Json::obj([("epoch", epoch), ("descriptor", descriptor), (field, payload.encode())]);
-    store.put(&key.key, &entry.render())
+    let mut entry = envelope(key, &epoch, field);
+    payload.encode().render_into(&mut entry);
+    entry.push('}');
+    store.put(&key.key, &entry)
 }
 
 // ---------------------------------------------------------------------------
@@ -687,7 +707,7 @@ mod tests {
             assert_eq!(expected.is_none(), e.custom_attack.is_some() && id.is_none(), "{}", what());
             if let Some(k) = expected {
                 let reparsed = Json::parse(&k.descriptor).expect("descriptors parse");
-                assert_eq!(reparsed.render(), k.descriptor, "lookup_entry compares re-rendered");
+                assert_eq!(reparsed.render(), k.descriptor, "the tree-built entry re-renders it");
                 cacheable += 1;
             }
         }
@@ -869,6 +889,228 @@ mod tests {
                 reference,
                 telemetry: rng.gen_bool(0.5).then_some(telemetry),
             });
+        }
+    }
+
+    /// The entry writer as it was before [`save_entry`] concatenated the
+    /// envelope, kept verbatim (minus the store write): the descriptor
+    /// parsed back into a tree and the whole entry rendered.
+    fn tree_built_entry<R: JsonCodec>(
+        key: &CellKey,
+        epoch: Json,
+        field: &'static str,
+        payload: &R,
+    ) -> String {
+        let descriptor =
+            Json::parse(&key.descriptor).expect("descriptors are rendered canonical JSON");
+        let entry =
+            Json::obj([("epoch", epoch), ("descriptor", descriptor), (field, payload.encode())]);
+        entry.render()
+    }
+
+    /// One simulated cell with every recorder on, shared by the entry tests.
+    fn real_cell() -> &'static (Experiment, ExperimentResult) {
+        static CELL: std::sync::OnceLock<(Experiment, ExperimentResult)> =
+            std::sync::OnceLock::new();
+        CELL.get_or_init(|| {
+            let mut e = tiny();
+            e.telemetry = crate::experiment::TelemetrySpec::all_recorders(2.0);
+            e.telemetry.oracle = true;
+            (e.clone(), e.run())
+        })
+    }
+
+    /// The envelope the verdict store writes: a string epoch, field
+    /// `"verdict"`.
+    fn verdict_epoch() -> Json {
+        Json::str("attackpipe-epoch2")
+    }
+
+    /// Holds [`save_entry`] to [`tree_built_entry`] byte for byte, and
+    /// [`lookup_entry`] to serving what the tree-built writer wrote.
+    fn same_entry<R: JsonCodec + PartialEq + std::fmt::Debug>(
+        store: &DiskStore,
+        key: &CellKey,
+        epoch: Json,
+        field: &'static str,
+        payload: &R,
+        what: &str,
+    ) {
+        let oracle = tree_built_entry(key, epoch.clone(), field, payload);
+        save_entry(store, key, epoch.clone(), field, payload).unwrap();
+        assert_eq!(store.get(&key.key).as_ref(), Some(&oracle), "{what}: {field}");
+        store.put(&key.key, &oracle).unwrap();
+        assert_eq!(lookup_entry(store, key, &epoch, field).as_ref(), Some(payload), "{what}");
+    }
+
+    #[test]
+    fn concatenated_entries_match_the_tree_built_writer() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut files: Vec<_> = std::fs::read_dir(root.join("examples/specs"))
+            .expect("examples/specs")
+            .map(|entry| entry.expect("spec dir entry").path())
+            .filter(|p| p.extension().is_some_and(|ext| ext == "toml"))
+            .collect();
+        files.sort();
+        files.push(root.join("benchmark/specs/campaign.toml"));
+        let store = DiskStore::open(scratch("tree-oracle")).unwrap();
+        let (_, real) = real_cell();
+        let mut cells = 0;
+        for file in &files {
+            let text = std::fs::read_to_string(file).expect("read spec");
+            let spec = SweepSpec::from_toml_str(&text).expect("spec parses");
+            for (e, key) in spec.expand_keyed().expect("spec expands") {
+                let key = key.expect("shipped cells are cacheable");
+                let result = ExperimentResult {
+                    workload: e.workload.clone(),
+                    attack_name: format!("{:?}", e.attack),
+                    ..real.clone()
+                };
+                let verdict = (e.cfg.nrh, e.cfg.seed.to_string());
+                let what = format!("{}: {}", file.display(), key.key);
+                same_entry(&store, &key, CACHE_EPOCH.encode(), "result", &result, &what);
+                same_entry(&store, &key, verdict_epoch(), "verdict", &verdict, &what);
+                cells += 1;
+            }
+        }
+        assert_eq!(cells, 74, "every shipped cell");
+        assert_eq!(store.stats().corrupt, 0);
+    }
+
+    /// Stores `entry` under `key` with a valid checksum and reports whether
+    /// [`RunCache::lookup`] served it; a miss must also have evicted it.
+    fn served(cache: &RunCache, key: &CellKey, entry: &str) -> bool {
+        cache.store().put(&key.key, entry).unwrap();
+        let hit = cache.lookup(key).is_some();
+        assert_eq!(cache.store().entry_path(&key.key).exists(), hit, "a miss evicts");
+        hit
+    }
+
+    #[test]
+    fn forged_and_non_canonical_entries_are_misses_and_evicted() {
+        let (e, result) = real_cell();
+        let cache = RunCache::open(scratch("forged")).unwrap();
+        let key = cell_key(e).unwrap();
+        let mut other = e.clone();
+        other.cfg.nrh += 1;
+        let other = cell_key(&other).unwrap();
+        cache.save(&other, result);
+        let foreign = cache.store().get(&other.key).unwrap();
+        cache.save(&key, result);
+        let entry = cache.store().get(&key.key).unwrap();
+        assert!(served(&cache, &key, &entry), "the canonical entry is served");
+
+        // A forged collision: a valid envelope and epoch under this key,
+        // holding another cell's descriptor.
+        assert!(!served(&cache, &key, &foreign), "another cell's descriptor");
+        // Checksummed entries this writer never makes: the tree-built
+        // reader served all but the wrong field, the byte-level one none.
+        let payload = result.encode().render();
+        let epoch = format!("{CACHE_EPOCH}");
+        let d = &key.descriptor;
+        for (what, forged) in [
+            (
+                "whitespace",
+                format!("{{ \"epoch\": {epoch}, \"descriptor\": {d}, \"result\": {payload} }}"),
+            ),
+            ("trailing space", format!("{entry} ")),
+            ("leading space", format!(" {entry}")),
+            ("reordered", format!("{{\"descriptor\":{d},\"epoch\":{epoch},\"result\":{payload}}}")),
+            (
+                "payload first",
+                format!("{{\"result\":{payload},\"epoch\":{epoch},\"descriptor\":{d}}}"),
+            ),
+            (
+                "epoch spelled 1.0",
+                entry.replacen(&format!(":{epoch},"), &format!(":{epoch}.0,"), 1),
+            ),
+            ("extra member", format!("{},\"extra\":1}}", &entry[..entry.len() - 1])),
+            ("wrong field", entry.replacen("\"result\":", "\"verdict\":", 1)),
+        ] {
+            assert_ne!(forged, entry, "{what}");
+            assert!(Json::parse(&forged).is_ok(), "{what}: still JSON");
+            assert!(!served(&cache, &key, &forged), "{what}");
+        }
+        assert!(served(&cache, &key, &entry), "the canonical entry is served again");
+    }
+
+    /// One seeded byte edit at a drawn offset — flip one bit (the high
+    /// bits included), truncate there, or insert a byte there — returning
+    /// the offset: every byte before it is unchanged.
+    fn mutate_bytes(bytes: &mut Vec<u8>, rng: &mut sim_core::rng::Xoshiro256) -> usize {
+        let at = rng.gen_range(bytes.len() as u64) as usize;
+        match rng.gen_range(3) {
+            0 => bytes[at] ^= 1 << rng.gen_range(8),
+            1 => bytes.truncate(at),
+            _ => bytes.insert(at, rng.next_u64() as u8),
+        }
+        at
+    }
+
+    /// `rounds` single-edit mutants of one real entry, each either as it is
+    /// on disk (header and checksum included) or re-checksummed after an
+    /// edit of the entry text. A raw mutant is a miss or the exact result;
+    /// a re-checksummed mutant is a miss whenever the edit lands before the
+    /// payload, and otherwise a miss or whatever the payload decodes to;
+    /// every miss evicts. Returns (edits before the payload, payload
+    /// mutants served).
+    fn fuzz_entries(seed: u64, rounds: usize) -> (usize, usize) {
+        let mut rng = sim_core::rng::Xoshiro256::seed_from(seed);
+        let (e, result) = real_cell();
+        let cache = RunCache::open(scratch(&format!("fuzz-{seed}"))).unwrap();
+        let key = cell_key(e).unwrap();
+        let path = cache.store().entry_path(&key.key);
+        cache.save(&key, result);
+        let file = std::fs::read(&path).unwrap();
+        let entry = cache.store().get(&key.key).unwrap();
+        let payload_at = envelope(&key, &CACHE_EPOCH.encode(), "result").len();
+        let (mut before, mut decoded) = (0, 0);
+        for _ in 0..rounds {
+            if rng.gen_bool(0.3) {
+                let mut bytes = file.clone();
+                mutate_bytes(&mut bytes, &mut rng);
+                std::fs::write(&path, &bytes).unwrap();
+                match cache.lookup(&key) {
+                    Some(served) => assert_eq!(&served, result, "a raw mutant serves the truth"),
+                    None => assert!(!path.exists(), "a miss evicts"),
+                }
+            } else {
+                let mut bytes = entry.as_bytes().to_vec();
+                let at = mutate_bytes(&mut bytes, &mut rng);
+                let checksum = sim_core::cache::checksum64(&bytes);
+                // `DiskStore`'s header, written by hand: the entry may not
+                // be UTF-8 any more.
+                let mut sealed =
+                    format!("dapper-cache1 {checksum:016x} {}\n", bytes.len()).into_bytes();
+                sealed.extend_from_slice(&bytes);
+                std::fs::write(&path, &sealed).unwrap();
+                let served = cache.lookup(&key);
+                assert_eq!(path.exists(), served.is_some(), "a miss evicts");
+                if at < payload_at {
+                    assert!(served.is_none(), "an edit at {at} < {payload_at} is a miss");
+                    before += 1;
+                } else if served.is_some() {
+                    decoded += 1;
+                }
+            }
+        }
+        (before, decoded)
+    }
+
+    #[test]
+    fn mutated_entries_are_misses_or_decode() {
+        let (before, decoded) = [1, 2, 0xE47]
+            .map(|seed| fuzz_entries(seed, 150))
+            .into_iter()
+            .fold((0, 0), |(b, d), (before, decoded)| (b + before, d + decoded));
+        assert!(before > 0 && decoded > 0, "{before} envelope edits, {decoded} decoded");
+    }
+
+    #[test]
+    #[ignore = "long entry fuzz; run with --ignored (CI campaignd-smoke)"]
+    fn mutated_entries_are_misses_or_decode_long_sweep() {
+        for seed in 0..100 {
+            fuzz_entries(seed, 500);
         }
     }
 

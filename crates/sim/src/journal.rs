@@ -104,12 +104,11 @@ impl SweepJournal {
         // Seal a torn tail (kill -9 mid-append): if the last line never
         // got its newline, terminate it now so fresh records start on
         // their own line. The sealed fragment then fails its checksum on
-        // load and is skipped — it can never swallow a good record.
-        if let Ok(text) = std::fs::read_to_string(&path) {
-            if !text.is_empty() && !text.ends_with('\n') {
-                file.write_all(b"\n")?;
-                file.sync_data()?;
-            }
+        // load and is skipped — it can never swallow a good record. Only
+        // the file's last byte is read.
+        if last_byte(&path).is_some_and(|b| b != b'\n') {
+            file.write_all(b"\n")?;
+            file.sync_data()?;
         }
         Ok(SweepJournal { path, file: Mutex::new(file) })
     }
@@ -166,15 +165,19 @@ impl SweepJournal {
     }
 
     /// Replays the journal from disk into a [`JournalState`], skipping
-    /// (and counting) damaged lines.
+    /// (and counting) damaged lines. The file is read as bytes: a line that
+    /// is not UTF-8 is one damaged line, not a failed load.
     pub fn load(&self) -> std::io::Result<JournalState> {
         let mut state = JournalState::default();
-        let text = match std::fs::read_to_string(&self.path) {
-            Ok(text) => text,
+        let bytes = match std::fs::read(&self.path) {
+            Ok(bytes) => bytes,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(state),
             Err(e) => return Err(e),
         };
-        for line in text.lines() {
+        // Bytes that are not UTF-8 read as U+FFFD, never as a line break,
+        // so they stay on their own line, which then fails its checksum:
+        // the writer checksummed other bytes there.
+        for line in String::from_utf8_lossy(&bytes).lines() {
             if line.is_empty() {
                 continue;
             }
@@ -188,6 +191,17 @@ impl SweepJournal {
         }
         Ok(state)
     }
+}
+
+/// The last byte of the file at `path`; `None` when it is empty or cannot
+/// be read.
+fn last_byte(path: &Path) -> Option<u8> {
+    use std::io::{Read, Seek, SeekFrom};
+    let mut file = std::fs::File::open(path).ok()?;
+    file.seek(SeekFrom::End(-1)).ok()?;
+    let mut byte = [0];
+    file.read_exact(&mut byte).ok()?;
+    Some(byte[0])
 }
 
 /// Verifies one journal line's magic + checksum, returning the payload.
@@ -321,27 +335,34 @@ mod tests {
 
     #[test]
     fn torn_tail_is_skipped_not_fatal() {
-        let path = scratch("torn");
-        let j = SweepJournal::open(&path).unwrap();
-        let spec = tiny_spec();
-        let hash = SweepJournal::sweep_hash(&spec);
-        j.record_start(&hash, &spec.to_json().render(), 3).unwrap();
-        j.record_cell(&hash, "cccc").unwrap();
-        drop(j);
-        // Simulate kill -9 mid-append: a half-written record at the tail.
-        let mut text = std::fs::read_to_string(&path).unwrap();
-        text.push_str("dapper-journal1 0123456789abcdef cell ");
-        std::fs::write(&path, &text).unwrap();
-        let j = SweepJournal::open(&path).unwrap();
-        let state = j.load().unwrap();
-        assert_eq!(state.damaged_lines, 1, "the torn line is counted, not fatal");
-        let p = state.progress(&hash).unwrap();
-        assert_eq!(p.completed, BTreeSet::from(["cccc".to_string()]));
-        // And appending after the torn tail keeps working: the journal
-        // only ever appends whole lines, so a fresh record follows the
-        // damage and still parses.
-        j.record_cell(&hash, "dddd").unwrap();
-        assert_eq!(j.load().unwrap().progress(&hash).unwrap().completed.len(), 2);
+        // Simulate kill -9 mid-append: a half-written record at the tail,
+        // cut after a space or inside a multi-byte character.
+        let tails: [&[u8]; 2] =
+            [b"dapper-journal1 0123456789abcdef cell ", b"dapper-journal1 \xc3"];
+        for (i, tail) in tails.into_iter().enumerate() {
+            let path = scratch(&format!("torn-{i}"));
+            let j = SweepJournal::open(&path).unwrap();
+            let spec = tiny_spec();
+            let hash = SweepJournal::sweep_hash(&spec);
+            j.record_start(&hash, &spec.to_json().render(), 3).unwrap();
+            j.record_cell(&hash, "cccc").unwrap();
+            drop(j);
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes.extend_from_slice(tail);
+            std::fs::write(&path, &bytes).unwrap();
+            let j = SweepJournal::open(&path).unwrap();
+            let state = j.load().unwrap();
+            assert_eq!(state.damaged_lines, 1, "the torn line is counted, not fatal");
+            let p = state.progress(&hash).unwrap();
+            assert_eq!(p.completed, BTreeSet::from(["cccc".to_string()]));
+            // And appending after the torn tail keeps working: the journal
+            // only ever appends whole lines, so a fresh record follows the
+            // damage and still parses.
+            j.record_cell(&hash, "dddd").unwrap();
+            let state = j.load().unwrap();
+            assert_eq!(state.progress(&hash).unwrap().completed.len(), 2);
+            assert_eq!(state.damaged_lines, 1, "the sealed tail, and nothing else");
+        }
     }
 
     #[test]
@@ -353,6 +374,121 @@ mod tests {
         let state = j.load().unwrap();
         assert_eq!(state.damaged_lines, 1);
         assert_eq!(state.sweeps().count(), 0);
+    }
+
+    /// A journal of one sweep: its `start` record, `cells` cell records and
+    /// an `end` record. Returns the file's lines and the sweep hash.
+    fn written(path: &Path, cells: usize) -> (Vec<Vec<u8>>, String) {
+        let j = SweepJournal::open(path).unwrap();
+        let spec = tiny_spec();
+        let hash = SweepJournal::sweep_hash(&spec);
+        j.record_start(&hash, &spec.to_json().render(), cells as u64).unwrap();
+        for i in 0..cells {
+            j.record_cell(&hash, &format!("{i:032x}")).unwrap();
+        }
+        j.record_end(&hash).unwrap();
+        let bytes = std::fs::read(path).unwrap();
+        (bytes.split_inclusive(|&b| b == b'\n').map(<[u8]>::to_vec).collect(), hash)
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_is_one_damaged_line() {
+        let path = scratch("not-utf8");
+        let (mut lines, hash) = written(&path, 2);
+        // One high bit flipped inside the first (`start`) record.
+        lines[0][30] ^= 0x80;
+        std::fs::write(&path, lines.concat()).unwrap();
+        let state = SweepJournal::open(&path).unwrap().load().unwrap();
+        assert_eq!(state.damaged_lines, 1);
+        let p = state.progress(&hash).expect("the cell records name the sweep");
+        assert_eq!(p.completed.len(), 2, "both cell records survive");
+        assert!(p.ended && p.spec_json.is_none());
+    }
+
+    /// Damages `k` drawn lines of a written journal with one edit each that
+    /// can never leave a line whole (a high-bit flip, a cut that keeps at
+    /// least one byte, a byte flip or insertion in the checksummed payload
+    /// that makes no line break), and sometimes tears the final newline.
+    /// The load must count exactly `k` damaged lines and keep every other
+    /// record. Returns how many lines were damaged.
+    fn fuzz_journal(seed: u64, rounds: usize) -> usize {
+        let mut rng = sim_core::rng::Xoshiro256::seed_from(seed);
+        let path = scratch(&format!("fuzz-{seed}"));
+        let (pristine, hash) = written(&path, 6);
+        // Where a line's checksummed payload starts.
+        let payload_at = MAGIC.len() + 1 + 16 + 1;
+        let mut damaged = 0;
+        for _ in 0..rounds {
+            let mut lines = pristine.clone();
+            let mut hit = vec![false; lines.len()];
+            for _ in 0..rng.gen_range(lines.len() as u64 + 1) {
+                let i = rng.gen_range(lines.len() as u64) as usize;
+                if hit[i] {
+                    continue;
+                }
+                hit[i] = true;
+                let line = &mut lines[i];
+                let body = line.len() - 1;
+                match rng.gen_range(4) {
+                    0 => line[rng.gen_range(body as u64) as usize] ^= 0x80,
+                    1 => {
+                        line.truncate(1 + rng.gen_range(body as u64 - 1) as usize);
+                        line.push(b'\n');
+                    }
+                    2 => {
+                        let at = payload_at + rng.gen_range((body - payload_at) as u64) as usize;
+                        let flipped = line[at] ^ (1 << rng.gen_range(8));
+                        line[at] = if matches!(flipped, b'\n' | b'\r') {
+                            line[at] ^ 0x80
+                        } else {
+                            flipped
+                        };
+                    }
+                    _ => {
+                        let at = payload_at + rng.gen_range((body - payload_at) as u64) as usize;
+                        let byte = rng.next_u64() as u8;
+                        line.insert(at, if byte == b'\n' { b' ' } else { byte });
+                    }
+                }
+            }
+            let mut bytes = lines.concat();
+            let torn = rng.gen_bool(0.3);
+            if torn {
+                bytes.pop();
+            }
+            std::fs::write(&path, &bytes).unwrap();
+            let state = SweepJournal::open(&path).unwrap().load().unwrap();
+            let k = hit.iter().filter(|&&h| h).count();
+            assert_eq!(state.damaged_lines as usize, k, "seed {seed}: {hit:?}");
+            damaged += k;
+            let p = state.progress(&hash);
+            let kept = |i: usize| !hit[i];
+            let (start, end) = (0, lines.len() - 1);
+            let cells: BTreeSet<String> =
+                (1..end).filter(|&i| kept(i)).map(|i| format!("{:032x}", i - 1)).collect();
+            assert_eq!(p.map(|p| p.completed.clone()).unwrap_or_default(), cells);
+            assert_eq!(p.is_some_and(|p| p.spec_json.is_some()), kept(start));
+            assert_eq!(p.is_some_and(|p| p.ended), kept(end));
+            // A torn final newline was sealed: the next record stands alone.
+            if torn {
+                assert_eq!(std::fs::read(&path).unwrap().last(), Some(&b'\n'));
+            }
+        }
+        damaged
+    }
+
+    #[test]
+    fn mutated_journals_keep_every_undamaged_record() {
+        let damaged: usize = [1, 2, 0x10C].map(|seed| fuzz_journal(seed, 60)).iter().sum();
+        assert!(damaged > 0);
+    }
+
+    #[test]
+    #[ignore = "long journal fuzz; run with --ignored (CI campaignd-smoke)"]
+    fn mutated_journals_keep_every_undamaged_record_long_sweep() {
+        for seed in 0..100 {
+            fuzz_journal(seed, 200);
+        }
     }
 
     #[test]

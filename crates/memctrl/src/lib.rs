@@ -1265,11 +1265,6 @@ impl ChannelController {
         sched::at_least_next_cycle(t, now)
     }
 
-    /// Pending mitigation work (aggressors + sweeps) — used by tests.
-    pub fn pending_mitigations(&self) -> usize {
-        self.mit_q_len + self.sweep_q.len()
-    }
-
     /// The next command-granularity decision point, which is this
     /// channel's **due cycle**: a lower bound `>= now` on the first cycle
     /// at which [`ChannelController::tick`] could have an observable effect

@@ -25,7 +25,6 @@
 
 use std::sync::OnceLock;
 
-use crate::pattern::PatternTrace;
 use crate::scenario::ScenarioSpec;
 use sim::cache::cell_key_with_attack_id;
 use sim::exec::{Executor, PayloadCache};
@@ -87,7 +86,7 @@ impl Arena {
     pub fn experiment(&self, tracker: &TrackerSel, spec: &ScenarioSpec) -> Experiment {
         let genome = spec.clone();
         let custom = CustomAttack::new(&spec.name(), spec.bypasses_llc(), move |geom, seed| {
-            Box::new(PatternTrace(genome.build(geom, seed)))
+            genome.build(geom, seed)
         });
         let windows = if self.probing { PROBE_WINDOWS } else { TRACE_WINDOWS };
         let mut e = Experiment::new(&self.workload)

@@ -2,9 +2,9 @@
 //!
 //! The hammer stage never sees the geometry. It turns a
 //! [`Belief`] — possibly wrong, possibly empty —
-//! into a concrete aggressor set and drives it through the
-//! [`PatternGen`] engine, so mapping errors blunt the attack
-//! exactly as they would on hardware:
+//! into a concrete set of physical addresses and round-robins it with
+//! [`HammerRows`], so mapping errors blunt the attack exactly as they
+//! would on hardware:
 //!
 //! * a **correct** row stride yields a classic double-sided pattern —
 //!   aggressors at every second believed-adjacent row, victims between,
@@ -13,12 +13,11 @@
 //! * **no** stride (blind, or inconclusive recon) falls back to random
 //!   line addresses — near-zero per-row pressure by construction.
 
-use cpu::TraceEntry;
 use sim::{AttackerConfig, CustomAttack};
 use sim_core::addr::PhysAddr;
 use sim_core::rng::Xoshiro256;
+use workloads::HammerRows;
 
-use crate::pattern::{PatternGen, PatternTrace};
 use crate::recon::Belief;
 
 /// Aggressor pairs on each side of the double-sided ladder: with
@@ -28,42 +27,6 @@ pub(crate) const PAIRS: usize = 6;
 
 /// Addresses the blind fallback spreads its accesses over.
 const BLIND_ADDRS: usize = 16;
-
-/// Round-robins a fixed physical-address set — the one primitive the
-/// attacker can drive without knowing what the addresses decode to.
-/// (The [`crate::pattern`] primitives all speak [`sim_core::addr::DramAddr`];
-/// an attacker without the mapping cannot.)
-#[derive(Debug, Clone)]
-struct PhysRoundRobin {
-    addrs: Vec<PhysAddr>,
-    bubbles: u32,
-    next: usize,
-}
-
-impl PhysRoundRobin {
-    /// Cycles the given addresses with `bubbles` compute instructions
-    /// between accesses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addrs` is empty.
-    fn new(addrs: Vec<PhysAddr>, bubbles: u32) -> Self {
-        assert!(!addrs.is_empty(), "hammer address set must be non-empty");
-        Self { addrs, bubbles, next: 0 }
-    }
-}
-
-impl PatternGen for PhysRoundRobin {
-    fn next_access(&mut self) -> TraceEntry {
-        let addr = self.addrs[self.next];
-        self.next = (self.next + 1) % self.addrs.len();
-        TraceEntry { bubbles: self.bubbles, addr, is_write: false }
-    }
-
-    fn describe(&self) -> String {
-        format!("phys-rr({}addrs b{})", self.addrs.len(), self.bubbles)
-    }
-}
 
 /// A compiled hammer: the aggressor addresses the attacker will cycle.
 #[derive(Debug, Clone)]
@@ -116,9 +79,7 @@ impl HammerPlan {
     /// on every system construction.
     pub(crate) fn custom_attack(&self) -> CustomAttack {
         let addrs = self.aggressors.clone();
-        CustomAttack::new(&self.name, true, move |_, _| {
-            Box::new(PatternTrace(Box::new(PhysRoundRobin::new(addrs.clone(), 0))))
-        })
+        CustomAttack::new(&self.name, true, move |_, _| Box::new(HammerRows::new(addrs.clone())))
     }
 }
 
@@ -152,15 +113,6 @@ mod tests {
         assert_eq!(plan.aggressors, again.aggressors, "seed-deterministic");
         assert!(plan.believed_stride.is_none());
         assert!(plan.aggressors.iter().all(|a| a.0 < (1 << 36) && a.0 % 64 == 0));
-    }
-
-    #[test]
-    fn round_robin_cycles_and_describes() {
-        let mut p = PhysRoundRobin::new(vec![PhysAddr(64), PhysAddr(128)], 3);
-        let seq: Vec<u64> = (0..5).map(|_| p.next_access().addr.0).collect();
-        assert_eq!(seq, vec![64, 128, 64, 128, 64]);
-        assert_eq!(p.next_access().bubbles, 3);
-        assert_eq!(p.describe(), "phys-rr(2addrs b3)");
     }
 
     #[test]

@@ -11,8 +11,8 @@ use sim_core::addr::Geometry;
 use sim_core::json::{DecodeError, Hex, Json, JsonCodec};
 
 use crate::arena::Arena;
-use crate::pattern::RESERVED_TOP_ROWS;
 use crate::scenario::{ScenarioSpec, Shape};
+use workloads::RESERVED_TOP_ROWS;
 
 /// The parametric probe families, one per non-baseline [`Shape`] kind.
 ///

@@ -6,10 +6,11 @@
 //! makes the attacker's knowledge of the DRAM mapping an experimental
 //! axis, and splits a campaign into cached stages. Its modules:
 //!
-//! * `pattern` and `scenario` — the genome (Swage's hammerer): composable,
-//!   seed-deterministic pattern primitives and combinators, and the
-//!   [`ScenarioSpec`] record that expands into them (every paper attack
-//!   among them, rebuilt bit-exactly) and mutates one gene at a time;
+//! * `pattern` and `scenario` — the genome (Swage's hammerer):
+//!   seed-deterministic combinators over the attack-stream primitives of
+//!   [`workloads::attacks`], and the [`ScenarioSpec`] record that expands
+//!   into them (a baseline genome is the paper's attack itself,
+//!   [`workloads::Attack::trace`]) and mutates one gene at a time;
 //! * `arena` and `search` — the one evaluation core ([`Arena`]: tracker
 //!   and genome → cacheable [`sim::Experiment`], one lazily simulated
 //!   shared reference, one batch call through [`sim::exec::Executor`],

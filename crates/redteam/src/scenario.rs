@@ -1,26 +1,24 @@
 //! Scenario specifications: the mutable genome of an attack.
 //!
 //! A [`ScenarioSpec`] is a small, plain-data parameter record that
-//! deterministically expands into a [`PatternGen`](crate::pattern::PatternGen) composition. The
+//! deterministically expands into an access stream composed from the
+//! [`workloads::attacks`] primitives and the [`crate::pattern`] combinators. The
 //! mutation operator perturbs one gene at a time (row-set size, bank
 //! spread, burst length, decoy fraction, feint phases, pacing bubbles),
 //! which is what [`crate::search`](mod@crate::search) hill-climbs over. Parameters are clamped
 //! to the geometry at build time, so any mutant is buildable.
 
-use crate::pattern::{
-    BoxPattern, Decoy, Feint, HammerRows, LineStream, RateLimit, RowSweep, SweepOrder,
-    RESERVED_TOP_ROWS,
-};
+use crate::pattern::{random_hammer_set, Burst, Decoy, Feint, RateLimit};
+use cpu::TraceSource;
 use sim_core::addr::Geometry;
 use sim_core::json::{DecodeError, Hex, Json, JsonCodec};
 use sim_core::rng::Xoshiro256;
-use workloads::Attack;
+use workloads::{Attack, LineStream, RowSweep, SweepOrder, RESERVED_TOP_ROWS};
 
 /// The base shape of a scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Shape {
-    /// One of the paper's hand-written attacks, rebuilt bit-exactly from
-    /// pattern primitives.
+    /// One of the paper's attacks, exactly as [`Attack::trace`] builds it.
     Baseline(Attack),
     /// A fixed aggressor set: `per_bank` seed-drawn rows in each of `banks`
     /// banks, hammered round-robin (optionally split into interleaved
@@ -135,58 +133,39 @@ impl ScenarioSpec {
         }
     }
 
-    /// Expands the spec into a pattern for one system instance. All
+    /// Expands the spec into an access stream for one system instance. All
     /// parameters are clamped to `geom`, so every spec builds.
-    pub(crate) fn build(&self, geom: Geometry, seed: u64) -> BoxPattern {
+    pub(crate) fn build(&self, geom: Geometry, seed: u64) -> Box<dyn TraceSource> {
         let seed = seed ^ self.seed_salt;
         let max_span = geom.rows_per_bank - RESERVED_TOP_ROWS;
         let max_banks = geom.banks_per_rank();
-        let mut p: BoxPattern = match self.shape {
-            // Every hand-written attack of the paper is a composition of
-            // pattern primitives emitting the same access stream, entry
-            // for entry, as the legacy `workloads::AttackTrace` — which is
-            // what lets the search seed itself with the paper's tailored
-            // attacks and then mutate beyond them.
-            Shape::Baseline(Attack::CacheThrash) => Box::new(LineStream::paper_thrash()),
-            Shape::Baseline(Attack::StartStream | Attack::Streaming) => {
-                Box::new(RowSweep::paper_streaming(geom))
-            }
-            Shape::Baseline(Attack::AbacusSpillover) => {
-                Box::new(RowSweep::new(geom, 0, max_banks, max_span, SweepOrder::Diagonal))
-            }
-            Shape::Baseline(
-                a @ (Attack::HydraRccThrash | Attack::CometRatOverflow | Attack::RefreshAttack),
-            ) => {
-                // The aggressor sets are seed-derived inside the legacy
-                // trace; reuse them verbatim so the composition replays
-                // identically.
-                Box::new(HammerRows::new(geom, a.trace(geom, seed).aggressor_rows().to_vec()))
-            }
+        let mut p: Box<dyn TraceSource> = match self.shape {
+            // The paper's attacks are built from the same primitives the
+            // other shapes use, which is what lets the search seed itself
+            // with the tailored attacks and then mutate beyond them.
+            Shape::Baseline(a) => a.trace(geom, seed),
             Shape::Hammer { banks, per_bank } => {
                 let banks = banks.clamp(1, max_banks);
                 let per_bank = per_bank.clamp(1, 1024);
                 let lanes = self.lanes.clamp(1, 8).min(per_bank);
                 if lanes > 1 {
-                    let children: Vec<BoxPattern> = (0..lanes)
+                    let per_lane = (per_bank / lanes).max(1);
+                    let children = (0..lanes)
                         .map(|lane| {
-                            Box::new(HammerRows::random_set(
-                                geom,
-                                banks,
-                                (per_bank / lanes).max(1),
-                                seed ^ (lane as u64) << 32,
-                            )) as BoxPattern
+                            let lane_seed = seed ^ (lane as u64) << 32;
+                            let set = random_hammer_set(geom, banks, per_lane, lane_seed);
+                            Box::new(set) as Box<dyn TraceSource>
                         })
                         .collect();
-                    Box::new(crate::pattern::Burst::new(children, self.burst.clamp(1, 4096)))
+                    Box::new(Burst::new(children, self.burst.clamp(1, 4096)))
                 } else {
-                    Box::new(HammerRows::random_set(geom, banks, per_bank, seed))
+                    Box::new(random_hammer_set(geom, banks, per_bank, seed))
                 }
             }
             Shape::Sweep { banks, stride, span } => {
                 let span = span.clamp(1, max_span);
                 Box::new(RowSweep::new(
                     geom,
-                    0,
                     banks.clamp(1, max_banks),
                     span,
                     SweepOrder::LineStride(stride.clamp(1, span)),
@@ -194,7 +173,6 @@ impl ScenarioSpec {
             }
             Shape::Diagonal { banks, span } => Box::new(RowSweep::new(
                 geom,
-                0,
                 banks.clamp(1, max_banks),
                 span.clamp(1, max_span),
                 SweepOrder::Diagonal,
@@ -207,7 +185,7 @@ impl ScenarioSpec {
             p = Box::new(Decoy::new(p, self.decoy_pct.min(100), geom, seed));
         }
         if let Some((on, off)) = self.feint {
-            let cover: BoxPattern = Box::new(LineStream::new(1 << 14, 0));
+            let cover = Box::new(LineStream::new(1 << 14, 0));
             p = Box::new(Feint::new(p, cover, on.max(1), off.max(1)));
         }
         if self.bubbles > 0 {
@@ -426,22 +404,6 @@ mod tests {
     }
 
     #[test]
-    fn every_attack_is_reproduced_entry_for_entry() {
-        use cpu::TraceSource;
-        for attack in Attack::all() {
-            for seed in [0xDA99E5u64, 1, 42] {
-                let mut legacy = attack.trace(geom(), seed);
-                let mut rebuilt = ScenarioSpec::baseline(attack).build(geom(), seed);
-                for i in 0..20_000 {
-                    let a = legacy.next_entry();
-                    let b = rebuilt.next_access();
-                    assert_eq!(a, b, "{attack} diverges at entry {i} (seed {seed:#x})");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn every_mutant_builds_and_replays_deterministically() {
         let mut rng = Xoshiro256::seed_from(0xA11A);
         let mut spec = ScenarioSpec::baseline(Attack::RefreshAttack);
@@ -450,7 +412,7 @@ mod tests {
             let mut a = spec.build(geom(), 3);
             let mut b = spec.build(geom(), 3);
             for _ in 0..200 {
-                assert_eq!(a.next_access(), b.next_access(), "gen {gen_idx}: {spec}");
+                assert_eq!(a.next_entry(), b.next_entry(), "gen {gen_idx}: {spec}");
             }
         }
     }
@@ -536,7 +498,7 @@ mod tests {
             let spec = ScenarioSpec::random(&mut rng);
             let mut p = spec.build(geom(), 1);
             for _ in 0..50 {
-                let _ = p.next_access();
+                let _ = p.next_entry();
             }
         }
     }

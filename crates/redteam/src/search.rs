@@ -2,7 +2,7 @@
 //!
 //! BlockHammer-style evaluation methodology says fixed attack patterns
 //! understate worst-case damage; this module *searches* for it. Starting
-//! from the paper's hand-written attacks (as [`Shape::Baseline`](crate::Shape), bit-exact)
+//! from the paper's attacks (as [`Shape::Baseline`](crate::Shape))
 //! plus a few random genomes, it hill-climbs [`ScenarioSpec`] mutations on
 //! **normalized slowdown** of the benign cores, evaluating each batch of
 //! mutants in parallel against one shared reference run. Everything is
@@ -251,8 +251,8 @@ pub(crate) fn search(
     let mut rng = Xoshiro256::seed_from(cfg.arena.seed ^ 0x5EA2C4);
 
     // Initial population: the attack the paper tailored to this tracker
-    // (bit-exact via compat — guarantees the search never reports worse
-    // than the hand-written pattern), the two mapping-agnostic attacks,
+    // (its own stream — guarantees the search never reports worse than
+    // the paper's pattern), the two mapping-agnostic attacks,
     // any warm-start priors, and random genomes to fill the first batch.
     let tailored_attack = workloads::Attack::tailored_for(cfg.tracker.name());
     let mut init: Vec<ScenarioSpec> = Vec::new();

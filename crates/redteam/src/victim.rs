@@ -20,7 +20,7 @@ use sim_core::addr::{DramAddr, Geometry, PhysAddr};
 use sim_core::rng::Xoshiro256;
 
 use crate::hammer::PAIRS;
-use crate::pattern::RESERVED_TOP_ROWS;
+use workloads::RESERVED_TOP_ROWS;
 
 /// Per-row HC threshold spread: thresholds are drawn uniformly from
 /// `N_RH x [LOW, LOW + SPAN)` — some cells flip at barely half the rated

@@ -728,7 +728,7 @@ impl Experiment {
                     *bypass_slot = custom.bypasses_llc();
                 } else {
                     let a = attack.expect("attacker slot implies attack");
-                    traces.push(Box::new(a.trace(self.cfg.geometry, self.cfg.seed)));
+                    traces.push(a.trace(self.cfg.geometry, self.cfg.seed));
                     *bypass_slot = a.bypasses_llc();
                 }
             } else {
@@ -1052,7 +1052,7 @@ mod tests {
         let custom = Experiment::quick("gcc_like")
             .tracker("dapper-s")
             .custom(CustomAttack::new("streaming-custom", true, |geom, seed| {
-                Box::new(Attack::Streaming.trace(geom, seed))
+                Attack::Streaming.trace(geom, seed)
             }))
             .window_us(100.0)
             .run();
@@ -1068,9 +1068,8 @@ mod tests {
 
     #[test]
     fn custom_attack_occupies_the_last_core() {
-        let e = Experiment::quick("gcc_like").custom(CustomAttack::new("x", true, |geom, seed| {
-            Box::new(Attack::Streaming.trace(geom, seed))
-        }));
+        let e = Experiment::quick("gcc_like")
+            .custom(CustomAttack::new("x", true, |geom, seed| Attack::Streaming.trace(geom, seed)));
         assert_eq!(e.benign_cores(), vec![0, 1, 2]);
     }
 

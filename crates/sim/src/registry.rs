@@ -129,6 +129,25 @@ mod tests {
     }
 
     #[test]
+    fn tailored_attack_routes_by_table_entry() {
+        use crate::experiment::AttackChoice;
+        use workloads::Attack;
+        for spec in &TRACKERS {
+            let want = match spec.key {
+                "hydra" => Attack::HydraRccThrash,
+                "start" => Attack::StartStream,
+                "comet" => Attack::CometRatOverflow,
+                "abacus" => Attack::AbacusSpillover,
+                "dapper-s" | "dapper-h" => Attack::RefreshAttack,
+                "none" | "blockhammer" | "para" | "pride" | "prac" => Attack::CacheThrash,
+                key => panic!("{key}: no tailored attack recorded for this tracker"),
+            };
+            let got = AttackChoice::Tailored.resolve(&TrackerSel::from_spec(spec));
+            assert_eq!(got, Some(want), "{} ({})", spec.key, spec.name);
+        }
+    }
+
+    #[test]
     fn null_spec_builds_the_insecure_baseline() {
         let p = TrackerParams::baseline(500, 0, 1);
         let t = resolve("none").unwrap().build(p, &BTreeMap::new()).unwrap();

@@ -11,7 +11,8 @@
 //!
 //! [`attacks`] implements the RH-Tracker-based Performance Attacks of
 //! Section III-B plus the mapping-agnostic streaming/refresh attacks of
-//! Section V-E, each as a [`cpu::TraceSource`] an attacker core runs.
+//! Section V-E from three stream primitives ([`RowSweep`], [`HammerRows`],
+//! [`LineStream`]), each a [`cpu::TraceSource`] an attacker core runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,6 +21,6 @@ pub mod attacks;
 pub mod catalog;
 pub mod synth;
 
-pub use attacks::{Attack, AttackTrace};
+pub use attacks::{Attack, HammerRows, LineStream, RowSweep, SweepOrder, RESERVED_TOP_ROWS};
 pub use catalog::{catalog, quick_subset, spec_by_name, Suite, WorkloadSpec};
 pub use synth::SyntheticTrace;

@@ -41,6 +41,9 @@ use crate::victim::VictimOrchestrator;
 /// must re-simulate.
 const VERDICT_EPOCH: &str = "attackpipe-epoch2";
 
+/// [`VERDICT_EPOCH`] as the entry envelope spells it: a JSON string.
+const VERDICT_EPOCH_JSON: &str = "\"attackpipe-epoch2\"";
+
 // ---------------------------------------------------------------- verdict
 
 /// Everything one pipeline cell concluded: did the attacker flip bits,
@@ -201,11 +204,11 @@ struct VerdictStore<'a>(&'a DiskStore);
 
 impl PayloadCache<PipelineVerdict> for VerdictStore<'_> {
     fn lookup(&self, key: &CellKey) -> Option<PipelineVerdict> {
-        lookup_entry(self.0, key, &Json::str(VERDICT_EPOCH), "verdict")
+        lookup_entry(self.0, key, VERDICT_EPOCH_JSON, "verdict")
     }
 
     fn save(&self, key: &CellKey, v: &PipelineVerdict) -> std::io::Result<()> {
-        save_entry(self.0, key, Json::str(VERDICT_EPOCH), "verdict", v)
+        save_entry(self.0, key, VERDICT_EPOCH_JSON, "verdict", v)
     }
 }
 
@@ -434,6 +437,11 @@ mod tests {
             reset_sweeps: 0,
             energy_mj: 1.25,
         }
+    }
+
+    #[test]
+    fn verdict_entries_spell_the_verdict_epoch() {
+        assert_eq!(Json::str(VERDICT_EPOCH).render(), VERDICT_EPOCH_JSON);
     }
 
     #[test]

@@ -210,10 +210,11 @@ impl DiskStore {
             }
             _ => {}
         }
-        match decode_entry(&text) {
-            Some(payload) => {
+        match decode_entry(&text).map(|payload| text.len() - payload.len()) {
+            Some(header) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(payload.to_string())
+                text.drain(..header);
+                Some(text)
             }
             None => {
                 // Quarantine by deletion: the entry can never be served,

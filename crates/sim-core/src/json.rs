@@ -14,19 +14,28 @@
 //! declares its field list once with [`json_record!`](crate::json_record)
 //! and gets both directions from it.
 //!
+//! All reading goes through one tokenizer, the pull [`Reader`]:
+//! [`Json::parse`] reads one value into a tree with it, and
+//! [`JsonCodec::read`] reads a record straight from the text, matching
+//! keys as slices borrowed from the document and building no tree
+//! ([`read_document`] reads a whole document). Both paths accept the same
+//! documents and report the same errors (the read law on [`JsonCodec`]).
+//!
 //! Cost: reading and writing are both linear in the document. The reader
-//! keeps the input `&str`, which is valid UTF-8 already, and copies the
-//! text between two escapes of a string in one run; the writer does the
-//! same in reverse and writes keys and numbers straight into its output,
-//! spelling an integral number below 2^53 with integer formatting (the
-//! text `{n}` gives it, without the shortest-float search).
+//! keeps the input `&str`, which is valid UTF-8 already, and takes the
+//! text between two escapes of a string as one run, borrowed when the
+//! string holds no escape; the writer does the same in reverse and writes
+//! keys and numbers straight into its output, spelling an integral number
+//! below 2^53 with integer formatting (the text `{n}` gives it, without
+//! the shortest-float search).
 //! The reader likewise accumulates a number token of at most 15 digits, no
 //! fraction and no exponent as an integer, and hands every other token to
 //! `str::parse::<f64>`.
-//! The parser recurses once per array or object level and accepts at most
+//! The reader recurses once per array or object level and accepts at most
 //! 128 of them, so a hostile line of brackets is an error at its offset,
 //! not a stack overflow.
 
+use std::borrow::Cow;
 use std::fmt::Write;
 
 /// Deepest array / object nesting [`Json::parse`] accepts. The deepest
@@ -155,13 +164,9 @@ impl Json {
     /// nesting deeper than 128 arrays or objects. Errors carry a byte
     /// offset.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { text: input, pos: 0, depth: 0 };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != input.len() {
-            return Err(p.err("trailing characters after the document"));
-        }
+        let mut r = Reader::new(input);
+        let v = r.tree()?;
+        r.trailing()?;
         Ok(v)
     }
 }
@@ -259,16 +264,39 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+/// A syntax error met while reading a document for a codec.
+impl From<JsonError> for DecodeError {
+    fn from(e: JsonError) -> Self {
+        DecodeError::new(e.to_string())
+    }
+}
+
 /// An exact JSON wire form: `decode(&x.encode()) == x`, and re-encoding
 /// renders the same bytes ([`Json::render`] writes floats in shortest
 /// round-trip form). Distinct from the lossy, derived-column `to_json`
 /// export views some of the same types carry.
+///
+/// The read law: for every well-formed document `text`,
+/// [`read_document`]`::<T>(text)` equals `T::decode(&Json::parse(text)?)`
+/// — the same value, or the same [`DecodeError`], path and message — and
+/// a document that does not parse is rejected by both. Unknown keys are
+/// skipped, the first of two duplicate keys wins, a count may be written
+/// `5.0`, and `null` is NaN for an `f64`, on both paths.
+/// [`assert_codec_laws`] checks it.
 pub trait JsonCodec: Sized {
     /// The value's wire form.
     fn encode(&self) -> Json;
     /// Reads a wire form back, rejecting anything `encode` cannot have
     /// written for this type.
     fn decode(j: &Json) -> Result<Self, DecodeError>;
+    /// Reads the next value straight from the document text. The default
+    /// builds the value's tree and decodes it, so a hand-written codec
+    /// needs no `read` of its own; `json_record!` and the number, string,
+    /// container and [`Hex`] codecs walk the text instead (`bool` keeps
+    /// the default: its tree is one value on the stack).
+    fn read(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Self::decode(&r.value()?)
+    }
 }
 
 fn mismatch<T>(expected: &str, got: &Json) -> Result<T, DecodeError> {
@@ -285,11 +313,23 @@ macro_rules! integer_codec {
                 // Counts travel as f64, exact only up to 2^53: nothing
                 // larger can have been written faithfully ([`Hex`] carries
                 // full-width values).
-                let max = (<$t>::MAX as f64).min(9_007_199_254_740_992.0);
+                let max = (<$t>::MAX as f64).min(EXACT_INT);
                 match j {
                     Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= max => Ok(*n as $t),
                     other => mismatch(&format!("an integer in 0..={max}"), other),
                 }
+            }
+            fn read(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                // A token that starts with a digit is not negative, so
+                // `decode`'s test is "integral and at most `max`".
+                if let Some(b'0'..=b'9') = r.peek() {
+                    let n = r.number()?;
+                    if n <= (<$t>::MAX as f64).min(EXACT_INT) && (n as u64) as f64 == n {
+                        return Ok(n as $t);
+                    }
+                    return Self::decode(&Json::Num(n));
+                }
+                Self::decode(&r.value()?)
             }
         }
     )*};
@@ -307,6 +347,12 @@ impl JsonCodec for f64 {
             // as NaN so re-rendering stays byte-identical.
             Json::Null => Ok(f64::NAN),
             other => mismatch("a number", other),
+        }
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match r.peek() {
+            Some(b'-' | b'0'..=b'9') => r.number(),
+            _ => Self::decode(&r.value()?),
         }
     }
 }
@@ -333,6 +379,12 @@ impl JsonCodec for String {
             other => mismatch("a string", other),
         }
     }
+    fn read(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match r.peek() {
+            Some(b'"') => Ok(r.string()?.into_owned()),
+            _ => Self::decode(&r.value()?),
+        }
+    }
 }
 
 /// `null` is `None`.
@@ -344,6 +396,12 @@ impl<T: JsonCodec> JsonCodec for Option<T> {
         match j {
             Json::Null => Ok(None),
             value => T::decode(value).map(Some),
+        }
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match r.peek() {
+            Some(b'n') => Self::decode(&r.value()?),
+            _ => T::read(r).map(Some),
         }
     }
 }
@@ -360,6 +418,17 @@ impl<T: JsonCodec> JsonCodec for Vec<T> {
             .map(|(i, item)| T::decode(item).map_err(|e| e.at(format_args!("[{i}]"))))
             .collect()
     }
+    fn read(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        if r.peek() != Some(b'[') {
+            return Self::decode(&r.value()?);
+        }
+        let mut out = Vec::new();
+        r.items(|r, i| {
+            out.push(T::read(r).map_err(|e| e.at(format_args!("[{i}]")))?);
+            Ok::<(), DecodeError>(())
+        })?;
+        Ok(out)
+    }
 }
 
 /// A pair is a two-element array.
@@ -375,6 +444,23 @@ impl<A: JsonCodec, B: JsonCodec> JsonCodec for (A, B) {
             )),
             other => mismatch("a two-element array", other),
         }
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        r.or_decode(
+            |r| {
+                let mut pair = (None, None);
+                r.items(|r, i| {
+                    match i {
+                        0 => pair.0 = Some(A::read(r)?),
+                        1 => pair.1 = Some(B::read(r)?),
+                        _ => return Err(DecodeError::new("more than two elements")),
+                    }
+                    Ok(())
+                })?;
+                pair.0.zip(pair.1).ok_or_else(|| DecodeError::new("fewer than two elements"))
+            },
+            Self::decode,
+        )
     }
 }
 
@@ -406,27 +492,52 @@ impl JsonCodec for Hex {
             count => u64::decode(count).map(Hex),
         }
     }
+    fn read(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        if r.peek() != Some(b'"') {
+            return u64::read(r).map(Hex);
+        }
+        let text = r.string()?;
+        match parse_u64(&text) {
+            Some(n) => Ok(Hex(n)),
+            None => mismatch("a hex string", &Json::Str(text.into_owned())),
+        }
+    }
 }
 
 /// The laws every [`JsonCodec`] record obeys, asserted on one value (each
 /// crate's seeded property test feeds it random ones): decode inverts
-/// encode, re-encoding renders the same bytes, and a document with any one
-/// key missing or wrong-typed is rejected with that key leading the path.
+/// encode, re-encoding renders the same bytes, reading the rendered text
+/// gives what decoding its tree gives, and a document with any one key
+/// missing or wrong-typed is rejected by both with that key leading the
+/// path. A document with a key doubled (a wrong-typed second copy) or an
+/// unknown key added reads as it decodes.
 pub fn assert_codec_laws<T: JsonCodec + PartialEq + std::fmt::Debug>(value: &T) {
     let doc = value.encode();
-    let back = T::decode(&doc).unwrap_or_else(|e| panic!("{e}\n{}", doc.render()));
+    let text = doc.render();
+    let back = T::decode(&doc).unwrap_or_else(|e| panic!("{e}\n{text}"));
     assert_eq!(&back, value);
-    assert_eq!(back.encode().render(), doc.render(), "re-encoding must be byte-identical");
-    let Json::Obj(pairs) = doc else { panic!("records encode as objects: {}", doc.render()) };
+    assert_eq!(back.encode().render(), text, "re-encoding must be byte-identical");
+    assert_eq!(read_document::<T>(&text).as_ref(), Ok(value), "read must equal decode: {text}");
+    let Json::Obj(pairs) = doc else { panic!("records encode as objects: {text}") };
+    let read_as_decoded = |doc: Json| {
+        let text = doc.render();
+        let decoded = T::decode(&doc);
+        assert_eq!(read_document::<T>(&text), decoded, "read must equal decode: {text}");
+        decoded
+    };
     for (i, (key, _)) in pairs.iter().enumerate() {
         let mut missing = pairs.clone();
         missing.remove(i);
         let mut wrong_typed = pairs.clone();
         wrong_typed[i].1 = Json::Obj(Vec::new());
         for broken in [missing, wrong_typed] {
-            let err = T::decode(&Json::Obj(broken)).expect_err(key);
+            let err = read_as_decoded(Json::Obj(broken)).expect_err(key);
             assert!(err.path.starts_with(key.as_str()), "`{key}` broken, error names {err}");
         }
+        let mut doubled = pairs.clone();
+        doubled.insert(i + 1, (key.clone(), Json::Obj(Vec::new())));
+        doubled.insert(i, ("unknown".to_string(), Json::Arr(vec![Json::obj([])])));
+        let _ = read_as_decoded(Json::Obj(doubled));
     }
 }
 
@@ -463,38 +574,99 @@ macro_rules! json_record {
             fn decode(j: &$crate::json::Json) -> Result<Self, $crate::json::DecodeError> {
                 Ok(Self { $($field: $crate::json_record!(@decode j, $field $(, $wire)?)),* })
             }
+            // Members in any order, the first of a duplicate key kept,
+            // unknown keys skipped; on any error the record is decoded
+            // from its tree instead, for `decode`'s own error.
+            fn read(
+                r: &mut $crate::json::Reader<'_>,
+            ) -> Result<Self, $crate::json::DecodeError> {
+                r.or_decode(
+                    |r| {
+                        $(let mut $field = None;)*
+                        r.members(|r, key| {
+                            $(if $field.is_none() && key == stringify!($field) {
+                                $field = Some($crate::json_record!(@read r $(, $wire)?));
+                                return Ok(true);
+                            })*
+                            Ok::<bool, $crate::json::DecodeError>(false)
+                        })?;
+                        let missing = || $crate::json::DecodeError::new("missing field");
+                        Ok(Self { $($field: $field.ok_or_else(missing)?),* })
+                    },
+                    <Self as $crate::json::JsonCodec>::decode,
+                )
+            }
         }
     };
     (@encode $value:expr) => { $crate::json::JsonCodec::encode(&$value) };
     (@encode $value:expr, $wire:ident) => { $crate::json::JsonCodec::encode(&$wire($value)) };
     (@decode $j:ident, $field:ident) => { $j.field(stringify!($field))? };
     (@decode $j:ident, $field:ident, $wire:ident) => { $j.field::<$wire>(stringify!($field))?.0 };
+    (@read $r:ident) => { $crate::json::JsonCodec::read($r)? };
+    (@read $r:ident, $wire:ident) => { <$wire as $crate::json::JsonCodec>::read($r)?.0 };
 }
 
-struct Parser<'a> {
+/// A pull reader over one JSON document's text, and the workspace's only
+/// tokenizer: [`Json::parse`] is "read one value into a tree" on it, and
+/// [`JsonCodec::read`] walks it without building one. Every strictness
+/// rule lives here once: the 128-level depth bound, no raw control
+/// characters in strings, the escapes, the 15-digit integer path and the
+/// byte offsets of syntax errors.
+///
+/// Whitespace before a token is skipped by whoever looks at the token, so
+/// a reader may sit on whitespace between values. Strings and keys come
+/// back borrowed from the text unless they hold an escape.
+///
+/// ```
+/// use sim_core::json::{DecodeError, Reader};
+///
+/// let mut r = Reader::new(r#" {"n": 3, "skip": [1, {"x": null}], "s": "aé"} "#);
+/// let (mut n, mut s) = (0.0, String::new());
+/// r.members(|r, key| {
+///     match key.as_ref() {
+///         "n" => n = r.number()?,
+///         "s" => s = r.string()?.into_owned(),
+///         _ => return Ok(false), // the reader skips the value
+///     }
+///     Ok::<bool, DecodeError>(true)
+/// })
+/// .unwrap();
+/// r.finish().unwrap();
+/// assert_eq!((n, s.as_str()), (3.0, "a\u{e9}"));
+/// ```
+pub struct Reader<'a> {
     text: &'a str,
     pos: usize,
     /// Arrays and objects open around `pos`.
     depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Reader { text, pos: 0, depth: 0 }
+    }
+
     fn err(&self, msg: impl Into<String>) -> JsonError {
         JsonError { offset: self.pos, message: msg.into() }
     }
 
-    fn peek(&self) -> Option<u8> {
+    /// The byte at the reader's position, whitespace included.
+    fn byte(&self) -> Option<u8> {
         self.text.as_bytes().get(self.pos).copied()
     }
 
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+    /// Skips whitespace and returns the first byte of the next token
+    /// without consuming it; `None` at the end of the text.
+    pub fn peek(&mut self) -> Option<u8> {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.byte() {
             self.pos += 1;
         }
+        self.byte()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
+        if self.byte() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
@@ -511,98 +683,175 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    /// Reads the next value into a tree.
+    pub fn value(&mut self) -> Result<Json, DecodeError> {
+        Ok(self.tree()?)
+    }
+
+    fn tree(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(open @ (b'[' | b'{')) => {
-                if self.depth == MAX_DEPTH {
-                    return Err(self.err(format!("nested deeper than {MAX_DEPTH} levels")));
-                }
-                self.depth += 1;
-                let nested = if open == b'[' { self.array() } else { self.object() };
-                self.depth -= 1;
-                nested
+            Some(b'"') => Ok(Json::Str(self.str_token()?.into_owned())),
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.items(|r, _| {
+                    items.push(r.tree()?);
+                    Ok::<(), JsonError>(())
+                })?;
+                Ok(Json::Arr(items))
             }
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            Some(b'{') => {
+                let mut pairs = Vec::new();
+                self.members(|r, key| {
+                    let value = r.tree()?;
+                    pairs.push((key.into_owned(), value));
+                    Ok::<bool, JsonError>(true)
+                })?;
+                Ok(Json::Obj(pairs))
+            }
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.num_token().map(Json::Num),
             _ => Err(self.err("expected a JSON value")),
         }
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
+    /// Steps over the next value, checking it as strictly as
+    /// [`Reader::value`] does but building nothing (a string holding an
+    /// escape is decoded and dropped).
+    fn skip_value(&mut self) -> Result<(), JsonError> {
+        match self.peek() {
+            Some(b'"') => self.str_token().map(drop),
+            Some(b'[') => self.items(|r, _| r.skip_value()),
+            Some(b'{') => self.members(|_, _| Ok::<bool, JsonError>(false)),
+            Some(b'-' | b'0'..=b'9') => self.num_token().map(drop),
+            // A literal's tree is one value on the stack.
+            _ => self.tree().map(drop),
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
+    /// Checks that nothing but whitespace follows: a document is exactly
+    /// one value.
+    pub fn finish(&mut self) -> Result<(), DecodeError> {
+        Ok(self.trailing()?)
+    }
+
+    fn trailing(&mut self) -> Result<(), JsonError> {
+        match self.peek() {
+            None => Ok(()),
+            Some(_) => Err(self.err("trailing characters after the document")),
         }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
+    }
+
+    /// Opens the array or object whose bracket `open` comes next, runs
+    /// `body` inside it, and closes the level again whatever `body`
+    /// returns.
+    fn nested<E: From<JsonError>>(
+        &mut self,
+        open: u8,
+        body: impl FnOnce(&mut Self) -> Result<(), E>,
+    ) -> Result<(), E> {
+        if self.peek() != Some(open) {
+            return Err(self.err(format!("expected '{}'", open as char)).into());
+        }
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nested deeper than {MAX_DEPTH} levels")).into());
+        }
+        self.pos += 1;
+        self.depth += 1;
+        let out = body(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// Reads an array item by item: `each` gets the reader on the item and
+    /// its index, and must consume the item.
+    pub fn items<E: From<JsonError>>(
+        &mut self,
+        mut each: impl FnMut(&mut Self, usize) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.nested(b'[', |r| {
+            if r.peek() == Some(b']') {
+                r.pos += 1;
+                return Ok(());
             }
-        }
+            for i in 0.. {
+                each(r, i)?;
+                match r.peek() {
+                    Some(b',') => r.pos += 1,
+                    Some(b']') => break,
+                    _ => return Err(r.err("expected ',' or ']' in array").into()),
+                }
+            }
+            r.pos += 1;
+            Ok(())
+        })
+    }
+
+    /// Reads an object member by member: `each` gets the reader on the
+    /// value and the key, and returns whether it consumed the value; the
+    /// reader skips a value it leaves.
+    pub fn members<E: From<JsonError>>(
+        &mut self,
+        mut each: impl FnMut(&mut Self, Cow<'a, str>) -> Result<bool, E>,
+    ) -> Result<(), E> {
+        self.nested(b'{', |r| {
+            if r.peek() == Some(b'}') {
+                r.pos += 1;
+                return Ok(());
+            }
+            loop {
+                r.peek();
+                let key = r.str_token()?;
+                r.peek();
+                r.expect(b':')?;
+                if !each(r, key)? {
+                    r.skip_value()?;
+                }
+                match r.peek() {
+                    Some(b',') => r.pos += 1,
+                    Some(b'}') => break,
+                    _ => return Err(r.err("expected ',' or '}' in object").into()),
+                }
+            }
+            r.pos += 1;
+            Ok(())
+        })
+    }
+
+    /// Reads a string, borrowed from the text unless it holds an escape.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, DecodeError> {
+        self.peek();
+        Ok(self.str_token()?)
     }
 
     /// Reads a string literal. The input is valid UTF-8 and `"`, `\` and
     /// the control characters are ASCII, so the text between two of them
-    /// is copied as one run, already validated.
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// is taken as one run, already validated.
+    fn str_token(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let text = self.text;
+        let mut owned: Option<String> = None;
         loop {
-            let rest = &self.text.as_bytes()[self.pos..];
+            let rest = &text.as_bytes()[self.pos..];
             let run = rest
                 .iter()
                 .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
                 .unwrap_or(rest.len());
-            out.push_str(&self.text[self.pos..self.pos + run]);
+            let chunk = &text[self.pos..self.pos + run];
             self.pos += run;
-            match self.peek() {
+            match self.byte() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match owned {
+                        None => Cow::Borrowed(chunk),
+                        Some(out) => Cow::Owned(out + chunk),
+                    });
                 }
                 Some(b'\\') => {
+                    let out = owned.get_or_insert_with(String::new);
+                    out.push_str(chunk);
                     self.pos += 1;
                     out.push(self.escape()?);
                 }
@@ -613,7 +862,7 @@ impl Parser<'_> {
 
     /// Decodes the escape whose letter is at `pos` and steps past it.
     fn escape(&mut self) -> Result<char, JsonError> {
-        let c = match self.peek() {
+        let c = match self.byte() {
             Some(b'"') => '"',
             Some(b'\\') => '\\',
             Some(b'/') => '/',
@@ -641,13 +890,21 @@ impl Parser<'_> {
         Ok(c)
     }
 
-    /// Reads a number. A token that is an optional `-` and 1–15 digits
-    /// with no fraction or exponent is accumulated as an integer while it
-    /// is scanned: below 10^15 < 2^53 every such value is an `f64`, so this
-    /// is the value `str::parse::<f64>` gives, `-0` and leading zeros
-    /// included, without its general decimal algorithm. Every other token
-    /// goes to `str::parse::<f64>`.
-    fn number(&mut self) -> Result<Json, JsonError> {
+    /// Reads a number.
+    pub fn number(&mut self) -> Result<f64, DecodeError> {
+        match self.peek() {
+            Some(c) if c == b'-' || c.is_ascii_digit() => Ok(self.num_token()?),
+            _ => Err(self.err("expected a number").into()),
+        }
+    }
+
+    /// Reads a number token. A token that is an optional `-` and 1–15
+    /// digits with no fraction or exponent is accumulated as an integer
+    /// while it is scanned: below 10^15 < 2^53 every such value is an
+    /// `f64`, so this is the value `str::parse::<f64>` gives, `-0` and
+    /// leading zeros included, without its general decimal algorithm.
+    /// Every other token goes to `str::parse::<f64>`.
+    fn num_token(&mut self) -> Result<f64, JsonError> {
         let bytes = self.text.as_bytes();
         let start = self.pos;
         let negative = bytes.get(start) == Some(&b'-');
@@ -661,18 +918,48 @@ impl Parser<'_> {
         }
         self.pos = end;
         if (1..=15).contains(&(end - digits))
-            && !matches!(self.peek(), Some(b'.' | b'e' | b'E' | b'+' | b'-'))
+            && !matches!(self.byte(), Some(b'.' | b'e' | b'E' | b'+' | b'-'))
         {
             let n = n as f64;
-            return Ok(Json::Num(if negative { -n } else { n }));
+            return Ok(if negative { -n } else { n });
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
+        while matches!(self.byte(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
         {
             self.pos += 1;
         }
         let text = &self.text[start..self.pos];
-        text.parse::<f64>().map(Json::Num).map_err(|_| self.err(format!("bad number '{text}'")))
+        text.parse::<f64>().map_err(|_| self.err(format!("bad number '{text}'")))
     }
+
+    /// Runs the tree-free `read` on the next value; if it fails, reads
+    /// that value again as a tree and returns what `decode` makes of it.
+    /// A record's fast path may stop at the first problem it meets, in
+    /// document order; this makes its error the one `decode` reports, in
+    /// field order, and a value that is not well-formed fails here with
+    /// its syntax error.
+    pub fn or_decode<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, DecodeError>,
+        decode: impl FnOnce(&Json) -> Result<T, DecodeError>,
+    ) -> Result<T, DecodeError> {
+        self.peek();
+        let start = self.pos;
+        read(self).or_else(|_| {
+            self.pos = start;
+            decode(&self.value()?)
+        })
+    }
+}
+
+/// Reads `text` as one `T` document: [`JsonCodec::read`], then nothing
+/// but whitespace. Accepts exactly what `T::decode(&Json::parse(text)?)`
+/// accepts, building no tree on the way for the codecs that read
+/// directly.
+pub fn read_document<T: JsonCodec>(text: &str) -> Result<T, DecodeError> {
+    let mut r = Reader::new(text);
+    let value = T::read(&mut r)?;
+    r.finish()?;
+    Ok(value)
 }
 
 /// Escapes one CSV field (quotes it when it contains separators).

@@ -71,7 +71,7 @@ use crate::journal::SweepJournal;
 use crate::runner::{cell_label, RunnerConfig};
 use crate::spec::{SpecError, SweepReport, SweepSpec};
 use sim_core::cache::{content_key, CacheStats, DiskStore};
-use sim_core::json::{write_str, Json, JsonCodec};
+use sim_core::json::{read_document, write_str, JsonCodec};
 use sim_core::{ParamValue, SystemConfig};
 use std::fmt::Write;
 
@@ -81,6 +81,9 @@ use std::fmt::Write;
 /// test in `tests/cache_keys.rs` fails loudly on *accidental* drift;
 /// bumping this constant is the intentional-change escape hatch.
 pub const CACHE_EPOCH: u32 = 1;
+
+/// [`CACHE_EPOCH`] as the entry envelope spells it.
+const EPOCH_JSON: &str = "1";
 
 /// A canonicalized experiment cell: the content-addressed `key` (32 hex
 /// chars) and the full `descriptor` it hashes.
@@ -301,41 +304,38 @@ impl CellKeys {
 // payload's exact [`JsonCodec`] form instead — every field of
 // `ExperimentResult`, telemetry traces included, decodes into an equal
 // value that re-renders byte-identically — inside the envelope that makes
-// serving it sound. The envelope is compared as bytes, never parsed: the
-// writer renders it the one way the reader expects, and a checksummed
-// entry holding anything else (another descriptor or epoch, reordered
-// members, added whitespace) is not one this writer made.
+// serving it sound. The envelope is compared as bytes where it lies in
+// the entry, never parsed or rebuilt: the writer renders it the one way
+// the reader expects, and a checksummed entry holding anything else
+// (another descriptor or epoch, reordered members, added whitespace) is
+// not one this writer made. The payload is read straight from the entry
+// text by its codec's `read`, which builds no `Json` tree.
 
-/// The bytes an entry holds before its payload:
-/// `{"epoch":E,"descriptor":D,"<field>":`.
-fn envelope(key: &CellKey, epoch: &Json, field: &str) -> String {
-    let mut out = String::with_capacity(32 + key.descriptor.len() + field.len());
-    out.push_str("{\"epoch\":");
-    epoch.render_into(&mut out);
-    out.push_str(",\"descriptor\":");
-    out.push_str(&key.descriptor);
-    out.push(',');
-    write_str(field, &mut out);
-    out.push(':');
-    out
+/// The envelope pieces an entry holds before its payload, in order:
+/// `{"epoch":E,"descriptor":D,"<field>":`. `epoch` is the epoch's JSON
+/// text and `field` a member name that needs no escaping.
+fn envelope<'k>(key: &'k CellKey, epoch: &'k str, field: &'k str) -> [&'k str; 7] {
+    debug_assert!(field.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\'), "{field:?}");
+    ["{\"epoch\":", epoch, ",\"descriptor\":", &key.descriptor, ",\"", field, "\":"]
 }
 
 /// Reads the payload stored for `key`: served only when the entry starts
-/// with the envelope `key`, `epoch` and `field` render to (so it embeds a
-/// descriptor byte-identical to the key's), ends in `}`, and the text
-/// between parses and decodes as `R`. Anything less is evicted and read as
-/// a miss.
+/// with the envelope `key`, `epoch` (the epoch's JSON text) and `field`
+/// make (so it embeds a descriptor byte-identical to the key's), ends in
+/// `}`, and the text between reads as one `R` document. Anything less is
+/// evicted and read as a miss.
 pub fn lookup_entry<R: JsonCodec>(
     store: &DiskStore,
     key: &CellKey,
-    epoch: &Json,
+    epoch: &str,
     field: &str,
 ) -> Option<R> {
     let text = store.get(&key.key)?;
-    let payload = text
-        .strip_prefix(envelope(key, epoch, field).as_str())
+    let payload = envelope(key, epoch, field)
+        .into_iter()
+        .try_fold(text.as_str(), |rest, piece| rest.strip_prefix(piece))
         .and_then(|rest| rest.strip_suffix('}'))
-        .and_then(|payload| R::decode(&Json::parse(payload).ok()?).ok());
+        .and_then(|payload| read_document::<R>(payload).ok());
     if payload.is_none() {
         store.evict(&key.key);
     }
@@ -347,11 +347,11 @@ pub fn lookup_entry<R: JsonCodec>(
 pub fn save_entry<R: JsonCodec>(
     store: &DiskStore,
     key: &CellKey,
-    epoch: Json,
+    epoch: &str,
     field: &'static str,
     payload: &R,
 ) -> std::io::Result<()> {
-    let mut entry = envelope(key, &epoch, field);
+    let mut entry = envelope(key, epoch, field).concat();
     payload.encode().render_into(&mut entry);
     entry.push('}');
     store.put(&key.key, &entry)
@@ -396,7 +396,7 @@ impl RunCache {
     /// byte-identical to the key's; anything less is evicted and read as
     /// a miss.
     pub fn lookup(&self, key: &CellKey) -> Option<ExperimentResult> {
-        lookup_entry(&self.store, key, &CACHE_EPOCH.encode(), "result")
+        lookup_entry(&self.store, key, EPOCH_JSON, "result")
     }
 
     /// Persists a result under its cell key. Write failures are
@@ -413,7 +413,7 @@ impl PayloadCache<ExperimentResult> for RunCache {
     }
 
     fn save(&self, key: &CellKey, result: &ExperimentResult) -> std::io::Result<()> {
-        save_entry(&self.store, key, CACHE_EPOCH.encode(), "result", result)
+        save_entry(&self.store, key, EPOCH_JSON, "result", result)
     }
 }
 
@@ -509,6 +509,7 @@ impl SweepSpec {
 mod tests {
     use super::*;
     use crate::experiment::AttackChoice;
+    use sim_core::json::Json;
 
     /// The descriptor as it was built before [`CellKeys`] wrote it straight
     /// to bytes, kept verbatim: a `Json` tree, rendered whole. The renderer
@@ -897,10 +898,11 @@ mod tests {
     /// parsed back into a tree and the whole entry rendered.
     fn tree_built_entry<R: JsonCodec>(
         key: &CellKey,
-        epoch: Json,
+        epoch: &str,
         field: &'static str,
         payload: &R,
     ) -> String {
+        let epoch = Json::parse(epoch).expect("epochs are JSON text");
         let descriptor =
             Json::parse(&key.descriptor).expect("descriptors are rendered canonical JSON");
         let entry =
@@ -922,8 +924,11 @@ mod tests {
 
     /// The envelope the verdict store writes: a string epoch, field
     /// `"verdict"`.
-    fn verdict_epoch() -> Json {
-        Json::str("attackpipe-epoch2")
+    const VERDICT_EPOCH: &str = "\"attackpipe-epoch2\"";
+
+    #[test]
+    fn entries_spell_the_cache_epoch() {
+        assert_eq!(CACHE_EPOCH.encode().render(), EPOCH_JSON);
     }
 
     /// Holds [`save_entry`] to [`tree_built_entry`] byte for byte, and
@@ -931,16 +936,16 @@ mod tests {
     fn same_entry<R: JsonCodec + PartialEq + std::fmt::Debug>(
         store: &DiskStore,
         key: &CellKey,
-        epoch: Json,
+        epoch: &str,
         field: &'static str,
         payload: &R,
         what: &str,
     ) {
-        let oracle = tree_built_entry(key, epoch.clone(), field, payload);
-        save_entry(store, key, epoch.clone(), field, payload).unwrap();
+        let oracle = tree_built_entry(key, epoch, field, payload);
+        save_entry(store, key, epoch, field, payload).unwrap();
         assert_eq!(store.get(&key.key).as_ref(), Some(&oracle), "{what}: {field}");
         store.put(&key.key, &oracle).unwrap();
-        assert_eq!(lookup_entry(store, key, &epoch, field).as_ref(), Some(payload), "{what}");
+        assert_eq!(lookup_entry(store, key, epoch, field).as_ref(), Some(payload), "{what}");
     }
 
     #[test]
@@ -968,8 +973,8 @@ mod tests {
                 };
                 let verdict = (e.cfg.nrh, e.cfg.seed.to_string());
                 let what = format!("{}: {}", file.display(), key.key);
-                same_entry(&store, &key, CACHE_EPOCH.encode(), "result", &result, &what);
-                same_entry(&store, &key, verdict_epoch(), "verdict", &verdict, &what);
+                same_entry(&store, &key, EPOCH_JSON, "result", &result, &what);
+                same_entry(&store, &key, VERDICT_EPOCH, "verdict", &verdict, &what);
                 cells += 1;
             }
         }
@@ -1063,7 +1068,7 @@ mod tests {
         cache.save(&key, result);
         let file = std::fs::read(&path).unwrap();
         let entry = cache.store().get(&key.key).unwrap();
-        let payload_at = envelope(&key, &CACHE_EPOCH.encode(), "result").len();
+        let payload_at = envelope(&key, EPOCH_JSON, "result").concat().len();
         let (mut before, mut decoded) = (0, 0);
         for _ in 0..rounds {
             if rng.gen_bool(0.3) {
@@ -1111,6 +1116,174 @@ mod tests {
     fn mutated_entries_are_misses_or_decode_long_sweep() {
         for seed in 0..100 {
             fuzz_entries(seed, 500);
+        }
+    }
+
+    /// The `n`-th object of `j` in document order.
+    fn nth_object<'j>(j: &'j mut Json, n: &mut usize) -> Option<&'j mut Vec<(String, Json)>> {
+        match j {
+            Json::Obj(pairs) => {
+                if *n == 0 {
+                    return Some(pairs);
+                }
+                *n -= 1;
+                pairs.iter_mut().find_map(|(_, v)| nth_object(v, n))
+            }
+            Json::Arr(items) => items.iter_mut().find_map(|v| nth_object(v, n)),
+            _ => None,
+        }
+    }
+
+    /// The `n`-th number of `j` in document order.
+    fn nth_number<'j>(j: &'j mut Json, n: &mut usize) -> Option<&'j mut Json> {
+        match j {
+            Json::Num(_) if *n == 0 => Some(j),
+            Json::Num(_) => {
+                *n -= 1;
+                None
+            }
+            Json::Obj(pairs) => pairs.iter_mut().find_map(|(_, v)| nth_number(v, n)),
+            Json::Arr(items) => items.iter_mut().find_map(|v| nth_number(v, n)),
+            _ => None,
+        }
+    }
+
+    /// `(objects, numbers)` in `j`.
+    fn census(j: &Json) -> (usize, usize) {
+        let sum = |items: &mut dyn Iterator<Item = &Json>| {
+            items.map(census).fold((0, 0), |(o, n), (a, b)| (o + a, n + b))
+        };
+        match j {
+            Json::Num(_) => (0, 1),
+            Json::Obj(pairs) => {
+                let (o, n) = sum(&mut pairs.iter().map(|(_, v)| v));
+                (o + 1, n)
+            }
+            Json::Arr(items) => sum(&mut items.iter()),
+            _ => (0, 0),
+        }
+    }
+
+    /// A value no payload field holds, for duplicated and unknown keys.
+    fn junk(rng: &mut sim_core::rng::Xoshiro256) -> Json {
+        let junk = [Json::obj([]), Json::str("x\"\u{e9}"), Json::Null, Json::Num(-1.5)];
+        junk[rng.gen_range(junk.len() as u64) as usize].clone()
+    }
+
+    /// One to four seeded edits of a real `ExperimentResult` payload (with
+    /// telemetry, or without): a dropped, duplicated, reordered or unknown
+    /// key, `null` for a number, then in the text `5.0` for a count, a
+    /// truncation or a flipped bit. Reading the text must give what
+    /// parsing and decoding it gives: the same value, or the same error
+    /// when the text is JSON; and it must never panic. Returns (accepted,
+    /// rejected).
+    fn fuzz_payload_reads(seed: u64, rounds: usize) -> (usize, usize) {
+        use sim_core::json::DecodeError;
+        let mut rng = sim_core::rng::Xoshiro256::seed_from(seed);
+        let (_, result) = real_cell();
+        let plain = ExperimentResult { telemetry: None, ..result.clone() };
+        let seeds = [result.encode(), plain.encode()];
+        let (mut accepted, mut rejected) = (0, 0);
+        for _ in 0..rounds {
+            let mut doc = seeds[rng.gen_range(2) as usize].clone();
+            let mut text_edits = Vec::new();
+            for _ in 0..=rng.gen_range(4) {
+                let kind = rng.gen_range(8);
+                let (objects, numbers) = census(&doc);
+                let mut n = rng.gen_range(objects as u64) as usize;
+                let pairs = nth_object(&mut doc, &mut n).expect("an object");
+                let at = |rng: &mut sim_core::rng::Xoshiro256, len: usize| {
+                    rng.gen_range(len as u64 + 1) as usize
+                };
+                match kind {
+                    0 if !pairs.is_empty() => {
+                        let i = at(&mut rng, pairs.len() - 1);
+                        pairs.remove(i);
+                    }
+                    1 if !pairs.is_empty() => {
+                        let mut copy = pairs[at(&mut rng, pairs.len() - 1)].clone();
+                        if rng.gen_bool(0.5) {
+                            copy.1 = junk(&mut rng);
+                        }
+                        let i = at(&mut rng, pairs.len());
+                        pairs.insert(i, copy);
+                    }
+                    2 => rng.shuffle(pairs),
+                    3 => {
+                        let i = at(&mut rng, pairs.len());
+                        pairs.insert(i, ("unknown".to_string(), junk(&mut rng)));
+                    }
+                    4 if numbers > 0 => {
+                        let mut n = rng.gen_range(numbers as u64) as usize;
+                        *nth_number(&mut doc, &mut n).expect("a number") = Json::Null;
+                    }
+                    _ => text_edits.push(kind),
+                }
+            }
+            let mut text = doc.render();
+            for kind in text_edits {
+                let mut bytes = std::mem::take(&mut text).into_bytes();
+                if bytes.is_empty() {
+                    break;
+                }
+                let at = rng.gen_range(bytes.len() as u64) as usize;
+                match kind {
+                    // `5.0` for the count whose last digit is the first one
+                    // at or after `at` that ends a bare integer.
+                    5 => {
+                        let ends = (at..bytes.len().saturating_sub(1)).find(|&i| {
+                            bytes[i].is_ascii_digit() && matches!(bytes[i + 1], b',' | b'}' | b']')
+                        });
+                        let integer = |end: usize| {
+                            let start = (0..=end).rev().find(|&i| !bytes[i].is_ascii_digit());
+                            start.is_some_and(|s| matches!(bytes[s], b':' | b',' | b'['))
+                        };
+                        if let Some(end) = ends.filter(|&end| integer(end)) {
+                            bytes.splice(end + 1..end + 1, *b".0");
+                        }
+                    }
+                    6 => bytes.truncate(at),
+                    _ => bytes[at] ^= 1 << rng.gen_range(8),
+                }
+                text = String::from_utf8_lossy(&bytes).into_owned();
+            }
+            let read = read_document::<ExperimentResult>(&text);
+            let tree = Json::parse(&text);
+            let decoded = match &tree {
+                Ok(j) => ExperimentResult::decode(j),
+                Err(e) => Err(DecodeError::from(e.clone())),
+            };
+            match (&read, &decoded) {
+                // NaN (a float written `null`) is not equal to itself; the
+                // wire forms are.
+                (Ok(a), Ok(b)) => assert_eq!(a.encode().render(), b.encode().render(), "{text}"),
+                (Err(a), Err(b)) if tree.is_ok() => assert_eq!(a, b, "{text}"),
+                (Err(_), Err(_)) => {}
+                _ => panic!("read {read:?}, parse and decode {decoded:?}: {text}"),
+            }
+            if read.is_ok() {
+                accepted += 1;
+            } else {
+                rejected += 1;
+            }
+        }
+        (accepted, rejected)
+    }
+
+    #[test]
+    fn mutated_payloads_read_as_they_decode() {
+        let (accepted, rejected) = [1, 2, 0xF22]
+            .map(|seed| fuzz_payload_reads(seed, 200))
+            .into_iter()
+            .fold((0, 0), |(a, r), (accepted, rejected)| (a + accepted, r + rejected));
+        assert!(accepted > 0 && rejected > 0, "{accepted} accepted, {rejected} rejected");
+    }
+
+    #[test]
+    #[ignore = "long payload fuzz; run with --ignored (CI campaignd-smoke)"]
+    fn mutated_payloads_read_as_they_decode_long_sweep() {
+        for seed in 0..50 {
+            fuzz_payload_reads(seed, 400);
         }
     }
 

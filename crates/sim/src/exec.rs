@@ -76,9 +76,9 @@ impl<'a> Checkpoint<'a> {
     pub fn begin(journal: &'a SweepJournal, spec: &SweepSpec, cells: usize) -> Checkpoint<'a> {
         let spec_json = spec.to_json().render();
         let hash = SweepJournal::spec_json_hash(&spec_json);
-        let state = journal.load().unwrap_or_default();
-        let (completed, ended) = match state.progress(&hash) {
-            Some(progress) => (progress.completed.clone(), progress.ended),
+        let mut state = journal.load().unwrap_or_default();
+        let (completed, ended) = match state.take_progress(&hash) {
+            Some(progress) => (progress.completed, progress.ended),
             None => {
                 let _ = journal.record_start(&hash, &spec_json, cells as u64);
                 Default::default()

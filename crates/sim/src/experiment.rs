@@ -24,7 +24,7 @@
 use cpu::{TraceEntry, TraceSource};
 use sim_core::addr::{DramAddr, Geometry, PhysAddr};
 use sim_core::config::{MitigationKind, SystemConfig};
-use sim_core::json::{DecodeError, Hex, Json, JsonCodec};
+use sim_core::json::{DecodeError, Hex, Json, JsonCodec, Reader};
 use sim_core::registry::{ParamValue, RegistryError, TrackerSpec};
 use sim_core::req::SourceId;
 use sim_core::telemetry::{
@@ -400,6 +400,10 @@ impl JsonCodec for AttackerKnowledge {
 
     fn decode(j: &Json) -> Result<Self, DecodeError> {
         Self::by_key(&String::decode(j)?).map_err(DecodeError::new)
+    }
+
+    fn read(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Self::by_key(&String::read(r)?).map_err(DecodeError::new)
     }
 }
 

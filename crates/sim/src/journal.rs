@@ -24,6 +24,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use sim_core::cache::{checksum64, content_key};
+use sim_core::json::{DecodeError, Reader};
 
 use crate::spec::SweepSpec;
 
@@ -70,6 +71,11 @@ impl JournalState {
     /// Completed cell keys for one sweep (empty set if unknown).
     pub fn completed(&self, hash: &str) -> BTreeSet<String> {
         self.sweeps.get(hash).map(|p| p.completed.clone()).unwrap_or_default()
+    }
+
+    /// Removes one sweep's progress from the state and hands it over.
+    pub fn take_progress(&mut self, hash: &str) -> Option<SweepProgress> {
+        self.sweeps.remove(hash)
     }
 
     /// Sweeps that started but never recorded an `end`, in hash order.
@@ -229,15 +235,8 @@ fn apply(state: &mut JournalState, payload: &str) -> bool {
             let Ok(cells) = cells.parse::<u64>() else {
                 return false;
             };
-            let name = sim_core::json::Json::parse(spec_json)
-                .ok()
-                .and_then(|j| match j.get("name") {
-                    Some(sim_core::json::Json::Str(s)) => Some(s.clone()),
-                    _ => None,
-                })
-                .unwrap_or_default();
             let entry = state.sweeps.entry(hash.to_string()).or_default();
-            entry.name = name;
+            entry.name = spec_name(spec_json).unwrap_or_default();
             entry.cells_declared = cells;
             entry.spec_json = Some(spec_json.to_string());
             true
@@ -258,9 +257,30 @@ fn apply(state: &mut JournalState, payload: &str) -> bool {
     }
 }
 
+/// The `name` member of a spec's JSON text when it is a string — the
+/// first `name`, as `Json::get` finds it — read without building the
+/// spec's tree; `None` when there is none or the text is not one JSON
+/// document.
+fn spec_name(spec_json: &str) -> Option<String> {
+    let mut r = Reader::new(spec_json);
+    let mut name = None;
+    r.members(|r, key| {
+        if key != "name" || name.is_some() {
+            return Ok(false);
+        }
+        let string = r.peek() == Some(b'"');
+        name = Some(if string { Some(r.string()?.into_owned()) } else { None });
+        Ok::<bool, DecodeError>(string)
+    })
+    .ok()?;
+    r.finish().ok()?;
+    name.flatten()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_core::json::Json;
 
     fn scratch(name: &str) -> PathBuf {
         let dir =
@@ -302,6 +322,41 @@ mod tests {
             SweepSpec::from_json_str(state.progress(&hash).unwrap().spec_json.as_ref().unwrap())
                 .unwrap();
         assert_eq!(SweepJournal::sweep_hash(&back), hash);
+    }
+
+    #[test]
+    fn start_names_with_escapes_and_non_ascii_characters_read_back() {
+        let j = SweepJournal::open(scratch("names")).unwrap();
+        let names = ["quote \" back\\slash /", "line\nbreak\ttab \u{1}\u{1f}", "é 中 😀 \u{7f}"];
+        for name in names {
+            let mut spec = tiny_spec();
+            spec.name = name.to_string();
+            let json = spec.to_json().render();
+            let hash = SweepJournal::spec_json_hash(&json);
+            j.record_start(&hash, &json, 1).unwrap();
+            assert_eq!(j.load().unwrap().progress(&hash).unwrap().name, name);
+        }
+        // Hand-written records, held against the name the spec's tree
+        // holds: `\u` escapes, the first of two names, a first name that
+        // is not a string, and texts that are not one JSON object.
+        let tree_name = |text: &str| match Json::parse(text).map(|j| j.get("name").cloned()) {
+            Ok(Some(Json::Str(name))) => name,
+            _ => String::new(),
+        };
+        for (text, name) in [
+            (r#"{"name":"caf\u00e9 \u4e2d\n\"q\""}"#, "café 中\n\"q\""),
+            (r#"{"workloads":["a"],"name":"first","name":"second"}"#, "first"),
+            (r#"{"name":7,"name":"second"}"#, ""),
+            (r#"{"name":"cut"#, ""),
+            (r#"{"name":"trailing"} x"#, ""),
+            (r#"["name"]"#, ""),
+        ] {
+            let hash = SweepJournal::spec_json_hash(text);
+            j.record_start(&hash, text, 1).unwrap();
+            let read = j.load().unwrap().progress(&hash).unwrap().name.clone();
+            assert_eq!(read, name, "{text}");
+            assert_eq!(read, tree_name(text), "{text}");
+        }
     }
 
     #[test]

@@ -189,7 +189,7 @@ fn toml_to_json(v: &TomlValue) -> Json {
 /// One kind of spec value: how it reads from and writes to TOML. Errors
 /// describe the value only; [`read_table`] prefixes the key.
 trait Value: Sized {
-    fn read(v: &TomlValue) -> Result<Self, DecodeError>;
+    fn from_toml(v: &TomlValue) -> Result<Self, DecodeError>;
     /// The TOML form, or `None` to leave the key out.
     fn write(&self) -> Option<TomlValue>;
 }
@@ -199,7 +199,7 @@ fn expected<T>(what: &str, got: &TomlValue) -> Result<T, DecodeError> {
 }
 
 impl Value for String {
-    fn read(v: &TomlValue) -> Result<Self, DecodeError> {
+    fn from_toml(v: &TomlValue) -> Result<Self, DecodeError> {
         match v {
             TomlValue::Str(s) => Ok(s.clone()),
             other => expected("a string", other),
@@ -211,7 +211,7 @@ impl Value for String {
 }
 
 impl Value for bool {
-    fn read(v: &TomlValue) -> Result<Self, DecodeError> {
+    fn from_toml(v: &TomlValue) -> Result<Self, DecodeError> {
         match v {
             TomlValue::Bool(b) => Ok(*b),
             other => expected("a boolean", other),
@@ -223,7 +223,7 @@ impl Value for bool {
 }
 
 impl Value for f64 {
-    fn read(v: &TomlValue) -> Result<Self, DecodeError> {
+    fn from_toml(v: &TomlValue) -> Result<Self, DecodeError> {
         match v {
             TomlValue::Float(f) => Ok(*f),
             TomlValue::Int(i) => Ok(*i as f64),
@@ -240,7 +240,7 @@ impl Value for f64 {
 /// `f64` — and a hex string beyond. Either form reads back at any size a
 /// TOML integer can hold.
 impl Value for u64 {
-    fn read(v: &TomlValue) -> Result<Self, DecodeError> {
+    fn from_toml(v: &TomlValue) -> Result<Self, DecodeError> {
         match v {
             TomlValue::Int(i) if *i >= 0 => Ok(*i as u64),
             TomlValue::Str(s) => parse_u64(s).ok_or_else(|| {
@@ -260,8 +260,8 @@ impl Value for u64 {
 }
 
 impl Value for u32 {
-    fn read(v: &TomlValue) -> Result<Self, DecodeError> {
-        let wide = u64::read(v)?;
+    fn from_toml(v: &TomlValue) -> Result<Self, DecodeError> {
+        let wide = u64::from_toml(v)?;
         u32::try_from(wide).map_err(|_| DecodeError::new(format!("{wide} does not fit in 32 bits")))
     }
     fn write(&self) -> Option<TomlValue> {
@@ -270,8 +270,8 @@ impl Value for u32 {
 }
 
 impl Value for AttackerKnowledge {
-    fn read(v: &TomlValue) -> Result<Self, DecodeError> {
-        AttackerKnowledge::by_key(&String::read(v)?).map_err(DecodeError::new)
+    fn from_toml(v: &TomlValue) -> Result<Self, DecodeError> {
+        AttackerKnowledge::by_key(&String::from_toml(v)?).map_err(DecodeError::new)
     }
     fn write(&self) -> Option<TomlValue> {
         Some(TomlValue::Str(self.key().into()))
@@ -279,7 +279,7 @@ impl Value for AttackerKnowledge {
 }
 
 impl Value for ParamValue {
-    fn read(v: &TomlValue) -> Result<Self, DecodeError> {
+    fn from_toml(v: &TomlValue) -> Result<Self, DecodeError> {
         match v {
             TomlValue::Int(i) => Ok(ParamValue::Int(*i)),
             TomlValue::Float(f) => Ok(ParamValue::Float(*f)),
@@ -300,8 +300,8 @@ impl Value for ParamValue {
 
 /// An absent key is `None`.
 impl<T: Value> Value for Option<T> {
-    fn read(v: &TomlValue) -> Result<Self, DecodeError> {
-        T::read(v).map(Some)
+    fn from_toml(v: &TomlValue) -> Result<Self, DecodeError> {
+        T::from_toml(v).map(Some)
     }
     fn write(&self) -> Option<TomlValue> {
         self.as_ref().and_then(T::write)
@@ -310,10 +310,10 @@ impl<T: Value> Value for Option<T> {
 
 /// A bare value is a one-element list; an empty list is an absent key.
 impl<T: Value> Value for Vec<T> {
-    fn read(v: &TomlValue) -> Result<Self, DecodeError> {
+    fn from_toml(v: &TomlValue) -> Result<Self, DecodeError> {
         match v {
-            TomlValue::Arr(items) => items.iter().map(T::read).collect(),
-            one => Ok(vec![T::read(one)?]),
+            TomlValue::Arr(items) => items.iter().map(T::from_toml).collect(),
+            one => Ok(vec![T::from_toml(one)?]),
         }
     }
     fn write(&self) -> Option<TomlValue> {
@@ -323,9 +323,12 @@ impl<T: Value> Value for Vec<T> {
 
 /// A table of named values (`[params.<tracker>]`); empty is absent.
 impl<T: Value> Value for BTreeMap<String, T> {
-    fn read(v: &TomlValue) -> Result<Self, DecodeError> {
+    fn from_toml(v: &TomlValue) -> Result<Self, DecodeError> {
         let TomlValue::Table(entries) = v else { return expected("a table", v) };
-        entries.iter().map(|(k, v)| Ok((k.clone(), T::read(v).map_err(|e| e.at(k))?))).collect()
+        entries
+            .iter()
+            .map(|(k, v)| Ok((k.clone(), T::from_toml(v).map_err(|e| e.at(k))?)))
+            .collect()
     }
     fn write(&self) -> Option<TomlValue> {
         let entries = self.iter().filter_map(|(k, v)| Some((k.clone(), v.write()?)));
@@ -350,7 +353,7 @@ macro_rules! key {
         Key {
             name: stringify!($name),
             read: |s, v| {
-                let value = Value::read(v)?;
+                let value = Value::from_toml(v)?;
                 $(($check)(&value).map_err(DecodeError::new)?;)?
                 s.$($field).+ = value;
                 Ok(())
@@ -388,7 +391,7 @@ fn write_table<S: Section>(section: &S) -> BTreeMap<String, TomlValue> {
 
 /// A `[section]` is a [`Value`] of its parent table.
 impl<S: Section> Value for S {
-    fn read(v: &TomlValue) -> Result<Self, DecodeError> {
+    fn from_toml(v: &TomlValue) -> Result<Self, DecodeError> {
         match v {
             TomlValue::Table(table) => read_table(table),
             other => expected("a table", other),
@@ -485,7 +488,7 @@ impl Section for TelemetryOptions {
         Key {
             name: "recorders",
             read: |s, v| {
-                for name in Vec::<String>::read(v)? {
+                for name in Vec::<String>::from_toml(v)? {
                     let wanted = normalize_key(&name);
                     let mut named = RECORDERS
                         .iter()
@@ -516,7 +519,7 @@ impl Section for TelemetryOptions {
         },
         Key {
             name: "oracle",
-            read: |s, v| Value::read(v).map(|on| s.spec.oracle = on),
+            read: |s, v| Value::from_toml(v).map(|on| s.spec.oracle = on),
             write: |s| s.spec.oracle.then_some(TomlValue::Bool(true)),
         },
         key!(out),
@@ -631,7 +634,7 @@ impl Section for SystemOptions {
         name: "geometry",
         // Aliases resolve to the canonical spelling at parse time.
         read: |s, v| {
-            let name = String::read(v)?;
+            let name = String::from_toml(v)?;
             let canonical = match normalize_key(&name).as_str() {
                 "paperbaseline" | "baseline" => KNOWN_GEOMETRIES[0],
                 "enlarged8ch" | "eightchannel" | "8ch" => KNOWN_GEOMETRIES[1],
@@ -842,7 +845,7 @@ impl SweepSpec {
     /// Decodes an already-parsed JSON spec (what [`SweepSpec::to_json`]
     /// builds).
     pub fn from_json(j: &Json) -> Result<Self, SpecError> {
-        Ok(Self::read(&json_to_toml(j, "spec")?)?)
+        Ok(Self::from_toml(&json_to_toml(j, "spec")?)?)
     }
 
     /// Renders the spec as JSON (parses back to an equal spec).

@@ -165,8 +165,8 @@ impl Json {
     /// offset.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut r = Reader::new(input);
-        let v = r.tree()?;
-        r.trailing()?;
+        let v = r.value()?;
+        r.finish()?;
         Ok(v)
     }
 }
@@ -351,7 +351,7 @@ impl JsonCodec for f64 {
     }
     fn read(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         match r.peek() {
-            Some(b'-' | b'0'..=b'9') => r.number(),
+            Some(b'-' | b'0'..=b'9') => Ok(r.number()?),
             _ => Self::decode(&r.value()?),
         }
     }
@@ -684,20 +684,16 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads the next value into a tree.
-    pub fn value(&mut self) -> Result<Json, DecodeError> {
-        Ok(self.tree()?)
-    }
-
-    fn tree(&mut self) -> Result<Json, JsonError> {
+    pub fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.str_token()?.into_owned())),
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
             Some(b'[') => {
                 let mut items = Vec::new();
                 self.items(|r, _| {
-                    items.push(r.tree()?);
+                    items.push(r.value()?);
                     Ok::<(), JsonError>(())
                 })?;
                 Ok(Json::Arr(items))
@@ -705,13 +701,13 @@ impl<'a> Reader<'a> {
             Some(b'{') => {
                 let mut pairs = Vec::new();
                 self.members(|r, key| {
-                    let value = r.tree()?;
+                    let value = r.value()?;
                     pairs.push((key.into_owned(), value));
                     Ok::<bool, JsonError>(true)
                 })?;
                 Ok(Json::Obj(pairs))
             }
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.num_token().map(Json::Num),
+            Some(b'-' | b'0'..=b'9') => self.number().map(Json::Num),
             _ => Err(self.err("expected a JSON value")),
         }
     }
@@ -721,22 +717,18 @@ impl<'a> Reader<'a> {
     /// escape is decoded and dropped).
     fn skip_value(&mut self) -> Result<(), JsonError> {
         match self.peek() {
-            Some(b'"') => self.str_token().map(drop),
+            Some(b'"') => self.string().map(drop),
             Some(b'[') => self.items(|r, _| r.skip_value()),
             Some(b'{') => self.members(|_, _| Ok::<bool, JsonError>(false)),
-            Some(b'-' | b'0'..=b'9') => self.num_token().map(drop),
+            Some(b'-' | b'0'..=b'9') => self.number().map(drop),
             // A literal's tree is one value on the stack.
-            _ => self.tree().map(drop),
+            _ => self.value().map(drop),
         }
     }
 
     /// Checks that nothing but whitespace follows: a document is exactly
     /// one value.
-    pub fn finish(&mut self) -> Result<(), DecodeError> {
-        Ok(self.trailing()?)
-    }
-
-    fn trailing(&mut self) -> Result<(), JsonError> {
+    pub fn finish(&mut self) -> Result<(), JsonError> {
         match self.peek() {
             None => Ok(()),
             Some(_) => Err(self.err("trailing characters after the document")),
@@ -801,8 +793,7 @@ impl<'a> Reader<'a> {
                 return Ok(());
             }
             loop {
-                r.peek();
-                let key = r.str_token()?;
+                let key = r.string()?;
                 r.peek();
                 r.expect(b':')?;
                 if !each(r, key)? {
@@ -820,15 +811,11 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a string, borrowed from the text unless it holds an escape.
-    pub fn string(&mut self) -> Result<Cow<'a, str>, DecodeError> {
+    /// The input is valid UTF-8 and `"`, `\` and the control characters
+    /// are ASCII, so the text between two of them is taken as one run,
+    /// already validated.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.peek();
-        Ok(self.str_token()?)
-    }
-
-    /// Reads a string literal. The input is valid UTF-8 and `"`, `\` and
-    /// the control characters are ASCII, so the text between two of them
-    /// is taken as one run, already validated.
-    fn str_token(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
         let text = self.text;
         let mut owned: Option<String> = None;
@@ -890,21 +877,16 @@ impl<'a> Reader<'a> {
         Ok(c)
     }
 
-    /// Reads a number.
-    pub fn number(&mut self) -> Result<f64, DecodeError> {
-        match self.peek() {
-            Some(c) if c == b'-' || c.is_ascii_digit() => Ok(self.num_token()?),
-            _ => Err(self.err("expected a number").into()),
-        }
-    }
-
-    /// Reads a number token. A token that is an optional `-` and 1–15
+    /// Reads a number. A token that is an optional `-` and 1–15
     /// digits with no fraction or exponent is accumulated as an integer
     /// while it is scanned: below 10^15 < 2^53 every such value is an
     /// `f64`, so this is the value `str::parse::<f64>` gives, `-0` and
     /// leading zeros included, without its general decimal algorithm.
     /// Every other token goes to `str::parse::<f64>`.
-    fn num_token(&mut self) -> Result<f64, JsonError> {
+    pub fn number(&mut self) -> Result<f64, JsonError> {
+        if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+            return Err(self.err("expected a number"));
+        }
         let bytes = self.text.as_bytes();
         let start = self.pos;
         let negative = bytes.get(start) == Some(&b'-');

@@ -35,7 +35,7 @@
 //!   as the degenerate case of the perturbation-freedom contract.
 
 use crate::events::MemEvent;
-use crate::json::{DecodeError, Json, JsonCodec, Reader};
+use crate::json::{DecodeError, Json, JsonCodec};
 use crate::stats::MemStats;
 use crate::time::{cycles_to_us, Cycle};
 use std::any::Any;
@@ -455,30 +455,6 @@ impl JsonCodec for SlowdownReference {
             None => j.field("per_window").map(SlowdownReference::PerWindow),
         }
     }
-
-    fn read(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        r.or_decode(
-            |r| {
-                let (mut flat, mut per_window) = (None, None);
-                r.members(|r, key| {
-                    match key.as_ref() {
-                        "flat" if flat.is_none() => flat = Some(JsonCodec::read(r)?),
-                        "per_window" if per_window.is_none() => {
-                            per_window = Some(JsonCodec::read(r)?)
-                        }
-                        _ => return Ok(false),
-                    }
-                    Ok::<bool, DecodeError>(true)
-                })?;
-                match (flat, per_window) {
-                    (Some(ipc), _) => Ok(SlowdownReference::Flat(ipc)),
-                    (None, Some(windows)) => Ok(SlowdownReference::PerWindow(windows)),
-                    (None, None) => Err(DecodeError::new("missing field")),
-                }
-            },
-            Self::decode,
-        )
-    }
 }
 
 crate::json_record!(SlowdownPoint { index, end, normalized_ipc });
@@ -597,42 +573,6 @@ impl JsonCodec for MitigationRecord {
             }
         };
         Ok(Self { cycle: j.field("cycle")?, channel: j.field("channel")?, kind })
-    }
-
-    fn read(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        r.or_decode(
-            |r| {
-                let (mut cycle, mut channel, mut kind) = (None, None, None);
-                let (mut row, mut blast_radius) = (None, None);
-                r.members(|r, key| {
-                    match key.as_ref() {
-                        "cycle" if cycle.is_none() => cycle = Some(JsonCodec::read(r)?),
-                        "channel" if channel.is_none() => channel = Some(JsonCodec::read(r)?),
-                        "kind" if kind.is_none() => kind = Some(r.string()?),
-                        "row" if row.is_none() => row = Some(JsonCodec::read(r)?),
-                        "blast_radius" if blast_radius.is_none() => {
-                            blast_radius = Some(JsonCodec::read(r)?)
-                        }
-                        _ => return Ok(false),
-                    }
-                    Ok::<bool, DecodeError>(true)
-                })?;
-                let kind = match (kind.as_deref(), row, blast_radius) {
-                    (Some("victim-refresh"), Some(Some(row)), Some(Some(blast_radius))) => {
-                        MitigationKindTag::VictimRefresh { row, blast_radius }
-                    }
-                    (Some("sweep"), Some(None), Some(None)) => MitigationKindTag::Sweep,
-                    _ => return Err(DecodeError::new("not a mitigation record")),
-                };
-                let missing = || DecodeError::new("missing field");
-                Ok(Self {
-                    cycle: cycle.ok_or_else(missing)?,
-                    channel: channel.ok_or_else(missing)?,
-                    kind,
-                })
-            },
-            Self::decode,
-        )
     }
 }
 

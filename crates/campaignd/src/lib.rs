@@ -33,15 +33,25 @@
 //!
 //! # Progress stream
 //!
-//! A `submit`-and-wait is event-driven: the connection's thread blocks on
-//! the job's condition variable and is woken by whatever moves the job
-//! (the claim pass, a settled cell, completion), never by a timer. Each
-//! wake streams the *latest* `done`, so updates coalesce: at most one
-//! line per distinct `done`, strictly increasing, never past `cells`,
-//! and none after the final response. Cells the cell table already held
-//! are one update however many they are, and a job that finishes before
-//! its first update is observed streams no progress line at all — clients
-//! must take the final response, not a `done == cells` line, as the end.
+//! A `submit`-and-wait runs its job on the connection thread that
+//! received it, and the job writes its own progress: every update that
+//! moves `done` (the claim pass, then each settled cell, sent from
+//! whichever executor worker settled it) writes one line carrying the new
+//! `done`, unless a larger `done` was written first. The writes share one
+//! lock, so lines never interleave and strictly increase, never past
+//! `cells`, and none follows the final response. Cells the cell table
+//! already held are one update however many they are, so a warm submit
+//! streams exactly one line, with `done == cells`.
+//!
+//! A client that vanishes mid-stream wedges nothing: its write errors are
+//! ignored, the job runs to completion (its cells still reach the table,
+//! cache and journal), and `wait` from another connection returns the
+//! report. A client that stays connected but stops reading holds its job
+//! up instead, once the socket's send buffer is full: the next progress
+//! write blocks until the client reads or goes. Background submits
+//! (`"wait": false`) and journal resumes run on a detached thread and
+//! stream nothing; `status` and `wait` observe any job through its mutex
+//! and condition variable.
 //!
 //! # Single-flight
 //!
@@ -106,7 +116,7 @@ enum CellState {
     Done(Arc<CellOutcome>),
 }
 
-/// What a job publishes under its mutex: every change notifies `Job::cv`.
+/// What a job publishes under its mutex; finishing notifies `Job::cv`.
 #[derive(Default)]
 struct JobProgress {
     /// Cells settled so far.
@@ -123,11 +133,24 @@ struct Job {
     cv: Condvar,
 }
 
+/// Where a job's progress goes: each new `done` total, as the job
+/// publishes it. A waiting submit writes it to its client as a
+/// [`ProgressEvent`] line; background and resumed jobs drop it.
+type ProgressSink<'a> = dyn Fn(usize) + Sync + 'a;
+
 impl Job {
-    /// Publishes `n` more settled cells as one update.
-    fn advance(&self, n: usize) {
-        relock(&self.progress).done += n;
-        self.cv.notify_all();
+    /// Publishes `n` more settled cells as one update and hands the new
+    /// total to `sink`; no update for `n == 0`.
+    fn advance(&self, n: usize, sink: &ProgressSink) {
+        if n == 0 {
+            return;
+        }
+        let done = {
+            let mut progress = relock(&self.progress);
+            progress.done += n;
+            progress.done
+        };
+        sink(done);
     }
 
     fn finish(&self, outcome: Result<Json, String>) {
@@ -141,17 +164,6 @@ impl Job {
             .wait_while(relock(&self.progress), |p| p.finished.is_none())
             .unwrap_or_else(PoisonError::into_inner);
         progress.finished.clone().expect("waited until the job finished")
-    }
-
-    /// Blocks until the job has settled a cell count other than `last`,
-    /// and returns it; `None` once the job has finished (nothing streams
-    /// after that).
-    fn next_done(&self, last: usize) -> Option<usize> {
-        let progress = self
-            .cv
-            .wait_while(relock(&self.progress), |p| p.finished.is_none() && p.done == last)
-            .unwrap_or_else(PoisonError::into_inner);
-        progress.finished.is_none().then_some(progress.done)
     }
 
     fn done(&self) -> usize {
@@ -224,11 +236,18 @@ enum Slot {
     Waiting,
 }
 
-/// Runs one submission to completion, returning the completion object.
-/// The claim/own/wait choreography is the single-flight core: each
-/// unique cell key is simulated by exactly one submission. Owned cells
-/// go through the shared [executor](sim::exec).
-fn run_job(inner: &Inner, job: &Job, spec: &SweepSpec, cells: Vec<KeyedCell>) -> Json {
+/// Runs one submission to completion, returning the completion object;
+/// each progress update goes to `sink`. The claim/own/wait choreography
+/// is the single-flight core: each unique cell key is simulated by
+/// exactly one submission. Owned cells go through the shared
+/// [executor](sim::exec).
+fn run_job(
+    inner: &Inner,
+    job: &Job,
+    spec: &SweepSpec,
+    cells: Vec<KeyedCell>,
+    sink: &ProgressSink,
+) -> Json {
     let (experiments, keys): (Vec<Experiment>, Vec<Option<CellKey>>) = cells.into_iter().unzip();
     let checkpoint =
         inner.journal.as_ref().map(|journal| Checkpoint::begin(journal, spec, experiments.len()));
@@ -261,7 +280,7 @@ fn run_job(inner: &Inner, job: &Job, spec: &SweepSpec, cells: Vec<KeyedCell>) ->
     }
     // Every cell the table already held is one progress update, not one
     // per cell.
-    job.advance(slots.iter().filter(|slot| matches!(slot, Slot::Ready(_))).count());
+    job.advance(slots.iter().filter(|slot| matches!(slot, Slot::Ready(_))).count(), sink);
     let mut owned = Vec::new();
     let mut owned_cells = Vec::new();
     for (i, experiment) in experiments.into_iter().enumerate() {
@@ -284,7 +303,7 @@ fn run_job(inner: &Inner, job: &Job, spec: &SweepSpec, cells: Vec<KeyedCell>) ->
             let outcome = outcome.clone().map_err(CellFailure::from);
             inner.complete_cell(&key.key, Arc::new(outcome));
         }
-        job.advance(1);
+        job.advance(1, sink);
     };
     let probed = exec.probe(owned_cells, on_settled);
     let executed = probed.missed().len();
@@ -298,7 +317,7 @@ fn run_job(inner: &Inner, job: &Job, spec: &SweepSpec, cells: Vec<KeyedCell>) ->
         if matches!(slot, Slot::Waiting) {
             let key = keys[i].as_ref().expect("only keyed cells wait");
             *slot = Slot::Ready(inner.wait_for_cell(&key.key));
-            job.advance(1);
+            job.advance(1, sink);
         }
     }
     // Assemble the report in expansion order: identical submissions
@@ -517,13 +536,20 @@ fn register_job(inner: &Inner, cells: usize) -> Arc<Job> {
 
 /// Runs a registered job to completion, publishes its completion object
 /// and retires it (waking a draining [`Server::serve`]).
-fn drive_job(inner: &Inner, job: &Job, spec: &SweepSpec, cells: Vec<KeyedCell>) {
-    job.finish(Ok(run_job(inner, job, spec, cells)));
+fn drive_job(
+    inner: &Inner,
+    job: &Job,
+    spec: &SweepSpec,
+    cells: Vec<KeyedCell>,
+    sink: &ProgressSink,
+) {
+    job.finish(Ok(run_job(inner, job, spec, cells, sink)));
     *relock(&inner.active_jobs) -= 1;
     inner.retired_cv.notify_all();
 }
 
-/// Creates a job and drives it on a detached thread; returns `(id, cells)`.
+/// Creates a job and drives it on a detached thread, streaming nothing;
+/// returns `(id, cells)`.
 fn spawn_background_job(
     inner: &Arc<Inner>,
     spec: SweepSpec,
@@ -532,7 +558,7 @@ fn spawn_background_job(
     let job = register_job(inner, cells.len());
     let (job_id, count) = (job.id, cells.len());
     let inner = inner.clone();
-    std::thread::spawn(move || drive_job(&inner, &job, &spec, cells));
+    std::thread::spawn(move || drive_job(&inner, &job, &spec, cells, &|_| {}));
     (job_id, count)
 }
 
@@ -731,30 +757,34 @@ fn submit(inner: &Arc<Inner>, request: &Json, stream: &mut UnixStream) -> Option
         return Some(ok_json([("job", Json::count(job_id)), ("cells", Json::count(cells as u64))]));
     }
     let job = register_job(inner, cells.len());
-    // Waiting submit: drive the job on a scoped worker while this thread
-    // streams progress events, woken by each update the job publishes.
-    std::thread::scope(|scope| {
-        scope.spawn(|| drive_job(inner, &job, &spec, cells));
-        let mut done = 0;
-        loop {
-            // Chaos hook, probed before every wait (so before the first):
-            // sever the client mid-stream. The job keeps running — the
-            // cell table, cache and journal all still win — and a
-            // reconnecting client shares its results.
-            if inner.faults.as_ref().and_then(|f| f.check(FaultSite::ClientStream))
-                == Some(FaultAction::Disconnect)
-            {
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-            }
-            let Some(latest) = job.next_done(done) else { break };
-            done = latest;
+    // Waiting submit: this thread drives the job, and the job writes its
+    // progress lines itself. The lock holds the client and the last
+    // `done` written: lines sent from the executor workers' `on_settled`
+    // never interleave, and one that lost the race to a larger `done` is
+    // dropped, so the stream strictly increases.
+    let client = Mutex::new((&mut *stream, 0));
+    let progress = |done: usize| {
+        let mut client = relock(&client);
+        let (stream, written) = &mut *client;
+        // Chaos hook, probed before every line (so before the first):
+        // sever the client mid-stream. The job keeps running — the cell
+        // table, cache and journal all still win — and a reconnecting
+        // client shares its results.
+        if inner.faults.as_ref().and_then(|f| f.check(FaultSite::ClientStream))
+            == Some(FaultAction::Disconnect)
+        {
+            let _ = stream.shutdown(std::net::Shutdown::Both);
+        }
+        if done > *written {
+            *written = done;
             let event =
                 ProgressEvent { job: job.id, done: done as u64, cells: job.cells as u64 }.to_json();
-            // A vanished client must not wedge the job: keep driving
-            // it to completion (the cell table and cache still win).
+            // A vanished client must not wedge the job: its write errors
+            // are ignored and the job runs to completion.
             let _ = write_line(stream, &event);
         }
-    });
+    };
+    drive_job(inner, &job, &spec, cells, &progress);
     Some(completion_json(job.wait()))
 }
 

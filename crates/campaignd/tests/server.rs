@@ -239,8 +239,8 @@ fn disconnected_client_does_not_wedge_the_job() {
             ..ServerConfig::default()
         },
     );
-    // The armed server severs this client at its first progress event;
-    // the submit surfaces as an io error, never a completion.
+    // The armed server severs this client before its second progress
+    // line; the submit surfaces as an io error, never a completion.
     let mut client = Client::connect(&socket).expect("connect");
     let severed = client.request_streaming(&submit_request(&tiny_spec(), true), |_| {});
     assert!(severed.is_err(), "the injected disconnect must surface to the client");
@@ -343,14 +343,69 @@ fn progress_stream_is_coalesced_and_ordered() {
     assert!(cold.windows(2).all(|w| w[0] < w[1]), "strictly increasing: {cold:?}");
     assert!(cold.iter().all(|&d| (1..=2).contains(&d)), "within 1..=cells: {cold:?}");
     // Warm: every cell is ready at the claim pass, which publishes them as
-    // one update, so at most one line (none if the job finished first).
+    // one update, and the connection thread driving the job writes it: one
+    // line, with `done == cells`.
     let (warm, done) = waiting_submit(&mut client);
     assert_eq!(field_u64(&done, "executed"), 0);
-    assert!(warm.len() <= 1 && warm.iter().all(|&d| d == 2), "one coalesced update: {warm:?}");
+    assert_eq!(warm, [2], "one coalesced update");
     // Nothing streams after a final response: the next line on the
     // connection is the next request's answer.
     let pong = client.request(&Json::obj([("cmd", Json::str("ping"))])).expect("ping");
     assert!(matches!(pong.get("pong"), Some(Json::Bool(true))), "{}", pong.render());
+    shutdown(&socket);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn client_cut_off_at_a_warm_progress_line_does_not_wedge_the_job() {
+    use sim_core::fault::FaultPlan;
+    let dir = scratch("warm-cut");
+    // The first progress line this server writes severs its client. A
+    // background submit streams nothing, so it fills the cell table and
+    // leaves the fault armed for the warm resubmit's one line.
+    let socket = start_with(
+        &dir,
+        "a",
+        ServerConfig {
+            faults: Some(FaultPlan::new(29).disconnect_client_nth(0).arm()),
+            ..ServerConfig::default()
+        },
+    );
+    let mut client = Client::connect(&socket).expect("connect");
+    let queued = client.request(&submit_request(&tiny_spec(), false)).expect("submit");
+    assert_ok(&queued);
+    let wait = |client: &mut Client, job: u64| {
+        client
+            .request(&Json::obj([("cmd", Json::str("wait")), ("job", Json::count(job))]))
+            .expect("wait")
+    };
+    let first = wait(&mut client, field_u64(&queued, "job"));
+    assert_ok(&first);
+    let report = first.get("report").expect("report").render();
+
+    let mut severed = Client::connect(&socket).expect("connect");
+    let cut = severed.request_streaming(&submit_request(&tiny_spec(), true), |_| {});
+    assert!(cut.is_err(), "the injected disconnect must surface to the client: {cut:?}");
+    // The warm job (job 2) still finished on the server: `wait` returns
+    // the first submit's report byte for byte and nothing was simulated
+    // again.
+    let warm = wait(&mut client, 2);
+    assert_ok(&warm);
+    assert_eq!(field_u64(&warm, "executed"), 0);
+    assert_eq!(warm.get("report").expect("report").render(), report);
+    assert_eq!(server_executed(&socket), 2);
+    // And it retires: a job is counted active until just after it
+    // publishes its completion, so give the connection thread a moment.
+    let mut active = u64::MAX;
+    for _ in 0..500 {
+        let stats = client.request(&Json::obj([("cmd", Json::str("stats"))])).expect("stats");
+        active = field_u64(&stats, "active");
+        if active == 0 {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    assert_eq!(active, 0, "the severed submit's job is still counted active");
     shutdown(&socket);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,11 +2,10 @@
 
 use crate::config::{DapperConfig, ResetStrategy};
 use crate::rgc::RgcTable;
-use llbc::KeySchedule;
+use llbc::{KeySchedule, Llbc};
 
 use sim_core::time::Cycle;
 use sim_core::tracker::{Activation, RowHammerTracker, StorageOverhead, TrackerAction};
-use std::collections::HashSet;
 
 #[derive(Debug, Clone)]
 struct RankState {
@@ -45,6 +44,21 @@ pub struct DapperH {
     pub multi_shared: u64,
     /// Hot group members refreshed by the cascade rule.
     pub cascades: u64,
+    scratch: Scratch,
+}
+
+/// Buffers [`DapperH::mitigate`] reuses, so a mitigation allocates only
+/// while they grow to one group's size.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// Table-1 group members, decrypted, in table-1 order.
+    members1: Vec<u64>,
+    /// Table-2 group members, decrypted, in table-2 order.
+    members2: Vec<u64>,
+    /// `members1`, sorted: the membership test for the shared rows.
+    sorted1: Vec<u64>,
+    /// The shared rows, in table-2 order until refreshed, then sorted.
+    shared: Vec<u64>,
 }
 
 impl DapperH {
@@ -79,6 +93,7 @@ impl DapperH {
             single_shared: 0,
             multi_shared: 0,
             cascades: 0,
+            scratch: Scratch::default(),
         }
     }
 
@@ -136,15 +151,21 @@ impl DapperH {
         let state = &mut self.ranks[rank as usize];
         let c1 = *state.keys1.cipher();
         let c2 = *state.keys2.cipher();
+        let Scratch { members1, members2, sorted1, shared } = &mut self.scratch;
 
         // Decrypt both groups' members.
-        let members1: Vec<u64> = ((g1 * s)..((g1 + 1) * s)).map(|h| c1.decrypt(h)).collect();
-        let members2: Vec<u64> = ((g2 * s)..((g2 + 1) * s)).map(|h| c2.decrypt(h)).collect();
-        let set1: HashSet<u64> = members1.iter().copied().collect();
-        let shared: Vec<u64> = members2.iter().copied().filter(|m| set1.contains(m)).collect();
+        members1.clear();
+        members1.extend(((g1 * s)..((g1 + 1) * s)).map(|h| c1.decrypt(h)));
+        members2.clear();
+        members2.extend(((g2 * s)..((g2 + 1) * s)).map(|h| c2.decrypt(h)));
+        sorted1.clear();
+        sorted1.extend_from_slice(members1);
+        sorted1.sort_unstable();
+        shared.clear();
+        shared.extend(members2.iter().copied().filter(|m| sorted1.binary_search(m).is_ok()));
 
         // Refresh the shared rows.
-        for &m in &shared {
+        for &m in shared.iter() {
             let addr = geom.addr_from_rank_row_index(channel, rank, m);
             actions.push(TrackerAction::MitigateRow(addr));
         }
@@ -154,6 +175,8 @@ impl DapperH {
         } else {
             self.multi_shared += 1;
         }
+        shared.sort_unstable();
+        let is_shared = |m: u64| shared.binary_search(&m).is_ok();
 
         // Reset counters: each triggering RGC restarts at the maximum
         // opposite-table count over its un-refreshed members — a sound upper
@@ -164,19 +187,23 @@ impl DapperH {
         // rows (clearing their accumulated damage) and excluded from the
         // maximum. Refreshed rows contribute nothing, keeping the rule
         // sound while the reset value stays below N_M / 2.
+        //
+        // "Refreshed" is "shared" for both walks: a group's members are
+        // distinct (the ciphers are permutations), so a table-1 member
+        // cascaded by the first walk is not shared, hence not in table 2's
+        // group, and the second walk never meets it.
         let (reset1, reset2) = match self.cfg.reset_strategy {
             ResetStrategy::Zero => (0, 0),
             ResetStrategy::ResetCounter => {
-                let shared_set: HashSet<u64> = shared.iter().copied().collect();
                 let r1 = members1
                     .iter()
-                    .filter(|m| !shared_set.contains(m))
+                    .filter(|&&m| !is_shared(m))
                     .map(|&m| state.rgc2.get(c2.encrypt(m) / s))
                     .max()
                     .unwrap_or(0);
                 let r2 = members2
                     .iter()
-                    .filter(|m| !shared_set.contains(m))
+                    .filter(|&&m| !is_shared(m))
                     .map(|&m| state.rgc1.get(c1.encrypt(m) / s))
                     .max()
                     .unwrap_or(0);
@@ -184,37 +211,22 @@ impl DapperH {
             }
             ResetStrategy::Cascade => {
                 let cascade_limit = (self.cfg.nm() / 2).max(1);
-                let mut refreshed: HashSet<u64> = shared.iter().copied().collect();
-                let mut r1 = 0;
-                for &m in &members1 {
-                    if refreshed.contains(&m) {
-                        continue;
+                let mut walk = |members: &[u64], opposite: &RgcTable, cipher: &Llbc| {
+                    let mut reset = 0;
+                    for &m in members.iter().filter(|&&m| !is_shared(m)) {
+                        let c = opposite.get(cipher.encrypt(m) / s);
+                        if c >= cascade_limit {
+                            self.cascades += 1;
+                            let addr = geom.addr_from_rank_row_index(channel, rank, m);
+                            actions.push(TrackerAction::MitigateRow(addr));
+                        } else {
+                            reset = reset.max(c);
+                        }
                     }
-                    let c = state.rgc2.get(c2.encrypt(m) / s);
-                    if c >= cascade_limit {
-                        self.cascades += 1;
-                        refreshed.insert(m);
-                        let addr = geom.addr_from_rank_row_index(channel, rank, m);
-                        actions.push(TrackerAction::MitigateRow(addr));
-                    } else {
-                        r1 = r1.max(c);
-                    }
-                }
-                let mut r2 = 0;
-                for &m in &members2 {
-                    if refreshed.contains(&m) {
-                        continue;
-                    }
-                    let c = state.rgc1.get(c1.encrypt(m) / s);
-                    if c >= cascade_limit {
-                        self.cascades += 1;
-                        refreshed.insert(m);
-                        let addr = geom.addr_from_rank_row_index(channel, rank, m);
-                        actions.push(TrackerAction::MitigateRow(addr));
-                    } else {
-                        r2 = r2.max(c);
-                    }
-                }
+                    reset
+                };
+                let r1 = walk(members1, &state.rgc2, &c2);
+                let r2 = walk(members2, &state.rgc1, &c1);
                 (r1, r2)
             }
         };
@@ -286,6 +298,7 @@ mod tests {
     use super::*;
     use sim_core::addr::DramAddr;
     use sim_core::req::SourceId;
+    use std::collections::HashSet;
 
     fn cfg() -> DapperConfig {
         DapperConfig::baseline(500, 0, 2024)
@@ -484,6 +497,153 @@ mod tests {
                 if c.geometry.rank_row_index(r) == partner_idx)
         });
         assert!(cascaded, "partner must be refreshed by the cascade");
+    }
+
+    impl DapperH {
+        /// The hash-set mitigation `mitigate` replaced, kept verbatim as
+        /// its oracle.
+        fn mitigate_oracle(
+            &mut self,
+            channel: u8,
+            rank: u8,
+            g1: u64,
+            g2: u64,
+            actions: &mut Vec<TrackerAction>,
+        ) {
+            let s = self.cfg.group_size as u64;
+            let geom = self.cfg.geometry;
+            let state = &mut self.ranks[rank as usize];
+            let c1 = *state.keys1.cipher();
+            let c2 = *state.keys2.cipher();
+
+            let members1: Vec<u64> = ((g1 * s)..((g1 + 1) * s)).map(|h| c1.decrypt(h)).collect();
+            let members2: Vec<u64> = ((g2 * s)..((g2 + 1) * s)).map(|h| c2.decrypt(h)).collect();
+            let set1: HashSet<u64> = members1.iter().copied().collect();
+            let shared: Vec<u64> = members2.iter().copied().filter(|m| set1.contains(m)).collect();
+
+            for &m in &shared {
+                let addr = geom.addr_from_rank_row_index(channel, rank, m);
+                actions.push(TrackerAction::MitigateRow(addr));
+            }
+            self.mitigations += 1;
+            if shared.len() <= 1 {
+                self.single_shared += 1;
+            } else {
+                self.multi_shared += 1;
+            }
+
+            let (reset1, reset2) = match self.cfg.reset_strategy {
+                ResetStrategy::Zero => (0, 0),
+                ResetStrategy::ResetCounter => {
+                    let shared_set: HashSet<u64> = shared.iter().copied().collect();
+                    let r1 = members1
+                        .iter()
+                        .filter(|m| !shared_set.contains(m))
+                        .map(|&m| state.rgc2.get(c2.encrypt(m) / s))
+                        .max()
+                        .unwrap_or(0);
+                    let r2 = members2
+                        .iter()
+                        .filter(|m| !shared_set.contains(m))
+                        .map(|&m| state.rgc1.get(c1.encrypt(m) / s))
+                        .max()
+                        .unwrap_or(0);
+                    (r1, r2)
+                }
+                ResetStrategy::Cascade => {
+                    let cascade_limit = (self.cfg.nm() / 2).max(1);
+                    let mut refreshed: HashSet<u64> = shared.iter().copied().collect();
+                    let mut r1 = 0;
+                    for &m in &members1 {
+                        if refreshed.contains(&m) {
+                            continue;
+                        }
+                        let c = state.rgc2.get(c2.encrypt(m) / s);
+                        if c >= cascade_limit {
+                            self.cascades += 1;
+                            refreshed.insert(m);
+                            let addr = geom.addr_from_rank_row_index(channel, rank, m);
+                            actions.push(TrackerAction::MitigateRow(addr));
+                        } else {
+                            r1 = r1.max(c);
+                        }
+                    }
+                    let mut r2 = 0;
+                    for &m in &members2 {
+                        if refreshed.contains(&m) {
+                            continue;
+                        }
+                        let c = state.rgc1.get(c1.encrypt(m) / s);
+                        if c >= cascade_limit {
+                            self.cascades += 1;
+                            refreshed.insert(m);
+                            let addr = geom.addr_from_rank_row_index(channel, rank, m);
+                            actions.push(TrackerAction::MitigateRow(addr));
+                        } else {
+                            r2 = r2.max(c);
+                        }
+                    }
+                    (r1, r2)
+                }
+            };
+            state.rgc1.set(g1, reset1);
+            state.rgc2.set(g2, reset2);
+            state.bitvec[g1 as usize] = 0;
+        }
+    }
+
+    #[test]
+    fn mitigate_matches_the_hash_set_oracle() {
+        use sim_core::addr::Geometry;
+        use sim_core::rng::Xoshiro256;
+        let mut rng = Xoshiro256::seed_from(0xDA9_4E5);
+        let mut multi_shared = 0;
+        let strategies = [ResetStrategy::Zero, ResetStrategy::ResetCounter, ResetStrategy::Cascade];
+        for strategy in strategies {
+            // The tiny geometry's groups overlap by many rows, the paper's
+            // by about one: both the multi- and the single-shared path.
+            for geometry in [Geometry::paper_baseline(), Geometry::tiny()] {
+                for group_size in [64, 256] {
+                    let mut c = DapperConfig { geometry, ..cfg() }.with_group_size(group_size);
+                    c.reset_strategy = strategy;
+                    let groups = c.groups_per_rank();
+                    let mut t = DapperH::new(c);
+                    let mut out = Vec::new();
+                    for round in 0..40 {
+                        let rank = (rng.next_u64() % geometry.ranks as u64) as u8;
+                        // Counters spread over the whole 1-byte range, so
+                        // members fall on both sides of the cascade limit.
+                        let state = &mut t.ranks[rank as usize];
+                        for g in 0..groups {
+                            state.rgc1.set(g, (rng.next_u64() % 256) as u32);
+                            state.rgc2.set(g, (rng.next_u64() % 256) as u32);
+                        }
+                        // Mostly the groups of one row, as on the
+                        // activation path; sometimes two unrelated groups.
+                        let (g1, g2) = if round % 4 == 0 {
+                            (rng.next_u64() % groups, rng.next_u64() % groups)
+                        } else {
+                            t.groups_of(rank, rng.next_u64() % geometry.rows_per_rank())
+                        };
+                        let mut oracle = t.clone();
+                        let mut want = Vec::new();
+                        oracle.mitigate_oracle(0, rank, g1, g2, &mut want);
+                        out.clear();
+                        t.mitigate(0, rank, g1, g2, &mut out);
+                        let what = format!("{strategy:?} {group_size} ({g1}, {g2})");
+                        assert_eq!(out, want, "{what}");
+                        let after = |t: &DapperH| {
+                            let r = &t.ranks[rank as usize];
+                            let counts = (t.mitigations, t.single_shared, t.multi_shared);
+                            (counts, t.cascades, r.rgc1.get(g1), r.rgc2.get(g2), r.bitvec.clone())
+                        };
+                        assert_eq!(after(&t), after(&oracle), "{what}");
+                    }
+                    multi_shared += t.multi_shared;
+                }
+            }
+        }
+        assert!(multi_shared > 0, "no mitigation refreshed more than one shared row");
     }
 
     #[test]

@@ -26,7 +26,8 @@
 //!   counters are atomics, so one store can be shared across sweep
 //!   workers and server connections.
 
-use std::io::Write;
+use std::ffi::OsString;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -121,6 +122,33 @@ pub struct CacheStats {
 // The shape `campaignd stats` reports under `"cache"`.
 crate::json_record!(CacheStats { hits, misses, corrupt, io_errors });
 
+/// Bytes the first read of an entry asks for. A plain sweep cell's entry
+/// is smaller (the pinned sweep's are about 1.8 KB), so its hit is one
+/// read that takes it all and one that finds the end.
+const FIRST_READ: usize = 4096;
+
+/// Reads a whole entry file: `open` and reads into a buffer that starts
+/// at [`FIRST_READ`] bytes and doubles when full. Unlike `std::fs::read`
+/// it never asks the file system for the size (`statx`) first.
+fn read_entry(path: &Path) -> std::io::Result<Vec<u8>> {
+    let mut file = std::fs::File::open(path)?;
+    let mut bytes = vec![0; FIRST_READ];
+    let mut len = 0;
+    loop {
+        if len == bytes.len() {
+            bytes.resize(2 * len, 0);
+        }
+        match file.read(&mut bytes[len..]) {
+            Ok(0) => break,
+            Ok(n) => len += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    bytes.truncate(len);
+    Ok(bytes)
+}
+
 /// A content-addressed key → payload store: sharded directory layout
 /// (`<root>/<key[0..2]>/<key>.entry`), atomic writes, checksummed
 /// entries, and hit/miss/corrupt/IO-error counters.
@@ -155,10 +183,21 @@ impl DiskStore {
         &self.root
     }
 
-    /// On-disk path of a key's entry.
+    /// On-disk path of a key's entry, built in one allocation.
     pub fn entry_path(&self, key: &str) -> PathBuf {
         let shard = if key.len() >= 2 { &key[..2] } else { "xx" };
-        self.root.join(shard).join(format!("{key}.entry"))
+        let root = self.root.as_os_str();
+        let mut path = OsString::with_capacity(root.len() + key.len() + 10);
+        path.push(root);
+        // `Path::join`'s rule: a separator unless the root is empty or
+        // already ends in one.
+        if !root.is_empty() && !root.as_encoded_bytes().ends_with(b"/") {
+            path.push("/");
+        }
+        for part in [shard, "/", key, ".entry"] {
+            path.push(part);
+        }
+        PathBuf::from(path)
     }
 
     /// Arms a fault [`Injector`] on this store's disk paths (chaos tests
@@ -185,7 +224,7 @@ impl DiskStore {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        let mut text = match std::fs::read(&path) {
+        let mut text = match read_entry(&path) {
             // Bytes that are not UTF-8 are corrupt: read as an empty entry,
             // they fail decoding below and are evicted.
             Ok(bytes) => String::from_utf8(bytes).unwrap_or_default(),
@@ -365,6 +404,45 @@ mod tests {
         let reopened = DiskStore::open(store.root()).unwrap();
         assert_eq!(reopened.get("k1").as_deref(), Some("payload-one"));
         assert_eq!(reopened.stats().hits, 1);
+    }
+
+    #[test]
+    fn entry_paths_join_root_shard_and_key() {
+        for root in ["", "/", "c", "c/", "a/b", "a/b/"] {
+            let store = DiskStore {
+                root: PathBuf::from(root),
+                ..DiskStore::open(scratch("paths")).unwrap()
+            };
+            for key in ["deadbeef", "k", ""] {
+                let shard = if key.len() >= 2 { &key[..2] } else { "xx" };
+                let joined = Path::new(root).join(shard).join(format!("{key}.entry"));
+                let path = store.entry_path(key);
+                assert_eq!(path.as_os_str(), joined.as_os_str(), "root {root:?}, key {key:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn entries_past_the_first_read_round_trip() {
+        let store = DiskStore::open(scratch("long")).unwrap();
+        // Multi-byte characters straddle every read boundary.
+        for len in [FIRST_READ - 40, FIRST_READ, 3 * FIRST_READ + 7] {
+            let payload: String = "aé€𝄞".chars().cycle().take(len).collect();
+            store.put("big", &payload).unwrap();
+            assert_eq!(store.get("big").as_deref(), Some(payload.as_str()), "{len} chars");
+        }
+        assert_eq!(store.stats(), CacheStats { hits: 3, ..CacheStats::default() });
+    }
+
+    #[test]
+    fn unreadable_entry_is_an_io_error_left_on_disk() {
+        // A directory under the entry's name opens, but does not read.
+        let store = DiskStore::open(scratch("unreadable")).unwrap();
+        std::fs::create_dir_all(store.entry_path("dir")).unwrap();
+        assert_eq!(store.get("dir"), None);
+        let s = store.stats();
+        assert_eq!((s.io_errors, s.misses, s.corrupt, s.hits), (1, 1, 0, 0));
+        assert!(store.entry_path("dir").exists(), "an IO error must not evict");
     }
 
     #[test]

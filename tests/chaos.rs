@@ -199,7 +199,7 @@ fn severed_campaignd_client_shares_the_finished_job() {
     .expect("bind");
     std::thread::spawn(move || server.serve().expect("serve"));
 
-    // The armed server severs this client at its first progress poll.
+    // The armed server severs this client before its second progress line.
     let mut client = Client::connect(&socket).expect("connect");
     assert!(
         client.request_streaming(&submit_request(&chaos_spec(), true), |_| {}).is_err(),

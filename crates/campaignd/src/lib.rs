@@ -43,15 +43,19 @@
 //! already held are one update however many they are, so a warm submit
 //! streams exactly one line, with `done == cells`.
 //!
-//! A client that vanishes mid-stream wedges nothing: its write errors are
-//! ignored, the job runs to completion (its cells still reach the table,
-//! cache and journal), and `wait` from another connection returns the
-//! report. A client that stays connected but stops reading holds its job
-//! up instead, once the socket's send buffer is full: the next progress
-//! write blocks until the client reads or goes. Background submits
-//! (`"wait": false`) and journal resumes run on a detached thread and
-//! stream nothing; `status` and `wait` observe any job through its mutex
-//! and condition variable.
+//! A client that vanishes mid-stream wedges nothing: the first write
+//! that fails severs it, no further line is written, and the job runs to
+//! completion (its cells still reach the table, cache and journal);
+//! `wait` from another connection returns the report. Every worker of
+//! the job waits behind a progress write, so a client that stays
+//! connected but stops reading must not hold it up either: once its
+//! socket's send buffer is full, a write that cannot finish within one
+//! second severs it the same way. The job, every submission waiting on
+//! its cells, and a draining shutdown then go on without it.
+//!
+//! Background submits (`"wait": false`) and journal resumes run on a
+//! detached thread and stream nothing; `status` and `wait` observe any
+//! job through its mutex and condition variable.
 //!
 //! # Single-flight
 //!
@@ -562,6 +566,13 @@ fn spawn_background_job(
     (job_id, count)
 }
 
+/// Longest a waiting submit's progress write may block on a client that
+/// is not reading (its socket's send buffer full) before the client is
+/// severed. Every worker of the job waits behind that write, so without
+/// a bound one stalled client would stall the job, every submission
+/// waiting on its cells, and a draining shutdown.
+const PROGRESS_WRITE_TIMEOUT: Duration = Duration::from_secs(1);
+
 /// Longest request line a connection may send, newline included. The
 /// largest request the repo makes, a waiting submit of the pinned 18-cell
 /// spec, is 239 bytes.
@@ -758,33 +769,43 @@ fn submit(inner: &Arc<Inner>, request: &Json, stream: &mut UnixStream) -> Option
     }
     let job = register_job(inner, cells.len());
     // Waiting submit: this thread drives the job, and the job writes its
-    // progress lines itself. The lock holds the client and the last
-    // `done` written: lines sent from the executor workers' `on_settled`
-    // never interleave, and one that lost the race to a larger `done` is
-    // dropped, so the stream strictly increases.
-    let client = Mutex::new((&mut *stream, 0));
+    // progress lines itself, from whichever executor worker settled a
+    // cell. The lock holds the client (`None` once severed) and the last
+    // `done` written: lines never interleave, and one that lost the race
+    // to a larger `done` is dropped, so the stream strictly increases.
+    // A progress write that cannot finish within PROGRESS_WRITE_TIMEOUT
+    // severs the client, so a client that stops reading stalls neither
+    // this job's workers nor the submissions waiting on its cells.
+    let _ = stream.set_write_timeout(Some(PROGRESS_WRITE_TIMEOUT));
+    let client = Mutex::new((Some(&mut *stream), 0));
     let progress = |done: usize| {
         let mut client = relock(&client);
-        let (stream, written) = &mut *client;
+        let (open, written) = &mut *client;
+        let Some(stream) = open else { return };
         // Chaos hook, probed before every line (so before the first):
         // sever the client mid-stream. The job keeps running — the cell
         // table, cache and journal all still win — and a reconnecting
         // client shares its results.
-        if inner.faults.as_ref().and_then(|f| f.check(FaultSite::ClientStream))
-            == Some(FaultAction::Disconnect)
-        {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
-        if done > *written {
+        let cut = inner.faults.as_ref().and_then(|f| f.check(FaultSite::ClientStream))
+            == Some(FaultAction::Disconnect);
+        if !cut {
+            if done <= *written {
+                return;
+            }
             *written = done;
             let event =
                 ProgressEvent { job: job.id, done: done as u64, cells: job.cells as u64 }.to_json();
-            // A vanished client must not wedge the job: its write errors
-            // are ignored and the job runs to completion.
-            let _ = write_line(stream, &event);
+            if write_line(stream, &event).is_ok() {
+                return;
+            }
         }
+        // Cut, gone, or not reading: no further line goes out, and the
+        // final response's write fails and ends the connection.
+        let _ = stream.shutdown(std::net::Shutdown::Both);
+        *open = None;
     };
     drive_job(inner, &job, &spec, cells, &progress);
+    let _ = stream.set_write_timeout(None);
     Some(completion_json(job.wait()))
 }
 

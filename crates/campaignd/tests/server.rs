@@ -386,10 +386,10 @@ fn client_cut_off_at_a_warm_progress_line_does_not_wedge_the_job() {
     let mut severed = Client::connect(&socket).expect("connect");
     let cut = severed.request_streaming(&submit_request(&tiny_spec(), true), |_| {});
     assert!(cut.is_err(), "the injected disconnect must surface to the client: {cut:?}");
-    // The warm job (job 2) still finished on the server: `wait` returns
-    // the first submit's report byte for byte and nothing was simulated
-    // again.
-    let warm = wait(&mut client, 2);
+    // The warm job, registered right after the first, still finished on
+    // the server: `wait` returns the first submit's report byte for byte
+    // and nothing was simulated again.
+    let warm = wait(&mut client, field_u64(&queued, "job") + 1);
     assert_ok(&warm);
     assert_eq!(field_u64(&warm, "executed"), 0);
     assert_eq!(warm.get("report").expect("report").render(), report);
@@ -406,6 +406,59 @@ fn client_cut_off_at_a_warm_progress_line_does_not_wedge_the_job() {
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
     assert_eq!(active, 0, "the severed submit's job is still counted active");
+    shutdown(&socket);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn client_that_stops_reading_stalls_no_other_submission() {
+    use std::io::{Read, Write};
+    use std::time::Duration;
+    let dir = scratch("stalled-reader");
+    let socket = start(&dir, "a");
+    // 456 distinct cells, each a progress line when it settles: more than
+    // a unix socket's default send buffer holds.
+    let mut spec = tiny_spec();
+    spec.workloads = vec!["@all".to_string()];
+    spec.attacks = ["none", "cache-thrash", "streaming", "refresh"].map(String::from).to_vec();
+    spec.options.window_us = Some(2.0);
+    let cells = 57 * 2 * 4;
+
+    // This client submits and waits, but never reads a byte.
+    let mut stalled = std::os::unix::net::UnixStream::connect(&socket).expect("connect");
+    let mut line = submit_request(&spec, true).render();
+    line.push('\n');
+    stalled.write_all(line.as_bytes()).expect("send");
+    let mut client = Client::connect(&socket).expect("connect");
+    let stats = Json::obj([("cmd", Json::str("stats"))]);
+    while field_u64(&client.request(&stats).expect("stats"), "active") == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    // A second client submits the same sweep and shares the stalled
+    // client's cells. It runs on its own thread, so a server wedged
+    // behind the stalled reader fails the test instead of hanging it.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let (sweep, path) = (spec.clone(), socket.clone());
+    std::thread::spawn(move || {
+        let mut client = Client::connect(&path).expect("connect");
+        let _ = tx.send(client.request_streaming(&submit_request(&sweep, true), |_| {}));
+    });
+    let done = rx
+        .recv_timeout(Duration::from_secs(120))
+        .expect("the second submit is wedged behind the client that stopped reading")
+        .expect("submit");
+    assert_ok(&done);
+    assert_eq!(field_u64(&done, "cells"), cells);
+    assert_eq!(server_executed(&socket), cells, "each unique cell ran once");
+
+    // The stalled client was severed: its socket holds the progress lines
+    // that fit, then ends, with no final response.
+    stalled.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+    let mut text = String::new();
+    stalled.read_to_string(&mut text).expect("the stalled client's stream must end");
+    assert!(text.starts_with("{\"event\":\"progress\""), "{text:.80}");
+    assert!(!text.contains("\"ok\""), "a severed client got a final response");
     shutdown(&socket);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -26,7 +26,6 @@
 //!   counters are atomics, so one store can be shared across sweep
 //!   workers and server connections.
 
-use std::ffi::OsString;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -183,21 +182,10 @@ impl DiskStore {
         &self.root
     }
 
-    /// On-disk path of a key's entry, built in one allocation.
+    /// On-disk path of a key's entry.
     pub fn entry_path(&self, key: &str) -> PathBuf {
         let shard = if key.len() >= 2 { &key[..2] } else { "xx" };
-        let root = self.root.as_os_str();
-        let mut path = OsString::with_capacity(root.len() + key.len() + 10);
-        path.push(root);
-        // `Path::join`'s rule: a separator unless the root is empty or
-        // already ends in one.
-        if !root.is_empty() && !root.as_encoded_bytes().ends_with(b"/") {
-            path.push("/");
-        }
-        for part in [shard, "/", key, ".entry"] {
-            path.push(part);
-        }
-        PathBuf::from(path)
+        self.root.join(shard).join(format!("{key}.entry"))
     }
 
     /// Arms a fault [`Injector`] on this store's disk paths (chaos tests
@@ -404,22 +392,6 @@ mod tests {
         let reopened = DiskStore::open(store.root()).unwrap();
         assert_eq!(reopened.get("k1").as_deref(), Some("payload-one"));
         assert_eq!(reopened.stats().hits, 1);
-    }
-
-    #[test]
-    fn entry_paths_join_root_shard_and_key() {
-        for root in ["", "/", "c", "c/", "a/b", "a/b/"] {
-            let store = DiskStore {
-                root: PathBuf::from(root),
-                ..DiskStore::open(scratch("paths")).unwrap()
-            };
-            for key in ["deadbeef", "k", ""] {
-                let shard = if key.len() >= 2 { &key[..2] } else { "xx" };
-                let joined = Path::new(root).join(shard).join(format!("{key}.entry"));
-                let path = store.entry_path(key);
-                assert_eq!(path.as_os_str(), joined.as_os_str(), "root {root:?}, key {key:?}");
-            }
-        }
     }
 
     #[test]

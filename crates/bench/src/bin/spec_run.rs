@@ -186,7 +186,7 @@ fn run() -> Result<i32, String> {
         failed_cells += report.failures.len();
         std::fs::create_dir_all(&out_dir).map_err(|e| format!("cannot create {out_dir}: {e}"))?;
         let out_path = format!("{out_dir}/{}.json", report.name);
-        std::fs::write(&out_path, report.to_json().render())
+        std::fs::write(&out_path, report.render())
             .map_err(|e| format!("cannot write {out_path}: {e}"))?;
         println!("  results written to {out_path}");
         // Per-window telemetry (when the spec's `[telemetry]` section

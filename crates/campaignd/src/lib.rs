@@ -21,8 +21,8 @@
 //! | `{"cmd":"ping"}` | `{"ok":true,"pong":true}` |
 //! | `{"cmd":"submit","spec":{...},"wait":true}` | progress events, then `{"ok":true,"job":N,"report":{...},"cells":C,"hits":H,"executed":X,"shared":S}` |
 //! | `{"cmd":"submit","spec":{...}}` | `{"ok":true,"job":N,"cells":C}` (job runs in the background) |
-//! | `{"cmd":"status","job":N}` | `{"ok":true,"job":N,"state":"running"\|"done"\|"failed","done":D,"cells":C}` |
-//! | `{"cmd":"wait","job":N}` | blocks, then the same completion object `submit`-and-wait ends with |
+//! | `{"cmd":"status","job":N}` | `{"ok":true,"job":N,"state":"running"\|"done","done":D,"cells":C}` |
+//! | `{"cmd":"wait","job":N}` | blocks, then the completion line `submit`-and-wait ends with, byte for byte |
 //! | `{"cmd":"lookup","spec":{...}}` (a sweep spec that expands to exactly one cell) | `{"ok":true,"cached":bool,"result":row\|null}` — never simulates |
 //! | `{"cmd":"stats"}` | `{"ok":true,"executed":X,"jobs":J,...,"cache":{"hits":H,"misses":M,"corrupt":C,"io_errors":E}\|null}` |
 //! | `{"cmd":"shutdown"}` | `{"ok":true,"stopping":true}`, then the server drains |
@@ -57,6 +57,18 @@
 //! detached thread and stream nothing; `status` and `wait` observe any
 //! job through its mutex and condition variable.
 //!
+//! # Completion
+//!
+//! A job renders its completion response once, as it finishes: one line,
+//! written straight from its settled cells in expansion order by
+//! [`sim::spec::write_report`] (no report tree, no copy of a result or of
+//! the spec), with the spec's canonical text rendered once for both the
+//! journal's hash and the report. A finished job keeps that line as bytes,
+//! shared (`Arc<str>`): the waiting submit and every later `wait`, from
+//! any connection, write the same bytes, with no copy and no merge. The
+//! job table keeps every finished job, so each costs the server its line
+//! (about 4.5 KB for an 18-cell sweep) for the server's lifetime.
+//!
 //! # Single-flight
 //!
 //! Every cell canonicalizes to its [`sim::cache::CellKey`]. The server
@@ -79,7 +91,7 @@ use sim::exec::{Checkpoint, Executor, PayloadCache, Source};
 use sim::experiment::ExperimentResult;
 use sim::journal::SweepJournal;
 use sim::runner::{cell_label, RunnerConfig, SweepError};
-use sim::spec::{result_to_json, SweepReport, SweepSpec};
+use sim::spec::{result_to_json, write_report, SweepSpec};
 use sim::Experiment;
 use sim_core::fault::{FaultAction, FaultSite, Injector};
 use sim_core::json::{Json, JsonCodec};
@@ -125,8 +137,10 @@ enum CellState {
 struct JobProgress {
     /// Cells settled so far.
     done: usize,
-    /// Completion object (or submission-level error), set exactly once.
-    finished: Option<Result<Json, String>>,
+    /// The completion response line, newline included, set exactly once:
+    /// rendered when the job finished, and written as these bytes to the
+    /// waiting submit and to every `wait`.
+    finished: Option<Arc<str>>,
 }
 
 /// A submitted sweep's lifecycle, observable via `status`/`wait`.
@@ -157,12 +171,12 @@ impl Job {
         sink(done);
     }
 
-    fn finish(&self, outcome: Result<Json, String>) {
-        relock(&self.progress).finished = Some(outcome);
+    fn finish(&self, line: Arc<str>) {
+        relock(&self.progress).finished = Some(line);
         self.cv.notify_all();
     }
 
-    fn wait(&self) -> Result<Json, String> {
+    fn wait(&self) -> Arc<str> {
         let progress = self
             .cv
             .wait_while(relock(&self.progress), |p| p.finished.is_none())
@@ -177,8 +191,7 @@ impl Job {
     fn state(&self) -> &'static str {
         match relock(&self.progress).finished {
             None => "running",
-            Some(Ok(_)) => "done",
-            Some(Err(_)) => "failed",
+            Some(_) => "done",
         }
     }
 }
@@ -240,8 +253,8 @@ enum Slot {
     Waiting,
 }
 
-/// Runs one submission to completion, returning the completion object;
-/// each progress update goes to `sink`. The claim/own/wait choreography
+/// Runs one submission to completion, returning its completion response
+/// line; each progress update goes to `sink`. The claim/own/wait choreography
 /// is the single-flight core: each unique cell key is simulated by
 /// exactly one submission. Owned cells go through the shared
 /// [executor](sim::exec).
@@ -251,10 +264,15 @@ fn run_job(
     spec: &SweepSpec,
     cells: Vec<KeyedCell>,
     sink: &ProgressSink,
-) -> Json {
+) -> Arc<str> {
     let (experiments, keys): (Vec<Experiment>, Vec<Option<CellKey>>) = cells.into_iter().unzip();
-    let checkpoint =
-        inner.journal.as_ref().map(|journal| Checkpoint::begin(journal, spec, experiments.len()));
+    // The spec's canonical text, rendered once: the journal hashes it and
+    // the report embeds it.
+    let spec_json = spec.to_json().render();
+    let checkpoint = inner
+        .journal
+        .as_ref()
+        .map(|journal| Checkpoint::begin(journal, &spec_json, experiments.len()));
     let mut shared = 0usize;
     let mut slots: Vec<Slot> = Vec::with_capacity(experiments.len());
     {
@@ -324,36 +342,50 @@ fn run_job(
             job.advance(1, sink);
         }
     }
-    // Assemble the report in expansion order: identical submissions
-    // yield byte-identical reports regardless of who simulated what.
-    let outcomes = slots
-        .iter()
+    // The report lists the cells in expansion order: identical
+    // submissions yield byte-identical reports regardless of who simulated
+    // what.
+    let outcomes = slots.iter().map(|slot| match slot {
+        Slot::Ready(outcome) => outcome.as_ref(),
+        _ => unreachable!("every slot resolves"),
+    });
+    let failures: Vec<SweepError> = outcomes
+        .clone()
         .enumerate()
-        .map(|(i, slot)| {
-            let Slot::Ready(outcome) = slot else { unreachable!("every slot resolves") };
-            outcome.as_ref().clone().map_err(|f| SweepError {
-                index: i,
-                cell: f.cell,
-                message: f.message,
-            })
+        .filter_map(|(index, outcome)| {
+            let f = outcome.as_ref().err()?;
+            Some(SweepError { index, cell: f.cell.clone(), message: f.message.clone() })
         })
         .collect();
-    let report = SweepReport::assemble(spec, outcomes);
     // A clean pass closes the sweep's journal entry; a pass with
     // quarantined cells leaves it open so a resubmit (or a restart with
     // --resume) re-runs only the failures.
-    if let (Some(checkpoint), true) = (&checkpoint, report.failures.is_empty()) {
+    if let (Some(checkpoint), true) = (&checkpoint, failures.is_empty()) {
         checkpoint.end();
     }
-    Json::obj([
-        ("job", Json::count(job.id)),
-        ("cells", Json::count(slots.len() as u64)),
-        ("hits", Json::count(summary.hits as u64)),
-        ("resumed", Json::count(summary.resumed as u64)),
-        ("executed", Json::count(executed as u64)),
-        ("shared", Json::count(shared as u64)),
-        ("report", report.to_json()),
-    ])
+    // A result row renders to about 250 bytes: the line is written into
+    // one buffer, grown at most rarely.
+    let mut line = String::with_capacity(256 + spec_json.len() + 320 * slots.len());
+    line.push_str("{\"ok\":true");
+    let counts = [
+        ("job", job.id),
+        ("cells", slots.len() as u64),
+        ("hits", summary.hits as u64),
+        ("resumed", summary.resumed as u64),
+        ("executed", executed as u64),
+        ("shared", shared as u64),
+    ];
+    for (key, n) in counts {
+        line.push_str(",\"");
+        line.push_str(key);
+        line.push_str("\":");
+        Json::count(n).render_into(&mut line);
+    }
+    line.push_str(",\"report\":");
+    let results = outcomes.filter_map(|outcome| outcome.as_ref().ok());
+    write_report(&mut line, &spec.name, &spec_json, results, &failures);
+    line.push_str("}\n");
+    Arc::from(line)
 }
 
 fn err_json(message: impl std::fmt::Display) -> Json {
@@ -366,23 +398,24 @@ fn ok_json(extra: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
     Json::Obj(pairs)
 }
 
-/// Merges a completion object into an `ok` response.
-fn completion_json(outcome: Result<Json, String>) -> Json {
-    match outcome {
-        Ok(Json::Obj(pairs)) => {
-            let mut merged = vec![("ok".to_string(), Json::Bool(true))];
-            merged.extend(pairs);
-            Json::Obj(merged)
-        }
-        Ok(other) => ok_json([("report", other)]),
-        Err(message) => err_json(message),
-    }
+/// One response: built as a tree, or a finished job's completion line,
+/// already rendered.
+enum Reply {
+    Tree(Json),
+    Line(Arc<str>),
 }
 
 fn write_line(stream: &mut UnixStream, msg: &Json) -> std::io::Result<()> {
     let mut line = msg.render();
     line.push('\n');
     stream.write_all(line.as_bytes())
+}
+
+fn write_reply(stream: &mut UnixStream, reply: &Reply) -> std::io::Result<()> {
+    match reply {
+        Reply::Tree(msg) => write_line(stream, msg),
+        Reply::Line(line) => stream.write_all(line.as_bytes()),
+    }
 }
 
 /// Server configuration.
@@ -538,8 +571,8 @@ fn register_job(inner: &Inner, cells: usize) -> Arc<Job> {
     job
 }
 
-/// Runs a registered job to completion, publishes its completion object
-/// and retires it (waking a draining [`Server::serve`]).
+/// Runs a registered job to completion, publishes its completion line and
+/// retires it (waking a draining [`Server::serve`]).
 fn drive_job(
     inner: &Inner,
     job: &Job,
@@ -547,7 +580,7 @@ fn drive_job(
     cells: Vec<KeyedCell>,
     sink: &ProgressSink,
 ) {
-    job.finish(Ok(run_job(inner, job, spec, cells, sink)));
+    job.finish(run_job(inner, job, spec, cells, sink));
     *relock(&inner.active_jobs) -= 1;
     inner.retired_cv.notify_all();
 }
@@ -599,14 +632,12 @@ fn handle_connection(inner: &Arc<Inner>, mut stream: UnixStream) {
         if text.is_empty() {
             continue;
         }
-        let response = match Json::parse(text) {
+        let reply = match Json::parse(text) {
             Ok(request) => dispatch(inner, &request, &mut stream),
-            Err(e) => Some(err_json(format!("bad request: {e}"))),
+            Err(e) => Reply::Tree(err_json(format!("bad request: {e}"))),
         };
-        if let Some(response) = response {
-            if write_line(&mut stream, &response).is_err() {
-                return;
-            }
+        if write_reply(&mut stream, &reply).is_err() {
+            return;
         }
         if inner.shutdown.load(Ordering::Relaxed) {
             // Wake the acceptor so serve() can observe the flag.
@@ -616,17 +647,17 @@ fn handle_connection(inner: &Arc<Inner>, mut stream: UnixStream) {
     }
 }
 
-/// Handles one request; `None` means the handler already wrote its
-/// response(s) (the streaming submit path).
-fn dispatch(inner: &Arc<Inner>, request: &Json, stream: &mut UnixStream) -> Option<Json> {
+/// Handles one request, returning its final response (a waiting submit
+/// writes its progress lines to `stream` first).
+fn dispatch(inner: &Arc<Inner>, request: &Json, stream: &mut UnixStream) -> Reply {
     let cmd = match request.get("cmd") {
         Some(Json::Str(cmd)) => cmd.as_str(),
-        _ => return Some(err_json("missing 'cmd'")),
+        _ => return Reply::Tree(err_json("missing 'cmd'")),
     };
-    match cmd {
-        "ping" => Some(ok_json([("pong", Json::Bool(true))])),
-        "submit" => submit(inner, request, stream),
-        "status" => Some(match lookup_job(inner, request) {
+    Reply::Tree(match cmd {
+        "ping" => ok_json([("pong", Json::Bool(true))]),
+        "submit" => return submit(inner, request, stream),
+        "status" => match lookup_job(inner, request) {
             Ok(job) => ok_json([
                 ("job", Json::count(job.id)),
                 ("state", Json::str(job.state())),
@@ -634,29 +665,29 @@ fn dispatch(inner: &Arc<Inner>, request: &Json, stream: &mut UnixStream) -> Opti
                 ("cells", Json::count(job.cells as u64)),
             ]),
             Err(e) => e,
-        }),
-        "wait" => Some(match lookup_job(inner, request) {
-            Ok(job) => completion_json(job.wait()),
+        },
+        "wait" => match lookup_job(inner, request) {
+            Ok(job) => return Reply::Line(job.wait()),
             Err(e) => e,
-        }),
-        "lookup" => Some(lookup_cell(inner, request)),
-        "stats" => Some(ok_json([
+        },
+        "lookup" => lookup_cell(inner, request),
+        "stats" => ok_json([
             ("executed", Json::count(inner.executed.load(Ordering::Relaxed))),
             ("jobs", Json::count(relock(&inner.jobs).len() as u64)),
             ("active", Json::count(*relock(&inner.active_jobs) as u64)),
             ("resumed_sweeps", Json::count(inner.resumed_sweeps.load(Ordering::Relaxed))),
             ("draining", Json::Bool(inner.draining.load(Ordering::Relaxed))),
             ("cache", inner.cache.as_ref().map(RunCache::stats).encode()),
-        ])),
+        ]),
         "shutdown" => {
             // Draining first: submissions racing the shutdown are
             // rejected instead of silently competing with the drain.
             inner.draining.store(true, Ordering::Relaxed);
             inner.shutdown.store(true, Ordering::Relaxed);
-            Some(ok_json([("stopping", Json::Bool(true))]))
+            ok_json([("stopping", Json::Bool(true))])
         }
-        other => Some(err_json(format!("unknown cmd '{other}'"))),
-    }
+        other => err_json(format!("unknown cmd '{other}'")),
+    })
 }
 
 fn lookup_job(inner: &Inner, request: &Json) -> Result<Arc<Job>, Json> {
@@ -754,18 +785,19 @@ impl ProgressEvent {
     }
 }
 
-fn submit(inner: &Arc<Inner>, request: &Json, stream: &mut UnixStream) -> Option<Json> {
+fn submit(inner: &Arc<Inner>, request: &Json, stream: &mut UnixStream) -> Reply {
     if inner.draining.load(Ordering::Relaxed) {
-        return Some(err_json("server is draining (shutdown in progress)"));
+        return Reply::Tree(err_json("server is draining (shutdown in progress)"));
     }
     let (spec, cells) = match requested_sweep(request) {
         Ok(sweep) => sweep,
-        Err(e) => return Some(e),
+        Err(e) => return Reply::Tree(e),
     };
     let wait = matches!(request.get("wait"), Some(Json::Bool(true)));
     if !wait {
         let (job_id, cells) = spawn_background_job(inner, spec, cells);
-        return Some(ok_json([("job", Json::count(job_id)), ("cells", Json::count(cells as u64))]));
+        let queued = ok_json([("job", Json::count(job_id)), ("cells", Json::count(cells as u64))]);
+        return Reply::Tree(queued);
     }
     let job = register_job(inner, cells.len());
     // Waiting submit: this thread drives the job, and the job writes its
@@ -806,7 +838,7 @@ fn submit(inner: &Arc<Inner>, request: &Json, stream: &mut UnixStream) -> Option
     };
     drive_job(inner, &job, &spec, cells, &progress);
     let _ = stream.set_write_timeout(None);
-    Some(completion_json(job.wait()))
+    Reply::Line(job.wait())
 }
 
 /// A blocking line-protocol client (what `campaignctl` and the tests

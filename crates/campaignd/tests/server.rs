@@ -410,6 +410,69 @@ fn client_cut_off_at_a_warm_progress_line_does_not_wedge_the_job() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Sends one request line on a fresh connection and returns the raw
+/// lines it gets back, up to and including the final response (the first
+/// line carrying `"ok"`), newlines kept.
+fn raw_request(socket: &std::path::Path, request: &Json) -> Vec<String> {
+    use std::io::{BufRead, BufReader, Write};
+    let mut stream = std::os::unix::net::UnixStream::connect(socket).expect("connect");
+    stream.write_all(format!("{}\n", request.render()).as_bytes()).expect("send");
+    let mut reader = BufReader::new(stream);
+    let mut lines = Vec::new();
+    loop {
+        let mut line = String::new();
+        assert!(reader.read_line(&mut line).expect("read") > 0, "closed early: {lines:?}");
+        let last = line.starts_with(r#"{"ok":"#);
+        lines.push(line);
+        if last {
+            return lines;
+        }
+    }
+}
+
+#[test]
+fn completion_line_is_the_tree_rendered_response_for_submit_and_every_wait() {
+    use sim::runner::RunnerConfig;
+    use sim_core::fault::FaultPlan;
+    let dir = scratch("completion-bytes");
+    // The second simulated cell panics every time it runs, so the report
+    // carries one quarantined cell next to one result.
+    let plan = || FaultPlan::new(53).panic_job_always(1).arm();
+    let socket =
+        start_with(&dir, "a", ServerConfig { faults: Some(plan()), ..ServerConfig::default() });
+    let spec = tiny_spec();
+    let submitted = raw_request(&socket, &submit_request(&spec, true));
+    let line = submitted.last().expect("a final response");
+    let job = field_u64(&Json::parse(line).expect("the final line parses"), "job");
+    // What the server sent when it built the response as a tree: the
+    // report of the same cells under the same plan, rendered from its
+    // tree, merged after `"ok":true` into the completion object.
+    let cells = spec.expand_keyed().expect("expands");
+    let runner = RunnerConfig { faults: Some(plan()) };
+    let (report, _) = spec.run_expanded(cells, None, None, &runner);
+    assert_eq!((report.results.len(), report.failures.len()), (1, 1));
+    let tree = Json::obj([
+        ("ok", Json::Bool(true)),
+        ("job", Json::count(job)),
+        ("cells", Json::count(2)),
+        ("hits", Json::count(0)),
+        ("resumed", Json::count(0)),
+        ("executed", Json::count(2)),
+        ("shared", Json::count(0)),
+        ("report", report.to_json()),
+    ]);
+    let expected = format!("{}\n", tree.render());
+    assert_eq!(line, &expected, "the waiting submit's final line");
+    // Two later waits, each from a connection of its own, write the same
+    // bytes again.
+    let wait = Json::obj([("cmd", Json::str("wait")), ("job", Json::count(job))]);
+    for _ in 0..2 {
+        assert_eq!(raw_request(&socket, &wait), std::slice::from_ref(&expected), "a later wait");
+    }
+    shutdown(&socket);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn client_that_stops_reading_stalls_no_other_submission() {
     use std::io::{Read, Write};

@@ -64,6 +64,7 @@ pub const DAPPER_S: TrackerSpec = TrackerSpec {
     aliases: &[],
     reserves_llc: false,
     params: DAPPER_PARAMS,
+    check: |p, v| config_from("dapper-s", p, v).map(drop),
     factory: |p, v| Ok(Box::new(DapperS::new(config_from("dapper-s", p, v)?))),
 };
 
@@ -75,6 +76,7 @@ pub const DAPPER_H: TrackerSpec = TrackerSpec {
     aliases: &["dapper"],
     reserves_llc: false,
     params: DAPPER_PARAMS,
+    check: |p, v| config_from("dapper-h", p, v).map(drop),
     factory: |p, v| Ok(Box::new(DapperH::new(config_from("dapper-h", p, v)?))),
 };
 

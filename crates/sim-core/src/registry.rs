@@ -8,11 +8,14 @@
 //! reset policies). Every tracker is therefore one `const` [`TrackerSpec`]
 //! kept next to its implementation: canonical key, display name, aliases,
 //! whether it reserves LLC capacity, a [`ParamSpec`] schema with
-//! paper-baseline defaults, and a build function from the shared
+//! paper-baseline defaults, a check of the parameter combinations the
+//! schema cannot express, and a build function from the shared
 //! [`TrackerParams`] plus its resolved [`ParamValues`]. Parameter maps are
 //! validated against the schema **before** the build function runs —
 //! unknown keys, type mismatches, and out-of-range values all fail with the
-//! offending key in the message.
+//! offending key in the message. The build function runs the check first,
+//! so [`TrackerSpec::validate`] (schema plus check, nothing built) rejects
+//! exactly what [`TrackerSpec::build`] rejects.
 //!
 //! `sim::registry::TRACKERS` lists every entry in the order the paper's
 //! tables do; it is fixed at compile time and is the one place a tracker
@@ -289,6 +292,12 @@ impl ParamValues {
 pub type BuildFn =
     fn(TrackerParams, &ParamValues) -> Result<Box<dyn RowHammerTracker>, RegistryError>;
 
+/// A tracker's parameter check: the combination rules its build function
+/// applies, run without building anything. The build function runs the
+/// same check before it allocates, so the two reject exactly the same
+/// parameters with the same error.
+pub type CheckFn = fn(TrackerParams, &ParamValues) -> Result<(), RegistryError>;
+
 /// One entry of the tracker table: everything the simulator knows about a
 /// tracker before it builds one.
 #[derive(Debug)]
@@ -305,6 +314,9 @@ pub struct TrackerSpec {
     pub reserves_llc: bool,
     /// The tunable parameter schema.
     pub params: &'static [ParamSpec],
+    /// Rejects the parameter combinations `factory` rejects, without
+    /// building (what validating a sweep needs).
+    pub check: CheckFn,
     /// Builds one instance from validated parameters.
     pub factory: BuildFn,
 }
@@ -338,6 +350,18 @@ impl TrackerSpec {
             merged.insert(p.key.to_string(), p.coerce(v));
         }
         Ok(merged)
+    }
+
+    /// Validates + merges `overrides` and runs the tracker's check: every
+    /// error [`TrackerSpec::build`] returns for these inputs, at the cost
+    /// of a few comparisons instead of a full-size tracker.
+    pub fn validate(
+        &self,
+        params: TrackerParams,
+        overrides: &BTreeMap<String, ParamValue>,
+    ) -> Result<(), RegistryError> {
+        let values = ParamValues(self.resolve_params(overrides)?);
+        (self.check)(params, &values)
     }
 
     /// Validates + merges `overrides` and runs the build function.
@@ -495,10 +519,14 @@ mod tests {
             ParamSpec::float("prob", "sampling probability", 0.5).range(0.0, 1.0),
             ParamSpec::choice("mode", "reset mode", "soft", &["soft", "hard"]),
         ],
-        factory: |_p, v| {
+        check: |_p, v| {
             if v.count("entries") % 2 != 0 {
                 return Err(RegistryError::invalid("toy", "entries", "must be even"));
             }
+            Ok(())
+        },
+        factory: |p, v| {
+            (TOY.check)(p, v)?;
             Ok(Box::new(Toy { entries: v.count("entries") as u64 }))
         },
     };
@@ -557,6 +585,9 @@ mod tests {
         };
         assert!(err.to_string().contains("'toy.entries'"), "{err}");
         assert!(err.to_string().contains("even"), "{err}");
+        // The check alone rejects the same combination, building nothing.
+        assert_eq!(TOY.validate(base(), &one("entries", ParamValue::Int(3))), Err(err));
+        assert_eq!(TOY.validate(base(), &one("entries", ParamValue::Int(4))), Ok(()));
     }
 
     #[test]

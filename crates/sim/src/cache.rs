@@ -492,7 +492,8 @@ impl SweepSpec {
         journal: Option<&SweepJournal>,
         runner: &RunnerConfig,
     ) -> (SweepReport, CacheRunSummary) {
-        let checkpoint = journal.map(|j| Checkpoint::begin(j, self, cells.len()));
+        let checkpoint =
+            journal.map(|j| Checkpoint::begin(j, &self.to_json().render(), cells.len()));
         let cache = cache.map(|c| c as &dyn PayloadCache<ExperimentResult>);
         let exec = Executor { cache, checkpoint: checkpoint.as_ref(), runner };
         let (outcomes, summary) =

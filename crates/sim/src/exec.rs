@@ -31,7 +31,6 @@
 use crate::cache::{CacheRunSummary, CellKey};
 use crate::journal::SweepJournal;
 use crate::runner::{panic_message, parallel_map, RunnerConfig, SweepError};
-use crate::spec::SweepSpec;
 use sim_core::fault::{FaultAction, FaultSite};
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -71,16 +70,17 @@ pub struct Checkpoint<'a> {
 }
 
 impl<'a> Checkpoint<'a> {
-    /// Opens the checkpoint for `spec`: replays the journal and, if it
+    /// Opens the checkpoint for the sweep whose canonical spec text is
+    /// `spec_json` (`spec.to_json().render()`, the text
+    /// [`SweepJournal::sweep_hash`] hashes): replays the journal and, if it
     /// has never seen this sweep, records its `start`.
-    pub fn begin(journal: &'a SweepJournal, spec: &SweepSpec, cells: usize) -> Checkpoint<'a> {
-        let spec_json = spec.to_json().render();
-        let hash = SweepJournal::spec_json_hash(&spec_json);
+    pub fn begin(journal: &'a SweepJournal, spec_json: &str, cells: usize) -> Checkpoint<'a> {
+        let hash = SweepJournal::spec_json_hash(spec_json);
         let mut state = journal.load().unwrap_or_default();
         let (completed, ended) = match state.take_progress(&hash) {
             Some(progress) => (progress.completed, progress.ended),
             None => {
-                let _ = journal.record_start(&hash, &spec_json, cells as u64);
+                let _ = journal.record_start(&hash, spec_json, cells as u64);
                 Default::default()
             }
         };
@@ -235,6 +235,7 @@ impl<C, R> Probed<'_, '_, C, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::SweepSpec;
     use sim_core::cache::{content_key, DiskStore};
     use sim_core::fault::FaultPlan;
     use std::sync::Mutex;
@@ -328,7 +329,7 @@ mod tests {
         let spec_json = spec.to_json().render();
         journal.record_start(&SweepJournal::sweep_hash(&spec), &spec_json, 5).unwrap();
         journal.record_cell(&SweepJournal::sweep_hash(&spec), &key(0).key).unwrap();
-        let checkpoint = Checkpoint::begin(&journal, &spec, 5);
+        let checkpoint = Checkpoint::begin(&journal, &spec_json, 5);
         let runner = RunnerConfig::default();
         let exec = Executor { cache: Some(&cache), checkpoint: Some(&checkpoint), runner: &runner };
         let mut cells = keyed(0..4);
@@ -370,7 +371,7 @@ mod tests {
         let cache = toy("write-fault");
         let journal = SweepJournal::in_cache_dir(cache.0.root()).expect("open journal");
         let spec = sweep();
-        let checkpoint = Checkpoint::begin(&journal, &spec, 6);
+        let checkpoint = Checkpoint::begin(&journal, &spec.to_json().render(), 6);
         cache.0.arm_faults(FaultPlan::new(71).fail_cache_write_nth(3).arm());
         let runner = RunnerConfig::default();
         let exec = Executor { cache: Some(&cache), checkpoint: Some(&checkpoint), runner: &runner };

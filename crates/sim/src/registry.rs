@@ -27,6 +27,7 @@ const NONE: TrackerSpec = TrackerSpec {
     aliases: &["null", "insecure", "baseline"],
     reserves_llc: false,
     params: &[],
+    check: |_p, _v| Ok(()),
     factory: |_p, _v| Ok(Box::new(NullTracker)),
 };
 
@@ -163,6 +164,7 @@ mod tests {
             aliases: &[],
             reserves_llc: false,
             params: &[],
+            check: |_p, _v| Ok(()),
             factory: |_p, _v| Ok(Box::new(NullTracker)),
         };
         assert!(resolve("unit-test-tracker").is_err(), "the table is fixed");

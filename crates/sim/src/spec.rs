@@ -31,7 +31,7 @@ use crate::experiment::{
 };
 use crate::runner::{RunnerConfig, SweepError};
 use crate::toml::{self, TomlError, TomlValue};
-use sim_core::json::{parse_u64, DecodeError, Json, JsonCodec, JsonError};
+use sim_core::json::{parse_u64, write_str, DecodeError, Json, JsonCodec, JsonError};
 use sim_core::registry::{normalize_key, ParamValue, RegistryError};
 use std::collections::{BTreeMap, HashMap};
 use workloads::Attack;
@@ -884,10 +884,12 @@ impl SweepSpec {
 
     /// Expands the full workload × tracker × attack cross product into
     /// runnable experiments (attacks vary fastest, then trackers), after
-    /// validating every name and parameter — including a probe build per
-    /// tracker, so parameter *combinations* the flat schema cannot express
+    /// validating every name and parameter — including each tracker's
+    /// [check](sim_core::registry::TrackerSpec::validate) on the paper
+    /// geometry, so parameter *combinations* the flat schema cannot express
     /// (e.g. an RCC entry count that is not a multiple of the way count)
-    /// fail here instead of panicking inside every sweep worker.
+    /// fail here instead of panicking inside every sweep worker. The check
+    /// builds no tracker.
     pub fn expand(&self) -> Result<Vec<Experiment>, SpecError> {
         Ok(self.expand_keyed()?.into_iter().map(|(e, _)| e).collect())
     }
@@ -907,7 +909,7 @@ impl SweepSpec {
         let nrh = self.options.nrh.unwrap_or(probe_cfg.nrh);
         for tracker in &trackers {
             let probe = sim_core::tracker::TrackerParams::new(nrh, probe_cfg.geometry, 0, 0);
-            tracker.spec().build(probe, tracker.params())?;
+            tracker.spec().validate(probe, tracker.params())?;
         }
         let attacks: Vec<AttackChoice> =
             self.attacks.iter().map(|a| parse_attack(a)).collect::<Result<_, _>>()?;
@@ -1040,29 +1042,105 @@ impl SweepReport {
             ("failures", self.failures.encode()),
         ])
     }
+
+    /// [`SweepReport::to_json`]'s rendered bytes, written by
+    /// [`write_report`] without building the report's tree.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        write_report(
+            &mut out,
+            &self.name,
+            &self.spec.to_json().render(),
+            &self.results,
+            &self.failures,
+        );
+        out
+    }
+}
+
+/// Appends a sweep report to `out`: exactly the bytes
+/// [`SweepReport::to_json`]`().render()` gives for a report of that name,
+/// spec, results and failures, written straight from its parts with no
+/// tree for the report or its rows. `spec_json` is the spec's canonical
+/// text, `spec.to_json().render()`, so a caller that renders it anyway (a
+/// journal checkpoint hashes it) renders it once. Strings go through
+/// [`sim_core::json::write_str`] and numbers through [`Json`]'s own
+/// rendering; a failure row, rare, renders through its codec.
+pub fn write_report<'r>(
+    out: &mut String,
+    name: &str,
+    spec_json: &str,
+    results: impl IntoIterator<Item = &'r ExperimentResult>,
+    failures: &[SweepError],
+) {
+    out.push_str("{\"name\":");
+    write_str(name, out);
+    out.push_str(",\"spec\":");
+    out.push_str(spec_json);
+    out.push_str(",\"results\":[");
+    for (i, r) in results.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_result(r, out);
+    }
+    out.push_str("],\"failures\":[");
+    for (i, f) in failures.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        f.encode().render_into(out);
+    }
+    out.push_str("]}");
+}
+
+/// Appends [`result_to_json`]`(r).render()`'s bytes to `out`.
+fn write_result(r: &ExperimentResult, out: &mut String) {
+    out.push_str("{\"workload\":");
+    write_str(&r.workload, out);
+    out.push_str(",\"tracker\":");
+    write_str(&r.tracker_name, out);
+    out.push_str(",\"attack\":");
+    write_str(&r.attack_name, out);
+    for (key, value) in result_numbers(r) {
+        out.push_str(",\"");
+        out.push_str(key);
+        out.push_str("\":");
+        value.render_into(out);
+    }
+    out.push('}');
 }
 
 /// Serializes one experiment result as a JSON row (the sweep export
 /// format: identity, the paper's metric, and the headline counters).
 pub fn result_to_json(r: &ExperimentResult) -> Json {
-    Json::obj([
+    let names = [
         ("workload", Json::str(&r.workload)),
         ("tracker", Json::str(&r.tracker_name)),
         ("attack", Json::str(&r.attack_name)),
+    ];
+    Json::obj(names.into_iter().chain(result_numbers(r)))
+}
+
+/// A result row's numeric columns, in order; none of them allocates.
+fn result_numbers(r: &ExperimentResult) -> [(&'static str, Json); 8] {
+    let mem = &r.run.mem;
+    [
         ("normalized_performance", Json::num(r.normalized_performance)),
         ("cycles", Json::count(r.run.cycles)),
-        ("activations", Json::count(r.run.mem.activations)),
-        ("mitigations", Json::count(r.run.mem.vrr_commands + r.run.mem.rfm_commands)),
-        ("counter_ops", Json::count(r.run.mem.counter_reads + r.run.mem.counter_writes)),
-        ("reset_sweeps", Json::count(r.run.mem.reset_sweeps)),
+        ("activations", Json::count(mem.activations)),
+        ("mitigations", Json::count(mem.vrr_commands + mem.rfm_commands)),
+        ("counter_ops", Json::count(mem.counter_reads + mem.counter_writes)),
+        ("reset_sweeps", Json::count(mem.reset_sweeps)),
         ("llc_hit_rate", Json::num(r.run.llc_hit_rate)),
         ("energy_mj", Json::num(r.run.energy_mj)),
-    ])
+    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::RunStats;
     use sim_core::rng::Xoshiro256;
 
     const FIG_SPEC: &str = r#"
@@ -1435,6 +1513,54 @@ group_size = 256
     }
 
     #[test]
+    fn expansion_rejects_what_the_probe_build_rejected() {
+        // One invalid parameter choice per tracker. Where the schema lets
+        // a bad combination through (Hydra, START, DAPPER) it is one only
+        // the tracker's check can reject; elsewhere every value the check
+        // would reject is outside the schema's range. Expansion runs the
+        // check and builds nothing, and must fail exactly as the probe
+        // build it replaced did.
+        let table = [
+            ("none", "entries", ParamValue::Int(1)),
+            ("hydra", "rcc_entries", ParamValue::Int(1000)),
+            ("start", "region_lines", ParamValue::Int(100)),
+            ("comet", "cms_width", ParamValue::Int(0)),
+            ("abacus", "entries", ParamValue::Int(-1)),
+            ("blockhammer", "cbf_hashes", ParamValue::Int(0)),
+            ("para", "exponent", ParamValue::Float(0.0)),
+            ("pride", "queue_depth", ParamValue::Int(0)),
+            ("prac", "rmw_tax_ns", ParamValue::Float(-1.0)),
+            ("dapper-s", "group_size", ParamValue::Int(100)),
+            ("dapper-h", "group_size", ParamValue::Int(3)),
+        ];
+        let covered: Vec<&str> = table.iter().map(|(tracker, ..)| *tracker).collect();
+        assert_eq!(covered, crate::registry::tracker_keys().collect::<Vec<_>>());
+        let probe = sim_core::tracker::TrackerParams::new(
+            500,
+            sim_core::config::SystemConfig::paper_baseline().geometry,
+            0,
+            0,
+        );
+        for (tracker, key, value) in table {
+            let entry = crate::registry::resolve(tracker).unwrap();
+            let overrides = BTreeMap::from([(key.to_string(), value)]);
+            let built = entry.build(probe, &overrides).map(drop).unwrap_err();
+            assert_eq!(entry.validate(probe, &overrides), Err(built.clone()), "{tracker}");
+            let mut spec = SweepSpec::new("bad-params");
+            spec.workloads = vec!["gcc_like".into()];
+            spec.trackers = vec![tracker.into()];
+            spec.params.insert(tracker.into(), overrides);
+            spec.options.nrh = Some(500);
+            let err = spec.expand_keyed().map(drop).unwrap_err();
+            assert_eq!(err, SpecError::Registry(built), "{tracker}");
+        }
+        // The defaults pass the check wherever they build.
+        for entry in &crate::registry::TRACKERS {
+            assert_eq!(entry.validate(probe, &BTreeMap::new()), Ok(()), "{}", entry.key);
+        }
+    }
+
+    #[test]
     fn integral_float_params_survive_the_json_round_trip() {
         // JSON cannot distinguish 5 from 5.0; the round-tripped spec must
         // still compare equal (schema coercion makes them build-identical).
@@ -1609,6 +1735,130 @@ group_size = 256
         );
         assert_eq!(parse_attack("refresh").unwrap(), AttackChoice::Specific(Attack::RefreshAttack));
         assert!(parse_attack("nope").is_err());
+    }
+
+    /// A result row under the given names, every number drawn from
+    /// `rng`: a third of them from the values a renderer is most likely
+    /// to get wrong (non-finite floats render `null`, `-0.0`, subnormals,
+    /// counts at and above 2^53).
+    fn seeded_result(rng: &mut Xoshiro256, names: [&str; 3]) -> ExperimentResult {
+        const FLOATS: [f64; 10] = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            5e-324,
+            f64::MAX,
+            0.1,
+            -1.5,
+            1e21,
+        ];
+        const COUNTS: [u64; 6] = [0, 1, (1 << 53) - 1, 1 << 53, (1 << 53) + 1, u64::MAX >> 2];
+        let mut float = || match rng.gen_range(3) {
+            0 => FLOATS[rng.gen_range(FLOATS.len() as u64) as usize],
+            1 => f64::from_bits(rng.next_u64()),
+            _ => rng.gen_f64(),
+        };
+        let (f0, f1, f2) = (float(), float(), float());
+        // Pairs of counters are summed into one column, so each stays
+        // below 2^62.
+        let mut count = || match rng.gen_range(3) {
+            0 => COUNTS[rng.gen_range(COUNTS.len() as u64) as usize],
+            _ => rng.next_u64() >> rng.gen_range(64).max(2),
+        };
+        let mut run = RunStats {
+            tracker: names[1].to_string(),
+            cycles: count(),
+            retired: vec![],
+            core_cycles: vec![],
+            mem: Default::default(),
+            llc_hit_rate: f1,
+            energy_mj: f2,
+            oracle: None,
+        };
+        let mem = &mut run.mem;
+        [mem.activations, mem.vrr_commands, mem.rfm_commands] = [count(), count(), count()];
+        [mem.counter_reads, mem.counter_writes, mem.reset_sweeps] = [count(), count(), count()];
+        ExperimentResult {
+            workload: names[0].to_string(),
+            tracker_name: names[1].to_string(),
+            attack_name: names[2].to_string(),
+            normalized_performance: f0,
+            reference: run.clone(),
+            run,
+            telemetry: None,
+        }
+    }
+
+    /// The report writer against the tree it replaced, byte for byte.
+    fn assert_renders_as_its_tree(report: &SweepReport, what: &str) {
+        let tree = report.to_json().render();
+        assert_eq!(report.render(), tree, "{what}");
+        let mut appended = String::from("prefix");
+        let spec_json = report.spec.to_json().render();
+        write_report(&mut appended, &report.name, &spec_json, &report.results, &report.failures);
+        assert_eq!(appended, format!("prefix{tree}"), "{what}: appends");
+    }
+
+    #[test]
+    fn report_writer_matches_the_tree_render_on_every_shipped_spec() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut files: Vec<_> = std::fs::read_dir(root.join("examples/specs"))
+            .expect("examples/specs")
+            .map(|entry| entry.expect("spec dir entry").path())
+            .filter(|p| p.extension().is_some_and(|ext| ext == "toml"))
+            .collect();
+        files.sort();
+        files.push(root.join("benchmark/specs/campaign.toml"));
+        let mut rng = Xoshiro256::seed_from(0x2E_9027);
+        let mut cells = 0;
+        for file in &files {
+            let text = std::fs::read_to_string(file).expect("read spec");
+            let spec = SweepSpec::from_toml_str(&text).expect("spec parses");
+            let results: Vec<ExperimentResult> = spec
+                .expand()
+                .expect("spec expands")
+                .iter()
+                .map(|e| {
+                    let attack = format!("{:?}", e.attack);
+                    seeded_result(&mut rng, [&e.workload, e.tracker.spec().name, &attack])
+                })
+                .collect();
+            cells += results.len();
+            let report = SweepReport { name: spec.name.clone(), spec, results, failures: vec![] };
+            assert_renders_as_its_tree(&report, &file.display().to_string());
+        }
+        assert_eq!(cells, 74, "every shipped cell");
+    }
+
+    #[test]
+    fn report_writer_matches_the_tree_render_on_a_seeded_matrix() {
+        // Names that need every kind of escape, multi-byte text, and
+        // failure rows; the spec is a seeded one with every section set.
+        const NAMES: [&str; 7] =
+            ["mcf_like", "quote\"d", "back\\slash", "ctl\u{1}\n\t\r", "\u{7f}é", "😀", ""];
+        let mut rng = Xoshiro256::seed_from(0xB17E5);
+        for round in 0..200 {
+            let pick = |rng: &mut Xoshiro256| NAMES[rng.gen_range(NAMES.len() as u64) as usize];
+            let mut spec = random_spec(&mut rng);
+            spec.name = format!("{}-{round}", pick(&mut rng));
+            let results = (0..rng.gen_range(6))
+                .map(|_| {
+                    let names = [pick(&mut rng), pick(&mut rng), pick(&mut rng)];
+                    seeded_result(&mut rng, names)
+                })
+                .collect();
+            let failures = (0..rng.gen_range(3))
+                .map(|_| SweepError {
+                    index: rng.gen_range(1 << 20) as usize,
+                    cell: pick(&mut rng).to_string(),
+                    message: format!("panicked: {}", pick(&mut rng)),
+                })
+                .collect();
+            let report = SweepReport { name: spec.name.clone(), spec, results, failures };
+            assert_renders_as_its_tree(&report, &format!("round {round}"));
+        }
     }
 
     #[test]

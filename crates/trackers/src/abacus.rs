@@ -11,7 +11,7 @@
 //! the Perf-Attack lever (Section III-B): sequentially activating distinct
 //! row IDs overflows the spillover every `entries x N_RH/2` activations.
 
-use sim_core::registry::{ParamSpec, RegistryError, TrackerSpec};
+use sim_core::registry::{ParamSpec, ParamValues, RegistryError, TrackerSpec};
 use sim_core::time::Cycle;
 use sim_core::tracker::{
     Activation, ResetScope, RowHammerTracker, StorageOverhead, TrackerAction, TrackerParams,
@@ -46,6 +46,14 @@ impl AbacusParams {
     /// The paper-baseline sizing (auto from N_RH).
     pub fn new(base: TrackerParams) -> Self {
         Self { base, entries: 0 }
+    }
+
+    /// Rejects a table size [`Abacus::with_params`] cannot build.
+    pub fn validate(&self) -> Result<(), RegistryError> {
+        if self.resolved_entries() == 0 {
+            return Err(RegistryError::invalid("abacus", "entries", "must be nonzero"));
+        }
+        Ok(())
     }
 
     fn resolved_entries(&self) -> usize {
@@ -86,10 +94,8 @@ impl Abacus {
 
     /// Creates an ABACuS instance with an explicit table size.
     pub fn with_params(ap: AbacusParams) -> Result<Self, RegistryError> {
+        ap.validate()?;
         let n = ap.resolved_entries();
-        if n == 0 {
-            return Err(RegistryError::invalid("abacus", "entries", "must be nonzero"));
-        }
         Ok(Self {
             p: ap.base,
             index: HashMap::with_capacity(n),
@@ -233,12 +239,13 @@ pub const SPEC: TrackerSpec = TrackerSpec {
         0,
     )
     .range(0.0, (1u64 << 24) as f64)],
-    factory: |p, v| {
-        let mut ap = AbacusParams::new(p);
-        ap.entries = v.count("entries");
-        Ok(Box::new(Abacus::with_params(ap)?))
-    },
+    check: |p, v| params(p, v).validate(),
+    factory: |p, v| Ok(Box::new(Abacus::with_params(params(p, v))?)),
 };
+
+fn params(p: TrackerParams, v: &ParamValues) -> AbacusParams {
+    AbacusParams { entries: v.count("entries"), ..AbacusParams::new(p) }
+}
 
 #[cfg(test)]
 mod tests {

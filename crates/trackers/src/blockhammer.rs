@@ -13,7 +13,7 @@
 
 use crate::util::hash64;
 use sim_core::addr::DramAddr;
-use sim_core::registry::{ParamSpec, RegistryError, TrackerSpec};
+use sim_core::registry::{ParamSpec, ParamValues, RegistryError, TrackerSpec};
 use sim_core::req::SourceId;
 use sim_core::time::Cycle;
 use sim_core::tracker::{
@@ -52,7 +52,8 @@ impl BlockHammerParams {
         Self { base, cbf_counters: CBF_COUNTERS, cbf_hashes: CBF_HASHES, blacklist_divisor: 4 }
     }
 
-    fn validate(&self) -> Result<(), RegistryError> {
+    /// Rejects Bloom parameters [`BlockHammer::with_params`] cannot build.
+    pub fn validate(&self) -> Result<(), RegistryError> {
         if self.cbf_counters == 0 {
             return Err(RegistryError::invalid("blockhammer", "cbf_counters", "must be nonzero"));
         }
@@ -253,14 +254,18 @@ pub const SPEC: TrackerSpec = TrackerSpec {
         ParamSpec::int("blacklist_divisor", "blacklist threshold N_BL = N_RH / divisor", 4)
             .range(1.0, (1u64 << 16) as f64),
     ],
-    factory: |p, v| {
-        let mut bp = BlockHammerParams::new(p);
-        bp.cbf_counters = v.count("cbf_counters");
-        bp.cbf_hashes = v.count("cbf_hashes");
-        bp.blacklist_divisor = v.int("blacklist_divisor") as u32;
-        Ok(Box::new(BlockHammer::with_params(bp)?))
-    },
+    check: |p, v| params(p, v).validate(),
+    factory: |p, v| Ok(Box::new(BlockHammer::with_params(params(p, v))?)),
 };
+
+fn params(p: TrackerParams, v: &ParamValues) -> BlockHammerParams {
+    BlockHammerParams {
+        cbf_counters: v.count("cbf_counters"),
+        cbf_hashes: v.count("cbf_hashes"),
+        blacklist_divisor: v.int("blacklist_divisor") as u32,
+        ..BlockHammerParams::new(p)
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -13,7 +13,7 @@
 //! stall.
 
 use crate::util::hash64;
-use sim_core::registry::{ParamSpec, RegistryError, TrackerSpec};
+use sim_core::registry::{ParamSpec, ParamValues, RegistryError, TrackerSpec};
 use sim_core::time::Cycle;
 use sim_core::tracker::{
     Activation, ResetScope, RowHammerTracker, StorageOverhead, TrackerAction, TrackerParams,
@@ -61,7 +61,8 @@ impl CometParams {
         }
     }
 
-    fn validate(&self) -> Result<(), RegistryError> {
+    /// Rejects structure sizes [`Comet::with_params`] cannot build.
+    pub fn validate(&self) -> Result<(), RegistryError> {
         for (key, v) in [
             ("cms_width", self.cms_width),
             ("rat_entries", self.rat_entries),
@@ -313,15 +314,19 @@ pub const SPEC: TrackerSpec = TrackerSpec {
         )
         .range(0.0, 1.0),
     ],
-    factory: |p, v| {
-        let mut cp = CometParams::new(p);
-        cp.cms_width = v.count("cms_width");
-        cp.rat_entries = v.count("rat_entries");
-        cp.miss_history = v.count("miss_history");
-        cp.miss_rate_reset = v.float("miss_rate_reset");
-        Ok(Box::new(Comet::with_params(cp)?))
-    },
+    check: |p, v| params(p, v).validate(),
+    factory: |p, v| Ok(Box::new(Comet::with_params(params(p, v))?)),
 };
+
+fn params(p: TrackerParams, v: &ParamValues) -> CometParams {
+    CometParams {
+        cms_width: v.count("cms_width"),
+        rat_entries: v.count("rat_entries"),
+        miss_history: v.count("miss_history"),
+        miss_rate_reset: v.float("miss_rate_reset"),
+        ..CometParams::new(p)
+    }
+}
 
 #[cfg(test)]
 mod tests {

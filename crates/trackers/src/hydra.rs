@@ -14,7 +14,7 @@
 
 use crate::util::{hash64, meta_addr, RowMap};
 use sim_core::addr::Geometry;
-use sim_core::registry::{ParamSpec, RegistryError, TrackerSpec};
+use sim_core::registry::{ParamSpec, ParamValues, RegistryError, TrackerSpec};
 use sim_core::rng::Xoshiro256;
 use sim_core::time::Cycle;
 use sim_core::tracker::{
@@ -49,7 +49,8 @@ impl HydraParams {
         Self { base, group_size: GROUP_SIZE, rcc_entries: RCC_ENTRIES, rcc_ways: RCC_WAYS }
     }
 
-    fn validate(&self) -> Result<(), RegistryError> {
+    /// Rejects structure sizes [`Hydra::with_params`] cannot build.
+    pub fn validate(&self) -> Result<(), RegistryError> {
         if !self.group_size.is_power_of_two()
             || !self.base.geometry.rows_per_rank().is_multiple_of(self.group_size as u64)
         {
@@ -260,14 +261,18 @@ pub const SPEC: TrackerSpec = TrackerSpec {
         ParamSpec::int("rcc_ways", "row counter cache associativity", RCC_WAYS as i64)
             .range(1.0, 4096.0),
     ],
-    factory: |p, v| {
-        let mut hp = HydraParams::new(p);
-        hp.group_size = v.int("group_size") as u32;
-        hp.rcc_entries = v.count("rcc_entries");
-        hp.rcc_ways = v.count("rcc_ways");
-        Ok(Box::new(Hydra::with_params(hp)?))
-    },
+    check: |p, v| params(p, v).validate(),
+    factory: |p, v| Ok(Box::new(Hydra::with_params(params(p, v))?)),
 };
+
+fn params(p: TrackerParams, v: &ParamValues) -> HydraParams {
+    HydraParams {
+        group_size: v.int("group_size") as u32,
+        rcc_entries: v.count("rcc_entries"),
+        rcc_ways: v.count("rcc_ways"),
+        ..HydraParams::new(p)
+    }
+}
 
 #[cfg(test)]
 mod tests {

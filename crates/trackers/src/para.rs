@@ -7,7 +7,7 @@
 //! needs no reset and is immune to structure-targeted Perf-Attacks, but its
 //! mitigation frequency grows quickly as N_RH drops (Fig. 15/16).
 
-use sim_core::registry::{ParamSpec, RegistryError, TrackerSpec};
+use sim_core::registry::{ParamSpec, ParamValues, RegistryError, TrackerSpec};
 use sim_core::rng::Xoshiro256;
 use sim_core::tracker::{
     Activation, RowHammerTracker, StorageOverhead, TrackerAction, TrackerParams,
@@ -32,6 +32,14 @@ impl ParaParams {
     pub fn new(base: TrackerParams) -> Self {
         Self { base, exponent: EXPONENT }
     }
+
+    /// Rejects an exponent [`Para::with_params`] cannot build.
+    pub fn validate(&self) -> Result<(), RegistryError> {
+        if self.exponent <= 0.0 || self.exponent.is_nan() {
+            return Err(RegistryError::invalid("para", "exponent", "must be positive"));
+        }
+        Ok(())
+    }
 }
 
 /// The PARA tracker for one channel.
@@ -51,9 +59,7 @@ impl Para {
 
     /// Creates a PARA instance with an explicit safety exponent.
     pub fn with_params(pp: ParaParams) -> Result<Self, RegistryError> {
-        if pp.exponent <= 0.0 || pp.exponent.is_nan() {
-            return Err(RegistryError::invalid("para", "exponent", "must be positive"));
-        }
+        pp.validate()?;
         Ok(Self {
             prob: (pp.exponent / pp.base.nrh as f64).min(1.0),
             rng: Xoshiro256::seed_from(pp.base.seed ^ 0xA11A_5A5Au64),
@@ -99,12 +105,13 @@ pub const SPEC: TrackerSpec = TrackerSpec {
         EXPONENT,
     )
     .range(1e-6, 1e6)],
-    factory: |p, v| {
-        let mut pp = ParaParams::new(p);
-        pp.exponent = v.float("exponent");
-        Ok(Box::new(Para::with_params(pp)?))
-    },
+    check: |p, v| params(p, v).validate(),
+    factory: |p, v| Ok(Box::new(Para::with_params(params(p, v))?)),
 };
+
+fn params(p: TrackerParams, v: &ParamValues) -> ParaParams {
+    ParaParams { exponent: v.float("exponent"), ..ParaParams::new(p) }
+}
 
 #[cfg(test)]
 mod tests {

@@ -8,7 +8,7 @@
 //! Alert-Back-Off mitigations from a priority queue at each tREFI.
 
 use sim_core::addr::DramAddr;
-use sim_core::registry::{ParamSpec, RegistryError, TrackerSpec};
+use sim_core::registry::{ParamSpec, ParamValues, RegistryError, TrackerSpec};
 use sim_core::req::SourceId;
 use sim_core::time::{ns_to_cycles, Cycle};
 use sim_core::tracker::{
@@ -39,6 +39,17 @@ impl PracParams {
     pub fn new(base: TrackerParams) -> Self {
         Self { base, rmw_tax_ns: RMW_TAX_NS, abo_batch: ABO_BATCH }
     }
+
+    /// Rejects timing parameters [`Prac::with_params`] cannot build.
+    pub fn validate(&self) -> Result<(), RegistryError> {
+        if self.rmw_tax_ns < 0.0 {
+            return Err(RegistryError::invalid("prac", "rmw_tax_ns", "must be non-negative"));
+        }
+        if self.abo_batch == 0 {
+            return Err(RegistryError::invalid("prac", "abo_batch", "must be nonzero"));
+        }
+        Ok(())
+    }
 }
 
 /// The PRAC tracker for one channel.
@@ -64,12 +75,7 @@ impl Prac {
 
     /// Creates a PRAC instance with explicit timing parameters.
     pub fn with_params(pp: PracParams) -> Result<Self, RegistryError> {
-        if pp.rmw_tax_ns < 0.0 {
-            return Err(RegistryError::invalid("prac", "rmw_tax_ns", "must be non-negative"));
-        }
-        if pp.abo_batch == 0 {
-            return Err(RegistryError::invalid("prac", "abo_batch", "must be nonzero"));
-        }
+        pp.validate()?;
         let p = pp.base;
         Ok(Self {
             p,
@@ -154,13 +160,17 @@ pub const SPEC: TrackerSpec = TrackerSpec {
         ParamSpec::int("abo_batch", "mitigations serviced per tREFI", ABO_BATCH as i64)
             .range(1.0, 65536.0),
     ],
-    factory: |p, v| {
-        let mut pp = PracParams::new(p);
-        pp.rmw_tax_ns = v.float("rmw_tax_ns");
-        pp.abo_batch = v.count("abo_batch");
-        Ok(Box::new(Prac::with_params(pp)?))
-    },
+    check: |p, v| params(p, v).validate(),
+    factory: |p, v| Ok(Box::new(Prac::with_params(params(p, v))?)),
 };
+
+fn params(p: TrackerParams, v: &ParamValues) -> PracParams {
+    PracParams {
+        rmw_tax_ns: v.float("rmw_tax_ns"),
+        abo_batch: v.count("abo_batch"),
+        ..PracParams::new(p)
+    }
+}
 
 #[cfg(test)]
 mod tests {

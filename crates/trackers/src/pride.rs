@@ -8,7 +8,7 @@
 //! Perf-Attacks and low N_RH stress (Figs. 15/16).
 
 use sim_core::addr::DramAddr;
-use sim_core::registry::{ParamSpec, RegistryError, TrackerSpec};
+use sim_core::registry::{ParamSpec, ParamValues, RegistryError, TrackerSpec};
 use sim_core::rng::Xoshiro256;
 use sim_core::time::Cycle;
 use sim_core::tracker::{
@@ -38,6 +38,17 @@ impl PrideParams {
     pub fn new(base: TrackerParams) -> Self {
         Self { base, queue_depth: QUEUE_DEPTH, sample_numerator: SAMPLE_NUMERATOR }
     }
+
+    /// Rejects FIFO/sampling parameters [`Pride::with_params`] cannot build.
+    pub fn validate(&self) -> Result<(), RegistryError> {
+        if self.queue_depth == 0 {
+            return Err(RegistryError::invalid("pride", "queue_depth", "must be nonzero"));
+        }
+        if self.sample_numerator <= 0.0 || self.sample_numerator.is_nan() {
+            return Err(RegistryError::invalid("pride", "sample_numerator", "must be positive"));
+        }
+        Ok(())
+    }
 }
 
 /// The PrIDE tracker for one channel.
@@ -62,12 +73,7 @@ impl Pride {
 
     /// Creates a PrIDE instance with explicit FIFO/sampling parameters.
     pub fn with_params(pp: PrideParams) -> Result<Self, RegistryError> {
-        if pp.queue_depth == 0 {
-            return Err(RegistryError::invalid("pride", "queue_depth", "must be nonzero"));
-        }
-        if pp.sample_numerator <= 0.0 || pp.sample_numerator.is_nan() {
-            return Err(RegistryError::invalid("pride", "sample_numerator", "must be positive"));
-        }
+        pp.validate()?;
         let p = pp.base;
         let nbanks = (p.geometry.ranks as u32 * p.geometry.banks_per_rank()) as usize;
         Ok(Self {
@@ -157,13 +163,17 @@ pub const SPEC: TrackerSpec = TrackerSpec {
         )
         .range(1e-6, 1e6),
     ],
-    factory: |p, v| {
-        let mut pp = PrideParams::new(p);
-        pp.queue_depth = v.count("queue_depth");
-        pp.sample_numerator = v.float("sample_numerator");
-        Ok(Box::new(Pride::with_params(pp)?))
-    },
+    check: |p, v| params(p, v).validate(),
+    factory: |p, v| Ok(Box::new(Pride::with_params(params(p, v))?)),
 };
+
+fn params(p: TrackerParams, v: &ParamValues) -> PrideParams {
+    PrideParams {
+        queue_depth: v.count("queue_depth"),
+        sample_numerator: v.float("sample_numerator"),
+        ..PrideParams::new(p)
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -12,7 +12,7 @@
 //! in the paper (1 B per counter).
 
 use crate::util::{hash64, meta_addr};
-use sim_core::registry::{ParamSpec, RegistryError, TrackerSpec};
+use sim_core::registry::{ParamSpec, ParamValues, RegistryError, TrackerSpec};
 use sim_core::time::Cycle;
 use sim_core::tracker::{
     Activation, RowHammerTracker, StorageOverhead, TrackerAction, TrackerParams,
@@ -38,6 +38,18 @@ impl StartParams {
     /// The paper-baseline region (2 MB per channel).
     pub fn new(base: TrackerParams) -> Self {
         Self { base, region_lines: REGION_LINES }
+    }
+
+    /// Rejects a region [`Start::with_params`] cannot build.
+    pub fn validate(&self) -> Result<(), RegistryError> {
+        if self.region_lines == 0 || !self.region_lines.is_multiple_of(16) {
+            return Err(RegistryError::invalid(
+                "start",
+                "region_lines",
+                "must be a nonzero multiple of 16 (16-way sets)",
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -76,13 +88,7 @@ impl Start {
 
     /// Creates a START instance from validated parameters.
     pub fn with_params(sp: StartParams) -> Result<Self, RegistryError> {
-        if sp.region_lines == 0 || !sp.region_lines.is_multiple_of(16) {
-            return Err(RegistryError::invalid(
-                "start",
-                "region_lines",
-                "must be a nonzero multiple of 16 (16-way sets)",
-            ));
-        }
+        sp.validate()?;
         Ok(Self::with_region_lines(sp.base, sp.region_lines))
     }
 
@@ -214,12 +220,13 @@ pub const SPEC: TrackerSpec = TrackerSpec {
         REGION_LINES as i64,
     )
     .range(16.0, (1u64 << 24) as f64)],
-    factory: |p, v| {
-        let mut sp = StartParams::new(p);
-        sp.region_lines = v.count("region_lines");
-        Ok(Box::new(Start::with_params(sp)?))
-    },
+    check: |p, v| params(p, v).validate(),
+    factory: |p, v| Ok(Box::new(Start::with_params(params(p, v))?)),
 };
+
+fn params(p: TrackerParams, v: &ParamValues) -> StartParams {
+    StartParams { region_lines: v.count("region_lines"), ..StartParams::new(p) }
+}
 
 #[cfg(test)]
 mod tests {

@@ -38,10 +38,12 @@
 //! moves `done` (the claim pass, then each settled cell, sent from
 //! whichever executor worker settled it) writes one line carrying the new
 //! `done`, unless a larger `done` was written first. The writes share one
-//! lock, so lines never interleave and strictly increase, never past
-//! `cells`, and none follows the final response. Cells the cell table
-//! already held are one update however many they are, so a warm submit
-//! streams exactly one line, with `done == cells`.
+//! lock, the submit's own, so lines never interleave and strictly
+//! increase, never past `cells`, and none follows the final response; no
+//! write happens under the server's table lock, so a slow client never
+//! holds it. Cells the table already held are one update however many
+//! they are, so a warm submit streams exactly one line, with
+//! `done == cells`.
 //!
 //! A client that vanishes mid-stream wedges nothing: the first write
 //! that fails severs it, no further line is written, and the job runs to
@@ -55,7 +57,7 @@
 //!
 //! Background submits (`"wait": false`) and journal resumes run on a
 //! detached thread and stream nothing; `status` and `wait` observe any
-//! job through its mutex and condition variable.
+//! job through the server's table (below).
 //!
 //! # Completion
 //!
@@ -65,23 +67,34 @@
 //! the spec), with the spec's canonical text rendered once for both the
 //! journal's hash and the report. A finished job keeps that line as bytes,
 //! shared (`Arc<str>`): the waiting submit and every later `wait`, from
-//! any connection, write the same bytes, with no copy and no merge. The
-//! job table keeps every finished job, so each costs the server its line
+//! any connection, write the same bytes, with no copy and no merge.
+//!
+//! Everything the server knows about cells and jobs lives in one table
+//! under one lock: the single-flight cell states, one entry per job (its
+//! cell count, `done`, and the completion line once set), the next job
+//! id, and the count of active jobs. One condition variable is notified
+//! whenever a cell completes or a job finishes; a submission sharing a
+//! cell, `wait`, and a draining shutdown each wait on it for their own
+//! condition. A finishing job sets its line and leaves `active` in the
+//! same critical section, so a job leaves `active` the moment its line is
+//! published: `stats` sent after a `wait` returned never counts it. The
+//! table keeps every finished job, so each costs the server its line
 //! (about 4.5 KB for an 18-cell sweep) for the server's lifetime.
 //!
 //! # Single-flight
 //!
-//! Every cell canonicalizes to its [`sim::cache::CellKey`]. The server
-//! keeps one table of cell states (in-flight or done); the first
-//! submission to claim a key owns it and simulates, every other
-//! submission — concurrent or later — blocks on the same entry and
-//! shares the owner's result. The `executed` counter counts actual
-//! simulations, so two clients submitting the same sweep concurrently
-//! drive it up by the number of *unique* cells, not twice that.
-//! Completed cells also persist to the disk cache (when one is
-//! configured), so a restarted server stays warm; failed cells are
-//! memoized in memory for the server's lifetime but never written to
-//! disk, and anonymous custom attacks (no canonical key) always run.
+//! Every cell canonicalizes to its [`sim::cache::CellKey`]. A job is
+//! registered and claims its cells in one critical section of the table:
+//! the first submission to claim a key owns it and simulates, every other
+//! submission — concurrent or later — waits on the same entry and shares
+//! the owner's result, and a job counted active already holds its claims.
+//! The `executed` counter counts actual simulations, so two clients
+//! submitting the same sweep concurrently drive it up by the number of
+//! *unique* cells, not twice that. Completed cells also persist to the
+//! disk cache (when one is configured), so a restarted server stays warm;
+//! failed cells are memoized in memory for the server's lifetime but never
+//! written to disk, and anonymous custom attacks (no canonical key) always
+//! run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -103,27 +116,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-fn relock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A quarantined cell, shared between submissions: the attribution the
-/// runner produced, minus the per-submission slot index.
-#[derive(Debug, Clone)]
-struct CellFailure {
-    cell: String,
-    message: String,
-}
-
-impl From<SweepError> for CellFailure {
-    fn from(e: SweepError) -> Self {
-        CellFailure { cell: e.cell, message: e.message }
-    }
-}
-
 /// One simulated (or failed) cell, shared between every submission that
-/// canonicalizes to the same key.
-type CellOutcome = Result<ExperimentResult, CellFailure>;
+/// canonicalizes to the same key. A failure keeps the slot index of the
+/// submission that ran it; every report re-indexes it.
+type CellOutcome = Result<ExperimentResult, SweepError>;
 
 enum CellState {
     /// Claimed by a submission that is simulating it right now.
@@ -132,69 +128,49 @@ enum CellState {
     Done(Arc<CellOutcome>),
 }
 
-/// What a job publishes under its mutex; finishing notifies `Job::cv`.
-#[derive(Default)]
-struct JobProgress {
+/// A submitted sweep's lifecycle, observable via `status`/`wait`.
+struct JobEntry {
+    cells: usize,
     /// Cells settled so far.
     done: usize,
     /// The completion response line, newline included, set exactly once:
     /// rendered when the job finished, and written as these bytes to the
     /// waiting submit and to every `wait`.
-    finished: Option<Arc<str>>,
+    line: Option<Arc<str>>,
 }
 
-/// A submitted sweep's lifecycle, observable via `status`/`wait`.
-struct Job {
-    id: u64,
-    cells: usize,
-    progress: Mutex<JobProgress>,
-    cv: Condvar,
+/// Everything the server knows, under one lock. `Inner::changed` is
+/// notified whenever a cell completes or a job finishes; every waiter
+/// (a submission sharing a cell, `wait`, a draining [`Server::serve`])
+/// waits on it with its own predicate.
+struct Table {
+    /// Single-flight cell states by [`CellKey`].
+    cells: HashMap<String, CellState>,
+    jobs: HashMap<u64, JobEntry>,
+    next_job: u64,
+    /// Jobs registered but not yet finished: what a graceful drain waits
+    /// on. A job leaves it in the critical section that publishes its
+    /// completion line.
+    active: usize,
+}
+
+impl Table {
+    fn outcome(&self, key: &str) -> Option<&Arc<CellOutcome>> {
+        match self.cells.get(key)? {
+            CellState::Done(outcome) => Some(outcome),
+            CellState::InFlight => None,
+        }
+    }
+
+    fn job(&mut self, id: u64) -> &mut JobEntry {
+        self.jobs.get_mut(&id).expect("jobs are never removed")
+    }
 }
 
 /// Where a job's progress goes: each new `done` total, as the job
 /// publishes it. A waiting submit writes it to its client as a
 /// [`ProgressEvent`] line; background and resumed jobs drop it.
 type ProgressSink<'a> = dyn Fn(usize) + Sync + 'a;
-
-impl Job {
-    /// Publishes `n` more settled cells as one update and hands the new
-    /// total to `sink`; no update for `n == 0`.
-    fn advance(&self, n: usize, sink: &ProgressSink) {
-        if n == 0 {
-            return;
-        }
-        let done = {
-            let mut progress = relock(&self.progress);
-            progress.done += n;
-            progress.done
-        };
-        sink(done);
-    }
-
-    fn finish(&self, line: Arc<str>) {
-        relock(&self.progress).finished = Some(line);
-        self.cv.notify_all();
-    }
-
-    fn wait(&self) -> Arc<str> {
-        let progress = self
-            .cv
-            .wait_while(relock(&self.progress), |p| p.finished.is_none())
-            .unwrap_or_else(PoisonError::into_inner);
-        progress.finished.clone().expect("waited until the job finished")
-    }
-
-    fn done(&self) -> usize {
-        relock(&self.progress).done
-    }
-
-    fn state(&self) -> &'static str {
-        match relock(&self.progress).finished {
-            None => "running",
-            Some(_) => "done",
-        }
-    }
-}
 
 struct Inner {
     socket: PathBuf,
@@ -205,15 +181,9 @@ struct Inner {
     journal: Option<SweepJournal>,
     /// Armed fault plan (chaos tests only).
     faults: Option<Arc<Injector>>,
-    cells: Mutex<HashMap<String, CellState>>,
-    cells_cv: Condvar,
+    table: Mutex<Table>,
+    changed: Condvar,
     executed: AtomicU64,
-    jobs: Mutex<HashMap<u64, Arc<Job>>>,
-    next_job: AtomicU64,
-    /// Jobs created but not yet finished — what a graceful drain waits on
-    /// (`retired_cv` fires each time one retires).
-    active_jobs: Mutex<usize>,
-    retired_cv: Condvar,
     /// Sweeps resurrected from the journal at startup.
     resumed_sweeps: AtomicU64,
     shutdown: AtomicBool,
@@ -223,22 +193,82 @@ struct Inner {
 }
 
 impl Inner {
-    fn complete_cell(&self, key: &str, outcome: Arc<CellOutcome>) {
-        relock(&self.cells).insert(key.to_string(), CellState::Done(outcome));
-        self.cells_cv.notify_all();
+    fn table(&self) -> MutexGuard<'_, Table> {
+        self.table.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Blocks until `blocked` no longer holds of the table.
+    fn wait_while(&self, blocked: impl FnMut(&mut Table) -> bool) -> MutexGuard<'_, Table> {
+        self.changed.wait_while(self.table(), blocked).unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Registers a job and claims its cells in one critical section. The
+    /// job is visible to `status`/`wait` and counted active until whoever
+    /// drives it finishes it. Every cell no submission holds becomes its
+    /// own, so two concurrent submissions of the same sweep partition it
+    /// instead of both running it, and a job counted active already holds
+    /// its claims. Returns the job's id and how each cell will be satisfied.
+    fn register_job(&self, cells: &[KeyedCell]) -> (u64, Vec<Slot>) {
+        let mut table = self.table();
+        let slots = cells
+            .iter()
+            .map(|(_, key)| match key {
+                None => Slot::Owned, // uncacheable: always simulate
+                Some(k) => match table.cells.get(&k.key) {
+                    Some(CellState::Done(outcome)) => Slot::Ready(outcome.clone()),
+                    Some(CellState::InFlight) => Slot::Waiting,
+                    None => {
+                        table.cells.insert(k.key.clone(), CellState::InFlight);
+                        Slot::Owned
+                    }
+                },
+            })
+            .collect();
+        let id = table.next_job;
+        table.next_job += 1;
+        table.jobs.insert(id, JobEntry { cells: cells.len(), done: 0, line: None });
+        table.active += 1;
+        (id, slots)
+    }
+
+    /// Runs `update` on the table and publishes the cells it reports
+    /// settled as one update of job `id`, in the same critical section;
+    /// the new total goes to `sink` once the table is unlocked, so a slow
+    /// client never holds it. No update when `update` settles nothing.
+    fn settle(&self, id: u64, sink: &ProgressSink, update: impl FnOnce(&mut Table) -> usize) {
+        let (n, done) = {
+            let mut table = self.table();
+            let n = update(&mut table);
+            let job = table.job(id);
+            job.done += n;
+            (n, job.done)
+        };
+        if n > 0 {
+            sink(done);
+        }
+    }
+
+    /// Publishes job `id`'s completion line and retires it in one critical
+    /// section, so whoever sees the line also sees the job inactive.
+    fn finish(&self, id: u64, line: Arc<str>) {
+        let mut table = self.table();
+        table.job(id).line = Some(line);
+        table.active -= 1;
+        self.changed.notify_all();
+    }
+
+    /// Blocks until job `id` finishes and returns its completion line.
+    fn wait_job(&self, id: u64) -> Arc<str> {
+        let mut table = self.wait_while(|table| table.job(id).line.is_none());
+        table.job(id).line.clone().expect("waited until the job finished")
     }
 
     /// Blocks until another submission finishes the cell. Sound because
     /// an owner always completes every cell it claims: per-cell panics
     /// are caught by the worker pool and recorded as `Done(Err(..))`.
     fn wait_for_cell(&self, key: &str) -> Arc<CellOutcome> {
-        let mut table = relock(&self.cells);
-        loop {
-            if let Some(CellState::Done(outcome)) = table.get(key) {
-                return outcome.clone();
-            }
-            table = self.cells_cv.wait(table).unwrap_or_else(PoisonError::into_inner);
-        }
+        let table = self.wait_while(|table| table.outcome(key).is_none());
+        table.outcome(key).expect("waited until the cell finished").clone()
     }
 }
 
@@ -253,14 +283,16 @@ enum Slot {
     Waiting,
 }
 
-/// Runs one submission to completion, returning its completion response
-/// line; each progress update goes to `sink`. The claim/own/wait choreography
-/// is the single-flight core: each unique cell key is simulated by
-/// exactly one submission. Owned cells go through the shared
-/// [executor](sim::exec).
+/// Runs registered job `id`, whose cells were claimed as `slots`, to
+/// completion and publishes its completion response line, returning it;
+/// each progress update goes to `sink`. Together with
+/// [`Inner::register_job`]'s claims this is the single-flight core: each
+/// unique cell key is simulated by exactly one submission. Owned cells go
+/// through the shared [executor](sim::exec).
 fn run_job(
     inner: &Inner,
-    job: &Job,
+    id: u64,
+    mut slots: Vec<Slot>,
     spec: &SweepSpec,
     cells: Vec<KeyedCell>,
     sink: &ProgressSink,
@@ -273,36 +305,11 @@ fn run_job(
         .journal
         .as_ref()
         .map(|journal| Checkpoint::begin(journal, &spec_json, experiments.len()));
-    let mut shared = 0usize;
-    let mut slots: Vec<Slot> = Vec::with_capacity(experiments.len());
-    {
-        // One lock pass claims every unclaimed cell atomically, so two
-        // concurrent submissions of the same sweep partition it instead
-        // of both running it.
-        let mut table = relock(&inner.cells);
-        for key in &keys {
-            slots.push(match key {
-                None => Slot::Owned, // uncacheable: always simulate
-                Some(k) => match table.get(&k.key) {
-                    Some(CellState::Done(outcome)) => {
-                        shared += 1;
-                        Slot::Ready(outcome.clone())
-                    }
-                    Some(CellState::InFlight) => {
-                        shared += 1;
-                        Slot::Waiting
-                    }
-                    None => {
-                        table.insert(k.key.clone(), CellState::InFlight);
-                        Slot::Owned
-                    }
-                },
-            });
-        }
-    }
     // Every cell the table already held is one progress update, not one
     // per cell.
-    job.advance(slots.iter().filter(|slot| matches!(slot, Slot::Ready(_))).count(), sink);
+    let ready = slots.iter().filter(|slot| matches!(slot, Slot::Ready(_))).count();
+    inner.settle(id, sink, |_| ready);
+    let shared = slots.iter().filter(|slot| !matches!(slot, Slot::Owned)).count();
     let mut owned = Vec::new();
     let mut owned_cells = Vec::new();
     for (i, experiment) in experiments.into_iter().enumerate() {
@@ -320,26 +327,29 @@ fn run_job(
     // A settled cell — answered by the disk cache, or simulated, saved
     // and journaled — enters the single-flight table at once, so waiters
     // and progress probes see it immediately.
-    let on_settled = |j: usize, outcome: &Result<ExperimentResult, SweepError>, _: Source| {
-        if let Some(key) = &keys[owned[j]] {
-            let outcome = outcome.clone().map_err(CellFailure::from);
-            inner.complete_cell(&key.key, Arc::new(outcome));
-        }
-        job.advance(1, sink);
+    let on_settled = |j: usize, outcome: &CellOutcome, _: Source| {
+        inner.settle(id, sink, |table| {
+            if let Some(key) = &keys[owned[j]] {
+                let done = CellState::Done(Arc::new(outcome.clone()));
+                table.cells.insert(key.key.clone(), done);
+                inner.changed.notify_all();
+            }
+            1
+        });
     };
     let probed = exec.probe(owned_cells, on_settled);
     let executed = probed.missed().len();
     inner.executed.fetch_add(executed as u64, Ordering::Relaxed);
     let (outcomes, summary) = probed.run(cell_label, Experiment::run, on_settled);
     for (&i, outcome) in owned.iter().zip(outcomes) {
-        slots[i] = Slot::Ready(Arc::new(outcome.map_err(CellFailure::from)));
+        slots[i] = Slot::Ready(Arc::new(outcome));
     }
     // Collect the cells other submissions are simulating.
     for (i, slot) in slots.iter_mut().enumerate() {
         if matches!(slot, Slot::Waiting) {
             let key = keys[i].as_ref().expect("only keyed cells wait");
             *slot = Slot::Ready(inner.wait_for_cell(&key.key));
-            job.advance(1, sink);
+            inner.settle(id, sink, |_| 1);
         }
     }
     // The report lists the cells in expansion order: identical
@@ -353,8 +363,7 @@ fn run_job(
         .clone()
         .enumerate()
         .filter_map(|(index, outcome)| {
-            let f = outcome.as_ref().err()?;
-            Some(SweepError { index, cell: f.cell.clone(), message: f.message.clone() })
+            Some(SweepError { index, ..outcome.as_ref().err()?.clone() })
         })
         .collect();
     // A clean pass closes the sweep's journal entry; a pass with
@@ -368,7 +377,7 @@ fn run_job(
     let mut line = String::with_capacity(256 + spec_json.len() + 320 * slots.len());
     line.push_str("{\"ok\":true");
     let counts = [
-        ("job", job.id),
+        ("job", id),
         ("cells", slots.len() as u64),
         ("hits", summary.hits as u64),
         ("resumed", summary.resumed as u64),
@@ -385,7 +394,9 @@ fn run_job(
     let results = outcomes.filter_map(|outcome| outcome.as_ref().ok());
     write_report(&mut line, &spec.name, &spec_json, results, &failures);
     line.push_str("}\n");
-    Arc::from(line)
+    let line: Arc<str> = Arc::from(line);
+    inner.finish(id, line.clone());
+    line
 }
 
 fn err_json(message: impl std::fmt::Display) -> Json {
@@ -476,13 +487,14 @@ impl Server {
             cache,
             journal,
             faults: cfg.faults,
-            cells: Mutex::new(HashMap::new()),
-            cells_cv: Condvar::new(),
+            table: Mutex::new(Table {
+                cells: HashMap::new(),
+                jobs: HashMap::new(),
+                next_job: 1,
+                active: 0,
+            }),
+            changed: Condvar::new(),
             executed: AtomicU64::new(0),
-            jobs: Mutex::new(HashMap::new()),
-            next_job: AtomicU64::new(1),
-            active_jobs: Mutex::new(0),
-            retired_cv: Condvar::new(),
             resumed_sweeps: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             draining: AtomicBool::new(false),
@@ -526,16 +538,11 @@ impl Server {
         // the cache + journal) unless the timeout expires first — a
         // drained shutdown loses nothing, a timed-out one loses only
         // what the journal lets the next incarnation resume.
-        let (active, retired) = (relock(&self.inner.active_jobs), &self.inner.retired_cv);
-        drop(match self.drain_timeout {
-            None => retired.wait_while(active, |n| *n > 0).unwrap_or_else(PoisonError::into_inner),
-            Some(timeout) => {
-                retired
-                    .wait_timeout_while(active, timeout, |n| *n > 0)
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0
-            }
-        });
+        let (inner, active) = (&self.inner, |table: &mut Table| table.active > 0);
+        match self.drain_timeout {
+            None => drop(inner.wait_while(active)),
+            Some(timeout) => drop(inner.changed.wait_timeout_while(inner.table(), timeout, active)),
+        }
         let _ = std::fs::remove_file(&self.inner.socket);
         Ok(())
     }
@@ -557,34 +564,6 @@ fn resume_unfinished(inner: &Arc<Inner>) {
     }
 }
 
-/// Creates a job, visible to `status`/`wait` and counted as active until
-/// whoever drives it finishes it.
-fn register_job(inner: &Inner, cells: usize) -> Arc<Job> {
-    let job = Arc::new(Job {
-        id: inner.next_job.fetch_add(1, Ordering::Relaxed),
-        cells,
-        progress: Mutex::default(),
-        cv: Condvar::new(),
-    });
-    relock(&inner.jobs).insert(job.id, job.clone());
-    *relock(&inner.active_jobs) += 1;
-    job
-}
-
-/// Runs a registered job to completion, publishes its completion line and
-/// retires it (waking a draining [`Server::serve`]).
-fn drive_job(
-    inner: &Inner,
-    job: &Job,
-    spec: &SweepSpec,
-    cells: Vec<KeyedCell>,
-    sink: &ProgressSink,
-) {
-    job.finish(run_job(inner, job, spec, cells, sink));
-    *relock(&inner.active_jobs) -= 1;
-    inner.retired_cv.notify_all();
-}
-
 /// Creates a job and drives it on a detached thread, streaming nothing;
 /// returns `(id, cells)`.
 fn spawn_background_job(
@@ -592,11 +571,11 @@ fn spawn_background_job(
     spec: SweepSpec,
     cells: Vec<KeyedCell>,
 ) -> (u64, usize) {
-    let job = register_job(inner, cells.len());
-    let (job_id, count) = (job.id, cells.len());
+    let (id, slots) = inner.register_job(&cells);
+    let count = cells.len();
     let inner = inner.clone();
-    std::thread::spawn(move || drive_job(&inner, &job, &spec, cells, &|_| {}));
-    (job_id, count)
+    std::thread::spawn(move || run_job(&inner, id, slots, &spec, cells, &|_| {}));
+    (id, count)
 }
 
 /// Longest a waiting submit's progress write may block on a client that
@@ -657,28 +636,36 @@ fn dispatch(inner: &Arc<Inner>, request: &Json, stream: &mut UnixStream) -> Repl
     Reply::Tree(match cmd {
         "ping" => ok_json([("pong", Json::Bool(true))]),
         "submit" => return submit(inner, request, stream),
-        "status" => match lookup_job(inner, request) {
-            Ok(job) => ok_json([
-                ("job", Json::count(job.id)),
-                ("state", Json::str(job.state())),
-                ("done", Json::count(job.done() as u64)),
-                ("cells", Json::count(job.cells as u64)),
-            ]),
+        "status" => match requested_job(inner, request) {
+            Ok(id) => {
+                let mut table = inner.table();
+                let job = table.job(id);
+                let state = if job.line.is_some() { "done" } else { "running" };
+                ok_json([
+                    ("job", Json::count(id)),
+                    ("state", Json::str(state)),
+                    ("done", Json::count(job.done as u64)),
+                    ("cells", Json::count(job.cells as u64)),
+                ])
+            }
             Err(e) => e,
         },
-        "wait" => match lookup_job(inner, request) {
-            Ok(job) => return Reply::Line(job.wait()),
+        "wait" => match requested_job(inner, request) {
+            Ok(id) => return Reply::Line(inner.wait_job(id)),
             Err(e) => e,
         },
         "lookup" => lookup_cell(inner, request),
-        "stats" => ok_json([
-            ("executed", Json::count(inner.executed.load(Ordering::Relaxed))),
-            ("jobs", Json::count(relock(&inner.jobs).len() as u64)),
-            ("active", Json::count(*relock(&inner.active_jobs) as u64)),
-            ("resumed_sweeps", Json::count(inner.resumed_sweeps.load(Ordering::Relaxed))),
-            ("draining", Json::Bool(inner.draining.load(Ordering::Relaxed))),
-            ("cache", inner.cache.as_ref().map(RunCache::stats).encode()),
-        ]),
+        "stats" => {
+            let table = inner.table();
+            ok_json([
+                ("executed", Json::count(inner.executed.load(Ordering::Relaxed))),
+                ("jobs", Json::count(table.jobs.len() as u64)),
+                ("active", Json::count(table.active as u64)),
+                ("resumed_sweeps", Json::count(inner.resumed_sweeps.load(Ordering::Relaxed))),
+                ("draining", Json::Bool(inner.draining.load(Ordering::Relaxed))),
+                ("cache", inner.cache.as_ref().map(RunCache::stats).encode()),
+            ])
+        }
         "shutdown" => {
             // Draining first: submissions racing the shutdown are
             // rejected instead of silently competing with the drain.
@@ -690,9 +677,14 @@ fn dispatch(inner: &Arc<Inner>, request: &Json, stream: &mut UnixStream) -> Repl
     })
 }
 
-fn lookup_job(inner: &Inner, request: &Json) -> Result<Arc<Job>, Json> {
+/// The job a `status` or `wait` request names, if the server has it.
+fn requested_job(inner: &Inner, request: &Json) -> Result<u64, Json> {
     let id: u64 = request.field("job").map_err(err_json)?;
-    relock(&inner.jobs).get(&id).cloned().ok_or_else(|| err_json(format!("unknown job {id}")))
+    if inner.table().jobs.contains_key(&id) {
+        Ok(id)
+    } else {
+        Err(err_json(format!("unknown job {id}")))
+    }
 }
 
 /// The sweep a request carries under `"spec"`, expanded: broken specs —
@@ -729,10 +721,9 @@ fn lookup_cell(inner: &Inner, request: &Json) -> Json {
     let Some(key) = key else {
         return err_json("cell is uncacheable");
     };
-    if let Some(CellState::Done(outcome)) = relock(&inner.cells).get(&key.key) {
-        if let Ok(result) = outcome.as_ref() {
-            return ok_json([("cached", Json::Bool(true)), ("result", result_to_json(result))]);
-        }
+    let settled = inner.table().outcome(&key.key).cloned();
+    if let Some(Ok(result)) = settled.as_deref() {
+        return ok_json([("cached", Json::Bool(true)), ("result", result_to_json(result))]);
     }
     if let Some(result) = inner.cache.as_ref().and_then(|c| c.lookup(key)) {
         return ok_json([("cached", Json::Bool(true)), ("result", result_to_json(&result))]);
@@ -799,7 +790,8 @@ fn submit(inner: &Arc<Inner>, request: &Json, stream: &mut UnixStream) -> Reply 
         let queued = ok_json([("job", Json::count(job_id)), ("cells", Json::count(cells as u64))]);
         return Reply::Tree(queued);
     }
-    let job = register_job(inner, cells.len());
+    let (id, slots) = inner.register_job(&cells);
+    let count = cells.len() as u64;
     // Waiting submit: this thread drives the job, and the job writes its
     // progress lines itself, from whichever executor worker settled a
     // cell. The lock holds the client (`None` once severed) and the last
@@ -811,7 +803,7 @@ fn submit(inner: &Arc<Inner>, request: &Json, stream: &mut UnixStream) -> Reply 
     let _ = stream.set_write_timeout(Some(PROGRESS_WRITE_TIMEOUT));
     let client = Mutex::new((Some(&mut *stream), 0));
     let progress = |done: usize| {
-        let mut client = relock(&client);
+        let mut client = client.lock().unwrap_or_else(PoisonError::into_inner);
         let (open, written) = &mut *client;
         let Some(stream) = open else { return };
         // Chaos hook, probed before every line (so before the first):
@@ -825,8 +817,7 @@ fn submit(inner: &Arc<Inner>, request: &Json, stream: &mut UnixStream) -> Reply 
                 return;
             }
             *written = done;
-            let event =
-                ProgressEvent { job: job.id, done: done as u64, cells: job.cells as u64 }.to_json();
+            let event = ProgressEvent { job: id, done: done as u64, cells: count }.to_json();
             if write_line(stream, &event).is_ok() {
                 return;
             }
@@ -836,9 +827,9 @@ fn submit(inner: &Arc<Inner>, request: &Json, stream: &mut UnixStream) -> Reply 
         let _ = stream.shutdown(std::net::Shutdown::Both);
         *open = None;
     };
-    drive_job(inner, &job, &spec, cells, &progress);
+    let line = run_job(inner, id, slots, &spec, cells, &progress);
     let _ = stream.set_write_timeout(None);
-    Reply::Line(job.wait())
+    Reply::Line(line)
 }
 
 /// A blocking line-protocol client (what `campaignctl` and the tests

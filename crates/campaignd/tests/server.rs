@@ -1,6 +1,7 @@
 //! End-to-end exercises of the campaign server over a real unix socket:
 //! single-flight dedup between concurrent clients, warm-cache restarts,
-//! and the async submit/status/wait lifecycle.
+//! the async submit/status/wait lifecycle, and a seeded fuzz of request
+//! lines.
 
 use campaignd::{submit_request, Client, Server, ServerConfig};
 use sim::spec::SweepSpec;
@@ -50,6 +51,12 @@ fn server_executed(socket: &std::path::Path) -> u64 {
     let stats = client.request(&Json::obj([("cmd", Json::str("stats"))])).expect("stats");
     assert_ok(&stats);
     field_u64(&stats, "executed")
+}
+
+fn active_jobs(client: &mut Client) -> u64 {
+    let stats = client.request(&Json::obj([("cmd", Json::str("stats"))])).expect("stats");
+    assert_ok(&stats);
+    field_u64(&stats, "active")
 }
 
 fn shutdown(socket: &std::path::Path) {
@@ -170,6 +177,9 @@ fn async_submit_status_wait_lifecycle() {
     assert_ok(&done);
     assert_eq!(field_u64(&done, "cells"), 2);
     assert!(done.get("report").is_some());
+    // A job leaves `active` as it publishes its line: a `stats` sent right
+    // after `wait` returns never counts it.
+    assert_eq!(active_jobs(&mut client), 0, "a finished job is still counted active");
 
     let status = client
         .request(&Json::obj([("cmd", Json::str("status")), ("job", Json::count(job))]))
@@ -394,18 +404,8 @@ fn client_cut_off_at_a_warm_progress_line_does_not_wedge_the_job() {
     assert_eq!(field_u64(&warm, "executed"), 0);
     assert_eq!(warm.get("report").expect("report").render(), report);
     assert_eq!(server_executed(&socket), 2);
-    // And it retires: a job is counted active until just after it
-    // publishes its completion, so give the connection thread a moment.
-    let mut active = u64::MAX;
-    for _ in 0..500 {
-        let stats = client.request(&Json::obj([("cmd", Json::str("stats"))])).expect("stats");
-        active = field_u64(&stats, "active");
-        if active == 0 {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-    assert_eq!(active, 0, "the severed submit's job is still counted active");
+    // And it retired as it published its line, which `wait` returned.
+    assert_eq!(active_jobs(&mut client), 0, "the severed submit's job is still counted active");
     shutdown(&socket);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -708,4 +708,93 @@ fn progress_events_round_trip_the_wire_shape() {
             assert_eq!(ProgressEvent::from_json(&Json::Obj(missing)), None, "{}", pairs[i].0);
         }
     }
+}
+
+/// One seeded edit of an ASCII request line: flip one of the low seven
+/// bits of a byte, insert a printable byte, delete a byte, or truncate.
+/// The line stays ASCII, so it stays one or more request lines.
+fn mutate_request(line: &mut Vec<u8>, rng: &mut sim_core::rng::Xoshiro256) {
+    if line.is_empty() {
+        return;
+    }
+    let at = rng.gen_range(line.len() as u64) as usize;
+    match rng.gen_range(4) {
+        0 => line[at] ^= 1 << rng.gen_range(7),
+        1 => line.insert(at, b' ' + rng.gen_range(95) as u8),
+        2 => drop(line.remove(at)),
+        _ => line.truncate(at),
+    }
+}
+
+#[test]
+fn mutated_request_lines_each_get_exactly_one_final_response() {
+    use std::io::{BufRead, BufReader, Write};
+    let dir = scratch("request-fuzz");
+    let socket = start(&dir, "a");
+    // Refused for four reasons (an unknown tracker, a negative window, and
+    // two sections only `spec_run` serves), more than the edits a line
+    // gets can remove, so no mutant schedules a cell.
+    let refused = r#"{"workloads":["mcf_like"],"trackers":["no-such"],"window_us":-1,"attacker":{},"profile":{}}"#;
+    let one_cell = r#"{"workloads":"mcf_like","trackers":"para","window_us":20,"seed":7}"#;
+    let seeds = [
+        r#"{"cmd":"ping"}"#.to_string(),
+        r#"{"cmd":"stats"}"#.to_string(),
+        r#"{"cmd":"status","job":1}"#.to_string(),
+        r#"{"cmd":"wait","job":1}"#.to_string(),
+        r#"{"cmd":"status","job":"1"}"#.to_string(),
+        r#"{"cmd":"wait","job":-1}"#.to_string(),
+        r#"{"cmd":"wait","job":1.5}"#.to_string(),
+        r#"{"cmd":"status","job":1e300}"#.to_string(),
+        r#"{"cmd":"wait","job":18446744073709551615}"#.to_string(),
+        r#"{"cmd":"no-such","job":1}"#.to_string(),
+        format!(r#"{{"cmd":"lookup","spec":{one_cell}}}"#),
+        format!(r#"{{"cmd":"submit","spec":{refused},"wait":true}}"#),
+        format!(r#"{{"cmd":"submit","spec":{refused},"wait":"yes"}}"#),
+        format!(r#"{{"cmd":"submit","spec":{refused}}}"#),
+        r#"{"cmd":"submit","spec":[],"wait":true}"#.to_string(),
+        r#"{"cmd":"submit","wait":true}"#.to_string(),
+    ];
+    let mut rng = sim_core::rng::Xoshiro256::seed_from(0x5E9D);
+    let (mut lines, mut writes) = (0, 0);
+    for _ in 0..100 {
+        let mut conn = std::os::unix::net::UnixStream::connect(&socket).expect("connect");
+        conn.set_read_timeout(Some(std::time::Duration::from_secs(10))).expect("timeout");
+        let mut reader = BufReader::new(conn.try_clone().expect("clone"));
+        for _ in 0..8 {
+            // One to four lines in one write, each edited up to three
+            // times; an edit may split a line or blank it.
+            let mut bytes = Vec::new();
+            for _ in 0..=rng.gen_range(4) {
+                let mut line = seeds[rng.gen_range(seeds.len() as u64) as usize].clone().into();
+                for _ in 0..rng.gen_range(4) {
+                    mutate_request(&mut line, &mut rng);
+                }
+                bytes.extend_from_slice(&line);
+                bytes.push(b'\n');
+            }
+            let text = String::from_utf8(bytes).expect("edits keep the lines ASCII");
+            let expected = text.lines().filter(|line| !line.trim().is_empty()).count();
+            conn.write_all(text.as_bytes()).expect("send");
+            for _ in 0..expected {
+                let mut response = String::new();
+                reader.read_line(&mut response).expect("one response per line");
+                assert!(response.starts_with(r#"{"ok":"#), "{text:?} got {response:?}");
+                Json::parse(&response).unwrap_or_else(|e| panic!("{e}: {response:?}"));
+            }
+            lines += expected;
+            writes += 1;
+        }
+        // Nothing more is owed: the next line answered is this ping's.
+        conn.write_all(b"{\"cmd\":\"ping\"}\n").expect("ping");
+        let mut pong = String::new();
+        reader.read_line(&mut pong).expect("pong");
+        assert_eq!(pong, "{\"ok\":true,\"pong\":true}\n");
+    }
+    assert!(lines > writes, "{lines} lines in {writes} writes");
+    let mut client = Client::connect(&socket).expect("connect");
+    let stats = client.request(&Json::obj([("cmd", Json::str("stats"))])).expect("stats");
+    let counts = ["executed", "jobs", "active"].map(|key| field_u64(&stats, key));
+    assert_eq!(counts, [0, 0, 0], "no mutant ran a job: {}", stats.render());
+    shutdown(&socket);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -321,7 +321,10 @@ impl<T: Value> Value for Vec<T> {
     }
 }
 
-/// A table of named values (`[params.<tracker>]`); empty is absent.
+/// A table of named values (`[params.<tracker>]`). A table none of whose
+/// entries writes anything is absent, like an empty one, so an empty
+/// `[params.<tracker>]` leaves no `params` key behind to read back as a
+/// different spec.
 impl<T: Value> Value for BTreeMap<String, T> {
     fn from_toml(v: &TomlValue) -> Result<Self, DecodeError> {
         let TomlValue::Table(entries) = v else { return expected("a table", v) };
@@ -331,8 +334,9 @@ impl<T: Value> Value for BTreeMap<String, T> {
             .collect()
     }
     fn write(&self) -> Option<TomlValue> {
-        let entries = self.iter().filter_map(|(k, v)| Some((k.clone(), v.write()?)));
-        (!self.is_empty()).then(|| TomlValue::Table(entries.collect()))
+        let entries: BTreeMap<_, _> =
+            self.iter().filter_map(|(k, v)| Some((k.clone(), v.write()?))).collect();
+        (!entries.is_empty()).then_some(TomlValue::Table(entries))
     }
 }
 
@@ -1415,6 +1419,92 @@ group_size = 256
         }
     }
 
+    /// Every shipped spec: `examples/specs/*.toml`, then the benchmark's
+    /// pinned sweep.
+    fn shipped_spec_files() -> Vec<std::path::PathBuf> {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut files: Vec<_> = std::fs::read_dir(root.join("examples/specs"))
+            .expect("examples/specs")
+            .map(|entry| entry.expect("spec dir entry").path())
+            .filter(|p| p.extension().is_some_and(|ext| ext == "toml"))
+            .collect();
+        files.sort();
+        files.push(root.join("benchmark/specs/campaign.toml"));
+        files
+    }
+
+    #[test]
+    fn an_empty_params_table_writes_no_params_key() {
+        // An empty `[params.dapper-s]` used to write `"params":{}`, which
+        // reads back as no params at all: the TOML and the JSON leg were two
+        // specs, echoed and hashed differently.
+        let bare = "name = \"p\"\nworkloads = [\"gcc_like\"]\ntrackers = [\"dapper-s\"]\n";
+        let spec = SweepSpec::from_toml_str(&format!("{bare}[params.dapper-s]\n")).unwrap();
+        assert_eq!(spec.params.len(), 1, "the table is read");
+        let json = spec.to_json().render();
+        assert_eq!(json, SweepSpec::from_toml_str(bare).unwrap().to_json().render());
+        let from_json = SweepSpec::from_json_str(&json).unwrap();
+        assert_eq!(from_json.to_json().render(), json);
+        assert_eq!(SweepSpec::from_toml_str(&spec.to_toml()).unwrap(), spec);
+    }
+
+    /// `rounds` seeded mutants of the shipped specs, each one to five byte
+    /// flips, inserts, deletes or truncations. The TOML reader and the
+    /// expansion return or refuse, never panic, and every spec the reader
+    /// accepts is canonical: its TOML and its JSON each read back to it and
+    /// render the same text again. Returns how many were accepted.
+    fn fuzz_specs(seed: u64, rounds: usize) -> usize {
+        let texts: Vec<Vec<u8>> =
+            shipped_spec_files().iter().map(|f| std::fs::read(f).expect("read spec")).collect();
+        let mut rng = Xoshiro256::seed_from(seed);
+        let mut accepted = 0;
+        for _ in 0..rounds {
+            let mut bytes = texts[rng.gen_range(texts.len() as u64) as usize].clone();
+            for _ in 0..=rng.gen_range(5) {
+                if bytes.is_empty() {
+                    break;
+                }
+                let at = rng.gen_range(bytes.len() as u64) as usize;
+                match rng.gen_range(4) {
+                    0 => bytes[at] ^= 1 << rng.gen_range(8),
+                    1 => bytes.insert(at, rng.next_u64() as u8),
+                    2 => drop(bytes.remove(at)),
+                    _ => bytes.truncate(at),
+                }
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            let _ = toml::parse(&text);
+            let Ok(spec) = SweepSpec::from_toml_str(&text) else { continue };
+            accepted += 1;
+            let _ = spec.expand_keyed();
+            let toml_text = spec.to_toml();
+            let from_toml = SweepSpec::from_toml_str(&toml_text)
+                .unwrap_or_else(|e| panic!("{e}: {text:?} rendered as {toml_text:?}"));
+            assert_eq!(from_toml, spec, "{text:?} rendered as {toml_text:?}");
+            assert_eq!(from_toml.to_toml(), toml_text, "{text:?}");
+            let json = spec.to_json().render();
+            let from_json = SweepSpec::from_json_str(&json)
+                .unwrap_or_else(|e| panic!("{e}: {text:?} rendered as {json:?}"));
+            assert_eq!(from_json.to_json().render(), json, "{text:?}");
+        }
+        accepted
+    }
+
+    #[test]
+    fn mutated_specs_parse_or_refuse_and_round_trip() {
+        for seed in [1, 2, 3, 0x5BEC] {
+            assert!(fuzz_specs(seed, 250) > 0, "seed {seed}: no mutant parsed");
+        }
+    }
+
+    #[test]
+    #[ignore = "long spec reader fuzz; run with --ignored (CI campaignd-smoke)"]
+    fn mutated_specs_parse_or_refuse_and_round_trip_long_sweep() {
+        for seed in 0..100 {
+            fuzz_specs(seed, 2_000);
+        }
+    }
+
     /// A fully populated table writes exactly its declared keys and reads
     /// them back; one undeclared key is rejected by name with the
     /// allow-list spelled out.
@@ -1803,17 +1893,9 @@ group_size = 256
 
     #[test]
     fn report_writer_matches_the_tree_render_on_every_shipped_spec() {
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let mut files: Vec<_> = std::fs::read_dir(root.join("examples/specs"))
-            .expect("examples/specs")
-            .map(|entry| entry.expect("spec dir entry").path())
-            .filter(|p| p.extension().is_some_and(|ext| ext == "toml"))
-            .collect();
-        files.sort();
-        files.push(root.join("benchmark/specs/campaign.toml"));
         let mut rng = Xoshiro256::seed_from(0x2E_9027);
         let mut cells = 0;
-        for file in &files {
+        for file in &shipped_spec_files() {
             let text = std::fs::read_to_string(file).expect("read spec");
             let spec = SweepSpec::from_toml_str(&text).expect("spec parses");
             let results: Vec<ExperimentResult> = spec

@@ -45,9 +45,9 @@ USAGE: spec_run [--validate] [--out DIR] [--cache-dir DIR | --no-cache] SPEC.tom
   --cache-dir DIR  read/write the content-addressed run cache in DIR
                    (overrides any [cache] section in the specs)
   --no-cache       ignore [cache] sections; always simulate
-  --resume         journal completed cells in the cache dir and, on a
-                   re-run after an interruption, re-execute only the
-                   unfinished remainder (requires a cache dir)
+  --resume         journal each sweep's start and end in the cache dir
+                   and, on a re-run after an interruption, re-execute
+                   only the cells the cache lacks (requires a cache dir)
 
 --resume applies to plain sweeps only: a spec with an [attacker] or
 [profile] section is refused with it.
@@ -92,7 +92,7 @@ fn run() -> Result<i32, String> {
         return Err("--no-cache and --cache-dir are mutually exclusive".to_string());
     }
     if resume && no_cache {
-        return Err("--resume needs a cache dir (it journals completed cells there)".to_string());
+        return Err("--resume needs a cache dir (it keeps its journal there)".to_string());
     }
 
     // Every file is read, expanded and checked against the flags before the

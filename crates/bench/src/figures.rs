@@ -311,7 +311,7 @@ impl GridSpec {
     /// After the batch, if any cell failed, naming every quarantined cell.
     pub(crate) fn simulate(&self, opts: &BenchOpts) -> Cube<'_> {
         let cells = self.cells(opts).into_iter().map(|e| (e, None)).collect();
-        let exec = Executor { cache: None, checkpoint: None, runner: &RunnerConfig::default() };
+        let exec = Executor { cache: None, runner: &RunnerConfig::default() };
         let (outcomes, _) =
             exec.probe(cells, |_, _, _| {}).run(cell_label, Experiment::run, |_, _, _| {});
         let failed: Vec<String> =

@@ -41,13 +41,11 @@ fn field_u64(j: &Json, key: &str) -> u64 {
 /// status non-zero — a red sweep must not look green in a shell script.
 fn finish(response: &Json, out: Option<&str>) -> Result<(), String> {
     let report = response.get("report").ok_or("response carried no report")?;
-    let resumed = field_u64(response, "resumed");
     println!(
-        "job {}: {} cells, {} hits{}, {} executed, {} shared",
+        "job {}: {} cells, {} hits, {} executed, {} shared",
         field_u64(response, "job"),
         field_u64(response, "cells"),
         field_u64(response, "hits"),
-        if resumed > 0 { format!(" ({resumed} resumed)") } else { String::new() },
         field_u64(response, "executed"),
         field_u64(response, "shared"),
     );

@@ -19,7 +19,7 @@
 //! | request | response |
 //! |---|---|
 //! | `{"cmd":"ping"}` | `{"ok":true,"pong":true}` |
-//! | `{"cmd":"submit","spec":{...},"wait":true}` | progress events, then `{"ok":true,"job":N,"report":{...},"cells":C,"hits":H,"executed":X,"shared":S}` |
+//! | `{"cmd":"submit","spec":{...},"wait":true}` | progress events, then `{"ok":true,"job":N,"cells":C,"hits":H,"executed":X,"shared":S,"report":{...}}` |
 //! | `{"cmd":"submit","spec":{...}}` | `{"ok":true,"job":N,"cells":C}` (job runs in the background) |
 //! | `{"cmd":"status","job":N}` | `{"ok":true,"job":N,"state":"running"\|"done","done":D,"cells":C}` |
 //! | `{"cmd":"wait","job":N}` | blocks, then the completion line `submit`-and-wait ends with, byte for byte |
@@ -60,6 +60,14 @@
 //! job through the server's table (below).
 //!
 //! # Completion
+//!
+//! The completion response counts the job's cells three ways, which add
+//! up to `cells`: `hits`, the cells it answered from the disk cache;
+//! `executed`, the cells it simulated (or quarantined trying); and
+//! `shared`, the cells another submission held or was running. A job a
+//! restarted server resumed from the journal is no different: the cells
+//! its interrupted run finished are `hits`, and `executed` is the
+//! remainder.
 //!
 //! A job renders its completion response once, as it finishes: one line,
 //! written straight from its settled cells in expansion order by
@@ -175,9 +183,9 @@ type ProgressSink<'a> = dyn Fn(usize) + Sync + 'a;
 struct Inner {
     socket: PathBuf,
     cache: Option<RunCache>,
-    /// Checkpoint journal, opened alongside the cache dir: completed cell
-    /// keys are logged so a restarted server re-executes only the
-    /// unfinished remainder of an interrupted sweep.
+    /// Checkpoint journal, opened alongside the cache dir: each sweep's
+    /// `start` and `end` are logged, so a restarted server brings back an
+    /// interrupted sweep and re-executes only what the cache lacks.
     journal: Option<SweepJournal>,
     /// Armed fault plan (chaos tests only).
     faults: Option<Arc<Injector>>,
@@ -321,12 +329,11 @@ fn run_job(
     let runner = RunnerConfig { faults: inner.faults.clone() };
     let exec = Executor {
         cache: inner.cache.as_ref().map(|cache| cache as &dyn PayloadCache<_>),
-        checkpoint: checkpoint.as_ref(),
         runner: &runner,
     };
-    // A settled cell — answered by the disk cache, or simulated, saved
-    // and journaled — enters the single-flight table at once, so waiters
-    // and progress probes see it immediately.
+    // A settled cell — answered by the disk cache, or simulated and
+    // saved — enters the single-flight table at once, so waiters and
+    // progress probes see it immediately.
     let on_settled = |j: usize, outcome: &CellOutcome, _: Source| {
         inner.settle(id, sink, |table| {
             if let Some(key) = &keys[owned[j]] {
@@ -380,7 +387,6 @@ fn run_job(
         ("job", id),
         ("cells", slots.len() as u64),
         ("hits", summary.hits as u64),
-        ("resumed", summary.resumed as u64),
         ("executed", executed as u64),
         ("shared", shared as u64),
     ];
@@ -593,12 +599,12 @@ const MAX_REQUEST_LINE: usize = 1 << 20;
 fn handle_connection(inner: &Arc<Inner>, mut stream: UnixStream) {
     let Ok(read_half) = stream.try_clone() else { return };
     let mut reader = BufReader::new(read_half);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
         // Bounded, so a client that never sends a newline costs at most one
         // line of memory and then its own connection.
-        match (&mut reader).take(MAX_REQUEST_LINE as u64 + 1).read_line(&mut line) {
+        match (&mut reader).take(MAX_REQUEST_LINE as u64 + 1).read_until(b'\n', &mut line) {
             Ok(0) | Err(_) => return,
             Ok(_) => {}
         }
@@ -607,12 +613,14 @@ fn handle_connection(inner: &Arc<Inner>, mut stream: UnixStream) {
             let _ = write_line(&mut stream, &refusal);
             return;
         }
-        let text = line.trim();
-        if text.is_empty() {
-            continue;
-        }
-        let reply = match Json::parse(text) {
-            Ok(request) => dispatch(inner, &request, &mut stream),
+        // A line that is not UTF-8 is one bad request, like a line that
+        // is not JSON: answered, and the connection goes on.
+        let reply = match std::str::from_utf8(&line).map(str::trim) {
+            Ok("") => continue,
+            Ok(text) => match Json::parse(text) {
+                Ok(request) => dispatch(inner, &request, &mut stream),
+                Err(e) => Reply::Tree(err_json(format!("bad request: {e}"))),
+            },
             Err(e) => Reply::Tree(err_json(format!("bad request: {e}"))),
         };
         if write_reply(&mut stream, &reply).is_err() {

@@ -326,6 +326,27 @@ fn deeply_nested_request_line_is_an_error_not_an_abort() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn a_request_line_that_is_not_utf8_is_answered_and_the_connection_goes_on() {
+    use std::io::{BufRead, BufReader, Write};
+    let dir = scratch("not-utf8");
+    let socket = start(&dir, "a");
+    let mut conn = std::os::unix::net::UnixStream::connect(&socket).expect("connect");
+    conn.set_read_timeout(Some(std::time::Duration::from_secs(10))).expect("timeout");
+    // Both lines in one write: a dropped connection would lose the second.
+    conn.write_all(b"{\"cmd\":\"ping\",\"x\":\"\xff\"}\n{\"cmd\":\"ping\"}\n").expect("send");
+    let mut reader = BufReader::new(conn);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("the bad line is answered");
+    assert!(line.starts_with("{\"ok\":false,\"error\":\"bad request: "), "{line:?}");
+    assert!(line.contains("utf-8"), "{line:?}");
+    line.clear();
+    reader.read_line(&mut line).expect("the next line is served");
+    assert_eq!(line, "{\"ok\":true,\"pong\":true}\n");
+    shutdown(&socket);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// One waiting submit of `tiny_spec()`; returns the `done` value of every
 /// progress line it streamed, in order, and the final response.
 fn waiting_submit(client: &mut Client) -> (Vec<u64>, Json) {
@@ -456,7 +477,6 @@ fn completion_line_is_the_tree_rendered_response_for_submit_and_every_wait() {
         ("job", Json::count(job)),
         ("cells", Json::count(2)),
         ("hits", Json::count(0)),
-        ("resumed", Json::count(0)),
         ("executed", Json::count(2)),
         ("shared", Json::count(0)),
         ("report", report.to_json()),
@@ -562,8 +582,8 @@ fn restarted_server_resumes_only_the_unfinished_remainder() {
     shutdown(&clean_socket);
 
     // Interrupted run: cell index 1 panics on every attempt, so the sweep
-    // ends with one journaled cell and no `end` record — the same durable
-    // state a kill -9 after cell 0 would leave.
+    // ends with one cached cell, a `start` record and no `end` — the same
+    // durable state a kill -9 after cell 0 would leave.
     let dir = scratch("resume");
     let socket = start_with(
         &dir,
@@ -596,8 +616,14 @@ fn restarted_server_resumes_only_the_unfinished_remainder() {
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
 
+    let cells = tiny_spec().expand_keyed().expect("expands");
+    let cache = sim::cache::RunCache::open(dir.join("cache")).expect("open cache");
+    let saved = cells.iter().filter(|(_, key)| cache.lookup(key.as_ref().unwrap()).is_some());
+    let saved = saved.count() as u64;
+    assert_eq!(saved, 1, "the finished cell is in the cache");
+
     // Restart (fault-free) with resume: the journaled sweep comes back as
-    // job 1, re-executes only the unfinished cell, and the final report
+    // job 1, re-executes only what the cache lacks, and the final report
     // is byte-identical to the uninterrupted baseline.
     let socket2 = start_with(&dir, "b", ServerConfig { resume: true, ..ServerConfig::default() });
     let mut client = Client::connect(&socket2).expect("connect");
@@ -605,9 +631,11 @@ fn restarted_server_resumes_only_the_unfinished_remainder() {
         .request(&Json::obj([("cmd", Json::str("wait")), ("job", Json::count(1))]))
         .expect("wait resumed");
     assert_ok(&resumed);
-    assert_eq!(field_u64(&resumed, "executed"), 1, "only the unfinished cell re-executes");
-    assert_eq!(field_u64(&resumed, "hits"), 1);
-    assert_eq!(field_u64(&resumed, "resumed"), 1);
+    let hits = field_u64(&resumed, "hits");
+    assert!(hits >= saved, "{hits} hits, {saved} cells saved before the restart");
+    let executed = field_u64(&resumed, "executed");
+    assert_eq!(executed, cells.len() as u64 - hits, "only the unfinished remainder re-executes");
+    assert_eq!(executed, 1);
     assert_eq!(resumed.get("report").expect("report").render(), clean_report);
     let stats = client.request(&Json::obj([("cmd", Json::str("stats"))])).expect("stats");
     assert_eq!(field_u64(&stats, "resumed_sweeps"), 1);
@@ -726,17 +754,15 @@ fn mutate_request(line: &mut Vec<u8>, rng: &mut sim_core::rng::Xoshiro256) {
     }
 }
 
-#[test]
-fn mutated_request_lines_each_get_exactly_one_final_response() {
-    use std::io::{BufRead, BufReader, Write};
-    let dir = scratch("request-fuzz");
-    let socket = start(&dir, "a");
+/// The request lines the seeded fuzz edits: every command, with valid and
+/// malformed job ids, a one-cell lookup, and submits that are refused.
+fn fuzz_seeds() -> Vec<String> {
     // Refused for four reasons (an unknown tracker, a negative window, and
     // two sections only `spec_run` serves), more than the edits a line
     // gets can remove, so no mutant schedules a cell.
     let refused = r#"{"workloads":["mcf_like"],"trackers":["no-such"],"window_us":-1,"attacker":{},"profile":{}}"#;
     let one_cell = r#"{"workloads":"mcf_like","trackers":"para","window_us":20,"seed":7}"#;
-    let seeds = [
+    vec![
         r#"{"cmd":"ping"}"#.to_string(),
         r#"{"cmd":"stats"}"#.to_string(),
         r#"{"cmd":"status","job":1}"#.to_string(),
@@ -753,48 +779,139 @@ fn mutated_request_lines_each_get_exactly_one_final_response() {
         format!(r#"{{"cmd":"submit","spec":{refused}}}"#),
         r#"{"cmd":"submit","spec":[],"wait":true}"#.to_string(),
         r#"{"cmd":"submit","wait":true}"#.to_string(),
-    ];
-    let mut rng = sim_core::rng::Xoshiro256::seed_from(0x5E9D);
-    let (mut lines, mut writes) = (0, 0);
-    for _ in 0..100 {
-        let mut conn = std::os::unix::net::UnixStream::connect(&socket).expect("connect");
-        conn.set_read_timeout(Some(std::time::Duration::from_secs(10))).expect("timeout");
-        let mut reader = BufReader::new(conn.try_clone().expect("clone"));
-        for _ in 0..8 {
-            // One to four lines in one write, each edited up to three
-            // times; an edit may split a line or blank it.
-            let mut bytes = Vec::new();
-            for _ in 0..=rng.gen_range(4) {
-                let mut line = seeds[rng.gen_range(seeds.len() as u64) as usize].clone().into();
+    ]
+}
+
+/// One connection of the seeded request fuzz: eight writes of one to four
+/// lines each. A line is a seed edited up to three times (an edit may
+/// split a line or blank it) or, one time in four, a `live` line as it
+/// is; one line in eight then gets a byte that makes it not UTF-8. Every
+/// line must get exactly one final response (a waiting submit's progress
+/// lines come before its own), and then nothing more is owed. Returns how
+/// many lines were answered.
+fn fuzz_connection(
+    socket: &std::path::Path,
+    seeds: &[String],
+    live: &[String],
+    rng: &mut sim_core::rng::Xoshiro256,
+) -> usize {
+    use std::io::{BufRead, BufReader, Write};
+    let pick = |rng: &mut sim_core::rng::Xoshiro256, lines: &[String]| -> Vec<u8> {
+        lines[rng.gen_range(lines.len() as u64) as usize].clone().into()
+    };
+    let mut conn = std::os::unix::net::UnixStream::connect(socket).expect("connect");
+    conn.set_read_timeout(Some(std::time::Duration::from_secs(10))).expect("timeout");
+    let mut reader = BufReader::new(conn.try_clone().expect("clone"));
+    let mut answered = 0;
+    for _ in 0..8 {
+        let mut bytes = Vec::new();
+        for _ in 0..=rng.gen_range(4) {
+            let mut line = if !live.is_empty() && rng.gen_range(4) == 0 {
+                pick(rng, live)
+            } else {
+                let mut line = pick(rng, seeds);
                 for _ in 0..rng.gen_range(4) {
-                    mutate_request(&mut line, &mut rng);
+                    mutate_request(&mut line, rng);
                 }
-                bytes.extend_from_slice(&line);
-                bytes.push(b'\n');
+                line
+            };
+            if rng.gen_range(8) == 0 {
+                let at = rng.gen_range(line.len() as u64 + 1) as usize;
+                line.insert(at, 0x80 | rng.next_u64() as u8);
             }
-            let text = String::from_utf8(bytes).expect("edits keep the lines ASCII");
-            let expected = text.lines().filter(|line| !line.trim().is_empty()).count();
-            conn.write_all(text.as_bytes()).expect("send");
-            for _ in 0..expected {
-                let mut response = String::new();
-                reader.read_line(&mut response).expect("one response per line");
-                assert!(response.starts_with(r#"{"ok":"#), "{text:?} got {response:?}");
-                Json::parse(&response).unwrap_or_else(|e| panic!("{e}: {response:?}"));
-            }
-            lines += expected;
-            writes += 1;
+            bytes.extend_from_slice(&line);
+            bytes.push(b'\n');
         }
-        // Nothing more is owed: the next line answered is this ping's.
-        conn.write_all(b"{\"cmd\":\"ping\"}\n").expect("ping");
-        let mut pong = String::new();
-        reader.read_line(&mut pong).expect("pong");
-        assert_eq!(pong, "{\"ok\":true,\"pong\":true}\n");
+        // A line that is not UTF-8 is never blank: U+FFFD is no space.
+        let text = String::from_utf8_lossy(&bytes);
+        let expected = text.lines().filter(|line| !line.trim().is_empty()).count();
+        conn.write_all(&bytes).expect("send");
+        for _ in 0..expected {
+            let mut response = String::new();
+            while response.is_empty() || response.starts_with(r#"{"event":"progress""#) {
+                response.clear();
+                let read = reader.read_line(&mut response).expect("one response per line");
+                assert!(read > 0, "{text:?}: the connection closed");
+            }
+            assert!(response.starts_with(r#"{"ok":"#), "{text:?} got {response:?}");
+            Json::parse(&response).unwrap_or_else(|e| panic!("{e}: {response:?}"));
+        }
+        answered += expected;
     }
-    assert!(lines > writes, "{lines} lines in {writes} writes");
+    // Nothing more is owed: the next line answered is this ping's.
+    conn.write_all(b"{\"cmd\":\"ping\"}\n").expect("ping");
+    let mut pong = String::new();
+    reader.read_line(&mut pong).expect("pong");
+    assert_eq!(pong, "{\"ok\":true,\"pong\":true}\n");
+    answered
+}
+
+#[test]
+fn mutated_request_lines_each_get_exactly_one_final_response() {
+    let dir = scratch("request-fuzz");
+    let socket = start(&dir, "a");
+    let seeds = fuzz_seeds();
+    let mut rng = sim_core::rng::Xoshiro256::seed_from(0x5E9D);
+    let connections = 100;
+    let lines: usize =
+        (0..connections).map(|_| fuzz_connection(&socket, &seeds, &[], &mut rng)).sum();
+    assert!(lines > 8 * connections, "{lines} lines in {} writes", 8 * connections);
     let mut client = Client::connect(&socket).expect("connect");
     let stats = client.request(&Json::obj([("cmd", Json::str("stats"))])).expect("stats");
     let counts = ["executed", "jobs", "active"].map(|key| field_u64(&stats, key));
     assert_eq!(counts, [0, 0, 0], "no mutant ran a job: {}", stats.render());
+    shutdown(&socket);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn mutated_request_lines_around_a_live_job_each_get_exactly_one_final_response() {
+    use sim::runner::RunnerConfig;
+    let dir = scratch("request-fuzz-live");
+    let socket = start(&dir, "a");
+    // Long enough that the fuzz reaches the job while it runs.
+    let mut spec = tiny_spec();
+    spec.options.window_us = Some(60.0);
+    let mut client = Client::connect(&socket).expect("connect");
+    let queued = client.request(&submit_request(&spec, false)).expect("submit");
+    assert_ok(&queued);
+    let job = field_u64(&queued, "job");
+    // Unedited: an edit of the spec could make it simulate new cells.
+    let live = [
+        format!(r#"{{"cmd":"status","job":{job}}}"#),
+        format!(r#"{{"cmd":"wait","job":{job}}}"#),
+        submit_request(&spec, true).render(),
+    ];
+    let seeds = fuzz_seeds();
+    let status = Json::obj([("cmd", Json::str("status")), ("job", Json::count(job))]);
+    let mut rng = sim_core::rng::Xoshiro256::seed_from(0x11FE);
+    let (mut connections, mut while_running) = (0, 0);
+    loop {
+        let state = client.request(&status).expect("status");
+        let running = state.get("state") == Some(&Json::str("running"));
+        if !running && connections >= 20 {
+            break;
+        }
+        while_running += usize::from(running);
+        fuzz_connection(&socket, &seeds, &live, &mut rng);
+        connections += 1;
+    }
+    assert!(while_running > 0, "the job finished before the fuzz reached it");
+    // The job's report is a clean run's, and each of its cells ran once
+    // however many submits shared them.
+    let wait = Json::obj([("cmd", Json::str("wait")), ("job", Json::count(job))]);
+    let done = client.request(&wait).expect("wait");
+    assert_ok(&done);
+    let (clean, _) = spec.run_expanded(
+        spec.expand_keyed().expect("expands"),
+        None,
+        None,
+        &RunnerConfig::default(),
+    );
+    assert_eq!(done.get("report").expect("report").render(), clean.to_json().render());
+    let stats = client.request(&Json::obj([("cmd", Json::str("stats"))])).expect("stats");
+    assert_eq!(field_u64(&stats, "executed"), 2, "{}", stats.render());
+    assert_eq!(field_u64(&stats, "active"), 0, "{}", stats.render());
     shutdown(&socket);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -124,7 +124,7 @@ impl Arena {
         };
         let cells =
             specs.iter().map(|spec| (spec.clone(), cache.and_then(|_| key(spec)))).collect();
-        let exec = Executor { cache, checkpoint: None, runner: &RunnerConfig::default() };
+        let exec = Executor { cache, runner: &RunnerConfig::default() };
         let probed = exec.probe(cells, |i, outcome, _| {
             on_hit(i, outcome.as_ref().expect("hits are payloads"));
         });

@@ -301,7 +301,6 @@ fn run_cells(
         .collect();
     let exec = Executor {
         cache: store.as_ref().map(|s| s as &dyn PayloadCache<_>),
-        checkpoint: None,
         runner: &RunnerConfig::default(),
     };
     let probed = exec.probe(cells, |_, _, _| {});

@@ -430,10 +430,6 @@ pub struct CacheRunSummary {
     pub uncacheable: usize,
     /// Freshly simulated cells persisted for next time.
     pub stored: usize,
-    /// Cells skipped because a [`SweepJournal`] already recorded them as
-    /// complete (each also counts under `hits` — the journal marks them,
-    /// the cache answers them).
-    pub resumed: usize,
 }
 
 impl std::fmt::Display for CacheRunSummary {
@@ -441,9 +437,6 @@ impl std::fmt::Display for CacheRunSummary {
         write!(f, "{} hits, {} misses ({} cells", self.hits, self.misses, self.cells)?;
         if self.uncacheable > 0 {
             write!(f, ", {} uncacheable", self.uncacheable)?;
-        }
-        if self.resumed > 0 {
-            write!(f, ", {} resumed", self.resumed)?;
         }
         write!(f, ")")
     }
@@ -464,11 +457,11 @@ impl SweepSpec {
     }
 
     /// [`SweepSpec::run_cached`] with the full recovery toolkit: an
-    /// optional [`SweepJournal`] for checkpoint-resume (completed cells
-    /// are journaled after they land in the cache; an interrupted sweep
-    /// resumed against the same journal+cache re-executes only the
-    /// remainder, and the resumed report is byte-identical to an
-    /// uninterrupted run) and an explicit [`RunnerConfig`] (the fault plan
+    /// optional [`SweepJournal`] for checkpoint-resume (the sweep's
+    /// `start` and `end` are journaled; an interrupted sweep resumed
+    /// against the same journal+cache finds its finished cells in the
+    /// cache and re-executes only the remainder, and the resumed report is
+    /// byte-identical to an uninterrupted run) and an explicit [`RunnerConfig`] (the fault plan
     /// chaos tests arm) for the cells that do simulate. The
     /// [executor](crate::exec) does the per-cell work.
     pub fn run_cached_with(
@@ -495,7 +488,7 @@ impl SweepSpec {
         let checkpoint =
             journal.map(|j| Checkpoint::begin(j, &self.to_json().render(), cells.len()));
         let cache = cache.map(|c| c as &dyn PayloadCache<ExperimentResult>);
-        let exec = Executor { cache, checkpoint: checkpoint.as_ref(), runner };
+        let exec = Executor { cache, runner };
         let (outcomes, summary) =
             exec.probe(cells, |_, _, _| {}).run(cell_label, Experiment::run, |_, _, _| {});
         let report = SweepReport::assemble(self, outcomes);

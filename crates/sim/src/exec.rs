@@ -1,4 +1,4 @@
-//! The one cell-execution path: probe → run → save → journal → notify.
+//! The one cell-execution path: probe → run → save → notify.
 //!
 //! Every front end that turns *cells* into payloads — `spec_run`,
 //! `campaignd`, the `figure` harness, the red-team campaign matrix, the
@@ -15,34 +15,36 @@
 //!    reference run) before anything is scheduled.
 //! 2. [`Probed::run`] simulates the misses on the
 //!    [worker pool](crate::runner::parallel_map), one attempt each,
-//!    under the [`RunnerConfig`]'s fault plan. Each cell is
-//!    checkpointed from its worker thread the moment it settles: cache
-//!    save first, then the journal's `cell` record — only if the save
-//!    landed, so the journal never claims a payload the cache lacks —
-//!    then the `on_settled` notification. A process killed mid-sweep
-//!    loses at most the cells still in flight.
+//!    under the [`RunnerConfig`]'s fault plan. Each cell is saved to
+//!    the cache from its worker thread the moment it settles, then the
+//!    `on_settled` notification fires. A process killed mid-sweep loses
+//!    at most the cells still in flight: a resume finds the rest in the
+//!    cache.
 //!
 //! Results come back in input order whatever the completion order, with
-//! the [`CacheRunSummary`] of what was answered and what ran. Cache and
-//! journal write failures are swallowed: both accelerate, neither may
-//! fail the sweep that computed the payload. What to do with a failed
-//! cell (quarantine it, skip it, panic) stays with the caller.
+//! the [`CacheRunSummary`] of what was answered and what ran. Cache
+//! write failures are swallowed: the cache accelerates, it may not fail
+//! the sweep that computed the payload. What to do with a failed cell
+//! (quarantine it, skip it, panic) stays with the caller.
+//!
+//! A sweep that should survive a restart brackets its pass with a
+//! [`Checkpoint`]: [`Checkpoint::begin`] journals its `start`, and
+//! [`Checkpoint::end`] its `end` once every cell settled cleanly.
 
 use crate::cache::{CacheRunSummary, CellKey};
 use crate::journal::SweepJournal;
 use crate::runner::{panic_message, parallel_map, RunnerConfig, SweepError};
 use sim_core::fault::{FaultAction, FaultSite};
-use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A keyed payload store the executor reads through: [`crate::RunCache`]
 /// for experiment results, the `redteam` verdict store for verdicts.
 pub trait PayloadCache<R>: Sync {
     /// The payload stored under `key`, if a valid entry exists.
     fn lookup(&self, key: &CellKey) -> Option<R>;
-    /// Persists `payload` under `key`. The executor swallows the error,
-    /// but needs it: a cell whose save failed is not journaled.
+    /// Persists `payload` under `key`. The executor swallows the error;
+    /// `stored` counts the saves that landed.
     fn save(&self, key: &CellKey, payload: &R) -> std::io::Result<()>;
 }
 
@@ -51,22 +53,17 @@ pub trait PayloadCache<R>: Sync {
 pub enum Source {
     /// Answered by the cache.
     Hit,
-    /// Answered by the cache, and the journal had already recorded it —
-    /// part of an interrupted sweep's finished work.
-    Resumed,
     /// Simulated in this pass (or quarantined trying).
     Ran,
 }
 
-/// One sweep's open journal entry: its identity, and what the journal
-/// already said about it when this pass began.
+/// One sweep's journal entry: its identity, and whether the journal
+/// already showed it ended when this pass began.
 #[derive(Debug)]
 pub struct Checkpoint<'a> {
     journal: &'a SweepJournal,
     hash: String,
-    completed: BTreeSet<String>,
     ended: bool,
-    journaled: AtomicBool,
 }
 
 impl<'a> Checkpoint<'a> {
@@ -76,50 +73,37 @@ impl<'a> Checkpoint<'a> {
     /// has never seen this sweep, records its `start`.
     pub fn begin(journal: &'a SweepJournal, spec_json: &str, cells: usize) -> Checkpoint<'a> {
         let hash = SweepJournal::spec_json_hash(spec_json);
-        let mut state = journal.load().unwrap_or_default();
-        let (completed, ended) = match state.take_progress(&hash) {
-            Some(progress) => (progress.completed, progress.ended),
-            None => {
-                let _ = journal.record_start(&hash, spec_json, cells as u64);
-                Default::default()
-            }
-        };
-        Checkpoint { journal, hash, completed, ended, journaled: AtomicBool::new(false) }
-    }
-
-    fn record_cell(&self, key: &CellKey) {
-        let _ = self.journal.record_cell(&self.hash, &key.key);
-        self.journaled.store(true, Ordering::Relaxed);
+        let seen = journal.load().unwrap_or_default().progress(&hash).map(|p| p.ended);
+        if seen.is_none() {
+            let _ = journal.record_start(&hash, spec_json, cells as u64);
+        }
+        Checkpoint { journal, hash, ended: seen == Some(true) }
     }
 
     /// Closes the sweep's journal entry. Call once every cell of the
     /// sweep settled without failure; a pass with quarantined cells
     /// leaves the entry open so a resume re-runs them. A re-run of a
-    /// sweep the journal already shows ended, which journaled nothing
-    /// new, appends nothing.
+    /// sweep the journal already shows ended appends nothing.
     pub fn end(&self) {
-        if !self.ended || self.journaled.load(Ordering::Relaxed) {
+        if !self.ended {
             let _ = self.journal.record_end(&self.hash);
         }
     }
 }
 
 /// The cell executor (see the module docs): an optional cache to read
-/// through, an optional journal checkpoint, and the runner config.
+/// through, and the runner config.
 pub struct Executor<'a, R> {
     /// Payload cache; `None` simulates every cell and persists nothing.
     pub cache: Option<&'a dyn PayloadCache<R>>,
-    /// Journal checkpoint; saved cells are recorded under it.
-    pub checkpoint: Option<&'a Checkpoint<'a>>,
     /// Fault plan for the cells that simulate.
     pub runner: &'a RunnerConfig,
 }
 
 impl<'a, R> Executor<'a, R> {
     /// Step one: answers every keyed cell the cache holds, on the calling
-    /// thread, firing `on_settled(index, outcome, Hit | Resumed)` for
-    /// each. Keyless cells are uncacheable: they always run and are never
-    /// saved.
+    /// thread, firing `on_settled(index, outcome, Hit)` for each. Keyless
+    /// cells are uncacheable: they always run and are never saved.
     pub fn probe<C>(
         &self,
         cells: Vec<(C, Option<CellKey>)>,
@@ -142,14 +126,9 @@ impl<'a, R> Executor<'a, R> {
                 pending.push((index, cell, key));
                 continue;
             };
-            let resumed = self
-                .checkpoint
-                .zip(key)
-                .is_some_and(|(checkpoint, key)| checkpoint.completed.contains(&key.key));
             summary.hits += 1;
-            summary.resumed += usize::from(resumed);
             let outcome = Ok(payload);
-            on_settled(index, &outcome, if resumed { Source::Resumed } else { Source::Hit });
+            on_settled(index, &outcome, Source::Hit);
             slots.push(Some(outcome));
         }
         Probed { exec: self, slots, pending, summary }
@@ -178,8 +157,7 @@ impl<C, R> Probed<'_, '_, C, R> {
     /// quarantines the cell); `label` names a failed cell in its
     /// [`SweepError`].
     /// `on_settled(index, outcome, Ran)` fires from the worker thread
-    /// after the cell is saved and journaled. An all-hit sweep spawns no
-    /// thread.
+    /// after the cell is saved. An all-hit sweep spawns no thread.
     pub fn run(
         self,
         label: impl Fn(&C) -> String + Sync,
@@ -214,9 +192,6 @@ impl<C, R> Probed<'_, '_, C, R> {
             if let (Ok(payload), Some(cache), Some(key)) = (&outcome, exec.cache, &key) {
                 if cache.save(key, payload).is_ok() {
                     stored.fetch_add(1, Ordering::Relaxed);
-                    if let Some(checkpoint) = exec.checkpoint {
-                        checkpoint.record_cell(key);
-                    }
                 }
             }
             on_settled(index, &outcome, Source::Ran);
@@ -298,7 +273,7 @@ mod tests {
     #[test]
     fn results_keep_input_order_under_shuffled_completion() {
         let runner = RunnerConfig::default();
-        let exec = Executor { cache: None, checkpoint: None, runner: &runner };
+        let exec = Executor { cache: None, runner: &runner };
         let order = Mutex::new(Vec::new());
         // Early cells take longest, so completion order is not input order
         // on any host with two workers.
@@ -317,21 +292,26 @@ mod tests {
         assert_eq!(seen, (0..16).collect::<Vec<_>>(), "every cell settles exactly once");
     }
 
+    /// The kind of each record in `journal`'s file, in file order.
+    fn journal_records(journal: &SweepJournal) -> Vec<String> {
+        let text = std::fs::read_to_string(journal.path()).expect("read journal");
+        text.lines().map(|line| line.split(' ').nth(2).expect("record kind").to_string()).collect()
+    }
+
     #[test]
     fn cells_are_counted_and_settle_once_with_their_source() {
         let cache = toy("counts");
         let journal = SweepJournal::in_cache_dir(cache.0.root()).expect("open journal");
         let spec = sweep();
-        // Cell 0 is cached and journaled (an interrupted sweep's finished
-        // work), cell 1 is merely cached, 2 and 3 miss, 4 has no key.
+        let spec_json = spec.to_json().render();
+        // An interrupted sweep: its start is journaled and cells 0 and 1
+        // were saved before the kill; 2 and 3 were not, and 4 has no key.
+        journal.record_start(&SweepJournal::sweep_hash(&spec), &spec_json, 5).unwrap();
         cache.save(&key(0), &0).unwrap();
         cache.save(&key(1), &1).unwrap();
-        let spec_json = spec.to_json().render();
-        journal.record_start(&SweepJournal::sweep_hash(&spec), &spec_json, 5).unwrap();
-        journal.record_cell(&SweepJournal::sweep_hash(&spec), &key(0).key).unwrap();
         let checkpoint = Checkpoint::begin(&journal, &spec_json, 5);
         let runner = RunnerConfig::default();
-        let exec = Executor { cache: Some(&cache), checkpoint: Some(&checkpoint), runner: &runner };
+        let exec = Executor { cache: Some(&cache), runner: &runner };
         let mut cells = keyed(0..4);
         cells.push((4, None));
         let settled = Mutex::new(Vec::new());
@@ -339,21 +319,22 @@ mod tests {
             settled.lock().unwrap().push((i, *outcome.as_ref().expect("no cell fails"), source));
         };
         let probed = exec.probe(cells, on_settled);
-        assert_eq!(probed.missed().copied().collect::<Vec<_>>(), [2, 3, 4]);
         assert_eq!(settled.lock().unwrap().len(), 2, "hits settle before anything runs");
+        // Only the remainder executes: every cell the cache lacks.
+        assert_eq!(probed.missed().copied().collect::<Vec<_>>(), [2, 3, 4]);
         let (outcomes, summary) = probed.run(label, square, on_settled);
         assert_eq!(
             summary,
-            CacheRunSummary { cells: 5, hits: 2, misses: 2, uncacheable: 1, stored: 2, resumed: 1 }
+            CacheRunSummary { cells: 5, hits: 2, misses: 2, uncacheable: 1, stored: 2 }
         );
         let values: Vec<u64> = outcomes.into_iter().map(Result::unwrap).collect();
-        assert_eq!(values, [0, 1, 4, 9, 16]);
+        assert_eq!(values, [0, 1, 4, 9, 16], "the same outcomes an uninterrupted pass returns");
         let mut settled = settled.into_inner().unwrap();
         settled.sort_unstable_by_key(|(i, ..)| *i);
         assert_eq!(
             settled,
             [
-                (0, 0, Source::Resumed),
+                (0, 0, Source::Hit),
                 (1, 1, Source::Hit),
                 (2, 4, Source::Ran),
                 (3, 9, Source::Ran),
@@ -361,35 +342,40 @@ mod tests {
             ]
         );
         assert_eq!(cache.lookup(&key(3)), Some(9), "misses are saved");
-        let state = journal.load().unwrap();
-        let completed = &state.progress(&SweepJournal::sweep_hash(&spec)).unwrap().completed;
-        assert_eq!(completed.len(), 3, "saved cells are journaled; hits and keyless cells are not");
+        assert_eq!(journal_records(&journal), ["start"], "no cell is journaled");
+        checkpoint.end();
+        assert_eq!(journal_records(&journal), ["start", "end"]);
     }
 
     #[test]
     fn a_failed_save_is_never_journaled() {
         let cache = toy("write-fault");
         let journal = SweepJournal::in_cache_dir(cache.0.root()).expect("open journal");
-        let spec = sweep();
-        let checkpoint = Checkpoint::begin(&journal, &spec.to_json().render(), 6);
+        let spec_json = sweep().to_json().render();
+        // The pass journals its start, and is killed before its end.
+        Checkpoint::begin(&journal, &spec_json, 6);
         cache.0.arm_faults(FaultPlan::new(71).fail_cache_write_nth(3).arm());
         let runner = RunnerConfig::default();
-        let exec = Executor { cache: Some(&cache), checkpoint: Some(&checkpoint), runner: &runner };
+        let exec = Executor { cache: Some(&cache), runner: &runner };
         let (outcomes, summary) =
             exec.probe(keyed(0..6), |_, _, _| {}).run(label, square, |_, _, _| {});
         assert!(outcomes.iter().all(Result::is_ok), "a lost write never fails the cell");
         assert_eq!(summary.stored, 5);
-        let state = journal.load().unwrap();
-        let completed = &state.progress(&SweepJournal::sweep_hash(&spec)).unwrap().completed;
         let stored: Vec<u64> = (0..6).filter(|&c| cache.lookup(&key(c)).is_some()).collect();
         assert_eq!(stored.len(), 5, "exactly the faulted write is missing");
-        for cell in 0..6 {
-            assert_eq!(
-                completed.contains(&key(cell).key),
-                stored.contains(&cell),
-                "cell {cell}: the journal claims exactly what the store holds"
-            );
-        }
+        assert_eq!(journal_records(&journal), ["start"], "no cell is journaled");
+        // A resume executes exactly the cell whose save was lost, and
+        // returns the same outcomes.
+        let checkpoint = Checkpoint::begin(&journal, &spec_json, 6);
+        let probed = exec.probe(keyed(0..6), |_, _, _| {});
+        let missed: Vec<u64> = probed.missed().copied().collect();
+        assert_eq!(missed, (0..6).filter(|c| !stored.contains(c)).collect::<Vec<_>>());
+        let (resumed, summary) = probed.run(label, square, |_, _, _| {});
+        assert_eq!((summary.hits, summary.misses), (5, 1));
+        let values: Vec<u64> = resumed.into_iter().map(Result::unwrap).collect();
+        assert_eq!(values, (0..6).map(square).collect::<Vec<_>>());
+        checkpoint.end();
+        assert_eq!(journal_records(&journal), ["start", "end"]);
     }
 
     #[test]
@@ -400,7 +386,7 @@ mod tests {
         // position 1 is cell 2. The error reports the input index.
         let faults = FaultPlan::new(73).panic_job_always(1).arm();
         let runner = RunnerConfig { faults: Some(faults.clone()) };
-        let exec = Executor { cache: Some(&cache), checkpoint: None, runner: &runner };
+        let exec = Executor { cache: Some(&cache), runner: &runner };
         let explode = |cell: u64| if cell == 4 { panic!("cell 4 exploded") } else { cell * cell };
         let (outcomes, summary) = quiet_panics(|| {
             exec.probe(keyed(0..6), |_, _, _| {}).run(label, explode, |_, _, _| {})

@@ -1,30 +1,29 @@
 //! Checkpoint journal for resumable sweeps.
 //!
 //! A [`SweepJournal`] is an append-only, checksummed, line-oriented log of
-//! sweep progress: a `start` record pinning the sweep's identity (the
+//! two records per sweep: `start`, pinning the sweep's identity (the
 //! stable content hash of its canonical spec JSON — see
-//! [`SweepJournal::sweep_hash`]) plus the full spec so a restarted server
-//! can resurrect the sweep; one `cell` record per completed cell key;
-//! and an `end` record once every cell finished cleanly. Records are
-//! appended *after* the corresponding result is committed to the run
-//! cache and fsynced line-by-line, so the journal never claims more than
-//! the cache holds — a `kill -9` can at worst lose the final in-flight
-//! record, and a torn last line fails its checksum and is skipped on
-//! load instead of poisoning the whole journal.
+//! [`SweepJournal::sweep_hash`]), its cell count and the full spec, so a
+//! restarted server can resurrect the sweep; and `end`, once every cell
+//! finished cleanly. Each record is fsynced as it is appended; a `kill -9`
+//! mid-append leaves a torn last line, which fails its checksum and is
+//! skipped on load instead of poisoning the whole journal.
 //!
-//! Resume is then a subtraction: completed cells answer from the cache
-//! (byte-identically — the cache's own invariant), and only the
-//! remainder re-executes. The resumed report is identical to an
-//! uninterrupted run because cell results are deterministic and the
-//! report is assembled in expansion order, not execution order.
+//! There are no cell records: a cell is in the run cache exactly when its
+//! save landed, so the cache already knows what a sweep finished. Resume
+//! is then a subtraction: finished cells answer from the cache
+//! (byte-identically — the cache's own invariant), and only the remainder
+//! re-executes. The resumed report is identical to an uninterrupted run
+//! because cell results are deterministic and the report is assembled in
+//! expansion order, not execution order. The `cell` lines of older
+//! journals are read and ignored.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use sim_core::cache::{checksum64, content_key};
-use sim_core::json::{DecodeError, Reader};
 
 use crate::spec::SweepSpec;
 
@@ -34,14 +33,10 @@ const MAGIC: &str = "dapper-journal1";
 /// Progress of one sweep, reconstructed from the journal.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SweepProgress {
-    /// The sweep's declared name (from the `start` record).
-    pub name: String,
     /// Total cells the sweep declared at start.
     pub cells_declared: u64,
     /// The canonical spec JSON, for resurrection after a restart.
     pub spec_json: Option<String>,
-    /// Keys of cells whose results are committed to the run cache.
-    pub completed: BTreeSet<String>,
     /// Whether the sweep recorded a clean `end`.
     pub ended: bool,
 }
@@ -66,16 +61,6 @@ impl JournalState {
     /// Progress for one sweep hash, if the journal has seen it.
     pub fn progress(&self, hash: &str) -> Option<&SweepProgress> {
         self.sweeps.get(hash)
-    }
-
-    /// Completed cell keys for one sweep (empty set if unknown).
-    pub fn completed(&self, hash: &str) -> BTreeSet<String> {
-        self.sweeps.get(hash).map(|p| p.completed.clone()).unwrap_or_default()
-    }
-
-    /// Removes one sweep's progress from the state and hands it over.
-    pub fn take_progress(&mut self, hash: &str) -> Option<SweepProgress> {
-        self.sweeps.remove(hash)
     }
 
     /// Sweeps that started but never recorded an `end`, in hash order.
@@ -149,12 +134,6 @@ impl SweepJournal {
         self.append(&format!("start {hash} {cells} {spec_json}"))
     }
 
-    /// Records one completed cell (call only after the result is in the
-    /// run cache, so the journal never over-claims).
-    pub fn record_cell(&self, hash: &str, cell_key: &str) -> std::io::Result<()> {
-        self.append(&format!("cell {hash} {cell_key}"))
-    }
-
     /// Records that every cell of a sweep finished cleanly.
     pub fn record_end(&self, hash: &str) -> std::io::Result<()> {
         self.append(&format!("end {hash}"))
@@ -164,9 +143,8 @@ impl SweepJournal {
         let line = format!("{MAGIC} {:016x} {payload}\n", checksum64(payload.as_bytes()));
         let mut file = self.file.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         file.write_all(line.as_bytes())?;
-        // Per-record durability: a cell record must survive the very
-        // crash the journal exists to recover from. Cells cost far more
-        // to simulate than an fsync costs to issue.
+        // Per-record durability: a `start` must survive the very crash
+        // the journal exists to recover from.
         file.sync_data()
     }
 
@@ -236,19 +214,12 @@ fn apply(state: &mut JournalState, payload: &str) -> bool {
                 return false;
             };
             let entry = state.sweeps.entry(hash.to_string()).or_default();
-            entry.name = spec_name(spec_json).unwrap_or_default();
             entry.cells_declared = cells;
             entry.spec_json = Some(spec_json.to_string());
             true
         }
-        "cell" => {
-            let mut parts = rest.splitn(2, ' ');
-            let (Some(hash), Some(key)) = (parts.next(), parts.next()) else {
-                return false;
-            };
-            state.sweeps.entry(hash.to_string()).or_default().completed.insert(key.to_string());
-            true
-        }
+        // Per-cell records of older journals: the cache answers for them.
+        "cell" => true,
         "end" => {
             state.sweeps.entry(rest.to_string()).or_default().ended = true;
             true
@@ -257,30 +228,9 @@ fn apply(state: &mut JournalState, payload: &str) -> bool {
     }
 }
 
-/// The `name` member of a spec's JSON text when it is a string — the
-/// first `name`, as `Json::get` finds it — read without building the
-/// spec's tree; `None` when there is none or the text is not one JSON
-/// document.
-fn spec_name(spec_json: &str) -> Option<String> {
-    let mut r = Reader::new(spec_json);
-    let mut name = None;
-    r.members(|r, key| {
-        if key != "name" || name.is_some() {
-            return Ok(false);
-        }
-        let string = r.peek() == Some(b'"');
-        name = Some(if string { Some(r.string()?.into_owned()) } else { None });
-        Ok::<bool, DecodeError>(string)
-    })
-    .ok()?;
-    r.finish().ok()?;
-    name.flatten()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_core::json::Json;
 
     fn scratch(name: &str) -> PathBuf {
         let dir =
@@ -304,13 +254,9 @@ mod tests {
         let spec = tiny_spec();
         let hash = SweepJournal::sweep_hash(&spec);
         j.record_start(&hash, &spec.to_json().render(), 2).unwrap();
-        j.record_cell(&hash, "aaaa").unwrap();
-        j.record_cell(&hash, "bbbb").unwrap();
         let state = j.load().unwrap();
         let p = state.progress(&hash).unwrap();
         assert_eq!(p.cells_declared, 2);
-        assert_eq!(p.name, "journal-test");
-        assert_eq!(p.completed.len(), 2);
         assert!(p.unfinished(), "no end record yet");
         assert_eq!(state.unfinished().count(), 1);
         j.record_end(&hash).unwrap();
@@ -334,28 +280,10 @@ mod tests {
             let json = spec.to_json().render();
             let hash = SweepJournal::spec_json_hash(&json);
             j.record_start(&hash, &json, 1).unwrap();
-            assert_eq!(j.load().unwrap().progress(&hash).unwrap().name, name);
-        }
-        // Hand-written records, held against the name the spec's tree
-        // holds: `\u` escapes, the first of two names, a first name that
-        // is not a string, and texts that are not one JSON object.
-        let tree_name = |text: &str| match Json::parse(text).map(|j| j.get("name").cloned()) {
-            Ok(Some(Json::Str(name))) => name,
-            _ => String::new(),
-        };
-        for (text, name) in [
-            (r#"{"name":"caf\u00e9 \u4e2d\n\"q\""}"#, "café 中\n\"q\""),
-            (r#"{"workloads":["a"],"name":"first","name":"second"}"#, "first"),
-            (r#"{"name":7,"name":"second"}"#, ""),
-            (r#"{"name":"cut"#, ""),
-            (r#"{"name":"trailing"} x"#, ""),
-            (r#"["name"]"#, ""),
-        ] {
-            let hash = SweepJournal::spec_json_hash(text);
-            j.record_start(&hash, text, 1).unwrap();
-            let read = j.load().unwrap().progress(&hash).unwrap().name.clone();
-            assert_eq!(read, name, "{text}");
-            assert_eq!(read, tree_name(text), "{text}");
+            let state = j.load().unwrap();
+            let read = state.progress(&hash).unwrap().spec_json.as_deref().unwrap();
+            assert_eq!(read, json);
+            assert_eq!(SweepSpec::from_json_str(read).unwrap().name, name);
         }
     }
 
@@ -369,38 +297,35 @@ mod tests {
         let spec = tiny_spec();
         let pass = || spec.run_cached_with(&cache, Some(&j), &RunnerConfig::default()).unwrap().1;
         assert_eq!(pass().misses, 1);
-        let cold = std::fs::read(&path).unwrap();
-        for _ in 0..3 {
-            assert_eq!(pass().resumed, 1);
-            assert_eq!(std::fs::read(&path).unwrap(), cold, "a warm pass appends nothing");
+        let cold = std::fs::read_to_string(&path).unwrap();
+        let kinds: Vec<&str> = cold.lines().map(|l| l.split(' ').nth(2).unwrap()).collect();
+        assert_eq!(kinds, ["start", "end"]);
+        for _ in 0..20 {
+            assert_eq!(pass().hits, 1);
+            assert_eq!(
+                std::fs::read_to_string(&path).unwrap(),
+                cold,
+                "a warm pass appends nothing"
+            );
         }
-        // A pass that journals a new cell closes the entry again.
+        // A cell the cache lost simulates again; the sweep stays ended.
         let key = RunCache::key_for(&spec.expand().unwrap()[0]).unwrap();
         cache.store().evict(&key.key);
         assert_eq!(pass().misses, 1);
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text.lines().filter(|l| l.contains(" end ")).count(), 2);
-        assert!(!j
-            .load()
-            .unwrap()
-            .progress(&SweepJournal::sweep_hash(&spec))
-            .unwrap()
-            .unfinished());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), cold, "nor does one after an eviction");
     }
 
     #[test]
     fn torn_tail_is_skipped_not_fatal() {
         // Simulate kill -9 mid-append: a half-written record at the tail,
         // cut after a space or inside a multi-byte character.
-        let tails: [&[u8]; 2] =
-            [b"dapper-journal1 0123456789abcdef cell ", b"dapper-journal1 \xc3"];
+        let tails: [&[u8]; 2] = [b"dapper-journal1 0123456789abcdef end ", b"dapper-journal1 \xc3"];
         for (i, tail) in tails.into_iter().enumerate() {
             let path = scratch(&format!("torn-{i}"));
             let j = SweepJournal::open(&path).unwrap();
             let spec = tiny_spec();
             let hash = SweepJournal::sweep_hash(&spec);
             j.record_start(&hash, &spec.to_json().render(), 3).unwrap();
-            j.record_cell(&hash, "cccc").unwrap();
             drop(j);
             let mut bytes = std::fs::read(&path).unwrap();
             bytes.extend_from_slice(tail);
@@ -409,13 +334,13 @@ mod tests {
             let state = j.load().unwrap();
             assert_eq!(state.damaged_lines, 1, "the torn line is counted, not fatal");
             let p = state.progress(&hash).unwrap();
-            assert_eq!(p.completed, BTreeSet::from(["cccc".to_string()]));
+            assert!(p.spec_json.is_some() && p.unfinished(), "the start survives the torn tail");
             // And appending after the torn tail keeps working: the journal
             // only ever appends whole lines, so a fresh record follows the
             // damage and still parses.
-            j.record_cell(&hash, "dddd").unwrap();
+            j.record_end(&hash).unwrap();
             let state = j.load().unwrap();
-            assert_eq!(state.progress(&hash).unwrap().completed.len(), 2);
+            assert!(!state.progress(&hash).unwrap().unfinished());
             assert_eq!(state.damaged_lines, 1, "the sealed tail, and nothing else");
         }
     }
@@ -431,33 +356,65 @@ mod tests {
         assert_eq!(state.sweeps().count(), 0);
     }
 
-    /// A journal of one sweep: its `start` record, `cells` cell records and
-    /// an `end` record. Returns the file's lines and the sweep hash.
-    fn written(path: &Path, cells: usize) -> (Vec<Vec<u8>>, String) {
+    /// A journal of `sweeps` sweeps, each a `start` record followed by an
+    /// `end` record. Returns the file's lines and the sweep hashes: sweep
+    /// `i` starts on line `2i` and ends on line `2i + 1`.
+    fn written(path: &Path, sweeps: usize) -> (Vec<Vec<u8>>, Vec<String>) {
         let j = SweepJournal::open(path).unwrap();
-        let spec = tiny_spec();
-        let hash = SweepJournal::sweep_hash(&spec);
-        j.record_start(&hash, &spec.to_json().render(), cells as u64).unwrap();
-        for i in 0..cells {
-            j.record_cell(&hash, &format!("{i:032x}")).unwrap();
-        }
-        j.record_end(&hash).unwrap();
+        let hashes = (0..sweeps)
+            .map(|i| {
+                let mut spec = tiny_spec();
+                spec.name = format!("sweep-{i}");
+                let hash = SweepJournal::sweep_hash(&spec);
+                j.record_start(&hash, &spec.to_json().render(), 1).unwrap();
+                j.record_end(&hash).unwrap();
+                hash
+            })
+            .collect();
         let bytes = std::fs::read(path).unwrap();
-        (bytes.split_inclusive(|&b| b == b'\n').map(<[u8]>::to_vec).collect(), hash)
+        (bytes.split_inclusive(|&b| b == b'\n').map(<[u8]>::to_vec).collect(), hashes)
     }
 
     #[test]
     fn a_line_that_is_not_utf8_is_one_damaged_line() {
         let path = scratch("not-utf8");
-        let (mut lines, hash) = written(&path, 2);
-        // One high bit flipped inside the first (`start`) record.
+        let (mut lines, hashes) = written(&path, 1);
+        // One high bit flipped inside the `start` record.
         lines[0][30] ^= 0x80;
         std::fs::write(&path, lines.concat()).unwrap();
         let state = SweepJournal::open(&path).unwrap().load().unwrap();
         assert_eq!(state.damaged_lines, 1);
-        let p = state.progress(&hash).expect("the cell records name the sweep");
-        assert_eq!(p.completed.len(), 2, "both cell records survive");
+        let p = state.progress(&hashes[0]).expect("the end record names the sweep");
         assert!(p.ended && p.spec_json.is_none());
+    }
+
+    #[test]
+    fn cell_records_of_older_journals_load_as_no_damage() {
+        // What a journal with per-cell records holds: one sweep that
+        // finished, and one killed after two of its cells.
+        let path = scratch("cell-records");
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        let line = |payload: String| {
+            format!("{MAGIC} {:016x} {payload}\n", checksum64(payload.as_bytes()))
+        };
+        let spec_json = tiny_spec().to_json().render();
+        let (done, killed) = ("d0".repeat(16), "4b".repeat(16));
+        let mut text = String::new();
+        for hash in [&done, &killed] {
+            text += &line(format!("start {hash} 3 {spec_json}"));
+            for cell in 0..2 {
+                text += &line(format!("cell {hash} {cell:032x}"));
+            }
+        }
+        text += &line(format!("cell {done} {:032x}", 2));
+        text += &line(format!("end {done}"));
+        std::fs::write(&path, &text).unwrap();
+        let state = SweepJournal::open(&path).unwrap().load().unwrap();
+        assert_eq!(state.damaged_lines, 0, "cell records pass their checksum");
+        assert!(!state.progress(&done).unwrap().unfinished());
+        let p = state.progress(&killed).unwrap();
+        assert!(p.unfinished());
+        assert_eq!((p.spec_json.as_deref(), p.cells_declared), (Some(spec_json.as_str()), 3));
     }
 
     /// Damages `k` drawn lines of a written journal with one edit each that
@@ -469,7 +426,7 @@ mod tests {
     fn fuzz_journal(seed: u64, rounds: usize) -> usize {
         let mut rng = sim_core::rng::Xoshiro256::seed_from(seed);
         let path = scratch(&format!("fuzz-{seed}"));
-        let (pristine, hash) = written(&path, 6);
+        let (pristine, hashes) = written(&path, 6);
         // Where a line's checksummed payload starts.
         let payload_at = MAGIC.len() + 1 + 16 + 1;
         let mut damaged = 0;
@@ -516,14 +473,14 @@ mod tests {
             let k = hit.iter().filter(|&&h| h).count();
             assert_eq!(state.damaged_lines as usize, k, "seed {seed}: {hit:?}");
             damaged += k;
-            let p = state.progress(&hash);
             let kept = |i: usize| !hit[i];
-            let (start, end) = (0, lines.len() - 1);
-            let cells: BTreeSet<String> =
-                (1..end).filter(|&i| kept(i)).map(|i| format!("{:032x}", i - 1)).collect();
-            assert_eq!(p.map(|p| p.completed.clone()).unwrap_or_default(), cells);
-            assert_eq!(p.is_some_and(|p| p.spec_json.is_some()), kept(start));
-            assert_eq!(p.is_some_and(|p| p.ended), kept(end));
+            for (i, hash) in hashes.iter().enumerate() {
+                let p = state.progress(hash);
+                let (start, end) = (2 * i, 2 * i + 1);
+                assert_eq!(p.is_some(), kept(start) || kept(end));
+                assert_eq!(p.is_some_and(|p| p.spec_json.is_some()), kept(start));
+                assert_eq!(p.is_some_and(|p| p.ended), kept(end));
+            }
             // A torn final newline was sealed: the next record stands alone.
             if torn {
                 assert_eq!(std::fs::read(&path).unwrap().last(), Some(&b'\n'));

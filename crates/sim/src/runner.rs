@@ -179,7 +179,7 @@ mod tests {
         on_settled: impl Fn(usize, &Result<ExperimentResult, SweepError>, Source) + Sync,
     ) -> Vec<Result<ExperimentResult, SweepError>> {
         let cells = jobs.into_iter().map(|e| (e, None)).collect();
-        let exec = Executor { cache: None, checkpoint: None, runner: cfg };
+        let exec = Executor { cache: None, runner: cfg };
         exec.probe(cells, |_, _, _| {}).run(cell_label, Experiment::run, on_settled).0
     }
 

@@ -372,10 +372,15 @@ macro_rules! key {
 trait Section: Default + 'static {
     /// Every key the table accepts. The one place a key is named.
     const KEYS: &'static [Key<Self>];
+
+    /// Checks what no one key can check alone, once every key is read.
+    fn check(&self) -> Result<(), DecodeError> {
+        Ok(())
+    }
 }
 
-/// Reads a table: unknown keys are rejected with the allow-list, and a
-/// key's failure names it.
+/// Reads a table: unknown keys are rejected with the allow-list, a key's
+/// failure names it, and the table read is then held to [`Section::check`].
 fn read_table<S: Section>(table: &BTreeMap<String, TomlValue>) -> Result<S, DecodeError> {
     let mut section = S::default();
     for (name, value) in table {
@@ -386,6 +391,7 @@ fn read_table<S: Section>(table: &BTreeMap<String, TomlValue>) -> Result<S, Deco
         };
         (key.read)(&mut section, value).map_err(|e| e.at(name))?;
     }
+    section.check()?;
     Ok(section)
 }
 
@@ -811,6 +817,22 @@ impl Section for SweepSpec {
         key!(profile),
         key!(params),
     ];
+
+    /// Every `params.<tracker>` table must resolve to a tracker named in
+    /// `trackers` (so a typo'd section errors instead of being silently
+    /// ignored). Checked as the spec is read, so an empty table — which
+    /// the JSON form drops — is refused by every reader alike.
+    fn check(&self) -> Result<(), DecodeError> {
+        for param_key in self.params.keys() {
+            let at = |message: String| DecodeError::new(message).at(param_key).at("params");
+            let wanted = crate::registry::resolve(param_key).map_err(|e| at(e.to_string()))?.key;
+            let mut listed = self.trackers.iter().filter_map(|t| crate::registry::resolve(t).ok());
+            if !listed.any(|t| t.key == wanted) {
+                return Err(at("does not match any tracker in 'trackers'".to_string()));
+            }
+        }
+        Ok(())
+    }
 }
 
 impl SweepSpec {
@@ -858,9 +880,8 @@ impl SweepSpec {
     }
 
     /// The resolved tracker selections, with per-tracker overrides
-    /// attached. Every `params.<tracker>` table must resolve to a tracker
-    /// named in `trackers` (so a typo'd section errors instead of being
-    /// silently ignored).
+    /// attached. (The reader refuses a `params.<tracker>` table that
+    /// matches no tracker in `trackers`.)
     pub fn resolve_trackers(&self) -> Result<Vec<TrackerSel>, SpecError> {
         let mut sels = Vec::new();
         for name in &self.trackers {
@@ -873,15 +894,6 @@ impl SweepSpec {
                 }
             }
             sels.push(sel);
-        }
-        for param_key in self.params.keys() {
-            let canonical = crate::registry::resolve(param_key)?.key;
-            if !sels.iter().any(|s| s.key() == canonical) {
-                return Err(field_err(
-                    &format!("params.{param_key}"),
-                    "does not match any tracker in 'trackers'",
-                ));
-            }
         }
         Ok(sels)
     }
@@ -1689,10 +1701,24 @@ group_size = 256
 
     #[test]
     fn params_for_absent_tracker_error() {
-        let doc = "name = \"x\"\nworkloads = [\"gcc_like\"]\ntrackers = [\"hydra\"]\n\
-                   [params.comet]\nrat_entries = 64\n";
-        let err = SweepSpec::from_toml_str(doc).unwrap().expand().unwrap_err();
-        assert!(err.to_string().contains("params.comet"), "{err}");
+        // Refused by the reader, TOML and JSON alike, with or without
+        // entries: an empty table leaves nothing in the JSON form, so a
+        // check at expansion never saw it there.
+        let doc = "name = \"x\"\nworkloads = [\"gcc_like\"]\ntrackers = [\"hydra\"]\n";
+        let message = "spec field 'params.comet': does not match any tracker in 'trackers'";
+        for table in ["[params.comet]\n", "[params.comet]\nrat_entries = 64\n"] {
+            let err = SweepSpec::from_toml_str(&format!("{doc}{table}")).unwrap_err();
+            assert_eq!(err.to_string(), message);
+        }
+        let json = r#"{"name":"x","workloads":"gcc_like","trackers":"hydra","params":{"comet":{"rat_entries":64}}}"#;
+        assert_eq!(SweepSpec::from_json_str(json).unwrap_err().to_string(), message);
+        // A section naming no tracker at all is refused with the known
+        // names.
+        let err = SweepSpec::from_toml_str(&format!("{doc}[params.hydrra]\n")).unwrap_err();
+        assert!(
+            err.to_string().starts_with("spec field 'params.hydrra': unknown tracker"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -104,85 +104,61 @@ fn run() -> Result<(), String> {
     if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
         return Err(format!("campaignctl: unknown argument '{flag}' (try --help)"));
     }
-    let mut client =
-        Client::connect(&socket).map_err(|e| format!("cannot connect to {socket}: {e}"))?;
     let command = args.first().map(String::as_str).unwrap_or("");
-    match command {
-        "ping" => {
-            expect_ok(client.request(&Json::obj([("cmd", Json::str("ping"))])).map_err(io_err)?)?;
-            println!("pong");
-            Ok(())
+    // The request is built before connecting, so a bad spec or job id
+    // reports itself whether or not a server is listening.
+    let (request, job) = match command {
+        "ping" | "stats" | "shutdown" => (Json::obj([("cmd", Json::str(command))]), 0),
+        "status" | "wait" => {
+            let job = parse_job(&args)?;
+            (Json::obj([("cmd", Json::str(command)), ("job", Json::count(job))]), job)
         }
         "submit" => {
             let file = args.get(1).ok_or("submit requires a SPEC.toml path")?;
             let text =
                 std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
             let spec = SweepSpec::from_toml_str(&text).map_err(|e| format!("{file}: {e}"))?;
-            let request = submit_request(&spec, wait);
-            if !wait {
-                let response = expect_ok(client.request(&request).map_err(io_err)?)?;
-                println!(
-                    "job {} queued ({} cells)",
-                    field_u64(&response, "job"),
-                    field_u64(&response, "cells")
+            (submit_request(&spec, wait), 0)
+        }
+        other => return Err(format!("unknown command '{other}' (try --help)")),
+    };
+    let mut client =
+        Client::connect(&socket).map_err(|e| format!("cannot connect to {socket}: {e}"))?;
+    if command == "submit" && wait {
+        let response = client
+            .request_streaming(&request, |event| {
+                eprintln!(
+                    "  progress: {}/{} cells",
+                    field_u64(event, "done"),
+                    field_u64(event, "cells")
                 );
-                return Ok(());
-            }
-            let response = client
-                .request_streaming(&request, |event| {
-                    eprintln!(
-                        "  progress: {}/{} cells",
-                        field_u64(event, "done"),
-                        field_u64(event, "cells")
-                    );
-                })
-                .map_err(io_err)?;
-            finish(&expect_ok(response)?, out.as_deref())
-        }
-        "status" => {
-            let job = parse_job(&args)?;
-            let response = expect_ok(
-                client
-                    .request(&Json::obj([("cmd", Json::str("status")), ("job", Json::count(job))]))
-                    .map_err(io_err)?,
-            )?;
-            println!(
-                "job {}: {} ({}/{} cells)",
-                job,
-                match response.get("state") {
-                    Some(Json::Str(s)) => s.clone(),
-                    _ => "unknown".to_string(),
-                },
-                field_u64(&response, "done"),
-                field_u64(&response, "cells"),
-            );
-            Ok(())
-        }
-        "wait" => {
-            let job = parse_job(&args)?;
-            let response = expect_ok(
-                client
-                    .request(&Json::obj([("cmd", Json::str("wait")), ("job", Json::count(job))]))
-                    .map_err(io_err)?,
-            )?;
-            finish(&response, out.as_deref())
-        }
-        "stats" => {
-            let response = expect_ok(
-                client.request(&Json::obj([("cmd", Json::str("stats"))])).map_err(io_err)?,
-            )?;
-            println!("{}", response.render());
-            Ok(())
-        }
-        "shutdown" => {
-            expect_ok(
-                client.request(&Json::obj([("cmd", Json::str("shutdown"))])).map_err(io_err)?,
-            )?;
-            println!("server stopping");
-            Ok(())
-        }
-        other => Err(format!("unknown command '{other}' (try --help)")),
+            })
+            .map_err(io_err)?;
+        return finish(&expect_ok(response)?, out.as_deref());
     }
+    let response = expect_ok(client.request(&request).map_err(io_err)?)?;
+    match command {
+        "ping" => println!("pong"),
+        "submit" => println!(
+            "job {} queued ({} cells)",
+            field_u64(&response, "job"),
+            field_u64(&response, "cells")
+        ),
+        "status" => println!(
+            "job {}: {} ({}/{} cells)",
+            job,
+            match response.get("state") {
+                Some(Json::Str(s)) => s.clone(),
+                _ => "unknown".to_string(),
+            },
+            field_u64(&response, "done"),
+            field_u64(&response, "cells"),
+        ),
+        "wait" => return finish(&response, out.as_deref()),
+        "stats" => println!("{}", response.render()),
+        _ => println!("server stopping"),
+    }
+    Ok(())
 }
 
 fn parse_job(args: &[String]) -> Result<u64, String> {

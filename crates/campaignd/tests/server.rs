@@ -702,6 +702,41 @@ fn campaignctl_refuses_a_mistyped_flag_before_connecting() {
 }
 
 #[test]
+fn campaignctl_reports_a_bad_spec_whether_or_not_a_server_listens() {
+    // The spec is read before connecting: with no server listening, a spec
+    // error used to be reported as `cannot connect to ...`.
+    let dir = scratch("ctl-bad-spec");
+    let spec = dir.join("bad.toml");
+    std::fs::write(
+        &spec,
+        "name = \"bad\"\nworkloads = [\"mcf_like\"]\ntrackers = [\"para\"]\n\
+         [params.comet]\nrat_entries = 64\n",
+    )
+    .expect("write spec");
+    let submit = |socket: &std::path::Path| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_campaignctl"))
+            .arg("--socket")
+            .arg(socket)
+            .arg("submit")
+            .arg(&spec)
+            .output()
+            .expect("run campaignctl")
+    };
+    let absent = submit(&dir.join("nobody.sock"));
+    let socket = start(&dir, "live");
+    let live = submit(&socket);
+    shutdown(&socket);
+    for (server, out) in [("absent", &absent), ("live", &live)] {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("does not match any tracker in 'trackers'"), "{server}: {stderr}");
+        assert!(!stderr.contains("cannot connect"), "{server}: {stderr}");
+    }
+    assert_eq!(absent.status.code(), live.status.code());
+    assert_eq!(absent.status.code(), Some(1));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn progress_events_round_trip_the_wire_shape() {
     use campaignd::ProgressEvent;
     let e = ProgressEvent { job: 7, done: 3, cells: 18 };

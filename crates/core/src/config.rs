@@ -84,6 +84,17 @@ impl DapperConfig {
         }
     }
 
+    /// The largest value an RGC entry holds: the full range of
+    /// [`Self::bytes_per_counter`] bytes (255 for 1-byte entries), where
+    /// the counter saturates.
+    pub fn counter_limit(&self) -> u32 {
+        match self.bytes_per_counter() {
+            1 => u8::MAX as u32,
+            2 => u16::MAX as u32,
+            _ => u32::MAX,
+        }
+    }
+
     /// Builder-style override of the group size.
     ///
     /// # Panics
@@ -125,6 +136,8 @@ mod tests {
     fn counter_width_scales_with_threshold() {
         assert_eq!(DapperConfig::baseline(500, 0, 1).bytes_per_counter(), 1);
         assert_eq!(DapperConfig::baseline(4000, 0, 1).bytes_per_counter(), 2);
+        assert_eq!(DapperConfig::baseline(500, 0, 1).counter_limit(), 255);
+        assert_eq!(DapperConfig::baseline(4000, 0, 1).counter_limit(), 65_535);
     }
 
     #[test]

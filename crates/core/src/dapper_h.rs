@@ -13,7 +13,8 @@ struct RankState {
     keys2: KeySchedule,
     rgc1: RgcTable,
     rgc2: RgcTable,
-    /// Per-group-of-table-1 bit-vector: one bit per bank of the rank.
+    /// Per-group-of-table-1 bit-vector: one bit per bank of the rank, a
+    /// `u32` because that is the entry's hardware width (32 banks).
     bitvec: Vec<u32>,
 }
 
@@ -64,11 +65,6 @@ struct Scratch {
 impl DapperH {
     /// Creates a DAPPER-H instance.
     pub fn new(cfg: DapperConfig) -> Self {
-        let saturate = match cfg.bytes_per_counter() {
-            1 => u8::MAX as u32,
-            2 => u16::MAX as u32,
-            _ => u32::MAX,
-        };
         let groups = cfg.groups_per_rank();
         let ranks = (0..cfg.geometry.ranks)
             .map(|r| RankState {
@@ -80,8 +76,8 @@ impl DapperH {
                     cfg.domain_bits(),
                     cfg.seed ^ 0x2DA9_9E02 ^ ((cfg.channel as u64) << 41 | (r as u64) << 21),
                 ),
-                rgc1: RgcTable::new(groups, saturate),
-                rgc2: RgcTable::new(groups, saturate),
+                rgc1: RgcTable::new(groups, cfg.counter_limit()),
+                rgc2: RgcTable::new(groups, cfg.counter_limit()),
                 bitvec: vec![0; groups as usize],
             })
             .collect();
@@ -668,6 +664,42 @@ mod tests {
         let t = DapperH::new(cfg());
         let kb = t.storage_overhead().sram_kb();
         assert!((kb - 96.0).abs() < 0.2, "{kb} KB");
+    }
+
+    /// Each rank's two RGC tables take exactly their share of the modelled
+    /// SRAM on the host (1 B counters at N_RH 500, 2 B at N_RH 1000), still
+    /// saturate at the full range of that width, and count a hammered row
+    /// to N_M however wide N_M is.
+    #[test]
+    fn rgc_tables_hold_their_modelled_bytes_and_saturate_at_their_width() {
+        for (nrh, width, limit) in [(500, 1, 255), (1000, 2, 65_535)] {
+            let c = DapperConfig::baseline(nrh, 0, 2024);
+            let mut t = DapperH::new(c);
+            let (groups, ranks) = (c.groups_per_rank(), c.geometry.ranks as u64);
+            // The storage model less each rank's bit-vector (4 B per group)
+            // and key registers (16 B).
+            let tables = t.storage_overhead().sram_bytes - ranks * (groups * 4 + 16);
+            let host: u64 = t.ranks.iter().map(|r| r.rgc1.host_bytes() + r.rgc2.host_bytes()).sum();
+            assert_eq!(host, tables, "N_RH {nrh}");
+            assert_eq!(host, ranks * 2 * groups * width, "N_RH {nrh}");
+
+            let a = DramAddr::new(0, 0, 3, 1, 0x777, 0);
+            let mut out = Vec::new();
+            let first = (1..=nrh as u64).find(|&i| {
+                t.on_activation(act(a, i), &mut out);
+                t.mitigations > 0
+            });
+            assert_eq!(first, Some(c.nm() as u64 + 1), "N_RH {nrh}");
+
+            let r = &mut t.ranks[1];
+            for rgc in [&mut r.rgc1, &mut r.rgc2] {
+                rgc.set(7, limit - 1);
+                assert_eq!(rgc.increment(7), limit, "N_RH {nrh}");
+                assert_eq!(rgc.increment(7), limit, "N_RH {nrh}: saturated");
+                rgc.set(8, u32::MAX);
+                assert_eq!(rgc.get(8), limit, "N_RH {nrh}: set clamps");
+            }
+        }
     }
 
     #[test]

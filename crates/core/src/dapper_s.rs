@@ -34,14 +34,13 @@ pub struct DapperS {
 impl DapperS {
     /// Creates a DAPPER-S instance.
     pub fn new(cfg: DapperConfig) -> Self {
-        let saturate = counter_saturation(&cfg);
         let ranks = (0..cfg.geometry.ranks)
             .map(|r| RankState {
                 keys: KeySchedule::new(
                     cfg.domain_bits(),
                     cfg.seed ^ 0xDA99E5 ^ ((cfg.channel as u64) << 32 | (r as u64) << 16),
                 ),
-                rgc: RgcTable::new(cfg.groups_per_rank(), saturate),
+                rgc: RgcTable::new(cfg.groups_per_rank(), cfg.counter_limit()),
             })
             .collect();
         Self { cfg, ranks, next_reset: cfg.t_reset, mitigations: 0, rows_refreshed: 0 }
@@ -78,15 +77,6 @@ impl DapperS {
             self.reset_and_rekey();
             self.next_reset += self.cfg.t_reset;
         }
-    }
-}
-
-/// Counter saturation: full byte(s) for the configured width.
-fn counter_saturation(cfg: &DapperConfig) -> u32 {
-    match cfg.bytes_per_counter() {
-        1 => u8::MAX as u32,
-        2 => u16::MAX as u32,
-        _ => u32::MAX,
     }
 }
 
@@ -233,6 +223,30 @@ mod tests {
         let t = DapperS::new(cfg());
         let kb = t.storage_overhead().sram_kb();
         assert!((kb - 16.0).abs() < 0.1, "{kb} KB");
+    }
+
+    /// Each rank's RGC table takes exactly its share of the modelled SRAM
+    /// on the host (1 B counters at N_RH 500, 2 B at N_RH 1000) and still
+    /// saturates at the full range of that width.
+    #[test]
+    fn rgc_table_holds_its_modelled_bytes_and_saturates_at_its_width() {
+        for (nrh, width, limit) in [(500, 1, 255), (1000, 2, 65_535)] {
+            let c = DapperConfig::baseline(nrh, 0, 77);
+            let mut t = DapperS::new(c);
+            let (groups, ranks) = (c.groups_per_rank(), c.geometry.ranks as u64);
+            // The storage model less each rank's key registers (8 B).
+            let tables = t.storage_overhead().sram_bytes - ranks * 8;
+            let host: u64 = t.ranks.iter().map(|r| r.rgc.host_bytes()).sum();
+            assert_eq!(host, tables, "N_RH {nrh}");
+            assert_eq!(host, ranks * groups * width, "N_RH {nrh}");
+
+            let rgc = &mut t.ranks[0].rgc;
+            rgc.set(7, limit - 1);
+            assert_eq!(rgc.increment(7), limit, "N_RH {nrh}");
+            assert_eq!(rgc.increment(7), limit, "N_RH {nrh}: saturated");
+            rgc.set(8, u32::MAX);
+            assert_eq!(rgc.get(8), limit, "N_RH {nrh}: set clamps");
+        }
     }
 
     #[test]

@@ -2,73 +2,14 @@
 
 /// A table of saturating group counters (one per row group of a rank).
 ///
-/// Counters saturate at the hardware width implied by the configuration
-/// (255 for 1-byte entries at N_M <= 255) rather than wrapping, matching
-/// the paper's 1-byte RGC entries.
-#[derive(Debug, Clone)]
-pub struct RgcTable {
-    counts: Vec<u32>,
-    saturate: u32,
-}
-
-impl RgcTable {
-    /// Creates a zeroed table of `groups` counters saturating at `saturate`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `groups` is zero.
-    pub fn new(groups: u64, saturate: u32) -> Self {
-        assert!(groups > 0, "table must have at least one group");
-        Self { counts: vec![0; groups as usize], saturate }
-    }
-
-    /// Number of groups.
-    pub fn len(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// True if the table has no groups (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
-    }
-
-    /// Current count of `group`.
-    #[inline]
-    pub fn get(&self, group: u64) -> u32 {
-        self.counts[group as usize]
-    }
-
-    /// Saturating increment; returns the new value.
-    #[inline]
-    pub fn increment(&mut self, group: u64) -> u32 {
-        let c = &mut self.counts[group as usize];
-        if *c < self.saturate {
-            *c += 1;
-        }
-        *c
-    }
-
-    /// Sets `group` to `value` (clamped to the saturation limit).
-    #[inline]
-    pub fn set(&mut self, group: u64, value: u32) {
-        self.counts[group as usize] = value.min(self.saturate);
-    }
-
-    /// Zeroes every counter.
-    pub fn clear(&mut self) {
-        self.counts.fill(0);
-    }
-
-    /// The saturation limit.
-    pub fn saturation(&self) -> u32 {
-        self.saturate
-    }
-
-    /// Maximum count currently in the table (introspection).
-    pub fn max(&self) -> u32 {
-        self.counts.iter().copied().max().unwrap_or(0)
-    }
-}
+/// One byte per counter up to N_M = 255, matching the paper's 1-byte RGC
+/// entries; two bytes up to N_M = 65 535, else four. Counters saturate at
+/// the full range of that width ([`DapperConfig::counter_limit`]) rather
+/// than wrapping, and the host stores each at that width, so a rank's
+/// table takes the 8 KB of SRAM the paper sizes it at.
+///
+/// [`DapperConfig::counter_limit`]: crate::DapperConfig::counter_limit
+pub type RgcTable = sim_core::counter::CounterTable;
 
 #[cfg(test)]
 mod tests {

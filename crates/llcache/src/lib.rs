@@ -13,11 +13,15 @@
 //!
 //! # Representation
 //!
-//! Nine bytes per demand line, 1.125 MiB for the paper's 8 MiB, 16-way LLC:
+//! Five bytes per demand line, 640 KiB for the paper's 8 MiB, 16-way LLC:
 //!
-//! * **Line word** (8 B): a valid bit and a dirty bit under the tag. Line
-//!   addresses are byte addresses `>> 6`, so a tag always fits the 62 bits
-//!   left. A zero word is an invalid line.
+//! * **Line word** (4 B): a valid bit and a dirty bit under a 30-bit tag
+//!   ([`TAG_BITS`]). A tag is a line address (byte address `>> 6`) divided
+//!   by the set count, so an LLC of `sets` sets tags every byte address
+//!   below `sets << 36`: 512 TiB for the paper LLC's 8192 sets, against
+//!   the 256 GiB of the largest simulated geometry. [`Llc::covers`] says
+//!   whether an address space fits; an access whose tag does not fit
+//!   panics rather than alias. A zero word is an invalid line.
 //! * **Recency rank** (1 B): 0 for the set's most recently used line, 1 for
 //!   the next, and so on. Touching a line gives it rank 0 and moves every
 //!   line that was more recent than it down one rank.
@@ -67,11 +71,13 @@ pub enum LookupResult {
 }
 
 /// Valid bit of a line word.
-const VALID: u64 = 1;
+const VALID: u32 = 1;
 /// Dirty bit of a line word.
-const DIRTY: u64 = 2;
+const DIRTY: u32 = 2;
 /// The tag sits above the two flag bits.
 const TAG_SHIFT: u32 = 2;
+/// Bits of a line word that hold the tag.
+pub const TAG_BITS: u32 = u32::BITS - TAG_SHIFT;
 
 /// Replacement policy for demand ways.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,7 +96,7 @@ pub struct Llc {
     /// Demand ways per set.
     demand: usize,
     /// One line word per demand line, `demand` per set.
-    words: Vec<u64>,
+    words: Vec<u32>,
     /// One recency rank per demand line (meaningless for invalid lines).
     ranks: Vec<u8>,
     policy: Replacement,
@@ -156,6 +162,13 @@ impl Llc {
         }
     }
 
+    /// True when the tag of every byte address below `bytes` fits a line
+    /// word, so no access into that address space can panic.
+    pub fn covers(&self, bytes: u64) -> bool {
+        let top_line = bytes.saturating_sub(1) >> 6;
+        (top_line / self.sets) >> TAG_BITS == 0
+    }
+
     /// Looks up the 64-byte line containing byte address `addr` (demand
     /// access), allocating on miss. `is_write` marks the line dirty.
     pub fn access(&mut self, addr: u64, is_write: bool) -> LookupResult {
@@ -167,8 +180,8 @@ impl Llc {
     pub fn access_line(&mut self, line_addr: u64, is_write: bool) -> LookupResult {
         let set = line_addr % self.sets;
         let tag = line_addr / self.sets;
-        assert!(tag >> (64 - TAG_SHIFT) == 0, "tag {tag:#x} does not fit a line word");
-        let key = tag << TAG_SHIFT | VALID;
+        assert!(tag >> TAG_BITS == 0, "tag {tag:#x} does not fit a line word");
+        let key = (tag as u32) << TAG_SHIFT | VALID;
         let dirty = if is_write { DIRTY } else { 0 };
         let d = self.demand;
         let base = set as usize * d;
@@ -203,7 +216,8 @@ impl Llc {
             }
         };
         let victim = words[way];
-        let writeback = (victim & DIRTY != 0).then(|| (victim >> TAG_SHIFT) * self.sets + set);
+        let writeback =
+            (victim & DIRTY != 0).then(|| u64::from(victim >> TAG_SHIFT) * self.sets + set);
         words[way] = key | dirty;
         touch(ranks, way, rank);
         LookupResult::Miss { writeback }
@@ -231,6 +245,7 @@ fn touch(ranks: &mut [u8], way: usize, rank: u8) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_core::addr::Geometry;
     use sim_core::config::LlcConfig;
 
     fn small_cfg(reserved: u16) -> LlcConfig {
@@ -311,13 +326,52 @@ mod tests {
         let _ = Llc::new(small_cfg(4), 0);
     }
 
-    /// The paper LLC's line state stays within 1.6 MiB, about half of what
-    /// 24-byte lines cost: a field that re-inflates a line fails here.
+    /// The paper LLC's line state is five bytes a line, 640 KiB, where
+    /// 24-byte lines cost 3 MiB: a field that re-inflates a line fails here.
     #[test]
     fn paper_llc_state_fits_its_budget() {
         let c = Llc::new(LlcConfig::paper_baseline(), 0);
         let bytes = std::mem::size_of_val(&*c.words) + std::mem::size_of_val(&*c.ranks);
-        assert!(bytes * 10 <= 16 << 20, "{bytes} B of line state");
+        assert!(bytes <= 640 << 10, "{bytes} B of line state");
+    }
+
+    /// The top line of the eight-channel geometry's 256 GiB space, in the
+    /// smallest LLCs a cell builds there (START's half of the baseline's
+    /// ways; 1 MiB per core), fills, hits, is evicted dirty and refills as
+    /// the line model says; `covers` holds from four sets up, the fewest
+    /// whose tags reach that space's 2^32 lines.
+    #[test]
+    fn top_of_the_eight_channel_space_matches_the_line_model() {
+        let space = Geometry::enlarged_8ch().capacity_bytes();
+        let base = LlcConfig::paper_baseline();
+        for cfg in [
+            LlcConfig { reserved_ways: base.ways / 2, ..base },
+            LlcConfig { capacity_bytes: 4 << 20, ..base },
+        ] {
+            let mut fast = Llc::new(cfg, 5);
+            let mut oracle = line_model::Llc::new(cfg, 5);
+            assert!(fast.covers(space), "{cfg:?}");
+            let (sets, demand) = (cfg.sets(), fast.demand_ways() as u64);
+            let top = (space >> 6) - 1;
+            // Write the top line, then fill its set with `demand` other
+            // lines (the last evicts it dirty), then read it back.
+            let conflicts = (1..=demand).map(|k| top - k * sets);
+            let order: Vec<u64> = [top, top].into_iter().chain(conflicts).chain([top]).collect();
+            let mut want = vec![LookupResult::Miss { writeback: None }, LookupResult::Hit];
+            want.extend((1..demand).map(|_| LookupResult::Miss { writeback: None }));
+            want.push(LookupResult::Miss { writeback: Some(top) });
+            want.push(LookupResult::Miss { writeback: None });
+            for (i, (&line, want)) in order.iter().zip(&want).enumerate() {
+                let is_write = i == 1;
+                let got = fast.access_line(line, is_write);
+                assert_eq!(got, oracle.access_line(line, is_write), "access {i}: {cfg:?}");
+                assert_eq!(got, *want, "access {i} (line {line:#x}): {cfg:?}");
+            }
+            assert_eq!(fast.access(space - 64, false), LookupResult::Hit, "{cfg:?}");
+        }
+        let sets = |n: u64| LlcConfig { capacity_bytes: n * 16 * 64, ..base };
+        assert!(Llc::new(sets(4), 0).covers(space));
+        assert!(!Llc::new(sets(2), 0).covers(space));
     }
 
     /// The previous model, one 24-byte `Line` with a 64-bit LRU stamp per

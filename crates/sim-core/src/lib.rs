@@ -11,6 +11,8 @@
 //! * [`time`] — the global clock domain (DDR5 memory-bus cycles) and unit
 //!   conversions,
 //! * [`config`] — the system configuration mirroring Table I of the paper,
+//! * [`counter`] — the saturating group-counter table trackers keep their
+//!   SRAM counters in, stored at the width of the hardware entry,
 //! * [`fault`] — the deterministic fault-injection plane ([`FaultPlan`] /
 //!   [`Injector`]) the chaos suite arms into the cache, runner and
 //!   `campaignd` layers,
@@ -49,6 +51,7 @@ pub mod addr;
 pub mod cache;
 pub mod cli;
 pub mod config;
+pub mod counter;
 pub mod events;
 pub mod fault;
 pub mod json;
@@ -64,6 +67,7 @@ pub mod tracker;
 pub use addr::{DramAddr, Geometry, PhysAddr};
 pub use cache::{CacheStats, DiskStore};
 pub use config::SystemConfig;
+pub use counter::CounterTable;
 pub use events::MemEvent;
 pub use fault::{FaultAction, FaultPlan, FaultRule, FaultSite, Injector, Trigger};
 pub use registry::{ParamSpec, ParamValue, RegistryError, TrackerSpec};

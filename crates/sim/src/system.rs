@@ -47,7 +47,7 @@
 use analysis::OracleProbe;
 use cpu::{ClockRatio, Core, MemoryPort, PortResponse, Quiescence, TraceSource};
 use dram::{DramChannel, TimingParams};
-use llcache::{Llc, LookupResult};
+use llcache::{Llc, LookupResult, TAG_BITS};
 use memctrl::{ChannelController, CtrlConfig};
 use sim_core::addr::PhysAddr;
 use sim_core::config::SystemConfig;
@@ -357,7 +357,9 @@ impl System {
     /// # Panics
     ///
     /// Panics if `traces`/`bypass_llc` lengths disagree with the config's
-    /// core count or `trackers` with the channel count.
+    /// core count or `trackers` with the channel count, or if the LLC has
+    /// too few sets to tag every address of the geometry
+    /// ([`Llc::covers`]).
     pub fn new(
         cfg: SystemConfig,
         traces: Vec<Box<dyn TraceSource>>,
@@ -368,6 +370,14 @@ impl System {
         assert_eq!(traces.len(), cfg.cpu.cores as usize, "one trace per core");
         assert_eq!(bypass_llc.len(), traces.len(), "one bypass flag per core");
         assert_eq!(trackers.len(), cfg.geometry.channels as usize, "one tracker per channel");
+        let llc = Llc::new(cfg.llc, cfg.seed ^ 0x11C);
+        let space = cfg.geometry.capacity_bytes();
+        assert!(
+            llc.covers(space),
+            "an LLC of {} sets cannot tag the geometry's {space}-byte address space \
+             (a line word holds a {TAG_BITS}-bit tag)",
+            cfg.llc.sets()
+        );
         let cores: Vec<Core> = traces
             .into_iter()
             .enumerate()
@@ -396,7 +406,6 @@ impl System {
             .oracle_requested()
             .then(|| Box::new(OracleProbe::new(cfg.nrh, cfg.blast_radius, cfg.geometry)));
         let window_len = telemetry.window_len_override().unwrap_or(timing.t_refw);
-        let llc = Llc::new(cfg.llc, cfg.seed ^ 0x11C);
         let mut sys = Self {
             cores,
             hierarchy: Hierarchy { cfg, llc, ctrls, due, ticks, bypass_llc, next_req: 1, now: 0 },
@@ -923,6 +932,18 @@ mod tests {
         // Sequential lines: second half of each row's lines hit the LLC...
         // actually every line is cold (stride 64), so hit rate ~ 0.
         assert!(stats.mem.reads > 0);
+    }
+
+    /// An LLC too small to tag the eight-channel geometry's 256 GiB is
+    /// refused when the system is built, not at the first access that
+    /// reaches past its tags.
+    #[test]
+    #[should_panic(expected = "an LLC of 2 sets cannot tag the geometry's 274877906944-byte")]
+    fn an_llc_too_small_for_the_address_space_is_refused_at_build() {
+        let mut cfg = small_cfg();
+        cfg.geometry = sim_core::addr::Geometry::enlarged_8ch();
+        cfg.llc.capacity_bytes = 2 * cfg.llc.ways as u64 * 64;
+        let _ = build(cfg, 10, false);
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //!
 //! * **GCT** — Group Count Table: one shared counter per 128 rows. Counts
 //!   until the group threshold N_GC = 0.8 x N_M, then the group switches to
-//!   per-row tracking.
+//!   per-row tracking: a group tracks per row exactly when its counter
+//!   stands at N_GC (at least 1), so the GCT is the only per-group state.
+//!   Each counter is stored at the width that holds N_GC, the 1 B of
+//!   Table III at N_RH = 500.
 //! * **RCT** — Row Count Table: per-row counters in a reserved DRAM region.
 //! * **RCC** — Row Counter Cache: 4K-entry, 32-way cache of RCT entries per
 //!   rank with random eviction. An RCC miss costs one DRAM read (fetch) plus
@@ -14,6 +17,7 @@
 
 use crate::util::{hash64, meta_addr, RowMap};
 use sim_core::addr::Geometry;
+use sim_core::counter::CounterTable;
 use sim_core::registry::{ParamSpec, ParamValues, RegistryError, TrackerSpec};
 use sim_core::rng::Xoshiro256;
 use sim_core::time::Cycle;
@@ -80,10 +84,9 @@ struct RccEntry {
 
 #[derive(Debug)]
 struct RankState {
-    /// Group counters (2M rows / 128 = 16K groups).
-    gct: Vec<u32>,
-    /// Groups that exceeded N_GC and moved to per-row tracking.
-    per_row_mode: Vec<bool>,
+    /// Group counters (2M rows / 128 = 16K groups), saturating at N_GC
+    /// (at least 1): a group at its limit tracks per row.
+    gct: CounterTable,
     /// The RCC: sets x ways.
     rcc: Vec<RccEntry>,
     /// Ground-truth RCT contents (the DRAM-resident counters): an
@@ -119,16 +122,15 @@ impl Hydra {
     pub fn with_params(hp: HydraParams) -> Result<Self, RegistryError> {
         hp.validate()?;
         let p = hp.base;
-        let groups = (p.geometry.rows_per_rank() / hp.group_size as u64) as usize;
+        let groups = p.geometry.rows_per_rank() / hp.group_size as u64;
+        let n_gc = group_threshold(&p);
         let ranks = (0..p.geometry.ranks)
             .map(|_| RankState {
-                gct: vec![0; groups],
-                per_row_mode: vec![false; groups],
+                gct: CounterTable::new(groups, n_gc.max(1)),
                 rcc: vec![RccEntry::default(); hp.rcc_entries],
                 rct: RowMap::new(),
             })
             .collect();
-        let n_gc = (0.8 * p.nm() as f64) as u32;
         Ok(Self {
             p,
             group_size: hp.group_size,
@@ -200,15 +202,13 @@ impl RowHammerTracker for Hydra {
         let geom = self.p.geometry;
         let rank = act.addr.rank as usize;
         let row = geom.rank_row_index(&act.addr);
-        let group = (row / self.group_size as u64) as usize;
+        let group = row / self.group_size as u64;
         let nm = self.p.nm();
 
-        if !self.ranks[rank].per_row_mode[group] {
-            let c = &mut self.ranks[rank].gct[group];
-            *c += 1;
-            if *c >= self.n_gc {
-                self.ranks[rank].per_row_mode[group] = true;
-            }
+        let gct = &mut self.ranks[rank].gct;
+        if gct.get(group) < gct.saturation() {
+            // Group mode: count until N_GC, where the group goes per-row.
+            gct.increment(group);
             return;
         }
 
@@ -225,8 +225,7 @@ impl RowHammerTracker for Hydra {
 
     fn on_refresh_window(&mut self, _cycle: Cycle, _actions: &mut Vec<TrackerAction>) {
         for r in &mut self.ranks {
-            r.gct.fill(0);
-            r.per_row_mode.fill(false);
+            r.gct.clear();
             r.rcc.fill(RccEntry::default());
             r.rct.clear();
         }
@@ -234,16 +233,22 @@ impl RowHammerTracker for Hydra {
 
     fn storage_overhead(&self) -> StorageOverhead {
         // Table III: 56.5 KB per 32 GB channel at the baseline sizes. GCT:
-        // 16K groups x 1 B per rank; RCC: entries x ~24.5 bits (21-bit tag +
-        // count, packed) per rank.
+        // 16K groups x 1 B per rank (2 B once N_GC passes 255); RCC:
+        // entries x ~24.5 bits (21-bit tag + count, packed) per rank.
         StorageOverhead::new(hydra_storage(&self.p, self.group_size, self.rcc_entries), 0)
     }
 }
 
 fn hydra_storage(p: &TrackerParams, group_size: u32, rcc_entries: usize) -> u64 {
     let groups = p.geometry.rows_per_rank() / group_size.max(1) as u64;
+    let gct_bytes = groups * CounterTable::bytes_per_counter(group_threshold(p).max(1));
     let rcc_bytes = rcc_entries as u64 * 49 / 16;
-    p.geometry.ranks as u64 * (groups + rcc_bytes)
+    p.geometry.ranks as u64 * (gct_bytes + rcc_bytes)
+}
+
+/// The group threshold N_GC = 0.8 x N_M.
+fn group_threshold(p: &TrackerParams) -> u32 {
+    (0.8 * p.nm() as f64) as u32
 }
 
 /// Hydra's tracker-table entry: key `hydra`, structure sizes exposed as
@@ -364,6 +369,48 @@ mod tests {
         // Group mode again: no DRAM traffic on next ACT.
         h.on_activation(act(a, 0), &mut out);
         assert!(out.is_empty());
+    }
+
+    /// Each rank's GCT takes exactly its share of the modelled SRAM on the
+    /// host: 1 B per group at N_RH 500 (N_GC 200), 2 B at N_RH 1000
+    /// (N_GC 400), and a group still counts N_GC activations before it
+    /// goes per-row.
+    #[test]
+    fn gct_holds_its_modelled_bytes_and_counts_to_n_gc() {
+        for (nrh, width) in [(500, 1), (1000, 2)] {
+            let p = TrackerParams::baseline(nrh, 0, 42);
+            let mut h = Hydra::new(p);
+            let (groups, ranks) =
+                (p.geometry.rows_per_rank() / GROUP_SIZE as u64, p.geometry.ranks as u64);
+            // The storage model less each rank's RCC (~24.5 bits an entry).
+            let gct = h.storage_overhead().sram_bytes - ranks * (RCC_ENTRIES as u64 * 49 / 16);
+            let host: u64 = h.ranks.iter().map(|r| r.gct.host_bytes()).sum();
+            assert_eq!(host, gct, "N_RH {nrh}");
+            assert_eq!(host, ranks * groups * width, "N_RH {nrh}");
+
+            let a = DramAddr::new(0, 1, 0, 0, 100, 0);
+            let mut out = Vec::new();
+            for i in 0..h.group_threshold() {
+                h.on_activation(act(a, i as Cycle), &mut out);
+            }
+            assert!(out.is_empty(), "N_RH {nrh}: group mode makes no DRAM traffic");
+            h.on_activation(act(a, 0), &mut out);
+            assert!(out.iter().any(|x| matches!(x, TrackerAction::CounterRead(_))), "N_RH {nrh}");
+        }
+    }
+
+    /// At N_GC = 0 a group still counts its first activation before it
+    /// goes per-row.
+    #[test]
+    fn zero_group_threshold_counts_one_activation() {
+        let mut h = Hydra::new(TrackerParams::baseline(2, 0, 42));
+        assert_eq!(h.group_threshold(), 0);
+        let a = DramAddr::new(0, 0, 0, 0, 100, 0);
+        let mut out = Vec::new();
+        h.on_activation(act(a, 0), &mut out);
+        assert!(out.is_empty());
+        h.on_activation(act(a, 1), &mut out);
+        assert!(out.iter().any(|x| matches!(x, TrackerAction::CounterRead(_))));
     }
 
     #[test]

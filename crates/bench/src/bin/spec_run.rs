@@ -7,9 +7,13 @@
 //!
 //! Each spec file is a TOML [`sim::SweepSpec`] (see `examples/specs/` for
 //! commented examples): it names trackers by registry key with per-tracker
-//! parameter overrides, expands into the workload × tracker × attack cross
-//! product, runs the cells in parallel, and writes the results as JSON
-//! under `out/` (or `--out DIR`).
+//! parameter overrides, expands into the point × workload × series cross
+//! product (a plain spec's series are its trackers × attacks; a paper
+//! figure's are `[[series]]` tables, its points an `nrh` or
+//! `llc_mib_per_core` list), runs the cells in parallel, and writes the
+//! results as JSON under `out/` (or `--out DIR`). The banner counts each
+//! axis: `… expands to 54 experiments (9 workloads x 2 series x 3 N_RH
+//! values)`.
 //!
 //! `--validate` parses and expands every spec — registry keys, parameter
 //! schemas, workload and attack names all checked — without running any
@@ -141,13 +145,20 @@ fn run() -> Result<i32, String> {
             0 => String::new(),
             n => format!(" x {n} attacker knowledge levels"),
         };
+        // Point axes with more than one point: N_RH values, LLC sizes.
+        let axis = |points: usize, what: &str| match points {
+            0 | 1 => String::new(),
+            n => format!(" x {n} {what}"),
+        };
+        let llc_sizes = spec.system.as_ref().map_or(0, |s| s.llc_mib_per_core.len());
         println!(
-            "{file}: spec '{}' expands to {} experiments ({} workloads x {} trackers x {} attacks{attacker_axis})",
+            "{file}: spec '{}' expands to {} experiments ({} workloads x {} series{}{}{attacker_axis})",
             spec.name,
             cells.len(),
             sim::spec::expand_workloads(&spec.workloads).map(|w| w.len()).unwrap_or(0),
-            spec.trackers.len(),
-            spec.attacks.len(),
+            spec.expanded_series().len(),
+            axis(spec.options.nrh.len(), "N_RH values"),
+            axis(llc_sizes, "LLC sizes"),
         );
         if validate {
             continue;

@@ -1,9 +1,12 @@
 //! The figure harness: [`figures`] declares every figure and table of the
 //! paper's evaluation section as one table and runs any of them through one
 //! driver, `figure <id> [options]`, with the same five options for every id
-//! ([`BenchOpts`]). The command line is parsed strictly ([`sim_core::cli`]):
-//! an unknown id, a typo'd flag or an unparsable value exits 2 naming it,
-//! before anything is simulated.
+//! ([`BenchOpts`]). A simulated figure is a declarative sweep: its
+//! declaration builds a [`sim::SweepSpec`] from the options
+//! ([`BenchOpts::sweep`]), which runs through the same cell builder and
+//! executor as `spec_run`'s. The command line is parsed strictly
+//! ([`sim_core::cli`]): an unknown id, a typo'd flag or an unparsable value
+//! exits 2 naming it, before anything is simulated.
 //!
 //! Output is plain text: one grid per figure with the same rows/series the
 //! paper reports; README "Reproducing a paper figure" lists the ids and what
@@ -17,8 +20,7 @@
 pub mod figures;
 mod printers;
 
-use sim::experiment::Experiment;
-use workloads::catalog::{catalog, quick_subset, WorkloadSpec};
+use sim::spec::{Series, SweepSpec};
 
 /// The options every figure takes.
 #[derive(Debug, Clone, Copy)]
@@ -73,18 +75,16 @@ impl BenchOpts {
         }
     }
 
-    /// The workload set implied by `--full`.
-    pub fn workloads(&self) -> Vec<&'static WorkloadSpec> {
-        if self.full {
-            catalog().iter().collect()
-        } else {
-            quick_subset()
-        }
-    }
-
-    /// Applies the shared options to an experiment.
-    pub fn apply(&self, e: Experiment) -> Experiment {
-        e.window_us(self.window_us).seed(self.seed).nrh(self.nrh)
+    /// `series` on the workload set `--full` names, at these options'
+    /// window, seed and N_RH: where every figure's sweep starts.
+    pub fn sweep(&self, series: Vec<Series>) -> SweepSpec {
+        let mut spec = SweepSpec::new("figure");
+        spec.workloads = vec![if self.full { "@all" } else { "@quick" }.to_string()];
+        spec.series = series;
+        spec.options.nrh = vec![self.nrh];
+        spec.options.window_us = Some(self.window_us);
+        spec.options.seed = Some(self.seed);
+        spec
     }
 }
 

@@ -1,17 +1,17 @@
 //! The [`Body::Custom`](crate::figures::Body::Custom) entries of the figure
-//! table: the evaluation outputs that are not workload × series grids.
+//! table: the evaluation outputs that are not workload × series grids. The
+//! two that simulate run sweeps ([`BenchOpts::sweep`]) like every grid.
 
-use crate::figures::{col, Axis, GridSpec, Layout, Metric, Series};
+use crate::figures::{run_clean, Cube, Metric};
 use crate::{header, BenchOpts};
 use analysis::equations::{dapper_h_success, dapper_s_capture, table_two};
 use analysis::montecarlo::{h_capture_trials, s_capture_trials};
 use analysis::storage::storage_table;
 use dapper::{DapperConfig, DapperH, DapperS};
-use sim::experiment::{AttackChoice, Experiment};
+use sim::spec::{Series, TelemetryOptions};
+use sim::TelemetrySpec;
 use sim_core::addr::Geometry;
-use sim_core::config::MitigationKind::Vrr;
 use sim_core::tracker::RowHammerTracker;
-use workloads::Attack;
 
 /// Table II: vulnerability of DAPPER-S to Mapping-Capturing attacks, from
 /// the analytical model (Equations 1-5) at DDR5-6400 timing.
@@ -117,23 +117,20 @@ pub(crate) fn security(opts: &BenchOpts) {
     );
 
     println!("\n-- Oracle-audited attack simulations (N_RH = {}) --", opts.nrh);
-    for (label, tracker, attack) in [
-        ("DAPPER-H vs refresh attack ", "dapper-h", Attack::RefreshAttack),
-        ("DAPPER-H vs streaming      ", "dapper-h", Attack::Streaming),
-        ("DAPPER-S vs refresh attack ", "dapper-s", Attack::RefreshAttack),
-        ("no tracker vs refresh      ", "none", Attack::RefreshAttack),
-    ] {
-        let r = opts
-            .apply(
-                Experiment::new("gcc_like")
-                    .tracker(tracker)
-                    .attack(AttackChoice::Specific(attack))
-                    .with_oracle(),
-            )
-            .run();
+    let mut audited = opts.sweep(vec![
+        Series::new("DAPPER-H vs refresh attack", "dapper-h", "refresh"),
+        Series::new("DAPPER-H vs streaming", "dapper-h", "streaming"),
+        Series::new("DAPPER-S vs refresh attack", "dapper-s", "refresh"),
+        Series::new("no tracker vs refresh", "none", "refresh"),
+    ]);
+    audited.workloads = vec!["gcc_like".to_string()];
+    let oracle = TelemetrySpec { oracle: true, ..TelemetrySpec::default() };
+    audited.telemetry = Some(TelemetryOptions { spec: oracle, out: None });
+    for (series, r) in audited.series.iter().zip(run_clean(&audited)) {
+        let label = series.label.as_deref().unwrap_or_default();
         let (max_damage, violations) = r.run.oracle.expect("oracle attached");
         println!(
-            "  {label}: max victim disturbance {max_damage:>6} / N_RH {}, violations: {violations}",
+            "  {label:<27}: max victim disturbance {max_damage:>6} / N_RH {}, violations: {violations}",
             opts.nrh
         );
     }
@@ -147,22 +144,13 @@ pub(crate) fn ablation(opts: &BenchOpts) {
     header("Ablation: DAPPER design choices", opts);
 
     println!("-- single hash (DAPPER-S) vs double hash (DAPPER-H), refresh attack --");
-    const REFRESH: AttackChoice = AttackChoice::Specific(Attack::RefreshAttack);
-    const HASHING: [Series; 2] = [
-        col("DAPPER-S", "dapper-s", REFRESH, Vrr, 1, false),
-        col("DAPPER-H", "dapper-h", REFRESH, Vrr, 1, false),
-    ];
-    let hashing = GridSpec {
-        rows: Axis::None,
-        layout: Layout::Means,
-        metric: Metric::NormalizedPerformance,
-        series: &HASHING,
-        paper: "",
-    };
-    let cube = hashing.simulate(opts);
-    let all: Vec<usize> = (0..opts.workloads().len()).collect();
-    for (s, series) in HASHING.iter().enumerate() {
-        println!("  {:<10} {:.4}", series.label, cube.value(0, s, &all));
+    let hashing = opts.sweep(vec![
+        Series::new("DAPPER-S", "dapper-s", "refresh"),
+        Series::new("DAPPER-H", "dapper-h", "refresh"),
+    ]);
+    let cube = Cube::run(&hashing, Metric::NormalizedPerformance);
+    for (s, label) in cube.labels().iter().enumerate() {
+        println!("  {label:<10} {:.4}", cube.value(0, s, &cube.all()));
     }
 
     println!("\n-- storage vs group size (both trackers, per 32 GB channel) --");

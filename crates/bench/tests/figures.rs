@@ -1,28 +1,29 @@
 //! The figure harness: the declaration table is well-formed, every entry
-//! expands to runnable cells, the declared Fig. 9 is the shipped spec's
-//! matrix, and the `figure` binary runs one end to end.
+//! is a sweep that expands to runnable cells and round-trips as a spec,
+//! each figure's cell keys are pinned, the declared Fig. 9 is the shipped
+//! spec's matrix, and the `figure` binary runs one end to end.
 
-use bench::figures::{Axis, Body, Figure, GridSpec, Metric, FIGURES};
+use bench::figures::{Body, Figure, Metric, FIGURES};
 use bench::BenchOpts;
-use sim::cache::cell_key;
+use sim::journal::SweepJournal;
 use sim::spec::SweepSpec;
 use std::collections::BTreeSet;
 use std::process::{Command, Output};
 use workloads::catalog::quick_subset;
 
-fn find(id: &str) -> Option<&'static Figure> {
-    FIGURES.iter().find(|f| f.id == id)
-}
-
-fn grid(id: &str) -> GridSpec {
-    match find(id).unwrap_or_else(|| panic!("{id} is declared")).body {
-        Body::Grid(spec) => spec,
-        Body::Custom(_) => panic!("{id} is a grid figure"),
-    }
+fn find(id: &str) -> &'static Figure {
+    FIGURES.iter().find(|f| f.id == id).unwrap_or_else(|| panic!("{id} is declared"))
 }
 
 fn figure(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_figure")).args(args).output().expect("figure binary runs")
+}
+
+/// The sorted content keys of every cell `spec` expands to.
+fn key_set(spec: &SweepSpec) -> BTreeSet<String> {
+    let cells = spec.expand_keyed().unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+    let keys = cells.into_iter().map(|(_, key)| key.expect("a figure's cells are cacheable").key);
+    keys.collect()
 }
 
 #[test]
@@ -32,37 +33,110 @@ fn every_declared_figure_expands_to_keyed_cells_without_simulating() {
     assert_eq!(ids.len(), FIGURES.len(), "figure ids are unique");
     let mut grids = 0;
     for figure in FIGURES {
-        let Body::Grid(spec) = figure.body else { continue };
+        let Body::Grid(grid) = figure.body else { continue };
         grids += 1;
-        let labels: BTreeSet<&str> = spec.series.iter().map(|s| s.label).collect();
+        let spec = figure.sweep(&opts).expect("a grid figure sweeps");
+        assert_eq!(spec.name, figure.id);
+        let labels: BTreeSet<Option<&str>> =
+            spec.series.iter().map(|s| s.label.as_deref()).collect();
+        assert!(!labels.contains(&None), "{}: every series is labelled", figure.id);
         assert_eq!(labels.len(), spec.series.len(), "{}: series labels are unique", figure.id);
-        for s in spec.series {
-            assert!(sim::registry::resolve(s.tracker).is_ok(), "{}: {}", figure.id, s.tracker);
+        for s in &spec.series {
+            assert!(sim::registry::resolve(&s.tracker).is_ok(), "{}: {}", figure.id, s.tracker);
         }
-        let rows = match spec.rows {
-            Axis::None => 1,
-            Axis::Nrh(list) => list.len(),
-            Axis::NrhSweep => opts.nrh_sweep().len(),
-            Axis::LlcMib(list) => list.len(),
-        };
-        // An overhead metric simulates each series twice: as declared and
-        // on the baseline tracker.
-        let columns = match spec.metric {
-            Metric::NormalizedPerformance => spec.series.len(),
-            Metric::EnergyOverheadVs(baseline) => {
-                assert!(sim::registry::resolve(baseline).is_ok(), "{}: {baseline}", figure.id);
-                2 * spec.series.len()
+        // An overhead metric's second half of series are the first half's
+        // baselines: the same series on the insecure baseline.
+        if let Metric::EnergyOverhead = grid.metric {
+            let (shown, baselines) = spec.series.split_at(spec.series.len() / 2);
+            assert_eq!(shown.len(), baselines.len(), "{}", figure.id);
+            for (s, b) in shown.iter().zip(baselines) {
+                assert_eq!((b.tracker.as_str(), &b.attack), ("none", &s.attack), "{}", figure.id);
             }
-        };
-        let cells = spec.cells(&opts);
-        assert_eq!(cells.len(), rows * columns * opts.workloads().len(), "{}", figure.id);
-        let keys: BTreeSet<String> = cells
-            .iter()
-            .map(|e| cell_key(e).unwrap_or_else(|| panic!("{}: uncacheable cell", figure.id)).key)
-            .collect();
-        assert_eq!(keys.len(), cells.len(), "{}: every cell is a distinct simulation", figure.id);
+        }
+        let points = spec.options.nrh.len()
+            * spec.system.as_ref().map_or(1, |s| s.llc_mib_per_core.len().max(1));
+        let workloads = sim::spec::expand_workloads(&spec.workloads).expect("workloads").len();
+        assert_eq!(workloads, quick_subset().len(), "{}", figure.id);
+        let cells = spec.expand_keyed().expect("expands").len();
+        assert_eq!(cells, points * spec.series.len() * workloads, "{}", figure.id);
+        assert_eq!(
+            key_set(&spec).len(),
+            cells,
+            "{}: every cell is a distinct simulation",
+            figure.id
+        );
     }
     assert_eq!((grids, FIGURES.len()), (14, 18), "14 simulated grids, 4 bespoke printers");
+}
+
+/// FNV-1a over the keys, one line each.
+fn digest(keys: &BTreeSet<String>) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in keys.iter().flat_map(|key| key.bytes().chain([b'\n'])) {
+        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+    }
+    hash
+}
+
+#[test]
+fn every_figure_expands_to_its_pinned_cell_key_set() {
+    // Recorded from the figure harness's own cell builder before figures
+    // became sweeps: (id, cells, digest) at the default options, then at
+    // `--full`. A figure that runs other cells, or the same cells under
+    // other keys, fails here.
+    #[rustfmt::skip]
+    const PINNED: [(&str, usize, u64, usize, u64); 14] = [
+        ("fig01", 45, 0xac10c244bbeff490, 285, 0xbd65e3a401fcbe12),
+        ("fig03", 45, 0xac10c244bbeff490, 285, 0xbd65e3a401fcbe12),
+        ("fig04", 180, 0x1633ec6e950f74e6, 1140, 0x5bd10e3e74e4e045),
+        ("fig05", 180, 0xf4cf092e2adb3a41, 1140, 0xb049c183a042a93d),
+        ("fig09", 18, 0x9fdbd13a82a34cbc, 114, 0x04c8006b9db10696),
+        ("fig10", 18, 0xd843db9ba9cbb52a, 114, 0xe5848dcbc09645d5),
+        ("fig11", 9, 0xd44f9c99aea74baf, 57, 0x4b7f4743237a069e),
+        ("fig12", 162, 0x012f6bf3921b490d, 1026, 0x8e05328586f27304),
+        ("fig13", 324, 0x9cf7d33e8a16e3d6, 2052, 0xb01f507ea15a314d),
+        ("fig14", 162, 0x0bdf4d9824f712ba, 1026, 0xe8e22cb1ff05343a),
+        ("fig15", 324, 0x4cbb6dc4b3a90ebd, 2052, 0xa175bbb70defb3c0),
+        ("fig16", 324, 0x1304af99ae436de5, 2052, 0x236cb9e7e798ae25),
+        ("fig17", 324, 0xd6eb6da2d1900363, 2052, 0x85a6f43f6e024b90),
+        ("table04", 324, 0x60bf699d91dc3bdb, 2052, 0x449d100a8021e57d),
+    ];
+    let grids = FIGURES.iter().filter(|f| matches!(f.body, Body::Grid(_)));
+    let grids: Vec<&str> = grids.map(|f| f.id).collect();
+    assert_eq!(grids, PINNED.map(|p| p.0), "every grid figure is pinned");
+    let (mut quick_total, mut full_total) = (0, 0);
+    for (id, quick_cells, quick_digest, full_cells, full_digest) in PINNED {
+        for (full, cells, pinned) in
+            [(false, quick_cells, quick_digest), (true, full_cells, full_digest)]
+        {
+            let opts = BenchOpts { full, ..BenchOpts::default() };
+            let keys = key_set(&find(id).sweep(&opts).expect("a grid figure"));
+            assert_eq!((keys.len(), digest(&keys)), (cells, pinned), "{id}, full = {full}");
+        }
+        quick_total += quick_cells;
+        full_total += full_cells;
+    }
+    assert_eq!((quick_total, full_total), (2_439, 15_447));
+}
+
+#[test]
+fn every_figure_sweep_round_trips_as_a_spec() {
+    for full in [false, true] {
+        let opts = BenchOpts { full, sweep_points: 3, ..BenchOpts::default() };
+        for figure in FIGURES {
+            let Some(spec) = figure.sweep(&opts) else { continue };
+            let hash = SweepJournal::sweep_hash(&spec);
+            let from_toml = SweepSpec::from_toml_str(&spec.to_toml())
+                .unwrap_or_else(|e| panic!("{}: {e}\n{}", figure.id, spec.to_toml()));
+            let from_json = SweepSpec::from_json_str(&spec.to_json().render())
+                .unwrap_or_else(|e| panic!("{}: {e}", figure.id));
+            for (leg, back) in [("toml", from_toml), ("json", from_json)] {
+                assert_eq!(back, spec, "{}: {leg}", figure.id);
+                assert_eq!(SweepJournal::sweep_hash(&back), hash, "{}: {leg}", figure.id);
+                assert_eq!(format!("{back:?}"), format!("{spec:?}"), "{}: {leg}", figure.id);
+            }
+        }
+    }
 }
 
 #[test]
@@ -72,7 +146,7 @@ fn readme_lists_exactly_the_declared_ids() {
     let listed: Vec<&str> = readme
         .lines()
         .filter_map(|l| l.strip_prefix("| `")?.split_once("` | ").map(|(id, _)| id))
-        .filter(|id| find(id).is_some())
+        .filter(|id| FIGURES.iter().any(|f| f.id == *id))
         .collect();
     let declared: Vec<&str> = FIGURES.iter().map(|f| f.id).collect();
     assert_eq!(listed, declared, "README's figure table, in declaration order");
@@ -83,20 +157,16 @@ fn declared_fig09_is_the_shipped_spec_matrix() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/specs/fig09_quick.toml");
     let spec = SweepSpec::from_toml_str(&std::fs::read_to_string(path).expect("shipped spec"))
         .expect("fig09_quick.toml parses");
+    let [nrh] = spec.options.nrh[..] else { panic!("spec pins one N_RH") };
     let opts = BenchOpts {
         window_us: spec.options.window_us.expect("spec pins its window"),
         seed: spec.options.seed.expect("spec pins its seed"),
-        nrh: spec.options.nrh.expect("spec pins N_RH"),
+        nrh,
         ..BenchOpts::default()
     };
-    let key_set = |keys: Vec<Option<sim::cache::CellKey>>| -> BTreeSet<String> {
-        keys.into_iter().map(|k| k.expect("cacheable cell").key).collect()
-    };
-    let declared = key_set(grid("fig09").cells(&opts).iter().map(cell_key).collect());
-    let from_spec =
-        key_set(spec.expand_keyed().expect("spec expands").into_iter().map(|(_, k)| k).collect());
+    let declared = key_set(&find("fig09").sweep(&opts).expect("a grid figure"));
     assert_eq!(declared.len(), 18);
-    assert_eq!(declared, from_spec);
+    assert_eq!(declared, key_set(&spec));
 }
 
 #[test]

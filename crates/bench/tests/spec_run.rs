@@ -63,3 +63,39 @@ fn plain_sweeps_refuse_retries_as_an_unknown_flag() {
     assert!(stderr.contains("unknown argument '--retries'"), "{stderr}");
     assert!(out.stdout.is_empty(), "refused before the first spec is announced");
 }
+
+#[test]
+fn the_banner_counts_series_and_points() {
+    let dir = std::env::temp_dir().join(format!("spec-run-banner-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let series = "[[series]]\ntracker = \"dapper-h\"\n\
+                  [[series]]\ntracker = \"para\"\nattack = \"refresh\"\nisolate = true\n";
+    let eight_channel = "[system]\ngeometry = \"enlarged-8ch\"\nllc_mib_per_core = [2, 4]\n";
+    for (name, body, banner) in [
+        (
+            "plain",
+            "trackers = [\"none\", \"para\"]\nattacks = [\"none\", \"refresh\"]\n".to_string(),
+            "4 experiments (1 workloads x 4 series)",
+        ),
+        (
+            "nrh",
+            format!("nrh = [125, 500, 2000]\n{series}"),
+            "6 experiments (1 workloads x 2 series x 3 N_RH values)",
+        ),
+        (
+            "llc",
+            format!("nrh = [125, 500]\n{series}{eight_channel}"),
+            "8 experiments (1 workloads x 2 series x 2 N_RH values x 2 LLC sizes)",
+        ),
+    ] {
+        let file = dir.join(format!("{name}.toml"));
+        let text = format!("name = \"{name}\"\nworkloads = [\"gcc_like\"]\n{body}");
+        std::fs::write(&file, text).expect("write spec");
+        let out = spec_run(&["--validate", file.to_str().expect("utf-8 temp path")]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{name}: {}", String::from_utf8_lossy(&out.stderr));
+        assert!(stdout.contains(&format!("spec '{name}' expands to {banner}")), "{name}: {stdout}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

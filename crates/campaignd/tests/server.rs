@@ -4,7 +4,8 @@
 //! lines.
 
 use campaignd::{submit_request, Client, Server, ServerConfig};
-use sim::spec::SweepSpec;
+use sim::spec::{Series, SweepSpec};
+use sim_core::config::MitigationKind::DrfmSb;
 use sim_core::json::Json;
 use std::path::PathBuf;
 
@@ -136,6 +137,33 @@ fn concurrent_identical_submissions_run_each_cell_once() {
     assert_eq!(restarted.get("report").expect("report").render(), reports[0]);
     assert_eq!(server_executed(&socket2), 0);
     shutdown(&socket2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_series_spec_runs_like_any_sweep() {
+    // A paper figure's shape: `[[series]]` and an N_RH list in place of
+    // trackers x attacks. The server runs it to the report a direct run
+    // writes.
+    let dir = scratch("series");
+    let socket = start(&dir, "a");
+    let mut spec = SweepSpec::new("series_smoke");
+    spec.workloads = vec!["mcf_like".to_string()];
+    spec.series = vec![
+        Series::new("PARA", "para", "refresh").isolating(),
+        Series::new("DAPPER-H-DRFMsb", "dapper-h", "none").mitigation(DrfmSb).blast_radius(2),
+    ];
+    spec.options.nrh = vec![250, 1000];
+    spec.options.window_us = Some(20.0);
+    spec.options.seed = Some(7);
+    let mut client = Client::connect(&socket).expect("connect");
+    let done = client.request_streaming(&submit_request(&spec, true), |_| {}).expect("submit");
+    assert_ok(&done);
+    assert_eq!(field_u64(&done, "cells"), 4);
+    let direct = spec.run().expect("the spec expands");
+    assert_eq!((direct.results.len(), direct.failures.len()), (4, 0));
+    assert_eq!(done.get("report").expect("report").render(), direct.render());
+    shutdown(&socket);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -653,7 +681,10 @@ fn resume_skips_a_journaled_spec_that_carries_a_retired_key() {
     let dir = scratch("resume-retired-key");
     let mut old = tiny_spec();
     old.name = "with_lane_knob".to_string();
-    old.system = Some(sim::SystemOptions { geometry: Some("paper-baseline".to_string()) });
+    old.system = Some(sim::SystemOptions {
+        geometry: Some("paper-baseline".to_string()),
+        ..Default::default()
+    });
     let lanes = old.to_json().render().replace("\"geometry\":", "\"threads\":4,\"geometry\":");
     old.name = "with_engine_knob".to_string();
     let engine = old.to_json().render().replace("\"name\":", "\"engine\":\"dense\",\"name\":");

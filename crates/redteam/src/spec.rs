@@ -89,7 +89,8 @@ fn run_profile_spec(
             let mut cfg = ProfileConfig::new(tracker.clone(), workload);
             // Unset keys keep the interactive CLI's defaults.
             cfg.arena.window_us = popts.probe_window_us.unwrap_or(cfg.arena.window_us);
-            cfg.arena.nrh = spec.options.nrh.unwrap_or(cfg.arena.nrh);
+            // The reader refuses an N_RH list beside `[profile]`.
+            cfg.arena.nrh = spec.options.nrh.first().copied().unwrap_or(cfg.arena.nrh);
             cfg.arena.seed = spec.options.seed.unwrap_or(cfg.arena.seed);
             cfg.bank_groups = popts.bank_groups.unwrap_or(cfg.bank_groups);
             cfg.row_groups = popts.row_groups.unwrap_or(cfg.row_groups);

@@ -66,7 +66,7 @@ pub use metrics::{normalized_performance, RunStats, RunTelemetry, RECOVERY_THRES
 pub use registry::tracker_keys;
 pub use runner::{cell_label, parallel_map, RunnerConfig, SweepError};
 pub use spec::{
-    AttackerOptions, CacheOptions, ProfileOptions, SpecError, SweepSpec, SystemOptions,
+    AttackerOptions, CacheOptions, ProfileOptions, Series, SpecError, SweepSpec, SystemOptions,
     TelemetryOptions, KNOWN_PROFILE_FAMILIES,
 };
 pub use system::{Engine, EngineStats, System};

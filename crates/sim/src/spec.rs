@@ -5,7 +5,12 @@
 //! parameter overrides like `hydra.rcc_entries = 512`), workloads from the
 //! catalog (or the `@quick` / `@all` tokens), and attacks by name; it
 //! expands into the full cross product for [`SweepSpec::run_expanded`]
-//! and round-trips results to JSON.
+//! and round-trips results to JSON. A paper figure is a sweep too: its
+//! compared configurations are `[[series]]` tables (a tracker, the attack
+//! it faces, its mitigation command, blast radius and normalization) in
+//! place of `trackers` × `attacks`, and its rows are an `nrh` list or a
+//! `[system] llc_mib_per_core` list. [`SweepSpec::expand_keyed`] is the one
+//! cell builder: point → workload → series → attacker knowledge.
 //! A single cell is a sweep that expands to one. Specs serialize to TOML
 //! and JSON and parse back losslessly; every validation failure names the
 //! offending key. Each table — the top level and every `[section]` —
@@ -31,6 +36,7 @@ use crate::experiment::{
 };
 use crate::runner::{RunnerConfig, SweepError};
 use crate::toml::{self, TomlError, TomlValue};
+use sim_core::config::MitigationKind;
 use sim_core::json::{parse_u64, write_str, DecodeError, Json, JsonCodec, JsonError};
 use sim_core::registry::{normalize_key, ParamValue, RegistryError};
 use std::collections::{BTreeMap, HashMap};
@@ -269,6 +275,40 @@ impl Value for u32 {
     }
 }
 
+impl Value for u8 {
+    fn from_toml(v: &TomlValue) -> Result<Self, DecodeError> {
+        let wide = u64::from_toml(v)?;
+        u8::try_from(wide).map_err(|_| DecodeError::new(format!("{wide} does not fit in 8 bits")))
+    }
+    fn write(&self) -> Option<TomlValue> {
+        Some(TomlValue::Int(i64::from(*self)))
+    }
+}
+
+/// The mitigation command names `mitigation = "..."` accepts, canonical
+/// spelling first.
+const MITIGATIONS: [(&str, MitigationKind); 3] = [
+    ("vrr", MitigationKind::Vrr),
+    ("drfm-sb", MitigationKind::DrfmSb),
+    ("rfm-sb", MitigationKind::RfmSb),
+];
+
+impl Value for MitigationKind {
+    fn from_toml(v: &TomlValue) -> Result<Self, DecodeError> {
+        let name = String::from_toml(v)?;
+        let wanted = normalize_key(&name);
+        let known = MITIGATIONS.iter().find(|(key, _)| normalize_key(key) == wanted);
+        known.map(|&(_, kind)| kind).ok_or_else(|| {
+            let names: Vec<&str> = MITIGATIONS.iter().map(|(key, _)| *key).collect();
+            DecodeError::new(format!("unknown mitigation '{name}'; known: {}", names.join(", ")))
+        })
+    }
+    fn write(&self) -> Option<TomlValue> {
+        let (key, _) = MITIGATIONS.iter().find(|(_, kind)| kind == self)?;
+        Some(TomlValue::Str(key.to_string()))
+    }
+}
+
 impl Value for AttackerKnowledge {
     fn from_toml(v: &TomlValue) -> Result<Self, DecodeError> {
         AttackerKnowledge::by_key(&String::from_toml(v)?).map_err(DecodeError::new)
@@ -434,27 +474,115 @@ fn at_least_one(n: &Option<u32>) -> Result<(), String> {
 /// (every field optional; the [`Experiment`] defaults apply when absent).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SpecOptions {
-    /// RowHammer threshold N_RH.
-    pub nrh: Option<u32>,
+    /// RowHammer thresholds N_RH, one sweep point each (`nrh = 500` or
+    /// `nrh = [125, 500]`; empty: the paper's 500).
+    pub nrh: Vec<u32>,
     /// Simulation window, microseconds.
     pub window_us: Option<f64>,
     /// RNG seed.
     pub seed: Option<u64>,
     /// Normalize against an attacker-inclusive baseline (the DAPPER-figure
-    /// normalization).
+    /// normalization). With `[[series]]`, each series sets its own.
     pub isolate: Option<bool>,
 }
 
 impl SpecOptions {
     fn apply(&self, mut e: Experiment) -> Experiment {
-        if let Some(nrh) = self.nrh {
-            e = e.nrh(nrh);
-        }
         if let Some(w) = self.window_us {
             e = e.window_us(w);
         }
         if let Some(s) = self.seed {
             e = e.seed(s);
+        }
+        e
+    }
+}
+
+/// One `[[series]]` table: a compared configuration — a tracker, the
+/// adversary it faces, the mitigation command it issues and how its runs
+/// are normalized — run on every workload at every point. A figure's
+/// column. Without `[[series]]`, `trackers` × `attacks` is the series list.
+///
+/// ```toml
+/// [[series]]
+/// label = "DAPPER-H-DRFMsb"   # a name for the column; no part of any cell
+/// tracker = "dapper-h"        # registry key, display name or alias
+/// attack = "refresh"          # default "none"
+/// mitigation = "drfm-sb"      # "vrr" (default), "drfm-sb" or "rfm-sb"
+/// blast_radius = 2            # victim rows on each side (default 1)
+/// isolate = true              # attacker-inclusive baseline (default false)
+/// ```
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Series {
+    /// Column label.
+    pub label: Option<String>,
+    /// Tracker registry key.
+    pub tracker: String,
+    /// Attack name (`none` when absent).
+    pub attack: Option<String>,
+    /// Mitigation command (the paper's VRR when absent).
+    pub mitigation: Option<MitigationKind>,
+    /// Victim rows refreshed on each side of an aggressor (1 when absent).
+    pub blast_radius: Option<u8>,
+    /// Normalize against an attacker-inclusive baseline.
+    pub isolate: Option<bool>,
+}
+
+impl Section for Series {
+    const KEYS: &'static [Key<Self>] = &[
+        key!(label),
+        key!(tracker),
+        key!(attack),
+        key!(mitigation),
+        key!(blast_radius),
+        key!(isolate),
+    ];
+
+    fn check(&self) -> Result<(), DecodeError> {
+        if self.tracker.is_empty() {
+            return Err(DecodeError::new("every series names a tracker").at("tracker"));
+        }
+        Ok(())
+    }
+}
+
+impl Series {
+    /// `tracker` against `attack` (an attack name), under `label`.
+    pub fn new(label: &str, tracker: &str, attack: &str) -> Self {
+        Self {
+            label: Some(label.to_string()),
+            tracker: tracker.to_string(),
+            attack: Some(attack.to_string()),
+            ..Self::default()
+        }
+    }
+
+    /// Issues `mitigation` instead of VRR.
+    pub fn mitigation(mut self, mitigation: MitigationKind) -> Self {
+        self.mitigation = Some(mitigation);
+        self
+    }
+
+    /// Refreshes `rows` victim rows on each side of an aggressor.
+    pub fn blast_radius(mut self, rows: u8) -> Self {
+        self.blast_radius = Some(rows);
+        self
+    }
+
+    /// Normalizes against an attacker-inclusive baseline
+    /// ([`Experiment::isolating`]), so only the tracker's own overhead
+    /// shows.
+    pub fn isolating(mut self) -> Self {
+        self.isolate = Some(true);
+        self
+    }
+
+    fn apply(&self, mut e: Experiment) -> Experiment {
+        if let Some(m) = self.mitigation {
+            e = e.mitigation(m);
+        }
+        if let Some(br) = self.blast_radius {
+            e = e.blast_radius(br);
         }
         if self.isolate == Some(true) {
             e = e.isolating();
@@ -621,11 +749,14 @@ impl Section for ProfileOptions {
 /// ```toml
 /// [system]
 /// geometry = "enlarged-8ch"   # or "paper-baseline" (default)
+/// llc_mib_per_core = [2, 5]   # enlarged-8ch only; default [2]
 /// ```
 ///
 /// `geometry` selects a DRAM preset ([`Geometry::paper_baseline`] /
-/// [`Geometry::enlarged_8ch`]); the LLC stays at the baseline capacity
-/// either way. It changes what is simulated, so it is part of the
+/// [`Geometry::enlarged_8ch`]). The paper baseline keeps its 8 MiB LLC;
+/// the eight-channel system takes `llc_mib_per_core` MiB per core, one
+/// sweep point per size (the default, 2 MiB x 4 cores, is the baseline
+/// capacity). Both change what is simulated, so both are part of the
 /// run-cache cell key.
 ///
 /// [`Geometry::paper_baseline`]: sim_core::addr::Geometry::paper_baseline
@@ -634,42 +765,69 @@ impl Section for ProfileOptions {
 pub struct SystemOptions {
     /// Canonical geometry preset name (`paper-baseline` / `enlarged-8ch`).
     pub geometry: Option<String>,
+    /// Per-core LLC sizes in MiB, one sweep point each (`enlarged-8ch`
+    /// only; empty: 2).
+    pub llc_mib_per_core: Vec<u64>,
 }
 
 /// The geometry preset names `[system] geometry = "..."` accepts.
 pub const KNOWN_GEOMETRIES: [&str; 2] = ["paper-baseline", "enlarged-8ch"];
 
+/// The largest per-core LLC `llc_mib_per_core` accepts.
+const MAX_LLC_MIB_PER_CORE: u64 = 64;
+
 impl Section for SystemOptions {
-    const KEYS: &'static [Key<Self>] = &[Key {
-        name: "geometry",
-        // Aliases resolve to the canonical spelling at parse time.
-        read: |s, v| {
-            let name = String::from_toml(v)?;
-            let canonical = match normalize_key(&name).as_str() {
-                "paperbaseline" | "baseline" => KNOWN_GEOMETRIES[0],
-                "enlarged8ch" | "eightchannel" | "8ch" => KNOWN_GEOMETRIES[1],
-                _ => {
-                    return Err(DecodeError::new(format!(
-                        "unknown geometry '{name}'; known: {}",
-                        KNOWN_GEOMETRIES.join(", ")
-                    )))
-                }
-            };
-            s.geometry = Some(canonical.to_string());
-            Ok(())
+    const KEYS: &'static [Key<Self>] = &[
+        Key {
+            name: "geometry",
+            // Aliases resolve to the canonical spelling at parse time.
+            read: |s, v| {
+                let name = String::from_toml(v)?;
+                let canonical = match normalize_key(&name).as_str() {
+                    "paperbaseline" | "baseline" => KNOWN_GEOMETRIES[0],
+                    "enlarged8ch" | "eightchannel" | "8ch" => KNOWN_GEOMETRIES[1],
+                    _ => {
+                        return Err(DecodeError::new(format!(
+                            "unknown geometry '{name}'; known: {}",
+                            KNOWN_GEOMETRIES.join(", ")
+                        )))
+                    }
+                };
+                s.geometry = Some(canonical.to_string());
+                Ok(())
+            },
+            write: |s| s.geometry.write(),
         },
-        write: |s| s.geometry.write(),
-    }];
+        key!(llc_mib_per_core, |sizes: &Vec<u64>| {
+            match sizes.iter().find(|&&mib| !(1..=MAX_LLC_MIB_PER_CORE).contains(&mib)) {
+                Some(bad) => Err(format!("must be 1 to {MAX_LLC_MIB_PER_CORE} MiB, got {bad}")),
+                None => Ok(()),
+            }
+        }),
+    ];
+
+    fn check(&self) -> Result<(), DecodeError> {
+        if !self.llc_mib_per_core.is_empty() && !self.eight_channel() {
+            let message = "only the enlarged-8ch geometry takes a per-core LLC size";
+            return Err(DecodeError::new(message).at("llc_mib_per_core"));
+        }
+        Ok(())
+    }
 }
 
 impl SystemOptions {
-    fn apply(&self, mut e: Experiment) -> Experiment {
-        if self.geometry.as_deref() == Some(KNOWN_GEOMETRIES[1]) {
-            // Baseline per-core LLC share (2 MiB x 4 cores = the 8 MiB
-            // baseline): geometry changes the memory system only.
-            e = e.eight_channel(2);
+    fn eight_channel(&self) -> bool {
+        self.geometry.as_deref() == Some(KNOWN_GEOMETRIES[1])
+    }
+
+    /// The per-core LLC size of each sweep point (`None`: the geometry's
+    /// own LLC).
+    fn llc_points(&self) -> Vec<Option<u64>> {
+        match &self.llc_mib_per_core[..] {
+            _ if !self.eight_channel() => vec![None],
+            [] => vec![Some(2)],
+            sizes => sizes.iter().copied().map(Some).collect(),
         }
-        e
     }
 }
 
@@ -754,7 +912,9 @@ pub fn expand_workloads(names: &[String]) -> Result<Vec<String>, SpecError> {
 // SweepSpec
 // ---------------------------------------------------------------------------
 
-/// A declarative tracker × workload × attack sweep.
+/// A declarative sweep: every series (`[[series]]`, or `trackers` ×
+/// `attacks`) on every workload at every point (`nrh` ×
+/// `[system] llc_mib_per_core`).
 #[derive(Debug, Clone)]
 pub struct SweepSpec {
     /// Sweep name (used for output file naming).
@@ -768,6 +928,9 @@ pub struct SweepSpec {
     pub params: BTreeMap<String, BTreeMap<String, ParamValue>>,
     /// Attack names (default: just `none`).
     pub attacks: Vec<String>,
+    /// The compared configurations (`[[series]]` tables), in place of
+    /// `trackers`, `attacks` and a top-level `isolate`.
+    pub series: Vec<Series>,
     /// System-level options applied to every cell.
     pub options: SpecOptions,
     /// Telemetry section (`[telemetry]`) applied to every cell.
@@ -805,11 +968,26 @@ impl Section for SweepSpec {
         key!(name),
         key!(workloads),
         key!(trackers),
-        key!(attacks),
-        key!(nrh => options.nrh),
+        Key {
+            name: "attacks",
+            read: |s, v| Value::from_toml(v).map(|attacks| s.attacks = attacks),
+            // A series spec holds only the default, which it does not write.
+            write: |s| if s.series.is_empty() { s.attacks.write() } else { None },
+        },
+        Key {
+            name: "nrh",
+            read: |s, v| Value::from_toml(v).map(|nrh| s.options.nrh = nrh),
+            // One threshold writes as the scalar it was before lists, so a
+            // one-point spec keeps its canonical text and sweep hash.
+            write: |s| match &s.options.nrh[..] {
+                [one] => one.write(),
+                _ => s.options.nrh.write(),
+            },
+        },
         key!(window_us => options.window_us),
         key!(seed => options.seed),
         key!(isolate => options.isolate),
+        key!(series),
         key!(telemetry),
         key!(system),
         key!(cache),
@@ -819,16 +997,49 @@ impl Section for SweepSpec {
     ];
 
     /// Every `params.<tracker>` table must resolve to a tracker named in
-    /// `trackers` (so a typo'd section errors instead of being silently
-    /// ignored). Checked as the spec is read, so an empty table — which
-    /// the JSON form drops — is refused by every reader alike.
+    /// `trackers` or a series (so a typo'd section errors instead of being
+    /// silently ignored); `[[series]]` replaces `trackers`, `attacks` and a
+    /// top-level `isolate` rather than mixing with them; and a `[profile]`
+    /// workflow, which runs one N_RH per tracker, takes neither series nor
+    /// an N_RH list. Checked as the spec is read, so the TOML and the JSON
+    /// readers refuse alike (an empty params table, which the JSON form
+    /// drops, included).
     fn check(&self) -> Result<(), DecodeError> {
+        if !self.series.is_empty() {
+            let mixed = [
+                ("trackers", !self.trackers.is_empty()),
+                ("attacks", self.attacks != ["none"]),
+                ("isolate", self.options.isolate.is_some()),
+            ];
+            if let Some((key, _)) = mixed.iter().find(|(_, set)| *set) {
+                let message = format!("cannot be combined with '{key}': each series names its own");
+                return Err(DecodeError::new(message).at("series"));
+            }
+        }
+        if self.profile.is_some() {
+            if !self.series.is_empty() {
+                let message = "a [profile] workflow takes 'trackers', not [[series]]";
+                return Err(DecodeError::new(message).at("series"));
+            }
+            if self.options.nrh.len() > 1 {
+                let message = "a [profile] workflow runs one N_RH, not a list";
+                return Err(DecodeError::new(message).at("nrh"));
+            }
+        }
         for param_key in self.params.keys() {
             let at = |message: String| DecodeError::new(message).at(param_key).at("params");
             let wanted = crate::registry::resolve(param_key).map_err(|e| at(e.to_string()))?.key;
-            let mut listed = self.trackers.iter().filter_map(|t| crate::registry::resolve(t).ok());
-            if !listed.any(|t| t.key == wanted) {
-                return Err(at("does not match any tracker in 'trackers'".to_string()));
+            let mut listed = self
+                .tracker_names()
+                .into_iter()
+                .filter_map(|t| crate::registry::resolve(t).ok())
+                .map(|t| t.key);
+            if !listed.any(|key| key == wanted) {
+                let message = match self.series.is_empty() {
+                    true => "does not match any tracker in 'trackers'",
+                    false => "does not match the tracker of any series",
+                };
+                return Err(at(message.to_string()));
             }
         }
         Ok(())
@@ -844,6 +1055,7 @@ impl SweepSpec {
             trackers: Vec::new(),
             params: BTreeMap::new(),
             attacks: vec!["none".to_string()],
+            series: Vec::new(),
             options: SpecOptions::default(),
             telemetry: None,
             system: None,
@@ -879,33 +1091,62 @@ impl SweepSpec {
         toml_to_json(&TomlValue::Table(write_table(self)))
     }
 
-    /// The resolved tracker selections, with per-tracker overrides
-    /// attached. (The reader refuses a `params.<tracker>` table that
-    /// matches no tracker in `trackers`.)
-    pub fn resolve_trackers(&self) -> Result<Vec<TrackerSel>, SpecError> {
-        let mut sels = Vec::new();
-        for name in &self.trackers {
-            let mut sel = TrackerSel::by_key(name)?;
-            // Overrides may be keyed by any accepted spelling of the
-            // tracker's name; match on the canonical key.
-            for (param_key, overrides) in &self.params {
-                if crate::registry::resolve(param_key)?.key == sel.key() {
-                    sel = sel.with_params(overrides.clone())?;
-                }
-            }
-            sels.push(sel);
+    /// The tracker names the sweep runs, in series order: its series'
+    /// trackers, or else `trackers`.
+    fn tracker_names(&self) -> Vec<&str> {
+        if self.series.is_empty() {
+            self.trackers.iter().map(String::as_str).collect()
+        } else {
+            self.series.iter().map(|s| s.tracker.as_str()).collect()
         }
-        Ok(sels)
     }
 
-    /// Expands the full workload × tracker × attack cross product into
-    /// runnable experiments (attacks vary fastest, then trackers), after
+    /// The series the sweep runs: its `[[series]]`, or else `trackers` ×
+    /// `attacks` in tracker-major order under the top-level `isolate`.
+    pub fn expanded_series(&self) -> Vec<Series> {
+        if !self.series.is_empty() {
+            return self.series.clone();
+        }
+        let product = self.trackers.iter().flat_map(|tracker| {
+            self.attacks.iter().map(move |attack| Series {
+                tracker: tracker.clone(),
+                attack: Some(attack.clone()),
+                isolate: self.options.isolate,
+                ..Series::default()
+            })
+        });
+        product.collect()
+    }
+
+    /// The resolved tracker selections, with per-tracker overrides
+    /// attached. (The reader refuses a `params.<tracker>` table that
+    /// matches no tracker the spec names.)
+    pub fn resolve_trackers(&self) -> Result<Vec<TrackerSel>, SpecError> {
+        self.trackers.iter().map(|name| self.resolve_tracker(name)).collect()
+    }
+
+    /// `name`'s selection with the spec's overrides for it attached.
+    fn resolve_tracker(&self, name: &str) -> Result<TrackerSel, SpecError> {
+        let mut sel = TrackerSel::by_key(name)?;
+        // Overrides may be keyed by any accepted spelling of the tracker's
+        // name; match on the canonical key.
+        for (param_key, overrides) in &self.params {
+            if crate::registry::resolve(param_key)?.key == sel.key() {
+                sel = sel.with_params(overrides.clone())?;
+            }
+        }
+        Ok(sel)
+    }
+
+    /// Expands the sweep into runnable experiments, point by point (N_RH,
+    /// then per-core LLC size), then workload, series (attacks vary
+    /// fastest within a tracker), attacker knowledge level, after
     /// validating every name and parameter — including each tracker's
     /// [check](sim_core::registry::TrackerSpec::validate) on the paper
-    /// geometry, so parameter *combinations* the flat schema cannot express
-    /// (e.g. an RCC entry count that is not a multiple of the way count)
-    /// fail here instead of panicking inside every sweep worker. The check
-    /// builds no tracker.
+    /// geometry at every N_RH, so parameter *combinations* the flat schema
+    /// cannot express (e.g. an RCC entry count that is not a multiple of
+    /// the way count) fail here instead of panicking inside every sweep
+    /// worker. The check builds no tracker.
     pub fn expand(&self) -> Result<Vec<Experiment>, SpecError> {
         Ok(self.expand_keyed()?.into_iter().map(|(e, _)| e).collect())
     }
@@ -914,24 +1155,43 @@ impl SweepSpec {
     /// [`CellKey`](crate::cache::CellKey) attached (`None` for an
     /// uncacheable cell): the descriptor expansion dedupes on is rendered
     /// and hashed once, here, and every cache-aware caller takes the key
-    /// from this pair.
+    /// from this pair. The workspace's one cell builder.
     pub fn expand_keyed(&self) -> Result<Vec<KeyedCell>, SpecError> {
         let workloads = expand_workloads(&self.workloads)?;
-        let trackers = self.resolve_trackers()?;
+        // Each tracker name resolves once, in order, before any attack.
+        let mut trackers: Vec<(&str, TrackerSel)> = Vec::new();
+        for name in self.tracker_names() {
+            if trackers.iter().all(|(seen, _)| *seen != name) {
+                trackers.push((name, self.resolve_tracker(name)?));
+            }
+        }
         if trackers.is_empty() {
             return Err(field_err("trackers", "must name at least one tracker"));
         }
         let probe_cfg = sim_core::config::SystemConfig::paper_baseline();
-        let nrh = self.options.nrh.unwrap_or(probe_cfg.nrh);
-        for tracker in &trackers {
-            let probe = sim_core::tracker::TrackerParams::new(nrh, probe_cfg.geometry, 0, 0);
-            tracker.spec().validate(probe, tracker.params())?;
+        let nrhs: Vec<Option<u32>> = match &self.options.nrh[..] {
+            [] => vec![None],
+            list => list.iter().copied().map(Some).collect(),
+        };
+        for (_, tracker) in &trackers {
+            for nrh in &nrhs {
+                let nrh = nrh.unwrap_or(probe_cfg.nrh);
+                let probe = sim_core::tracker::TrackerParams::new(nrh, probe_cfg.geometry, 0, 0);
+                tracker.spec().validate(probe, tracker.params())?;
+            }
         }
-        let attacks: Vec<AttackChoice> =
-            self.attacks.iter().map(|a| parse_attack(a)).collect::<Result<_, _>>()?;
-        if attacks.is_empty() {
+        let series = self.expanded_series();
+        if series.is_empty() {
             return Err(field_err("attacks", "must name at least one attack"));
         }
+        let mut columns = Vec::with_capacity(series.len());
+        for s in &series {
+            let attack = parse_attack(s.attack.as_deref().unwrap_or("none"))?;
+            let (_, tracker) =
+                trackers.iter().find(|(name, _)| *name == s.tracker).expect("resolved above");
+            columns.push((tracker, attack, s));
+        }
+        let llcs = self.system.as_ref().map_or_else(|| vec![None], SystemOptions::llc_points);
         // The `[attacker]` section fans out one cell per knowledge level
         // (innermost axis); without it every cell stays attacker-free.
         let attacker_cfgs: Vec<Option<AttackerConfig>> = match &self.attacker {
@@ -939,28 +1199,35 @@ impl SweepSpec {
             Some(a) => a.configs().into_iter().map(Some).collect(),
         };
         let mut out = Vec::with_capacity(
-            workloads.len() * trackers.len() * attacks.len() * attacker_cfgs.len(),
+            nrhs.len() * llcs.len() * workloads.len() * columns.len() * attacker_cfgs.len(),
         );
         let mut keys = CellKeys::default();
         let mut first = HashMap::new();
-        for workload in &workloads {
-            for tracker in &trackers {
-                for attack in &attacks {
-                    for cfg in &attacker_cfgs {
-                        let mut e =
-                            Experiment::new(workload).tracker(tracker.clone()).attack(*attack);
-                        if let Some(telemetry) = &self.telemetry {
-                            e = e.with_telemetry(telemetry.spec);
+        for nrh in &nrhs {
+            for llc in &llcs {
+                for workload in &workloads {
+                    for (tracker, attack, s) in &columns {
+                        for cfg in &attacker_cfgs {
+                            let mut e = Experiment::new(workload)
+                                .tracker((*tracker).clone())
+                                .attack(*attack);
+                            e = s.apply(e);
+                            if let Some(telemetry) = &self.telemetry {
+                                e = e.with_telemetry(telemetry.spec);
+                            }
+                            if let Some(mib) = llc {
+                                e = e.eight_channel(*mib);
+                            }
+                            if let Some(cfg) = cfg {
+                                e = e.attacker(*cfg);
+                            }
+                            if let Some(nrh) = nrh {
+                                e = e.nrh(*nrh);
+                            }
+                            let e = self.options.apply(e);
+                            let key = keys.key(&e, None);
+                            push_unique(&mut out, &mut first, (e, key));
                         }
-                        if let Some(system) = &self.system {
-                            e = system.apply(e);
-                        }
-                        if let Some(cfg) = cfg {
-                            e = e.attacker(*cfg);
-                        }
-                        let e = self.options.apply(e);
-                        let key = keys.key(&e, None);
-                        push_unique(&mut out, &mut first, (e, key));
                     }
                 }
             }
@@ -1368,14 +1635,15 @@ group_size = 256
             ("tax_ns".to_string(), ParamValue::Float(rng.gen_f64() * 10.0)),
             ("mode".to_string(), ParamValue::Str(format!("m{}", rng.gen_range(9)))),
         ];
-        SweepSpec {
+        let mut spec = SweepSpec {
             name: format!("sweep-{}", rng.gen_range(1000)),
             workloads: vec![pick(rng, &["gcc_like", "mcf_like", "@quick"]).into()],
             trackers: vec!["hydra".into(), pick(rng, &["none", "para", "dapper-s"]).into()],
             params: [("hydra".to_string(), overrides.into())].into(),
             attacks: vec![pick(rng, &["none", "tailored", "streaming"]).into()],
+            series: Vec::new(),
             options: SpecOptions {
-                nrh: small(rng),
+                nrh: small(rng).into_iter().collect(),
                 window_us: us(rng),
                 seed: Some(rng.next_u64() >> rng.gen_range(64)),
                 isolate: Some(rng.gen_bool(0.5)),
@@ -1390,7 +1658,10 @@ group_size = 256
                 },
                 out: Some(format!("stem{}", rng.gen_range(9))),
             }),
-            system: Some(SystemOptions { geometry: Some(pick(rng, &KNOWN_GEOMETRIES).into()) }),
+            system: Some(SystemOptions {
+                geometry: Some(pick(rng, &KNOWN_GEOMETRIES).into()),
+                llc_mib_per_core: Vec::new(),
+            }),
             cache: Some(CacheOptions { dir: Some(format!("dir{}", rng.gen_range(9))) }),
             attacker: Some(AttackerOptions {
                 knowledge: AttackerKnowledge::ALL[rng.gen_range(3) as usize..].to_vec(),
@@ -1408,7 +1679,35 @@ group_size = 256
                 top_k: small(rng),
                 budget: small(rng),
             }),
+        };
+        let system = spec.system.as_mut().expect("set above");
+        if system.eight_channel() {
+            let sizes = 0..rng.gen_range(4);
+            system.llc_mib_per_core = sizes.map(|_| rng.gen_range(64) + 1).collect();
         }
+        // Half of them are figure-shaped: `[[series]]` in place of
+        // `trackers`, `attacks` and `isolate`, an N_RH list, and no
+        // `[profile]`, which takes neither.
+        if rng.gen_bool(0.5) {
+            let maybe = |rng: &mut Xoshiro256| rng.gen_bool(0.5);
+            spec.series = (0..=rng.gen_range(3))
+                .map(|i| Series {
+                    label: maybe(rng).then(|| format!("series {i}")),
+                    tracker: pick(rng, &["hydra", "para", "DAPPER_S"]).into(),
+                    attack: maybe(rng).then(|| pick(rng, &["none", "tailored", "refresh"]).into()),
+                    mitigation: maybe(rng).then(|| pick(rng, &MITIGATIONS).1),
+                    blast_radius: maybe(rng).then(|| rng.gen_range(256) as u8),
+                    isolate: maybe(rng).then(|| rng.gen_bool(0.5)),
+                })
+                .collect();
+            spec.series[0].tracker = "hydra".into();
+            spec.trackers.clear();
+            spec.attacks = vec!["none".into()];
+            spec.options.isolate = None;
+            spec.options.nrh = (0..rng.gen_range(4)).filter_map(|_| small(rng)).collect();
+            spec.profile = None;
+        }
+        spec
     }
 
     #[test]
@@ -1517,14 +1816,16 @@ group_size = 256
         }
     }
 
-    /// A fully populated table writes exactly its declared keys and reads
-    /// them back; one undeclared key is rejected by name with the
-    /// allow-list spelled out.
-    fn check_keys<S: Section + PartialEq + std::fmt::Debug>(full: &S) {
+    /// A fully populated table writes exactly its declared keys, bar the
+    /// `unwritten` ones it cannot hold at once, and reads them back; one
+    /// undeclared key is rejected by name with the allow-list spelled out.
+    fn check_keys<S: Section + PartialEq + std::fmt::Debug>(full: &S, unwritten: &[&str]) {
         let written = write_table(full);
         let mut declared: Vec<&str> = S::KEYS.iter().map(|key| key.name).collect();
         declared.sort_unstable();
-        assert_eq!(written.keys().map(String::as_str).collect::<Vec<_>>(), declared);
+        let expected: Vec<&str> =
+            declared.iter().copied().filter(|key| !unwritten.contains(key)).collect();
+        assert_eq!(written.keys().map(String::as_str).collect::<Vec<_>>(), expected);
         assert_eq!(&read_table::<S>(&written).unwrap(), full);
         let mut extra = written;
         extra.insert("zz_undeclared".to_string(), TomlValue::Bool(true));
@@ -1544,13 +1845,33 @@ group_size = 256
             let telemetry = spec.telemetry.as_mut().unwrap();
             telemetry.spec.oracle = true;
             telemetry.spec.slowdown = true;
-            check_keys(&spec);
-            check_keys(spec.telemetry.as_ref().unwrap());
-            check_keys(spec.system.as_ref().unwrap());
-            check_keys(spec.cache.as_ref().unwrap());
-            check_keys(spec.attacker.as_ref().unwrap());
-            check_keys(spec.profile.as_ref().unwrap());
+            spec.system = Some(SystemOptions {
+                geometry: Some(KNOWN_GEOMETRIES[1].into()),
+                llc_mib_per_core: vec![2, 5],
+            });
+            if spec.options.nrh.is_empty() {
+                spec.options.nrh = vec![125, 500];
+            }
+            // A series spec holds no `trackers`, `attacks`, top-level
+            // `isolate` or `[profile]`; a plain one no `[[series]]`.
+            let unwritten: &[&str] = match spec.series.is_empty() {
+                true => &["series"],
+                false => &["attacks", "isolate", "profile", "trackers"],
+            };
+            check_keys(&spec, unwritten);
+            check_keys(spec.telemetry.as_ref().unwrap(), &[]);
+            check_keys(spec.system.as_ref().unwrap(), &[]);
+            check_keys(spec.cache.as_ref().unwrap(), &[]);
+            check_keys(spec.attacker.as_ref().unwrap(), &[]);
+            if let Some(profile) = &spec.profile {
+                check_keys(profile, &[]);
+            }
         }
+        let series = Series::new("BR2", "dapper-h", "refresh")
+            .mitigation(MitigationKind::DrfmSb)
+            .blast_radius(2)
+            .isolating();
+        check_keys(&series, &[]);
     }
 
     #[test]
@@ -1562,7 +1883,7 @@ group_size = 256
         spec.attacks = vec!["tailored".to_string()];
         let overrides = [("rcc_entries".to_string(), ParamValue::Int(512))];
         spec.params.insert("hydra".into(), overrides.into());
-        spec.options.nrh = Some(250);
+        spec.options.nrh = vec![250];
         spec.options.window_us = Some(100.0);
         spec.options.seed = Some(0xDA99E5);
         assert_eq!(SweepSpec::from_toml_str(&spec.to_toml()).unwrap(), spec);
@@ -1652,7 +1973,7 @@ group_size = 256
             spec.workloads = vec!["gcc_like".into()];
             spec.trackers = vec![tracker.into()];
             spec.params.insert(tracker.into(), overrides);
-            spec.options.nrh = Some(500);
+            spec.options.nrh = vec![500];
             let err = spec.expand_keyed().map(drop).unwrap_err();
             assert_eq!(err, SpecError::Registry(built), "{tracker}");
         }
@@ -1719,6 +2040,176 @@ group_size = 256
             err.to_string().starts_with("spec field 'params.hydrra': unknown tracker"),
             "{err}"
         );
+    }
+
+    /// Both readers refuse `toml` and `json`, the same spec in each form,
+    /// with `message`.
+    fn refused_alike(toml: &str, json: &str, message: &str) {
+        let from_toml = SweepSpec::from_toml_str(toml).map(|s| s.to_toml()).unwrap_err();
+        assert_eq!(from_toml.to_string(), message, "{toml}");
+        let from_json = SweepSpec::from_json_str(json).map(|s| s.to_toml()).unwrap_err();
+        assert_eq!(from_json.to_string(), message, "{json}");
+    }
+
+    const SERIES_HEAD: &str = "workloads = \"gcc_like\"\n";
+    const ONE_SERIES: &str = "[[series]]\ntracker = \"hydra\"\nattack = \"refresh\"\n";
+    const ONE_SERIES_JSON: &str = r#""series":[{"tracker":"hydra","attack":"refresh"}]"#;
+
+    #[test]
+    fn series_do_not_mix_with_trackers_attacks_or_a_top_level_isolate() {
+        for (key, toml, json) in [
+            ("trackers", "trackers = \"para\"\n", r#""trackers":"para""#),
+            ("attacks", "attacks = \"streaming\"\n", r#""attacks":["streaming"]"#),
+            ("isolate", "isolate = false\n", r#""isolate":false"#),
+        ] {
+            refused_alike(
+                &format!("{SERIES_HEAD}{toml}{ONE_SERIES}"),
+                &format!(r#"{{"workloads":"gcc_like",{json},{ONE_SERIES_JSON}}}"#),
+                &format!(
+                    "spec field 'series': cannot be combined with '{key}': each series names its own"
+                ),
+            );
+        }
+    }
+
+    #[test]
+    fn a_profile_spec_takes_neither_series_nor_an_nrh_list() {
+        refused_alike(
+            &format!("{SERIES_HEAD}{ONE_SERIES}[profile]\n"),
+            &format!(r#"{{"workloads":"gcc_like",{ONE_SERIES_JSON},"profile":{{}}}}"#),
+            "spec field 'series': a [profile] workflow takes 'trackers', not [[series]]",
+        );
+        refused_alike(
+            "workloads = \"gcc_like\"\ntrackers = \"hydra\"\nnrh = [250, 500]\n[profile]\n",
+            r#"{"workloads":"gcc_like","trackers":"hydra","nrh":[250,500],"profile":{}}"#,
+            "spec field 'nrh': a [profile] workflow runs one N_RH, not a list",
+        );
+        // One threshold, written either way, is what the workflow reads.
+        let one = "workloads = \"gcc_like\"\ntrackers = \"hydra\"\nnrh = [250]\n[profile]\n";
+        assert_eq!(SweepSpec::from_toml_str(one).unwrap().options.nrh, [250]);
+    }
+
+    #[test]
+    fn llc_sizes_need_the_eight_channel_geometry() {
+        let message = "spec field 'system.llc_mib_per_core': \
+                       only the enlarged-8ch geometry takes a per-core LLC size";
+        refused_alike(
+            "workloads = \"gcc_like\"\ntrackers = \"none\"\n[system]\nllc_mib_per_core = [2, 4]\n",
+            r#"{"workloads":"gcc_like","trackers":"none","system":{"llc_mib_per_core":[2,4]}}"#,
+            message,
+        );
+        refused_alike(
+            "workloads = \"gcc_like\"\ntrackers = \"none\"\n\
+             [system]\ngeometry = \"paper-baseline\"\nllc_mib_per_core = 4\n",
+            r#"{"workloads":"gcc_like","trackers":"none",
+                "system":{"geometry":"paper-baseline","llc_mib_per_core":4}}"#,
+            message,
+        );
+        refused_alike(
+            "workloads = \"gcc_like\"\ntrackers = \"none\"\n\
+             [system]\ngeometry = \"8ch\"\nllc_mib_per_core = [2, 0]\n",
+            r#"{"workloads":"gcc_like","trackers":"none",
+                "system":{"geometry":"8ch","llc_mib_per_core":[2,0]}}"#,
+            "spec field 'system.llc_mib_per_core': must be 1 to 64 MiB, got 0",
+        );
+    }
+
+    #[test]
+    fn params_must_match_the_tracker_of_a_series() {
+        let params = "[params.comet]\nrat_entries = 64\n";
+        refused_alike(
+            &format!("{SERIES_HEAD}{ONE_SERIES}{params}"),
+            &format!(
+                r#"{{"workloads":"gcc_like",{ONE_SERIES_JSON},"params":{{"comet":{{"rat_entries":64}}}}}}"#
+            ),
+            "spec field 'params.comet': does not match the tracker of any series",
+        );
+        // A series' tracker, under any spelling, takes its overrides.
+        let doc = format!("{SERIES_HEAD}{ONE_SERIES}[params.HYDRA]\nrcc_entries = 512\n");
+        let spec = SweepSpec::from_toml_str(&doc).unwrap();
+        let json = r#"{"workloads":"gcc_like","series":[{"tracker":"hydra","attack":"refresh"}],
+                       "params":{"HYDRA":{"rcc_entries":512}}}"#;
+        assert_eq!(SweepSpec::from_json_str(json).unwrap(), spec);
+        let cells = spec.expand().unwrap();
+        assert_eq!(cells[0].tracker.params()["rcc_entries"], ParamValue::Int(512));
+    }
+
+    #[test]
+    fn series_expand_like_the_figures_they_declare() {
+        let doc = "name = \"br\"\nworkloads = [\"gcc_like\", \"mcf_like\"]\nnrh = [125, 500]\n\
+                   [[series]]\nlabel = \"BR1\"\ntracker = \"dapper-h\"\n\
+                   [[series]]\nlabel = \"DRFMsb-Refr\"\ntracker = \"dapper-h\"\n\
+                   attack = \"refresh\"\nmitigation = \"DRFMsb\"\nblast_radius = 2\n\
+                   isolate = true\n";
+        let spec = SweepSpec::from_toml_str(doc).unwrap();
+        assert_eq!(spec.series[1].mitigation, Some(MitigationKind::DrfmSb), "any spelling");
+        assert!(spec.to_toml().contains("mitigation = \"drfm-sb\""), "canonical spelling");
+        let cells = spec.expand().unwrap();
+        // Point, then workload, then series.
+        let shape: Vec<_> = cells
+            .iter()
+            .map(|e| (e.cfg.nrh, &e.workload[..], e.cfg.blast_radius, e.isolate_tracker_overhead))
+            .collect();
+        assert_eq!(
+            shape,
+            [
+                (125, "gcc_like", 1, false),
+                (125, "gcc_like", 2, true),
+                (125, "mcf_like", 1, false),
+                (125, "mcf_like", 2, true),
+                (500, "gcc_like", 1, false),
+                (500, "gcc_like", 2, true),
+                (500, "mcf_like", 1, false),
+                (500, "mcf_like", 2, true),
+            ]
+        );
+        assert_eq!(cells[1].cfg.mitigation, MitigationKind::DrfmSb);
+        assert_eq!(cells[1].attack, AttackChoice::Specific(Attack::RefreshAttack));
+        assert_eq!(cells[0].attack, AttackChoice::None, "a series without an attack is benign");
+        // LLC sizes are the inner point axis, on the eight-channel system.
+        let doc =
+            format!("{doc}[system]\ngeometry = \"enlarged-8ch\"\nllc_mib_per_core = [2, 5]\n");
+        let cells = SweepSpec::from_toml_str(&doc).unwrap().expand().unwrap();
+        let points: Vec<_> = cells.iter().step_by(4).map(|e| (e.cfg.nrh, e.cfg.llc)).collect();
+        let llc = |mib: u64| Experiment::new("gcc_like").eight_channel(mib).cfg.llc;
+        assert_eq!(points, [(125, llc(2)), (125, llc(5)), (500, llc(2)), (500, llc(5))]);
+    }
+
+    #[test]
+    fn trackers_times_attacks_are_the_series_they_spell() {
+        // The plain spec and its series spelled out expand to the same
+        // cells, keys and order; the plain one keeps its scalar `nrh`.
+        let plain = "name = \"p\"\nworkloads = [\"gcc_like\", \"mcf_like\"]\n\
+                     trackers = [\"hydra\", \"para\"]\nattacks = [\"none\", \"refresh\"]\n\
+                     isolate = true\nnrh = 250\n";
+        let plain = SweepSpec::from_toml_str(plain).unwrap();
+        assert!(plain.to_toml().contains("\nnrh = 250\n"), "{}", plain.to_toml());
+        let mut spelled = SweepSpec::new("p");
+        spelled.workloads = plain.workloads.clone();
+        spelled.options.nrh = vec![250];
+        spelled.series = plain.expanded_series();
+        assert_eq!(spelled.series.len(), 4);
+        assert_eq!(
+            spelled
+                .series
+                .iter()
+                .map(|s| (&s.tracker[..], s.attack.as_deref()))
+                .collect::<Vec<_>>(),
+            [
+                ("hydra", Some("none")),
+                ("hydra", Some("refresh")),
+                ("para", Some("none")),
+                ("para", Some("refresh"))
+            ],
+            "tracker-major"
+        );
+        let keys = |spec: &SweepSpec| -> Vec<_> {
+            spec.expand_keyed().unwrap().into_iter().map(|(_, key)| key).collect()
+        };
+        assert_eq!(keys(&spelled), keys(&plain));
+        let back = SweepSpec::from_json_str(&spelled.to_json().render()).unwrap();
+        assert_eq!(back, spelled);
+        assert!(!spelled.to_toml().contains("attacks"), "{}", spelled.to_toml());
     }
 
     #[test]
